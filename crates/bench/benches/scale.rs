@@ -44,7 +44,7 @@ fn bench_scale(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(300));
 
     // Once-per-topology path precompute, at the smallest size so the bench
-    // stays fast; scratch-reusing Yen's makes this linear-ish in pairs.
+    // stays fast; goal-directed Yen's makes this linear-ish in pairs.
     {
         let topo = large_wan(256, SEED);
         let pairs = gravity_pairs(&topo, 512, SEED ^ 1);

@@ -405,7 +405,9 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
         while linked < m {
             let mut best: Option<(f64, usize)> = None;
             for (j, &dj) in deg.iter().enumerate().take(i) {
-                if t.has_link(i, j) {
+                // The arrival has at most 3 links: scanning them beats the
+                // two hash probes of `has_link` a million times over.
+                if t.neighbors(i).iter().any(|&(v, _)| v == j) {
                     continue;
                 }
                 let score = dist(i, j) / (dj as f64).sqrt();
@@ -598,6 +600,29 @@ mod tests {
             assert_eq!(x.edges, y.edges);
             assert_eq!(x.weight.to_bits(), y.weight.to_bits());
         }
+    }
+
+    #[test]
+    fn large_wan_edge_list_pinned() {
+        // FNV-1a over every edge's (src, dst, capacity bits, weight bits),
+        // printed at the commit before the growth loop stopped probing
+        // `has_link`: the generator's output must not have moved.
+        let t = large_wan(1024, 7);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for e in t.edges() {
+            let words = [
+                e.src as u64,
+                e.dst as u64,
+                e.capacity.to_bits(),
+                e.weight.to_bits(),
+            ];
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(t.num_edges(), 4916);
+        assert_eq!(h, 0xf8c0_3a32_3a70_c6a9);
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! This substrate replaces the paper's external topology data (Topology Zoo,
 //! CAIDA, proprietary SWAN) with seeded generators matching the published
 //! structural profiles, and implements the path machinery of the TE path
-//! formulation: Dijkstra, Yen's k-shortest simple paths, and the path-edge
-//! incidence structure FlowGNN message-passes over.
+//! formulation: Yen's k-shortest simple paths with goal-directed spur
+//! searches (each bounded by a per-destination reverse shortest-path tree,
+//! bit-identical to plain Yen's over Dijkstra — see [`paths`]), run per
+//! demand pair on scoped worker threads, and the path-edge incidence
+//! structure FlowGNN message-passes over.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
 // audited unsafe lives in `teal-nn`/`teal-lp` only (see the root crate's
 // unsafe inventory docs).

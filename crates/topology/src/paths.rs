@@ -8,20 +8,64 @@
 //! so every demand has exactly `k` slots (split ratios on duplicates simply
 //! add on the same physical path).
 //!
-//! Two details matter at paper scale (754–1,739 nodes, §6):
+//! # Guarantee
 //!
-//! * Yen's inner loop runs one masked Dijkstra per spur node — thousands per
-//!   pair. [`KspScratch`] keeps the distance/predecessor arrays, the binary
-//!   heap, and epoch-stamped ban/mark arrays alive across those runs, so the
-//!   precompute is allocation-free per spur instead of building fresh
-//!   `HashSet`s and `Vec`s each time.
+//! Each pair's result is a pure function of `(topo, src, dst, k)`: it does
+//! not depend on the thread count, on what a [`KspScratch`] was used for
+//! before, or on the order pairs are visited in. It is bit-for-bit what
+//! Yen's algorithm over a plain `(dist, node)`-ordered masked Dijkstra
+//! returns — nodes, edges and the left-folded `f64` weight — and the test
+//! oracle (`paths/oracle.rs`, that plain algorithm) holds it to that.
+//!
+//! # Goal-directed spur searches, and why they stay exact
+//!
+//! Yen's inner loop runs one masked shortest-path search per spur node,
+//! about ten per pair. A plain Dijkstra floods a third of a 1,000-node WAN
+//! before it reaches `dst`; here every search is bounded by a reverse
+//! shortest-path tree `h(v) = d(v → dst)` on the *unmasked* graph, built once
+//! per destination over in-edges. A distance-only A\* on `g + h` finds the
+//! masked optimum `D*`; then the same `(dist, node)`-ordered Dijkstra as
+//! before runs, skipping any relaxation with `nd + h[next] > D*·(1 + 1e-9)`.
+//! The returned path is unchanged because:
+//!
+//! 1. `h` is a consistent lower bound on the masked distance to `dst`, so a
+//!    skipped relaxation can never be the tight one for a node on a path of
+//!    weight ≤ `D*` — and every node on the returned path, and every
+//!    predecessor that could tie for its `prev[]`, lies on such a path;
+//! 2. the bound is strict with float slack (`1e-9` against ~`1e-13` of
+//!    accumulated rounding between left- and right-folded sums), so ties
+//!    and ulp-level differences are never pruned;
+//! 3. the heap order is total, so removing entries does not reorder the
+//!    rest: the surviving nodes pop in the same order with the same `dist`
+//!    and `prev`.
+//!
+//! Do not simplify this into plain A\*, bidirectional search or "follow the
+//! tree while it is unbanned": each picks a different path among
+//! equal-weight ones (B4 has exact ties) and changes the path sets.
+//!
+//! # Other details that matter at paper scale (754–1,739 nodes, §6)
+//!
+//! * [`KspScratch`] keeps the distance/predecessor arrays, the binary heap,
+//!   epoch-stamped ban arrays, the reverse tree and each search's result
+//!   alive across searches; a [`Path`] is allocated only for a candidate
+//!   that is new, so a spur search that re-derives a known one is
+//!   allocation-free. (Allocator churn, not arithmetic, was most of the
+//!   cost on B4-sized graphs.)
+//! * Lawler's refinement: each candidate records the spur index it deviated
+//!   at, and spur positions before it — which would repeat a query already
+//!   issued for its parent — are skipped.
 //! * The edge→path incidence is flattened at construction into a CSR-style
-//!   offsets+indices pair ([`PathSet::paths_on_edge`]), replacing the old
-//!   `Vec<Vec<usize>>` that every solver rebuilt per call.
+//!   offsets+indices pair ([`PathSet::paths_on_edge`]).
 
 use crate::graph::{EdgeId, NodeId, Topology};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod tests;
 
 /// A simple path through the topology.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,14 +119,46 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Relative slack on the pruning bound: far above the rounding that
+/// separates a left-folded from a right-folded sum of the same edge weights
+/// (~`2 · hops · 2⁻⁵³`), far below any real difference between path weights.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Bump a [`Counts`] field in test builds; expands to nothing otherwise.
+macro_rules! count {
+    ($field:expr) => {
+        #[cfg(test)]
+        {
+            $field += 1;
+        }
+    };
+}
+
+/// Work counts of one scratch, for the ledger test. Plain fields owned by
+/// one worker: the search loops write nothing shared.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Counts {
+    /// Reverse trees built.
+    trees: u64,
+    /// Masked searches run (each an A\* pass plus a bounded Dijkstra).
+    searches: u64,
+    /// Heap pops: tree builds, A\* passes and bounded Dijkstras together.
+    pops: u64,
+}
+
 /// Reusable scratch buffers for [`k_shortest_paths_with`] and the masked
-/// Dijkstra underneath it.
+/// searches underneath it.
 ///
-/// Ban and mark sets are epoch-stamped arrays: membership is `stamp[i] ==
-/// epoch`, and "clearing" a set is one counter increment. Distance and
-/// predecessor arrays are reset via a touched-node list, so each Dijkstra run
-/// costs O(visited) to clean up rather than O(n). One scratch per worker
-/// thread makes the 1,000-node KSP precompute allocation-free in steady state.
+/// Ban sets are epoch-stamped arrays: membership is `stamp[i] == epoch`,
+/// and "clearing" a set is one counter increment. Distance and
+/// predecessor arrays are reset via a touched-node list, so each search
+/// costs O(visited) to clean up rather than O(n). The scratch also holds the
+/// in-adjacency of the topology it was last bound to and the reverse
+/// shortest-path tree of its current destination; both are rebuilt by every
+/// public call, so nothing a scratch did before can leak into a result. One
+/// scratch per worker thread makes the 1,000-node KSP precompute
+/// allocation-free in steady state.
 pub struct KspScratch {
     dist: Vec<f64>,
     prev: Vec<Option<(NodeId, EdgeId)>>,
@@ -90,8 +166,22 @@ pub struct KspScratch {
     heap: BinaryHeap<HeapEntry>,
     edge_ban: Vec<u32>,
     node_ban: Vec<u32>,
-    node_mark: Vec<u32>,
     epoch: u32,
+    /// The last successful search's path walked backwards: nodes from `dst`
+    /// to the search's source, and the edges between them in that order.
+    walk_nodes: Vec<NodeId>,
+    walk_edges: Vec<EdgeId>,
+    /// CSR in-adjacency of the bound topology: the in-edges of `v` are
+    /// `in_adj[in_off[v]..in_off[v + 1]]` as `(source node, edge id)`.
+    in_off: Vec<u32>,
+    in_adj: Vec<(u32, u32)>,
+    /// `h[v]` = shortest distance from `v` to `target` on the unmasked bound
+    /// topology, `INFINITY` where `target` is unreachable.
+    h: Vec<f64>,
+    /// The destination `h` was built for; `None` right after [`Self::bind`].
+    target: Option<NodeId>,
+    #[cfg(test)]
+    counts: Counts,
 }
 
 impl KspScratch {
@@ -105,22 +195,92 @@ impl KspScratch {
             heap: BinaryHeap::new(),
             edge_ban: vec![0; topo.num_edges()],
             node_ban: vec![0; topo.num_nodes()],
-            node_mark: vec![0; topo.num_nodes()],
             epoch: 0,
+            walk_nodes: Vec::new(),
+            walk_edges: Vec::new(),
+            in_off: Vec::new(),
+            in_adj: Vec::new(),
+            h: Vec::new(),
+            target: None,
+            #[cfg(test)]
+            counts: Counts::default(),
         }
     }
 
-    fn fit(&mut self, topo: &Topology) {
+    /// Fit the buffers to `topo` and rebuild its in-adjacency. Forgets the
+    /// current reverse tree: the caller must [`aim`](Self::aim) before the
+    /// next search, so a tree can never outlive the graph it was built on
+    /// (a failed-link twin shares node ids but is a different graph).
+    fn bind(&mut self, topo: &Topology) {
         let n = topo.num_nodes();
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.prev.resize(n, None);
             self.node_ban.resize(n, 0);
-            self.node_mark.resize(n, 0);
         }
         if self.edge_ban.len() < topo.num_edges() {
             self.edge_ban.resize(topo.num_edges(), 0);
         }
+        // Counting sort of the edges by destination: after the inclusive
+        // prefix sum `in_off[v]` is the end of `v`'s run, and filling from the
+        // back with a pre-decrement leaves it at the start.
+        self.in_off.clear();
+        self.in_off.resize(n + 1, 0);
+        for e in topo.edges() {
+            self.in_off[e.dst] += 1;
+        }
+        for v in 1..=n {
+            self.in_off[v] += self.in_off[v - 1];
+        }
+        self.in_adj.clear();
+        self.in_adj.resize(topo.num_edges(), (0, 0));
+        for (eid, e) in topo.edges().iter().enumerate().rev() {
+            self.in_off[e.dst] -= 1;
+            self.in_adj[self.in_off[e.dst] as usize] = (e.src as u32, eid as u32);
+        }
+        self.target = None;
+    }
+
+    /// Build the reverse shortest-path tree of `dst` on the bound topology:
+    /// a full Dijkstra over in-edges, distances only.
+    fn aim(&mut self, topo: &Topology, dst: NodeId) {
+        let KspScratch {
+            heap,
+            in_off,
+            in_adj,
+            h,
+            target,
+            #[cfg(test)]
+            counts,
+            ..
+        } = self;
+        h.clear();
+        h.resize(topo.num_nodes(), f64::INFINITY);
+        heap.clear();
+        h[dst] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: dst,
+        });
+        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+            count!(counts.pops);
+            if d > h[node] {
+                continue;
+            }
+            let (lo, hi) = (in_off[node] as usize, in_off[node + 1] as usize);
+            for &(from, eid) in &in_adj[lo..hi] {
+                let nd = d + topo.edge(eid as usize).weight;
+                if nd < h[from as usize] {
+                    h[from as usize] = nd;
+                    heap.push(HeapEntry {
+                        dist: nd,
+                        node: from as usize,
+                    });
+                }
+            }
+        }
+        *target = Some(dst);
+        count!(counts.trees);
     }
 
     /// A fresh epoch value; stamps from prior epochs are implicitly cleared.
@@ -130,24 +290,127 @@ impl KspScratch {
             // Wrapped: zero every stamp so stale values cannot alias.
             self.edge_ban.iter_mut().for_each(|v| *v = 0);
             self.node_ban.iter_mut().for_each(|v| *v = 0);
-            self.node_mark.iter_mut().for_each(|v| *v = 0);
             self.epoch = 1;
         }
         self.epoch
     }
+
+    /// Undo the previous search's writes to `dist`/`prev` and seed `src`.
+    fn restart(&mut self, src: NodeId, key: f64) {
+        for &v in &self.touched {
+            self.dist[v] = f64::INFINITY;
+            self.prev[v] = None;
+        }
+        self.touched.clear();
+        self.heap.clear();
+        self.dist[src] = 0.0;
+        self.touched.push(src);
+        self.heap.push(HeapEntry {
+            dist: key,
+            node: src,
+        });
+    }
+
+    /// `root` followed by the last search's path, as a [`Path`] of `weight`.
+    /// `root_nodes` stops short of the search's source, which the walk ends on.
+    fn joined(&self, root_nodes: &[NodeId], root_edges: &[EdgeId], weight: f64) -> Path {
+        let mut nodes = Vec::with_capacity(root_nodes.len() + self.walk_nodes.len());
+        nodes.extend_from_slice(root_nodes);
+        nodes.extend(self.walk_nodes.iter().rev());
+        let mut edges = Vec::with_capacity(root_edges.len() + self.walk_edges.len());
+        edges.extend_from_slice(root_edges);
+        edges.extend(self.walk_edges.iter().rev());
+        Path {
+            nodes,
+            edges,
+            weight,
+        }
+    }
+
+    /// Whether `root_edges` followed by the last search's path is `edges`.
+    fn joins_to(&self, root_edges: &[EdgeId], edges: &[EdgeId]) -> bool {
+        edges.len() == root_edges.len() + self.walk_edges.len()
+            && edges[..root_edges.len()] == *root_edges
+            && edges[root_edges.len()..]
+                .iter()
+                .eq(self.walk_edges.iter().rev())
+    }
 }
 
-/// Masked Dijkstra over scratch buffers. Edges/nodes whose stamp equals
-/// `ban_epoch` are masked out; passing a fresh epoch with nothing stamped
-/// runs unmasked. Semantics are identical to the `HashSet`-based
-/// [`dijkstra_masked`]: same relaxations, same heap tie-breaks.
-fn dijkstra_scratch(
+/// Weight of the lightest masked `src → dst` path, by A\* on `g + h` over the
+/// scratch's reverse tree (which must be aimed at `dst`). Distances only:
+/// which of several equal-weight paths A\* walks is irrelevant here.
+fn masked_optimum(
     topo: &Topology,
     src: NodeId,
     dst: NodeId,
     scratch: &mut KspScratch,
     ban_epoch: u32,
-) -> Option<Path> {
+) -> Option<f64> {
+    if scratch.h[src].is_infinite() {
+        return None;
+    }
+    scratch.restart(src, scratch.h[src]);
+    let KspScratch {
+        dist,
+        touched,
+        heap,
+        edge_ban,
+        node_ban,
+        h,
+        #[cfg(test)]
+        counts,
+        ..
+    } = scratch;
+    while let Some(HeapEntry { dist: f, node }) = heap.pop() {
+        count!(counts.pops);
+        let g = dist[node];
+        if node == dst {
+            return Some(g);
+        }
+        if f > g + h[node] {
+            continue;
+        }
+        for &(next, eid) in topo.neighbors(node) {
+            if edge_ban[eid] == ban_epoch || node_ban[next] == ban_epoch || h[next].is_infinite() {
+                continue;
+            }
+            let ng = g + topo.edge(eid).weight;
+            if ng < dist[next] {
+                if dist[next].is_infinite() {
+                    touched.push(next);
+                }
+                dist[next] = ng;
+                heap.push(HeapEntry {
+                    dist: ng + h[next],
+                    node: next,
+                });
+            }
+        }
+    }
+    None
+}
+
+/// Masked shortest path over scratch buffers. Edges/nodes whose stamp equals
+/// `ban_epoch` are masked out; passing a fresh epoch with nothing stamped
+/// runs unmasked. The scratch's reverse tree must be aimed at `dst`.
+///
+/// Finds exactly the path a plain `(dist, node)`-ordered Dijkstra with early
+/// exit at `dst` finds — see the module docs for why the pruning below
+/// cannot change `prev[]` along it. Returns its weight and leaves the path
+/// itself in the scratch (see [`KspScratch::joined`]), so the thousands of
+/// spur searches that only re-derive a known candidate allocate nothing.
+fn search(
+    topo: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    scratch: &mut KspScratch,
+    ban_epoch: u32,
+) -> Option<f64> {
+    count!(scratch.counts.searches);
+    let optimum = masked_optimum(topo, src, dst, scratch, ban_epoch)?;
+    let bound = optimum * (1.0 + BOUND_SLACK);
+    scratch.restart(src, 0.0);
     let KspScratch {
         dist,
         prev,
@@ -155,23 +418,15 @@ fn dijkstra_scratch(
         heap,
         edge_ban,
         node_ban,
+        h,
+        walk_nodes,
+        walk_edges,
+        #[cfg(test)]
+        counts,
         ..
     } = scratch;
-    // Reset state touched by the previous run.
-    for &v in touched.iter() {
-        dist[v] = f64::INFINITY;
-        prev[v] = None;
-    }
-    touched.clear();
-    heap.clear();
-
-    dist[src] = 0.0;
-    touched.push(src);
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
     while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+        count!(counts.pops);
         if node == dst {
             break;
         }
@@ -183,6 +438,11 @@ fn dijkstra_scratch(
                 continue;
             }
             let nd = d + topo.edge(eid).weight;
+            // The only difference from the plain search: this relaxation
+            // cannot lie on a path of weight ≤ the optimum.
+            if nd + h[next] > bound {
+                continue;
+            }
             if nd < dist[next] {
                 if dist[next].is_infinite() {
                     touched.push(next);
@@ -196,52 +456,22 @@ fn dijkstra_scratch(
             }
         }
     }
-    if !dist[dst].is_finite() {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut edges = Vec::new();
+    walk_nodes.clear();
+    walk_edges.clear();
+    walk_nodes.push(dst);
     let mut cur = dst;
     while cur != src {
         let (p, e) = prev[cur]?;
-        nodes.push(p);
-        edges.push(e);
+        walk_nodes.push(p);
+        walk_edges.push(e);
         cur = p;
     }
-    nodes.reverse();
-    edges.reverse();
-    Some(Path {
-        nodes,
-        edges,
-        weight: dist[dst],
-    })
-}
-
-/// Dijkstra shortest path from `src` to `dst` by edge weight, optionally
-/// masking out edges and nodes (used by Yen's spur computation).
-pub fn dijkstra_masked(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    banned_edges: &HashSet<EdgeId>,
-    banned_nodes: &HashSet<NodeId>,
-) -> Option<Path> {
-    let mut scratch = KspScratch::new(topo);
-    let ban = scratch.next_epoch();
-    for &e in banned_edges {
-        scratch.edge_ban[e] = ban;
-    }
-    for &v in banned_nodes {
-        scratch.node_ban[v] = ban;
-    }
-    dijkstra_scratch(topo, src, dst, &mut scratch, ban)
+    Some(dist[dst])
 }
 
 /// Plain shortest path.
 pub fn dijkstra(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
-    let mut scratch = KspScratch::new(topo);
-    let ban = scratch.next_epoch();
-    dijkstra_scratch(topo, src, dst, &mut scratch, ban)
+    k_shortest_paths(topo, src, dst, 1).pop()
 }
 
 /// Hop counts from `src` to every node (BFS, unit weights).
@@ -269,8 +499,9 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
     k_shortest_paths_with(topo, src, dst, k, &mut scratch)
 }
 
-/// [`k_shortest_paths`] with caller-provided scratch, so a precompute loop
-/// over many pairs reuses one set of buffers per worker thread.
+/// [`k_shortest_paths`] with caller-provided scratch, so a loop over many
+/// queries reuses one set of buffers. The result does not depend on what
+/// the scratch was used for before.
 pub fn k_shortest_paths_with(
     topo: &Topology,
     src: NodeId,
@@ -278,18 +509,31 @@ pub fn k_shortest_paths_with(
     k: usize,
     scratch: &mut KspScratch,
 ) -> Vec<Path> {
-    scratch.fit(topo);
+    scratch.bind(topo);
+    scratch.aim(topo, dst);
+    yen(topo, src, dst, k, scratch)
+}
+
+/// Yen's algorithm over a scratch bound to `topo` and aimed at `dst`.
+fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScratch) -> Vec<Path> {
+    debug_assert_eq!(scratch.target, Some(dst));
     let unmasked = scratch.next_epoch();
-    let Some(first) = dijkstra_scratch(topo, src, dst, scratch, unmasked) else {
+    let Some(weight) = search(topo, src, dst, scratch, unmasked) else {
         return Vec::new();
     };
-    let mut accepted: Vec<Path> = vec![first];
-    // Candidate pool; may contain duplicates which we filter on insert.
-    let mut candidates: Vec<Path> = Vec::new();
+    let mut accepted: Vec<Path> = vec![scratch.joined(&[], &[], weight)];
+    // Candidate pool with each candidate's deviation index (the spur
+    // position that produced it); duplicates are filtered on insert.
+    let mut candidates: Vec<(Path, usize)> = Vec::new();
+    // Deviation index of the newest accepted path. Lawler: a spur position
+    // before it has the same root and the same bans as when the path's
+    // parent was expanded there, so it would only re-derive a candidate
+    // that is already pooled or accepted.
+    let mut deviation = 0;
 
     while accepted.len() < k {
-        let prev = accepted.last().unwrap().clone();
-        for i in 0..prev.nodes.len() - 1 {
+        let prev = accepted.last().unwrap();
+        for i in deviation..prev.nodes.len() - 1 {
             let spur_node = prev.nodes[i];
             let root_nodes = &prev.nodes[..=i];
             let root_edges = &prev.edges[..i];
@@ -304,35 +548,17 @@ pub fn k_shortest_paths_with(
                     }
                 }
             }
-            // Ban root nodes (except the spur) to keep paths simple.
+            // Ban root nodes (except the spur): the spur path cannot revisit
+            // them, so root + spur is simple by construction.
             for &v in &root_nodes[..i] {
                 scratch.node_ban[v] = ban;
             }
 
-            if let Some(spur) = dijkstra_scratch(topo, spur_node, dst, scratch, ban) {
-                // Simplicity check without materializing the joined path: the
-                // root and spur are each simple, so only cross-duplicates
-                // between them can occur.
-                let mark = scratch.next_epoch();
-                for &v in &root_nodes[..i] {
-                    scratch.node_mark[v] = mark;
-                }
-                let simple = spur.nodes.iter().all(|&v| scratch.node_mark[v] != mark);
-                if simple {
-                    let mut nodes = root_nodes[..i].to_vec();
-                    nodes.extend_from_slice(&spur.nodes);
-                    let mut edges = root_edges.to_vec();
-                    edges.extend_from_slice(&spur.edges);
-                    let cand = Path {
-                        nodes,
-                        edges,
-                        weight: root_weight + spur.weight,
-                    };
-                    if !accepted.iter().any(|p| p.edges == cand.edges)
-                        && !candidates.iter().any(|p| p.edges == cand.edges)
-                    {
-                        candidates.push(cand);
-                    }
+            if let Some(spur_weight) = search(topo, spur_node, dst, scratch, ban) {
+                let known = |p: &Path| scratch.joins_to(root_edges, &p.edges);
+                if !accepted.iter().any(known) && !candidates.iter().any(|(p, _)| known(p)) {
+                    let weight = root_weight + spur_weight;
+                    candidates.push((scratch.joined(&root_nodes[..i], root_edges, weight), i));
                 }
             }
         }
@@ -343,7 +569,7 @@ pub fn k_shortest_paths_with(
         let best = candidates
             .iter()
             .enumerate()
-            .min_by(|(_, a), (_, b)| {
+            .min_by(|(_, (a, _)), (_, (b, _))| {
                 a.weight
                     .partial_cmp(&b.weight)
                     .unwrap_or(Ordering::Equal)
@@ -351,7 +577,9 @@ pub fn k_shortest_paths_with(
             })
             .map(|(i, _)| i)
             .unwrap();
-        accepted.push(candidates.swap_remove(best));
+        let (path, at) = candidates.swap_remove(best);
+        accepted.push(path);
+        deviation = at;
     }
     accepted
 }
@@ -382,7 +610,7 @@ impl PathSet {
     /// Compute `k` shortest paths per pair, in parallel across pairs.
     pub fn compute(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> PathSet {
         assert!(k >= 1);
-        let chunk_results = parallel_paths(topo, pairs, k);
+        let chunk_results = parallel_paths(topo, pairs, k, default_threads());
         let mut paths = Vec::with_capacity(pairs.len() * k);
         for (pair, mut found) in pairs.iter().zip(chunk_results) {
             assert!(
@@ -492,196 +720,90 @@ impl PathSet {
     }
 }
 
-/// Run Yen's per pair on a crossbeam thread pool, preserving input order.
-/// Each worker thread owns one [`KspScratch`].
-fn parallel_paths(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> Vec<Vec<Path>> {
-    let n = pairs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism()
+/// Pairs a worker claims at a time. Small enough that the last claims
+/// balance the workers, large enough that the shared claim counter is
+/// touched once per few milliseconds of work.
+const CLAIM: usize = 32;
+
+/// Worker threads for [`PathSet::compute`].
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1)
-        .min(8);
-    if threads <= 1 || n < 32 {
-        let mut scratch = KspScratch::new(topo);
-        return pairs
-            .iter()
-            .map(|&(s, t)| k_shortest_paths_with(topo, s, t, k, &mut scratch))
-            .collect();
-    }
-    let mut out: Vec<Vec<Path>> = vec![Vec::new(); n];
-    let chunk = n.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (ci, (pair_chunk, out_chunk)) in
-            pairs.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            let _ = ci;
-            scope.spawn(move |_| {
-                let mut scratch = KspScratch::new(topo);
-                for (p, o) in pair_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *o = k_shortest_paths_with(topo, p.0, p.1, k, &mut scratch);
-                }
-            });
-        }
-    })
-    .expect("path computation worker panicked");
-    out
+        .min(8)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Indices of `pairs` grouped by destination (input order within a group),
+/// so consecutive visits share one reverse tree.
+fn by_destination(pairs: &[(NodeId, NodeId)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_unstable_by_key(|&i| (pairs[i].1, i));
+    order
+}
 
-    /// 4-node diamond: 0-1-3 (weights 1+1), 0-2-3 (1+2), 0-3 direct (5).
-    fn diamond() -> Topology {
-        let mut t = Topology::new("diamond", 4);
-        t.add_link(0, 1, 10.0, 1.0);
-        t.add_link(1, 3, 10.0, 1.0);
-        t.add_link(0, 2, 10.0, 1.0);
-        t.add_link(2, 3, 10.0, 2.0);
-        t.add_link(0, 3, 10.0, 5.0);
-        t
-    }
-
-    #[test]
-    fn dijkstra_picks_lightest() {
-        let t = diamond();
-        let p = dijkstra(&t, 0, 3).unwrap();
-        assert_eq!(p.nodes, vec![0, 1, 3]);
-        assert!((p.weight - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dijkstra_unreachable_none() {
-        let mut t = Topology::new("d", 3);
-        t.add_link(0, 1, 1.0, 1.0);
-        assert!(dijkstra(&t, 0, 2).is_none());
-    }
-
-    #[test]
-    fn dijkstra_masked_respects_bans() {
-        let t = diamond();
-        // Ban the 0->1 edge: best route becomes 0-2-3 (weight 3).
-        let e01 = t.find_edge(0, 1).unwrap();
-        let banned: HashSet<_> = [e01].into_iter().collect();
-        let p = dijkstra_masked(&t, 0, 3, &banned, &HashSet::new()).unwrap();
-        assert_eq!(p.nodes, vec![0, 2, 3]);
-        // Ban node 1 instead: same result.
-        let bn: HashSet<_> = [1usize].into_iter().collect();
-        let p2 = dijkstra_masked(&t, 0, 3, &HashSet::new(), &bn).unwrap();
-        assert_eq!(p2.nodes, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn yen_orders_by_weight() {
-        let t = diamond();
-        let ps = k_shortest_paths(&t, 0, 3, 3);
-        assert_eq!(ps.len(), 3);
-        assert_eq!(ps[0].nodes, vec![0, 1, 3]); // weight 2
-        assert_eq!(ps[1].nodes, vec![0, 2, 3]); // weight 3
-        assert_eq!(ps[2].nodes, vec![0, 3]); // weight 5
-        assert!(ps.windows(2).all(|w| w[0].weight <= w[1].weight));
-        assert!(ps.iter().all(|p| p.is_simple()));
-    }
-
-    #[test]
-    fn yen_handles_fewer_than_k() {
-        let mut t = Topology::new("line", 3);
-        t.add_link(0, 1, 1.0, 1.0);
-        t.add_link(1, 2, 1.0, 1.0);
-        let ps = k_shortest_paths(&t, 0, 2, 4);
-        assert_eq!(ps.len(), 1); // only one simple path exists
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_scratch() {
-        // One scratch across many (src, dst, k) queries must give the same
-        // answers as a fresh scratch per query.
-        let t = diamond();
-        let mut shared = KspScratch::new(&t);
-        for s in 0..4 {
-            for d in 0..4 {
-                if s == d {
-                    continue;
-                }
-                for k in 1..=4 {
-                    let a = k_shortest_paths_with(&t, s, d, k, &mut shared);
-                    let b = k_shortest_paths(&t, s, d, k);
-                    assert_eq!(a.len(), b.len());
-                    for (pa, pb) in a.iter().zip(&b) {
-                        assert_eq!(pa.edges, pb.edges);
-                        assert_eq!(pa.nodes, pb.nodes);
-                    }
-                }
+/// One worker's loop: claim the next run of `order`, search each of its
+/// pairs, collect `(input index, paths)`. Returns when the claims run out.
+fn drain_claims(
+    topo: &Topology,
+    pairs: &[(NodeId, NodeId)],
+    order: &[usize],
+    k: usize,
+    next: &AtomicUsize,
+    scratch: &mut KspScratch,
+) -> Vec<(usize, Vec<Path>)> {
+    scratch.bind(topo);
+    let mut found = Vec::new();
+    loop {
+        let lo = next.fetch_add(CLAIM, Relaxed);
+        if lo >= order.len() {
+            return found;
+        }
+        for &i in &order[lo..order.len().min(lo + CLAIM)] {
+            let (src, dst) = pairs[i];
+            if scratch.target != Some(dst) {
+                scratch.aim(topo, dst);
             }
+            found.push((i, yen(topo, src, dst, k, scratch)));
         }
     }
+}
 
-    #[test]
-    fn pathset_pads_to_k() {
-        let mut t = Topology::new("line", 3);
-        t.add_link(0, 1, 1.0, 1.0);
-        t.add_link(1, 2, 1.0, 1.0);
-        let ps = PathSet::compute(&t, &[(0, 2), (2, 0)], 4);
-        assert_eq!(ps.num_demands(), 2);
-        assert_eq!(ps.num_paths(), 8);
-        // All 4 slots of demand 0 are the same physical path.
-        let d0 = ps.paths_for(0);
-        assert!(d0.iter().all(|p| p.edges == d0[0].edges));
-    }
-
-    #[test]
-    fn incidence_matches_paths() {
-        let t = diamond();
-        let ps = PathSet::compute(&t, &[(0, 3)], 4);
-        let trips = ps.incidence_triplets();
-        let total_edges: usize = ps.paths().iter().map(|p| p.len()).sum();
-        assert_eq!(trips.len(), total_edges);
-        for (p_idx, e, v) in trips {
-            assert_eq!(v, 1.0);
-            assert!(ps.paths()[p_idx].edges.contains(&e));
-        }
-    }
-
-    #[test]
-    fn flat_edge_index_is_exact_inverse() {
-        let t = diamond();
-        let ps = PathSet::compute(&t, &[(0, 3), (3, 0)], 4);
-        assert_eq!(ps.num_edges(), t.num_edges());
-        let mut listed = 0usize;
-        for e in 0..t.num_edges() {
-            let plist = ps.paths_on_edge(e);
-            // Ascending and deduplicated by construction.
-            assert!(plist.windows(2).all(|w| w[0] < w[1]));
-            for &p in plist {
-                assert!(ps.paths()[p as usize].edges.contains(&e));
+/// Run Yen's per pair on up to `threads` scoped workers (the caller is one
+/// of them), returning results in input order.
+///
+/// Pairs are visited [`by_destination`] so one reverse tree serves all of a
+/// destination's pairs. Each worker owns one [`KspScratch`] and its own
+/// result list; the only shared write is the claim counter, so the per-pair
+/// work is conflict-free and — each pair's result being a pure function of
+/// the pair — the output is independent of `threads` and of who claims what.
+fn parallel_paths(
+    topo: &Topology,
+    pairs: &[(NodeId, NodeId)],
+    k: usize,
+    threads: usize,
+) -> Vec<Vec<Path>> {
+    let n = pairs.len();
+    let order = by_destination(pairs);
+    let next = AtomicUsize::new(0);
+    let work = || drain_claims(topo, pairs, &order, k, &next, &mut KspScratch::new(topo));
+    let mut out: Vec<Vec<Path>> = vec![Vec::new(); n];
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(n.div_ceil(CLAIM)))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut place = |found: Vec<(usize, Vec<Path>)>| {
+            for (i, paths) in found {
+                out[i] = paths;
             }
-            listed += plist.len();
+        };
+        place(work());
+        for helper in helpers {
+            place(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
         }
-        // Every (path, edge) incidence appears exactly once.
-        let expected: usize = ps.paths().iter().map(|p| p.len()).sum();
-        assert_eq!(listed, expected);
-    }
-
-    #[test]
-    fn bfs_hops_simple() {
-        let t = diamond();
-        let hops = bfs_hops(&t, 0);
-        assert_eq!(hops[0], Some(0));
-        assert_eq!(hops[3], Some(1)); // direct link exists
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let t = diamond();
-        let pairs = t.all_pairs();
-        // Force both code paths by calling compute (parallel for >=32 pairs is
-        // not triggered here, so just check determinism of repeated calls).
-        let a = PathSet::compute(&t, &pairs, 4);
-        let b = PathSet::compute(&t, &pairs, 4);
-        for (pa, pb) in a.paths().iter().zip(b.paths()) {
-            assert_eq!(pa.edges, pb.edges);
-        }
-    }
+    });
+    out
 }

@@ -1,0 +1,383 @@
+use super::*;
+use crate::gen::{b4, generate, gravity_pairs, large_wan, TopoKind};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// 4-node diamond: 0-1-3 (weights 1+1), 0-2-3 (1+2), 0-3 direct (5).
+fn diamond() -> Topology {
+    let mut t = Topology::new("diamond", 4);
+    t.add_link(0, 1, 10.0, 1.0);
+    t.add_link(1, 3, 10.0, 1.0);
+    t.add_link(0, 2, 10.0, 1.0);
+    t.add_link(2, 3, 10.0, 2.0);
+    t.add_link(0, 3, 10.0, 5.0);
+    t
+}
+
+/// Exact equality of two path lists: nodes, edges, weight bits, order.
+fn same_paths(got: &[Path], want: &[Path]) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("{} paths, oracle has {}", got.len(), want.len()));
+    }
+    for (j, (g, w)) in got.iter().zip(want).enumerate() {
+        if g.nodes != w.nodes || g.edges != w.edges || g.weight.to_bits() != w.weight.to_bits() {
+            return Err(format!("path {j}: {g:?}, oracle has {w:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The oracle's answer for one query, on a fresh oracle scratch.
+fn oracle_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+    oracle::k_shortest_paths_with(topo, src, dst, k, &mut oracle::KspScratch::new(topo))
+}
+
+/// FNV-1a over every path's node count, nodes, edges and weight bits. The
+/// pinned values below were printed by this function at the commit before
+/// the searches became goal-directed.
+fn path_hash(paths: &[Path]) -> u64 {
+    fn mix(h: &mut u64, x: u64) {
+        for b in x.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in paths {
+        mix(&mut h, p.nodes.len() as u64);
+        for &n in &p.nodes {
+            mix(&mut h, n as u64);
+        }
+        for &e in &p.edges {
+            mix(&mut h, e as u64);
+        }
+        mix(&mut h, p.weight.to_bits());
+    }
+    h
+}
+
+/// Random directed graph built to provoke tie-breaks: every ordered pair gets
+/// its own edge with probability `density`, so edges are asymmetric and some
+/// pairs are unreachable; weights are small integers (equal-weight paths
+/// everywhere), zero included when `zero_weights` is set.
+fn tie_heavy_graph(seed: u64, n: usize, density: f64, zero_weights: bool) -> Topology {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = Topology::new("ties", n);
+    let lightest = if zero_weights { 0 } else { 1 };
+    for a in 0..n {
+        for b in 0..n {
+            if a != b && rng.gen::<f64>() < density {
+                t.add_directed_edge(a, b, 1.0, f64::from(rng.gen_range(lightest..4u32)));
+            }
+        }
+    }
+    t
+}
+
+#[test]
+fn dijkstra_picks_lightest() {
+    let t = diamond();
+    let p = dijkstra(&t, 0, 3).unwrap();
+    assert_eq!(p.nodes, vec![0, 1, 3]);
+    assert!((p.weight - 2.0).abs() < 1e-9);
+}
+
+#[test]
+fn dijkstra_unreachable_none() {
+    let mut t = Topology::new("d", 3);
+    t.add_link(0, 1, 1.0, 1.0);
+    assert!(dijkstra(&t, 0, 2).is_none());
+}
+
+#[test]
+fn masked_search_respects_bans() {
+    let t = diamond();
+    let e01 = t.find_edge(0, 1).unwrap();
+    let mut scratch = KspScratch::new(&t);
+    scratch.bind(&t);
+    scratch.aim(&t, 3);
+    let mut plain = oracle::KspScratch::new(&t);
+
+    // Ban the 0->1 edge: best route becomes 0-2-3 (weight 3).
+    let ban = scratch.next_epoch();
+    scratch.edge_ban[e01] = ban;
+    let w = search(&t, 0, 3, &mut scratch, ban).unwrap();
+    let p = scratch.joined(&[], &[], w);
+    assert_eq!(p.nodes, vec![0, 2, 3]);
+    let ban = plain.next_epoch();
+    plain.edge_ban[e01] = ban;
+    let q = oracle::dijkstra_scratch(&t, 0, 3, &mut plain, ban).unwrap();
+    assert_eq!(p, q);
+
+    // Ban node 1 instead: same result.
+    let ban = scratch.next_epoch();
+    scratch.node_ban[1] = ban;
+    let w = search(&t, 0, 3, &mut scratch, ban).unwrap();
+    let p = scratch.joined(&[], &[], w);
+    assert_eq!(p.nodes, vec![0, 2, 3]);
+    let ban = plain.next_epoch();
+    plain.node_ban[1] = ban;
+    let q = oracle::dijkstra_scratch(&t, 0, 3, &mut plain, ban).unwrap();
+    assert_eq!(p, q);
+}
+
+#[test]
+fn yen_orders_by_weight() {
+    let t = diamond();
+    let ps = k_shortest_paths(&t, 0, 3, 3);
+    assert_eq!(ps.len(), 3);
+    assert_eq!(ps[0].nodes, vec![0, 1, 3]); // weight 2
+    assert_eq!(ps[1].nodes, vec![0, 2, 3]); // weight 3
+    assert_eq!(ps[2].nodes, vec![0, 3]); // weight 5
+    assert!(ps.windows(2).all(|w| w[0].weight <= w[1].weight));
+    assert!(ps.iter().all(|p| p.is_simple()));
+}
+
+#[test]
+fn yen_handles_fewer_than_k() {
+    let mut t = Topology::new("line", 3);
+    t.add_link(0, 1, 1.0, 1.0);
+    t.add_link(1, 2, 1.0, 1.0);
+    let ps = k_shortest_paths(&t, 0, 2, 4);
+    assert_eq!(ps.len(), 1); // only one simple path exists
+}
+
+#[test]
+fn one_way_chain_is_routable() {
+    // 0 -> 1 -> 2 with no way back: a reverse tree built on out-edges finds
+    // nothing reachable from 2 and would report no path at all.
+    let mut t = Topology::new("chain", 3);
+    t.add_directed_edge(0, 1, 1.0, 1.0);
+    t.add_directed_edge(1, 2, 1.0, 1.0);
+    let ps = k_shortest_paths(&t, 0, 2, 2);
+    assert_eq!(ps.len(), 1);
+    assert_eq!(ps[0].nodes, vec![0, 1, 2]);
+    assert!(k_shortest_paths(&t, 2, 0, 2).is_empty());
+}
+
+#[test]
+fn scratch_reuse_matches_fresh_scratch() {
+    // One scratch across many (src, dst, k) queries must give the same
+    // answers as a fresh scratch per query.
+    let t = diamond();
+    let mut shared = KspScratch::new(&t);
+    for s in 0..4 {
+        for d in 0..4 {
+            if s == d {
+                continue;
+            }
+            for k in 1..=4 {
+                let a = k_shortest_paths_with(&t, s, d, k, &mut shared);
+                same_paths(&a, &k_shortest_paths(&t, s, d, k)).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn scratch_reuse_across_topologies_matches_fresh_scratch() {
+    // Same node ids and the same destination, different graphs: a reverse
+    // tree keyed on the destination alone would carry over and mis-bound
+    // the second graph's searches.
+    let a = tie_heavy_graph(1, 12, 0.3, false);
+    let b = tie_heavy_graph(2, 12, 0.3, false);
+    let wan = large_wan(64, 3);
+    let (x, y) = {
+        let e = &wan.edges()[0];
+        (e.src, e.dst)
+    };
+    let failed = wan.with_failed_link(x, y);
+    let mut shared = KspScratch::new(&a);
+    for dst in 0..12 {
+        for src in 0..12 {
+            for topo in [&a, &b, &wan, &failed] {
+                let got = k_shortest_paths_with(topo, src, dst, 4, &mut shared);
+                same_paths(&got, &k_shortest_paths(topo, src, dst, 4)).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn pathset_pads_to_k() {
+    let mut t = Topology::new("line", 3);
+    t.add_link(0, 1, 1.0, 1.0);
+    t.add_link(1, 2, 1.0, 1.0);
+    let ps = PathSet::compute(&t, &[(0, 2), (2, 0)], 4);
+    assert_eq!(ps.num_demands(), 2);
+    assert_eq!(ps.num_paths(), 8);
+    // All 4 slots of demand 0 are the same physical path.
+    let d0 = ps.paths_for(0);
+    assert!(d0.iter().all(|p| p.edges == d0[0].edges));
+}
+
+#[test]
+fn incidence_matches_paths() {
+    let t = diamond();
+    let ps = PathSet::compute(&t, &[(0, 3)], 4);
+    let trips = ps.incidence_triplets();
+    let total_edges: usize = ps.paths().iter().map(|p| p.len()).sum();
+    assert_eq!(trips.len(), total_edges);
+    for (p_idx, e, v) in trips {
+        assert_eq!(v, 1.0);
+        assert!(ps.paths()[p_idx].edges.contains(&e));
+    }
+}
+
+#[test]
+fn flat_edge_index_is_exact_inverse() {
+    let t = diamond();
+    let ps = PathSet::compute(&t, &[(0, 3), (3, 0)], 4);
+    assert_eq!(ps.num_edges(), t.num_edges());
+    let mut listed = 0usize;
+    for e in 0..t.num_edges() {
+        let plist = ps.paths_on_edge(e);
+        // Ascending and deduplicated by construction.
+        assert!(plist.windows(2).all(|w| w[0] < w[1]));
+        for &p in plist {
+            assert!(ps.paths()[p as usize].edges.contains(&e));
+        }
+        listed += plist.len();
+    }
+    // Every (path, edge) incidence appears exactly once.
+    let expected: usize = ps.paths().iter().map(|p| p.len()).sum();
+    assert_eq!(listed, expected);
+}
+
+#[test]
+fn bfs_hops_simple() {
+    let t = diamond();
+    let hops = bfs_hops(&t, 0);
+    assert_eq!(hops[0], Some(0));
+    assert_eq!(hops[3], Some(1)); // direct link exists
+}
+
+#[test]
+fn parallel_matches_serial() {
+    // 870 pairs = 28 claims, so every forced worker count really runs that
+    // many workers; each must reproduce the one-query-at-a-time answers,
+    // in input order, whoever claims what.
+    let t = generate(TopoKind::Swan, 0.3, 7);
+    let mut pairs = t.all_pairs();
+    pairs.reverse(); // not already grouped by destination
+    let serial: Vec<Vec<Path>> = pairs
+        .iter()
+        .map(|&(s, d)| k_shortest_paths(&t, s, d, 4))
+        .collect();
+    for threads in [1, 2, 3, 5] {
+        let got = parallel_paths(&t, &pairs, 4, threads);
+        assert_eq!(got.len(), serial.len());
+        for (g, w) in got.iter().zip(&serial) {
+            same_paths(g, w).unwrap_or_else(|e| panic!("{threads} workers: {e}"));
+        }
+    }
+}
+
+#[test]
+fn pinned_path_hashes() {
+    let t = b4();
+    let ps = PathSet::compute(&t, &t.all_pairs(), 4);
+    assert_eq!(path_hash(ps.paths()), 0xd241_71e8_1928_0267, "B4");
+    let t = generate(TopoKind::Swan, 0.3, 7);
+    let ps = PathSet::compute(&t, &t.all_pairs(), 4);
+    assert_eq!(path_hash(ps.paths()), 0xdf66_0829_7ab5_648a, "Swan 0.3");
+    let t = large_wan(256, 7);
+    let ps = PathSet::compute(&t, &gravity_pairs(&t, 512, 6), 4);
+    assert_eq!(
+        path_hash(ps.paths()),
+        0xf0be_1ad1_4342_ceef,
+        "large_wan(256)"
+    );
+}
+
+/// What one worker does for a whole `PathSet::compute`, checked equal to
+/// the oracle pair by pair, and the oracle's cost for the same pairs:
+/// `(goal-directed counts, oracle searches, oracle pops)`.
+fn work_counts(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> (Counts, u64, u64) {
+    let order = by_destination(pairs);
+    let mut scratch = KspScratch::new(topo);
+    let found = drain_claims(topo, pairs, &order, 4, &AtomicUsize::new(0), &mut scratch);
+    let mut plain = oracle::KspScratch::new(topo);
+    for (i, got) in found {
+        let (s, d) = pairs[i];
+        let want = oracle::k_shortest_paths_with(topo, s, d, 4, &mut plain);
+        same_paths(&got, &want).unwrap_or_else(|e| panic!("pair {s}->{d}: {e}"));
+    }
+    (scratch.counts, plain.searches, plain.pops)
+}
+
+#[test]
+fn searches_stay_goal_directed() {
+    // A count, not a timing: the same pairs cost the flooding oracle several
+    // times the heap pops. Fails if the bound stops pruning.
+    let t = large_wan(256, 7);
+    let (ours, searches, pops) = work_counts(&t, &gravity_pairs(&t, 512, 6));
+    println!("large_wan(256), 512 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
+    assert!(ours.searches <= searches);
+    assert!(ours.pops * 4 < pops, "{} pops vs oracle {pops}", ours.pops);
+}
+
+#[test]
+#[ignore = "1,024-node oracle run: seconds in release, far longer unoptimised"]
+fn paper_scale_pinned_hash_and_counts() {
+    let t = large_wan(1024, 7);
+    let pairs = gravity_pairs(&t, 2048, 6);
+    let ps = PathSet::compute(&t, &pairs, 4);
+    assert_eq!(path_hash(ps.paths()), 0x1c3c_dbeb_4694_b5fc);
+    let nnz: usize = ps.paths().iter().map(|p| p.edges.len()).sum();
+    assert_eq!(nnz, 32_041);
+    let (ours, searches, pops) = work_counts(&t, &pairs);
+    println!("large_wan(1024), 2048 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
+    assert!(ours.pops * 8 < pops, "{} pops vs oracle {pops}", ours.pops);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Every query on a tie-heavy asymmetric graph — reachable or not,
+    /// `src == dst` included — equals the oracle exactly, through the
+    /// single-query entry point and through the parallel driver.
+    #[test]
+    fn queries_match_oracle(
+        seed in 0u64..1_000_000,
+        n in 2usize..13,
+        density in 0.1f64..0.6,
+        zero in 0u8..2,
+        k in 1usize..7,
+    ) {
+        let t = tie_heavy_graph(seed, n, density, zero == 1);
+        let mut shared = KspScratch::new(&t);
+        let mut pairs = Vec::new();
+        for s in 0..n {
+            for d in 0..n {
+                let want = oracle_paths(&t, s, d, k);
+                let got = k_shortest_paths_with(&t, s, d, k, &mut shared);
+                if let Err(e) = same_paths(&got, &want) {
+                    prop_assert!(false, "seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
+                }
+                pairs.push((s, d));
+            }
+        }
+        let driven = parallel_paths(&t, &pairs, k, 3);
+        for (&(s, d), got) in pairs.iter().zip(&driven) {
+            if let Err(e) = same_paths(got, &oracle_paths(&t, s, d, k)) {
+                prop_assert!(false, "driver: seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
+            }
+        }
+    }
+
+    /// Symmetric generated WANs with real-valued weights: the float slack on
+    /// the bound must not prune a tight relaxation.
+    #[test]
+    fn generated_wans_match_oracle(seed in 0u64..1_000_000, n in 16usize..96, k in 1usize..7) {
+        let t = large_wan(n, seed);
+        let pairs = gravity_pairs(&t, 3 * n, seed ^ 0x55);
+        let driven = parallel_paths(&t, &pairs, k, 2);
+        for (&(s, d), got) in pairs.iter().zip(&driven) {
+            if let Err(e) = same_paths(got, &oracle_paths(&t, s, d, k)) {
+                prop_assert!(false, "seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
+            }
+        }
+    }
+}
