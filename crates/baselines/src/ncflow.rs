@@ -178,14 +178,14 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
 
     // --- Phase 1: parallel intra-cluster LPs over residual-free capacities.
     let mut cluster_allocs: Vec<Option<(Vec<usize>, Allocation)>> = vec![None; nc];
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for (ci, slot) in cluster_allocs.iter_mut().enumerate() {
             let demands = &intra[ci];
             if demands.is_empty() {
                 continue;
             }
             let lp_cfg = cfg.lp;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let pairs: Vec<(usize, usize)> =
                     demands.iter().map(|&d| inst.paths.pairs()[d]).collect();
                 let vols: Vec<f64> = demands.iter().map(|&d| inst.tm.demand(d)).collect();
@@ -196,8 +196,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
                 *slot = Some((demands.clone(), sub_alloc));
             });
         }
-    })
-    .expect("NCFlow cluster solver panicked");
+    });
     for entry in cluster_allocs.into_iter().flatten() {
         let (demands, sub_alloc) = entry;
         for (i, &d) in demands.iter().enumerate() {

@@ -91,12 +91,12 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
 
     // Solve replicas in parallel.
     let mut replica_allocs: Vec<Option<Allocation>> = vec![None; replicas];
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for (r, slot) in replica_allocs.iter_mut().enumerate() {
             let shares = &shares;
             let replica_topo = &replica_topo;
             let lp_cfg = cfg.lp;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let tm_r = TrafficMatrix::new(shares[r].clone());
                 if tm_r.total() <= 0.0 {
                     return;
@@ -106,8 +106,7 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
                 *slot = Some(alloc);
             });
         }
-    })
-    .expect("POP replica solver panicked");
+    });
 
     // Merge: a demand's final split ratio is the volume-weighted average of
     // its per-replica split ratios (each replica allocated its own share).

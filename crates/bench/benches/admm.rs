@@ -1,13 +1,11 @@
 //! Criterion bench: ADMM iteration cost — fine-tuning (2/5 iters, §3.4) vs
 //! solve-to-convergence (the LP-all substitute), the iteration-count
-//! ablation DESIGN.md calls out, and the serving-window comparison: one
-//! batched sweep ([`teal_lp::AdmmBatchSolver`]) fine-tuning a whole window
-//! against the old per-matrix solver loop.
+//! ablation behind §3.4's quality/latency knob, and the serving-window
+//! comparison: one batched sweep ([`teal_lp::AdmmBatchSolver`])
+//! fine-tuning a whole window against a loop of batch-of-1 solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use teal_lp::{
-    AdmmConfig, AdmmSkeleton, AdmmSolver, Allocation, BatchArena, Objective, TeInstance,
-};
+use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::{TrafficConfig, TrafficMatrix, TrafficModel};
 
@@ -24,8 +22,7 @@ fn instance(cap: usize) -> (teal_topology::Topology, PathSet, TrafficMatrix) {
 
 fn bench_admm(c: &mut Criterion) {
     let (topo, paths, tm) = instance(1200);
-    let inst = TeInstance::new(&topo, &paths, &tm);
-    let solver = AdmmSolver::new(&inst, Objective::TotalFlow);
+    let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
     let init = Allocation::shortest_path(tm.len(), 4);
     let mut group = c.benchmark_group("admm");
     group.sample_size(10);
@@ -37,15 +34,14 @@ fn bench_admm(c: &mut Criterion) {
                 rho: 1.0,
                 max_iters: n,
                 tol: 0.0,
-                serial: false,
             };
-            b.iter(|| solver.run(&init, cfg))
+            b.iter(|| skel.solve(&tm, &init, cfg))
         });
     }
     group.finish();
 }
 
-/// Serving-window fine-tuning: the old path minted one serial per-matrix
+/// Serving-window fine-tuning: a loop of batch-of-1 solves mints one
 /// solver per window entry (each run re-walking the incidence index); the
 /// batched sweep repairs the whole window in one pass per iteration. Both
 /// sides run 5 iterations (the ≥100-node fine-tune count) from the same
@@ -64,13 +60,6 @@ fn bench_fine_tune_window(c: &mut Criterion) {
         rho: 1.0,
         max_iters: 5,
         tol: 0.0,
-        serial: false,
-    };
-    // The per-matrix loop mirrors the old allocate_batch: serial sweeps per
-    // matrix, outer loop over the window.
-    let looped_cfg = AdmmConfig {
-        serial: true,
-        ..cfg
     };
     let mut group = c.benchmark_group("admm_fine_tune_window");
     group.sample_size(10);
@@ -84,13 +73,10 @@ fn bench_fine_tune_window(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::new("looped", window), &window, |b, _| {
             b.iter(|| {
-                // Exactly the old allocate_batch fine-tuning stage: one
-                // serial-sweep solver per matrix, outer parallelism across
-                // matrices via par_map (inert on one core, where matrices
-                // solve back-to-back on the calling thread).
-                teal_nn::par::par_map(tms.len(), 1, |i| {
-                    Some(skel.solver(&tms[i]).run(&inits[i], looped_cfg).0)
-                })
+                tms.iter()
+                    .zip(&inits)
+                    .map(|(tm, init)| skel.solve(tm, init, cfg).0)
+                    .collect::<Vec<_>>()
             })
         });
         group.bench_with_input(BenchmarkId::new("batched", window), &window, |b, _| {

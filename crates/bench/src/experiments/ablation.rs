@@ -38,7 +38,7 @@ fn score(bed: &Testbed, model: &dyn PolicyModel, with_admm: bool) -> f64 {
         let allocs = model.allocate_batch(&bed.env.batch_input(chunk, None));
         for (tm, mut alloc) in chunk.iter().zip(allocs) {
             if let Some(skel) = &skeleton {
-                alloc = skel.solver(tm).run(&alloc, admm_cfg).0;
+                alloc = skel.solve(tm, &alloc, admm_cfg).0;
             }
             let inst = bed.env.instance(tm);
             acc +=

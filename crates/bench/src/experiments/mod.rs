@@ -1,5 +1,5 @@
 //! Experiment implementations — one entry point per table/figure in the
-//! paper (see DESIGN.md §4 for the index and EXPERIMENTS.md for results).
+//! paper (`src/bin/expts.rs` is the index; results land under `results/`).
 
 pub mod ablation;
 pub mod comparison;

@@ -1,5 +1,5 @@
 //! `teal-bench`: the benchmark harness regenerating every table and figure
-//! of the paper (see DESIGN.md §4 for the experiment index).
+//! of the paper (`src/bin/expts.rs` lists the experiment ids).
 //!
 //! Run `cargo run -p teal-bench --bin expts --release -- all` to reproduce
 //! everything; individual experiments run via their id (e.g. `fig6`).

@@ -5,8 +5,8 @@
 //! a week of GPU training) exceed a CPU session, so every testbed is
 //! parameterized by a topology `scale` and a demand cap. The defaults below
 //! are chosen so the complete harness runs on a laptop-class machine while
-//! preserving each topology's structural identity; EXPERIMENTS.md records
-//! the exact values used for every reported number.
+//! preserving each topology's structural identity; every experiment
+//! prints the spec it ran under next to its results.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -32,8 +32,8 @@ pub struct TestbedSpec {
 }
 
 impl TestbedSpec {
-    /// CPU-affordable defaults per topology (see DESIGN.md, substitution
-    /// table). B4 runs at full scale.
+    /// CPU-affordable defaults per topology (the stand-ins for the paper's
+    /// full-scale testbeds). B4 runs at full scale.
     pub fn default_for(kind: TopoKind) -> Self {
         let (scale, max_demands) = match kind {
             TopoKind::B4 => (1.0, usize::MAX),

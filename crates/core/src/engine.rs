@@ -6,11 +6,12 @@
 //! * [`ServingContext`] owns everything fixed per topology — the trained
 //!   model, the engine configuration, and a prebuilt [`AdmmSkeleton`]
 //!   (incidence index + normalized capacities). Nothing is rebuilt per
-//!   traffic matrix: `allocate` mints an O(paths) per-matrix solver from the
-//!   shared skeleton. All methods take `&self`, so one context wrapped in an
-//!   `Arc` safely serves concurrent `allocate` calls from many threads.
-//! * [`TealEngine`] is a thin stateless facade over an
-//!   `Arc<ServingContext>` preserving the original single-object API.
+//!   traffic matrix: every window remints an O(batch × paths) solver from
+//!   the shared skeleton, and `allocate` is a window of one. All methods
+//!   take `&self`, so one context wrapped in an `Arc` safely serves
+//!   concurrent `allocate` calls from many threads.
+//! * [`TealEngine`] is an `Arc<ServingContext>` that derefs to it, plus
+//!   `model_mut` for continued training.
 //!
 //! `allocate` measures the wall-clock time of the full pipeline — the number
 //! reported as Teal's computation time in the paper's figures. Because the
@@ -21,8 +22,8 @@
 //! one batched ADMM sweep ([`teal_lp::AdmmBatchSolver`]): every fine-tuning
 //! iteration repairs the whole window in a single pass over the shared
 //! incidence index, parallelized over demand/edge × batch tiles on the
-//! `teal_nn::pool` workers — no serial per-matrix solver loop remains on
-//! the serving hot path. [`ServingContext::try_allocate_batch`] is the
+//! `teal_nn::pool` workers — no per-matrix solver loop remains on the
+//! serving hot path. [`ServingContext::try_allocate_batch`] is the
 //! fallible variant: malformed requests surface as [`AllocError`] values
 //! (which the `teal-serve` dispatcher maps to per-request `BadRequest`
 //! replies) instead of panics.
@@ -42,7 +43,7 @@
 
 use crate::env::Env;
 use crate::model::PolicyModel;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, Objective};
 use teal_nn::checkpoint::CheckpointError;
@@ -354,41 +355,24 @@ impl<M: PolicyModel> ServingContext<M> {
         self.with_checkpoint_str(&data)
     }
 
-    /// Allocate a traffic matrix on the trained topology. Returns the
-    /// allocation and the measured computation time.
+    /// Allocate a traffic matrix on the trained topology — a window of one
+    /// through [`ServingContext::allocate_batch`]. Returns the allocation
+    /// and the measured computation time.
     pub fn allocate(&self, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let start = Instant::now();
-        let env = self.model.env();
-        let input = env.model_input(tm, None);
-        let mut alloc = self.model.allocate_deterministic(&input);
-        if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
-            let (tuned, _) = skel.solver(tm).run(&alloc, admm_cfg);
-            alloc = tuned;
-        }
-        alloc.project_demand_constraints();
-        (alloc, start.elapsed())
+        let (mut allocs, dt) = self.allocate_batch(std::slice::from_ref(tm));
+        (allocs.pop().expect("a window of one"), dt)
     }
 
     /// Allocate against a topology with altered capacities (e.g. failed
-    /// links zeroed) *without retraining* — the §5.3 scenario. Paths stay
-    /// the ones precomputed on the original topology; only the capacity
-    /// vector of the ADMM skeleton is rebuilt, and candidate paths crossing
-    /// a zero-capacity link are masked out of the final allocation (flow on
-    /// a dead link can never be delivered — the §5.3 recovery invariant).
+    /// links zeroed) *without retraining* — the §5.3 scenario, as a window
+    /// of one through [`ServingContext::allocate_batch_on`]. Paths stay the
+    /// ones precomputed on the original topology; only the capacity vector
+    /// of the ADMM skeleton is rebuilt, and candidate paths crossing a
+    /// zero-capacity link are masked out of the final allocation (flow on a
+    /// dead link can never be delivered — the §5.3 recovery invariant).
     pub fn allocate_on(&self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let start = Instant::now();
-        let env = self.model.env();
-        let input = env.model_input(tm, Some(topo));
-        let mut alloc = self.model.allocate_deterministic(&input);
-        if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
-            let (tuned, _) = skel.with_topology(topo).solver(tm).run(&alloc, admm_cfg);
-            alloc = tuned;
-        }
-        alloc.project_demand_constraints();
-        for &p in &dead_path_ids(env, topo) {
-            alloc.splits_mut()[p as usize] = 0.0;
-        }
-        (alloc, start.elapsed())
+        let (mut allocs, dt) = self.allocate_batch_on(topo, std::slice::from_ref(tm));
+        (allocs.pop().expect("a window of one"), dt)
     }
 
     /// Allocate a whole batch of traffic matrices: batched forward passes
@@ -420,7 +404,7 @@ impl<M: PolicyModel> ServingContext<M> {
         &self,
         tms: &[TrafficMatrix],
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.allocate_batch_inner(tms, None)
+        self.with_pooled_scratch(|scratch| self.allocate_batch_inner_with(tms, None, scratch))
     }
 
     /// Fallible batched allocation on a failure-modified topology.
@@ -429,7 +413,7 @@ impl<M: PolicyModel> ServingContext<M> {
         topo: &Topology,
         tms: &[TrafficMatrix],
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.allocate_batch_inner(tms, Some(topo))
+        self.with_pooled_scratch(|scratch| self.allocate_batch_inner_with(tms, Some(topo), scratch))
     }
 
     /// [`ServingContext::try_allocate_batch`] with a caller-owned
@@ -470,27 +454,23 @@ impl<M: PolicyModel> ServingContext<M> {
     /// stays cache-resident on modest hardware.
     const SUB_BATCH: usize = 4;
 
-    /// Scratch-less entry point: borrows an arena from the context's pool
-    /// for the window (minting one on first use), so repeat callers reuse
-    /// ADMM state buffers without threading a [`BatchScratch`] themselves.
-    fn allocate_batch_inner(
-        &self,
-        tms: &[TrafficMatrix],
-        topo_override: Option<&Topology>,
-    ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_default();
-        let res = self.allocate_batch_inner_with(tms, topo_override, &mut scratch);
-        // Return the scratch even after an error: a poisoned window leaves
-        // only dead buffer contents behind, fully reset on next use.
-        self.scratch_pool
-            .lock()
-            .expect("scratch pool lock")
-            .push(scratch);
+    /// Run one window of a scratch-less entry point on a scratch borrowed
+    /// from the context's pool (minted on first use), so repeat callers
+    /// reuse ADMM state buffers without threading a [`BatchScratch`]
+    /// themselves. The scratch goes back even after an error: a poisoned
+    /// window leaves only dead buffer contents behind, fully reset on next
+    /// use. The lock is poison-recovering for the same reason — the pool is
+    /// a `Vec` of such scratches, valid at every panic point, and a panic on
+    /// another thread must not take the serving path down with it.
+    fn with_pooled_scratch<R>(&self, window: impl FnOnce(&mut BatchScratch) -> R) -> R {
+        let pool = || {
+            self.scratch_pool
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let mut scratch = pool().pop().unwrap_or_default();
+        let res = window(&mut scratch);
+        pool().push(scratch);
         res
     }
 
@@ -556,16 +536,17 @@ impl<M: PolicyModel> ServingContext<M> {
                 };
                 // One batched sweep repairs the whole window per iteration;
                 // the solver tiles demand/edge × batch work over the shared
-                // teal-nn pool internally, so no outer per-matrix loop (and
-                // no per-matrix serial override) is needed. The solver is
-                // reminted into the scratch's buffers and the sweep runs in
-                // its arena — the allocation-free ADMM steady state.
-                if let Some(solver) = scratch.solver.as_mut() {
-                    skel.remint_batch_solver(solver, tms);
-                } else {
-                    scratch.solver = Some(skel.batch_solver(tms));
-                }
-                let solver = scratch.solver.as_ref().expect("solver minted above");
+                // teal-nn pool internally, so no outer per-matrix loop is
+                // needed. The solver is reminted into the scratch's buffers
+                // and the sweep runs in its arena — the allocation-free ADMM
+                // steady state.
+                let solver: &teal_lp::AdmmBatchSolver = match &mut scratch.solver {
+                    Some(solver) => {
+                        skel.remint_batch_solver(solver, tms);
+                        solver
+                    }
+                    empty => empty.insert(skel.batch_solver(tms)),
+                };
                 let (arena, outs, reports) =
                     (&mut scratch.arena, &mut scratch.outs, &mut scratch.reports);
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -609,7 +590,9 @@ fn dead_path_ids(env: &Env, topo: &Topology) -> Vec<u32> {
 }
 
 /// A trained model plus the fine-tuning stage, ready to serve allocations:
-/// a thin facade over an [`Arc`]-shared [`ServingContext`].
+/// an [`Arc`]-shared [`ServingContext`], to which it derefs — every
+/// `allocate*`/`try_allocate*` entry point, `model`, `env` and `config` are
+/// the context's own.
 pub struct TealEngine<M: PolicyModel> {
     ctx: Arc<ServingContext<M>>,
 }
@@ -619,6 +602,14 @@ impl<M: PolicyModel> Clone for TealEngine<M> {
         TealEngine {
             ctx: Arc::clone(&self.ctx),
         }
+    }
+}
+
+impl<M: PolicyModel> std::ops::Deref for TealEngine<M> {
+    type Target = ServingContext<M>;
+
+    fn deref(&self) -> &ServingContext<M> {
+        &self.ctx
     }
 }
 
@@ -635,66 +626,12 @@ impl<M: PolicyModel> TealEngine<M> {
         &self.ctx
     }
 
-    /// The underlying model.
-    pub fn model(&self) -> &M {
-        self.ctx.model()
-    }
-
     /// Mutable access (e.g. to continue training). Panics if the context is
     /// currently shared with other threads — stop serving before mutating.
     pub fn model_mut(&mut self) -> &mut M {
         &mut Arc::get_mut(&mut self.ctx)
             .expect("ServingContext is shared; cannot mutate the model while serving")
             .model
-    }
-
-    /// The environment.
-    pub fn env(&self) -> &Arc<Env> {
-        self.ctx.env()
-    }
-
-    /// Allocate a traffic matrix on the trained topology. Returns the
-    /// allocation and the measured computation time.
-    pub fn allocate(&self, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        self.ctx.allocate(tm)
-    }
-
-    /// Allocate against a topology with altered capacities (see
-    /// [`ServingContext::allocate_on`]).
-    pub fn allocate_on(&self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        self.ctx.allocate_on(topo, tm)
-    }
-
-    /// Batched allocation (see [`ServingContext::allocate_batch`]).
-    pub fn allocate_batch(&self, tms: &[TrafficMatrix]) -> (Vec<Allocation>, Duration) {
-        self.ctx.allocate_batch(tms)
-    }
-
-    /// Batched allocation on a failure-modified topology.
-    pub fn allocate_batch_on(
-        &self,
-        topo: &Topology,
-        tms: &[TrafficMatrix],
-    ) -> (Vec<Allocation>, Duration) {
-        self.ctx.allocate_batch_on(topo, tms)
-    }
-
-    /// Fallible batched allocation (see
-    /// [`ServingContext::try_allocate_batch`]).
-    pub fn try_allocate_batch(
-        &self,
-        tms: &[TrafficMatrix],
-    ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.ctx.try_allocate_batch(tms)
-    }
-
-    /// Fallible batched allocation on a failure-modified topology.
-    pub fn try_allocate_batch_on(
-        &self,
-        topo: &Topology,
-        tms: &[TrafficMatrix],
-    ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.ctx.try_allocate_batch_on(topo, tms)
     }
 }
 
@@ -817,7 +754,6 @@ mod tests {
                     rho: 1.0,
                     max_iters: 60,
                     tol: 1e-4,
-                    serial: false,
                 }),
                 objective: Objective::TotalFlow,
             },

@@ -33,12 +33,12 @@
 //!   topology from a trained model plus an [`teal_lp::AdmmSkeleton`] (the
 //!   path-edge incidence index, normalized capacities, and objective
 //!   discounts — everything traffic-independent). Serving never rebuilds
-//!   per-topology state: each `allocate` mints an O(paths) per-matrix
-//!   solver from the shared skeleton, and link-failure overrides swap only
-//!   the capacity vector. All methods take `&self`, so one
-//!   `Arc<ServingContext>` serves concurrent callers from many threads;
-//!   [`TealEngine`] is a thin facade over that `Arc` preserving the
-//!   original API.
+//!   per-topology state: each window remints an O(batch × paths) solver
+//!   from the shared skeleton (`allocate` is a window of one), and
+//!   link-failure overrides swap only the capacity vector. All methods
+//!   take `&self`, so one `Arc<ServingContext>` serves concurrent callers
+//!   from many threads; [`TealEngine`] is that `Arc`, deref-ing to the
+//!   context.
 //! * **Throughput path.** [`ServingContext::allocate_batch`] runs the
 //!   forward pass in cache-blocked sub-batches (one set of matrix products
 //!   each, tape-free — see `TealModel::infer_mu`) and fine-tunes the whole
@@ -46,12 +46,12 @@
 //!   structure-of-arrays state minted from the shared skeleton, each
 //!   iteration a single pass over the incidence index parallelized over
 //!   demand/edge × batch tiles on the `teal_nn::pool` workers, with a
-//!   per-matrix convergence mask for early stopping. Batched ≡ per-matrix
-//!   output is property-tested to 1e-6.
+//!   per-matrix convergence mask for early stopping. A batch of B equals
+//!   B batches of one bitwise (property-tested in `teal-lp`).
 //!   [`ServingContext::try_allocate_batch`] surfaces malformed requests
 //!   and poisoned workers as [`AllocError`] values for isolation. The
 //!   `throughput` and `admm` Criterion benches in `teal-bench` track the
-//!   batched vs. per-matrix-loop margins on B4/SWAN.
+//!   batched vs. looped-batch-of-1 margins on B4/SWAN.
 //! * **Training.** [`coma::train_coma`] consumes minibatches
 //!   (`ComaConfig::batch_size`) with one batched forward/backward pass and
 //!   one optimizer step per minibatch; validation scores allocations from

@@ -13,7 +13,7 @@
 //! insofar as one of the alternative configurations happens to converge
 //! faster — exactly the sublinear behaviour of Figure 2.
 
-use crate::admm::{AdmmConfig, AdmmSolver};
+use crate::admm::{AdmmConfig, AdmmSkeleton, BatchArena};
 use crate::problem::{Allocation, Objective, TeInstance};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -35,47 +35,62 @@ pub struct RaceResult {
 /// threads yield diminishing returns.
 const RHO_LADDER: [f64; 8] = [1.0, 0.5, 2.0, 0.25, 4.0, 0.125, 8.0, 16.0];
 
+/// One racer's configuration: rung `t` of the ρ ladder, run to `tol`.
+fn racer_config(t: usize, tol: f64) -> AdmmConfig {
+    AdmmConfig {
+        rho: RHO_LADDER[t % RHO_LADDER.len()],
+        max_iters: 20_000,
+        tol,
+    }
+}
+
 /// Solve `inst` with `threads` racing serial instances and return the first
 /// result (plus timing).
 pub fn race_solve(inst: &TeInstance, obj: Objective, threads: usize, tol: f64) -> RaceResult {
     assert!(threads >= 1);
-    let solver = AdmmSolver::new(inst, obj);
+    let solver =
+        AdmmSkeleton::new(inst.topo, inst.paths, obj).batch_solver(std::slice::from_ref(inst.tm));
+    let init = Allocation::zeros(inst.num_demands(), inst.k());
     let start = Instant::now();
     let done = AtomicBool::new(false);
     let winner: Mutex<Option<(usize, Allocation, Duration)>> = Mutex::new(None);
 
-    crossbeam::scope(|s| {
+    // Plain scoped threads, not pool jobs: each racer owns its thread, as
+    // Gurobi's concurrent mode runs one serial algorithm per thread. A
+    // panicking racer propagates out of the scope.
+    std::thread::scope(|s| {
         for t in 0..threads {
-            let solver = &solver;
-            let done = &done;
-            let winner = &winner;
-            let inst_nd = inst.num_demands();
-            let inst_k = inst.k();
-            s.spawn(move |_| {
-                let rho = RHO_LADDER[t % RHO_LADDER.len()];
-                // Each racer is a *serial* instance (as Gurobi's concurrent
-                // mode runs serial algorithms per thread); it checks the
-                // shared flag each iteration and stops once someone won.
-                let cfg = AdmmConfig {
-                    rho,
-                    max_iters: 20_000,
-                    tol,
-                    serial: true,
-                };
-                let init = Allocation::zeros(inst_nd, inst_k);
-                let (result, _rep) = solver.run_with_cancel(&init, cfg, Some(done));
+            let (solver, init, done, winner) = (&solver, &init, &done, &winner);
+            s.spawn(move || {
+                let (mut outs, mut reports) = (Vec::new(), Vec::new());
+                // The thread cap keeps every sweep on this racer's own
+                // thread; the solve polls the shared flag each iteration
+                // and stops once someone won.
+                teal_nn::pool::with_thread_cap(1, || {
+                    solver.run_cancellable(
+                        std::slice::from_ref(init),
+                        racer_config(t, tol),
+                        Some(done),
+                        &mut BatchArena::new(),
+                        &mut outs,
+                        &mut reports,
+                    );
+                });
                 // First finisher wins; racers cancelled by the flag find
                 // `done` already true and cannot record.
                 if !done.swap(true, Ordering::SeqCst) {
-                    let mut w = winner.lock().unwrap();
+                    let result = outs.pop().expect("a batch of one yields one allocation");
+                    let mut w = winner.lock().expect("a racer panicked holding the lock");
                     *w = Some((t, result, start.elapsed()));
                 }
             });
         }
-    })
-    .expect("racing solver panicked");
+    });
 
-    let (idx, alloc, elapsed) = winner.into_inner().unwrap().expect("no racer finished");
+    let (idx, alloc, elapsed) = winner
+        .into_inner()
+        .expect("a racer panicked holding the lock")
+        .expect("no racer finished");
     RaceResult {
         alloc,
         elapsed,
@@ -97,21 +112,15 @@ pub fn measure_racers(
     num_configs: usize,
     tol: f64,
 ) -> Vec<Duration> {
-    let solver = AdmmSolver::new(inst, obj);
-    let mut times = Vec::with_capacity(num_configs);
-    for &rho in RHO_LADDER.iter().take(num_configs) {
-        let cfg = AdmmConfig {
-            rho,
-            max_iters: 20_000,
-            tol,
-            serial: true,
-        };
-        let init = Allocation::zeros(inst.num_demands(), inst.k());
-        let start = Instant::now();
-        let _ = solver.run(&init, cfg);
-        times.push(start.elapsed());
-    }
-    times
+    let skel = AdmmSkeleton::new(inst.topo, inst.paths, obj);
+    let init = Allocation::zeros(inst.num_demands(), inst.k());
+    (0..num_configs.min(RHO_LADDER.len()))
+        .map(|t| {
+            let start = Instant::now();
+            teal_nn::pool::with_thread_cap(1, || skel.solve(inst.tm, &init, racer_config(t, tol)));
+            start.elapsed()
+        })
+        .collect()
 }
 
 /// Wall-clock time a concurrent race would take with `threads` dedicated

@@ -19,7 +19,7 @@ pub mod pathlp;
 pub mod problem;
 pub mod simplex;
 
-pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, AdmmSolver, BatchArena};
+pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, BatchArena};
 pub use flow::{evaluate, evaluate_with_gamma, objective_value, FlowStats};
 pub use pathlp::{solve_lp, solve_mlu, LpConfig, LpInfo, LpMethod};
 pub use problem::{Allocation, Objective, TeInstance};

@@ -14,7 +14,7 @@
 //! while minimizing peak utilization, is solved by projected subgradient
 //! descent over the per-demand probability simplices.
 
-use crate::admm::{AdmmConfig, AdmmSolver};
+use crate::admm::{AdmmConfig, AdmmSkeleton};
 use crate::problem::{Allocation, Objective, TeInstance};
 use crate::simplex::{self, Row, SimplexStatus};
 
@@ -114,9 +114,9 @@ pub fn solve_lp(inst: &TeInstance, obj: Objective, cfg: &LpConfig) -> (Allocatio
                     },
                 )
             } else {
-                let solver = AdmmSolver::new(inst, obj);
                 let init = Allocation::zeros(inst.num_demands(), k);
-                let (alloc, rep) = solver.run(&init, cfg.admm);
+                let (alloc, rep) =
+                    AdmmSkeleton::new(inst.topo, inst.paths, obj).solve(inst.tm, &init, cfg.admm);
                 (
                     alloc,
                     LpInfo {

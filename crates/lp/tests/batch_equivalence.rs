@@ -1,18 +1,27 @@
-//! Property tests: [`AdmmBatchSolver`] ≡ per-matrix [`AdmmSolver`] to 1e-6.
+//! Property tests: the lanes of an [`AdmmBatchSolver`] are independent.
 //!
 //! The batched sweep is a layout/parallelism transformation — no ADMM
-//! quantity couples two matrices — so every lane of a batched run must
-//! reproduce what its own per-matrix `AdmmSolver::run` would produce: same
-//! splits, same iteration counts under early stopping (the convergence
-//! mask), on random topologies, heterogeneous demand volumes, both linear
-//! objectives, and failure-modified (zero-capacity) capacity vectors. In
-//! the spirit of the commutativity-rule line of work, the two paths commute
-//! by construction and that equivalence is machine-checked here.
+//! quantity couples two matrices — so a batch of `B` must reproduce
+//! *bitwise* what `B` batch-of-1 runs produce: same splits, same residuals,
+//! same iteration counts under early stopping (the convergence mask), on
+//! random topologies, heterogeneous demand volumes, both linear objectives,
+//! and failure-modified (zero-capacity) capacity vectors. In the spirit of
+//! the commutativity-rule line of work, lanes commute by construction and
+//! that is machine-checked here.
+//!
+//! Lane independence compares the solver with itself, so a pinned golden
+//! hash (generated from this solver at the commit that deleted the scalar
+//! per-matrix twin) additionally guards the arithmetic: any change to a
+//! sweep that moves one output bit fails `pinned_golden_hashes`. The
+//! optimum itself is checked against simplex, an independent algorithm, in
+//! the `admm.rs` unit tests.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teal_lp::{AdmmBatchSolver, AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
+use teal_lp::{
+    AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, Allocation, BatchArena, Objective,
+};
 use teal_topology::{gravity_pairs, large_wan, PathSet, Topology};
 use teal_traffic::TrafficMatrix;
 
@@ -90,29 +99,50 @@ fn random_inits(nb: usize, nd: usize, k: usize, rng: &mut StdRng) -> Vec<Allocat
         .collect()
 }
 
-/// Core assertion: one batched run ≡ `nb` per-matrix runs, splits to 1e-6
-/// and identical iteration counts (exercised by tol > 0 configs).
-fn assert_batch_matches(
+/// One batched run on a fresh solver, arena and output buffers.
+fn run_fresh(
+    skel: &AdmmSkeleton,
+    tms: &[TrafficMatrix],
+    inits: &[Allocation],
+    cfg: AdmmConfig,
+) -> (Vec<Allocation>, Vec<AdmmReport>) {
+    let (mut outs, mut reps) = (Vec::new(), Vec::new());
+    skel.batch_solver(tms)
+        .run_batch_into(inits, cfg, &mut BatchArena::new(), &mut outs, &mut reps);
+    (outs, reps)
+}
+
+/// Core assertion: one batched run ≡ `nb` batch-of-1 runs, bit for bit —
+/// splits, iteration counts (exercised by tol > 0 configs) and residuals.
+fn assert_lanes_independent(
     skel: &AdmmSkeleton,
     tms: &[TrafficMatrix],
     inits: &[Allocation],
     cfg: AdmmConfig,
 ) -> Result<(), String> {
-    let (outs, reps) = skel.batch_solver(tms).run_batch(inits, cfg);
+    let (outs, reps) = run_fresh(skel, tms, inits, cfg);
     for (b, tm) in tms.iter().enumerate() {
-        let (want, wrep) = skel.solver(tm).run(&inits[b], cfg);
+        let (want, wrep) = skel.solve(tm, &inits[b], cfg);
         prop_assert_eq!(
             reps[b].iterations,
             wrep.iterations,
-            "lane {} iterations: batched {} vs per-matrix {}",
+            "lane {} iterations: batched {} vs batch-of-1 {}",
             b,
             reps[b].iterations,
             wrep.iterations
         );
+        prop_assert!(
+            reps[b].primal_residual.to_bits() == wrep.primal_residual.to_bits()
+                && reps[b].dual_residual.to_bits() == wrep.dual_residual.to_bits(),
+            "lane {} residuals: batched {:?} vs batch-of-1 {:?}",
+            b,
+            reps[b],
+            wrep
+        );
         for (p, (x, y)) in outs[b].splits().iter().zip(want.splits()).enumerate() {
             prop_assert!(
-                (x - y).abs() <= 1e-6,
-                "lane {} split {}: batched {} vs per-matrix {}",
+                x.to_bits() == y.to_bits(),
+                "lane {} split {}: batched {} vs batch-of-1 {}",
                 b,
                 p,
                 x,
@@ -123,58 +153,106 @@ fn assert_batch_matches(
     Ok(())
 }
 
+/// FNV-1a over the little-endian bytes of `word`.
+fn fnv(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Hash of one seeded 5-lane window's outputs: every lane's iteration count
+/// followed by the bits of its splits.
+fn golden_hash(seed: u64, cfg: AdmmConfig) -> u64 {
+    let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x601d);
+    let tms = random_window(5, nd, &mut rng);
+    let inits = random_inits(5, nd, k, &mut rng);
+    let (outs, reps) = run_fresh(&skel, &tms, &inits, cfg);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (out, rep) in outs.iter().zip(&reps) {
+        fnv(&mut hash, rep.iterations as u64);
+        for s in out.splits() {
+            fnv(&mut hash, s.to_bits());
+        }
+    }
+    hash
+}
+
+/// The batched arithmetic, pinned: three seeded instances (one under the
+/// paper's fixed 5-iteration fine-tune, two run to `tol` through the
+/// convergence mask) must hash to the values `AdmmBatchSolver` produced
+/// before the scalar per-matrix solver was deleted. Identical in debug and
+/// release and for every `TEAL_NN_THREADS`.
+#[test]
+fn pinned_golden_hashes() {
+    let fixed = AdmmConfig::fine_tune(200);
+    let masked = AdmmConfig::to_convergence().with_max_iters(300);
+    for (seed, cfg, want) in [
+        (11u64, fixed, 0xb9ee_61ad_546b_b07du64),
+        (4242, masked, 0xb9a5_0918_e7ce_d40a),
+        (987_654, masked, 0xfa9a_1d9a_4f87_a8e3),
+    ] {
+        let got = golden_hash(seed, cfg);
+        assert_eq!(
+            got, want,
+            "seed {seed}: batched ADMM output hash {got:#018x}, pinned {want:#018x}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Paper fine-tuning setting (fixed 2–5 iterations, no early stop),
     /// TotalFlow, all four batch sizes.
     #[test]
-    fn fine_tune_total_flow_matches(seed in 0u64..1_000_000, iters in 2usize..6) {
+    fn fine_tune_total_flow_lanes_independent(seed in 0u64..1_000_000, iters in 2usize..6) {
         let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xba7c);
-        let cfg = AdmmConfig { rho: 1.0, max_iters: iters, tol: 0.0, serial: false };
+        let cfg = AdmmConfig { rho: 1.0, max_iters: iters, tol: 0.0 };
         for &nb in &BATCH_SIZES {
             let tms = random_window(nb, nd, &mut rng);
             let inits = random_inits(nb, nd, k, &mut rng);
-            assert_batch_matches(&skel, &tms, &inits, cfg)?;
+            assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
     }
 
     /// Delay-penalized objective: per-path discounts flow through vcoef; the
     /// batched lanes must see exactly the same discounted coefficients.
     #[test]
-    fn fine_tune_delay_penalized_matches(seed in 0u64..1_000_000, gamma in 0.05f64..0.9) {
+    fn fine_tune_delay_penalized_lanes_independent(seed in 0u64..1_000_000, gamma in 0.05f64..0.9) {
         let (_topo, _paths, skel, nd, k) =
             random_problem(seed, Objective::DelayPenalizedFlow(gamma));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xde1a);
-        let cfg = AdmmConfig { rho: 1.0, max_iters: 4, tol: 0.0, serial: false };
+        let cfg = AdmmConfig { rho: 1.0, max_iters: 4, tol: 0.0 };
         for &nb in &BATCH_SIZES {
             let tms = random_window(nb, nd, &mut rng);
             let inits = random_inits(nb, nd, k, &mut rng);
-            assert_batch_matches(&skel, &tms, &inits, cfg)?;
+            assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
     }
 
     /// Early stopping: tol > 0 makes lanes drop out of the sweeps at
     /// different iterations — the convergence mask must freeze each lane
-    /// exactly where its own per-matrix run would stop.
+    /// exactly where its own batch-of-1 run would stop.
     #[test]
     fn convergence_mask_matches_early_stopping(seed in 0u64..1_000_000) {
         let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70f1);
-        let cfg = AdmmConfig { rho: 1.0, max_iters: 300, tol: 1e-4, serial: false };
+        let cfg = AdmmConfig { rho: 1.0, max_iters: 300, tol: 1e-4 };
         for &nb in &[2usize, 7] {
             let tms = random_window(nb, nd, &mut rng);
             let inits = random_inits(nb, nd, k, &mut rng);
-            assert_batch_matches(&skel, &tms, &inits, cfg)?;
+            assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
     }
 
     /// Failure topologies (§5.3): random links zeroed through
-    /// `AdmmSkeleton::with_topology` — the batched path must track the
-    /// per-matrix path on the degraded capacity vector too.
+    /// `AdmmSkeleton::with_topology` — lanes stay independent on the
+    /// degraded capacity vector too.
     #[test]
-    fn failed_links_match(seed in 0u64..1_000_000, fail_frac in 0.05f64..0.4) {
+    fn failed_links_lanes_independent(seed in 0u64..1_000_000, fail_frac in 0.05f64..0.4) {
         let (topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xfa11);
         let failed: Vec<usize> = (0..topo.num_edges())
@@ -182,11 +260,11 @@ proptest! {
             .collect();
         let degraded = topo.with_failed_edges(&failed);
         let skel = skel.with_topology(&degraded);
-        let cfg = AdmmConfig { rho: 1.0, max_iters: 5, tol: 0.0, serial: false };
+        let cfg = AdmmConfig { rho: 1.0, max_iters: 5, tol: 0.0 };
         for &nb in &[1usize, 7] {
             let tms = random_window(nb, nd, &mut rng);
             let inits = random_inits(nb, nd, k, &mut rng);
-            assert_batch_matches(&skel, &tms, &inits, cfg)?;
+            assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
     }
 
@@ -194,15 +272,15 @@ proptest! {
     /// output buffers serving a sequence of windows (batch sizes shrink and
     /// grow, and the skeleton's capacity vector is swapped mid-sequence —
     /// the lp-level analog of a serving hot swap) must produce *bitwise*
-    /// what a fresh `run_batch` produces for each window. Nothing may leak
-    /// from one window's state into the next through the arena.
+    /// what a fresh solver and arena produce for each window. Nothing may
+    /// leak from one window's state into the next through the arena.
     #[test]
     fn arena_reuse_across_windows_matches_fresh(seed in 0u64..1_000_000) {
         let (topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa12e);
         // tol > 0 so the convergence mask (and its all-lanes fast path
         // hand-off) is exercised across reused buffers.
-        let cfg = AdmmConfig { rho: 1.0, max_iters: 60, tol: 1e-4, serial: false };
+        let cfg = AdmmConfig { rho: 1.0, max_iters: 60, tol: 1e-4 };
         let degraded = topo.with_failed_edges(&[0]);
         let swapped = skel.with_topology(&degraded);
         let mut arena = BatchArena::new();
@@ -222,7 +300,7 @@ proptest! {
             solver.as_ref().expect("minted").run_batch_into(
                 &inits, cfg, &mut arena, &mut outs, &mut reports,
             );
-            let (fresh_outs, fresh_reps) = skel_w.batch_solver(&tms).run_batch(&inits, cfg);
+            let (fresh_outs, fresh_reps) = run_fresh(skel_w, &tms, &inits, cfg);
             prop_assert_eq!(outs.len(), nb);
             for b in 0..nb {
                 prop_assert_eq!(
@@ -242,43 +320,42 @@ proptest! {
 
     /// Generated large-WAN instances: the flat path/edge index arena built
     /// from scale-free topologies (hub edges carry hundreds of paths, so
-    /// per-edge entry runs are long and uneven) must preserve batched ≡
-    /// per-matrix equivalence just like the small ring instances.
+    /// per-edge entry runs are long and uneven) must preserve lane
+    /// independence just like the small ring instances.
     #[test]
-    fn large_wan_batch_matches(seed in 0u64..1_000_000, n in 64usize..128) {
+    fn large_wan_lanes_independent(seed in 0u64..1_000_000, n in 64usize..128) {
         let topo = large_wan(n, seed);
         let pairs = gravity_pairs(&topo, 2 * n, seed ^ 0x1a2);
         let paths = PathSet::compute(&topo, &pairs, 3);
         let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
         let (nd, k) = (paths.num_demands(), paths.k());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1a3);
-        let cfg = AdmmConfig { rho: 1.0, max_iters: 3, tol: 0.0, serial: false };
+        let cfg = AdmmConfig { rho: 1.0, max_iters: 3, tol: 0.0 };
         for &nb in &[1usize, 4] {
             let tms = random_window(nb, nd, &mut rng);
             let inits = random_inits(nb, nd, k, &mut rng);
-            assert_batch_matches(&skel, &tms, &inits, cfg)?;
+            assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
     }
 
-    /// The serial flag must not change results, only scheduling — and a
-    /// serial batched run must still match the per-matrix solver.
+    /// A thread cap of one (every tile on the calling thread — the
+    /// Figure-2 racers' setting) must not change results, only scheduling.
     #[test]
-    fn serial_and_parallel_batched_agree(seed in 0u64..1_000_000) {
+    fn serial_and_pooled_runs_agree(seed in 0u64..1_000_000) {
         let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1a);
         let tms = random_window(7, nd, &mut rng);
         let inits = random_inits(7, nd, k, &mut rng);
-        let par = AdmmConfig { rho: 1.0, max_iters: 50, tol: 1e-4, serial: false };
-        let ser = AdmmConfig { serial: true, ..par };
-        let (outs_p, reps_p) = skel.batch_solver(&tms).run_batch(&inits, par);
-        let (outs_s, reps_s) = skel.batch_solver(&tms).run_batch(&inits, ser);
+        let cfg = AdmmConfig { rho: 1.0, max_iters: 50, tol: 1e-4 };
+        let (outs_p, reps_p) = run_fresh(&skel, &tms, &inits, cfg);
+        let (outs_s, reps_s) =
+            teal_nn::pool::with_thread_cap(1, || run_fresh(&skel, &tms, &inits, cfg));
         for b in 0..tms.len() {
             prop_assert_eq!(reps_p[b].iterations, reps_s[b].iterations);
             for (x, y) in outs_p[b].splits().iter().zip(outs_s[b].splits()) {
-                prop_assert!((x - y).abs() <= 1e-12,
-                    "serial/parallel batched runs diverged: {} vs {}", x, y);
+                prop_assert!(x.to_bits() == y.to_bits(),
+                    "serial/pooled batched runs diverged: {} vs {}", x, y);
             }
         }
-        assert_batch_matches(&skel, &tms, &inits, par)?;
     }
 }

@@ -8,11 +8,11 @@
 //! one `#[test]` — the harness runs it on a single thread, so no other
 //! test's allocations can pollute the counter.
 //!
-//! The solver runs `serial: true` here: that is the single-CPU container's
-//! native shape, and it keeps the (separately exercised) worker pool's
-//! own bookkeeping out of the measurement. The batched≡per-matrix and
-//! arena-reuse≡fresh equivalence suites in `batch_equivalence.rs` cover
-//! the parallel schedule.
+//! The solver runs under `teal_nn::pool::with_thread_cap(1, …)` here: that
+//! is the single-CPU container's native shape, and it keeps the
+//! (separately exercised) worker pool's own bookkeeping out of the
+//! measurement. The lane-independence and arena-reuse≡fresh suites in
+//! `batch_equivalence.rs` cover the parallel schedule.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +53,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_windows_allocate_nothing() {
+    teal_nn::pool::with_thread_cap(1, steady_state_windows);
+}
+
+fn steady_state_windows() {
     // A real serving shape: SWAN topology, 16-matrix windows, the paper's
     // 5-iteration fine-tune.
     let topo = generate(TopoKind::Swan, 0.4, 7);
@@ -66,7 +70,6 @@ fn steady_state_windows_allocate_nothing() {
         rho: 1.0,
         max_iters: 5,
         tol: 0.0,
-        serial: true,
     };
 
     const WINDOWS: usize = 6;

@@ -328,15 +328,18 @@ pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
         return;
     }
     JOBS.fetch_add(1, Ordering::Relaxed);
-    let pool = global();
     let cap = THREAD_CAP.with(|c| c.get());
-    if pool.workers == 0 || n == 1 || cap == Some(1) {
+    // The pool is consulted last: a job that stays on the submitting thread
+    // anyway must not be what spawns the workers (their start-up would
+    // allocate behind a capped caller's back).
+    if n == 1 || cap == Some(1) || global().workers == 0 {
         for i in 0..n {
             f(i);
         }
         CALLER_CHUNKS.fetch_add(n as u64, Ordering::Relaxed);
         return;
     }
+    let pool = global();
     // Workers allowed to help this job on top of the submitting thread.
     let helper_cap = cap.map_or(usize::MAX, |c| c - 1);
     // Erase the borrow: `run` does not return until `done == n`, and no

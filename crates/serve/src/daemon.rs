@@ -106,21 +106,6 @@ struct Request {
     slot: Arc<ResponseSlot>,
 }
 
-/// In what order a shard serves the live requests of one drained window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DrainOrder {
-    /// Earliest-deadline-first: deadline'd requests run before deadline-less
-    /// ones, ordered by expiry; ties and deadline-less requests keep their
-    /// arrival order (the sort is stable). This is the default — it is what
-    /// makes a deadline under load *mean* something.
-    #[default]
-    EarliestDeadlineFirst,
-    /// Strict arrival order. Exists for apples-to-apples baselines (the
-    /// `deadline_pressure` bench arm); deadline'd requests stuck behind a
-    /// long plain backlog will expire exactly as naively as you'd expect.
-    Fifo,
-}
-
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -146,8 +131,6 @@ pub struct ServeConfig {
     /// deficit-round-robin window arbiter (see [`crate::wfq`]): shards
     /// sharing one budget take turns by [`ServeConfig::tenant_weights`].
     pub shard_threads: Option<usize>,
-    /// Order in which each drained window is served (default EDF).
-    pub drain_order: DrainOrder,
     /// Weighted-fair-queuing weights by tenant id. Unlisted tenants
     /// (including `"default"`) weigh 1. Only consulted when
     /// [`ServeConfig::shard_threads`] is set — without a shared budget,
@@ -159,14 +142,6 @@ pub struct ServeConfig {
     /// maximum — typically 5 — otherwise). Downgrades are counted in
     /// [`crate::AdmmStats::budget_downgrades`].
     pub pressured_budget: usize,
-    /// Front-end mode for [`crate::TealServer`]: `true` (default) drives
-    /// all connections from one epoll event-loop thread (`crate::net`);
-    /// `false` falls back to the previous thread-per-connection front end
-    /// (two OS threads per connection), retained for one release as the
-    /// A/B baseline — the `connection_scale` bench compares the arms in
-    /// the same run. Ignored by in-process callers and on non-Linux
-    /// targets (which always get the threaded front end).
-    pub event_loop: bool,
 }
 
 impl Default for ServeConfig {
@@ -176,10 +151,8 @@ impl Default for ServeConfig {
             linger: Duration::from_micros(200),
             queue_capacity: 1024,
             shard_threads: None,
-            drain_order: DrainOrder::EarliestDeadlineFirst,
             tenant_weights: Vec::new(),
             pressured_budget: 2,
-            event_loop: true,
         }
     }
 }
@@ -276,6 +249,8 @@ impl<M: PolicyModel + Send + Sync + 'static> ServeDaemon<M> {
     /// The live telemetry counters — shared with wire front ends so they
     /// can record wire-level events (e.g. unmatched replies) alongside the
     /// serving core's own.
+    // The loom build compiles no wire front end, so nothing calls this there.
+    #[cfg_attr(teal_loom, allow(dead_code))]
     pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
         &self.inner.telemetry
     }
@@ -686,13 +661,12 @@ fn serve_drained<M: PolicyModel>(
             live.push(req);
         }
     }
-    // EDF drain order (default): deadline'd requests first, tightest expiry
-    // first; the sort is stable so ties and deadline-less requests keep
-    // arrival order. Sorting *before* grouping means the order also holds
-    // within every signature sub-batch.
-    if inner.cfg.drain_order == DrainOrder::EarliestDeadlineFirst {
-        live.sort_by_key(|r| drain_key(r.expires));
-    }
+    // EDF drain order — what makes a deadline under load *mean* something:
+    // deadline'd requests first, tightest expiry first; the sort is stable
+    // so ties and deadline-less requests keep arrival order. Sorting
+    // *before* grouping means the order also holds within every signature
+    // sub-batch.
+    live.sort_by_key(|r| drain_key(r.expires));
     // Group by override signature, preserving drain order within each
     // group. The empty signature — the steady-state path — is always group
     // 0 and is served out of the shard's primary arena; each failure
@@ -705,23 +679,12 @@ fn serve_drained<M: PolicyModel>(
             None => groups.push((req.signature.clone(), vec![req])),
         }
     }
-    // EDF invariant telemetry: within each group's serving order, count
-    // adjacent deadline'd pairs that run tighter-after-looser. Always zero
-    // under EDF (the sort precedes grouping and grouping is order
-    // preserving); under FIFO it measures how often arrival order inverts
-    // urgency.
-    let mut inversions = 0u64;
-    for (_, g) in &groups {
-        let mut last: Option<Instant> = None;
-        for r in g {
-            if let Some(e) = r.expires {
-                if last.is_some_and(|prev| prev > e) {
-                    inversions += 1;
-                }
-                last = Some(e);
-            }
-        }
-    }
+    // EDF invariant telemetry, a standing check on the ordering above: zero
+    // as long as the sort precedes grouping and grouping preserves order.
+    let inversions: u64 = groups
+        .iter()
+        .map(|(_, g)| deadline_inversions(g.iter().map(|r| r.expires)))
+        .sum();
     inner.telemetry.on_deadline_inversions(inversions);
     // Flatten the groups into the drain's serving order of `max_batch`-sized
     // windows before touching the WFQ arbiter: fair queuing needs the *next*
@@ -979,6 +942,20 @@ fn drain_key(expires: Option<Instant>) -> (bool, Option<Instant>) {
     (expires.is_none(), expires)
 }
 
+/// Adjacent deadline'd pairs of one serving order that run
+/// tighter-after-looser (deadline-less entries are skipped).
+fn deadline_inversions(expiries: impl Iterator<Item = Option<Instant>>) -> u64 {
+    let mut inversions = 0;
+    let mut last: Option<Instant> = None;
+    for e in expiries.flatten() {
+        if last.is_some_and(|prev| prev > e) {
+            inversions += 1;
+        }
+        last = Some(e);
+    }
+    inversions
+}
+
 /// The tenant a chunk's window is charged to in the DRR schedule: the one
 /// tagging the most requests, ties broken toward the lexicographically
 /// smallest id (deterministic under concurrency).
@@ -1081,6 +1058,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The inversion counter can go non-zero: a hand-built serving order
+    /// with urgency inverted twice (and deadline-less requests interleaved,
+    /// which never count) — and reads zero once EDF-sorted.
+    #[test]
+    fn deadline_inversions_counts_out_of_order_pairs() {
+        let base = now();
+        let at = |ms: u64| Some(base + Duration::from_millis(ms));
+        let mut group = [at(30), None, at(10), at(20), None, at(5)];
+        assert_eq!(deadline_inversions(group.iter().copied()), 2);
+        group.sort_by_key(|&e| drain_key(e));
+        assert_eq!(deadline_inversions(group.iter().copied()), 0);
+        assert_eq!(deadline_inversions(std::iter::empty()), 0);
     }
 
     /// Regression for the override-cache thrash bug: at capacity the old

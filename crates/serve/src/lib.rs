@@ -13,10 +13,10 @@
 //! ```text
 //!   wire clients                     server front end        serving core
 //!   ────────────                     ────────────────        ────────────────────
-//!   TealClient ── REQUEST frames ──► TealServer (one of two, by
-//!     │  (pipelined, id-tagged,      ServeConfig::event_loop)
+//!   TealClient ── REQUEST frames ──► TealServer
+//!     │  (pipelined, id-tagged,
 //!     │   tenant-tagged since v3)
-//!     │ ── STATS frame ─► snapshot   ┌ epoll event loop (default) ──────┐
+//!     │ ── STATS frame ─► snapshot   ┌ epoll event loop ────────────────┐
 //!     │                              │ one thread, N conns:             │
 //!     │                              │  epoll_wait ─► accept burst      │
 //!     │                              │   · per-conn FrameDecoder        │
@@ -27,10 +27,6 @@
 //!     │                              │  completion ─► waker ─► eventfd  │
 //!     │                              │  doorbell ─► drain + flush       │
 //!     │                              │  slot map w/ generation tokens   │
-//!     │                              └──────────────┬───────────────────┘
-//!     │                              ┌ threaded (A/B baseline) ─────────┐
-//!     │                              │  accept ► reader+writer threads  │
-//!     │                              │  per conn · completions (scrape) │
 //!     │                              └──────────────┬───────────────────┘
 //!   in-process clients                              │ submit(SubmitRequest)
 //!   ──────────────────                              ▼
@@ -45,7 +41,7 @@
 //!        │                     │     queued deadline budget)
 //!        │                     │  expire stale deadlines (→ expired ctr)
 //!        │                     │  EDF sort: tightest expiry first, plain
-//!        │                     │    FIFO tail (DrainOrder; → inversion ctr)
+//!        │                     │    FIFO tail (→ inversion ctr, always 0)
 //!        │                     │  group by failed-link signature
 //!        │                     ▼                           ▼
 //!        │          plain sub-batch             failure sub-batches
@@ -100,8 +96,8 @@
 //!   telemetry slot. Each shard drains its queue (lingering up to
 //!   [`ServeConfig::linger`] so bursts pile up — but never past half of
 //!   the tightest queued deadline budget), expires stale requests, sorts
-//!   the window **earliest-deadline-first** ([`DrainOrder`]; deadline-less
-//!   requests keep FIFO order behind the deadline'd ones), groups by
+//!   the window **earliest-deadline-first** (deadline-less requests keep
+//!   FIFO order behind the deadline'd ones), groups by
 //!   failure signature, and serves each sub-batch through one batched
 //!   forward pass + arena-reusing batched ADMM. Each chunk's ADMM
 //!   iteration budget adapts to pressure (the paper's §3.4 knob:
@@ -123,10 +119,9 @@
 //!   std-only TCP (no async runtime): a length-prefixed, versioned binary
 //!   codec; a server multiplexing every connection on **one epoll
 //!   event-loop thread** (incremental frame decode, pooled write queues,
-//!   eventfd completion doorbell — the thread-per-connection baseline
-//!   stays selectable via [`ServeConfig::event_loop`] for A/B runs and
-//!   non-Linux builds), draining tickets **out of order by request id**
-//!   off per-connection completion queues; and a blocking client with
+//!   eventfd completion doorbell), draining tickets **out of order by
+//!   request id** off per-connection completion queues; and a blocking
+//!   client with
 //!   pipelined submits returning the same [`Ticket`] handle in-process
 //!   callers use. Protocol version 4 (v4 adds the unmatched-reply counter
 //!   to STATS_OK; v3 added the optional tenant tag to REQUEST and the
@@ -206,6 +201,13 @@
 //! println!("batch of {} in {:?}", reply.batch_size, reply.latency);
 //! ```
 //!
+//! # Supported socket platform
+//!
+//! Linux. [`TealServer`] is the epoll event loop and nothing else, so it
+//! (and the private `net` module under it) exists only on
+//! `target_os = "linux"`; there is no second front end for other targets.
+//! The serving core, the wire codec and [`TealClient`] are portable `std`.
+//!
 //! See `examples/wire_serve.rs` for the full socket loop (plain +
 //! deadline'd + failure requests, sheds/expiries in telemetry),
 //! `examples/serve_loop.rs` for the in-process submit → coalesce → hot
@@ -222,12 +224,14 @@
 
 pub mod client;
 pub mod daemon;
-/// The epoll event-loop front end (Linux only; the loom model-check build
-/// also skips it — blocking syscall I/O is out of the checker's scope,
-/// same as `server`).
+/// The epoll event-loop front end and the [`TealServer`] that owns it
+/// (Linux only; the loom model-check build also skips them — blocking
+/// syscall I/O is out of the checker's scope, and no model touches a
+/// socket).
 #[cfg(all(target_os = "linux", not(teal_loom)))]
 pub(crate) mod net;
 pub mod registry;
+#[cfg(all(target_os = "linux", not(teal_loom)))]
 pub mod server;
 pub mod telemetry;
 pub mod wire;
@@ -253,9 +257,10 @@ mod wfq;
 pub mod wfq;
 
 pub use client::TealClient;
-pub use daemon::{DrainOrder, ServeConfig, ServeDaemon};
+pub use daemon::{ServeConfig, ServeDaemon};
 pub use registry::ModelRegistry;
 pub use request::{ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT};
+#[cfg(all(target_os = "linux", not(teal_loom)))]
 pub use server::TealServer;
 pub use telemetry::{
     AdmmStats, LatencyHistogram, LatencyStats, SlowExemplar, StageTimings, Telemetry,

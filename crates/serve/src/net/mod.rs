@@ -1,8 +1,7 @@
 //! The epoll event-loop front end: **one thread multiplexing every
-//! connection**, replacing the thread-per-connection reader/writer pairs
-//! for connection-count scalability (the production posture is thousands
-//! of mostly-idle keepalive sockets; two OS threads per socket
-//! categorically don't scale to that).
+//! connection**, for connection-count scalability (the production posture
+//! is thousands of mostly-idle keepalive sockets; two OS threads per
+//! socket categorically don't scale to that).
 //!
 //! Structure:
 //!
@@ -29,17 +28,16 @@
 //! is tiny: the shutdown flag, the doorbell, and the wake list — all
 //! behind the checked-sync facade below.
 //!
-//! Shutdown mirrors the threaded front end: stop accepting, stop
-//! *reading* (queued requests already in shard queues still get served
-//! and their replies flushed), then exit once every connection settles —
-//! with a bounded drain grace so a stuffed socket to a vanished client
-//! cannot wedge the loop forever.
+//! Shutdown: stop accepting, stop *reading* (queued requests already in
+//! shard queues still get served and their replies flushed), then exit
+//! once every connection settles — with a bounded drain grace so a stuffed
+//! socket to a vanished client cannot wedge the loop forever.
 //!
 //! Known tradeoff, inherited from [`ServeDaemon::submit_on`]: a
 //! deadline-less request meeting a full shard queue *blocks* the
 //! submitter as backpressure. On the loop thread that stalls every
 //! connection until space frees; deadline'd traffic is shed without
-//! blocking. The threaded front end had the same behavior per connection.
+//! blocking.
 
 // teal-lint: checked-sync
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -96,8 +94,8 @@ struct Connection {
     /// Waker dedup: set by the first completion after a drain, cleared by
     /// the loop before it drains (so a concurrent fulfillment re-queues).
     wake_queued: Arc<AtomicBool>,
-    /// Request id → ticket, inserted before submit (like the threaded
-    /// reader) so even synchronous submit failures find a home.
+    /// Request id → ticket, inserted before submit so even synchronous
+    /// submit failures find a home.
     pending: HashMap<u64, Ticket>,
     /// Scrape id → snapshot taken at STATS receipt, announced on the same
     /// completion queue as replies.
@@ -457,9 +455,9 @@ impl<M: PolicyModel + Send + Sync + 'static> EventLoop<M> {
             {
                 let EventLoop { slots, epoll, .. } = self;
                 if let Some(conn) = slots[idx].conn.as_mut() {
-                    // The threaded front end's Shutdown(Read) equivalent: a
-                    // client caught mid-pipeline still gets every reply for
-                    // what it already submitted, then the close.
+                    // A `Shutdown(Read)` in effect: a client caught
+                    // mid-pipeline still gets every reply for what it
+                    // already submitted, then the close.
                     conn.read_closed = true;
                     flush_writes(conn, epoll);
                 }
@@ -517,8 +515,7 @@ fn read_burst<M: PolicyModel + Send + Sync + 'static>(
 }
 
 /// Protocol violation: stop decoding this peer. Replies already owed are
-/// still flushed (mirroring the threaded reader's break-and-drain), then
-/// the close path runs.
+/// still flushed, then the close path runs.
 fn hangup(conn: &mut Connection) {
     conn.read_closed = true;
 }
@@ -540,8 +537,8 @@ fn process_frames<M: PolicyModel + Send + Sync + 'static>(
         };
         if !conn.handshaken {
             // Handshake: HELLO in, HELLO_OK out. Anything else (version
-            // mismatches included) closes without a reply, exactly like
-            // the threaded front end.
+            // mismatches included — an older client gets a hangup, not
+            // silently misdecoded frames) closes without a reply.
             if wire::decode_hello(frame).is_err() {
                 conn.read_closed = true;
                 conn.write_dead = true;

@@ -1,36 +1,14 @@
 //! `TealServer`: the TCP front end over the transport-agnostic serving
-//! core — `std::net` and the workspace's plain-thread idioms, no async
-//! runtime (the registry is unreachable in this environment, and the
-//! blocking-thread model matches the rest of the daemon).
+//! core — `std::net` plus a hand-rolled epoll loop, no async runtime (the
+//! registry is unreachable in this environment).
 //!
-//! Two interchangeable front ends sit behind [`TealServer::bind`], chosen
-//! by [`crate::ServeConfig::event_loop`]:
-//!
-//! * the **epoll event loop** (default on Linux) — one thread multiplexing
-//!   every connection through readiness notifications; see [`crate::net`];
-//! * the **thread-per-connection** baseline below — two OS threads per
-//!   socket, kept as the A/B comparison arm and the non-Linux fallback.
-//!
-//! Both speak the same wire protocol against the same daemon, so tests and
-//! benches can run identical traffic through either by flipping the config
-//! bit.
-//!
-//! In the threaded baseline, one accept-loop thread turns each connection
-//! into a **reader** and a **writer** thread:
-//!
-//! * The reader performs the versioned handshake, then decodes pipelined
-//!   [`crate::wire`] REQUEST frames and feeds them straight into
-//!   [`ServeDaemon::submit_on`] — the same validated, admission-controlled
-//!   path in-process callers use. Before submitting, it registers the
-//!   request's response slot (keyed by the client's request id) with the
-//!   connection's reply map, so even a synchronously-failed submit has a
-//!   home for its reply.
-//! * The writer blocks on the connection's completion queue and drains
-//!   replies **out of order, by request id**, the moment each ticket
-//!   fulfills — a slow request never convoys the replies queued behind it.
-//!   At reader EOF the writer finishes every still-pending ticket before
-//!   closing (a client that half-closed its send side still gets all its
-//!   replies).
+//! The server is a thin owner of the epoll event loop in [`crate::net`]:
+//! one thread multiplexes every connection through readiness
+//! notifications, decodes pipelined [`crate::wire`] REQUEST frames straight
+//! into [`ServeDaemon::submit_on`] — the same validated,
+//! admission-controlled path in-process callers use — and drains replies
+//! **out of order, by request id**, the moment each ticket fulfills, so a
+//! slow request never convoys the replies queued behind it.
 //!
 //! Per the scalable-commutativity design rule the connections share no
 //! mutable state with each other — each has its own reply map and
@@ -39,89 +17,18 @@
 //! like adding submitter threads, which is exactly what the loopback soak
 //! test exercises.
 
-use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::Arc;
 use teal_core::PolicyModel;
 
 use crate::daemon::ServeDaemon;
-
-/// Poison-recovering lock for this module's std mutexes. This file stays on
-/// `std::sync` deliberately (see `crate::sync` — blocking-I/O plumbing is
-/// out of the model checker's scope), so it needs its own recovery shim:
-/// the reply/stats maps are valid at every panic point, and the writer must
-/// keep draining completions even if a sibling thread panicked.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Named spawn that treats thread-creation failure (resource exhaustion)
-/// as fatal — there is no graceful fallback for a front end that cannot
-/// start its connection threads.
-fn spawn_named<F: FnOnce() + Send + 'static>(name: &str, f: F) -> JoinHandle<()> {
-    match std::thread::Builder::new().name(name.to_string()).spawn(f) {
-        Ok(h) => h,
-        Err(e) => panic!("spawn thread {name:?}: {e}"),
-    }
-}
-use crate::request::{Completions, ResponseSlot, Ticket};
-use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use crate::wire;
-
-/// Connection-level shared state between its reader and writer threads.
-struct Conn {
-    /// Request id → response slot ticket, inserted by the reader *before*
-    /// submit, drained by the writer as completions arrive.
-    pending: Mutex<HashMap<u64, Ticket>>,
-    /// Scrape id → telemetry snapshot, taken synchronously by the reader
-    /// when a STATS frame arrives and announced on the same completion
-    /// queue, so stats replies interleave with serve replies in completion
-    /// order (ids share one space with REQUEST frames).
-    stats: Mutex<HashMap<u64, TelemetrySnapshot>>,
-    completions: Arc<Completions>,
-    /// Reader hit EOF/error: no new ids will ever be inserted.
-    done_reading: AtomicBool,
-}
-
-impl Conn {
-    /// No reply of either kind is still owed to this client.
-    fn settled(&self) -> bool {
-        locked(&self.pending).is_empty() && locked(&self.stats).is_empty()
-    }
-}
-
-/// Server-wide state the accept loop and `shutdown` share.
-struct ServerShared {
-    shutdown: AtomicBool,
-    /// Live connections: each thread handle paired with a clone of its
-    /// socket (for unblocking its blocking reads at shutdown). Finished
-    /// entries are pruned (joined, fd dropped) on every accept, so a
-    /// long-running server churning short-lived connections does not leak
-    /// one fd + handle per connection.
-    conns: Mutex<Vec<(JoinHandle<()>, TcpStream)>>,
-}
-
-/// Which connection-handling machinery backs this server (see module
-/// docs).
-enum Front {
-    /// Thread-per-connection baseline: accept thread + reader/writer pair
-    /// per socket.
-    Threaded {
-        shared: Arc<ServerShared>,
-        accept: Option<JoinHandle<()>>,
-    },
-    /// One epoll thread multiplexing every connection.
-    #[cfg(all(target_os = "linux", not(teal_loom)))]
-    Event(crate::net::EventLoopHandle),
-}
+use crate::net::EventLoopHandle;
 
 /// The TCP serving front end (see module docs).
 pub struct TealServer<M: PolicyModel + Send + Sync + 'static> {
     daemon: Arc<ServeDaemon<M>>,
     addr: SocketAddr,
-    front: Front,
+    event_loop: EventLoopHandle,
     /// `shutdown()` already ran (it must shut the daemon down exactly
     /// once, and also runs on drop).
     finished: bool,
@@ -130,40 +37,14 @@ pub struct TealServer<M: PolicyModel + Send + Sync + 'static> {
 impl<M: PolicyModel + Send + Sync + 'static> TealServer<M> {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral loopback port)
     /// and start accepting connections that submit into `daemon`.
-    ///
-    /// [`crate::ServeConfig::event_loop`] picks the front end; the
-    /// threaded baseline is used off Linux regardless.
     pub fn bind(daemon: Arc<ServeDaemon<M>>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        #[cfg(all(target_os = "linux", not(teal_loom)))]
-        if daemon.config().event_loop {
-            let handle = crate::net::spawn_event_loop(Arc::clone(&daemon), listener)?;
-            return Ok(TealServer {
-                daemon,
-                addr,
-                front: Front::Event(handle),
-                finished: false,
-            });
-        }
-        let shared = Arc::new(ServerShared {
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
-        let accept = {
-            let daemon = Arc::clone(&daemon);
-            let shared = Arc::clone(&shared);
-            spawn_named("teal-serve-accept", move || {
-                accept_loop(&listener, &daemon, &shared)
-            })
-        };
+        let event_loop = crate::net::spawn_event_loop(Arc::clone(&daemon), listener)?;
         Ok(TealServer {
             daemon,
             addr,
-            front: Front::Threaded {
-                shared,
-                accept: Some(accept),
-            },
+            event_loop,
             finished: false,
         })
     }
@@ -178,50 +59,17 @@ impl<M: PolicyModel + Send + Sync + 'static> TealServer<M> {
         &self.daemon
     }
 
-    /// Stop accepting connections, unblock and join the front end's
-    /// threads, then shut the serving core down (queued requests are still
-    /// served; see [`ServeDaemon::shutdown`]). Idempotent; also runs on
-    /// drop.
+    /// Stop accepting and reading, flush every reply still owed (shards
+    /// keep fulfilling queued tickets until the daemon shutdown below — a
+    /// client caught mid-pipeline gets its answers, not a hangup), join the
+    /// loop, then shut the serving core down (see
+    /// [`ServeDaemon::shutdown`]). Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.finished {
             return;
         }
         self.finished = true;
-        match &mut self.front {
-            Front::Threaded { shared, accept } => {
-                shared.shutdown.store(true, Ordering::Release);
-                // Unblock the accept loop: `TcpListener::incoming` has no
-                // native cancellation in std, so poke it with a throwaway
-                // connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(h) = accept.take() {
-                    // Shutdown also runs on drop; a panicked accept loop
-                    // must not abort it (connections below still get
-                    // joined and unblocked).
-                    let _ = h.join();
-                }
-                // Unblock connection readers parked in read_exact, then
-                // join.
-                let conns: Vec<(JoinHandle<()>, TcpStream)> =
-                    locked(&shared.conns).drain(..).collect();
-                // Read half only: the parked readers wake with EOF and
-                // stop accepting frames, but each connection's writer
-                // still flushes the replies for requests already in the
-                // daemon's shard queues (the daemon below keeps serving
-                // until those queues drain) — a client caught mid-pipeline
-                // by shutdown gets its answers, not a hangup.
-                for (_, stream) in &conns {
-                    let _ = stream.shutdown(Shutdown::Read);
-                }
-                for (handle, _) in conns {
-                    let _ = handle.join();
-                }
-            }
-            // Same contract: stop reading, flush what is owed (shards keep
-            // fulfilling until the daemon shutdown *below*), join the loop.
-            #[cfg(all(target_os = "linux", not(teal_loom)))]
-            Front::Event(handle) => handle.shutdown(),
-        }
+        self.event_loop.shutdown();
         self.daemon.shutdown();
     }
 }
@@ -229,184 +77,5 @@ impl<M: PolicyModel + Send + Sync + 'static> TealServer<M> {
 impl<M: PolicyModel + Send + Sync + 'static> Drop for TealServer<M> {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop<M: PolicyModel + Send + Sync + 'static>(
-    listener: &TcpListener,
-    daemon: &Arc<ServeDaemon<M>>,
-    shared: &Arc<ServerShared>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        // Latency service: replies are small frames that must not sit in
-        // Nagle's buffer waiting for a delayed ACK.
-        let _ = stream.set_nodelay(true);
-        // Without a clone the connection could not be unblocked at
-        // shutdown; refuse it rather than risk a hang.
-        let Ok(unblock) = stream.try_clone() else {
-            continue;
-        };
-        let daemon = Arc::clone(daemon);
-        let handle = spawn_named("teal-serve-conn", move || serve_connection(stream, &daemon));
-        let mut conns = locked(&shared.conns);
-        // Prune finished connections: join their threads and release the
-        // fd clones before tracking the new one — a long-lived server must
-        // not accumulate one fd per connection it ever served.
-        let mut live = Vec::with_capacity(conns.len() + 1);
-        for (h, s) in conns.drain(..) {
-            if h.is_finished() {
-                let _ = h.join();
-            } else {
-                live.push((h, s));
-            }
-        }
-        live.push((handle, unblock));
-        *conns = live;
-    }
-}
-
-/// Drive one connection: handshake, spawn the writer, then decode and
-/// submit requests until EOF/error.
-fn serve_connection<M: PolicyModel + Send + Sync + 'static>(
-    mut stream: TcpStream,
-    daemon: &Arc<ServeDaemon<M>>,
-) {
-    let mut buf = Vec::new();
-    // Handshake: HELLO in, HELLO_OK out. Anything else closes the socket
-    // (this includes version mismatches — a v2 client gets a hangup, not
-    // silently misdecoded frames).
-    match wire::read_frame(&mut stream, &mut buf) {
-        Ok(true) => {
-            if wire::decode_hello(&buf).is_err() {
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-        }
-        _ => return,
-    }
-    let mut out = Vec::new();
-    wire::encode_hello_ok(&mut out);
-    if wire::write_frame(&mut (&stream), &out).is_err() {
-        return;
-    }
-
-    let conn = Arc::new(Conn {
-        pending: Mutex::new(HashMap::new()),
-        stats: Mutex::new(HashMap::new()),
-        completions: Completions::new(),
-        done_reading: AtomicBool::new(false),
-    });
-    let writer = {
-        let conn = Arc::clone(&conn);
-        let telemetry = Arc::clone(daemon.telemetry());
-        let stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        spawn_named("teal-serve-conn-writer", move || {
-            writer_loop(stream, &conn, &telemetry)
-        })
-    };
-
-    // Reader loop: decode pipelined requests, register the slot, submit.
-    // A clean EOF, a broken socket, or a protocol violation all end it the
-    // same way: no more requests from this peer.
-    while let Ok(true) = wire::read_frame(&mut stream, &mut buf) {
-        match wire::peek_kind(&buf) {
-            Ok(wire::Kind::Request) => {}
-            Ok(wire::Kind::Stats) => {
-                // Telemetry scrape: snapshot synchronously (cheap — a copy
-                // under short locks) and announce it on the completion
-                // queue so the writer sends it in order with serve replies.
-                let Ok(id) = wire::decode_stats_request(&buf) else {
-                    break;
-                };
-                let in_flight = locked(&conn.pending).contains_key(&id);
-                {
-                    let mut stats = locked(&conn.stats);
-                    if in_flight || stats.contains_key(&id) {
-                        break; // duplicated id: hang up, same as requests
-                    }
-                    stats.insert(id, daemon.stats());
-                }
-                conn.completions.push(id);
-                continue;
-            }
-            _ => break, // protocol violation: hang up
-        }
-        let (id, req) = match wire::decode_request(&buf) {
-            Ok(decoded) => decoded,
-            Err(_) => break, // protocol violation: hang up
-        };
-        let slot = ResponseSlot::with_notify(Arc::clone(&conn.completions), id);
-        {
-            let mut pending = locked(&conn.pending);
-            // A duplicated id would orphan the first ticket; refuse the
-            // connection rather than guess which reply the client meant.
-            // Checked *before* inserting: replacing the in-flight ticket
-            // would leave the writer waiting forever on a slot that was
-            // never submitted.
-            if pending.contains_key(&id) || locked(&conn.stats).contains_key(&id) {
-                break;
-            }
-            pending.insert(id, Ticket::new(Arc::clone(&slot)));
-        }
-        // Submit *after* registration: even an immediately-fulfilled error
-        // reply finds its ticket in the map.
-        daemon.submit_on(req, slot);
-    }
-    conn.done_reading.store(true, Ordering::Release);
-    conn.completions.kick();
-    // The writer drains every pending ticket before exiting; join it so
-    // the server's shutdown join sees a fully-settled connection.
-    let _ = writer.join();
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Drain replies out of order as tickets fulfill, until the reader is done
-/// and nothing is pending.
-fn writer_loop(stream: TcpStream, conn: &Conn, telemetry: &Telemetry) {
-    let mut stream = stream;
-    let mut out = Vec::new();
-    loop {
-        let done = || conn.done_reading.load(Ordering::Acquire) && conn.settled();
-        let Some(id) = conn.completions.pop_wait(done) else {
-            return;
-        };
-        if let Some(ticket) = locked(&conn.pending).remove(&id) {
-            // The completion queue announced this id, so wait() is
-            // immediate.
-            let reply = ticket.wait();
-            wire::encode_reply(&mut out, id, &reply);
-        } else if let Some(snap) = locked(&conn.stats).remove(&id) {
-            wire::encode_stats_reply(&mut out, id, &snap);
-        } else {
-            // A completion whose id matches nothing registered: count it —
-            // this is the id-bookkeeping bug counter, not a crash.
-            telemetry.on_unmatched_reply();
-            continue;
-        }
-        if wire::write_frame(&mut stream, &out).is_err() {
-            // Client went away: keep consuming completions so the shard's
-            // fulfillments don't pile up a queue, but stop writing.
-            drain_silently(conn);
-            return;
-        }
-    }
-}
-
-/// Consume remaining completions without writing (dead client socket).
-fn drain_silently(conn: &Conn) {
-    loop {
-        let done = || conn.done_reading.load(Ordering::Acquire) && conn.settled();
-        let Some(id) = conn.completions.pop_wait(done) else {
-            return;
-        };
-        locked(&conn.pending).remove(&id);
-        locked(&conn.stats).remove(&id);
     }
 }

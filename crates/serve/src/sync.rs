@@ -17,9 +17,8 @@
 //! Modules opted into the facade carry a `// teal-lint: checked-sync`
 //! marker; the lint then rejects any direct `use std::sync` in them so new
 //! code cannot silently bypass the model-checkable layer. `server.rs` is
-//! deliberately *not* opted in: it is blocking-I/O plumbing (TCP accept
-//! and socket-unblock bookkeeping) that can never run under the model
-//! checker, and its concurrency is confined to join-handle lists.
+//! *not* opted in: it is compiled out of the loom build together with the
+//! epoll loop it owns, and holds no concurrency of its own.
 //!
 //! The loom build intentionally supports only what a model needs: no
 //! `RwLock` reader concurrency (readers serialize), condvar timeouts fire

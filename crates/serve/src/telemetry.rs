@@ -490,8 +490,8 @@ pub struct Telemetry {
     /// Requests whose deadline lapsed in the queue (expired at drain time).
     expired: AtomicU64,
     /// Adjacent deadline'd-request pairs served out of deadline order
-    /// within one drain (the EDF invariant, as a counter: 0 under the
-    /// default EDF drain, > 0 only under `DrainOrder::Fifo` churn).
+    /// within one drain (the EDF invariant, as a counter: 0 unless the
+    /// drain path's sort-then-group ordering is broken).
     deadline_inversions: AtomicU64,
     /// Reply/scrape completions whose id matched no registered slot on the
     /// announcing connection (wire front ends report these; a nonzero
@@ -583,7 +583,9 @@ impl Telemetry {
     }
 
     /// Count one reply frame (or completion tag) that matched no
-    /// registered slot — the wire front ends' "reply with no home" event.
+    /// registered slot — the wire front end's "reply with no home" event.
+    // The loom build compiles no wire front end, so nothing calls this there.
+    #[cfg_attr(teal_loom, allow(dead_code))]
     pub(crate) fn on_unmatched_reply(&self) {
         self.unmatched_replies.fetch_add(1, Ordering::Relaxed);
     }
@@ -693,8 +695,7 @@ pub struct TelemetrySnapshot {
     pub expired: u64,
     /// Deadline-order inversions: adjacent deadline'd requests served
     /// later-deadline-first within one drain. The EDF invariant is
-    /// `deadline_inversions == 0`; a FIFO drain under deadline churn
-    /// accumulates them.
+    /// `deadline_inversions == 0`.
     pub deadline_inversions: u64,
     /// Reply frames (or completion-queue tags) whose request id matched no
     /// registered slot on their connection. The server counts tags with no

@@ -19,7 +19,7 @@
 //! Two decoding/encoding shapes share the layouts above:
 //!
 //! * the **blocking** pair ([`read_frame`]/[`write_frame`]), used by the
-//!   thread-per-connection front end and the client, and
+//!   client, and
 //! * the **incremental** pair ([`FrameDecoder`]/[`WriteQueue`]), used by
 //!   the epoll event loop: the decoder resumes across arbitrary partial
 //!   reads (a frame split anywhere — even mid-length-prefix — decodes

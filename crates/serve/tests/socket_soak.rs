@@ -4,10 +4,9 @@
 //! submitted request gets exactly one reply, the daemon's accounting
 //! balances, and no gauge leaks.
 //!
-//! The soak body is shared by three arms: the epoll event-loop front end
-//! (the default), the thread-per-connection baseline pinned via
-//! `ServeConfig::event_loop = false`, and an `#[ignore]`d 256-connection
-//! event-loop soak that CI runs as its own release step.
+//! The soak body is shared by two arms: the 4-connection soak every test
+//! run includes, and an `#[ignore]`d 256-connection soak that CI runs as
+//! its own release step.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,13 +35,13 @@ fn context(env: &Arc<Env>, seed: u64) -> ServingContext<TealModel> {
 /// auditing the scraped stats down to per-lane ADMM iteration counts.
 /// `prom_artifact` gates the CI Prometheus snapshot so only one arm
 /// writes `TEAL_PROM_PATH` when several soaks share a test binary.
-fn soak(clients: usize, per_client: usize, cfg: ServeConfig, prom_artifact: bool) {
+fn soak(clients: usize, per_client: usize, prom_artifact: bool) {
     let env_b4 = Arc::new(Env::for_topology(teal_topology::b4()));
     let env_swan = Arc::new(Env::for_topology(generate(TopoKind::Swan, 0.3, 7)));
     let registry = ModelRegistry::new();
     registry.insert("b4", context(&env_b4, 0));
     registry.insert("swan", context(&env_swan, 5));
-    let daemon = Arc::new(ServeDaemon::start(registry, cfg));
+    let daemon = Arc::new(ServeDaemon::start(registry, ServeConfig::default()));
     let server = TealServer::bind(Arc::clone(&daemon), "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
 
@@ -245,8 +244,8 @@ fn soak(clients: usize, per_client: usize, cfg: ServeConfig, prom_artifact: bool
             t.topology
         );
     }
-    // EDF drain order: with the default DrainOrder, no served window may
-    // ever run a tighter deadline after a looser one.
+    // EDF drain order: no served window may ever run a tighter deadline
+    // after a looser one.
     assert_eq!(
         stats.deadline_inversions, 0,
         "EDF drain produced deadline inversions: {stats:?}"
@@ -287,24 +286,10 @@ fn soak(clients: usize, per_client: usize, cfg: ServeConfig, prom_artifact: bool
     }
 }
 
-/// The default front end: one epoll thread multiplexing every connection.
+/// One epoll thread multiplexing every connection.
 #[test]
 fn loopback_soak_zero_lost_tickets() {
-    soak(4, 48, ServeConfig::default(), true);
-}
-
-/// The thread-per-connection baseline, kept honest by the same soak.
-#[test]
-fn loopback_soak_zero_lost_tickets_threaded() {
-    soak(
-        4,
-        48,
-        ServeConfig {
-            event_loop: false,
-            ..ServeConfig::default()
-        },
-        false,
-    );
+    soak(4, 48, true);
 }
 
 /// The connection-scale arm CI runs as its own release step: 256
@@ -314,5 +299,5 @@ fn loopback_soak_zero_lost_tickets_threaded() {
 #[test]
 #[ignore = "release-mode CI soak: 256 connections through one epoll thread"]
 fn event_loop_soak_256_connections() {
-    soak(256, 2, ServeConfig::default(), false);
+    soak(256, 2, false);
 }

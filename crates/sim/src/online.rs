@@ -13,8 +13,9 @@
 //!
 //! Because our substrates differ from the paper's testbed in absolute speed,
 //! experiment configs choose the TE interval so that solver runtimes occupy
-//! a comparable fraction of the interval as in the paper (documented in
-//! EXPERIMENTS.md); no measured time is ever scaled or faked.
+//! a comparable fraction of the interval as in the paper (see
+//! `Harness::online_interval` in `teal-bench`); no measured time is ever
+//! scaled or faked.
 
 use crate::schemes::Scheme;
 use std::time::Duration;
