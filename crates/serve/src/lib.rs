@@ -73,8 +73,17 @@
 //!   ServeDaemon::stats() / TealClient::stats() ──► TelemetrySnapshot
 //!     per-topology e2e + queue-wait/solve/write p50/p99 · AdmmStats
 //!     (budgeted iters, downgrades, windows-by-budget) · per-tenant
-//!     request/window counts · deadline inversions · unmatched replies ·
-//!     teal_nn pool gauges · slow exemplars ──► to_prometheus() text
+//!     request/window counts (≤ 64 tenants + "other") · deadline
+//!     inversions · unmatched replies · teal_nn pool gauges · slow
+//!     exemplars
+//!
+//!                    ┌─ metrics! table (telemetry.rs): one row per metric ─┐
+//!                    │ field : type [as wire type] · family, help, labels  │
+//!                    └──┬──────────────────┬──────────────────────┬────────┘
+//!                       ▼                  ▼                      ▼
+//!               snapshot structs    STATS_OK codec         to_prometheus()
+//!               (pub fields)        (wire::Wire, v4        (family-major,
+//!                                    bytes, min sizes)      escaped labels)
 //! ```
 //!
 //! Layered deliberately:
@@ -148,7 +157,16 @@
 //!   bounded ring of slow-request exemplars round out the snapshot. Export
 //!   it three ways: [`ServeDaemon::stats`] in process,
 //!   [`TealClient::stats`] over TCP (the v2 `STATS` frame), or
-//!   [`TelemetrySnapshot::to_prometheus`] as Prometheus text.
+//!   [`TelemetrySnapshot::to_prometheus`] as Prometheus text. All three
+//!   are projections of **one metric table** (the `metrics!` block in
+//!   `telemetry.rs`): a row declares a snapshot field, its wire type and
+//!   its Prometheus family, help text and labels once, and the structs,
+//!   the `STATS_OK` encoder/decoder (with the minimum sizes that bound a
+//!   hostile element count) and the renderer are generated from it — the
+//!   table's order *is* the wire layout. Topology and tenant ids are peer
+//!   input: REQUEST ids past [`wire::MAX_ID_BYTES`] are refused at decode,
+//!   at most 64 tenants are accounted individually (the rest pool under
+//!   `"other"`), and label values are escaped on the way into the text.
 //!
 //! # Quickstart (in-process)
 //!

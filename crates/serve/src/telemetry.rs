@@ -18,15 +18,21 @@
 //! the stamps into a [`StageTimings`] (queue-wait / solve / write) that is
 //! both recorded into the shard histograms and returned to callers inside
 //! `ServeReply`, so "why was this one slow" is answerable per request.
+//!
+//! What is *exported* is declared once, in the metric table at the bottom
+//! of this file: the snapshot structs, the STATS_OK wire codec and the
+//! Prometheus text are all generated from its rows.
 
 // teal-lint: checked-sync
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 use std::time::{Duration, Instant};
 
 use teal_nn::pool::PoolStats;
+
+use crate::wire::{Reader, Wire, WireError};
 
 /// The crate's single clock read. Every other module stamps time through
 /// this wrapper (`cargo xtask lint` rejects direct `Instant::now()` calls
@@ -146,17 +152,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Mean/p50/p99 of one latency stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Mean latency.
-    pub mean: Duration,
-    /// Median latency.
-    pub p50: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-}
-
 /// Compact per-request stage trace. Fixed-size and `Copy`: stamping on the
 /// hot path is a couple of `Instant` stores, never an allocation. Stamped
 /// at enqueue ([`Trace::at`]), coalesce (drain), solve-start and solve-end;
@@ -217,38 +212,14 @@ impl Trace {
     }
 }
 
-/// Per-stage breakdown of one request's end-to-end latency.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Enqueue → drained by the shard (time spent in the queue).
-    pub queue_wait: Duration,
-    /// Forward pass + ADMM fine-tuning for the batch the request rode in.
-    pub solve: Duration,
-    /// Solve end → response slot fulfilled (allocation split + reply write).
-    pub write: Duration,
-}
+impl AdmmStats {
+    /// Mean iterations per lane.
+    pub fn mean_iterations(&self) -> f64 {
+        self.iterations as f64 / self.lanes.max(1) as f64
+    }
 
-/// Per-shard ADMM solve accumulator (windows = coalesced batches that
-/// reached the solver).
-#[derive(Default)]
-struct AdmmAccum {
-    windows: u64,
-    lanes: u64,
-    iterations: u64,
-    budgeted_iterations: u64,
-    budget_downgrades: u64,
-    /// Per-window iteration budget → windows run under it.
-    windows_by_budget: HashMap<u64, u64>,
-    min_lane_iterations: u64,
-    max_lane_iterations: u64,
-    frozen_lanes: u64,
-    last_primal_residual: f64,
-    max_primal_residual: f64,
-    last_dual_residual: f64,
-    max_dual_residual: f64,
-}
-
-impl AdmmAccum {
+    /// Fold one solver window into the totals (a shard accumulates straight
+    /// into the struct it exports).
     fn record(&mut self, r: &teal_core::SolveReport, downgraded: bool) {
         if self.windows == 0 {
             self.min_lane_iterations = r.min_iterations as u64;
@@ -260,85 +231,17 @@ impl AdmmAccum {
         self.iterations += r.iterations;
         self.budgeted_iterations += (r.lanes * r.budget) as u64;
         self.budget_downgrades += u64::from(downgraded);
-        *self.windows_by_budget.entry(r.budget as u64).or_insert(0) += 1;
+        let by_budget = &mut self.windows_by_budget;
+        match by_budget.binary_search_by_key(&(r.budget as u64), |&(budget, _)| budget) {
+            Ok(at) => by_budget[at].1 += 1,
+            Err(at) => by_budget.insert(at, (r.budget as u64, 1)),
+        }
         self.max_lane_iterations = self.max_lane_iterations.max(r.max_iterations as u64);
         self.frozen_lanes += r.frozen_lanes as u64;
         self.last_primal_residual = r.max_primal_residual;
         self.last_dual_residual = r.max_dual_residual;
         self.max_primal_residual = self.max_primal_residual.max(r.max_primal_residual);
         self.max_dual_residual = self.max_dual_residual.max(r.max_dual_residual);
-    }
-
-    fn snapshot(&self) -> Option<AdmmStats> {
-        if self.windows == 0 {
-            return None;
-        }
-        let mut windows_by_budget: Vec<(u64, u64)> = self
-            .windows_by_budget
-            .iter()
-            .map(|(&b, &n)| (b, n))
-            .collect();
-        windows_by_budget.sort_unstable();
-        Some(AdmmStats {
-            windows: self.windows,
-            lanes: self.lanes,
-            iterations: self.iterations,
-            budgeted_iterations: self.budgeted_iterations,
-            budget_downgrades: self.budget_downgrades,
-            windows_by_budget,
-            min_lane_iterations: self.min_lane_iterations,
-            max_lane_iterations: self.max_lane_iterations,
-            frozen_lanes: self.frozen_lanes,
-            last_primal_residual: self.last_primal_residual,
-            max_primal_residual: self.max_primal_residual,
-            last_dual_residual: self.last_dual_residual,
-            max_dual_residual: self.max_dual_residual,
-        })
-    }
-}
-
-/// Aggregate ADMM solve statistics for one topology (§3.4 quality/latency
-/// knob, made measurable). A *window* is one coalesced batch that reached
-/// the solver; a *lane* is one traffic matrix inside a window.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AdmmStats {
-    /// Solver windows (coalesced batches) run.
-    pub windows: u64,
-    /// Total lanes (traffic matrices) across all windows.
-    pub lanes: u64,
-    /// Total ADMM iterations summed over lanes.
-    pub iterations: u64,
-    /// Sum over windows of `lanes × that window's budget` — the iterations
-    /// the per-window budgets *allowed*. With `tol = 0` (no early freezing)
-    /// this equals `iterations` exactly, even when the adaptive policy
-    /// mixes budgets across windows.
-    pub budgeted_iterations: u64,
-    /// Windows the adaptive policy ran below the configured budget
-    /// (deadline pressure downgrades — every one is auditable here).
-    pub budget_downgrades: u64,
-    /// `(iteration budget, windows run under it)`, sorted by budget. Sums
-    /// to `windows`.
-    pub windows_by_budget: Vec<(u64, u64)>,
-    /// Fewest iterations any lane ran.
-    pub min_lane_iterations: u64,
-    /// Most iterations any lane ran.
-    pub max_lane_iterations: u64,
-    /// Lanes that converged (froze) before exhausting the iteration budget.
-    pub frozen_lanes: u64,
-    /// Worst primal residual of the most recent window.
-    pub last_primal_residual: f64,
-    /// Worst primal residual of any window.
-    pub max_primal_residual: f64,
-    /// Worst dual residual of the most recent window.
-    pub last_dual_residual: f64,
-    /// Worst dual residual of any window.
-    pub max_dual_residual: f64,
-}
-
-impl AdmmStats {
-    /// Mean iterations per lane.
-    pub fn mean_iterations(&self) -> f64 {
-        self.iterations as f64 / self.lanes.max(1) as f64
     }
 }
 
@@ -393,19 +296,6 @@ impl SlowRing {
     }
 }
 
-/// One slow-request exemplar with its stage breakdown.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SlowExemplar {
-    /// Topology the request was for.
-    pub topology: String,
-    /// End-to-end (enqueue → response) latency.
-    pub latency: Duration,
-    /// Where that time went.
-    pub stages: StageTimings,
-    /// Size of the coalesced batch the request rode in.
-    pub batch_size: usize,
-}
-
 /// One shard's serving counters, owned by that shard's dispatcher thread
 /// and registered with [`Telemetry`] for snapshotting. Only the owning
 /// shard writes; `snapshot` readers lock briefly to copy.
@@ -419,7 +309,8 @@ pub(crate) struct ShardStats {
     batches: u64,
     /// Coalesced-batch size → occurrence count (for this shard).
     batch_sizes: HashMap<usize, u64>,
-    admm: AdmmAccum,
+    /// Solver totals; exported once `windows > 0`.
+    admm: AdmmStats,
     slow: SlowRing,
 }
 
@@ -463,6 +354,13 @@ impl ShardStats {
         }
     }
 }
+
+/// Distinct tenant ids accounted individually. Ids are peer-supplied, so
+/// without a cap a client minting fresh ones grows every STATS_OK frame
+/// and Prometheus scrape without bound; later arrivals share one
+/// [`OVERFLOW_TENANT`] row and the totals still add up.
+const MAX_TENANTS: usize = 64;
+const OVERFLOW_TENANT: &str = "other";
 
 /// One tenant's serving totals (weighted-fair-queuing accounting).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -595,7 +493,9 @@ impl Telemetry {
     /// counts go to each request's own tenant).
     pub(crate) fn on_tenant(&self, tenant: &str, requests: u64, windows: u64) {
         let mut map = self.tenants.lock();
-        let acc = map.entry(tenant.to_string()).or_default();
+        let full = map.len() >= MAX_TENANTS && !map.contains_key(tenant);
+        let row = if full { OVERFLOW_TENANT } else { tenant };
+        let acc = map.entry(row.to_string()).or_default();
         acc.requests += requests;
         acc.windows += windows;
     }
@@ -619,7 +519,7 @@ impl Telemetry {
                 queue_wait: s.queue_wait.summary(),
                 solve: s.solve.summary(),
                 write: s.write.summary(),
-                admm: s.admm.snapshot(),
+                admm: (s.admm.windows > 0).then(|| s.admm.clone()),
             });
             for (&size, &n) in &s.batch_sizes {
                 *batch_sizes.entry(size).or_insert(0) += n;
@@ -667,51 +567,6 @@ impl Telemetry {
     }
 }
 
-/// Point-in-time copy of the daemon's serving statistics.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TelemetrySnapshot {
-    /// Per-topology latency/request stats, sorted by topology id.
-    pub per_topology: Vec<TopoSnapshot>,
-    /// `(batch size, occurrences)` across all shards, sorted by size.
-    /// Sizes are *served window* sizes: counted after drain-time expiry
-    /// removes lapsed requests and after signature grouping/chunking, so
-    /// the distribution never overstates windows under deadline churn.
-    pub batch_sizes: Vec<(usize, u64)>,
-    /// Per-tenant served totals, sorted by tenant id. Requests are credited
-    /// to their own tenant; each solver window is charged to the chunk's
-    /// dominant tenant (most requests, ties broken lexicographically).
-    pub tenants: Vec<TenantSnapshot>,
-    /// Requests currently waiting in shard queues.
-    pub queue_depth: usize,
-    /// Deepest aggregate queue observed since startup.
-    pub max_queue_depth: usize,
-    /// Total requests answered (success or error).
-    pub completed: u64,
-    /// Requests shed by admission control at enqueue (counted in
-    /// `completed` too — sheds are answered, with an error).
-    pub shed: u64,
-    /// Requests whose deadline lapsed while queued (drain-time expiries;
-    /// also counted in `completed`).
-    pub expired: u64,
-    /// Deadline-order inversions: adjacent deadline'd requests served
-    /// later-deadline-first within one drain. The EDF invariant is
-    /// `deadline_inversions == 0`.
-    pub deadline_inversions: u64,
-    /// Reply frames (or completion-queue tags) whose request id matched no
-    /// registered slot on their connection. The server counts tags with no
-    /// pending ticket; [`crate::TealClient`] keeps its own local twin
-    /// ([`crate::TealClient::unmatched_replies`]). Zero in a correct
-    /// deployment — nonzero means an id-bookkeeping bug, not load.
-    pub unmatched_replies: u64,
-    /// `teal_nn` worker-pool counters (process-global, sampled at snapshot
-    /// time): jobs submitted, chunks run by callers vs stolen by helper
-    /// workers, and capped-out queue skips.
-    pub pool: PoolStats,
-    /// Slowest requests observed (global top-k across shards, slowest
-    /// first), each with its stage breakdown.
-    pub slow: Vec<SlowExemplar>,
-}
-
 impl TelemetrySnapshot {
     /// Mean coalesced batch size (zero when nothing was served).
     pub fn mean_batch_size(&self) -> f64 {
@@ -728,293 +583,524 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Render the snapshot in Prometheus text exposition format (one
-    /// gauge/counter family per metric, `# HELP`/`# TYPE` headers, labels
-    /// for topology/stage/quantile). Suitable for a scrape endpoint or a
-    /// CI artifact.
+    /// Render the snapshot in Prometheus text exposition format: every
+    /// family the metric table declares, in table order, each as its
+    /// `# HELP`/`# TYPE` header followed by all of its samples. Suitable
+    /// for a scrape endpoint or a CI artifact.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let secs = |d: Duration| d.as_secs_f64();
-
-        out.push_str("# HELP teal_serve_requests_total Requests served per topology.\n");
-        out.push_str("# TYPE teal_serve_requests_total counter\n");
-        for t in &self.per_topology {
-            let _ = writeln!(
-                out,
-                "teal_serve_requests_total{{topology=\"{}\"}} {}",
-                t.topology, t.requests
-            );
-        }
-        out.push_str("# HELP teal_serve_batches_total Coalesced batches served per topology.\n");
-        out.push_str("# TYPE teal_serve_batches_total counter\n");
-        for t in &self.per_topology {
-            let _ = writeln!(
-                out,
-                "teal_serve_batches_total{{topology=\"{}\"}} {}",
-                t.topology, t.batches
-            );
-        }
-
-        out.push_str(
-            "# HELP teal_serve_stage_seconds Request latency by pipeline stage (quantile label; mean under quantile=\"mean\").\n",
-        );
-        out.push_str("# TYPE teal_serve_stage_seconds gauge\n");
-        for t in &self.per_topology {
-            let stages: [(&str, LatencyStats); 4] = [
-                (
-                    "e2e",
-                    LatencyStats {
-                        mean: t.mean,
-                        p50: t.p50,
-                        p99: t.p99,
-                    },
-                ),
-                ("queue_wait", t.queue_wait),
-                ("solve", t.solve),
-                ("write", t.write),
-            ];
-            for (stage, s) in stages {
-                for (q, v) in [("mean", s.mean), ("0.5", s.p50), ("0.99", s.p99)] {
-                    let _ = writeln!(
-                        out,
-                        "teal_serve_stage_seconds{{topology=\"{}\",stage=\"{}\",quantile=\"{}\"}} {:.9}",
-                        t.topology,
-                        stage,
-                        q,
-                        secs(v)
-                    );
-                }
-            }
-        }
-
-        out.push_str("# HELP teal_serve_admm_windows_total Solver windows (batches) run.\n");
-        out.push_str("# TYPE teal_serve_admm_windows_total counter\n");
-        out.push_str("# HELP teal_serve_admm_lanes_total Solver lanes (traffic matrices) run.\n");
-        out.push_str("# TYPE teal_serve_admm_lanes_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_admm_iterations_total ADMM iterations summed over lanes.\n",
-        );
-        out.push_str("# TYPE teal_serve_admm_iterations_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_admm_frozen_lanes_total Lanes converged before the iteration budget.\n",
-        );
-        out.push_str("# TYPE teal_serve_admm_frozen_lanes_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_admm_budgeted_iterations_total Iterations allowed by the per-window budgets (lanes × budget summed over windows).\n",
-        );
-        out.push_str("# TYPE teal_serve_admm_budgeted_iterations_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_admm_budget_downgrades_total Windows the adaptive policy ran below the configured iteration budget.\n",
-        );
-        out.push_str("# TYPE teal_serve_admm_budget_downgrades_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_admm_windows_by_budget_total Solver windows by per-window iteration budget.\n",
-        );
-        out.push_str("# TYPE teal_serve_admm_windows_by_budget_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_admm_residual Final ADMM residuals (kind=primal|dual, stat=last|max).\n",
-        );
-        out.push_str("# TYPE teal_serve_admm_residual gauge\n");
-        for t in &self.per_topology {
-            let Some(a) = &t.admm else { continue };
-            let topo = &t.topology;
-            let _ = writeln!(
-                out,
-                "teal_serve_admm_windows_total{{topology=\"{topo}\"}} {}",
-                a.windows
-            );
-            let _ = writeln!(
-                out,
-                "teal_serve_admm_lanes_total{{topology=\"{topo}\"}} {}",
-                a.lanes
-            );
-            let _ = writeln!(
-                out,
-                "teal_serve_admm_iterations_total{{topology=\"{topo}\"}} {}",
-                a.iterations
-            );
-            let _ = writeln!(
-                out,
-                "teal_serve_admm_frozen_lanes_total{{topology=\"{topo}\"}} {}",
-                a.frozen_lanes
-            );
-            let _ = writeln!(
-                out,
-                "teal_serve_admm_budgeted_iterations_total{{topology=\"{topo}\"}} {}",
-                a.budgeted_iterations
-            );
-            let _ = writeln!(
-                out,
-                "teal_serve_admm_budget_downgrades_total{{topology=\"{topo}\"}} {}",
-                a.budget_downgrades
-            );
-            for &(budget, n) in &a.windows_by_budget {
-                let _ = writeln!(
-                    out,
-                    "teal_serve_admm_windows_by_budget_total{{topology=\"{topo}\",budget=\"{budget}\"}} {n}"
-                );
-            }
-            for (kind, stat, v) in [
-                ("primal", "last", a.last_primal_residual),
-                ("primal", "max", a.max_primal_residual),
-                ("dual", "last", a.last_dual_residual),
-                ("dual", "max", a.max_dual_residual),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "teal_serve_admm_residual{{topology=\"{topo}\",kind=\"{kind}\",stat=\"{stat}\"}} {v:e}"
-                );
-            }
-        }
-
-        out.push_str("# HELP teal_serve_queue_depth Requests currently enqueued.\n");
-        out.push_str("# TYPE teal_serve_queue_depth gauge\n");
-        let _ = writeln!(out, "teal_serve_queue_depth {}", self.queue_depth);
-        out.push_str("# HELP teal_serve_max_queue_depth Deepest aggregate queue observed.\n");
-        out.push_str("# TYPE teal_serve_max_queue_depth gauge\n");
-        let _ = writeln!(out, "teal_serve_max_queue_depth {}", self.max_queue_depth);
-        for (name, help, v) in [
-            (
-                "teal_serve_completed_total",
-                "Requests answered (success or error).",
-                self.completed,
-            ),
-            (
-                "teal_serve_shed_total",
-                "Requests shed by admission control.",
-                self.shed,
-            ),
-            (
-                "teal_serve_expired_total",
-                "Requests expired in the queue.",
-                self.expired,
-            ),
-            (
-                "teal_serve_deadline_inversions_total",
-                "Deadline'd requests served out of deadline order within a drain.",
-                self.deadline_inversions,
-            ),
-            (
-                "teal_serve_unmatched_replies_total",
-                "Reply frames whose request id matched no registered slot.",
-                self.unmatched_replies,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-
-        out.push_str("# HELP teal_serve_batch_size_total Coalesced batches by size.\n");
-        out.push_str("# TYPE teal_serve_batch_size_total counter\n");
-        for &(size, n) in &self.batch_sizes {
-            let _ = writeln!(out, "teal_serve_batch_size_total{{size=\"{size}\"}} {n}");
-        }
-
-        out.push_str("# HELP teal_serve_tenant_requests_total Requests served per tenant.\n");
-        out.push_str("# TYPE teal_serve_tenant_requests_total counter\n");
-        out.push_str(
-            "# HELP teal_serve_tenant_windows_total Solver windows charged per tenant (dominant-tenant accounting).\n",
-        );
-        out.push_str("# TYPE teal_serve_tenant_windows_total counter\n");
-        for t in &self.tenants {
-            let _ = writeln!(
-                out,
-                "teal_serve_tenant_requests_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.requests
-            );
-            let _ = writeln!(
-                out,
-                "teal_serve_tenant_windows_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.windows
-            );
-        }
-
-        for (name, help, v) in [
-            (
-                "teal_nn_pool_jobs_total",
-                "Parallel jobs submitted to the worker pool.",
-                self.pool.jobs,
-            ),
-            (
-                "teal_nn_pool_caller_chunks_total",
-                "Chunks executed by submitting threads.",
-                self.pool.caller_chunks,
-            ),
-            (
-                "teal_nn_pool_helper_chunks_total",
-                "Chunks stolen by helper workers.",
-                self.pool.helper_chunks,
-            ),
-            (
-                "teal_nn_pool_capped_skips_total",
-                "Queue scans that skipped a capped-out job.",
-                self.pool.capped_skips,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-
-        out.push_str(
-            "# HELP teal_serve_slow_seconds Slowest requests (rank 0 = slowest) by stage.\n",
-        );
-        out.push_str("# TYPE teal_serve_slow_seconds gauge\n");
-        for (rank, e) in self.slow.iter().enumerate() {
-            for (stage, v) in [
-                ("e2e", e.latency),
-                ("queue_wait", e.stages.queue_wait),
-                ("solve", e.stages.solve),
-                ("write", e.stages.write),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "teal_serve_slow_seconds{{topology=\"{}\",rank=\"{rank}\",stage=\"{stage}\",batch=\"{}\"}} {:.9}",
-                    e.topology,
-                    e.batch_size,
-                    secs(v)
-                );
-            }
-        }
-        out
+        let mut p = PromText::default();
+        Self::families(&mut p);
+        self.samples(&mut p);
+        p.blocks.into_iter().map(|(_, block)| block).collect()
     }
 }
 
-/// One tenant's served totals under weighted fair queuing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// Tenant id (`"default"` for untagged requests).
-    pub tenant: String,
-    /// Requests served for this tenant (success replies only).
-    pub requests: u64,
-    /// Solver windows charged to this tenant (dominant-tenant accounting).
-    pub windows: u64,
+// ---------------------------------------------------------- metric table
+//
+// Every exported serving metric is declared once, in `metrics!` below: the
+// snapshot struct field, its place in the STATS_OK payload and its
+// Prometheus family all come from that one row. The rest of this section
+// is the machinery the rows expand to.
+
+/// The Prometheus projection of a table type. The exposition format wants
+/// each family's samples contiguous while the snapshot nests them per
+/// topology, so rendering first opens one text block per declared family
+/// and then walks the snapshot once, each sample landing in its family's
+/// block.
+pub(crate) trait Prom {
+    /// Open a block for every family declared at or below this type, in
+    /// table order.
+    fn families(_p: &mut PromText) {}
+    /// Write the samples found at or below `self`. A bare value is one
+    /// sample of the family whose group the walk last entered.
+    fn samples(&self, p: &mut PromText);
 }
 
-/// One topology's latency profile.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TopoSnapshot {
-    /// Registry id of the topology.
-    pub topology: String,
-    /// Requests served.
-    pub requests: u64,
-    /// Coalesced batches those requests rode in.
-    pub batches: u64,
-    /// Mean end-to-end (enqueue → response) latency.
-    pub mean: Duration,
-    /// Median latency.
-    pub p50: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-    /// Time spent waiting in the shard queue (enqueue → drain).
-    pub queue_wait: LatencyStats,
-    /// Time in the forward pass + ADMM fine-tuning.
-    pub solve: LatencyStats,
-    /// Time from solve end to response fulfillment.
-    pub write: LatencyStats,
-    /// ADMM solve statistics (`None` until a batch reaches the solver).
-    pub admm: Option<AdmmStats>,
+/// Text under construction plus the walk's cursor: the family being
+/// written and the labels in force.
+#[derive(Default)]
+pub(crate) struct PromText {
+    /// `(family name, its header and samples so far)`, in table order.
+    blocks: Vec<(&'static str, String)>,
+    /// Index into `blocks` of the family samples currently go to.
+    family: usize,
+    /// Rendered `key="value",` pairs from the enclosing rows, outermost
+    /// first…
+    labels: String,
+    /// …and those a struct prints after its rows' own (`label_after`).
+    suffix: String,
+    /// Position in its vector of the element being rendered (`index` rows).
+    index: usize,
+    /// Label key the `(key, value)` pairs under the current row go by.
+    pair_key: &'static str,
+}
+
+impl PromText {
+    fn declare(&mut self, name: &'static str, kind: &str, help: &str) {
+        let header = format!("# HELP {name} {help}\n# TYPE {name} {kind}\n");
+        self.blocks.push((name, header));
+    }
+
+    fn enter(&mut self, name: &str) {
+        if let Some(at) = self.blocks.iter().position(|(n, _)| *n == name) {
+            self.family = at;
+        }
+    }
+
+    fn mark(&self) -> (usize, usize) {
+        (self.labels.len(), self.suffix.len())
+    }
+
+    fn reset(&mut self, (labels, suffix): (usize, usize)) {
+        self.labels.truncate(labels);
+        self.suffix.truncate(suffix);
+    }
+
+    fn label(&mut self, key: &str, value: impl Display) {
+        push_label(&mut self.labels, key, value);
+    }
+
+    fn label_after(&mut self, key: &str, value: impl Display) {
+        push_label(&mut self.suffix, key, value);
+    }
+
+    fn sample(&mut self, value: fmt::Arguments<'_>) {
+        let Some((name, out)) = self.blocks.get_mut(self.family) else {
+            return;
+        };
+        out.push_str(name);
+        if !(self.labels.is_empty() && self.suffix.is_empty()) {
+            out.push('{');
+            out.push_str(&self.labels);
+            out.push_str(&self.suffix);
+            out.pop(); // the last pair's comma
+            out.push('}');
+        }
+        let _ = writeln!(out, " {value}");
+    }
+}
+
+/// The one place a label value is written. Topology and tenant ids are
+/// peer input, so `\`, `"` and newline are escaped as the exposition
+/// format requires — a hostile id cannot close its quotes and forge a
+/// sample.
+fn push_label(to: &mut String, key: &str, value: impl Display) {
+    struct Escaped<'a>(&'a mut String);
+    impl fmt::Write for Escaped<'_> {
+        fn write_str(&mut self, mut s: &str) -> fmt::Result {
+            while let Some(at) = s.find(['\\', '"', '\n']) {
+                self.0.push_str(&s[..at]);
+                self.0.push_str(match s.as_bytes()[at] {
+                    b'\\' => "\\\\",
+                    b'"' => "\\\"",
+                    _ => "\\n",
+                });
+                s = &s[at + 1..];
+            }
+            self.0.push_str(s);
+            Ok(())
+        }
+    }
+    to.push_str(key);
+    to.push_str("=\"");
+    let _ = write!(Escaped(to), "{value}");
+    to.push_str("\",");
+}
+
+/// How each bare value prints as a sample.
+macro_rules! prom_values {
+    ($($t:ty, $v:ident => ($($fmt:tt)+);)*) => {$(
+        impl Prom for $t {
+            fn samples(&self, p: &mut PromText) {
+                let $v = self;
+                p.sample(format_args!($($fmt)+));
+            }
+        }
+    )*};
+}
+prom_values! {
+    u64, v => ("{v}");
+    usize, v => ("{v}");
+    f64, v => ("{v:e}");
+    Duration, v => ("{:.9}", v.as_secs_f64());
+}
+
+impl<T: Prom> Prom for Option<T> {
+    fn families(p: &mut PromText) {
+        T::families(p);
+    }
+    fn samples(&self, p: &mut PromText) {
+        if let Some(v) = self {
+            v.samples(p);
+        }
+    }
+}
+
+impl<T: Prom> Prom for Vec<T> {
+    fn families(p: &mut PromText) {
+        T::families(p);
+    }
+    fn samples(&self, p: &mut PromText) {
+        for (i, v) in self.iter().enumerate() {
+            p.index = i;
+            v.samples(p);
+        }
+    }
+}
+
+/// A `(key, value)` pair: the value, labelled by the key under the name
+/// its row gave (`[name = key]`).
+impl<K: Display, V: Prom> Prom for (K, V) {
+    fn samples(&self, p: &mut PromText) {
+        let mark = p.mark();
+        p.label(p.pair_key, &self.0);
+        self.1.samples(p);
+        p.reset(mark);
+    }
+}
+
+/// The table's grammar. A struct is a sequence of *groups*, each
+/// `kind { rows }`, in wire order; a row is
+/// `field: Type [as WireType] [[label = "value", ...]]`. Every row becomes
+/// a `pub` field and one step of the [`Wire`] codec — its type's impl, or
+/// the `as` type's after a cast. The group kind says what else it is:
+///
+/// * `wire` — nothing else: carried, not rendered.
+/// * `label("k")` / `label_after("k")` — its value labels every sample the
+///   struct renders, before / after the sample's own row labels.
+/// * `index("k")` (no rows) — labels them with the struct's position in
+///   the vector that holds it.
+/// * `counter("name", "help")` / `gauge(...)` — declares that family, here
+///   and nowhere else; its rows are the family's samples, told apart by
+///   their static `[labels]`. `[k = key]` instead names the key label of a
+///   `Vec<(key, value)>` row.
+/// * `nested` — its rows render themselves: a table struct brings its own
+///   families, a bare value is a sample of the family whose group holds
+///   the struct.
+///
+/// `impl Type { groups }` generates the codec and renderer for a struct
+/// defined elsewhere.
+macro_rules! metrics {
+    ($( $(#[$meta:meta])* pub struct $name:ident { $($groups:tt)* } )*) => {$(
+        metrics!(@struct [$(#[$meta])*] $name; $($groups)*);
+        metrics!(impl $name { $($groups)* });
+    )*};
+    (@struct [$($meta:tt)*] $name:ident; $(
+        $kind:ident $(($($arg:literal),*))? {
+            $( $(#[$doc:meta])* $field:ident : $ty:ty $(as $wire:ty)? $([$($labels:tt)*])? ),* $(,)?
+        }
+    )*) => {
+        $($meta)*
+        pub struct $name {
+            $($( $(#[$doc])* pub $field: $ty, )*)*
+        }
+    };
+    (impl $name:ident { $(
+        $kind:ident $(($($arg:literal),*))? {
+            $( $(#[$doc:meta])* $field:ident : $ty:ty $(as $wire:ty)? $([$($labels:tt)*])? ),* $(,)?
+        }
+    )* }) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize =
+                0 $($( + <metrics!(@wire $ty $(, $wire)?) as Wire>::MIN_BYTES )*)*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $($( metrics!(@put buf, self.$field $(, $wire)?); )*)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($( $field: metrics!(@get r, $ty $(, $wire)?), )*)* })
+            }
+        }
+        impl Prom for $name {
+            fn families(p: &mut PromText) {
+                $( metrics!(@families $kind $(($($arg),*))?; p; $($ty;)*); )*
+            }
+            fn samples(&self, p: &mut PromText) {
+                let mark = p.mark();
+                $( metrics!(@labels $kind $(($($arg),*))?; p, self; $($field)*); )*
+                $( metrics!(@samples $kind $(($($arg),*))?; p, self;
+                    $($field [$($($labels)*)?];)*); )*
+                p.reset(mark);
+            }
+        }
+    };
+
+    (@wire $ty:ty) => { $ty };
+    (@wire $ty:ty, $wire:ty) => { $wire };
+    (@put $buf:ident, $v:expr) => { Wire::put(&$v, $buf) };
+    (@put $buf:ident, $v:expr, $wire:ty) => { Wire::put(&($v as $wire), $buf) };
+    (@get $r:ident, $ty:ty) => { <$ty as Wire>::get($r)? };
+    (@get $r:ident, $ty:ty, $wire:ty) => { <$wire as Wire>::get($r)? as $ty };
+
+    (@families $kind:ident($name:literal, $help:literal); $p:ident; $($ty:ty;)*) => {
+        $p.declare($name, stringify!($kind), $help);
+    };
+    (@families nested; $p:ident; $($ty:ty;)*) => { $( <$ty as Prom>::families($p); )* };
+    (@families $kind:ident $(($key:literal))?; $p:ident; $($ty:ty;)*) => {};
+
+    (@labels label($key:literal); $p:ident, $s:ident; $($field:ident)*) => {
+        $( $p.label($key, &$s.$field); )*
+    };
+    (@labels label_after($key:literal); $p:ident, $s:ident; $($field:ident)*) => {
+        $( $p.label_after($key, &$s.$field); )*
+    };
+    (@labels index($key:literal); $p:ident, $s:ident;) => { $p.label($key, $p.index); };
+    (@labels $kind:ident $(($($arg:literal),*))?; $p:ident, $s:ident; $($field:ident)*) => {};
+
+    (@samples $kind:ident($name:literal, $help:literal); $p:ident, $s:ident; $($rows:tt)*) => {
+        $p.enter($name);
+        metrics!(@samples nested; $p, $s; $($rows)*);
+    };
+    (@samples nested; $p:ident, $s:ident;
+        $($field:ident [$($key:ident = $value:tt),*];)*) => {$(
+        let row = $p.mark();
+        $( metrics!(@row_label $p, $key = $value); )*
+        Prom::samples(&$s.$field, $p);
+        $p.reset(row);
+    )*};
+    (@samples $kind:ident $(($key:literal))?; $($rest:tt)*) => {};
+    (@row_label $p:ident, $name:ident = key) => { $p.pair_key = stringify!($name); };
+    (@row_label $p:ident, $name:ident = $value:literal) => {
+        $p.label(stringify!($name), $value);
+    };
+}
+
+metrics! {
+    /// Mean/p50/p99 of one latency stream.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct LatencyStats {
+        nested {
+            /// Mean latency.
+            mean: Duration [quantile = "mean"],
+            /// Median latency.
+            p50: Duration [quantile = "0.5"],
+            /// 99th-percentile latency.
+            p99: Duration [quantile = "0.99"],
+        }
+    }
+
+    /// Per-stage breakdown of one request's end-to-end latency.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StageTimings {
+        nested {
+            /// Enqueue → drained by the shard (time spent in the queue).
+            queue_wait: Duration [stage = "queue_wait"],
+            /// Forward pass + ADMM fine-tuning for the batch the request rode in.
+            solve: Duration [stage = "solve"],
+            /// Solve end → response slot fulfilled (allocation split + reply write).
+            write: Duration [stage = "write"],
+        }
+    }
+
+    /// Aggregate ADMM solve statistics for one topology (§3.4 quality/latency
+    /// knob, made measurable). A *window* is one coalesced batch that reached
+    /// the solver; a *lane* is one traffic matrix inside a window.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct AdmmStats {
+        counter("teal_serve_admm_windows_total", "Solver windows (batches) run.") {
+            /// Solver windows (coalesced batches) run.
+            windows: u64,
+        }
+        counter("teal_serve_admm_lanes_total", "Solver lanes (traffic matrices) run.") {
+            /// Total lanes (traffic matrices) across all windows.
+            lanes: u64,
+        }
+        counter("teal_serve_admm_iterations_total", "ADMM iterations summed over lanes.") {
+            /// Total ADMM iterations summed over lanes.
+            iterations: u64,
+        }
+        counter("teal_serve_admm_budgeted_iterations_total", "Iterations allowed by the per-window budgets (lanes × budget summed over windows).") {
+            /// Sum over windows of `lanes × that window's budget` — the iterations
+            /// the per-window budgets *allowed*. With `tol = 0` (no early freezing)
+            /// this equals `iterations` exactly, even when the adaptive policy
+            /// mixes budgets across windows.
+            budgeted_iterations: u64,
+        }
+        counter("teal_serve_admm_budget_downgrades_total", "Windows the adaptive policy ran below the configured iteration budget.") {
+            /// Windows the adaptive policy ran below the configured budget
+            /// (deadline pressure downgrades — every one is auditable here).
+            budget_downgrades: u64,
+        }
+        wire {
+            /// Fewest iterations any lane ran.
+            min_lane_iterations: u64,
+            /// Most iterations any lane ran.
+            max_lane_iterations: u64,
+        }
+        counter("teal_serve_admm_frozen_lanes_total", "Lanes converged before the iteration budget.") {
+            /// Lanes that converged (froze) before exhausting the iteration budget.
+            frozen_lanes: u64,
+        }
+        counter("teal_serve_admm_windows_by_budget_total", "Solver windows by per-window iteration budget.") {
+            /// `(iteration budget, windows run under it)`, sorted by budget. Sums
+            /// to `windows`.
+            windows_by_budget: Vec<(u64, u64)> [budget = key],
+        }
+        gauge("teal_serve_admm_residual", "Final ADMM residuals (kind=primal|dual, stat=last|max).") {
+            /// Worst primal residual of the most recent window.
+            last_primal_residual: f64 [kind = "primal", stat = "last"],
+            /// Worst primal residual of any window.
+            max_primal_residual: f64 [kind = "primal", stat = "max"],
+            /// Worst dual residual of the most recent window.
+            last_dual_residual: f64 [kind = "dual", stat = "last"],
+            /// Worst dual residual of any window.
+            max_dual_residual: f64 [kind = "dual", stat = "max"],
+        }
+    }
+
+    /// One topology's latency profile.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct TopoSnapshot {
+        label("topology") {
+            /// Registry id of the topology.
+            topology: String,
+        }
+        counter("teal_serve_requests_total", "Requests served per topology.") {
+            /// Requests served.
+            requests: u64,
+        }
+        counter("teal_serve_batches_total", "Coalesced batches served per topology.") {
+            /// Coalesced batches those requests rode in.
+            batches: u64,
+        }
+        gauge("teal_serve_stage_seconds", "Request latency by pipeline stage (quantile label; mean under quantile=\"mean\").") {
+            /// Mean end-to-end (enqueue → response) latency.
+            mean: Duration [stage = "e2e", quantile = "mean"],
+            /// Median latency.
+            p50: Duration [stage = "e2e", quantile = "0.5"],
+            /// 99th-percentile latency.
+            p99: Duration [stage = "e2e", quantile = "0.99"],
+            /// Time spent waiting in the shard queue (enqueue → drain).
+            queue_wait: LatencyStats [stage = "queue_wait"],
+            /// Time in the forward pass + ADMM fine-tuning.
+            solve: LatencyStats [stage = "solve"],
+            /// Time from solve end to response fulfillment.
+            write: LatencyStats [stage = "write"],
+        }
+        nested {
+            /// ADMM solve statistics (`None` until a batch reaches the solver).
+            admm: Option<AdmmStats>,
+        }
+    }
+
+    /// One slow-request exemplar with its stage breakdown.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SlowExemplar {
+        label("topology") {
+            /// Topology the request was for.
+            topology: String,
+        }
+        index("rank") {}
+        gauge("teal_serve_slow_seconds", "Slowest requests (rank 0 = slowest) by stage.") {
+            /// End-to-end (enqueue → response) latency.
+            latency: Duration [stage = "e2e"],
+            /// Where that time went.
+            stages: StageTimings,
+        }
+        label_after("batch") {
+            /// Size of the coalesced batch the request rode in.
+            batch_size: usize as u32,
+        }
+    }
+
+    /// One tenant's served totals under weighted fair queuing.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TenantSnapshot {
+        label("tenant") {
+            /// Tenant id (`"default"` for untagged requests; `"other"` pools
+            /// every tenant past the tracking cap).
+            tenant: String,
+        }
+        counter("teal_serve_tenant_requests_total", "Requests served per tenant.") {
+            /// Requests served for this tenant (success replies only).
+            requests: u64,
+        }
+        counter("teal_serve_tenant_windows_total", "Solver windows charged per tenant (dominant-tenant accounting).") {
+            /// Solver windows charged to this tenant (dominant-tenant accounting).
+            windows: u64,
+        }
+    }
+
+    /// Point-in-time copy of the daemon's serving statistics.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct TelemetrySnapshot {
+        nested {
+            /// Per-topology latency/request stats, sorted by topology id.
+            per_topology: Vec<TopoSnapshot>,
+        }
+        counter("teal_serve_batch_size_total", "Coalesced batches by size.") {
+            /// `(batch size, occurrences)` across all shards, sorted by size.
+            /// Sizes are *served window* sizes: counted after drain-time expiry
+            /// removes lapsed requests and after signature grouping/chunking, so
+            /// the distribution never overstates windows under deadline churn.
+            batch_sizes: Vec<(usize, u64)> [size = key],
+        }
+        gauge("teal_serve_queue_depth", "Requests currently enqueued.") {
+            /// Requests currently waiting in shard queues.
+            queue_depth: usize as u64,
+        }
+        gauge("teal_serve_max_queue_depth", "Deepest aggregate queue observed.") {
+            /// Deepest aggregate queue observed since startup.
+            max_queue_depth: usize as u64,
+        }
+        counter("teal_serve_completed_total", "Requests answered (success or error).") {
+            /// Total requests answered (success or error).
+            completed: u64,
+        }
+        counter("teal_serve_shed_total", "Requests shed by admission control.") {
+            /// Requests shed by admission control at enqueue (counted in
+            /// `completed` too — sheds are answered, with an error).
+            shed: u64,
+        }
+        counter("teal_serve_expired_total", "Requests expired in the queue.") {
+            /// Requests whose deadline lapsed while queued (drain-time expiries;
+            /// also counted in `completed`).
+            expired: u64,
+        }
+        counter("teal_serve_deadline_inversions_total", "Deadline'd requests served out of deadline order within a drain.") {
+            /// Deadline-order inversions: adjacent deadline'd requests served
+            /// later-deadline-first within one drain. The EDF invariant is
+            /// `deadline_inversions == 0`.
+            deadline_inversions: u64,
+        }
+        counter("teal_serve_unmatched_replies_total", "Reply frames whose request id matched no registered slot.") {
+            /// Reply frames (or completion-queue tags) whose request id matched no
+            /// registered slot on their connection. The server counts tags with no
+            /// pending ticket; [`crate::TealClient`] keeps its own local twin
+            /// ([`crate::TealClient::unmatched_replies`]). Zero in a correct
+            /// deployment — nonzero means an id-bookkeeping bug, not load.
+            unmatched_replies: u64,
+        }
+        nested {
+            /// `teal_nn` worker-pool counters (process-global, sampled at snapshot
+            /// time): jobs submitted, chunks run by callers vs stolen by helper
+            /// workers, and capped-out queue skips.
+            pool: PoolStats,
+            /// Slowest requests observed (global top-k across shards, slowest
+            /// first), each with its stage breakdown.
+            slow: Vec<SlowExemplar>,
+            /// Per-tenant served totals, sorted by tenant id. Requests are credited
+            /// to their own tenant; each solver window is charged to the chunk's
+            /// dominant tenant (most requests, ties broken lexicographically).
+            tenants: Vec<TenantSnapshot>,
+        }
+    }
+}
+
+metrics! {
+    impl PoolStats {
+        counter("teal_nn_pool_jobs_total", "Parallel jobs submitted to the worker pool.") {
+            jobs: u64,
+        }
+        counter("teal_nn_pool_caller_chunks_total", "Chunks executed by submitting threads.") {
+            caller_chunks: u64,
+        }
+        counter("teal_nn_pool_helper_chunks_total", "Chunks stolen by helper workers.") {
+            helper_chunks: u64,
+        }
+        counter("teal_nn_pool_capped_skips_total", "Queue scans that skipped a capped-out job.") {
+            capped_skips: u64,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1244,6 +1330,19 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
+    }
+
+    #[test]
+    fn minted_tenants_are_capped_and_conserved() {
+        let t = Telemetry::default();
+        for i in 0..10_000 {
+            t.on_tenant(&format!("minted-{i}"), 1, u64::from(i % 2 == 0));
+        }
+        let tenants = t.snapshot().tenants;
+        assert!(tenants.len() <= MAX_TENANTS + 1, "{} rows", tenants.len());
+        assert!(tenants.iter().any(|t| t.tenant == OVERFLOW_TENANT));
+        assert_eq!(tenants.iter().map(|t| t.requests).sum::<u64>(), 10_000);
+        assert_eq!(tenants.iter().map(|t| t.windows).sum::<u64>(), 5_000);
     }
 
     #[test]

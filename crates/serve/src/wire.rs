@@ -45,39 +45,20 @@
 //!                         · batch_size u32
 //!            tag 1 (err): error code u8 · message str
 //! STATS      id u64                        (telemetry scrape request)
-//! STATS_OK   id u64
-//!            · topologies (u32 count, each: topology str
-//!              · requests u64 · batches u64
-//!              · 4 stages (e2e, queue_wait, solve, write), each
-//!                mean/p50/p99 u64 ns
-//!              · admm flag u8; if 1: windows/lanes/iterations/
-//!                budgeted_iterations/budget_downgrades/
-//!                min_lane_iters/max_lane_iters/frozen_lanes u64 × 8
-//!                · windows by budget (u32 count, (u64 budget, u64 n))
-//!                · last_primal/max_primal/last_dual/max_dual f64 × 4)
-//!            · batch sizes (u32 count, each: size u32 · n u64)
-//!            · queue_depth u64 · max_queue_depth u64
-//!            · completed u64 · shed u64 · expired u64
-//!            · deadline_inversions u64 · unmatched_replies u64
-//!            · pool jobs/caller_chunks/helper_chunks/capped_skips u64 × 4
-//!            · slow exemplars (u32 count, each: topology str
-//!              · latency u64 ns · stage ns u64 × 3 · batch_size u32)
-//!            · tenants (u32 count, each: tenant str
-//!              · requests u64 · windows u64)
+//! STATS_OK   id u64 · the `TelemetrySnapshot` rows of the metric table
+//!            in `telemetry.rs`, in table order — that table is the
+//!            layout's single source; each row type's encoding is its
+//!            [`Wire`] impl below
 //! str        u32 byte length · UTF-8 bytes
 //! ```
 
 use std::io::{self, Read, Write};
 use std::time::Duration;
 use teal_lp::Allocation;
-use teal_nn::pool::PoolStats;
 use teal_traffic::TrafficMatrix;
 
 use crate::request::{ServeError, ServeReply, SubmitRequest};
-use crate::telemetry::{
-    AdmmStats, LatencyStats, SlowExemplar, StageTimings, TelemetrySnapshot, TenantSnapshot,
-    TopoSnapshot,
-};
+use crate::telemetry::{StageTimings, TelemetrySnapshot};
 
 /// Handshake magic: the first bytes any teal-serve peer sends.
 pub const MAGIC: &[u8; 4] = b"TEAL";
@@ -91,6 +72,10 @@ pub const VERSION: u16 = 4;
 /// Upper bound on a single frame (guards the length prefix against a
 /// corrupt or hostile peer asking us to allocate gigabytes).
 pub const MAX_FRAME: u32 = 64 << 20;
+/// Longest topology or tenant id a REQUEST may carry. Ids are peer input
+/// that outlives the frame (telemetry rows, fair-queuing flows), so they
+/// are bounded where they enter.
+pub const MAX_ID_BYTES: usize = 256;
 
 /// Message kinds (first payload byte).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,17 +165,6 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Durations travel as u64 nanoseconds (saturating, like deadlines).
-fn put_dur(buf: &mut Vec<u8>, d: Duration) {
-    buf.extend_from_slice(&(d.as_nanos().min(u128::from(u64::MAX)) as u64).to_le_bytes());
-}
-
-fn put_latency_stats(buf: &mut Vec<u8>, s: &LatencyStats) {
-    put_dur(buf, s.mean);
-    put_dur(buf, s.p50);
-    put_dur(buf, s.p99);
-}
-
 /// Encode the client half of the handshake.
 pub fn encode_hello(buf: &mut Vec<u8>) {
     buf.clear();
@@ -275,10 +249,8 @@ fn put_reply(buf: &mut Vec<u8>, id: u64, reply: &Result<ServeReply, ServeError>)
             for &v in r.allocation.splits() {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
-            put_dur(buf, r.latency);
-            put_dur(buf, r.stages.queue_wait);
-            put_dur(buf, r.stages.solve);
-            put_dur(buf, r.stages.write);
+            r.latency.put(buf);
+            r.stages.put(buf);
             buf.extend_from_slice(&(r.batch_size as u32).to_le_bytes());
         }
         Err(e) => {
@@ -315,96 +287,14 @@ pub fn encode_stats_reply(buf: &mut Vec<u8>, id: u64, snap: &TelemetrySnapshot) 
 /// [`WriteQueue::push_stats_reply`]).
 fn put_stats_reply(buf: &mut Vec<u8>, id: u64, snap: &TelemetrySnapshot) {
     buf.push(Kind::StatsOk as u8);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&(snap.per_topology.len() as u32).to_le_bytes());
-    for t in &snap.per_topology {
-        put_str(buf, &t.topology);
-        buf.extend_from_slice(&t.requests.to_le_bytes());
-        buf.extend_from_slice(&t.batches.to_le_bytes());
-        put_latency_stats(
-            buf,
-            &LatencyStats {
-                mean: t.mean,
-                p50: t.p50,
-                p99: t.p99,
-            },
-        );
-        put_latency_stats(buf, &t.queue_wait);
-        put_latency_stats(buf, &t.solve);
-        put_latency_stats(buf, &t.write);
-        match &t.admm {
-            Some(a) => {
-                buf.push(1);
-                for v in [
-                    a.windows,
-                    a.lanes,
-                    a.iterations,
-                    a.budgeted_iterations,
-                    a.budget_downgrades,
-                    a.min_lane_iterations,
-                    a.max_lane_iterations,
-                    a.frozen_lanes,
-                ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                buf.extend_from_slice(&(a.windows_by_budget.len() as u32).to_le_bytes());
-                for &(budget, n) in &a.windows_by_budget {
-                    buf.extend_from_slice(&budget.to_le_bytes());
-                    buf.extend_from_slice(&n.to_le_bytes());
-                }
-                for v in [
-                    a.last_primal_residual,
-                    a.max_primal_residual,
-                    a.last_dual_residual,
-                    a.max_dual_residual,
-                ] {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            None => buf.push(0),
-        }
-    }
-    buf.extend_from_slice(&(snap.batch_sizes.len() as u32).to_le_bytes());
-    for &(size, n) in &snap.batch_sizes {
-        buf.extend_from_slice(&(size as u32).to_le_bytes());
-        buf.extend_from_slice(&n.to_le_bytes());
-    }
-    for v in [
-        snap.queue_depth as u64,
-        snap.max_queue_depth as u64,
-        snap.completed,
-        snap.shed,
-        snap.expired,
-        snap.deadline_inversions,
-        snap.unmatched_replies,
-        snap.pool.jobs,
-        snap.pool.caller_chunks,
-        snap.pool.helper_chunks,
-        snap.pool.capped_skips,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    buf.extend_from_slice(&(snap.slow.len() as u32).to_le_bytes());
-    for e in &snap.slow {
-        put_str(buf, &e.topology);
-        put_dur(buf, e.latency);
-        put_dur(buf, e.stages.queue_wait);
-        put_dur(buf, e.stages.solve);
-        put_dur(buf, e.stages.write);
-        buf.extend_from_slice(&(e.batch_size as u32).to_le_bytes());
-    }
-    buf.extend_from_slice(&(snap.tenants.len() as u32).to_le_bytes());
-    for t in &snap.tenants {
-        put_str(buf, &t.tenant);
-        buf.extend_from_slice(&t.requests.to_le_bytes());
-        buf.extend_from_slice(&t.windows.to_le_bytes());
-    }
+    id.put(buf);
+    snap.put(buf);
 }
 
 // --------------------------------------------------------------- reading
 
 /// Cursor over a frame payload.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -459,10 +349,20 @@ impl<'a> Reader<'a> {
     }
 
     fn str(&mut self) -> Result<String, WireError> {
+        self.str_up_to(MAX_FRAME as usize, "string")
+    }
+
+    /// A string refused past `max` bytes before any of it is copied.
+    fn str_up_to(&mut self, max: usize, what: &str) -> Result<String, WireError> {
         let n = self.u32()? as usize;
+        if n > max {
+            return Err(WireError::Protocol(format!(
+                "{what} of {n} bytes exceeds the {max}-byte limit"
+            )));
+        }
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Protocol("string field is not UTF-8".into()))
+            .map_err(|_| WireError::Protocol(format!("{what} field is not UTF-8")))
     }
 
     /// Validate a decoded element count against the bytes actually left in
@@ -489,6 +389,122 @@ impl<'a> Reader<'a> {
                 self.buf.len() - self.pos
             )))
         }
+    }
+}
+
+/// Fixed-layout encoding of one value inside a frame. The STATS_OK payload
+/// is nothing but these impls applied to the metric table's rows in order
+/// (`telemetry.rs`); a table struct's impl is generated from its rows.
+pub(crate) trait Wire: Sized {
+    /// Fewest bytes one value can occupy — what [`Reader::check_count`]
+    /// holds a claimed element count against before allocating for it.
+    const MIN_BYTES: usize;
+    /// Append the encoding to `buf`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Decode one value at the cursor.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// Little-endian scalars, as-is.
+macro_rules! wire_le {
+    ($($t:ident)*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+wire_le!(u32 u64 f64);
+
+/// Small counts (batch sizes) travel as `u32`; a table row widens with
+/// `as u64`.
+impl Wire for usize {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u32).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.u32()? as usize)
+    }
+}
+
+/// `u64` nanoseconds, saturating (like deadlines).
+impl Wire for Duration {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.as_nanos().min(u128::from(u64::MAX)) as u64).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Duration::from_nanos(r.u64()?))
+    }
+}
+
+/// `u32` byte length, then UTF-8.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(buf, self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.str()
+    }
+}
+
+/// Both halves in order.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// `u8` flag, then the value if the flag is 1.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                buf.push(1);
+                v.put(buf);
+            }
+            None => buf.push(0),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            f => Err(WireError::Protocol(format!("bad option flag {f}"))),
+        }
+    }
+}
+
+/// `u32` element count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.u32()? as usize;
+        r.check_count(n, T::MIN_BYTES, std::any::type_name::<T>())?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -550,7 +566,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, SubmitRequest), WireError>
         return Err(WireError::Protocol("expected REQUEST".into()));
     }
     let id = r.u64()?;
-    let topology = r.str()?;
+    let topology = r.str_up_to(MAX_ID_BYTES, "topology id")?;
     let deadline = match r.u8()? {
         0 => None,
         1 => Some(Duration::from_nanos(r.u64()?)),
@@ -558,7 +574,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, SubmitRequest), WireError>
     };
     let tenant = match r.u8()? {
         0 => None,
-        1 => Some(r.str()?),
+        1 => Some(r.str_up_to(MAX_ID_BYTES, "tenant id")?),
         f => return Err(WireError::Protocol(format!("bad tenant flag {f}"))),
     };
     let nlinks = r.u32()? as usize;
@@ -611,12 +627,8 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Result<ServeReply, ServeErro
             for _ in 0..n {
                 splits.push(r.f64()?);
             }
-            let latency = Duration::from_nanos(r.u64()?);
-            let stages = StageTimings {
-                queue_wait: Duration::from_nanos(r.u64()?),
-                solve: Duration::from_nanos(r.u64()?),
-                write: Duration::from_nanos(r.u64()?),
-            };
+            let latency = Duration::get(&mut r)?;
+            let stages = StageTimings::get(&mut r)?;
             let batch_size = r.u32()? as usize;
             Ok(ServeReply {
                 allocation: Allocation::from_splits(k, splits),
@@ -658,18 +670,6 @@ pub fn decode_stats_request(payload: &[u8]) -> Result<u64, WireError> {
     Ok(id)
 }
 
-fn read_dur(r: &mut Reader<'_>) -> Result<Duration, WireError> {
-    Ok(Duration::from_nanos(r.u64()?))
-}
-
-fn read_latency_stats(r: &mut Reader<'_>) -> Result<LatencyStats, WireError> {
-    Ok(LatencyStats {
-        mean: read_dur(r)?,
-        p50: read_dur(r)?,
-        p99: read_dur(r)?,
-    })
-}
-
 /// Decode a STATS_OK payload into `(id, snapshot)`.
 pub fn decode_stats_reply(payload: &[u8]) -> Result<(u64, TelemetrySnapshot), WireError> {
     let mut r = Reader::new(payload);
@@ -677,142 +677,9 @@ pub fn decode_stats_reply(payload: &[u8]) -> Result<(u64, TelemetrySnapshot), Wi
         return Err(WireError::Protocol("expected STATS_OK".into()));
     }
     let id = r.u64()?;
-    let ntopo = r.u32()? as usize;
-    // Minimum bytes per topology entry: empty name (4) + two counters (16)
-    // + 4 stages × 3 quantiles × 8 + the admm flag (1).
-    r.check_count(ntopo, 4 + 16 + 96 + 1, "topology")?;
-    let mut per_topology = Vec::with_capacity(ntopo);
-    for _ in 0..ntopo {
-        let topology = r.str()?;
-        let requests = r.u64()?;
-        let batches = r.u64()?;
-        let e2e = read_latency_stats(&mut r)?;
-        let queue_wait = read_latency_stats(&mut r)?;
-        let solve = read_latency_stats(&mut r)?;
-        let write = read_latency_stats(&mut r)?;
-        let admm = match r.u8()? {
-            0 => None,
-            1 => {
-                let windows = r.u64()?;
-                let lanes = r.u64()?;
-                let iterations = r.u64()?;
-                let budgeted_iterations = r.u64()?;
-                let budget_downgrades = r.u64()?;
-                let min_lane_iterations = r.u64()?;
-                let max_lane_iterations = r.u64()?;
-                let frozen_lanes = r.u64()?;
-                let nbudgets = r.u32()? as usize;
-                r.check_count(nbudgets, 16, "windows-by-budget")?;
-                let mut windows_by_budget = Vec::with_capacity(nbudgets);
-                for _ in 0..nbudgets {
-                    let budget = r.u64()?;
-                    let n = r.u64()?;
-                    windows_by_budget.push((budget, n));
-                }
-                Some(AdmmStats {
-                    windows,
-                    lanes,
-                    iterations,
-                    budgeted_iterations,
-                    budget_downgrades,
-                    windows_by_budget,
-                    min_lane_iterations,
-                    max_lane_iterations,
-                    frozen_lanes,
-                    last_primal_residual: r.f64()?,
-                    max_primal_residual: r.f64()?,
-                    last_dual_residual: r.f64()?,
-                    max_dual_residual: r.f64()?,
-                })
-            }
-            f => return Err(WireError::Protocol(format!("bad admm flag {f}"))),
-        };
-        per_topology.push(TopoSnapshot {
-            topology,
-            requests,
-            batches,
-            mean: e2e.mean,
-            p50: e2e.p50,
-            p99: e2e.p99,
-            queue_wait,
-            solve,
-            write,
-            admm,
-        });
-    }
-    let nsizes = r.u32()? as usize;
-    r.check_count(nsizes, 12, "batch-size")?;
-    let mut batch_sizes = Vec::with_capacity(nsizes);
-    for _ in 0..nsizes {
-        let size = r.u32()? as usize;
-        let n = r.u64()?;
-        batch_sizes.push((size, n));
-    }
-    let queue_depth = r.u64()? as usize;
-    let max_queue_depth = r.u64()? as usize;
-    let completed = r.u64()?;
-    let shed = r.u64()?;
-    let expired = r.u64()?;
-    let deadline_inversions = r.u64()?;
-    let unmatched_replies = r.u64()?;
-    let pool = PoolStats {
-        jobs: r.u64()?,
-        caller_chunks: r.u64()?,
-        helper_chunks: r.u64()?,
-        capped_skips: r.u64()?,
-    };
-    let nslow = r.u32()? as usize;
-    // Empty name (4) + four spans (32) + batch size (4).
-    r.check_count(nslow, 40, "slow-exemplar")?;
-    let mut slow = Vec::with_capacity(nslow);
-    for _ in 0..nslow {
-        let topology = r.str()?;
-        let latency = read_dur(&mut r)?;
-        let stages = StageTimings {
-            queue_wait: read_dur(&mut r)?,
-            solve: read_dur(&mut r)?,
-            write: read_dur(&mut r)?,
-        };
-        let batch_size = r.u32()? as usize;
-        slow.push(SlowExemplar {
-            topology,
-            latency,
-            stages,
-            batch_size,
-        });
-    }
-    let ntenants = r.u32()? as usize;
-    // Empty name (4) + two counters (16).
-    r.check_count(ntenants, 20, "tenant")?;
-    let mut tenants = Vec::with_capacity(ntenants);
-    for _ in 0..ntenants {
-        let tenant = r.str()?;
-        let requests = r.u64()?;
-        let windows = r.u64()?;
-        tenants.push(TenantSnapshot {
-            tenant,
-            requests,
-            windows,
-        });
-    }
+    let snap = TelemetrySnapshot::get(&mut r)?;
     r.done()?;
-    Ok((
-        id,
-        TelemetrySnapshot {
-            per_topology,
-            batch_sizes,
-            tenants,
-            queue_depth,
-            max_queue_depth,
-            completed,
-            shed,
-            expired,
-            deadline_inversions,
-            unmatched_replies,
-            pool,
-            slow,
-        },
-    ))
+    Ok((id, snap))
 }
 
 // ---------------------------------------------- incremental (event loop)

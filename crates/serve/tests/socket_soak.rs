@@ -8,6 +8,8 @@
 //! run includes, and an `#[ignore]`d 256-connection soak that CI runs as
 //! its own release step.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 use teal_core::{EngineConfig, Env, PolicyModel, ServingContext, TealConfig, TealModel};
@@ -276,11 +278,14 @@ fn soak(clients: usize, per_client: usize, prom_artifact: bool) {
         "slow-exemplar ring empty or unsorted: {:?}",
         stats.slow
     );
-    // CI artifact: render the scraped snapshot as Prometheus text when the
-    // workflow asks for it.
+    // The scraped snapshot must render as well-formed Prometheus text —
+    // two topologies is where non-contiguous families would show.
+    let text = stats.to_prometheus();
+    common::prom_well_formed(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    // CI artifact: that text, when the workflow asks for it.
     if prom_artifact {
         if let Ok(path) = std::env::var("TEAL_PROM_PATH") {
-            std::fs::write(&path, stats.to_prometheus()).expect("write Prometheus snapshot");
+            std::fs::write(&path, text).expect("write Prometheus snapshot");
             eprintln!("  wrote Prometheus snapshot to {path}");
         }
     }

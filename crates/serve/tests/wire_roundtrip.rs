@@ -5,6 +5,8 @@
 //! fixed-layout binary with a version gate, so any accidental layout drift
 //! shows up here before it shows up as corrupted allocations in a client.
 
+mod common;
+
 use proptest::prelude::*;
 use std::time::Duration;
 use teal_lp::Allocation;
@@ -232,34 +234,105 @@ proptest! {
         prop_assert_eq!(wire::decode_stats_request(&payload).expect("decode stats"), id);
     }
 
+    /// The generated STATS_OK codec, over the whole metric table at once:
+    /// decode inverts encode, no strict prefix of a frame decodes, and a
+    /// hostile element count in any of the table's vectors is refused by
+    /// the count check — before anything is allocated for it.
     #[test]
-    fn stats_reply_roundtrip_is_identity(
+    fn stats_reply_codec_roundtrips_and_rejects_damage(
         id in 0u64..u64::MAX,
         seed in 0u64..1_000_000,
         ntopo in 0usize..4,
         nsizes in 0usize..6,
         nslow in 0usize..9,
     ) {
-        let snap = synth_snapshot(seed, ntopo, nsizes, nslow);
-        let mut buf = Vec::new();
-        wire::encode_stats_reply(&mut buf, id, &snap);
-        let payload = frame_roundtrip(&buf);
-        let (got_id, got) = wire::decode_stats_reply(&payload).expect("decode stats reply");
+        let mut snap = synth_snapshot(seed, ntopo, nsizes, nslow);
+        if let Some(t) = snap.per_topology.first_mut() {
+            t.admm.get_or_insert_with(AdmmStats::default);
+        }
+        let encode = |snap: &TelemetrySnapshot| {
+            let mut buf = Vec::new();
+            wire::encode_stats_reply(&mut buf, id, snap);
+            buf
+        };
+        let buf = encode(&snap);
+        let (got_id, got) =
+            wire::decode_stats_reply(&frame_roundtrip(&buf)).expect("decode stats reply");
         prop_assert_eq!(got_id, id);
-        prop_assert_eq!(got, snap);
+        prop_assert_eq!(&got, &snap);
+
+        for cut in 0..buf.len() {
+            prop_assert!(wire::decode_stats_reply(&buf[..cut]).is_err(), "prefix {} decoded", cut);
+        }
+
+        // Growing a vector by one element first changes the frame at the
+        // low byte of that vector's count, which locates the count field
+        // without this test restating the layout.
+        type Grow = fn(&mut TelemetrySnapshot);
+        let grow: [(&str, Grow); 5] = [
+            ("topologies", |s| {
+                let t = synth_snapshot(1, 1, 0, 0).per_topology.remove(0);
+                s.per_topology.push(t)
+            }),
+            ("windows by budget", |s| {
+                if let Some(a) = s.per_topology.first_mut().and_then(|t| t.admm.as_mut()) {
+                    a.windows_by_budget.push((0, 0))
+                }
+            }),
+            ("batch sizes", |s| s.batch_sizes.push((0, 0))),
+            ("slow exemplars", |s| {
+                let e = synth_snapshot(1, 0, 0, 1).slow.remove(0);
+                s.slow.push(e)
+            }),
+            ("tenants", |s| s.tenants.push(TenantSnapshot {
+                tenant: String::new(),
+                requests: 0,
+                windows: 0,
+            })),
+        ];
+        for (what, grow) in grow {
+            let mut grown = snap.clone();
+            grow(&mut grown);
+            if grown == snap {
+                continue; // no topology to hold a windows-by-budget vector
+            }
+            let count_at = buf
+                .iter()
+                .zip(&encode(&grown))
+                .position(|(a, b)| a != b)
+                .expect("a grown vector changes the frame");
+            let mut hostile = buf.clone();
+            hostile[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            match wire::decode_stats_reply(&hostile) {
+                Err(wire::WireError::Protocol(m)) => prop_assert!(
+                    m.contains("count 4294967295 exceeds"),
+                    "{}: refused, but not by the count check: {}", what, m
+                ),
+                other => prop_assert!(false, "{}: hostile count gave {:?}", what, other.map(|_| ())),
+            }
+        }
     }
 }
 
+/// REQUEST ids are bounded where they enter: one byte past
+/// `MAX_ID_BYTES` is a protocol error, the limit itself is served.
 #[test]
-fn truncated_stats_reply_is_an_error_never_a_panic() {
-    let snap = synth_snapshot(42, 3, 4, 5);
+fn overlong_request_ids_are_protocol_errors() {
+    let id_of = |len: usize| "x".repeat(len);
+    let tm = || TrafficMatrix::new(vec![1.0]);
     let mut buf = Vec::new();
-    wire::encode_stats_reply(&mut buf, 9, &snap);
-    for cut in 0..buf.len() {
-        assert!(
-            wire::decode_stats_reply(&buf[..cut]).is_err(),
-            "truncation at {cut} decoded"
-        );
+    for (len, ok) in [(wire::MAX_ID_BYTES, true), (wire::MAX_ID_BYTES + 1, false)] {
+        for req in [
+            SubmitRequest::new(id_of(len), tm()),
+            SubmitRequest::new("b4", tm()).with_tenant(id_of(len)),
+        ] {
+            wire::encode_request(&mut buf, 1, &req);
+            match wire::decode_request(&buf) {
+                Ok((_, got)) => assert!(ok && got == req, "{len}-byte id decoded"),
+                Err(wire::WireError::Protocol(_)) => assert!(!ok, "{len}-byte id refused"),
+                Err(e) => panic!("{len}-byte id: wrong error kind: {e}"),
+            }
+        }
     }
 }
 
@@ -327,4 +400,43 @@ fn truncated_and_oversized_frames_are_errors() {
     let mut cursor = std::io::Cursor::new(huge.to_vec());
     let mut out = Vec::new();
     assert!(wire::read_frame(&mut cursor, &mut out).is_err());
+}
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf29ce484222325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// The v4 STATS_OK bytes and the Prometheus line multiset, pinned as
+/// FNV-1a hashes captured at commit `2d9e872` (the last hand-written codec
+/// and renderer). Lines are hashed sorted because family-major ordering is
+/// the one permitted change to the text.
+#[test]
+fn stats_golden() {
+    for (seed, ntopo, nsizes, nslow, want_wire, want_prom) in [
+        (
+            13u64,
+            3usize,
+            4usize,
+            5usize,
+            0xc306b13a63dfc4ebu64,
+            0xd3ce478d2c85d778u64,
+        ),
+        (42, 3, 4, 5, 0xb6c60a73ffa19bcf, 0x4ac919fab1cdb90f),
+        // `admm: None` everywhere and every vector empty.
+        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0x536be2520e5ce4e7),
+    ] {
+        let snap = synth_snapshot(seed, ntopo, nsizes, nslow);
+        let mut buf = Vec::new();
+        wire::encode_stats_reply(&mut buf, seed, &snap);
+        let text = snap.to_prometheus();
+        common::prom_well_formed(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.sort_unstable();
+        let prom = fnv1a(lines.iter().flat_map(|l| l.bytes().chain([b'\n'])));
+        let wire = fnv1a(buf.iter().copied());
+        assert_eq!(wire, want_wire, "seed {seed}: STATS_OK bytes drifted");
+        assert_eq!(prom, want_prom, "seed {seed}: Prometheus lines drifted");
+    }
 }
