@@ -434,12 +434,11 @@ impl<M: PolicyModel> ServingContext<M> {
     /// [`ServingContext::try_allocate_batch_on`] with a caller-owned
     /// [`BatchScratch`]: the §5.3 failure-recovery path (capacities of
     /// failed links zeroed, no retraining) served out of a retained arena.
-    /// A dispatch lane that keeps a scratch for its failure windows reuses
-    /// all ADMM solver state across repeated windows on the same degraded
-    /// topology — the solver is simply reminted against the
-    /// failure-overridden skeleton, so a failure burst serves at
-    /// steady-state cost. The scratch may be freely alternated between
-    /// override and plain windows (reminting rebinds every shared handle).
+    /// The solver is simply reminted against the failure-overridden
+    /// skeleton, so a failure burst serves at steady-state cost, and the
+    /// scratch may be freely alternated between override and plain windows
+    /// (reminting rebinds every shared handle) — a `teal-serve` shard
+    /// serves both kinds out of its one scratch.
     pub fn try_allocate_batch_on_with(
         &self,
         topo: &Topology,

@@ -138,9 +138,9 @@ pub fn pmatmul(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Run `f(first_row, chunk)` over row-aligned mutable chunks of a row-major
-/// buffer, in parallel when `work` (FLOPs) justifies it. Unlike
-/// [`par_chunks_mut`], chunk boundaries never split a row — required by the
-/// sparse kernels, whose per-row accumulation must stay on one thread.
+/// buffer, in parallel when `work` (FLOPs) justifies it. Chunk boundaries
+/// never split a row — required by the sparse kernels, whose per-row
+/// accumulation must stay on one thread.
 pub fn par_row_chunks_mut<F>(data: &mut [f32], row_width: usize, work: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
@@ -171,47 +171,6 @@ fn slice_rows(t: &Tensor, lo: usize, rows: usize) -> Tensor {
     Tensor::from_vec(rows, n, data)
 }
 
-/// Run `f(chunk_start, chunk)` over mutable chunks of `data` in parallel.
-///
-/// Used by the ADMM solver, whose per-demand and per-edge updates are
-/// independent — the "inherently parallel iteration" claimed in §3.4.
-pub fn par_chunks_mut<T: Send, F>(data: &mut [T], min_chunk: usize, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let threads = max_threads().min(len.div_ceil(min_chunk)).max(1);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    let chunks: Vec<(usize, &mut [T])> = data
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(i, c)| (i * chunk, c))
-        .collect();
-    run_chunked(chunks, f);
-}
-
-/// Map `f` over indices `0..n` in parallel, collecting results in order.
-pub fn par_map<T, F>(n: usize, min_chunk: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); n];
-    par_chunks_mut(&mut out, min_chunk, |start, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(start + i);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,25 +199,5 @@ mod tests {
             (0..64 * 96).map(|_| rng.gen::<f32>() - 0.5).collect(),
         );
         assert!(pmatmul(&a, &b).approx_eq(&matmul(&a, &b), 1e-4));
-    }
-
-    #[test]
-    fn par_chunks_mut_covers_everything() {
-        let mut data = vec![0usize; 1000];
-        par_chunks_mut(&mut data, 16, |start, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = start + i;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i);
-        }
-    }
-
-    #[test]
-    fn par_map_ordering() {
-        let out = par_map(100, 8, |i| i * 2);
-        assert_eq!(out[99], 198);
-        assert_eq!(out[0], 0);
     }
 }

@@ -11,7 +11,7 @@
 //! what made `set_var` unsafe in edition 2024).
 
 use proptest::prelude::*;
-use teal_nn::par::{par_chunks_mut, par_map, par_row_chunks_mut, pmatmul};
+use teal_nn::par::{par_row_chunks_mut, pmatmul};
 use teal_nn::rng::seeded;
 use teal_nn::tensor::{matmul, Tensor};
 use teal_nn::Csr;
@@ -91,21 +91,6 @@ proptest! {
         }
     }
 
-    /// Chunked writes cover every element exactly once under the pool.
-    #[test]
-    fn pooled_chunks_cover_all(len in 1usize..5000, min_chunk in 1usize..64) {
-        force_pool();
-        let mut data = vec![0u32; len];
-        par_chunks_mut(&mut data, min_chunk, |start, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v += (start + i) as u32 + 1;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            prop_assert_eq!(*v, i as u32 + 1, "element {} written {} times-ish", i, v);
-        }
-    }
-
     /// Row-aligned chunking never splits a row and covers everything.
     #[test]
     fn pooled_row_chunks_cover_all(rows in 1usize..300, width in 1usize..32) {
@@ -120,16 +105,6 @@ proptest! {
         });
         for (i, v) in data.iter().enumerate() {
             prop_assert_eq!(*v, i as u32);
-        }
-    }
-
-    /// par_map preserves index order under the pool.
-    #[test]
-    fn pooled_par_map_ordered(n in 1usize..2000) {
-        force_pool();
-        let out = par_map(n, 7, |i| i * 3 + 1);
-        for (i, v) in out.iter().enumerate() {
-            prop_assert_eq!(*v, i * 3 + 1);
         }
     }
 }

@@ -13,101 +13,118 @@
 //! concurrent submitters commute, mirroring the serving core's submit
 //! path. A dropped or failed connection fulfills every outstanding ticket
 //! with [`ServeError::Internal`] rather than hanging its waiters.
+//!
+//! A request and a telemetry scrape are the same thing to this file: an id,
+//! a one-shot `Slot` registered under it in the one `pending` map (the
+//! `Waiter` says which reply kind the id awaits), and a frame written by
+//! the one send path, `ClientShared::send`, which owns the
+//! register-before-send ordering `model::client_register_before_send`
+//! checks.
 
 // teal-lint: checked-sync
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{thread, Arc, Condvar, Mutex};
-use crate::telemetry::now;
+use crate::sync::{thread, Arc, Mutex};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use teal_traffic::TrafficMatrix;
 
-use crate::request::{ResponseSlot, ServeError, ServeReply, SubmitRequest, Ticket};
+use crate::request::{ResponseSlot, ServeError, ServeReply, Slot, SubmitRequest, Ticket};
 use crate::telemetry::TelemetrySnapshot;
 use crate::wire;
 
-/// One-shot slot a telemetry scrape waits on (the STATS twin of
-/// [`ResponseSlot`], carrying a snapshot instead of an allocation).
-struct StatsSlot {
-    slot: Mutex<Option<Result<TelemetrySnapshot, ServeError>>>,
-    ready: Condvar,
+/// What an in-flight id is waiting for: a REPLY into a ticket's slot, or a
+/// STATS_OK into a scrape's.
+pub(crate) enum Waiter {
+    Reply(Arc<ResponseSlot>),
+    Stats(Arc<Slot<TelemetrySnapshot>>),
 }
 
-impl StatsSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(StatsSlot {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fulfill(&self, r: Result<TelemetrySnapshot, ServeError>) {
-        let mut slot = self.slot.lock();
-        *slot = Some(r);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<TelemetrySnapshot, ServeError> {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(r) = slot.take() {
-                return r;
-            }
-            slot = self.ready.wait(slot);
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Result<TelemetrySnapshot, ServeError> {
-        let deadline = now() + timeout;
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(r) = slot.take() {
-                return r;
-            }
-            let current = now();
-            if current >= deadline {
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let (guard, _) = self.ready.wait_timeout(slot, deadline - current);
-            slot = guard;
+impl Waiter {
+    /// Resolve the waiter with a connection-level failure.
+    pub(crate) fn fail(self, why: &str) {
+        let err = ServeError::Internal(why.to_string());
+        match self {
+            Waiter::Reply(slot) => slot.fulfill(Err(err)),
+            Waiter::Stats(slot) => slot.fulfill(Err(err)),
         }
     }
 }
 
 /// Client-side shared state between submitters and the reader thread.
-struct ClientShared {
-    /// In-flight request id → response slot.
-    pending: Mutex<HashMap<u64, Arc<ResponseSlot>>>,
-    /// In-flight telemetry scrape id → stats slot (ids share the request
-    /// id space; the server keys both reply kinds off the same counter).
-    stats_pending: Mutex<HashMap<u64, Arc<StatsSlot>>>,
+#[derive(Default)]
+pub(crate) struct ClientShared {
+    /// In-flight id → who waits on it. Requests and scrapes share the id
+    /// space (the server keys both reply kinds off the same counter).
+    pub(crate) pending: Mutex<HashMap<u64, Waiter>>,
     /// Set once the reader has exited (connection gone): new submits fail
     /// fast instead of queueing onto a dead socket.
     closed: AtomicBool,
-    /// Reply/STATS_OK frames whose id matched nothing pending. A nonzero
-    /// count means id bookkeeping broke somewhere (client or server) —
-    /// previously these were silently dropped, hiding the bug.
+    /// Reply/STATS_OK frames that matched nothing pending, or matched an id
+    /// awaiting the other kind. A nonzero count means id bookkeeping broke
+    /// somewhere (client or server) — previously these were silently
+    /// dropped, hiding the bug.
     unmatched: AtomicU64,
 }
 
 impl ClientShared {
-    /// Fail every in-flight request and scrape (connection died or client
-    /// dropped).
-    fn fail_all(&self, why: &str) {
-        let drained: Vec<Arc<ResponseSlot>> = {
-            let mut pending = self.pending.lock();
-            pending.drain().map(|(_, s)| s).collect()
-        };
-        for slot in drained {
-            slot.fulfill(Err(ServeError::Internal(why.to_string())));
+    /// Put one frame on the wire for `id` — the only send path. `write`
+    /// encodes and writes it; `waiter` is resolved through its slot on
+    /// every outcome, so callers just wait on the slot they kept.
+    pub(crate) fn send(
+        &self,
+        id: u64,
+        waiter: Waiter,
+        write: impl FnOnce() -> std::io::Result<()>,
+    ) {
+        if self.closed.load(Ordering::Acquire) {
+            return waiter.fail("connection closed");
         }
-        let drained: Vec<Arc<StatsSlot>> = {
-            let mut stats = self.stats_pending.lock();
-            stats.drain().map(|(_, s)| s).collect()
+        // Register before sending: the reply can race back before this
+        // thread regains the CPU.
+        self.pending.lock().insert(id, waiter);
+        let sent = write();
+        // Close the race with the reader's fail_all: if the reader
+        // observed EOF and drained `pending` between our closed-check and
+        // the insert above, nobody else will ever fulfill this slot — the
+        // send may even "succeed" into a half-closed socket. Re-checking
+        // `closed` after registering makes the overlap visible here.
+        if sent.is_err() || self.closed.load(Ordering::Acquire) {
+            if let Some(waiter) = self.take(id) {
+                waiter.fail(if sent.is_err() {
+                    "connection write failed"
+                } else {
+                    "connection closed"
+                });
+            }
+        }
+    }
+
+    /// Claim whoever waits on `id` (the reader's half of the protocol).
+    pub(crate) fn take(&self, id: u64) -> Option<Waiter> {
+        self.pending.lock().remove(&id)
+    }
+
+    /// A frame arrived that `claimed` cannot accept: nothing waits on its
+    /// id, or the id awaits the other reply kind. Count it instead of
+    /// silently dropping it (the count is the debugging breadcrumb for
+    /// broken id bookkeeping); a mismatched waiter will never get the frame
+    /// it wants, so it is failed rather than left to hang.
+    fn unmatched(&self, claimed: Option<Waiter>) {
+        self.unmatched.fetch_add(1, Ordering::Relaxed);
+        if let Some(waiter) = claimed {
+            waiter.fail("reply kind does not match the request");
+        }
+    }
+
+    /// Fail everything in flight (connection died or client dropped).
+    fn fail_all(&self, why: &str) {
+        let drained: Vec<Waiter> = {
+            let mut pending = self.pending.lock();
+            pending.drain().map(|(_, w)| w).collect()
         };
-        for slot in drained {
-            slot.fulfill(Err(ServeError::Internal(why.to_string())));
+        for waiter in drained {
+            waiter.fail(why);
         }
     }
 }
@@ -150,12 +167,7 @@ impl TealClient {
                 ))
             }
         };
-        let shared = Arc::new(ClientShared {
-            pending: Mutex::new(HashMap::new()),
-            stats_pending: Mutex::new(HashMap::new()),
-            closed: AtomicBool::new(false),
-            unmatched: AtomicU64::new(0),
-        });
+        let shared = Arc::new(ClientShared::default());
         let reader = {
             let shared = Arc::clone(&shared);
             let stream = stream.try_clone()?;
@@ -170,45 +182,31 @@ impl TealClient {
         })
     }
 
+    /// Mint an id, then encode and send one frame for it through
+    /// [`ClientShared::send`]. Encoding goes into the writer-owned buffer
+    /// under the same short lock that serializes the send: steady-state
+    /// submitters reuse one buffer instead of allocating per pipelined
+    /// request.
+    fn send(&self, waiter: Waiter, encode: impl FnOnce(&mut Vec<u8>, u64)) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.shared.send(id, waiter, || {
+            let mut w = self.writer.lock();
+            let (stream, buf) = &mut *w;
+            encode(buf, id);
+            wire::write_frame(stream, buf)
+        });
+    }
+
     /// Pipeline one request; returns its [`Ticket`] immediately. A send
     /// failure (dead connection) is reported through the ticket, keeping
     /// the submit-then-redeem control flow identical to the in-process
     /// daemon API.
     pub fn submit(&self, req: &SubmitRequest) -> Ticket {
         let slot = ResponseSlot::new();
-        let ticket = Ticket::new(Arc::clone(&slot));
-        if self.shared.closed.load(Ordering::Acquire) {
-            slot.fulfill(Err(ServeError::Internal("connection closed".into())));
-            return ticket;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Register before sending: the reply can race back before this
-        // thread regains the CPU.
-        self.shared.pending.lock().insert(id, Arc::clone(&slot));
-        let sent = {
-            // Encode into the writer-owned buffer under the same short
-            // lock that serializes the send: steady-state submitters reuse
-            // one buffer instead of allocating per pipelined request.
-            let mut w = self.writer.lock();
-            let (stream, buf) = &mut *w;
-            wire::encode_request(buf, id, req);
-            wire::write_frame(stream, buf)
-        };
-        // Close the race with the reader's fail_all: if the reader
-        // observed EOF and drained `pending` between our closed-check and
-        // the insert above, nobody else will ever fulfill this slot — the
-        // send may even "succeed" into a half-closed socket. Re-checking
-        // `closed` after registering makes the overlap visible here.
-        if sent.is_err() || self.shared.closed.load(Ordering::Acquire) {
-            if let Some(slot) = self.shared.pending.lock().remove(&id) {
-                slot.fulfill(Err(ServeError::Internal(if sent.is_err() {
-                    "connection write failed".into()
-                } else {
-                    "connection closed".into()
-                })));
-            }
-        }
-        ticket
+        self.send(Waiter::Reply(Arc::clone(&slot)), |buf, id| {
+            wire::encode_request(buf, id, req)
+        });
+        Ticket::new(slot)
     }
 
     /// Submit a plain request and block for the reply.
@@ -236,47 +234,26 @@ impl TealClient {
     /// (a STATS frame). Blocks until the reply arrives; pipelines with
     /// in-flight requests like any other frame.
     pub fn stats(&self) -> Result<TelemetrySnapshot, ServeError> {
-        self.request_stats()?.wait()
+        self.scrape().wait()
     }
 
     /// [`TealClient::stats`] with a bounded wait.
     pub fn stats_timeout(&self, timeout: Duration) -> Result<TelemetrySnapshot, ServeError> {
-        self.request_stats()?.wait_timeout(timeout)
+        self.scrape().wait_timeout(timeout)
     }
 
-    /// Send one STATS frame following submit's register-before-send
-    /// protocol (and its reader-race re-check; see [`TealClient::submit`]).
-    fn request_stats(&self) -> Result<Arc<StatsSlot>, ServeError> {
-        if self.shared.closed.load(Ordering::Acquire) {
-            return Err(ServeError::Internal("connection closed".into()));
-        }
-        let slot = StatsSlot::new();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats_pending
-            .lock()
-            .insert(id, Arc::clone(&slot));
-        let sent = {
-            let mut w = self.writer.lock();
-            let (stream, buf) = &mut *w;
-            wire::encode_stats_request(buf, id);
-            wire::write_frame(stream, buf)
-        };
-        if sent.is_err() || self.shared.closed.load(Ordering::Acquire) {
-            if let Some(slot) = self.shared.stats_pending.lock().remove(&id) {
-                slot.fulfill(Err(ServeError::Internal(if sent.is_err() {
-                    "connection write failed".into()
-                } else {
-                    "connection closed".into()
-                })));
-            }
-        }
-        Ok(slot)
+    /// Send one STATS frame; the snapshot (or the failure) lands in the
+    /// returned slot.
+    fn scrape(&self) -> Arc<Slot<TelemetrySnapshot>> {
+        let slot = Slot::new();
+        self.send(Waiter::Stats(Arc::clone(&slot)), wire::encode_stats_request);
+        slot
     }
 
     /// How many REPLY/STATS_OK frames arrived whose request id matched no
-    /// pending submission. Always `0` in a healthy deployment; nonzero
-    /// means id bookkeeping broke on one side of the connection.
+    /// pending submission of their kind. Always `0` in a healthy
+    /// deployment; nonzero means id bookkeeping broke on one side of the
+    /// connection.
     pub fn unmatched_replies(&self) -> u64 {
         self.shared.unmatched.load(Ordering::Relaxed)
     }
@@ -296,8 +273,8 @@ impl Drop for TealClient {
     }
 }
 
-/// Match incoming REPLY/STATS_OK frames to pending tickets and stats
-/// slots by id until the connection ends; then fail whatever is left.
+/// Match incoming REPLY/STATS_OK frames to their waiters by id until the
+/// connection ends; then fail whatever is left.
 fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
     let mut buf = Vec::new();
     while let Ok(true) = wire::read_frame(&mut stream, &mut buf) {
@@ -306,27 +283,18 @@ fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
                 let Ok((id, result)) = wire::decode_reply(&buf) else {
                     break;
                 };
-                let slot = shared.pending.lock().remove(&id);
-                match slot {
-                    Some(slot) => slot.fulfill(result),
-                    // An unsolicited reply id: count it instead of
-                    // silently dropping the frame (the count is the
-                    // debugging breadcrumb for broken id bookkeeping).
-                    None => {
-                        shared.unmatched.fetch_add(1, Ordering::Relaxed);
-                    }
+                match shared.take(id) {
+                    Some(Waiter::Reply(slot)) => slot.fulfill(result),
+                    other => shared.unmatched(other),
                 }
             }
             Ok(wire::Kind::StatsOk) => {
                 let Ok((id, snap)) = wire::decode_stats_reply(&buf) else {
                     break;
                 };
-                let slot = shared.stats_pending.lock().remove(&id);
-                match slot {
-                    Some(slot) => slot.fulfill(Ok(snap)),
-                    None => {
-                        shared.unmatched.fetch_add(1, Ordering::Relaxed);
-                    }
+                match shared.take(id) {
+                    Some(Waiter::Stats(slot)) => slot.fulfill(Ok(snap)),
+                    other => shared.unmatched(other),
                 }
             }
             _ => break, // protocol violation: treat as a dead connection

@@ -1,6 +1,6 @@
 //! The transport-agnostic serving core: per-topology dispatch shards, each
 //! with its own request queue, micro-batching coalescer, admission control,
-//! and ADMM arenas — behind the narrow `submit(SubmitRequest) -> Ticket`
+//! and ADMM arena — behind the narrow `submit(SubmitRequest) -> Ticket`
 //! API every front end (in-process callers, the TCP [`crate::TealServer`])
 //! shares.
 //!
@@ -43,28 +43,30 @@
 //!
 //! # Failure-aware requests (§5.3 end to end)
 //!
-//! A request may carry failed-link overrides. The shard groups each
-//! drained window *by override signature* (canonicalized link set): plain
-//! requests form the steady-state sub-batch served out of the shard's
-//! primary arena — untouched by failure traffic — while each distinct
-//! failure scenario forms its own sub-batch served through
-//! [`ServingContext::try_allocate_batch_on_with`] against a
-//! capacity-overridden topology, out of a second, failure-dedicated
-//! arena. A failure window therefore serves *without retraining and
-//! without perturbing the steady-state arena* — the paper's
-//! failure-recovery path, reachable end to end from a socket.
+//! A request may carry failed-link overrides. The paper's failure model
+//! (§3.1 fn. 1) is that a failed link is *just a capacity change*, and the
+//! shard treats it as exactly that: it groups each drained window *by
+//! override signature* (canonicalized link set) — plain requests are the
+//! empty signature — and every group takes the same path. A failure group's
+//! only extra step is one [`Topology::with_failed_edges`] clone of the
+//! serving topology, built from its signature right before
+//! [`ServingContext::try_allocate_batch_on_with`]; nothing is cached across
+//! windows (the build is under 1 % of the window it precedes at every
+//! topology size this repo serves). A failure window therefore serves
+//! *without retraining* — the paper's failure-recovery path, reachable end
+//! to end from a socket.
 //!
 //! # Shard arena ownership
 //!
-//! Every shard owns two [`teal_core::BatchScratch`]es: the steady-state
-//! arena its plain windows reuse, and a failure arena its override
-//! sub-batches reuse (repeated windows on the same degraded topology remint
-//! into warmed buffers). Only the shard's dispatcher thread ever touches
-//! them. The scratches live in the shard, *not* in the serving context — a
-//! hot checkpoint swap replaces the context `Arc` but leaves the shard's
-//! arenas (and their warmed-up capacity) untouched, and the next window
-//! simply runs against the new weights (swap safety: a scratch carries no
-//! weight- or topology-derived state across windows, only buffer capacity).
+//! Every shard owns one [`teal_core::BatchScratch`], reused by every window
+//! it serves, plain or failure-overridden: a scratch carries no weight- or
+//! topology-derived state across windows, only buffer capacity (each window
+//! remints the solver against its own skeleton), so plain and failed-link
+//! windows commute on one arena. Only the shard's dispatcher thread ever
+//! touches it. The scratch lives in the shard, *not* in the serving context
+//! — a hot checkpoint swap replaces the context `Arc` but leaves the shard's
+//! arena (and its warmed-up capacity) untouched, and the next window simply
+//! runs against the new weights.
 //!
 //! # Shutdown protocol
 //!
@@ -90,16 +92,23 @@ use crate::request::{ResponseSlot, ServeError, ServeReply, SubmitRequest, Ticket
 use crate::telemetry::{ShardStats, StageTimings, Telemetry, TelemetrySnapshot, Trace};
 use crate::wfq::WfqScheduler;
 
-/// One queued request (its topology is implied by the shard holding it).
+/// One queued request (its topology is implied by the shard holding it):
+/// what to solve, and who is waiting for the answer.
 struct Request {
     tm: TrafficMatrix,
-    /// Stage trace, stamped at enqueue; the shard stamps drain/solve spans
-    /// as the request moves through the pipeline.
+    /// Canonical failed-link override set; empty = steady-state path.
+    signature: Vec<(usize, usize)>,
+    caller: Caller,
+}
+
+/// The waiting side of a [`Request`] — what is left of it once its matrix
+/// has been moved into the window's batch.
+struct Caller {
+    /// Stage trace, stamped at enqueue; the shard stamps the solve span as
+    /// the request moves through the pipeline.
     trace: Trace,
     /// Absolute expiry minted from [`SubmitRequest::deadline`] at enqueue.
     expires: Option<Instant>,
-    /// Canonical failed-link override set; empty = steady-state path.
-    signature: Vec<(usize, usize)>,
     /// Effective tenant id (`"default"` for untagged requests), shared so
     /// per-chunk accounting clones a pointer, not a string.
     tenant: Arc<str>,
@@ -136,12 +145,6 @@ pub struct ServeConfig {
     /// [`ServeConfig::shard_threads`] is set — without a shared budget,
     /// shards are independent lanes and there is nothing to arbitrate.
     pub tenant_weights: Vec<(String, u32)>,
-    /// ADMM iteration budget a window is downgraded to when its deadline
-    /// headroom is tighter than the shard's observed queue-wait p99 (the
-    /// paper's §3.4 knob: 2 iterations under pressure, the configured
-    /// maximum — typically 5 — otherwise). Downgrades are counted in
-    /// [`crate::AdmmStats::budget_downgrades`].
-    pub pressured_budget: usize,
 }
 
 impl Default for ServeConfig {
@@ -152,15 +155,14 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             shard_threads: None,
             tenant_weights: Vec::new(),
-            pressured_budget: 2,
         }
     }
 }
 
 /// One topology's dispatch lane: private queue, condvars, and telemetry
-/// slot. The shard's dispatcher thread additionally owns two
-/// [`BatchScratch`]es (thread-local by construction — they live on the
-/// dispatcher's stack and are never shared).
+/// slot. The shard's dispatcher thread additionally owns the shard's
+/// [`BatchScratch`] (thread-local by construction — it lives on the
+/// dispatcher's stack and is never shared).
 struct Shard {
     topology: String,
     queue: Mutex<VecDeque<Request>>,
@@ -349,15 +351,17 @@ impl<M: PolicyModel + Send + Sync + 'static> ServeDaemon<M> {
         let tenant: Arc<str> = Arc::from(req.tenant_id());
         let request = Request {
             tm: req.tm,
-            trace: Trace::at(now),
-            expires: req.deadline.map(|d| now + d),
             signature,
-            tenant,
-            slot: Arc::clone(&slot),
+            caller: Caller {
+                trace: Trace::at(now),
+                expires: req.deadline.map(|d| now + d),
+                tenant,
+                slot: Arc::clone(&slot),
+            },
         };
         {
             let mut q = shard.queue.lock();
-            if request.expires.is_some() && q.len() >= self.inner.cfg.queue_capacity {
+            if request.caller.expires.is_some() && q.len() >= self.inner.cfg.queue_capacity {
                 // Admission control: a deadline'd request meeting a full
                 // queue is refused *now* — blocking would silently convert
                 // its budget into queueing delay.
@@ -443,7 +447,7 @@ impl<M: PolicyModel + Send + Sync + 'static> ServeDaemon<M> {
             }
             for req in leftover {
                 self.inner.telemetry.on_error();
-                req.slot.fulfill(Err(ServeError::ShuttingDown));
+                req.caller.slot.fulfill(Err(ServeError::ShuttingDown));
             }
         }
     }
@@ -456,21 +460,11 @@ impl<M: PolicyModel + Send + Sync + 'static> Drop for ServeDaemon<M> {
 }
 
 /// One shard's dispatcher: drain the shard queue, coalesce, serve through
-/// the shard-owned arenas, repeat until shutdown drains it dry.
+/// the shard-owned arena, repeat until shutdown drains it dry.
 fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
-    // The shard's private ADMM arenas (see module docs for ownership
-    // rules): one for the steady-state path, one for failure overrides so
-    // a failure burst never disturbs the steady arena's warmed state.
+    // The shard's private ADMM arena, shared by every window it serves (see
+    // module docs for ownership rules).
     let mut scratch = BatchScratch::new();
-    let mut failure_scratch = BatchScratch::new();
-    // Failure scenarios this shard has already built the overridden
-    // topology for: a sustained burst on one degraded topology must not
-    // pay a topology clone + rebuild per window. Keyed by the `Env` whose
-    // topology the overrides were derived from — holding the `Arc` both
-    // detects a registry swap to a different environment (cache cleared)
-    // and makes pointer comparison ABA-safe; hot checkpoint swaps keep the
-    // env, so the cache survives them.
-    let mut overrides = OverrideCache::new();
     loop {
         let drained = {
             let mut q = shard.queue.lock();
@@ -501,8 +495,8 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
                     let cap = q
                         .iter()
                         .filter_map(|r| {
-                            let e = r.expires?;
-                            let enq = r.trace.enqueued();
+                            let e = r.caller.expires?;
+                            let enq = r.caller.trace.enqueued();
                             Some(enq + e.saturating_duration_since(enq) / 2)
                         })
                         .min();
@@ -532,104 +526,21 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
         // this, the submitting thread.
         match inner.cfg.shard_threads {
             Some(cap) => teal_nn::pool::with_thread_cap(cap, || {
-                serve_drained(
-                    inner,
-                    shard,
-                    &mut scratch,
-                    &mut failure_scratch,
-                    &mut overrides,
-                    drained,
-                );
+                serve_drained(inner, shard, &mut scratch, drained);
             }),
-            None => serve_drained(
-                inner,
-                shard,
-                &mut scratch,
-                &mut failure_scratch,
-                &mut overrides,
-                drained,
-            ),
+            None => serve_drained(inner, shard, &mut scratch, drained),
         }
-    }
-}
-
-/// Per-shard cache of failure-overridden topologies (see `shard_loop`).
-struct OverrideCache {
-    /// The environment the cached topologies were derived from.
-    env: Option<Arc<teal_core::Env>>,
-    /// Canonical failure signature → (prebuilt overridden topology,
-    /// last-touched tick) for LRU eviction.
-    topos: HashMap<Vec<(usize, usize)>, (Topology, u64)>,
-    /// Monotonic access counter backing the LRU ordering.
-    tick: u64,
-    /// Topology rebuilds performed (cache misses). Test hook: the thrash
-    /// regression below pins that hot signatures survive cold churn.
-    builds: u64,
-}
-
-/// Most distinct failure scenarios a shard caches topologies for. Failure
-/// signatures are client-chosen (up to 2^links valid combinations), so an
-/// unbounded cache would let a hostile wire client grow server memory
-/// without limit. At the cap, only the least-recently-used entry is
-/// evicted — the old clear-everything policy meant one cold scenario per
-/// window wiped the hot set and forced a rebuild storm on live bursts.
-const MAX_CACHED_OVERRIDES: usize = 32;
-
-impl OverrideCache {
-    fn new() -> Self {
-        OverrideCache {
-            env: None,
-            topos: HashMap::new(),
-            tick: 0,
-            builds: 0,
-        }
-    }
-
-    /// The overridden topology for `sig`, built (and cached) on first use
-    /// against `env`'s base topology.
-    fn get(&mut self, env: &Arc<teal_core::Env>, sig: &[(usize, usize)]) -> &Topology {
-        if !self.env.as_ref().is_some_and(|e| Arc::ptr_eq(e, env)) {
-            self.topos.clear();
-            self.env = Some(Arc::clone(env));
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        if !self.topos.contains_key(sig) {
-            if self.topos.len() >= MAX_CACHED_OVERRIDES {
-                if let Some(lru) = self
-                    .topos
-                    .iter()
-                    .min_by_key(|&(_, &(_, touched))| touched)
-                    .map(|(k, _)| k.clone())
-                {
-                    self.topos.remove(&lru);
-                }
-            }
-            self.builds += 1;
-            let mut topo = env.topo().clone();
-            for &(a, b) in sig {
-                topo = topo.with_failed_link(a, b);
-            }
-            self.topos.insert(sig.to_vec(), (topo, tick));
-        }
-        let Some(entry) = self.topos.get_mut(sig) else {
-            unreachable!("signature was present or just inserted")
-        };
-        entry.1 = tick;
-        &entry.0
     }
 }
 
 /// Serve one drained queue segment: expire stale requests, split the rest
-/// into the steady-state sub-batch and one sub-batch per failure-override
-/// signature, and push each through the batched path in `max_batch`-sized
-/// chunks against one context snapshot.
+/// into one sub-batch per failure-override signature (plain requests are
+/// the empty signature), and push each through the batched path in
+/// `max_batch`-sized chunks against one context snapshot.
 fn serve_drained<M: PolicyModel>(
     inner: &Inner<M>,
     shard: &Shard,
     scratch: &mut BatchScratch,
-    failure_scratch: &mut BatchScratch,
-    overrides: &mut OverrideCache,
     drained: Vec<Request>,
 ) {
     // One context snapshot per drain: every request in it is served by the
@@ -639,7 +550,8 @@ fn serve_drained<M: PolicyModel>(
             // Count before unblocking, like every other reply path: a
             // client that has its reply always sees itself in `stats()`.
             inner.telemetry.on_error();
-            req.slot
+            req.caller
+                .slot
                 .fulfill(Err(ServeError::UnknownTopology(shard.topology.clone())));
         }
         return;
@@ -650,12 +562,12 @@ fn serve_drained<M: PolicyModel>(
     let now = now();
     let mut live = Vec::with_capacity(drained.len());
     for req in drained {
-        if req.expires.is_some_and(|e| e <= now) {
+        if req.caller.expires.is_some_and(|e| e <= now) {
             inner.telemetry.on_expired();
-            req.slot.fulfill(Err(ServeError::DeadlineExceeded));
+            req.caller.slot.fulfill(Err(ServeError::DeadlineExceeded));
         } else {
-            // No drain stamp here: queue-wait ends at the *chunk's* solve
-            // start (stamped in `serve_chunk`), so multi-chunk drains still
+            // No stamp here: queue-wait ends at the *chunk's* solve start
+            // (stamped in `serve_chunk`), so multi-chunk drains still
             // partition end-to-end latency exactly — stamping once per
             // drain charged every later chunk's wait to the solve span.
             live.push(req);
@@ -666,11 +578,10 @@ fn serve_drained<M: PolicyModel>(
     // so ties and deadline-less requests keep arrival order. Sorting
     // *before* grouping means the order also holds within every signature
     // sub-batch.
-    live.sort_by_key(|r| drain_key(r.expires));
+    live.sort_by_key(|r| drain_key(r.caller.expires));
     // Group by override signature, preserving drain order within each
     // group. The empty signature — the steady-state path — is always group
-    // 0 and is served out of the shard's primary arena; each failure
-    // scenario gets its own coalesced sub-batch on the failure arena.
+    // 0; each failure scenario gets its own coalesced sub-batch.
     type SignatureGroup = (Vec<(usize, usize)>, Vec<Request>);
     let mut groups: Vec<SignatureGroup> = vec![(Vec::new(), Vec::new())];
     for req in live {
@@ -683,7 +594,7 @@ fn serve_drained<M: PolicyModel>(
     // as long as the sort precedes grouping and grouping preserves order.
     let inversions: u64 = groups
         .iter()
-        .map(|(_, g)| deadline_inversions(g.iter().map(|r| r.expires)))
+        .map(|(_, g)| deadline_inversions(g.iter().map(|r| r.caller.expires)))
         .sum();
     inner.telemetry.on_deadline_inversions(inversions);
     // Flatten the groups into the drain's serving order of `max_batch`-sized
@@ -715,22 +626,38 @@ fn serve_drained<M: PolicyModel>(
         reservation = iter
             .peek()
             .and_then(|(_, c)| inner.wfq.as_ref().map(|w| w.enqueue(&dominant_tenant(c))));
-        let (override_topo, group_scratch) = if sig.is_empty() {
-            (None, &mut *scratch)
-        } else {
-            (Some(overrides.get(ctx.env(), &sig)), &mut *failure_scratch)
-        };
+        // A failed link is just a capacity change (§3.1 fn. 1): the
+        // window's only extra step is this one clone of the serving
+        // topology. Submit validated every pair against it, so both
+        // directed edges resolve (a link the registry has since swapped
+        // away is a no-op, not an error).
+        let override_topo = (!sig.is_empty()).then(|| {
+            let topo = ctx.env().topo();
+            let failed: Vec<_> = sig
+                .iter()
+                .flat_map(|&(a, b)| [topo.find_edge(a, b), topo.find_edge(b, a)])
+                .flatten()
+                .collect();
+            topo.with_failed_edges(&failed)
+        });
         serve_chunk(
             inner,
             shard,
-            group_scratch,
+            scratch,
             &ctx,
-            override_topo,
+            override_topo.as_ref(),
             chunk,
             window,
         );
     }
 }
+
+/// ADMM iteration budget a window is downgraded to when its deadline
+/// headroom is tighter than the shard's observed queue-wait p99 (the
+/// paper's §3.4 knob: 2 iterations under pressure — its small-topology
+/// count — the configured maximum otherwise). Downgrades are counted in
+/// [`crate::AdmmStats::budget_downgrades`].
+const PRESSURED_BUDGET: usize = 2;
 
 /// Serve one coalesced chunk (plain or failure-overridden), isolating
 /// faults without losing batching. The engine's [`AllocError::BadRequest`]
@@ -739,31 +666,26 @@ fn serve_drained<M: PolicyModel>(
 /// serialize (or error) 31 innocent requests. A poisoned worker is a
 /// *server* fault: the chunk gets a retryable [`ServeError::Internal`],
 /// never `BadRequest`. `catch_unwind` stays as a last line of defense
-/// against panics the engine does not classify, degrading to per-request
-/// serving.
+/// against panics the engine does not classify: the chunk's requests are
+/// then each solved alone, by the same loop, and only a request that panics
+/// on its own is failed.
 fn serve_chunk<M: PolicyModel>(
     inner: &Inner<M>,
     shard: &Shard,
     scratch: &mut BatchScratch,
-    ctx: &Arc<ServingContext<M>>,
+    ctx: &ServingContext<M>,
     override_topo: Option<&Topology>,
-    mut chunk: Vec<Request>,
-    window: Option<crate::wfq::WindowGrant<'_>>,
-) {
-    let allocate = |tms: &[TrafficMatrix], scratch: &mut BatchScratch| match override_topo {
-        Some(topo) => ctx.try_allocate_batch_on_with(topo, tms, scratch),
-        None => ctx.try_allocate_batch_with(tms, scratch),
-    };
+    chunk: Vec<Request>,
     // Per-tenant fair queuing: when shards share a thread budget, the
     // caller already waited out the DRR schedule for this window, charged
     // to the chunk's dominant tenant. The grant is RAII — held across the
     // whole chunk and released on every return path, panics included.
-    let dominant = dominant_tenant(&chunk);
-    let _window = window;
+    _grant: Option<crate::wfq::WindowGrant<'_>>,
+) {
     // Adaptive ADMM budget, the paper's §3.4 iterations-as-latency-knob: a
     // chunk carrying deadline'd requests whose tightest remaining headroom
     // is smaller than this shard's observed queue-wait p99 is under
-    // pressure — it runs `pressured_budget` fine-tune iterations instead
+    // pressure — it runs `PRESSURED_BUDGET` fine-tune iterations instead
     // of the configured maximum, trading a sliver of allocation quality
     // for making the deadline at all. Deadline-less chunks always run the
     // full budget. The override is sticky on the arena for exactly this
@@ -771,8 +693,8 @@ fn serve_chunk<M: PolicyModel>(
     // the decision and the next chunk re-derives it.
     let full_budget = ctx.config().admm.map(|a| a.max_iters);
     let downgraded = match full_budget {
-        Some(full) if full > inner.cfg.pressured_budget => {
-            match chunk.iter().filter_map(|r| r.expires).min() {
+        Some(full) if full > PRESSURED_BUDGET => {
+            match chunk.iter().filter_map(|r| r.caller.expires).min() {
                 Some(earliest) => {
                     let headroom = earliest.saturating_duration_since(now());
                     let p99 = shard.stats.lock().queue_wait_p99();
@@ -783,152 +705,117 @@ fn serve_chunk<M: PolicyModel>(
         }
         _ => false,
     };
-    scratch.set_iteration_budget(downgraded.then_some(inner.cfg.pressured_budget));
-    // Cloned once; evictions below remove the matching entry instead of
-    // re-cloning the whole remainder each retry.
-    let mut tms: Vec<TrafficMatrix> = chunk.iter().map(|r| r.tm.clone()).collect();
-    while !chunk.is_empty() {
-        // Solve span: forward pass + ADMM fine-tuning for this attempt. A
-        // re-batch after a bad-request eviction restamps — the successful
-        // attempt is the one whose span is reported. The drain stamp lands
-        // here too (queue-wait ends where the solve begins), so the three
-        // stages partition end-to-end latency exactly even when one drain
-        // serves many chunks back to back.
-        let solve_start = now();
-        for r in chunk.iter_mut() {
-            r.trace.stamp_drained(solve_start);
-            r.trace.stamp_solve_start(solve_start);
+    scratch.set_iteration_budget(downgraded.then_some(PRESSURED_BUDGET));
+    let fail = |callers: Vec<Caller>, err: ServeError| {
+        for caller in callers {
+            inner.telemetry.on_error();
+            caller.slot.fulfill(Err(err.clone()));
         }
-        let batched =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| allocate(&tms, scratch)));
-        let solve_end = now();
-        for r in chunk.iter_mut() {
-            r.trace.stamp_solve_end(solve_end);
-        }
-        match batched {
-            // A model whose allocate_batch drops or invents results would
-            // silently strand zipped-out clients on their slots forever;
-            // fail the whole chunk loudly instead.
-            Ok(Ok((allocs, _))) if allocs.len() != chunk.len() => {
-                let got = allocs.len();
-                for req in chunk {
-                    inner.telemetry.on_error();
-                    req.slot.fulfill(Err(ServeError::Internal(format!(
-                        "model returned {got} allocations for a batch of {}",
-                        tms.len()
-                    ))));
-                }
-                return;
+    };
+    // The batches left to solve, each with the tenant its window is charged
+    // to: the chunk itself — its matrices moved out of the requests, in
+    // step with their callers — and, only if it panics as a batch, each of
+    // its requests alone.
+    let dominant = dominant_tenant(&chunk);
+    let (tms, callers): (Vec<TrafficMatrix>, Vec<Caller>) =
+        chunk.into_iter().map(|r| (r.tm, r.caller)).unzip();
+    let mut batches = VecDeque::from([(dominant, tms, callers)]);
+    while let Some((dominant, mut tms, mut callers)) = batches.pop_front() {
+        while !callers.is_empty() {
+            // Solve span: forward pass + ADMM fine-tuning for this attempt.
+            // A re-batch after a bad-request eviction restamps — the
+            // successful attempt is the one whose span is reported.
+            // Queue-wait ends where the solve begins, so the three stages
+            // partition end-to-end latency exactly even when one drain
+            // serves many chunks back to back.
+            let solve_start = now();
+            for c in callers.iter_mut() {
+                c.trace.stamp_solve_start(solve_start);
             }
-            Ok(Ok((allocs, _))) => {
-                let batch_size = chunk.len();
-                // One reply-write stamp for the whole chunk: per-stage
-                // spans and the end-to-end latency are derived from the
-                // same instant so the stages always sum to the total.
-                let solve = scratch.solve_report();
-                let done = now();
-                let latencies: Vec<Duration> = chunk
-                    .iter()
-                    .map(|r| done.saturating_duration_since(r.trace.enqueued()))
-                    .collect();
-                let stages: Vec<StageTimings> =
-                    chunk.iter().map(|r| r.trace.stages(done)).collect();
-                // Count the batch before unblocking any client, so a caller
-                // that has its reply always sees itself in `stats()`.
-                shard
-                    .stats
-                    .lock()
-                    .record_batch(&latencies, &stages, solve.as_ref(), downgraded);
-                charge_tenants(&inner.telemetry, &chunk, &dominant);
-                inner.telemetry.on_complete(latencies.len() as u64);
-                for (((req, allocation), latency), stages) in
-                    chunk.into_iter().zip(allocs).zip(latencies).zip(stages)
-                {
-                    req.slot.fulfill(Ok(ServeReply {
-                        allocation,
-                        latency,
-                        stages,
-                        batch_size,
-                    }));
-                }
-                return;
+            let solved =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match override_topo {
+                    Some(topo) => ctx.try_allocate_batch_on_with(topo, &tms, scratch),
+                    None => ctx.try_allocate_batch_with(&tms, scratch),
+                }));
+            let solve_end = now();
+            for c in callers.iter_mut() {
+                c.trace.stamp_solve_end(solve_end);
             }
-            Ok(Err(AllocError::BadRequest { index, reason })) if index < chunk.len() => {
-                // Evict only the named offender; loop to re-batch the rest.
-                let req = chunk.remove(index);
-                tms.remove(index);
-                inner.telemetry.on_error();
-                req.slot.fulfill(Err(ServeError::BadRequest(reason)));
-            }
-            Ok(Err(e)) => {
-                for req in chunk {
-                    inner.telemetry.on_error();
-                    req.slot.fulfill(Err(ServeError::Internal(e.to_string())));
-                }
-                return;
-            }
-            Err(_) => {
-                for mut req in chunk {
-                    let retry_start = now();
-                    // Re-stamp the drain too: this singleton's queue-wait
-                    // runs until *its* solve attempt, keeping the stage
-                    // partition exact for degraded serving as well.
-                    req.trace.stamp_drained(retry_start);
-                    req.trace.stamp_solve_start(retry_start);
-                    let one = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        allocate(std::slice::from_ref(&req.tm), scratch)
-                    }));
-                    req.trace.stamp_solve_end(now());
-                    match one {
-                        Ok(Ok((mut allocs, _))) if allocs.len() == 1 => {
-                            let Some(allocation) = allocs.pop() else {
-                                unreachable!("len checked == 1")
-                            };
-                            let solve = scratch.solve_report();
-                            let done = now();
-                            let latency = done.saturating_duration_since(req.trace.enqueued());
-                            let stages = req.trace.stages(done);
-                            shard.stats.lock().record_batch(
-                                &[latency],
-                                &[stages],
-                                solve.as_ref(),
-                                downgraded,
-                            );
-                            inner.telemetry.on_tenant(&req.tenant, 1, 1);
-                            inner.telemetry.on_complete(1);
-                            req.slot.fulfill(Ok(ServeReply {
-                                allocation,
-                                latency,
-                                stages,
-                                batch_size: 1,
-                            }));
-                        }
-                        Ok(Ok(_)) => {
-                            inner.telemetry.on_error();
-                            req.slot.fulfill(Err(ServeError::Internal(
-                                "model returned a misaligned singleton batch".into(),
-                            )));
-                        }
-                        Ok(Err(AllocError::BadRequest { reason, .. })) => {
-                            inner.telemetry.on_error();
-                            req.slot.fulfill(Err(ServeError::BadRequest(reason)));
-                        }
-                        Ok(Err(e)) => {
-                            inner.telemetry.on_error();
-                            req.slot.fulfill(Err(ServeError::Internal(e.to_string())));
-                        }
-                        Err(_) => {
-                            inner.telemetry.on_error();
-                            req.slot.fulfill(Err(ServeError::Internal(format!(
-                                "allocation panicked for topology {:?} \
-                                 (matrix of {} demands)",
-                                shard.topology,
-                                req.tm.len()
-                            ))));
-                        }
+            match solved {
+                // The one place a `ServeReply` is built.
+                Ok(Ok((allocs, _))) if allocs.len() == callers.len() => {
+                    let batch_size = callers.len();
+                    // One reply-write stamp for the whole batch: per-stage
+                    // spans and the end-to-end latency are derived from the
+                    // same instant so the stages always sum to the total.
+                    let solve = scratch.solve_report();
+                    let done = now();
+                    let latencies: Vec<Duration> = callers
+                        .iter()
+                        .map(|c| done.saturating_duration_since(c.trace.enqueued()))
+                        .collect();
+                    let stages: Vec<StageTimings> =
+                        callers.iter().map(|c| c.trace.stages(done)).collect();
+                    // Count the batch before unblocking any client, so a
+                    // caller that has its reply always sees itself in
+                    // `stats()`.
+                    shard.stats.lock().record_batch(
+                        &latencies,
+                        &stages,
+                        solve.as_ref(),
+                        downgraded,
+                    );
+                    charge_tenants(&inner.telemetry, &callers, &dominant);
+                    inner.telemetry.on_complete(batch_size as u64);
+                    for (((caller, allocation), latency), stages) in
+                        callers.into_iter().zip(allocs).zip(latencies).zip(stages)
+                    {
+                        caller.slot.fulfill(Ok(ServeReply {
+                            allocation,
+                            latency,
+                            stages,
+                            batch_size,
+                        }));
                     }
+                    break;
                 }
-                return;
+                // A model whose allocate_batch drops or invents results
+                // would silently strand zipped-out clients on their slots
+                // forever; fail the whole batch loudly instead.
+                Ok(Ok((allocs, _))) => {
+                    let (got, want) = (allocs.len(), tms.len());
+                    let why = format!("model returned {got} allocations for a batch of {want}");
+                    fail(callers, ServeError::Internal(why));
+                    break;
+                }
+                Ok(Err(AllocError::BadRequest { index, reason })) if index < callers.len() => {
+                    // Evict only the named offender; loop to re-batch the rest.
+                    tms.remove(index);
+                    fail(vec![callers.remove(index)], ServeError::BadRequest(reason));
+                }
+                Ok(Err(e)) => {
+                    fail(callers, ServeError::Internal(e.to_string()));
+                    break;
+                }
+                // An unclassified panic somewhere in the batch: queue each
+                // request alone, its window charged to its own tenant.
+                Err(_) if callers.len() > 1 => {
+                    batches.extend(
+                        tms.into_iter()
+                            .zip(callers)
+                            .map(|(tm, c)| (Arc::clone(&c.tenant), vec![tm], vec![c])),
+                    );
+                    break;
+                }
+                Err(_) => {
+                    let why = format!(
+                        "allocation panicked for topology {:?} (matrix of {} demands)",
+                        shard.topology,
+                        tms[0].len()
+                    );
+                    fail(callers, ServeError::Internal(why));
+                    break;
+                }
             }
         }
     }
@@ -962,9 +849,9 @@ fn deadline_inversions(expiries: impl Iterator<Item = Option<Instant>>) -> u64 {
 fn dominant_tenant(chunk: &[Request]) -> Arc<str> {
     let mut counts: Vec<(Arc<str>, u64)> = Vec::new();
     for r in chunk {
-        match counts.iter_mut().find(|(t, _)| **t == *r.tenant) {
+        match counts.iter_mut().find(|(t, _)| **t == *r.caller.tenant) {
             Some((_, n)) => *n += 1,
-            None => counts.push((Arc::clone(&r.tenant), 1)),
+            None => counts.push((Arc::clone(&r.caller.tenant), 1)),
         }
     }
     counts
@@ -974,15 +861,15 @@ fn dominant_tenant(chunk: &[Request]) -> Arc<str> {
         .unwrap_or_else(|| Arc::from("default"))
 }
 
-/// Per-tenant accounting for one successfully served chunk: every request
+/// Per-tenant accounting for one successfully served batch: every request
 /// counts toward its own tenant; the window counts toward the dominant
 /// tenant the DRR schedule charged it to.
-fn charge_tenants(telemetry: &Telemetry, chunk: &[Request], dominant: &str) {
+fn charge_tenants(telemetry: &Telemetry, callers: &[Caller], dominant: &str) {
     let mut counts: Vec<(&str, u64)> = Vec::new();
-    for r in chunk {
-        match counts.iter_mut().find(|(t, _)| *t == &*r.tenant) {
+    for c in callers {
+        match counts.iter_mut().find(|(t, _)| *t == &*c.tenant) {
             Some((_, n)) => *n += 1,
-            None => counts.push((&r.tenant, 1)),
+            None => counts.push((&c.tenant, 1)),
         }
     }
     for (t, n) in counts {
@@ -1072,42 +959,5 @@ mod tests {
         group.sort_by_key(|&e| drain_key(e));
         assert_eq!(deadline_inversions(group.iter().copied()), 0);
         assert_eq!(deadline_inversions(std::iter::empty()), 0);
-    }
-
-    /// Regression for the override-cache thrash bug: at capacity the old
-    /// code cleared the *whole* cache, so one cold scenario per window
-    /// forced the hot set to rebuild every time. LRU eviction must keep
-    /// recently-used signatures cached through cold churn.
-    #[test]
-    fn override_cache_evicts_lru_not_everything() {
-        let env = Arc::new(teal_core::Env::for_topology(teal_topology::b4()));
-        let mut cache = OverrideCache::new();
-        let hot_a: Vec<(usize, usize)> = vec![(0, 1)];
-        let hot_b: Vec<(usize, usize)> = vec![(1, 2)];
-        cache.get(&env, &hot_a);
-        cache.get(&env, &hot_b);
-        // Cold churn well past capacity, touching the hot pair every step
-        // so it stays most-recently-used.
-        for i in 0..2 * MAX_CACHED_OVERRIDES {
-            cache.get(&env, &[(i, i + 1000)]);
-            cache.get(&env, &hot_a);
-            cache.get(&env, &hot_b);
-        }
-        let builds = cache.builds;
-        assert_eq!(
-            builds as usize,
-            2 + 2 * MAX_CACHED_OVERRIDES,
-            "every distinct signature should have been built exactly once"
-        );
-        // Alternating the hot signatures must now be pure cache hits.
-        for _ in 0..64 {
-            cache.get(&env, &hot_a);
-            cache.get(&env, &hot_b);
-        }
-        assert_eq!(
-            cache.builds, builds,
-            "hot signatures were rebuilt — LRU eviction is thrashing"
-        );
-        assert!(cache.topos.len() <= MAX_CACHED_OVERRIDES);
     }
 }

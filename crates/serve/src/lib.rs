@@ -43,18 +43,20 @@
 //!        │                     │  EDF sort: tightest expiry first, plain
 //!        │                     │    FIFO tail (→ inversion ctr, always 0)
 //!        │                     │  group by failed-link signature
-//!        │                     ▼                           ▼
-//!        │          plain sub-batch             failure sub-batches
-//!        │             │ chunks of max_batch       │
-//!        │             ▼                           ▼
+//!        │                     │    (plain = the empty signature)
+//!        │                     ▼
+//!        │          one sub-batch per signature, chunks of max_batch
+//!        │             ▼
 //!        │          ┌── per-chunk window ─────────────────────────────┐
 //!        │          │ WFQ gate: DRR across tenants when shards share  │
 //!        │          │   a shard_threads budget (tenant_weights)       │
 //!        │          │ adaptive §3.4 budget: headroom < queue-wait p99 │
 //!        │          │   ⇒ 2 ADMM iters, else full (→ downgrade ctr)   │
-//!        │          │ ⊕ drained + solve-start (queue-wait span ends)  │
-//!        │          │ try_allocate_batch_with      (steady arena)     │
-//!        │          │ try_allocate_batch_on_with   (failure arena)    │
+//!        │          │ ⊕ solve-start (queue-wait span ends)            │
+//!        │          │ one shard arena for every window:               │
+//!        │          │   try_allocate_batch_with        (plain), or    │
+//!        │          │   Topology::with_failed_edges ─►                │
+//!        │          │   try_allocate_batch_on_with     (failed links) │
 //!        │          │ ⊕ solve-end · SolveReport (iters, budget,       │
 //!        │          │   residuals, frozen lanes) out of the arena     │
 //!        │          └─────────────────────────────────────────────────┘
@@ -100,19 +102,20 @@
 //! * **Serving core** ([`ServeDaemon`]) — per-topology dispatch shards
 //!   behind the narrow `submit(SubmitRequest) -> Ticket` API. Submit
 //!   routes each request to its topology's shard — a dedicated dispatcher
-//!   thread with a private queue, condvars, two ADMM arenas
-//!   ([`teal_core::BatchScratch`]: steady-state + failure), and a
-//!   telemetry slot. Each shard drains its queue (lingering up to
+//!   thread with a private queue, condvars, one ADMM arena
+//!   ([`teal_core::BatchScratch`], shared by plain and failed-link windows
+//!   alike — a failed link is just a capacity change), and a telemetry
+//!   slot. Each shard drains its queue (lingering up to
 //!   [`ServeConfig::linger`] so bursts pile up — but never past half of
 //!   the tightest queued deadline budget), expires stale requests, sorts
 //!   the window **earliest-deadline-first** (deadline-less requests keep
 //!   FIFO order behind the deadline'd ones), groups by
 //!   failure signature, and serves each sub-batch through one batched
 //!   forward pass + arena-reusing batched ADMM. Each chunk's ADMM
-//!   iteration budget adapts to pressure (the paper's §3.4 knob:
-//!   [`ServeConfig::pressured_budget`] iterations when deadline headroom
-//!   is tighter than the shard's queue-wait p99, the full budget
-//!   otherwise — every downgrade lands in [`AdmmStats`]). Backpressure is
+//!   iteration budget adapts to pressure (the paper's §3.4 knob: 2
+//!   iterations when deadline headroom is tighter than the shard's
+//!   queue-wait p99, the full budget otherwise — every downgrade lands in
+//!   [`AdmmStats`]). Backpressure is
 //!   a bounded per-shard queue; [`ServeConfig::shard_threads`] optionally
 //!   caps one shard's `teal_nn::pool` fan-out so shards degrade into even
 //!   lanes when topologies outnumber cores, and setting it arms the
@@ -147,7 +150,7 @@
 //! * **Topology/model registry with hot swap** ([`ModelRegistry`]) and
 //!   **serving telemetry** ([`Telemetry`] / [`TelemetrySnapshot`]). Every
 //!   request carries a fixed-size [`telemetry::Trace`] stamped at enqueue,
-//!   coalesce, solve-start and solve-end, so shards record *per-stage*
+//!   solve-start and solve-end, so shards record *per-stage*
 //!   latency histograms (queue-wait / solve / write, each with p50/p99)
 //!   alongside the end-to-end one — and each [`ServeReply`] carries its
 //!   own [`telemetry::StageTimings`] breakdown. Batches that reach the

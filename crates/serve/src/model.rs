@@ -6,7 +6,8 @@
 //! it in [`loom::model`]/`loom::Builder::check`, which runs it once per
 //! distinct thread interleaving. Models use the real production types
 //! wherever the protocol lives in a type — [`WfqScheduler`],
-//! [`ResponseSlot`], [`Ticket`] — and distill the surrounding daemon
+//! [`ResponseSlot`], [`Ticket`], the wire client's [`ClientShared`] — and
+//! distill the surrounding daemon
 //! plumbing (shard queues, wire sockets) down to the few operations whose
 //! ordering is under test.
 //!
@@ -24,11 +25,12 @@
 //! bookkeeping. Under the model's one-token-at-a-time execution a std
 //! mutex is never even contended.
 
+use crate::client::{ClientShared, Waiter};
 use crate::request::{ResponseSlot, ServeError, Ticket};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use crate::wfq::WfqScheduler;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex as StdMutex;
 use std::sync::PoisonError;
 
@@ -196,8 +198,10 @@ pub fn submit_vs_shutdown(mutation: ShutdownMutation) {
 /// Mutations for [`client_register_before_send`].
 #[derive(Clone, Copy, Debug)]
 pub enum ClientMutation {
-    /// The shipping protocol: the request's response slot is registered in
-    /// the pending map *before* its bytes are handed to the wire.
+    /// The shipping protocol — the client's real send path,
+    /// [`ClientShared::send`], which `submit` and `stats` both go through:
+    /// the waiter is registered in the pending map *before* its bytes are
+    /// handed to the wire.
     Pristine,
     /// Register the slot only after the send. The reader thread can then
     /// pick up the reply, find no slot under the tag, drop the reply on
@@ -205,11 +209,11 @@ pub enum ClientMutation {
     RegisterAfterSend,
 }
 
-/// The client's register-before-send ordering, distilled: the wire is a
-/// tag queue, the reader resolves tags against the shared pending map.
-/// Two requests are in flight so the reader's drain interleaves with the
-/// writer's second registration. Invariant: both tickets resolve in every
-/// schedule.
+/// The client's register-before-send ordering: the real [`ClientShared`]
+/// (pending map, send path, the reader's `take`) over a distilled wire — a
+/// tag queue standing in for the socket. Two requests are in flight so the
+/// reader's drain interleaves with the writer's second registration.
+/// Invariant: both tickets resolve in every schedule.
 pub fn client_register_before_send(mutation: ClientMutation) {
     struct Wire {
         sent: Mutex<VecDeque<u64>>,
@@ -219,12 +223,12 @@ pub fn client_register_before_send(mutation: ClientMutation) {
         sent: Mutex::new(VecDeque::new()),
         arrived: Condvar::new(),
     });
-    let pending: Arc<Mutex<HashMap<u64, Arc<ResponseSlot>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let shared = Arc::new(ClientShared::default());
     const TAGS: [u64; 2] = [7, 8];
 
     let reader = {
         let wire = Arc::clone(&wire);
-        let pending = Arc::clone(&pending);
+        let shared = Arc::clone(&shared);
         thread::spawn_named("reader", move || {
             for _ in TAGS {
                 let tag = {
@@ -239,9 +243,8 @@ pub fn client_register_before_send(mutation: ClientMutation) {
                 // A reply whose tag has no registered slot is dropped on
                 // the floor (the production reader can do nothing else
                 // with it) — exactly the leak the mutant resurrects.
-                let slot = pending.lock().remove(&tag);
-                if let Some(slot) = slot {
-                    slot.fulfill(Err(ServeError::Internal("model reply".to_string())));
+                if let Some(waiter) = shared.take(tag) {
+                    waiter.fail("model reply");
                 }
             }
         })
@@ -251,18 +254,17 @@ pub fn client_register_before_send(mutation: ClientMutation) {
     let mut tickets = Vec::new();
     for tag in TAGS {
         let slot = ResponseSlot::new();
-        let send = |tag: u64| {
+        let waiter = Waiter::Reply(Arc::clone(&slot));
+        let write = || {
             wire.sent.lock().push_back(tag);
             wire.arrived.notify_one();
+            Ok(())
         };
         match mutation {
-            ClientMutation::Pristine => {
-                pending.lock().insert(tag, Arc::clone(&slot));
-                send(tag);
-            }
+            ClientMutation::Pristine => shared.send(tag, waiter, write),
             ClientMutation::RegisterAfterSend => {
-                send(tag);
-                pending.lock().insert(tag, Arc::clone(&slot));
+                let _ = write();
+                shared.pending.lock().insert(tag, waiter);
             }
         }
         tickets.push(Ticket::new(slot));

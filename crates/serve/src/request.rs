@@ -5,10 +5,13 @@
 //! [`crate::ServeDaemon`] API, the TCP wire codec ([`crate::wire`]), and
 //! the blocking [`crate::TealClient`] all speak exactly this vocabulary, so
 //! a request behaves identically whether it was submitted from a thread in
-//! the same process or decoded off a socket. The response-slot plumbing at
-//! the bottom of the file (one-shot slot + optional completion queue) is
-//! what lets the socket front end drain replies *out of order* without
-//! polling: fulfilling a slot pushes its request id onto the connection's
+//! the same process or decoded off a socket. The plumbing at the bottom of
+//! the file is one generic one-shot [`Slot`] — the daemon fulfills a
+//! `Slot<ServeReply>` per request, the wire client additionally waits on a
+//! `Slot<TelemetrySnapshot>` per scrape, and [`Ticket`] is a handle to the
+//! former — plus an optional completion queue, which is what lets the
+//! socket front end drain replies *out of order* without polling:
+//! fulfilling a slot pushes its request id onto the connection's
 //! completion queue.
 
 // teal-lint: checked-sync
@@ -166,7 +169,7 @@ pub struct ServeReply {
 }
 
 /// Out-of-order completion queue: response slots created with
-/// [`ResponseSlot::with_notify`] push their tag here when fulfilled, so the
+/// [`Slot::with_notify`] push their tag here when fulfilled, so the
 /// wire front end learns of *any* reply becoming ready instead of polling
 /// tickets in submission order.
 ///
@@ -204,18 +207,24 @@ impl Completions {
     }
 }
 
-/// One-shot response slot a [`Ticket`] waits on.
-pub struct ResponseSlot {
-    slot: Mutex<Option<Result<ServeReply, ServeError>>>,
+/// One-shot slot: fulfilled once by whoever produces the result, redeemed
+/// once by whoever waits for it. Every reply in the crate rides one — a
+/// served allocation ([`ResponseSlot`], behind a [`Ticket`]) and a wire
+/// client's telemetry scrape alike.
+pub struct Slot<T> {
+    slot: Mutex<Option<Result<T, ServeError>>>,
     ready: Condvar,
     /// `(queue, tag)` notified on fulfillment — the wire server's
     /// out-of-order reply path. `None` for in-process tickets.
     notify: Option<(Arc<Completions>, u64)>,
 }
 
-impl ResponseSlot {
+/// The slot a [`Ticket`] waits on.
+pub type ResponseSlot = Slot<ServeReply>;
+
+impl<T> Slot<T> {
     pub fn new() -> Arc<Self> {
-        Arc::new(ResponseSlot {
+        Arc::new(Slot {
             slot: Mutex::new(None),
             ready: Condvar::new(),
             notify: None,
@@ -225,14 +234,14 @@ impl ResponseSlot {
     /// A slot that additionally announces its fulfillment on `completions`
     /// under `tag` (the wire request id).
     pub fn with_notify(completions: Arc<Completions>, tag: u64) -> Arc<Self> {
-        Arc::new(ResponseSlot {
+        Arc::new(Slot {
             slot: Mutex::new(None),
             ready: Condvar::new(),
             notify: Some((completions, tag)),
         })
     }
 
-    pub fn fulfill(&self, r: Result<ServeReply, ServeError>) {
+    pub fn fulfill(&self, r: Result<T, ServeError>) {
         {
             let mut slot = self.slot.lock();
             *slot = Some(r);
@@ -242,12 +251,46 @@ impl ResponseSlot {
             completions.push(*tag);
         }
     }
+
+    /// Block until the slot is fulfilled and take the result.
+    pub(crate) fn wait(&self) -> Result<T, ServeError> {
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(r) = slot.take() {
+                return r;
+            }
+            slot = self.ready.wait(slot);
+        }
+    }
+
+    /// [`Slot::wait`] for at most `timeout`;
+    /// [`ServeError::DeadlineExceeded`] if nothing arrived in time.
+    pub(crate) fn wait_timeout(&self, timeout: Duration) -> Result<T, ServeError> {
+        let deadline = crate::telemetry::now() + timeout;
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(r) = slot.take() {
+                return r;
+            }
+            let now = crate::telemetry::now();
+            if now >= deadline {
+                return Err(ServeError::DeadlineExceeded);
+            }
+            let (guard, _) = self.ready.wait_timeout(slot, deadline - now);
+            slot = guard;
+        }
+    }
+
+    /// True once [`Slot::wait`] would return immediately.
+    pub(crate) fn is_ready(&self) -> bool {
+        self.slot.lock().is_some()
+    }
 }
 
 /// Handle to a submitted request; redeem with [`Ticket::wait`] or
 /// [`Ticket::wait_timeout`].
 pub struct Ticket {
-    pub(crate) slot: Arc<ResponseSlot>,
+    slot: Arc<ResponseSlot>,
 }
 
 impl Ticket {
@@ -257,13 +300,7 @@ impl Ticket {
 
     /// Block until the response is ready.
     pub fn wait(self) -> Result<ServeReply, ServeError> {
-        let mut slot = self.slot.slot.lock();
-        loop {
-            if let Some(r) = slot.take() {
-                return r;
-            }
-            slot = self.slot.ready.wait(slot);
-        }
+        self.slot.wait()
     }
 
     /// Block for at most `timeout`, returning
@@ -273,24 +310,12 @@ impl Ticket {
     /// expires) it and the daemon's telemetry still accounts for it, so an
     /// abandoned ticket never leaks queue-depth gauges.
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServeReply, ServeError> {
-        let deadline = crate::telemetry::now() + timeout;
-        let mut slot = self.slot.slot.lock();
-        loop {
-            if let Some(r) = slot.take() {
-                return r;
-            }
-            let now = crate::telemetry::now();
-            if now >= deadline {
-                return Err(ServeError::DeadlineExceeded);
-            }
-            let (guard, _) = self.slot.ready.wait_timeout(slot, deadline - now);
-            slot = guard;
-        }
+        self.slot.wait_timeout(timeout)
     }
 
     /// Non-blocking poll: true once [`Ticket::wait`] would return
     /// immediately.
     pub fn is_ready(&self) -> bool {
-        self.slot.slot.lock().is_some()
+        self.slot.is_ready()
     }
 }

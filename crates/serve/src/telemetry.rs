@@ -12,9 +12,9 @@
 //! [`TelemetrySnapshot`] copy, locking each shard's stats only long enough
 //! to copy them out.
 //!
-//! Requests carry a fixed-size [`Trace`] stamped at enqueue, coalesce
-//! (drain), solve-start, and solve-end; the reply-write stamp is taken
-//! once per chunk just before slots are fulfilled. [`Trace::stages`] folds
+//! Requests carry a fixed-size [`Trace`] stamped at enqueue, solve-start
+//! and solve-end; the reply-write stamp is taken once per chunk just
+//! before slots are fulfilled. [`Trace::stages`] folds
 //! the stamps into a [`StageTimings`] (queue-wait / solve / write) that is
 //! both recorded into the shard histograms and returned to callers inside
 //! `ServeReply`, so "why was this one slow" is answerable per request.
@@ -154,13 +154,12 @@ impl LatencyHistogram {
 
 /// Compact per-request stage trace. Fixed-size and `Copy`: stamping on the
 /// hot path is a couple of `Instant` stores, never an allocation. Stamped
-/// at enqueue ([`Trace::at`]), coalesce (drain), solve-start and solve-end;
-/// the reply-write stamp is passed to [`Trace::stages`] by the shard once
-/// per chunk.
+/// at enqueue ([`Trace::at`]), solve-start (where queue-wait ends) and
+/// solve-end; the reply-write stamp is passed to [`Trace::stages`] by the
+/// shard once per chunk.
 #[derive(Clone, Copy, Debug)]
 pub struct Trace {
     enqueued: Instant,
-    drained: Option<Instant>,
     solve_start: Option<Instant>,
     solve_end: Option<Instant>,
 }
@@ -170,7 +169,6 @@ impl Trace {
     pub fn at(now: Instant) -> Self {
         Trace {
             enqueued: now,
-            drained: None,
             solve_start: None,
             solve_end: None,
         }
@@ -181,12 +179,7 @@ impl Trace {
         self.enqueued
     }
 
-    /// Stamp the coalesce point: the shard drained this request.
-    pub(crate) fn stamp_drained(&mut self, now: Instant) {
-        self.drained = Some(now);
-    }
-
-    /// Stamp entry into the forward + ADMM solve.
+    /// Stamp entry into the forward + ADMM solve (the end of queue-wait).
     pub(crate) fn stamp_solve_start(&mut self, now: Instant) {
         self.solve_start = Some(now);
     }
@@ -201,11 +194,10 @@ impl Trace {
     /// answered with an error before reaching the solver) collapse that
     /// stage to zero rather than misattributing time.
     pub fn stages(&self, done: Instant) -> StageTimings {
-        let drained = self.drained.unwrap_or(done);
-        let solve_start = self.solve_start.unwrap_or(drained);
+        let solve_start = self.solve_start.unwrap_or(done);
         let solve_end = self.solve_end.unwrap_or(solve_start);
         StageTimings {
-            queue_wait: drained.saturating_duration_since(self.enqueued),
+            queue_wait: solve_start.saturating_duration_since(self.enqueued),
             solve: solve_end.saturating_duration_since(solve_start),
             write: done.saturating_duration_since(solve_end),
         }
@@ -1366,16 +1358,15 @@ mod tests {
         let t0 = now();
         let mut tr = Trace::at(t0);
         let t1 = t0 + Duration::from_micros(100);
-        let t2 = t1 + Duration::from_micros(20);
-        let t3 = t2 + Duration::from_micros(500);
-        let done = t3 + Duration::from_micros(30);
-        tr.stamp_drained(t1);
-        tr.stamp_solve_start(t2);
-        tr.stamp_solve_end(t3);
+        let t2 = t1 + Duration::from_micros(500);
+        let done = t2 + Duration::from_micros(30);
+        tr.stamp_solve_start(t1);
+        tr.stamp_solve_end(t2);
         let s = tr.stages(done);
         assert_eq!(s.queue_wait, Duration::from_micros(100));
         assert_eq!(s.solve, Duration::from_micros(500));
         assert_eq!(s.write, Duration::from_micros(30));
+        assert_eq!(s.queue_wait + s.solve + s.write, done - t0);
         // Unstamped stages collapse to zero instead of misattributing.
         let s = Trace::at(t0).stages(done);
         assert_eq!(s.queue_wait, done - t0);

@@ -589,7 +589,15 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, SubmitRequest), WireError>
     r.check_count(nd, 8, "demand")?;
     let mut demands = Vec::with_capacity(nd);
     for _ in 0..nd {
-        demands.push(r.f64()?);
+        let d = r.f64()?;
+        // `TrafficMatrix::new` asserts this; a peer's bytes must fail the
+        // frame, not unwind the event loop every connection shares.
+        if !(d.is_finite() && d >= 0.0) {
+            return Err(WireError::Protocol(format!(
+                "demand {d} is not finite and non-negative"
+            )));
+        }
+        demands.push(d);
     }
     r.done()?;
     Ok((

@@ -113,7 +113,8 @@ fn failure_coalescing_matches_direct_overrides() {
     // A window mixing plain traffic with two distinct failure scenarios
     // must sub-batch by signature: every reply equals its direct
     // counterpart (1e-6 — coalesced batches), and link order/duplication
-    // in the request must not split a scenario's sub-batch.
+    // in the request must not split a scenario's sub-batch. Then the same
+    // three kinds as alternating singleton windows on one shard, bitwise.
     let env = Arc::new(Env::for_topology(teal_topology::b4()));
     let ref_ctx = context(&env, 2);
     let registry = ModelRegistry::new();
@@ -176,6 +177,48 @@ fn failure_coalescing_matches_direct_overrides() {
                 reply.batch_size
             );
         }
+    }
+
+    // The one-arena guarantee: plain → failure A → plain → failure B
+    // windows alternate on the shard's single scratch (zero linger, each
+    // request awaited, so every window is a singleton), and every reply is
+    // bitwise-equal to the direct call on a fresh context whose scratch
+    // never served any other window.
+    let registry = ModelRegistry::new();
+    registry.insert("b4", context(&env, 2));
+    let daemon = ServeDaemon::start(
+        registry,
+        ServeConfig {
+            linger: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+    );
+    for (i, tm) in tms.iter().enumerate() {
+        let req = SubmitRequest::new("b4", tm.clone());
+        let one = std::slice::from_ref(tm);
+        let fresh = context(&env, 2);
+        let (req, want) = match i % 4 {
+            1 => (
+                req.with_failed_link(0, 1),
+                fresh.try_allocate_batch_on(&topo_a, one),
+            ),
+            3 => (
+                req.with_failed_links([(2, 3), (0, 1)]),
+                fresh.try_allocate_batch_on(&topo_b, one),
+            ),
+            _ => (req, fresh.try_allocate_batch(one)),
+        };
+        let reply = daemon
+            .submit(req)
+            .wait()
+            .expect("interleaved window served");
+        assert_eq!(reply.batch_size, 1, "window {i} was not a singleton");
+        assert_eq!(
+            reply.allocation,
+            want.expect("direct call").0[0],
+            "window {i} (kind {}) not bitwise-equal to its direct call",
+            i % 4
+        );
     }
 }
 

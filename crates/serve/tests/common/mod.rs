@@ -1,6 +1,30 @@
-//! Shared by the test binaries that render Prometheus text.
+//! Shared by the test binaries that render Prometheus text or speak raw
+//! wire frames; each binary uses a subset.
+#![allow(dead_code)]
 
 use std::collections::HashSet;
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
+use teal_serve::{wire, SubmitRequest};
+
+/// Open a raw connection to a `TealServer`, handshake, and send `req` with
+/// its last demand overwritten by `hostile` (demands are the REQUEST
+/// frame's tail) — a value `TrafficMatrix::new` would assert on, which the
+/// client API therefore cannot produce. Returns how many bytes the server
+/// sent back before hanging up.
+pub fn send_hostile_demand(addr: SocketAddr, req: &SubmitRequest, hostile: f64) -> usize {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut buf = Vec::new();
+    wire::encode_hello(&mut buf);
+    wire::write_frame(&mut stream, &buf).expect("hello");
+    assert!(wire::read_frame(&mut stream, &mut buf).expect("hello ok"));
+    wire::encode_request(&mut buf, 1, req);
+    let at = buf.len() - 8;
+    buf[at..].copy_from_slice(&hostile.to_le_bytes());
+    wire::write_frame(&mut stream, &buf).expect("send hostile request");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap_or(0)
+}
 
 /// Check `text` against the Prometheus text exposition format as far as
 /// `TelemetrySnapshot::to_prometheus` uses it: every family opens with

@@ -6,9 +6,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use teal_core::{EngineConfig, Env, PolicyModel, ServingContext, TealConfig, TealModel};
+use teal_core::{
+    EngineConfig, Env, Forward, ModelInput, PolicyModel, ServingContext, TealConfig, TealModel,
+};
 use teal_lp::Allocation;
-use teal_serve::{ModelRegistry, ServeConfig, ServeDaemon, SubmitRequest};
+use teal_nn::{Graph, ParamStore};
+use teal_serve::{ModelRegistry, ServeConfig, ServeDaemon, ServeError, SubmitRequest};
 use teal_topology::{generate, TopoKind};
 use teal_traffic::TrafficMatrix;
 
@@ -234,6 +237,133 @@ fn malformed_request_errors_without_killing_the_daemon() {
     daemon
         .allocate("b4", good_tm)
         .expect("daemon died after a malformed request");
+}
+
+/// `TealModel`, except that a window holding a *marked* matrix (first
+/// demand exactly zero) panics inside `allocate_batch` — a fault the
+/// engine does not classify, so only the shard's `catch_unwind` arm stands
+/// between it and the dispatcher thread.
+struct TrippedModel(TealModel);
+
+impl PolicyModel for TrippedModel {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn env(&self) -> &Arc<Env> {
+        self.0.env()
+    }
+    fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
+        self.0.forward(g, input)
+    }
+    fn store(&self) -> &ParamStore {
+        self.0.store()
+    }
+    fn store_mut(&mut self) -> &mut ParamStore {
+        self.0.store_mut()
+    }
+    fn allocate_batch(&self, input: &ModelInput) -> Vec<Allocation> {
+        let per_matrix = input.path_init.rows() / input.batch;
+        let marked = |m: &[f32]| m[0] == 0.0;
+        assert!(
+            !input.path_init.data().chunks(per_matrix).any(marked),
+            "marked matrix in the window"
+        );
+        self.0.allocate_batch(input)
+    }
+}
+
+#[test]
+fn unclassified_panic_degrades_to_per_request_serving() {
+    let env = Arc::new(Env::for_topology(teal_topology::b4()));
+    let ref_ctx = context(&env, 0);
+    let registry = ModelRegistry::new();
+    registry.insert(
+        "b4",
+        ServingContext::new(
+            TrippedModel(TealModel::new(Arc::clone(&env), model_cfg(0))),
+            EngineConfig::paper_default(env.topo().num_nodes()),
+        ),
+    );
+    // Generous linger: each burst below must land in one drain.
+    let daemon = ServeDaemon::start(
+        registry,
+        ServeConfig {
+            linger: std::time::Duration::from_secs(1),
+            ..ServeConfig::default()
+        },
+    );
+    let nd = env.num_demands();
+    let tm = |i: usize| TrafficMatrix::new(vec![3.0 + 2.0 * i as f64; nd]);
+    let marked = {
+        let mut demands = vec![7.0; nd];
+        demands[0] = 0.0;
+        TrafficMatrix::new(demands)
+    };
+    let submit = |tm: TrafficMatrix, tenant: &str| {
+        daemon.submit(SubmitRequest::new("b4", tm).with_tenant(tenant))
+    };
+
+    // A clean window is solved as one batch...
+    let clean = [(0, "gold"), (1, "gold"), (2, "bronze")].map(|(i, tenant)| submit(tm(i), tenant));
+    let (want, _) = ref_ctx
+        .try_allocate_batch(&[tm(0), tm(1), tm(2)])
+        .expect("direct batch");
+    for (ticket, want) in clean.into_iter().zip(want) {
+        let reply = ticket.wait().expect("clean window served");
+        assert_eq!(reply.batch_size, 3);
+        assert_eq!(reply.allocation, want, "batched arm diverged from direct");
+    }
+
+    // ...and a window holding the marked matrix panics as a batch, so each
+    // request is retried alone by the same loop: the innocents are
+    // served (bitwise what a direct window of one gives), only the marked
+    // request fails, and as a server fault, not a bad request.
+    let mixed = [
+        (Some(3), "gold"),
+        (Some(4), "bronze"),
+        (None, "gold"),
+        (Some(5), "gold"),
+        (Some(6), "bronze"),
+    ];
+    let tickets: Vec<_> = mixed
+        .iter()
+        .map(|&(i, tenant)| submit(i.map_or_else(|| marked.clone(), tm), tenant))
+        .collect();
+    let (mut served, mut failed) = (3, 0);
+    for (ticket, (i, _)) in tickets.into_iter().zip(mixed) {
+        match (ticket.wait(), i) {
+            (Ok(reply), Some(i)) => {
+                let (want, _) = ref_ctx
+                    .try_allocate_batch(std::slice::from_ref(&tm(i)))
+                    .expect("direct window of one");
+                assert_eq!(reply.batch_size, 1, "request {i} was not retried alone");
+                assert_eq!(reply.allocation, want[0], "degraded request {i} diverged");
+                served += 1;
+            }
+            (Err(ServeError::Internal(msg)), None) => {
+                assert!(msg.contains("panicked"), "wrong diagnosis: {msg}");
+                failed += 1;
+            }
+            (other, i) => panic!("request {i:?}: unexpected outcome {other:?}"),
+        }
+    }
+    assert_eq!((served, failed), (7, 1));
+
+    // Accounting is conserved across both windows: every submission completed
+    // once, every served request sits in its own tenant's row, and every
+    // solver window (one batched, four degraded) is charged to a tenant.
+    let stats = daemon.stats();
+    assert_eq!(stats.completed, served + failed, "lost or double-counted");
+    assert_eq!(stats.queue_depth, 0);
+    let topo = &stats.per_topology[0];
+    assert_eq!((topo.requests, topo.batches), (7, 5));
+    let row = |name: &str| {
+        let t = stats.tenants.iter().find(|t| t.tenant == name);
+        t.map(|t| (t.requests, t.windows))
+    };
+    assert_eq!(row("gold"), Some((4, 3)));
+    assert_eq!(row("bronze"), Some((3, 2)));
+    assert_eq!(stats.tenants.len(), 2);
 }
 
 #[test]

@@ -102,7 +102,12 @@ fn submit_vs_shutdown_mutant_without_recheck_is_killed() {
 
 #[test]
 fn client_slots_registered_before_send_always_resolve() {
-    let report = checker().check(|| client_register_before_send(ClientMutation::Pristine));
+    // The model drives the client's real send path, whose two `closed`
+    // checks per send push the full tree past the execution cap; like the
+    // WFQ and sweep models, the proof is exhaustive within a preemption
+    // bound — four involuntary switches here (the seeded mutant needs one).
+    let report =
+        checker_bounded(Some(4)).check(|| client_register_before_send(ClientMutation::Pristine));
     eprintln!("client pristine: {} interleavings", report.executions);
     assert!(
         report.complete,

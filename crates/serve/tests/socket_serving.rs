@@ -4,6 +4,8 @@
 //! **bitwise-equal** to direct [`ServingContext`] calls, with sheds and
 //! expiries visible in the daemon's [`TelemetrySnapshot`].
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
@@ -230,6 +232,32 @@ fn drain_time_expiry_is_counted_and_typed() {
     let stats = daemon.stats();
     assert!(stats.expired >= 1, "expiry not counted: {stats:?}");
     assert_eq!(stats.queue_depth, 0, "expiry leaked the queue gauge");
+}
+
+#[test]
+fn hostile_demand_hangs_up_one_connection_not_the_server() {
+    // A REQUEST whose demand is NaN (or negative) used to reach
+    // `TrafficMatrix::new`'s assert inside the decoder and unwind the one
+    // event-loop thread every connection shares. It must cost only the
+    // connection that sent it.
+    let env = Arc::new(Env::for_topology(teal_topology::b4()));
+    let registry = ModelRegistry::new();
+    registry.insert("b4", context(&env, 0));
+    let daemon = Arc::new(ServeDaemon::with_defaults(registry));
+    let server = TealServer::bind(Arc::clone(&daemon), "127.0.0.1:0").expect("bind");
+    let tm = TrafficMatrix::new(vec![10.0; env.num_demands()]);
+
+    for hostile in [f64::NAN, -1.0] {
+        let req = SubmitRequest::new("b4", tm.clone());
+        let got = common::send_hostile_demand(server.local_addr(), &req, hostile);
+        assert_eq!(got, 0, "server answered a {hostile}-demand request");
+        // The loop thread is still alive: a fresh connection is served.
+        let client = TealClient::connect(server.local_addr()).expect("connect after hostile frame");
+        client
+            .allocate_timeout("b4", tm.clone(), Duration::from_secs(30))
+            .expect("server still serves after a hostile frame");
+    }
+    assert_eq!(daemon.stats().completed, 2);
 }
 
 #[test]

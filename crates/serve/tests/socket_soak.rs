@@ -1,6 +1,7 @@
 //! Loopback socket soak (the CI job): N client connections × M pipelined
-//! requests × 2 topologies, with a mid-soak hot checkpoint swap and a
-//! failure-override burst, asserting **zero lost tickets** — every
+//! requests × 2 topologies, with a mid-soak hot checkpoint swap, a
+//! failure-override burst and one hostile connection (a NaN-demand
+//! REQUEST), asserting **zero lost tickets** — every
 //! submitted request gets exactly one reply, the daemon's accounting
 //! balances, and no gauge leaks.
 //!
@@ -118,8 +119,19 @@ fn soak(clients: usize, per_client: usize, prom_artifact: bool) {
                 .swap_checkpoint_str("b4", &ckpt)
                 .expect("mid-soak hot swap");
         });
+        // Mid-soak hostile peer: a REQUEST carrying a NaN demand. Only its
+        // own connection may be hung up — every standing assertion below
+        // (zero lost tickets, balanced accounting) still has to hold.
+        let hostile = s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(10));
+            let tm = TrafficMatrix::new(vec![1.0; env_b4.num_demands()]);
+            let req = SubmitRequest::new("b4", tm);
+            let got = common::send_hostile_demand(addr, &req, f64::NAN);
+            assert_eq!(got, 0, "server answered a NaN-demand request");
+        });
         let total = handles.into_iter().map(|h| h.join().expect("client")).sum();
         swapper.join().expect("swap thread");
+        hostile.join().expect("hostile peer thread");
         total
     });
 

@@ -6,7 +6,8 @@
 //!
 //! The "server" here is a hand-rolled socket speaking raw wire frames, so
 //! it can misbehave on purpose: after a legitimate handshake it sends two
-//! unsolicited REPLY frames and one unsolicited STATS_OK.
+//! unsolicited REPLY frames and one unsolicited STATS_OK, then answers a
+//! real STATS scrape with a REPLY frame.
 
 use std::net::TcpListener;
 use std::time::Duration;
@@ -34,7 +35,13 @@ fn unsolicited_replies_are_counted_not_dropped() {
         }
         wire::encode_stats_reply(&mut buf, 902, &Telemetry::default().snapshot());
         wire::write_frame(&mut sock, &buf).expect("unsolicited stats");
-        // Keep the socket open until the client has seen all three (the
+        // Then answer the client's first real frame — a STATS scrape —
+        // with the wrong reply kind for its id.
+        assert!(wire::read_frame(&mut sock, &mut buf).expect("stats request"));
+        let id = wire::decode_stats_request(&buf).expect("STATS frame");
+        wire::encode_reply(&mut buf, id, &Err(ServeError::DeadlineExceeded));
+        wire::write_frame(&mut sock, &buf).expect("wrong-kind reply");
+        // Keep the socket open until the client has seen everything (the
         // client drop path closes it from the other side).
         let _ = wire::read_frame(&mut sock, &mut buf);
     });
@@ -52,6 +59,14 @@ fn unsolicited_replies_are_counted_not_dropped() {
         std::thread::yield_now();
     }
     assert_eq!(client.unmatched_replies(), 3);
+
+    // A REPLY under an id that awaits STATS_OK is unmatched too, and the
+    // scrape it can never satisfy fails instead of hanging.
+    match client.stats_timeout(Duration::from_secs(10)) {
+        Err(ServeError::Internal(why)) => assert!(why.contains("kind"), "{why}"),
+        other => panic!("wrong-kind reply resolved the scrape as {other:?}"),
+    }
+    assert_eq!(client.unmatched_replies(), 4);
 
     drop(client);
     server.join().expect("mock server");

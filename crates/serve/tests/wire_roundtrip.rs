@@ -395,6 +395,17 @@ fn truncated_and_oversized_frames_are_errors() {
             "truncation at {cut} decoded"
         );
     }
+    // A demand `TrafficMatrix::new` would assert on is a protocol error,
+    // not an unwind out of the decoder (demands are the frame's tail).
+    for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let mut bad = buf.clone();
+        let at = bad.len() - 8;
+        bad[at..].copy_from_slice(&hostile.to_le_bytes());
+        match wire::decode_request(&bad) {
+            Err(wire::WireError::Protocol(m)) => assert!(m.contains("demand"), "{m}"),
+            other => panic!("demand {hostile}: {:?}", other.map(|_| ())),
+        }
+    }
     // A length prefix past MAX_FRAME is refused before allocation.
     let huge = (wire::MAX_FRAME + 1).to_le_bytes();
     let mut cursor = std::io::Cursor::new(huge.to_vec());
