@@ -5,8 +5,8 @@
 //!
 //! * `precompute_paths` — the once-per-topology KSP precompute (amortized
 //!   over the serving lifetime, benched at the smallest size);
-//! * `forward_only` — one batched FlowGNN forward window, exercising the
-//!   cache-blocked incidence SpMM;
+//! * `forward_only` — one batched FlowGNN forward window: the incidence
+//!   SpMM row walk and the fixed-width dense layer kernel;
 //! * `window` — the headline: one full serving window (forward + batched
 //!   warm-started ADMM over the flat incidence arena). The acceptance bar
 //!   for the scale PR: `window/LargeWAN-1024x8` mean under one second.

@@ -40,8 +40,9 @@
 //!   from many threads; [`TealEngine`] is that `Arc`, deref-ing to the
 //!   context.
 //! * **Throughput path.** [`ServingContext::allocate_batch`] runs the
-//!   forward pass in cache-blocked sub-batches (one set of matrix products
-//!   each, tape-free — see `TealModel::infer_mu`) and fine-tunes the whole
+//!   forward pass in sub-batches of four matrices (one set of matrix
+//!   products each, tape-free — see `TealModel::infer_mu`; the size bounds
+//!   transient activations and moves no timing) and fine-tunes the whole
 //!   window with one batched ADMM sweep ([`teal_lp::AdmmBatchSolver`]):
 //!   structure-of-arrays state minted from the shared skeleton, each
 //!   iteration a single pass over the incidence index parallelized over

@@ -161,10 +161,13 @@ pub fn mu_to_allocations(mu: &Tensor, batch: usize) -> Vec<Allocation> {
     );
     let d = rows / batch;
     let mut out = Vec::with_capacity(batch);
+    // One k-wide f32 row reused for every demand: softmax stays in f32 and
+    // is widened afterwards, with no allocation per row.
+    let mut row = vec![0.0f32; k];
     for b in 0..batch {
         let mut splits = Vec::with_capacity(d * k);
         for r in b * d..(b + 1) * d {
-            let mut row: Vec<f32> = mu.row(r).to_vec();
+            row.copy_from_slice(mu.row(r));
             softmax_row_inplace(&mut row);
             splits.extend(row.iter().map(|&v| v as f64));
         }
@@ -533,7 +536,7 @@ mod tests {
     #[test]
     fn tape_free_inference_matches_recorded_forward() {
         // The serving path (infer_mu) and the training path (forward on a
-        // tape) must produce the same logits: same kernels, same
+        // tape) must produce the same logits bit for bit: same kernels, same
         // accumulation order.
         let env = small_env();
         let model = TealModel::new(Arc::clone(&env), TealConfig::default());
@@ -545,8 +548,8 @@ mod tests {
         let fwd = model.forward(&mut g, &input);
         let recorded = g.value(fwd.mu);
         let inferred = model.infer_mu(&input);
-        assert!(
-            inferred.approx_eq(recorded, 1e-6),
+        assert_eq!(
+            &inferred, recorded,
             "tape-free inference diverged from the recorded forward"
         );
     }

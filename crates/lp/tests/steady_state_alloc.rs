@@ -3,10 +3,10 @@
 //! [`AdmmBatchSolver`], the second and every later serving window performs
 //! **zero heap allocations** on the batched ADMM hot path.
 //!
-//! A counting global allocator wraps `System`; the test snapshots the
-//! alloc counter around each window. This file intentionally holds exactly
-//! one `#[test]` — the harness runs it on a single thread, so no other
-//! test's allocations can pollute the counter.
+//! A counting global allocator (`common/mod.rs`, shared with
+//! `steady_state_alloc_on.rs`) wraps `System` and counts per thread; the
+//! test snapshots its own thread's counter around each window, so neither
+//! libtest's main thread nor a sibling test can pollute the count.
 //!
 //! The solver runs under `teal_nn::pool::with_thread_cap(1, …)` here: that
 //! is the single-CPU container's native shape, and it keeps the
@@ -14,42 +14,12 @@
 //! measurement. The lane-independence and arena-reuse≡fresh suites in
 //! `batch_equivalence.rs` cover the parallel schedule.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::thread_allocs;
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
-
-/// `System` plus an allocation counter (allocations only — frees are
-/// irrelevant to the claim being tested).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_windows_allocate_nothing() {
@@ -104,12 +74,15 @@ fn steady_state_windows() {
     let mut solver = skel.batch_solver(&windows[0]);
     solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
 
+    // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
+    assert!(thread_allocs() > 0, "per-thread counter is dead");
+
     // Windows 2..: remint + solve must be allocation-free.
     for (w, tms) in windows.iter().enumerate().skip(1) {
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = thread_allocs();
         skel.remint_batch_solver(&mut solver, tms);
         solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
-        let grew = ALLOCS.load(Ordering::SeqCst) - before;
+        let grew = thread_allocs() - before;
         assert_eq!(
             grew, 0,
             "window {w} performed {grew} heap allocations on the steady-state hot path"

@@ -6,46 +6,15 @@
 //! allocations** — even while *alternating* with plain windows on the same
 //! retained state, the shard's actual serving pattern.
 //!
-//! Companion to `steady_state_alloc.rs` (which pins the plain path); this
-//! file holds exactly one `#[test]` for the same reason — the counting
-//! global allocator must not see another test's allocations.
+//! Companion to `steady_state_alloc.rs` (which pins the plain path), on
+//! the same per-thread counting allocator (`common/mod.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::thread_allocs;
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
-
-/// `System` plus an allocation counter (allocations only — frees are
-/// irrelevant to the claim being tested).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn failure_windows_allocate_nothing_in_steady_state() {
@@ -108,6 +77,9 @@ fn failure_windows() {
     skel_on.remint_batch_solver(&mut solver, &windows[1]);
     solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
 
+    // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
+    assert!(thread_allocs() > 0, "per-thread counter is dead");
+
     // Steady state: alternate failure and plain windows on the retained
     // solver/arena — exactly the shard's signature-grouped drain pattern.
     // Every remint + solve must be allocation-free.
@@ -115,10 +87,10 @@ fn failure_windows() {
     for (w, tms) in windows.iter().enumerate().skip(2) {
         let on_failure = w % 2 == 0;
         let use_skel = if on_failure { &skel_on } else { &skel };
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = thread_allocs();
         use_skel.remint_batch_solver(&mut solver, tms);
         solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
-        let grew = ALLOCS.load(Ordering::SeqCst) - before;
+        let grew = thread_allocs() - before;
         assert_eq!(
             grew,
             0,

@@ -7,42 +7,25 @@
 //! pass of `y = A x` needs `A^T dy`, which is just another SpMM with the
 //! stored transpose.
 //!
-//! # Cache-blocked arena layout
+//! # Why there is no column blocking
 //!
-//! At paper scale (754–1,739 nodes) the right-hand side of the SpMM no
-//! longer fits in L1: a 1,024-node WAN has several thousand directed edges
-//! and tens of thousands of path rows, so the gather `x[col]` walks a
-//! multi-hundred-KB operand with near-random locality. Matrices wide enough
-//! to hit this ([`BLOCK_COLS`] columns, with enough non-zeros to amortize
-//! the index) therefore carry an extra per-row *column-block pointer* arena,
-//! built once in [`Csr::from_triplets`]: `block_ptr[r * (nb + 1) + b]`
-//! brackets the non-zeros of row `r` whose columns fall in block `b` of
-//! [`BLOCK_COLS`] columns. [`Csr::spmm_batch`] then walks a small tile of
-//! output rows per column block, so each `x` block (`BLOCK_COLS * d` floats
-//! ≈ L1-sized) is reused across the whole tile before moving on. Because
-//! columns are ascending within a row, the blocked walk visits each row's
-//! non-zeros in exactly the storage order — blocking changes traversal
-//! scheduling, never per-row summation order — and the block decision
-//! depends only on the matrix shape, so batched and per-block calls stay
-//! bitwise identical. The `d == 1` right-hand sides of the first GNN layer
-//! take a four-lane unrolled gather instead (f32 lanes, recombined once per
-//! row), which reassociates within the 1e-6 equivalence budget pinned by
-//! the `spmm_blocked` proptest suite against [`Csr::spmm_batch_reference`].
+//! [`Csr::spmm_batch`] has two shapes: a plain row walk, and a four-lane
+//! gather for the `d == 1` right-hand sides of the first GNN layer (f32
+//! lanes recombined once per row, which reassociates within the 1e-6 budget
+//! the `spmm_blocked` suite pins against [`Csr::spmm_batch_reference`]; for
+//! `d >= 2` the walk has the reference's per-row order and is bitwise equal
+//! to it). A per-row column-block pointer arena with a tiled walk over
+//! L1-sized blocks of `x` used to sit beside them for wide matrices. Timed
+//! alone on the 1,024-node incidence (one call at batch 4 and model width,
+//! the repo benchmark's `nn.sparse.spmm_batch_{fwd,bwd}_ms` on
+//! `wan1024_window`, ten alternating runs, outputs bitwise equal) it was
+//! 2.3x *slower* than the plain walk — 2.48 vs 1.07 ms forward, 2.34 vs
+//! 0.98 ms transposed: a path crosses about four edges, so the five to
+//! nine block-pointer loads per row cost more than the `x` reuse they buy.
+//! It was deleted rather than tuned.
 
 use crate::tensor::Tensor;
 use std::sync::Arc;
-
-/// Column-block width of the cache-blocked SpMM path: `BLOCK_COLS * d` f32s
-/// of the right-hand side (≈16–24 KB for FlowGNN's embedding widths) stay
-/// resident while a tile of output rows consumes them.
-const BLOCK_COLS: usize = 1024;
-
-/// Non-zero floor below which the blocked arena isn't worth its footprint.
-const BLOCK_MIN_NNZ: usize = 4096;
-
-/// Output rows per tile in the blocked walk; `TILE_ROWS * d` accumulators
-/// stay in L1 across all column blocks of the tile.
-const TILE_ROWS: usize = 64;
 
 /// A CSR sparse matrix with `f32` values.
 #[derive(Clone, Debug)]
@@ -55,11 +38,6 @@ pub struct Csr {
     col_idx: Vec<u32>,
     /// Non-zero values parallel to `col_idx`.
     values: Vec<f32>,
-    /// Column-block boundaries per row (`rows * (num_blocks + 1)` offsets
-    /// into `col_idx`), empty when the matrix is too small to block.
-    block_ptr: Vec<u32>,
-    /// Number of `BLOCK_COLS`-wide column blocks (0 = unblocked).
-    num_blocks: usize,
 }
 
 impl Csr {
@@ -91,38 +69,12 @@ impl Csr {
         let col_idx: Vec<u32> = merged.iter().map(|&(_, c, _)| c as u32).collect();
         let values = merged.iter().map(|&(_, _, v)| v).collect();
 
-        // Build the column-block arena for matrices wide enough that the
-        // SpMM right-hand side spills out of L1. Keyed on shape/nnz only,
-        // never on the batch size of a later multiply.
-        let (num_blocks, block_ptr) = if cols > BLOCK_COLS && col_idx.len() >= BLOCK_MIN_NNZ {
-            let nb = cols.div_ceil(BLOCK_COLS);
-            let mut bp = vec![0u32; rows * (nb + 1)];
-            for r in 0..rows {
-                let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-                let base = r * (nb + 1);
-                bp[base] = lo as u32;
-                let mut e = lo;
-                for b in 0..nb {
-                    let col_end = ((b + 1) * BLOCK_COLS) as u32;
-                    while e < hi && col_idx[e] < col_end {
-                        e += 1;
-                    }
-                    bp[base + b + 1] = e as u32;
-                }
-            }
-            (nb, bp)
-        } else {
-            (0, Vec::new())
-        };
-
         Csr {
             rows,
             cols,
             row_ptr,
             col_idx,
             values,
-            block_ptr,
-            num_blocks,
         }
     }
 
@@ -217,33 +169,6 @@ impl Csr {
                     }
                     out_row[0] = s;
                 }
-            } else if self.num_blocks > 1 {
-                // Cache-blocked walk: a TILE_ROWS output tile sweeps the
-                // column blocks in order, so each L1-sized x block is reused
-                // across the whole tile. Per-row accumulation order equals
-                // the plain walk (columns ascend within a row).
-                let nb = self.num_blocks;
-                for (ti, tile) in chunk.chunks_mut(TILE_ROWS * d).enumerate() {
-                    let tile_base = row0 + ti * TILE_ROWS;
-                    for blk in 0..nb {
-                        for (i, out_row) in tile.chunks_mut(d).enumerate() {
-                            let gr = tile_base + i;
-                            let (b, r) = (gr / rows, gr % rows);
-                            let x_off = b * self.cols;
-                            let base = r * (nb + 1);
-                            let lo = self.block_ptr[base + blk] as usize;
-                            let hi = self.block_ptr[base + blk + 1] as usize;
-                            for e in lo..hi {
-                                let c = self.col_idx[e] as usize;
-                                let v = self.values[e];
-                                let x_row = &xd[(x_off + c) * d..(x_off + c + 1) * d];
-                                for (o, &xv) in out_row.iter_mut().zip(x_row.iter()) {
-                                    *o += v * xv;
-                                }
-                            }
-                        }
-                    }
-                }
             } else {
                 for (i, out_row) in chunk.chunks_mut(d).enumerate() {
                     let gr = row0 + i;
@@ -266,8 +191,9 @@ impl Csr {
     }
 
     /// Scalar reference SpMM: the plain single-threaded walk with no
-    /// blocking and no unrolled lanes. This is the oracle the `spmm_blocked`
-    /// proptest suite pins [`Csr::spmm_batch`] against (1e-6 budget).
+    /// unrolled lanes. This is the oracle the `spmm_blocked` proptest suite
+    /// pins [`Csr::spmm_batch`] against (bitwise for `d >= 2`, 1e-6 for the
+    /// `d == 1` gather).
     pub fn spmm_batch_reference(&self, x: &Tensor, batch: usize) -> Tensor {
         assert!(batch >= 1, "spmm_batch requires batch >= 1");
         assert_eq!(x.rows(), self.cols * batch, "reference shape mismatch");

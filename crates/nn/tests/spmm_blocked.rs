@@ -1,15 +1,17 @@
-//! Property tests: the cache-blocked / lane-unrolled [`Csr::spmm_batch`]
-//! ≡ the scalar reference walk to 1e-6.
+//! Property tests: [`Csr::spmm_batch`] ≡ the scalar reference walk —
+//! bitwise for `d >= 2`, to 1e-6 for the `d == 1` gather.
 //!
-//! The production kernel takes three shapes — a four-lane unrolled gather
-//! for `d == 1`, a column-blocked tile walk for wide matrices, and the
-//! plain streaming walk otherwise. All three must agree with
-//! [`Csr::spmm_batch_reference`] (single-threaded, no blocking, no
-//! unrolling) on random incidence structures and batch sizes; CI runs the
-//! suite under `TEAL_NN_THREADS=1` and `=4`, so thread-count independence
-//! is pinned too. Random inputs come in two flavors: genuinely random
-//! sparse matrices wide enough to cross the blocking threshold, and real
-//! path-edge incidence structures from random generated topologies.
+//! The production kernel takes two shapes — a four-lane unrolled gather
+//! for `d == 1` (which reassociates the row sum) and the plain streaming
+//! walk otherwise (which has [`Csr::spmm_batch_reference`]'s per-row order
+//! exactly). Both are pinned against that single-threaded reference on
+//! random incidence structures and batch sizes; CI runs the suite under
+//! `TEAL_NN_THREADS=1` and `=4`, so thread-count independence is pinned
+//! too. Random inputs come in two flavors: genuinely random sparse
+//! matrices, including ones wide and dense enough (`cols > 1024`,
+//! `nnz >= 4096`) that they took the column-blocked walk this file is named
+//! after until it was measured slower and deleted, and real path-edge
+//! incidence structures from random generated topologies.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,18 +42,32 @@ fn abs_bound(a: &Csr, x: &Tensor, batch: usize) -> Tensor {
     out
 }
 
-/// The kernels reassociate f32 sums; each element must match the scalar
-/// reference within `1e-6 * max(1, Σ|v·x|)`.
+/// For `d >= 2` the kernel must equal the scalar reference bitwise. The
+/// `d == 1` gather reassociates f32 sums; there each element must match
+/// within `1e-6 * max(1, Σ|v·x|)`.
 fn assert_close(a: &Csr, x: &Tensor, batch: usize) -> Result<(), String> {
     let got = a.spmm_batch(x, batch);
     let want = a.spmm_batch_reference(x, batch);
     prop_assert_eq!(got.shape(), want.shape());
+    if x.cols() >= 2 {
+        for (i, (g, w)) in got.data().iter().zip(want.data().iter()).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "element {} (d = {}): kernel {} vs reference {} differ bitwise",
+                i,
+                x.cols(),
+                g,
+                w
+            );
+        }
+        return Ok(());
+    }
     let bound = abs_bound(a, x, batch);
     for (i, (g, w)) in got.data().iter().zip(want.data().iter()).enumerate() {
         let scale = 1.0f32.max(bound.data()[i]);
         prop_assert!(
             (g - w).abs() <= TOL * scale,
-            "element {}: blocked {} vs reference {} (bound {})",
+            "element {}: gather {} vs reference {} (bound {})",
             i,
             g,
             w,
@@ -61,7 +77,7 @@ fn assert_close(a: &Csr, x: &Tensor, batch: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// A random CSR wide enough to cross the column-block threshold when asked.
+/// A random CSR with about `nnz` non-zeros (duplicate coordinates merge).
 fn random_csr(rng: &mut StdRng, rows: usize, cols: usize, nnz: usize) -> Csr {
     let mut triplets = Vec::with_capacity(nnz);
     for _ in 0..nnz {
@@ -86,8 +102,9 @@ fn random_x(rng: &mut StdRng, rows: usize, d: usize) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Wide random matrices (cols > 1024, nnz >= 4096): the blocked tile
-    /// walk and, at d == 1, the unrolled gather, against the scalar oracle.
+    /// Wide random matrices (cols > 1024, nnz >= 4096), the shape that used
+    /// to take the blocked tile walk: the plain walk and, at d == 1, the
+    /// unrolled gather, against the scalar oracle.
     #[test]
     fn blocked_kernel_matches_reference(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -103,8 +120,7 @@ proptest! {
         }
     }
 
-    /// Small/narrow matrices stay on the plain walk — same oracle, and the
-    /// d == 1 unroll must hold below the blocking threshold too.
+    /// Small/narrow matrices: same two kernels, same oracle.
     #[test]
     fn unblocked_kernel_matches_reference(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -142,8 +158,8 @@ proptest! {
     }
 }
 
-/// Batched call ≡ stacked per-block calls, bitwise, on a matrix that takes
-/// the blocked path — the blocking decision must never depend on batch.
+/// Batched call ≡ stacked per-block calls, bitwise, on a wide matrix — the
+/// kernel a row takes must never depend on batch.
 #[test]
 fn blocked_batch_equals_per_block_bitwise() {
     let mut rng = StdRng::seed_from_u64(99);

@@ -5,13 +5,14 @@
 //! in-place backlog compaction performs **zero heap allocations**.
 //!
 //! Same shape as `crates/lp/tests/steady_state_alloc.rs`: a counting
-//! global allocator wraps `System`, the test snapshots the counter around
-//! each post-warmup window, and this file holds exactly one `#[test]` so
-//! no sibling test's allocations pollute the counter.
+//! global allocator wraps `System` and counts per thread, and the test
+//! snapshots its own thread's counter around each post-warmup window, so
+//! libtest's main-thread bookkeeping (which made this test flaky in debug
+//! builds) cannot land in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use teal_lp::Allocation;
 use teal_nn::pool::PoolStats;
@@ -21,15 +22,32 @@ use teal_serve::{
     TenantSnapshot, TopoSnapshot,
 };
 
-/// `System` plus an allocation counter (allocations only — frees are
-/// irrelevant to the claim being tested).
+/// `System` plus a per-thread allocation counter (allocations only — frees
+/// are irrelevant to the claim being tested).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The test reads it on the thread
+    /// that runs the measured window, so whatever libtest's main thread
+    /// allocates meanwhile (it did, in debug builds) cannot land in the
+    /// count. Const-initialized and destructor-free, so touching it from
+    /// inside the allocator neither allocates nor outlives the thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: a thread being torn down may allocate after its locals.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
         // contract, which is exactly what `System` requires.
         unsafe { System.alloc(layout) }
@@ -42,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         // SAFETY: pass-through; caller's GlobalAlloc obligations forward
         // unchanged to `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -229,11 +247,14 @@ fn warm_write_path_allocates_nothing() {
         warm_bytes += run_window(&mut q, &small, &failed, &big, &snap);
     }
 
+    // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
+    assert!(thread_allocs() > 0, "per-thread counter is dead");
+
     // Every later window must be allocation-free.
     for w in 0..4 {
-        let before = ALLOCS.load(Ordering::SeqCst);
+        let before = thread_allocs();
         let accepted = run_window(&mut q, &small, &failed, &big, &snap);
-        let grew = ALLOCS.load(Ordering::SeqCst) - before;
+        let grew = thread_allocs() - before;
         assert_eq!(
             grew, 0,
             "window {w} performed {grew} heap allocations on the encode/flush path"
