@@ -48,11 +48,11 @@
 //!   iteration a single pass over the incidence index parallelized over
 //!   demand/edge × batch tiles on the `teal_nn::pool` workers, with a
 //!   per-matrix convergence mask for early stopping. A batch of B equals
-//!   B batches of one bitwise (property-tested in `teal-lp`).
-//!   [`ServingContext::try_allocate_batch`] surfaces malformed requests
-//!   and poisoned workers as [`AllocError`] values for isolation. The
-//!   `throughput` and `admm` Criterion benches in `teal-bench` track the
-//!   batched vs. looped-batch-of-1 margins on B4/SWAN.
+//!   B batches of one bitwise (`teal-lp`'s `batch_equivalence` test pins
+//!   it). [`ServingContext::try_allocate_batch`] surfaces malformed
+//!   requests and poisoned workers as [`AllocError`] values for isolation.
+//!   What a window costs is the `BENCHMARK.json` rows
+//!   `lp.admm.run_batch_ms` and `core.engine.window_ms` on `wan1024_window`.
 //! * **Training.** [`coma::train_coma`] consumes minibatches
 //!   (`ComaConfig::batch_size`) with one batched forward/backward pass and
 //!   one optimizer step per minibatch; validation scores allocations from

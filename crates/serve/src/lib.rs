@@ -232,8 +232,9 @@
 //! See `examples/wire_serve.rs` for the full socket loop (plain +
 //! deadline'd + failure requests, sheds/expiries in telemetry),
 //! `examples/serve_loop.rs` for the in-process submit → coalesce → hot
-//! swap loop, and the `serve_latency` bench in `teal-bench` for the
-//! daemon-vs-sequential-vs-socket comparison (`BENCH_serve.json`).
+//! swap loop, and the `b4swan_socket_closed` / `b4swan_socket_open_mixed`
+//! workloads in `BENCHMARK.json` for what the socket path costs
+//! (`serve.net.wire_overhead_p50_ms`).
 
 // Unsafe is denied crate-wide; the single allowed override is
 // `net/sys.rs`, the hand-rolled epoll/eventfd FFI bindings (the crates

@@ -7,17 +7,26 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use teal_serve::{wire, SubmitRequest};
 
+/// Open a raw connection to a `TealServer` and complete HELLO/HELLO_OK: a
+/// peer with no client-side reader thread behind it.
+pub fn raw_handshake(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut buf = Vec::new();
+    wire::encode_hello(&mut buf);
+    wire::write_frame(&mut stream, &buf).expect("hello");
+    assert!(wire::read_frame(&mut stream, &mut buf).expect("hello ok"));
+    wire::decode_hello_ok(&buf).expect("handshake");
+    stream
+}
+
 /// Open a raw connection to a `TealServer`, handshake, and send `req` with
 /// its last demand overwritten by `hostile` (demands are the REQUEST
 /// frame's tail) — a value `TrafficMatrix::new` would assert on, which the
 /// client API therefore cannot produce. Returns how many bytes the server
 /// sent back before hanging up.
 pub fn send_hostile_demand(addr: SocketAddr, req: &SubmitRequest, hostile: f64) -> usize {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = raw_handshake(addr);
     let mut buf = Vec::new();
-    wire::encode_hello(&mut buf);
-    wire::write_frame(&mut stream, &buf).expect("hello");
-    assert!(wire::read_frame(&mut stream, &mut buf).expect("hello ok"));
     wire::encode_request(&mut buf, 1, req);
     let at = buf.len() - 8;
     buf[at..].copy_from_slice(&hostile.to_le_bytes());
