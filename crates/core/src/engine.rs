@@ -127,8 +127,9 @@ impl EngineConfig {
 }
 
 /// Reusable scratch for one serving dispatch lane: the ADMM
-/// [`teal_lp::BatchArena`], the reminted-per-window batch solver (its
-/// coefficient buffers are grow-only), and the output/report buffers.
+/// [`teal_lp::BatchArena`] (lane rows per path, demand and edge — nothing
+/// sized by path-edge incidence), the reminted-per-window batch solver (its
+/// per-demand volume buffer is grow-only), and the output/report buffers.
 ///
 /// # Ownership rules
 ///
@@ -419,7 +420,7 @@ impl<M: PolicyModel> ServingContext<M> {
     /// [`ServingContext::try_allocate_batch`] with a caller-owned
     /// [`BatchScratch`]: the ADMM stage runs entirely in the scratch's
     /// arena, so a dispatch lane that retains its scratch reuses all ADMM
-    /// solver state (arena + reminted coefficient buffers) from its second
+    /// solver state (arena + reminted volume buffer) from its second
     /// window onwards — the only per-window minting left on the fine-tune
     /// stage is the returned allocations themselves, which the caller
     /// consumes. Results are identical to the scratch-less entry point.

@@ -2,17 +2,51 @@
 //!
 //! The constrained problem (Eq. 1) is rewritten with auxiliary per-(path,
 //! edge) variables `z_pe`, slacks `s1_d` (demand rows) and `s3_e` (capacity
-//! rows), and multipliers `λ = (λ1, λ3, λ4)`. Each ADMM iteration performs
-//! four sweeps, every one of which decomposes into independent per-demand or
-//! per-edge subproblems (the parallelism §3.4 exploits on GPUs; here spread
-//! over CPU threads):
+//! rows), and multipliers `λ = (λ1, λ3, λ4)`. Appendix C iterates four
+//! steps — the per-demand **F-update** (a k-dimensional box-clamped
+//! quadratic with Hessian `ρ(vol²·diag(L_p) + 11ᵀ)`, closed form via
+//! Sherman-Morrison), the per-edge **z-update** (Hessian `ρ(I + 11ᵀ)`, also
+//! Sherman-Morrison), the closed-form non-negative **slack** projections and
+//! the **dual ascent** — each of which decomposes into independent
+//! per-demand or per-edge subproblems (the parallelism §3.4 exploits on
+//! GPUs; here spread over CPU threads).
 //!
-//! 1. **F-update** — per demand, a k-dimensional box-clamped quadratic whose
-//!    Hessian is `ρ(vol²·diag(L_p) + 11ᵀ)`, solved in closed form via the
-//!    Sherman-Morrison identity;
-//! 2. **z-update** — per edge, Hessian `ρ(I + 11ᵀ)`, also Sherman-Morrison;
-//! 3. **slack updates** — non-negative projections in closed form;
-//! 4. **dual ascent** on all three multiplier families.
+//! # No per-(path, edge) state: `z` and `λ4` are per-edge scalars
+//!
+//! With `v_d` the demand's volume and `n_e` the number of paths on edge
+//! `e`, the z-update's closed form is
+//! `z_pe = F_p·v_d + λ4_pe/ρ + κ_e`, where
+//! `κ_e = (−λ3_e − ρ(s3_e − c_e))/ρ − corr_e` depends on the edge only. The
+//! dual ascent that follows, `λ4_pe ← λ4_pe + ρ(F_p·v_d − z_pe)`, therefore
+//! leaves `−ρκ_e` on *every* path of the edge (the sharing-ADMM identity),
+//! so by induction from `λ4 = 0`
+//!
+//! * `λ4_pe ≡ μ_e` and `z_pe ≡ F_p·v_d + δ_e` for per-edge scalars
+//!   `μ_e`, `δ_e`;
+//! * with `S_e = Σ_{p∋e} F_p·v_d` and `a_e = −λ3_e − ρ(s3_e − c_e) + μ_e`
+//!   the z-update is `δ_e = (a_e − ρS_e) / (ρ(1 + n_e))`, the capacity row
+//!   sees `Σ_p z_pe = S_e + n_e·δ_e`, the ascent is `μ_e ← μ_e − ρδ_e` and
+//!   its residual `|F_p·v_d − z_pe| = |δ_e|`;
+//! * the F-update's incidence term is
+//!   `Σ_{e∈p}(−λ4_pe·v + ρ·v·z_pe) = v·Σ_{e∈p} ν_e + ρv²|p|·F_p` with
+//!   `ν_e = ρδ_e − μ_e`;
+//! * the z-block's step is `|Δz_pe| = |ΔF_p·v_d + Δδ_e|`, whose maximum over
+//!   an edge is attained at the largest or smallest `ΔF_p·v_d` on it.
+//!
+//! So the solver stores `μ`, `δ`, `ν` per edge and the last F-step per
+//! path, and nothing whose size is the incidence non-zero count. These are
+//! the same real-arithmetic iterates as Appendix C's, rounded differently
+//! (~1e-12): `tests/batch_equivalence.rs` checks them against a literal
+//! per-entry twin (`tests/common/twin.rs`), which also asserts the identity.
+//!
+//! An iteration is **two sweeps** — two pool dispatches:
+//!
+//! 1. **demand sweep** — per demand, the F-update, then that demand's
+//!    `s1` projection and `λ1` ascent (they read only the demand's own new
+//!    `F`);
+//! 2. **edge sweep** — per edge, one walk of its paths for `S_e` and the
+//!    extreme F-steps, then `δ_e`, the `s3` projection, and the `λ3`/`μ_e`
+//!    ascents and `ν_e` in closed form.
 //!
 //! Used in two roles, matching the paper: *warm-started for 2–5 iterations*
 //! as Teal's feasibility repair (§3.4), and *cold-started to convergence* as
@@ -29,23 +63,23 @@
 //! shared [`AdmmSkeleton`]. A per-matrix solve is that tiling with a single
 //! lane ([`AdmmSkeleton::solve`] is the one-shot form).
 //!
-//! * **SoA layout.** Every state family (`f`, `z`, slacks, multipliers) is
-//!   stored `[entry][lane]` — for a per-matrix quantity of length `L` and a
-//!   batch of `B` matrices, element `i` of matrix `b` lives at
-//!   `i * B + b`. Batch lanes of one subproblem are contiguous, so each
-//!   per-demand / per-edge subproblem walks the incidence index **once**
-//!   and repairs the whole window in that single pass, instead of `B`
-//!   passes re-reading the index per matrix.
-//! * **Edge-major auxiliaries.** `z` and `λ4` are stored in edge-major
-//!   entry order (each edge's incidence entries contiguous), so the
-//!   z-update and the capacity rows of the dual ascent write disjoint
-//!   contiguous tiles with no atomics; the F-update reaches them through a
-//!   precomputed entry→position permutation.
-//! * **Flat incidence arena.** The shared index itself is two flat
-//!   CSR-style arenas (path-major entry ids, edge-major positions) plus the
-//!   permutation between them — no per-path or per-edge `Vec`s — so every
-//!   sweep's incidence walk is one linear scan of a contiguous `u32` slice;
-//!   see [`AdmmIndex`] for the layout.
+//! * **SoA layout.** Every state family is stored `[row][lane]` — per-path
+//!   `F` and its last step, per-demand `s1`/`λ1`, per-edge
+//!   `s3`/`λ3`/`μ`/`δ`/`ν` — so for a batch of `B` matrices, row `i` of
+//!   matrix `b` lives at `i * B + b`. Batch lanes of one subproblem are
+//!   contiguous, so each per-demand / per-edge subproblem walks the
+//!   incidence index **once** and repairs the whole window in that single
+//!   pass, instead of `B` passes re-reading the index per matrix.
+//! * **Per-edge exchange.** Demand tiles and edge tiles talk only through
+//!   per-path rows (`F`, its step: written by demand tiles, read by edge
+//!   tiles) and per-edge rows (`ν`: written by edge tiles, read by demand
+//!   tiles). Each sweep writes rows its tile owns and reads rows the
+//!   *other* sweep wrote, so tiles write disjoint contiguous ranges with no
+//!   atomics.
+//! * **Flat incidence arena.** The shared index is two flat CSR-style
+//!   arenas (path-major edge ids, edge-major path ids) — no per-path or
+//!   per-edge `Vec`s — so each sweep's incidence walk is one linear scan of
+//!   a contiguous `u32` slice; see [`AdmmIndex`] for the layout.
 //! * **Parallelism.** Sweeps tile over demand ranges and (entry-balanced)
 //!   edge ranges × the full batch, claimed on the shared
 //!   [`teal_nn::pool`] worker pool — the same pool the forward pass uses,
@@ -59,20 +93,21 @@
 //!   sweep (its state freezes; its iteration count is recorded), while
 //!   unconverged lanes keep iterating — exactly what `B` independent
 //!   batch-of-1 runs do (`tests/batch_equivalence.rs` checks it bitwise).
-//!   Until the *first* lane freezes the sweeps take an all-lanes-active
-//!   fast path whose commit loops carry no mask test at all (branch-free,
-//!   zip-vectorized); under the paper's fixed-iteration fine-tuning
-//!   (`tol = 0`) the masked variant is never entered.
+//!   Until the *first* lane freezes the sweeps run their all-lanes-active
+//!   instantiation, whose commit loops carry no mask test at all; under the
+//!   paper's fixed-iteration fine-tuning (`tol = 0`) the masked one is
+//!   never entered. Both are one source text, so they cannot drift apart.
 //! * **Arena reuse (allocation-free steady state).** Every byte of mutable
 //!   solver state — the SoA families, tile bounds, per-tile sweep scratch,
 //!   residual slots — lives in a caller-owned [`BatchArena`] of grow-only
-//!   buffers. A serving loop that keeps one arena (plus its output
+//!   buffers, none of which scales with the incidence non-zero count. A
+//!   serving loop that keeps one arena (plus its output
 //!   `Vec<Allocation>`/`Vec<AdmmReport>`) and rebinds the solver per window
 //!   with [`AdmmSkeleton::remint_batch_solver`] performs **zero heap
-//!   allocations** from the second window onwards (asserted by
-//!   `tests/steady_state_alloc.rs`). See [`BatchArena`] for the ownership
-//!   rules: one solve at a time, one arena per thread, safe to carry
-//!   across topology changes and weight swaps.
+//!   allocations** from the second window onwards (asserted, with the
+//!   first window's byte footprint, by `tests/steady_state_alloc.rs`). See
+//!   [`BatchArena`] for the ownership rules: one solve at a time, one arena
+//!   per thread, safe to carry across topology changes and weight swaps.
 
 use crate::problem::{Allocation, Objective};
 use std::sync::Arc;
@@ -148,32 +183,30 @@ impl AdmmReport {
 /// candidate path, which dominates solver-construction cost — hoisting it
 /// behind an `Arc` is what makes per-traffic-matrix solver construction
 /// an O(paths) copy instead of an O(nnz) rebuild.
-/// The index is a pair of flat CSR-style arenas over the incidence
-/// non-zeros, with a permutation between them, and no per-path or per-edge
-/// `Vec` allocations:
+/// The index is a pair of flat CSR-style arenas over the same incidence
+/// non-zeros, one per sweep, with no per-path or per-edge `Vec`
+/// allocations:
 ///
-/// * **Entry-id space** is path-major: entries are numbered walking every
-///   hop of every candidate path in order, so path `p`'s entries are the
-///   contiguous id range `path_start[p]..path_start[p + 1]`.
-/// * **Position space** is edge-major: the same non-zeros regrouped so edge
-///   `e` owns the contiguous position range `edge_start[e]..edge_start[e +
-///   1]` (`pos_path` names each position's path). The solver's `z`/`λ4`
-///   live in this order, making its per-edge sweeps linear scans.
-/// * `entry_pos` maps entry ids to positions, so the F-update's incidence
-///   walk over a path is one linear scan of
-///   `entry_pos[path_start[p]..path_start[p + 1]]` — no nested-`Vec`
-///   pointer chasing at 1,000-node scale where this walk dominates.
+/// * **Path-major** (`entry_edge`): walking every hop of every candidate
+///   path in order, so path `p`'s edges are the contiguous range
+///   `entry_edge[path_start[p]..path_start[p + 1]]` — the demand sweep's
+///   gather of `ν_e` over a path is one linear scan.
+/// * **Edge-major** (`pos_path`): the same non-zeros regrouped so edge `e`
+///   owns the contiguous range `pos_path[edge_start[e]..edge_start[e + 1]]`
+///   (ascending path ids) — the edge sweep's sum over an edge's paths is
+///   one linear scan.
+///
+/// Solver *state* is indexed by path, demand or edge only; nothing is
+/// stored per non-zero.
 struct AdmmIndex {
-    /// Entry-id range of each path: `path_start[p]..path_start[p + 1]`.
+    /// Range of each path in `entry_edge`: `path_start[p]..path_start[p + 1]`.
     path_start: Vec<usize>,
-    /// Position range of each edge: `edge_start[e]..edge_start[e + 1]`.
+    /// Range of each edge in `pos_path`: `edge_start[e]..edge_start[e + 1]`.
     edge_start: Vec<usize>,
-    /// Path id of each position (edge-major order).
+    /// Path id of each non-zero, edge-major.
     pos_path: Vec<u32>,
-    /// Entry id → edge-major position.
-    entry_pos: Vec<u32>,
-    /// Largest per-edge entry count (sizes the batched z-update scratch).
-    max_edge_entries: usize,
+    /// Edge id of each non-zero, path-major.
+    entry_edge: Vec<u32>,
 }
 
 impl AdmmIndex {
@@ -181,20 +214,16 @@ impl AdmmIndex {
     /// passes — O(nnz), no intermediate `Vec<Vec>` structures.
     fn new(paths: &PathSet, num_edges: usize) -> Self {
         let nnz: usize = paths.paths().iter().map(|p| p.edges.len()).sum();
-        let mut entry_path = Vec::with_capacity(nnz);
         let mut entry_edge = Vec::with_capacity(nnz);
         let mut path_start = Vec::with_capacity(paths.num_paths() + 1);
         path_start.push(0);
-        for (p, path) in paths.paths().iter().enumerate() {
-            for &e in &path.edges {
-                entry_path.push(p as u32);
-                entry_edge.push(e as u32);
-            }
-            path_start.push(entry_path.len());
+        for path in paths.paths() {
+            entry_edge.extend(path.edges.iter().map(|&e| e as u32));
+            path_start.push(entry_edge.len());
         }
 
-        // Counting sort of entry ids into edge-major positions; ascending
-        // ids within each edge, matching the entry-id iteration order.
+        // Counting sort of the non-zeros into edge-major order; ascending
+        // path ids within each edge, matching the path-major walk.
         let mut edge_start = vec![0usize; num_edges + 1];
         for &e in &entry_edge {
             edge_start[e as usize + 1] += 1;
@@ -204,23 +233,17 @@ impl AdmmIndex {
         }
         let mut cursor = edge_start[..num_edges].to_vec();
         let mut pos_path = vec![0u32; nnz];
-        let mut entry_pos = vec![0u32; nnz];
-        for (i, &e) in entry_edge.iter().enumerate() {
-            let pos = cursor[e as usize];
-            cursor[e as usize] += 1;
-            pos_path[pos] = entry_path[i];
-            entry_pos[i] = pos as u32;
+        for (p, span) in path_start.windows(2).enumerate() {
+            for &e in &entry_edge[span[0]..span[1]] {
+                pos_path[cursor[e as usize]] = p as u32;
+                cursor[e as usize] += 1;
+            }
         }
-        let max_edge_entries = (0..num_edges)
-            .map(|e| edge_start[e + 1] - edge_start[e])
-            .max()
-            .unwrap_or(0);
         AdmmIndex {
             path_start,
             edge_start,
             pos_path,
-            entry_pos,
-            max_edge_entries,
+            entry_edge,
         }
     }
 }
@@ -333,9 +356,9 @@ impl AdmmSkeleton {
     }
 
     /// Mint the batched solver for a whole window of traffic matrices:
-    /// per-lane normalized volumes and objective coefficients are laid out
-    /// structure-of-arrays (`[entry][lane]`), everything else is shared with
-    /// the skeleton. O(batch × paths), no incidence rebuild. Steady-state
+    /// per-lane normalized volumes are laid out structure-of-arrays
+    /// (`[demand][lane]`), everything else is shared with the skeleton.
+    /// O(batch × demands), no incidence rebuild. Steady-state
     /// servers keep the returned solver and rebind it to each new window
     /// with [`AdmmSkeleton::remint_batch_solver`] instead of minting fresh.
     pub fn batch_solver(&self, tms: &[TrafficMatrix]) -> AdmmBatchSolver {
@@ -346,7 +369,7 @@ impl AdmmSkeleton {
             num_edges: 0,
             vols: Vec::new(),
             caps: Arc::clone(&self.caps),
-            vcoef: Vec::new(),
+            discount: Arc::clone(&self.discount),
             index: Arc::clone(&self.index),
         };
         self.remint_batch_solver(&mut solver, tms);
@@ -354,20 +377,20 @@ impl AdmmSkeleton {
     }
 
     /// Rebind an existing [`AdmmBatchSolver`] to a new window, reusing its
-    /// coefficient buffers (grow-only — allocation-free once the buffers
-    /// have reached the largest window shape seen). The solver may have been
+    /// volume buffer (grow-only — allocation-free once it has reached the
+    /// largest window shape seen). The solver may have been
     /// minted from a *different* skeleton (another topology, or this one
     /// with failure-overridden capacities): every shared handle is replaced,
     /// so the result is indistinguishable from [`AdmmSkeleton::batch_solver`].
     pub fn remint_batch_solver(&self, solver: &mut AdmmBatchSolver, tms: &[TrafficMatrix]) {
         assert!(!tms.is_empty(), "batch_solver requires at least one matrix");
         let nb = tms.len();
-        let k = self.k;
         solver.batch = nb;
         solver.num_demands = self.num_demands;
-        solver.k = k;
+        solver.k = self.k;
         solver.num_edges = self.num_edges;
         solver.caps = Arc::clone(&self.caps);
+        solver.discount = Arc::clone(&self.discount);
         solver.index = Arc::clone(&self.index);
         solver.vols.clear();
         solver.vols.resize(self.num_demands * nb, 0.0);
@@ -377,55 +400,45 @@ impl AdmmSkeleton {
                 solver.vols[d * nb + b] = v * self.alpha;
             }
         }
-        solver.vcoef.clear();
-        solver.vcoef.resize(self.discount.len() * nb, 0.0);
-        for (p, disc) in self.discount.iter().enumerate() {
-            for b in 0..nb {
-                solver.vcoef[p * nb + b] = solver.vols[(p / k) * nb + b] * disc;
-            }
-        }
     }
 }
 
 /// Structure-of-arrays ADMM state for a batch of matrices: each per-matrix
 /// array of length `L` becomes `L × batch` with lanes contiguous
-/// (`value[i * batch + b]`), and `z`/`l4` use edge-major entry positions
-/// (see [`AdmmIndex`]).
+/// (`value[i * batch + b]`). Rows are paths (`f`, `fstep`), demands (`s1`,
+/// `l1`) or edges (the rest) — never incidence non-zeros.
+#[derive(Default)]
 struct BatchState {
     f: Vec<f64>,
-    z: Vec<f64>,
+    /// `ΔF_p` of the last F-update (the edge sweep's z-step needs it).
+    fstep: Vec<f64>,
     s1: Vec<f64>,
-    s3: Vec<f64>,
     l1: Vec<f64>,
+    s3: Vec<f64>,
     l3: Vec<f64>,
-    l4: Vec<f64>,
+    /// `μ_e`: the value `λ4_pe` takes on every path of edge `e`.
+    mu: Vec<f64>,
+    /// `δ_e = z_pe − F_p·v_d`, likewise uniform over the edge's paths.
+    delta: Vec<f64>,
+    /// `ν_e = ρδ_e − μ_e`, what the F-update gathers along a path.
+    nu: Vec<f64>,
 }
 
 impl BatchState {
-    fn empty() -> Self {
-        BatchState {
-            f: Vec::new(),
-            z: Vec::new(),
-            s1: Vec::new(),
-            s3: Vec::new(),
-            l1: Vec::new(),
-            l3: Vec::new(),
-            l4: Vec::new(),
-        }
-    }
-
     /// Resize every family to the given window shape and zero it. Buffers
     /// only ever grow, so once the largest window shape has been seen this
     /// performs no heap allocation.
-    fn reset_for(&mut self, np: usize, npos: usize, nd: usize, ne: usize, nb: usize) {
+    fn reset_for(&mut self, np: usize, nd: usize, ne: usize, nb: usize) {
         for (buf, len) in [
             (&mut self.f, np * nb),
-            (&mut self.z, npos * nb),
+            (&mut self.fstep, np * nb),
             (&mut self.s1, nd * nb),
-            (&mut self.s3, ne * nb),
             (&mut self.l1, nd * nb),
+            (&mut self.s3, ne * nb),
             (&mut self.l3, ne * nb),
-            (&mut self.l4, npos * nb),
+            (&mut self.mu, ne * nb),
+            (&mut self.delta, ne * nb),
+            (&mut self.nu, ne * nb),
         ] {
             buf.clear();
             buf.resize(len, 0.0);
@@ -454,12 +467,12 @@ pub struct BatchArena {
     active: Vec<bool>,
     iterations: Vec<usize>,
     residual: Vec<f64>,
-    df: Vec<f64>,
-    dz: Vec<f64>,
-    primal: Vec<f64>,
+    /// The iteration's folded lane maxima, `[F-step | z-step | primal]`
+    /// (`3 × batch`), read back from `lane_max` after the edge sweep.
+    steps: Vec<f64>,
     /// Per-lane primal/dual residuals captured at each lane's *last active*
-    /// iteration (the sweep buffers above are overwritten every iteration,
-    /// including for lanes already frozen by the convergence mask).
+    /// iteration (`steps` is overwritten every iteration, including for
+    /// lanes already frozen by the convergence mask).
     primal_final: Vec<f64>,
     dual_final: Vec<f64>,
     dbounds: Vec<usize>,
@@ -480,13 +493,11 @@ impl BatchArena {
     /// An empty arena; buffers grow to fit the first solve that uses it.
     pub fn new() -> Self {
         BatchArena {
-            st: BatchState::empty(),
+            st: BatchState::default(),
             active: Vec::new(),
             iterations: Vec::new(),
             residual: Vec::new(),
-            df: Vec::new(),
-            dz: Vec::new(),
-            primal: Vec::new(),
+            steps: Vec::new(),
             primal_final: Vec::new(),
             dual_final: Vec::new(),
             dbounds: Vec::new(),
@@ -501,36 +512,32 @@ impl BatchArena {
     fn prepare(&mut self, solver: &AdmmBatchSolver, threads: usize) {
         let nb = solver.batch;
         let np = solver.num_demands * solver.k;
-        let npos = solver.index.pos_path.len();
         self.st
-            .reset_for(np, npos, solver.num_demands, solver.num_edges, nb);
+            .reset_for(np, solver.num_demands, solver.num_edges, nb);
         self.active.clear();
         self.active.resize(nb, true);
         self.iterations.clear();
         self.iterations.resize(nb, 0);
-        self.residual.clear();
-        self.residual.resize(nb, f64::INFINITY);
-        for buf in [&mut self.primal_final, &mut self.dual_final] {
+        for buf in [
+            &mut self.residual,
+            &mut self.primal_final,
+            &mut self.dual_final,
+        ] {
             buf.clear();
             buf.resize(nb, f64::INFINITY);
         }
-        for buf in [&mut self.df, &mut self.dz, &mut self.primal] {
-            buf.clear();
-            buf.resize(nb, 0.0);
-        }
+        self.steps.clear();
+        self.steps.resize(3 * nb, 0.0);
         even_bounds_into(solver.num_demands, threads, &mut self.dbounds);
         edge_bounds_into(&solver.index.edge_start, threads, &mut self.ebounds);
-        if self.lane_max.len() < nb {
+        if self.lane_max.len() < 3 * nb {
             self.lane_max
-                .resize_with(nb, || std::sync::atomic::AtomicU64::new(0));
+                .resize_with(3 * nb, || std::sync::atomic::AtomicU64::new(0));
         }
-        // Per-tile sweep scratch, sized for the widest sweep: the F-update
-        // needs (2k + 4)·nb, the z-update (max per-edge entries + 2)·nb,
-        // the fused slack/dual pass 2·nb.
-        let stride = (2 * solver.k + 4)
-            .max(solver.index.max_edge_entries + 2)
-            .max(2)
-            * nb;
+        // Per-tile sweep scratch: the tile's three local lane maxima, then
+        // the wider of the demand sweep's (2k + 4)·nb and the edge sweep's
+        // 3·nb working rows.
+        let stride = (3 + 2 * solver.k + 4) * nb;
         let tiles = (self.dbounds.len().max(self.ebounds.len()))
             .saturating_sub(1)
             .max(1);
@@ -577,9 +584,8 @@ fn lane_read(slots: &[std::sync::atomic::AtomicU64], out: &mut [f64]) {
 /// one tile, regions handed out over one `TileBuf`'s lifetime are pairwise
 /// disjoint, and the borrow that produced the view outlives the pool
 /// dispatch (which blocks until all tiles finish). A buffer whose regions
-/// are legitimately reused across *sequential* dispatches (the fused
-/// slack/dual scratch) must be re-viewed with a fresh `TileBuf` per
-/// dispatch.
+/// are legitimately reused across *sequential* dispatches (the per-tile
+/// sweep scratch) must be re-viewed with a fresh `TileBuf` per dispatch.
 ///
 /// Checked-unsafe instrumentation: in debug/`teal_check` builds every
 /// `slice` call is recorded and checked against all earlier ones; an
@@ -720,17 +726,40 @@ fn edge_bounds_into(edge_start: &[usize], tiles: usize, out: &mut Vec<usize>) {
     out.dedup();
 }
 
+/// Lane row `i` of an `[row][lane]` family.
+#[inline(always)]
+fn row(data: &[f64], i: usize, nb: usize) -> &[f64] {
+    &data[i * nb..][..nb]
+}
+
+/// Mutable lane row `i` of an `[row][lane]` family.
+#[inline(always)]
+fn row_mut(data: &mut [f64], i: usize, nb: usize) -> &mut [f64] {
+    &mut data[i * nb..][..nb]
+}
+
+/// One slack row `sum + s = cap`: the non-negative projection
+/// `s ← max(0, cap − sum − λ/ρ)`, then the dual ascent `λ ← λ + ρg` on the
+/// row's new residual `g`. Returns `|g|`.
+#[inline(always)]
+fn slack_ascent(cap: f64, sum: f64, rho: f64, s: &mut f64, l: &mut f64) -> f64 {
+    *s = (cap - sum - *l / rho).max(0.0);
+    let g = sum + *s - cap;
+    *l += rho * g;
+    g.abs()
+}
+
 /// The ADMM solver: repairs a whole window of traffic matrices in **one
 /// pass over the shared incidence index per sweep**, instead of re-reading
 /// the index once per matrix. Minted by [`AdmmSkeleton::batch_solver`]; see
-/// the module docs for the SoA layout, parallel tiling, and per-matrix
-/// convergence-mask semantics.
+/// the module docs for the per-edge form of the iteration, the SoA layout,
+/// parallel tiling, and per-matrix convergence-mask semantics.
 ///
 /// Lanes are independent: a batch of `B` produces bitwise the allocations,
 /// iteration counts, and residuals of `B` batch-of-1 runs (the per-lane
 /// arithmetic is identical, operation for operation) — property-tested in
-/// `tests/batch_equivalence.rs`, with a pinned golden hash guarding the
-/// arithmetic itself.
+/// `tests/batch_equivalence.rs`, with a pinned golden hash and a literal
+/// Appendix C twin guarding the arithmetic itself.
 pub struct AdmmBatchSolver {
     batch: usize,
     num_demands: usize,
@@ -740,8 +769,9 @@ pub struct AdmmBatchSolver {
     vols: Vec<f64>,
     /// Normalized capacities per edge (shared across lanes).
     caps: Arc<Vec<f64>>,
-    /// Normalized per-path objective coefficients, `[path][lane]`.
-    vcoef: Vec<f64>,
+    /// Per-path objective multiplier (shared across lanes); a path's
+    /// objective coefficient in lane `b` is `vols[d][b] * discount[p]`.
+    discount: Arc<Vec<f64>>,
     /// Shared incidence index.
     index: Arc<AdmmIndex>,
 }
@@ -790,7 +820,6 @@ impl AdmmBatchSolver {
         let nb = self.batch;
         let k = self.k;
         let np = self.num_demands * k;
-        let npos = self.index.pos_path.len();
         let threads = teal_nn::par::max_threads();
         arena.prepare(self, threads);
         let BatchArena {
@@ -798,9 +827,7 @@ impl AdmmBatchSolver {
             active,
             iterations,
             residual,
-            df,
-            dz,
-            primal,
+            steps,
             primal_final,
             dual_final,
             dbounds,
@@ -810,6 +837,7 @@ impl AdmmBatchSolver {
             stride,
         } = arena;
         let stride = *stride;
+        let lane_max = &lane_max[..3 * nb];
 
         // Warm-start copy plus the per-lane demand projection, done directly
         // in the SoA lanes: same clamp / sum / rescale order as
@@ -840,15 +868,9 @@ impl AdmmBatchSolver {
                 }
             }
         }
-        // Near-consistent start: z matches the warm-started flows, slacks
-        // absorb the residual capacities.
-        for pos in 0..npos {
-            let p = self.index.pos_path[pos] as usize;
-            let d = p / k;
-            for b in 0..nb {
-                st.z[pos * nb + b] = st.f[p * nb + b] * self.vols[d * nb + b];
-            }
-        }
+        // Near-consistent start: z matches the warm-started flows (δ = 0,
+        // as `reset_for` left it, with μ = ν = 0), slacks absorb the
+        // residual capacities.
         for d in 0..self.num_demands {
             for b in 0..nb {
                 let mut sum = 0.0;
@@ -859,12 +881,16 @@ impl AdmmBatchSolver {
             }
         }
         for e in 0..self.num_edges {
-            for b in 0..nb {
-                let mut sum = 0.0;
-                for pos in self.index.edge_start[e]..self.index.edge_start[e + 1] {
-                    sum += st.z[pos * nb + b];
+            let s3_e = row_mut(&mut st.s3, e, nb);
+            for &p in &self.index.pos_path[self.index.edge_start[e]..self.index.edge_start[e + 1]] {
+                let p = p as usize;
+                let flows = row(&st.f, p, nb).iter().zip(row(&self.vols, p / k, nb));
+                for (sv, (&fv, &vol)) in s3_e.iter_mut().zip(flows) {
+                    *sv += fv * vol;
                 }
-                st.s3[e * nb + b] = (self.caps[e] - sum).max(0.0);
+            }
+            for sv in s3_e {
+                *sv = (self.caps[e] - *sv).max(0.0);
             }
         }
 
@@ -879,14 +905,18 @@ impl AdmmBatchSolver {
             }
             // All-lanes-active fast path: until the first lane freezes
             // (never, under the paper's fixed-iteration fine-tuning), the
-            // commit loops run branch-free over every lane — `None` selects
-            // the zip-vectorized variant with no mask test per lane.
-            let mask: Option<&[bool]> = if live == nb { None } else { Some(active) };
-            self.update_f(st, mask, rho, dbounds, scratch, stride, lane_max, df);
-            self.update_z(st, mask, rho, ebounds, scratch, stride, lane_max, dz);
-            self.update_slacks_duals(
-                st, mask, rho, dbounds, ebounds, scratch, stride, lane_max, primal,
+            // sweeps run the instantiation compiled without the mask test.
+            let sweeps = if live == nb {
+                Self::sweep::<false>
+            } else {
+                Self::sweep::<true>
+            };
+            sweeps(
+                self, st, active, rho, dbounds, ebounds, scratch, stride, lane_max,
             );
+            lane_read(lane_max, steps);
+            let (df, rest) = steps.split_at(nb);
+            let (dz, primal) = rest.split_at(nb);
             for b in 0..nb {
                 if !active[b] {
                     continue;
@@ -925,412 +955,230 @@ impl AdmmBatchSolver {
         }
     }
 
-    /// Batched per-demand F-update: one walk of each demand's incidence
-    /// entries serves every lane. The hot accumulation loops run unmasked
-    /// over all lanes (branch-free, zip-vectorized); the convergence mask
-    /// is applied only at the commit site — and skipped entirely on the
-    /// all-lanes-active fast path (`mask == None`). Writes per-lane max
-    /// split change into `out`. All scratch comes from the arena.
+    /// One ADMM iteration: the demand sweep, then the edge sweep — two pool
+    /// dispatches. Each tile keeps three local lane maxima (F-step, z-step,
+    /// primal residual) at the head of its scratch and folds them into
+    /// `lane_max` (`[F-step | z-step | primal]`, `3 × batch`) when done.
+    /// `MASKED` compiles the convergence-mask test into the commit loops;
+    /// the `false` instantiation ignores `active` and commits every lane.
     #[allow(clippy::too_many_arguments)]
-    fn update_f(
+    fn sweep<const MASKED: bool>(
         &self,
         st: &mut BatchState,
-        mask: Option<&[bool]>,
-        rho: f64,
-        dbounds: &[usize],
-        scratch: &mut [f64],
-        stride: usize,
-        lane_max: &[std::sync::atomic::AtomicU64],
-        out: &mut [f64],
-    ) {
-        let nb = self.batch;
-        let k = self.k;
-        lane_reset(lane_max);
-        let fbuf = TileBuf::new(&mut st.f);
-        let sbuf = TileBuf::new(scratch);
-        let (z, s1, l1, l4) = (&st.z, &st.s1, &st.l1, &st.l4);
-        let idx = &*self.index;
-        par_tiles(dbounds.len() - 1, &|t| {
-            let (d0, d1) = (dbounds[t], dbounds[t + 1]);
-            // SAFETY: demand tiles are disjoint, so each tile owns its rows.
-            let rows = unsafe { fbuf.slice(d0 * k * nb, (d1 - d0) * k * nb) };
-            // SAFETY: tile `t` owns scratch positions `t*stride..(t+1)*stride`.
-            let tile = unsafe { sbuf.slice(t * stride, stride) };
-            let (b, tile) = tile.split_at_mut(k * nb);
-            let (diag, tile) = tile.split_at_mut(k * nb);
-            let (sum_binv, tile) = tile.split_at_mut(nb);
-            let (sum_inv, tile) = tile.split_at_mut(nb);
-            let (corr, tile) = tile.split_at_mut(nb);
-            let (local, _) = tile.split_at_mut(nb);
-            local.fill(0.0);
-            for d in d0..d1 {
-                let vols_d = &self.vols[d * nb..(d + 1) * nb];
-                let s1_d = &s1[d * nb..(d + 1) * nb];
-                let l1_d = &l1[d * nb..(d + 1) * nb];
-                for j in 0..k {
-                    let p = d * k + j;
-                    // Path p's entry ids are contiguous; its incidence walk
-                    // is one linear scan of the `entry_pos` arena slice.
-                    let ents = &idx.entry_pos[idx.path_start[p]..idx.path_start[p + 1]];
-                    let bj = &mut b[j * nb..(j + 1) * nb];
-                    let vc = &self.vcoef[p * nb..(p + 1) * nb];
-                    for (bv, ((&vcv, &l1v), &s1v)) in
-                        bj.iter_mut().zip(vc.iter().zip(l1_d).zip(s1_d))
-                    {
-                        *bv = vcv - l1v - rho * (s1v - 1.0);
-                    }
-                    for &pos in ents {
-                        let pos = pos as usize;
-                        let l4p = &l4[pos * nb..(pos + 1) * nb];
-                        let zp = &z[pos * nb..(pos + 1) * nb];
-                        for (bv, (&vol, (&l4v, &zv))) in
-                            bj.iter_mut().zip(vols_d.iter().zip(l4p.iter().zip(zp)))
-                        {
-                            *bv += -l4v * vol + rho * vol * zv;
-                        }
-                    }
-                    let len = ents.len() as f64;
-                    for (dj, &vol) in diag[j * nb..(j + 1) * nb].iter_mut().zip(vols_d) {
-                        *dj = rho * vol * vol * len;
-                    }
-                }
-                sum_binv.fill(0.0);
-                sum_inv.fill(0.0);
-                for j in 0..k {
-                    let bj = &b[j * nb..(j + 1) * nb];
-                    let dj = &diag[j * nb..(j + 1) * nb];
-                    for ((sb, si), (&bv, &dv)) in sum_binv
-                        .iter_mut()
-                        .zip(sum_inv.iter_mut())
-                        .zip(bj.iter().zip(dj))
-                    {
-                        *sb += bv / dv;
-                        *si += 1.0 / dv;
-                    }
-                }
-                // Sherman-Morrison solve of (diag + rho*11^T) x = b.
-                for ((cv, &sb), &si) in corr.iter_mut().zip(sum_binv.iter()).zip(sum_inv.iter()) {
-                    *cv = rho * sb / (1.0 + rho * si);
-                }
-                for j in 0..k {
-                    let bj = &b[j * nb..(j + 1) * nb];
-                    let dj = &diag[j * nb..(j + 1) * nb];
-                    let row = &mut rows[((d - d0) * k + j) * nb..((d - d0) * k + j + 1) * nb];
-                    match mask {
-                        // Fast path: every lane commits, no mask branch.
-                        None => {
-                            for ((rv, lv), ((&bv, &dv), (&vol, &cv))) in row
-                                .iter_mut()
-                                .zip(local.iter_mut())
-                                .zip(bj.iter().zip(dj).zip(vols_d.iter().zip(&*corr)))
-                            {
-                                let x = if vol <= 0.0 {
-                                    0.0
-                                } else {
-                                    ((bv - cv) / dv).clamp(0.0, 1.0)
-                                };
-                                *lv = lv.max((x - *rv).abs());
-                                *rv = x;
-                            }
-                        }
-                        Some(active) => {
-                            for lane in 0..nb {
-                                if !active[lane] {
-                                    continue;
-                                }
-                                let x = if vols_d[lane] <= 0.0 {
-                                    0.0
-                                } else {
-                                    ((bj[lane] - corr[lane]) / dj[lane]).clamp(0.0, 1.0)
-                                };
-                                local[lane] = local[lane].max((x - row[lane]).abs());
-                                row[lane] = x;
-                            }
-                        }
-                    }
-                }
-            }
-            lane_fold(lane_max, local);
-        });
-        lane_read(lane_max, out);
-    }
-
-    /// Batched per-edge z-update. Edge-major storage lets each tile write
-    /// its edges' entries in place — no scratch copy of `z`, no atomics.
-    /// Writes per-lane max auxiliary change into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn update_z(
-        &self,
-        st: &mut BatchState,
-        mask: Option<&[bool]>,
-        rho: f64,
-        ebounds: &[usize],
-        scratch: &mut [f64],
-        stride: usize,
-        lane_max: &[std::sync::atomic::AtomicU64],
-        out: &mut [f64],
-    ) {
-        let nb = self.batch;
-        let k = self.k;
-        lane_reset(lane_max);
-        let zbuf = TileBuf::new(&mut st.z);
-        let sbuf = TileBuf::new(scratch);
-        let (f, s3, l3, l4) = (&st.f, &st.s3, &st.l3, &st.l4);
-        let idx = &*self.index;
-        par_tiles(ebounds.len() - 1, &|t| {
-            let (e0, e1) = (ebounds[t], ebounds[t + 1]);
-            let base = idx.edge_start[e0];
-            // SAFETY: edge tiles own disjoint position ranges of `z`.
-            let ztile = unsafe { zbuf.slice(base * nb, (idx.edge_start[e1] - base) * nb) };
-            // SAFETY: tile `t` owns scratch positions `t*stride..(t+1)*stride`.
-            let tile = unsafe { sbuf.slice(t * stride, stride) };
-            let (bs, tile) = tile.split_at_mut(idx.max_edge_entries * nb);
-            let (corr, tile) = tile.split_at_mut(nb);
-            let (local, _) = tile.split_at_mut(nb);
-            local.fill(0.0);
-            for e in e0..e1 {
-                let (q0, q1) = (idx.edge_start[e], idx.edge_start[e + 1]);
-                if q0 == q1 {
-                    continue;
-                }
-                let n = (q1 - q0) as f64;
-                corr.fill(0.0);
-                let caps_e = self.caps[e];
-                let s3_e = &s3[e * nb..(e + 1) * nb];
-                let l3_e = &l3[e * nb..(e + 1) * nb];
-                for (r, pos) in (q0..q1).enumerate() {
-                    let p = idx.pos_path[pos] as usize;
-                    let vols_d = &self.vols[(p / k) * nb..(p / k + 1) * nb];
-                    let fp = &f[p * nb..(p + 1) * nb];
-                    let l4p = &l4[pos * nb..(pos + 1) * nb];
-                    let row = &mut bs[r * nb..(r + 1) * nb];
-                    for ((bv, cv), (((&vol, &fv), &l4v), (&s3v, &l3v))) in row
-                        .iter_mut()
-                        .zip(corr.iter_mut())
-                        .zip(vols_d.iter().zip(fp).zip(l4p).zip(s3_e.iter().zip(l3_e)))
-                    {
-                        let bval = -l3v - rho * (s3v - caps_e) + l4v + rho * fv * vol;
-                        *bv = bval;
-                        *cv += bval;
-                    }
-                }
-                for c in corr.iter_mut() {
-                    *c = *c / rho / (1.0 + n);
-                }
-                for (r, pos) in (q0..q1).enumerate() {
-                    let row = &bs[r * nb..(r + 1) * nb];
-                    let zrow = &mut ztile[(pos - base) * nb..(pos - base + 1) * nb];
-                    match mask {
-                        // Fast path: every lane commits, no mask branch.
-                        None => {
-                            for ((zv, lv), (&bv, &cv)) in zrow
-                                .iter_mut()
-                                .zip(local.iter_mut())
-                                .zip(row.iter().zip(&*corr))
-                            {
-                                let zi = bv / rho - cv;
-                                *lv = lv.max((zi - *zv).abs());
-                                *zv = zi;
-                            }
-                        }
-                        Some(active) => {
-                            for lane in 0..nb {
-                                if !active[lane] {
-                                    continue;
-                                }
-                                let zi = row[lane] / rho - corr[lane];
-                                local[lane] = local[lane].max((zi - zrow[lane]).abs());
-                                zrow[lane] = zi;
-                            }
-                        }
-                    }
-                }
-            }
-            lane_fold(lane_max, local);
-        });
-        lane_read(lane_max, out);
-    }
-
-    /// Fused batched slack projections + dual ascent: one demand-tiled pass
-    /// (s1, λ1) and one edge-tiled pass (s3, λ3, λ4 — each edge owns its λ4
-    /// positions). Fusing the slack projection with the dual ascent is
-    /// legal because no quantity crosses subproblems.
-    /// Writes per-lane max primal residual into `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn update_slacks_duals(
-        &self,
-        st: &mut BatchState,
-        mask: Option<&[bool]>,
+        active: &[bool],
         rho: f64,
         dbounds: &[usize],
         ebounds: &[usize],
         scratch: &mut [f64],
         stride: usize,
         lane_max: &[std::sync::atomic::AtomicU64],
-        out: &mut [f64],
     ) {
         let nb = self.batch;
         let k = self.k;
-        lane_reset(lane_max);
         let idx = &*self.index;
+        lane_reset(lane_max);
 
+        // Demand sweep: per demand, the F-update (one walk of each path's
+        // edges gathers ν for every lane), then the demand's own s1
+        // projection and λ1 ascent on the new F.
         {
-            // Fresh scratch view per dispatch: the edge pass below reuses
-            // the same `t * stride` ranges, which is fine sequentially but
-            // must not look like an overlap to one view's checker.
-            let sbuf = TileBuf::new(&mut *scratch);
+            let fbuf = TileBuf::new(&mut st.f);
+            let stepbuf = TileBuf::new(&mut st.fstep);
             let s1buf = TileBuf::new(&mut st.s1);
             let l1buf = TileBuf::new(&mut st.l1);
-            let f = &st.f;
+            let sbuf = TileBuf::new(&mut *scratch);
+            let nu = &st.nu;
             par_tiles(dbounds.len() - 1, &|t| {
                 let (d0, d1) = (dbounds[t], dbounds[t + 1]);
-                // SAFETY: demand tiles own disjoint ranges of s1/l1.
+                // SAFETY: demand tiles are disjoint, so each tile owns its
+                // demands' path rows of f/fstep and demand rows of s1/l1.
+                let f = unsafe { fbuf.slice(d0 * k * nb, (d1 - d0) * k * nb) };
+                let fstep = unsafe { stepbuf.slice(d0 * k * nb, (d1 - d0) * k * nb) };
                 let s1 = unsafe { s1buf.slice(d0 * nb, (d1 - d0) * nb) };
                 let l1 = unsafe { l1buf.slice(d0 * nb, (d1 - d0) * nb) };
-                // SAFETY: tile `t` owns its scratch range.
+                // SAFETY: tile `t` owns scratch positions `t*stride..(t+1)*stride`.
                 let tile = unsafe { sbuf.slice(t * stride, stride) };
-                let (sum, tile) = tile.split_at_mut(nb);
-                let (local, _) = tile.split_at_mut(nb);
+                let (local, tile) = tile.split_at_mut(3 * nb);
+                let (b, tile) = tile.split_at_mut(k * nb);
+                let (diag, tile) = tile.split_at_mut(k * nb);
+                let (sum_binv, tile) = tile.split_at_mut(nb);
+                let (sum_inv, tile) = tile.split_at_mut(nb);
+                let (corr, tile) = tile.split_at_mut(nb);
+                let sum = &mut tile[..nb];
                 local.fill(0.0);
+                let (ldf, lpr) = local.split_at_mut(2 * nb);
+                let ldf = &mut ldf[..nb];
                 for d in d0..d1 {
-                    sum.fill(0.0);
+                    let vols_d = row(&self.vols, d, nb);
+                    let s1_d = row_mut(s1, d - d0, nb);
+                    let l1_d = row_mut(l1, d - d0, nb);
                     for j in 0..k {
-                        let fr = &f[(d * k + j) * nb..(d * k + j + 1) * nb];
-                        for (sv, &fv) in sum.iter_mut().zip(fr) {
-                            *sv += fv;
+                        let p = d * k + j;
+                        let bj = row_mut(b, j, nb);
+                        let ents = &idx.entry_edge[idx.path_start[p]..idx.path_start[p + 1]];
+                        bj.fill(0.0);
+                        for &e in ents {
+                            for (bv, &nv) in bj.iter_mut().zip(row(nu, e as usize, nb)) {
+                                *bv += nv;
+                            }
+                        }
+                        let len = ents.len() as f64;
+                        let disc = self.discount[p];
+                        let fp = row(f, (d - d0) * k + j, nb);
+                        for ((bv, dj), ((&vol, &fv), (&l1v, &s1v))) in bj
+                            .iter_mut()
+                            .zip(row_mut(diag, j, nb))
+                            .zip(vols_d.iter().zip(fp).zip(l1_d.iter().zip(&*s1_d)))
+                        {
+                            *dj = rho * vol * vol * len;
+                            *bv = vol * disc - l1v - rho * (s1v - 1.0) + vol * *bv + *dj * fv;
                         }
                     }
-                    let s1_d = &mut s1[(d - d0) * nb..(d - d0 + 1) * nb];
-                    let l1_d = &mut l1[(d - d0) * nb..(d - d0 + 1) * nb];
-                    match mask {
-                        // Fast path: every lane commits, no mask branch.
-                        None => {
-                            for ((sv, lv), (&su, lc)) in s1_d
-                                .iter_mut()
-                                .zip(l1_d.iter_mut())
-                                .zip(sum.iter().zip(local.iter_mut()))
-                            {
-                                let s = (1.0 - su - *lv / rho).max(0.0);
-                                *sv = s;
-                                let g = su + s - 1.0;
-                                *lv += rho * g;
-                                *lc = lc.max(g.abs());
-                            }
+                    sum_binv.fill(0.0);
+                    sum_inv.fill(0.0);
+                    for j in 0..k {
+                        for ((sb, si), (&bv, &dv)) in sum_binv
+                            .iter_mut()
+                            .zip(sum_inv.iter_mut())
+                            .zip(row(b, j, nb).iter().zip(row(diag, j, nb)))
+                        {
+                            *sb += bv / dv;
+                            *si += 1.0 / dv;
                         }
-                        Some(active) => {
-                            for lane in 0..nb {
-                                if !active[lane] {
-                                    continue;
-                                }
-                                let s = (1.0 - sum[lane] - l1_d[lane] / rho).max(0.0);
-                                s1_d[lane] = s;
-                                let g = sum[lane] + s - 1.0;
-                                l1_d[lane] += rho * g;
-                                local[lane] = local[lane].max(g.abs());
+                    }
+                    // Sherman-Morrison solve of (diag + rho*11^T) x = b.
+                    for ((cv, &sb), &si) in corr.iter_mut().zip(&*sum_binv).zip(&*sum_inv) {
+                        *cv = rho * sb / (1.0 + rho * si);
+                    }
+                    sum.fill(0.0);
+                    for j in 0..k {
+                        let bj = row(b, j, nb);
+                        let dj = row(diag, j, nb);
+                        let fp = row_mut(f, (d - d0) * k + j, nb);
+                        let sp = row_mut(fstep, (d - d0) * k + j, nb);
+                        for lane in 0..nb {
+                            if MASKED && !active[lane] {
+                                continue;
                             }
+                            let x = if vols_d[lane] <= 0.0 {
+                                0.0
+                            } else {
+                                ((bj[lane] - corr[lane]) / dj[lane]).clamp(0.0, 1.0)
+                            };
+                            sp[lane] = x - fp[lane];
+                            fp[lane] = x;
+                            ldf[lane] = ldf[lane].max(sp[lane].abs());
+                            sum[lane] += x;
                         }
+                    }
+                    for lane in 0..nb {
+                        if MASKED && !active[lane] {
+                            continue;
+                        }
+                        let g = slack_ascent(1.0, sum[lane], rho, &mut s1_d[lane], &mut l1_d[lane]);
+                        lpr[lane] = lpr[lane].max(g);
                     }
                 }
                 lane_fold(lane_max, local);
             });
         }
 
-        {
-            let sbuf = TileBuf::new(&mut *scratch);
-            let s3buf = TileBuf::new(&mut st.s3);
-            let l3buf = TileBuf::new(&mut st.l3);
-            let l4buf = TileBuf::new(&mut st.l4);
-            let (f, z) = (&st.f, &st.z);
-            par_tiles(ebounds.len() - 1, &|t| {
-                let (e0, e1) = (ebounds[t], ebounds[t + 1]);
-                let base = idx.edge_start[e0];
-                // SAFETY: edge tiles own disjoint ranges of s3/l3 and (via
-                // edge_start) of the edge-major l4 positions.
-                let s3 = unsafe { s3buf.slice(e0 * nb, (e1 - e0) * nb) };
-                let l3 = unsafe { l3buf.slice(e0 * nb, (e1 - e0) * nb) };
-                let l4 = unsafe { l4buf.slice(base * nb, (idx.edge_start[e1] - base) * nb) };
-                // SAFETY: tile `t` owns its scratch range (the demand pass
-                // above has fully completed before this dispatch starts).
-                let tile = unsafe { sbuf.slice(t * stride, stride) };
-                let (sum, tile) = tile.split_at_mut(nb);
-                let (local, _) = tile.split_at_mut(nb);
-                local.fill(0.0);
-                for e in e0..e1 {
-                    let (q0, q1) = (idx.edge_start[e], idx.edge_start[e + 1]);
-                    sum.fill(0.0);
-                    for pos in q0..q1 {
-                        let zp = &z[pos * nb..(pos + 1) * nb];
-                        for (sv, &zv) in sum.iter_mut().zip(zp) {
-                            *sv += zv;
+        // Edge sweep: per edge, one walk of its paths for S_e and the
+        // extreme F-steps, then δ_e, s3, λ3, μ_e and ν_e in closed form.
+        // The scratch view is fresh: this dispatch reuses the demand
+        // sweep's `t * stride` ranges, which is fine sequentially but must
+        // not look like an overlap to one view's checker.
+        let s3buf = TileBuf::new(&mut st.s3);
+        let l3buf = TileBuf::new(&mut st.l3);
+        let mubuf = TileBuf::new(&mut st.mu);
+        let deltabuf = TileBuf::new(&mut st.delta);
+        let nubuf = TileBuf::new(&mut st.nu);
+        let sbuf = TileBuf::new(scratch);
+        let (f, fstep) = (&st.f, &st.fstep);
+        par_tiles(ebounds.len() - 1, &|t| {
+            let (e0, e1) = (ebounds[t], ebounds[t + 1]);
+            // SAFETY: edge tiles are disjoint, so each tile owns its edges'
+            // rows of s3/l3/mu/delta/nu.
+            let s3 = unsafe { s3buf.slice(e0 * nb, (e1 - e0) * nb) };
+            let l3 = unsafe { l3buf.slice(e0 * nb, (e1 - e0) * nb) };
+            let mu = unsafe { mubuf.slice(e0 * nb, (e1 - e0) * nb) };
+            let delta = unsafe { deltabuf.slice(e0 * nb, (e1 - e0) * nb) };
+            let nu = unsafe { nubuf.slice(e0 * nb, (e1 - e0) * nb) };
+            // SAFETY: tile `t` owns its scratch range (the demand sweep has
+            // fully completed before this dispatch starts).
+            let tile = unsafe { sbuf.slice(t * stride, stride) };
+            let (local, tile) = tile.split_at_mut(3 * nb);
+            let (flow, tile) = tile.split_at_mut(nb);
+            let (hi, tile) = tile.split_at_mut(nb);
+            let lo = &mut tile[..nb];
+            local.fill(0.0);
+            let (ldz, lpr) = local[nb..].split_at_mut(nb);
+            for e in e0..e1 {
+                let cap = self.caps[e];
+                let s3_e = row_mut(s3, e - e0, nb);
+                let l3_e = row_mut(l3, e - e0, nb);
+                let on_edge = &idx.pos_path[idx.edge_start[e]..idx.edge_start[e + 1]];
+                if on_edge.is_empty() {
+                    // No path crosses the edge: there is no z to update,
+                    // only the slack row `s3 = c`.
+                    for lane in 0..nb {
+                        if MASKED && !active[lane] {
+                            continue;
                         }
+                        let g = slack_ascent(cap, 0.0, rho, &mut s3_e[lane], &mut l3_e[lane]);
+                        lpr[lane] = lpr[lane].max(g);
                     }
-                    let caps_e = self.caps[e];
-                    let s3_e = &mut s3[(e - e0) * nb..(e - e0 + 1) * nb];
-                    let l3_e = &mut l3[(e - e0) * nb..(e - e0 + 1) * nb];
-                    match mask {
-                        // Fast path: every lane commits, no mask branch.
-                        None => {
-                            for ((sv, lv), (&su, lc)) in s3_e
-                                .iter_mut()
-                                .zip(l3_e.iter_mut())
-                                .zip(sum.iter().zip(local.iter_mut()))
-                            {
-                                let s = (caps_e - su - *lv / rho).max(0.0);
-                                *sv = s;
-                                let g = su + s - caps_e;
-                                *lv += rho * g;
-                                *lc = lc.max(g.abs());
-                            }
-                        }
-                        Some(active) => {
-                            for lane in 0..nb {
-                                if !active[lane] {
-                                    continue;
-                                }
-                                let s = (caps_e - sum[lane] - l3_e[lane] / rho).max(0.0);
-                                s3_e[lane] = s;
-                                let g = sum[lane] + s - caps_e;
-                                l3_e[lane] += rho * g;
-                                local[lane] = local[lane].max(g.abs());
-                            }
-                        }
-                    }
-                    for pos in q0..q1 {
-                        let p = idx.pos_path[pos] as usize;
-                        let vols_d = &self.vols[(p / k) * nb..(p / k + 1) * nb];
-                        let fp = &f[p * nb..(p + 1) * nb];
-                        let zp = &z[pos * nb..(pos + 1) * nb];
-                        let l4p = &mut l4[(pos - base) * nb..(pos - base + 1) * nb];
-                        match mask {
-                            // Fast path: every lane commits, no mask branch.
-                            None => {
-                                for ((lv, lc), ((&fv, &vol), &zv)) in l4p
-                                    .iter_mut()
-                                    .zip(local.iter_mut())
-                                    .zip(fp.iter().zip(vols_d).zip(zp))
-                                {
-                                    let g4 = fv * vol - zv;
-                                    *lv += rho * g4;
-                                    *lc = lc.max(g4.abs());
-                                }
-                            }
-                            Some(active) => {
-                                for lane in 0..nb {
-                                    if !active[lane] {
-                                        continue;
-                                    }
-                                    let g4 = fp[lane] * vols_d[lane] - zp[lane];
-                                    l4p[lane] += rho * g4;
-                                    local[lane] = local[lane].max(g4.abs());
-                                }
-                            }
-                        }
+                    continue;
+                }
+                flow.fill(0.0);
+                hi.fill(f64::NEG_INFINITY);
+                lo.fill(f64::INFINITY);
+                for &p in on_edge {
+                    let p = p as usize;
+                    let path = row(f, p, nb).iter().zip(row(fstep, p, nb));
+                    for (((sv, hv), lv), ((&fv, &step), &vol)) in flow
+                        .iter_mut()
+                        .zip(hi.iter_mut())
+                        .zip(lo.iter_mut())
+                        .zip(path.zip(row(&self.vols, p / k, nb)))
+                    {
+                        *sv += fv * vol;
+                        let moved = step * vol;
+                        *hv = hv.max(moved);
+                        *lv = lv.min(moved);
                     }
                 }
-                lane_fold(lane_max, local);
-            });
-        }
-        lane_read(lane_max, out);
+                let n = on_edge.len() as f64;
+                let mu_e = row_mut(mu, e - e0, nb);
+                let delta_e = row_mut(delta, e - e0, nb);
+                let nu_e = row_mut(nu, e - e0, nb);
+                for lane in 0..nb {
+                    if MASKED && !active[lane] {
+                        continue;
+                    }
+                    let a = -l3_e[lane] - rho * (s3_e[lane] - cap) + mu_e[lane];
+                    let d = (a - rho * flow[lane]) / (rho * (1.0 + n));
+                    // |Δz_pe| = |ΔF_p·v + Δδ_e| peaks at an extreme F-step.
+                    let dd = d - delta_e[lane];
+                    ldz[lane] = ldz[lane]
+                        .max((hi[lane] + dd).abs())
+                        .max((lo[lane] + dd).abs());
+                    delta_e[lane] = d;
+                    let g = slack_ascent(
+                        cap,
+                        flow[lane] + n * d,
+                        rho,
+                        &mut s3_e[lane],
+                        &mut l3_e[lane],
+                    );
+                    // λ4 ascent on F_p·v − z_pe = −δ_e, every path alike.
+                    mu_e[lane] -= rho * d;
+                    nu_e[lane] = rho * d - mu_e[lane];
+                    lpr[lane] = lpr[lane].max(g).max(d.abs());
+                }
+            }
+            lane_fold(lane_max, local);
+        });
     }
 }
 

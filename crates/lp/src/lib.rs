@@ -3,7 +3,9 @@
 //! Replaces the paper's Gurobi dependency with:
 //! * an exact dense [`simplex`] solver for small instances,
 //! * [`admm`] (Appendix C) usable both as Teal's 2–5-iteration fine-tuner
-//!   and, run to convergence, as the large-instance "LP-all" substitute,
+//!   and, run to convergence, as the large-instance "LP-all" substitute —
+//!   its [`BatchArena`] holds lane rows per path, demand and edge only
+//!   (Appendix C's per-(path, edge) `z`/`λ4` are per-edge scalars there),
 //! * a [`fleischer`] multiplicative-weights approximation (§2.1's
 //!   combinatorial baseline),
 //! * [`concurrent`] racing of serial instances reproducing Figure 2's

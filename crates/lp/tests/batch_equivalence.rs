@@ -9,12 +9,18 @@
 //! the commutativity-rule line of work, lanes commute by construction and
 //! that is machine-checked here.
 //!
-//! Lane independence compares the solver with itself, so a pinned golden
-//! hash (generated from this solver at the commit that deleted the scalar
-//! per-matrix twin) additionally guards the arithmetic: any change to a
-//! sweep that moves one output bit fails `pinned_golden_hashes`. The
-//! optimum itself is checked against simplex, an independent algorithm, in
-//! the `admm.rs` unit tests.
+//! Lane independence compares the solver with itself, so two more checks
+//! guard the arithmetic. The solver keeps Appendix C's per-(path, edge)
+//! `z`/`λ4` only as per-edge scalars; `common/twin.rs` is the appendix
+//! written out literally, per entry, and every generator below is also run
+//! against it: same iteration counts, splits and residuals to 1e-9 — and
+//! the twin itself asserts the identity the collapse rests on. A pinned
+//! golden hash then fails on any change to a sweep that moves one output
+//! bit (`pinned_golden_hashes`). The optimum itself is checked against
+//! simplex, an independent algorithm, in the `admm.rs` unit tests.
+
+#[path = "common/twin.rs"]
+mod twin;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -153,6 +159,59 @@ fn assert_lanes_independent(
     Ok(())
 }
 
+/// The production solver against the literal Appendix C twin, lane by
+/// lane: equal iteration counts, splits and residuals within 1e-9, and the
+/// twin's per-entry `λ4`/`z − F·v` uniform per edge to 1e-12 after every
+/// iteration (the identity that lets the solver store them per edge).
+fn assert_matches_twin(
+    topo: &Topology,
+    paths: &PathSet,
+    obj: Objective,
+    skel: &AdmmSkeleton,
+    tms: &[TrafficMatrix],
+    inits: &[Allocation],
+    cfg: AdmmConfig,
+) -> Result<(), String> {
+    let (outs, reps) = run_fresh(skel, tms, inits, cfg);
+    for (b, tm) in tms.iter().enumerate() {
+        let want = twin::solve(topo, paths, obj, tm, &inits[b], cfg);
+        prop_assert!(
+            want.identity_gap <= 1e-12,
+            "lane {}: twin λ4 / z − F·v spread {:e} across one edge's paths",
+            b,
+            want.identity_gap
+        );
+        prop_assert_eq!(
+            reps[b].iterations,
+            want.iterations,
+            "lane {} iterations: solver {} vs twin {}",
+            b,
+            reps[b].iterations,
+            want.iterations
+        );
+        prop_assert!(
+            (reps[b].primal_residual - want.primal).abs() <= 1e-9
+                && (reps[b].dual_residual - want.dual).abs() <= 1e-9,
+            "lane {} residuals: solver {:?} vs twin primal {} dual {}",
+            b,
+            reps[b],
+            want.primal,
+            want.dual
+        );
+        for (p, (x, y)) in outs[b].splits().iter().zip(want.alloc.splits()).enumerate() {
+            prop_assert!(
+                (x - y).abs() <= 1e-9,
+                "lane {} split {}: solver {} vs twin {}",
+                b,
+                p,
+                x,
+                y
+            );
+        }
+    }
+    Ok(())
+}
+
 /// FNV-1a over the little-endian bytes of `word`.
 fn fnv(hash: &mut u64, word: u64) {
     for byte in word.to_le_bytes() {
@@ -181,17 +240,20 @@ fn golden_hash(seed: u64, cfg: AdmmConfig) -> u64 {
 
 /// The batched arithmetic, pinned: three seeded instances (one under the
 /// paper's fixed 5-iteration fine-tune, two run to `tol` through the
-/// convergence mask) must hash to the values `AdmmBatchSolver` produced
-/// before the scalar per-matrix solver was deleted. Identical in debug and
-/// release and for every `TEAL_NN_THREADS`.
+/// convergence mask) must hash to the values `AdmmBatchSolver` produced at
+/// the commit that collapsed the per-(path, edge) `z`/`λ4` families to
+/// per-edge scalars — new rounding, hence new pins; the twin suite above
+/// is the independent check that the arithmetic behind them is still
+/// Appendix C's. Identical in debug and release and for every
+/// `TEAL_NN_THREADS`.
 #[test]
 fn pinned_golden_hashes() {
     let fixed = AdmmConfig::fine_tune(200);
     let masked = AdmmConfig::to_convergence().with_max_iters(300);
     for (seed, cfg, want) in [
-        (11u64, fixed, 0xb9ee_61ad_546b_b07du64),
-        (4242, masked, 0xb9a5_0918_e7ce_d40a),
-        (987_654, masked, 0xfa9a_1d9a_4f87_a8e3),
+        (11u64, fixed, 0xb34e_9d00_5fee_5adcu64),
+        (4242, masked, 0x638b_9dcd_5c36_f893),
+        (987_654, masked, 0x9e29_7fa8_7089_5255),
     ] {
         let got = golden_hash(seed, cfg);
         assert_eq!(
@@ -218,7 +280,8 @@ proptest! {
         }
     }
 
-    /// Delay-penalized objective: per-path discounts flow through vcoef; the
+    /// Delay-penalized objective: the demand sweep forms each lane's
+    /// objective coefficient as volume × the shared per-path discount; the
     /// batched lanes must see exactly the same discounted coefficients.
     #[test]
     fn fine_tune_delay_penalized_lanes_independent(seed in 0u64..1_000_000, gamma in 0.05f64..0.9) {
@@ -266,6 +329,54 @@ proptest! {
             let inits = random_inits(nb, nd, k, &mut rng);
             assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
+    }
+
+    /// Fixed 2–5 iterations (the paper's fine-tune) against the literal
+    /// twin: both linear objectives, zero-volume demands (`random_window`),
+    /// and — every other case — random links failed to zero capacity.
+    #[test]
+    fn fixed_iterations_match_appendix_c_twin(
+        seed in 0u64..1_000_000,
+        iters in 2usize..6,
+        gamma in 0.05f64..0.9,
+        fail_frac in 0.05f64..0.4,
+    ) {
+        let obj = if seed % 2 == 0 {
+            Objective::TotalFlow
+        } else {
+            Objective::DelayPenalizedFlow(gamma)
+        };
+        let (mut topo, paths, mut skel, nd, k) = random_problem(seed, obj);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7e17);
+        if seed % 4 < 2 {
+            let failed: Vec<usize> = (0..topo.num_edges())
+                .filter(|_| rng.gen_range(0.0..1.0) < fail_frac)
+                .collect();
+            topo = topo.with_failed_edges(&failed);
+            skel = skel.with_topology(&topo);
+        }
+        let cfg = AdmmConfig { rho: 1.0, max_iters: iters, tol: 0.0 };
+        let tms = random_window(5, nd, &mut rng);
+        let inits = random_inits(5, nd, k, &mut rng);
+        assert_matches_twin(&topo, &paths, obj, &skel, &tms, &inits, cfg)?;
+    }
+
+    /// Run to `tol` through the convergence mask (lanes stop anywhere from
+    /// tens to thousands of iterations in): each lane must stop at the
+    /// iteration the twin stops at, with the twin's answer.
+    #[test]
+    fn convergence_matches_appendix_c_twin(seed in 0u64..1_000_000, gamma in 0.05f64..0.9) {
+        let obj = if seed % 2 == 0 {
+            Objective::TotalFlow
+        } else {
+            Objective::DelayPenalizedFlow(gamma)
+        };
+        let (topo, paths, skel, nd, k) = random_problem(seed, obj);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc0e7);
+        let cfg = AdmmConfig::to_convergence();
+        let tms = random_window(5, nd, &mut rng);
+        let inits = random_inits(5, nd, k, &mut rng);
+        assert_matches_twin(&topo, &paths, obj, &skel, &tms, &inits, cfg)?;
     }
 
     /// Arena reuse across windows: one retained [`BatchArena`] + solver +

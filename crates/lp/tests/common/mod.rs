@@ -1,13 +1,14 @@
 //! The counting global allocator the two steady-state allocation floors
 //! (`steady_state_alloc.rs`, `steady_state_alloc_on.rs`) install: `System`
-//! plus a per-thread counter. `crates/serve/tests/write_path_alloc.rs`
-//! carries its own copy of the same shape.
+//! plus per-thread allocation and byte counters.
+//! `crates/serve/tests/write_path_alloc.rs` carries its own copy of the
+//! same shape.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// `System` plus a per-thread allocation counter (allocations only — frees
-/// are irrelevant to the claim being tested).
+/// `System` plus per-thread allocation counters (allocations only — frees
+/// are irrelevant to the claims being tested).
 struct CountingAlloc;
 
 thread_local! {
@@ -17,11 +18,15 @@ thread_local! {
     /// count. Const-initialized and destructor-free, so touching it from
     /// inside the allocator neither allocates nor outlives the thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has requested: every `alloc`'s size plus every
+    /// `realloc`'s growth.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+fn count_alloc(bytes: usize) {
     // `try_with`: a thread being torn down may allocate after its locals.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations made so far by the calling thread.
@@ -29,9 +34,15 @@ pub fn thread_allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Bytes requested so far by the calling thread.
+#[allow(dead_code)] // only one of the two suites sharing this file reads it
+pub fn thread_alloc_bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
         // contract, which is exactly what `System` requires.
         unsafe { System.alloc(layout) }
@@ -44,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size.saturating_sub(layout.size()));
         // SAFETY: pass-through; caller's GlobalAlloc obligations forward
         // unchanged to `System`.
         unsafe { System.realloc(ptr, layout, new_size) }

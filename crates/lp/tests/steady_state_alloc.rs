@@ -8,6 +8,11 @@
 //! test snapshots its own thread's counter around each window, so neither
 //! libtest's main thread nor a sibling test can pollute the count.
 //!
+//! The same allocator's byte counter pins the *first* window too: a fresh
+//! arena + solver may allocate only per-path, per-demand and per-edge lane
+//! rows — no buffer sized by the incidence non-zero count
+//! (`first_window_footprint_has_no_per_entry_family`).
+//!
 //! The solver runs under `teal_nn::pool::with_thread_cap(1, …)` here: that
 //! is the single-CPU container's native shape, and it keeps the
 //! (separately exercised) worker pool's own bookkeeping out of the
@@ -16,9 +21,9 @@
 
 mod common;
 
-use common::thread_allocs;
+use common::{thread_alloc_bytes, thread_allocs};
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
-use teal_topology::{generate, PathSet, TopoKind};
+use teal_topology::{generate, gravity_pairs, large_wan, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
 
 #[test]
@@ -94,4 +99,59 @@ fn steady_state_windows() {
     assert_eq!(outs.len(), BATCH);
     assert!(reports.iter().all(|r| r.iterations == 5));
     assert!(outs.iter().any(|a| a.splits().iter().any(|&v| v > 0.0)));
+}
+
+#[test]
+fn first_window_footprint_has_no_per_entry_family() {
+    teal_nn::pool::with_thread_cap(1, first_window_footprint);
+}
+
+fn first_window_footprint() {
+    // A generated WAN whose candidate paths are long: at least three
+    // incidence non-zeros per path, so a single `[non-zero][lane]` family
+    // would by itself equal the whole per-path allowance below.
+    let topo = large_wan(96, 7);
+    let pairs = gravity_pairs(&topo, 192, 7);
+    let paths = PathSet::compute(&topo, &pairs, 3);
+    let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
+    let (np, nd, k, ne) = (
+        paths.num_paths(),
+        paths.num_demands(),
+        paths.k(),
+        topo.num_edges(),
+    );
+    let nnz: usize = paths.paths().iter().map(|p| p.edges.len()).sum();
+    assert!(nnz >= 3 * np, "instance too shallow: nnz {nnz}, paths {np}");
+
+    const BATCH: usize = 8;
+    let tms: Vec<TrafficMatrix> = (0..BATCH)
+        .map(|b| TrafficMatrix::new((0..nd).map(|d| ((b * 7 + d) % 23) as f64 * 1.7).collect()))
+        .collect();
+    let inits = vec![Allocation::shortest_path(nd, k); BATCH];
+    let (mut outs, mut reports) = (Vec::new(), Vec::new());
+
+    let before = thread_alloc_bytes();
+    let mut arena = BatchArena::new();
+    let solver = skel.batch_solver(&tms);
+    solver.run_batch_into(
+        &inits,
+        AdmmConfig::fine_tune(1024),
+        &mut arena,
+        &mut outs,
+        &mut reports,
+    );
+    let grew = thread_alloc_bytes() - before;
+
+    // Lane rows: per path F, its last step and the output splits; per
+    // demand s1, λ1 and the volumes; per edge s3, λ3, μ, δ, ν and one
+    // spare. Then the single tile's sweep scratch ((2k + 7) lane rows) and
+    // a fixed slack for the per-lane bookkeeping and `Vec` growth steps.
+    let rows = 3 * np + 3 * nd + 6 * ne + 2 * k + 7;
+    let allowed = (rows * BATCH * 8 + 4096) as u64;
+    assert!(
+        grew <= allowed,
+        "first window allocated {grew} B, allowance {allowed} B \
+         ({np} paths, {nd} demands, {ne} edges, {nnz} non-zeros, {BATCH} lanes)"
+    );
+    assert!(reports.iter().all(|r| r.iterations == 5));
 }
