@@ -13,9 +13,6 @@ use teal_core::{
 use teal_lp::{evaluate, solve_lp, LpConfig, Objective};
 use teal_topology::TopoKind;
 
-/// Matrices per batched allocation chunk (Teal's batched serving path).
-const ABLATION_BATCH: usize = 8;
-
 fn coma_cfg(budget: crate::testbed::TrainBudget, env: &Env) -> ComaConfig {
     ComaConfig {
         epochs: budget.epochs,
@@ -26,24 +23,21 @@ fn coma_cfg(budget: crate::testbed::TrainBudget, env: &Env) -> ComaConfig {
     }
 }
 
-/// Satisfied % of a model (with optional ADMM) on the test set, running the
-/// batched forward pass and a shared per-topology ADMM skeleton — the same
-/// serving path the deployment engine uses.
+/// Satisfied % of a model (with optional ADMM) on the test set: one forward
+/// pass per matrix and a shared per-topology ADMM skeleton, as the
+/// deployment engine serves it.
 fn score(bed: &Testbed, model: &dyn PolicyModel, with_admm: bool) -> f64 {
     let skeleton = with_admm
         .then(|| teal_lp::AdmmSkeleton::new(bed.env.topo(), bed.env.paths(), Objective::TotalFlow));
     let admm_cfg = teal_lp::AdmmConfig::fine_tune(bed.env.topo().num_nodes());
     let mut acc = 0.0;
-    for chunk in bed.test.chunks(ABLATION_BATCH) {
-        let allocs = model.allocate_batch(&bed.env.batch_input(chunk, None));
-        for (tm, mut alloc) in chunk.iter().zip(allocs) {
-            if let Some(skel) = &skeleton {
-                alloc = skel.solve(tm, &alloc, admm_cfg).0;
-            }
-            let inst = bed.env.instance(tm);
-            acc +=
-                (100.0 * evaluate(&inst, &alloc).realized_flow / tm.total().max(1e-12)).min(100.0);
+    for tm in &bed.test {
+        let mut alloc = model.allocate_deterministic(&bed.env.model_input(tm, None));
+        if let Some(skel) = &skeleton {
+            alloc = skel.solve(tm, &alloc, admm_cfg).0;
         }
+        let inst = bed.env.instance(tm);
+        acc += (100.0 * evaluate(&inst, &alloc).realized_flow / tm.total().max(1e-12)).min(100.0);
     }
     acc / bed.test.len().max(1) as f64
 }

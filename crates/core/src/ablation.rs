@@ -381,7 +381,7 @@ impl PolicyModel for GlobalPolicyModel {
 mod tests {
     use super::*;
     use crate::coma::{train_coma, validate, ComaConfig};
-    use crate::model::TealConfig;
+    use crate::model::{mu_to_allocations, TealConfig};
     use teal_topology::{PathSet, Topology};
     use teal_traffic::{TrafficConfig, TrafficMatrix, TrafficModel};
 
@@ -509,17 +509,21 @@ mod tests {
             ),
         ];
         for model in &models {
-            let batched = model.allocate_batch(&env.batch_input(&tms, None));
+            // The stacked tape forward training uses, against the
+            // per-matrix call deployment makes.
+            let input = env.batch_input(&tms, None);
+            let mut g = Graph::new();
+            let fwd = model.forward(&mut g, &input);
+            let batched = mu_to_allocations(g.value(fwd.mu), input.batch);
             assert_eq!(batched.len(), tms.len(), "{}", model.name());
             for (tm, b) in tms.iter().zip(&batched) {
                 let seq = model.allocate_deterministic(&env.model_input(tm, None));
-                for (x, y) in b.splits().iter().zip(seq.splits()) {
-                    assert!(
-                        (x - y).abs() <= 1e-6,
-                        "{}: batched {x} vs sequential {y}",
-                        model.name()
-                    );
-                }
+                assert_eq!(
+                    b,
+                    &seq,
+                    "{}: stacked diverged from sequential",
+                    model.name()
+                );
             }
         }
     }

@@ -141,30 +141,23 @@ pub fn train_coma(
     }
 }
 
-/// Matrices per batched forward pass during validation.
-const VALIDATE_BATCH: usize = 8;
-
 /// Mean deterministic satisfied-demand percentage over a set of matrices.
-/// Allocations come from the batched forward pass in chunks of
-/// [`VALIDATE_BATCH`] matrices.
 pub fn validate(model: &dyn PolicyModel, env: &Env, tms: &[TrafficMatrix]) -> f64 {
     if tms.is_empty() {
         return 0.0;
     }
     let mut acc = 0.0;
-    for chunk in tms.chunks(VALIDATE_BATCH) {
-        let allocs = model.allocate_batch(&env.batch_input(chunk, None));
-        for (tm, alloc) in chunk.iter().zip(&allocs) {
-            let mut sim = FlowSim::new(env, tm, None);
-            sim.set_allocation(alloc);
-            let total = sim.total_demand();
-            // f32 softmax rows can sum to 1 + ~1e-7; clamp the percentage.
-            acc += if total > 0.0 {
-                (100.0 * sim.reward() / total).min(100.0)
-            } else {
-                100.0
-            };
-        }
+    for tm in tms {
+        let alloc = model.allocate_deterministic(&env.model_input(tm, None));
+        let mut sim = FlowSim::new(env, tm, None);
+        sim.set_allocation(&alloc);
+        let total = sim.total_demand();
+        // f32 softmax rows can sum to 1 + ~1e-7; clamp the percentage.
+        acc += if total > 0.0 {
+            (100.0 * sim.reward() / total).min(100.0)
+        } else {
+            100.0
+        };
     }
     acc / tms.len() as f64
 }
@@ -180,13 +173,11 @@ pub fn validate_reward(
         return 0.0;
     }
     let mut acc = 0.0;
-    for chunk in tms.chunks(VALIDATE_BATCH) {
-        let allocs = model.allocate_batch(&env.batch_input(chunk, None));
-        for (tm, alloc) in chunk.iter().zip(&allocs) {
-            let mut sim = FlowSim::with_reward(env, tm, None, kind);
-            sim.set_allocation(alloc);
-            acc += clamp_reward(sim.reward());
-        }
+    for tm in tms {
+        let alloc = model.allocate_deterministic(&env.model_input(tm, None));
+        let mut sim = FlowSim::with_reward(env, tm, None, kind);
+        sim.set_allocation(&alloc);
+        acc += clamp_reward(sim.reward());
     }
     acc / tms.len() as f64
 }

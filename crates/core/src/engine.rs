@@ -18,15 +18,19 @@
 //! forward pass is a fixed sequence of matrix products and ADMM runs a fixed
 //! iteration count, the runtime is independent of the traffic values (the
 //! stability highlighted in Figure 7a). [`ServingContext::allocate_batch`]
-//! pushes a whole batch of matrices through *one* set of matrix products and
-//! one batched ADMM sweep ([`teal_lp::AdmmBatchSolver`]): every fine-tuning
-//! iteration repairs the whole window in a single pass over the shared
-//! incidence index, parallelized over demand/edge × batch tiles on the
-//! `teal_nn::pool` workers — no per-matrix solver loop remains on the
-//! serving hot path. [`ServingContext::try_allocate_batch`] is the
-//! fallible variant: malformed requests surface as [`AllocError`] values
-//! (which the `teal-serve` dispatcher maps to per-request `BadRequest`
-//! replies) instead of panics.
+//! serves a whole window in two stages, each with one parallel axis on the
+//! `teal_nn::pool` workers. The forward stage is one pool job whose index is
+//! the matrix: the matrices of a window commute and share no write, so each
+//! runs its own forward pass on serial kernels and lands in its own slot
+//! (a window of one is single-core — on every shape measured, splitting one
+//! matrix's kernels across cores cost more in hand-offs than it returned).
+//! The ADMM stage is one batched sweep ([`teal_lp::AdmmBatchSolver`]): every
+//! fine-tuning iteration repairs the whole window in a single pass over the
+//! shared incidence index, parallelized over demand/edge × batch tiles — no
+//! per-matrix solver loop remains on the serving hot path.
+//! [`ServingContext::try_allocate_batch`] is the fallible variant: malformed
+//! requests surface as [`AllocError`] values (which the `teal-serve`
+//! dispatcher maps to per-request `BadRequest` replies) instead of panics.
 //!
 //! The ADMM stage of every batched call runs in a reusable [`BatchScratch`]
 //! (solver + arena + report buffers): dispatch lanes that retain one —
@@ -43,7 +47,7 @@
 
 use crate::env::Env;
 use crate::model::PolicyModel;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, Objective};
 use teal_nn::checkpoint::CheckpointError;
@@ -376,13 +380,13 @@ impl<M: PolicyModel> ServingContext<M> {
         (allocs.pop().expect("a window of one"), dt)
     }
 
-    /// Allocate a whole batch of traffic matrices: batched forward passes
-    /// in sub-batches (one set of matrix products per `SUB_BATCH`
-    /// matrices), then one batched ADMM sweep fine-tuning the
-    /// whole window in a single pass per iteration over the shared
-    /// incidence index. Returns the allocations (aligned with `tms`) and
-    /// the total wall-clock time. Panics on malformed input; services that
-    /// must survive bad requests use [`ServingContext::try_allocate_batch`].
+    /// Allocate a whole batch of traffic matrices: one forward pass per
+    /// matrix, the matrices spread over the pool, then one batched ADMM
+    /// sweep fine-tuning the whole window in a single pass per iteration
+    /// over the shared incidence index. Returns the allocations (aligned
+    /// with `tms`) and the total wall-clock time. Panics on malformed
+    /// input; services that must survive bad requests use
+    /// [`ServingContext::try_allocate_batch`].
     pub fn allocate_batch(&self, tms: &[TrafficMatrix]) -> (Vec<Allocation>, Duration) {
         self.try_allocate_batch(tms)
             .unwrap_or_else(|e| panic!("allocate_batch: {e}"))
@@ -449,13 +453,6 @@ impl<M: PolicyModel> ServingContext<M> {
         self.allocate_batch_inner_with(tms, Some(topo), scratch)
     }
 
-    /// Matrices per forward-pass sub-batch. Not a speed knob: sizes 1, 4, 8
-    /// and 16 measure within noise of each other on 8-matrix windows at
-    /// 1,024 nodes (54–59 ms), so nothing here is cache-resident either
-    /// way. 4 is kept so the transient activations of a forward pass are
-    /// bounded by four matrices' worth however large the window is.
-    const SUB_BATCH: usize = 4;
-
     /// Run one window of a scratch-less entry point on a scratch borrowed
     /// from the context's pool (minted on first use), so repeat callers
     /// reuse ADMM state buffers without threading a [`BatchScratch`]
@@ -513,13 +510,23 @@ impl<M: PolicyModel> ServingContext<M> {
                 )));
             }
         }
-        // Batched forward: each sub-batch shares one set of matrix
-        // products.
-        let mut raw = Vec::with_capacity(tms.len());
-        for chunk in tms.chunks(Self::SUB_BATCH) {
-            let input = env.batch_input(chunk, topo_override);
-            raw.extend(self.model.allocate_batch(&input));
-        }
+        // Forward stage: the matrices of a window commute and share no
+        // write, so one matrix is the unit of work and the window is one
+        // pool job indexed by matrix, each result landing in its own slot.
+        // Kernels are serial: one matrix's activations stay cache-resident
+        // on the core that runs it. A window of one, a one-thread process
+        // and a lane under `with_thread_cap(1, ..)` run inline; a panicking
+        // matrix reaches the caller as its original panic either way.
+        let slots: Vec<OnceLock<Allocation>> = tms.iter().map(|_| OnceLock::new()).collect();
+        teal_nn::pool::run(tms.len(), &|i| {
+            let input = env.model_input(&tms[i], topo_override);
+            // The pool claims each index exactly once, so the slot is empty.
+            let _ = slots[i].set(self.model.allocate_deterministic(&input));
+        });
+        let raw: Vec<Allocation> = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("pool::run ran every index"))
+            .collect();
         let mut out = match (self.cfg.admm, &self.skeleton) {
             (Some(admm_cfg), Some(skel)) => {
                 // Per-window budget override (the adaptive §3.4 knob): never
@@ -727,12 +734,7 @@ mod tests {
         for (tm, b) in tms.iter().zip(&batched) {
             let (seq, _) = eng.allocate(tm);
             assert!(b.demand_feasible(1e-6));
-            for (x, y) in b.splits().iter().zip(seq.splits()) {
-                assert!(
-                    (x - y).abs() <= 1e-6,
-                    "batched {x} vs sequential {y} differ beyond 1e-6"
-                );
-            }
+            assert_eq!(b, &seq, "batched diverged from sequential");
         }
     }
 
@@ -767,12 +769,7 @@ mod tests {
         let (batched, _) = eng.allocate_batch(&tms);
         for (tm, b) in tms.iter().zip(&batched) {
             let (seq, _) = eng.allocate(tm);
-            for (x, y) in b.splits().iter().zip(seq.splits()) {
-                assert!(
-                    (x - y).abs() <= 1e-6,
-                    "early-stopped batched {x} vs sequential {y}"
-                );
-            }
+            assert_eq!(b, &seq, "early-stopped batched diverged from sequential");
         }
     }
 
@@ -803,9 +800,7 @@ mod tests {
         let (batched, _) = eng.allocate_batch_on(&failed, &tms);
         for (tm, alloc) in tms.iter().zip(&batched) {
             let (seq, _) = eng.allocate_on(&failed, tm);
-            for (x, y) in alloc.splits().iter().zip(seq.splits()) {
-                assert!((x - y).abs() <= 1e-6, "batched {x} vs sequential {y}");
-            }
+            assert_eq!(alloc, &seq, "batched diverged from sequential");
             let inst = env.instance_on(&failed, tm);
             let stats = teal_lp::evaluate(&inst, alloc);
             for &e in &dead {
@@ -853,9 +848,7 @@ mod tests {
         let (batched, _) = eng.allocate_batch_on(&failed, &tms);
         for (tm, b) in tms.iter().zip(&batched) {
             let (seq, _) = eng.allocate_on(&failed, tm);
-            for (x, y) in b.splits().iter().zip(seq.splits()) {
-                assert!((x - y).abs() <= 1e-6);
-            }
+            assert_eq!(b, &seq, "batched diverged from sequential");
         }
     }
 
@@ -943,6 +936,121 @@ mod tests {
             }
         }
         assert_eq!(scratch.reports().len(), *sizes.last().unwrap());
+    }
+
+    #[test]
+    fn windows_are_bit_identical_across_thread_caps() {
+        // The forward stage is one pool job indexed by matrix: which thread
+        // runs a matrix must not move a bit. The same windows — plain and
+        // failed-link alternating on one retained scratch — served inline
+        // (cap 1) and with whatever helpers the process has.
+        let eng = engine();
+        let nd = eng.env().num_demands();
+        let failed = eng.env().topo().with_failed_link(0, 1);
+        let windows: Vec<Vec<TrafficMatrix>> = [8usize, 1, 5, 3]
+            .iter()
+            .enumerate()
+            .map(|(w, &nb)| {
+                (0..nb)
+                    .map(|i| TrafficMatrix::new(vec![6.0 + 5.0 * (w * 8 + i) as f64; nd]))
+                    .collect()
+            })
+            .collect();
+        let serve = || -> Vec<Vec<Allocation>> {
+            let mut scratch = BatchScratch::new();
+            windows
+                .iter()
+                .enumerate()
+                .map(|(w, tms)| {
+                    let topo = (w % 2 == 1).then_some(&failed);
+                    let (allocs, _) = eng
+                        .allocate_batch_inner_with(tms, topo, &mut scratch)
+                        .expect("window");
+                    allocs
+                })
+                .collect()
+        };
+        let inline = teal_nn::pool::with_thread_cap(1, serve);
+        assert_eq!(inline, serve(), "thread cap moved an allocation");
+    }
+
+    /// `TealModel`, except that a *marked* matrix (first demand exactly
+    /// zero) panics in its forward pass.
+    struct Tripped(TealModel);
+
+    impl PolicyModel for Tripped {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn env(&self) -> &Arc<Env> {
+            self.0.env()
+        }
+        fn forward(
+            &self,
+            g: &mut teal_nn::Graph,
+            input: &crate::env::ModelInput,
+        ) -> crate::model::Forward {
+            self.0.forward(g, input)
+        }
+        fn store(&self) -> &teal_nn::ParamStore {
+            self.0.store()
+        }
+        fn store_mut(&mut self) -> &mut teal_nn::ParamStore {
+            self.0.store_mut()
+        }
+        fn allocate_deterministic(&self, input: &crate::env::ModelInput) -> Allocation {
+            assert!(input.path_init.data()[0] != 0.0, "marked matrix");
+            self.0.allocate_deterministic(input)
+        }
+    }
+
+    #[test]
+    fn forward_panic_reaches_caller_and_scratch_survives() {
+        // A matrix that panics in the forward job — on the submitting thread
+        // or a pool helper — must reach the caller as the original panic
+        // (the serving shard's per-request degrade keys on it), and the
+        // scratch that window used must serve the next one as a fresh
+        // scratch would.
+        let env = Arc::new(Env::for_topology(b4()));
+        let cfg_model = TealConfig {
+            gnn_layers: 3,
+            ..TealConfig::default()
+        };
+        let ctx = ServingContext::new(
+            Tripped(TealModel::new(Arc::clone(&env), cfg_model)),
+            EngineConfig::paper_default(12),
+        );
+        let nd = env.num_demands();
+        let window = |base: f64| -> Vec<TrafficMatrix> {
+            (0..5)
+                .map(|i| TrafficMatrix::new(vec![base + 4.0 * i as f64; nd]))
+                .collect()
+        };
+        let mut scratch = BatchScratch::new();
+        ctx.try_allocate_batch_with(&window(3.0), &mut scratch)
+            .expect("clean window");
+
+        let mut tripped = window(9.0);
+        let mut demands = vec![7.0; nd];
+        demands[0] = 0.0;
+        tripped[3] = TrafficMatrix::new(demands);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.try_allocate_batch_with(&tripped, &mut scratch)
+        }));
+        let payload = caught.expect_err("the marked matrix must panic the window");
+        assert!(
+            panic_text(payload).contains("marked matrix"),
+            "original panic payload lost"
+        );
+
+        let next = window(20.0);
+        let (got, _) = ctx
+            .try_allocate_batch_with(&next, &mut scratch)
+            .expect("window after the panic");
+        let (want, _) = ctx
+            .try_allocate_batch_with(&next, &mut BatchScratch::new())
+            .expect("fresh scratch");
+        assert_eq!(got, want, "scratch reused after a panicked window diverged");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! # Batched serving architecture
 //!
 //! The paper's speed claim — "one fixed-cost batch of matrix
-//! multiplications plus a few ADMM iterations" — is realized here as an
-//! explicit batch dimension through the whole serving data path:
+//! multiplications plus a few ADMM iterations" — is realized here as a
+//! window of matrices served together: the forward pass once per matrix,
+//! matrices spread over cores, then one batched ADMM sweep.
 //!
 //! * **Batch shapes.** [`Env::batch_input`] stacks a minibatch of traffic
 //!   matrices as vertical per-matrix blocks: `path_init` is
@@ -25,10 +26,11 @@
 //!   single-matrix layout). Dense layers are row-wise and handle the stack
 //!   unchanged; message passing applies the incidence operator
 //!   block-diagonally (`spmm_batch`), and the per-demand reshape groups
-//!   `batch * num_demands` rows. [`PolicyModel::allocate_batch`] turns the
-//!   resulting `[batch * D, k]` logits into per-matrix allocations that
-//!   match per-matrix [`PolicyModel::allocate_deterministic`] outputs to
-//!   within f32 noise (well below 1e-6; property-tested).
+//!   `batch * num_demands` rows. Training minibatches (and the repo
+//!   benchmark's layer ledger) use the stack; [`mu_to_allocations`] turns
+//!   its `[batch * D, k]` logits into per-matrix allocations equal, bit for
+//!   bit, to per-matrix [`PolicyModel::allocate_deterministic`] outputs
+//!   (every kernel is row-wise; property-tested). Serving does not stack.
 //! * **ServingContext lifecycle.** [`ServingContext`] is built once per
 //!   topology from a trained model plus an [`teal_lp::AdmmSkeleton`] (the
 //!   path-edge incidence index, normalized capacities, and objective
@@ -40,23 +42,27 @@
 //!   from many threads; [`TealEngine`] is that `Arc`, deref-ing to the
 //!   context.
 //! * **Throughput path.** [`ServingContext::allocate_batch`] runs the
-//!   forward pass in sub-batches of four matrices (one set of matrix
-//!   products each, tape-free — see `TealModel::infer_mu`; the size bounds
-//!   transient activations and moves no timing) and fine-tunes the whole
-//!   window with one batched ADMM sweep ([`teal_lp::AdmmBatchSolver`]):
-//!   structure-of-arrays state minted from the shared skeleton, each
-//!   iteration a single pass over the incidence index parallelized over
-//!   demand/edge × batch tiles on the `teal_nn::pool` workers, with a
-//!   per-matrix convergence mask for early stopping. A batch of B equals
-//!   B batches of one bitwise (`teal-lp`'s `batch_equivalence` test pins
-//!   it). [`ServingContext::try_allocate_batch`] surfaces malformed
-//!   requests and poisoned workers as [`AllocError`] values for isolation.
-//!   What a window costs is the `BENCHMARK.json` rows
-//!   `lp.admm.run_batch_ms` and `core.engine.window_ms` on `wan1024_window`.
+//!   forward stage as one `teal_nn::pool` job whose index is the matrix:
+//!   the matrices of a window commute and share no write, so one matrix is
+//!   the unit of work, its tape-free forward pass
+//!   ([`PolicyModel::allocate_deterministic`]) runs on serial kernels with
+//!   its ≈ 200 KB of activations resident on one core, and matrices are the
+//!   stage's only parallel axis (a window of one is single-core). The whole
+//!   window is then fine-tuned by one batched ADMM sweep
+//!   ([`teal_lp::AdmmBatchSolver`]): structure-of-arrays state minted from
+//!   the shared skeleton, each iteration a single pass over the incidence
+//!   index parallelized over demand/edge × batch tiles on the same pool
+//!   (the second and last parallel axis), with a per-matrix convergence
+//!   mask for early stopping. A batch of B equals B batches of one bitwise
+//!   (`teal-lp`'s `batch_equivalence` test pins it).
+//!   [`ServingContext::try_allocate_batch`] surfaces malformed requests and
+//!   poisoned workers as [`AllocError`] values for isolation. What a window
+//!   costs is the `BENCHMARK.json` rows `lp.admm.run_batch_ms` and
+//!   `core.engine.window_ms` on `wan1024_window`.
 //! * **Training.** [`coma::train_coma`] consumes minibatches
 //!   (`ComaConfig::batch_size`) with one batched forward/backward pass and
-//!   one optimizer step per minibatch; validation scores allocations from
-//!   the batched path.
+//!   one optimizer step per minibatch; validation scores per-matrix
+//!   deterministic allocations.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
 // audited unsafe lives in `teal-nn`/`teal-lp` only (see the root crate's
 // unsafe inventory docs).

@@ -95,8 +95,10 @@ impl Forward {
 }
 
 /// Interface shared by Teal and its ablation variants: map a traffic matrix
-/// to per-demand logits under trainable parameters.
-pub trait PolicyModel {
+/// to per-demand logits under trainable parameters. `Send + Sync` because a
+/// serving window's forward pass borrows the model from pool worker threads,
+/// one matrix per task.
+pub trait PolicyModel: Send + Sync {
     /// Human-readable variant name.
     fn name(&self) -> &str;
 
@@ -133,17 +135,6 @@ pub trait PolicyModel {
         let mut g = Graph::new();
         let fwd = self.forward(&mut g, input);
         mu_to_allocation(g.value(fwd.mu))
-    }
-
-    /// Deterministic allocations for a whole minibatch in one forward pass:
-    /// the tentpole of the batched serving path. Models whose `forward`
-    /// honors `ModelInput::batch` inherit this for free; the default is
-    /// exact-equal (up to f32 order-of-operations, well below 1e-6 here) to
-    /// calling [`PolicyModel::allocate_deterministic`] per matrix.
-    fn allocate_batch(&self, input: &ModelInput) -> Vec<Allocation> {
-        let mut g = Graph::new();
-        let fwd = self.forward(&mut g, input);
-        mu_to_allocations(g.value(fwd.mu), input.batch)
     }
 }
 
@@ -236,8 +227,8 @@ impl FlowGnn {
 
     /// Tape-free inference forward: the same arithmetic as
     /// [`FlowGnn::forward`] on plain tensors, with every intermediate freed
-    /// as soon as the next layer has consumed it. Deployment (and the
-    /// batched serving path) runs this; training uses the recorded variant.
+    /// as soon as the next layer has consumed it. Deployment runs this, one
+    /// matrix per call; training uses the recorded variant.
     fn infer(&self, store: &ParamStore, env: &Env, input: &ModelInput) -> Tensor {
         let a = env.incidence();
         let batch = input.batch;
@@ -486,11 +477,6 @@ impl PolicyModel for TealModel {
         );
         mu_to_allocation(&self.infer_mu(input))
     }
-
-    /// Deployment override: batched tape-free inference.
-    fn allocate_batch(&self, input: &ModelInput) -> Vec<Allocation> {
-        mu_to_allocations(&self.infer_mu(input), input.batch)
-    }
 }
 
 #[cfg(test)]
@@ -568,13 +554,14 @@ mod tests {
         let emb = fwd.embeddings.unwrap();
         assert_eq!(g.value(emb).shape(), (3 * env.paths().num_paths(), 6));
 
-        let batched = model.allocate_batch(&input);
+        // The stacked input training and the benchmark still use, against
+        // the per-matrix call serving makes: every kernel is row-wise, so
+        // the two agree to the bit.
+        let batched = mu_to_allocations(&model.infer_mu(&input), input.batch);
         assert_eq!(batched.len(), 3);
         for (tm, b) in tms.iter().zip(&batched) {
             let seq = model.allocate_deterministic(&env.model_input(tm, None));
-            for (x, y) in b.splits().iter().zip(seq.splits()) {
-                assert!((x - y).abs() <= 1e-6, "batched {x} vs sequential {y}");
-            }
+            assert_eq!(b, &seq, "stacked forward diverged from per-matrix");
         }
     }
 

@@ -820,7 +820,7 @@ impl AdmmBatchSolver {
         let nb = self.batch;
         let k = self.k;
         let np = self.num_demands * k;
-        let threads = teal_nn::par::max_threads();
+        let threads = teal_nn::pool::max_threads();
         arena.prepare(self, threads);
         let BatchArena {
             st,

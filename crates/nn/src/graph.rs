@@ -11,7 +11,7 @@
 //! finite differences in this module's tests and in property tests.
 
 use crate::sparse::CsrPair;
-use crate::tensor::{linear_act_into, matmul_a_bt, matmul_at_b, Tensor};
+use crate::tensor::{linear_act_into, matmul, matmul_a_bt, matmul_at_b, Tensor};
 use std::sync::Arc;
 
 /// Handle to a node on the tape.
@@ -139,7 +139,7 @@ impl Graph {
 
     /// Dense matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = crate::par::pmatmul(self.value(a), self.value(b));
+        let v = matmul(self.value(a), self.value(b));
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::MatMul(a, b), ng)
     }
@@ -180,11 +180,7 @@ impl Graph {
         let (m, k) = tx.shape();
         let n = tw.cols();
         let mut out = Tensor::zeros(m, n);
-        crate::par::par_row_chunks_mut(out.data_mut(), n, m * k * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            let sub = &tx.data()[row0 * k..(row0 + rows) * k];
-            linear_act_into(sub, k, tw, tb.data(), slope, chunk);
-        });
+        linear_act_into(tx.data(), k, tw, tb.data(), slope, out.data_mut());
         let ng = self.needs(x) || self.needs(w) || self.needs(b);
         self.push(out, Op::LinearAct { x, w, b, slope }, ng)
     }

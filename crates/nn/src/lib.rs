@@ -9,9 +9,9 @@
 //! * [`graph`] — a tape-based reverse-mode autograd engine;
 //! * [`module`] — parameter storage and `Linear` layers;
 //! * [`optim`] — Adam (the paper's optimizer) and SGD;
-//! * [`par`] — chunked CPU parallelism standing in for the GPU;
-//! * [`pool`] — the persistent worker pool behind [`par`] (no per-call
-//!   thread spawning on the serving hot path);
+//! * [`pool`] — the persistent worker pool standing in for the GPU's
+//!   parallelism: kernels here are serial, and the stages above them
+//!   (a window's forward pass over matrices, ADMM over tiles) submit jobs;
 //! * [`rng`] — seeded RNG and Box-Muller Gaussian sampling;
 //! * [`checkpoint`] — save/load trained parameters (the paper's week-long
 //!   training sessions need persistence).
@@ -20,16 +20,15 @@
 //! relies on for regression tests.
 //!
 //! This crate (with `teal-lp`) is where the workspace's `unsafe` lives —
-//! the lifetime-erased pool jobs and disjoint-chunk reconstruction in
-//! [`pool`]/[`par`]. Every block carries a `// SAFETY:` comment (enforced
-//! by `cargo xtask lint`) and `unsafe_op_in_unsafe_fn` is denied
-//! workspace-wide; see the root crate's "Unsafe inventory" docs.
+//! here, the lifetime-erased jobs of [`pool`]. Every block carries a
+//! `// SAFETY:` comment (enforced by `cargo xtask lint`) and
+//! `unsafe_op_in_unsafe_fn` is denied workspace-wide; see the root crate's
+//! "Unsafe inventory" docs.
 
 pub mod checkpoint;
 pub mod graph;
 pub mod module;
 pub mod optim;
-pub mod par;
 pub mod pool;
 pub mod rng;
 pub mod sparse;

@@ -210,11 +210,7 @@ impl Linear {
         let (m, k) = x.shape();
         let n = w.cols();
         let mut out = Tensor::zeros(m, n);
-        crate::par::par_row_chunks_mut(out.data_mut(), n, m * k * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            let sub = &x.data()[row0 * k..(row0 + rows) * k];
-            crate::tensor::linear_act_into(sub, k, w, b.data(), slope, chunk);
-        });
+        crate::tensor::linear_act_into(x.data(), k, w, b.data(), slope, out.data_mut());
         out
     }
 
@@ -231,19 +227,16 @@ impl Linear {
         let (ka, kb) = (a.cols(), b.cols());
         let n = w.cols();
         let mut out = Tensor::zeros(m, n);
-        crate::par::par_row_chunks_mut(out.data_mut(), n, m * (ka + kb) * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            crate::tensor::linear2_act_into(
-                &a.data()[row0 * ka..(row0 + rows) * ka],
-                ka,
-                &b.data()[row0 * kb..(row0 + rows) * kb],
-                kb,
-                w,
-                bias.data(),
-                slope,
-                chunk,
-            );
-        });
+        crate::tensor::linear2_act_into(
+            a.data(),
+            ka,
+            b.data(),
+            kb,
+            w,
+            bias.data(),
+            slope,
+            out.data_mut(),
+        );
         out
     }
 

@@ -1,25 +1,27 @@
-//! Persistent worker pool for the dense/sparse kernels.
+//! Persistent worker pool: the one place this workspace takes a second core.
 //!
-//! The original `par` helpers spawned fresh crossbeam scoped threads on
-//! every kernel call; at serving rates (thousands of forward passes per TE
-//! interval on the batched path) the spawn/join cost is pure overhead. This
-//! module keeps `max_threads() - 1` workers alive for the life of the
-//! process and hands them *jobs*: an indexed task `f(0..n)` whose chunks
-//! workers and the submitting thread claim with one shared atomic counter.
+//! Kernels in this crate are serial. Parallelism is a *stage's* decision,
+//! taken where the units of work commute and share no write: the matrices of
+//! a serving window's forward pass (`teal-core`) and the demand/edge tiles
+//! of a batched ADMM sweep (`teal-lp`). Both hand this module a *job* — an
+//! indexed task `f(0..n)` whose indices workers and the submitting thread
+//! claim with one shared atomic counter. `max_threads() - 1` workers stay
+//! alive for the life of the process, so a job costs one queue push, never a
+//! thread spawn.
 //!
 //! Design constraints, in order:
 //!
 //! * **The caller always participates.** A job makes progress even with
 //!   zero workers (single-CPU CI) or with every worker busy elsewhere, so
 //!   submission never deadlocks — including *nested* submission from inside
-//!   a worker (the outer ADMM parallel sweep calling the parallel matmul).
-//! * **Concurrent submitters are first-class.** The serving daemon's
-//!   dispatcher, test threads, and training all call kernels at once; jobs
-//!   queue up and any idle worker helps whichever job is at the front.
-//!   Every operation on the shared state (push job, claim chunk, retire
-//!   job) commutes with itself across submitters — there is no per-kernel
-//!   lock held while compute runs.
-//! * **Borrowed closures.** Kernels pass `&dyn Fn(usize)` borrowing stack
+//!   a task (nothing in the workspace nests today; the unit test keeps it
+//!   working).
+//! * **Concurrent submitters are first-class.** The serving daemon's shard
+//!   dispatchers and test threads all submit at once; jobs queue up and any
+//!   idle worker helps whichever job is at the front. Every operation on
+//!   the shared state (push job, claim chunk, retire job) commutes with
+//!   itself across submitters — there is no lock held while compute runs.
+//! * **Borrowed closures.** Stages pass `&dyn Fn(usize)` borrowing stack
 //!   data. The pointer is type-erased to cross the thread boundary; safety
 //!   rests on [`run`] not returning until every claimed chunk has finished
 //!   (tracked by the `done` count) and on exhausted jobs never being
@@ -27,11 +29,11 @@
 //!
 //! Worker panics are caught per chunk and re-surfaced as a panic in the
 //! submitting thread with the original payload (first panic wins), so
-//! caller-side `catch_unwind` diagnostics see the real cause — matching
-//! the old `crossbeam::scope(...).expect(...)` behavior closely enough for
-//! every call site in this workspace. Once a job is poisoned, later chunk
-//! claims fast-fail (counted as done, never executed): a batch that will
-//! re-panic anyway must not keep burning worker time other jobs could use.
+//! caller-side `catch_unwind` diagnostics see the real cause — a forward
+//! pass that panics on a helper thread reaches the serving shard exactly as
+//! one that panicked inline. Once a job is poisoned, later chunk claims
+//! fast-fail (counted as done, never executed): a batch that will re-panic
+//! anyway must not keep burning worker time other jobs could use.
 //!
 //! Steady state allocates (almost) nothing: each submitting thread caches
 //! its last `Job` and re-arms it in place when no worker still holds a
@@ -63,7 +65,7 @@ static CAPPED_SKIPS: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time pool activity counters: process-wide, monotone since
 /// startup. Take two snapshots and subtract to meter an interval. The
-/// caller/helper split is the pool's occupancy story — how much kernel work
+/// caller/helper split is the pool's occupancy story — how much work
 /// the submitting dispatchers ran themselves versus what the worker threads
 /// stole — and `capped_skips` counts demand the thread caps turned away.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -279,9 +281,30 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// Thread cap of the pool (workers plus one submitter). Defaults to the
+/// machine's available parallelism; override with the `TEAL_NN_THREADS`
+/// environment variable (values < 1 or unparsable fall back to the default).
+pub fn max_threads() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        let hw = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        match std::env::var("TEAL_NN_THREADS") {
+            Ok(v) => v
+                .trim()
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .unwrap_or(hw),
+            Err(_) => hw,
+        }
+    })
+}
+
 fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(crate::par::max_threads().saturating_sub(1)))
+    POOL.get_or_init(|| WorkerPool::new(max_threads().saturating_sub(1)))
 }
 
 /// Number of persistent worker threads (0 on a single-CPU machine — the
@@ -321,8 +344,9 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 
 /// Execute `f(0)`, …, `f(n - 1)` across the pool, returning once all calls
 /// have finished. Each index is claimed by exactly one thread, so `f` may
-/// hand out disjoint `&mut` chunks through interior unsafe (see `par`).
-/// Panics in `f` propagate to the caller after all chunks settle.
+/// write a per-index slot (or, as ADMM's `TileBuf` does, a disjoint `&mut`
+/// tile) without contending. Panics in `f` propagate to the caller after
+/// all chunks settle.
 pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
         return;
@@ -353,7 +377,7 @@ pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
     // and re-arms it in place when it holds the only reference (no worker
     // kept a clone past the previous job's exhaustion — `Arc::get_mut`
     // proves exclusivity, so the reset is race-free). Serving loops thus
-    // stop minting a Job allocation per kernel dispatch; a fresh Job is
+    // stop minting a Job allocation per dispatch; a fresh Job is
     // built only when a worker still holds the old one.
     let job = match JOB_CACHE.with(|c| c.take()) {
         Some(mut cached) => {

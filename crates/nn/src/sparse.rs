@@ -115,8 +115,6 @@ impl Csr {
     }
 
     /// Sparse-dense product `out = self * x` where `x` is `cols x d`.
-    /// Parallelizes across output rows once the multi-column right-hand side
-    /// is wide enough to amortize thread spawn.
     pub fn spmm(&self, x: &Tensor) -> Tensor {
         self.spmm_batch(x, 1)
     }
@@ -124,8 +122,9 @@ impl Csr {
     /// Block-diagonal batched product: `x` stacks `batch` matrices of shape
     /// `[cols, d]` vertically, and the result stacks the `batch` products
     /// `self * x_b` the same way. Equivalent to `(I_batch ⊗ self) * x`
-    /// without materializing the Kronecker structure; the batched forward
-    /// pass routes every traffic matrix through one call.
+    /// without materializing the Kronecker structure; a training minibatch
+    /// routes every traffic matrix through one call. One serial row walk —
+    /// callers that want a second core split work above the kernel.
     pub fn spmm_batch(&self, x: &Tensor, batch: usize) -> Tensor {
         assert!(batch >= 1, "spmm_batch requires batch >= 1");
         assert_eq!(
@@ -138,55 +137,50 @@ impl Csr {
         );
         let d = x.cols();
         let mut out = Tensor::zeros(self.rows * batch, d);
-        let work = self.nnz() * d * batch;
         let rows = self.rows;
         let xd = x.data();
-        crate::par::par_row_chunks_mut(out.data_mut(), d, work, |row0, chunk| {
-            if d == 1 {
-                // First-layer embeddings: a pure gather. Four independent
-                // f32 lanes over the non-zeros of each row, recombined once.
-                for (i, out_row) in chunk.chunks_mut(1).enumerate() {
-                    let gr = row0 + i;
-                    let (b, r) = (gr / rows, gr % rows);
-                    let x_off = b * self.cols;
-                    let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-                    let mut s0 = 0.0f32;
-                    let mut s1 = 0.0f32;
-                    let mut s2 = 0.0f32;
-                    let mut s3 = 0.0f32;
-                    let mut e = lo;
-                    while e + 4 <= hi {
-                        s0 += self.values[e] * xd[x_off + self.col_idx[e] as usize];
-                        s1 += self.values[e + 1] * xd[x_off + self.col_idx[e + 1] as usize];
-                        s2 += self.values[e + 2] * xd[x_off + self.col_idx[e + 2] as usize];
-                        s3 += self.values[e + 3] * xd[x_off + self.col_idx[e + 3] as usize];
-                        e += 4;
-                    }
-                    let mut s = (s0 + s1) + (s2 + s3);
-                    while e < hi {
-                        s += self.values[e] * xd[x_off + self.col_idx[e] as usize];
-                        e += 1;
-                    }
-                    out_row[0] = s;
+        if d == 1 {
+            // First-layer embeddings: a pure gather. Four independent
+            // f32 lanes over the non-zeros of each row, recombined once.
+            for (gr, out_row) in out.data_mut().iter_mut().enumerate() {
+                let (b, r) = (gr / rows, gr % rows);
+                let x_off = b * self.cols;
+                let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+                let mut s0 = 0.0f32;
+                let mut s1 = 0.0f32;
+                let mut s2 = 0.0f32;
+                let mut s3 = 0.0f32;
+                let mut e = lo;
+                while e + 4 <= hi {
+                    s0 += self.values[e] * xd[x_off + self.col_idx[e] as usize];
+                    s1 += self.values[e + 1] * xd[x_off + self.col_idx[e + 1] as usize];
+                    s2 += self.values[e + 2] * xd[x_off + self.col_idx[e + 2] as usize];
+                    s3 += self.values[e + 3] * xd[x_off + self.col_idx[e + 3] as usize];
+                    e += 4;
                 }
-            } else {
-                for (i, out_row) in chunk.chunks_mut(d).enumerate() {
-                    let gr = row0 + i;
-                    let (b, r) = (gr / rows, gr % rows);
-                    let x_off = b * self.cols;
-                    let lo = self.row_ptr[r];
-                    let hi = self.row_ptr[r + 1];
-                    for e in lo..hi {
-                        let c = self.col_idx[e] as usize;
-                        let v = self.values[e];
-                        let x_row = &xd[(x_off + c) * d..(x_off + c + 1) * d];
-                        for (o, &xv) in out_row.iter_mut().zip(x_row.iter()) {
-                            *o += v * xv;
-                        }
+                let mut s = (s0 + s1) + (s2 + s3);
+                while e < hi {
+                    s += self.values[e] * xd[x_off + self.col_idx[e] as usize];
+                    e += 1;
+                }
+                *out_row = s;
+            }
+        } else if d > 1 {
+            for (gr, out_row) in out.data_mut().chunks_mut(d).enumerate() {
+                let (b, r) = (gr / rows, gr % rows);
+                let x_off = b * self.cols;
+                let lo = self.row_ptr[r];
+                let hi = self.row_ptr[r + 1];
+                for e in lo..hi {
+                    let c = self.col_idx[e] as usize;
+                    let v = self.values[e];
+                    let x_row = &xd[(x_off + c) * d..(x_off + c + 1) * d];
+                    for (o, &xv) in out_row.iter_mut().zip(x_row.iter()) {
+                        *o += v * xv;
                     }
                 }
             }
-        });
+        }
         out
     }
 
@@ -346,7 +340,6 @@ mod tests {
 
     #[test]
     fn spmm_wide_rhs_matches_dense() {
-        // Wide enough to cross the parallel threshold on a big matrix.
         let mut triplets = Vec::new();
         for r in 0..300 {
             triplets.push((r, r % 7, 1.0 + r as f32 * 0.01));

@@ -260,19 +260,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         "matmul shape mismatch: {}x{} * {}x{}",
         a.rows, a.cols, b.rows, b.cols
     );
-    let mut out = Tensor::zeros(a.rows, b.cols);
-    matmul_into(a, b, out.data_mut());
-    out
-}
-
-/// Dense matrix multiply writing into a pre-allocated row-major buffer.
-pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (m, k) = a.shape();
     let n = b.cols;
-    debug_assert_eq!(out.len(), m * n);
+    let mut out = Tensor::zeros(m, n);
     for i in 0..m {
         let a_row = a.row(i);
-        let out_row = &mut out[i * n..(i + 1) * n];
+        let out_row = &mut out.data[i * n..(i + 1) * n];
         for (kk, &a_ik) in a_row.iter().enumerate().take(k) {
             if a_ik == 0.0 {
                 continue;
@@ -283,6 +276,7 @@ pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
             }
         }
     }
+    out
 }
 
 /// Column-wise concatenation `[a | b]` into a fresh tensor.

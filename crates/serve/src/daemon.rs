@@ -203,11 +203,11 @@ struct Inner<M: PolicyModel> {
 
 /// The long-running TE serving core (see module docs). Transport front
 /// ends ([`crate::TealServer`]) and in-process callers share this object.
-pub struct ServeDaemon<M: PolicyModel + Send + Sync + 'static> {
+pub struct ServeDaemon<M: PolicyModel + 'static> {
     inner: Arc<Inner<M>>,
 }
 
-impl<M: PolicyModel + Send + Sync + 'static> ServeDaemon<M> {
+impl<M: PolicyModel + 'static> ServeDaemon<M> {
     /// Start the daemon over `registry` (which may be empty; topologies can
     /// be registered and swapped while serving). Shards spawn lazily: the
     /// first request for a registered topology brings up its dispatch lane.
@@ -453,7 +453,7 @@ impl<M: PolicyModel + Send + Sync + 'static> ServeDaemon<M> {
     }
 }
 
-impl<M: PolicyModel + Send + Sync + 'static> Drop for ServeDaemon<M> {
+impl<M: PolicyModel + 'static> Drop for ServeDaemon<M> {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -779,9 +779,9 @@ fn serve_chunk<M: PolicyModel>(
                     }
                     break;
                 }
-                // A model whose allocate_batch drops or invents results
-                // would silently strand zipped-out clients on their slots
-                // forever; fail the whole batch loudly instead.
+                // An engine that returned fewer or more allocations than
+                // matrices would silently strand zipped-out clients on
+                // their slots forever; fail the whole batch loudly instead.
                 Ok(Ok((allocs, _))) => {
                     let (got, want) = (allocs.len(), tms.len());
                     let why = format!("model returned {got} allocations for a batch of {want}");

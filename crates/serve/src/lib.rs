@@ -110,8 +110,9 @@
 //!   the tightest queued deadline budget), expires stale requests, sorts
 //!   the window **earliest-deadline-first** (deadline-less requests keep
 //!   FIFO order behind the deadline'd ones), groups by
-//!   failure signature, and serves each sub-batch through one batched
-//!   forward pass + arena-reusing batched ADMM. Each chunk's ADMM
+//!   failure signature, and serves each sub-batch as one window: one
+//!   forward pass per matrix, the matrices spread over the kernel pool, +
+//!   arena-reusing batched ADMM. Each chunk's ADMM
 //!   iteration budget adapts to pressure (the paper's §3.4 knob: 2
 //!   iterations when deadline headroom is tighter than the shard's
 //!   queue-wait p99, the full budget otherwise — every downgrade lands in

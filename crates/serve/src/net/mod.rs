@@ -146,7 +146,7 @@ impl Drop for EventLoopHandle {
 
 /// Bring up the loop over an already-bound listener. Registration errors
 /// (epoll/eventfd creation) surface here, before any thread spawns.
-pub(crate) fn spawn_event_loop<M: PolicyModel + Send + Sync + 'static>(
+pub(crate) fn spawn_event_loop<M: PolicyModel + 'static>(
     daemon: Arc<ServeDaemon<M>>,
     listener: TcpListener,
 ) -> io::Result<EventLoopHandle> {
@@ -183,7 +183,7 @@ pub(crate) fn spawn_event_loop<M: PolicyModel + Send + Sync + 'static>(
     })
 }
 
-struct EventLoop<M: PolicyModel + Send + Sync + 'static> {
+struct EventLoop<M: PolicyModel + 'static> {
     daemon: Arc<ServeDaemon<M>>,
     shared: Arc<LoopShared>,
     epoll: sys::Epoll,
@@ -203,7 +203,7 @@ struct EventLoop<M: PolicyModel + Send + Sync + 'static> {
     drain_deadline: Option<Instant>,
 }
 
-impl<M: PolicyModel + Send + Sync + 'static> EventLoop<M> {
+impl<M: PolicyModel + 'static> EventLoop<M> {
     fn run(&mut self) {
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
@@ -481,7 +481,7 @@ impl<M: PolicyModel + Send + Sync + 'static> EventLoop<M> {
 
 /// Read until the socket runs dry (or the per-wake fairness cap), feeding
 /// the incremental decoder and submitting every completed frame.
-fn read_burst<M: PolicyModel + Send + Sync + 'static>(
+fn read_burst<M: PolicyModel + 'static>(
     conn: &mut Connection,
     daemon: &Arc<ServeDaemon<M>>,
     scratch: &mut [u8],
@@ -522,7 +522,7 @@ fn hangup(conn: &mut Connection) {
 
 /// Decode and dispatch every complete frame currently buffered. Returns
 /// `false` once the connection hung up (no more frames will be taken).
-fn process_frames<M: PolicyModel + Send + Sync + 'static>(
+fn process_frames<M: PolicyModel + 'static>(
     conn: &mut Connection,
     daemon: &Arc<ServeDaemon<M>>,
 ) -> bool {

@@ -25,7 +25,7 @@ use crate::daemon::ServeDaemon;
 use crate::net::EventLoopHandle;
 
 /// The TCP serving front end (see module docs).
-pub struct TealServer<M: PolicyModel + Send + Sync + 'static> {
+pub struct TealServer<M: PolicyModel + 'static> {
     daemon: Arc<ServeDaemon<M>>,
     addr: SocketAddr,
     event_loop: EventLoopHandle,
@@ -34,7 +34,7 @@ pub struct TealServer<M: PolicyModel + Send + Sync + 'static> {
     finished: bool,
 }
 
-impl<M: PolicyModel + Send + Sync + 'static> TealServer<M> {
+impl<M: PolicyModel + 'static> TealServer<M> {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral loopback port)
     /// and start accepting connections that submit into `daemon`.
     pub fn bind(daemon: Arc<ServeDaemon<M>>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
@@ -74,7 +74,7 @@ impl<M: PolicyModel + Send + Sync + 'static> TealServer<M> {
     }
 }
 
-impl<M: PolicyModel + Send + Sync + 'static> Drop for TealServer<M> {
+impl<M: PolicyModel + 'static> Drop for TealServer<M> {
     fn drop(&mut self) {
         self.shutdown();
     }

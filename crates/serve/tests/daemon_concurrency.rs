@@ -239,10 +239,11 @@ fn malformed_request_errors_without_killing_the_daemon() {
         .expect("daemon died after a malformed request");
 }
 
-/// `TealModel`, except that a window holding a *marked* matrix (first
-/// demand exactly zero) panics inside `allocate_batch` — a fault the
-/// engine does not classify, so only the shard's `catch_unwind` arm stands
-/// between it and the dispatcher thread.
+/// `TealModel`, except that a *marked* matrix (first demand exactly zero)
+/// panics inside `allocate_deterministic` — on whichever thread the window's
+/// forward job ran it, a pool helper included — a fault the engine does not
+/// classify, so only the shard's `catch_unwind` arm stands between it and
+/// the dispatcher thread.
 struct TrippedModel(TealModel);
 
 impl PolicyModel for TrippedModel {
@@ -261,14 +262,12 @@ impl PolicyModel for TrippedModel {
     fn store_mut(&mut self) -> &mut ParamStore {
         self.0.store_mut()
     }
-    fn allocate_batch(&self, input: &ModelInput) -> Vec<Allocation> {
-        let per_matrix = input.path_init.rows() / input.batch;
-        let marked = |m: &[f32]| m[0] == 0.0;
+    fn allocate_deterministic(&self, input: &ModelInput) -> Allocation {
         assert!(
-            !input.path_init.data().chunks(per_matrix).any(marked),
+            input.path_init.data()[0] != 0.0,
             "marked matrix in the window"
         );
-        self.0.allocate_batch(input)
+        self.0.allocate_deterministic(input)
     }
 }
 

@@ -225,10 +225,10 @@ pub fn run_offline(
 }
 
 /// Batched offline evaluation: matrices are handed to the scheme in chunks
-/// of `batch`, exercising the batched serving path (one set of matrix
-/// products plus parallel ADMM for Teal). Returns per-matrix satisfied
-/// percentages and the total computation time across all matrices; per-
-/// matrix time is the amortized `total / tms.len()`.
+/// of `batch`, exercising the batched serving path (for Teal, one forward
+/// pass per matrix spread over cores, then one batched ADMM sweep). Returns
+/// per-matrix satisfied percentages and the total computation time across
+/// all matrices; per-matrix time is the amortized `total / tms.len()`.
 pub fn run_offline_batched(
     env: &Env,
     topo: &Topology,

@@ -1,7 +1,7 @@
 //! `cargo xtask lint` — the workspace's offline repo-invariant checker.
 //!
 //! This is a *source-level* pass (no rustc, no syn): a small line lexer
-//! strips comments and string literals, and six rules run over the
+//! strips comments and string literals, and seven rules run over the
 //! stripped code of every first-party source file (`src/` of the root
 //! crate and of each `crates/*` member; `vendor/`, `tests/`, `examples/`
 //! and generated artifacts are out of scope):
@@ -30,6 +30,10 @@
 //!   safe wrappers.
 //! * **forbid-unsafe** — a crate whose sources contain zero `unsafe`
 //!   must say so: its crate root needs `#![forbid(unsafe_code)]`.
+//! * **kernels-serial** — non-test code in `crates/nn/src` other than
+//!   `pool.rs` must not name `pool::run`: kernels are serial, and the
+//!   stages above them (a window's forward pass over matrices, ADMM over
+//!   tiles) are what submit pool jobs.
 //!
 //! Findings print one per line, machine-readable, sorted:
 //! `path:line: [rule] message`. The process exits non-zero if any finding
@@ -414,6 +418,10 @@ const CHECKED_SYNC_MARKER: &str = "teal-lint: checked-sync";
 /// bindings. Everything else must go through its safe wrappers.
 const FFI_HOME: &str = "crates/serve/src/net/sys.rs";
 
+/// Kernel code: serial everywhere except the pool itself.
+const NN_SRC: &str = "crates/nn/src/";
+const POOL_HOME: &str = "crates/nn/src/pool.rs";
+
 /// std::sync items the checked-sync facade shadows; importing them in an
 /// opted-in module bypasses the model checker.
 const FACADE_SHADOWED: &[&str] = &[
@@ -525,6 +533,21 @@ fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
                     "raw FFI (`extern` declarations, `std::os::*` fd plumbing) is confined \
                      to {FFI_HOME}; call its safe wrappers instead"
                 ),
+            });
+        }
+
+        if path.starts_with(NN_SRC)
+            && path != POOL_HOME
+            && !in_test[idx]
+            && code.contains("pool::run")
+        {
+            out.push(Finding {
+                file: path.to_string(),
+                line: lineno,
+                rule: "kernels-serial",
+                message: "kernels are serial: parallelism belongs to the stage that calls \
+                          them, not to `teal-nn` code outside pool.rs"
+                    .to_string(),
             });
         }
 
@@ -754,6 +777,24 @@ mod tests {
     }
 
     #[test]
+    fn kernels_serial_rule_confines_pool_jobs_to_the_pool() {
+        let text = "fn spmm() { crate::pool::run(4, &|_| ()); }\n";
+        let f = findings("crates/nn/src/sparse.rs", text);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "kernels-serial");
+        // The pool itself, and the stages in other crates, may submit.
+        assert!(findings("crates/nn/src/pool.rs", text).is_empty());
+        assert!(findings("crates/lp/src/admm.rs", text).is_empty());
+        // Prose and test modules are not kernel code.
+        let benign = "//! Stages call `pool::run`; kernels do not.\n\
+                      #[cfg(test)]\n\
+                      mod tests {\n\
+                          fn t() { crate::pool::run(1, &|_| ()); }\n\
+                      }\n";
+        assert!(findings("crates/nn/src/tensor.rs", benign).is_empty());
+    }
+
+    #[test]
     fn forbid_rule_fires_only_for_zero_unsafe_crates() {
         let clean = vec![
             (
@@ -762,11 +803,11 @@ mod tests {
             ),
             (
                 "crates/nn/src/lib.rs".to_string(),
-                "pub mod par;\n".to_string(),
+                "pub mod pool;\n".to_string(),
             ),
             (
-                "crates/nn/src/par.rs".to_string(),
-                "// SAFETY: disjoint by construction\nunsafe { x() };\n".to_string(),
+                "crates/nn/src/pool.rs".to_string(),
+                "// SAFETY: `run` outlives every dereference\nunsafe { x() };\n".to_string(),
             ),
         ];
         let f = lint_workspace(&clean);

@@ -49,18 +49,20 @@
 //! The workspace's `unsafe` is confined to two hot-path idioms, both in the
 //! compute crates and both instrumented:
 //!
-//! * **Lifetime-erased pool jobs** (`teal_nn::pool`): kernels hand the
-//!   worker pool a borrowed `&dyn Fn(usize)` whose lifetime is erased to
-//!   cross the thread boundary. Soundness rests on the submit path not
+//! * **Lifetime-erased pool jobs** (`teal_nn::pool`): a stage (a window's
+//!   forward pass over its matrices, an ADMM sweep over its tiles) hands
+//!   the worker pool a borrowed `&dyn Fn(usize)` whose lifetime is erased
+//!   to cross the thread boundary. Soundness rests on the submit path not
 //!   returning until every claimed chunk settled (the `done`-count/condvar
 //!   protocol), which is exactly what the loom model checker exercises.
-//! * **Disjoint-chunk `&mut` reconstruction** (`teal_nn::par::RawChunks`,
-//!   `teal_lp`'s ADMM `TileBuf`): a mutable buffer is split into
-//!   non-overlapping `(start, len)` regions, each rebuilt as a `&mut [f64]`
-//!   by exactly one tile. In debug builds (and under `--cfg teal_check`)
-//!   every handed-out range is recorded and checked — an overlapping or
-//!   out-of-bounds region panics at the hand-out site instead of silently
-//!   aliasing a neighbor tile.
+//! * **Disjoint-tile `&mut` reconstruction** (`teal_lp`'s ADMM `TileBuf`):
+//!   a mutable buffer is split into non-overlapping `(start, len)`
+//!   regions, each rebuilt as a `&mut [f64]` by exactly one tile. (The
+//!   forward pass needs none: each matrix writes its own result slot.)
+//!   In debug builds (and under `--cfg teal_check`) every handed-out
+//!   range is recorded and checked — an overlapping or out-of-bounds
+//!   region panics at the hand-out site instead of silently aliasing a
+//!   neighbor tile.
 //!
 //! Everything else forbids `unsafe` outright (`#![forbid(unsafe_code)]` in
 //! `teal-topology`, `teal-traffic`, `teal-core`, `teal-baselines`,
@@ -88,8 +90,7 @@
 //!    runs a seeded mutant of its protocol and asserts the checker kills
 //!    it.
 //! 3. **Checked-unsafe instrumentation** (`debug_assertions`/`teal_check`)
-//!    — the range trackers described above, plus construction-time
-//!    disjointness asserts on `RawChunks`.
+//!    — the range trackers described above.
 
 // This umbrella crate only re-exports; the audited unsafe lives in
 // `teal-nn`/`teal-lp` per the inventory above.

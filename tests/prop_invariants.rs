@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use teal::core::{Env, FlowSim, PolicyModel, TealConfig, TealModel};
+use teal::core::{mu_to_allocations, Env, FlowSim, PolicyModel, TealConfig, TealModel};
 use teal::lp::simplex::{self, Row, SimplexStatus};
 use teal::lp::{evaluate, pathlp, AdmmConfig, AdmmSkeleton, Allocation, Objective, TeInstance};
 use teal::nn::{Graph, Tensor};
@@ -192,9 +192,11 @@ proptest! {
         }
     }
 
-    /// Batched inference equals the sequential path: `allocate_batch` over a
-    /// minibatch must reproduce per-matrix `allocate_deterministic` outputs
-    /// within 1e-6 on random topologies, traffic, and batch sizes.
+    /// Batched inference equals the sequential path: the stacked input
+    /// training and the benchmark use (`infer_mu` over `batch_input`) must
+    /// reproduce per-matrix `allocate_deterministic` — what a serving window
+    /// runs per pool task — bit for bit on random topologies, traffic, and
+    /// batch sizes (every forward kernel is row-wise).
     #[test]
     fn batched_allocation_equals_sequential(seed in 0u64..30, volume in 1.0f64..150.0) {
         let topo = random_topo(seed, 6);
@@ -215,14 +217,12 @@ proptest! {
                 )
             })
             .collect();
-        let batched = model.allocate_batch(&env.batch_input(&tms, None));
+        let input = env.batch_input(&tms, None);
+        let batched = mu_to_allocations(&model.infer_mu(&input), input.batch);
         prop_assert_eq!(batched.len(), tms.len());
         for (tm, b) in tms.iter().zip(&batched) {
             let seq = model.allocate_deterministic(&env.model_input(tm, None));
-            for (x, y) in b.splits().iter().zip(seq.splits()) {
-                prop_assert!((x - y).abs() <= 1e-6,
-                    "batched {} vs sequential {} differ beyond 1e-6", x, y);
-            }
+            prop_assert_eq!(b, &seq, "stacked forward diverged from per-matrix");
         }
     }
 
