@@ -585,17 +585,19 @@ impl<M: PolicyModel> ServingContext<M> {
 /// placed on them could never be delivered; the serving path zeroes their
 /// splits after fine-tuning (§5.3's recovery invariant).
 fn dead_path_ids(env: &Env, topo: &Topology) -> Vec<u32> {
-    let dead_edge: Vec<bool> = topo.edges().iter().map(|e| e.capacity <= 0.0).collect();
-    if !dead_edge.iter().any(|&d| d) {
-        return Vec::new();
-    }
-    env.paths()
-        .paths()
+    // The dead edges' rows of the edge→path index, merged: a failed link is
+    // two edges of thousands, so this reads tens of ids, not every candidate
+    // path's edge list. Ascending, each id once.
+    let mut dead: Vec<u32> = topo
+        .edges()
         .iter()
         .enumerate()
-        .filter(|(_, path)| path.edges.iter().any(|&e| dead_edge[e]))
-        .map(|(p, _)| p as u32)
-        .collect()
+        .filter(|(_, edge)| edge.capacity <= 0.0)
+        .flat_map(|(e, _)| env.paths().paths_on_edge(e).iter().copied())
+        .collect();
+    dead.sort_unstable();
+    dead.dedup();
+    dead
 }
 
 /// A trained model plus the fine-tuning stage, ready to serve allocations:
@@ -648,7 +650,7 @@ impl<M: PolicyModel> TealEngine<M> {
 mod tests {
     use super::*;
     use crate::model::{TealConfig, TealModel};
-    use teal_topology::b4;
+    use teal_topology::{b4, PathSet};
 
     fn engine() -> TealEngine<TealModel> {
         let env = Arc::new(Env::for_topology(b4()));
@@ -704,6 +706,47 @@ mod tests {
         let failed = eng.env().topo().with_failed_link(0, 1);
         let (after, _) = eng.allocate_on(&failed, &tm);
         assert_ne!(base, after);
+    }
+
+    #[test]
+    fn dead_path_ids_equal_the_full_scan() {
+        // The scan the edge→path gather replaced: every candidate path's
+        // edge list against the dead edges.
+        fn scan(env: &Env, topo: &Topology) -> Vec<u32> {
+            let paths = env.paths().paths().iter().enumerate();
+            paths
+                .filter(|(_, path)| path.edges.iter().any(|&e| topo.edge(e).capacity <= 0.0))
+                .map(|(p, _)| p as u32)
+                .collect()
+        }
+        let all = Env::for_topology(b4());
+        let one = all.topo().with_failed_link(0, 1);
+        let two = one.with_failed_link(4, 5);
+        assert!(dead_path_ids(&all, all.topo()).is_empty());
+        for failed in [&one, &two] {
+            let dead = dead_path_ids(&all, failed);
+            assert!(!dead.is_empty() && dead.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(dead, scan(&all, failed));
+        }
+        assert!(dead_path_ids(&all, &two).len() > dead_path_ids(&all, &one).len());
+
+        // One demand's candidates leave most of B4 untouched: failing a link
+        // none of them crosses kills nothing.
+        let topo = b4();
+        let few = Env::new(topo.clone(), PathSet::compute(&topo, &[(0, 1)], 4));
+        let crossed = |a, b| {
+            !few.paths()
+                .paths_on_edge(topo.find_edge(a, b).unwrap())
+                .is_empty()
+        };
+        let unused = topo
+            .edges()
+            .iter()
+            .find(|e| !crossed(e.src, e.dst) && !crossed(e.dst, e.src))
+            .expect("four paths cannot cover B4");
+        let failed = topo.with_failed_link(unused.src, unused.dst);
+        assert_eq!(dead_path_ids(&few, &failed), Vec::<u32>::new());
+        assert_eq!(scan(&few, &failed), Vec::<u32>::new());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! CSR pair for FlowGNN's message passing), and normalization constants.
 //! Per-traffic-matrix inputs are produced by [`Env::model_input`].
 
+use std::sync::Arc;
 use teal_lp::TeInstance;
-use teal_nn::{CsrPair, Tensor};
+use teal_nn::{Csr, CsrPair, Tensor};
 use teal_topology::{PathSet, Topology};
 use teal_traffic::TrafficMatrix;
 
@@ -24,8 +25,7 @@ pub struct Env {
 impl Env {
     /// Build the environment (computes the incidence structure once).
     pub fn new(topo: Topology, paths: PathSet) -> Self {
-        let triplets = paths.incidence_triplets();
-        let incidence = CsrPair::from_triplets(paths.num_paths(), topo.num_edges(), &triplets);
+        let incidence = incidence_of(&paths);
         let mean_cap = topo.total_capacity() / topo.num_edges().max(1) as f64;
         Env {
             topo,
@@ -147,6 +147,41 @@ impl Env {
     }
 }
 
+/// The path-edge incidence `A` (`num_paths x num_edges`, `A[p][e] = 1` iff
+/// edge `e` lies on path `p`) and its transpose, written straight from the
+/// two orders the [`PathSet`] already holds: a path's edge list, sorted, is a
+/// row of `A` (a simple path crosses no edge twice), and
+/// [`PathSet::paths_on_edge`], ascending as it is, is a row of `Aᵀ`. The
+/// arrays equal `CsrPair::from_triplets(paths.incidence_triplets())`'s entry
+/// for entry — the column order fixes the f32 summation order of every SpMM.
+fn incidence_of(paths: &PathSet) -> CsrPair {
+    let (num_paths, num_edges) = (paths.num_paths(), paths.num_edges());
+    let mut row_ptr = Vec::with_capacity(num_paths + 1);
+    let mut col_idx: Vec<u32> = Vec::new();
+    row_ptr.push(0);
+    for path in paths.paths() {
+        let lo = col_idx.len();
+        col_idx.extend(path.edges.iter().map(|&e| e as u32));
+        col_idx[lo..].sort_unstable();
+        row_ptr.push(col_idx.len());
+    }
+    let nnz = col_idx.len();
+    let fwd = Csr::from_sorted_rows(num_paths, num_edges, row_ptr, col_idx, vec![1.0; nnz]);
+
+    let mut row_ptr = Vec::with_capacity(num_edges + 1);
+    let mut col_idx = Vec::with_capacity(nnz);
+    row_ptr.push(0);
+    for e in 0..num_edges {
+        col_idx.extend_from_slice(paths.paths_on_edge(e));
+        row_ptr.push(col_idx.len());
+    }
+    let bwd = Csr::from_sorted_rows(num_edges, num_paths, row_ptr, col_idx, vec![1.0; nnz]);
+    CsrPair {
+        fwd: Arc::new(fwd),
+        bwd: Arc::new(bwd),
+    }
+}
+
 /// Model-input tensors for a minibatch of traffic matrices. Per-matrix
 /// blocks are stacked vertically; `batch == 1` reproduces the original
 /// single-matrix layout exactly.
@@ -183,7 +218,7 @@ impl ModelInput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teal_topology::b4;
+    use teal_topology::{b4, generate, gravity_pairs, large_wan, TopoKind};
 
     #[test]
     fn env_shapes_consistent() {
@@ -192,6 +227,34 @@ mod tests {
         assert_eq!(env.k(), 4);
         assert_eq!(env.incidence().fwd.rows(), env.paths().num_paths());
         assert_eq!(env.incidence().fwd.cols(), env.topo().num_edges());
+    }
+
+    #[test]
+    fn incidence_equals_the_triplet_build() {
+        // A three-node line has one simple path per pair, so `k = 4` pads
+        // every demand cyclically: four path ids over the same edges.
+        let mut line = Topology::new("line", 3);
+        line.add_link(0, 1, 1.0, 1.0);
+        line.add_link(1, 2, 1.0, 1.0);
+        let wan = large_wan(256, 7);
+        let wan_pairs = gravity_pairs(&wan, 512, 6);
+        let swan = generate(TopoKind::Swan, 0.3, 7);
+        for (topo, pairs) in [
+            (b4(), b4().all_pairs()),
+            (swan.clone(), swan.all_pairs()),
+            (wan, wan_pairs),
+            (line, vec![(0, 2), (2, 0)]),
+        ] {
+            let paths = PathSet::compute(&topo, &pairs, 4);
+            let want = CsrPair::from_triplets(
+                paths.num_paths(),
+                topo.num_edges(),
+                &paths.incidence_triplets(),
+            );
+            let got = incidence_of(&paths);
+            assert_eq!(*got.fwd, *want.fwd, "{}: A", topo.name());
+            assert_eq!(*got.bwd, *want.bwd, "{}: A^T", topo.name());
+        }
     }
 
     #[test]

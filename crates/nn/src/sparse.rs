@@ -28,7 +28,7 @@ use crate::tensor::Tensor;
 use std::sync::Arc;
 
 /// A CSR sparse matrix with `f32` values.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Csr {
     rows: usize,
     cols: usize,
@@ -69,6 +69,43 @@ impl Csr {
         let col_idx: Vec<u32> = merged.iter().map(|&(_, c, _)| c as u32).collect();
         let values = merged.iter().map(|&(_, _, v)| v).collect();
 
+        Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Adopt CSR arrays as they stand, for a caller that already holds its
+    /// rows in order: no triplet list, no sort. Panics unless `row_ptr` is
+    /// `rows + 1` non-decreasing offsets from 0 to `col_idx.len()` and every
+    /// row's columns are strictly ascending and below `cols` — what
+    /// [`Csr::from_triplets`] would have produced from the same entries.
+    pub fn from_sorted_rows(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), rows + 1, "row_ptr length");
+        assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
+        assert_eq!(row_ptr[rows], col_idx.len(), "row_ptr must end at nnz");
+        assert_eq!(values.len(), col_idx.len(), "one value per column index");
+        for w in row_ptr.windows(2) {
+            assert!(w[0] <= w[1], "row_ptr must not decrease");
+            let row = &col_idx[w[0]..w[1]];
+            assert!(
+                row.windows(2).all(|c| c[0] < c[1]),
+                "row columns must be strictly ascending"
+            );
+            assert!(
+                row.last().is_none_or(|&c| (c as usize) < cols),
+                "column out of bounds"
+            );
+        }
         Csr {
             rows,
             cols,

@@ -23,10 +23,11 @@
 //! about ten per pair. A plain Dijkstra floods a third of a 1,000-node WAN
 //! before it reaches `dst`; here every search is bounded by a reverse
 //! shortest-path tree `h(v) = d(v → dst)` on the *unmasked* graph, built once
-//! per destination over in-edges. A distance-only A\* on `g + h` finds the
-//! masked optimum `D*`; then the same `(dist, node)`-ordered Dijkstra as
-//! before runs, skipping any relaxation with `nd + h[next] > D*·(1 + 1e-9)`.
-//! The returned path is unchanged because:
+//! per destination over in-edges, next hops kept beside the distances. Each
+//! search first settles the weight `D*` of the masked optimum, then runs the
+//! same `(dist, node)`-ordered Dijkstra as before, skipping any relaxation
+//! with `nd + h[next] > D*·(1 + 1e-9)`. The returned path is unchanged
+//! because:
 //!
 //! 1. `h` is a consistent lower bound on the masked distance to `dst`, so a
 //!    skipped relaxation can never be the tight one for a node on a path of
@@ -37,7 +38,23 @@
 //!    and ulp-level differences are never pruned;
 //! 3. the heap order is total, so removing entries does not reorder the
 //!    rest: the surviving nodes pop in the same order with the same `dist`
-//!    and `prev`.
+//!    and `prev`;
+//! 4. the Dijkstra is the only pass that chooses a path, and points 1–3
+//!    hold for *any* bound at or above the optimum — so where `D*` comes
+//!    from cannot matter, only that it is never too small.
+//!
+//! Point 4 is what lets `D*` be read rather than searched for. **All of a
+//! spur search's banned edges leave the spur node** (Yen's bans the next edge
+//! of each accepted path sharing the root; the root's earlier nodes are
+//! banned as nodes), so one scan of the spur node's unbanned exits gives a
+//! sandwich: `min(w + h[next])` is a lower bound on the masked optimum, and
+//! the lightest exit whose *tree* path to `dst` meets no banned node and does
+//! not return to the spur node is a feasible path, hence an upper bound. When
+//! the two meet — three searches in four at 1,024 nodes — that is `D*` and no
+//! heap is touched; when there is no exit there is no path; otherwise a
+//! distance-only A\* on `g + h` finds `D*`, dropping pushes above the upper
+//! bound. Either way `D*` is the optimum to within rounding, which point 2's
+//! slack absorbs.
 //!
 //! Do not simplify this into plain A\*, bidirectional search or "follow the
 //! tree while it is unbanned": each picks a different path among
@@ -51,6 +68,9 @@
 //!   that is new, so a spur search that re-derives a known one is
 //!   allocation-free. (Allocator churn, not arithmetic, was most of the
 //!   cost on B4-sized graphs.)
+//! * The three hot loops (tree build, A\*, bounded Dijkstra) walk CSR
+//!   adjacency with the edge weight inline, rebuilt once per worker by
+//!   `KspScratch::bind`, and a heap keyed on `(dist.to_bits(), node)`.
 //! * Lawler's refinement: each candidate records the spur index it deviated
 //!   at, and spur positions before it — which would repeat a query already
 //!   issued for its parent — are skipped.
@@ -58,7 +78,7 @@
 //!   offsets+indices pair ([`PathSet::paths_on_edge`]).
 
 use crate::graph::{EdgeId, NodeId, Topology};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -96,27 +116,41 @@ impl Path {
     }
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// Min-heap of `(dist, node)`, tie-broken on the node id for determinism.
+///
+/// Entries are keyed on `(dist.to_bits(), node)`: for the keys these heaps
+/// hold — sums of non-negative weights from `+0.0`, so never negative, `-0.0`
+/// or NaN — the bit pattern orders exactly as the number does, which makes
+/// this the same total order as comparing the floats and one integer compare
+/// instead of a `partial_cmp` chain.
+#[derive(Default)]
+struct MinHeap(BinaryHeap<Reverse<(u64, u32)>>);
+
+impl MinHeap {
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn push(&mut self, dist: f64, node: NodeId) {
+        debug_assert!(dist.is_sign_positive(), "heap key {dist}");
+        self.0.push(Reverse((dist.to_bits(), node as u32)));
+    }
+
+    fn pop(&mut self) -> Option<(f64, NodeId)> {
+        let Reverse((bits, node)) = self.0.pop()?;
+        Some((f64::from_bits(bits), node as usize))
+    }
 }
 
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance; tie-break on node id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// One adjacency entry of the bound topology with the edge weight inline, so
+/// a relaxation reads one 16-byte record instead of chasing `Vec<Vec<_>>`
+/// and then the edge table.
+#[derive(Clone, Copy, Default)]
+struct Adj {
+    /// The far end: the head of an out-edge, the tail of an in-edge.
+    node: u32,
+    edge: u32,
+    weight: f64,
 }
 
 /// Relative slack on the pruning bound: far above the rounding that
@@ -141,8 +175,11 @@ macro_rules! count {
 struct Counts {
     /// Reverse trees built.
     trees: u64,
-    /// Masked searches run (each an A\* pass plus a bounded Dijkstra).
+    /// Masked searches run (each an optimum plus a bounded Dijkstra).
     searches: u64,
+    /// Searches whose optimum the exit scan settled — read off the tree, or
+    /// no exit at all — so only the bounded Dijkstra touched the heap.
+    shortcuts: u64,
     /// Heap pops: tree builds, A\* passes and bounded Dijkstras together.
     pops: u64,
 }
@@ -154,7 +191,7 @@ struct Counts {
 /// and "clearing" a set is one counter increment. Distance and
 /// predecessor arrays are reset via a touched-node list, so each search
 /// costs O(visited) to clean up rather than O(n). The scratch also holds the
-/// in-adjacency of the topology it was last bound to and the reverse
+/// adjacency of the topology it was last bound to and the reverse
 /// shortest-path tree of its current destination; both are rebuilt by every
 /// public call, so nothing a scratch did before can leak into a result. One
 /// scratch per worker thread makes the 1,000-node KSP precompute
@@ -163,7 +200,7 @@ pub struct KspScratch {
     dist: Vec<f64>,
     prev: Vec<Option<(NodeId, EdgeId)>>,
     touched: Vec<NodeId>,
-    heap: BinaryHeap<HeapEntry>,
+    heap: MinHeap,
     edge_ban: Vec<u32>,
     node_ban: Vec<u32>,
     epoch: u32,
@@ -171,13 +208,21 @@ pub struct KspScratch {
     /// to the search's source, and the edges between them in that order.
     walk_nodes: Vec<NodeId>,
     walk_edges: Vec<EdgeId>,
-    /// CSR in-adjacency of the bound topology: the in-edges of `v` are
-    /// `in_adj[in_off[v]..in_off[v + 1]]` as `(source node, edge id)`.
+    /// CSR adjacency of the bound topology. The out-edges of `v` are
+    /// `out_adj[out_off[v]..out_off[v + 1]]` in [`Topology::neighbors`] order
+    /// (which of two equal relaxations lands first is part of the result);
+    /// the in-edges of `v` are `in_adj[in_off[v]..in_off[v + 1]]` by
+    /// ascending edge id.
+    out_off: Vec<u32>,
+    out_adj: Vec<Adj>,
     in_off: Vec<u32>,
-    in_adj: Vec<(u32, u32)>,
+    in_adj: Vec<Adj>,
     /// `h[v]` = shortest distance from `v` to `target` on the unmasked bound
     /// topology, `INFINITY` where `target` is unreachable.
     h: Vec<f64>,
+    /// `hop[v]` = the node after `v` on the tree path that realises `h[v]`;
+    /// meaningless for `target` itself and where `h[v]` is infinite.
+    hop: Vec<u32>,
     /// The destination `h` was built for; `None` right after [`Self::bind`].
     target: Option<NodeId>,
     #[cfg(test)]
@@ -192,22 +237,25 @@ impl KspScratch {
             dist: vec![f64::INFINITY; topo.num_nodes()],
             prev: vec![None; topo.num_nodes()],
             touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            heap: MinHeap::default(),
             edge_ban: vec![0; topo.num_edges()],
             node_ban: vec![0; topo.num_nodes()],
             epoch: 0,
             walk_nodes: Vec::new(),
             walk_edges: Vec::new(),
+            out_off: Vec::new(),
+            out_adj: Vec::new(),
             in_off: Vec::new(),
             in_adj: Vec::new(),
             h: Vec::new(),
+            hop: Vec::new(),
             target: None,
             #[cfg(test)]
             counts: Counts::default(),
         }
     }
 
-    /// Fit the buffers to `topo` and rebuild its in-adjacency. Forgets the
+    /// Fit the buffers to `topo` and rebuild its adjacency, O(E). Forgets the
     /// current reverse tree: the caller must [`aim`](Self::aim) before the
     /// next search, so a tree can never outlive the graph it was built on
     /// (a failed-link twin shares node ids but is a different graph).
@@ -221,6 +269,18 @@ impl KspScratch {
         if self.edge_ban.len() < topo.num_edges() {
             self.edge_ban.resize(topo.num_edges(), 0);
         }
+        self.out_off.clear();
+        self.out_adj.clear();
+        self.out_off.push(0);
+        for v in 0..n {
+            self.out_adj
+                .extend(topo.neighbors(v).iter().map(|&(next, eid)| Adj {
+                    node: next as u32,
+                    edge: eid as u32,
+                    weight: topo.edge(eid).weight,
+                }));
+            self.out_off.push(self.out_adj.len() as u32);
+        }
         // Counting sort of the edges by destination: after the inclusive
         // prefix sum `in_off[v]` is the end of `v`'s run, and filling from the
         // back with a pre-decrement leaves it at the start.
@@ -233,49 +293,53 @@ impl KspScratch {
             self.in_off[v] += self.in_off[v - 1];
         }
         self.in_adj.clear();
-        self.in_adj.resize(topo.num_edges(), (0, 0));
+        self.in_adj.resize(topo.num_edges(), Adj::default());
         for (eid, e) in topo.edges().iter().enumerate().rev() {
             self.in_off[e.dst] -= 1;
-            self.in_adj[self.in_off[e.dst] as usize] = (e.src as u32, eid as u32);
+            self.in_adj[self.in_off[e.dst] as usize] = Adj {
+                node: e.src as u32,
+                edge: eid as u32,
+                weight: e.weight,
+            };
         }
         self.target = None;
     }
 
     /// Build the reverse shortest-path tree of `dst` on the bound topology:
-    /// a full Dijkstra over in-edges, distances only.
-    fn aim(&mut self, topo: &Topology, dst: NodeId) {
+    /// a full Dijkstra over in-edges, distances and next hops.
+    fn aim(&mut self, dst: NodeId) {
         let KspScratch {
             heap,
             in_off,
             in_adj,
             h,
+            hop,
             target,
             #[cfg(test)]
             counts,
             ..
         } = self;
+        let n = in_off.len() - 1;
         h.clear();
-        h.resize(topo.num_nodes(), f64::INFINITY);
+        h.resize(n, f64::INFINITY);
+        hop.clear();
+        hop.resize(n, u32::MAX);
         heap.clear();
         h[dst] = 0.0;
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: dst,
-        });
-        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+        heap.push(0.0, dst);
+        while let Some((d, node)) = heap.pop() {
             count!(counts.pops);
             if d > h[node] {
                 continue;
             }
             let (lo, hi) = (in_off[node] as usize, in_off[node + 1] as usize);
-            for &(from, eid) in &in_adj[lo..hi] {
-                let nd = d + topo.edge(eid as usize).weight;
-                if nd < h[from as usize] {
-                    h[from as usize] = nd;
-                    heap.push(HeapEntry {
-                        dist: nd,
-                        node: from as usize,
-                    });
+            for arc in &in_adj[lo..hi] {
+                let from = arc.node as usize;
+                let nd = d + arc.weight;
+                if nd < h[from] {
+                    h[from] = nd;
+                    hop[from] = node as u32;
+                    heap.push(nd, from);
                 }
             }
         }
@@ -295,6 +359,29 @@ impl KspScratch {
         self.epoch
     }
 
+    /// Stamp a fresh epoch with Yen's bans for the spur search at position
+    /// `i` of the newest accepted path: the next edge of every accepted path
+    /// sharing its root `nodes[..=i]`, and the root's nodes before the spur
+    /// node (the spur path cannot revisit them, so root + spur is simple by
+    /// construction). Every banned edge leaves the spur node — the invariant
+    /// [`exit_bounds`] reads the tree under.
+    fn ban_root(&mut self, topo: &Topology, accepted: &[Path], i: usize) -> u32 {
+        let ban = self.next_epoch();
+        let root_nodes = &accepted.last().expect("a path to deviate from").nodes[..=i];
+        for p in accepted {
+            if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
+                if let Some(&e) = p.edges.get(i) {
+                    debug_assert_eq!(topo.edge(e).src, root_nodes[i]);
+                    self.edge_ban[e] = ban;
+                }
+            }
+        }
+        for &v in &root_nodes[..i] {
+            self.node_ban[v] = ban;
+        }
+        ban
+    }
+
     /// Undo the previous search's writes to `dist`/`prev` and seed `src`.
     fn restart(&mut self, src: NodeId, key: f64) {
         for &v in &self.touched {
@@ -305,10 +392,7 @@ impl KspScratch {
         self.heap.clear();
         self.dist[src] = 0.0;
         self.touched.push(src);
-        self.heap.push(HeapEntry {
-            dist: key,
-            node: src,
-        });
+        self.heap.push(key, src);
     }
 
     /// `root` followed by the last search's path, as a [`Path`] of `weight`.
@@ -337,19 +421,85 @@ impl KspScratch {
     }
 }
 
-/// Weight of the lightest masked `src → dst` path, by A\* on `g + h` over the
-/// scratch's reverse tree (which must be aimed at `dst`). Distances only:
-/// which of several equal-weight paths A\* walks is irrelevant here.
+/// Bounds on the weight of the lightest masked `src → dst` path from one scan
+/// of `src`'s unbanned exits, `(lower, upper)`; the scratch's reverse tree
+/// must be aimed at `dst ≠ src`.
+///
+/// `lower` is the lightest `w + h[next]`: every masked path leaves through
+/// one of these exits and `h` bounds the rest of it from below. `upper` is
+/// the lightest exit whose *tree* path to `dst` meets no banned node and does
+/// not come back to `src`: every banned edge leaves `src` (see
+/// [`KspScratch::ban_root`]), so that path is feasible as it stands.
+/// `INFINITY` stands for "no such exit" on either side.
+fn exit_bounds(src: NodeId, dst: NodeId, scratch: &KspScratch, ban_epoch: u32) -> (f64, f64) {
+    let KspScratch {
+        edge_ban,
+        node_ban,
+        out_off,
+        out_adj,
+        h,
+        hop,
+        ..
+    } = scratch;
+    let (mut lower, mut upper) = (f64::INFINITY, f64::INFINITY);
+    for arc in &out_adj[out_off[src] as usize..out_off[src + 1] as usize] {
+        let next = arc.node as usize;
+        if edge_ban[arc.edge as usize] == ban_epoch
+            || node_ban[next] == ban_epoch
+            || h[next].is_infinite()
+        {
+            continue;
+        }
+        let via = arc.weight + h[next];
+        lower = lower.min(via);
+        if via < upper {
+            let mut v = next;
+            while v != dst && v != src && node_ban[v] != ban_epoch {
+                v = hop[v] as usize;
+            }
+            if v == dst {
+                upper = via;
+            }
+        }
+    }
+    (lower, upper)
+}
+
+/// Weight of the lightest masked `src → dst` path, to within
+/// [`BOUND_SLACK`]; the scratch's reverse tree must be aimed at `dst`.
+///
+/// Most spur searches never touch the heap: when the [`exit_bounds`] meet,
+/// the tree already holds the answer. Otherwise [`astar`] finds it, pruned
+/// by the upper bound.
 fn masked_optimum(
-    topo: &Topology,
     src: NodeId,
     dst: NodeId,
     scratch: &mut KspScratch,
     ban_epoch: u32,
 ) -> Option<f64> {
-    if scratch.h[src].is_infinite() {
-        return None;
+    if src == dst {
+        return Some(0.0);
     }
+    let (lower, upper) = exit_bounds(src, dst, scratch, ban_epoch);
+    if lower == upper {
+        count!(scratch.counts.shortcuts);
+        return lower.is_finite().then_some(lower);
+    }
+    astar(src, dst, scratch, ban_epoch, upper * (1.0 + BOUND_SLACK))
+}
+
+/// Weight of the lightest masked `src → dst` path, by A\* on `g + h` over the
+/// scratch's reverse tree (which must be aimed at `dst`), never pushing a
+/// node whose `g + h` exceeds `cap` — any value at or above the optimum, so
+/// no node of an optimal path is lost. Distances only: which of several
+/// equal-weight paths A\* walks is irrelevant here.
+fn astar(
+    src: NodeId,
+    dst: NodeId,
+    scratch: &mut KspScratch,
+    ban_epoch: u32,
+    cap: f64,
+) -> Option<f64> {
     scratch.restart(src, scratch.h[src]);
     let KspScratch {
         dist,
@@ -357,12 +507,14 @@ fn masked_optimum(
         heap,
         edge_ban,
         node_ban,
+        out_off,
+        out_adj,
         h,
         #[cfg(test)]
         counts,
         ..
     } = scratch;
-    while let Some(HeapEntry { dist: f, node }) = heap.pop() {
+    while let Some((f, node)) = heap.pop() {
         count!(counts.pops);
         let g = dist[node];
         if node == dst {
@@ -371,20 +523,22 @@ fn masked_optimum(
         if f > g + h[node] {
             continue;
         }
-        for &(next, eid) in topo.neighbors(node) {
-            if edge_ban[eid] == ban_epoch || node_ban[next] == ban_epoch || h[next].is_infinite() {
+        for arc in &out_adj[out_off[node] as usize..out_off[node + 1] as usize] {
+            let next = arc.node as usize;
+            if edge_ban[arc.edge as usize] == ban_epoch
+                || node_ban[next] == ban_epoch
+                || h[next].is_infinite()
+            {
                 continue;
             }
-            let ng = g + topo.edge(eid).weight;
-            if ng < dist[next] {
+            let ng = g + arc.weight;
+            let nf = ng + h[next];
+            if nf <= cap && ng < dist[next] {
                 if dist[next].is_infinite() {
                     touched.push(next);
                 }
                 dist[next] = ng;
-                heap.push(HeapEntry {
-                    dist: ng + h[next],
-                    node: next,
-                });
+                heap.push(nf, next);
             }
         }
     }
@@ -400,15 +554,9 @@ fn masked_optimum(
 /// cannot change `prev[]` along it. Returns its weight and leaves the path
 /// itself in the scratch (see [`KspScratch::joined`]), so the thousands of
 /// spur searches that only re-derive a known candidate allocate nothing.
-fn search(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    scratch: &mut KspScratch,
-    ban_epoch: u32,
-) -> Option<f64> {
+fn search(src: NodeId, dst: NodeId, scratch: &mut KspScratch, ban_epoch: u32) -> Option<f64> {
     count!(scratch.counts.searches);
-    let optimum = masked_optimum(topo, src, dst, scratch, ban_epoch)?;
+    let optimum = masked_optimum(src, dst, scratch, ban_epoch)?;
     let bound = optimum * (1.0 + BOUND_SLACK);
     scratch.restart(src, 0.0);
     let KspScratch {
@@ -418,6 +566,8 @@ fn search(
         heap,
         edge_ban,
         node_ban,
+        out_off,
+        out_adj,
         h,
         walk_nodes,
         walk_edges,
@@ -425,7 +575,7 @@ fn search(
         counts,
         ..
     } = scratch;
-    while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+    while let Some((d, node)) = heap.pop() {
         count!(counts.pops);
         if node == dst {
             break;
@@ -433,11 +583,12 @@ fn search(
         if d > dist[node] {
             continue;
         }
-        for &(next, eid) in topo.neighbors(node) {
+        for arc in &out_adj[out_off[node] as usize..out_off[node + 1] as usize] {
+            let (next, eid) = (arc.node as usize, arc.edge as usize);
             if edge_ban[eid] == ban_epoch || node_ban[next] == ban_epoch {
                 continue;
             }
-            let nd = d + topo.edge(eid).weight;
+            let nd = d + arc.weight;
             // The only difference from the plain search: this relaxation
             // cannot lie on a path of weight ≤ the optimum.
             if nd + h[next] > bound {
@@ -449,10 +600,7 @@ fn search(
                 }
                 dist[next] = nd;
                 prev[next] = Some((node, eid));
-                heap.push(HeapEntry {
-                    dist: nd,
-                    node: next,
-                });
+                heap.push(nd, next);
             }
         }
     }
@@ -510,7 +658,7 @@ pub fn k_shortest_paths_with(
     scratch: &mut KspScratch,
 ) -> Vec<Path> {
     scratch.bind(topo);
-    scratch.aim(topo, dst);
+    scratch.aim(dst);
     yen(topo, src, dst, k, scratch)
 }
 
@@ -518,7 +666,7 @@ pub fn k_shortest_paths_with(
 fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScratch) -> Vec<Path> {
     debug_assert_eq!(scratch.target, Some(dst));
     let unmasked = scratch.next_epoch();
-    let Some(weight) = search(topo, src, dst, scratch, unmasked) else {
+    let Some(weight) = search(src, dst, scratch, unmasked) else {
         return Vec::new();
     };
     let mut accepted: Vec<Path> = vec![scratch.joined(&[], &[], weight)];
@@ -539,22 +687,8 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
             let root_edges = &prev.edges[..i];
             let root_weight: f64 = root_edges.iter().map(|&e| topo.edge(e).weight).sum();
 
-            let ban = scratch.next_epoch();
-            // Ban the next edge of every accepted path sharing this root.
-            for p in &accepted {
-                if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
-                    if let Some(&e) = p.edges.get(i) {
-                        scratch.edge_ban[e] = ban;
-                    }
-                }
-            }
-            // Ban root nodes (except the spur): the spur path cannot revisit
-            // them, so root + spur is simple by construction.
-            for &v in &root_nodes[..i] {
-                scratch.node_ban[v] = ban;
-            }
-
-            if let Some(spur_weight) = search(topo, spur_node, dst, scratch, ban) {
+            let ban = scratch.ban_root(topo, &accepted, i);
+            if let Some(spur_weight) = search(spur_node, dst, scratch, ban) {
                 let known = |p: &Path| scratch.joins_to(root_edges, &p.edges);
                 if !accepted.iter().any(known) && !candidates.iter().any(|(p, _)| known(p)) {
                     let weight = root_weight + spur_weight;
@@ -761,7 +895,7 @@ fn drain_claims(
         for &i in &order[lo..order.len().min(lo + CLAIM)] {
             let (src, dst) = pairs[i];
             if scratch.target != Some(dst) {
-                scratch.aim(topo, dst);
+                scratch.aim(dst);
             }
             found.push((i, yen(topo, src, dst, k, scratch)));
         }

@@ -3,12 +3,37 @@
 //! here floods outward from the spur node until `dst` pops, so it is slow
 //! and obviously correct; [`super::k_shortest_paths_with`] must return the
 //! same paths — nodes, edges, `weight.to_bits()`, order — on every input.
-//! The only additions are the two work counters the ledger test reads.
+//! The only additions are the two work counters the ledger test reads. The
+//! heap entry compares floats and is private to this file, so the twin
+//! shares nothing with the packed key it checks.
 
-use super::{HeapEntry, Path};
+use super::Path;
 use crate::graph::{EdgeId, NodeId, Topology};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+#[derive(PartialEq)]
+struct HeapEntry {
+    dist: f64,
+    node: NodeId,
+}
+
+impl Eq for HeapEntry {}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Min-heap on distance; tie-break on node id for determinism.
+        other
+            .dist
+            .partial_cmp(&self.dist)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// Reusable scratch buffers for [`k_shortest_paths_with`] and the masked
 /// Dijkstra underneath it.

@@ -96,13 +96,13 @@ fn masked_search_respects_bans() {
     let e01 = t.find_edge(0, 1).unwrap();
     let mut scratch = KspScratch::new(&t);
     scratch.bind(&t);
-    scratch.aim(&t, 3);
+    scratch.aim(3);
     let mut plain = oracle::KspScratch::new(&t);
 
     // Ban the 0->1 edge: best route becomes 0-2-3 (weight 3).
     let ban = scratch.next_epoch();
     scratch.edge_ban[e01] = ban;
-    let w = search(&t, 0, 3, &mut scratch, ban).unwrap();
+    let w = search(0, 3, &mut scratch, ban).unwrap();
     let p = scratch.joined(&[], &[], w);
     assert_eq!(p.nodes, vec![0, 2, 3]);
     let ban = plain.next_epoch();
@@ -113,7 +113,7 @@ fn masked_search_respects_bans() {
     // Ban node 1 instead: same result.
     let ban = scratch.next_epoch();
     scratch.node_ban[1] = ban;
-    let w = search(&t, 0, 3, &mut scratch, ban).unwrap();
+    let w = search(0, 3, &mut scratch, ban).unwrap();
     let p = scratch.joined(&[], &[], w);
     assert_eq!(p.nodes, vec![0, 2, 3]);
     let ban = plain.next_epoch();
@@ -309,13 +309,20 @@ fn work_counts(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> (Counts, u64, u64
 
 #[test]
 fn searches_stay_goal_directed() {
-    // A count, not a timing: the same pairs cost the flooding oracle several
-    // times the heap pops. Fails if the bound stops pruning.
+    // Counts, not timings: the same pairs cost the flooding oracle several
+    // times the heap pops, and most searches read their optimum off the tree.
+    // Fails if the bound stops pruning or the exit scan stops settling.
     let t = large_wan(256, 7);
     let (ours, searches, pops) = work_counts(&t, &gravity_pairs(&t, 512, 6));
     println!("large_wan(256), 512 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
     assert!(ours.searches <= searches);
-    assert!(ours.pops * 4 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(ours.pops * 5 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(
+        ours.shortcuts * 3 >= ours.searches * 2,
+        "{} of {} searches short-cut",
+        ours.shortcuts,
+        ours.searches
+    );
 }
 
 #[test]
@@ -329,7 +336,113 @@ fn paper_scale_pinned_hash_and_counts() {
     assert_eq!(nnz, 32_041);
     let (ours, searches, pops) = work_counts(&t, &pairs);
     println!("large_wan(1024), 2048 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
-    assert!(ours.pops * 8 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(ours.pops * 9 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(
+        ours.shortcuts * 3 >= ours.searches * 2,
+        "{} of {} searches short-cut",
+        ours.shortcuts,
+        ours.searches
+    );
+}
+
+/// The sandwich's optimum against the A\* alone (no cap) under one ban set.
+fn optimum_matches_astar(scratch: &mut KspScratch, src: NodeId, dst: NodeId, ban: u32) {
+    let alone = astar(src, dst, scratch, ban, f64::INFINITY);
+    let got = masked_optimum(src, dst, scratch, ban);
+    match (got, alone) {
+        (None, None) => {}
+        (Some(g), Some(a)) if (g - a).abs() <= a * BOUND_SLACK => {}
+        _ => panic!("{src}->{dst}: sandwich {got:?}, A* alone {alone:?}"),
+    }
+}
+
+#[test]
+fn sandwich_matches_astar_at_every_b4_spur() {
+    // B4 has exact ties. Every spur position of every accepted path of every
+    // pair, Lawler-skipped ones included, under the bans Yen's stamps there.
+    let t = b4();
+    let mut scratch = KspScratch::new(&t);
+    scratch.bind(&t);
+    let (mut spurs, mut settled) = (0, 0);
+    for dst in 0..t.num_nodes() {
+        scratch.aim(dst);
+        for src in (0..t.num_nodes()).filter(|&s| s != dst) {
+            let accepted = yen(&t, src, dst, 4, &mut scratch);
+            for (j, prev) in accepted.iter().enumerate() {
+                for i in 0..prev.nodes.len() - 1 {
+                    let ban = scratch.ban_root(&t, &accepted[..=j], i);
+                    let before = scratch.counts.shortcuts;
+                    optimum_matches_astar(&mut scratch, prev.nodes[i], dst, ban);
+                    settled += scratch.counts.shortcuts - before;
+                    spurs += 1;
+                }
+            }
+        }
+    }
+    // Both arms ran: some spurs short-cut, some fell back to the heap.
+    println!("B4: {spurs} spur positions replayed, {settled} settled by the exit scan");
+    assert!(0 < settled && settled < spurs);
+}
+
+#[test]
+fn sandwich_falls_back_and_reports_no_exit() {
+    // r -> s -> a, and from a either back through r to t (the tree path,
+    // weight 2) or straight to t (4); s -> b -> t is the long way round (10).
+    let (r, s, a, b, dst) = (0, 1, 2, 3, 4);
+    let mut t = Topology::new("detour", 5);
+    t.add_directed_edge(r, s, 1.0, 1.0);
+    t.add_directed_edge(s, a, 1.0, 1.0);
+    t.add_directed_edge(a, r, 1.0, 1.0);
+    t.add_directed_edge(r, dst, 1.0, 1.0);
+    let a_dst = t.add_directed_edge(a, dst, 1.0, 4.0);
+    t.add_directed_edge(s, b, 1.0, 5.0);
+    t.add_directed_edge(b, dst, 1.0, 5.0);
+    let mut scratch = KspScratch::new(&t);
+    scratch.bind(&t);
+    scratch.aim(dst);
+    assert_eq!(masked_optimum(dst, dst, &mut scratch, 0), Some(0.0));
+
+    // Spur at s with root node r banned: the lightest exit's tree path
+    // (a -> r -> t) crosses r, the lightest clear one is via b, and the
+    // optimum (s -> a -> t, 5) lies strictly between.
+    let ban = scratch.next_epoch();
+    scratch.node_ban[r] = ban;
+    assert_eq!(exit_bounds(s, dst, &scratch, ban), (3.0, 10.0));
+    let settled = scratch.counts.shortcuts;
+    assert_eq!(masked_optimum(s, dst, &mut scratch, ban), Some(5.0));
+    assert_eq!(
+        scratch.counts.shortcuts, settled,
+        "must fall back to the heap"
+    );
+    optimum_matches_astar(&mut scratch, s, dst, ban);
+    let w = search(s, dst, &mut scratch, ban).unwrap();
+    assert_eq!(scratch.joined(&[], &[], w).nodes, vec![s, a, dst]);
+
+    // Spur at r, nothing banned but the edge r -> t: the only other exit's
+    // tree path (s -> a -> r -> t) comes back to r, so there is no upper
+    // bound at all and the A* runs uncapped.
+    let ban = scratch.next_epoch();
+    scratch.edge_ban[t.find_edge(r, dst).unwrap()] = ban;
+    assert_eq!(exit_bounds(r, dst, &scratch, ban), (4.0, f64::INFINITY));
+    assert_eq!(masked_optimum(r, dst, &mut scratch, ban), Some(6.0));
+
+    // Spur at a with r banned and a -> t banned: no exit, no heap.
+    let ban = scratch.next_epoch();
+    scratch.node_ban[r] = ban;
+    scratch.edge_ban[a_dst] = ban;
+    let settled = scratch.counts.shortcuts;
+    assert_eq!(masked_optimum(a, dst, &mut scratch, ban), None);
+    assert_eq!(scratch.counts.shortcuts, settled + 1);
+    assert_eq!(search(a, dst, &mut scratch, ban), None);
+
+    // And the whole of Yen's on it is the oracle's.
+    for src in [r, s, a, b] {
+        same_paths(
+            &k_shortest_paths(&t, src, dst, 4),
+            &oracle_paths(&t, src, dst, 4),
+        )
+        .unwrap();
+    }
 }
 
 proptest! {
