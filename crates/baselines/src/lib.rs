@@ -7,7 +7,7 @@
 //! * [`teavar`] — scenario-robust allocation (TEAVAR*, B4 only);
 //! * Fleischer's approximation lives in `teal_lp::fleischer`.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn`/`teal-lp` only (see the root crate's
+// audited unsafe lives in `teal-nn` only (see the root crate's
 // unsafe inventory docs).
 #![forbid(unsafe_code)]
 

@@ -18,16 +18,17 @@
 //! forward pass is a fixed sequence of matrix products and ADMM runs a fixed
 //! iteration count, the runtime is independent of the traffic values (the
 //! stability highlighted in Figure 7a). [`ServingContext::allocate_batch`]
-//! serves a whole window in two stages, each with one parallel axis on the
-//! `teal_nn::pool` workers. The forward stage is one pool job whose index is
-//! the matrix: the matrices of a window commute and share no write, so each
-//! runs its own forward pass on serial kernels and lands in its own slot
+//! serves a whole window in two stages; the first is the window's one
+//! parallel axis on the `teal_nn::pool` workers. The forward stage is one
+//! pool job whose index is the matrix: the matrices of a window commute and
+//! share no write, so each runs its own forward pass on serial kernels and
+//! lands in its own slot
 //! (a window of one is single-core — on every shape measured, splitting one
 //! matrix's kernels across cores cost more in hand-offs than it returned).
 //! The ADMM stage is one batched sweep ([`teal_lp::AdmmBatchSolver`]): every
 //! fine-tuning iteration repairs the whole window in a single pass over the
-//! shared incidence index, parallelized over demand/edge × batch tiles — no
-//! per-matrix solver loop remains on the serving hot path.
+//! shared incidence index, on the calling thread — no per-matrix solver
+//! loop remains on the serving hot path, and the stage submits no pool job.
 //! [`ServingContext::try_allocate_batch`] is the fallible variant: malformed
 //! requests surface as [`AllocError`] values (which the `teal-serve`
 //! dispatcher maps to per-request `BadRequest` replies) instead of panics.
@@ -55,8 +56,8 @@ use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
 
 /// Why a (batched) allocation request could not be served. Returned by the
-/// `try_` serving entry points so a bad request or a poisoned worker is a
-/// per-call error the dispatcher can isolate, not a dispatcher crash.
+/// `try_` serving entry points so a bad request or a panicking ADMM stage
+/// is a per-call error the dispatcher can isolate, not a dispatcher crash.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AllocError {
     /// Request `index` in the batch is malformed (e.g. a traffic matrix
@@ -71,8 +72,8 @@ pub enum AllocError {
     /// environment — a server-side configuration fault affecting the whole
     /// batch, never any single request's doing.
     BadTopology(String),
-    /// A worker panicked mid-batch (poisoned slot); no result exists for
-    /// any matrix in this batch.
+    /// The ADMM stage panicked mid-batch; no result exists for any matrix
+    /// in this batch.
     Poisoned(String),
 }
 
@@ -402,9 +403,9 @@ impl<M: PolicyModel> ServingContext<M> {
             .unwrap_or_else(|e| panic!("allocate_batch_on: {e}"))
     }
 
-    /// Fallible batched allocation: a malformed matrix or a poisoned worker
-    /// comes back as an [`AllocError`] identifying the offender instead of
-    /// a panic, so a dispatcher can fail one request and keep serving.
+    /// Fallible batched allocation: a malformed matrix or a panicking ADMM
+    /// stage comes back as an [`AllocError`] identifying the offender instead
+    /// of a panic, so a dispatcher can fail one request and keep serving.
     pub fn try_allocate_batch(
         &self,
         tms: &[TrafficMatrix],
@@ -543,12 +544,10 @@ impl<M: PolicyModel> ServingContext<M> {
                     }
                     None => skel,
                 };
-                // One batched sweep repairs the whole window per iteration;
-                // the solver tiles demand/edge × batch work over the shared
-                // teal-nn pool internally, so no outer per-matrix loop is
-                // needed. The solver is reminted into the scratch's buffers
-                // and the sweep runs in its arena — the allocation-free ADMM
-                // steady state.
+                // One batched sweep repairs the whole window per iteration,
+                // on this thread, so no outer per-matrix loop is needed. The
+                // solver is reminted into the scratch's buffers and the sweep
+                // runs in its arena — the allocation-free ADMM steady state.
                 let solver: &teal_lp::AdmmBatchSolver = match &mut scratch.solver {
                     Some(solver) => {
                         skel.remint_batch_solver(solver, tms);

@@ -51,20 +51,19 @@
 //!   window is then fine-tuned by one batched ADMM sweep
 //!   ([`teal_lp::AdmmBatchSolver`]): structure-of-arrays state minted from
 //!   the shared skeleton, each iteration a single pass over the incidence
-//!   index parallelized over demand/edge × batch tiles on the same pool
-//!   (the second and last parallel axis), with a per-matrix convergence
-//!   mask for early stopping. A batch of B equals B batches of one bitwise
-//!   (`teal-lp`'s `batch_equivalence` test pins it).
+//!   index on the calling thread (the stage submits no pool job), with a
+//!   per-matrix convergence mask for early stopping. A batch of B equals B
+//!   batches of one bitwise (`teal-lp`'s `batch_equivalence` test pins it).
 //!   [`ServingContext::try_allocate_batch`] surfaces malformed requests and
-//!   poisoned workers as [`AllocError`] values for isolation. What a window
-//!   costs is the `BENCHMARK.json` rows `lp.admm.run_batch_ms` and
+//!   a panicking ADMM stage as [`AllocError`] values for isolation. What a
+//!   window costs is the `BENCHMARK.json` rows `lp.admm.run_batch_ms` and
 //!   `core.engine.window_ms` on `wan1024_window`.
 //! * **Training.** [`coma::train_coma`] consumes minibatches
 //!   (`ComaConfig::batch_size`) with one batched forward/backward pass and
 //!   one optimizer step per minibatch; validation scores per-matrix
 //!   deterministic allocations.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn`/`teal-lp` only (see the root crate's
+// audited unsafe lives in `teal-nn` only (see the root crate's
 // unsafe inventory docs).
 #![forbid(unsafe_code)]
 

@@ -9,7 +9,8 @@
 //! Sherman-Morrison), the closed-form non-negative **slack** projections and
 //! the **dual ascent** — each of which decomposes into independent
 //! per-demand or per-edge subproblems (the parallelism §3.4 exploits on
-//! GPUs; here spread over CPU threads).
+//! GPUs; here each sweep is a plain loop on the calling thread, and the
+//! axis a CPU caller may split is the window's lanes).
 //!
 //! # No per-(path, edge) state: `z` and `λ4` are per-edge scalars
 //!
@@ -39,7 +40,7 @@
 //! (~1e-12): `tests/batch_equivalence.rs` checks them against a literal
 //! per-entry twin (`tests/common/twin.rs`), which also asserts the identity.
 //!
-//! An iteration is **two sweeps** — two pool dispatches:
+//! An iteration is **two sweeps**, each a loop on the calling thread:
 //!
 //! 1. **demand sweep** — per demand, the F-update, then that demand's
 //!    `s1` projection and `λ1` ascent (they read only the demand's own new
@@ -57,11 +58,10 @@
 //!
 //! Appendix C's decomposition is independent not only across demands and
 //! edges but also across *traffic matrices*: no ADMM quantity ever couples
-//! two matrices. Sweep tiles therefore commute across demands, edges and
-//! batch lanes, and one conflict-free tiling on one worker pool is the
-//! whole implementation: a structure-of-arrays batch solver minted from one
-//! shared [`AdmmSkeleton`]. A per-matrix solve is that tiling with a single
-//! lane ([`AdmmSkeleton::solve`] is the one-shot form).
+//! two matrices. The whole implementation is a structure-of-arrays batch
+//! solver minted from one shared [`AdmmSkeleton`]; a per-matrix solve is
+//! the same solver with a single lane ([`AdmmSkeleton::solve`] is the
+//! one-shot form).
 //!
 //! * **SoA layout.** Every state family is stored `[row][lane]` — per-path
 //!   `F` and its last step, per-demand `s1`/`λ1`, per-edge
@@ -70,24 +70,19 @@
 //!   contiguous, so each per-demand / per-edge subproblem walks the
 //!   incidence index **once** and repairs the whole window in that single
 //!   pass, instead of `B` passes re-reading the index per matrix.
-//! * **Per-edge exchange.** Demand tiles and edge tiles talk only through
-//!   per-path rows (`F`, its step: written by demand tiles, read by edge
-//!   tiles) and per-edge rows (`ν`: written by edge tiles, read by demand
-//!   tiles). Each sweep writes rows its tile owns and reads rows the
-//!   *other* sweep wrote, so tiles write disjoint contiguous ranges with no
-//!   atomics.
+//! * **Per-edge exchange.** The two sweeps talk only through per-path rows
+//!   (`F`, its step: written by the demand sweep, read by the edge sweep)
+//!   and per-edge rows (`ν`: the reverse).
 //! * **Flat incidence arena.** The shared index is two flat CSR-style
 //!   arenas (path-major edge ids, edge-major path ids) — no per-path or
 //!   per-edge `Vec`s — so each sweep's incidence walk is one linear scan of
 //!   a contiguous `u32` slice; see [`AdmmIndex`] for the layout.
-//! * **Parallelism.** Sweeps tile over demand ranges and (entry-balanced)
-//!   edge ranges × the full batch, claimed on the shared
-//!   [`teal_nn::pool`] worker pool — the same pool the forward pass uses,
-//!   so serving never oversubscribes threads. Per-lane dual/primal
-//!   residuals fold through commutative atomic maxima, keeping results
-//!   bit-identical regardless of tile count, tile order, or batch size. A
-//!   caller that must stay on its own thread (a Figure-2 racer) wraps the
-//!   solve in [`teal_nn::pool::with_thread_cap`]`(1, …)`.
+//! * **Serial.** One solve never leaves the calling thread: a sweep's rows
+//!   split over a CPU pool need two dispatches per iteration, and the
+//!   hand-offs did not pay for themselves at the sizes served. Lanes are
+//!   what commute without a barrier, so a caller that wants a second core
+//!   runs `run_batch_into` on a sub-slice of the window — the same lanes,
+//!   bitwise.
 //! * **Convergence mask.** Early stopping stays *per matrix*: once a
 //!   lane's residual drops below `tol` it is masked out of every later
 //!   sweep (its state freezes; its iteration count is recorded), while
@@ -98,8 +93,8 @@
 //!   paper's fixed-iteration fine-tuning (`tol = 0`) the masked one is
 //!   never entered. Both are one source text, so they cannot drift apart.
 //! * **Arena reuse (allocation-free steady state).** Every byte of mutable
-//!   solver state — the SoA families, tile bounds, per-tile sweep scratch,
-//!   residual slots — lives in a caller-owned [`BatchArena`] of grow-only
+//!   solver state — the SoA families, sweep scratch, residual rows —
+//!   lives in a caller-owned [`BatchArena`] of grow-only
 //!   buffers, none of which scales with the incidence non-zero count. A
 //!   serving loop that keeps one arena (plus its output
 //!   `Vec<Allocation>`/`Vec<AdmmReport>`) and rebinds the solver per window
@@ -447,8 +442,8 @@ impl BatchState {
 }
 
 /// Reusable scratch for [`AdmmBatchSolver::run_batch_into`]: the SoA
-/// [`BatchState`], per-lane bookkeeping, tile bounds, per-tile sweep
-/// scratch, and the atomic lane-max slots. Every buffer is grow-only, so a
+/// [`BatchState`], per-lane bookkeeping and the sweeps' working rows.
+/// Every buffer is grow-only, so a
 /// server that keeps one arena per dispatch lane reaches an
 /// **allocation-free steady state**: from the second window of a given
 /// shape onwards, a full fine-tuning run performs zero heap allocations
@@ -467,20 +462,17 @@ pub struct BatchArena {
     active: Vec<bool>,
     iterations: Vec<usize>,
     residual: Vec<f64>,
-    /// The iteration's folded lane maxima, `[F-step | z-step | primal]`
-    /// (`3 × batch`), read back from `lane_max` after the edge sweep.
+    /// The iteration's lane maxima, `[F-step | z-step | primal]`
+    /// (`3 × batch`), zeroed and rewritten by every iteration's sweeps.
     steps: Vec<f64>,
     /// Per-lane primal/dual residuals captured at each lane's *last active*
     /// iteration (`steps` is overwritten every iteration, including for
     /// lanes already frozen by the convergence mask).
     primal_final: Vec<f64>,
     dual_final: Vec<f64>,
-    dbounds: Vec<usize>,
-    ebounds: Vec<usize>,
-    lane_max: Vec<std::sync::atomic::AtomicU64>,
+    /// The demand sweep's `(2k + 4) × batch` working rows; the edge sweep
+    /// reuses the first three.
     scratch: Vec<f64>,
-    /// Per-tile scratch stride for the current window.
-    stride: usize,
 }
 
 impl Default for BatchArena {
@@ -500,16 +492,12 @@ impl BatchArena {
             steps: Vec::new(),
             primal_final: Vec::new(),
             dual_final: Vec::new(),
-            dbounds: Vec::new(),
-            ebounds: Vec::new(),
-            lane_max: Vec::new(),
             scratch: Vec::new(),
-            stride: 0,
         }
     }
 
-    /// Size every buffer for one window of `solver` across `threads` tiles.
-    fn prepare(&mut self, solver: &AdmmBatchSolver, threads: usize) {
+    /// Size every buffer for one window of `solver`.
+    fn prepare(&mut self, solver: &AdmmBatchSolver) {
         let nb = solver.batch;
         let np = solver.num_demands * solver.k;
         self.st
@@ -528,202 +516,9 @@ impl BatchArena {
         }
         self.steps.clear();
         self.steps.resize(3 * nb, 0.0);
-        even_bounds_into(solver.num_demands, threads, &mut self.dbounds);
-        edge_bounds_into(&solver.index.edge_start, threads, &mut self.ebounds);
-        if self.lane_max.len() < 3 * nb {
-            self.lane_max
-                .resize_with(3 * nb, || std::sync::atomic::AtomicU64::new(0));
-        }
-        // Per-tile sweep scratch: the tile's three local lane maxima, then
-        // the wider of the demand sweep's (2k + 4)·nb and the edge sweep's
-        // 3·nb working rows.
-        let stride = (3 + 2 * solver.k + 4) * nb;
-        let tiles = (self.dbounds.len().max(self.ebounds.len()))
-            .saturating_sub(1)
-            .max(1);
-        self.stride = stride;
         self.scratch.clear();
-        self.scratch.resize(tiles * stride, 0.0);
+        self.scratch.resize((2 * solver.k + 4) * nb, 0.0);
     }
-}
-
-/// Reset the per-lane atomic maxima to zero before a sweep.
-fn lane_reset(slots: &[std::sync::atomic::AtomicU64]) {
-    for s in slots {
-        s.store(0.0f64.to_bits(), std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Fold a tile's local maxima into the shared per-lane slots via
-/// compare-and-swap. Max is commutative and associative, so tile execution
-/// order never affects the folded value — the batched sweeps stay
-/// deterministic under any pool schedule.
-fn lane_fold(slots: &[std::sync::atomic::AtomicU64], local: &[f64]) {
-    use std::sync::atomic::Ordering;
-    for (slot, &v) in slots.iter().zip(local) {
-        let mut cur = slot.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match slot.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
-    }
-}
-
-/// Read the folded per-lane maxima back out.
-fn lane_read(slots: &[std::sync::atomic::AtomicU64], out: &mut [f64]) {
-    for (o, s) in out.iter_mut().zip(slots) {
-        *o = f64::from_bits(s.load(std::sync::atomic::Ordering::Relaxed));
-    }
-}
-
-/// Raw view of a mutable buffer whose disjoint regions are written by
-/// different pool tiles. SAFETY contract: every region is handed to exactly
-/// one tile, regions handed out over one `TileBuf`'s lifetime are pairwise
-/// disjoint, and the borrow that produced the view outlives the pool
-/// dispatch (which blocks until all tiles finish). A buffer whose regions
-/// are legitimately reused across *sequential* dispatches (the per-tile
-/// sweep scratch) must be re-viewed with a fresh `TileBuf` per dispatch.
-///
-/// Checked-unsafe instrumentation: in debug/`teal_check` builds every
-/// `slice` call is recorded and checked against all earlier ones; an
-/// overlapping or out-of-bounds range panics at the hand-out site instead
-/// of corrupting a neighbor tile's lanes.
-struct TileBuf {
-    ptr: *mut f64,
-    #[cfg(any(debug_assertions, teal_check))]
-    len: usize,
-    /// Ranges handed out so far. A plain std mutex (not a pool
-    /// primitive): held only for the duration of the overlap scan, and
-    /// tiles call `slice` once per claim, off the lane-arithmetic hot
-    /// path.
-    #[cfg(any(debug_assertions, teal_check))]
-    handed: std::sync::Mutex<HandedRanges>,
-}
-
-/// Fixed-capacity log of the `(start, len)` ranges a [`TileBuf`] has
-/// handed out. Inline storage, not a `Vec`: the instrumentation is live
-/// in debug builds, where the steady-state zero-allocation test still
-/// counts every heap allocation — recording a hand-out must not be one.
-/// Capacity is tile count, which `even_bounds_into` clamps to the pool
-/// thread budget; 128 leaves an order of magnitude of headroom.
-#[cfg(any(debug_assertions, teal_check))]
-struct HandedRanges {
-    ranges: [(usize, usize); HANDED_CAP],
-    n: usize,
-}
-
-#[cfg(any(debug_assertions, teal_check))]
-const HANDED_CAP: usize = 128;
-
-// SAFETY: the pointer itself is plain data; dereferencing it is gated by
-// `slice`'s contract (disjoint ranges, borrow alive across the dispatch),
-// which is exactly what makes the views safe to create from any thread.
-unsafe impl Send for TileBuf {}
-// SAFETY: as above — concurrent `slice` calls hand out non-overlapping
-// `&mut`s by contract, and the instrumentation list is mutex-guarded.
-unsafe impl Sync for TileBuf {}
-
-impl TileBuf {
-    fn new(data: &mut [f64]) -> Self {
-        TileBuf {
-            ptr: data.as_mut_ptr(),
-            #[cfg(any(debug_assertions, teal_check))]
-            len: data.len(),
-            #[cfg(any(debug_assertions, teal_check))]
-            handed: std::sync::Mutex::new(HandedRanges {
-                ranges: [(0, 0); HANDED_CAP],
-                n: 0,
-            }),
-        }
-    }
-
-    /// Record `start..start + len` and panic if it escapes the buffer or
-    /// overlaps any range already handed out by this view.
-    #[cfg(any(debug_assertions, teal_check))]
-    fn check_range(&self, start: usize, len: usize) {
-        assert!(
-            start + len <= self.len,
-            "TileBuf range [{start}; {len}) escapes a buffer of {}",
-            self.len
-        );
-        let mut handed = self
-            .handed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for &(s, l) in &handed.ranges[..handed.n] {
-            assert!(
-                start + len <= s || s + l <= start,
-                "TileBuf ranges overlap: [{start}; {len}) vs [{s}; {l}) — \
-                 two tiles would alias the same lanes"
-            );
-        }
-        assert!(
-            handed.n < HANDED_CAP,
-            "TileBuf handed out more than {HANDED_CAP} ranges; bump HANDED_CAP"
-        );
-        let n = handed.n;
-        handed.ranges[n] = (start, len);
-        handed.n = n + 1;
-    }
-
-    /// SAFETY: `start..start + len` must be claimed by exactly one tile and
-    /// be disjoint from every other range sliced from this `TileBuf`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, start: usize, len: usize) -> &mut [f64] {
-        #[cfg(any(debug_assertions, teal_check))]
-        self.check_range(start, len);
-        // SAFETY: in-bounds per the caller contract (and asserted above in
-        // checked builds); disjointness makes the `&mut` unique.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
-}
-
-/// Execute `job(0..tiles)` — inline when there is a single tile, otherwise
-/// claimed chunk-by-chunk on the shared `teal-nn` worker pool. The pool's
-/// caller-participates protocol makes this safe to invoke from inside other
-/// pool jobs, a plain loop on single-CPU machines, and a plain loop on the
-/// calling thread under `teal_nn::pool::with_thread_cap(1, …)`.
-fn par_tiles(tiles: usize, job: &(dyn Fn(usize) + Sync)) {
-    if tiles <= 1 {
-        for t in 0..tiles {
-            job(t);
-        }
-    } else {
-        teal_nn::pool::run(tiles, job);
-    }
-}
-
-/// Split `0..n` into at most `tiles` contiguous ranges, written as boundary
-/// offsets into `out` (reused, grow-only).
-fn even_bounds_into(n: usize, tiles: usize, out: &mut Vec<usize>) {
-    let tiles = tiles.clamp(1, n.max(1));
-    let per = n.div_ceil(tiles);
-    out.clear();
-    out.extend((0..=tiles).map(|t| (t * per).min(n)));
-    out.dedup();
-}
-
-/// Split edges into contiguous ranges balanced by incidence-entry count, so
-/// hub edges do not serialize a whole tile. Boundaries written into `out`.
-fn edge_bounds_into(edge_start: &[usize], tiles: usize, out: &mut Vec<usize>) {
-    let num_edges = edge_start.len() - 1;
-    let total = *edge_start.last().unwrap_or(&0);
-    let tiles = tiles.clamp(1, num_edges.max(1));
-    let target = total.div_ceil(tiles).max(1);
-    out.clear();
-    out.push(0);
-    let mut next_cut = target;
-    for (e, &start) in edge_start.iter().enumerate().take(num_edges).skip(1) {
-        if start >= next_cut {
-            out.push(e);
-            next_cut = start + target;
-        }
-    }
-    out.push(num_edges);
-    out.dedup();
 }
 
 /// Lane row `i` of an `[row][lane]` family.
@@ -752,8 +547,8 @@ fn slack_ascent(cap: f64, sum: f64, rho: f64, s: &mut f64, l: &mut f64) -> f64 {
 /// The ADMM solver: repairs a whole window of traffic matrices in **one
 /// pass over the shared incidence index per sweep**, instead of re-reading
 /// the index once per matrix. Minted by [`AdmmSkeleton::batch_solver`]; see
-/// the module docs for the per-edge form of the iteration, the SoA layout,
-/// parallel tiling, and per-matrix convergence-mask semantics.
+/// the module docs for the per-edge form of the iteration, the SoA layout
+/// and per-matrix convergence-mask semantics.
 ///
 /// Lanes are independent: a batch of `B` produces bitwise the allocations,
 /// iteration counts, and residuals of `B` batch-of-1 runs (the per-lane
@@ -800,28 +595,11 @@ impl AdmmBatchSolver {
         outs: &mut Vec<Allocation>,
         reports: &mut Vec<AdmmReport>,
     ) {
-        self.run_cancellable(inits, cfg, None, arena, outs, reports);
-    }
-
-    /// [`AdmmBatchSolver::run_batch_into`] polling `cancel` before every
-    /// iteration (the Figure-2 racers' "someone already won" flag): once it
-    /// reads true the sweeps stop and each lane reports the iterations it
-    /// completed.
-    pub(crate) fn run_cancellable(
-        &self,
-        inits: &[Allocation],
-        cfg: AdmmConfig,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        arena: &mut BatchArena,
-        outs: &mut Vec<Allocation>,
-        reports: &mut Vec<AdmmReport>,
-    ) {
         assert_eq!(inits.len(), self.batch, "init count != batch size");
         let nb = self.batch;
         let k = self.k;
         let np = self.num_demands * k;
-        let threads = teal_nn::pool::max_threads();
-        arena.prepare(self, threads);
+        arena.prepare(self);
         let BatchArena {
             st,
             active,
@@ -830,14 +608,8 @@ impl AdmmBatchSolver {
             steps,
             primal_final,
             dual_final,
-            dbounds,
-            ebounds,
-            lane_max,
             scratch,
-            stride,
         } = arena;
-        let stride = *stride;
-        let lane_max = &lane_max[..3 * nb];
 
         // Warm-start copy plus the per-lane demand projection, done directly
         // in the SoA lanes: same clamp / sum / rescale order as
@@ -896,9 +668,6 @@ impl AdmmBatchSolver {
 
         let rho = cfg.rho;
         for _ in 0..cfg.max_iters {
-            if cancel.is_some_and(|flag| flag.load(std::sync::atomic::Ordering::Relaxed)) {
-                break;
-            }
             let live = active.iter().filter(|&&a| a).count();
             if live == 0 {
                 break;
@@ -911,10 +680,7 @@ impl AdmmBatchSolver {
             } else {
                 Self::sweep::<true>
             };
-            sweeps(
-                self, st, active, rho, dbounds, ebounds, scratch, stride, lane_max,
-            );
-            lane_read(lane_max, steps);
+            sweeps(self, st, active, rho, scratch, steps);
             let (df, rest) = steps.split_at(nb);
             let (dz, primal) = rest.split_at(nb);
             for b in 0..nb {
@@ -955,230 +721,215 @@ impl AdmmBatchSolver {
         }
     }
 
-    /// One ADMM iteration: the demand sweep, then the edge sweep — two pool
-    /// dispatches. Each tile keeps three local lane maxima (F-step, z-step,
-    /// primal residual) at the head of its scratch and folds them into
-    /// `lane_max` (`[F-step | z-step | primal]`, `3 × batch`) when done.
+    /// One ADMM iteration: the demand sweep, then the edge sweep, both on
+    /// the calling thread. They keep the iteration's lane maxima in `steps`
+    /// (`[F-step | z-step | primal]`, `3 × batch`), zeroed here first.
     /// `MASKED` compiles the convergence-mask test into the commit loops;
     /// the `false` instantiation ignores `active` and commits every lane.
-    #[allow(clippy::too_many_arguments)]
     fn sweep<const MASKED: bool>(
         &self,
         st: &mut BatchState,
         active: &[bool],
         rho: f64,
-        dbounds: &[usize],
-        ebounds: &[usize],
         scratch: &mut [f64],
-        stride: usize,
-        lane_max: &[std::sync::atomic::AtomicU64],
+        steps: &mut [f64],
+    ) {
+        steps.fill(0.0);
+        self.demand_sweep::<MASKED>(st, active, rho, scratch, steps);
+        self.edge_sweep::<MASKED>(st, active, rho, scratch, steps);
+    }
+
+    /// Per demand, the F-update (one walk of each path's edges gathers ν
+    /// for every lane), then the demand's own s1 projection and λ1 ascent
+    /// on the new F. Writes `F`, its step, `s1`, `λ1`; reads `ν`.
+    ///
+    /// Out of line on purpose, like [`Self::edge_sweep`]: inlined into one
+    /// body the two loops ran `run_batch_into` ≈ 20 % slower at 8 lanes
+    /// (same process, 1,024 and 256 nodes).
+    #[inline(never)]
+    fn demand_sweep<const MASKED: bool>(
+        &self,
+        st: &mut BatchState,
+        active: &[bool],
+        rho: f64,
+        scratch: &mut [f64],
+        steps: &mut [f64],
     ) {
         let nb = self.batch;
         let k = self.k;
         let idx = &*self.index;
-        lane_reset(lane_max);
-
-        // Demand sweep: per demand, the F-update (one walk of each path's
-        // edges gathers ν for every lane), then the demand's own s1
-        // projection and λ1 ascent on the new F.
-        {
-            let fbuf = TileBuf::new(&mut st.f);
-            let stepbuf = TileBuf::new(&mut st.fstep);
-            let s1buf = TileBuf::new(&mut st.s1);
-            let l1buf = TileBuf::new(&mut st.l1);
-            let sbuf = TileBuf::new(&mut *scratch);
-            let nu = &st.nu;
-            par_tiles(dbounds.len() - 1, &|t| {
-                let (d0, d1) = (dbounds[t], dbounds[t + 1]);
-                // SAFETY: demand tiles are disjoint, so each tile owns its
-                // demands' path rows of f/fstep and demand rows of s1/l1.
-                let f = unsafe { fbuf.slice(d0 * k * nb, (d1 - d0) * k * nb) };
-                let fstep = unsafe { stepbuf.slice(d0 * k * nb, (d1 - d0) * k * nb) };
-                let s1 = unsafe { s1buf.slice(d0 * nb, (d1 - d0) * nb) };
-                let l1 = unsafe { l1buf.slice(d0 * nb, (d1 - d0) * nb) };
-                // SAFETY: tile `t` owns scratch positions `t*stride..(t+1)*stride`.
-                let tile = unsafe { sbuf.slice(t * stride, stride) };
-                let (local, tile) = tile.split_at_mut(3 * nb);
-                let (b, tile) = tile.split_at_mut(k * nb);
-                let (diag, tile) = tile.split_at_mut(k * nb);
-                let (sum_binv, tile) = tile.split_at_mut(nb);
-                let (sum_inv, tile) = tile.split_at_mut(nb);
-                let (corr, tile) = tile.split_at_mut(nb);
-                let sum = &mut tile[..nb];
-                local.fill(0.0);
-                let (ldf, lpr) = local.split_at_mut(2 * nb);
-                let ldf = &mut ldf[..nb];
-                for d in d0..d1 {
-                    let vols_d = row(&self.vols, d, nb);
-                    let s1_d = row_mut(s1, d - d0, nb);
-                    let l1_d = row_mut(l1, d - d0, nb);
-                    for j in 0..k {
-                        let p = d * k + j;
-                        let bj = row_mut(b, j, nb);
-                        let ents = &idx.entry_edge[idx.path_start[p]..idx.path_start[p + 1]];
-                        bj.fill(0.0);
-                        for &e in ents {
-                            for (bv, &nv) in bj.iter_mut().zip(row(nu, e as usize, nb)) {
-                                *bv += nv;
-                            }
-                        }
-                        let len = ents.len() as f64;
-                        let disc = self.discount[p];
-                        let fp = row(f, (d - d0) * k + j, nb);
-                        for ((bv, dj), ((&vol, &fv), (&l1v, &s1v))) in bj
-                            .iter_mut()
-                            .zip(row_mut(diag, j, nb))
-                            .zip(vols_d.iter().zip(fp).zip(l1_d.iter().zip(&*s1_d)))
-                        {
-                            *dj = rho * vol * vol * len;
-                            *bv = vol * disc - l1v - rho * (s1v - 1.0) + vol * *bv + *dj * fv;
-                        }
-                    }
-                    sum_binv.fill(0.0);
-                    sum_inv.fill(0.0);
-                    for j in 0..k {
-                        for ((sb, si), (&bv, &dv)) in sum_binv
-                            .iter_mut()
-                            .zip(sum_inv.iter_mut())
-                            .zip(row(b, j, nb).iter().zip(row(diag, j, nb)))
-                        {
-                            *sb += bv / dv;
-                            *si += 1.0 / dv;
-                        }
-                    }
-                    // Sherman-Morrison solve of (diag + rho*11^T) x = b.
-                    for ((cv, &sb), &si) in corr.iter_mut().zip(&*sum_binv).zip(&*sum_inv) {
-                        *cv = rho * sb / (1.0 + rho * si);
-                    }
-                    sum.fill(0.0);
-                    for j in 0..k {
-                        let bj = row(b, j, nb);
-                        let dj = row(diag, j, nb);
-                        let fp = row_mut(f, (d - d0) * k + j, nb);
-                        let sp = row_mut(fstep, (d - d0) * k + j, nb);
-                        for lane in 0..nb {
-                            if MASKED && !active[lane] {
-                                continue;
-                            }
-                            let x = if vols_d[lane] <= 0.0 {
-                                0.0
-                            } else {
-                                ((bj[lane] - corr[lane]) / dj[lane]).clamp(0.0, 1.0)
-                            };
-                            sp[lane] = x - fp[lane];
-                            fp[lane] = x;
-                            ldf[lane] = ldf[lane].max(sp[lane].abs());
-                            sum[lane] += x;
-                        }
-                    }
-                    for lane in 0..nb {
-                        if MASKED && !active[lane] {
-                            continue;
-                        }
-                        let g = slack_ascent(1.0, sum[lane], rho, &mut s1_d[lane], &mut l1_d[lane]);
-                        lpr[lane] = lpr[lane].max(g);
+        let (f, fstep): (&mut [f64], &mut [f64]) = (&mut st.f, &mut st.fstep);
+        let (s1, l1): (&mut [f64], &mut [f64]) = (&mut st.s1, &mut st.l1);
+        let nu: &[f64] = &st.nu;
+        let (ldf, rest) = steps.split_at_mut(nb);
+        let lpr = &mut rest[nb..2 * nb];
+        let (b, tile) = scratch.split_at_mut(k * nb);
+        let (diag, tile) = tile.split_at_mut(k * nb);
+        let (sum_binv, tile) = tile.split_at_mut(nb);
+        let (sum_inv, tile) = tile.split_at_mut(nb);
+        let (corr, tile) = tile.split_at_mut(nb);
+        let sum = &mut tile[..nb];
+        for d in 0..self.num_demands {
+            let vols_d = row(&self.vols, d, nb);
+            let s1_d = row_mut(s1, d, nb);
+            let l1_d = row_mut(l1, d, nb);
+            for j in 0..k {
+                let p = d * k + j;
+                let bj = row_mut(b, j, nb);
+                let ents = &idx.entry_edge[idx.path_start[p]..idx.path_start[p + 1]];
+                bj.fill(0.0);
+                for &e in ents {
+                    for (bv, &nv) in bj.iter_mut().zip(row(nu, e as usize, nb)) {
+                        *bv += nv;
                     }
                 }
-                lane_fold(lane_max, local);
-            });
-        }
-
-        // Edge sweep: per edge, one walk of its paths for S_e and the
-        // extreme F-steps, then δ_e, s3, λ3, μ_e and ν_e in closed form.
-        // The scratch view is fresh: this dispatch reuses the demand
-        // sweep's `t * stride` ranges, which is fine sequentially but must
-        // not look like an overlap to one view's checker.
-        let s3buf = TileBuf::new(&mut st.s3);
-        let l3buf = TileBuf::new(&mut st.l3);
-        let mubuf = TileBuf::new(&mut st.mu);
-        let deltabuf = TileBuf::new(&mut st.delta);
-        let nubuf = TileBuf::new(&mut st.nu);
-        let sbuf = TileBuf::new(scratch);
-        let (f, fstep) = (&st.f, &st.fstep);
-        par_tiles(ebounds.len() - 1, &|t| {
-            let (e0, e1) = (ebounds[t], ebounds[t + 1]);
-            // SAFETY: edge tiles are disjoint, so each tile owns its edges'
-            // rows of s3/l3/mu/delta/nu.
-            let s3 = unsafe { s3buf.slice(e0 * nb, (e1 - e0) * nb) };
-            let l3 = unsafe { l3buf.slice(e0 * nb, (e1 - e0) * nb) };
-            let mu = unsafe { mubuf.slice(e0 * nb, (e1 - e0) * nb) };
-            let delta = unsafe { deltabuf.slice(e0 * nb, (e1 - e0) * nb) };
-            let nu = unsafe { nubuf.slice(e0 * nb, (e1 - e0) * nb) };
-            // SAFETY: tile `t` owns its scratch range (the demand sweep has
-            // fully completed before this dispatch starts).
-            let tile = unsafe { sbuf.slice(t * stride, stride) };
-            let (local, tile) = tile.split_at_mut(3 * nb);
-            let (flow, tile) = tile.split_at_mut(nb);
-            let (hi, tile) = tile.split_at_mut(nb);
-            let lo = &mut tile[..nb];
-            local.fill(0.0);
-            let (ldz, lpr) = local[nb..].split_at_mut(nb);
-            for e in e0..e1 {
-                let cap = self.caps[e];
-                let s3_e = row_mut(s3, e - e0, nb);
-                let l3_e = row_mut(l3, e - e0, nb);
-                let on_edge = &idx.pos_path[idx.edge_start[e]..idx.edge_start[e + 1]];
-                if on_edge.is_empty() {
-                    // No path crosses the edge: there is no z to update,
-                    // only the slack row `s3 = c`.
-                    for lane in 0..nb {
-                        if MASKED && !active[lane] {
-                            continue;
-                        }
-                        let g = slack_ascent(cap, 0.0, rho, &mut s3_e[lane], &mut l3_e[lane]);
-                        lpr[lane] = lpr[lane].max(g);
-                    }
-                    continue;
+                let len = ents.len() as f64;
+                let disc = self.discount[p];
+                let fp = row(f, p, nb);
+                for ((bv, dj), ((&vol, &fv), (&l1v, &s1v))) in bj
+                    .iter_mut()
+                    .zip(row_mut(diag, j, nb))
+                    .zip(vols_d.iter().zip(fp).zip(l1_d.iter().zip(&*s1_d)))
+                {
+                    *dj = rho * vol * vol * len;
+                    *bv = vol * disc - l1v - rho * (s1v - 1.0) + vol * *bv + *dj * fv;
                 }
-                flow.fill(0.0);
-                hi.fill(f64::NEG_INFINITY);
-                lo.fill(f64::INFINITY);
-                for &p in on_edge {
-                    let p = p as usize;
-                    let path = row(f, p, nb).iter().zip(row(fstep, p, nb));
-                    for (((sv, hv), lv), ((&fv, &step), &vol)) in flow
-                        .iter_mut()
-                        .zip(hi.iter_mut())
-                        .zip(lo.iter_mut())
-                        .zip(path.zip(row(&self.vols, p / k, nb)))
-                    {
-                        *sv += fv * vol;
-                        let moved = step * vol;
-                        *hv = hv.max(moved);
-                        *lv = lv.min(moved);
-                    }
+            }
+            sum_binv.fill(0.0);
+            sum_inv.fill(0.0);
+            for j in 0..k {
+                for ((sb, si), (&bv, &dv)) in sum_binv
+                    .iter_mut()
+                    .zip(sum_inv.iter_mut())
+                    .zip(row(b, j, nb).iter().zip(row(diag, j, nb)))
+                {
+                    *sb += bv / dv;
+                    *si += 1.0 / dv;
                 }
-                let n = on_edge.len() as f64;
-                let mu_e = row_mut(mu, e - e0, nb);
-                let delta_e = row_mut(delta, e - e0, nb);
-                let nu_e = row_mut(nu, e - e0, nb);
+            }
+            // Sherman-Morrison solve of (diag + rho*11^T) x = b.
+            for ((cv, &sb), &si) in corr.iter_mut().zip(&*sum_binv).zip(&*sum_inv) {
+                *cv = rho * sb / (1.0 + rho * si);
+            }
+            sum.fill(0.0);
+            for j in 0..k {
+                let bj = row(b, j, nb);
+                let dj = row(diag, j, nb);
+                let fp = row_mut(f, d * k + j, nb);
+                let sp = row_mut(fstep, d * k + j, nb);
                 for lane in 0..nb {
                     if MASKED && !active[lane] {
                         continue;
                     }
-                    let a = -l3_e[lane] - rho * (s3_e[lane] - cap) + mu_e[lane];
-                    let d = (a - rho * flow[lane]) / (rho * (1.0 + n));
-                    // |Δz_pe| = |ΔF_p·v + Δδ_e| peaks at an extreme F-step.
-                    let dd = d - delta_e[lane];
-                    ldz[lane] = ldz[lane]
-                        .max((hi[lane] + dd).abs())
-                        .max((lo[lane] + dd).abs());
-                    delta_e[lane] = d;
-                    let g = slack_ascent(
-                        cap,
-                        flow[lane] + n * d,
-                        rho,
-                        &mut s3_e[lane],
-                        &mut l3_e[lane],
-                    );
-                    // λ4 ascent on F_p·v − z_pe = −δ_e, every path alike.
-                    mu_e[lane] -= rho * d;
-                    nu_e[lane] = rho * d - mu_e[lane];
-                    lpr[lane] = lpr[lane].max(g).max(d.abs());
+                    let x = if vols_d[lane] <= 0.0 {
+                        0.0
+                    } else {
+                        ((bj[lane] - corr[lane]) / dj[lane]).clamp(0.0, 1.0)
+                    };
+                    sp[lane] = x - fp[lane];
+                    fp[lane] = x;
+                    ldf[lane] = ldf[lane].max(sp[lane].abs());
+                    sum[lane] += x;
                 }
             }
-            lane_fold(lane_max, local);
-        });
+            for lane in 0..nb {
+                if MASKED && !active[lane] {
+                    continue;
+                }
+                let g = slack_ascent(1.0, sum[lane], rho, &mut s1_d[lane], &mut l1_d[lane]);
+                lpr[lane] = lpr[lane].max(g);
+            }
+        }
+    }
+
+    /// Per edge, one walk of its paths for `S_e` and the extreme F-steps,
+    /// then `δ_e`, `s3`, `λ3`, `μ_e` and `ν_e` in closed form. Writes the
+    /// per-edge families; reads `F` and its step.
+    #[inline(never)]
+    fn edge_sweep<const MASKED: bool>(
+        &self,
+        st: &mut BatchState,
+        active: &[bool],
+        rho: f64,
+        scratch: &mut [f64],
+        steps: &mut [f64],
+    ) {
+        let nb = self.batch;
+        let k = self.k;
+        let idx = &*self.index;
+        let (f, fstep): (&[f64], &[f64]) = (&st.f, &st.fstep);
+        let (s3, l3): (&mut [f64], &mut [f64]) = (&mut st.s3, &mut st.l3);
+        let (mu, delta): (&mut [f64], &mut [f64]) = (&mut st.mu, &mut st.delta);
+        let nu: &mut [f64] = &mut st.nu;
+        let (ldz, lpr) = steps[nb..].split_at_mut(nb);
+        let lpr = &mut lpr[..nb];
+        let (flow, tile) = scratch.split_at_mut(nb);
+        let (hi, tile) = tile.split_at_mut(nb);
+        let lo = &mut tile[..nb];
+        for e in 0..self.num_edges {
+            let cap = self.caps[e];
+            let s3_e = row_mut(s3, e, nb);
+            let l3_e = row_mut(l3, e, nb);
+            let on_edge = &idx.pos_path[idx.edge_start[e]..idx.edge_start[e + 1]];
+            if on_edge.is_empty() {
+                // No path crosses the edge: there is no z to update,
+                // only the slack row `s3 = c`.
+                for lane in 0..nb {
+                    if MASKED && !active[lane] {
+                        continue;
+                    }
+                    let g = slack_ascent(cap, 0.0, rho, &mut s3_e[lane], &mut l3_e[lane]);
+                    lpr[lane] = lpr[lane].max(g);
+                }
+                continue;
+            }
+            flow.fill(0.0);
+            hi.fill(f64::NEG_INFINITY);
+            lo.fill(f64::INFINITY);
+            for &p in on_edge {
+                let p = p as usize;
+                let path = row(f, p, nb).iter().zip(row(fstep, p, nb));
+                for (((sv, hv), lv), ((&fv, &step), &vol)) in flow
+                    .iter_mut()
+                    .zip(hi.iter_mut())
+                    .zip(lo.iter_mut())
+                    .zip(path.zip(row(&self.vols, p / k, nb)))
+                {
+                    *sv += fv * vol;
+                    let moved = step * vol;
+                    *hv = hv.max(moved);
+                    *lv = lv.min(moved);
+                }
+            }
+            let n = on_edge.len() as f64;
+            let mu_e = row_mut(mu, e, nb);
+            let delta_e = row_mut(delta, e, nb);
+            let nu_e = row_mut(nu, e, nb);
+            for lane in 0..nb {
+                if MASKED && !active[lane] {
+                    continue;
+                }
+                let a = -l3_e[lane] - rho * (s3_e[lane] - cap) + mu_e[lane];
+                let d = (a - rho * flow[lane]) / (rho * (1.0 + n));
+                // |Δz_pe| = |ΔF_p·v + Δδ_e| peaks at an extreme F-step.
+                let dd = d - delta_e[lane];
+                ldz[lane] = ldz[lane]
+                    .max((hi[lane] + dd).abs())
+                    .max((lo[lane] + dd).abs());
+                delta_e[lane] = d;
+                let g = slack_ascent(
+                    cap,
+                    flow[lane] + n * d,
+                    rho,
+                    &mut s3_e[lane],
+                    &mut l3_e[lane],
+                );
+                // λ4 ascent on F_p·v − z_pe = −δ_e, every path alike.
+                mu_e[lane] -= rho * d;
+                nu_e[lane] = rho * d - mu_e[lane];
+                lpr[lane] = lpr[lane].max(g).max(d.abs());
+            }
+        }
     }
 }
 
@@ -1344,39 +1095,5 @@ mod tests {
             AdmmConfig::to_convergence(),
         );
         assert!(alloc.splits().iter().all(|&v| v == 0.0));
-    }
-
-    /// A cancel flag already set when the solve starts (a racer that lost
-    /// before its first sweep) runs no iteration: every lane reports zero
-    /// iterations and hands back its projected warm start.
-    #[test]
-    fn preset_cancel_flag_yields_projected_init() {
-        let topo = diamond();
-        let pairs = vec![(0usize, 3usize), (1usize, 2usize)];
-        let paths = PathSet::compute(&topo, &pairs, 4);
-        let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
-        let tm = TrafficMatrix::new(vec![18.0, 6.0]);
-        let init = Allocation::from_splits(4, vec![0.9, 0.6, -0.2, 0.3, 0.1, 0.0, 0.2, f64::NAN]);
-        let cancel = std::sync::atomic::AtomicBool::new(true);
-        let (mut outs, mut reports) = (Vec::new(), Vec::new());
-        skel.batch_solver(std::slice::from_ref(&tm))
-            .run_cancellable(
-                std::slice::from_ref(&init),
-                AdmmConfig::to_convergence(),
-                Some(&cancel),
-                &mut BatchArena::new(),
-                &mut outs,
-                &mut reports,
-            );
-        assert_eq!(reports[0].iterations, 0);
-        assert!(reports[0].residual().is_infinite());
-        let mut want = init.clone();
-        want.project_demand_constraints();
-        for (x, y) in outs[0].splits().iter().zip(want.splits()) {
-            assert!(
-                (x - y).abs() <= 1e-12,
-                "cancelled solve {x} vs projected init {y}"
-            );
-        }
     }
 }

@@ -7,28 +7,15 @@
 //! consequence is the famously marginal multicore speedup the paper measures
 //! on Gurobi (3.8x at 16 threads).
 //!
-//! We reproduce the mechanism: with `t` threads we launch `t` serial solver
-//! instances whose configurations differ (ADMM penalty ρ and over-relaxation
-//! of the tolerance), and take the first to converge. Extra threads help only
-//! insofar as one of the alternative configurations happens to converge
-//! faster — exactly the sublinear behaviour of Figure 2.
+//! We reproduce the mechanism's arithmetic: `t` threads stand for `t`
+//! serial solver instances whose configurations differ (ADMM penalty ρ),
+//! each timed alone, and the race ends when the fastest of them converges.
+//! Extra threads help only insofar as one of the alternative configurations
+//! happens to converge faster — exactly the sublinear behaviour of Figure 2.
 
-use crate::admm::{AdmmConfig, AdmmSkeleton, BatchArena};
+use crate::admm::{AdmmConfig, AdmmSkeleton};
 use crate::problem::{Allocation, Objective, TeInstance};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Result of a concurrent-racing solve.
-#[derive(Debug)]
-pub struct RaceResult {
-    /// The winning allocation.
-    pub alloc: Allocation,
-    /// Wall-clock time until the first instance finished.
-    pub elapsed: Duration,
-    /// Index of the winning configuration.
-    pub winner: usize,
-}
 
 /// Candidate ρ values assigned round-robin to racing instances. The first is
 /// the default; alternatives are plausible but usually slower, so extra
@@ -41,60 +28,6 @@ fn racer_config(t: usize, tol: f64) -> AdmmConfig {
         rho: RHO_LADDER[t % RHO_LADDER.len()],
         max_iters: 20_000,
         tol,
-    }
-}
-
-/// Solve `inst` with `threads` racing serial instances and return the first
-/// result (plus timing).
-pub fn race_solve(inst: &TeInstance, obj: Objective, threads: usize, tol: f64) -> RaceResult {
-    assert!(threads >= 1);
-    let solver =
-        AdmmSkeleton::new(inst.topo, inst.paths, obj).batch_solver(std::slice::from_ref(inst.tm));
-    let init = Allocation::zeros(inst.num_demands(), inst.k());
-    let start = Instant::now();
-    let done = AtomicBool::new(false);
-    let winner: Mutex<Option<(usize, Allocation, Duration)>> = Mutex::new(None);
-
-    // Plain scoped threads, not pool jobs: each racer owns its thread, as
-    // Gurobi's concurrent mode runs one serial algorithm per thread. A
-    // panicking racer propagates out of the scope.
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let (solver, init, done, winner) = (&solver, &init, &done, &winner);
-            s.spawn(move || {
-                let (mut outs, mut reports) = (Vec::new(), Vec::new());
-                // The thread cap keeps every sweep on this racer's own
-                // thread; the solve polls the shared flag each iteration
-                // and stops once someone won.
-                teal_nn::pool::with_thread_cap(1, || {
-                    solver.run_cancellable(
-                        std::slice::from_ref(init),
-                        racer_config(t, tol),
-                        Some(done),
-                        &mut BatchArena::new(),
-                        &mut outs,
-                        &mut reports,
-                    );
-                });
-                // First finisher wins; racers cancelled by the flag find
-                // `done` already true and cannot record.
-                if !done.swap(true, Ordering::SeqCst) {
-                    let result = outs.pop().expect("a batch of one yields one allocation");
-                    let mut w = winner.lock().expect("a racer panicked holding the lock");
-                    *w = Some((t, result, start.elapsed()));
-                }
-            });
-        }
-    });
-
-    let (idx, alloc, elapsed) = winner
-        .into_inner()
-        .expect("a racer panicked holding the lock")
-        .expect("no racer finished");
-    RaceResult {
-        alloc,
-        elapsed,
-        winner: idx,
     }
 }
 
@@ -117,7 +50,7 @@ pub fn measure_racers(
     (0..num_configs.min(RHO_LADDER.len()))
         .map(|t| {
             let start = Instant::now();
-            teal_nn::pool::with_thread_cap(1, || skel.solve(inst.tm, &init, racer_config(t, tol)));
+            skel.solve(inst.tm, &init, racer_config(t, tol));
             start.elapsed()
         })
         .collect()
@@ -137,42 +70,28 @@ pub fn race_time_with_threads(racer_times: &[Duration], threads: usize) -> Durat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::evaluate;
     use teal_topology::{PathSet, Topology};
     use teal_traffic::TrafficMatrix;
 
-    fn diamond() -> Topology {
-        let mut t = Topology::new("d", 4);
-        t.add_link(0, 1, 10.0, 1.0);
-        t.add_link(1, 3, 10.0, 1.0);
-        t.add_link(0, 2, 10.0, 1.5);
-        t.add_link(2, 3, 10.0, 1.5);
-        t
-    }
-
+    /// One serial time per configuration; the derived race time is their
+    /// prefix minimum, so more threads never make the race slower.
     #[test]
-    fn race_produces_good_solution() {
-        let topo = diamond();
-        let pairs = vec![(0usize, 3usize)];
-        let paths = PathSet::compute(&topo, &pairs, 4);
+    fn race_time_is_prefix_minimum_of_racer_times() {
+        let mut topo = Topology::new("d", 4);
+        topo.add_link(0, 1, 10.0, 1.0);
+        topo.add_link(1, 3, 10.0, 1.0);
+        topo.add_link(0, 2, 10.0, 1.5);
+        topo.add_link(2, 3, 10.0, 1.5);
+        let paths = PathSet::compute(&topo, &[(0, 3)], 4);
         let tm = TrafficMatrix::new(vec![25.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let r = race_solve(&inst, Objective::TotalFlow, 2, 1e-4);
-        let flow = evaluate(&inst, &r.alloc).realized_flow;
-        assert!(flow > 18.0, "flow {flow}");
-        assert!(r.winner < 2);
-    }
-
-    #[test]
-    fn single_thread_works() {
-        let topo = diamond();
-        let pairs = vec![(0usize, 3usize)];
-        let paths = PathSet::compute(&topo, &pairs, 4);
-        let tm = TrafficMatrix::new(vec![5.0]);
-        let inst = TeInstance::new(&topo, &paths, &tm);
-        let r = race_solve(&inst, Objective::TotalFlow, 1, 1e-4);
-        assert_eq!(r.winner, 0);
-        let flow = evaluate(&inst, &r.alloc).realized_flow;
-        assert!((flow - 5.0).abs() < 0.3, "flow {flow}");
+        let times = measure_racers(&inst, Objective::TotalFlow, 3, 1e-4);
+        assert_eq!(times.len(), 3);
+        for t in 1..=4 {
+            let want = times.iter().take(t).min().copied();
+            assert_eq!(Some(race_time_with_threads(&times, t)), want);
+        }
+        assert_eq!(race_time_with_threads(&times, 0), times[0]);
+        assert_eq!(race_time_with_threads(&[], 2), Duration::ZERO);
     }
 }

@@ -8,10 +8,15 @@
 //!   (Appendix C's per-(path, edge) `z`/`λ4` are per-edge scalars there),
 //! * a [`fleischer`] multiplicative-weights approximation (§2.1's
 //!   combinatorial baseline),
-//! * [`concurrent`] racing of serial instances reproducing Figure 2's
-//!   marginal multicore speedup,
+//! * [`concurrent`]: per-configuration serial solve times from which
+//!   Figure 2's marginal multicore speedup is derived,
 //! * the [`flow`] module defining the feasible-flow semantics every scheme
 //!   is scored under.
+//!
+//! Every solver here runs on the calling thread: the crate spawns no
+//! thread and holds no atomic, lock or raw pointer.
+
+#![forbid(unsafe_code)]
 
 pub mod admm;
 pub mod concurrent;

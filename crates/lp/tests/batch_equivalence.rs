@@ -448,25 +448,4 @@ proptest! {
             assert_lanes_independent(&skel, &tms, &inits, cfg)?;
         }
     }
-
-    /// A thread cap of one (every tile on the calling thread — the
-    /// Figure-2 racers' setting) must not change results, only scheduling.
-    #[test]
-    fn serial_and_pooled_runs_agree(seed in 0u64..1_000_000) {
-        let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1a);
-        let tms = random_window(7, nd, &mut rng);
-        let inits = random_inits(7, nd, k, &mut rng);
-        let cfg = AdmmConfig { rho: 1.0, max_iters: 50, tol: 1e-4 };
-        let (outs_p, reps_p) = run_fresh(&skel, &tms, &inits, cfg);
-        let (outs_s, reps_s) =
-            teal_nn::pool::with_thread_cap(1, || run_fresh(&skel, &tms, &inits, cfg));
-        for b in 0..tms.len() {
-            prop_assert_eq!(reps_p[b].iterations, reps_s[b].iterations);
-            for (x, y) in outs_p[b].splits().iter().zip(outs_s[b].splits()) {
-                prop_assert!(x.to_bits() == y.to_bits(),
-                    "serial/pooled batched runs diverged: {} vs {}", x, y);
-            }
-        }
-    }
 }

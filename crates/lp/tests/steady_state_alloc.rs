@@ -12,26 +12,16 @@
 //! arena + solver may allocate only per-path, per-demand and per-edge lane
 //! rows — no buffer sized by the incidence non-zero count
 //! (`first_window_footprint_has_no_per_entry_family`).
-//!
-//! The solver runs under `teal_nn::pool::with_thread_cap(1, …)` here: that
-//! is the single-CPU container's native shape, and it keeps the
-//! (separately exercised) worker pool's own bookkeeping out of the
-//! measurement. The lane-independence and arena-reuse≡fresh suites in
-//! `batch_equivalence.rs` cover the parallel schedule.
 
 mod common;
 
 use common::{thread_alloc_bytes, thread_allocs};
-use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
+use teal_lp::{AdmmConfig, AdmmReport, AdmmSkeleton, Allocation, BatchArena, Objective};
 use teal_topology::{generate, gravity_pairs, large_wan, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
 
 #[test]
 fn steady_state_windows_allocate_nothing() {
-    teal_nn::pool::with_thread_cap(1, steady_state_windows);
-}
-
-fn steady_state_windows() {
     // A real serving shape: SWAN topology, 16-matrix windows, the paper's
     // 5-iteration fine-tune.
     let topo = generate(TopoKind::Swan, 0.4, 7);
@@ -103,10 +93,6 @@ fn steady_state_windows() {
 
 #[test]
 fn first_window_footprint_has_no_per_entry_family() {
-    teal_nn::pool::with_thread_cap(1, first_window_footprint);
-}
-
-fn first_window_footprint() {
     // A generated WAN whose candidate paths are long: at least three
     // incidence non-zeros per path, so a single `[non-zero][lane]` family
     // would by itself equal the whole per-path allowance below.
@@ -143,11 +129,13 @@ fn first_window_footprint() {
     let grew = thread_alloc_bytes() - before;
 
     // Lane rows: per path F, its last step and the output splits; per
-    // demand s1, λ1 and the volumes; per edge s3, λ3, μ, δ, ν and one
-    // spare. Then the single tile's sweep scratch ((2k + 7) lane rows) and
-    // a fixed slack for the per-lane bookkeeping and `Vec` growth steps.
-    let rows = 3 * np + 3 * nd + 6 * ne + 2 * k + 7;
-    let allowed = (rows * BATCH * 8 + 4096) as u64;
+    // demand s1, λ1 and the volumes; per edge s3, λ3, μ, δ, ν; the sweeps'
+    // 2k + 4 working rows; the three step maxima, three residuals and the
+    // iteration counts. Then, per lane, one mask byte and one entry in
+    // each output `Vec`. Nothing else: the bound is met exactly today.
+    let rows = 3 * np + 3 * nd + 5 * ne + (2 * k + 4) + 7;
+    let out_entry = std::mem::size_of::<Allocation>() + std::mem::size_of::<AdmmReport>();
+    let allowed = ((rows * 8 + 1 + out_entry) * BATCH) as u64;
     assert!(
         grew <= allowed,
         "first window allocated {grew} B, allowance {allowed} B \

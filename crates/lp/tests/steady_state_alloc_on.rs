@@ -18,12 +18,6 @@ use teal_traffic::TrafficMatrix;
 
 #[test]
 fn failure_windows_allocate_nothing_in_steady_state() {
-    // Cap 1 keeps the worker pool's own bookkeeping out of the measurement
-    // (see `steady_state_alloc.rs`).
-    teal_nn::pool::with_thread_cap(1, failure_windows);
-}
-
-fn failure_windows() {
     // The serving shape of a failure burst: SWAN, 16-matrix windows, the
     // paper's 5-iteration fine-tune, one link failed (capacity zeroed).
     let topo = generate(TopoKind::Swan, 0.4, 7);

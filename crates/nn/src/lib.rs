@@ -10,8 +10,8 @@
 //! * [`module`] — parameter storage and `Linear` layers;
 //! * [`optim`] — Adam (the paper's optimizer) and SGD;
 //! * [`pool`] — the persistent worker pool standing in for the GPU's
-//!   parallelism: kernels here are serial, and the stages above them
-//!   (a window's forward pass over matrices, ADMM over tiles) submit jobs;
+//!   parallelism: kernels here are serial, and the stage above them (a
+//!   window's forward pass over its matrices) submits the jobs;
 //! * [`rng`] — seeded RNG and Box-Muller Gaussian sampling;
 //! * [`checkpoint`] — save/load trained parameters (the paper's week-long
 //!   training sessions need persistence).
@@ -19,8 +19,8 @@
 //! Everything is deterministic under a fixed seed, which the reproduction
 //! relies on for regression tests.
 //!
-//! This crate (with `teal-lp`) is where the workspace's `unsafe` lives —
-//! here, the lifetime-erased jobs of [`pool`]. Every block carries a
+//! This crate is where the workspace's compute-side `unsafe` lives — the
+//! lifetime-erased jobs of [`pool`]. Every block carries a
 //! `// SAFETY:` comment (enforced by `cargo xtask lint`) and
 //! `unsafe_op_in_unsafe_fn` is denied workspace-wide; see the root crate's
 //! "Unsafe inventory" docs.

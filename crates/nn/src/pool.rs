@@ -2,12 +2,11 @@
 //!
 //! Kernels in this crate are serial. Parallelism is a *stage's* decision,
 //! taken where the units of work commute and share no write: the matrices of
-//! a serving window's forward pass (`teal-core`) and the demand/edge tiles
-//! of a batched ADMM sweep (`teal-lp`). Both hand this module a *job* — an
-//! indexed task `f(0..n)` whose indices workers and the submitting thread
-//! claim with one shared atomic counter. `max_threads() - 1` workers stay
-//! alive for the life of the process, so a job costs one queue push, never a
-//! thread spawn.
+//! a serving window's forward pass (`teal-core`), today the only submitter.
+//! A stage hands this module a *job* — an indexed task `f(0..n)` whose
+//! indices workers and the submitting thread claim with one shared atomic
+//! counter. `max_threads() - 1` workers stay alive for the life of the
+//! process, so a job costs one queue push, never a thread spawn.
 //!
 //! Design constraints, in order:
 //!
@@ -100,7 +99,7 @@ struct Job {
     /// Maximum number of *workers* allowed to help this job (the submitting
     /// thread always participates on top). `usize::MAX` means uncapped; a
     /// serving shard running under [`with_thread_cap`] bounds it so one
-    /// topology's ADMM tiles cannot monopolize the pool.
+    /// topology's windows cannot monopolize the pool.
     helper_cap: usize,
     /// Workers currently helping (reserved slots against `helper_cap`).
     helpers: AtomicUsize,
@@ -325,10 +324,10 @@ thread_local! {
 /// touching the queue. Nested and re-entrant uses compose (the innermost
 /// cap wins); jobs submitted by *worker* threads on behalf of a capped job
 /// are not capped — the cap binds at the dispatch lane's top-level calls,
-/// which is where serving shards submit their ADMM tiles.
+/// which is where serving shards submit their forward jobs.
 ///
 /// This is the mechanism behind `teal-serve`'s per-shard thread caps: when
-/// topology count exceeds core count, each shard pins its tile fan-out so
+/// topology count exceeds core count, each shard pins its fan-out so
 /// shards degrade into roughly-even lanes instead of thrashing the pool.
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
     let prev = THREAD_CAP.with(|c| c.replace(Some(cap.max(1))));
@@ -344,9 +343,8 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 
 /// Execute `f(0)`, …, `f(n - 1)` across the pool, returning once all calls
 /// have finished. Each index is claimed by exactly one thread, so `f` may
-/// write a per-index slot (or, as ADMM's `TileBuf` does, a disjoint `&mut`
-/// tile) without contending. Panics in `f` propagate to the caller after
-/// all chunks settle.
+/// write a per-index slot without contending. Panics in `f` propagate to
+/// the caller after all chunks settle.
 pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
         return;
@@ -414,8 +412,7 @@ pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
     }
     if job.poisoned.load(Ordering::Acquire) {
         // Re-throw the original payload so the caller's panic handling
-        // (e.g. the serving engine's catch_unwind → AllocError::Poisoned)
-        // reports the real cause.
+        // (e.g. the serving daemon's `catch_unwind`) reports the real cause.
         if let Some(p) = job.payload.lock().take() {
             std::panic::resume_unwind(p);
         }

@@ -3,8 +3,7 @@
 //!
 //! Kernels are serial (the row-chunk helpers this suite used to pin are
 //! gone); what runs on the pool is a stage's job — a window's forward pass
-//! indexed by matrix, an ADMM sweep indexed by tile — so that is the shape
-//! exercised here.
+//! indexed by matrix — so that is the shape exercised here.
 //!
 //! CI containers expose one CPU, where the pool would stay empty and these
 //! tests would trivially pass through the inline path — so this binary

@@ -133,8 +133,8 @@ pub struct ServeConfig {
     /// unbounded memory growth); deadline'd requests are shed instead.
     pub queue_capacity: usize,
     /// Cap on pool threads (submitting dispatcher + helpers) each shard may
-    /// use for its ADMM tiles and forward-pass kernels. `None` = share the
-    /// whole `teal_nn::pool`. Set this when topology counts grow past core
+    /// use for its windows' forward jobs (the only stage that submits any).
+    /// `None` = share the whole `teal_nn::pool`. Set this when topology counts grow past core
     /// counts so shards degrade into roughly-even lanes instead of
     /// thrashing the pool. Setting a cap also arms the per-tenant
     /// deficit-round-robin window arbiter (see [`crate::wfq`]): shards
@@ -521,9 +521,8 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
             shard.space.notify_all();
             drained
         };
-        // Per-shard thread cap: bind the pool fan-out of everything this
-        // window computes (forward-pass kernels and ADMM tiles alike) from
-        // this, the submitting thread.
+        // Per-shard thread cap: bind the pool fan-out of this window's
+        // forward job from this, the submitting thread.
         match inner.cfg.shard_threads {
             Some(cap) => teal_nn::pool::with_thread_cap(cap, || {
                 serve_drained(inner, shard, &mut scratch, drained);
@@ -663,12 +662,12 @@ const PRESSURED_BUDGET: usize = 2;
 /// faults without losing batching. The engine's [`AllocError::BadRequest`]
 /// names the offending request, so only that one is failed and the
 /// remainder is re-batched in a single pass — one malformed matrix must not
-/// serialize (or error) 31 innocent requests. A poisoned worker is a
-/// *server* fault: the chunk gets a retryable [`ServeError::Internal`],
-/// never `BadRequest`. `catch_unwind` stays as a last line of defense
-/// against panics the engine does not classify: the chunk's requests are
-/// then each solved alone, by the same loop, and only a request that panics
-/// on its own is failed.
+/// serialize (or error) 31 innocent requests. A panicking ADMM stage
+/// ([`AllocError::Poisoned`]) is a *server* fault: the chunk gets a
+/// retryable [`ServeError::Internal`], never `BadRequest`. `catch_unwind`
+/// stays as a last line of defense against panics the engine does not
+/// classify: the chunk's requests are then each solved alone, by the same
+/// loop, and only a request that panics on its own is failed.
 fn serve_chunk<M: PolicyModel>(
     inner: &Inner<M>,
     shard: &Shard,

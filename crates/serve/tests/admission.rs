@@ -225,7 +225,7 @@ fn failure_coalescing_matches_direct_overrides() {
 #[test]
 fn shard_thread_caps_serve_two_topologies_correctly() {
     // ROADMAP PR 4 follow-up: per-shard thread caps. Under TEAL_NN_THREADS=4
-    // (the CI matrix) each shard's ADMM tiles are pinned to one thread; the
+    // (the CI matrix) each shard's forward jobs are pinned to one thread; the
     // answers must stay exactly as correct as the uncapped daemon's. Run a
     // capped and an uncapped daemon over the same traffic and compare both
     // against direct context calls.

@@ -9,7 +9,7 @@
 //! demand pair on scoped worker threads, and the path-edge incidence
 //! structure FlowGNN message-passes over.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn`/`teal-lp` only (see the root crate's
+// audited unsafe lives in `teal-nn` only (see the root crate's
 // unsafe inventory docs).
 #![forbid(unsafe_code)]
 

@@ -32,8 +32,8 @@
 //!   must say so: its crate root needs `#![forbid(unsafe_code)]`.
 //! * **kernels-serial** — non-test code in `crates/nn/src` other than
 //!   `pool.rs` must not name `pool::run`: kernels are serial, and the
-//!   stages above them (a window's forward pass over matrices, ADMM over
-//!   tiles) are what submit pool jobs.
+//!   stage above them (a window's forward pass over its matrices, in
+//!   `teal-core`) is what submits pool jobs.
 //!
 //! Findings print one per line, machine-readable, sorted:
 //! `path:line: [rule] message`. The process exits non-zero if any finding
@@ -782,9 +782,9 @@ mod tests {
         let f = findings("crates/nn/src/sparse.rs", text);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "kernels-serial");
-        // The pool itself, and the stages in other crates, may submit.
+        // The pool itself, and the stage in another crate, may submit.
         assert!(findings("crates/nn/src/pool.rs", text).is_empty());
-        assert!(findings("crates/lp/src/admm.rs", text).is_empty());
+        assert!(findings("crates/core/src/engine.rs", text).is_empty());
         // Prose and test modules are not kernel code.
         let benign = "//! Stages call `pool::run`; kernels do not.\n\
                       #[cfg(test)]\n\

@@ -46,30 +46,24 @@
 //!
 //! ## Unsafe inventory & correctness tooling
 //!
-//! The workspace's `unsafe` is confined to two hot-path idioms, both in the
-//! compute crates and both instrumented:
+//! The workspace's `unsafe` is confined to one hot-path idiom, in
+//! `teal-nn`:
 //!
 //! * **Lifetime-erased pool jobs** (`teal_nn::pool`): a stage (a window's
-//!   forward pass over its matrices, an ADMM sweep over its tiles) hands
+//!   forward pass over its matrices — the only one that submits) hands
 //!   the worker pool a borrowed `&dyn Fn(usize)` whose lifetime is erased
 //!   to cross the thread boundary. Soundness rests on the submit path not
 //!   returning until every claimed chunk settled (the `done`-count/condvar
 //!   protocol), which is exactly what the loom model checker exercises.
-//! * **Disjoint-tile `&mut` reconstruction** (`teal_lp`'s ADMM `TileBuf`):
-//!   a mutable buffer is split into non-overlapping `(start, len)`
-//!   regions, each rebuilt as a `&mut [f64]` by exactly one tile. (The
-//!   forward pass needs none: each matrix writes its own result slot.)
-//!   In debug builds (and under `--cfg teal_check`) every handed-out
-//!   range is recorded and checked — an overlapping or out-of-bounds
-//!   region panics at the hand-out site instead of silently aliasing a
-//!   neighbor tile.
+//!   Each matrix writes its own result slot, so no buffer is ever split
+//!   between threads by hand.
 //!
 //! Everything else forbids `unsafe` outright (`#![forbid(unsafe_code)]` in
-//! `teal-topology`, `teal-traffic`, `teal-core`, `teal-baselines`,
-//! `teal-sim`, `teal-bench`, `teal-serve`, and this crate), and
-//! `unsafe_op_in_unsafe_fn` is denied workspace-wide.
+//! `teal-topology`, `teal-traffic`, `teal-lp`, `teal-core`,
+//! `teal-baselines`, `teal-sim`, `teal-bench`, `teal-serve`, and this
+//! crate), and `unsafe_op_in_unsafe_fn` is denied workspace-wide.
 //!
-//! Three layers of tooling keep this inventory honest:
+//! Two layers of tooling keep this inventory honest:
 //!
 //! 1. **`cargo xtask lint`** — an offline source pass over the workspace
 //!    (no network, no nightly): every `unsafe` block/impl must carry a
@@ -89,11 +83,9 @@
 //!    client's register-before-send slot protocol. Each model test also
 //!    runs a seeded mutant of its protocol and asserts the checker kills
 //!    it.
-//! 3. **Checked-unsafe instrumentation** (`debug_assertions`/`teal_check`)
-//!    — the range trackers described above.
 
 // This umbrella crate only re-exports; the audited unsafe lives in
-// `teal-nn`/`teal-lp` per the inventory above.
+// `teal-nn` per the inventory above.
 #![forbid(unsafe_code)]
 
 pub use teal_baselines as baselines;
