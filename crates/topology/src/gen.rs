@@ -382,35 +382,49 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt().max(0.05)
     };
 
+    // `sqrt_deg[v]` is `sqrt(deg[v])`, kept where `deg` changes, so the
+    // growth scan's million-odd scores divide by a stored root.
     let mut deg = vec![0usize; n];
-    let add = |t: &mut Topology, deg: &mut Vec<usize>, rng: &mut StdRng, a: usize, b: usize| {
+    let mut sqrt_deg = vec![0.0f64; n];
+    let add = |t: &mut Topology,
+               deg: &mut [usize],
+               sqrt_deg: &mut [f64],
+               rng: &mut StdRng,
+               a: usize,
+               b: usize| {
         t.add_link(a, b, sample_capacity(rng), dist(a, b));
-        deg[a] += 1;
-        deg[b] += 1;
+        for v in [a, b] {
+            deg[v] += 1;
+            sqrt_deg[v] = (deg[v] as f64).sqrt();
+        }
     };
 
     // Seed clique: 4 mutually linked sites.
     const M0: usize = 4;
     for a in 0..M0 {
         for b in (a + 1)..M0 {
-            add(&mut t, &mut deg, &mut rng, a, b);
+            add(&mut t, &mut deg, &mut sqrt_deg, &mut rng, a, b);
         }
     }
 
     // HOT growth: each arrival links to the 1–3 best-scoring existing nodes.
+    let mut dist_row = Vec::with_capacity(n);
     for i in M0..n {
         // 1–3 uplinks per arrival: stubs, dual-homed sites, rare tri-homed.
         let m = 1 + rng.gen_range(0..2usize) + usize::from(rng.gen::<f64>() < 0.2);
+        // The arrival's distance to every earlier node, once for all its scans.
+        dist_row.clear();
+        dist_row.extend((0..i).map(|j| dist(i, j)));
         let mut linked = 0;
         while linked < m {
             let mut best: Option<(f64, usize)> = None;
-            for (j, &dj) in deg.iter().enumerate().take(i) {
+            for (j, (&dij, &root)) in dist_row.iter().zip(&sqrt_deg).enumerate() {
                 // The arrival has at most 3 links: scanning them beats the
                 // two hash probes of `has_link` a million times over.
                 if t.neighbors(i).iter().any(|&(v, _)| v == j) {
                     continue;
                 }
-                let score = dist(i, j) / (dj as f64).sqrt();
+                let score = dij / root;
                 let better = match best {
                     None => true,
                     Some((s, bj)) => score < s || (score == s && j < bj),
@@ -420,7 +434,7 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
                 }
             }
             let Some((_, j)) = best else { break };
-            add(&mut t, &mut deg, &mut rng, i, j);
+            add(&mut t, &mut deg, &mut sqrt_deg, &mut rng, i, j);
             linked += 1;
         }
     }
@@ -602,12 +616,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn large_wan_edge_list_pinned() {
-        // FNV-1a over every edge's (src, dst, capacity bits, weight bits),
-        // printed at the commit before the growth loop stopped probing
-        // `has_link`: the generator's output must not have moved.
-        let t = large_wan(1024, 7);
+    /// FNV-1a over every edge's (src, dst, capacity bits, weight bits).
+    fn edge_bits_hash(t: &Topology) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for e in t.edges() {
             let words = [
@@ -621,8 +631,24 @@ mod tests {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
+        h
+    }
+
+    #[test]
+    fn large_wan_edge_list_pinned() {
+        // Printed at the commit before the growth loop stopped probing
+        // `has_link`: the generator's output must not have moved.
+        let t = large_wan(1024, 7);
         assert_eq!(t.num_edges(), 4916);
-        assert_eq!(h, 0xf8c0_3a32_3a70_c6a9);
+        assert_eq!(edge_bits_hash(&t), 0xf8c0_3a32_3a70_c6a9);
+    }
+
+    #[test]
+    fn large_wan_bits_are_pinned() {
+        // Printed at the commit before the growth scan kept `sqrt(deg)` per
+        // node and one distance row per arrival.
+        assert_eq!(edge_bits_hash(&large_wan(64, 7)), 0x0602_095e_1c7c_54e5);
+        assert_eq!(edge_bits_hash(&large_wan(256, 7)), 0x13a2_7acb_ab7f_16ad);
     }
 
     #[test]

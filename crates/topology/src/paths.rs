@@ -56,6 +56,15 @@
 //! bound. Either way `D*` is the optimum to within rounding, which point 2's
 //! slack absorbs.
 //!
+//! The scan has a goal-side twin. When no exit's tree path is feasible the
+//! A\* would run uncapped, and if there is in fact no masked path it pops
+//! every node it can reach to prove it. The commonest such case needs no
+//! search: a masked path must *enter* `dst` through an in-arc that is not
+//! banned and does not leave a banned node, so when one scan of `dst`'s
+//! in-arcs finds none — a spur search at the only neighbour of a leaf
+//! destination — the answer is `None`, which is exactly what the exhausted
+//! A\* returns. No path is chosen on that branch, so none can change.
+//!
 //! Do not simplify this into plain A\*, bidirectional search or "follow the
 //! tree while it is unbanned": each picks a different path among
 //! equal-weight ones (B4 has exact ties) and changes the path sets.
@@ -71,6 +80,12 @@
 //! * The three hot loops (tree build, A\*, bounded Dijkstra) walk CSR
 //!   adjacency with the edge weight inline, rebuilt once per worker by
 //!   `KspScratch::bind`, and a heap keyed on `(dist.to_bits(), node)`.
+//! * The tree build writes `h` and `hop` for every node but does not queue a
+//!   node whose single in-arc comes from the node being popped (a stub site
+//!   behind its one neighbour — 290 of 1,024 nodes): popping it could only
+//!   re-relax that neighbour, already settled at a distance no greater,
+//!   zero weights included. By point 3's argument the rest of the build pops
+//!   in the same order, so `h` and `hop` are bit-identical.
 //! * Lawler's refinement: each candidate records the spur index it deviated
 //!   at, and spur positions before it — which would repeat a query already
 //!   issued for its parent — are skipped.
@@ -80,6 +95,7 @@
 use crate::graph::{EdgeId, NodeId, Topology};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 #[cfg(test)]
@@ -177,8 +193,9 @@ struct Counts {
     trees: u64,
     /// Masked searches run (each an optimum plus a bounded Dijkstra).
     searches: u64,
-    /// Searches whose optimum the exit scan settled — read off the tree, or
-    /// no exit at all — so only the bounded Dijkstra touched the heap.
+    /// Searches whose optimum a scan settled — read off the tree, no exit
+    /// at all, or a sealed `dst` — so at most the bounded Dijkstra touched
+    /// the heap.
     shortcuts: u64,
     /// Heap pops: tree builds, A\* passes and bounded Dijkstras together.
     pops: u64,
@@ -306,7 +323,8 @@ impl KspScratch {
     }
 
     /// Build the reverse shortest-path tree of `dst` on the bound topology:
-    /// a full Dijkstra over in-edges, distances and next hops.
+    /// a full Dijkstra over in-edges, distances and next hops. Every node's
+    /// `h` and `hop` are written; a node with nobody to improve is not queued.
     fn aim(&mut self, dst: NodeId) {
         let KspScratch {
             heap,
@@ -339,7 +357,13 @@ impl KspScratch {
                 if nd < h[from] {
                     h[from] = nd;
                     hop[from] = node as u32;
-                    heap.push(nd, from);
+                    // A node whose single in-arc comes from `node` is a dead
+                    // end: popping it could only re-relax `node`, which is
+                    // settled at `d <= nd`.
+                    let into = &in_adj[in_off[from] as usize..in_off[from + 1] as usize];
+                    if !matches!(into, [only] if only.node as usize == node) {
+                        heap.push(nd, from);
+                    }
                 }
             }
         }
@@ -465,12 +489,31 @@ fn exit_bounds(src: NodeId, dst: NodeId, scratch: &KspScratch, ban_epoch: u32) -
     (lower, upper)
 }
 
+/// Whether no masked path can enter `dst`: each of its in-arcs is a banned
+/// edge or leaves a banned node. The goal-side twin of [`exit_bounds`] — a
+/// spur search at the only neighbour of a leaf destination, say.
+fn goal_sealed(dst: NodeId, scratch: &KspScratch, ban_epoch: u32) -> bool {
+    let KspScratch {
+        edge_ban,
+        node_ban,
+        in_off,
+        in_adj,
+        ..
+    } = scratch;
+    in_adj[in_off[dst] as usize..in_off[dst + 1] as usize]
+        .iter()
+        .all(|arc| {
+            edge_ban[arc.edge as usize] == ban_epoch || node_ban[arc.node as usize] == ban_epoch
+        })
+}
+
 /// Weight of the lightest masked `src → dst` path, to within
 /// [`BOUND_SLACK`]; the scratch's reverse tree must be aimed at `dst`.
 ///
 /// Most spur searches never touch the heap: when the [`exit_bounds`] meet,
-/// the tree already holds the answer. Otherwise [`astar`] finds it, pruned
-/// by the upper bound.
+/// the tree already holds the answer, and when no exit's tree path is
+/// feasible and `dst` is [`goal_sealed`] there is none. Otherwise [`astar`]
+/// finds it, pruned by the upper bound.
 fn masked_optimum(
     src: NodeId,
     dst: NodeId,
@@ -484,6 +527,10 @@ fn masked_optimum(
     if lower == upper {
         count!(scratch.counts.shortcuts);
         return lower.is_finite().then_some(lower);
+    }
+    if upper.is_infinite() && goal_sealed(dst, scratch, ban_epoch) {
+        count!(scratch.counts.shortcuts);
+        return None;
     }
     astar(src, dst, scratch, ban_epoch, upper * (1.0 + BOUND_SLACK))
 }
@@ -744,7 +791,7 @@ impl PathSet {
     /// Compute `k` shortest paths per pair, in parallel across pairs.
     pub fn compute(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> PathSet {
         assert!(k >= 1);
-        let chunk_results = parallel_paths(topo, pairs, k, default_threads());
+        let chunk_results = parallel_paths(topo, pairs, k, setup_workers());
         let mut paths = Vec::with_capacity(pairs.len() * k);
         for (pair, mut found) in pairs.iter().zip(chunk_results) {
             assert!(
@@ -859,8 +906,10 @@ impl PathSet {
 /// touched once per few milliseconds of work.
 const CLAIM: usize = 32;
 
-/// Worker threads for [`PathSet::compute`].
-fn default_threads() -> usize {
+/// Worker threads of a set-up stage ([`PathSet::compute`], the traffic
+/// series): the machine's parallelism, at most 8. Not `TEAL_NN_THREADS` —
+/// set-up runs before any pool exists and its results do not depend on it.
+pub fn setup_workers() -> usize {
     std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1)
@@ -875,8 +924,25 @@ fn by_destination(pairs: &[(NodeId, NodeId)]) -> Vec<usize> {
     order
 }
 
-/// One worker's loop: claim the next run of `order`, search each of its
-/// pairs, collect `(input index, paths)`. Returns when the claims run out.
+/// The run of `order` owned by the claim window starting at `lo`: every
+/// destination group whose *first* pair lies in the window, whole. A leading
+/// run that continues the previous window's destination belongs to that
+/// window, and the last group runs past the window's end, so the spans of
+/// successive windows tile `order` and no destination's tree is built twice.
+fn claim_span(pairs: &[(NodeId, NodeId)], order: &[usize], lo: usize) -> Range<usize> {
+    // The first position at or after `at` where a destination group starts.
+    let group_start = |mut at: usize| {
+        while 0 < at && at < order.len() && pairs[order[at]].1 == pairs[order[at - 1]].1 {
+            at += 1;
+        }
+        at
+    };
+    group_start(lo)..group_start(order.len().min(lo + CLAIM))
+}
+
+/// One worker's loop: claim the next window of `order`, search each pair of
+/// its [`claim_span`], collect `(input index, paths)`. Returns when the
+/// claims run out.
 fn drain_claims(
     topo: &Topology,
     pairs: &[(NodeId, NodeId)],
@@ -892,7 +958,7 @@ fn drain_claims(
         if lo >= order.len() {
             return found;
         }
-        for &i in &order[lo..order.len().min(lo + CLAIM)] {
+        for &i in &order[claim_span(pairs, order, lo)] {
             let (src, dst) = pairs[i];
             if scratch.target != Some(dst) {
                 scratch.aim(dst);

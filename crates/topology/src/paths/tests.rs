@@ -275,6 +275,58 @@ fn parallel_matches_serial() {
 }
 
 #[test]
+fn claims_never_split_a_destination() {
+    let swan = generate(TopoKind::Swan, 0.3, 7);
+    let mut swan_pairs = swan.all_pairs();
+    swan_pairs.reverse();
+    let wan = large_wan(256, 7);
+    let wan_pairs = gravity_pairs(&wan, 512, 6);
+    for (topo, pairs) in [(&swan, &swan_pairs), (&wan, &wan_pairs)] {
+        let order = by_destination(pairs);
+        let dst = |at: usize| pairs[order[at]].1;
+        let groups = 1
+            + (1..order.len())
+                .filter(|&at| dst(at) != dst(at - 1))
+                .count();
+
+        // The spans of successive windows tile `order`, cutting only where
+        // the destination changes.
+        let mut covered = 0;
+        for lo in (0..order.len()).step_by(CLAIM) {
+            let span = claim_span(pairs, &order, lo);
+            assert_eq!(span.start, covered, "window at {lo}");
+            let cut = span.start;
+            assert!(cut == 0 || cut == order.len() || dst(cut) != dst(cut - 1));
+            covered = span.end;
+        }
+        assert_eq!(covered, order.len());
+
+        // So whoever claims what, every pair is searched once and a tree is
+        // built once per destination.
+        for threads in [1, 2, 3, 5] {
+            let next = AtomicUsize::new(0);
+            let work = || {
+                let mut scratch = KspScratch::new(topo);
+                let found = drain_claims(topo, pairs, &order, 4, &next, &mut scratch);
+                (found, scratch.counts.trees)
+            };
+            let per_worker: Vec<_> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            let trees: u64 = per_worker.iter().map(|(_, trees)| trees).sum();
+            assert_eq!(trees, groups as u64, "{threads} workers");
+            let mut seen: Vec<usize> = per_worker
+                .iter()
+                .flat_map(|(found, _)| found.iter().map(|&(i, _)| i))
+                .collect();
+            seen.sort_unstable();
+            assert!(seen.iter().copied().eq(0..pairs.len()), "{threads} workers");
+        }
+    }
+}
+
+#[test]
 fn pinned_path_hashes() {
     let t = b4();
     let ps = PathSet::compute(&t, &t.all_pairs(), 4);
@@ -316,7 +368,7 @@ fn searches_stay_goal_directed() {
     let (ours, searches, pops) = work_counts(&t, &gravity_pairs(&t, 512, 6));
     println!("large_wan(256), 512 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
     assert!(ours.searches <= searches);
-    assert!(ours.pops * 5 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(ours.pops * 7 < pops, "{} pops vs oracle {pops}", ours.pops);
     assert!(
         ours.shortcuts * 3 >= ours.searches * 2,
         "{} of {} searches short-cut",
@@ -336,7 +388,7 @@ fn paper_scale_pinned_hash_and_counts() {
     assert_eq!(nnz, 32_041);
     let (ours, searches, pops) = work_counts(&t, &pairs);
     println!("large_wan(1024), 2048 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
-    assert!(ours.pops * 9 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(ours.pops * 14 < pops, "{} pops vs oracle {pops}", ours.pops);
     assert!(
         ours.shortcuts * 3 >= ours.searches * 2,
         "{} of {} searches short-cut",
@@ -356,32 +408,164 @@ fn optimum_matches_astar(scratch: &mut KspScratch, src: NodeId, dst: NodeId, ban
     }
 }
 
-#[test]
-fn sandwich_matches_astar_at_every_b4_spur() {
-    // B4 has exact ties. Every spur position of every accepted path of every
-    // pair, Lawler-skipped ones included, under the bans Yen's stamps there.
-    let t = b4();
-    let mut scratch = KspScratch::new(&t);
-    scratch.bind(&t);
+/// [`optimum_matches_astar`] at every spur position of every accepted path
+/// of every pair, Lawler-skipped ones included, under the bans Yen's stamps
+/// there: `(positions replayed, settled without the heap)`.
+fn replay_spurs(t: &Topology, pairs: &[(NodeId, NodeId)]) -> (u64, u64) {
+    let mut scratch = KspScratch::new(t);
+    scratch.bind(t);
     let (mut spurs, mut settled) = (0, 0);
-    for dst in 0..t.num_nodes() {
+    for &(src, dst) in pairs {
         scratch.aim(dst);
-        for src in (0..t.num_nodes()).filter(|&s| s != dst) {
-            let accepted = yen(&t, src, dst, 4, &mut scratch);
-            for (j, prev) in accepted.iter().enumerate() {
-                for i in 0..prev.nodes.len() - 1 {
-                    let ban = scratch.ban_root(&t, &accepted[..=j], i);
-                    let before = scratch.counts.shortcuts;
-                    optimum_matches_astar(&mut scratch, prev.nodes[i], dst, ban);
-                    settled += scratch.counts.shortcuts - before;
-                    spurs += 1;
-                }
+        let accepted = yen(t, src, dst, 4, &mut scratch);
+        for (j, prev) in accepted.iter().enumerate() {
+            for i in 0..prev.nodes.len() - 1 {
+                let ban = scratch.ban_root(t, &accepted[..=j], i);
+                let before = scratch.counts.shortcuts;
+                optimum_matches_astar(&mut scratch, prev.nodes[i], dst, ban);
+                settled += scratch.counts.shortcuts - before;
+                spurs += 1;
             }
         }
     }
+    (spurs, settled)
+}
+
+#[test]
+fn sandwich_matches_astar_at_every_spur() {
+    // B4 has exact ties; the generated WAN has the leaf destinations whose
+    // sealed searches answer `None` without a heap (`None ≡ None` included).
     // Both arms ran: some spurs short-cut, some fell back to the heap.
-    println!("B4: {spurs} spur positions replayed, {settled} settled by the exit scan");
+    let t = b4();
+    let (spurs, settled) = replay_spurs(&t, &t.all_pairs());
+    println!("B4: {spurs} spur positions replayed, {settled} settled by a scan");
     assert!(0 < settled && settled < spurs);
+    let t = large_wan(256, 7);
+    let (spurs, settled) = replay_spurs(&t, &gravity_pairs(&t, 512, 6));
+    println!("large_wan(256): {spurs} spur positions replayed, {settled} settled by a scan");
+    assert!(0 < settled && settled < spurs);
+}
+
+#[test]
+fn sealed_goal_is_refused_without_a_heap() {
+    // s - u - dst with a detour s - x - u: `dst` is a leaf behind `u`.
+    let (s, u, x, y, dst) = (0, 1, 2, 3, 4);
+    let mut t = Topology::new("leaf", 5);
+    t.add_link(s, u, 1.0, 1.0);
+    t.add_link(u, dst, 1.0, 1.0);
+    t.add_link(s, x, 1.0, 1.0);
+    t.add_link(x, u, 1.0, 1.0);
+    let mut scratch = KspScratch::new(&t);
+    scratch.bind(&t);
+    scratch.aim(dst);
+    let accepted = yen(&t, s, dst, 1, &mut scratch);
+    assert_eq!(accepted[0].nodes, vec![s, u, dst]);
+
+    // Spur at u: Yen's bans u -> dst and the root node s. The exit to x is
+    // open but its tree path comes straight back to u, so the exit scan has
+    // a lower bound and no upper one — and every way into dst is banned.
+    let ban = scratch.ban_root(&t, &accepted, 1);
+    assert_eq!(exit_bounds(u, dst, &scratch, ban), (3.0, f64::INFINITY));
+    assert!(goal_sealed(dst, &scratch, ban));
+    let (pops, settled) = (scratch.counts.pops, scratch.counts.shortcuts);
+    assert_eq!(masked_optimum(u, dst, &mut scratch, ban), None);
+    assert_eq!(scratch.counts.pops, pops, "no heap");
+    assert_eq!(scratch.counts.shortcuts, settled + 1);
+    assert_eq!(astar(u, dst, &mut scratch, ban, f64::INFINITY), None);
+    assert_eq!(search(u, dst, &mut scratch, ban), None);
+
+    // With only the root node banned, dst's one open in-arc leaves the spur
+    // node itself: not sealed, and the exit scan reads the answer.
+    let ban = scratch.next_epoch();
+    scratch.node_ban[s] = ban;
+    assert!(!goal_sealed(dst, &scratch, ban));
+    assert_eq!(masked_optimum(u, dst, &mut scratch, ban), Some(1.0));
+
+    // The twin: a second way in, x - y - dst, longer than x's tree path
+    // through u. Same bans, same one-sided exit scan, but dst is open, so the
+    // search falls back to the heap and finds the way round.
+    t.add_link(x, y, 1.0, 2.0);
+    t.add_link(y, dst, 1.0, 2.0);
+    scratch.bind(&t);
+    scratch.aim(dst);
+    let accepted = yen(&t, s, dst, 1, &mut scratch);
+    assert_eq!(accepted[0].nodes, vec![s, u, dst]);
+    let ban = scratch.ban_root(&t, &accepted, 1);
+    assert_eq!(exit_bounds(u, dst, &scratch, ban), (3.0, f64::INFINITY));
+    assert!(!goal_sealed(dst, &scratch, ban));
+    let settled = scratch.counts.shortcuts;
+    let got = masked_optimum(u, dst, &mut scratch, ban);
+    assert_eq!(
+        scratch.counts.shortcuts, settled,
+        "must fall back to the heap"
+    );
+    assert_eq!(got, Some(5.0));
+    assert_eq!(got, astar(u, dst, &mut scratch, ban, f64::INFINITY));
+}
+
+/// `(h, hop, pops)` of `dst`'s reverse tree by the plain algorithm: every
+/// improved node is queued, dead ends included.
+fn full_reverse_tree(scratch: &KspScratch, dst: NodeId) -> (Vec<f64>, Vec<u32>, u64) {
+    let n = scratch.in_off.len() - 1;
+    let (mut h, mut hop) = (vec![f64::INFINITY; n], vec![u32::MAX; n]);
+    let mut heap = MinHeap::default();
+    let mut pops = 0;
+    h[dst] = 0.0;
+    heap.push(0.0, dst);
+    while let Some((d, node)) = heap.pop() {
+        pops += 1;
+        if d > h[node] {
+            continue;
+        }
+        let (lo, hi) = (scratch.in_off[node], scratch.in_off[node + 1]);
+        for arc in &scratch.in_adj[lo as usize..hi as usize] {
+            let from = arc.node as usize;
+            let nd = d + arc.weight;
+            if nd < h[from] {
+                h[from] = nd;
+                hop[from] = node as u32;
+                heap.push(nd, from);
+            }
+        }
+    }
+    (h, hop, pops)
+}
+
+#[test]
+fn reverse_tree_equals_full_dijkstra() {
+    // Not queueing a dead-end node changes no distance and no next hop, bit
+    // for bit: symmetric graphs with leaves, asymmetric ones with zero
+    // weights, and a one-way chain where every node has in-degree one.
+    let mut chain = Topology::new("chain", 6);
+    for v in 0..5 {
+        chain.add_directed_edge(v, v + 1, 1.0, 1.0);
+    }
+    let topos = [
+        b4(),
+        generate(TopoKind::Swan, 0.3, 7),
+        large_wan(256, 7),
+        tie_heavy_graph(3, 12, 0.3, true),
+        tie_heavy_graph(4, 12, 0.15, true),
+        chain,
+    ];
+    let (mut ours, mut plain) = (0, 0);
+    for t in &topos {
+        let mut scratch = KspScratch::new(t);
+        scratch.bind(t);
+        for dst in 0..t.num_nodes() {
+            scratch.aim(dst);
+            let (h, hop, pops) = full_reverse_tree(&scratch, dst);
+            let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&scratch.h), bits(&h), "{} dst {dst}", t.name());
+            assert_eq!(scratch.hop, hop, "{} dst {dst}", t.name());
+            plain += pops;
+        }
+        ours += scratch.counts.pops;
+    }
+    assert!(
+        ours < plain,
+        "the rule never applied: {ours} pops vs {plain}"
+    );
 }
 
 #[test]

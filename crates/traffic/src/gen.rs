@@ -21,7 +21,18 @@
 use crate::matrix::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use teal_topology::paths::setup_workers;
 use teal_topology::{NodeId, PathSet, Topology};
+
+/// AR(1) steps each demand's stream runs before interval 0, to reach the
+/// stationary distribution.
+const BURN_IN: usize = 32;
+
+/// AR(1) steps a [`TrafficModel::series`] needs per helper thread: about a
+/// millisecond of work, an order of magnitude over the spawn, so B4's 132
+/// demands stay on the caller.
+const HELPER_STEPS: usize = 1 << 15;
 
 /// Tunables of the synthetic traffic model.
 #[derive(Clone, Debug)]
@@ -130,42 +141,81 @@ impl TrafficModel {
     /// Generate `len` consecutive traffic matrices starting at interval
     /// `start`. Deterministic in `(seed, start, len)` — the same window can
     /// be regenerated at will, which the train/val/test split relies on.
+    ///
+    /// Runs on set-up workers like `PathSet::compute`
+    /// ([`setup_workers`]): the demands'
+    /// streams are independent, so the output is the same bits on any number
+    /// of them, and `TEAL_NN_THREADS` plays no part.
     pub fn series(&self, start: usize, len: usize) -> Vec<TrafficMatrix> {
+        let steps = self.pairs.len() * (BURN_IN + start + len);
+        let threads = setup_workers().min(steps / HELPER_STEPS + 1);
+        self.series_on(threads, start, len)
+    }
+
+    /// [`series`](Self::series) on `threads` scoped workers, the caller being
+    /// one: each takes a contiguous range of demands and writes its own
+    /// columns of every matrix, so no write is shared.
+    fn series_on(&self, threads: usize, start: usize, len: usize) -> Vec<TrafficMatrix> {
         let n = self.pairs.len();
-        let mut out = Vec::with_capacity(len);
-        // Each demand gets an independent AR(1) log-noise stream, seeded per
-        // demand so the series is reproducible from any starting interval:
-        // burn in to the stationary distribution, then advance to `start`.
-        // The RNG comes out positioned where the series continues.
-        let (mut states, mut rngs): (Vec<f64>, Vec<StdRng>) = (0..n)
-            .map(|d| {
-                let mut r = StdRng::seed_from_u64(self.seed ^ (d as u64).wrapping_mul(0x9e37_79b9));
-                let mut x = 0.0f64;
-                for _ in 0..(32 + start) {
-                    x = self.cfg.ar_rho * x + gauss(&mut r) * self.cfg.ar_noise;
-                }
-                (x, r)
-            })
-            .unzip();
-        for t in 0..len {
-            let interval = start + t;
-            let diurnal = 1.0
-                + self.cfg.diurnal_amplitude
+        let diurnal: Vec<f64> = (start..start + len)
+            .map(|interval| {
+                1.0 + self.cfg.diurnal_amplitude
                     * (2.0 * std::f64::consts::PI * interval as f64
                         / self.cfg.diurnal_period as f64)
-                        .sin();
-            let mut demands = Vec::with_capacity(n);
-            for d in 0..n {
-                if t > 0 {
-                    states[d] =
-                        self.cfg.ar_rho * states[d] + gauss(&mut rngs[d]) * self.cfg.ar_noise;
+                        .sin()
+            })
+            .collect();
+        let mut out: Vec<Vec<f64>> = (0..len).map(|_| vec![0.0; n]).collect();
+        let threads = threads.clamp(1, n.max(1));
+        std::thread::scope(|scope| {
+            let mut rest: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            for w in 0..threads {
+                let demands = n * w / threads..n * (w + 1) / threads;
+                let (columns, tail) = rest
+                    .into_iter()
+                    .map(|row| row.split_at_mut(demands.len()))
+                    .unzip();
+                rest = tail;
+                let diurnal = &diurnal;
+                let fill = move || self.fill(demands, start, diurnal, columns);
+                if w + 1 < threads {
+                    scope.spawn(fill);
+                } else {
+                    fill();
                 }
-                let v = self.scale * self.base[d] * diurnal * states[d].exp();
-                demands.push(v.max(0.0));
             }
-            out.push(TrafficMatrix::new(demands));
+        });
+        out.into_iter().map(TrafficMatrix::new).collect()
+    }
+
+    /// One worker's share of a series: the streams of `demands`, one after
+    /// another, into `columns[t][k]` for the `k`-th of them at step `t`.
+    ///
+    /// Each demand gets an independent AR(1) log-noise stream, seeded per
+    /// demand so the series is reproducible from any starting interval: burn
+    /// in to the stationary distribution, then advance to `start`. The RNG
+    /// comes out positioned where the series continues.
+    fn fill(
+        &self,
+        demands: Range<usize>,
+        start: usize,
+        diurnal: &[f64],
+        mut columns: Vec<&mut [f64]>,
+    ) {
+        for (k, d) in demands.enumerate() {
+            let mut r = StdRng::seed_from_u64(self.seed ^ (d as u64).wrapping_mul(0x9e37_79b9));
+            let mut x = 0.0f64;
+            for _ in 0..(BURN_IN + start) {
+                x = self.cfg.ar_rho * x + gauss(&mut r) * self.cfg.ar_noise;
+            }
+            for (t, (column, &diurnal)) in columns.iter_mut().zip(diurnal).enumerate() {
+                if t > 0 {
+                    x = self.cfg.ar_rho * x + gauss(&mut r) * self.cfg.ar_noise;
+                }
+                let v = self.scale * self.base[d] * diurnal * x.exp();
+                column[k] = v.max(0.0);
+            }
         }
-        out
     }
 }
 
@@ -283,6 +333,29 @@ mod tests {
         let (_, _, model) = model_for_b4();
         assert_eq!(hash(&model.series(0, 4)), 0x3495_8e45_f5af_ffad);
         assert_eq!(hash(&model.series(4, 6)), 0xefbf_c4f8_7d6a_a965);
+    }
+
+    #[test]
+    fn series_is_identical_for_every_worker_count() {
+        // Each worker writes only its own demands' columns, so how many there
+        // are cannot show: uneven splits (2,048 / 3, 132 / 5), a window that
+        // starts mid-stream, one matrix, none.
+        let pairs: Vec<(usize, usize)> = (0..2048).map(|i| (i, i + 2048)).collect();
+        let synthetic = TrafficModel::new(&pairs, TrafficConfig::default(), 5);
+        let (_, _, b4) = model_for_b4();
+        for model in [&synthetic, &b4] {
+            for (start, len) in [(0, 16), (7, 16), (3, 1), (3, 0)] {
+                let one = model.series_on(1, start, len);
+                assert_eq!(one.len(), len);
+                for threads in [2, 3, 5] {
+                    assert!(
+                        model.series_on(threads, start, len) == one,
+                        "{threads} workers, start {start}, len {len}"
+                    );
+                }
+                assert!(model.series(start, len) == one);
+            }
+        }
     }
 
     #[test]
