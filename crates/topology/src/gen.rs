@@ -352,6 +352,13 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
     t
 }
 
+#[cfg(test)]
+thread_local! {
+    /// What the express-mesh loop of this thread's last [`large_wan`] did:
+    /// `(draws, hub pairs left open)`.
+    static MESH_LOOP: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
 /// Deterministic large-WAN generator with a scale-free/HOT-style degree
 /// distribution, for paper-scale experiments (256–1,739 nodes, Table 1's
 /// Kdl/ASN regime).
@@ -362,7 +369,10 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
 /// and traffic aggregation (degree). Rich nodes get richer, yielding a
 /// heavy-tailed degree distribution with geographic locality; a post-growth
 /// express mesh over the top-degree hubs keeps the hop diameter low like the
-/// real AS graph. Capacities follow the usual log-uniform circuit sizes,
+/// real AS graph. The mesh is sampled by rejection and ends on the draw that
+/// meets the link budget or links the last open hub pair, whichever comes
+/// first — up to a few hundred nodes the hubs run out of pairs before the
+/// budget is met. Capacities follow the usual log-uniform circuit sizes,
 /// tiered up on hub-hub links. Connectivity holds by construction (every
 /// node attaches to the existing component), and the whole build is a pure
 /// function of `(n, seed)`.
@@ -408,47 +418,46 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
     }
 
     // HOT growth: each arrival links to the 1–3 best-scoring existing nodes.
-    let mut dist_row = Vec::with_capacity(n);
     for i in M0..n {
         // 1–3 uplinks per arrival: stubs, dual-homed sites, rare tri-homed.
         let m = 1 + rng.gen_range(0..2usize) + usize::from(rng.gen::<f64>() < 0.2);
-        // The arrival's distance to every earlier node, once for all its scans.
-        dist_row.clear();
-        dist_row.extend((0..i).map(|j| dist(i, j)));
-        let mut linked = 0;
-        while linked < m {
-            let mut best: Option<(f64, usize)> = None;
-            for (j, (&dij, &root)) in dist_row.iter().zip(&sqrt_deg).enumerate() {
-                // The arrival has at most 3 links: scanning them beats the
-                // two hash probes of `has_link` a million times over.
-                if t.neighbors(i).iter().any(|&(v, _)| v == j) {
-                    continue;
-                }
-                let score = dij / root;
-                let better = match best {
-                    None => true,
-                    Some((s, bj)) => score < s || (score == s && j < bj),
-                };
-                if better {
-                    best = Some((score, j));
+        // The `m` lowest `(score, j)` in ascending order, from one pass:
+        // linking `j` moves no score but `j`'s own, and `j` is not linked
+        // twice, so these are the picks of `m` successive scans. At least
+        // `M0 > 3` earlier nodes exist, so every slot fills.
+        let mut best = [(f64::INFINITY, usize::MAX); 3];
+        for (j, &root) in sqrt_deg[..i].iter().enumerate() {
+            let scored = (dist(i, j) / root, j);
+            if scored < best[m - 1] {
+                best[m - 1] = scored;
+                let mut at = m - 1;
+                while at > 0 && best[at] < best[at - 1] {
+                    best.swap(at, at - 1);
+                    at -= 1;
                 }
             }
-            let Some((_, j)) = best else { break };
+        }
+        for &(_, j) in &best[..m] {
             add(&mut t, &mut deg, &mut sqrt_deg, &mut rng, i, j);
-            linked += 1;
         }
     }
 
     // Express mesh between the highest-degree hubs until the link budget
-    // (~2.4 links per node, the ASN regime) is met. Hub-hub circuits carry
-    // aggregated transit, so their capacities are tiered up 4x.
+    // (~2.4 links per node, the ASN regime) is met or every hub pair is
+    // linked. Hub-hub circuits carry aggregated transit, so their capacities
+    // are tiered up 4x.
     let target_links = (n as f64 * 2.4).round() as usize;
     let mut hubs: Vec<usize> = (0..n).collect();
     hubs.sort_by(|&a, &b| deg[b].cmp(&deg[a]).then(a.cmp(&b)));
     hubs.truncate((n / 12).max(4));
+    // Hub pairs the sampler can still link; at zero it can only reject.
+    let mut open = (0..hubs.len())
+        .flat_map(|x| (0..x).map(move |y| (x, y)))
+        .filter(|&(x, y)| !t.has_link(hubs[x], hubs[y]))
+        .count();
     let mut links = t.num_edges() / 2;
     let mut guard = 0;
-    while links < target_links && guard < target_links * 100 {
+    while links < target_links && open > 0 && guard < target_links * 100 {
         guard += 1;
         let a = hubs[rng.gen_range(0..hubs.len())];
         let b = hubs[rng.gen_range(0..hubs.len())];
@@ -457,8 +466,11 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
             deg[a] += 1;
             deg[b] += 1;
             links += 1;
+            open -= 1;
         }
     }
+    #[cfg(test)]
+    MESH_LOOP.with(|cell| cell.set((guard, open)));
     debug_assert!(t.is_strongly_connected());
     t
 }
@@ -649,6 +661,36 @@ mod tests {
         // node and one distance row per arrival.
         assert_eq!(edge_bits_hash(&large_wan(64, 7)), 0x0602_095e_1c7c_54e5);
         assert_eq!(edge_bits_hash(&large_wan(256, 7)), 0x13a2_7acb_ab7f_16ad);
+    }
+
+    #[test]
+    fn large_wan_128_bits_are_pinned() {
+        // Printed at the commit before the mesh loop learnt to stop: the size
+        // the tests use most, and one whose hubs run out of pairs.
+        assert_eq!(edge_bits_hash(&large_wan(128, 7)), 0x16ed_afa2_bbc8_c0ad);
+    }
+
+    #[test]
+    fn mesh_loop_ends_with_the_last_hub_pair() {
+        // Draws, not timings. Up to 256 nodes the hubs are fully meshed short
+        // of the link budget, and the loop leaves on the draw that links the
+        // last pair instead of rejecting until the guard (budget x 100) runs
+        // out; from 512 the budget ends it as before.
+        for (n, draws_pinned) in [(64, 36), (128, 228), (256, 1_043), (512, 598), (1024, 864)] {
+            let t = large_wan(n, 7);
+            let (draws, open) = MESH_LOOP.with(|cell| cell.get());
+            let (links, budget) = (t.num_edges() / 2, (n as f64 * 2.4).round() as usize);
+            println!("large_wan({n}): {draws} mesh draws, {open} hub pairs open, {links} of {budget} links");
+            if n <= 256 {
+                assert_eq!(open, 0, "n = {n}");
+                assert!(links < budget, "n = {n}");
+                assert!(draws * 40 < budget * 100, "n = {n}: {draws} draws");
+            } else {
+                assert!(open > 0, "n = {n}");
+                assert_eq!(links, budget, "n = {n}");
+            }
+            assert_eq!(draws, draws_pinned, "n = {n}");
+        }
     }
 
     #[test]

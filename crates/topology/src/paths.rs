@@ -69,6 +69,31 @@
 //! tree while it is unbanned": each picks a different path among
 //! equal-weight ones (B4 has exact ties) and changes the path sets.
 //!
+//! # Spur positions that cannot matter
+//!
+//! Lawler's refinement (below) skips the spur positions that would repeat a
+//! query. A second rule skips the ones whose answer could never be used.
+//! While `accepted` holds fewer than `k` paths, only `need = k − accepted`
+//! more picks will ever be made, and each takes the pool's lightest
+//! candidate. The exit scan's `lower` bounds the spur path's weight from
+//! below before any heap is touched. If `need` pooled candidates are already
+//! *strictly* lighter than `root + lower`, every remaining pick is lighter
+//! too — a pick removes one of them and lowers `need` with it, and pushes
+//! only add to the pool — so the path this position would find is pooled and
+//! never picked. The position is skipped, and with it its optimum, its
+//! bounded Dijkstra and its candidate allocation: nearly half of all
+//! positions at 1,024 nodes. A candidate that *is* picked was found at a
+//! position the rule let through (had it been skipped, the candidate was
+//! already too heavy ever to be picked), so it carries the same nodes, weight
+//! bits and deviation index as without the rule.
+//!
+//! The test is strict, with the same `1e-9` slack as the search bound and
+//! for the same reason: a path that *ties* the cutoff is still in the
+//! running, because the pick breaks weight ties by edge list, so it must be
+//! searched. The oracle applies neither this rule nor Lawler's: it expands
+//! every position of every accepted path, so agreeing with it bit for bit
+//! shows that the skipped positions were dead.
+//!
 //! # Other details that matter at paper scale (754–1,739 nodes, §6)
 //!
 //! * [`KspScratch`] keeps the distance/predecessor arrays, the binary heap,
@@ -89,6 +114,8 @@
 //! * Lawler's refinement: each candidate records the spur index it deviated
 //!   at, and spur positions before it — which would repeat a query already
 //!   issued for its parent — are skipped.
+//! * The candidate pool is kept sorted, heaviest first, so the pick is a
+//!   `pop` and the cutoff of the rule above is one index away.
 //! * The edge→path incidence is flattened at construction into a CSR-style
 //!   offsets+indices pair ([`PathSet::paths_on_edge`]).
 
@@ -193,6 +220,9 @@ struct Counts {
     trees: u64,
     /// Masked searches run (each an optimum plus a bounded Dijkstra).
     searches: u64,
+    /// Spur positions skipped: their lower bound is above the weight of the
+    /// last candidate that can still be picked.
+    pruned: u64,
     /// Searches whose optimum a scan settled — read off the tree, no exit
     /// at all, or a sealed `dst` — so at most the bounded Dijkstra touched
     /// the heap.
@@ -447,7 +477,8 @@ impl KspScratch {
 
 /// Bounds on the weight of the lightest masked `src → dst` path from one scan
 /// of `src`'s unbanned exits, `(lower, upper)`; the scratch's reverse tree
-/// must be aimed at `dst ≠ src`.
+/// must be aimed at `dst`. For `src == dst` the pair bounds a round trip and
+/// no caller reads it.
 ///
 /// `lower` is the lightest `w + h[next]`: every masked path leaves through
 /// one of these exits and `h` bounds the rest of it from below. `upper` is
@@ -455,6 +486,10 @@ impl KspScratch {
 /// not come back to `src`: every banned edge leaves `src` (see
 /// [`KspScratch::ban_root`]), so that path is feasible as it stands.
 /// `INFINITY` stands for "no such exit" on either side.
+///
+/// One scan serves a spur position twice: [`yen`] reads `lower` to decide
+/// whether the position can matter at all, then hands the pair to [`search`]
+/// and so to [`masked_optimum`], which does not scan again.
 fn exit_bounds(src: NodeId, dst: NodeId, scratch: &KspScratch, ban_epoch: u32) -> (f64, f64) {
     let KspScratch {
         edge_ban,
@@ -508,22 +543,24 @@ fn goal_sealed(dst: NodeId, scratch: &KspScratch, ban_epoch: u32) -> bool {
 }
 
 /// Weight of the lightest masked `src → dst` path, to within
-/// [`BOUND_SLACK`]; the scratch's reverse tree must be aimed at `dst`.
+/// [`BOUND_SLACK`]; the scratch's reverse tree must be aimed at `dst` and
+/// `(lower, upper)` be its [`exit_bounds`] under `ban_epoch` (not read when
+/// `src == dst`).
 ///
-/// Most spur searches never touch the heap: when the [`exit_bounds`] meet,
-/// the tree already holds the answer, and when no exit's tree path is
-/// feasible and `dst` is [`goal_sealed`] there is none. Otherwise [`astar`]
-/// finds it, pruned by the upper bound.
+/// Most spur searches never touch the heap: when the bounds meet, the tree
+/// already holds the answer, and when no exit's tree path is feasible and
+/// `dst` is [`goal_sealed`] there is none. Otherwise [`astar`] finds it,
+/// pruned by the upper bound.
 fn masked_optimum(
     src: NodeId,
     dst: NodeId,
     scratch: &mut KspScratch,
     ban_epoch: u32,
+    (lower, upper): (f64, f64),
 ) -> Option<f64> {
     if src == dst {
         return Some(0.0);
     }
-    let (lower, upper) = exit_bounds(src, dst, scratch, ban_epoch);
     if lower == upper {
         count!(scratch.counts.shortcuts);
         return lower.is_finite().then_some(lower);
@@ -594,16 +631,23 @@ fn astar(
 
 /// Masked shortest path over scratch buffers. Edges/nodes whose stamp equals
 /// `ban_epoch` are masked out; passing a fresh epoch with nothing stamped
-/// runs unmasked. The scratch's reverse tree must be aimed at `dst`.
+/// runs unmasked. The scratch's reverse tree must be aimed at `dst`, and
+/// `bounds` be the [`exit_bounds`] of `src` under the same bans.
 ///
 /// Finds exactly the path a plain `(dist, node)`-ordered Dijkstra with early
 /// exit at `dst` finds — see the module docs for why the pruning below
 /// cannot change `prev[]` along it. Returns its weight and leaves the path
 /// itself in the scratch (see [`KspScratch::joined`]), so the thousands of
 /// spur searches that only re-derive a known candidate allocate nothing.
-fn search(src: NodeId, dst: NodeId, scratch: &mut KspScratch, ban_epoch: u32) -> Option<f64> {
+fn search(
+    src: NodeId,
+    dst: NodeId,
+    scratch: &mut KspScratch,
+    ban_epoch: u32,
+    bounds: (f64, f64),
+) -> Option<f64> {
     count!(scratch.counts.searches);
-    let optimum = masked_optimum(src, dst, scratch, ban_epoch)?;
+    let optimum = masked_optimum(src, dst, scratch, ban_epoch, bounds)?;
     let bound = optimum * (1.0 + BOUND_SLACK);
     scratch.restart(src, 0.0);
     let KspScratch {
@@ -709,16 +753,30 @@ pub fn k_shortest_paths_with(
     yen(topo, src, dst, k, scratch)
 }
 
+/// The candidate pool's order: by weight, ties by edge list, so it is total
+/// (the pool holds no edge list twice) and the pick is deterministic.
+fn pool_order(a: &Path, b: &Path) -> Ordering {
+    a.weight
+        .partial_cmp(&b.weight)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.edges.cmp(&b.edges))
+}
+
 /// Yen's algorithm over a scratch bound to `topo` and aimed at `dst`.
 fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScratch) -> Vec<Path> {
     debug_assert_eq!(scratch.target, Some(dst));
+    if k == 0 {
+        return Vec::new();
+    }
     let unmasked = scratch.next_epoch();
-    let Some(weight) = search(src, dst, scratch, unmasked) else {
+    let bounds = exit_bounds(src, dst, scratch, unmasked);
+    let Some(weight) = search(src, dst, scratch, unmasked, bounds) else {
         return Vec::new();
     };
     let mut accepted: Vec<Path> = vec![scratch.joined(&[], &[], weight)];
-    // Candidate pool with each candidate's deviation index (the spur
-    // position that produced it); duplicates are filtered on insert.
+    // Candidate pool, heaviest first in `pool_order`, each candidate with
+    // its deviation index (the spur position that produced it); duplicates
+    // are filtered on insert.
     let mut candidates: Vec<(Path, usize)> = Vec::new();
     // Deviation index of the newest accepted path. Lawler: a spur position
     // before it has the same root and the same bans as when the path's
@@ -728,6 +786,8 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
 
     while accepted.len() < k {
         let prev = accepted.last().unwrap();
+        // Picks still to be made, this expansion's included.
+        let need = k - accepted.len();
         for i in deviation..prev.nodes.len() - 1 {
             let spur_node = prev.nodes[i];
             let root_nodes = &prev.nodes[..=i];
@@ -735,30 +795,32 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
             let root_weight: f64 = root_edges.iter().map(|&e| topo.edge(e).weight).sum();
 
             let ban = scratch.ban_root(topo, &accepted, i);
-            if let Some(spur_weight) = search(spur_node, dst, scratch, ban) {
+            let bounds = exit_bounds(spur_node, dst, scratch, ban);
+            // Every pick takes the pool's lightest, so with `need` strictly
+            // lighter candidates pooled whatever this position finds is
+            // never picked. A tie with the cutoff is searched: the edge
+            // lists decide it.
+            if candidates.len() >= need {
+                let cutoff = candidates[candidates.len() - need].0.weight;
+                if root_weight + bounds.0 > cutoff * (1.0 + BOUND_SLACK) {
+                    count!(scratch.counts.pruned);
+                    continue;
+                }
+            }
+            if let Some(spur_weight) = search(spur_node, dst, scratch, ban, bounds) {
                 let known = |p: &Path| scratch.joins_to(root_edges, &p.edges);
                 if !accepted.iter().any(known) && !candidates.iter().any(|(p, _)| known(p)) {
                     let weight = root_weight + spur_weight;
-                    candidates.push((scratch.joined(&root_nodes[..i], root_edges, weight), i));
+                    let found = scratch.joined(&root_nodes[..i], root_edges, weight);
+                    let at = candidates
+                        .partition_point(|(p, _)| pool_order(p, &found) == Ordering::Greater);
+                    candidates.insert(at, (found, i));
                 }
             }
         }
-        if candidates.is_empty() {
+        let Some((path, at)) = candidates.pop() else {
             break;
-        }
-        // Take the lightest candidate (tie-break by edge list for determinism).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, (a, _)), (_, (b, _))| {
-                a.weight
-                    .partial_cmp(&b.weight)
-                    .unwrap_or(Ordering::Equal)
-                    .then_with(|| a.edges.cmp(&b.edges))
-            })
-            .map(|(i, _)| i)
-            .unwrap();
-        let (path, at) = candidates.swap_remove(best);
+        };
         accepted.push(path);
         deviation = at;
     }

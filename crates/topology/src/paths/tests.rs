@@ -33,6 +33,18 @@ fn oracle_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path
     oracle::k_shortest_paths_with(topo, src, dst, k, &mut oracle::KspScratch::new(topo))
 }
 
+/// [`masked_optimum`] under the exit scan [`yen`] would hand it.
+fn scanned_optimum(src: NodeId, dst: NodeId, scratch: &mut KspScratch, ban: u32) -> Option<f64> {
+    let bounds = exit_bounds(src, dst, scratch, ban);
+    masked_optimum(src, dst, scratch, ban, bounds)
+}
+
+/// [`search`] under the exit scan [`yen`] would hand it.
+fn scanned_search(src: NodeId, dst: NodeId, scratch: &mut KspScratch, ban: u32) -> Option<f64> {
+    let bounds = exit_bounds(src, dst, scratch, ban);
+    search(src, dst, scratch, ban, bounds)
+}
+
 /// FNV-1a over every path's node count, nodes, edges and weight bits. The
 /// pinned values below were printed by this function at the commit before
 /// the searches became goal-directed.
@@ -102,7 +114,7 @@ fn masked_search_respects_bans() {
     // Ban the 0->1 edge: best route becomes 0-2-3 (weight 3).
     let ban = scratch.next_epoch();
     scratch.edge_ban[e01] = ban;
-    let w = search(0, 3, &mut scratch, ban).unwrap();
+    let w = scanned_search(0, 3, &mut scratch, ban).unwrap();
     let p = scratch.joined(&[], &[], w);
     assert_eq!(p.nodes, vec![0, 2, 3]);
     let ban = plain.next_epoch();
@@ -113,7 +125,7 @@ fn masked_search_respects_bans() {
     // Ban node 1 instead: same result.
     let ban = scratch.next_epoch();
     scratch.node_ban[1] = ban;
-    let w = search(0, 3, &mut scratch, ban).unwrap();
+    let w = scanned_search(0, 3, &mut scratch, ban).unwrap();
     let p = scratch.joined(&[], &[], w);
     assert_eq!(p.nodes, vec![0, 2, 3]);
     let ban = plain.next_epoch();
@@ -362,13 +374,18 @@ fn work_counts(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> (Counts, u64, u64
 #[test]
 fn searches_stay_goal_directed() {
     // Counts, not timings: the same pairs cost the flooding oracle several
-    // times the heap pops, and most searches read their optimum off the tree.
-    // Fails if the bound stops pruning or the exit scan stops settling.
+    // times the heap pops and half as many searches again, and most searches
+    // read their optimum off the tree. Fails if the bound stops pruning, the
+    // exit scan stops settling or hopeless spur positions are searched again.
     let t = large_wan(256, 7);
     let (ours, searches, pops) = work_counts(&t, &gravity_pairs(&t, 512, 6));
     println!("large_wan(256), 512 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
-    assert!(ours.searches <= searches);
-    assert!(ours.pops * 7 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert!(
+        ours.searches * 3 < searches * 2,
+        "{} searches vs oracle {searches}",
+        ours.searches
+    );
+    assert!(ours.pops * 9 < pops, "{} pops vs oracle {pops}", ours.pops);
     assert!(
         ours.shortcuts * 3 >= ours.searches * 2,
         "{} of {} searches short-cut",
@@ -388,7 +405,13 @@ fn paper_scale_pinned_hash_and_counts() {
     assert_eq!(nnz, 32_041);
     let (ours, searches, pops) = work_counts(&t, &pairs);
     println!("large_wan(1024), 2048 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
-    assert!(ours.pops * 14 < pops, "{} pops vs oracle {pops}", ours.pops);
+    assert_eq!(ours.trees, 444);
+    assert!(
+        ours.searches * 3 < searches * 2,
+        "{} searches vs oracle {searches}",
+        ours.searches
+    );
+    assert!(ours.pops * 17 < pops, "{} pops vs oracle {pops}", ours.pops);
     assert!(
         ours.shortcuts * 3 >= ours.searches * 2,
         "{} of {} searches short-cut",
@@ -397,10 +420,101 @@ fn paper_scale_pinned_hash_and_counts() {
     );
 }
 
+#[test]
+fn pruning_only_removes_searches() {
+    // Every spur position Lawler's rule leaves is either searched or pruned,
+    // so the two together are the searches of the commit before the rule
+    // (its `Counts.searches`, printed there): none added, and — the paths
+    // being the oracle's — none that mattered skipped.
+    let swan = generate(TopoKind::Swan, 0.3, 7);
+    let wan = large_wan(256, 7);
+    let cases = [
+        ("B4", b4(), b4().all_pairs(), 1_175),
+        ("Swan 0.3", swan.clone(), swan.all_pairs(), 11_818),
+        (
+            "large_wan(256)",
+            wan.clone(),
+            gravity_pairs(&wan, 512, 6),
+            3_993,
+        ),
+    ];
+    for (name, t, pairs, parent_searches) in cases {
+        let (ours, ..) = work_counts(&t, &pairs);
+        println!("{name}: {ours:?}");
+        assert_eq!(ours.searches + ours.pruned, parent_searches, "{name}");
+        assert!(ours.pruned > 0, "{name}: the rule never applied");
+    }
+}
+
+#[test]
+fn no_paths_asked_for_none_returned() {
+    // The oracle is Yen's as first written — it pushes the shortest path
+    // before it looks at `k` — so it is consulted from `k = 1` up.
+    let t = diamond();
+    for s in 0..4 {
+        for d in 0..4 {
+            assert!(k_shortest_paths(&t, s, d, 0).is_empty(), "{s}->{d}");
+            same_paths(&k_shortest_paths(&t, s, d, 1), &oracle_paths(&t, s, d, 1)).unwrap();
+        }
+    }
+}
+
+#[test]
+fn spur_tying_the_cutoff_is_searched() {
+    // k = 2 from s: after s-a-d (2) the spur at s pools s-b-d (4), and one
+    // more pick remains. The spur at a can do no better than s-a-c-d.
+    let (s, a, b, c, d) = (0, 1, 2, 3, 4);
+    let build = |c_d: f64| {
+        let mut t = Topology::new("tie", 5);
+        t.add_directed_edge(s, a, 1.0, 1.0);
+        t.add_directed_edge(a, d, 1.0, 1.0);
+        t.add_directed_edge(s, b, 1.0, 2.0);
+        t.add_directed_edge(b, d, 1.0, 2.0);
+        t.add_directed_edge(a, c, 1.0, 1.0);
+        t.add_directed_edge(c, d, 1.0, c_d);
+        t
+    };
+    let second = |t: &Topology| {
+        let mut scratch = KspScratch::new(t);
+        let got = k_shortest_paths_with(t, s, d, 2, &mut scratch);
+        same_paths(&got, &oracle_paths(t, s, d, 2)).unwrap();
+        (got[1].nodes.clone(), scratch.counts.pruned)
+    };
+
+    // At 4 it ties the pooled candidate exactly and its edge list [0, 4, 5]
+    // sorts before [2, 3]: it must be searched, pooled and picked. A
+    // non-strict test (`>=`) would skip it.
+    assert_eq!(second(&build(2.0)), (vec![s, a, c, d], 0));
+    // One heavier and it cannot be picked: skipped, same answer as the oracle.
+    assert_eq!(second(&build(3.0)), (vec![s, b, d], 1));
+}
+
+#[test]
+fn tie_heavy_graphs_match_oracle_under_pruning() {
+    // Equal weights everywhere, so candidates tie the cutoff all the time;
+    // every ordered pair and `k`, with and without zero weights.
+    let mut pruned = 0;
+    for seed in 0..12 {
+        let t = tie_heavy_graph(seed, 10, 0.35, seed % 2 == 0);
+        let mut shared = KspScratch::new(&t);
+        for s in 0..10 {
+            for d in 0..10 {
+                for k in 1..=6 {
+                    let got = k_shortest_paths_with(&t, s, d, k, &mut shared);
+                    same_paths(&got, &oracle_paths(&t, s, d, k))
+                        .unwrap_or_else(|e| panic!("seed {seed} k {k} pair {s}->{d}: {e}"));
+                }
+            }
+        }
+        pruned += shared.counts.pruned;
+    }
+    assert!(pruned > 0, "the rule never applied");
+}
+
 /// The sandwich's optimum against the A\* alone (no cap) under one ban set.
 fn optimum_matches_astar(scratch: &mut KspScratch, src: NodeId, dst: NodeId, ban: u32) {
     let alone = astar(src, dst, scratch, ban, f64::INFINITY);
-    let got = masked_optimum(src, dst, scratch, ban);
+    let got = scanned_optimum(src, dst, scratch, ban);
     match (got, alone) {
         (None, None) => {}
         (Some(g), Some(a)) if (g - a).abs() <= a * BOUND_SLACK => {}
@@ -468,18 +582,18 @@ fn sealed_goal_is_refused_without_a_heap() {
     assert_eq!(exit_bounds(u, dst, &scratch, ban), (3.0, f64::INFINITY));
     assert!(goal_sealed(dst, &scratch, ban));
     let (pops, settled) = (scratch.counts.pops, scratch.counts.shortcuts);
-    assert_eq!(masked_optimum(u, dst, &mut scratch, ban), None);
+    assert_eq!(scanned_optimum(u, dst, &mut scratch, ban), None);
     assert_eq!(scratch.counts.pops, pops, "no heap");
     assert_eq!(scratch.counts.shortcuts, settled + 1);
     assert_eq!(astar(u, dst, &mut scratch, ban, f64::INFINITY), None);
-    assert_eq!(search(u, dst, &mut scratch, ban), None);
+    assert_eq!(scanned_search(u, dst, &mut scratch, ban), None);
 
     // With only the root node banned, dst's one open in-arc leaves the spur
     // node itself: not sealed, and the exit scan reads the answer.
     let ban = scratch.next_epoch();
     scratch.node_ban[s] = ban;
     assert!(!goal_sealed(dst, &scratch, ban));
-    assert_eq!(masked_optimum(u, dst, &mut scratch, ban), Some(1.0));
+    assert_eq!(scanned_optimum(u, dst, &mut scratch, ban), Some(1.0));
 
     // The twin: a second way in, x - y - dst, longer than x's tree path
     // through u. Same bans, same one-sided exit scan, but dst is open, so the
@@ -494,7 +608,7 @@ fn sealed_goal_is_refused_without_a_heap() {
     assert_eq!(exit_bounds(u, dst, &scratch, ban), (3.0, f64::INFINITY));
     assert!(!goal_sealed(dst, &scratch, ban));
     let settled = scratch.counts.shortcuts;
-    let got = masked_optimum(u, dst, &mut scratch, ban);
+    let got = scanned_optimum(u, dst, &mut scratch, ban);
     assert_eq!(
         scratch.counts.shortcuts, settled,
         "must fall back to the heap"
@@ -584,7 +698,7 @@ fn sandwich_falls_back_and_reports_no_exit() {
     let mut scratch = KspScratch::new(&t);
     scratch.bind(&t);
     scratch.aim(dst);
-    assert_eq!(masked_optimum(dst, dst, &mut scratch, 0), Some(0.0));
+    assert_eq!(scanned_optimum(dst, dst, &mut scratch, 0), Some(0.0));
 
     // Spur at s with root node r banned: the lightest exit's tree path
     // (a -> r -> t) crosses r, the lightest clear one is via b, and the
@@ -593,13 +707,13 @@ fn sandwich_falls_back_and_reports_no_exit() {
     scratch.node_ban[r] = ban;
     assert_eq!(exit_bounds(s, dst, &scratch, ban), (3.0, 10.0));
     let settled = scratch.counts.shortcuts;
-    assert_eq!(masked_optimum(s, dst, &mut scratch, ban), Some(5.0));
+    assert_eq!(scanned_optimum(s, dst, &mut scratch, ban), Some(5.0));
     assert_eq!(
         scratch.counts.shortcuts, settled,
         "must fall back to the heap"
     );
     optimum_matches_astar(&mut scratch, s, dst, ban);
-    let w = search(s, dst, &mut scratch, ban).unwrap();
+    let w = scanned_search(s, dst, &mut scratch, ban).unwrap();
     assert_eq!(scratch.joined(&[], &[], w).nodes, vec![s, a, dst]);
 
     // Spur at r, nothing banned but the edge r -> t: the only other exit's
@@ -608,16 +722,16 @@ fn sandwich_falls_back_and_reports_no_exit() {
     let ban = scratch.next_epoch();
     scratch.edge_ban[t.find_edge(r, dst).unwrap()] = ban;
     assert_eq!(exit_bounds(r, dst, &scratch, ban), (4.0, f64::INFINITY));
-    assert_eq!(masked_optimum(r, dst, &mut scratch, ban), Some(6.0));
+    assert_eq!(scanned_optimum(r, dst, &mut scratch, ban), Some(6.0));
 
     // Spur at a with r banned and a -> t banned: no exit, no heap.
     let ban = scratch.next_epoch();
     scratch.node_ban[r] = ban;
     scratch.edge_ban[a_dst] = ban;
     let settled = scratch.counts.shortcuts;
-    assert_eq!(masked_optimum(a, dst, &mut scratch, ban), None);
+    assert_eq!(scanned_optimum(a, dst, &mut scratch, ban), None);
     assert_eq!(scratch.counts.shortcuts, settled + 1);
-    assert_eq!(search(a, dst, &mut scratch, ban), None);
+    assert_eq!(scanned_search(a, dst, &mut scratch, ban), None);
 
     // And the whole of Yen's on it is the oracle's.
     for src in [r, s, a, b] {
