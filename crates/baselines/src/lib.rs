@@ -7,8 +7,8 @@
 //! * [`teavar`] — scenario-robust allocation (TEAVAR*, B4 only);
 //! * Fleischer's approximation lives in `teal_lp::fleischer`.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn` only (see the root crate's
-// unsafe inventory docs).
+// audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
+// crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
 
 pub mod lp_top;

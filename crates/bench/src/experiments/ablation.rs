@@ -8,7 +8,7 @@ use std::sync::Arc;
 use teal_core::ablation::{GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel};
 use teal_core::{
     train_coma, train_direct, validate, ComaConfig, DirectConfig, EngineConfig, Env, PolicyModel,
-    TealConfig, TealEngine, TealModel,
+    ServingContext, TealConfig, TealModel,
 };
 use teal_lp::{evaluate, solve_lp, LpConfig, Objective};
 use teal_topology::TopoKind;
@@ -204,7 +204,7 @@ pub fn fig15(h: &mut Harness) {
 pub fn fig16(h: &mut Harness) {
     use teal_core::tsne::{busy_path_labels, separation_score, tsne, TsneConfig};
     let kind = TopoKind::Swan;
-    let engine: TealEngine<TealModel> = h.teal_engine(kind);
+    let engine: ServingContext<TealModel> = h.teal_engine(kind);
     let fast = h.fast();
     let bed = h.bed(kind);
     let env = Arc::clone(&bed.env);

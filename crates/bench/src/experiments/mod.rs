@@ -11,7 +11,7 @@ pub mod tables;
 use crate::testbed::{train_teal_engine, Testbed, TestbedSpec, TrainBudget};
 use std::collections::HashMap;
 use std::time::Duration;
-use teal_core::{TealConfig, TealEngine, TealModel};
+use teal_core::{ServingContext, TealConfig, TealModel};
 use teal_topology::TopoKind;
 
 /// Ratio of the paper's measured LP-all runtime to the 5-minute TE interval,
@@ -88,7 +88,7 @@ impl Harness {
 
     /// Train (or fetch) the Teal model for a topology, returning a fresh
     /// engine around a clone of the trained weights.
-    pub fn teal_engine(&mut self, kind: TopoKind) -> TealEngine<TealModel> {
+    pub fn teal_engine(&mut self, kind: TopoKind) -> ServingContext<TealModel> {
         if !self.models.contains_key(&kind) {
             let budget = self.budget();
             let bed = self.bed(kind);
@@ -104,7 +104,7 @@ impl Harness {
         }
         let bed = &self.beds[&kind];
         let cfg = teal_core::EngineConfig::paper_default(bed.env.topo().num_nodes());
-        TealEngine::new(self.models[&kind].clone(), cfg)
+        ServingContext::new(self.models[&kind].clone(), cfg)
     }
 
     /// Measure (once) the LP-all computation time on this testbed and derive

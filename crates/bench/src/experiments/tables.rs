@@ -172,7 +172,7 @@ pub fn fig17(fast: bool) {
 /// Benchmarked component timings for Table 2's measured column (B4-sized).
 pub fn table2_measured() {
     use std::sync::Arc;
-    use teal_core::{EngineConfig, Env, TealConfig, TealEngine, TealModel};
+    use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
     let env = Arc::new(Env::for_topology(teal_topology::b4()));
     let tm = teal_traffic::TrafficMatrix::new(vec![20.0; env.num_demands()]);
     let mut t = Table::new(
@@ -180,7 +180,7 @@ pub fn table2_measured() {
         &["algorithm", "measured time"],
     );
     let model = TealModel::new(Arc::clone(&env), TealConfig::default());
-    let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
     let mut schemes: Vec<Box<dyn teal_sim::Scheme>> = vec![
         Box::new(teal_sim::TealScheme::new(engine)),
         Box::new(teal_sim::LpAllScheme::new(

@@ -5,8 +5,8 @@
 //! everything; individual experiments run via their id (e.g. `fig6`).
 //! Results are printed and persisted under `results/`.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn` only (see the root crate's
-// unsafe inventory docs).
+// audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
+// crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
 
 pub mod experiments;

@@ -11,7 +11,7 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
-use teal_core::{train_coma, ComaConfig, EngineConfig, Env, TealConfig, TealEngine, TealModel};
+use teal_core::{train_coma, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::{SplitSpec, TrafficConfig, TrafficMatrix, TrafficModel};
 
@@ -144,7 +144,7 @@ pub fn train_teal_engine(
     bed: &Testbed,
     model_cfg: TealConfig,
     budget: TrainBudget,
-) -> TealEngine<TealModel> {
+) -> ServingContext<TealModel> {
     let mut model = TealModel::new(Arc::clone(&bed.env), model_cfg);
     let nd = bed.env.num_demands().max(1);
     let cfg = ComaConfig {
@@ -155,7 +155,7 @@ pub fn train_teal_engine(
     };
     let _report = train_coma(&mut model, &bed.train, &bed.val, &cfg);
     let engine_cfg = EngineConfig::paper_default(bed.env.topo().num_nodes());
-    TealEngine::new(model, engine_cfg)
+    ServingContext::new(model, engine_cfg)
 }
 
 #[cfg(test)]

@@ -1,17 +1,13 @@
 //! The deployed Teal engine (§3.1, Figure 3): one neural forward pass
 //! followed by 2–5 warm-started ADMM iterations.
 //!
-//! The serving path is split in two layers:
-//!
-//! * [`ServingContext`] owns everything fixed per topology — the trained
-//!   model, the engine configuration, and a prebuilt [`AdmmSkeleton`]
-//!   (incidence index + normalized capacities). Nothing is rebuilt per
-//!   traffic matrix: every window remints an O(batch × paths) solver from
-//!   the shared skeleton, and `allocate` is a window of one. All methods
-//!   take `&self`, so one context wrapped in an `Arc` safely serves
-//!   concurrent `allocate` calls from many threads.
-//! * [`TealEngine`] is an `Arc<ServingContext>` that derefs to it, plus
-//!   `model_mut` for continued training.
+//! [`ServingContext`] owns everything fixed per topology — the trained
+//! model, the engine configuration, and a prebuilt [`AdmmSkeleton`]
+//! (incidence index + normalized capacities). Nothing is rebuilt per
+//! traffic matrix: every window remints an O(batch × paths) solver from
+//! the shared skeleton, and `allocate` is a window of one. All methods
+//! take `&self`, so one context wrapped in an `Arc` safely serves
+//! concurrent `allocate` calls from many threads.
 //!
 //! `allocate` measures the wall-clock time of the full pipeline — the number
 //! reported as Teal's computation time in the paper's figures. Because the
@@ -19,7 +15,7 @@
 //! iteration count, the runtime is independent of the traffic values (the
 //! stability highlighted in Figure 7a). [`ServingContext::allocate_batch`]
 //! serves a whole window in two stages; the first is the window's one
-//! parallel axis on the `teal_nn::pool` workers. The forward stage is one
+//! parallel axis, a `teal_nn::pool` scoped fan-out. The forward stage is one
 //! pool job whose index is the matrix: the matrices of a window commute and
 //! share no write, so each runs its own forward pass on serial kernels and
 //! lands in its own slot
@@ -480,12 +476,13 @@ impl<M: PolicyModel> ServingContext<M> {
         topo_override: Option<&Topology>,
         scratch: &mut BatchScratch,
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
+        // Cleared up front so a failed, empty or ADMM-less window never
+        // leaves a stale report behind for callers polling `solve_report`.
+        scratch.last_solve = None;
+        scratch.reports.clear();
         if tms.is_empty() {
             return Ok((Vec::new(), Duration::ZERO));
         }
-        // Cleared up front so a failed (or ADMM-less) window never leaves a
-        // stale report behind for callers polling `solve_report`.
-        scratch.last_solve = None;
         let start = Instant::now();
         let env = self.model.env();
         // Validate every request up front: one bad matrix must not take the
@@ -516,8 +513,10 @@ impl<M: PolicyModel> ServingContext<M> {
         // pool job indexed by matrix, each result landing in its own slot.
         // Kernels are serial: one matrix's activations stay cache-resident
         // on the core that runs it. A window of one, a one-thread process
-        // and a lane under `with_thread_cap(1, ..)` run inline; a panicking
-        // matrix reaches the caller as its original panic either way.
+        // and a lane under `with_thread_cap(1, ..)` run inline; any other
+        // window's helpers are spawned and joined inside this call. A
+        // panicking matrix reaches the caller as its original panic either
+        // way.
         let slots: Vec<OnceLock<Allocation>> = tms.iter().map(|_| OnceLock::new()).collect();
         teal_nn::pool::run(tms.len(), &|i| {
             let input = env.model_input(&tms[i], topo_override);
@@ -599,59 +598,13 @@ fn dead_path_ids(env: &Env, topo: &Topology) -> Vec<u32> {
     dead
 }
 
-/// A trained model plus the fine-tuning stage, ready to serve allocations:
-/// an [`Arc`]-shared [`ServingContext`], to which it derefs — every
-/// `allocate*`/`try_allocate*` entry point, `model`, `env` and `config` are
-/// the context's own.
-pub struct TealEngine<M: PolicyModel> {
-    ctx: Arc<ServingContext<M>>,
-}
-
-impl<M: PolicyModel> Clone for TealEngine<M> {
-    fn clone(&self) -> Self {
-        TealEngine {
-            ctx: Arc::clone(&self.ctx),
-        }
-    }
-}
-
-impl<M: PolicyModel> std::ops::Deref for TealEngine<M> {
-    type Target = ServingContext<M>;
-
-    fn deref(&self) -> &ServingContext<M> {
-        &self.ctx
-    }
-}
-
-impl<M: PolicyModel> TealEngine<M> {
-    /// Wrap a (trained) model.
-    pub fn new(model: M, cfg: EngineConfig) -> Self {
-        TealEngine {
-            ctx: Arc::new(ServingContext::new(model, cfg)),
-        }
-    }
-
-    /// The shared serving context (clone the `Arc` to serve from threads).
-    pub fn context(&self) -> &Arc<ServingContext<M>> {
-        &self.ctx
-    }
-
-    /// Mutable access (e.g. to continue training). Panics if the context is
-    /// currently shared with other threads — stop serving before mutating.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut Arc::get_mut(&mut self.ctx)
-            .expect("ServingContext is shared; cannot mutate the model while serving")
-            .model
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{TealConfig, TealModel};
     use teal_topology::{b4, PathSet};
 
-    fn engine() -> TealEngine<TealModel> {
+    fn engine() -> ServingContext<TealModel> {
         let env = Arc::new(Env::for_topology(b4()));
         let model = TealModel::new(
             Arc::clone(&env),
@@ -660,7 +613,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        TealEngine::new(model, EngineConfig::paper_default(12))
+        ServingContext::new(model, EngineConfig::paper_default(12))
     }
 
     #[test]
@@ -688,7 +641,7 @@ mod tests {
         let inst = env.instance(&tm);
         let raw_overuse = teal_lp::evaluate(&inst, &raw).total_overuse;
 
-        let eng = TealEngine::new(model, EngineConfig::paper_default(12));
+        let eng = ServingContext::new(model, EngineConfig::paper_default(12));
         let (tuned, _) = eng.allocate(&tm);
         let tuned_overuse = teal_lp::evaluate(&inst, &tuned).total_overuse;
         assert!(
@@ -793,7 +746,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let eng = TealEngine::new(
+        let eng = ServingContext::new(
             model,
             EngineConfig {
                 admm: Some(AdmmConfig {
@@ -978,6 +931,16 @@ mod tests {
             }
         }
         assert_eq!(scratch.reports().len(), *sizes.last().unwrap());
+        assert!(scratch.solve_report().is_some());
+
+        // An empty window ran no solve: the scratch must not go on
+        // describing the window before it.
+        let (none, _) = ctx_new
+            .try_allocate_batch_with(&[], &mut scratch)
+            .expect("empty window");
+        assert!(none.is_empty());
+        assert_eq!(scratch.solve_report(), None, "stale solve report");
+        assert!(scratch.reports().is_empty(), "stale per-matrix reports");
     }
 
     #[test]
@@ -1097,9 +1060,8 @@ mod tests {
 
     #[test]
     fn concurrent_contexts_agree_with_sequential() {
-        let eng = engine();
-        let ctx = Arc::clone(eng.context());
-        let nd = eng.env().num_demands();
+        let ctx = Arc::new(engine());
+        let nd = ctx.env().num_demands();
         let tm_a = TrafficMatrix::new(vec![25.0; nd]);
         let tm_b = TrafficMatrix::new(vec![60.0; nd]);
         let (seq_a, _) = ctx.allocate(&tm_a);

@@ -39,8 +39,7 @@
 //!   from the shared skeleton (`allocate` is a window of one), and
 //!   link-failure overrides swap only the capacity vector. All methods
 //!   take `&self`, so one `Arc<ServingContext>` serves concurrent callers
-//!   from many threads; [`TealEngine`] is that `Arc`, deref-ing to the
-//!   context.
+//!   from many threads.
 //! * **Throughput path.** [`ServingContext::allocate_batch`] runs the
 //!   forward stage as one `teal_nn::pool` job whose index is the matrix:
 //!   the matrices of a window commute and share no write, so one matrix is
@@ -63,8 +62,8 @@
 //!   one optimizer step per minibatch; validation scores per-matrix
 //!   deterministic allocations.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn` only (see the root crate's
-// unsafe inventory docs).
+// audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
+// crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
 
 pub mod ablation;
@@ -78,7 +77,7 @@ pub mod tsne;
 
 pub use coma::{train_coma, validate, validate_reward, ComaConfig, TrainReport};
 pub use direct::{train_direct, DirectConfig};
-pub use engine::{AllocError, BatchScratch, EngineConfig, ServingContext, SolveReport, TealEngine};
+pub use engine::{AllocError, BatchScratch, EngineConfig, ServingContext, SolveReport};
 pub use env::{Env, ModelInput};
 pub use flowsim::FlowSim;
 pub use flowsim::RewardKind;

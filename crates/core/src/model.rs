@@ -96,7 +96,7 @@ impl Forward {
 
 /// Interface shared by Teal and its ablation variants: map a traffic matrix
 /// to per-demand logits under trainable parameters. `Send + Sync` because a
-/// serving window's forward pass borrows the model from pool worker threads,
+/// serving window's forward pass borrows the model from pool helper threads,
 /// one matrix per task.
 pub trait PolicyModel: Send + Sync {
     /// Human-readable variant name.

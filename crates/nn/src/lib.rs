@@ -9,9 +9,9 @@
 //! * [`graph`] — a tape-based reverse-mode autograd engine;
 //! * [`module`] — parameter storage and `Linear` layers;
 //! * [`optim`] — Adam (the paper's optimizer) and SGD;
-//! * [`pool`] — the persistent worker pool standing in for the GPU's
-//!   parallelism: kernels here are serial, and the stage above them (a
-//!   window's forward pass over its matrices) submits the jobs;
+//! * [`pool`] — the scoped fan-out standing in for the GPU's parallelism:
+//!   kernels here are serial, and the stage above them (a window's forward
+//!   pass over its matrices) submits the jobs;
 //! * [`rng`] — seeded RNG and Box-Muller Gaussian sampling;
 //! * [`checkpoint`] — save/load trained parameters (the paper's week-long
 //!   training sessions need persistence).
@@ -19,11 +19,12 @@
 //! Everything is deterministic under a fixed seed, which the reproduction
 //! relies on for regression tests.
 //!
-//! This crate is where the workspace's compute-side `unsafe` lives — the
-//! lifetime-erased jobs of [`pool`]. Every block carries a
-//! `// SAFETY:` comment (enforced by `cargo xtask lint`) and
-//! `unsafe_op_in_unsafe_fn` is denied workspace-wide; see the root crate's
-//! "Unsafe inventory" docs.
+//! The crate is safe code throughout (`#![forbid(unsafe_code)]`): [`pool`]
+//! borrows its tasks through `std::thread::scope`, so the compute side of
+//! the workspace has no `unsafe` left — see the root crate's "Unsafe
+//! inventory" docs.
+
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod graph;
@@ -32,7 +33,6 @@ pub mod optim;
 pub mod pool;
 pub mod rng;
 pub mod sparse;
-pub(crate) mod sync;
 pub mod tensor;
 
 pub use graph::{Graph, Var};

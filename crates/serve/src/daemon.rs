@@ -134,9 +134,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Cap on pool threads (submitting dispatcher + helpers) each shard may
     /// use for its windows' forward jobs (the only stage that submits any).
-    /// `None` = share the whole `teal_nn::pool`. Set this when topology counts grow past core
+    /// `None` = bounded only by `teal_nn::pool`'s process-wide helper
+    /// budget. Set this when topology counts grow past core
     /// counts so shards degrade into roughly-even lanes instead of
-    /// thrashing the pool. Setting a cap also arms the per-tenant
+    /// racing for that budget. Setting a cap also arms the per-tenant
     /// deficit-round-robin window arbiter (see [`crate::wfq`]): shards
     /// sharing one budget take turns by [`ServeConfig::tenant_weights`].
     pub shard_threads: Option<usize>,

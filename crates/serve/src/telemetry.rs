@@ -1063,9 +1063,9 @@ metrics! {
             unmatched_replies: u64,
         }
         nested {
-            /// `teal_nn` worker-pool counters (process-global, sampled at snapshot
-            /// time): jobs submitted, chunks run by callers vs stolen by helper
-            /// workers, and capped-out queue skips.
+            /// `teal_nn::pool` counters (process-global, sampled at snapshot
+            /// time): jobs submitted, chunks run by callers vs by helper
+            /// threads, and helper slots asked for and refused.
             pool: PoolStats,
             /// Slowest requests observed (global top-k across shards, slowest
             /// first), each with its stage breakdown.
@@ -1089,7 +1089,7 @@ metrics! {
         counter("teal_nn_pool_helper_chunks_total", "Chunks stolen by helper workers.") {
             helper_chunks: u64,
         }
-        counter("teal_nn_pool_capped_skips_total", "Queue scans that skipped a capped-out job.") {
+        counter("teal_nn_pool_capped_skips_total", "Helper slots jobs asked for and were refused.") {
             capped_skips: u64,
         }
     }

@@ -14,7 +14,7 @@ use teal_traffic::TrafficMatrix;
 
 /// Live threads whose `comm` starts with `teal-serve` — the epoll loop and
 /// the shard dispatchers. `comm` truncates names to 15 bytes, which keeps
-/// the prefix; client readers (`teal-client-*`) and nn pool workers
+/// the prefix; client readers (`teal-client-*`) and nn pool helpers
 /// (`teal-nn-*`) don't match.
 fn serve_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task")

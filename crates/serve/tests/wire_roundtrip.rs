@@ -422,7 +422,9 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// The v4 STATS_OK bytes and the Prometheus line multiset, pinned as
 /// FNV-1a hashes captured at commit `2d9e872` (the last hand-written codec
 /// and renderer). Lines are hashed sorted because family-major ordering is
-/// the one permitted change to the text.
+/// the one permitted change to the text. (The Prometheus hashes moved once
+/// since, with the `teal_nn_pool_capped_skips_total` help line; the wire
+/// hashes never have.)
 #[test]
 fn stats_golden() {
     for (seed, ntopo, nsizes, nslow, want_wire, want_prom) in [
@@ -432,11 +434,11 @@ fn stats_golden() {
             4usize,
             5usize,
             0xc306b13a63dfc4ebu64,
-            0xd3ce478d2c85d778u64,
+            0x27a9a88fd1397d9eu64,
         ),
-        (42, 3, 4, 5, 0xb6c60a73ffa19bcf, 0x4ac919fab1cdb90f),
+        (42, 3, 4, 5, 0xb6c60a73ffa19bcf, 0xcdb8f1757389a1b9),
         // `admm: None` everywhere and every vector empty.
-        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0x536be2520e5ce4e7),
+        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0x8d03f64af2b95edd),
     ] {
         let snap = synth_snapshot(seed, ntopo, nsizes, nslow);
         let mut buf = Vec::new();

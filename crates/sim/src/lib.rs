@@ -2,8 +2,8 @@
 //! online TE control loop with staleness accounting (§5.1), the offline
 //! setting (§5.6), failure replay (§5.3), and figure statistics.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn` only (see the root crate's
-// unsafe inventory docs).
+// audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
+// crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
 
 pub mod metrics;

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use teal_baselines::{
     solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig, TeavarConfig,
 };
-use teal_core::{Env, PolicyModel, TealEngine};
+use teal_core::{Env, PolicyModel, ServingContext};
 use teal_lp::{fleischer, solve_lp, Allocation, LpConfig, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
@@ -263,17 +263,17 @@ impl Scheme for ShortestPathScheme {
 
 /// Teal: one forward pass + warm-started ADMM.
 pub struct TealScheme<M: PolicyModel> {
-    engine: TealEngine<M>,
+    engine: ServingContext<M>,
 }
 
 impl<M: PolicyModel> TealScheme<M> {
     /// Wrap a trained engine.
-    pub fn new(engine: TealEngine<M>) -> Self {
+    pub fn new(engine: ServingContext<M>) -> Self {
         TealScheme { engine }
     }
 
     /// Access the engine.
-    pub fn engine(&self) -> &TealEngine<M> {
+    pub fn engine(&self) -> &ServingContext<M> {
         &self.engine
     }
 }
@@ -319,7 +319,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+        let engine = ServingContext::new(model, EngineConfig::paper_default(12));
         let mut schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
             Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
@@ -350,7 +350,7 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+        let engine = ServingContext::new(model, EngineConfig::paper_default(12));
         let mut scheme = TealScheme::new(engine);
         let tms: Vec<TrafficMatrix> = (0..4)
             .map(|i| TrafficMatrix::new(vec![6.0 + 11.0 * i as f64; env.num_demands()]))

@@ -9,8 +9,8 @@
 //! demand pair on scoped worker threads, and the path-edge incidence
 //! structure FlowGNN message-passes over.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn` only (see the root crate's
-// unsafe inventory docs).
+// audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
+// crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
 
 pub mod gen;

@@ -4,8 +4,8 @@
 //! the statistics the paper reports (top 10% of demands ≈ 88.4% of volume),
 //! plus the perturbation operators used by the robustness experiments.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
-// audited unsafe lives in `teal-nn` only (see the root crate's
-// unsafe inventory docs).
+// audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
+// crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
 
 pub mod gen;

@@ -21,8 +21,8 @@
 //! * **checked-sync** — a module carrying the `// teal-lint: checked-sync`
 //!   marker has opted into the `crate::sync` facade; its non-test code
 //!   must not import the std primitives the facade shadows (`Mutex`,
-//!   `RwLock`, `Condvar`, `Arc`, `atomic`, `mpsc` — and, in serve
-//!   modules, direct `std::thread::` spawning). Primitives the facade
+//!   `RwLock`, `Condvar`, `Arc`, `atomic`, `mpsc` — and direct
+//!   `std::thread::` spawning). Primitives the facade
 //!   does not model (`OnceLock`, `PoisonError`, ...) stay legal.
 //! * **ffi-confined** — raw FFI (`extern` declarations, `std::os::*` fd
 //!   plumbing) lives in exactly one audited file, the serve crate's
@@ -446,11 +446,9 @@ fn leading_ident(s: &str) -> &str {
 }
 
 /// Does this stripped code line pull a facade-shadowed name out of
-/// `std::sync`? When `ban_threads` is set (serve modules, whose facade
-/// also shims spawning), direct `std::thread::` use is flagged too; the
-/// nn facade deliberately leaves OS-thread creation to the pool, so
-/// thread spawning stays legal there.
-fn references_shadowed_std_sync(code: &str, ban_threads: bool) -> bool {
+/// `std::sync`, or reach for `std::thread::` directly (the facade shims
+/// spawning too)?
+fn references_shadowed_std_sync(code: &str) -> bool {
     let mut rest = code;
     while let Some(pos) = rest.find("std::sync::") {
         let tail = &rest[pos + "std::sync::".len()..];
@@ -466,7 +464,7 @@ fn references_shadowed_std_sync(code: &str, ban_threads: bool) -> bool {
         }
         rest = tail;
     }
-    ban_threads && code.contains("std::thread::")
+    code.contains("std::thread::")
 }
 
 fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
@@ -551,7 +549,7 @@ fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
             });
         }
 
-        if checked_sync && !in_test[idx] && references_shadowed_std_sync(code, is_serve) {
+        if checked_sync && !in_test[idx] && references_shadowed_std_sync(code) {
             out.push(Finding {
                 file: path.to_string(),
                 line: lineno,
@@ -729,9 +727,6 @@ mod tests {
         let thread = "// teal-lint: checked-sync\n\
                       fn f() { std::thread::spawn(|| ()); }\n";
         assert_eq!(findings("crates/serve/src/daemon.rs", thread).len(), 1);
-        // The nn pool spawns its own OS workers; only serve's facade
-        // shims threads.
-        assert!(findings("crates/nn/src/pool.rs", thread).is_empty());
 
         let unmarked = "use std::sync::Mutex;\n";
         assert!(findings("crates/serve/src/server.rs", unmarked).is_empty());

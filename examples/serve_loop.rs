@@ -129,7 +129,7 @@ fn main() {
         );
     }
     println!(
-        "nn pool: {} jobs, {} caller / {} helper chunks, {} capped skips",
+        "nn pool: {} jobs, {} caller / {} helper chunks, {} helper slots refused",
         stats.pool.jobs,
         stats.pool.caller_chunks,
         stats.pool.helper_chunks,

@@ -23,7 +23,7 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use teal::core::{train_coma, ComaConfig, Env, EngineConfig, TealConfig, TealEngine, TealModel};
+//! use teal::core::{train_coma, ComaConfig, Env, EngineConfig, ServingContext, TealConfig, TealModel};
 //! use teal::topology::b4;
 //! use teal::traffic::{TrafficConfig, TrafficModel};
 //!
@@ -38,7 +38,7 @@
 //! let mut model = TealModel::new(Arc::clone(&env), TealConfig::default());
 //! train_coma(&mut model, &train, &val, &ComaConfig::default());
 //! // 4. Deploy: one forward pass + 2 ADMM iterations per traffic matrix.
-//! let engine = TealEngine::new(model, EngineConfig::paper_default(12));
+//! let engine = ServingContext::new(model, EngineConfig::paper_default(12));
 //! let tm = traffic.series(40, 1).remove(0);
 //! let (allocation, elapsed) = engine.allocate(&tm);
 //! println!("allocated {} demands in {:?}", allocation.num_demands(), elapsed);
@@ -46,22 +46,22 @@
 //!
 //! ## Unsafe inventory & correctness tooling
 //!
-//! The workspace's `unsafe` is confined to one hot-path idiom, in
-//! `teal-nn`:
+//! The workspace's `unsafe` is confined to one file, in `teal-serve`:
 //!
-//! * **Lifetime-erased pool jobs** (`teal_nn::pool`): a stage (a window's
-//!   forward pass over its matrices — the only one that submits) hands
-//!   the worker pool a borrowed `&dyn Fn(usize)` whose lifetime is erased
-//!   to cross the thread boundary. Soundness rests on the submit path not
-//!   returning until every claimed chunk settled (the `done`-count/condvar
-//!   protocol), which is exactly what the loom model checker exercises.
-//!   Each matrix writes its own result slot, so no buffer is ever split
-//!   between threads by hand.
+//! * **epoll/eventfd FFI** (`teal_serve::net::sys`): hand-rolled bindings
+//!   (the crates registry is unreachable, so no `libc`) behind safe
+//!   wrappers that own their fds. The crate root denies `unsafe_code` and
+//!   this one module opts back in, with a `// SAFETY:` comment per site.
+//!
+//! The compute side has none: `teal_nn::pool` fans a window's forward pass
+//! out over `std::thread::scope`, which lets the helpers borrow the
+//! caller's stack in safe code, and each matrix writes its own result
+//! slot, so no buffer is ever split between threads by hand.
 //!
 //! Everything else forbids `unsafe` outright (`#![forbid(unsafe_code)]` in
-//! `teal-topology`, `teal-traffic`, `teal-lp`, `teal-core`,
-//! `teal-baselines`, `teal-sim`, `teal-bench`, `teal-serve`, and this
-//! crate), and `unsafe_op_in_unsafe_fn` is denied workspace-wide.
+//! `teal-nn`, `teal-topology`, `teal-traffic`, `teal-lp`, `teal-core`,
+//! `teal-baselines`, `teal-sim`, `teal-bench` and this crate), and
+//! `unsafe_op_in_unsafe_fn` is denied workspace-wide.
 //!
 //! Two layers of tooling keep this inventory honest:
 //!
@@ -85,7 +85,7 @@
 //!    it.
 
 // This umbrella crate only re-exports; the audited unsafe lives in
-// `teal-nn` per the inventory above.
+// `teal-serve`'s `net/sys.rs` per the inventory above.
 #![forbid(unsafe_code)]
 
 pub use teal_baselines as baselines;
