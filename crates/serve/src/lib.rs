@@ -24,8 +24,8 @@
 //!     │                              │   · per-conn WriteQueue          │
 //!     │                              │     (pooled encode, one flush,   │
 //!     │                              │      EPOLLOUT while backlogged)  │
-//!     │                              │  completion ─► waker ─► eventfd  │
-//!     │                              │  doorbell ─► drain + flush       │
+//!     │                              │  (token, id) ─► one queue ─►     │
+//!     │                              │  eventfd ─► group, flush once    │
 //!     │                              │  slot map w/ generation tokens   │
 //!     │                              └──────────────┬───────────────────┘
 //!   in-process clients                              │ submit(SubmitRequest)
@@ -67,8 +67,8 @@
 //!        │                  shard "swan":  ... a true parallel lane ...
 //!        ▼                                   ▼
 //!   Ticket::wait /                 per-request response slots
-//!   Ticket::wait_timeout ◄──────── (completion queue notifies the
-//!   front end ◄──────────────────── wire front end; REPLY and STATS_OK
+//!   Ticket::wait_timeout ◄──────── (the loop's completion queue
+//!   front end ◄──────────────────── notifies the wire front end; REPLY
 //!     REPLY frames, any order)     frames drain out of order by id)
 //!
 //!   observability taps (⊕ = Trace stamp):
@@ -133,8 +133,8 @@
 //!   codec; a server multiplexing every connection on **one epoll
 //!   event-loop thread** (incremental frame decode, pooled write queues,
 //!   eventfd completion doorbell), draining tickets **out of order by
-//!   request id** off per-connection completion queues; and a blocking
-//!   client with
+//!   request id** off the loop's one completion queue of `(connection,
+//!   id)` pairs and answering STATS on receipt; and a blocking client with
 //!   pipelined submits returning the same [`Ticket`] handle in-process
 //!   callers use. Protocol version 4 (v4 adds the unmatched-reply counter
 //!   to STATS_OK; v3 added the optional tenant tag to REQUEST and the

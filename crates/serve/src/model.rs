@@ -1,4 +1,4 @@
-//! Distilled concurrency models of the serving stack's three load-bearing
+//! Distilled concurrency models of the serving stack's load-bearing
 //! protocols, compiled only under `--cfg teal_loom` and driven by
 //! `tests/model_check.rs`.
 //!
@@ -6,10 +6,10 @@
 //! it in [`loom::model`]/`loom::Builder::check`, which runs it once per
 //! distinct thread interleaving. Models use the real production types
 //! wherever the protocol lives in a type — [`WfqScheduler`],
-//! [`ResponseSlot`], [`Ticket`], the wire client's [`ClientShared`] — and
-//! distill the surrounding daemon
-//! plumbing (shard queues, wire sockets) down to the few operations whose
-//! ordering is under test.
+//! [`ResponseSlot`], [`Ticket`], the event loop's [`Completions`], the
+//! wire client's [`ClientShared`] — and distill the surrounding daemon
+//! plumbing (shard queues, wire sockets, the eventfd) down to the few
+//! operations whose ordering is under test.
 //!
 //! Every model takes a mutation parameter: the `Pristine` variant is the
 //! shipping protocol and must hold in **all** interleavings, while each
@@ -26,7 +26,7 @@
 //! mutex is never even contended.
 
 use crate::client::{ClientShared, Waiter};
-use crate::request::{ResponseSlot, ServeError, Ticket};
+use crate::request::{Completions, ResponseSlot, ServeError, Ticket};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use crate::wfq::WfqScheduler;
@@ -277,6 +277,83 @@ pub fn client_register_before_send(mutation: ClientMutation) {
     if reader.join().is_err() {
         panic!("reader thread panicked");
     }
+}
+
+/// Mutations for [`completion_doorbell`].
+#[derive(Clone, Copy, Debug)]
+pub enum DoorbellMutation {
+    /// The shipping loop: drain the doorbell, then take the completion
+    /// queue until a take comes back empty.
+    Pristine,
+    /// Take the queue first and drain the doorbell after. A fulfillment
+    /// landing between the last (empty) take and the drain rings a bell the
+    /// drain swallows: its pair sits in the queue while the loop sleeps.
+    TakeBeforeDrain,
+}
+
+/// The event loop's completion doorbell, distilled: two dispatcher threads
+/// fulfill [`ResponseSlot::with_notify`] slots of two connections into the
+/// real [`Completions`] queue, whose waker rings a stand-in eventfd — a
+/// count under a mutex, waited on like a level-triggered `epoll_wait` and
+/// zeroed like `EventFd::drain`. Invariant: in every schedule the loop
+/// receives every pair, each naming an already-fulfilled slot. The real
+/// loop's 200 ms epoll timeout is left out, so a swallowed ring is a
+/// deadlock here, not a late reply.
+pub fn completion_doorbell(mutation: DoorbellMutation) {
+    // The eventfd: a ring count and the condvar `epoll_wait` parks on.
+    let bell = Arc::new((Mutex::new(0u64), Condvar::new()));
+    let completions = {
+        let bell = Arc::clone(&bell);
+        Completions::with_waker(Box::new(move || {
+            *bell.0.lock() += 1;
+            bell.1.notify_one();
+        }))
+    };
+    // `(token, id)`: one in-flight request on each of connections 0 and 1.
+    const PAIRS: [(u64, u64); 2] = [(0, 7), (1, 7)];
+    let (tickets, dispatchers): (Vec<_>, Vec<_>) = PAIRS
+        .map(|(token, id)| {
+            let slot = ResponseSlot::with_notify(Arc::clone(&completions), token, id);
+            let ticket = Ticket::new(Arc::clone(&slot));
+            let fulfill = move || slot.fulfill(Err(ServeError::ShuttingDown));
+            (ticket, thread::spawn_named("dispatch", fulfill))
+        })
+        .into_iter()
+        .unzip();
+
+    // The loop runs on the model's root thread.
+    let (mut received, mut taken) = (Vec::new(), Vec::new());
+    while received.len() < PAIRS.len() {
+        let mut rings = bell.0.lock();
+        while *rings == 0 {
+            // Hangs (deadlock, caught by the checker) once a ring is lost.
+            rings = bell.1.wait(rings);
+        }
+        let drain_first = matches!(mutation, DoorbellMutation::Pristine);
+        if drain_first {
+            *rings = 0;
+        }
+        drop(rings);
+        loop {
+            completions.take(&mut taken);
+            if taken.is_empty() {
+                break;
+            }
+            for &(token, id) in &taken {
+                let fulfilled = tickets[token as usize].is_ready();
+                assert!(fulfilled, "({token}, {id}) announced before its slot");
+            }
+            received.append(&mut taken);
+        }
+        if !drain_first {
+            *bell.0.lock() = 0;
+        }
+    }
+    for h in dispatchers {
+        assert!(h.join().is_ok(), "dispatcher thread panicked");
+    }
+    received.sort_unstable();
+    assert_eq!(received, PAIRS, "every completion arrives exactly once");
 }
 
 /// Mutations for [`shutdown_straggler_sweep`].

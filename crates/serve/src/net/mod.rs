@@ -10,23 +10,24 @@
 //!   unreachable, so no `libc`) behind owned, typed wrappers.
 //! * The loop thread owns a slot-map connection table. Tokens pack
 //!   `generation << 32 | index`, and every delivered event and completion
-//!   wake re-checks the generation, so a stale event can never touch a
-//!   recycled connection slot.
+//!   re-checks the generation, so a stale one can never touch a recycled
+//!   connection slot.
 //! * Each connection is a **state machine**: an incremental
 //!   [`wire::FrameDecoder`] resumes across partial reads, and a pooled
 //!   [`wire::WriteQueue`] encodes replies appended into one persistent
 //!   buffer, batching every ready reply into one flush, surviving
 //!   `EWOULDBLOCK` mid-frame via a head cursor, and arming `EPOLLOUT`
 //!   only while a backlog exists.
-//! * Shard dispatchers never touch a socket: fulfilling a ticket fires the
-//!   connection's [`Completions`] waker, which queues the connection's
-//!   token on the loop's wake list and rings an eventfd doorbell
-//!   (deduplicated per connection by an atomic flag). The loop drains the
-//!   completion queue with [`Completions::try_pop`], encodes, flushes.
+//! * Shard dispatchers never touch a socket: fulfilling a ticket pushes
+//!   `(token, id)` onto the loop's one [`Completions`] queue, which rings
+//!   an eventfd doorbell when that push made it non-empty. The loop drains
+//!   the doorbell, takes the queue, and flushes each connection once.
+//! * A STATS snapshot is encoded on receipt, so a connection tracks only
+//!   in-flight REQUEST ids; a frame reusing one hangs the connection up.
 //!
 //! Ticket fulfillment is the only cross-thread edge, so the shared state
-//! is tiny: the shutdown flag, the doorbell, and the wake list — all
-//! behind the checked-sync facade below.
+//! is tiny: the shutdown flag, the doorbell, and the completion queue —
+//! all behind the checked-sync facade below.
 //!
 //! Shutdown: stop accepting, stop *reading* (queued requests already in
 //! shard queues still get served and their replies flushed), then exit
@@ -41,7 +42,7 @@
 
 // teal-lint: checked-sync
 use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::{thread, Arc, Mutex};
+use crate::sync::{thread, Arc};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -50,7 +51,7 @@ use teal_core::PolicyModel;
 
 use crate::daemon::ServeDaemon;
 use crate::request::{Completions, ResponseSlot, Ticket};
-use crate::telemetry::{now, TelemetrySnapshot};
+use crate::telemetry::now;
 use crate::wire;
 
 pub(crate) mod sys;
@@ -71,35 +72,24 @@ const WAIT_MS: i32 = 200;
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// State shared between the loop thread and the rest of the process
-/// (completion wakers on shard dispatchers, [`EventLoopHandle::shutdown`]).
+/// (the completion waker, [`EventLoopHandle::shutdown`]).
 struct LoopShared {
     shutdown: AtomicBool,
     /// Wakes `epoll_wait` when a completion lands or shutdown begins.
     doorbell: sys::EventFd,
-    /// Connection tokens with completions to drain, pushed by wakers,
-    /// swapped out wholesale by the loop.
-    wake: Mutex<Vec<u64>>,
 }
 
 /// One connection's state machine, owned entirely by the loop thread
-/// (maps need no locks here — fulfillment only touches the response slot
-/// and the completion queue).
+/// (the map needs no lock here — fulfillment only touches the response
+/// slot and the loop's completion queue).
 struct Connection {
     stream: TcpStream,
-    fd: i32,
     token: u64,
     decoder: wire::FrameDecoder,
     writeq: wire::WriteQueue,
-    completions: Arc<Completions>,
-    /// Waker dedup: set by the first completion after a drain, cleared by
-    /// the loop before it drains (so a concurrent fulfillment re-queues).
-    wake_queued: Arc<AtomicBool>,
     /// Request id → ticket, inserted before submit so even synchronous
     /// submit failures find a home.
     pending: HashMap<u64, Ticket>,
-    /// Scrape id → snapshot taken at STATS receipt, announced on the same
-    /// completion queue as replies.
-    stats: HashMap<u64, TelemetrySnapshot>,
     handshaken: bool,
     /// No further frames will be decoded (EOF, protocol violation, or
     /// server shutdown). Pending tickets still drain and flush.
@@ -110,15 +100,25 @@ struct Connection {
     interest: u32,
 }
 
+impl Connection {
+    /// The socket is unusable: read nothing more, write nothing more.
+    fn kill(&mut self) {
+        self.read_closed = true;
+        self.write_dead = true;
+        self.writeq.abandon();
+    }
+}
+
 /// Slot-map entry: the generation advances on every recycle, invalidating
 /// stale tokens.
+#[derive(Default)]
 struct Slot {
     generation: u32,
     conn: Option<Connection>,
 }
 
-/// Handle the server front end keeps: flips the shutdown flag, rings the
-/// doorbell, joins the loop.
+/// Handle `TealServer` keeps, and shuts down from its own drop: flips the
+/// shutdown flag, rings the doorbell, joins the loop.
 pub(crate) struct EventLoopHandle {
     shared: Arc<LoopShared>,
     thread: Option<thread::JoinHandle<()>>,
@@ -138,12 +138,6 @@ impl EventLoopHandle {
     }
 }
 
-impl Drop for EventLoopHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Bring up the loop over an already-bound listener. Registration errors
 /// (epoll/eventfd creation) surface here, before any thread spawns.
 pub(crate) fn spawn_event_loop<M: PolicyModel + 'static>(
@@ -158,25 +152,25 @@ pub(crate) fn spawn_event_loop<M: PolicyModel + 'static>(
     let shared = Arc::new(LoopShared {
         shutdown: AtomicBool::new(false),
         doorbell,
-        wake: Mutex::new(Vec::new()),
     });
-    let thread = {
+    let completions = {
         let shared = Arc::clone(&shared);
-        let mut lp = EventLoop {
-            daemon,
-            shared,
-            epoll,
-            listener: Some(listener),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            events: vec![sys::EpollEvent::default(); 256],
-            scratch: vec![0u8; READ_CHUNK],
-            wake_scratch: Vec::new(),
-            drain_deadline: None,
-        };
-        thread::spawn_named("teal-serve-epoll", move || lp.run())
+        Completions::with_waker(Box::new(move || shared.doorbell.ring()))
     };
+    let mut lp = EventLoop {
+        daemon,
+        shared: Arc::clone(&shared),
+        completions,
+        epoll,
+        listener: Some(listener),
+        slots: Vec::new(),
+        free: Vec::new(),
+        events: vec![sys::EpollEvent::default(); 256],
+        scratch: vec![0u8; READ_CHUNK],
+        ready: Vec::new(),
+        drain_deadline: None,
+    };
+    let thread = thread::spawn_named("teal-serve-epoll", move || lp.run());
     Ok(EventLoopHandle {
         shared,
         thread: Some(thread),
@@ -186,18 +180,19 @@ pub(crate) fn spawn_event_loop<M: PolicyModel + 'static>(
 struct EventLoop<M: PolicyModel + 'static> {
     daemon: Arc<ServeDaemon<M>>,
     shared: Arc<LoopShared>,
+    /// Every connection's fulfilled tickets, as `(token, id)` pairs.
+    completions: Arc<Completions>,
     epoll: sys::Epoll,
     /// Dropped when shutdown begins (stops accepting, frees the port).
     listener: Option<TcpListener>,
     slots: Vec<Slot>,
     free: Vec<usize>,
-    live: usize,
     events: Vec<sys::EpollEvent>,
     /// Read scratch shared by every connection (bytes land in each
     /// connection's decoder, so per-connection scratch would buy nothing).
     scratch: Vec<u8>,
-    /// Reusable buffer the wake list is swapped into for draining.
-    wake_scratch: Vec<u64>,
+    /// Reusable buffer the completion queue is swapped into for draining.
+    ready: Vec<(u64, u64)>,
     /// Set when shutdown begins: force-close whatever has not flushed by
     /// this point.
     drain_deadline: Option<Instant>,
@@ -208,21 +203,19 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 self.begin_shutdown();
-                if self.live == 0 {
+                if self.slots.iter().all(|s| s.conn.is_none()) {
                     return;
                 }
                 if self.drain_deadline.is_some_and(|d| now() >= d) {
-                    self.force_close_all();
+                    // Drain grace expired: drop every remaining connection.
+                    (0..self.slots.len()).for_each(|idx| self.close(idx));
                     return;
                 }
             }
-            let timeout = if self.drain_deadline.is_some() {
-                50
-            } else {
-                WAIT_MS
-            };
-            // Transient wait failure: fall through to the flag checks
-            // and completion drain rather than spinning on the error.
+            // Poll faster while draining for shutdown. A transient wait
+            // failure falls through to the flag checks and completion
+            // drain rather than spinning on the error.
+            let timeout = self.drain_deadline.map_or(WAIT_MS, |_| 50);
             let n = self
                 .epoll
                 .wait(&mut self.events, timeout)
@@ -236,17 +229,13 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
                     _ => self.conn_event(token, flags),
                 }
             }
-            self.drain_wakes();
+            self.drain_completions();
         }
     }
 
     /// Accept until the listener runs dry (it is nonblocking).
     fn accept_burst(&mut self) {
-        loop {
-            let accepted = match &self.listener {
-                Some(l) => l.accept(),
-                None => return,
-            };
+        while let Some(accepted) = self.listener.as_ref().map(TcpListener::accept) {
             match accepted {
                 Ok((stream, _)) => self.register(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -266,31 +255,11 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
         if sys::set_nonblocking(fd).is_err() {
             return; // refuse rather than risk blocking the whole loop
         }
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.slots.push(Slot {
-                    generation: 0,
-                    conn: None,
-                });
-                self.slots.len() - 1
-            }
-        };
-        let generation = self.slots[idx].generation;
-        let token = (u64::from(generation) << 32) | idx as u64;
-        let wake_queued = Arc::new(AtomicBool::new(false));
-        let completions = {
-            let shared = Arc::clone(&self.shared);
-            let queued = Arc::clone(&wake_queued);
-            Completions::with_waker(Box::new(move || {
-                // Dedup: one doorbell ring per drain cycle per connection,
-                // however many tickets fulfill in between.
-                if !queued.swap(true, Ordering::AcqRel) {
-                    shared.wake.lock().push(token);
-                    shared.doorbell.ring();
-                }
-            }))
-        };
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
+            self.slots.len() - 1
+        });
+        let token = (u64::from(self.slots[idx].generation) << 32) | idx as u64;
         let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
         if self.epoll.add(fd, interest, token).is_err() {
             self.free.push(idx);
@@ -298,82 +267,68 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
         }
         self.slots[idx].conn = Some(Connection {
             stream,
-            fd,
             token,
             decoder: wire::FrameDecoder::new(),
             writeq: wire::WriteQueue::new(),
-            completions,
-            wake_queued,
             pending: HashMap::new(),
-            stats: HashMap::new(),
             handshaken: false,
             read_closed: false,
             write_dead: false,
             interest,
         });
-        self.live += 1;
     }
 
     /// Route one readiness event to its connection, generation-checked.
     fn conn_event(&mut self, token: u64, flags: u32) {
-        let idx = (token & u64::from(u32::MAX)) as usize;
-        let generation = (token >> 32) as u32;
         {
             let EventLoop {
                 slots,
                 daemon,
+                completions,
                 epoll,
                 scratch,
                 ..
             } = self;
-            let Some(slot) = slots.get_mut(idx) else {
-                return;
-            };
-            if slot.generation != generation {
-                return; // stale event for a recycled slot
-            }
-            let Some(conn) = slot.conn.as_mut() else {
+            let Some(conn) = live_conn(slots, token) else {
                 return;
             };
             if flags & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                conn.read_closed = true;
-                conn.write_dead = true;
-                conn.writeq.abandon();
+                conn.kill();
             } else {
                 if flags & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 && !conn.read_closed {
-                    read_burst(conn, daemon, scratch);
+                    read_burst(conn, daemon, completions, scratch);
                 }
                 flush_writes(conn, epoll);
             }
         }
-        self.maybe_close(idx);
+        self.maybe_close(slot_index(token));
     }
 
-    /// Swap out the wake list and drain each announced connection's
-    /// completions. Loops until the list stays empty, so a wake landing
-    /// mid-drain is handled this iteration instead of waiting out the
-    /// epoll timeout.
-    fn drain_wakes(&mut self) {
+    /// Take the completion queue until a take comes back empty (so a
+    /// fulfillment landing mid-drain is handled this iteration instead of
+    /// waiting out the epoll timeout). Each take is grouped by token — the
+    /// sort is stable, so a connection's replies keep fulfillment order —
+    /// and each connection drains and flushes once per take.
+    fn drain_completions(&mut self) {
+        let mut ready = std::mem::take(&mut self.ready);
         loop {
-            let mut wake = std::mem::take(&mut self.wake_scratch);
-            std::mem::swap(&mut *self.shared.wake.lock(), &mut wake);
-            if wake.is_empty() {
-                self.wake_scratch = wake;
-                return;
+            self.completions.take(&mut ready);
+            if ready.is_empty() {
+                break;
             }
-            for &token in &wake {
-                self.drain_conn(token);
+            ready.sort_by_key(|&(token, _)| token);
+            for group in ready.chunk_by(|a, b| a.0 == b.0) {
+                self.drain_conn(group);
             }
-            wake.clear();
-            self.wake_scratch = wake;
+            ready.clear();
         }
+        self.ready = ready;
     }
 
-    /// Drain one connection's ready completions into its write queue and
-    /// flush.
-    fn drain_conn(&mut self, token: u64) {
-        let idx = (token & u64::from(u32::MAX)) as usize;
-        let generation = (token >> 32) as u32;
+    /// Encode one connection's fulfilled tickets (`group` shares one
+    /// token) into its write queue and flush.
+    fn drain_conn(&mut self, group: &[(u64, u64)]) {
+        let token = group[0].0;
         {
             let EventLoop {
                 slots,
@@ -381,30 +336,16 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
                 epoll,
                 ..
             } = self;
-            let Some(slot) = slots.get_mut(idx) else {
+            let Some(conn) = live_conn(slots, token) else {
                 return;
             };
-            if slot.generation != generation {
-                return;
-            }
-            let Some(conn) = slot.conn.as_mut() else {
-                return;
-            };
-            // Clear the dedup flag *before* popping: a fulfillment racing
-            // this drain either lands in a pop below or re-queues the
-            // token (the waker's swap sees `false`), never neither.
-            conn.wake_queued.store(false, Ordering::Release);
-            while let Some(id) = conn.completions.try_pop() {
+            for &(_, id) in group {
                 if let Some(ticket) = conn.pending.remove(&id) {
                     // The queue announced this id, so the slot is already
                     // fulfilled and wait() returns immediately.
                     let reply = ticket.wait();
                     if !conn.write_dead {
                         conn.writeq.push_reply(id, &reply);
-                    }
-                } else if let Some(snap) = conn.stats.remove(&id) {
-                    if !conn.write_dead {
-                        conn.writeq.push_stats_reply(id, &snap);
                     }
                 } else {
                     // A completion with no home: the id-bookkeeping bug
@@ -414,29 +355,29 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
             }
             flush_writes(conn, epoll);
         }
-        self.maybe_close(idx);
+        self.maybe_close(slot_index(token));
     }
 
     /// Recycle a connection once nothing more is owed to (or expected
     /// from) it: reader done and every reply flushed, or the socket died
     /// and every completion was consumed.
     fn maybe_close(&mut self, idx: usize) {
-        let done = match self.slots.get(idx).and_then(|s| s.conn.as_ref()) {
-            Some(c) => {
-                let settled = c.pending.is_empty() && c.stats.is_empty();
-                (c.write_dead && settled) || (c.read_closed && settled && c.writeq.is_empty())
-            }
-            None => false,
-        };
-        if !done {
-            return;
+        let done = self.slots[idx].conn.as_ref().is_some_and(|c| {
+            c.pending.is_empty() && (c.write_dead || (c.read_closed && c.writeq.is_empty()))
+        });
+        if done {
+            self.close(idx);
         }
+    }
+
+    /// Deregister and shut slot `idx`'s connection (if any), invalidating
+    /// its token.
+    fn close(&mut self, idx: usize) {
         if let Some(conn) = self.slots[idx].conn.take() {
-            let _ = self.epoll.del(conn.fd);
+            let _ = self.epoll.del(sys::stream_fd(&conn.stream));
             let _ = conn.stream.shutdown(Shutdown::Both);
             self.slots[idx].generation = self.slots[idx].generation.wrapping_add(1);
             self.free.push(idx);
-            self.live -= 1;
         }
     }
 
@@ -465,18 +406,20 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
             self.maybe_close(idx);
         }
     }
+}
 
-    /// Drain grace expired: drop every remaining connection as-is.
-    fn force_close_all(&mut self) {
-        for idx in 0..self.slots.len() {
-            if let Some(conn) = self.slots[idx].conn.take() {
-                let _ = self.epoll.del(conn.fd);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.slots[idx].generation = self.slots[idx].generation.wrapping_add(1);
-                self.live -= 1;
-            }
-        }
+fn slot_index(token: u64) -> usize {
+    (token & u64::from(u32::MAX)) as usize
+}
+
+/// The connection `token` names, or `None` if its slot has since been
+/// recycled (a stale event or completion).
+fn live_conn(slots: &mut [Slot], token: u64) -> Option<&mut Connection> {
+    let slot = slots.get_mut(slot_index(token))?;
+    if slot.generation != (token >> 32) as u32 {
+        return None;
     }
+    slot.conn.as_mut()
 }
 
 /// Read until the socket runs dry (or the per-wake fairness cap), feeding
@@ -484,6 +427,7 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
 fn read_burst<M: PolicyModel + 'static>(
     conn: &mut Connection,
     daemon: &Arc<ServeDaemon<M>>,
+    completions: &Arc<Completions>,
     scratch: &mut [u8],
 ) {
     for _ in 0..MAX_READS_PER_WAKE {
@@ -493,31 +437,20 @@ fn read_burst<M: PolicyModel + 'static>(
                 return;
             }
             Ok(n) => {
+                // A hostile length prefix is refused before buffering more.
                 if conn.decoder.feed(&scratch[..n]).is_err() {
-                    // Hostile length prefix: refuse before buffering more.
-                    hangup(conn);
+                    conn.read_closed = true;
                     return;
                 }
-                if !process_frames(conn, daemon) {
+                if !process_frames(conn, daemon, completions) {
                     return;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.read_closed = true;
-                conn.write_dead = true;
-                conn.writeq.abandon();
-                return;
-            }
+            Err(_) => return conn.kill(),
         }
     }
-}
-
-/// Protocol violation: stop decoding this peer. Replies already owed are
-/// still flushed, then the close path runs.
-fn hangup(conn: &mut Connection) {
-    conn.read_closed = true;
 }
 
 /// Decode and dispatch every complete frame currently buffered. Returns
@@ -525,68 +458,55 @@ fn hangup(conn: &mut Connection) {
 fn process_frames<M: PolicyModel + 'static>(
     conn: &mut Connection,
     daemon: &Arc<ServeDaemon<M>>,
+    completions: &Arc<Completions>,
 ) -> bool {
     loop {
         let frame = match conn.decoder.next_frame() {
             Ok(Some(f)) => f,
             Ok(None) => return true,
-            Err(_) => {
-                hangup(conn);
-                return false;
-            }
+            Err(_) => break,
         };
         if !conn.handshaken {
             // Handshake: HELLO in, HELLO_OK out. Anything else (version
             // mismatches included — an older client gets a hangup, not
             // silently misdecoded frames) closes without a reply.
             if wire::decode_hello(frame).is_err() {
-                conn.read_closed = true;
-                conn.write_dead = true;
-                conn.writeq.abandon();
+                conn.kill();
                 return false;
             }
             conn.handshaken = true;
             conn.writeq.push_hello_ok();
             continue;
         }
+        // A frame reusing an in-flight REQUEST id would make the two
+        // replies indistinguishable; refuse the connection rather than
+        // guess which was meant. A STATS id is never in flight.
+        let fresh = |id: &u64| !conn.pending.contains_key(id);
         match wire::peek_kind(frame) {
             Ok(wire::Kind::Request) => {
-                let Ok((id, req)) = wire::decode_request(frame) else {
-                    hangup(conn);
-                    return false;
+                let Some((id, req)) = wire::decode_request(frame).ok().filter(|(id, _)| fresh(id))
+                else {
+                    break;
                 };
-                // A duplicated id would orphan the first ticket; refuse
-                // the connection rather than guess which reply was meant.
-                if conn.pending.contains_key(&id) || conn.stats.contains_key(&id) {
-                    hangup(conn);
-                    return false;
-                }
-                let slot = ResponseSlot::with_notify(Arc::clone(&conn.completions), id);
+                let slot = ResponseSlot::with_notify(Arc::clone(completions), conn.token, id);
                 // Register before submitting, so even a synchronously
                 // fulfilled error reply finds its ticket.
                 conn.pending.insert(id, Ticket::new(Arc::clone(&slot)));
                 daemon.submit_on(req, slot);
             }
             Ok(wire::Kind::Stats) => {
-                let Ok(id) = wire::decode_stats_request(frame) else {
-                    hangup(conn);
-                    return false;
+                let Some(id) = wire::decode_stats_request(frame).ok().filter(fresh) else {
+                    break;
                 };
-                if conn.pending.contains_key(&id) || conn.stats.contains_key(&id) {
-                    hangup(conn);
-                    return false;
-                }
-                conn.stats.insert(id, daemon.stats());
-                // Announce on the completion queue: the scrape reply
-                // interleaves with serve replies in completion order.
-                conn.completions.push(id);
+                conn.writeq.push_stats_reply(id, &daemon.stats());
             }
-            _ => {
-                hangup(conn);
-                return false;
-            }
+            _ => break,
         }
     }
+    // Protocol violation: stop decoding this peer. Replies already owed
+    // are still flushed, then the close path runs.
+    conn.read_closed = true;
+    false
 }
 
 /// Push the write backlog at the socket and keep `EPOLLOUT` armed exactly
@@ -606,16 +526,13 @@ fn flush_writes(conn: &mut Connection, epoll: &sys::Epoll) {
     match drained {
         Ok(true) => set_interest(conn, epoll, base),
         Ok(false) => set_interest(conn, epoll, base | sys::EPOLLOUT),
-        Err(_) => {
-            conn.read_closed = true;
-            conn.write_dead = true;
-            conn.writeq.abandon();
-        }
+        Err(_) => conn.kill(),
     }
 }
 
 fn set_interest(conn: &mut Connection, epoll: &sys::Epoll, want: u32) {
-    if conn.interest != want && epoll.modify(conn.fd, want, conn.token).is_ok() {
+    let fd = sys::stream_fd(&conn.stream);
+    if conn.interest != want && epoll.modify(fd, want, conn.token).is_ok() {
         conn.interest = want;
     }
 }

@@ -11,12 +11,11 @@
 //! `Slot<TelemetrySnapshot>` per scrape, and [`Ticket`] is a handle to the
 //! former — plus an optional completion queue, which is what lets the
 //! socket front end drain replies *out of order* without polling:
-//! fulfilling a slot pushes its request id onto the connection's
-//! completion queue.
+//! fulfilling a slot pushes its `(connection token, request id)` pair onto
+//! the event loop's one completion queue (a STATS scrape never waits).
 
 // teal-lint: checked-sync
 use crate::sync::{Arc, Condvar, Mutex};
-use std::collections::VecDeque;
 use std::time::Duration;
 use teal_lp::Allocation;
 use teal_traffic::TrafficMatrix;
@@ -169,41 +168,44 @@ pub struct ServeReply {
 }
 
 /// Out-of-order completion queue: response slots created with
-/// [`Slot::with_notify`] push their tag here when fulfilled, so the
-/// wire front end learns of *any* reply becoming ready instead of polling
-/// tickets in submission order.
+/// [`Slot::with_notify`] push their `(token, id)` pair here when
+/// fulfilled, so the wire front end learns of *any* reply becoming ready
+/// instead of polling tickets in submission order.
 ///
-/// The epoll event loop builds one per connection with
-/// [`Completions::with_waker`] and drains it via [`Completions::try_pop`]:
-/// each push also fires the waker (outside the queue lock), which rings the
-/// loop's eventfd doorbell, so a shard dispatcher never touches a socket.
+/// The epoll event loop builds one for all its connections; its waker
+/// rings the loop's eventfd only on a push onto an empty queue. That
+/// loses no wakeup because the loop drains the eventfd *before* it takes
+/// the queue, and takes until a take comes back empty, so any later push
+/// finds the queue empty (`model::completion_doorbell` checks this).
 pub struct Completions {
-    ready: Mutex<VecDeque<u64>>,
-    /// Fired after each push, outside the queue lock.
+    ready: Mutex<Vec<(u64, u64)>>,
+    /// Fired outside the queue lock, after a push onto an empty queue.
     waker: Box<dyn Fn() + Send + Sync>,
 }
 
 impl Completions {
-    /// A queue whose pushes fire `waker` — the event loop's completion →
-    /// eventfd bridge.
+    /// A queue whose first push after each take fires `waker` — the event
+    /// loop's completion → eventfd bridge.
     pub fn with_waker(waker: Box<dyn Fn() + Send + Sync>) -> Arc<Self> {
         Arc::new(Completions {
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Vec::new()),
             waker,
         })
     }
 
-    /// Announce `tag` as ready. Response slots call this on fulfillment;
-    /// the wire server also pushes tags directly for replies that never
-    /// ride a slot (e.g. STATS scrapes).
-    pub fn push(&self, tag: u64) {
-        self.ready.lock().push_back(tag);
-        (self.waker)();
+    /// Announce request `id` of connection `token` as ready.
+    pub fn push(&self, token: u64, id: u64) {
+        let mut ready = self.ready.lock();
+        ready.push((token, id));
+        if ready.len() == 1 {
+            drop(ready);
+            (self.waker)();
+        }
     }
 
-    /// Next ready tag without blocking — the event loop's drain primitive.
-    pub fn try_pop(&self) -> Option<u64> {
-        self.ready.lock().pop_front()
+    /// Swap every ready pair, in push order, into the empty `out`.
+    pub fn take(&self, out: &mut Vec<(u64, u64)>) {
+        std::mem::swap(&mut *self.ready.lock(), out);
     }
 }
 
@@ -214,9 +216,9 @@ impl Completions {
 pub struct Slot<T> {
     slot: Mutex<Option<Result<T, ServeError>>>,
     ready: Condvar,
-    /// `(queue, tag)` notified on fulfillment — the wire server's
+    /// `(queue, token, id)` notified on fulfillment — the wire server's
     /// out-of-order reply path. `None` for in-process tickets.
-    notify: Option<(Arc<Completions>, u64)>,
+    notify: Option<(Arc<Completions>, u64, u64)>,
 }
 
 /// The slot a [`Ticket`] waits on.
@@ -232,12 +234,12 @@ impl<T> Slot<T> {
     }
 
     /// A slot that additionally announces its fulfillment on `completions`
-    /// under `tag` (the wire request id).
-    pub fn with_notify(completions: Arc<Completions>, tag: u64) -> Arc<Self> {
+    /// as `(token, id)`: the connection's token and the wire request id.
+    pub fn with_notify(completions: Arc<Completions>, token: u64, id: u64) -> Arc<Self> {
         Arc::new(Slot {
             slot: Mutex::new(None),
             ready: Condvar::new(),
-            notify: Some((completions, tag)),
+            notify: Some((completions, token, id)),
         })
     }
 
@@ -247,8 +249,8 @@ impl<T> Slot<T> {
             *slot = Some(r);
             self.ready.notify_all();
         }
-        if let Some((completions, tag)) = &self.notify {
-            completions.push(*tag);
+        if let Some((completions, token, id)) = &self.notify {
+            completions.push(*token, *id);
         }
     }
 

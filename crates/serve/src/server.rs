@@ -11,11 +11,11 @@
 //! slow request never convoys the replies queued behind it.
 //!
 //! Per the scalable-commutativity design rule the connections share no
-//! mutable state with each other — each has its own reply map and
-//! completion queue, and all cross-connection coordination happens inside
-//! the serving core's per-topology shards — so adding connections scales
-//! like adding submitter threads, which is exactly what the loopback soak
-//! test exercises.
+//! mutable state but the loop's one completion queue (where their replies
+//! already met at one doorbell) — each has its own reply map, and all other
+//! cross-connection coordination happens inside the serving core's
+//! per-topology shards — so adding connections scales like adding
+//! submitter threads, which is exactly what the loopback soak exercises.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
@@ -29,9 +29,6 @@ pub struct TealServer<M: PolicyModel + 'static> {
     daemon: Arc<ServeDaemon<M>>,
     addr: SocketAddr,
     event_loop: EventLoopHandle,
-    /// `shutdown()` already ran (it must shut the daemon down exactly
-    /// once, and also runs on drop).
-    finished: bool,
 }
 
 impl<M: PolicyModel + 'static> TealServer<M> {
@@ -45,7 +42,6 @@ impl<M: PolicyModel + 'static> TealServer<M> {
             daemon,
             addr,
             event_loop,
-            finished: false,
         })
     }
 
@@ -63,12 +59,9 @@ impl<M: PolicyModel + 'static> TealServer<M> {
     /// keep fulfilling queued tickets until the daemon shutdown below — a
     /// client caught mid-pipeline gets its answers, not a hangup), join the
     /// loop, then shut the serving core down (see
-    /// [`ServeDaemon::shutdown`]). Idempotent; also runs on drop.
+    /// [`ServeDaemon::shutdown`]). Idempotent, as both halves are; also
+    /// runs on drop.
     pub fn shutdown(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
         self.event_loop.shutdown();
         self.daemon.shutdown();
     }

@@ -11,8 +11,8 @@
 //!   facade.
 //! * `--cfg teal_loom` (set via `RUSTFLAGS`): the same names re-export the
 //!   `loom` shims, and `crates/serve/tests/model_check.rs` exhaustively
-//!   explores the interleavings of the WFQ arbiter, the shutdown protocol
-//!   and the response-slot protocol.
+//!   explores the interleavings of the WFQ arbiter, the shutdown protocol,
+//!   the response-slot protocol and the event loop's completion doorbell.
 //!
 //! Modules opted into the facade carry a `// teal-lint: checked-sync`
 //! marker; the lint then rejects any direct `use std::sync` in them so new

@@ -22,8 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::Builder;
 use teal_serve::model::{
-    client_register_before_send, shutdown_straggler_sweep, submit_vs_shutdown, wfq_one_ahead,
-    ClientMutation, ShutdownMutation, SweepMutation, WfqMutation,
+    client_register_before_send, completion_doorbell, shutdown_straggler_sweep, submit_vs_shutdown,
+    wfq_one_ahead, ClientMutation, DoorbellMutation, ShutdownMutation, SweepMutation, WfqMutation,
 };
 
 /// Schedules explored below this are too few to mean anything — the
@@ -161,5 +161,31 @@ fn shutdown_mutant_without_sweep_is_killed() {
 fn shutdown_mutant_notifying_outside_lock_is_killed() {
     assert_killed("NotifyOutsideLock", || {
         shutdown_straggler_sweep(SweepMutation::NotifyOutsideLock)
+    });
+}
+
+#[test]
+fn completion_doorbell_delivers_every_completion() {
+    // Two fulfillments (slot lock, notify, queue lock, maybe a ring each)
+    // against the loop's wait/drain/take cycle overflow the execution cap
+    // unbounded; like the WFQ and sweep models, the proof is exhaustive
+    // within three involuntary switches.
+    let report = checker_bounded(Some(3)).check(|| completion_doorbell(DoorbellMutation::Pristine));
+    eprintln!("doorbell pristine: {} interleavings", report.executions);
+    assert!(
+        report.complete,
+        "doorbell model exploration hit the execution cap"
+    );
+    assert!(
+        report.executions >= MIN_EXECUTIONS,
+        "only {} interleavings explored",
+        report.executions
+    );
+}
+
+#[test]
+fn doorbell_mutant_taking_before_drain_is_killed() {
+    assert_killed("TakeBeforeDrain", || {
+        completion_doorbell(DoorbellMutation::TakeBeforeDrain)
     });
 }

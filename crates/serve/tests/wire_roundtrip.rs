@@ -453,3 +453,73 @@ fn stats_golden() {
         assert_eq!(prom, want_prom, "seed {seed}: Prometheus lines drifted");
     }
 }
+
+/// REQUEST and REPLY frames (length prefix included), pinned as FNV-1a
+/// hashes captured at commit `f5880bf`: the benchmark's raw-socket load
+/// generator writes REQUEST frames and decodes REPLY frames itself, so
+/// their bytes are a contract beside STATS_OK's.
+#[test]
+fn request_reply_golden() {
+    let framed = |payload: &[u8]| {
+        let mut bytes = Vec::new();
+        wire::write_frame(&mut bytes, payload).expect("frame into a Vec");
+        fnv1a(bytes)
+    };
+    let tm = || TrafficMatrix::new((0..12).map(|i| 1.5 * i as f64).collect());
+    let mut buf = Vec::new();
+    let mut got = Vec::new();
+    for (id, req) in [
+        (1u64, SubmitRequest::new("b4", tm())),
+        (
+            u64::MAX - 3,
+            SubmitRequest::new("swan", tm())
+                .with_deadline(Duration::from_micros(20_500))
+                .with_tenant("gold")
+                .with_failed_link(0, 1)
+                .with_failed_link(7, 3),
+        ),
+    ] {
+        wire::encode_request(&mut buf, id, &req);
+        got.push(framed(&buf));
+    }
+    let ok = ServeReply {
+        allocation: Allocation::from_splits(3, (0..12).map(|p| f64::from(p % 5) / 4.0).collect()),
+        latency: Duration::from_nanos(3_210_987),
+        stages: StageTimings {
+            queue_wait: Duration::from_nanos(1_000_003),
+            solve: Duration::from_nanos(2_000_005),
+            write: Duration::from_nanos(210_979),
+        },
+        batch_size: 6,
+    };
+    let replies = [
+        Ok(ok),
+        Err(ServeError::UnknownTopology("nowhere".into())),
+        Err(ServeError::ShuttingDown),
+        Err(ServeError::Checkpoint("bad tensor shape".into())),
+        Err(ServeError::BadRequest("matrix arity".into())),
+        Err(ServeError::Internal("worker panicked".into())),
+        Err(ServeError::DeadlineExceeded),
+        Err(ServeError::Overloaded("queue full (1024 waiting)".into())),
+    ];
+    for (id, reply) in replies.iter().enumerate() {
+        wire::encode_reply(&mut buf, 40 + id as u64, reply);
+        got.push(framed(&buf));
+    }
+    let want = [
+        // plain request; deadline + tenant + failed links
+        0x2e21df7e52182ddf,
+        0xddc14a158690b8ba,
+        // ok reply with stage timings
+        0x9d4a3d0392ffea75,
+        // one error reply per `ServeError` variant, in declaration order
+        0x9f67af47276c83c4,
+        0x0b86d8a40cd1aaf6,
+        0xab7e6ab48cd6f1c3,
+        0x776a4b611f5a25c2,
+        0xf148138c3e1430c5,
+        0xde914f397a4c1ece,
+        0x047ba11edad03551,
+    ];
+    assert_eq!(got, want, "REQUEST/REPLY bytes drifted");
+}
