@@ -14,7 +14,7 @@
 //! trainers drive them unchanged.
 
 use crate::env::{Env, ModelInput};
-use crate::model::{Forward, PolicyModel};
+use crate::model::{assert_single_matrix, Forward, PolicyModel};
 use std::sync::Arc;
 use teal_nn::{CsrPair, Graph, Linear, ParamId, ParamStore, Tensor};
 
@@ -75,23 +75,14 @@ impl PolicyModel for NaiveDnnModel {
     }
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
+        assert_single_matrix(input);
         let nd = self.env.num_demands();
         let k = self.env.k();
-        let batch = input.batch;
         let mut bounds = Vec::new();
-        // Demand vector from the per-path initialization (slot 0 per demand,
-        // repeated per batch block).
+        // Demand vector from the per-path initialization (slot 0 per demand).
         let paths = g.input(input.path_init.clone());
-        let demands = if batch == 1 {
-            g.gather_rows(paths, Arc::clone(&self.demand_rows)) // [D,1]
-        } else {
-            let per = nd * k;
-            let idx: Vec<usize> = (0..batch)
-                .flat_map(|b| self.demand_rows.iter().map(move |&r| b * per + r))
-                .collect();
-            g.gather_rows(paths, Arc::new(idx)) // [B*D,1]
-        };
-        let mut h = g.reshape(demands, batch, nd);
+        let demands = g.gather_rows(paths, Arc::clone(&self.demand_rows)); // [D,1]
+        let mut h = g.reshape(demands, 1, nd);
         let n = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
             let (lin, b) = layer.forward(&self.store, g, h);
@@ -102,7 +93,7 @@ impl PolicyModel for NaiveDnnModel {
                 lin
             };
         }
-        let mu = g.reshape(h, batch * nd, k);
+        let mu = g.reshape(h, nd, k);
         let logstd = self.store.bind(g, self.logstd);
         Forward::new(mu, None, logstd, bounds, self.logstd)
     }
@@ -192,14 +183,11 @@ impl NaiveGnnModel {
     fn node_features(&self, input: &ModelInput) -> Tensor {
         let n = self.env.topo().num_nodes();
         let k = self.env.k();
-        let per = self.env.paths().num_paths();
-        let mut feats = Tensor::zeros(input.batch * n, 2);
-        for b in 0..input.batch {
-            for (d, &(s, t)) in self.env.paths().pairs().iter().enumerate() {
-                let v = input.path_init.get(b * per + d * k, 0);
-                feats.set(b * n + s, 0, feats.get(b * n + s, 0) + v);
-                feats.set(b * n + t, 1, feats.get(b * n + t, 1) + v);
-            }
+        let mut feats = Tensor::zeros(n, 2);
+        for (d, &(s, t)) in self.env.paths().pairs().iter().enumerate() {
+            let v = input.path_init.get(d * k, 0);
+            feats.set(s, 0, feats.get(s, 0) + v);
+            feats.set(t, 1, feats.get(t, 1) + v);
         }
         feats
     }
@@ -215,35 +203,19 @@ impl PolicyModel for NaiveGnnModel {
     }
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
-        let batch = input.batch;
+        assert_single_matrix(input);
         let mut bounds = Vec::new();
         let mut h = g.input(self.node_features(input));
         for layer in &self.gnn_layers {
-            let msg = g.spmm_batch(&self.adjacency, h, batch);
+            let msg = g.spmm(&self.adjacency, h);
             let cat = g.concat_cols(h, msg);
             let (lin, b) = layer.forward(&self.store, g, cat);
             bounds.push(b);
             h = g.leaky_relu(lin, self.slope);
         }
-        let (src, dst) = if batch == 1 {
-            (
-                g.gather_rows(h, Arc::clone(&self.src_idx)),
-                g.gather_rows(h, Arc::clone(&self.dst_idx)),
-            )
-        } else {
-            let n = self.env.topo().num_nodes();
-            let offset = |idx: &[usize]| -> Arc<Vec<usize>> {
-                Arc::new(
-                    (0..batch)
-                        .flat_map(|b| idx.iter().map(move |&i| b * n + i))
-                        .collect(),
-                )
-            };
-            let src_idx = offset(&self.src_idx);
-            let dst_idx = offset(&self.dst_idx);
-            (g.gather_rows(h, src_idx), g.gather_rows(h, dst_idx))
-        };
-        let pair = g.concat_cols(src, dst); // [B*D, 2h]
+        let src = g.gather_rows(h, Arc::clone(&self.src_idx));
+        let dst = g.gather_rows(h, Arc::clone(&self.dst_idx));
+        let pair = g.concat_cols(src, dst); // [D, 2h]
         let (h0, b0) = self.head[0].forward(&self.store, g, pair);
         bounds.push(b0);
         let a0 = g.leaky_relu(h0, self.slope);
@@ -332,21 +304,19 @@ impl PolicyModel for GlobalPolicyModel {
         // NOTE: the inner model's policy network output is discarded; only
         // its FlowGNN embeddings are consumed, as in the ablation.
         let inner_fwd = self.inner.forward(g, input);
-        let embed = inner_fwd
-            .embeddings
-            .expect("TealModel always yields embeddings");
+        let Some(embed) = inner_fwd.embeddings else {
+            unreachable!("TealModel::forward always returns its embeddings")
+        };
         let nd = self.env().num_demands();
         let k = self.env().k();
-        let batch = input.batch;
-        let (rows, d) = g.value(embed).shape();
-        let flat = g.reshape(embed, batch, (rows / batch) * d);
+        let flat = g.reshape(embed, 1, g.value(embed).len());
         let mut bounds = inner_fwd.into_bounds();
         let (h, b0) = self.giant[0].forward(&self.store2, g, flat);
         bounds.push(b0);
         let a = g.leaky_relu(h, self.slope);
         let (out, b1) = self.giant[1].forward(&self.store2, g, a);
         bounds.push(b1);
-        let mu = g.reshape(out, batch * nd, k);
+        let mu = g.reshape(out, nd, k);
         let logstd = self.store2.bind(g, self.logstd);
         Forward::new(mu, None, logstd, bounds, self.logstd)
     }
@@ -381,7 +351,7 @@ impl PolicyModel for GlobalPolicyModel {
 mod tests {
     use super::*;
     use crate::coma::{train_coma, validate, ComaConfig};
-    use crate::model::{mu_to_allocations, TealConfig};
+    use crate::model::TealConfig;
     use teal_topology::{PathSet, Topology};
     use teal_traffic::{TrafficConfig, TrafficMatrix, TrafficModel};
 
@@ -486,46 +456,6 @@ mod tests {
             ..ComaConfig::default()
         };
         let _ = train_coma(&mut model, &tms, &tms, &cfg);
-    }
-
-    #[test]
-    fn ablation_models_batch_equals_sequential() {
-        let env = tiny_env();
-        let tms = traffic(&env, 3, 14);
-        let models: Vec<Box<dyn PolicyModel>> = vec![
-            Box::new(NaiveDnnModel::new(Arc::clone(&env), 16, 3, 5)),
-            Box::new(NaiveGnnModel::new(Arc::clone(&env), 12, 2, 6)),
-            Box::new(
-                GlobalPolicyModel::new(
-                    Arc::clone(&env),
-                    TealConfig {
-                        gnn_layers: 2,
-                        ..TealConfig::default()
-                    },
-                    16,
-                    10_000_000,
-                )
-                .unwrap(),
-            ),
-        ];
-        for model in &models {
-            // The stacked tape forward training uses, against the
-            // per-matrix call deployment makes.
-            let input = env.batch_input(&tms, None);
-            let mut g = Graph::new();
-            let fwd = model.forward(&mut g, &input);
-            let batched = mu_to_allocations(g.value(fwd.mu), input.batch);
-            assert_eq!(batched.len(), tms.len(), "{}", model.name());
-            for (tm, b) in tms.iter().zip(&batched) {
-                let seq = model.allocate_deterministic(&env.model_input(tm, None));
-                assert_eq!(
-                    b,
-                    &seq,
-                    "{}: stacked diverged from sequential",
-                    model.name()
-                );
-            }
-        }
     }
 
     #[test]

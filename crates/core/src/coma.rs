@@ -16,9 +16,8 @@
 
 use crate::env::Env;
 use crate::flowsim::{FlowSim, RewardKind};
-use crate::model::{Forward, PolicyModel};
+use crate::model::{mu_to_allocation, Forward, PolicyModel};
 use rand::Rng;
-use teal_lp::Allocation;
 use teal_nn::graph::softmax_row_inplace;
 use teal_nn::{rng, Adam, Graph, Tensor};
 use teal_traffic::TrafficMatrix;
@@ -45,10 +44,9 @@ pub struct ComaConfig {
     pub seed: u64,
     /// The reward signal (TE objective) to optimize — §5.5's flexibility.
     pub reward: RewardKind,
-    /// Traffic matrices per policy-gradient step: each minibatch runs one
-    /// batched forward/backward pass (one set of matrix products for the
-    /// whole batch) and one optimizer step. `1` reproduces per-matrix
-    /// stepping.
+    /// Traffic matrices per optimizer step. Each matrix records its own
+    /// tape (forward and backward); their gradients are summed in matrix
+    /// order before the one clip and Adam step. `1` steps per matrix.
     pub batch_size: usize,
 }
 
@@ -182,10 +180,11 @@ pub fn validate_reward(
     acc / tms.len() as f64
 }
 
-/// One policy-gradient step on a minibatch of traffic matrices: a single
-/// batched forward pass, per-matrix reward simulation and counterfactual
-/// advantages, then one backward pass and optimizer step for the whole
-/// batch. Returns the mean sampled reward as a fraction of total demand.
+/// One policy-gradient step on a minibatch of traffic matrices: one tape
+/// per matrix, per-matrix reward simulation and counterfactual advantages,
+/// then each tape's backward pass absorbed into the store in matrix order
+/// and one optimizer step for the whole minibatch. Returns the mean sampled
+/// reward as a fraction of total demand.
 fn train_step(
     model: &mut dyn PolicyModel,
     env: &Env,
@@ -195,35 +194,47 @@ fn train_step(
     sampler: &mut rand::rngs::StdRng,
 ) -> f64 {
     let batch = tms.len();
-    let input = env.batch_input(tms, None);
-    let mut g = Graph::new();
-    let fwd: Forward = model.forward(&mut g, &input);
     let nd = env.num_demands();
     let k = env.k();
+    let tapes: Vec<(Graph, Forward)> = tms
+        .iter()
+        .map(|tm| {
+            let mut g = Graph::new();
+            let fwd = model.forward(&mut g, &env.model_input(tm, None));
+            (g, fwd)
+        })
+        .collect();
+    let logstd = tapes[0].0.value(tapes[0].1.logstd);
+    let sigma: Vec<f32> = logstd.data().iter().map(|v| v.exp()).collect();
 
-    let mu = g.value(fwd.mu).clone(); // [B*D, k]
-    let sigma: Vec<f32> = g.value(fwd.logstd).data().iter().map(|v| v.exp()).collect();
-
-    // Sample the joint action in logit space for every matrix in the batch.
-    let mut actions = Tensor::zeros(batch * nd, k);
-    for r in 0..batch * nd {
-        for (j, &sig) in sigma.iter().enumerate().take(k) {
-            let eps = rng::normal(sampler) as f32;
-            actions.set(r, j, mu.get(r, j) + sig * eps);
-        }
-    }
+    // Sample the joint action in logit space for every matrix, matrix-major
+    // and before any counterfactual draw: the sampler's stream does not
+    // depend on the unit of work.
+    let actions: Vec<Tensor> = tapes
+        .iter()
+        .map(|(g, fwd)| {
+            let mu = g.value(fwd.mu); // [D, k]
+            let mut a = Tensor::zeros(nd, k);
+            for r in 0..nd {
+                for (j, &sig) in sigma.iter().enumerate().take(k) {
+                    let eps = rng::normal(sampler) as f32;
+                    a.set(r, j, mu.get(r, j) + sig * eps);
+                }
+            }
+            a
+        })
+        .collect();
 
     // Per-matrix rewards and counterfactual advantages (Eq. 2). Advantage
-    // normalization stays within each matrix's selected agents, matching the
-    // per-step semantics of the unbatched trainer.
+    // normalization stays within each matrix's selected agents.
     let mut advantages = vec![0.0f64; batch * nd];
     let mut selected_total = 0usize;
     let mut reward_frac_acc = 0.0f64;
     let mut splits_buf = vec![0.0f64; k];
     for (b, tm) in tms.iter().enumerate() {
         let row0 = b * nd;
-        let block = Tensor::from_vec(nd, k, actions.data()[row0 * k..(row0 + nd) * k].to_vec());
-        let alloc = logits_to_allocation(&block);
+        let mu = tapes[b].0.value(tapes[b].1.mu);
+        let alloc = mu_to_allocation(&actions[b]);
 
         let mut sim = FlowSim::with_reward(env, tm, None, cfg.reward);
         sim.set_allocation(&alloc);
@@ -247,7 +258,7 @@ fn train_step(
                 let mut logits = vec![0.0f32; k];
                 for (j, l) in logits.iter_mut().enumerate() {
                     let eps = rng::normal(sampler) as f32;
-                    *l = mu.get(row0 + d, j) + sigma[j] * eps;
+                    *l = mu.get(d, j) + sigma[j] * eps;
                 }
                 softmax_row_inplace(&mut logits);
                 for (buf, &l) in splits_buf.iter_mut().zip(&logits) {
@@ -275,31 +286,32 @@ fn train_step(
         reward_frac_acc += reward / total;
     }
 
-    // Policy-gradient loss on the tape:
+    // Policy-gradient loss, one tape per matrix:
     //   log π(a|s) = Σ_j [ -0.5 ((a_j - μ_j)/σ_j)^2 - logσ_j ] + const
-    //   loss = -(1/|S|) Σ_i A_i log π(a_i|s_i)
-    // with agents pooled across the whole minibatch.
-    let a_const = g.input(actions);
-    let diff = g.sub(a_const, fwd.mu);
-    let neg_logstd = g.scale(fwd.logstd, -1.0);
-    let inv_sigma = g.exp(neg_logstd);
-    let scaled = g.mul_row(diff, inv_sigma);
-    let sq = g.mul(scaled, scaled);
-    let half = g.scale(sq, -0.5);
-    let with_logstd = g.add_row(half, neg_logstd);
-    let logprob = g.sum_rows(with_logstd); // [B*D, 1]
-    let adv = g.input(Tensor::from_vec(
-        batch * nd,
-        1,
-        advantages.iter().map(|&a| a as f32).collect(),
-    ));
-    let weighted = g.mul(logprob, adv);
-    let total_w = g.sum_all(weighted);
-    let loss = g.scale(total_w, -1.0 / selected_total.max(1) as f32);
-    g.backward(loss);
-
+    //   loss_b = -(1/|S|) Σ_{i in b} A_i log π(a_i|s_i)
+    // with |S| the agents selected across the whole minibatch, so the
+    // tapes' losses sum to the minibatch loss. Their gradients accumulate
+    // in the store in ascending matrix order.
     model.store_mut().zero_grads();
-    model.absorb(&g, &fwd);
+    let scale = -1.0 / selected_total.max(1) as f32;
+    for (b, ((mut g, fwd), a)) in tapes.into_iter().zip(actions).enumerate() {
+        let a_const = g.input(a);
+        let diff = g.sub(a_const, fwd.mu);
+        let neg_logstd = g.scale(fwd.logstd, -1.0);
+        let inv_sigma = g.exp(neg_logstd);
+        let scaled = g.mul_row(diff, inv_sigma);
+        let sq = g.mul(scaled, scaled);
+        let half = g.scale(sq, -0.5);
+        let with_logstd = g.add_row(half, neg_logstd);
+        let logprob = g.sum_rows(with_logstd); // [D, 1]
+        let adv = advantages[b * nd..(b + 1) * nd].iter().map(|&a| a as f32);
+        let adv = g.input(Tensor::from_vec(nd, 1, adv.collect()));
+        let weighted = g.mul(logprob, adv);
+        let total_w = g.sum_all(weighted);
+        let loss = g.scale(total_w, scale);
+        g.backward(loss);
+        model.absorb(&g, &fwd);
+    }
     if cfg.grad_clip > 0.0 {
         model.store_mut().clip_grad_norm(cfg.grad_clip);
     }
@@ -311,18 +323,6 @@ fn train_step(
 /// Guard against infinities (e.g. MLU with zero-capacity links loaded).
 fn clamp_reward(r: f64) -> f64 {
     r.clamp(-1e9, 1e9)
-}
-
-/// Softmax each row of a logit tensor into an allocation.
-fn logits_to_allocation(logits: &Tensor) -> Allocation {
-    let (d, k) = logits.shape();
-    let mut splits = Vec::with_capacity(d * k);
-    for r in 0..d {
-        let mut row = logits.row(r).to_vec();
-        softmax_row_inplace(&mut row);
-        splits.extend(row.iter().map(|&v| v as f64));
-    }
-    Allocation::from_splits(k, splits)
 }
 
 #[cfg(test)]
@@ -381,6 +381,57 @@ mod tests {
         );
         assert_eq!(report.history.len(), 10);
         assert!((report.best_val_satisfied_pct - after).abs() < 1e-6);
+    }
+
+    #[test]
+    fn per_matrix_step_matches_the_stacked_step() {
+        // One step on four B4 matrices, with the Adam step a no-op (lr 0)
+        // and no clipping, against the reward fraction and the gradients
+        // the stacked single-tape step produced for the same seeds
+        // (`tests/data/coma_step_b4.txt`: a `reward_frac` line, then one
+        // line per parameter in registration order). The sampled actions
+        // and advantages are the same bits, so the reward is exact; the
+        // gradients sum the same terms in another order.
+        let golden = include_str!("../tests/data/coma_step_b4.txt");
+        let mut lines = golden.lines().map(|l| l.split_whitespace());
+        let env = Arc::new(Env::for_topology(teal_topology::b4()));
+        let mut model = TealModel::new(
+            Arc::clone(&env),
+            TealConfig {
+                gnn_layers: 3,
+                ..TealConfig::default()
+            },
+        );
+        let cfg = ComaConfig {
+            batch_size: 4,
+            grad_clip: 0.0,
+            lr: 0.0,
+            ..ComaConfig::default()
+        };
+        let tms = traffic(&env, 4, 31);
+        let (mut opt, mut sampler) = (Adam::new(cfg.lr), rng::seeded(17));
+        let frac = train_step(&mut model, &env, &tms, &cfg, &mut opt, &mut sampler);
+        let mut head = lines.next().unwrap();
+        assert_eq!(head.next(), Some("reward_frac"));
+        assert_eq!(frac, head.next().unwrap().parse::<f64>().unwrap());
+
+        let store = model.store();
+        for i in 0..store.len() {
+            let id = store.id_at(i);
+            let mut want = lines.next().unwrap();
+            assert_eq!(want.next(), Some(store.name(id)));
+            let got = store.grad(id).data();
+            let want: Vec<f32> = want.map(|v| v.parse().unwrap()).collect();
+            assert_eq!(got.len(), want.len(), "{}", store.name(id));
+            for (j, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-5 * w.abs().max(1.0),
+                    "{}[{j}]: per-matrix {g} vs stacked {w}",
+                    store.name(id)
+                );
+            }
+        }
+        assert!(lines.next().is_none(), "golden has more parameters");
     }
 
     #[test]

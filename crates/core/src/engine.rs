@@ -13,8 +13,8 @@
 //! reported as Teal's computation time in the paper's figures. Because the
 //! forward pass is a fixed sequence of matrix products and ADMM runs a fixed
 //! iteration count, the runtime is independent of the traffic values (the
-//! stability highlighted in Figure 7a). [`ServingContext::allocate_batch`]
-//! serves a whole window in two stages; the first is the window's one
+//! stability highlighted in Figure 7a). Every entry point serves a whole
+//! window in two stages; the first is the window's one
 //! parallel axis, a `teal_nn::pool` scoped fan-out. The forward stage is one
 //! pool job whose index is the matrix: the matrices of a window commute and
 //! share no write, so each runs its own forward pass on serial kernels and
@@ -25,26 +25,28 @@
 //! fine-tuning iteration repairs the whole window in a single pass over the
 //! shared incidence index, on the calling thread — no per-matrix solver
 //! loop remains on the serving hot path, and the stage submits no pool job.
-//! [`ServingContext::try_allocate_batch`] is the fallible variant: malformed
-//! requests surface as [`AllocError`] values (which the `teal-serve`
-//! dispatcher maps to per-request `BadRequest` replies) instead of panics.
+//! Malformed requests surface as [`AllocError`] values (which the
+//! `teal-serve` dispatcher maps to per-request `BadRequest` replies) instead
+//! of panics; [`ServingContext::allocate`] is the one panicking convenience.
 //!
-//! The ADMM stage of every batched call runs in a reusable [`BatchScratch`]
-//! (solver + arena + report buffers): dispatch lanes that retain one —
-//! [`ServingContext::try_allocate_batch_with`], as the `teal-serve` shards
-//! do — reuse every byte of ADMM solver state across windows from their
-//! second window onwards, and the plain entry points borrow scratches from
-//! a per-context pool so repeat callers get the same reuse without
-//! threading state. (The returned `Vec<Allocation>` is owned by the caller
-//! — replies consume it — so the *fully* allocation-free steady state,
-//! asserted by `teal-lp`'s counting-allocator test, belongs to callers
-//! that retain their output buffers and drive
+//! The ADMM stage of every call runs in a [`BatchScratch`] (solver, arena
+//! and report buffers). A caller that serves repeatedly keeps its own and
+//! passes it to [`ServingContext::try_allocate_batch_with`] or
+//! [`ServingContext::try_allocate_batch_on_with`], as the `teal-serve`
+//! shards and `teal-sim`'s `TealScheme` do: every byte of ADMM solver state
+//! is reused from its second window onwards. The scratch-less
+//! [`ServingContext::try_allocate_batch`] and
+//! [`ServingContext::try_allocate_batch_on`] are the one-shot form and run
+//! on a fresh scratch. (The returned `Vec<Allocation>` is owned by the
+//! caller — replies consume it — so the *fully* allocation-free steady
+//! state, asserted by `teal-lp`'s counting-allocator test, belongs to
+//! callers that retain their output buffers and drive
 //! `AdmmBatchSolver::run_batch_into` directly.) See [`BatchScratch`] for
 //! the ownership and weight-swap-safety rules.
 
 use crate::env::Env;
 use crate::model::PolicyModel;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, Objective};
 use teal_nn::checkpoint::CheckpointError;
@@ -274,13 +276,6 @@ pub struct ServingContext<M: PolicyModel> {
     cfg: EngineConfig,
     /// Prebuilt per-topology ADMM state (absent when fine-tuning is off).
     skeleton: Option<AdmmSkeleton>,
-    /// Arenas backing the scratch-less `allocate_batch` entry points: each
-    /// concurrent caller pops one for the duration of its window and
-    /// returns it, so repeat callers on the same context reuse ADMM state
-    /// buffers instead of re-minting them per window. Callers that want a
-    /// guaranteed-private arena (the `teal-serve` shards) pass their own
-    /// [`BatchScratch`] to [`ServingContext::try_allocate_batch_with`].
-    scratch_pool: Mutex<Vec<BatchScratch>>,
 }
 
 impl<M: PolicyModel> ServingContext<M> {
@@ -294,7 +289,6 @@ impl<M: PolicyModel> ServingContext<M> {
             model,
             cfg,
             skeleton,
-            scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -326,7 +320,6 @@ impl<M: PolicyModel> ServingContext<M> {
             model,
             cfg: self.cfg,
             skeleton: self.skeleton.clone(),
-            scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -357,65 +350,51 @@ impl<M: PolicyModel> ServingContext<M> {
         self.with_checkpoint_str(&data)
     }
 
-    /// Allocate a traffic matrix on the trained topology — a window of one
-    /// through [`ServingContext::allocate_batch`]. Returns the allocation
-    /// and the measured computation time.
+    /// Allocate one traffic matrix on the trained topology: a window of
+    /// one through [`ServingContext::try_allocate_batch`]. Returns the
+    /// allocation and the measured computation time. Panics on a malformed
+    /// matrix; callers that must survive bad requests, or that serve
+    /// repeatedly, use the `try_allocate_batch*` entry points.
     pub fn allocate(&self, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let (mut allocs, dt) = self.allocate_batch(std::slice::from_ref(tm));
-        (allocs.pop().expect("a window of one"), dt)
+        let (mut allocs, dt) = self
+            .try_allocate_batch(std::slice::from_ref(tm))
+            .unwrap_or_else(|e| panic!("allocate: {e}"));
+        let alloc = allocs
+            .pop()
+            .unwrap_or_else(|| unreachable!("a window of one returns one allocation"));
+        (alloc, dt)
     }
 
-    /// Allocate against a topology with altered capacities (e.g. failed
-    /// links zeroed) *without retraining* — the §5.3 scenario, as a window
-    /// of one through [`ServingContext::allocate_batch_on`]. Paths stay the
-    /// ones precomputed on the original topology; only the capacity vector
-    /// of the ADMM skeleton is rebuilt, and candidate paths crossing a
-    /// zero-capacity link are masked out of the final allocation (flow on a
-    /// dead link can never be delivered — the §5.3 recovery invariant).
-    pub fn allocate_on(&self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let (mut allocs, dt) = self.allocate_batch_on(topo, std::slice::from_ref(tm));
-        (allocs.pop().expect("a window of one"), dt)
-    }
-
-    /// Allocate a whole batch of traffic matrices: one forward pass per
-    /// matrix, the matrices spread over the pool, then one batched ADMM
-    /// sweep fine-tuning the whole window in a single pass per iteration
-    /// over the shared incidence index. Returns the allocations (aligned
-    /// with `tms`) and the total wall-clock time. Panics on malformed
-    /// input; services that must survive bad requests use
-    /// [`ServingContext::try_allocate_batch`].
-    pub fn allocate_batch(&self, tms: &[TrafficMatrix]) -> (Vec<Allocation>, Duration) {
-        self.try_allocate_batch(tms)
-            .unwrap_or_else(|e| panic!("allocate_batch: {e}"))
-    }
-
-    /// Batched allocation against a failure-modified topology.
-    pub fn allocate_batch_on(
-        &self,
-        topo: &Topology,
-        tms: &[TrafficMatrix],
-    ) -> (Vec<Allocation>, Duration) {
-        self.try_allocate_batch_on(topo, tms)
-            .unwrap_or_else(|e| panic!("allocate_batch_on: {e}"))
-    }
-
-    /// Fallible batched allocation: a malformed matrix or a panicking ADMM
-    /// stage comes back as an [`AllocError`] identifying the offender instead
-    /// of a panic, so a dispatcher can fail one request and keep serving.
+    /// Allocate a window of traffic matrices on a fresh [`BatchScratch`]:
+    /// one forward pass per matrix, the matrices spread over the pool, then
+    /// one batched ADMM sweep fine-tuning the whole window in a single pass
+    /// per iteration over the shared incidence index. Returns the
+    /// allocations (aligned with `tms`) and the total wall-clock time. A
+    /// malformed matrix or a panicking ADMM stage comes back as an
+    /// [`AllocError`] identifying the offender instead of a panic, so a
+    /// dispatcher can fail one request and keep serving. The one-shot form:
+    /// a caller that serves repeatedly keeps a scratch and calls
+    /// [`ServingContext::try_allocate_batch_with`].
     pub fn try_allocate_batch(
         &self,
         tms: &[TrafficMatrix],
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.with_pooled_scratch(|scratch| self.allocate_batch_inner_with(tms, None, scratch))
+        self.allocate_batch_inner_with(tms, None, &mut BatchScratch::new())
     }
 
-    /// Fallible batched allocation on a failure-modified topology.
+    /// [`ServingContext::try_allocate_batch`] against a topology with
+    /// altered capacities (e.g. failed links zeroed) *without retraining* —
+    /// the §5.3 scenario. Paths stay the ones precomputed on the original
+    /// topology; only the capacity vector of the ADMM skeleton is rebuilt,
+    /// and candidate paths crossing a zero-capacity link are masked out of
+    /// the final allocation (flow on a dead link can never be delivered —
+    /// the §5.3 recovery invariant).
     pub fn try_allocate_batch_on(
         &self,
         topo: &Topology,
         tms: &[TrafficMatrix],
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
-        self.with_pooled_scratch(|scratch| self.allocate_batch_inner_with(tms, Some(topo), scratch))
+        self.allocate_batch_inner_with(tms, Some(topo), &mut BatchScratch::new())
     }
 
     /// [`ServingContext::try_allocate_batch`] with a caller-owned
@@ -448,26 +427,6 @@ impl<M: PolicyModel> ServingContext<M> {
         scratch: &mut BatchScratch,
     ) -> Result<(Vec<Allocation>, Duration), AllocError> {
         self.allocate_batch_inner_with(tms, Some(topo), scratch)
-    }
-
-    /// Run one window of a scratch-less entry point on a scratch borrowed
-    /// from the context's pool (minted on first use), so repeat callers
-    /// reuse ADMM state buffers without threading a [`BatchScratch`]
-    /// themselves. The scratch goes back even after an error: a poisoned
-    /// window leaves only dead buffer contents behind, fully reset on next
-    /// use. The lock is poison-recovering for the same reason — the pool is
-    /// a `Vec` of such scratches, valid at every panic point, and a panic on
-    /// another thread must not take the serving path down with it.
-    fn with_pooled_scratch<R>(&self, window: impl FnOnce(&mut BatchScratch) -> R) -> R {
-        let pool = || {
-            self.scratch_pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        };
-        let mut scratch = pool().pop().unwrap_or_default();
-        let res = window(&mut scratch);
-        pool().push(scratch);
-        res
     }
 
     fn allocate_batch_inner_with(
@@ -525,7 +484,10 @@ impl<M: PolicyModel> ServingContext<M> {
         });
         let raw: Vec<Allocation> = slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("pool::run ran every index"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|| unreachable!("pool::run runs every index before it returns"))
+            })
             .collect();
         let mut out = match (self.cfg.admm, &self.skeleton) {
             (Some(admm_cfg), Some(skel)) => {
@@ -616,6 +578,18 @@ mod tests {
         ServingContext::new(model, EngineConfig::paper_default(12))
     }
 
+    /// `tm` served alone on the failure-modified `topo`.
+    fn allocate_on(
+        eng: &ServingContext<TealModel>,
+        topo: &Topology,
+        tm: &TrafficMatrix,
+    ) -> Allocation {
+        let (mut allocs, _) = eng
+            .try_allocate_batch_on(topo, std::slice::from_ref(tm))
+            .expect("window of one");
+        allocs.remove(0)
+    }
+
     #[test]
     fn allocate_is_demand_feasible() {
         let eng = engine();
@@ -656,7 +630,7 @@ mod tests {
         let tm = TrafficMatrix::new(vec![20.0; eng.env().num_demands()]);
         let (base, _) = eng.allocate(&tm);
         let failed = eng.env().topo().with_failed_link(0, 1);
-        let (after, _) = eng.allocate_on(&failed, &tm);
+        let after = allocate_on(&eng, &failed, &tm);
         assert_ne!(base, after);
     }
 
@@ -724,7 +698,7 @@ mod tests {
         let tms: Vec<TrafficMatrix> = (0..5)
             .map(|i| TrafficMatrix::new(vec![10.0 + 17.0 * i as f64; nd]))
             .collect();
-        let (batched, _) = eng.allocate_batch(&tms);
+        let (batched, _) = eng.try_allocate_batch(&tms).expect("window");
         assert_eq!(batched.len(), tms.len());
         for (tm, b) in tms.iter().zip(&batched) {
             let (seq, _) = eng.allocate(tm);
@@ -761,7 +735,7 @@ mod tests {
         let tms: Vec<TrafficMatrix> = (0..7)
             .map(|i| TrafficMatrix::new(vec![0.5 + 40.0 * i as f64; nd]))
             .collect();
-        let (batched, _) = eng.allocate_batch(&tms);
+        let (batched, _) = eng.try_allocate_batch(&tms).expect("window");
         for (tm, b) in tms.iter().zip(&batched) {
             let (seq, _) = eng.allocate(tm);
             assert_eq!(b, &seq, "early-stopped batched diverged from sequential");
@@ -792,9 +766,9 @@ mod tests {
         let tms: Vec<TrafficMatrix> = (0..4)
             .map(|i| TrafficMatrix::new(vec![15.0 + 9.0 * i as f64; nd]))
             .collect();
-        let (batched, _) = eng.allocate_batch_on(&failed, &tms);
+        let (batched, _) = eng.try_allocate_batch_on(&failed, &tms).expect("window");
         for (tm, alloc) in tms.iter().zip(&batched) {
-            let (seq, _) = eng.allocate_on(&failed, tm);
+            let seq = allocate_on(&eng, &failed, tm);
             assert_eq!(alloc, &seq, "batched diverged from sequential");
             let inst = env.instance_on(&failed, tm);
             let stats = teal_lp::evaluate(&inst, alloc);
@@ -840,9 +814,9 @@ mod tests {
         let tms: Vec<TrafficMatrix> = (0..3)
             .map(|i| TrafficMatrix::new(vec![8.0 + i as f64; nd]))
             .collect();
-        let (batched, _) = eng.allocate_batch_on(&failed, &tms);
+        let (batched, _) = eng.try_allocate_batch_on(&failed, &tms).expect("window");
         for (tm, b) in tms.iter().zip(&batched) {
-            let (seq, _) = eng.allocate_on(&failed, tm);
+            let seq = allocate_on(&eng, &failed, tm);
             assert_eq!(b, &seq, "batched diverged from sequential");
         }
     }

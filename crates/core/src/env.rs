@@ -93,11 +93,12 @@ impl Env {
         self.batch_input(std::slice::from_ref(tm), topo_override)
     }
 
-    /// Batched model inputs: one forward pass consumes a whole minibatch of
-    /// traffic matrices. Per-matrix blocks are stacked vertically (batch ⊗
-    /// rows), so `path_init` is `[batch * num_paths, 1]` and `edge_init` is
-    /// `[batch * num_edges, 1]`; the edge block is replicated per matrix
-    /// (capacities are shared across the batch).
+    /// Stacked model inputs for [`crate::TealModel::infer_mu`]: per-matrix
+    /// blocks stacked vertically (batch ⊗ rows), so `path_init` is
+    /// `[batch * num_paths, 1]` and `edge_init` is `[batch * num_edges, 1]`;
+    /// the edge block is replicated per matrix (capacities are shared across
+    /// the batch). Serving and training take one matrix at a time; only the
+    /// repo benchmark's layer ledger still stacks.
     pub fn batch_input(
         &self,
         tms: &[TrafficMatrix],
@@ -182,9 +183,9 @@ fn incidence_of(paths: &PathSet) -> CsrPair {
     }
 }
 
-/// Model-input tensors for a minibatch of traffic matrices. Per-matrix
-/// blocks are stacked vertically; `batch == 1` reproduces the original
-/// single-matrix layout exactly.
+/// Model-input tensors for one traffic matrix (`batch == 1`), or for a
+/// vertical stack of per-matrix blocks, which only tape-free inference
+/// takes.
 #[derive(Clone, Debug)]
 pub struct ModelInput {
     /// `[batch * num_paths, 1]` — demand volume of the path's demand
@@ -195,24 +196,6 @@ pub struct ModelInput {
     pub edge_init: Tensor,
     /// Number of traffic matrices stacked in this input.
     pub batch: usize,
-}
-
-impl ModelInput {
-    /// Extract the single-matrix input of batch element `b`.
-    pub fn element(&self, b: usize) -> ModelInput {
-        assert!(
-            b < self.batch,
-            "batch element {b} out of range {}",
-            self.batch
-        );
-        let p = self.path_init.rows() / self.batch;
-        let e = self.edge_init.rows() / self.batch;
-        ModelInput {
-            path_init: Tensor::from_vec(p, 1, self.path_init.data()[b * p..(b + 1) * p].to_vec()),
-            edge_init: Tensor::from_vec(e, 1, self.edge_init.data()[b * e..(b + 1) * e].to_vec()),
-            batch: 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,11 +269,6 @@ mod tests {
         assert_eq!(&batched.path_init.data()[p..], single_b.path_init.data());
         assert_eq!(&batched.edge_init.data()[..e], single_a.edge_init.data());
         assert_eq!(&batched.edge_init.data()[e..], single_b.edge_init.data());
-        // Element extraction round-trips.
-        let elem = batched.element(1);
-        assert_eq!(elem.batch, 1);
-        assert_eq!(elem.path_init, single_b.path_init);
-        assert_eq!(elem.edge_init, single_b.edge_init);
     }
 
     #[test]

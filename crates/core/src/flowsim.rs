@@ -10,6 +10,7 @@
 //! perturbed demand touches.
 
 use crate::env::Env;
+use teal_lp::flow::{latency_discounts, survival_ratio};
 use teal_lp::Allocation;
 use teal_traffic::TrafficMatrix;
 
@@ -74,20 +75,7 @@ impl<'a> FlowSim<'a> {
         };
         let num_paths = env.paths().num_paths();
         let pweights = match kind {
-            RewardKind::DelayPenalized(gamma) => {
-                let max_w = env
-                    .paths()
-                    .paths()
-                    .iter()
-                    .map(|p| p.weight)
-                    .fold(0.0f64, f64::max)
-                    .max(1e-12);
-                env.paths()
-                    .paths()
-                    .iter()
-                    .map(|p| (1.0 - gamma * p.weight / max_w).max(0.0))
-                    .collect()
-            }
+            RewardKind::DelayPenalized(gamma) => latency_discounts(env.paths(), gamma),
             _ => vec![1.0; num_paths],
         };
         FlowSim {
@@ -148,7 +136,7 @@ impl<'a> FlowSim<'a> {
             }
         }
         for e in 0..self.loads.len() {
-            self.ratios[e] = ratio(self.loads[e], self.caps[e]);
+            self.ratios[e] = survival_ratio(self.loads[e], self.caps[e]);
         }
         self.total_realized = 0.0;
         for p in 0..self.splits.len() {
@@ -210,7 +198,7 @@ impl<'a> FlowSim<'a> {
         //    bottleneck may move.
         let mut affected: Vec<u32> = Vec::new();
         for &(e, _, old_ratio) in &changed_edges {
-            self.ratios[e] = ratio(self.loads[e], self.caps[e]);
+            self.ratios[e] = survival_ratio(self.loads[e], self.caps[e]);
             if (self.ratios[e] - old_ratio).abs() > 1e-15 {
                 affected.extend_from_slice(self.env.paths().paths_on_edge(e));
             }
@@ -252,16 +240,6 @@ impl<'a> FlowSim<'a> {
     pub fn full_reward(&mut self, alloc: &Allocation) -> f64 {
         self.set_allocation(alloc);
         self.reward()
-    }
-}
-
-fn ratio(load: f64, cap: f64) -> f64 {
-    if load <= cap || load <= 0.0 {
-        1.0
-    } else if cap <= 0.0 {
-        0.0
-    } else {
-        cap / load
     }
 }
 

@@ -19,18 +19,18 @@
 //! window of matrices served together: the forward pass once per matrix,
 //! matrices spread over cores, then one batched ADMM sweep.
 //!
-//! * **Batch shapes.** [`Env::batch_input`] stacks a minibatch of traffic
-//!   matrices as vertical per-matrix blocks: `path_init` is
-//!   `[batch * num_paths, 1]` and `edge_init` is `[batch * num_edges, 1]`
-//!   ([`ModelInput::batch`] records the count; `batch == 1` is exactly the
-//!   single-matrix layout). Dense layers are row-wise and handle the stack
-//!   unchanged; message passing applies the incidence operator
-//!   block-diagonally (`spmm_batch`), and the per-demand reshape groups
-//!   `batch * num_demands` rows. Training minibatches (and the repo
-//!   benchmark's layer ledger) use the stack; [`mu_to_allocations`] turns
-//!   its `[batch * D, k]` logits into per-matrix allocations equal, bit for
-//!   bit, to per-matrix [`PolicyModel::allocate_deterministic`] outputs
-//!   (every kernel is row-wise; property-tested). Serving does not stack.
+//! * **One matrix per unit of work.** Serving forwards each matrix on its
+//!   own ([`Env::model_input`], `batch == 1`), and training records one
+//!   tape per matrix. Only the pinned repo benchmark's layer ledger still
+//!   stacks: [`Env::batch_input`] lays a window out as vertical per-matrix
+//!   blocks (`path_init` is `[batch * num_paths, 1]`, `edge_init` is
+//!   `[batch * num_edges, 1]`, [`ModelInput::batch`] records the count),
+//!   which [`TealModel::infer_mu`] runs with the incidence operator applied
+//!   block-diagonally, and [`mu_to_allocations`] turns the `[batch * D, k]`
+//!   logits into per-matrix allocations equal, bit for bit, to per-matrix
+//!   [`PolicyModel::allocate_deterministic`] outputs (every kernel is
+//!   row-wise; property-tested). A recorded forward given a stacked input
+//!   panics.
 //! * **ServingContext lifecycle.** [`ServingContext`] is built once per
 //!   topology from a trained model plus an [`teal_lp::AdmmSkeleton`] (the
 //!   path-edge incidence index, normalized capacities, and objective
@@ -40,8 +40,8 @@
 //!   link-failure overrides swap only the capacity vector. All methods
 //!   take `&self`, so one `Arc<ServingContext>` serves concurrent callers
 //!   from many threads.
-//! * **Throughput path.** [`ServingContext::allocate_batch`] runs the
-//!   forward stage as one `teal_nn::pool` job whose index is the matrix:
+//! * **Throughput path.** [`ServingContext::try_allocate_batch_with`] runs
+//!   the forward stage as one `teal_nn::pool` job whose index is the matrix:
 //!   the matrices of a window commute and share no write, so one matrix is
 //!   the unit of work, its tape-free forward pass
 //!   ([`PolicyModel::allocate_deterministic`]) runs on serial kernels with
@@ -57,10 +57,11 @@
 //!   a panicking ADMM stage as [`AllocError`] values for isolation. What a
 //!   window costs is the `BENCHMARK.json` rows `lp.admm.run_batch_ms` and
 //!   `core.engine.window_ms` on `wan1024_window`.
-//! * **Training.** [`coma::train_coma`] consumes minibatches
-//!   (`ComaConfig::batch_size`) with one batched forward/backward pass and
-//!   one optimizer step per minibatch; validation scores per-matrix
-//!   deterministic allocations.
+//! * **Training.** [`coma::train_coma`] steps once per minibatch of
+//!   `ComaConfig::batch_size` matrices: one tape per matrix, forward and
+//!   backward, the gradients summed into the store in matrix order, then
+//!   one clip and one Adam step. Validation scores per-matrix deterministic
+//!   allocations.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
 // audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
 // crate's unsafe inventory docs).

@@ -105,7 +105,9 @@ pub trait PolicyModel: Send + Sync {
     /// The environment the model was built for.
     fn env(&self) -> &Arc<Env>;
 
-    /// Run the forward pass on a fresh tape.
+    /// Run the forward pass of one traffic matrix on a fresh tape. A stacked
+    /// input panics: training records one tape per matrix, and only
+    /// tape-free inference takes a stack.
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward;
 
     /// Parameter store (for the optimizer).
@@ -128,19 +130,24 @@ pub trait PolicyModel: Send + Sync {
     /// mode, Appendix B — "the mean value of the Gaussian is directly used
     /// as the action during deployment").
     fn allocate_deterministic(&self, input: &ModelInput) -> Allocation {
-        assert_eq!(
-            input.batch, 1,
-            "allocate_deterministic takes a single-matrix input"
-        );
         let mut g = Graph::new();
         let fwd = self.forward(&mut g, input);
         mu_to_allocation(g.value(fwd.mu))
     }
 }
 
+/// Panic unless `input` holds one traffic matrix: every recorded forward
+/// starts here.
+pub(crate) fn assert_single_matrix(input: &ModelInput) {
+    assert_eq!(
+        input.batch, 1,
+        "a recorded forward takes a single-matrix input"
+    );
+}
+
 /// Convert a `[D, k]` logit tensor to a softmax allocation.
 pub fn mu_to_allocation(mu: &Tensor) -> Allocation {
-    mu_to_allocations(mu, 1).pop().expect("batch of one")
+    rows_to_allocation(mu, 0..mu.rows(), &mut vec![0.0f32; mu.cols()])
 }
 
 /// Split a `[batch * D, k]` logit tensor into per-matrix softmax allocations.
@@ -151,20 +158,24 @@ pub fn mu_to_allocations(mu: &Tensor, batch: usize) -> Vec<Allocation> {
         "logit rows {rows} not divisible by batch {batch}"
     );
     let d = rows / batch;
-    let mut out = Vec::with_capacity(batch);
-    // One k-wide f32 row reused for every demand: softmax stays in f32 and
-    // is widened afterwards, with no allocation per row.
     let mut row = vec![0.0f32; k];
-    for b in 0..batch {
-        let mut splits = Vec::with_capacity(d * k);
-        for r in b * d..(b + 1) * d {
-            row.copy_from_slice(mu.row(r));
-            softmax_row_inplace(&mut row);
-            splits.extend(row.iter().map(|&v| v as f64));
-        }
-        out.push(Allocation::from_splits(k, splits));
+    (0..batch)
+        .map(|b| rows_to_allocation(mu, b * d..(b + 1) * d, &mut row))
+        .collect()
+}
+
+/// Softmax the logit rows `rows` of `mu` into one allocation. `row` is one
+/// k-wide f32 buffer reused for every demand: softmax stays in f32 and is
+/// widened afterwards, with no allocation per row.
+fn rows_to_allocation(mu: &Tensor, rows: std::ops::Range<usize>, row: &mut [f32]) -> Allocation {
+    let k = mu.cols();
+    let mut splits = Vec::with_capacity(rows.len() * k);
+    for r in rows {
+        row.copy_from_slice(mu.row(r));
+        softmax_row_inplace(row);
+        splits.extend(row.iter().map(|&v| v as f64));
     }
-    out
+    Allocation::from_splits(k, splits)
 }
 
 /// FlowGNN: alternating bipartite GNN layers (capacity constraints) and
@@ -228,7 +239,9 @@ impl FlowGnn {
     /// Tape-free inference forward: the same arithmetic as
     /// [`FlowGnn::forward`] on plain tensors, with every intermediate freed
     /// as soon as the next layer has consumed it. Deployment runs this, one
-    /// matrix per call; training uses the recorded variant.
+    /// matrix per call; training uses the recorded variant. A stacked input
+    /// (which only the repo benchmark's layer ledger still passes) runs the
+    /// incidence operator block-diagonally, bit-identical per block.
     fn infer(&self, store: &ParamStore, env: &Env, input: &ModelInput) -> Tensor {
         let a = env.incidence();
         let batch = input.batch;
@@ -262,10 +275,8 @@ impl FlowGnn {
         p
     }
 
-    /// Forward: returns PathNode embeddings `[batch * P, out_dim]`. The
-    /// batch dimension rides along as vertically stacked per-matrix blocks:
-    /// dense layers are row-wise and need no change, and message passing
-    /// applies the incidence operator block-diagonally via `spmm_batch`.
+    /// Recorded forward of one matrix: returns PathNode embeddings
+    /// `[P, out_dim]`.
     fn forward(
         &self,
         store: &ParamStore,
@@ -276,7 +287,6 @@ impl FlowGnn {
     ) -> Var {
         let a = env.incidence(); // paths x edges
         let at = a.transposed();
-        let batch = input.batch;
         let path_init = g.input(input.path_init.clone());
         let edge_init = g.input(input.edge_init.clone());
         let mut p = path_init;
@@ -286,8 +296,8 @@ impl FlowGnn {
         let layers = self.path_layers.len();
         for l in 0..layers {
             // GNN sublayer: bipartite message passing (capacity constraints).
-            let msg_to_path = g.spmm_batch(a, e, batch); // [B*P, d]
-            let msg_to_edge = g.spmm_batch(&at, p, batch); // [B*E, d]
+            let msg_to_path = g.spmm(a, e); // [P, d]
+            let msg_to_edge = g.spmm(&at, p); // [E, d]
             let p_cat = g.concat_cols(p, msg_to_path);
             let (p_act, b1) = self.path_layers[l].forward_act(store, g, p_cat, self.slope);
             bounds.push(b1);
@@ -297,10 +307,10 @@ impl FlowGnn {
             // DNN sublayer: coordinate the k PathNodes of each demand
             // (demand constraints).
             let d = self.path_layers[l].out_dim();
-            let grouped = g.reshape(p_act, batch * num_demands, k * d);
+            let grouped = g.reshape(p_act, num_demands, k * d);
             let (dnn_act, b3) = self.dnn_layers[l].forward_act(store, g, grouped, self.slope);
             bounds.push(b3);
-            p = g.reshape(dnn_act, batch * num_demands * k, d);
+            p = g.reshape(dnn_act, num_demands * k, d);
             e = e_act;
             // Dimension growth: re-append the initialization values (§4).
             if l + 1 < layers {
@@ -446,16 +456,13 @@ impl PolicyModel for TealModel {
     }
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
+        assert_single_matrix(input);
         let mut bounds = Vec::new();
         let embed = self
             .gnn
             .forward(&self.store, g, &self.env, input, &mut bounds);
         let k = self.env.k();
-        let flat = g.reshape(
-            embed,
-            input.batch * self.env.num_demands(),
-            k * self.gnn.out_dim(),
-        );
+        let flat = g.reshape(embed, self.env.num_demands(), k * self.gnn.out_dim());
         let mu = self.policy.forward(&self.store, g, flat, &mut bounds);
         let logstd = self.store.bind(g, self.logstd);
         Forward::new(mu, Some(embed), logstd, bounds, self.logstd)
@@ -521,23 +528,36 @@ mod tests {
 
     #[test]
     fn tape_free_inference_matches_recorded_forward() {
-        // The serving path (infer_mu) and the training path (forward on a
-        // tape) must produce the same logits bit for bit: same kernels, same
-        // accumulation order.
+        // The serving path (infer_mu) and the training path (one tape per
+        // matrix) must produce the same logits bit for bit: same kernels,
+        // same accumulation order. Block b of a stacked inference is matrix
+        // b's tape.
         let env = small_env();
         let model = TealModel::new(Arc::clone(&env), TealConfig::default());
         let tms: Vec<TrafficMatrix> = (0..2)
             .map(|i| TrafficMatrix::new(vec![3.0 + 9.0 * i as f64; env.num_demands()]))
             .collect();
-        let input = env.batch_input(&tms, None);
-        let mut g = Graph::new();
-        let fwd = model.forward(&mut g, &input);
-        let recorded = g.value(fwd.mu);
-        let inferred = model.infer_mu(&input);
-        assert_eq!(
-            &inferred, recorded,
-            "tape-free inference diverged from the recorded forward"
-        );
+        let inferred = model.infer_mu(&env.batch_input(&tms, None));
+        let block = env.num_demands() * env.k();
+        for (b, tm) in tms.iter().enumerate() {
+            let mut g = Graph::new();
+            let fwd = model.forward(&mut g, &env.model_input(tm, None));
+            assert_eq!(
+                &inferred.data()[b * block..(b + 1) * block],
+                g.value(fwd.mu).data(),
+                "tape-free inference diverged from matrix {b}'s recorded forward"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "single-matrix input")]
+    fn recorded_forward_refuses_a_stacked_input() {
+        let env = small_env();
+        let model = TealModel::new(Arc::clone(&env), TealConfig::default());
+        let tm = TrafficMatrix::new(vec![1.0; env.num_demands()]);
+        let input = env.batch_input(&[tm.clone(), tm], None);
+        let _ = model.forward(&mut Graph::new(), &input);
     }
 
     #[test]
@@ -548,16 +568,13 @@ mod tests {
             .map(|i| TrafficMatrix::new(vec![2.0 + 3.0 * i as f64; env.num_demands()]))
             .collect();
         let input = env.batch_input(&tms, None);
-        let mut g = Graph::new();
-        let fwd = model.forward(&mut g, &input);
-        assert_eq!(g.value(fwd.mu).shape(), (3 * env.num_demands(), 4));
-        let emb = fwd.embeddings.unwrap();
-        assert_eq!(g.value(emb).shape(), (3 * env.paths().num_paths(), 6));
+        let mu = model.infer_mu(&input);
+        assert_eq!(mu.shape(), (3 * env.num_demands(), 4));
 
-        // The stacked input training and the benchmark still use, against
-        // the per-matrix call serving makes: every kernel is row-wise, so
-        // the two agree to the bit.
-        let batched = mu_to_allocations(&model.infer_mu(&input), input.batch);
+        // The stacked input the benchmark still uses, against the
+        // per-matrix call serving makes: every kernel is row-wise, so the
+        // two agree to the bit.
+        let batched = mu_to_allocations(&mu, input.batch);
         assert_eq!(batched.len(), 3);
         for (tm, b) in tms.iter().zip(&batched) {
             let seq = model.allocate_deterministic(&env.model_input(tm, None));

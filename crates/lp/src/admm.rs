@@ -280,19 +280,7 @@ impl AdmmSkeleton {
         let caps: Vec<f64> = topo.edges().iter().map(|e| e.capacity * alpha).collect();
 
         let discount: Vec<f64> = match obj {
-            Objective::DelayPenalizedFlow(gamma) => {
-                let max_w = paths
-                    .paths()
-                    .iter()
-                    .map(|p| p.weight)
-                    .fold(0.0f64, f64::max)
-                    .max(1e-12);
-                paths
-                    .paths()
-                    .iter()
-                    .map(|p| (1.0 - gamma * p.weight / max_w).max(0.0))
-                    .collect()
-            }
+            Objective::DelayPenalizedFlow(gamma) => crate::flow::latency_discounts(paths, gamma),
             _ => vec![1.0; paths.num_paths()],
         };
 

@@ -9,6 +9,37 @@
 //! metric of §5.1 is realized flow normalized by total demand.
 
 use crate::problem::{Allocation, Objective, TeInstance};
+use teal_topology::PathSet;
+
+/// Share of an edge's intended load that survives proportional
+/// reconciliation: `min(1, capacity / load)`, and 0 on a dead link that
+/// carries load.
+pub fn survival_ratio(load: f64, capacity: f64) -> f64 {
+    if load <= capacity || load <= 0.0 {
+        1.0
+    } else if capacity <= 0.0 {
+        0.0
+    } else {
+        capacity / load
+    }
+}
+
+/// Per-path latency discount of the delay-penalized objective (Figure 12),
+/// indexed by path id: `(1 − γ·w/max_w).max(0)` for a path of weight `w`,
+/// where `max_w` is the heaviest candidate path's weight.
+pub fn latency_discounts(paths: &PathSet, gamma: f64) -> Vec<f64> {
+    let max_w = paths
+        .paths()
+        .iter()
+        .map(|p| p.weight)
+        .fold(0.0f64, f64::max)
+        .max(1e-12);
+    paths
+        .paths()
+        .iter()
+        .map(|p| (1.0 - gamma * p.weight / max_w).max(0.0))
+        .collect()
+}
 
 /// Evaluation results for one allocation against one traffic matrix.
 #[derive(Clone, Debug)]
@@ -77,19 +108,10 @@ pub fn evaluate_with_gamma(inst: &TeInstance, alloc: &Allocation, delay_gamma: f
         }
     }
 
-    // Per-edge survival ratio.
     let ratios: Vec<f64> = loads
         .iter()
         .zip(inst.topo.edges())
-        .map(|(&l, e)| {
-            if l <= e.capacity || l <= 0.0 {
-                1.0
-            } else if e.capacity <= 0.0 {
-                0.0
-            } else {
-                e.capacity / l
-            }
-        })
+        .map(|(&l, e)| survival_ratio(l, e.capacity))
         .collect();
 
     let mut max_util = 0.0f64;
@@ -104,13 +126,7 @@ pub fn evaluate_with_gamma(inst: &TeInstance, alloc: &Allocation, delay_gamma: f
     }
 
     // Pass 2: realized flow per path.
-    let max_w = inst
-        .paths
-        .paths()
-        .iter()
-        .map(|p| p.weight)
-        .fold(0.0f64, f64::max)
-        .max(1e-12);
+    let discounts = latency_discounts(inst.paths, delay_gamma);
     let mut realized = 0.0f64;
     let mut delay_pen = 0.0f64;
     for d in 0..inst.num_demands() {
@@ -126,7 +142,7 @@ pub fn evaluate_with_gamma(inst: &TeInstance, alloc: &Allocation, delay_gamma: f
             let r = path.edges.iter().map(|&e| ratios[e]).fold(1.0f64, f64::min);
             let f = s * vol * r;
             realized += f;
-            delay_pen += f * (1.0 - delay_gamma * path.weight / max_w).max(0.0);
+            delay_pen += f * discounts[d * k + j];
         }
     }
 

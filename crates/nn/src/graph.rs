@@ -3,9 +3,11 @@
 //! A [`Graph`] records every operation executed during a forward pass as a
 //! node on a tape. Because nodes are appended in execution order, the tape is
 //! already topologically sorted and the backward pass is a single reverse
-//! sweep. This mirrors how PyTorch (the paper's substrate) drives training,
-//! scoped down to exactly the operators FlowGNN, the policy network, and the
-//! surrogate-loss ablation need.
+//! sweep. This mirrors how PyTorch (the paper's substrate) drives training.
+//! The tape has only the operators something records: FlowGNN, the policy
+//! network, COMA*'s policy-gradient loss, the surrogate-loss trainer and the
+//! §5.7 ablation models. One tape holds one traffic matrix; a training
+//! minibatch is one tape per matrix.
 //!
 //! Gradient correctness for every operator is cross-checked against central
 //! finite differences in this module's tests and in property tests.
@@ -25,10 +27,6 @@ enum Op {
     MatMul(Var, Var),
     /// Fixed-structure sparse times dense: `y = A x`.
     SpMM(CsrPair, Var),
-    /// Batched sparse times dense: `x` stacks `batch` blocks of `A.cols`
-    /// rows vertically; `y` stacks the `batch` products. Backward applies
-    /// `A^T` to each block of `dy`.
-    SpMMBatch(CsrPair, Var, usize),
     /// Fused dense layer `y = leaky(x w + b)` (slope 0 = ReLU, slope 1 =
     /// identity). One output buffer instead of the three a
     /// matmul/add_row/leaky chain allocates; the backward recovers the
@@ -39,7 +37,6 @@ enum Op {
         b: Var,
         slope: f32,
     },
-    Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
     /// `a [m,n] + b [1,n]`, broadcasting `b` over rows (bias add).
@@ -47,9 +44,7 @@ enum Op {
     /// `a [m,n] * b [1,n]`, broadcasting `b` over rows.
     MulRow(Var, Var),
     Scale(Var, f32),
-    AddScalar(Var),
     LeakyRelu(Var, f32),
-    Tanh(Var),
     Exp(Var),
     SoftmaxRows(Var),
     /// Shape change over the same row-major buffer.
@@ -62,7 +57,6 @@ enum Op {
     SumRows(Var),
     /// `[m,n] -> [1,1]` total sum.
     SumAll(Var),
-    MeanAll(Var),
 }
 
 struct Node {
@@ -151,17 +145,6 @@ impl Graph {
         self.push(v, Op::SpMM(a.clone(), x), ng)
     }
 
-    /// Batched sparse product: `x` is `batch` vertically stacked
-    /// `[A.cols, d]` blocks; the result stacks the per-block products
-    /// `A * x_b`. With `batch == 1` this is exactly [`Graph::spmm`]; larger
-    /// batches push a whole minibatch of traffic matrices through one
-    /// message-passing step.
-    pub fn spmm_batch(&mut self, a: &CsrPair, x: Var, batch: usize) -> Var {
-        let v = a.fwd.spmm_batch(self.value(x), batch);
-        let ng = self.needs(x);
-        self.push(v, Op::SpMMBatch(a.clone(), x, batch), ng)
-    }
-
     /// Fused dense layer: `leaky(x w + b)` with negative-side `slope`
     /// (`0.0` = plain ReLU, `1.0` = no activation). `b` is a `[1, n]` bias
     /// row. Requires `slope >= 0` so the backward pass can recover the
@@ -183,14 +166,6 @@ impl Graph {
         linear_act_into(tx.data(), k, tw, tb.data(), slope, out.data_mut());
         let ng = self.needs(x) || self.needs(w) || self.needs(b);
         self.push(out, Op::LinearAct { x, w, b, slope }, ng)
-    }
-
-    /// Elementwise sum of two same-shape tensors.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut v = self.value(a).clone();
-        v.add_assign(self.value(b));
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::Add(a, b), ng)
     }
 
     /// Elementwise difference.
@@ -257,16 +232,6 @@ impl Graph {
         self.push(v, Op::Scale(a, k), ng)
     }
 
-    /// Add a constant to every element.
-    pub fn add_scalar(&mut self, a: Var, k: f32) -> Var {
-        let mut v = self.value(a).clone();
-        for x in v.data_mut() {
-            *x += k;
-        }
-        let ng = self.needs(a);
-        self.push(v, Op::AddScalar(a), ng)
-    }
-
     /// Leaky ReLU with the given negative-side slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
         let mut v = self.value(a).clone();
@@ -282,16 +247,6 @@ impl Graph {
     /// Standard ReLU (leaky with slope 0).
     pub fn relu(&mut self, a: Var) -> Var {
         self.leaky_relu(a, 0.0)
-    }
-
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let mut v = self.value(a).clone();
-        for x in v.data_mut() {
-            *x = x.tanh();
-        }
-        let ng = self.needs(a);
-        self.push(v, Op::Tanh(a), ng)
     }
 
     /// Elementwise exponential.
@@ -368,14 +323,6 @@ impl Graph {
         self.push(v, Op::SumAll(a), ng)
     }
 
-    /// Mean over all elements as a 1x1 tensor.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let ta = self.value(a);
-        let v = Tensor::scalar(ta.sum() / ta.len() as f32);
-        let ng = self.needs(a);
-        self.push(v, Op::MeanAll(a), ng)
-    }
-
     // ---- backward --------------------------------------------------------
 
     fn accumulate(&mut self, v: Var, delta: Tensor) {
@@ -423,11 +370,6 @@ impl Graph {
                     let dx = csr.bwd.spmm(&dy);
                     self.accumulate(x, dx);
                 }
-                Op::SpMMBatch(csr, x, batch) => {
-                    let (x, batch) = (*x, *batch);
-                    let dx = csr.bwd.spmm_batch(&dy, batch);
-                    self.accumulate(x, dx);
-                }
                 Op::LinearAct { x, w, b, slope } => {
                     let (x, w, b, slope) = (*x, *w, *b, *slope);
                     // Pre-activation gradient: the activation mask is the
@@ -460,11 +402,6 @@ impl Graph {
                     if self.needs(b) {
                         self.accumulate(b, col_sums(&dpre));
                     }
-                }
-                Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.accumulate(a, dy.clone());
-                    self.accumulate(b, dy);
                 }
                 Op::Sub(a, b) => {
                     let (a, b) = (*a, *b);
@@ -514,10 +451,6 @@ impl Graph {
                     da.scale_assign(k);
                     self.accumulate(a, da);
                 }
-                Op::AddScalar(a) => {
-                    let a = *a;
-                    self.accumulate(a, dy);
-                }
                 Op::LeakyRelu(a, slope) => {
                     let (a, slope) = (*a, *slope);
                     let ta = self.value(a);
@@ -526,15 +459,6 @@ impl Graph {
                         if x < 0.0 {
                             *g *= slope;
                         }
-                    }
-                    self.accumulate(a, da);
-                }
-                Op::Tanh(a) => {
-                    let a = *a;
-                    let ty = &self.nodes[i].value;
-                    let mut da = dy;
-                    for (g, &y) in da.data_mut().iter_mut().zip(ty.data()) {
-                        *g *= 1.0 - y * y;
                     }
                     self.accumulate(a, da);
                 }
@@ -607,12 +531,6 @@ impl Graph {
                     let a = *a;
                     let (r, c) = self.value(a).shape();
                     self.accumulate(a, Tensor::full(r, c, dy.item()));
-                }
-                Op::MeanAll(a) => {
-                    let a = *a;
-                    let (r, c) = self.value(a).shape();
-                    let g = dy.item() / (r * c) as f32;
-                    self.accumulate(a, Tensor::full(r, c, g));
                 }
             }
         }
@@ -731,43 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_spmm_batch() {
-        let mut rng = seeded(12);
-        // Two stacked [3, 2] blocks flowing through a 4x3 sparse operator.
-        let x = rand_tensor(&mut rng, 6, 2);
-        let a =
-            CsrPair::from_triplets(4, 3, &[(0, 0, 1.0), (1, 2, 2.0), (3, 1, -1.5), (2, 0, 0.5)]);
-        check_grad(
-            &x,
-            |g, p| {
-                let y = g.spmm_batch(&a, p, 2);
-                let y2 = g.mul(y, y);
-                g.sum_all(y2)
-            },
-            1e-2,
-        );
-    }
-
-    #[test]
-    fn spmm_batch_value_matches_blockwise_spmm() {
-        let mut rng = seeded(13);
-        let x = rand_tensor(&mut rng, 6, 3);
-        let a = CsrPair::from_triplets(4, 3, &[(0, 1, 2.0), (2, 0, -1.0), (3, 2, 0.5)]);
-        let mut g = Graph::new();
-        let xi = g.input(x.clone());
-        let batched = g.spmm_batch(&a, xi, 2);
-        let x0 = g.input(Tensor::from_vec(3, 3, x.data()[..9].to_vec()));
-        let x1 = g.input(Tensor::from_vec(3, 3, x.data()[9..].to_vec()));
-        let y0 = g.spmm(&a, x0);
-        let y1 = g.spmm(&a, x1);
-        let vb = g.value(batched).clone();
-        for r in 0..4 {
-            assert_eq!(vb.row(r), g.value(y0).row(r));
-            assert_eq!(vb.row(r + 4), g.value(y1).row(r));
-        }
-    }
-
-    #[test]
     fn grad_linear_leaky() {
         let mut rng = seeded(14);
         let w = rand_tensor(&mut rng, 3, 4);
@@ -856,11 +737,9 @@ mod tests {
             &x,
             |g, p| {
                 let a = g.leaky_relu(p, 0.1);
-                let b = g.tanh(a);
-                let c = g.scale(b, 2.0);
-                let d = g.add_scalar(c, 0.3);
-                let e = g.mul(d, d);
-                g.mean_all(e)
+                let b = g.scale(a, 2.0);
+                let c = g.mul(b, b);
+                g.sum_all(c)
             },
             2e-2,
         );

@@ -154,11 +154,14 @@ fn failure_coalescing_matches_direct_overrides() {
         .collect();
     for (i, t) in tickets.into_iter().enumerate() {
         let reply = t.wait().expect("window request served");
-        let want = match i % 3 {
-            0 => ref_ctx.allocate(&tms[i]).0,
-            1 => ref_ctx.allocate_on(&topo_a, &tms[i]).0,
-            _ => ref_ctx.allocate_on(&topo_b, &tms[i]).0,
-        };
+        let one = std::slice::from_ref(&tms[i]);
+        let (mut want, _) = match i % 3 {
+            0 => ref_ctx.try_allocate_batch(one),
+            1 => ref_ctx.try_allocate_batch_on(&topo_a, one),
+            _ => ref_ctx.try_allocate_batch_on(&topo_b, one),
+        }
+        .expect("reference window");
+        let want = want.remove(0);
         let d = reply
             .allocation
             .splits()

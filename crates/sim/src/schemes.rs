@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use teal_baselines::{
     solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig, TeavarConfig,
 };
-use teal_core::{Env, PolicyModel, ServingContext};
+use teal_core::{BatchScratch, Env, PolicyModel, ServingContext};
 use teal_lp::{fleischer, solve_lp, Allocation, LpConfig, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
@@ -261,15 +261,20 @@ impl Scheme for ShortestPathScheme {
     }
 }
 
-/// Teal: one forward pass + warm-started ADMM.
+/// Teal: one forward pass + warm-started ADMM. The scheme keeps one
+/// [`BatchScratch`] across calls, so repeat windows reuse the ADMM state.
 pub struct TealScheme<M: PolicyModel> {
     engine: ServingContext<M>,
+    scratch: BatchScratch,
 }
 
 impl<M: PolicyModel> TealScheme<M> {
     /// Wrap a trained engine.
     pub fn new(engine: ServingContext<M>) -> Self {
-        TealScheme { engine }
+        TealScheme {
+            engine,
+            scratch: BatchScratch::new(),
+        }
     }
 
     /// Access the engine.
@@ -284,7 +289,8 @@ impl<M: PolicyModel> Scheme for TealScheme<M> {
     }
 
     fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        self.engine.allocate_on(topo, tm)
+        let (mut allocs, dt) = self.allocate_batch(topo, std::slice::from_ref(tm));
+        (allocs.remove(0), dt)
     }
 
     fn allocate_batch(
@@ -292,7 +298,9 @@ impl<M: PolicyModel> Scheme for TealScheme<M> {
         topo: &Topology,
         tms: &[TrafficMatrix],
     ) -> (Vec<Allocation>, Duration) {
-        self.engine.allocate_batch_on(topo, tms)
+        self.engine
+            .try_allocate_batch_on_with(topo, tms, &mut self.scratch)
+            .unwrap_or_else(|e| panic!("Teal: {e}"))
     }
 }
 

@@ -9,11 +9,13 @@
 //! * **safety-comment** — every `unsafe` keyword site must be preceded by
 //!   a contiguous `// SAFETY:` comment block (attributes and neighbouring
 //!   `unsafe` lines may sit in between, blank or code lines may not).
-//! * **no-unwrap** — non-test code in `crates/serve/src` must not call
-//!   `.unwrap()` or `.expect(...)`: the serving daemon's failure story is
-//!   catch-and-refuse, and the checked-sync facade exists precisely so
-//!   lock acquisition needs no `expect`. (`unwrap_or*` combinators are
-//!   fine — the rule matches the exact panicking calls.)
+//! * **no-unwrap** — non-test code in `crates/serve/src` and
+//!   `crates/core/src` must not call `.unwrap()` or `.expect(...)`: the
+//!   serving daemon's failure story is catch-and-refuse, the engine under
+//!   it returns `AllocError`s, and the checked-sync facade exists precisely
+//!   so lock acquisition needs no `expect`. An invariant the code cannot
+//!   break is an `unreachable!` that says why. (`unwrap_or*` combinators
+//!   are fine — the rule matches the exact panicking calls.)
 //! * **no-raw-clock** — non-test code in `crates/serve/src` must read the
 //!   clock through `telemetry::now()`, never `Instant::now()` directly,
 //!   so time stays a single seam (`telemetry.rs` itself is the one
@@ -412,6 +414,8 @@ fn has_safety_comment(lines: &[LineView], at: usize) -> bool {
 }
 
 const SERVE_SRC: &str = "crates/serve/src/";
+/// The engine the daemon serves through: it shares the no-unwrap rule.
+const CORE_SRC: &str = "crates/core/src/";
 const CHECKED_SYNC_MARKER: &str = "teal-lint: checked-sync";
 /// The one file allowed to declare raw FFI (`extern` blocks) and touch
 /// `std::os::*` fd plumbing: the serve crate's hand-rolled epoll/eventfd
@@ -471,6 +475,7 @@ fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
     let lines = lex(text);
     let in_test = test_mod_lines(&lines);
     let is_serve = path.starts_with(SERVE_SRC);
+    let no_unwrap = is_serve || path.starts_with(CORE_SRC);
     let is_telemetry = path == "crates/serve/src/telemetry.rs";
     // The opt-in marker must be a standalone comment line — prose
     // *mentioning* the marker (module docs, this file) does not opt in.
@@ -493,18 +498,19 @@ fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
             });
         }
 
-        if is_serve && !in_test[idx] {
-            if code.contains(".unwrap()") || code.contains(".expect(") {
+        if !in_test[idx] {
+            if no_unwrap && (code.contains(".unwrap()") || code.contains(".expect(")) {
                 out.push(Finding {
                     file: path.to_string(),
                     line: lineno,
                     rule: "no-unwrap",
-                    message: "`unwrap()`/`expect()` in non-test serving code; return an error \
-                              or use the crate::sync facade"
+                    message: "`unwrap()`/`expect()` in non-test serving or engine code; return \
+                              an error, use the crate::sync facade, or state the invariant in \
+                              an `unreachable!`"
                         .to_string(),
                 });
             }
-            if !is_telemetry && code.contains("Instant::now") {
+            if is_serve && !is_telemetry && code.contains("Instant::now") {
                 out.push(Finding {
                     file: path.to_string(),
                     line: lineno,
@@ -684,18 +690,21 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_rule_is_serve_only_and_skips_tests_and_combinators() {
+    fn unwrap_rule_covers_serve_and_core_and_skips_tests_and_combinators() {
         let text = "fn f() { x.unwrap(); }\n\
                     fn g() { x.unwrap_or_else(id); y.expect_err(\"no\"); }\n\
                     #[cfg(test)]\n\
                     mod tests {\n\
                         fn t() { x.unwrap(); y.expect(\"fine in tests\"); }\n\
                     }\n";
-        let f = findings("crates/serve/src/daemon.rs", text);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "no-unwrap");
-        assert_eq!(f[0].line, 1);
+        for path in ["crates/serve/src/daemon.rs", "crates/core/src/engine.rs"] {
+            let f = findings(path, text);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "no-unwrap");
+            assert_eq!(f[0].line, 1);
+        }
         assert!(findings("crates/nn/src/pool.rs", text).is_empty());
+        assert!(findings("crates/sim/src/schemes.rs", text).is_empty());
     }
 
     #[test]

@@ -57,7 +57,10 @@ fn main() {
         // (a) Stale routes keep dropping everything crossing the dead link.
         let stale_pct = 100.0 * evaluate(&failed_inst, &pre).realized_flow / tm.total();
         // (b) Teal recomputes on the failed topology — no retraining.
-        let (fresh, dt) = engine.allocate_on(&failed, &tm);
+        let (mut fresh, dt) = engine
+            .try_allocate_batch_on(&failed, std::slice::from_ref(&tm))
+            .expect("failed-link window");
+        let fresh = fresh.remove(0);
         let fresh_pct = 100.0 * evaluate(&failed_inst, &fresh).realized_flow / tm.total();
         println!(
             "{:<12} {:>13.1}% {:>15.1}% {:>9.1} ms",

@@ -152,7 +152,10 @@ fn failure_recovery_without_retraining() {
     let failed = env.topo().with_failed_link(0, 1);
     let failed_inst = env.instance_on(&failed, &tm);
     let stale = evaluate(&failed_inst, &pre).realized_flow;
-    let (fresh, _) = engine.allocate_on(&failed, &tm);
+    let (mut fresh, _) = engine
+        .try_allocate_batch_on(&failed, std::slice::from_ref(&tm))
+        .expect("failed-link window");
+    let fresh = fresh.remove(0);
     let recovered = evaluate(&failed_inst, &fresh).realized_flow;
     // Recomputation must roughly match or beat stale routes (which keep
     // sending into the dead link).
