@@ -12,7 +12,6 @@
 //! incidence).
 
 use crate::env::Env;
-use crate::flowsim::FlowSim;
 use crate::model::PolicyModel;
 use teal_nn::{Adam, Graph, Tensor};
 use teal_traffic::TrafficMatrix;
@@ -128,19 +127,6 @@ pub fn surrogate_value(env: &Env, tm: &TrafficMatrix, alloc: &teal_lp::Allocatio
     let inst = env.instance(tm);
     let stats = teal_lp::evaluate(&inst, alloc);
     stats.intended_flow - stats.total_overuse
-}
-
-/// Deterministic satisfied-demand percentage of a model on one matrix.
-pub fn satisfied_pct(model: &dyn PolicyModel, env: &Env, tm: &TrafficMatrix) -> f64 {
-    let alloc = model.allocate_deterministic(&env.model_input(tm, None));
-    let mut sim = FlowSim::new(env, tm, None);
-    sim.set_allocation(&alloc);
-    let total = sim.total_demand();
-    if total > 0.0 {
-        (100.0 * sim.reward() / total).min(100.0)
-    } else {
-        100.0
-    }
 }
 
 #[cfg(test)]

@@ -130,21 +130,27 @@
 //!   threads do.
 //! * **Wire front end** ([`wire`], [`TealServer`], [`TealClient`]) —
 //!   std-only TCP (no async runtime): a length-prefixed, versioned binary
-//!   codec; a server multiplexing every connection on **one epoll
-//!   event-loop thread** (incremental frame decode, pooled write queues,
-//!   eventfd completion doorbell), draining tickets **out of order by
-//!   request id** off the loop's one completion queue of `(connection,
-//!   id)` pairs and answering STATS on receipt; and a blocking client with
-//!   pipelined submits returning the same [`Ticket`] handle in-process
-//!   callers use. Protocol version 4 (v4 adds the unmatched-reply counter
-//!   to STATS_OK; v3 added the optional tenant tag to REQUEST and the
-//!   budget/tenant telemetry; older peers are refused at HELLO):
+//!   codec in which every frame body is one value of a private `Wire`
+//!   trait — requests, replies, the typed errors (one code table) and the
+//!   telemetry snapshot alike — written by one `put_frame` and read by one
+//!   `decode` that refuses trailing bytes, so decoding any peer bytes
+//!   never panics and holds at most 4× the payload in heap
+//!   (`tests/wire_fuzz.rs`); a server multiplexing every connection on
+//!   **one epoll event-loop thread** (incremental frame decode, pooled
+//!   write queues, eventfd completion doorbell), draining tickets **out of
+//!   order by request id** off the loop's one completion queue of
+//!   `(connection, id)` pairs and answering STATS on receipt; and a
+//!   blocking client with pipelined submits returning the same [`Ticket`]
+//!   handle in-process callers use. Protocol version 4 (v4 adds the
+//!   unmatched-reply counter to STATS_OK; v3 added the optional tenant
+//!   tag to REQUEST and the budget/tenant telemetry; older peers are
+//!   refused at HELLO):
 //!
 //!   | frame (kind)    | direction       | payload                            |
 //!   |-----------------|-----------------|------------------------------------|
-//!   | HELLO (1)       | client → server | protocol version (u16)             |
+//!   | HELLO (1)       | client → server | magic · protocol version (u16)     |
 //!   | HELLO_OK (2)    | server → client | accepted version (u16)             |
-//!   | REQUEST (3)     | client → server | id · topology · matrix · deadline? · tenant? · failed links |
+//!   | REQUEST (3)     | client → server | id · topology · deadline? · tenant? · failed links · matrix |
 //!   | REPLY (4)       | server → client | id · allocation ⊕ stage timings, or a [`ServeError`] |
 //!   | STATS (5)       | client → server | id (scrape trigger, no body)       |
 //!   | STATS_OK (6)    | server → client | id · full [`TelemetrySnapshot`] (incl. per-budget window counts, per-tenant counters, deadline inversions, unmatched replies) |

@@ -13,8 +13,8 @@
 //! self-description): the version field in the handshake is the only
 //! compatibility gate, and it is bumped whenever any layout below changes.
 //! Round-trip identity for every message type (including every
-//! [`ServeError`] variant) is property-tested in
-//! `crates/serve/tests/wire_roundtrip.rs`.
+//! [`ServeError`] variant) is property-tested, and every frame's bytes are
+//! pinned, in `crates/serve/tests/wire_roundtrip.rs`.
 //!
 //! Two decoding/encoding shapes share the layouts above:
 //!
@@ -29,28 +29,58 @@
 //!   steady-state flush path allocates nothing once warm
 //!   (`crates/serve/tests/write_path_alloc.rs`).
 //!
-//! Layouts (after the kind byte):
+//! Layouts. Every payload is `kind u8 · body`, written by one `put_frame`
+//! and read by one `decode`, which refuses any other kind and any byte
+//! after the body. Each line below is one type's [`Wire`] impl:
 //!
 //! ```text
-//! HELLO      magic b"TEAL" · version u16
-//! HELLO_OK   version u16
-//! REQUEST    id u64 · topology str · deadline (u8 flag, u64 ns if 1)
-//!            · tenant (u8 flag, str if 1; absent = "default" tenant)
-//!            · failed links (u32 count, (u32, u32) node pairs)
-//!            · demands (u32 count, f64 each)
-//! REPLY      id u64 · tag u8
-//!            tag 0 (ok):  k u16 · num_demands u32 · splits f64 × (nd·k)
-//!                         · latency u64 ns
-//!                         · stage ns u64 × 3 (queue_wait, solve, write)
-//!                         · batch_size u32
-//!            tag 1 (err): error code u8 · message str
-//! STATS      id u64                        (telemetry scrape request)
-//! STATS_OK   id u64 · the `TelemetrySnapshot` rows of the metric table
-//!            in `telemetry.rs`, in table order — that table is the
-//!            layout's single source; each row type's encoding is its
-//!            [`Wire`] impl below
-//! str        u32 byte length · UTF-8 bytes
+//! HELLO          MAGIC b"TEAL" as u32 · version u16
+//! HELLO_OK       version u16
+//! REQUEST        id u64 · SubmitRequest
+//! REPLY          id u64 · Result<ServeReply, ServeError>
+//! STATS          id u64                    (telemetry scrape request)
+//! STATS_OK       id u64 · TelemetrySnapshot
+//!
+//! SubmitRequest  topology Id · deadline Option<Duration>
+//!                · tenant Option<Id> (absent = "default" tenant)
+//!                · failed links Vec<(usize, usize)> · TrafficMatrix
+//! TrafficMatrix  u32 count · f64 demand each, finite and non-negative
+//! ServeReply     Allocation · latency Duration
+//!                · stages StageTimings (queue_wait, solve, write)
+//!                · batch_size usize
+//! Allocation     k u16 ≥ 1 · num_demands u32 · f64 split × (nd·k)
+//! ServeError     code u8 · message String (empty without one)
+//! TelemetrySnapshot and the structs in it
+//!                their rows of the metric table in `telemetry.rs`, in
+//!                table order — that table is the layout's single source
+//! Result<T, E>   tag u8 · T if 0, E if 1
+//! Option<T>      flag u8 · T if 1
+//! Vec<T>         u32 count · T each
+//! (A, B)         A · B
+//! Id             String of at most MAX_ID_BYTES
+//! String         u32 byte length · UTF-8 bytes
+//! Duration       u64 ns, saturating
+//! usize          u32
+//! u8 … u64, f64  little-endian
 //! ```
+//!
+//! # Guarantee
+//!
+//! *Guarantees:* decoding any byte string — through any `decode_*`,
+//! [`peek_kind`], or a [`FrameDecoder`] fed in any pieces — returns a
+//! value or a [`WireError`] without panicking, and one decode holds at
+//! most 4× the payload's length in live heap bytes, plus its error message.
+//! *Assuming:* the payload came through [`read_frame`] or a
+//! [`FrameDecoder`], so it is at most [`MAX_FRAME`] bytes (`frame_len` is
+//! the one place a length prefix meets that cap); every [`Wire`] type takes
+//! at least one byte (`Reader::items` asserts `MIN_BYTES > 0` at compile
+//! time), so a claimed element count is held against the bytes left in the
+//! frame before anything is allocated for it; and no type is more than 3×
+//! wider in memory than its `MIN_BYTES` (`TopoSnapshot`, 352 against 117,
+//! is the widest), with one more payload's worth for what its elements own.
+//! *Enforced by:* `crates/serve/tests/wire_fuzz.rs` — mutations of every
+//! frame kind and arbitrary bytes through every decoder under a metering
+//! allocator, with a mutant twin (no count check) that fails it.
 
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -58,10 +88,12 @@ use teal_lp::Allocation;
 use teal_traffic::TrafficMatrix;
 
 use crate::request::{ServeError, ServeReply, SubmitRequest};
-use crate::telemetry::{StageTimings, TelemetrySnapshot};
+use crate::telemetry::TelemetrySnapshot;
 
 /// Handshake magic: the first bytes any teal-serve peer sends.
 pub const MAGIC: &[u8; 4] = b"TEAL";
+/// [`MAGIC`] as the `u32` a HELLO body starts with.
+const MAGIC_LE: u32 = u32::from_le_bytes(*MAGIC);
 /// Wire protocol version; bump on any layout change.
 /// v2: REPLY gained per-stage spans; STATS/STATS_OK scrape frames added.
 /// v3: REQUEST gained the flag-gated tenant tag; STATS_OK gained per-budget
@@ -127,6 +159,18 @@ impl From<io::Error> for WireError {
 
 // ---------------------------------------------------------------- frames
 
+/// A frame's payload length from its little-endian prefix: the one place
+/// a length prefix meets [`MAX_FRAME`].
+fn frame_len(prefix: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME {
+        return Err(WireError::Protocol(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
+        )));
+    }
+    Ok(len as usize)
+}
+
 /// Write one frame (length prefix + payload) to `w`. The payload buffer is
 /// caller-owned so steady-state senders reuse one encode buffer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
@@ -140,158 +184,158 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Read one frame's payload into `buf` (cleared and reused). Returns
 /// `Ok(false)` on clean EOF at a frame boundary.
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, WireError> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
+    let mut prefix = [0u8; 4];
+    match r.read_exact(&mut prefix) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
         Err(e) => return Err(WireError::Io(e)),
     }
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(WireError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
-        )));
-    }
+    let len = frame_len(prefix)?;
     buf.clear();
-    buf.resize(len as usize, 0);
+    buf.resize(len, 0);
     r.read_exact(buf)?;
     Ok(true)
 }
 
-// --------------------------------------------------------------- writing
+// -------------------------------------------------------------- payloads
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// What a payload body is written from: one borrowed [`Wire`] value, or a
+/// pair of them in order (`(&id, reply)`), so no frame copies its body.
+trait Body {
+    fn put_body(self, buf: &mut Vec<u8>);
+}
+
+impl<T: Wire> Body for &T {
+    fn put_body(self, buf: &mut Vec<u8>) {
+        self.put(buf);
+    }
+}
+
+impl<A: Body, B: Body> Body for (A, B) {
+    fn put_body(self, buf: &mut Vec<u8>) {
+        self.0.put_body(buf);
+        self.1.put_body(buf);
+    }
+}
+
+/// Append one payload, `kind · body`, to `buf`.
+fn put_frame(buf: &mut Vec<u8>, kind: Kind, body: impl Body) {
+    buf.push(kind as u8);
+    body.put_body(buf);
+}
+
+/// Read a `kind` payload whose body is one `T`, refusing any other kind
+/// and any byte after the body.
+fn decode<T: Wire>(payload: &[u8], kind: Kind) -> Result<T, WireError> {
+    let mut r = Reader {
+        buf: payload,
+        pos: 0,
+    };
+    if u8::get(&mut r)? != kind as u8 {
+        return Err(WireError::Protocol(format!("expected {kind:?}")));
+    }
+    let body = T::get(&mut r)?;
+    match payload.len() - r.pos {
+        0 => Ok(body),
+        n => Err(WireError::Protocol(format!(
+            "{n} trailing bytes after message"
+        ))),
+    }
+}
+
+/// The version gate both halves of the handshake pass.
+fn gate(version: u16) -> Result<u16, WireError> {
+    match version {
+        VERSION => Ok(version),
+        got => Err(WireError::Version { got, want: VERSION }),
+    }
 }
 
 /// Encode the client half of the handshake.
 pub fn encode_hello(buf: &mut Vec<u8>) {
     buf.clear();
-    buf.push(Kind::Hello as u8);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_frame(buf, Kind::Hello, &(MAGIC_LE, VERSION));
 }
 
 /// Encode the server half of the handshake.
 pub fn encode_hello_ok(buf: &mut Vec<u8>) {
     buf.clear();
-    put_hello_ok(buf);
-}
-
-/// Append a HELLO_OK payload (shared by the clearing encoder above and
-/// [`WriteQueue::push_hello_ok`]).
-fn put_hello_ok(buf: &mut Vec<u8>) {
-    buf.push(Kind::HelloOk as u8);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_frame(buf, Kind::HelloOk, &VERSION);
 }
 
 /// Encode one request under the caller-chosen pipelining id.
 pub fn encode_request(buf: &mut Vec<u8>, id: u64, req: &SubmitRequest) {
     buf.clear();
-    buf.push(Kind::Request as u8);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_str(buf, &req.topology);
-    match req.deadline {
-        Some(d) => {
-            buf.push(1);
-            buf.extend_from_slice(&(d.as_nanos().min(u128::from(u64::MAX)) as u64).to_le_bytes());
-        }
-        None => buf.push(0),
-    }
-    match &req.tenant {
-        Some(t) => {
-            buf.push(1);
-            put_str(buf, t);
-        }
-        None => buf.push(0),
-    }
-    buf.extend_from_slice(&(req.failed_links.len() as u32).to_le_bytes());
-    for &(a, b) in &req.failed_links {
-        buf.extend_from_slice(&(a as u32).to_le_bytes());
-        buf.extend_from_slice(&(b as u32).to_le_bytes());
-    }
-    buf.extend_from_slice(&(req.tm.len() as u32).to_le_bytes());
-    for &v in req.tm.demands() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Stable error code for each [`ServeError`] variant.
-fn error_code(e: &ServeError) -> u8 {
-    match e {
-        ServeError::UnknownTopology(_) => 0,
-        ServeError::ShuttingDown => 1,
-        ServeError::Checkpoint(_) => 2,
-        ServeError::BadRequest(_) => 3,
-        ServeError::Internal(_) => 4,
-        ServeError::DeadlineExceeded => 5,
-        ServeError::Overloaded(_) => 6,
-    }
+    put_frame(buf, Kind::Request, (&id, req));
 }
 
 /// Encode one reply (success or typed error) under its request id.
 pub fn encode_reply(buf: &mut Vec<u8>, id: u64, reply: &Result<ServeReply, ServeError>) {
     buf.clear();
-    put_reply(buf, id, reply);
-}
-
-/// Append a REPLY payload (shared by the clearing encoder above and
-/// [`WriteQueue::push_reply`]).
-fn put_reply(buf: &mut Vec<u8>, id: u64, reply: &Result<ServeReply, ServeError>) {
-    buf.push(Kind::Reply as u8);
-    buf.extend_from_slice(&id.to_le_bytes());
-    match reply {
-        Ok(r) => {
-            buf.push(0);
-            buf.extend_from_slice(&(r.allocation.k() as u16).to_le_bytes());
-            buf.extend_from_slice(&(r.allocation.num_demands() as u32).to_le_bytes());
-            for &v in r.allocation.splits() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            r.latency.put(buf);
-            r.stages.put(buf);
-            buf.extend_from_slice(&(r.batch_size as u32).to_le_bytes());
-        }
-        Err(e) => {
-            buf.push(1);
-            buf.push(error_code(e));
-            let msg = match e {
-                ServeError::UnknownTopology(m)
-                | ServeError::Checkpoint(m)
-                | ServeError::BadRequest(m)
-                | ServeError::Internal(m)
-                | ServeError::Overloaded(m) => m.as_str(),
-                ServeError::ShuttingDown | ServeError::DeadlineExceeded => "",
-            };
-            put_str(buf, msg);
-        }
-    }
+    put_frame(buf, Kind::Reply, (&id, reply));
 }
 
 /// Encode a telemetry scrape request under the caller-chosen pipelining id
 /// (STATS frames share the reply id space with REQUEST frames).
 pub fn encode_stats_request(buf: &mut Vec<u8>, id: u64) {
     buf.clear();
-    buf.push(Kind::Stats as u8);
-    buf.extend_from_slice(&id.to_le_bytes());
+    put_frame(buf, Kind::Stats, &id);
 }
 
 /// Encode a full telemetry snapshot as the reply to scrape `id`.
 pub fn encode_stats_reply(buf: &mut Vec<u8>, id: u64, snap: &TelemetrySnapshot) {
     buf.clear();
-    put_stats_reply(buf, id, snap);
+    put_frame(buf, Kind::StatsOk, (&id, snap));
 }
 
-/// Append a STATS_OK payload (shared by the clearing encoder above and
-/// [`WriteQueue::push_stats_reply`]).
-fn put_stats_reply(buf: &mut Vec<u8>, id: u64, snap: &TelemetrySnapshot) {
-    buf.push(Kind::StatsOk as u8);
-    id.put(buf);
-    snap.put(buf);
+/// The message kind of a payload (its first byte).
+pub fn peek_kind(payload: &[u8]) -> Result<Kind, WireError> {
+    use Kind::*;
+    let &byte = payload
+        .first()
+        .ok_or_else(|| WireError::Protocol("empty frame".into()))?;
+    [Hello, HelloOk, Request, Reply, Stats, StatsOk]
+        .into_iter()
+        .find(|&kind| kind as u8 == byte)
+        .ok_or_else(|| WireError::Protocol(format!("unknown message kind {byte}")))
 }
 
-// --------------------------------------------------------------- reading
+/// Validate a HELLO payload, returning the peer's version.
+pub fn decode_hello(payload: &[u8]) -> Result<u16, WireError> {
+    let (magic, version) = decode::<(u32, u16)>(payload, Kind::Hello)?;
+    if magic != MAGIC_LE {
+        return Err(WireError::Protocol("bad handshake magic".into()));
+    }
+    gate(version)
+}
+
+/// Validate a HELLO_OK payload, returning the server's version.
+pub fn decode_hello_ok(payload: &[u8]) -> Result<u16, WireError> {
+    gate(decode(payload, Kind::HelloOk)?)
+}
+
+/// Decode a REQUEST payload into `(id, request)`.
+pub fn decode_request(payload: &[u8]) -> Result<(u64, SubmitRequest), WireError> {
+    decode(payload, Kind::Request)
+}
+
+/// Decode a REPLY payload into `(id, result)`.
+#[allow(clippy::type_complexity)]
+pub fn decode_reply(payload: &[u8]) -> Result<(u64, Result<ServeReply, ServeError>), WireError> {
+    decode(payload, Kind::Reply)
+}
+
+/// Decode a STATS payload into the scrape id.
+pub fn decode_stats_request(payload: &[u8]) -> Result<u64, WireError> {
+    decode(payload, Kind::Stats)
+}
+
+/// Decode a STATS_OK payload into `(id, snapshot)`.
+pub fn decode_stats_reply(payload: &[u8]) -> Result<(u64, TelemetrySnapshot), WireError> {
+    decode(payload, Kind::StatsOk)
+}
+
+// ----------------------------------------------------------------- codec
 
 /// Cursor over a frame payload.
 pub(crate) struct Reader<'a> {
@@ -300,10 +344,6 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -320,84 +360,46 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        let mut bytes = [0u8; 2];
-        bytes.copy_from_slice(self.take(2)?);
-        Ok(u16::from_le_bytes(bytes))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let mut bytes = [0u8; 4];
-        bytes.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(self.take(8)?);
-        Ok(f64::from_le_bytes(bytes))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        self.str_up_to(MAX_FRAME as usize, "string")
-    }
-
-    /// A string refused past `max` bytes before any of it is copied.
-    fn str_up_to(&mut self, max: usize, what: &str) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
+    /// A [`String`] refused past `max` bytes before any of it is copied.
+    fn str_up_to(&mut self, max: usize) -> Result<String, WireError> {
+        let n = u32::get(self)? as usize;
         if n > max {
             return Err(WireError::Protocol(format!(
-                "{what} of {n} bytes exceeds the {max}-byte limit"
+                "string of {n} bytes exceeds the {max}-byte limit"
             )));
         }
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Protocol(format!("{what} field is not UTF-8")))
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|_| WireError::Protocol("string is not UTF-8".into()))
     }
 
-    /// Validate a decoded element count against the bytes actually left in
-    /// the frame *before* any `Vec::with_capacity` — a hostile count field
-    /// must be a protocol error, never a multi-gigabyte allocation request
-    /// (which would abort the process on failure).
-    fn check_count(&self, n: usize, elem_bytes: usize, what: &str) -> Result<(), WireError> {
-        let need = n.checked_mul(elem_bytes);
+    /// `n` values of `T`. The count is held against the bytes actually
+    /// left in the frame *before* `Vec::with_capacity` — a hostile count
+    /// field must be a protocol error, never a multi-gigabyte allocation
+    /// request (which would abort the process on failure). A `collect()`
+    /// over the fallible reads would lose the size hint.
+    fn items<T: Wire>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
+        const { assert!(T::MIN_BYTES > 0, "a zero-byte type admits any count") };
         let have = self.buf.len() - self.pos;
-        match need {
-            Some(need) if need <= have => Ok(()),
-            _ => Err(WireError::Protocol(format!(
-                "{what} count {n} exceeds the {have} bytes remaining in the frame"
-            ))),
+        if n.checked_mul(T::MIN_BYTES).is_none_or(|need| need > have) {
+            return Err(WireError::Protocol(format!(
+                "{} count {n} exceeds the {have} bytes remaining in the frame",
+                std::any::type_name::<T>()
+            )));
         }
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Protocol(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )))
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(self)?);
         }
+        Ok(out)
     }
 }
 
-/// Fixed-layout encoding of one value inside a frame. The STATS_OK payload
-/// is nothing but these impls applied to the metric table's rows in order
-/// (`telemetry.rs`); a table struct's impl is generated from its rows.
+/// Fixed-layout encoding of one value inside a frame: every payload body
+/// is one of these. A table struct's impl (`telemetry.rs`) is generated
+/// from its rows.
 pub(crate) trait Wire: Sized {
-    /// Fewest bytes one value can occupy — what [`Reader::check_count`]
-    /// holds a claimed element count against before allocating for it.
+    /// Fewest bytes one value can occupy — what `Reader::items` holds a
+    /// claimed element count against before allocating for it. Never 0.
     const MIN_BYTES: usize;
     /// Append the encoding to `buf`.
     fn put(&self, buf: &mut Vec<u8>);
@@ -414,44 +416,60 @@ macro_rules! wire_le {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                r.$t()
+                let mut bytes = [0u8; std::mem::size_of::<$t>()];
+                bytes.copy_from_slice(r.take(Self::MIN_BYTES)?);
+                Ok($t::from_le_bytes(bytes))
             }
         }
     )*};
 }
-wire_le!(u32 u64 f64);
+wire_le!(u8 u16 u32 u64 f64);
 
-/// Small counts (batch sizes) travel as `u32`; a table row widens with
-/// `as u64`.
+/// Counts (batch sizes, node ids) travel as `u32`; a table row widens
+/// with `as u64`.
 impl Wire for usize {
     const MIN_BYTES: usize = 4;
     fn put(&self, buf: &mut Vec<u8>) {
         (*self as u32).put(buf);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(r.u32()? as usize)
+        Ok(u32::get(r)? as usize)
     }
 }
 
-/// `u64` nanoseconds, saturating (like deadlines).
+/// `u64` nanoseconds, saturating.
 impl Wire for Duration {
     const MIN_BYTES: usize = 8;
     fn put(&self, buf: &mut Vec<u8>) {
         (self.as_nanos().min(u128::from(u64::MAX)) as u64).put(buf);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Duration::from_nanos(r.u64()?))
+        Ok(Duration::from_nanos(u64::get(r)?))
     }
 }
 
-/// `u32` byte length, then UTF-8.
+/// `u32` byte length, then UTF-8 (bounded by the bytes left in the frame).
 impl Wire for String {
     const MIN_BYTES: usize = 4;
     fn put(&self, buf: &mut Vec<u8>) {
-        put_str(buf, self);
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.str()
+        r.str_up_to(usize::MAX)
+    }
+}
+
+/// A topology or tenant id: a [`String`] of at most [`MAX_ID_BYTES`].
+struct Id(String);
+
+impl Wire for Id {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.str_up_to(MAX_ID_BYTES).map(Id)
     }
 }
 
@@ -471,19 +489,35 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
     fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            Some(v) => {
-                buf.push(1);
-                v.put(buf);
-            }
-            None => buf.push(0),
+        u8::from(self.is_some()).put(buf);
+        if let Some(v) = self {
+            v.put(buf);
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
+        match u8::get(r)? {
             0 => Ok(None),
             1 => Ok(Some(T::get(r)?)),
             f => Err(WireError::Protocol(format!("bad option flag {f}"))),
+        }
+    }
+}
+
+/// `u8` tag, then the `Ok` value if the tag is 0 or the `Err` if it is 1.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(self.is_err()).put(buf);
+        match self {
+            Ok(v) => v.put(buf),
+            Err(e) => e.put(buf),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(Ok(T::get(r)?)),
+            1 => Ok(Err(E::get(r)?)),
+            t => Err(WireError::Protocol(format!("bad result tag {t}"))),
         }
     }
 }
@@ -498,196 +532,135 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.u32()? as usize;
-        r.check_count(n, T::MIN_BYTES, std::any::type_name::<T>())?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::get(r)?);
+        let n = u32::get(r)? as usize;
+        r.items(n)
+    }
+}
+
+/// The demands as a `Vec<f64>`, every one finite and non-negative.
+impl Wire for TrafficMatrix {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for v in self.demands() {
+            v.put(buf);
         }
-        Ok(out)
     }
-}
-
-/// The message kind of a payload (its first byte).
-pub fn peek_kind(payload: &[u8]) -> Result<Kind, WireError> {
-    match payload.first() {
-        Some(1) => Ok(Kind::Hello),
-        Some(2) => Ok(Kind::HelloOk),
-        Some(3) => Ok(Kind::Request),
-        Some(4) => Ok(Kind::Reply),
-        Some(5) => Ok(Kind::Stats),
-        Some(6) => Ok(Kind::StatsOk),
-        Some(k) => Err(WireError::Protocol(format!("unknown message kind {k}"))),
-        None => Err(WireError::Protocol("empty frame".into())),
-    }
-}
-
-/// Validate a HELLO payload, returning the peer's version.
-pub fn decode_hello(payload: &[u8]) -> Result<u16, WireError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != Kind::Hello as u8 {
-        return Err(WireError::Protocol("expected HELLO".into()));
-    }
-    if r.take(4)? != MAGIC {
-        return Err(WireError::Protocol("bad handshake magic".into()));
-    }
-    let version = r.u16()?;
-    r.done()?;
-    if version != VERSION {
-        return Err(WireError::Version {
-            got: version,
-            want: VERSION,
-        });
-    }
-    Ok(version)
-}
-
-/// Validate a HELLO_OK payload, returning the server's version.
-pub fn decode_hello_ok(payload: &[u8]) -> Result<u16, WireError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != Kind::HelloOk as u8 {
-        return Err(WireError::Protocol("expected HELLO_OK".into()));
-    }
-    let version = r.u16()?;
-    r.done()?;
-    if version != VERSION {
-        return Err(WireError::Version {
-            got: version,
-            want: VERSION,
-        });
-    }
-    Ok(version)
-}
-
-/// Decode a REQUEST payload into `(id, request)`.
-pub fn decode_request(payload: &[u8]) -> Result<(u64, SubmitRequest), WireError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != Kind::Request as u8 {
-        return Err(WireError::Protocol("expected REQUEST".into()));
-    }
-    let id = r.u64()?;
-    let topology = r.str_up_to(MAX_ID_BYTES, "topology id")?;
-    let deadline = match r.u8()? {
-        0 => None,
-        1 => Some(Duration::from_nanos(r.u64()?)),
-        f => return Err(WireError::Protocol(format!("bad deadline flag {f}"))),
-    };
-    let tenant = match r.u8()? {
-        0 => None,
-        1 => Some(r.str_up_to(MAX_ID_BYTES, "tenant id")?),
-        f => return Err(WireError::Protocol(format!("bad tenant flag {f}"))),
-    };
-    let nlinks = r.u32()? as usize;
-    r.check_count(nlinks, 8, "failed-link")?;
-    let mut failed_links = Vec::with_capacity(nlinks);
-    for _ in 0..nlinks {
-        let a = r.u32()? as usize;
-        let b = r.u32()? as usize;
-        failed_links.push((a, b));
-    }
-    let nd = r.u32()? as usize;
-    r.check_count(nd, 8, "demand")?;
-    let mut demands = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        let d = r.f64()?;
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let demands = Vec::<f64>::get(r)?;
         // `TrafficMatrix::new` asserts this; a peer's bytes must fail the
         // frame, not unwind the event loop every connection shares.
-        if !(d.is_finite() && d >= 0.0) {
-            return Err(WireError::Protocol(format!(
+        match demands.iter().find(|d| !(d.is_finite() && **d >= 0.0)) {
+            Some(d) => Err(WireError::Protocol(format!(
                 "demand {d} is not finite and non-negative"
-            )));
+            ))),
+            None => Ok(TrafficMatrix::new(demands)),
         }
-        demands.push(d);
     }
-    r.done()?;
-    Ok((
-        id,
-        SubmitRequest {
-            topology,
-            tm: TrafficMatrix::new(demands),
-            deadline,
-            failed_links,
-            tenant,
-        },
-    ))
 }
 
-/// Decode a REPLY payload into `(id, result)`.
-#[allow(clippy::type_complexity)]
-pub fn decode_reply(payload: &[u8]) -> Result<(u64, Result<ServeReply, ServeError>), WireError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != Kind::Reply as u8 {
-        return Err(WireError::Protocol("expected REPLY".into()));
-    }
-    let id = r.u64()?;
-    let result = match r.u8()? {
-        0 => {
-            let k = r.u16()? as usize;
-            let nd = r.u32()? as usize;
-            if k == 0 {
-                return Err(WireError::Protocol("reply with k = 0 paths".into()));
-            }
-            let n = nd
-                .checked_mul(k)
-                .ok_or_else(|| WireError::Protocol("split count overflow".into()))?;
-            r.check_count(n, 8, "split")?;
-            let mut splits = Vec::with_capacity(n);
-            for _ in 0..n {
-                splits.push(r.f64()?);
-            }
-            let latency = Duration::get(&mut r)?;
-            let stages = StageTimings::get(&mut r)?;
-            let batch_size = r.u32()? as usize;
-            Ok(ServeReply {
-                allocation: Allocation::from_splits(k, splits),
-                latency,
-                stages,
-                batch_size,
-            })
+/// `k u16 · num_demands u32`, then the `nd·k` splits; `k = 0` and an
+/// `nd·k` that overflows are refused.
+impl Wire for Allocation {
+    const MIN_BYTES: usize = 6;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.k() as u16).put(buf);
+        (self.num_demands() as u32).put(buf);
+        for v in self.splits() {
+            v.put(buf);
         }
-        1 => {
-            let code = r.u8()?;
-            let msg = r.str()?;
-            Err(match code {
-                0 => ServeError::UnknownTopology(msg),
-                1 => ServeError::ShuttingDown,
-                2 => ServeError::Checkpoint(msg),
-                3 => ServeError::BadRequest(msg),
-                4 => ServeError::Internal(msg),
-                5 => ServeError::DeadlineExceeded,
-                6 => ServeError::Overloaded(msg),
-                c => {
-                    return Err(WireError::Protocol(format!("unknown error code {c}")));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (k, nd) = <(u16, u32)>::get(r)?;
+        if k == 0 {
+            return Err(WireError::Protocol("reply with k = 0 paths".into()));
+        }
+        let n = (nd as usize)
+            .checked_mul(usize::from(k))
+            .ok_or_else(|| WireError::Protocol("split count overflow".into()))?;
+        Ok(Allocation::from_splits(usize::from(k), r.items(n)?))
+    }
+}
+
+/// Topology id, deadline, tenant id, failed links, matrix.
+impl Wire for SubmitRequest {
+    const MIN_BYTES: usize = Id::MIN_BYTES + 1 + 1 + 4 + TrafficMatrix::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        // The ids write as the `Id`s they decode into.
+        self.topology.put(buf);
+        self.deadline.put(buf);
+        self.tenant.put(buf);
+        self.failed_links.put(buf);
+        self.tm.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(SubmitRequest {
+            topology: Id::get(r)?.0,
+            deadline: Wire::get(r)?,
+            tenant: Option::<Id>::get(r)?.map(|id| id.0),
+            failed_links: Wire::get(r)?,
+            tm: Wire::get(r)?,
+        })
+    }
+}
+
+/// Allocation, latency, stage spans, batch size.
+impl Wire for ServeReply {
+    const MIN_BYTES: usize = Allocation::MIN_BYTES + 8 + 3 * 8 + 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.allocation.put(buf);
+        self.latency.put(buf);
+        self.stages.put(buf);
+        self.batch_size.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(ServeReply {
+            allocation: Wire::get(r)?,
+            latency: Wire::get(r)?,
+            stages: Wire::get(r)?,
+            batch_size: Wire::get(r)?,
+        })
+    }
+}
+
+/// `u8` code, then the message (empty for a variant without one): one
+/// code table for both directions.
+macro_rules! error_codes {
+    ($($code:literal => $variant:ident $(($msg:ident))?,)*) => {
+        impl Wire for ServeError {
+            const MIN_BYTES: usize = 1 + String::MIN_BYTES;
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(ServeError::$variant $(($msg))? => {
+                        u8::put(&$code, buf);
+                        error_codes!(@message buf $($msg)?);
+                    })*
                 }
-            })
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let (code, message) = <(u8, String)>::get(r)?;
+                Ok(match code {
+                    $($code => {
+                        $(let $msg = message;)?
+                        ServeError::$variant $(($msg))?
+                    })*
+                    c => return Err(WireError::Protocol(format!("unknown error code {c}"))),
+                })
+            }
         }
-        t => return Err(WireError::Protocol(format!("bad reply tag {t}"))),
     };
-    r.done()?;
-    Ok((id, result))
+    (@message $buf:ident $msg:ident) => { $msg.put($buf) };
+    (@message $buf:ident) => { String::new().put($buf) };
 }
 
-/// Decode a STATS payload into the scrape id.
-pub fn decode_stats_request(payload: &[u8]) -> Result<u64, WireError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != Kind::Stats as u8 {
-        return Err(WireError::Protocol("expected STATS".into()));
-    }
-    let id = r.u64()?;
-    r.done()?;
-    Ok(id)
-}
-
-/// Decode a STATS_OK payload into `(id, snapshot)`.
-pub fn decode_stats_reply(payload: &[u8]) -> Result<(u64, TelemetrySnapshot), WireError> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != Kind::StatsOk as u8 {
-        return Err(WireError::Protocol("expected STATS_OK".into()));
-    }
-    let id = r.u64()?;
-    let snap = TelemetrySnapshot::get(&mut r)?;
-    r.done()?;
-    Ok((id, snap))
+error_codes! {
+    0 => UnknownTopology(m),
+    1 => ShuttingDown,
+    2 => Checkpoint(m),
+    3 => BadRequest(m),
+    4 => Internal(m),
+    5 => DeadlineExceeded,
+    6 => Overloaded(m),
 }
 
 // ---------------------------------------------- incremental (event loop)
@@ -715,33 +688,20 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// The length prefix of the frame at the parse cursor, if fully
-    /// visible.
-    fn peek_len(&self) -> Option<u32> {
-        let avail = &self.pending[self.pos..];
-        if avail.len() < 4 {
-            return None;
-        }
-        let mut len = [0u8; 4];
-        len.copy_from_slice(&avail[..4]);
-        Some(u32::from_le_bytes(len))
-    }
-
-    /// Reject a visible hostile length prefix before buffering anything
-    /// more behind it.
-    fn check_len(&self) -> Result<(), WireError> {
-        match self.peek_len() {
-            Some(len) if len > MAX_FRAME => Err(WireError::Protocol(format!(
-                "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
-            ))),
-            _ => Ok(()),
-        }
+    /// The payload length of the frame at the parse cursor once its whole
+    /// prefix is visible — an error as soon as that prefix is hostile.
+    fn peek_len(&self) -> Result<Option<usize>, WireError> {
+        let prefix = self.pending.get(self.pos..self.pos + 4);
+        prefix
+            .and_then(|p| p.try_into().ok())
+            .map(frame_len)
+            .transpose()
     }
 
     /// Buffer `bytes` as received from the socket. Errors as soon as the
     /// current frame's length prefix is visible and exceeds [`MAX_FRAME`].
     pub fn feed(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.check_len()?;
+        self.peek_len()?;
         // Compact before growing: once the consumed prefix dominates the
         // buffer (or everything is consumed), reclaim it in place so a
         // long-lived connection's buffer stays at its high-water mark
@@ -754,26 +714,20 @@ impl FrameDecoder {
             self.pos = 0;
         }
         self.pending.extend_from_slice(bytes);
-        self.check_len()
+        self.peek_len().map(drop)
     }
 
     /// The next complete frame payload, or `None` until more bytes arrive.
     /// The returned slice is valid until the next `feed`/`next_frame`
     /// call.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let Some(len) = self.peek_len() else {
+        let Some(len) = self.peek_len()? else {
             return Ok(None);
         };
-        if len > MAX_FRAME {
-            return Err(WireError::Protocol(format!(
-                "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
-            )));
-        }
-        let len = len as usize;
-        if self.pending.len() - self.pos < 4 + len {
+        let start = self.pos + 4;
+        if self.pending.len() < start + len {
             return Ok(None);
         }
-        let start = self.pos + 4;
         self.pos = start + len;
         Ok(Some(&self.pending[start..start + len]))
     }
@@ -815,54 +769,36 @@ impl WriteQueue {
         self.head == self.buf.len()
     }
 
-    /// Bytes encoded but not yet accepted by the socket.
-    pub fn backlog(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    /// Reserve a frame's length prefix; returns its offset for
-    /// [`WriteQueue::end_frame`].
-    fn begin_frame(&mut self) -> usize {
-        if self.head == self.buf.len() {
-            // Everything flushed: rewind and reuse the capacity.
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head >= (64 << 10) && self.head * 2 >= self.buf.len() {
-            // A slow reader left a persistent backlog: compact in place
-            // (memmove, no allocation) once the dead prefix dominates.
+    /// Queue one frame: reserve its length prefix, append the payload,
+    /// then patch the prefix with the payload's length.
+    fn push(&mut self, kind: Kind, body: impl Body) {
+        if self.head >= (64 << 10) && self.head * 2 >= self.buf.len() {
+            // A slow reader left a persistent backlog (a drained queue
+            // was already rewound by `flush`): compact in place (memmove,
+            // no allocation) once the dead prefix dominates.
             self.buf.drain(..self.head);
             self.head = 0;
         }
         let at = self.buf.len();
         self.buf.extend_from_slice(&[0u8; 4]);
-        at
-    }
-
-    /// Patch the length prefix reserved at `at` now that the body landed.
-    fn end_frame(&mut self, at: usize) {
+        put_frame(&mut self.buf, kind, body);
         let len = (self.buf.len() - at - 4) as u32;
         self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Queue the server half of the handshake.
     pub fn push_hello_ok(&mut self) {
-        let at = self.begin_frame();
-        put_hello_ok(&mut self.buf);
-        self.end_frame(at);
+        self.push(Kind::HelloOk, &VERSION);
     }
 
     /// Queue one REPLY frame.
     pub fn push_reply(&mut self, id: u64, reply: &Result<ServeReply, ServeError>) {
-        let at = self.begin_frame();
-        put_reply(&mut self.buf, id, reply);
-        self.end_frame(at);
+        self.push(Kind::Reply, (&id, reply));
     }
 
     /// Queue one STATS_OK frame.
     pub fn push_stats_reply(&mut self, id: u64, snap: &TelemetrySnapshot) {
-        let at = self.begin_frame();
-        put_stats_reply(&mut self.buf, id, snap);
-        self.end_frame(at);
+        self.push(Kind::StatsOk, (&id, snap));
     }
 
     /// Write backlog through `write` (typically `|b| stream.write(b)`)

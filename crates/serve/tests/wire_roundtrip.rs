@@ -455,9 +455,11 @@ fn stats_golden() {
 }
 
 /// REQUEST and REPLY frames (length prefix included), pinned as FNV-1a
-/// hashes captured at commit `f5880bf`: the benchmark's raw-socket load
-/// generator writes REQUEST frames and decodes REPLY frames itself, so
-/// their bytes are a contract beside STATS_OK's.
+/// hashes captured at commit `f5880bf`, and the HELLO, HELLO_OK and STATS
+/// frames, captured at `25e0425`: the benchmark's raw-socket load
+/// generator writes HELLO, REQUEST and STATS frames and decodes HELLO_OK
+/// and REPLY frames itself, so their bytes are a contract beside
+/// STATS_OK's.
 #[test]
 fn request_reply_golden() {
     let framed = |payload: &[u8]| {
@@ -506,6 +508,14 @@ fn request_reply_golden() {
         wire::encode_reply(&mut buf, 40 + id as u64, reply);
         got.push(framed(&buf));
     }
+    wire::encode_hello(&mut buf);
+    got.push(framed(&buf));
+    wire::encode_hello_ok(&mut buf);
+    got.push(framed(&buf));
+    for id in [0, u64::MAX - 5] {
+        wire::encode_stats_request(&mut buf, id);
+        got.push(framed(&buf));
+    }
     let want = [
         // plain request; deadline + tenant + failed links
         0x2e21df7e52182ddf,
@@ -520,6 +530,12 @@ fn request_reply_golden() {
         0xf148138c3e1430c5,
         0xde914f397a4c1ece,
         0x047ba11edad03551,
+        // HELLO, HELLO_OK
+        0x59b6ac1e45e68f97,
+        0x2b7d079efe7fb388,
+        // STATS with the smallest and a near-largest id
+        0xb1f090debbf2584b,
+        0xd8befdfd3cd33726,
     ];
-    assert_eq!(got, want, "REQUEST/REPLY bytes drifted");
+    assert_eq!(got, want, "handshake/REQUEST/REPLY/STATS bytes drifted");
 }
