@@ -96,9 +96,8 @@ thread_local! {
 /// threads total (the submitting thread plus at most `cap - 1` helpers);
 /// `cap == 1` keeps jobs on the submitting thread. The innermost cap wins;
 /// jobs submitted by *helper* threads on behalf of a capped job are not
-/// capped. This is the mechanism behind `teal-serve`'s per-shard thread
-/// caps: when topologies outnumber cores, each shard pins its fan-out so
-/// shards degrade into roughly-even lanes instead of thrashing the cores.
+/// capped. Timing probes use `cap == 1` to read a window's one-thread
+/// cost inside a multi-thread process.
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
     let prev = THREAD_CAP.with(|c| c.replace(Some(cap.max(1))));
     struct Restore(Option<usize>);

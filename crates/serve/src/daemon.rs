@@ -88,9 +88,8 @@ use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
 
 use crate::registry::ModelRegistry;
-use crate::request::{ResponseSlot, ServeError, ServeReply, SubmitRequest, Ticket};
+use crate::request::{ResponseSlot, ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT};
 use crate::telemetry::{ShardStats, StageTimings, Telemetry, TelemetrySnapshot, Trace};
-use crate::wfq::WfqScheduler;
 
 /// One queued request (its topology is implied by the shard holding it):
 /// what to solve, and who is waiting for the answer.
@@ -109,9 +108,9 @@ struct Caller {
     trace: Trace,
     /// Absolute expiry minted from [`SubmitRequest::deadline`] at enqueue.
     expires: Option<Instant>,
-    /// Effective tenant id (`"default"` for untagged requests), shared so
-    /// per-chunk accounting clones a pointer, not a string.
-    tenant: Arc<str>,
+    /// Effective tenant id ([`DEFAULT_TENANT`] for untagged requests): who
+    /// the reply is credited to in the per-tenant counters, nothing more.
+    tenant: String,
     slot: Arc<ResponseSlot>,
 }
 
@@ -132,20 +131,6 @@ pub struct ServeConfig {
     /// requests are waiting for one topology (backpressure instead of
     /// unbounded memory growth); deadline'd requests are shed instead.
     pub queue_capacity: usize,
-    /// Cap on pool threads (submitting dispatcher + helpers) each shard may
-    /// use for its windows' forward jobs (the only stage that submits any).
-    /// `None` = bounded only by `teal_nn::pool`'s process-wide helper
-    /// budget. Set this when topology counts grow past core
-    /// counts so shards degrade into roughly-even lanes instead of
-    /// racing for that budget. Setting a cap also arms the per-tenant
-    /// deficit-round-robin window arbiter (see [`crate::wfq`]): shards
-    /// sharing one budget take turns by [`ServeConfig::tenant_weights`].
-    pub shard_threads: Option<usize>,
-    /// Weighted-fair-queuing weights by tenant id. Unlisted tenants
-    /// (including `"default"`) weigh 1. Only consulted when
-    /// [`ServeConfig::shard_threads`] is set — without a shared budget,
-    /// shards are independent lanes and there is nothing to arbitrate.
-    pub tenant_weights: Vec<(String, u32)>,
 }
 
 impl Default for ServeConfig {
@@ -154,8 +139,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             linger: Duration::from_micros(200),
             queue_capacity: 1024,
-            shard_threads: None,
-            tenant_weights: Vec::new(),
         }
     }
 }
@@ -196,10 +179,6 @@ struct Inner<M: PolicyModel> {
     /// loop) can record wire-level events against the same counters the
     /// serving core feeds.
     telemetry: Arc<Telemetry>,
-    /// Per-tenant DRR window arbiter; armed iff `cfg.shard_threads` is set
-    /// (shards sharing one thread budget contend; independent shards
-    /// don't).
-    wfq: Option<WfqScheduler>,
 }
 
 /// The long-running TE serving core (see module docs). Transport front
@@ -213,10 +192,6 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
     /// be registered and swapped while serving). Shards spawn lazily: the
     /// first request for a registered topology brings up its dispatch lane.
     pub fn start(registry: ModelRegistry<M>, cfg: ServeConfig) -> Self {
-        let wfq = cfg
-            .shard_threads
-            .is_some()
-            .then(|| WfqScheduler::new(&cfg.tenant_weights));
         ServeDaemon {
             inner: Arc::new(Inner {
                 registry,
@@ -224,7 +199,6 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 shards: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
                 telemetry: Arc::new(Telemetry::default()),
-                wfq,
             }),
         }
     }
@@ -349,14 +323,13 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             slot.fulfill(Err(ServeError::DeadlineExceeded));
             return;
         }
-        let tenant: Arc<str> = Arc::from(req.tenant_id());
         let request = Request {
             tm: req.tm,
             signature,
             caller: Caller {
                 trace: Trace::at(now),
                 expires: req.deadline.map(|d| now + d),
-                tenant,
+                tenant: req.tenant.unwrap_or_else(|| DEFAULT_TENANT.to_string()),
                 slot: Arc::clone(&slot),
             },
         };
@@ -522,14 +495,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
             shard.space.notify_all();
             drained
         };
-        // Per-shard thread cap: bind the pool fan-out of this window's
-        // forward job from this, the submitting thread.
-        match inner.cfg.shard_threads {
-            Some(cap) => teal_nn::pool::with_thread_cap(cap, || {
-                serve_drained(inner, shard, &mut scratch, drained);
-            }),
-            None => serve_drained(inner, shard, &mut scratch, drained),
-        }
+        serve_drained(inner, shard, &mut scratch, drained);
     }
 }
 
@@ -597,58 +563,26 @@ fn serve_drained<M: PolicyModel>(
         .map(|(_, g)| deadline_inversions(g.iter().map(|r| r.caller.expires)))
         .sum();
     inner.telemetry.on_deadline_inversions(inversions);
-    // Flatten the groups into the drain's serving order of `max_batch`-sized
-    // windows before touching the WFQ arbiter: fair queuing needs the *next*
-    // window's ticket enqueued while the current one still holds its grant
-    // (one-ahead reservation — see `crate::wfq`), so this shard stays
-    // backlogged at the arbiter for the whole drain instead of degenerating
-    // to strict alternation with whoever else shares the thread budget.
-    let mut windows: Vec<SignatureGroup> = Vec::new();
     for (sig, mut requests) in groups {
         while !requests.is_empty() {
             let take = requests.len().min(inner.cfg.max_batch.max(1));
-            windows.push((sig.clone(), requests.drain(..take).collect()));
+            let chunk = requests.drain(..take).collect();
+            // A failed link is just a capacity change (§3.1 fn. 1): the
+            // window's only extra step is this one clone of the serving
+            // topology. Submit validated every pair against it, so both
+            // directed edges resolve (a link the registry has since
+            // swapped away is a no-op, not an error).
+            let override_topo = (!sig.is_empty()).then(|| {
+                let topo = ctx.env().topo();
+                let failed: Vec<_> = sig
+                    .iter()
+                    .flat_map(|&(a, b)| [topo.find_edge(a, b), topo.find_edge(b, a)])
+                    .flatten()
+                    .collect();
+                topo.with_failed_edges(&failed)
+            });
+            serve_chunk(inner, shard, scratch, &ctx, override_topo.as_ref(), chunk);
         }
-    }
-    let mut iter = windows.into_iter().peekable();
-    let mut reservation = iter
-        .peek()
-        .and_then(|(_, c)| inner.wfq.as_ref().map(|w| w.enqueue(&dominant_tenant(c))));
-    while let Some((sig, chunk)) = iter.next() {
-        // A reservation exists only if `inner.wfq` does (it was minted from
-        // it), so the `(Some, None)` arm is unreachable and maps to no
-        // grant.
-        let window = match (reservation.take(), inner.wfq.as_ref()) {
-            (Some(r), Some(w)) => Some(w.wait(r)),
-            _ => None,
-        };
-        // Holding this chunk's grant, reserve the next chunk's slot.
-        reservation = iter
-            .peek()
-            .and_then(|(_, c)| inner.wfq.as_ref().map(|w| w.enqueue(&dominant_tenant(c))));
-        // A failed link is just a capacity change (§3.1 fn. 1): the
-        // window's only extra step is this one clone of the serving
-        // topology. Submit validated every pair against it, so both
-        // directed edges resolve (a link the registry has since swapped
-        // away is a no-op, not an error).
-        let override_topo = (!sig.is_empty()).then(|| {
-            let topo = ctx.env().topo();
-            let failed: Vec<_> = sig
-                .iter()
-                .flat_map(|&(a, b)| [topo.find_edge(a, b), topo.find_edge(b, a)])
-                .flatten()
-                .collect();
-            topo.with_failed_edges(&failed)
-        });
-        serve_chunk(
-            inner,
-            shard,
-            scratch,
-            &ctx,
-            override_topo.as_ref(),
-            chunk,
-            window,
-        );
     }
 }
 
@@ -676,11 +610,6 @@ fn serve_chunk<M: PolicyModel>(
     ctx: &ServingContext<M>,
     override_topo: Option<&Topology>,
     chunk: Vec<Request>,
-    // Per-tenant fair queuing: when shards share a thread budget, the
-    // caller already waited out the DRR schedule for this window, charged
-    // to the chunk's dominant tenant. The grant is RAII — held across the
-    // whole chunk and released on every return path, panics included.
-    _grant: Option<crate::wfq::WindowGrant<'_>>,
 ) {
     // Adaptive ADMM budget, the paper's §3.4 iterations-as-latency-knob: a
     // chunk carrying deadline'd requests whose tightest remaining headroom
@@ -712,15 +641,13 @@ fn serve_chunk<M: PolicyModel>(
             caller.slot.fulfill(Err(err.clone()));
         }
     };
-    // The batches left to solve, each with the tenant its window is charged
-    // to: the chunk itself — its matrices moved out of the requests, in
-    // step with their callers — and, only if it panics as a batch, each of
-    // its requests alone.
-    let dominant = dominant_tenant(&chunk);
+    // The batches left to solve: the chunk itself — its matrices moved out
+    // of the requests, in step with their callers — and, only if it panics
+    // as a batch, each of its requests alone.
     let (tms, callers): (Vec<TrafficMatrix>, Vec<Caller>) =
         chunk.into_iter().map(|r| (r.tm, r.caller)).unzip();
-    let mut batches = VecDeque::from([(dominant, tms, callers)]);
-    while let Some((dominant, mut tms, mut callers)) = batches.pop_front() {
+    let mut batches = VecDeque::from([(tms, callers)]);
+    while let Some((mut tms, mut callers)) = batches.pop_front() {
         while !callers.is_empty() {
             // Solve span: forward pass + ADMM fine-tuning for this attempt.
             // A re-batch after a bad-request eviction restamps — the
@@ -765,7 +692,7 @@ fn serve_chunk<M: PolicyModel>(
                         solve.as_ref(),
                         downgraded,
                     );
-                    charge_tenants(&inner.telemetry, &callers, &dominant);
+                    charge_tenants(&inner.telemetry, &callers);
                     inner.telemetry.on_complete(batch_size as u64);
                     for (((caller, allocation), latency), stages) in
                         callers.into_iter().zip(allocs).zip(latencies).zip(stages)
@@ -798,12 +725,12 @@ fn serve_chunk<M: PolicyModel>(
                     break;
                 }
                 // An unclassified panic somewhere in the batch: queue each
-                // request alone, its window charged to its own tenant.
+                // request alone.
                 Err(_) if callers.len() > 1 => {
                     batches.extend(
                         tms.into_iter()
                             .zip(callers)
-                            .map(|(tm, c)| (Arc::clone(&c.tenant), vec![tm], vec![c])),
+                            .map(|(tm, c)| (vec![tm], vec![c])),
                     );
                     break;
                 }
@@ -843,28 +770,11 @@ fn deadline_inversions(expiries: impl Iterator<Item = Option<Instant>>) -> u64 {
     inversions
 }
 
-/// The tenant a chunk's window is charged to in the DRR schedule: the one
-/// tagging the most requests, ties broken toward the lexicographically
-/// smallest id (deterministic under concurrency).
-fn dominant_tenant(chunk: &[Request]) -> Arc<str> {
-    let mut counts: Vec<(Arc<str>, u64)> = Vec::new();
-    for r in chunk {
-        match counts.iter_mut().find(|(t, _)| **t == *r.caller.tenant) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((Arc::clone(&r.caller.tenant), 1)),
-        }
-    }
-    counts
-        .into_iter()
-        .max_by(|(at, an), (bt, bn)| an.cmp(bn).then_with(|| bt.cmp(at)))
-        .map(|(t, _)| t)
-        .unwrap_or_else(|| Arc::from("default"))
-}
-
 /// Per-tenant accounting for one successfully served batch: every request
-/// counts toward its own tenant; the window counts toward the dominant
-/// tenant the DRR schedule charged it to.
-fn charge_tenants(telemetry: &Telemetry, callers: &[Caller], dominant: &str) {
+/// counts toward its own tenant, and the window toward the tenant tagging
+/// the most of them, ties broken toward the lexicographically smallest id
+/// (deterministic under concurrency).
+fn charge_tenants(telemetry: &Telemetry, callers: &[Caller]) {
     let mut counts: Vec<(&str, u64)> = Vec::new();
     for c in callers {
         match counts.iter_mut().find(|(t, _)| *t == &*c.tenant) {
@@ -872,8 +782,12 @@ fn charge_tenants(telemetry: &Telemetry, callers: &[Caller], dominant: &str) {
             None => counts.push((&c.tenant, 1)),
         }
     }
-    for (t, n) in counts {
-        telemetry.on_tenant(t, n, u64::from(t == dominant));
+    let dominant = counts
+        .iter()
+        .max_by(|(at, an), (bt, bn)| an.cmp(bn).then_with(|| bt.cmp(at)))
+        .map(|&(t, _)| t);
+    for &(t, n) in &counts {
+        telemetry.on_tenant(t, n, u64::from(Some(t) == dominant));
     }
 }
 

@@ -48,8 +48,6 @@
 //!        │          one sub-batch per signature, chunks of max_batch
 //!        │             ▼
 //!        │          ┌── per-chunk window ─────────────────────────────┐
-//!        │          │ WFQ gate: DRR across tenants when shards share  │
-//!        │          │   a shard_threads budget (tenant_weights)       │
 //!        │          │ adaptive §3.4 budget: headroom < queue-wait p99 │
 //!        │          │   ⇒ 2 ADMM iters, else full (→ downgrade ctr)   │
 //!        │          │ ⊕ solve-start (queue-wait span ends)            │
@@ -97,7 +95,7 @@
 //!   bounded waits via [`Ticket::wait_timeout`]), **failed-link
 //!   overrides** (the paper's §5.3 failure recovery, served without
 //!   retraining through [`teal_core::ServingContext::try_allocate_batch_on_with`]),
-//!   and a **tenant tag** (fair-queuing identity; untagged requests are
+//!   and a **tenant tag** (an accounting identity; untagged requests are
 //!   the `"default"` tenant).
 //! * **Serving core** ([`ServeDaemon`]) — per-topology dispatch shards
 //!   behind the narrow `submit(SubmitRequest) -> Ticket` API. Submit
@@ -117,12 +115,7 @@
 //!   iterations when deadline headroom is tighter than the shard's
 //!   queue-wait p99, the full budget otherwise — every downgrade lands in
 //!   [`AdmmStats`]). Backpressure is
-//!   a bounded per-shard queue; [`ServeConfig::shard_threads`] optionally
-//!   caps one shard's `teal_nn::pool` fan-out so shards degrade into even
-//!   lanes when topologies outnumber cores, and setting it arms the
-//!   per-tenant **deficit-round-robin window arbiter**
-//!   ([`ServeConfig::tenant_weights`]): shards contending for one budget
-//!   take turns in weight ratio instead of racing. Built from commutative
+//!   a bounded per-shard queue. Built from commutative
 //!   operations across cores *and* connections (the
 //!   scalable-commutativity design rule): no lock is held across model
 //!   compute and no two shards share hot-path state, so a network front
@@ -267,9 +260,9 @@ pub mod wire;
 
 // The concurrency-bearing internals are private in a normal build, but the
 // model-check harness (`tests/model_check.rs`, compiled with
-// `RUSTFLAGS="--cfg teal_loom"`) drives the real WFQ arbiter, response-slot
-// protocol and distilled daemon/client protocols directly, so the loom
-// build exports them.
+// `RUSTFLAGS="--cfg teal_loom"`) drives the real response-slot and
+// completion-queue protocols and the distilled daemon/client protocols
+// directly, so the loom build exports them.
 #[cfg(teal_loom)]
 pub mod model;
 #[cfg(not(teal_loom))]
@@ -280,10 +273,6 @@ pub mod request;
 pub(crate) mod sync;
 #[cfg(teal_loom)]
 pub mod sync;
-#[cfg(not(teal_loom))]
-mod wfq;
-#[cfg(teal_loom)]
-pub mod wfq;
 
 pub use client::TealClient;
 pub use daemon::{ServeConfig, ServeDaemon};

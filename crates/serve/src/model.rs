@@ -5,9 +5,9 @@
 //! Each model is the *body* of one model-checked execution: the test wraps
 //! it in [`loom::model`]/`loom::Builder::check`, which runs it once per
 //! distinct thread interleaving. Models use the real production types
-//! wherever the protocol lives in a type — [`WfqScheduler`],
-//! [`ResponseSlot`], [`Ticket`], the event loop's [`Completions`], the
-//! wire client's [`ClientShared`] — and distill the surrounding daemon
+//! wherever the protocol lives in a type — [`ResponseSlot`], [`Ticket`],
+//! the event loop's [`Completions`], the wire client's [`ClientShared`] —
+//! and distill the surrounding daemon
 //! plumbing (shard queues, wire sockets, the eventfd) down to the few
 //! operations whose ordering is under test.
 //!
@@ -17,110 +17,12 @@
 //! ordering bug and must *fail* the model — that failure is what proves
 //! the checker actually explores the schedule that matters, not just the
 //! happy path. A mutant no test can kill is a model too weak to trust.
-//!
-//! The order-log vector below deliberately uses `std::sync::Mutex`, not
-//! the [`crate::sync`] facade: the log is measurement apparatus, not part
-//! of the protocol under test, and keeping it off the model checker's
-//! radar avoids paying scheduling points (and state-space growth) for
-//! bookkeeping. Under the model's one-token-at-a-time execution a std
-//! mutex is never even contended.
 
 use crate::client::{ClientShared, Waiter};
 use crate::request::{Completions, ResponseSlot, ServeError, Ticket};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
-use crate::wfq::WfqScheduler;
 use std::collections::VecDeque;
-use std::sync::Mutex as StdMutex;
-use std::sync::PoisonError;
-
-/// Grant-order log shared by the WFQ model's tenant threads.
-type OrderLog = std::sync::Arc<StdMutex<Vec<&'static str>>>;
-
-fn log_push(log: &OrderLog, tenant: &'static str) {
-    log.lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(tenant);
-}
-
-/// Mutations for [`wfq_one_ahead`].
-#[derive(Clone, Copy, Debug)]
-pub enum WfqMutation {
-    /// The shipping protocol: a tenant reserves its *next* window while
-    /// still holding the current grant.
-    Pristine,
-    /// PR 8's near-miss: reserve the next window only after releasing the
-    /// current grant. Each release then races the same tenant's
-    /// re-enqueue; in schedules where the re-enqueue loses, the arbiter
-    /// sees at most one waiter per flow and degenerates toward strict
-    /// alternation — the configured 2:1 weights stop mattering.
-    NoOneAhead,
-}
-
-/// One-ahead WFQ reservation: gold (weight 2, four windows) and bronze
-/// (weight 1, two windows), both pre-enqueued before their threads start.
-/// With one-ahead reservations the DRR credit schedule is fully determined
-/// by queue contents — every interleaving must grant exactly
-/// `g b g g b g`. The [`WfqMutation::NoOneAhead`] mutant breaks that in
-/// schedules where a release happens before the same tenant's re-enqueue.
-pub fn wfq_one_ahead(mutation: WfqMutation) {
-    let sched = Arc::new(WfqScheduler::new(&[
-        ("gold".to_string(), 2),
-        ("bronze".to_string(), 1),
-    ]));
-    let order: OrderLog = std::sync::Arc::new(StdMutex::new(Vec::new()));
-    // Pre-enqueue BOTH first tickets before either thread starts, so both
-    // flows are backlogged at the arbiter before any window is granted —
-    // the same guarantee the shard drain loop provides in production. If
-    // gold's thread started before bronze's enqueue, a schedule where gold
-    // runs to completion first would legitimately grant it every window.
-    let tenants = [("gold", 4usize), ("bronze", 2usize)];
-    let mut firsts = tenants
-        .iter()
-        .map(|(tenant, _)| sched.enqueue(tenant))
-        .collect::<Vec<_>>();
-    let mut handles = Vec::new();
-    for (tenant, windows) in tenants {
-        let sched = Arc::clone(&sched);
-        let order = std::sync::Arc::clone(&order);
-        let first = firsts.remove(0);
-        handles.push(thread::spawn_named(tenant, move || {
-            let mut reservation = Some(first);
-            for i in 0..windows {
-                let Some(r) = reservation.take() else {
-                    unreachable!("reservation is replenished every non-final window")
-                };
-                let grant = sched.wait(r);
-                log_push(&order, tenant);
-                match mutation {
-                    WfqMutation::Pristine => {
-                        if i + 1 < windows {
-                            reservation = Some(sched.enqueue(tenant));
-                        }
-                        drop(grant);
-                    }
-                    WfqMutation::NoOneAhead => {
-                        drop(grant);
-                        if i + 1 < windows {
-                            reservation = Some(sched.enqueue(tenant));
-                        }
-                    }
-                }
-            }
-        }));
-    }
-    for h in handles {
-        if h.join().is_err() {
-            panic!("wfq tenant thread panicked");
-        }
-    }
-    let got = order.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    assert_eq!(
-        got,
-        ["gold", "bronze", "gold", "gold", "bronze", "gold"],
-        "DRR grant order must be schedule-independent with one-ahead reservations"
-    );
-}
 
 /// Mutations for [`submit_vs_shutdown`].
 #[derive(Clone, Copy, Debug)]

@@ -45,10 +45,10 @@ pub struct SubmitRequest {
     /// the same override set coalesce into shared failure sub-batches;
     /// an empty set is the steady-state path.
     pub failed_links: Vec<(usize, usize)>,
-    /// Tenant tag for weighted fair queuing across topologies sharing a
-    /// `shard_threads` budget. `None` (and every wire-v2-era caller) maps
-    /// to the `"default"` tenant; weights come from
-    /// [`crate::ServeConfig::tenant_weights`].
+    /// Tenant tag: an accounting identity only — replies and solver
+    /// windows are credited to it in [`crate::TenantSnapshot`], and it
+    /// changes nothing about scheduling. `None` (and every wire-v2-era
+    /// caller) maps to [`DEFAULT_TENANT`].
     pub tenant: Option<String>,
 }
 
@@ -64,15 +64,10 @@ impl SubmitRequest {
         }
     }
 
-    /// Tag this request with a tenant id for fair-queuing accounting.
+    /// Tag this request with a tenant id for per-tenant accounting.
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = Some(tenant.into());
         self
-    }
-
-    /// The effective tenant id (`"default"` when untagged).
-    pub(crate) fn tenant_id(&self) -> &str {
-        self.tenant.as_deref().unwrap_or(DEFAULT_TENANT)
     }
 
     /// Bound the time this request may spend queued before serving.

@@ -354,7 +354,7 @@ impl ShardStats {
 const MAX_TENANTS: usize = 64;
 const OVERFLOW_TENANT: &str = "other";
 
-/// One tenant's serving totals (weighted-fair-queuing accounting).
+/// One tenant's serving totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct TenantAccum {
     requests: u64,
@@ -994,7 +994,7 @@ metrics! {
         }
     }
 
-    /// One tenant's served totals under weighted fair queuing.
+    /// One tenant's served totals.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct TenantSnapshot {
         label("tenant") {

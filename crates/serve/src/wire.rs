@@ -105,8 +105,8 @@ pub const VERSION: u16 = 4;
 /// corrupt or hostile peer asking us to allocate gigabytes).
 pub const MAX_FRAME: u32 = 64 << 20;
 /// Longest topology or tenant id a REQUEST may carry. Ids are peer input
-/// that outlives the frame (telemetry rows, fair-queuing flows), so they
-/// are bounded where they enter.
+/// that outlives the frame (telemetry rows), so they are bounded where
+/// they enter.
 pub const MAX_ID_BYTES: usize = 256;
 
 /// Message kinds (first payload byte).
@@ -191,9 +191,12 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, WireErro
         Err(e) => return Err(WireError::Io(e)),
     }
     let len = frame_len(prefix)?;
+    // Grow with the bytes that arrive, not with what the prefix claims:
+    // four bytes from a peer must not buy a `MAX_FRAME` zero-fill.
     buf.clear();
-    buf.resize(len, 0);
-    r.read_exact(buf)?;
+    if r.take(len as u64).read_to_end(buf)? < len {
+        return Err(WireError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
     Ok(true)
 }
 

@@ -1,7 +1,6 @@
 //! In-process admission-control semantics: bounded waits
 //! ([`Ticket::wait_timeout`]), enqueue-time sheds, queue-full sheds for
-//! deadline'd requests, failure-aware coalescing equivalence, and the
-//! per-shard thread cap.
+//! deadline'd requests, and failure-aware coalescing equivalence.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,7 +77,6 @@ fn full_queue_sheds_deadlined_requests_but_backpressures_plain_ones() {
             linger: Duration::from_millis(400),
             max_batch: 64,
             queue_capacity: 2,
-            ..ServeConfig::default()
         },
     );
     let tm = TrafficMatrix::new(vec![5.0; env.num_demands()]);
@@ -223,73 +221,4 @@ fn failure_coalescing_matches_direct_overrides() {
             i % 4
         );
     }
-}
-
-#[test]
-fn shard_thread_caps_serve_two_topologies_correctly() {
-    // ROADMAP PR 4 follow-up: per-shard thread caps. Under TEAL_NN_THREADS=4
-    // (the CI matrix) each shard's forward jobs are pinned to one thread; the
-    // answers must stay exactly as correct as the uncapped daemon's. Run a
-    // capped and an uncapped daemon over the same traffic and compare both
-    // against direct context calls.
-    let env_b4 = Arc::new(Env::for_topology(teal_topology::b4()));
-    let env_swan = Arc::new(Env::for_topology(teal_topology::generate(
-        teal_topology::TopoKind::Swan,
-        0.3,
-        7,
-    )));
-    let ref_b4 = context(&env_b4, 0);
-    let ref_swan = context(&env_swan, 5);
-    let registry = ModelRegistry::new();
-    registry.insert("b4", context(&env_b4, 0));
-    registry.insert("swan", context(&env_swan, 5));
-    let daemon = ServeDaemon::start(
-        registry,
-        ServeConfig {
-            shard_threads: Some(1),
-            ..ServeConfig::default()
-        },
-    );
-    let tms_b4: Vec<TrafficMatrix> = (0..8)
-        .map(|i| TrafficMatrix::new(vec![4.0 + 3.0 * i as f64; env_b4.num_demands()]))
-        .collect();
-    let tms_swan: Vec<TrafficMatrix> = (0..8)
-        .map(|i| TrafficMatrix::new(vec![2.0 + 5.0 * i as f64; env_swan.num_demands()]))
-        .collect();
-    std::thread::scope(|s| {
-        let daemon = &daemon;
-        let (ref_b4, ref_swan) = (&ref_b4, &ref_swan);
-        let (tms_b4, tms_swan) = (&tms_b4, &tms_swan);
-        s.spawn(move || {
-            for tm in tms_b4 {
-                let reply = daemon.allocate("b4", tm.clone()).expect("capped b4");
-                let want = ref_b4.allocate(tm).0;
-                let d = reply
-                    .allocation
-                    .splits()
-                    .iter()
-                    .zip(want.splits())
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f64, f64::max);
-                assert!(d <= 1e-6, "capped b4 shard diverged: {d:.2e}");
-            }
-        });
-        s.spawn(move || {
-            for tm in tms_swan {
-                let reply = daemon.allocate("swan", tm.clone()).expect("capped swan");
-                let want = ref_swan.allocate(tm).0;
-                let d = reply
-                    .allocation
-                    .splits()
-                    .iter()
-                    .zip(want.splits())
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0f64, f64::max);
-                assert!(d <= 1e-6, "capped swan shard diverged: {d:.2e}");
-            }
-        });
-    });
-    let stats = daemon.stats();
-    assert_eq!(stats.completed, 16);
-    assert_eq!(stats.queue_depth, 0);
 }

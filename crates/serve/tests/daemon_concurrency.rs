@@ -482,7 +482,6 @@ proptest! {
                 max_batch,
                 linger: std::time::Duration::from_micros(linger_us),
                 queue_capacity: 64,
-                ..ServeConfig::default()
             },
         );
         let served: Vec<(usize, Allocation)> = std::thread::scope(|s| {

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use loom::Builder;
 use teal_serve::model::{
     client_register_before_send, completion_doorbell, shutdown_straggler_sweep, submit_vs_shutdown,
-    wfq_one_ahead, ClientMutation, DoorbellMutation, ShutdownMutation, SweepMutation, WfqMutation,
+    ClientMutation, DoorbellMutation, ShutdownMutation, SweepMutation,
 };
 
 /// Schedules explored below this are too few to mean anything — the
@@ -52,30 +52,6 @@ fn assert_killed(name: &str, f: impl Fn() + Send + Sync + 'static) {
         "seeded mutant {name} survived model checking — the model no longer \
          explores the schedule that distinguishes it"
     );
-}
-
-#[test]
-fn wfq_one_ahead_grant_order_is_schedule_independent() {
-    // The WFQ model's full schedule tree is too large to exhaust (> 400k
-    // schedules); three involuntary preemptions per schedule is the
-    // classic bound — real ordering bugs need one or two — and keeps the
-    // proof exhaustive *within* the bound.
-    let report = checker_bounded(Some(3)).check(|| wfq_one_ahead(WfqMutation::Pristine));
-    eprintln!("wfq pristine: {} interleavings", report.executions);
-    assert!(
-        report.complete,
-        "WFQ model exploration hit the execution cap"
-    );
-    assert!(
-        report.executions >= MIN_EXECUTIONS,
-        "only {} interleavings explored",
-        report.executions
-    );
-}
-
-#[test]
-fn wfq_mutant_without_one_ahead_is_killed() {
-    assert_killed("NoOneAhead", || wfq_one_ahead(WfqMutation::NoOneAhead));
 }
 
 #[test]

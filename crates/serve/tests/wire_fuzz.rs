@@ -6,7 +6,8 @@
 //! spliced — and joined by
 //! arbitrary byte strings. Each input goes to every `decode_*`, to
 //! `peek_kind`, and framed (and raw, as a stream of hostile length
-//! prefixes) to a `FrameDecoder` fed in random splits.
+//! prefixes) to a `FrameDecoder` fed in random splits. A hostile length
+//! prefix alone must not buy heap from the blocking `read_frame` either.
 //!
 //! Two things must hold for every input: nothing panics, and no single
 //! decode holds more than [`RATIO`] × the payload length in live heap
@@ -376,4 +377,28 @@ fn no_peer_bytes_panic_or_outgrow_the_payload() {
         DECODERS.len()
     );
     assert!(ledger.inputs > 10_000, "too few inputs: {}", ledger.inputs);
+}
+
+/// A length prefix is a claim, not a payload: `read_frame` holds heap for
+/// the bytes that arrive, so a peer naming `MAX_FRAME` and then hanging up
+/// after 100 bytes costs what it sent, not a 64 MiB zero-fill.
+#[test]
+fn read_frame_grows_with_received_bytes_not_the_prefix() {
+    let mut stream = wire::MAX_FRAME.to_le_bytes().to_vec();
+    stream.extend((0..100u8).map(|b| b.wrapping_mul(37)));
+    let received = stream.len();
+    let mut cursor = std::io::Cursor::new(stream);
+    let mut buf = Vec::new();
+    let mut got = None;
+    let peak = peak_added(|| got = Some(wire::read_frame(&mut cursor, &mut buf)));
+    match got {
+        Some(Err(wire::WireError::Io(e))) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")
+        }
+        other => panic!("a short frame must be an EOF error, got {other:?}"),
+    }
+    assert!(
+        peak <= RATIO * received + SLACK,
+        "read_frame held {peak} live heap bytes after receiving {received}"
+    );
 }
