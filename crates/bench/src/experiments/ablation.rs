@@ -36,8 +36,7 @@ fn score(bed: &Testbed, model: &dyn PolicyModel, with_admm: bool) -> f64 {
         if let Some(skel) = &skeleton {
             alloc = skel.solve(tm, &alloc, admm_cfg).0;
         }
-        let inst = bed.env.instance(tm);
-        acc += (100.0 * evaluate(&inst, &alloc).realized_flow / tm.total().max(1e-12)).min(100.0);
+        acc += evaluate(&bed.env.instance(tm), &alloc).satisfied_pct();
     }
     acc / bed.test.len().max(1) as f64
 }

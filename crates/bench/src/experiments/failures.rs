@@ -49,9 +49,7 @@ fn failure_pct(
 ) -> f64 {
     let (pre, _) = scheme.allocate(env.topo(), tm);
     if failed.is_empty() {
-        let inst = env.instance(tm);
-        return (100.0 * teal_lp::evaluate(&inst, &pre).realized_flow / tm.total().max(1e-12))
-            .min(100.0);
+        return teal_lp::evaluate(&env.instance(tm), &pre).satisfied_pct();
     }
     let failed_topo = env.topo().with_failed_edges(failed);
     run_failure_interval(env, &failed_topo, tm, scheme, &pre, interval)

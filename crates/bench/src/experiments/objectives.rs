@@ -11,9 +11,7 @@ use super::Harness;
 use crate::table::{emit, emit_csv, Table};
 use crate::testbed::Testbed;
 use std::sync::Arc;
-use teal_core::{
-    train_coma, ComaConfig, EngineConfig, RewardKind, ServingContext, TealConfig, TealModel,
-};
+use teal_core::{train_coma, ComaConfig, EngineConfig, ServingContext, TealConfig, TealModel};
 use teal_lp::{evaluate_with_gamma, Objective, TeInstance};
 use teal_sim::{metrics, LpAllScheme, LpTopScheme, Scheme, TealScheme};
 use teal_topology::TopoKind;
@@ -21,11 +19,10 @@ use teal_topology::TopoKind;
 /// Matrices per batched allocation chunk (Teal's batched serving path).
 const OBJECTIVE_BATCH: usize = 8;
 
-/// Train a Teal model on a testbed for a non-default reward.
+/// Train a Teal model on a testbed for a non-default objective.
 fn train_for(
     budget: crate::testbed::TrainBudget,
     bed: &Testbed,
-    reward: RewardKind,
     objective: Objective,
 ) -> ServingContext<TealModel> {
     let mut model = TealModel::new(Arc::clone(&bed.env), TealConfig::default());
@@ -34,7 +31,7 @@ fn train_for(
         epochs: budget.epochs,
         lr: budget.lr,
         agent_fraction: (budget.max_agents_per_step as f64 / nd as f64).min(1.0),
-        reward,
+        objective,
         ..ComaConfig::default()
     };
     let _ = train_coma(&mut model, &bed.train, &bed.val, &cfg);
@@ -53,12 +50,7 @@ pub fn fig11(h: &mut Harness) {
         let budget = h.budget();
         let (env, tms, bed_name, engine) = {
             let bed = h.bed(kind);
-            let engine = train_for(
-                budget,
-                bed,
-                RewardKind::NegMaxUtil,
-                Objective::MinMaxLinkUtil,
-            );
+            let engine = train_for(budget, bed, Objective::MinMaxLinkUtil);
             (Arc::clone(&bed.env), bed.test.clone(), bed.name(), engine)
         };
         let mut schemes: Vec<Box<dyn Scheme>> = vec![
@@ -121,12 +113,7 @@ pub fn fig12(h: &mut Harness) {
         let budget = h.budget();
         let (env, tms, bed_name, engine) = {
             let bed = h.bed(kind);
-            let engine = train_for(
-                budget,
-                bed,
-                RewardKind::DelayPenalized(gamma),
-                Objective::DelayPenalizedFlow(gamma),
-            );
+            let engine = train_for(budget, bed, Objective::DelayPenalizedFlow(gamma));
             (Arc::clone(&bed.env), bed.test.clone(), bed.name(), engine)
         };
         let mut schemes: Vec<Box<dyn Scheme>> = Vec::new();

@@ -15,9 +15,9 @@
 //! policy network *and* FlowGNN.
 
 use crate::env::Env;
-use crate::flowsim::{FlowSim, RewardKind};
 use crate::model::{mu_to_allocation, Forward, PolicyModel};
 use rand::Rng;
+use teal_lp::{evaluate, objective_value, Allocation, FlowSim, Objective, TeInstance};
 use teal_nn::graph::softmax_row_inplace;
 use teal_nn::{rng, Adam, Graph, Tensor};
 use teal_traffic::TrafficMatrix;
@@ -42,8 +42,8 @@ pub struct ComaConfig {
     pub grad_clip: f32,
     /// RNG seed for sampling.
     pub seed: u64,
-    /// The reward signal (TE objective) to optimize — §5.5's flexibility.
-    pub reward: RewardKind,
+    /// The TE objective whose value is the reward — §5.5's flexibility.
+    pub objective: Objective,
     /// Traffic matrices per optimizer step. Each matrix records its own
     /// tape (forward and backward); their gradients are summed in matrix
     /// order before the one clip and Adam step. `1` steps per matrix.
@@ -60,7 +60,7 @@ impl Default for ComaConfig {
             normalize_advantages: true,
             grad_clip: 5.0,
             seed: 0,
-            reward: RewardKind::TotalFlow,
+            objective: Objective::TotalFlow,
             batch_size: 4,
         }
     }
@@ -100,12 +100,15 @@ pub fn train_coma(
     let mut opt = Adam::new(cfg.lr);
     let mut sampler = rng::seeded(cfg.seed ^ 0xc0a_a517);
     let mut history = Vec::new();
+    // Model selection uses the configured objective: satisfied % for total
+    // flow, the mean objective value otherwise.
+    let score = |model: &dyn PolicyModel| match cfg.objective {
+        Objective::TotalFlow => validate(model, &env, val),
+        objective => validate_reward(model, &env, val, objective),
+    };
     // The initial weights are a model-selection candidate too: if no epoch
     // beats them on validation, training must not regress the deployed model.
-    let mut best_val = match cfg.reward {
-        RewardKind::TotalFlow => validate(model, &env, val),
-        _ => validate_reward(model, &env, val, cfg.reward),
-    };
+    let mut best_val = score(model);
     let mut best_snap = model.store().snapshot();
 
     for epoch in 0..cfg.epochs {
@@ -115,12 +118,7 @@ pub fn train_coma(
             reward_acc += frac * chunk.len() as f64;
         }
         let train_reward_frac = reward_acc / train.len() as f64;
-        // Model selection uses the configured objective: satisfied % for
-        // flow rewards, mean reward for MLU.
-        let val_satisfied_pct = match cfg.reward {
-            RewardKind::TotalFlow => validate(model, &env, val),
-            _ => validate_reward(model, &env, val, cfg.reward),
-        };
+        let val_satisfied_pct = score(model);
         history.push(EpochStats {
             epoch,
             train_reward_frac,
@@ -141,31 +139,30 @@ pub fn train_coma(
 
 /// Mean deterministic satisfied-demand percentage over a set of matrices.
 pub fn validate(model: &dyn PolicyModel, env: &Env, tms: &[TrafficMatrix]) -> f64 {
-    if tms.is_empty() {
-        return 0.0;
-    }
-    let mut acc = 0.0;
-    for tm in tms {
-        let alloc = model.allocate_deterministic(&env.model_input(tm, None));
-        let mut sim = FlowSim::new(env, tm, None);
-        sim.set_allocation(&alloc);
-        let total = sim.total_demand();
-        // f32 softmax rows can sum to 1 + ~1e-7; clamp the percentage.
-        acc += if total > 0.0 {
-            (100.0 * sim.reward() / total).min(100.0)
-        } else {
-            100.0
-        };
-    }
-    acc / tms.len() as f64
+    mean_score(model, env, tms, |inst, alloc| {
+        evaluate(inst, alloc).satisfied_pct()
+    })
 }
 
-/// Mean reward of the deterministic policy under an arbitrary objective.
+/// Mean value of the deterministic policy under an arbitrary objective.
 pub fn validate_reward(
     model: &dyn PolicyModel,
     env: &Env,
     tms: &[TrafficMatrix],
-    kind: RewardKind,
+    objective: Objective,
+) -> f64 {
+    mean_score(model, env, tms, |inst, alloc| {
+        clamp_reward(objective_value(inst, alloc, objective))
+    })
+}
+
+/// Mean of `score` over the deterministic policy's allocations (0 for an
+/// empty set).
+fn mean_score(
+    model: &dyn PolicyModel,
+    env: &Env,
+    tms: &[TrafficMatrix],
+    score: impl Fn(&TeInstance, &Allocation) -> f64,
 ) -> f64 {
     if tms.is_empty() {
         return 0.0;
@@ -173,9 +170,7 @@ pub fn validate_reward(
     let mut acc = 0.0;
     for tm in tms {
         let alloc = model.allocate_deterministic(&env.model_input(tm, None));
-        let mut sim = FlowSim::with_reward(env, tm, None, kind);
-        sim.set_allocation(&alloc);
-        acc += clamp_reward(sim.reward());
+        acc += score(&env.instance(tm), &alloc);
     }
     acc / tms.len() as f64
 }
@@ -236,14 +231,13 @@ fn train_step(
         let mu = tapes[b].0.value(tapes[b].1.mu);
         let alloc = mu_to_allocation(&actions[b]);
 
-        let mut sim = FlowSim::with_reward(env, tm, None, cfg.reward);
-        sim.set_allocation(&alloc);
-        let reward = clamp_reward(sim.reward());
+        let mut sim = FlowSim::new(env.instance(tm), cfg.objective);
+        let reward = clamp_reward(sim.full_reward(&alloc));
         // Advantage normalizer: total demand for flow-valued rewards; MLU is
         // already O(1)-scaled.
-        let total = match cfg.reward {
-            RewardKind::NegMaxUtil => 1.0,
-            _ => sim.total_demand().max(1e-12),
+        let total = match cfg.objective {
+            Objective::MinMaxLinkUtil => 1.0,
+            _ => tm.total().max(1e-12),
         };
 
         let mut selected = Vec::with_capacity(nd);

@@ -7,10 +7,11 @@
 //! agent RL algorithm in [`coma`] (Appendix B); the resulting allocation is
 //! fine-tuned by a few warm-started ADMM iterations in [`engine`] (§3.4).
 //!
-//! Supporting modules: [`env`] (per-topology context), [`flowsim`]
-//! (incremental reward simulation for counterfactual advantages),
-//! [`direct`] (the surrogate-loss ablation), [`ablation`] (naive DNN /
-//! naive GNN / global-policy variants, §5.7) and [`tsne`] (Figure 16).
+//! Supporting modules: [`env`] (per-topology context), [`direct`] (the
+//! surrogate-loss ablation), [`ablation`] (naive DNN / naive GNN /
+//! global-policy variants, §5.7) and [`tsne`] (Figure 16). COMA\*'s reward
+//! and counterfactual simulation is [`teal_lp::FlowSim`], the same
+//! reconciliation every scheme is scored with.
 //!
 //! # Batched serving architecture
 //!
@@ -72,7 +73,6 @@ pub mod coma;
 pub mod direct;
 pub mod engine;
 pub mod env;
-pub mod flowsim;
 pub mod model;
 pub mod tsne;
 
@@ -80,6 +80,4 @@ pub use coma::{train_coma, validate, validate_reward, ComaConfig, TrainReport};
 pub use direct::{train_direct, DirectConfig};
 pub use engine::{AllocError, BatchScratch, EngineConfig, ServingContext, SolveReport};
 pub use env::{Env, ModelInput};
-pub use flowsim::FlowSim;
-pub use flowsim::RewardKind;
 pub use model::{mu_to_allocation, mu_to_allocations, Forward, PolicyModel, TealConfig, TealModel};

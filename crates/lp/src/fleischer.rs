@@ -83,13 +83,15 @@ pub fn solve(inst: &TeInstance, epsilon: f64, max_steps: usize) -> (Allocation, 
                     break;
                 }
                 // Cheapest candidate path for this demand.
-                let (pbest, cost) = (0..k)
+                let Some((pbest, cost)) = (0..k)
                     .map(|j| {
                         let p = d * k + j;
                         (p, path_cost(p, &length))
                     })
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                    .unwrap();
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                else {
+                    unreachable!("a path set holds k ≥ 1 candidates per demand");
+                };
                 if cost >= 1.0 || !cost.is_finite() {
                     break;
                 }

@@ -10,8 +10,9 @@
 //!   combinatorial baseline),
 //! * [`concurrent`]: per-configuration serial solve times from which
 //!   Figure 2's marginal multicore speedup is derived,
-//! * the [`flow`] module defining the feasible-flow semantics every scheme
-//!   is scored under.
+//! * [`flow`]: the one proportional reconciliation (§3.3) — [`FlowSim`]
+//!   scores every scheme ([`evaluate`]) and is COMA\*'s reward and
+//!   counterfactual simulator.
 //!
 //! Every solver here runs on the calling thread: the crate spawns no
 //! thread and holds no atomic, lock or raw pointer.
@@ -27,6 +28,6 @@ pub mod problem;
 pub mod simplex;
 
 pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, BatchArena};
-pub use flow::{evaluate, evaluate_with_gamma, objective_value, FlowStats};
+pub use flow::{evaluate, evaluate_with_gamma, objective_value, FlowSim, FlowStats};
 pub use pathlp::{solve_lp, solve_mlu, LpConfig, LpInfo, LpMethod};
 pub use problem::{Allocation, Objective, TeInstance};

@@ -223,22 +223,17 @@ fn mlu_of(inst: &TeInstance, alloc: &Allocation) -> f64 {
 /// Euclidean projection of a vector onto the probability simplex
 /// `{x ≥ 0, Σx = 1}` (Held-Wolfe-Crowder / sort-based algorithm).
 pub fn project_simplex(x: &mut [f64]) {
-    let n = x.len();
     let mut u: Vec<f64> = x.to_vec();
-    u.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    u.sort_by(|a, b| b.total_cmp(a));
     let mut css = 0.0;
-    let mut rho = 0;
     let mut theta = 0.0;
     for (i, &ui) in u.iter().enumerate() {
         css += ui;
         let candidate = (css - 1.0) / (i + 1) as f64;
         if ui - candidate > 0.0 {
-            rho = i + 1;
             theta = candidate;
         }
     }
-    let _ = rho;
-    let _ = n;
     for v in x.iter_mut() {
         *v = (*v - theta).max(0.0);
     }

@@ -4,6 +4,7 @@
 //! with ratios `F_d(p) ∈ [0,1]`, subject to `Σ_p F_d(p) ≤ 1` (demand
 //! constraints) and `Σ_{p∋e} Σ_d F_d(p)·d ≤ c(e)` (capacity constraints).
 
+use crate::flow::latency_discounts;
 use teal_topology::{PathSet, Topology};
 use teal_traffic::TrafficMatrix;
 
@@ -73,28 +74,17 @@ impl<'a> TeInstance<'a> {
     /// dedicated solvers for it.)
     pub fn value_coefficients(&self, obj: Objective) -> Vec<f64> {
         let k = self.k();
-        let mut coeffs = Vec::with_capacity(self.paths.num_paths());
-        let max_w = self
-            .paths
-            .paths()
-            .iter()
-            .map(|p| p.weight)
-            .fold(0.0f64, f64::max)
-            .max(1e-12);
-        for d in 0..self.num_demands() {
-            let vol = self.tm.demand(d);
-            for j in 0..k {
-                let p = &self.paths.paths_for(d)[j];
-                let c = match obj {
-                    Objective::TotalFlow | Objective::MinMaxLinkUtil => vol,
-                    Objective::DelayPenalizedFlow(gamma) => {
-                        vol * (1.0 - gamma * p.weight / max_w).max(0.0)
-                    }
-                };
-                coeffs.push(c);
+        let vols = self.tm.demands();
+        match obj {
+            Objective::TotalFlow | Objective::MinMaxLinkUtil => {
+                (0..self.paths.num_paths()).map(|p| vols[p / k]).collect()
             }
+            Objective::DelayPenalizedFlow(gamma) => latency_discounts(self.paths, gamma)
+                .iter()
+                .enumerate()
+                .map(|(p, w)| vols[p / k] * w)
+                .collect(),
         }
-        coeffs
     }
 }
 

@@ -19,22 +19,6 @@ pub fn normal<R: Rng>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A normal sample with the given mean and standard deviation.
-pub fn normal_with<R: Rng>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    mean + std_dev * normal(rng)
-}
-
-/// A log-normal sample parameterized by the underlying normal's mu/sigma.
-pub fn log_normal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    normal_with(rng, mu, sigma).exp()
-}
-
-/// An exponential sample with the given rate parameter.
-pub fn exponential<R: Rng>(rng: &mut R, rate: f64) -> f64 {
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -u.ln() / rate
-}
-
 /// Fill a slice with i.i.d. `N(0, std_dev^2)` samples (as `f32`).
 pub fn fill_normal<R: Rng>(rng: &mut R, out: &mut [f32], std_dev: f64) {
     for v in out.iter_mut() {
@@ -64,21 +48,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn log_normal_positive() {
-        let mut rng = seeded(1);
-        for _ in 0..1000 {
-            assert!(log_normal(&mut rng, 0.0, 2.0) > 0.0);
-        }
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = seeded(5);
-        let n = 100_000;
-        let mean = (0..n).map(|_| exponential(&mut rng, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 }

@@ -217,8 +217,7 @@ pub fn run_offline(
     for tm in tms {
         let (alloc, dt) = scheme.allocate(topo, tm);
         let inst = TeInstance::new(topo, env.paths(), tm);
-        let total = tm.total().max(1e-12);
-        satisfied.push((100.0 * evaluate(&inst, &alloc).realized_flow / total).min(100.0));
+        satisfied.push(evaluate(&inst, &alloc).satisfied_pct());
         times.push(dt);
     }
     (satisfied, times)
@@ -243,8 +242,7 @@ pub fn run_offline_batched(
         total_time += dt;
         for (tm, alloc) in chunk.iter().zip(&allocs) {
             let inst = TeInstance::new(topo, env.paths(), tm);
-            let total = tm.total().max(1e-12);
-            satisfied.push((100.0 * evaluate(&inst, alloc).realized_flow / total).min(100.0));
+            satisfied.push(evaluate(&inst, alloc).satisfied_pct());
         }
     }
     (satisfied, total_time)

@@ -84,7 +84,7 @@ impl TrafficModel {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7f1c_0001);
         let base = pairs
             .iter()
-            .map(|_| teal_nn_free_log_normal(&mut rng, 0.0, cfg.sigma))
+            .map(|_| (cfg.sigma * gauss(&mut rng)).exp())
             .collect();
         TrafficModel {
             pairs: pairs.to_vec(),
@@ -255,16 +255,13 @@ impl SplitSpec {
     }
 }
 
-/// Box-Muller standard normal (duplicated from `teal-nn` to keep this crate
-/// independent of the NN substrate).
-fn gauss(rng: &mut StdRng) -> f64 {
+/// One Box-Muller standard-normal sample, for the generator and the
+/// perturbations (the same transform as `teal_nn::rng::normal`; this crate
+/// stays independent of the NN substrate).
+pub(crate) fn gauss(rng: &mut StdRng) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-fn teal_nn_free_log_normal(rng: &mut StdRng, mu: f64, sigma: f64) -> f64 {
-    (mu + sigma * gauss(rng)).exp()
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //!   the top 10% of demands, which originally account for 88.4% of the total
 //!   volume, such that they constitute 80%, 60%, 40%, and 20% instead."
 
+use crate::gen::gauss;
 use crate::matrix::{inter_interval_variance, TrafficMatrix};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Add zero-mean normal noise with per-demand variance `factor` times the
 /// series' inter-interval variance. Demands are clamped at zero.
@@ -74,12 +75,6 @@ pub fn spatial_redistribution(series: &[TrafficMatrix], target_share: f64) -> Ve
             TrafficMatrix::new(demands)
         })
         .collect()
-}
-
-fn gauss(rng: &mut StdRng) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

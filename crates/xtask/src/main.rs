@@ -9,10 +9,11 @@
 //! * **safety-comment** — every `unsafe` keyword site must be preceded by
 //!   a contiguous `// SAFETY:` comment block (attributes and neighbouring
 //!   `unsafe` lines may sit in between, blank or code lines may not).
-//! * **no-unwrap** — non-test code in `crates/serve/src` and
-//!   `crates/core/src` must not call `.unwrap()` or `.expect(...)`: the
+//! * **no-unwrap** — non-test code in `crates/serve/src`, `crates/core/src`
+//!   and `crates/lp/src` must not call `.unwrap()` or `.expect(...)`: the
 //!   serving daemon's failure story is catch-and-refuse, the engine under
-//!   it returns `AllocError`s, and the checked-sync facade exists precisely
+//!   it returns `AllocError`s, the solvers and flow evaluation under both
+//!   have no fallible step, and the checked-sync facade exists precisely
 //!   so lock acquisition needs no `expect`. An invariant the code cannot
 //!   break is an `unreachable!` that says why. (`unwrap_or*` combinators
 //!   are fine — the rule matches the exact panicking calls.)
@@ -414,8 +415,10 @@ fn has_safety_comment(lines: &[LineView], at: usize) -> bool {
 }
 
 const SERVE_SRC: &str = "crates/serve/src/";
-/// The engine the daemon serves through: it shares the no-unwrap rule.
+/// The engine the daemon serves through, and the solvers and flow
+/// evaluation under it: they share the no-unwrap rule.
 const CORE_SRC: &str = "crates/core/src/";
+const LP_SRC: &str = "crates/lp/src/";
 const CHECKED_SYNC_MARKER: &str = "teal-lint: checked-sync";
 /// The one file allowed to declare raw FFI (`extern` blocks) and touch
 /// `std::os::*` fd plumbing: the serve crate's hand-rolled epoll/eventfd
@@ -475,7 +478,7 @@ fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
     let lines = lex(text);
     let in_test = test_mod_lines(&lines);
     let is_serve = path.starts_with(SERVE_SRC);
-    let no_unwrap = is_serve || path.starts_with(CORE_SRC);
+    let no_unwrap = is_serve || path.starts_with(CORE_SRC) || path.starts_with(LP_SRC);
     let is_telemetry = path == "crates/serve/src/telemetry.rs";
     // The opt-in marker must be a standalone comment line — prose
     // *mentioning* the marker (module docs, this file) does not opt in.
@@ -690,14 +693,18 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_rule_covers_serve_and_core_and_skips_tests_and_combinators() {
+    fn unwrap_rule_covers_serve_core_and_lp_and_skips_tests_and_combinators() {
         let text = "fn f() { x.unwrap(); }\n\
                     fn g() { x.unwrap_or_else(id); y.expect_err(\"no\"); }\n\
                     #[cfg(test)]\n\
                     mod tests {\n\
                         fn t() { x.unwrap(); y.expect(\"fine in tests\"); }\n\
                     }\n";
-        for path in ["crates/serve/src/daemon.rs", "crates/core/src/engine.rs"] {
+        for path in [
+            "crates/serve/src/daemon.rs",
+            "crates/core/src/engine.rs",
+            "crates/lp/src/flow.rs",
+        ] {
             let f = findings(path, text);
             assert_eq!(f.len(), 1, "{path}: {f:?}");
             assert_eq!(f[0].rule, "no-unwrap");

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use teal::core::{
-    train_coma, ComaConfig, EngineConfig, Env, RewardKind, ServingContext, TealConfig, TealModel,
+    train_coma, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
 use teal::lp::{evaluate_with_gamma, Objective};
 use teal::topology::{generate, TopoKind};
@@ -27,30 +27,22 @@ fn main() {
     let test = traffic.series(28, 6);
 
     let gamma = 0.5;
-    let objectives: [(&str, RewardKind, Objective); 3] = [
-        (
-            "max total flow",
-            RewardKind::TotalFlow,
-            Objective::TotalFlow,
-        ),
-        ("min MLU", RewardKind::NegMaxUtil, Objective::MinMaxLinkUtil),
-        (
-            "max delay-penalized",
-            RewardKind::DelayPenalized(gamma),
-            Objective::DelayPenalizedFlow(gamma),
-        ),
+    let objectives: [(&str, Objective); 3] = [
+        ("max total flow", Objective::TotalFlow),
+        ("min MLU", Objective::MinMaxLinkUtil),
+        ("max delay-penalized", Objective::DelayPenalizedFlow(gamma)),
     ];
 
     println!(
         "\n{:<22} {:>12} {:>8} {:>18}",
         "trained for", "satisfied%", "MLU", "penalized flow%"
     );
-    for (name, reward, obj) in objectives {
+    for (name, obj) in objectives {
         let mut model = TealModel::new(Arc::clone(&env), TealConfig::default());
         let cfg = ComaConfig {
             epochs: 8,
             lr: 3e-3,
-            reward,
+            objective: obj,
             ..ComaConfig::default()
         };
         let _ = train_coma(&mut model, &train, &val, &cfg);

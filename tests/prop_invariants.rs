@@ -2,9 +2,11 @@
 
 use proptest::prelude::*;
 
-use teal::core::{mu_to_allocations, Env, FlowSim, PolicyModel, TealConfig, TealModel};
+use teal::core::{mu_to_allocations, Env, PolicyModel, TealConfig, TealModel};
 use teal::lp::simplex::{self, Row, SimplexStatus};
-use teal::lp::{evaluate, pathlp, AdmmConfig, AdmmSkeleton, Allocation, Objective, TeInstance};
+use teal::lp::{
+    evaluate, pathlp, AdmmConfig, AdmmSkeleton, Allocation, FlowSim, Objective, TeInstance,
+};
 use teal::nn::{Graph, Tensor};
 use teal::topology::{generate, PathSet, TopoKind, Topology};
 use teal::traffic::TrafficMatrix;
@@ -161,14 +163,14 @@ proptest! {
         for d in 0..pairs.len() {
             alloc.set_demand_splits(d, &[0.25, 0.25, 0.25, 0.25]);
         }
-        let mut sim = FlowSim::new(&env, &tm, None);
+        let mut sim = FlowSim::new(env.instance(&tm), Objective::TotalFlow);
         sim.set_allocation(&alloc);
         let d = (seed as usize * 13) % pairs.len();
         let new_splits = [0.9, 0.1, 0.0, 0.0];
         let incr = sim.counterfactual_reward(d, &new_splits);
         let mut changed = alloc.clone();
         changed.set_demand_splits(d, &new_splits);
-        let mut sim2 = FlowSim::new(&env, &tm, None);
+        let mut sim2 = FlowSim::new(env.instance(&tm), Objective::TotalFlow);
         let full = sim2.full_reward(&changed);
         prop_assert!((incr - full).abs() < 1e-7 * (1.0 + full.abs()),
             "incremental {} vs full {}", incr, full);
