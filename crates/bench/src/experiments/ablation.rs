@@ -1,44 +1,25 @@
 //! Figures 14, 15, 16 — ablations, hyperparameter sensitivity, and the
 //! flow-embedding visualization.
 
-use super::Harness;
+use super::{offline_means, Harness};
 use crate::table::{emit, emit_csv, Table};
-use crate::testbed::Testbed;
+use crate::testbed::{train_teal_engine, Testbed};
 use std::sync::Arc;
 use teal_core::ablation::{GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel};
 use teal_core::{
-    train_coma, train_direct, validate, ComaConfig, DirectConfig, EngineConfig, Env, PolicyModel,
-    ServingContext, TealConfig, TealModel,
+    train_coma, train_direct, DirectConfig, EngineConfig, PolicyModel, ServingContext, TealConfig,
+    TealModel,
 };
-use teal_lp::{evaluate, solve_lp, LpConfig, Objective};
+use teal_lp::{solve_lp, FlowStats, LpConfig, Objective};
+use teal_sim::TealScheme;
 use teal_topology::TopoKind;
 
-fn coma_cfg(budget: crate::testbed::TrainBudget, env: &Env) -> ComaConfig {
-    ComaConfig {
-        epochs: budget.epochs,
-        lr: budget.lr,
-        agent_fraction: (budget.max_agents_per_step as f64 / env.num_demands().max(1) as f64)
-            .min(1.0),
-        ..ComaConfig::default()
-    }
-}
-
-/// Satisfied % of a model (with optional ADMM) on the test set: one forward
-/// pass per matrix and a shared per-topology ADMM skeleton, as the
-/// deployment engine serves it.
-fn score(bed: &Testbed, model: &dyn PolicyModel, with_admm: bool) -> f64 {
-    let skeleton = with_admm
-        .then(|| teal_lp::AdmmSkeleton::new(bed.env.topo(), bed.env.paths(), Objective::TotalFlow));
-    let admm_cfg = teal_lp::AdmmConfig::fine_tune(bed.env.topo().num_nodes());
-    let mut acc = 0.0;
-    for tm in &bed.test {
-        let mut alloc = model.allocate_deterministic(&bed.env.model_input(tm, None));
-        if let Some(skel) = &skeleton {
-            alloc = skel.solve(tm, &alloc, admm_cfg).0;
-        }
-        acc += evaluate(&bed.env.instance(tm), &alloc).satisfied_pct();
-    }
-    acc / bed.test.len().max(1) as f64
+/// Mean offline satisfied % of one arm on the test set: the arm is served
+/// by the deployed engine, as a `TealScheme`, and scored by the one
+/// offline fold.
+fn arm_pct<M: PolicyModel>(bed: &Testbed, engine: ServingContext<M>) -> f64 {
+    let mut scheme = TealScheme::new(engine);
+    offline_means(&bed.env, &bed.test, &mut scheme, FlowStats::satisfied_pct).1
 }
 
 /// Figure 14: ablation of Teal's key features on SWAN and ASN testbeds.
@@ -57,43 +38,40 @@ pub fn fig14(h: &mut Harness) {
     ];
     for kind in [TopoKind::Swan, TopoKind::Asn] {
         // Full Teal (cached in the harness).
-        let _ = h.teal_engine(kind);
+        let teal = h.teal_engine(kind);
         let budget = h.budget();
         let bed = h.bed(kind);
         let env = Arc::clone(&bed.env);
-        let cfg = coma_cfg(budget, &env);
+        let cfg = budget.coma(&env);
+        let admm = EngineConfig::paper_default(env.topo().num_nodes());
+        let no_admm = EngineConfig::without_admm(Objective::TotalFlow);
+        let pct = |v: f64| format!("{v:.1}");
 
         // Teal and Teal w/o ADMM share the trained model.
-        let teal_model = {
-            let engine = h.teal_engine(kind);
-            engine.model().clone()
-        };
-        let bed = h.bed(kind);
-        results[0]
-            .1
-            .push(format!("{:.1}", score(bed, &teal_model, true)));
-        results[1]
-            .1
-            .push(format!("{:.1}", score(bed, &teal_model, false)));
+        let plain = ServingContext::new(teal.model().clone(), no_admm);
+        results[0].1.push(pct(arm_pct(bed, teal)));
+        results[1].1.push(pct(arm_pct(bed, plain)));
 
         // Direct loss.
         let mut direct = TealModel::new(Arc::clone(&env), TealConfig::default());
         let d_cfg = DirectConfig {
-            epochs: cfg.epochs,
-            lr: cfg.lr,
+            epochs: budget.epochs,
+            lr: budget.lr,
             grad_clip: 5.0,
         };
         let _ = train_direct(&mut direct, &bed.train, &bed.val, &d_cfg);
         results[2]
             .1
-            .push(format!("{:.1}", score(bed, &direct, true)));
+            .push(pct(arm_pct(bed, ServingContext::new(direct, admm))));
 
         // Global policy: infeasible beyond a parameter budget, as in §5.7.
         let max_params = 40_000_000usize;
         match GlobalPolicyModel::new(Arc::clone(&env), TealConfig::default(), 64, max_params) {
             Ok(mut gp) => {
                 let _ = train_coma(&mut gp, &bed.train, &bed.val, &cfg);
-                results[3].1.push(format!("{:.1}", score(bed, &gp, false)));
+                results[3]
+                    .1
+                    .push(pct(arm_pct(bed, ServingContext::new(gp, no_admm))));
             }
             Err(_) => results[3].1.push("infeasible (memory)".into()),
         }
@@ -101,12 +79,16 @@ pub fn fig14(h: &mut Harness) {
         // Naive GNN.
         let mut ng = NaiveGnnModel::new(Arc::clone(&env), 16, 4, 3);
         let _ = train_coma(&mut ng, &bed.train, &bed.val, &cfg);
-        results[4].1.push(format!("{:.1}", score(bed, &ng, false)));
+        results[4]
+            .1
+            .push(pct(arm_pct(bed, ServingContext::new(ng, no_admm))));
 
         // Naive DNN.
         let mut ndn = NaiveDnnModel::new(Arc::clone(&env), 64, 6, 3);
         let _ = train_coma(&mut ndn, &bed.train, &bed.val, &cfg);
-        results[5].1.push(format!("{:.1}", score(bed, &ndn, false)));
+        results[5]
+            .1
+            .push(pct(arm_pct(bed, ServingContext::new(ndn, no_admm))));
     }
     let mut rows_csv = Vec::new();
     for (name, cells) in results {
@@ -124,15 +106,9 @@ pub fn fig14(h: &mut Harness) {
 pub fn fig15(h: &mut Harness) {
     let kind = TopoKind::Asn;
     let budget = h.budget();
-    let cfg_rl = {
-        let bed = h.bed(kind);
-        coma_cfg(budget, &bed.env)
-    };
     let train_and_score = |h: &mut Harness, cfg: TealConfig| -> f64 {
         let bed = h.bed(kind);
-        let mut model = TealModel::new(Arc::clone(&bed.env), cfg);
-        let _ = train_coma(&mut model, &bed.train, &bed.val, &cfg_rl);
-        score(bed, &model, true)
+        arm_pct(bed, train_teal_engine(bed, cfg, budget))
     };
 
     let mut t = Table::new(
@@ -261,7 +237,4 @@ pub fn fig16(h: &mut Harness) {
         .map(|((x, y), &b)| format!("{x:.4},{y:.4},{}", if b { 1 } else { 0 }))
         .collect();
     emit_csv("fig16", "tsne_x,tsne_y,busy", &rows);
-
-    let _ = validate(engine.model(), &env, &bed.val);
-    let _ = EngineConfig::paper_default(1);
 }

@@ -1,17 +1,12 @@
 //! Figures 6, 7, 13, 18 — the headline Teal-vs-baselines comparisons.
 
-use super::Harness;
+use super::{offline_means, Harness};
 use crate::table::{emit, emit_csv, Table};
 use std::sync::Arc;
-use teal_lp::Objective;
+use teal_lp::{FlowStats, Objective};
 use teal_sim::{
-    metrics, run_offline_batched, run_online, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme,
-    Scheme, TealScheme,
+    metrics, run_online, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme, TealScheme,
 };
-
-/// Matrices per batched offline chunk: Teal's batched serving path runs one
-/// forward pass per chunk; baselines fall back to their sequential loop.
-const OFFLINE_BATCH: usize = 8;
 use teal_topology::TopoKind;
 
 /// The scheme lineup of Figure 6 for one testbed. LP-all is skipped on the
@@ -143,21 +138,19 @@ pub fn fig13(h: &mut Harness) {
         let tms = bed.test.clone();
         let bed_name = bed.name();
         for mut s in schemes {
-            let (sat, total_time) =
-                run_offline_batched(&env, env.topo(), &tms, s.as_mut(), OFFLINE_BATCH);
-            let mean_time = total_time.as_secs_f64() / tms.len().max(1) as f64;
+            let (mean_time, sat) = offline_means(&env, &tms, s.as_mut(), FlowStats::satisfied_pct);
             t.row(vec![
                 bed_name.clone(),
                 s.name().to_string(),
                 metrics::fmt_secs(mean_time),
-                format!("{:.1}", metrics::mean(&sat)),
+                format!("{sat:.1}"),
             ]);
             rows_csv.push(format!(
                 "{},{},{:.6},{:.2}",
                 bed_name,
                 s.name(),
                 mean_time,
-                metrics::mean(&sat)
+                sat
             ));
         }
     }

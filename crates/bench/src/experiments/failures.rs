@@ -7,8 +7,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use teal_lp::Objective;
 use teal_sim::{
-    metrics, run_failure_interval, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme,
-    TealScheme, TeavarScheme,
+    metrics, run_failure_interval, run_offline, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme,
+    Scheme, TealScheme, TeavarScheme,
 };
 use teal_topology::{EdgeId, TopoKind, Topology};
 
@@ -37,9 +37,10 @@ fn sample_failed_edges(topo: &Topology, n: usize, seed: u64) -> Vec<EdgeId> {
     edges
 }
 
-/// Run one failure scenario: compute the pre-failure allocation on the
-/// intact topology, fail links, and measure the interval-weighted satisfied
-/// demand while the scheme recomputes.
+/// Run one failure scenario: with no failed link, the offline satisfied
+/// demand; otherwise compute the pre-failure allocation on the intact
+/// topology, fail links, and measure the interval-weighted satisfied demand
+/// while the scheme recomputes.
 fn failure_pct(
     env: &teal_core::Env,
     scheme: &mut dyn Scheme,
@@ -47,10 +48,11 @@ fn failure_pct(
     failed: &[EdgeId],
     interval: std::time::Duration,
 ) -> f64 {
-    let (pre, _) = scheme.allocate(env.topo(), tm);
     if failed.is_empty() {
-        return teal_lp::evaluate(&env.instance(tm), &pre).satisfied_pct();
+        let (stats, _) = run_offline(env, env.topo(), std::slice::from_ref(tm), scheme, 1);
+        return stats[0].satisfied_pct();
     }
+    let (pre, _) = scheme.allocate(env.topo(), tm);
     let failed_topo = env.topo().with_failed_edges(failed);
     run_failure_interval(env, &failed_topo, tm, scheme, &pre, interval)
 }

@@ -11,8 +11,32 @@ pub mod tables;
 use crate::testbed::{train_teal_engine, Testbed, TestbedSpec, TrainBudget};
 use std::collections::HashMap;
 use std::time::Duration;
-use teal_core::{ServingContext, TealConfig, TealModel};
+use teal_core::{Env, ServingContext, TealConfig, TealModel};
+use teal_lp::FlowStats;
+use teal_sim::{metrics, run_offline, Scheme};
 use teal_topology::TopoKind;
+use teal_traffic::TrafficMatrix;
+
+/// Matrices per chunk of the offline fold: Teal's batched serving path runs
+/// one window per chunk; baselines fall back to their sequential loop.
+const OFFLINE_BATCH: usize = 8;
+
+/// Mean computation time per matrix (seconds) and mean `metric` of `scheme`
+/// on `tms`, both read off the one offline fold, [`run_offline`].
+fn offline_means(
+    env: &Env,
+    tms: &[TrafficMatrix],
+    scheme: &mut dyn Scheme,
+    metric: fn(&FlowStats) -> f64,
+) -> (f64, f64) {
+    let (stats, chunk_times) = run_offline(env, env.topo(), tms, scheme, OFFLINE_BATCH);
+    let total: Duration = chunk_times.iter().sum();
+    let values: Vec<f64> = stats.iter().map(metric).collect();
+    (
+        total.as_secs_f64() / tms.len().max(1) as f64,
+        metrics::mean(&values),
+    )
+}
 
 /// Ratio of the paper's measured LP-all runtime to the 5-minute TE interval,
 /// per topology (§5.2: <1 s on SWAN/UsCarrier, 585 s on Kdl, ~5.5 h on ASN).

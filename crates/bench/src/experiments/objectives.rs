@@ -7,161 +7,94 @@
 //! paper ("adapting the codebases of NCFlow and POP to other objectives is
 //! challenging").
 
-use super::Harness;
+use super::{offline_means, Harness};
 use crate::table::{emit, emit_csv, Table};
-use crate::testbed::Testbed;
 use std::sync::Arc;
 use teal_core::{train_coma, ComaConfig, EngineConfig, ServingContext, TealConfig, TealModel};
-use teal_lp::{evaluate_with_gamma, Objective, TeInstance};
+use teal_lp::flow::DELAY_GAMMA;
+use teal_lp::{FlowStats, Objective};
 use teal_sim::{metrics, LpAllScheme, LpTopScheme, Scheme, TealScheme};
 use teal_topology::TopoKind;
 
-/// Matrices per batched allocation chunk (Teal's batched serving path).
-const OBJECTIVE_BATCH: usize = 8;
-
-/// Train a Teal model on a testbed for a non-default objective.
-fn train_for(
-    budget: crate::testbed::TrainBudget,
-    bed: &Testbed,
-    objective: Objective,
-) -> ServingContext<TealModel> {
-    let mut model = TealModel::new(Arc::clone(&bed.env), TealConfig::default());
-    let nd = bed.env.num_demands().max(1);
-    let cfg = ComaConfig {
-        epochs: budget.epochs,
-        lr: budget.lr,
-        agent_fraction: (budget.max_agents_per_step as f64 / nd as f64).min(1.0),
-        objective,
-        ..ComaConfig::default()
-    };
-    let _ = train_coma(&mut model, &bed.train, &bed.val, &cfg);
-    ServingContext::new(model, EngineConfig::without_admm(objective))
-}
-
 /// Figure 11: minimize max link utilization on Kdl & ASN.
 pub fn fig11(h: &mut Harness) {
-    let mut t = Table::new(
+    objective_figure(
+        h,
+        "fig11",
         "Figure 11: max link utilization (MLU) vs computation time",
-        &["topology", "scheme", "avg comp time", "avg MLU"],
+        ("avg MLU", "mlu"),
+        Objective::MinMaxLinkUtil,
+        true,
+        |st| st.max_link_util,
     );
-    let mut rows_csv = Vec::new();
-    for kind in [TopoKind::Kdl, TopoKind::Asn] {
-        // Ensure the testbed exists, then train the MLU model.
-        let budget = h.budget();
-        let (env, tms, bed_name, engine) = {
-            let bed = h.bed(kind);
-            let engine = train_for(budget, bed, Objective::MinMaxLinkUtil);
-            (Arc::clone(&bed.env), bed.test.clone(), bed.name(), engine)
-        };
-        let mut schemes: Vec<Box<dyn Scheme>> = vec![
-            Box::new(LpAllScheme::new(
-                Arc::clone(&env),
-                Objective::MinMaxLinkUtil,
-            )),
-            Box::new(LpTopScheme::new(
-                Arc::clone(&env),
-                Objective::MinMaxLinkUtil,
-            )),
-            Box::new(TealScheme::new(engine)),
-        ];
-        for s in &mut schemes {
-            let mut mlus = Vec::new();
-            let mut total_time = 0.0f64;
-            for chunk in tms.chunks(OBJECTIVE_BATCH) {
-                let (allocs, dt) = s.allocate_batch(env.topo(), chunk);
-                total_time += dt.as_secs_f64();
-                for (tm, alloc) in chunk.iter().zip(&allocs) {
-                    let inst = TeInstance::new(env.topo(), env.paths(), tm);
-                    mlus.push(evaluate_with_gamma(&inst, alloc, 0.5).max_link_util);
-                }
-            }
-            let mean_time = total_time / tms.len().max(1) as f64;
-            t.row(vec![
-                bed_name.clone(),
-                s.name().to_string(),
-                metrics::fmt_secs(mean_time),
-                format!("{:.3}", metrics::mean(&mlus)),
-            ]);
-            rows_csv.push(format!(
-                "{},{},{:.6},{:.4}",
-                bed_name,
-                s.name(),
-                mean_time,
-                metrics::mean(&mlus)
-            ));
-        }
-    }
-    emit("fig11", &t.render());
-    emit_csv("fig11", "topology,scheme,comp_time_s,mlu", &rows_csv);
 }
 
 /// Figure 12: maximize latency-penalized total flow on Kdl & ASN (LP-all is
-/// skipped on ASN as in the paper).
+/// skipped on ASN as in the paper), at the γ `evaluate` scores with.
 pub fn fig12(h: &mut Harness) {
-    let gamma = 0.5;
-    let mut t = Table::new(
+    objective_figure(
+        h,
+        "fig12",
         "Figure 12: normalized max flow with delay penalties vs computation time",
-        &[
-            "topology",
-            "scheme",
-            "avg comp time",
-            "normalized penalized flow",
-        ],
+        ("normalized penalized flow", "penalized_flow"),
+        Objective::DelayPenalizedFlow(DELAY_GAMMA),
+        false,
+        |st| st.delay_penalized_flow / st.total_demand,
     );
+}
+
+/// One §5.5 figure on Kdl & ASN. The schemes are LP-all (skipped on ASN
+/// unless `lp_all_on_asn`), LP-top, and Teal retrained for `objective` and
+/// served without ADMM. Each row is a scheme's mean computation time and
+/// mean `metric` off the offline fold. `column` is the metric's (table,
+/// CSV) header.
+fn objective_figure(
+    h: &mut Harness,
+    id: &str,
+    title: &str,
+    column: (&str, &str),
+    objective: Objective,
+    lp_all_on_asn: bool,
+    metric: fn(&FlowStats) -> f64,
+) {
+    let mut t = Table::new(title, &["topology", "scheme", "avg comp time", column.0]);
     let mut rows_csv = Vec::new();
     for kind in [TopoKind::Kdl, TopoKind::Asn] {
         let budget = h.budget();
-        let (env, tms, bed_name, engine) = {
-            let bed = h.bed(kind);
-            let engine = train_for(budget, bed, Objective::DelayPenalizedFlow(gamma));
-            (Arc::clone(&bed.env), bed.test.clone(), bed.name(), engine)
+        let bed = h.bed(kind);
+        let env = Arc::clone(&bed.env);
+        let mut model = TealModel::new(Arc::clone(&env), TealConfig::default());
+        let cfg = ComaConfig {
+            objective,
+            ..budget.coma(&env)
         };
+        let _ = train_coma(&mut model, &bed.train, &bed.val, &cfg);
+        let engine = ServingContext::new(model, EngineConfig::without_admm(objective));
         let mut schemes: Vec<Box<dyn Scheme>> = Vec::new();
-        if kind != TopoKind::Asn {
-            schemes.push(Box::new(LpAllScheme::new(
-                Arc::clone(&env),
-                Objective::DelayPenalizedFlow(gamma),
-            )));
+        if kind != TopoKind::Asn || lp_all_on_asn {
+            schemes.push(Box::new(LpAllScheme::new(Arc::clone(&env), objective)));
         }
-        schemes.push(Box::new(LpTopScheme::new(
-            Arc::clone(&env),
-            Objective::DelayPenalizedFlow(gamma),
-        )));
+        schemes.push(Box::new(LpTopScheme::new(Arc::clone(&env), objective)));
         schemes.push(Box::new(TealScheme::new(engine)));
         for s in &mut schemes {
-            let mut vals = Vec::new();
-            let mut total_time = 0.0f64;
-            for chunk in tms.chunks(OBJECTIVE_BATCH) {
-                let (allocs, dt) = s.allocate_batch(env.topo(), chunk);
-                total_time += dt.as_secs_f64();
-                for (tm, alloc) in chunk.iter().zip(&allocs) {
-                    let inst = TeInstance::new(env.topo(), env.paths(), tm);
-                    vals.push(
-                        evaluate_with_gamma(&inst, alloc, gamma).delay_penalized_flow
-                            / tm.total().max(1e-12),
-                    );
-                }
-            }
-            let mean_time = total_time / tms.len().max(1) as f64;
+            let (mean_time, value) = offline_means(&env, &bed.test, s.as_mut(), metric);
             t.row(vec![
-                bed_name.clone(),
+                bed.name(),
                 s.name().to_string(),
                 metrics::fmt_secs(mean_time),
-                format!("{:.3}", metrics::mean(&vals)),
+                format!("{value:.3}"),
             ]);
             rows_csv.push(format!(
-                "{},{},{:.6},{:.4}",
-                bed_name,
-                s.name(),
-                mean_time,
-                metrics::mean(&vals)
+                "{},{},{mean_time:.6},{value:.4}",
+                bed.name(),
+                s.name()
             ));
         }
     }
-    emit("fig12", &t.render());
+    emit(id, &t.render());
     emit_csv(
-        "fig12",
-        "topology,scheme,comp_time_s,penalized_flow",
+        id,
+        &format!("topology,scheme,comp_time_s,{}", column.1),
         &rows_csv,
     );
 }

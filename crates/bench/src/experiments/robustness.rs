@@ -4,7 +4,7 @@ use super::Harness;
 use crate::table::{emit, emit_csv, Table};
 use std::sync::Arc;
 use teal_lp::Objective;
-use teal_sim::{metrics, run_online, LpTopScheme, NcflowScheme, PopScheme, Scheme, TealScheme};
+use teal_sim::{run_online, LpTopScheme, NcflowScheme, PopScheme, Scheme, TealScheme};
 use teal_topology::TopoKind;
 use teal_traffic::{spatial_redistribution, temporal_fluctuation};
 
@@ -54,7 +54,6 @@ pub fn fig10a(h: &mut Harness) {
     }
     emit("fig10a", &t.render());
     emit_csv("fig10a", "scheme,x1,x2,x5,x10,x20", &rows_csv);
-    let _ = metrics::mean(&[]);
 }
 
 /// Figure 10b: spatial redistribution — the top decile's share of volume is

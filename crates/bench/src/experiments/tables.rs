@@ -5,7 +5,8 @@ use crate::table::{emit, emit_csv, Table};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Instant;
-use teal_lp::{concurrent, Objective, TeInstance};
+use teal_core::Env;
+use teal_lp::{concurrent, Objective};
 use teal_topology::{generate, stats, PathSet, TopoKind};
 use teal_traffic::{TrafficConfig, TrafficModel};
 
@@ -104,7 +105,8 @@ pub fn fig2(fast: bool) {
     let mut model = TrafficModel::new(&pairs, TrafficConfig::default(), 7);
     model.calibrate(&topo, &paths);
     let tm = model.series(0, 1).remove(0);
-    let inst = TeInstance::new(&topo, &paths, &tm);
+    let env = Env::new(topo, paths);
+    let inst = env.instance(&tm);
 
     let mut t = Table::new(
         "Figure 2: concurrent-racing LP speedup vs. threads (marginal, as in Gurobi)",
@@ -172,7 +174,7 @@ pub fn fig17(fast: bool) {
 /// Benchmarked component timings for Table 2's measured column (B4-sized).
 pub fn table2_measured() {
     use std::sync::Arc;
-    use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
+    use teal_core::{EngineConfig, ServingContext, TealConfig, TealModel};
     let env = Arc::new(Env::for_topology(teal_topology::b4()));
     let tm = teal_traffic::TrafficMatrix::new(vec![20.0; env.num_demands()]);
     let mut t = Table::new(

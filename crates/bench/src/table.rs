@@ -28,7 +28,6 @@ impl Table {
 
     /// Render as an aligned text block.
     pub fn render(&self) -> String {
-        let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -50,7 +49,6 @@ impl Table {
         for row in &self.rows {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
-        let _ = ncols;
         out
     }
 }

@@ -138,6 +138,20 @@ impl Default for TrainBudget {
     }
 }
 
+impl TrainBudget {
+    /// The COMA\* configuration this budget trains with on `env`: its epochs
+    /// and learning rate, and at most `max_agents_per_step` agents per step.
+    pub fn coma(&self, env: &Env) -> ComaConfig {
+        ComaConfig {
+            epochs: self.epochs,
+            lr: self.lr,
+            agent_fraction: (self.max_agents_per_step as f64 / env.num_demands().max(1) as f64)
+                .min(1.0),
+            ..ComaConfig::default()
+        }
+    }
+}
+
 /// Train a Teal model on a testbed and wrap it in a deployment engine with
 /// the paper's ADMM setting.
 pub fn train_teal_engine(
@@ -146,14 +160,7 @@ pub fn train_teal_engine(
     budget: TrainBudget,
 ) -> ServingContext<TealModel> {
     let mut model = TealModel::new(Arc::clone(&bed.env), model_cfg);
-    let nd = bed.env.num_demands().max(1);
-    let cfg = ComaConfig {
-        epochs: budget.epochs,
-        lr: budget.lr,
-        agent_fraction: (budget.max_agents_per_step as f64 / nd as f64).min(1.0),
-        ..ComaConfig::default()
-    };
-    let _report = train_coma(&mut model, &bed.train, &bed.val, &cfg);
+    let _report = train_coma(&mut model, &bed.train, &bed.val, &budget.coma(&bed.env));
     let engine_cfg = EngineConfig::paper_default(bed.env.topo().num_nodes());
     ServingContext::new(model, engine_cfg)
 }

@@ -600,6 +600,62 @@ mod tests {
     }
 
     #[test]
+    fn every_model_variant_serves_its_per_matrix_reference_with_and_without_admm() {
+        // Every Figure 14 arm is one of these models served by this engine,
+        // with or without ADMM. The reference is the engine's definition
+        // spelled out one matrix at a time: the deterministic forward pass,
+        // (ADMM on) one skeleton solve, then the demand projection. Equal
+        // bit for bit on calibrated traffic.
+        use crate::ablation::{GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel};
+        use teal_traffic::{TrafficConfig, TrafficModel};
+
+        fn check<M: PolicyModel>(make: impl Fn() -> M, tms: &[TrafficMatrix]) {
+            let bits = |a: &Allocation| a.splits().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for cfg in [
+                EngineConfig::paper_default(12),
+                EngineConfig::without_admm(Objective::TotalFlow),
+            ] {
+                let ctx = ServingContext::new(make(), cfg);
+                let env = ctx.env();
+                let skel = AdmmSkeleton::new(env.topo(), env.paths(), Objective::TotalFlow);
+                let (got, _) = ctx.try_allocate_batch(tms).expect("window");
+                assert_eq!(got.len(), tms.len());
+                for (i, (tm, alloc)) in tms.iter().zip(&got).enumerate() {
+                    let mut want = ctx
+                        .model()
+                        .allocate_deterministic(&env.model_input(tm, None));
+                    if cfg.admm.is_some() {
+                        want = skel.solve(tm, &want, AdmmConfig::fine_tune(12)).0;
+                    }
+                    want.project_demand_constraints();
+                    assert!(
+                        bits(alloc) == bits(&want),
+                        "{} (ADMM {}): matrix {i} differs from its reference",
+                        ctx.model().name(),
+                        cfg.admm.is_some()
+                    );
+                }
+            }
+        }
+
+        let env = Arc::new(Env::for_topology(b4()));
+        let mut traffic = TrafficModel::new(&env.topo().all_pairs(), TrafficConfig::default(), 5);
+        traffic.calibrate(env.topo(), env.paths());
+        let tms = traffic.series(0, 4);
+        let cfg = TealConfig {
+            gnn_layers: 3,
+            ..TealConfig::default()
+        };
+        check(|| TealModel::new(Arc::clone(&env), cfg), &tms);
+        check(|| NaiveDnnModel::new(Arc::clone(&env), 32, 3, 3), &tms);
+        check(|| NaiveGnnModel::new(Arc::clone(&env), 16, 2, 3), &tms);
+        check(
+            || GlobalPolicyModel::new(Arc::clone(&env), cfg, 16, usize::MAX).expect("fits"),
+            &tms,
+        );
+    }
+
+    #[test]
     fn admm_reduces_overuse_versus_raw_model() {
         let env = Arc::new(Env::for_topology(b4()));
         let model = TealModel::new(

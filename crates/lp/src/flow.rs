@@ -82,7 +82,8 @@ pub struct FlowStats {
     /// failed zero-capacity links carrying load).
     pub max_link_util: f64,
     /// Realized flow discounted by normalized path latency (Figure 12's
-    /// objective), using the penalty weight it was evaluated with.
+    /// objective), using the penalty weight it was evaluated with
+    /// ([`DELAY_GAMMA`] under [`evaluate`]).
     pub delay_penalized_flow: f64,
     /// Sum over links of load exceeding capacity (the surrogate-loss
     /// penalty term from Appendix A).
@@ -328,9 +329,13 @@ pub fn evaluate_with_gamma(inst: &TeInstance, alloc: &Allocation, delay_gamma: f
     }
 }
 
-/// Evaluate with the default latency penalty weight (0.5).
+/// The latency penalty weight γ that [`evaluate`] scores
+/// `delay_penalized_flow` with, and Figure 12 trains and reports at.
+pub const DELAY_GAMMA: f64 = 0.5;
+
+/// Evaluate with the default latency penalty weight, [`DELAY_GAMMA`].
 pub fn evaluate(inst: &TeInstance, alloc: &Allocation) -> FlowStats {
-    evaluate_with_gamma(inst, alloc, 0.5)
+    evaluate_with_gamma(inst, alloc, DELAY_GAMMA)
 }
 
 /// The scalar objective value of an allocation under `obj` (higher is

@@ -9,7 +9,15 @@
 //! Figure 18).
 //!
 //! *Offline* satisfied demand (§5.6) assumes instantaneous computation and
-//! scores pure allocation quality.
+//! scores pure allocation quality. [`run_offline`] is the one offline fold:
+//! it hands a scheme its matrices in chunks and returns each matrix's
+//! [`FlowStats`], so every offline figure — satisfied demand, MLU,
+//! delay-penalized flow, and every ablation arm — reads one definition of
+//! its metric.
+//!
+//! Every satisfied percentage here, online or offline, is
+//! [`FlowStats::satisfied_pct`]; a sub-slot served partly by stale and
+//! partly by fresh routes mixes the two percentages by time weight.
 //!
 //! Because our substrates differ from the paper's testbed in absolute speed,
 //! experiment configs choose the TE interval so that solver runtimes occupy
@@ -20,7 +28,7 @@
 use crate::schemes::Scheme;
 use std::time::Duration;
 use teal_core::Env;
-use teal_lp::{evaluate, Allocation, TeInstance};
+use teal_lp::{evaluate, Allocation, FlowStats, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
 
@@ -150,7 +158,6 @@ pub fn run_online_batched<W: AsRef<[TrafficMatrix]>>(
             let s_start = t_start + j as f64 * slot_s;
             let s_end = s_start + slot_s;
             let inst = TeInstance::new(topo, env.paths(), tm);
-            let total = tm.total().max(1e-12);
             if let Some(allocs) = &landed_here {
                 if let Some(a) = allocs.get(j) {
                     active = a.clone();
@@ -171,15 +178,13 @@ pub fn run_online_batched<W: AsRef<[TrafficMatrix]>>(
                         landed_here = Some(allocs);
                     }
                     updated = true;
-                    100.0 * evaluate(&inst, &active).realized_flow / total
+                    evaluate(&inst, &active).satisfied_pct()
                 }
                 Some((allocs, finish, started)) if finish < s_end => {
                     // Lands mid-sub-slot: time-weighted stale/fresh mix.
                     let w_old = (finish - s_start) / slot_s;
                     let fresh = fresh_for_slot(&allocs, started);
-                    let old_flow = evaluate(&inst, &active).realized_flow;
-                    let new_flow = evaluate(&inst, &fresh).realized_flow;
-                    let mixed = 100.0 * (w_old * old_flow + (1.0 - w_old) * new_flow) / total;
+                    let mixed = mixed_pct(&inst, &active, &fresh, w_old);
                     active = fresh;
                     if started == i {
                         landed_here = Some(allocs);
@@ -189,10 +194,10 @@ pub fn run_online_batched<W: AsRef<[TrafficMatrix]>>(
                 }
                 still_pending => {
                     pending = still_pending;
-                    100.0 * evaluate(&inst, &active).realized_flow / total
+                    evaluate(&inst, &active).satisfied_pct()
                 }
             };
-            satisfied_sum += slot_satisfied.clamp(0.0, 100.0);
+            satisfied_sum += slot_satisfied;
         }
         records.push(IntervalRecord {
             interval: i,
@@ -205,47 +210,30 @@ pub fn run_online_batched<W: AsRef<[TrafficMatrix]>>(
 }
 
 /// Offline evaluation (§5.6): every matrix gets a fresh allocation applied
-/// instantly. Returns per-matrix satisfied percentages and computation times.
+/// instantly. Matrices are handed to the scheme in chunks of `batch`
+/// through [`Scheme::allocate_batch`] (for Teal, one forward pass per
+/// matrix spread over cores, then one batched ADMM sweep). Returns each
+/// matrix's [`evaluate`] stats, in order, and one computation time per
+/// chunk (`tms.len().div_ceil(batch)` of them). The stats do not depend on
+/// `batch`.
 pub fn run_offline(
     env: &Env,
     topo: &Topology,
     tms: &[TrafficMatrix],
     scheme: &mut dyn Scheme,
-) -> (Vec<f64>, Vec<Duration>) {
-    let mut satisfied = Vec::with_capacity(tms.len());
-    let mut times = Vec::with_capacity(tms.len());
-    for tm in tms {
-        let (alloc, dt) = scheme.allocate(topo, tm);
-        let inst = TeInstance::new(topo, env.paths(), tm);
-        satisfied.push(evaluate(&inst, &alloc).satisfied_pct());
-        times.push(dt);
-    }
-    (satisfied, times)
-}
-
-/// Batched offline evaluation: matrices are handed to the scheme in chunks
-/// of `batch`, exercising the batched serving path (for Teal, one forward
-/// pass per matrix spread over cores, then one batched ADMM sweep). Returns
-/// per-matrix satisfied percentages and the total computation time across
-/// all matrices; per-matrix time is the amortized `total / tms.len()`.
-pub fn run_offline_batched(
-    env: &Env,
-    topo: &Topology,
-    tms: &[TrafficMatrix],
-    scheme: &mut dyn Scheme,
     batch: usize,
-) -> (Vec<f64>, Duration) {
-    let mut satisfied = Vec::with_capacity(tms.len());
-    let mut total_time = Duration::ZERO;
-    for chunk in tms.chunks(batch.max(1)) {
+) -> (Vec<FlowStats>, Vec<Duration>) {
+    let batch = batch.max(1);
+    let mut stats = Vec::with_capacity(tms.len());
+    let mut chunk_times = Vec::with_capacity(tms.len().div_ceil(batch));
+    for chunk in tms.chunks(batch) {
         let (allocs, dt) = scheme.allocate_batch(topo, chunk);
-        total_time += dt;
+        chunk_times.push(dt);
         for (tm, alloc) in chunk.iter().zip(&allocs) {
-            let inst = TeInstance::new(topo, env.paths(), tm);
-            satisfied.push(evaluate(&inst, alloc).satisfied_pct());
+            stats.push(evaluate(&TeInstance::new(topo, env.paths(), tm), alloc));
         }
     }
-    (satisfied, total_time)
+    (stats, chunk_times)
 }
 
 /// Figure 8/9-style failure experiment: links fail at the start of an
@@ -263,20 +251,29 @@ pub fn run_failure_interval(
     let interval_s = interval.as_secs_f64().max(1e-9);
     let (new_alloc, dt) = scheme.allocate(failed_topo, tm);
     let inst = TeInstance::new(failed_topo, env.paths(), tm);
-    let total = tm.total().max(1e-12);
-    let old_flow = evaluate(&inst, pre_failure_alloc).realized_flow;
-    let new_flow = evaluate(&inst, &new_alloc).realized_flow;
     let w_old = (dt.as_secs_f64() / interval_s).min(1.0);
-    (100.0 * (w_old * old_flow + (1.0 - w_old) * new_flow) / total).clamp(0.0, 100.0)
+    mixed_pct(&inst, pre_failure_alloc, &new_alloc, w_old)
+}
+
+/// Satisfied percentage of a stretch served by `old` for its first `w_old`
+/// share of time and by `new` for the rest: the two
+/// [`FlowStats::satisfied_pct`] values mixed by time weight. Capped at 100,
+/// because `w·a + (1 − w)·b` of two percentages at 100 can round a hair
+/// above it.
+fn mixed_pct(inst: &TeInstance, old: &Allocation, new: &Allocation, w_old: f64) -> f64 {
+    let pct = |alloc| evaluate(inst, alloc).satisfied_pct();
+    (w_old * pct(old) + (1.0 - w_old) * pct(new)).min(100.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::{LpAllScheme, Scheme, ShortestPathScheme};
+    use crate::schemes::{LpAllScheme, Scheme, ShortestPathScheme, TealScheme};
     use std::sync::Arc;
+    use teal_core::{EngineConfig, ServingContext, TealConfig, TealModel};
     use teal_lp::Objective;
     use teal_topology::b4;
+    use teal_traffic::{TrafficConfig, TrafficModel};
 
     fn setup(n: usize) -> (Arc<Env>, Vec<TrafficMatrix>) {
         let env = Arc::new(Env::for_topology(b4()));
@@ -286,13 +283,72 @@ mod tests {
         (env, tms)
     }
 
+    fn satisfied(stats: &[FlowStats]) -> Vec<f64> {
+        stats.iter().map(FlowStats::satisfied_pct).collect()
+    }
+
+    #[test]
+    fn offline_stats_do_not_depend_on_the_chunk_size() {
+        let env = Arc::new(Env::for_topology(b4()));
+        let mut traffic = TrafficModel::new(&env.topo().all_pairs(), TrafficConfig::default(), 3);
+        traffic.calibrate(env.topo(), env.paths());
+        let tms = traffic.series(0, 8);
+        let model = TealModel::new(
+            Arc::clone(&env),
+            TealConfig {
+                gnn_layers: 3,
+                ..TealConfig::default()
+            },
+        );
+        let mut schemes: [Box<dyn Scheme>; 2] = [
+            Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
+            Box::new(TealScheme::new(ServingContext::new(
+                model,
+                EngineConfig::paper_default(12),
+            ))),
+        ];
+        let bits = |s: &FlowStats| {
+            [
+                s.intended_flow,
+                s.realized_flow,
+                s.total_demand,
+                s.max_link_util,
+                s.delay_penalized_flow,
+                s.total_overuse,
+            ]
+            .map(f64::to_bits)
+        };
+        for scheme in &mut schemes {
+            let mut per_batch = Vec::new();
+            for batch in [1, 3, 8] {
+                let (stats, chunk_times) =
+                    run_offline(&env, env.topo(), &tms, scheme.as_mut(), batch);
+                assert_eq!(chunk_times.len(), tms.len().div_ceil(batch));
+                per_batch.push(stats.iter().map(bits).collect::<Vec<_>>());
+            }
+            assert_eq!(per_batch[0].len(), tms.len());
+            assert_eq!(
+                per_batch[0],
+                per_batch[1],
+                "{}: batch 1 vs 3",
+                scheme.name()
+            );
+            assert_eq!(
+                per_batch[0],
+                per_batch[2],
+                "{}: batch 1 vs 8",
+                scheme.name()
+            );
+        }
+    }
+
     #[test]
     fn online_with_generous_interval_matches_offline() {
         let (env, tms) = setup(4);
         let mut s1 = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
         let on = run_online(&env, env.topo(), &tms, &mut s1, Duration::from_secs(3600));
         let mut s2 = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
-        let (off, _) = run_offline(&env, env.topo(), &tms, &mut s2);
+        let off = satisfied(&run_offline(&env, env.topo(), &tms, &mut s2, 1).0);
         // With an hour-long interval the sub-second solver is effectively
         // instantaneous; online ≈ offline except the first interval's warmup.
         for (rec, o) in on.intervals.iter().zip(&off).skip(1) {
@@ -400,7 +456,7 @@ mod tests {
             Duration::from_secs(300),
         );
         let mut s2 = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
-        let (offline, _) = run_offline(&env, env.topo(), &tms, &mut s2);
+        let offline = satisfied(&run_offline(&env, env.topo(), &tms, &mut s2, 1).0);
         for (i, rec) in online.intervals.iter().enumerate() {
             let want = (offline[2 * i] + offline[2 * i + 1]) / 2.0;
             assert!(

@@ -36,7 +36,7 @@ fn main() {
     // Pre-failure allocation on the intact topology.
     let (pre, _) = engine.allocate(&tm);
     let intact = env.instance(&tm);
-    let base_pct = 100.0 * evaluate(&intact, &pre).realized_flow / tm.total();
+    let base_pct = evaluate(&intact, &pre).satisfied_pct();
     println!("no failure: {base_pct:.1}% satisfied\n");
     println!(
         "{:<12} {:>14} {:>16} {:>12}",
@@ -55,13 +55,13 @@ fn main() {
         let failed = env.topo().with_failed_link(e.src, e.dst);
         let failed_inst = env.instance_on(&failed, &tm);
         // (a) Stale routes keep dropping everything crossing the dead link.
-        let stale_pct = 100.0 * evaluate(&failed_inst, &pre).realized_flow / tm.total();
+        let stale_pct = evaluate(&failed_inst, &pre).satisfied_pct();
         // (b) Teal recomputes on the failed topology — no retraining.
         let (mut fresh, dt) = engine
             .try_allocate_batch_on(&failed, std::slice::from_ref(&tm))
             .expect("failed-link window");
         let fresh = fresh.remove(0);
-        let fresh_pct = 100.0 * evaluate(&failed_inst, &fresh).realized_flow / tm.total();
+        let fresh_pct = evaluate(&failed_inst, &fresh).satisfied_pct();
         println!(
             "{:<12} {:>13.1}% {:>15.1}% {:>9.1} ms",
             format!("{}-{}", e.src, e.dst),

@@ -11,7 +11,8 @@ use std::sync::Arc;
 use teal::core::{
     train_coma, validate, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
-use teal::lp::{evaluate, solve_lp, LpConfig, Objective};
+use teal::lp::{FlowStats, Objective};
+use teal::sim::{run_offline, LpAllScheme, TealScheme};
 use teal::topology::b4;
 use teal::traffic::{TrafficConfig, TrafficModel};
 
@@ -58,28 +59,26 @@ fn main() {
         );
     }
 
-    // --- 4. Deploy: one forward pass + 2 ADMM iterations per matrix (§4).
+    // --- 4. Deploy: one forward pass + 2 ADMM iterations per matrix (§4),
+    //        scored offline against the exact LP optimum, one matrix at a
+    //        time.
     let engine = ServingContext::new(model, EngineConfig::paper_default(12));
-    let mut teal_sat = 0.0;
-    let mut lp_sat = 0.0;
-    let mut teal_time = 0.0;
-    for tm in &test {
-        let (alloc, dt) = engine.allocate(tm);
-        let inst = env.instance(tm);
-        teal_sat += 100.0 * evaluate(&inst, &alloc).realized_flow / tm.total();
-        teal_time += dt.as_secs_f64();
-        let (opt, _) = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default());
-        lp_sat += 100.0 * evaluate(&inst, &opt).realized_flow / tm.total();
-    }
+    let mut teal = TealScheme::new(engine);
+    let mut lp = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
+    let (teal_stats, teal_times) = run_offline(&env, env.topo(), &test, &mut teal, 1);
+    let (lp_stats, _) = run_offline(&env, env.topo(), &test, &mut lp, 1);
     let n = test.len() as f64;
+    let mean_pct =
+        |stats: &[FlowStats]| stats.iter().map(FlowStats::satisfied_pct).sum::<f64>() / n;
+    let teal_time: f64 = teal_times.iter().map(|dt| dt.as_secs_f64()).sum();
     println!("---");
     println!(
         "Teal:   {:.1}% satisfied demand, {:.1} ms per allocation",
-        teal_sat / n,
+        mean_pct(&teal_stats),
         1e3 * teal_time / n
     );
     println!(
         "LP-all: {:.1}% satisfied demand (exact optimum)",
-        lp_sat / n
+        mean_pct(&lp_stats)
     );
 }
