@@ -77,7 +77,7 @@ impl ClientShared {
         waiter: Waiter,
         write: impl FnOnce() -> std::io::Result<()>,
     ) {
-        if self.closed.load(Ordering::Acquire) {
+        if self.closed.load(Ordering::SeqCst) {
             return waiter.fail("connection closed");
         }
         // Register before sending: the reply can race back before this
@@ -89,7 +89,7 @@ impl ClientShared {
         // the insert above, nobody else will ever fulfill this slot — the
         // send may even "succeed" into a half-closed socket. Re-checking
         // `closed` after registering makes the overlap visible here.
-        if sent.is_err() || self.closed.load(Ordering::Acquire) {
+        if sent.is_err() || self.closed.load(Ordering::SeqCst) {
             if let Some(waiter) = self.take(id) {
                 waiter.fail(if sent.is_err() {
                     "connection write failed"
@@ -111,7 +111,7 @@ impl ClientShared {
     /// broken id bookkeeping); a mismatched waiter will never get the frame
     /// it wants, so it is failed rather than left to hang.
     fn unmatched(&self, claimed: Option<Waiter>) {
-        self.unmatched.fetch_add(1, Ordering::Relaxed);
+        self.unmatched.fetch_add(1, Ordering::SeqCst);
         if let Some(waiter) = claimed {
             waiter.fail("reply kind does not match the request");
         }
@@ -188,7 +188,7 @@ impl TealClient {
     /// submitters reuse one buffer instead of allocating per pipelined
     /// request.
     fn send(&self, waiter: Waiter, encode: impl FnOnce(&mut Vec<u8>, u64)) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.shared.send(id, waiter, || {
             let mut w = self.writer.lock();
             let (stream, buf) = &mut *w;
@@ -255,13 +255,13 @@ impl TealClient {
     /// deployment; nonzero means id bookkeeping broke on one side of the
     /// connection.
     pub fn unmatched_replies(&self) -> u64 {
-        self.shared.unmatched.load(Ordering::Relaxed)
+        self.shared.unmatched.load(Ordering::SeqCst)
     }
 }
 
 impl Drop for TealClient {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
+        self.shared.closed.store(true, Ordering::SeqCst);
         let _ = self.stream.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
             // A panicked reader already ran its fail_all via unwind or is
@@ -300,6 +300,6 @@ fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
             _ => break, // protocol violation: treat as a dead connection
         }
     }
-    shared.closed.store(true, Ordering::Release);
+    shared.closed.store(true, Ordering::SeqCst);
     shared.fail_all("connection closed with requests in flight");
 }

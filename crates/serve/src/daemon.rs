@@ -21,8 +21,10 @@
 //! submit path): enqueue appends under a shard-local queue lock held for
 //! O(1), each shard snapshots its context from the [`ModelRegistry`] (see
 //! its docs), and responses land in per-request slots nobody else touches.
-//! There is no lock held across model compute, and no two shards ever
-//! share a lock on the hot path.
+//! There is no lock held across model compute. The only locks two
+//! topologies' requests share in this core are the registry's read lock
+//! (once per submit and per drain) and the shard map's (once per submit);
+//! the crate docs' ledger names every shared cell.
 //!
 //! # Admission control and deadlines
 //!
@@ -75,10 +77,12 @@
 //! shard holds for its final is-empty check — so a request is either
 //! enqueued before the shard's last drain (and served) or observes the
 //! flag and gets [`ServeError::ShuttingDown`]. A post-join sweep fails any
-//! conceivable straggler rather than stranding its ticket.
+//! conceivable straggler rather than stranding its ticket. Shutdown takes
+//! only the join handles: the shards stay in the map, where
+//! [`ServeDaemon::stats`] keeps counting them.
 
 // teal-lint: checked-sync
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use crate::telemetry::now;
 use std::collections::{HashMap, VecDeque};
@@ -89,7 +93,7 @@ use teal_traffic::TrafficMatrix;
 
 use crate::registry::ModelRegistry;
 use crate::request::{ResponseSlot, ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT};
-use crate::telemetry::{ShardStats, StageTimings, Telemetry, TelemetrySnapshot, Trace};
+use crate::telemetry::{fold_shards, ShardStats, StageTimings, TelemetrySnapshot, Trace};
 
 /// One queued request (its topology is implied by the shard holding it):
 /// what to solve, and who is waiting for the answer.
@@ -143,8 +147,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// One topology's dispatch lane: private queue, condvars, and telemetry
-/// slot. The shard's dispatcher thread additionally owns the shard's
+/// One topology's dispatch lane: private queue, condvars, and counters.
+/// The shard's dispatcher thread additionally owns the shard's
 /// [`BatchScratch`] (thread-local by construction — it lives on the
 /// dispatcher's stack and is never shared).
 struct Shard {
@@ -154,31 +158,30 @@ struct Shard {
     nonempty: Condvar,
     /// Signals submitters that queue space freed up.
     space: Condvar,
-    /// This shard's telemetry slot (also registered in the global
-    /// [`Telemetry`] for snapshots).
-    stats: Arc<Mutex<ShardStats>>,
+    /// Every counter this shard's requests move; [`ServeDaemon::stats`]
+    /// folds the shards. Never locked while `queue` is held.
+    stats: Mutex<ShardStats>,
 }
 
-/// A shard plus its dispatcher thread handle (held by the daemon for
-/// joining at shutdown).
+/// A shard plus its dispatcher thread handle (taken by the first
+/// shutdown, which joins it).
 struct ShardHandle {
     shard: Arc<Shard>,
-    thread: thread::JoinHandle<()>,
+    thread: Option<thread::JoinHandle<()>>,
 }
 
 /// Shared state between submitters and the shard dispatchers.
 struct Inner<M: PolicyModel> {
     registry: ModelRegistry<M>,
     cfg: ServeConfig,
-    /// Topology id → dispatch shard, created lazily on first submit.
-    /// Locked only to route a request (a map read) or create a shard —
-    /// never across compute.
+    /// Topology id → dispatch shard, created lazily on first submit, never
+    /// removed. Locked only to route a request (a map read), create a
+    /// shard or list them — never across compute.
     shards: Mutex<HashMap<String, ShardHandle>>,
     shutdown: AtomicBool,
-    /// `Arc` so wire front ends (connection writer threads, the event
-    /// loop) can record wire-level events against the same counters the
-    /// serving core feeds.
-    telemetry: Arc<Telemetry>,
+    /// Completions the wire front end could not match to a pending
+    /// request (see [`TelemetrySnapshot::unmatched_replies`]).
+    unmatched_replies: AtomicU64,
 }
 
 /// The long-running TE serving core (see module docs). Transport front
@@ -198,7 +201,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 cfg,
                 shards: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
-                telemetry: Arc::new(Telemetry::default()),
+                unmatched_replies: AtomicU64::new(0),
             }),
         }
     }
@@ -213,9 +216,20 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
         &self.inner.registry
     }
 
-    /// A consistent copy of the serving statistics.
+    /// A copy of the serving statistics: every shard's counters and queue
+    /// length, folded, each read under its own locks (not the map's).
     pub fn stats(&self) -> TelemetrySnapshot {
-        self.inner.telemetry.snapshot()
+        let shards: Vec<Arc<Shard>> = {
+            let map = self.inner.shards.lock();
+            map.values().map(|h| Arc::clone(&h.shard)).collect()
+        };
+        let unmatched = self.inner.unmatched_replies.load(Ordering::SeqCst);
+        let per_shard = shards.iter().map(|s| {
+            // The queue guard drops before the stats lock is taken.
+            let queued = s.queue.lock().len();
+            (&*s.topology, queued, s.stats.lock())
+        });
+        fold_shards(per_shard, unmatched)
     }
 
     /// The tuning configuration this daemon was started with.
@@ -223,22 +237,21 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
         &self.inner.cfg
     }
 
-    /// The live telemetry counters — shared with wire front ends so they
-    /// can record wire-level events (e.g. unmatched replies) alongside the
-    /// serving core's own.
+    /// Count one completion the wire front end could not match to a
+    /// pending request — an id-bookkeeping bug, never load.
     // The loom build compiles no wire front end, so nothing calls this there.
     #[cfg_attr(teal_loom, allow(dead_code))]
-    pub(crate) fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.inner.telemetry
+    pub(crate) fn count_unmatched_reply(&self) {
+        self.inner.unmatched_replies.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The shard for `topology`, creating it (and its dispatcher thread) on
     /// first use. `None` when the daemon is shutting down — checked under
     /// the shard-map lock, so no shard can appear after [`Self::shutdown`]
-    /// has collected the map.
+    /// has taken the join handles.
     fn shard(&self, topology: &str) -> Option<Arc<Shard>> {
         let mut map = self.inner.shards.lock();
-        if self.inner.shutdown.load(Ordering::Acquire) {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
             return None;
         }
         if let Some(h) = map.get(topology) {
@@ -249,7 +262,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             queue: Mutex::new(VecDeque::new()),
             nonempty: Condvar::new(),
             space: Condvar::new(),
-            stats: self.inner.telemetry.shard_stats(topology),
+            stats: Mutex::new(ShardStats::default()),
         });
         let thread = {
             let inner = Arc::clone(&self.inner);
@@ -262,7 +275,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             topology.to_string(),
             ShardHandle {
                 shard: Arc::clone(&shard),
-                thread,
+                thread: Some(thread),
             },
         );
         Some(shard)
@@ -284,7 +297,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
     /// reply map *before* any fulfillment (including synchronous submit
     /// errors) can fire.
     pub(crate) fn submit_on(&self, req: SubmitRequest, slot: Arc<ResponseSlot>) {
-        if self.inner.shutdown.load(Ordering::Acquire) {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
             slot.fulfill(Err(ServeError::ShuttingDown));
             return;
         }
@@ -319,7 +332,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
         // Shed a request whose budget is already gone: enqueueing it could
         // only produce a stale allocation nobody will apply.
         if req.deadline.is_some_and(|d| d.is_zero()) {
-            self.inner.telemetry.on_shed();
+            shard.stats.lock().shed += 1;
             slot.fulfill(Err(ServeError::DeadlineExceeded));
             return;
         }
@@ -340,7 +353,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 // queue is refused *now* — blocking would silently convert
                 // its budget into queueing delay.
                 drop(q);
-                self.inner.telemetry.on_shed();
+                shard.stats.lock().shed += 1;
                 slot.fulfill(Err(ServeError::Overloaded(format!(
                     "shard {:?} queue full ({} waiting)",
                     shard.topology, self.inner.cfg.queue_capacity
@@ -348,7 +361,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 return;
             }
             while q.len() >= self.inner.cfg.queue_capacity
-                && !self.inner.shutdown.load(Ordering::Acquire)
+                && !self.inner.shutdown.load(Ordering::SeqCst)
             {
                 q = shard.space.wait(q);
             }
@@ -357,13 +370,12 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             // push lands before that drain (and is served) or the flag is
             // visible here and the request is refused — never enqueued
             // after the last drain and dropped (the submit/shutdown race).
-            if self.inner.shutdown.load(Ordering::Acquire) {
+            if self.inner.shutdown.load(Ordering::SeqCst) {
                 drop(q);
                 slot.fulfill(Err(ServeError::ShuttingDown));
                 return;
             }
             q.push_back(request);
-            self.inner.telemetry.on_enqueue();
         }
         shard.nonempty.notify_one();
     }
@@ -380,16 +392,19 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
 
     /// Stop accepting requests, serve everything already queued on every
     /// shard, and join the shard dispatchers. Idempotent, callable from any
-    /// thread (even concurrently with submitters); also runs on drop.
+    /// thread (even concurrently with submitters); also runs on drop. The
+    /// shards stay in the map, so [`Self::stats`] still counts them.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        // Collect the shard map first: creation re-checks the flag under
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Take the join handles first: creation re-checks the flag under
         // this lock, so no new shard can appear afterwards.
-        let handles: Vec<ShardHandle> = {
+        let handles: Vec<(Arc<Shard>, thread::JoinHandle<()>)> = {
             let mut map = self.inner.shards.lock();
-            map.drain().map(|(_, h)| h).collect()
+            map.values_mut()
+                .filter_map(|h| Some((Arc::clone(&h.shard), h.thread.take()?)))
+                .collect()
         };
-        for h in &handles {
+        for (shard, _) in &handles {
             // The wakeup must hold the queue lock: the shutdown flag is an
             // atomic the dispatcher checks *under* that lock, so a bare
             // notify could land in the window between a dispatcher's flag
@@ -400,29 +415,21 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             // (and gets this notify), and any later one sees the flag set.
             // `model::shutdown_straggler_sweep` checks exactly this
             // ordering (`SweepMutation::NotifyOutsideLock`).
-            let q = h.shard.queue.lock();
-            h.shard.nonempty.notify_all();
-            h.shard.space.notify_all();
+            let q = shard.queue.lock();
+            shard.nonempty.notify_all();
+            shard.space.notify_all();
             drop(q);
         }
-        for h in handles {
+        for (shard, thread) in handles {
             // A dispatcher that panicked mid-drain must not abort shutdown
             // (this also runs on drop): its queued requests are swept below
             // so no client hangs on a stranded ticket.
-            let _ = h.thread.join();
+            let _ = thread.join();
             // Safety net: the queue-lock protocol above means the shard
             // exits only with an empty queue, but a stranded ticket would
             // hang its client forever — sweep and refuse rather than trust.
-            let mut q = h.shard.queue.lock();
-            let leftover: Vec<Request> = q.drain(..).collect();
-            drop(q);
-            if !leftover.is_empty() {
-                self.inner.telemetry.on_drain(leftover.len());
-            }
-            for req in leftover {
-                self.inner.telemetry.on_error();
-                req.caller.slot.fulfill(Err(ServeError::ShuttingDown));
-            }
+            let leftover: Vec<Caller> = shard.queue.lock().drain(..).map(|r| r.caller).collect();
+            fail_all(&shard, leftover, &ServeError::ShuttingDown);
         }
     }
 }
@@ -442,7 +449,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
     loop {
         let drained = {
             let mut q = shard.queue.lock();
-            while q.is_empty() && !inner.shutdown.load(Ordering::Acquire) {
+            while q.is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
                 q = shard.nonempty.wait(q);
             }
             if q.is_empty() {
@@ -465,7 +472,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
             // wakeups never ratchet the cap toward the expiry.
             if !inner.cfg.linger.is_zero() {
                 let deadline = now() + inner.cfg.linger;
-                while q.len() < inner.cfg.max_batch && !inner.shutdown.load(Ordering::Acquire) {
+                while q.len() < inner.cfg.max_batch && !inner.shutdown.load(Ordering::SeqCst) {
                     let cap = q
                         .iter()
                         .filter_map(|r| {
@@ -486,15 +493,16 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
                 }
             }
             let drained: Vec<Request> = q.drain(..).collect();
-            // Gauge only: this decrements queue depth for everything taken
-            // off the queue, expired requests included. The *batch-size
-            // distribution* is recorded per served chunk (post-expiry,
-            // post-grouping) in `serve_chunk` → `record_batch`.
-            inner.telemetry.on_drain(drained.len());
             drop(q);
             shard.space.notify_all();
             drained
         };
+        // The high-water mark (expired requests included), recorded before
+        // any of the drain is answered. Batch sizes are recorded per served
+        // chunk, in `serve_chunk`.
+        let mut stats = shard.stats.lock();
+        stats.max_drain = stats.max_drain.max(drained.len());
+        drop(stats);
         serve_drained(inner, shard, &mut scratch, drained);
     }
 }
@@ -512,14 +520,9 @@ fn serve_drained<M: PolicyModel>(
     // One context snapshot per drain: every request in it is served by the
     // same weights even if a hot swap lands mid-drain.
     let Some(ctx) = inner.registry.get(&shard.topology) else {
-        for req in drained {
-            // Count before unblocking, like every other reply path: a
-            // client that has its reply always sees itself in `stats()`.
-            inner.telemetry.on_error();
-            req.caller
-                .slot
-                .fulfill(Err(ServeError::UnknownTopology(shard.topology.clone())));
-        }
+        let callers = drained.into_iter().map(|r| r.caller).collect();
+        let err = ServeError::UnknownTopology(shard.topology.clone());
+        fail_all(shard, callers, &err);
         return;
     };
     // Admission control, drain side: a request whose deadline lapsed while
@@ -529,7 +532,8 @@ fn serve_drained<M: PolicyModel>(
     let mut live = Vec::with_capacity(drained.len());
     for req in drained {
         if req.caller.expires.is_some_and(|e| e <= now) {
-            inner.telemetry.on_expired();
+            // Counted before unblocking, like every other reply path.
+            shard.stats.lock().expired += 1;
             req.caller.slot.fulfill(Err(ServeError::DeadlineExceeded));
         } else {
             // No stamp here: queue-wait ends at the *chunk's* solve start
@@ -562,7 +566,9 @@ fn serve_drained<M: PolicyModel>(
         .iter()
         .map(|(_, g)| deadline_inversions(g.iter().map(|r| r.caller.expires)))
         .sum();
-    inner.telemetry.on_deadline_inversions(inversions);
+    if inversions > 0 {
+        shard.stats.lock().deadline_inversions += inversions;
+    }
     for (sig, mut requests) in groups {
         while !requests.is_empty() {
             let take = requests.len().min(inner.cfg.max_batch.max(1));
@@ -581,7 +587,7 @@ fn serve_drained<M: PolicyModel>(
                     .collect();
                 topo.with_failed_edges(&failed)
             });
-            serve_chunk(inner, shard, scratch, &ctx, override_topo.as_ref(), chunk);
+            serve_chunk(shard, scratch, &ctx, override_topo.as_ref(), chunk);
         }
     }
 }
@@ -604,7 +610,6 @@ const PRESSURED_BUDGET: usize = 2;
 /// classify: the chunk's requests are then each solved alone, by the same
 /// loop, and only a request that panics on its own is failed.
 fn serve_chunk<M: PolicyModel>(
-    inner: &Inner<M>,
     shard: &Shard,
     scratch: &mut BatchScratch,
     ctx: &ServingContext<M>,
@@ -635,12 +640,6 @@ fn serve_chunk<M: PolicyModel>(
         _ => false,
     };
     scratch.set_iteration_budget(downgraded.then_some(PRESSURED_BUDGET));
-    let fail = |callers: Vec<Caller>, err: ServeError| {
-        for caller in callers {
-            inner.telemetry.on_error();
-            caller.slot.fulfill(Err(err.clone()));
-        }
-    };
     // The batches left to solve: the chunk itself — its matrices moved out
     // of the requests, in step with their callers — and, only if it panics
     // as a batch, each of its requests alone.
@@ -672,34 +671,26 @@ fn serve_chunk<M: PolicyModel>(
                 // The one place a `ServeReply` is built.
                 Ok(Ok((allocs, _))) if allocs.len() == callers.len() => {
                     let batch_size = callers.len();
-                    // One reply-write stamp for the whole batch: per-stage
-                    // spans and the end-to-end latency are derived from the
-                    // same instant so the stages always sum to the total.
+                    // One reply-write stamp for the whole batch: every stage
+                    // span is derived from it, and the stages sum to the
+                    // end-to-end latency.
                     let solve = scratch.solve_report();
                     let done = now();
-                    let latencies: Vec<Duration> = callers
-                        .iter()
-                        .map(|c| done.saturating_duration_since(c.trace.enqueued()))
-                        .collect();
                     let stages: Vec<StageTimings> =
                         callers.iter().map(|c| c.trace.stages(done)).collect();
                     // Count the batch before unblocking any client, so a
                     // caller that has its reply always sees itself in
                     // `stats()`.
-                    shard.stats.lock().record_batch(
-                        &latencies,
-                        &stages,
-                        solve.as_ref(),
-                        downgraded,
-                    );
-                    charge_tenants(&inner.telemetry, &callers);
-                    inner.telemetry.on_complete(batch_size as u64);
-                    for (((caller, allocation), latency), stages) in
-                        callers.into_iter().zip(allocs).zip(latencies).zip(stages)
+                    let mut stats = shard.stats.lock();
+                    stats.record_batch(&stages, solve.as_ref(), downgraded);
+                    charge_tenants(&mut stats, &callers);
+                    drop(stats);
+                    for ((caller, allocation), stages) in
+                        callers.into_iter().zip(allocs).zip(stages)
                     {
                         caller.slot.fulfill(Ok(ServeReply {
                             allocation,
-                            latency,
+                            latency: stages.end_to_end(),
                             stages,
                             batch_size,
                         }));
@@ -712,16 +703,17 @@ fn serve_chunk<M: PolicyModel>(
                 Ok(Ok((allocs, _))) => {
                     let (got, want) = (allocs.len(), tms.len());
                     let why = format!("model returned {got} allocations for a batch of {want}");
-                    fail(callers, ServeError::Internal(why));
+                    fail_all(shard, callers, &ServeError::Internal(why));
                     break;
                 }
                 Ok(Err(AllocError::BadRequest { index, reason })) if index < callers.len() => {
                     // Evict only the named offender; loop to re-batch the rest.
                     tms.remove(index);
-                    fail(vec![callers.remove(index)], ServeError::BadRequest(reason));
+                    let evicted = vec![callers.remove(index)];
+                    fail_all(shard, evicted, &ServeError::BadRequest(reason));
                 }
                 Ok(Err(e)) => {
-                    fail(callers, ServeError::Internal(e.to_string()));
+                    fail_all(shard, callers, &ServeError::Internal(e.to_string()));
                     break;
                 }
                 // An unclassified panic somewhere in the batch: queue each
@@ -740,7 +732,7 @@ fn serve_chunk<M: PolicyModel>(
                         shard.topology,
                         tms[0].len()
                     );
-                    fail(callers, ServeError::Internal(why));
+                    fail_all(shard, callers, &ServeError::Internal(why));
                     break;
                 }
             }
@@ -774,7 +766,7 @@ fn deadline_inversions(expiries: impl Iterator<Item = Option<Instant>>) -> u64 {
 /// counts toward its own tenant, and the window toward the tenant tagging
 /// the most of them, ties broken toward the lexicographically smallest id
 /// (deterministic under concurrency).
-fn charge_tenants(telemetry: &Telemetry, callers: &[Caller]) {
+fn charge_tenants(stats: &mut ShardStats, callers: &[Caller]) {
     let mut counts: Vec<(&str, u64)> = Vec::new();
     for c in callers {
         match counts.iter_mut().find(|(t, _)| *t == &*c.tenant) {
@@ -787,13 +779,38 @@ fn charge_tenants(telemetry: &Telemetry, callers: &[Caller]) {
         .max_by(|(at, an), (bt, bn)| an.cmp(bn).then_with(|| bt.cmp(at)))
         .map(|&(t, _)| t);
     for &(t, n) in &counts {
-        telemetry.on_tenant(t, n, u64::from(Some(t) == dominant));
+        stats.charge_tenant(t, n, u64::from(Some(t) == dominant));
+    }
+}
+
+/// Answer `callers` with `err`, counted as errors before any is unblocked,
+/// so a client that has its reply always sees itself in `stats()`.
+fn fail_all(shard: &Shard, callers: Vec<Caller>, err: &ServeError) {
+    shard.stats.lock().errors += callers.len() as u64;
+    for caller in callers {
+        caller.slot.fulfill(Err(err.clone()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teal_core::TealModel;
+
+    #[test]
+    fn unmatched_replies_reach_snapshot_and_prometheus() {
+        let d = ServeDaemon::with_defaults(ModelRegistry::<TealModel>::new());
+        assert_eq!(d.stats().unmatched_replies, 0);
+        d.count_unmatched_reply();
+        d.count_unmatched_reply();
+        let snap = d.stats();
+        assert_eq!(snap.unmatched_replies, 2);
+        let text = snap.to_prometheus();
+        assert!(
+            text.contains("teal_serve_unmatched_replies_total 2"),
+            "missing/incorrect counter line in:\n{text}"
+        );
+    }
 
     /// EDF ordering property, on the pure sort key the drain path uses:
     /// across randomized queues, after a stable sort (1) every deadline'd

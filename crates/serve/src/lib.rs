@@ -59,8 +59,8 @@
 //!        │          │   residuals, frozen lanes) out of the arena     │
 //!        │          └─────────────────────────────────────────────────┘
 //!        │             ▼
-//!        │          ShardStats.record_batch(e2e + stage histograms,
-//!        │             ADMM accumulators ⊕ per-budget window counts,
+//!        │          ShardStats.record_batch(stage histograms, e2e = their
+//!        │             sum; ADMM accumulators ⊕ per-budget window counts,
 //!        │             slow-request exemplar ring) · per-tenant ctrs
 //!        │                  shard "swan":  ... a true parallel lane ...
 //!        ▼                                   ▼
@@ -69,13 +69,14 @@
 //!   front end ◄──────────────────── notifies the wire front end; REPLY
 //!     REPLY frames, any order)     frames drain out of order by id)
 //!
-//!   observability taps (⊕ = Trace stamp):
-//!   ServeDaemon::stats() / TealClient::stats() ──► TelemetrySnapshot
-//!     per-topology e2e + queue-wait/solve/write p50/p99 · AdmmStats
-//!     (budgeted iters, downgrades, windows-by-budget) · per-tenant
-//!     request/window counts (≤ 64 tenants + "other") · deadline
-//!     inversions · unmatched replies · teal_nn pool gauges · slow
-//!     exemplars
+//!   observability taps (⊕ = Trace stamp; every "ctr" above is its
+//!   shard's, in ShardStats under the shard's own lock):
+//!   ServeDaemon::stats() / TealClient::stats() ──► TelemetrySnapshot,
+//!   folded from the shards: per-topology e2e + queue-wait/solve/write
+//!     p50/p99 · AdmmStats (budgeted iters, downgrades, windows-by-budget)
+//!     · per-tenant request/window counts (≤ 64 tenants + "other" per
+//!     topology) · deadline inversions · deepest shard queue · unmatched
+//!     replies · teal_nn pool gauges · slow exemplars
 //!
 //!                    ┌─ metrics! table (telemetry.rs): one row per metric ─┐
 //!                    │ field : type [as wire type] · family, help, labels  │
@@ -102,8 +103,8 @@
 //!   routes each request to its topology's shard — a dedicated dispatcher
 //!   thread with a private queue, condvars, one ADMM arena
 //!   ([`teal_core::BatchScratch`], shared by plain and failed-link windows
-//!   alike — a failed link is just a capacity change), and a telemetry
-//!   slot. Each shard drains its queue (lingering up to
+//!   alike — a failed link is just a capacity change), and every counter
+//!   its requests move. Each shard drains its queue (lingering up to
 //!   [`ServeConfig::linger`] so bursts pile up — but never past half of
 //!   the tightest queued deadline budget), expires stale requests, sorts
 //!   the window **earliest-deadline-first** (deadline-less requests keep
@@ -118,7 +119,8 @@
 //!   a bounded per-shard queue. Built from commutative
 //!   operations across cores *and* connections (the
 //!   scalable-commutativity design rule): no lock is held across model
-//!   compute and no two shards share hot-path state, so a network front
+//!   compute and no two shards share hot-path state but the cells the
+//!   ledger below names, so a network front
 //!   end multiplying concurrent submitters scales the same way more
 //!   threads do.
 //! * **Wire front end** ([`wire`], [`TealServer`], [`TealClient`]) —
@@ -148,7 +150,8 @@
 //!   | STATS (5)       | client → server | id (scrape trigger, no body)       |
 //!   | STATS_OK (6)    | server → client | id · full [`TelemetrySnapshot`] (incl. per-budget window counts, per-tenant counters, deadline inversions, unmatched replies) |
 //! * **Topology/model registry with hot swap** ([`ModelRegistry`]) and
-//!   **serving telemetry** ([`Telemetry`] / [`TelemetrySnapshot`]). Every
+//!   **serving telemetry** ([`TelemetrySnapshot`], folded from per-shard
+//!   counters by [`ServeDaemon::stats`]). Every
 //!   request carries a fixed-size [`telemetry::Trace`] stamped at enqueue,
 //!   solve-start and solve-end, so shards record *per-stage*
 //!   latency histograms (queue-wait / solve / write, each with p50/p99)
@@ -168,8 +171,34 @@
 //!   hostile element count) and the renderer are generated from it — the
 //!   table's order *is* the wire layout. Topology and tenant ids are peer
 //!   input: REQUEST ids past [`wire::MAX_ID_BYTES`] are refused at decode,
-//!   at most 64 tenants are accounted individually (the rest pool under
-//!   `"other"`), and label values are escaped on the way into the text.
+//!   each topology accounts at most 64 tenants individually (the rest pool
+//!   under `"other"`; rows merge by name across topologies), and label
+//!   values are escaped on the way into the text.
+//!
+//! # Shared cells a request writes
+//!
+//! Requests on different topologies commute (neither reply depends on the
+//! other), so by the Scalable Commutativity Rule they can run without
+//! writing a common cell. The cells a request writes, submit to reply:
+//!
+//! | cell | written by | commutes across topologies |
+//! |---|---|---|
+//! | the shard queue and its two condvars | enqueue, drain | yes: one per topology |
+//! | the shard's `ShardStats` (every counter of the snapshot) | shed, expiry, drain, each served or failed chunk | yes: one per topology |
+//! | the request's response slot | its one fulfillment | yes: one per request |
+//! | the [`ModelRegistry`] `RwLock`, read | every submit and drain: a read still writes the lock word | no: one per daemon |
+//! | the shard-map `Mutex` in `ServeDaemon::shard` | every submit | no: one per daemon |
+//! | the event loop's completion queue | every wire reply | no: shared by that loop's connections |
+//! | `unmatched_replies` | the event loop's bug path only | no: one per daemon |
+//! | `teal_nn::pool`'s counters and helper budget | every fanned-out window | no: shared by design |
+//!
+//! *Guarantees:* requests on different topologies write in common only the
+//! five "no" cells; every snapshot counter but `unmatched_replies` and the
+//! pool's is folded over shards at read time by [`ServeDaemon::stats`].
+//! *Assuming:* one shard per registry id.
+//! *Enforced by:* structure (`telemetry.rs` imports no atomic and no lock)
+//! and `tests/admission.rs::counters_fold_per_shard_and_survive_shutdown`.
+//! No test counts shared-cell writes per request yet (see ROADMAP.md).
 //!
 //! # Quickstart (in-process)
 //!
@@ -281,6 +310,6 @@ pub use request::{ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT}
 #[cfg(all(target_os = "linux", not(teal_loom)))]
 pub use server::TealServer;
 pub use telemetry::{
-    AdmmStats, LatencyHistogram, LatencyStats, SlowExemplar, StageTimings, Telemetry,
-    TelemetrySnapshot, TenantSnapshot, TopoSnapshot, Trace,
+    AdmmStats, LatencyHistogram, LatencyStats, SlowExemplar, StageTimings, TelemetrySnapshot,
+    TenantSnapshot, TopoSnapshot, Trace,
 };

@@ -130,7 +130,7 @@ impl EventLoopHandle {
     /// relies on shard dispatchers still fulfilling queued tickets while
     /// it drains.
     pub(crate) fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.doorbell.ring();
         if let Some(h) = self.thread.take() {
             let _ = h.join();
@@ -201,7 +201,7 @@ struct EventLoop<M: PolicyModel + 'static> {
 impl<M: PolicyModel + 'static> EventLoop<M> {
     fn run(&mut self) {
         loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
                 self.begin_shutdown();
                 if self.slots.iter().all(|s| s.conn.is_none()) {
                     return;
@@ -350,7 +350,7 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
                 } else {
                     // A completion with no home: the id-bookkeeping bug
                     // counter, not a crash.
-                    daemon.telemetry().on_unmatched_reply();
+                    daemon.count_unmatched_reply();
                 }
             }
             flush_writes(conn, epoll);

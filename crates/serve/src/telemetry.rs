@@ -4,13 +4,14 @@
 //!
 //! The recording side is deliberately cheap and contention-free in the
 //! places that matter: each dispatcher shard owns its topology's
-//! [`ShardStats`] outright (stage histograms, ADMM accumulators, batch
-//! counters, batch-size distribution, exemplar ring) and records into it
-//! without touching any shared map — shards never contend with each other
-//! on the hot path. Queue-depth gauges and the completed counter are plain
-//! atomics updated from any thread. Readers take a consistent
-//! [`TelemetrySnapshot`] copy, locking each shard's stats only long enough
-//! to copy them out.
+//! [`ShardStats`] outright (stage histograms, ADMM accumulators, the
+//! batch-size distribution, exemplar ring, shed/expired/error and
+//! deadline-inversion counts, queue high-water mark and per-tenant
+//! totals) behind its own lock. No counter a request moves is
+//! process-wide, so shards never contend with each other on the hot path.
+//! Readers fold every shard's stats into one [`TelemetrySnapshot`]
+//! (`fold_shards`), locking each shard's stats only long enough to copy
+//! them out.
 //!
 //! Requests carry a fixed-size [`Trace`] stamped at enqueue, solve-start
 //! and solve-end; the reply-write stamp is taken once per chunk just
@@ -24,10 +25,9 @@
 //! Prometheus text are all generated from its rows.
 
 // teal-lint: checked-sync
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{Arc, Mutex};
 use std::collections::HashMap;
 use std::fmt::{self, Display, Write as _};
+use std::ops::Deref;
 use std::time::{Duration, Instant};
 
 use teal_nn::pool::PoolStats;
@@ -192,7 +192,8 @@ impl Trace {
     /// Fold the stamps into per-stage durations, with `done` as the
     /// reply-write stamp. Missing intermediate stamps (e.g. a request
     /// answered with an error before reaching the solver) collapse that
-    /// stage to zero rather than misattributing time.
+    /// stage to zero rather than misattributing time. The stamps are
+    /// monotonic, so the stages partition `done - enqueued` exactly.
     pub fn stages(&self, done: Instant) -> StageTimings {
         let solve_start = self.solve_start.unwrap_or(done);
         let solve_end = self.solve_end.unwrap_or(solve_start);
@@ -201,6 +202,14 @@ impl Trace {
             solve: solve_end.saturating_duration_since(solve_start),
             write: done.saturating_duration_since(solve_end),
         }
+    }
+}
+
+impl StageTimings {
+    /// End-to-end (enqueue → reply write) latency: the stages partition
+    /// it exactly (`trace_stages_partition_end_to_end`).
+    pub(crate) fn end_to_end(&self) -> Duration {
+        self.queue_wait + self.solve + self.write
     }
 }
 
@@ -288,22 +297,32 @@ impl SlowRing {
     }
 }
 
-/// One shard's serving counters, owned by that shard's dispatcher thread
-/// and registered with [`Telemetry`] for snapshotting. Only the owning
-/// shard writes; `snapshot` readers lock briefly to copy.
+/// One shard's serving counters: the only home of every counter a request
+/// moves, behind the shard's own lock, so requests on different topologies
+/// write no common counter. Readers fold the shards with [`fold_shards`].
 #[derive(Default)]
 pub(crate) struct ShardStats {
     latency: LatencyHistogram,
     queue_wait: LatencyHistogram,
     solve: LatencyHistogram,
     write: LatencyHistogram,
-    requests: u64,
-    batches: u64,
     /// Coalesced-batch size → occurrence count (for this shard).
     batch_sizes: HashMap<usize, u64>,
     /// Solver totals; exported once `windows > 0`.
     admm: AdmmStats,
     slow: SlowRing,
+    /// Replies other than a served allocation: sheds at enqueue, expiries
+    /// at drain, and every other error; each also counts as completed.
+    pub(crate) shed: u64,
+    pub(crate) expired: u64,
+    pub(crate) errors: u64,
+    /// See [`TelemetrySnapshot::deadline_inversions`].
+    pub(crate) deadline_inversions: u64,
+    /// Largest drain this shard took. A queue only shrinks when a drain
+    /// empties it, so with the current length this is its high-water mark.
+    pub(crate) max_drain: usize,
+    /// Tenant id → (requests, windows) served on this shard.
+    tenants: HashMap<String, (u64, u64)>,
 }
 
 impl ShardStats {
@@ -315,248 +334,132 @@ impl ShardStats {
         self.queue_wait.quantile(0.99)
     }
 
-    /// Record one coalesced batch: per-request end-to-end latencies, their
-    /// stage breakdowns (parallel slices), and the batch's solver report
-    /// when it reached the ADMM fine-tuner (`downgraded` marks a window the
-    /// adaptive policy ran below the configured iteration budget).
+    /// Record one coalesced batch: its requests' stage breakdowns (each
+    /// summing to that request's end-to-end latency), and the batch's
+    /// solver report when it reached the ADMM fine-tuner (`downgraded`
+    /// marks a window the adaptive policy ran below the configured
+    /// iteration budget).
     pub(crate) fn record_batch(
         &mut self,
-        latencies: &[Duration],
         stages: &[StageTimings],
         solve: Option<&teal_core::SolveReport>,
         downgraded: bool,
     ) {
-        debug_assert_eq!(
-            latencies.len(),
-            stages.len(),
-            "latency/stage slice mismatch"
-        );
-        *self.batch_sizes.entry(latencies.len()).or_insert(0) += 1;
-        self.batches += 1;
-        self.requests += latencies.len() as u64;
-        for (&l, s) in latencies.iter().zip(stages) {
-            self.latency.record(l);
+        *self.batch_sizes.entry(stages.len()).or_insert(0) += 1;
+        for s in stages {
+            let latency = s.end_to_end();
+            self.latency.record(latency);
             self.queue_wait.record(s.queue_wait);
             self.solve.record(s.solve);
             self.write.record(s.write);
-            self.slow.offer(l, *s, latencies.len());
+            self.slow.offer(latency, *s, stages.len());
         }
         if let Some(r) = solve {
             self.admm.record(r, downgraded);
         }
     }
-}
-
-/// Distinct tenant ids accounted individually. Ids are peer-supplied, so
-/// without a cap a client minting fresh ones grows every STATS_OK frame
-/// and Prometheus scrape without bound; later arrivals share one
-/// [`OVERFLOW_TENANT`] row and the totals still add up.
-const MAX_TENANTS: usize = 64;
-const OVERFLOW_TENANT: &str = "other";
-
-/// One tenant's serving totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct TenantAccum {
-    requests: u64,
-    windows: u64,
-}
-
-/// Aggregate daemon telemetry (see module docs for the locking story).
-#[derive(Default)]
-pub struct Telemetry {
-    /// Topology id → that shard's stats. The map is touched only at shard
-    /// creation and in `snapshot`; recording goes through the `Arc` each
-    /// shard retains.
-    shards: Mutex<HashMap<String, Arc<Mutex<ShardStats>>>>,
-    /// Requests currently enqueued across all shards (gauge).
-    queue_depth: AtomicUsize,
-    /// Deepest aggregate queue ever observed.
-    max_queue_depth: AtomicUsize,
-    /// Total requests completed (including error responses).
-    completed: AtomicU64,
-    /// Requests shed by admission control at enqueue (full queue with a
-    /// deadline, or a budget already spent).
-    shed: AtomicU64,
-    /// Requests whose deadline lapsed in the queue (expired at drain time).
-    expired: AtomicU64,
-    /// Adjacent deadline'd-request pairs served out of deadline order
-    /// within one drain (the EDF invariant, as a counter: 0 unless the
-    /// drain path's sort-then-group ordering is broken).
-    deadline_inversions: AtomicU64,
-    /// Reply/scrape completions whose id matched no registered slot on the
-    /// announcing connection (wire front ends report these; a nonzero
-    /// value flags an id-bookkeeping bug rather than load).
-    unmatched_replies: AtomicU64,
-    /// Tenant id → served totals. Touched once per chunk (not per
-    /// request), so the shared lock stays off the per-request path.
-    tenants: Mutex<HashMap<String, TenantAccum>>,
-}
-
-impl Telemetry {
-    /// The stats slot for `topology`, creating it on first use. Shards call
-    /// this once at startup and then record lock-free of the map.
-    pub(crate) fn shard_stats(&self, topology: &str) -> Arc<Mutex<ShardStats>> {
-        let mut map = self.shards.lock();
-        Arc::clone(map.entry(topology.to_string()).or_default())
-    }
-
-    /// Gauge bump when a request is enqueued.
-    pub(crate) fn on_enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Gauge drop when a shard drains `n` requests. Saturates at zero: a
-    /// double-drain bug must not wrap the gauge to `usize::MAX` and poison
-    /// every later snapshot (it is loudly caught in debug builds instead).
-    pub(crate) fn on_drain(&self, n: usize) {
-        // (`fetch_update` is absent from the loom facade; a CAS loop over
-        // `compare_exchange` is equivalent and compiles under both.)
-        let mut prev = self.queue_depth.load(Ordering::Relaxed);
-        loop {
-            match self.queue_depth.compare_exchange(
-                prev,
-                prev.saturating_sub(n),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(cur) => prev = cur,
-            }
-        }
-        debug_assert!(
-            prev >= n,
-            "queue_depth underflow: drained {n} with depth {prev}"
-        );
-    }
-
-    /// Count `n` successfully answered requests.
-    pub(crate) fn on_complete(&self, n: u64) {
-        self.completed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one coalesced batch of `latencies` for `topology` (test and
-    /// convenience path; shards record through their retained handle).
-    #[cfg(test)]
-    pub(crate) fn on_batch(&self, topology: &str, latencies: &[Duration]) {
-        let stages = vec![StageTimings::default(); latencies.len()];
-        self.shard_stats(topology)
-            .lock()
-            .record_batch(latencies, &stages, None, false);
-        self.on_complete(latencies.len() as u64);
-    }
-
-    /// Record a request that completed with an error (still counted).
-    pub(crate) fn on_error(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an admission-control shed at enqueue (the request was
-    /// answered — with an error — so it also counts as completed).
-    pub(crate) fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one drain-time deadline expiry (also a completed reply).
-    pub(crate) fn on_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `n` deadline-order inversions observed in one drain's final
-    /// serving order (see [`TelemetrySnapshot::deadline_inversions`]).
-    pub(crate) fn on_deadline_inversions(&self, n: u64) {
-        if n > 0 {
-            self.deadline_inversions.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one reply frame (or completion tag) that matched no
-    /// registered slot — the wire front end's "reply with no home" event.
-    // The loom build compiles no wire front end, so nothing calls this there.
-    #[cfg_attr(teal_loom, allow(dead_code))]
-    pub(crate) fn on_unmatched_reply(&self) {
-        self.unmatched_replies.fetch_add(1, Ordering::Relaxed);
-    }
 
     /// Credit `requests` served requests and `windows` solver windows to
     /// `tenant` (a chunk charges its window to the dominant tenant; request
     /// counts go to each request's own tenant).
-    pub(crate) fn on_tenant(&self, tenant: &str, requests: u64, windows: u64) {
-        let mut map = self.tenants.lock();
-        let full = map.len() >= MAX_TENANTS && !map.contains_key(tenant);
+    pub(crate) fn charge_tenant(&mut self, tenant: &str, requests: u64, windows: u64) {
+        let full = self.tenants.len() >= MAX_TENANTS && !self.tenants.contains_key(tenant);
         let row = if full { OVERFLOW_TENANT } else { tenant };
-        let acc = map.entry(row.to_string()).or_default();
-        acc.requests += requests;
-        acc.windows += windows;
+        let (r, w) = self.tenants.entry(row.to_string()).or_default();
+        *r += requests;
+        *w += windows;
     }
+}
 
-    /// Take a consistent copy of all counters.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let shards = self.shards.lock();
-        let mut per_topology = Vec::with_capacity(shards.len());
-        let mut batch_sizes: HashMap<usize, u64> = HashMap::new();
-        let mut slow: Vec<SlowExemplar> = Vec::new();
-        for (name, stats) in shards.iter() {
-            let s = stats.lock();
-            let e2e = s.latency.summary();
-            per_topology.push(TopoSnapshot {
-                topology: name.clone(),
-                requests: s.requests,
-                batches: s.batches,
-                mean: e2e.mean,
-                p50: e2e.p50,
-                p99: e2e.p99,
-                queue_wait: s.queue_wait.summary(),
-                solve: s.solve.summary(),
-                write: s.write.summary(),
-                admm: (s.admm.windows > 0).then(|| s.admm.clone()),
-            });
-            for (&size, &n) in &s.batch_sizes {
-                *batch_sizes.entry(size).or_insert(0) += n;
-            }
-            for e in &s.slow.entries {
-                slow.push(SlowExemplar {
-                    topology: name.clone(),
-                    latency: e.latency,
-                    stages: e.stages,
-                    batch_size: e.batch_size,
-                });
-            }
+/// Distinct tenant ids accounted individually per topology. Ids are
+/// peer-supplied, so without a cap a client minting fresh ones grows every
+/// STATS_OK frame and Prometheus scrape without bound; later arrivals
+/// share one [`OVERFLOW_TENANT`] row and the totals still add up. Topology
+/// ids are registry-controlled, so the merged row count stays bounded.
+const MAX_TENANTS: usize = 64;
+const OVERFLOW_TENANT: &str = "other";
+
+/// The one fold from shard stats to a [`TelemetrySnapshot`]: every shard
+/// as `(topology, requests queued now, its stats)`, plus the front end's
+/// `unmatched_replies` count; the `teal_nn::pool` counters are sampled
+/// here. No total is stored twice: a topology's `requests` is its
+/// end-to-end histogram's count and `batches` its batch-size counts
+/// summed; `completed` is requests + shed + expired + errors, and
+/// `queue_depth` the queue lengths summed.
+pub(crate) fn fold_shards<'a, S: Deref<Target = ShardStats>>(
+    shards: impl IntoIterator<Item = (&'a str, usize, S)>,
+    unmatched_replies: u64,
+) -> TelemetrySnapshot {
+    let mut snap = TelemetrySnapshot {
+        per_topology: Vec::new(),
+        batch_sizes: Vec::new(),
+        queue_depth: 0,
+        max_queue_depth: 0,
+        completed: 0,
+        shed: 0,
+        expired: 0,
+        deadline_inversions: 0,
+        unmatched_replies,
+        pool: teal_nn::pool::stats(),
+        slow: Vec::new(),
+        tenants: Vec::new(),
+    };
+    let mut batch_sizes: HashMap<usize, u64> = HashMap::new();
+    let mut tenants: HashMap<String, (u64, u64)> = HashMap::new();
+    for (topology, queued, s) in shards {
+        let e2e = s.latency.summary();
+        let requests = s.latency.count();
+        snap.per_topology.push(TopoSnapshot {
+            topology: topology.to_string(),
+            requests,
+            batches: s.batch_sizes.values().sum(),
+            mean: e2e.mean,
+            p50: e2e.p50,
+            p99: e2e.p99,
+            queue_wait: s.queue_wait.summary(),
+            solve: s.solve.summary(),
+            write: s.write.summary(),
+            admm: (s.admm.windows > 0).then(|| s.admm.clone()),
+        });
+        for (&size, &n) in &s.batch_sizes {
+            *batch_sizes.entry(size).or_insert(0) += n;
         }
-        per_topology.sort_by(|a, b| a.topology.cmp(&b.topology));
-        // Global top-k across shards, slowest first.
-        slow.sort_by_key(|e| std::cmp::Reverse(e.latency));
-        slow.truncate(SLOW_EXEMPLARS);
-        let mut batch_sizes: Vec<(usize, u64)> = batch_sizes.into_iter().collect();
-        batch_sizes.sort_unstable();
-        let mut tenants: Vec<TenantSnapshot> = self
-            .tenants
-            .lock()
-            .iter()
-            .map(|(name, acc)| TenantSnapshot {
-                tenant: name.clone(),
-                requests: acc.requests,
-                windows: acc.windows,
-            })
-            .collect();
-        tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        TelemetrySnapshot {
-            per_topology,
-            batch_sizes,
-            tenants,
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            deadline_inversions: self.deadline_inversions.load(Ordering::Relaxed),
-            unmatched_replies: self.unmatched_replies.load(Ordering::Relaxed),
-            pool: teal_nn::pool::stats(),
-            slow,
+        for (name, &(requests, windows)) in &s.tenants {
+            let (r, w) = tenants.entry(name.clone()).or_default();
+            *r += requests;
+            *w += windows;
         }
+        snap.slow
+            .extend(s.slow.entries.iter().map(|e| SlowExemplar {
+                topology: topology.to_string(),
+                latency: e.latency,
+                stages: e.stages,
+                batch_size: e.batch_size,
+            }));
+        snap.queue_depth += queued;
+        snap.max_queue_depth = snap.max_queue_depth.max(s.max_drain).max(queued);
+        snap.completed += requests + s.shed + s.expired + s.errors;
+        snap.shed += s.shed;
+        snap.expired += s.expired;
+        snap.deadline_inversions += s.deadline_inversions;
     }
+    snap.per_topology
+        .sort_by(|a, b| a.topology.cmp(&b.topology));
+    // Global top-k across shards, slowest first.
+    snap.slow.sort_by_key(|e| std::cmp::Reverse(e.latency));
+    snap.slow.truncate(SLOW_EXEMPLARS);
+    snap.batch_sizes = batch_sizes.into_iter().collect();
+    snap.batch_sizes.sort_unstable();
+    snap.tenants = tenants
+        .into_iter()
+        .map(|(tenant, (requests, windows))| TenantSnapshot {
+            tenant,
+            requests,
+            windows,
+        })
+        .collect();
+    snap.tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+    snap
 }
 
 impl TelemetrySnapshot {
@@ -999,7 +902,7 @@ metrics! {
     pub struct TenantSnapshot {
         label("tenant") {
             /// Tenant id (`"default"` for untagged requests; `"other"` pools
-            /// every tenant past the tracking cap).
+            /// every tenant past a topology's tracking cap).
             tenant: String,
         }
         counter("teal_serve_tenant_requests_total", "Requests served per tenant.") {
@@ -1030,8 +933,12 @@ metrics! {
             /// Requests currently waiting in shard queues.
             queue_depth: usize as u64,
         }
-        gauge("teal_serve_max_queue_depth", "Deepest aggregate queue observed.") {
-            /// Deepest aggregate queue observed since startup.
+        gauge("teal_serve_max_queue_depth", "Deepest shard queue observed.") {
+            /// Deepest any one shard's queue has been since startup: the
+            /// largest drain it took, or its current length. Queues are
+            /// bounded per shard ([`crate::ServeConfig::queue_capacity`]);
+            /// an aggregate high-water mark would need a cell every shard
+            /// writes.
             max_queue_depth: usize as u64,
         }
         counter("teal_serve_completed_total", "Requests answered (success or error).") {
@@ -1073,6 +980,8 @@ metrics! {
             /// Per-tenant served totals, sorted by tenant id. Requests are credited
             /// to their own tenant; each solver window is charged to the chunk's
             /// dominant tenant (most requests, ties broken lexicographically).
+            /// Each topology accounts at most 64 tenants individually; rows
+            /// merge by name across topologies.
             tenants: Vec<TenantSnapshot>,
         }
     }
@@ -1099,19 +1008,21 @@ metrics! {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unmatched_replies_reach_snapshot_and_prometheus() {
-        let t = Telemetry::default();
-        assert_eq!(t.snapshot().unmatched_replies, 0);
-        t.on_unmatched_reply();
-        t.on_unmatched_reply();
-        let snap = t.snapshot();
-        assert_eq!(snap.unmatched_replies, 2);
-        let text = snap.to_prometheus();
-        assert!(
-            text.contains("teal_serve_unmatched_replies_total 2"),
-            "missing/incorrect counter line in:\n{text}"
-        );
+    /// Fold `shards` (each with an empty queue) into a snapshot.
+    fn snapshot(shards: &[(&str, &ShardStats)]) -> TelemetrySnapshot {
+        fold_shards(shards.iter().map(|&(topology, s)| (topology, 0, s)), 0)
+    }
+
+    /// One batch of requests with the given end-to-end latencies, all of
+    /// it queue-wait.
+    fn waits(latencies_us: &[u64]) -> Vec<StageTimings> {
+        latencies_us
+            .iter()
+            .map(|&us| StageTimings {
+                queue_wait: Duration::from_micros(us),
+                ..StageTimings::default()
+            })
+            .collect()
     }
 
     #[test]
@@ -1196,51 +1107,57 @@ mod tests {
 
     #[test]
     fn snapshot_aggregates_batches() {
-        let t = Telemetry::default();
-        t.on_enqueue();
-        t.on_enqueue();
-        t.on_drain(2);
-        t.on_batch(
-            "B4",
-            &[Duration::from_micros(100), Duration::from_micros(200)],
-        );
-        t.on_batch("B4", &[Duration::from_micros(300)]);
-        let snap = t.snapshot();
+        let mut b4 = ShardStats {
+            max_drain: 2,
+            ..ShardStats::default()
+        };
+        b4.record_batch(&waits(&[100, 200]), None, false);
+        b4.record_batch(&waits(&[300]), None, false);
+        let snap = snapshot(&[("B4", &b4)]);
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(snap.max_queue_depth, 2);
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.per_topology.len(), 1);
         assert_eq!(snap.per_topology[0].requests, 3);
         assert_eq!(snap.per_topology[0].batches, 2);
+        assert_eq!(snap.slow[0].latency, Duration::from_micros(300));
         assert_eq!(snap.batch_sizes, vec![(1, 1), (2, 1)]);
         assert!((snap.mean_batch_size() - 1.5).abs() < 1e-9);
-        // on_batch records zero stage timings and no solver report.
+        // No solver report was recorded.
         assert_eq!(snap.per_topology[0].admm, None);
         assert_eq!(snap.slow.len(), 3);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "queue_depth underflow")]
-    fn over_drain_is_caught_in_debug() {
-        let t = Telemetry::default();
-        t.on_enqueue();
-        t.on_drain(2);
-    }
-
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn over_drain_saturates_in_release() {
-        let t = Telemetry::default();
-        t.on_enqueue();
-        t.on_drain(2);
-        assert_eq!(t.snapshot().queue_depth, 0, "gauge must saturate, not wrap");
+    fn fold_sums_counters_and_takes_the_deepest_shard_queue() {
+        let mut a = ShardStats::default();
+        a.record_batch(&waits(&[100, 200]), None, false);
+        a.shed = 1;
+        a.max_drain = 4;
+        let mut b = ShardStats::default();
+        b.record_batch(&waits(&[300]), None, false);
+        b.expired = 2;
+        b.errors = 3;
+        b.deadline_inversions = 1;
+        let snap = fold_shards([("b", 5, &b), ("a", 1, &a)], 0);
+        assert_eq!(snap.queue_depth, 6);
+        assert_eq!(
+            snap.max_queue_depth, 5,
+            "b's current length beats a's drain"
+        );
+        assert_eq!(snap.completed, 3 + 1 + 2 + 3);
+        assert_eq!(
+            (snap.shed, snap.expired, snap.deadline_inversions),
+            (1, 2, 1)
+        );
+        let topologies: Vec<_> = snap.per_topology.iter().map(|t| &*t.topology).collect();
+        assert_eq!(topologies, ["a", "b"]);
+        assert_eq!(snap.batch_sizes, vec![(1, 1), (2, 1)]);
     }
 
     #[test]
     fn stage_and_admm_stats_reach_snapshot() {
-        let t = Telemetry::default();
-        let stats = t.shard_stats("B4");
+        let mut stats = ShardStats::default();
         let stages = [
             StageTimings {
                 queue_wait: Duration::from_micros(40),
@@ -1263,14 +1180,10 @@ mod tests {
             max_primal_residual: 0.25,
             max_dual_residual: 0.125,
         };
-        stats.lock().record_batch(
-            &[Duration::from_micros(750), Duration::from_micros(790)],
-            &stages,
-            Some(&report),
-            true,
-        );
-        let snap = t.snapshot();
+        stats.record_batch(&stages, Some(&report), true);
+        let snap = snapshot(&[("B4", &stats)]);
         let topo = &snap.per_topology[0];
+        assert_eq!(snap.slow[0].latency, Duration::from_micros(790));
         assert!(topo.queue_wait.p50 >= Duration::from_micros(30));
         assert!(topo.solve.p99 >= Duration::from_micros(600));
         assert!(topo.write.p50 > Duration::ZERO);
@@ -1291,13 +1204,13 @@ mod tests {
 
     #[test]
     fn tenant_and_inversion_counters_reach_snapshot() {
-        let t = Telemetry::default();
-        t.on_tenant("gold", 3, 1);
-        t.on_tenant("bronze", 1, 1);
-        t.on_tenant("gold", 2, 1);
-        t.on_deadline_inversions(2);
-        t.on_deadline_inversions(0);
-        let snap = t.snapshot();
+        // Rows merge by name across topologies.
+        let (mut b4, mut swan) = (ShardStats::default(), ShardStats::default());
+        b4.charge_tenant("gold", 3, 1);
+        b4.charge_tenant("bronze", 1, 1);
+        swan.charge_tenant("gold", 2, 1);
+        b4.deadline_inversions = 2;
+        let snap = snapshot(&[("b4", &b4), ("swan", &swan)]);
         assert_eq!(snap.deadline_inversions, 2);
         assert_eq!(
             snap.tenants,
@@ -1326,11 +1239,11 @@ mod tests {
 
     #[test]
     fn minted_tenants_are_capped_and_conserved() {
-        let t = Telemetry::default();
+        let mut stats = ShardStats::default();
         for i in 0..10_000 {
-            t.on_tenant(&format!("minted-{i}"), 1, u64::from(i % 2 == 0));
+            stats.charge_tenant(&format!("minted-{i}"), 1, u64::from(i % 2 == 0));
         }
-        let tenants = t.snapshot().tenants;
+        let tenants = snapshot(&[("b4", &stats)]).tenants;
         assert!(tenants.len() <= MAX_TENANTS + 1, "{} rows", tenants.len());
         assert!(tenants.iter().any(|t| t.tenant == OVERFLOW_TENANT));
         assert_eq!(tenants.iter().map(|t| t.requests).sum::<u64>(), 10_000);
@@ -1376,11 +1289,9 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_smoke() {
-        let t = Telemetry::default();
-        t.on_enqueue();
-        t.on_drain(1);
-        t.on_batch("B4", &[Duration::from_micros(100)]);
-        let text = t.snapshot().to_prometheus();
+        let mut stats = ShardStats::default();
+        stats.record_batch(&waits(&[100]), None, false);
+        let text = snapshot(&[("B4", &stats)]).to_prometheus();
         for needle in [
             "teal_serve_requests_total{topology=\"B4\"} 1",
             "teal_serve_stage_seconds{topology=\"B4\",stage=\"solve\",quantile=\"0.99\"}",

@@ -66,6 +66,55 @@ fn timed_out_wait_does_not_leak_the_queue_gauge() {
 }
 
 #[test]
+fn counters_fold_per_shard_and_survive_shutdown() {
+    // One B4 context under two ids gives two shards. A long linger holds
+    // 3 requests on "a" and 2 on "b" in their queues while we look;
+    // shutdown cuts it short, so it costs no test time.
+    let env = Arc::new(Env::for_topology(teal_topology::b4()));
+    let registry = ModelRegistry::new();
+    registry.insert("a", context(&env, 0));
+    registry.insert("b", context(&env, 0));
+    let daemon = ServeDaemon::start(
+        registry,
+        ServeConfig {
+            linger: Duration::from_secs(5),
+            max_batch: 64,
+            ..ServeConfig::default()
+        },
+    );
+    let tm = TrafficMatrix::new(vec![10.0; env.num_demands()]);
+    let tickets: Vec<_> = ["a", "a", "a", "b", "b"]
+        .into_iter()
+        .map(|topology| daemon.submit(SubmitRequest::new(topology, tm.clone())))
+        .collect();
+    let mid = daemon.stats();
+    assert_eq!(mid.queue_depth, 5, "{mid:?}");
+    // The deepest *shard* queue, not the five requests across both.
+    assert_eq!(mid.max_queue_depth, 3, "{mid:?}");
+
+    let shed = daemon.submit(SubmitRequest::new("a", tm).with_deadline(Duration::ZERO));
+    assert_eq!(shed.wait().err(), Some(ServeError::DeadlineExceeded));
+    // Shutdown serves both queues before it returns.
+    daemon.shutdown();
+    for t in tickets {
+        t.wait().expect("queued request served");
+    }
+    let stats = daemon.stats();
+    let topologies: Vec<_> = stats.per_topology.iter().map(|t| &*t.topology).collect();
+    assert_eq!(
+        topologies,
+        ["a", "b"],
+        "shutdown dropped a shard's counters"
+    );
+    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.shed, 1);
+    assert_eq!((stats.queue_depth, stats.max_queue_depth), (0, 3));
+    assert_eq!(stats.tenants.len(), 1, "{:?}", stats.tenants);
+    assert_eq!(stats.tenants[0].tenant, teal_serve::DEFAULT_TENANT);
+    assert_eq!(stats.tenants[0].requests, 5);
+}
+
+#[test]
 fn full_queue_sheds_deadlined_requests_but_backpressures_plain_ones() {
     let env = Arc::new(Env::for_topology(teal_topology::b4()));
     let registry = ModelRegistry::new();

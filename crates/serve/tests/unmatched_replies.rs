@@ -11,8 +11,9 @@
 
 use std::net::TcpListener;
 use std::time::Duration;
+use teal_core::TealModel;
 use teal_serve::wire;
-use teal_serve::{ServeError, TealClient, Telemetry};
+use teal_serve::{ModelRegistry, ServeDaemon, ServeError, TealClient};
 
 #[test]
 fn unsolicited_replies_are_counted_not_dropped() {
@@ -33,7 +34,8 @@ fn unsolicited_replies_are_counted_not_dropped() {
             wire::encode_reply(&mut buf, id, &Err(ServeError::DeadlineExceeded));
             wire::write_frame(&mut sock, &buf).expect("unsolicited reply");
         }
-        wire::encode_stats_reply(&mut buf, 902, &Telemetry::default().snapshot());
+        let idle = ServeDaemon::with_defaults(ModelRegistry::<TealModel>::new()).stats();
+        wire::encode_stats_reply(&mut buf, 902, &idle);
         wire::write_frame(&mut sock, &buf).expect("unsolicited stats");
         // Then answer the client's first real frame — a STATS scrape —
         // with the wrong reply kind for its id.

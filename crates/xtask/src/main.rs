@@ -1,7 +1,7 @@
 //! `cargo xtask lint` — the workspace's offline repo-invariant checker.
 //!
 //! This is a *source-level* pass (no rustc, no syn): a small line lexer
-//! strips comments and string literals, and seven rules run over the
+//! strips comments and string literals, and eight rules run over the
 //! stripped code of every first-party source file (`src/` of the root
 //! crate and of each `crates/*` member; `vendor/`, `tests/`, `examples/`
 //! and generated artifacts are out of scope):
@@ -27,6 +27,10 @@
 //!   `RwLock`, `Condvar`, `Arc`, `atomic`, `mpsc` — and direct
 //!   `std::thread::` spawning). Primitives the facade
 //!   does not model (`OnceLock`, `PoisonError`, ...) stay legal.
+//! * **seqcst-only** — non-test code in `crates/serve/src` names no
+//!   `Ordering::` but `SeqCst`: the vendored model checker explores
+//!   sequentially consistent executions only, so any weaker ordering
+//!   would ship semantics no model checks.
 //! * **ffi-confined** — raw FFI (`extern` declarations, `std::os::*` fd
 //!   plumbing) lives in exactly one audited file, the serve crate's
 //!   `net/sys.rs` epoll bindings; everywhere else must go through its
@@ -474,6 +478,13 @@ fn references_shadowed_std_sync(code: &str) -> bool {
     code.contains("std::thread::")
 }
 
+/// Does this stripped code line name an `Ordering::` other than `SeqCst`
+/// (a weaker ordering, or a glob/brace import of the variants)?
+fn names_weak_ordering(code: &str) -> bool {
+    code.match_indices("Ordering::")
+        .any(|(at, m)| leading_ident(&code[at + m.len()..]) != "SeqCst")
+}
+
 fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
     let lines = lex(text);
     let in_test = test_mod_lines(&lines);
@@ -510,6 +521,15 @@ fn lint_file(path: &str, text: &str, out: &mut Vec<Finding>) {
                     message: "`unwrap()`/`expect()` in non-test serving or engine code; return \
                               an error, use the crate::sync facade, or state the invariant in \
                               an `unreachable!`"
+                        .to_string(),
+                });
+            }
+            if is_serve && names_weak_ordering(code) {
+                out.push(Finding {
+                    file: path.to_string(),
+                    line: lineno,
+                    rule: "seqcst-only",
+                    message: "non-`SeqCst` ordering; the model checker covers SeqCst only"
                         .to_string(),
                 });
             }
@@ -758,6 +778,25 @@ mod tests {
         let prose = "//! Carry the `// teal-lint: checked-sync` marker to opt in.\n\
                      use std::sync::Mutex;\n";
         assert!(findings("crates/serve/src/sync.rs", prose).is_empty());
+    }
+
+    #[test]
+    fn seqcst_rule_covers_non_test_serve_code_only() {
+        let relaxed = "fn f() { n.fetch_add(1, Ordering::Relaxed); }\n";
+        let f = findings("crates/serve/src/daemon.rs", relaxed);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "seqcst-only");
+        let glob = "use crate::sync::atomic::Ordering::*;\n";
+        assert_eq!(findings("crates/serve/src/client.rs", glob).len(), 1);
+        let seqcst = "fn f() { n.store(true, Ordering::SeqCst); }\n";
+        assert!(findings("crates/serve/src/daemon.rs", seqcst).is_empty());
+        // Test modules and other crates may use any ordering.
+        let in_tests = "#[cfg(test)]\n\
+                        mod tests {\n\
+                            fn t() { n.load(Ordering::Acquire); }\n\
+                        }\n";
+        assert!(findings("crates/serve/src/daemon.rs", in_tests).is_empty());
+        assert!(findings("crates/nn/src/pool.rs", relaxed).is_empty());
     }
 
     #[test]
