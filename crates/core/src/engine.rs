@@ -25,9 +25,10 @@
 //! fine-tuning iteration repairs the whole window in a single pass over the
 //! shared incidence index, on the calling thread — no per-matrix solver
 //! loop remains on the serving hot path, and the stage submits no pool job.
-//! Malformed requests surface as [`AllocError`] values (which the
-//! `teal-serve` dispatcher maps to per-request `BadRequest` replies) instead
-//! of panics; [`ServingContext::allocate`] is the one panicking convenience.
+//! Malformed requests surface as [`AllocError`] values instead of panics
+//! (`teal-serve` refuses a mis-sized matrix at submit with the same
+//! [`Env::check_demands`] text); [`ServingContext::allocate`] is the one
+//! panicking convenience. A panic inside a window is not caught here.
 //!
 //! The ADMM stage of every call runs in a [`BatchScratch`] (solver, arena
 //! and report buffers). A caller that serves repeatedly keeps its own and
@@ -53,13 +54,13 @@ use teal_nn::checkpoint::CheckpointError;
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
 
-/// Why a (batched) allocation request could not be served. Returned by the
-/// `try_` serving entry points so a bad request or a panicking ADMM stage
-/// is a per-call error the dispatcher can isolate, not a dispatcher crash.
+/// Why a (batched) allocation request could not be served: input the
+/// `try_` serving entry points refuse before any compute runs. A panic in
+/// either stage is not an `AllocError`; it reaches the caller as itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AllocError {
-    /// Request `index` in the batch is malformed (e.g. a traffic matrix
-    /// sized for a different topology).
+    /// Request `index` in the batch is malformed (a traffic matrix sized
+    /// for a different topology; see [`Env::check_demands`]).
     BadRequest {
         /// Position of the offending matrix in the submitted batch.
         index: usize,
@@ -70,9 +71,6 @@ pub enum AllocError {
     /// environment — a server-side configuration fault affecting the whole
     /// batch, never any single request's doing.
     BadTopology(String),
-    /// The ADMM stage panicked mid-batch; no result exists for any matrix
-    /// in this batch.
-    Poisoned(String),
 }
 
 impl std::fmt::Display for AllocError {
@@ -82,23 +80,11 @@ impl std::fmt::Display for AllocError {
                 write!(f, "bad request at batch index {index}: {reason}")
             }
             AllocError::BadTopology(m) => write!(f, "bad topology override: {m}"),
-            AllocError::Poisoned(m) => write!(f, "allocation worker panicked: {m}"),
         }
     }
 }
 
 impl std::error::Error for AllocError {}
-
-/// Render a caught panic payload for [`AllocError::Poisoned`].
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
-}
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -249,11 +235,6 @@ impl BatchScratch {
         self.iteration_budget = budget;
     }
 
-    /// The currently set per-window budget override, if any.
-    pub fn iteration_budget(&self) -> Option<usize> {
-        self.iteration_budget
-    }
-
     /// Per-matrix ADMM reports of the last window served through this
     /// scratch (empty before the first window, or when fine-tuning is off).
     pub fn reports(&self) -> &[teal_lp::AdmmReport] {
@@ -338,18 +319,6 @@ impl<M: PolicyModel> ServingContext<M> {
         Ok(self.with_model(model))
     }
 
-    /// [`ServingContext::with_checkpoint_str`] reading from a file path.
-    pub fn with_checkpoint(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Self, CheckpointError>
-    where
-        M: Clone,
-    {
-        let data = std::fs::read_to_string(path).map_err(CheckpointError::Io)?;
-        self.with_checkpoint_str(&data)
-    }
-
     /// Allocate one traffic matrix on the trained topology: a window of
     /// one through [`ServingContext::try_allocate_batch`]. Returns the
     /// allocation and the measured computation time. Panics on a malformed
@@ -370,9 +339,10 @@ impl<M: PolicyModel> ServingContext<M> {
     /// one batched ADMM sweep fine-tuning the whole window in a single pass
     /// per iteration over the shared incidence index. Returns the
     /// allocations (aligned with `tms`) and the total wall-clock time. A
-    /// malformed matrix or a panicking ADMM stage comes back as an
-    /// [`AllocError`] identifying the offender instead of a panic, so a
-    /// dispatcher can fail one request and keep serving. The one-shot form:
+    /// malformed matrix comes back as an [`AllocError`] naming the offender
+    /// before any compute runs; a panic in either stage reaches the caller
+    /// as that panic (the `teal-serve` shard's `catch_unwind` is the one
+    /// place it becomes a reply). The one-shot form:
     /// a caller that serves repeatedly keeps a scratch and calls
     /// [`ServingContext::try_allocate_batch_with`].
     pub fn try_allocate_batch(
@@ -447,16 +417,8 @@ impl<M: PolicyModel> ServingContext<M> {
         // Validate every request up front: one bad matrix must not take the
         // whole batch (or the dispatcher) down mid-compute.
         for (index, tm) in tms.iter().enumerate() {
-            if tm.len() != env.num_demands() {
-                return Err(AllocError::BadRequest {
-                    index,
-                    reason: format!(
-                        "traffic matrix has {} demands, topology expects {}",
-                        tm.len(),
-                        env.num_demands()
-                    ),
-                });
-            }
+            env.check_demands(tm)
+                .map_err(|reason| AllocError::BadRequest { index, reason })?;
         }
         if let Some(topo) = topo_override {
             if topo.num_edges() != env.topo().num_edges() {
@@ -516,12 +478,13 @@ impl<M: PolicyModel> ServingContext<M> {
                     }
                     empty => empty.insert(skel.batch_solver(tms)),
                 };
-                let (arena, outs, reports) =
-                    (&mut scratch.arena, &mut scratch.outs, &mut scratch.reports);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    solver.run_batch_into(&raw, admm_cfg, arena, outs, reports);
-                }));
-                run.map_err(|payload| AllocError::Poisoned(panic_text(payload)))?;
+                solver.run_batch_into(
+                    &raw,
+                    admm_cfg,
+                    &mut scratch.arena,
+                    &mut scratch.outs,
+                    &mut scratch.reports,
+                );
                 scratch.last_solve = SolveReport::from_reports(&scratch.reports, budget);
                 std::mem::take(&mut scratch.outs)
             }
@@ -1007,6 +970,17 @@ mod tests {
         };
         let inline = teal_nn::pool::with_thread_cap(1, serve);
         assert_eq!(inline, serve(), "thread cap moved an allocation");
+    }
+
+    /// Render a caught panic payload.
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "unknown panic".to_string()
+        }
     }
 
     /// `TealModel`, except that a *marked* matrix (first demand exactly

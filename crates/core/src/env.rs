@@ -67,6 +67,20 @@ impl Env {
         self.paths.num_demands()
     }
 
+    /// The one arity check: `Err` names both counts when `tm` is not sized
+    /// for this environment's demand set. The engine runs it on every
+    /// matrix of a window; `teal-serve` runs it at submit.
+    pub fn check_demands(&self, tm: &TrafficMatrix) -> Result<(), String> {
+        if tm.len() == self.num_demands() {
+            return Ok(());
+        }
+        Err(format!(
+            "traffic matrix has {} demands, topology expects {}",
+            tm.len(),
+            self.num_demands()
+        ))
+    }
+
     /// Candidate paths per demand.
     pub fn k(&self) -> usize {
         self.paths.k()

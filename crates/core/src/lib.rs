@@ -7,7 +7,7 @@
 //! agent RL algorithm in [`coma`] (Appendix B); the resulting allocation is
 //! fine-tuned by a few warm-started ADMM iterations in [`engine`] (§3.4).
 //!
-//! Supporting modules: [`env`] (per-topology context), [`direct`] (the
+//! Supporting modules: [`env`](mod@env) (per-topology context), [`direct`] (the
 //! surrogate-loss ablation), [`ablation`] (naive DNN / naive GNN /
 //! global-policy variants, §5.7) and [`tsne`] (Figure 16). COMA\*'s reward
 //! and counterfactual simulation is [`teal_lp::FlowSim`], the same
@@ -54,8 +54,9 @@
 //!   index on the calling thread (the stage submits no pool job), with a
 //!   per-matrix convergence mask for early stopping. A batch of B equals B
 //!   batches of one bitwise (`teal-lp`'s `batch_equivalence` test pins it).
-//!   [`ServingContext::try_allocate_batch`] surfaces malformed requests and
-//!   a panicking ADMM stage as [`AllocError`] values for isolation. What a
+//!   [`ServingContext::try_allocate_batch`] surfaces a malformed request or
+//!   override topology as an [`AllocError`] value before any compute; a
+//!   panic in either stage reaches the caller unchanged. What a
 //!   window costs is the `BENCHMARK.json` rows `lp.admm.run_batch_ms` and
 //!   `core.engine.window_ms` on `wan1024_window`.
 //! * **Training.** [`coma::train_coma`] steps once per minibatch of

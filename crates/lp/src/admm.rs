@@ -76,7 +76,7 @@
 //! * **Flat incidence arena.** The shared index is two flat CSR-style
 //!   arenas (path-major edge ids, edge-major path ids) — no per-path or
 //!   per-edge `Vec`s — so each sweep's incidence walk is one linear scan of
-//!   a contiguous `u32` slice; see [`AdmmIndex`] for the layout.
+//!   a contiguous `u32` slice; see `AdmmIndex` for the layout.
 //! * **Serial.** One solve never leaves the calling thread: a sweep's rows
 //!   split over a CPU pool need two dispatches per iteration, and the
 //!   hand-offs did not pay for themselves at the sizes served. Lanes are
@@ -430,7 +430,7 @@ impl BatchState {
 }
 
 /// Reusable scratch for [`AdmmBatchSolver::run_batch_into`]: the SoA
-/// [`BatchState`], per-lane bookkeeping and the sweeps' working rows.
+/// `BatchState`, per-lane bookkeeping and the sweeps' working rows.
 /// Every buffer is grow-only, so a
 /// server that keeps one arena per dispatch lane reaches an
 /// **allocation-free steady state**: from the second window of a given

@@ -30,13 +30,6 @@ impl Adam {
         }
     }
 
-    /// Override the exponential-decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Current learning rate.
     pub fn lr(&self) -> f32 {
         self.lr

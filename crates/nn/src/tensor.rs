@@ -53,16 +53,6 @@ impl Tensor {
         Tensor::from_vec(1, 1, vec![value])
     }
 
-    /// A column vector (n x 1).
-    pub fn col_vec(values: &[f32]) -> Self {
-        Tensor::from_vec(values.len(), 1, values.to_vec())
-    }
-
-    /// A row vector (1 x n).
-    pub fn row_vec(values: &[f32]) -> Self {
-        Tensor::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -103,11 +93,6 @@ impl Tensor {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consume the tensor and return its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element accessor.
@@ -308,7 +293,7 @@ pub fn linear_act_into(a: &[f32], k: usize, w: &Tensor, bias: &[f32], slope: f32
 /// rows apply to `a`, the rest to `b`. Used by the tape-free inference path
 /// where the concat buffer would be the largest allocation of the layer.
 ///
-/// The output widths the default model produces run [`linear2_rows`] with
+/// The output widths the default model produces run `linear2_rows` with
 /// the width known at compile time; any other width (Figure 15 sweeps,
 /// ablation models) runs the same row arithmetic at runtime width. Both
 /// accumulate in the same order with the same zero-skip, so the choice

@@ -28,6 +28,13 @@
 //!
 //! # Admission control and deadlines
 //!
+//! Submit first refuses, with [`ServeError::BadRequest`], every malformed
+//! request it can see: a matrix whose length is not the
+//! serving topology's demand count (the engine's own check,
+//! `Env::check_demands`, with the same message) and a failed link the
+//! topology does not have. A malformed request therefore never costs a
+//! window, and the requests it would have shared one with keep their batch.
+//!
 //! A request may carry a relative deadline ([`SubmitRequest::deadline`]).
 //! Admission control acts at two points:
 //!
@@ -93,7 +100,7 @@ use teal_traffic::TrafficMatrix;
 
 use crate::registry::ModelRegistry;
 use crate::request::{ResponseSlot, ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT};
-use crate::telemetry::{fold_shards, ShardStats, StageTimings, TelemetrySnapshot, Trace};
+use crate::telemetry::{fold_shards, ShardStats, StageTimings, TelemetrySnapshot};
 
 /// One queued request (its topology is implied by the shard holding it):
 /// what to solve, and who is waiting for the answer.
@@ -107,9 +114,10 @@ struct Request {
 /// The waiting side of a [`Request`] — what is left of it once its matrix
 /// has been moved into the window's batch.
 struct Caller {
-    /// Stage trace, stamped at enqueue; the shard stamps the solve span as
-    /// the request moves through the pipeline.
-    trace: Trace,
+    /// When the request was enqueued: the linger cap's anchor and the
+    /// start of its end-to-end latency. Every later instant is its
+    /// window's, read once per solve attempt in `serve_chunk`.
+    enqueued: Instant,
     /// Absolute expiry minted from [`SubmitRequest::deadline`] at enqueue.
     expires: Option<Instant>,
     /// Effective tenant id ([`DEFAULT_TENANT`] for untagged requests): who
@@ -307,9 +315,13 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             slot.fulfill(Err(ServeError::UnknownTopology(req.topology)));
             return;
         };
-        // Validate the failure overrides against the serving topology up
-        // front: a typo'd link must be a per-request error, not a silent
-        // no-op override (or a whole-group BadTopology later).
+        // Validate the request against the serving topology up front: a
+        // mis-sized matrix or a typo'd link is a per-request error here,
+        // never a failed window for the requests it would have shared.
+        if let Err(why) = ctx.env().check_demands(&req.tm) {
+            slot.fulfill(Err(ServeError::BadRequest(why)));
+            return;
+        }
         let signature = req.override_signature();
         let topo = ctx.env().topo();
         for &(a, b) in &signature {
@@ -340,7 +352,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             tm: req.tm,
             signature,
             caller: Caller {
-                trace: Trace::at(now),
+                enqueued: now,
                 expires: req.deadline.map(|d| now + d),
                 tenant: req.tenant.unwrap_or_else(|| DEFAULT_TENANT.to_string()),
                 slot: Arc::clone(&slot),
@@ -476,8 +488,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
                     let cap = q
                         .iter()
                         .filter_map(|r| {
-                            let e = r.caller.expires?;
-                            let enq = r.caller.trace.enqueued();
+                            let (e, enq) = (r.caller.expires?, r.caller.enqueued);
                             Some(enq + e.saturating_duration_since(enq) / 2)
                         })
                         .min();
@@ -536,9 +547,9 @@ fn serve_drained<M: PolicyModel>(
             shard.stats.lock().expired += 1;
             req.caller.slot.fulfill(Err(ServeError::DeadlineExceeded));
         } else {
-            // No stamp here: queue-wait ends at the *chunk's* solve start
-            // (stamped in `serve_chunk`), so multi-chunk drains still
-            // partition end-to-end latency exactly — stamping once per
+            // No clock read here: queue-wait ends at the *attempt's* solve
+            // start (read in `serve_chunk`), so multi-chunk drains still
+            // partition end-to-end latency exactly — reading once per
             // drain charged every later chunk's wait to the solve span.
             live.push(req);
         }
@@ -599,16 +610,17 @@ fn serve_drained<M: PolicyModel>(
 /// [`crate::AdmmStats::budget_downgrades`].
 const PRESSURED_BUDGET: usize = 2;
 
-/// Serve one coalesced chunk (plain or failure-overridden), isolating
-/// faults without losing batching. The engine's [`AllocError::BadRequest`]
-/// names the offending request, so only that one is failed and the
-/// remainder is re-batched in a single pass — one malformed matrix must not
-/// serialize (or error) 31 innocent requests. A panicking ADMM stage
-/// ([`AllocError::Poisoned`]) is a *server* fault: the chunk gets a
-/// retryable [`ServeError::Internal`], never `BadRequest`. `catch_unwind`
-/// stays as a last line of defense against panics the engine does not
-/// classify: the chunk's requests are then each solved alone, by the same
-/// loop, and only a request that panics on its own is failed.
+/// Serve one coalesced chunk (plain or failure-overridden) with one failure
+/// rule. Submit has already refused every request it can see is malformed,
+/// so a chunk of more than one request that fails in any way — an engine
+/// `Err` (after submit's checks, only a hot swap that changed the topology
+/// under queued requests), an allocation-count mismatch or a panic — is
+/// requeued one request per batch, and only a request that fails on its
+/// own gets an error: [`AllocError::BadRequest`] as
+/// [`ServeError::BadRequest`], anything else as a retryable
+/// [`ServeError::Internal`]. The `catch_unwind` here is the one place a
+/// panic becomes a reply. The clock is read once per attempt: its solve
+/// start, solve end and reply write are every caller's.
 fn serve_chunk<M: PolicyModel>(
     shard: &Shard,
     scratch: &mut BatchScratch,
@@ -623,8 +635,8 @@ fn serve_chunk<M: PolicyModel>(
     // of the configured maximum, trading a sliver of allocation quality
     // for making the deadline at all. Deadline-less chunks always run the
     // full budget. The override is sticky on the arena for exactly this
-    // chunk (reset here on every call), so retries after evictions keep
-    // the decision and the next chunk re-derives it.
+    // chunk (reset here on every call), so one-request retries keep the
+    // decision and the next chunk re-derives it.
     let full_budget = ctx.config().admm.map(|a| a.max_iters);
     let downgraded = match full_budget {
         Some(full) if full > PRESSURED_BUDGET => {
@@ -641,102 +653,72 @@ fn serve_chunk<M: PolicyModel>(
     };
     scratch.set_iteration_budget(downgraded.then_some(PRESSURED_BUDGET));
     // The batches left to solve: the chunk itself — its matrices moved out
-    // of the requests, in step with their callers — and, only if it panics
+    // of the requests, in step with their callers — and, only if it fails
     // as a batch, each of its requests alone.
     let (tms, callers): (Vec<TrafficMatrix>, Vec<Caller>) =
         chunk.into_iter().map(|r| (r.tm, r.caller)).unzip();
     let mut batches = VecDeque::from([(tms, callers)]);
-    while let Some((mut tms, mut callers)) = batches.pop_front() {
-        while !callers.is_empty() {
-            // Solve span: forward pass + ADMM fine-tuning for this attempt.
-            // A re-batch after a bad-request eviction restamps — the
-            // successful attempt is the one whose span is reported.
-            // Queue-wait ends where the solve begins, so the three stages
-            // partition end-to-end latency exactly even when one drain
-            // serves many chunks back to back.
-            let solve_start = now();
-            for c in callers.iter_mut() {
-                c.trace.stamp_solve_start(solve_start);
+    while let Some((tms, callers)) = batches.pop_front() {
+        // Queue-wait ends where this attempt's solve begins, so the three
+        // stages partition end-to-end latency exactly even when one drain
+        // serves many chunks back to back, or a request is retried alone.
+        let solve_start = now();
+        let solved =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match override_topo {
+                Some(topo) => ctx.try_allocate_batch_on_with(topo, &tms, scratch),
+                None => ctx.try_allocate_batch_with(&tms, scratch),
+            }));
+        let solve_end = now();
+        let err = match solved {
+            // The one place a `ServeReply` is built.
+            Ok(Ok((allocs, _))) if allocs.len() == callers.len() => {
+                let batch_size = callers.len();
+                let solve = scratch.solve_report();
+                let done = now();
+                let stages: Vec<StageTimings> = callers
+                    .iter()
+                    .map(|c| StageTimings::split(c.enqueued, solve_start, solve_end, done))
+                    .collect();
+                // Count the batch before unblocking any client, so a caller
+                // that has its reply always sees itself in `stats()`.
+                let mut stats = shard.stats.lock();
+                stats.record_batch(&stages, solve.as_ref(), downgraded);
+                charge_tenants(&mut stats, &callers);
+                drop(stats);
+                for ((caller, allocation), stages) in callers.into_iter().zip(allocs).zip(stages) {
+                    caller.slot.fulfill(Ok(ServeReply {
+                        allocation,
+                        latency: stages.end_to_end(),
+                        stages,
+                        batch_size,
+                    }));
+                }
+                continue;
             }
-            let solved =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match override_topo {
-                    Some(topo) => ctx.try_allocate_batch_on_with(topo, &tms, scratch),
-                    None => ctx.try_allocate_batch_with(&tms, scratch),
-                }));
-            let solve_end = now();
-            for c in callers.iter_mut() {
-                c.trace.stamp_solve_end(solve_end);
+            // Any failure of a batch: retry each of its requests alone.
+            _ if callers.len() > 1 => {
+                let alone = tms
+                    .into_iter()
+                    .zip(callers)
+                    .map(|(tm, c)| (vec![tm], vec![c]));
+                batches.extend(alone);
+                continue;
             }
-            match solved {
-                // The one place a `ServeReply` is built.
-                Ok(Ok((allocs, _))) if allocs.len() == callers.len() => {
-                    let batch_size = callers.len();
-                    // One reply-write stamp for the whole batch: every stage
-                    // span is derived from it, and the stages sum to the
-                    // end-to-end latency.
-                    let solve = scratch.solve_report();
-                    let done = now();
-                    let stages: Vec<StageTimings> =
-                        callers.iter().map(|c| c.trace.stages(done)).collect();
-                    // Count the batch before unblocking any client, so a
-                    // caller that has its reply always sees itself in
-                    // `stats()`.
-                    let mut stats = shard.stats.lock();
-                    stats.record_batch(&stages, solve.as_ref(), downgraded);
-                    charge_tenants(&mut stats, &callers);
-                    drop(stats);
-                    for ((caller, allocation), stages) in
-                        callers.into_iter().zip(allocs).zip(stages)
-                    {
-                        caller.slot.fulfill(Ok(ServeReply {
-                            allocation,
-                            latency: stages.end_to_end(),
-                            stages,
-                            batch_size,
-                        }));
-                    }
-                    break;
-                }
-                // An engine that returned fewer or more allocations than
-                // matrices would silently strand zipped-out clients on
-                // their slots forever; fail the whole batch loudly instead.
-                Ok(Ok((allocs, _))) => {
-                    let (got, want) = (allocs.len(), tms.len());
-                    let why = format!("model returned {got} allocations for a batch of {want}");
-                    fail_all(shard, callers, &ServeError::Internal(why));
-                    break;
-                }
-                Ok(Err(AllocError::BadRequest { index, reason })) if index < callers.len() => {
-                    // Evict only the named offender; loop to re-batch the rest.
-                    tms.remove(index);
-                    let evicted = vec![callers.remove(index)];
-                    fail_all(shard, evicted, &ServeError::BadRequest(reason));
-                }
-                Ok(Err(e)) => {
-                    fail_all(shard, callers, &ServeError::Internal(e.to_string()));
-                    break;
-                }
-                // An unclassified panic somewhere in the batch: queue each
-                // request alone.
-                Err(_) if callers.len() > 1 => {
-                    batches.extend(
-                        tms.into_iter()
-                            .zip(callers)
-                            .map(|(tm, c)| (vec![tm], vec![c])),
-                    );
-                    break;
-                }
-                Err(_) => {
-                    let why = format!(
-                        "allocation panicked for topology {:?} (matrix of {} demands)",
-                        shard.topology,
-                        tms[0].len()
-                    );
-                    fail_all(shard, callers, &ServeError::Internal(why));
-                    break;
-                }
-            }
-        }
+            // An engine that returned no allocation (or several) for one
+            // matrix would strand its client; fail it loudly instead.
+            Ok(Ok((allocs, _))) => ServeError::Internal(format!(
+                "model returned {} allocations for a batch of 1",
+                allocs.len()
+            )),
+            Ok(Err(AllocError::BadRequest { reason, .. })) => ServeError::BadRequest(reason),
+            Ok(Err(e)) => ServeError::Internal(e.to_string()),
+            Err(_) => ServeError::Internal(format!(
+                "allocation panicked for topology {:?} (matrix of {} demands)",
+                shard.topology,
+                tms[0].len()
+            )),
+        };
+        fail_all(shard, callers, &err);
     }
 }
 

@@ -33,8 +33,9 @@
 //!   submit(SubmitRequest) ───────►┌──── admission control ────┐
 //!                                 │ shed: queue full+deadline │──► shed ctr
 //!        │                        │ shed: budget already gone │
+//!        │                        │ refuse: bad link, arity   │
 //!        │                        └──────────┬────────────────┘
-//!        │                 Trace ⊕ enqueue   │  route by topology
+//!        │                       ⊕ enqueue   │  route by topology
 //!        │                                   ▼
 //!        │                  shard "b4":   queue ► drain + linger
 //!        │                     │    (linger capped at half the tightest
@@ -57,10 +58,13 @@
 //!        │          │   try_allocate_batch_on_with     (failed links) │
 //!        │          │ ⊕ solve-end · SolveReport (iters, budget,       │
 //!        │          │   residuals, frozen lanes) out of the arena     │
+//!        │          │ ok: ⊕ reply-write, StageTimings::split per req  │
+//!        │          │ failed (Err, panic), > 1 request: requeue each  │
+//!        │          │   alone; 1 request: its error reply             │
 //!        │          └─────────────────────────────────────────────────┘
 //!        │             ▼
 //!        │          ShardStats.record_batch(stage histograms, e2e = their
-//!        │             sum; ADMM accumulators ⊕ per-budget window counts,
+//!        │             sum; ADMM accumulators + per-budget window counts,
 //!        │             slow-request exemplar ring) · per-tenant ctrs
 //!        │                  shard "swan":  ... a true parallel lane ...
 //!        ▼                                   ▼
@@ -69,7 +73,7 @@
 //!   front end ◄──────────────────── notifies the wire front end; REPLY
 //!     REPLY frames, any order)     frames drain out of order by id)
 //!
-//!   observability taps (⊕ = Trace stamp; every "ctr" above is its
+//!   observability taps (⊕ = clock read; every "ctr" above is its
 //!   shard's, in ShardStats under the shard's own lock):
 //!   ServeDaemon::stats() / TealClient::stats() ──► TelemetrySnapshot,
 //!   folded from the shards: per-topology e2e + queue-wait/solve/write
@@ -151,12 +155,13 @@
 //!   | STATS_OK (6)    | server → client | id · full [`TelemetrySnapshot`] (incl. per-budget window counts, per-tenant counters, deadline inversions, unmatched replies) |
 //! * **Topology/model registry with hot swap** ([`ModelRegistry`]) and
 //!   **serving telemetry** ([`TelemetrySnapshot`], folded from per-shard
-//!   counters by [`ServeDaemon::stats`]). Every
-//!   request carries a fixed-size [`telemetry::Trace`] stamped at enqueue,
-//!   solve-start and solve-end, so shards record *per-stage*
-//!   latency histograms (queue-wait / solve / write, each with p50/p99)
-//!   alongside the end-to-end one — and each [`ServeReply`] carries its
-//!   own [`telemetry::StageTimings`] breakdown. Batches that reach the
+//!   counters by [`ServeDaemon::stats`]). A request carries only its
+//!   enqueue instant; the shard reads the clock once per solve attempt
+//!   (solve start, solve end, reply write — one set per window), so shards
+//!   record *per-stage* latency histograms (queue-wait / solve / write,
+//!   each with p50/p99) alongside the end-to-end one — and each
+//!   [`ServeReply`] carries its own [`telemetry::StageTimings`] breakdown,
+//!   split from those four instants. Batches that reach the
 //!   ADMM fine-tuner feed a [`teal_core::SolveReport`] (iteration counts,
 //!   primal/dual residuals, lane-freeze fractions) into per-topology
 //!   [`telemetry::AdmmStats`]; `teal_nn::pool` occupancy gauges and a
@@ -311,5 +316,5 @@ pub use request::{ServeError, ServeReply, SubmitRequest, Ticket, DEFAULT_TENANT}
 pub use server::TealServer;
 pub use telemetry::{
     AdmmStats, LatencyHistogram, LatencyStats, SlowExemplar, StageTimings, TelemetrySnapshot,
-    TenantSnapshot, TopoSnapshot, Trace,
+    TenantSnapshot, TopoSnapshot,
 };

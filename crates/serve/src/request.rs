@@ -155,8 +155,9 @@ pub struct ServeReply {
     pub allocation: Allocation,
     /// End-to-end latency: enqueue → response ready.
     pub latency: Duration,
-    /// Where `latency` went: queue-wait / solve / reply-write spans from
-    /// the request's [`crate::telemetry::Trace`].
+    /// Where `latency` went: queue-wait / solve / reply-write spans, split
+    /// from the request's enqueue instant and its window's solve-start,
+    /// solve-end and reply-write instants.
     pub stages: crate::telemetry::StageTimings,
     /// How many requests shared the coalesced forward pass.
     pub batch_size: usize,

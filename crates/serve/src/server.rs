@@ -2,10 +2,10 @@
 //! core — `std::net` plus a hand-rolled epoll loop, no async runtime (the
 //! registry is unreachable in this environment).
 //!
-//! The server is a thin owner of the epoll event loop in [`crate::net`]:
+//! The server is a thin owner of the epoll event loop in `net`:
 //! one thread multiplexes every connection through readiness
 //! notifications, decodes pipelined [`crate::wire`] REQUEST frames straight
-//! into [`ServeDaemon::submit_on`] — the same validated,
+//! into `ServeDaemon::submit_on` — the same validated,
 //! admission-controlled path in-process callers use — and drains replies
 //! **out of order, by request id**, the moment each ticket fulfills, so a
 //! slow request never convoys the replies queued behind it.

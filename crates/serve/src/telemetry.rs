@@ -4,7 +4,7 @@
 //!
 //! The recording side is deliberately cheap and contention-free in the
 //! places that matter: each dispatcher shard owns its topology's
-//! [`ShardStats`] outright (stage histograms, ADMM accumulators, the
+//! `ShardStats` outright (stage histograms, ADMM accumulators, the
 //! batch-size distribution, exemplar ring, shed/expired/error and
 //! deadline-inversion counts, queue high-water mark and per-tenant
 //! totals) behind its own lock. No counter a request moves is
@@ -13,12 +13,14 @@
 //! (`fold_shards`), locking each shard's stats only long enough to copy
 //! them out.
 //!
-//! Requests carry a fixed-size [`Trace`] stamped at enqueue, solve-start
-//! and solve-end; the reply-write stamp is taken once per chunk just
-//! before slots are fulfilled. [`Trace::stages`] folds
-//! the stamps into a [`StageTimings`] (queue-wait / solve / write) that is
-//! both recorded into the shard histograms and returned to callers inside
-//! `ServeReply`, so "why was this one slow" is answerable per request.
+//! A window is the unit of time: a request carries only its enqueue
+//! instant, and the shard reads the clock once per solve attempt — solve
+//! start, solve end and reply write, shared by every request of the
+//! window. `StageTimings::split` turns a request's enqueue instant and
+//! its window's three into a [`StageTimings`] (queue-wait / solve / write)
+//! that is both recorded into the shard histograms and returned to
+//! callers inside `ServeReply`, so "why was this one slow" is answerable
+//! per request.
 //!
 //! What is *exported* is declared once, in the metric table at the bottom
 //! of this file: the snapshot structs, the STATS_OK wire codec and the
@@ -152,60 +154,24 @@ impl LatencyHistogram {
     }
 }
 
-/// Compact per-request stage trace. Fixed-size and `Copy`: stamping on the
-/// hot path is a couple of `Instant` stores, never an allocation. Stamped
-/// at enqueue ([`Trace::at`]), solve-start (where queue-wait ends) and
-/// solve-end; the reply-write stamp is passed to [`Trace::stages`] by the
-/// shard once per chunk.
-#[derive(Clone, Copy, Debug)]
-pub struct Trace {
-    enqueued: Instant,
-    solve_start: Option<Instant>,
-    solve_end: Option<Instant>,
-}
-
-impl Trace {
-    /// Fresh trace stamped at enqueue time `now`.
-    pub fn at(now: Instant) -> Self {
-        Trace {
-            enqueued: now,
-            solve_start: None,
-            solve_end: None,
-        }
-    }
-
-    /// Enqueue stamp (used for deadline checks and end-to-end latency).
-    pub fn enqueued(&self) -> Instant {
-        self.enqueued
-    }
-
-    /// Stamp entry into the forward + ADMM solve (the end of queue-wait).
-    pub(crate) fn stamp_solve_start(&mut self, now: Instant) {
-        self.solve_start = Some(now);
-    }
-
-    /// Stamp solve completion (before replies are written).
-    pub(crate) fn stamp_solve_end(&mut self, now: Instant) {
-        self.solve_end = Some(now);
-    }
-
-    /// Fold the stamps into per-stage durations, with `done` as the
-    /// reply-write stamp. Missing intermediate stamps (e.g. a request
-    /// answered with an error before reaching the solver) collapse that
-    /// stage to zero rather than misattributing time. The stamps are
-    /// monotonic, so the stages partition `done - enqueued` exactly.
-    pub fn stages(&self, done: Instant) -> StageTimings {
-        let solve_start = self.solve_start.unwrap_or(done);
-        let solve_end = self.solve_end.unwrap_or(solve_start);
+impl StageTimings {
+    /// One request's stages: from its own enqueue instant to its window's
+    /// three shared instants — solve start (where queue-wait ends), solve
+    /// end and reply write. The instants are monotonic, so the stages
+    /// partition `done - enqueued` exactly.
+    pub(crate) fn split(
+        enqueued: Instant,
+        solve_start: Instant,
+        solve_end: Instant,
+        done: Instant,
+    ) -> Self {
         StageTimings {
-            queue_wait: solve_start.saturating_duration_since(self.enqueued),
+            queue_wait: solve_start.saturating_duration_since(enqueued),
             solve: solve_end.saturating_duration_since(solve_start),
             write: done.saturating_duration_since(solve_end),
         }
     }
-}
 
-impl StageTimings {
     /// End-to-end (enqueue → reply write) latency: the stages partition
     /// it exactly (`trace_stages_partition_end_to_end`).
     pub(crate) fn end_to_end(&self) -> Duration {
@@ -249,17 +215,11 @@ impl AdmmStats {
 /// Slow-request exemplars retained per shard (top-k by end-to-end latency).
 const SLOW_EXEMPLARS: usize = 8;
 
-#[derive(Clone, Copy)]
-struct SlowEntry {
-    latency: Duration,
-    stages: StageTimings,
-    batch_size: usize,
-}
-
-/// Bounded top-k ring of the slowest requests seen by one shard. Capacity
-/// is reserved up front so offering is allocation-free.
+/// Bounded top-k ring of the slowest requests seen by one shard, each as
+/// `(its stages, its batch size)`. Capacity is reserved up front so
+/// offering is allocation-free.
 struct SlowRing {
-    entries: Vec<SlowEntry>,
+    entries: Vec<(StageTimings, usize)>,
 }
 
 impl Default for SlowRing {
@@ -271,13 +231,9 @@ impl Default for SlowRing {
 }
 
 impl SlowRing {
-    fn offer(&mut self, latency: Duration, stages: StageTimings, batch_size: usize) {
+    fn offer(&mut self, stages: StageTimings, batch_size: usize) {
         if self.entries.len() < SLOW_EXEMPLARS {
-            self.entries.push(SlowEntry {
-                latency,
-                stages,
-                batch_size,
-            });
+            self.entries.push((stages, batch_size));
             return;
         }
         // Replace the current fastest entry iff the newcomer is slower.
@@ -285,14 +241,10 @@ impl SlowRing {
             .entries
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.latency)
+            .min_by_key(|(_, (s, _))| s.end_to_end())
             .unwrap_or_else(|| unreachable!("ring has SLOW_EXEMPLARS entries here"));
-        if latency > fastest.latency {
-            self.entries[idx] = SlowEntry {
-                latency,
-                stages,
-                batch_size,
-            };
+        if stages.end_to_end() > fastest.0.end_to_end() {
+            self.entries[idx] = (stages, batch_size);
         }
     }
 }
@@ -347,12 +299,11 @@ impl ShardStats {
     ) {
         *self.batch_sizes.entry(stages.len()).or_insert(0) += 1;
         for s in stages {
-            let latency = s.end_to_end();
-            self.latency.record(latency);
+            self.latency.record(s.end_to_end());
             self.queue_wait.record(s.queue_wait);
             self.solve.record(s.solve);
             self.write.record(s.write);
-            self.slow.offer(latency, *s, stages.len());
+            self.slow.offer(*s, stages.len());
         }
         if let Some(r) = solve {
             self.admm.record(r, downgraded);
@@ -429,13 +380,17 @@ pub(crate) fn fold_shards<'a, S: Deref<Target = ShardStats>>(
             *r += requests;
             *w += windows;
         }
-        snap.slow
-            .extend(s.slow.entries.iter().map(|e| SlowExemplar {
-                topology: topology.to_string(),
-                latency: e.latency,
-                stages: e.stages,
-                batch_size: e.batch_size,
-            }));
+        snap.slow.extend(
+            s.slow
+                .entries
+                .iter()
+                .map(|&(stages, batch_size)| SlowExemplar {
+                    topology: topology.to_string(),
+                    latency: stages.end_to_end(),
+                    stages,
+                    batch_size,
+                }),
+        );
         snap.queue_depth += queued;
         snap.max_queue_depth = snap.max_queue_depth.max(s.max_drain).max(queued);
         snap.completed += requests + s.shed + s.expired + s.errors;
@@ -1253,14 +1208,14 @@ mod tests {
     #[test]
     fn slow_ring_keeps_top_k() {
         let mut ring = SlowRing::default();
-        for us in 1..=100u64 {
-            ring.offer(Duration::from_micros(us), StageTimings::default(), 1);
+        for stages in waits(&(1..=100u64).collect::<Vec<_>>()) {
+            ring.offer(stages, 1);
         }
         assert_eq!(ring.entries.len(), SLOW_EXEMPLARS);
         let mut lat: Vec<u64> = ring
             .entries
             .iter()
-            .map(|e| e.latency.as_micros() as u64)
+            .map(|(s, _)| s.end_to_end().as_micros() as u64)
             .collect();
         lat.sort_unstable();
         assert_eq!(lat, (93..=100).collect::<Vec<_>>());
@@ -1269,22 +1224,21 @@ mod tests {
     #[test]
     fn trace_stages_partition_end_to_end() {
         let t0 = now();
-        let mut tr = Trace::at(t0);
         let t1 = t0 + Duration::from_micros(100);
         let t2 = t1 + Duration::from_micros(500);
         let done = t2 + Duration::from_micros(30);
-        tr.stamp_solve_start(t1);
-        tr.stamp_solve_end(t2);
-        let s = tr.stages(done);
+        let s = StageTimings::split(t0, t1, t2, done);
         assert_eq!(s.queue_wait, Duration::from_micros(100));
         assert_eq!(s.solve, Duration::from_micros(500));
         assert_eq!(s.write, Duration::from_micros(30));
         assert_eq!(s.queue_wait + s.solve + s.write, done - t0);
-        // Unstamped stages collapse to zero instead of misattributing.
-        let s = Trace::at(t0).stages(done);
-        assert_eq!(s.queue_wait, done - t0);
-        assert_eq!(s.solve, Duration::ZERO);
-        assert_eq!(s.write, Duration::ZERO);
+        assert_eq!(s.end_to_end(), done - t0);
+        // Two requests of one window share its three instants: only the
+        // queue-wait differs, by the gap between their enqueues.
+        let later = StageTimings::split(t0 + Duration::from_micros(40), t1, t2, done);
+        assert_eq!(later.queue_wait, Duration::from_micros(60));
+        assert_eq!((later.solve, later.write), (s.solve, s.write));
+        assert_eq!(later.end_to_end(), done - t0 - Duration::from_micros(40));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! Layouts. Every payload is `kind u8 · body`, written by one `put_frame`
 //! and read by one `decode`, which refuses any other kind and any byte
-//! after the body. Each line below is one type's [`Wire`] impl:
+//! after the body. Each line below is one type's `Wire` impl:
 //!
 //! ```text
 //! HELLO          MAGIC b"TEAL" as u32 · version u16
@@ -72,7 +72,7 @@
 //! most 4× the payload's length in live heap bytes, plus its error message.
 //! *Assuming:* the payload came through [`read_frame`] or a
 //! [`FrameDecoder`], so it is at most [`MAX_FRAME`] bytes (`frame_len` is
-//! the one place a length prefix meets that cap); every [`Wire`] type takes
+//! the one place a length prefix meets that cap); every `Wire` type takes
 //! at least one byte (`Reader::items` asserts `MIN_BYTES > 0` at compile
 //! time), so a claimed element count is held against the bytes left in the
 //! frame before anything is allocated for it; and no type is more than 3×

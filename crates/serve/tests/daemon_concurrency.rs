@@ -194,7 +194,7 @@ fn malformed_request_errors_without_killing_the_daemon() {
     registry.insert("b4", context(&env, 0));
     // Generous linger so the back-to-back submissions below always land in
     // one drain, even if a loaded CI runner preempts this thread mid-burst
-    // (the batch_size assertion depends on the four sharing a chunk).
+    // (the batch_size assertion depends on the three sharing a chunk).
     let daemon = ServeDaemon::start(
         registry,
         ServeConfig {
@@ -205,9 +205,10 @@ fn malformed_request_errors_without_killing_the_daemon() {
     let good_tm = TrafficMatrix::new(vec![12.0; env.num_demands()]);
     let bad_tm = TrafficMatrix::new(vec![1.0; 3]); // wrong demand count
 
-    // Three good requests and a bad one share the drain; the offender must
-    // be evicted by index and the innocents re-batched together — not
-    // serialized into singletons, and not failed.
+    // Three good requests and a bad one arrive together; the offender is
+    // refused at submit, so it never reaches the drain and the innocents
+    // are served as one batch — not serialized into singletons, and not
+    // failed.
     let goods: Vec<_> = (0..3)
         .map(|_| daemon.submit(SubmitRequest::new("b4", good_tm.clone())))
         .collect();
@@ -222,9 +223,9 @@ fn malformed_request_errors_without_killing_the_daemon() {
         );
     }
     match bad.wait() {
-        // The engine's `AllocError` diagnosis (not a caught-panic message)
+        // The arity diagnosis (`Env::check_demands`, the engine's own check)
         // must reach the client: a malformed matrix is a typed per-request
-        // error, so assert the arity explanation survived.
+        // error, so assert the explanation survived.
         Err(teal_serve::ServeError::BadRequest(msg)) => {
             assert!(
                 msg.contains("demands"),
@@ -237,6 +238,54 @@ fn malformed_request_errors_without_killing_the_daemon() {
     daemon
         .allocate("b4", good_tm)
         .expect("daemon died after a malformed request");
+}
+
+#[test]
+fn topology_swapped_under_queued_requests_fails_only_the_stale_ones() {
+    // Submit checks a matrix against the topology serving *then*; a swap to
+    // a different topology can still land while it is queued. The engine's
+    // arity `Err` then fails the window as a batch, each request is retried
+    // alone, and only the stale ones fail.
+    let env_b4 = Arc::new(Env::for_topology(teal_topology::b4()));
+    let env_swan = Arc::new(Env::for_topology(generate(TopoKind::Swan, 0.3, 7)));
+    assert_ne!(env_b4.num_demands(), env_swan.num_demands());
+    let (swan_ctx, ref_swan) = (context(&env_swan, 5), context(&env_swan, 5));
+    let registry = ModelRegistry::new();
+    registry.insert("t", context(&env_b4, 0));
+    // A 5 s linger holds every request below in one queue until shutdown,
+    // which ends the linger and serves them as one drain.
+    let daemon = ServeDaemon::start(
+        registry,
+        ServeConfig {
+            linger: std::time::Duration::from_secs(5),
+            ..ServeConfig::default()
+        },
+    );
+    let stale: Vec<_> = (0..3)
+        .map(|i| {
+            let tm = TrafficMatrix::new(vec![6.0 + i as f64; env_b4.num_demands()]);
+            daemon.submit(SubmitRequest::new("t", tm))
+        })
+        .collect();
+    daemon.registry().swap("t", swan_ctx).expect("swap");
+    let fresh_tm = TrafficMatrix::new(vec![9.0; env_swan.num_demands()]);
+    let fresh = daemon.submit(SubmitRequest::new("t", fresh_tm.clone()));
+    daemon.shutdown();
+
+    for (i, ticket) in stale.into_iter().enumerate() {
+        match ticket.wait() {
+            Err(ServeError::BadRequest(msg)) => {
+                assert!(msg.contains("demands"), "stale request {i}: {msg:?}")
+            }
+            other => panic!("stale request {i}: expected BadRequest, got {other:?}"),
+        }
+    }
+    let reply = fresh.wait().expect("fresh request served");
+    assert_eq!(reply.batch_size, 1, "fresh request was not retried alone");
+    assert_eq!(reply.allocation, ref_swan.allocate(&fresh_tm).0);
+    let stats = daemon.stats();
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.per_topology[0].requests, 1);
 }
 
 /// `TealModel`, except that a *marked* matrix (first demand exactly zero)

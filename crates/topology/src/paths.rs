@@ -936,11 +936,6 @@ impl PathSet {
         &self.paths[d * self.k..(d + 1) * self.k]
     }
 
-    /// Global path index for demand `d`, candidate `j`.
-    pub fn path_index(&self, d: usize, j: usize) -> usize {
-        d * self.k + j
-    }
-
     /// COO triplets of the path-edge incidence matrix `A` (`num_paths` x
     /// `num_edges`), `A[p][e] = 1` iff edge `e` lies on path `p`. This is the
     /// bipartite structure FlowGNN's GNN layers message-pass over (§3.2).

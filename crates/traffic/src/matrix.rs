@@ -36,11 +36,6 @@ impl TrafficMatrix {
         &self.demands
     }
 
-    /// Mutable access for perturbation utilities.
-    pub fn demands_mut(&mut self) -> &mut [f64] {
-        &mut self.demands
-    }
-
     /// Volume of one demand.
     pub fn demand(&self, d: usize) -> f64 {
         self.demands[d]
