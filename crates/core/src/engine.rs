@@ -118,7 +118,8 @@ impl EngineConfig {
 /// Reusable scratch for one serving dispatch lane: the ADMM
 /// [`teal_lp::BatchArena`] (lane rows per path, demand and edge — nothing
 /// sized by path-edge incidence), the reminted-per-window batch solver (its
-/// per-demand volume buffer is grow-only), and the output/report buffers.
+/// per-demand volume buffer is grow-only), and the per-matrix report buffer.
+/// A window's output allocations are its own, returned to the caller.
 ///
 /// # Ownership rules
 ///
@@ -133,7 +134,6 @@ impl EngineConfig {
 pub struct BatchScratch {
     arena: teal_lp::BatchArena,
     solver: Option<teal_lp::AdmmBatchSolver>,
-    outs: Vec<Allocation>,
     reports: Vec<teal_lp::AdmmReport>,
     /// Aggregated solver introspection of the last window (see
     /// [`SolveReport`]); `None` before the first window or when ADMM is
@@ -219,7 +219,6 @@ impl BatchScratch {
         BatchScratch {
             arena: teal_lp::BatchArena::new(),
             solver: None,
-            outs: Vec::new(),
             reports: Vec::new(),
             last_solve: None,
             iteration_budget: None,
@@ -233,12 +232,6 @@ impl BatchScratch {
     /// dispatcher sets it per window from its scheduling policy.
     pub fn set_iteration_budget(&mut self, budget: Option<usize>) {
         self.iteration_budget = budget;
-    }
-
-    /// Per-matrix ADMM reports of the last window served through this
-    /// scratch (empty before the first window, or when fine-tuning is off).
-    pub fn reports(&self) -> &[teal_lp::AdmmReport] {
-        &self.reports
     }
 
     /// Aggregated [`SolveReport`] of the last window served through this
@@ -478,15 +471,16 @@ impl<M: PolicyModel> ServingContext<M> {
                     }
                     empty => empty.insert(skel.batch_solver(tms)),
                 };
+                let mut outs = Vec::new();
                 solver.run_batch_into(
                     &raw,
                     admm_cfg,
                     &mut scratch.arena,
-                    &mut scratch.outs,
+                    &mut outs,
                     &mut scratch.reports,
                 );
                 scratch.last_solve = SolveReport::from_reports(&scratch.reports, budget);
-                std::mem::take(&mut scratch.outs)
+                outs
             }
             _ => raw,
         };
@@ -923,7 +917,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(scratch.reports().len(), *sizes.last().unwrap());
+        assert_eq!(scratch.reports.len(), *sizes.last().unwrap());
         assert!(scratch.solve_report().is_some());
 
         // An empty window ran no solve: the scratch must not go on
@@ -933,7 +927,7 @@ mod tests {
             .expect("empty window");
         assert!(none.is_empty());
         assert_eq!(scratch.solve_report(), None, "stale solve report");
-        assert!(scratch.reports().is_empty(), "stale per-matrix reports");
+        assert!(scratch.reports.is_empty(), "stale per-matrix reports");
     }
 
     #[test]

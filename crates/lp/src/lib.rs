@@ -18,6 +18,7 @@
 //! thread and holds no atomic, lock or raw pointer.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod admm;
 pub mod concurrent;

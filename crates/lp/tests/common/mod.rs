@@ -4,6 +4,8 @@
 //! `crates/serve/tests/write_path_alloc.rs` carries its own copy of the
 //! same shape.
 
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -40,6 +42,8 @@ pub fn thread_alloc_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+// SAFETY: every method forwards to `System`, so `System` upholds
+// GlobalAlloc's contract; the counters touch no allocated memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc(layout.size());

@@ -21,6 +21,9 @@
 //! microseconds. A window of one, a one-thread process and a lane under
 //! `with_thread_cap(1, ..)` run a plain loop on the caller and pay nothing.
 
+// The crate's `clippy.toml` disallows `pool::run` everywhere else in it.
+#![allow(clippy::disallowed_methods)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::OnceLock;

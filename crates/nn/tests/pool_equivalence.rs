@@ -13,6 +13,8 @@
 //! (tests run in parallel; concurrent getenv/setenv races are what made
 //! `set_var` unsafe in edition 2024).
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::{Barrier, OnceLock};
 use teal_nn::pool;
 use teal_nn::rng::seeded;

@@ -7,6 +7,8 @@
 //! binary pins `TEAL_NN_THREADS=4` before the first job (as
 //! `pool_equivalence` does) and runs its tests one at a time.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use teal_nn::pool;

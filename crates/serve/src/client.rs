@@ -21,8 +21,7 @@
 //! register-before-send ordering `model::client_register_before_send`
 //! checks.
 
-// teal-lint: checked-sync
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64};
 use crate::sync::{thread, Arc, Mutex};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -77,7 +76,7 @@ impl ClientShared {
         waiter: Waiter,
         write: impl FnOnce() -> std::io::Result<()>,
     ) {
-        if self.closed.load(Ordering::SeqCst) {
+        if self.closed.load() {
             return waiter.fail("connection closed");
         }
         // Register before sending: the reply can race back before this
@@ -89,7 +88,7 @@ impl ClientShared {
         // the insert above, nobody else will ever fulfill this slot — the
         // send may even "succeed" into a half-closed socket. Re-checking
         // `closed` after registering makes the overlap visible here.
-        if sent.is_err() || self.closed.load(Ordering::SeqCst) {
+        if sent.is_err() || self.closed.load() {
             if let Some(waiter) = self.take(id) {
                 waiter.fail(if sent.is_err() {
                     "connection write failed"
@@ -111,7 +110,7 @@ impl ClientShared {
     /// broken id bookkeeping); a mismatched waiter will never get the frame
     /// it wants, so it is failed rather than left to hang.
     fn unmatched(&self, claimed: Option<Waiter>) {
-        self.unmatched.fetch_add(1, Ordering::SeqCst);
+        self.unmatched.fetch_add(1);
         if let Some(waiter) = claimed {
             waiter.fail("reply kind does not match the request");
         }
@@ -188,7 +187,7 @@ impl TealClient {
     /// submitters reuse one buffer instead of allocating per pipelined
     /// request.
     fn send(&self, waiter: Waiter, encode: impl FnOnce(&mut Vec<u8>, u64)) {
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let id = self.next_id.fetch_add(1);
         self.shared.send(id, waiter, || {
             let mut w = self.writer.lock();
             let (stream, buf) = &mut *w;
@@ -255,13 +254,13 @@ impl TealClient {
     /// deployment; nonzero means id bookkeeping broke on one side of the
     /// connection.
     pub fn unmatched_replies(&self) -> u64 {
-        self.shared.unmatched.load(Ordering::SeqCst)
+        self.shared.unmatched.load()
     }
 }
 
 impl Drop for TealClient {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
+        self.shared.closed.store(true);
         let _ = self.stream.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
             // A panicked reader already ran its fail_all via unwind or is
@@ -300,6 +299,6 @@ fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
             _ => break, // protocol violation: treat as a dead connection
         }
     }
-    shared.closed.store(true, Ordering::SeqCst);
+    shared.closed.store(true);
     shared.fail_all("connection closed with requests in flight");
 }

@@ -88,8 +88,7 @@
 //! only the join handles: the shards stay in the map, where
 //! [`ServeDaemon::stats`] keeps counting them.
 
-// teal-lint: checked-sync
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use crate::telemetry::now;
 use std::collections::{HashMap, VecDeque};
@@ -231,7 +230,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             let map = self.inner.shards.lock();
             map.values().map(|h| Arc::clone(&h.shard)).collect()
         };
-        let unmatched = self.inner.unmatched_replies.load(Ordering::SeqCst);
+        let unmatched = self.inner.unmatched_replies.load();
         let per_shard = shards.iter().map(|s| {
             // The queue guard drops before the stats lock is taken.
             let queued = s.queue.lock().len();
@@ -250,7 +249,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
     // The loom build compiles no wire front end, so nothing calls this there.
     #[cfg_attr(teal_loom, allow(dead_code))]
     pub(crate) fn count_unmatched_reply(&self) {
-        self.inner.unmatched_replies.fetch_add(1, Ordering::SeqCst);
+        self.inner.unmatched_replies.fetch_add(1);
     }
 
     /// The shard for `topology`, creating it (and its dispatcher thread) on
@@ -259,7 +258,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
     /// has taken the join handles.
     fn shard(&self, topology: &str) -> Option<Arc<Shard>> {
         let mut map = self.inner.shards.lock();
-        if self.inner.shutdown.load(Ordering::SeqCst) {
+        if self.inner.shutdown.load() {
             return None;
         }
         if let Some(h) = map.get(topology) {
@@ -305,7 +304,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
     /// reply map *before* any fulfillment (including synchronous submit
     /// errors) can fire.
     pub(crate) fn submit_on(&self, req: SubmitRequest, slot: Arc<ResponseSlot>) {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
+        if self.inner.shutdown.load() {
             slot.fulfill(Err(ServeError::ShuttingDown));
             return;
         }
@@ -323,12 +322,8 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             return;
         }
         let signature = req.override_signature();
-        let topo = ctx.env().topo();
         for &(a, b) in &signature {
-            if a >= topo.num_nodes()
-                || b >= topo.num_nodes()
-                || (topo.find_edge(a, b).is_none() && topo.find_edge(b, a).is_none())
-            {
+            if !ctx.env().topo().has_link(a, b) {
                 slot.fulfill(Err(ServeError::BadRequest(format!(
                     "failed link {a}-{b} does not exist in topology {:?}",
                     req.topology
@@ -372,9 +367,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 ))));
                 return;
             }
-            while q.len() >= self.inner.cfg.queue_capacity
-                && !self.inner.shutdown.load(Ordering::SeqCst)
-            {
+            while q.len() >= self.inner.cfg.queue_capacity && !self.inner.shutdown.load() {
                 q = shard.space.wait(q);
             }
             // Checked under the queue lock: the shard's final
@@ -382,7 +375,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
             // push lands before that drain (and is served) or the flag is
             // visible here and the request is refused — never enqueued
             // after the last drain and dropped (the submit/shutdown race).
-            if self.inner.shutdown.load(Ordering::SeqCst) {
+            if self.inner.shutdown.load() {
                 drop(q);
                 slot.fulfill(Err(ServeError::ShuttingDown));
                 return;
@@ -407,7 +400,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
     /// thread (even concurrently with submitters); also runs on drop. The
     /// shards stay in the map, so [`Self::stats`] still counts them.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.shutdown.store(true);
         // Take the join handles first: creation re-checks the flag under
         // this lock, so no new shard can appear afterwards.
         let handles: Vec<(Arc<Shard>, thread::JoinHandle<()>)> = {
@@ -461,7 +454,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
     loop {
         let drained = {
             let mut q = shard.queue.lock();
-            while q.is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
+            while q.is_empty() && !inner.shutdown.load() {
                 q = shard.nonempty.wait(q);
             }
             if q.is_empty() {
@@ -484,7 +477,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
             // wakeups never ratchet the cap toward the expiry.
             if !inner.cfg.linger.is_zero() {
                 let deadline = now() + inner.cfg.linger;
-                while q.len() < inner.cfg.max_batch && !inner.shutdown.load(Ordering::SeqCst) {
+                while q.len() < inner.cfg.max_batch && !inner.shutdown.load() {
                     let cap = q
                         .iter()
                         .filter_map(|r| {

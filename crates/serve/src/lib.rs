@@ -270,13 +270,13 @@
 //! workloads in `BENCHMARK.json` for what the socket path costs
 //! (`serve.net.wire_overhead_p50_ms`).
 
-// Unsafe is denied crate-wide; the single allowed override is
+// Unsafe is denied workspace-wide; the single override in this crate is
 // `net/sys.rs`, the hand-rolled epoll/eventfd FFI bindings (the crates
 // registry is unreachable, so no `libc`), which opts back in with its own
-// `#![allow(unsafe_code)]` and per-site SAFETY comments. `cargo xtask
-// lint` additionally confines `extern` declarations and `std::os` fd
-// plumbing to that one file.
-#![deny(unsafe_code)]
+// `#![allow(unsafe_code)]` and per-site SAFETY comments. The crate's
+// `clippy.toml` confines raw-fd plumbing to that file, the clock to
+// `telemetry::now` and std's sync primitives to `sync.rs`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
 pub mod daemon;

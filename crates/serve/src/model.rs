@@ -20,7 +20,7 @@
 
 use crate::client::{ClientShared, Waiter};
 use crate::request::{Completions, ResponseSlot, ServeError, Ticket};
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::AtomicBool;
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use std::collections::VecDeque;
 
@@ -56,14 +56,12 @@ pub fn submit_vs_shutdown(mutation: ShutdownMutation) {
     for _ in 0..2 {
         let gate = Arc::clone(&gate);
         submitters.push(thread::spawn_named("submit", move || -> Option<Ticket> {
-            if !gate.accepting.load(Ordering::SeqCst) {
+            if !gate.accepting.load() {
                 return None; // shed on the lock-free fast path
             }
             let slot = ResponseSlot::new();
             let mut q = gate.queue.lock();
-            if matches!(mutation, ShutdownMutation::Pristine)
-                && !gate.accepting.load(Ordering::SeqCst)
-            {
+            if matches!(mutation, ShutdownMutation::Pristine) && !gate.accepting.load() {
                 // Shutdown won the race between our fast-path check and
                 // this lock acquisition; its drain may already be done, so
                 // enqueueing now would strand the slot.
@@ -77,7 +75,7 @@ pub fn submit_vs_shutdown(mutation: ShutdownMutation) {
     // Shutdown runs on the model's root thread: close the gate, then fail
     // everything queued. Order is load-bearing — the store must precede
     // the drain so the under-lock recheck is conclusive.
-    gate.accepting.store(false, Ordering::SeqCst);
+    gate.accepting.store(false);
     let drained: Vec<Arc<ResponseSlot>> = {
         let mut q = gate.queue.lock();
         std::mem::take(&mut *q)
@@ -302,7 +300,7 @@ pub fn shutdown_straggler_sweep(mutation: SweepMutation) {
                 // Stop is checked before popping: shutdown abandons queued
                 // work by design, and the post-join sweep is what keeps
                 // that abandonment from stranding tickets.
-                if shard.stop.load(Ordering::SeqCst) {
+                if shard.stop.load() {
                     return;
                 }
                 if let Some(slot) = q.pop_front() {
@@ -323,7 +321,7 @@ pub fn shutdown_straggler_sweep(mutation: SweepMutation) {
             let ticket = Ticket::new(Arc::clone(&slot));
             {
                 let mut q = shard.queue.lock();
-                if shard.stop.load(Ordering::SeqCst) {
+                if shard.stop.load() {
                     return; // refused at enqueue; nothing to wait for
                 }
                 q.push_back(slot);
@@ -339,7 +337,7 @@ pub fn shutdown_straggler_sweep(mutation: SweepMutation) {
     // flag is an atomic the worker checks under that lock, so notifying
     // without it can slip into the window between the worker's flag check
     // and its wait registration (see `SweepMutation::NotifyOutsideLock`).
-    shard.stop.store(true, Ordering::SeqCst);
+    shard.stop.store(true);
     if matches!(mutation, SweepMutation::NotifyOutsideLock) {
         shard.work.notify_all();
     } else {

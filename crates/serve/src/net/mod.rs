@@ -40,8 +40,7 @@
 //! connection until space frees; deadline'd traffic is shed without
 //! blocking.
 
-// teal-lint: checked-sync
-use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::atomic::AtomicBool;
 use crate::sync::{thread, Arc};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -130,7 +129,7 @@ impl EventLoopHandle {
     /// relies on shard dispatchers still fulfilling queued tickets while
     /// it drains.
     pub(crate) fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true);
         self.shared.doorbell.ring();
         if let Some(h) = self.thread.take() {
             let _ = h.join();
@@ -201,7 +200,7 @@ struct EventLoop<M: PolicyModel + 'static> {
 impl<M: PolicyModel + 'static> EventLoop<M> {
     fn run(&mut self) {
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shared.shutdown.load() {
                 self.begin_shutdown();
                 if self.slots.iter().all(|s| s.conn.is_none()) {
                     return;

@@ -3,17 +3,17 @@
 //! the crates registry (and with it the `libc` crate) is unreachable in
 //! this environment.
 //!
-//! This file is the workspace's **only** raw-FFI / raw-fd site outside the
-//! audited compute kernels: the `cargo xtask lint` `ffi-confined` rule
-//! rejects `extern` declarations and `std::os::fd` imports everywhere
-//! else, so every syscall and every raw fd stays behind the typed wrappers
-//! below ([`Epoll`], [`EventFd`], [`set_nonblocking`], the `*_fd`
-//! accessors). The wrappers own their fds (closed on drop) and surface
-//! every failure as `io::Error` via `errno`.
+//! This file is the workspace's **only** raw-FFI / raw-fd site: calling
+//! an `extern` function needs `unsafe`, which the workspace denies
+//! everywhere else, and the crate's `clippy.toml` disallows `as_raw_fd` and
+//! `into_raw_fd` everywhere else, so every syscall and every raw fd stays
+//! behind the typed wrappers below ([`Epoll`], [`EventFd`],
+//! [`set_nonblocking`], the `*_fd` accessors). The wrappers own their fds
+//! (closed on drop) and surface every failure as `io::Error` via `errno`.
 
-// The crate root carries `#![deny(unsafe_code)]`; this module is the one
-// place allowed to override it.
-#![allow(unsafe_code)]
+// The one module allowed to override the workspace's `unsafe_code` deny
+// and the crate's raw-fd method ban.
+#![allow(unsafe_code, clippy::disallowed_methods)]
 
 use std::io;
 use std::net::{TcpListener, TcpStream};

@@ -11,7 +11,6 @@
 //! finishes on the old weights; one that snapshots after gets the new —
 //! never a mix.
 
-// teal-lint: checked-sync
 use crate::sync::{Arc, RwLock};
 use std::collections::HashMap;
 use teal_core::{PolicyModel, ServingContext};

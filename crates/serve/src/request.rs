@@ -14,7 +14,6 @@
 //! fulfilling a slot pushes its `(connection token, request id)` pair onto
 //! the event loop's one completion queue (a STATS scrape never waits).
 
-// teal-lint: checked-sync
 use crate::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use teal_lp::Allocation;

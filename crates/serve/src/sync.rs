@@ -6,32 +6,83 @@
 //!   the guard directly (a poisoned lock is recovered — the protected
 //!   state in this crate is always valid at the point of panic, and the
 //!   serving daemon's panic story is catch-and-refuse, not abort), which
-//!   is also what keeps `unwrap`/`expect` out of the call sites — the
-//!   `cargo xtask lint` rule banning them in this crate leans on this
-//!   facade.
+//!   is also what keeps `unwrap`/`expect` out of the call sites (the crate
+//!   root denies `clippy::unwrap_used` and `clippy::expect_used`).
 //! * `--cfg teal_loom` (set via `RUSTFLAGS`): the same names re-export the
 //!   `loom` shims, and `crates/serve/tests/model_check.rs` exhaustively
 //!   explores the interleavings of the shutdown protocol, the response-slot
 //!   protocol and the event loop's completion doorbell.
 //!
-//! Modules opted into the facade carry a `// teal-lint: checked-sync`
-//! marker; the lint then rejects any direct `use std::sync` in them so new
-//! code cannot silently bypass the model-checkable layer. `server.rs` is
-//! *not* opted in: it is compiled out of the loom build together with the
-//! epoll loop it owns, and holds no concurrency of its own.
+//! The crate's `clippy.toml` bans std's locks, condvars, barriers and
+//! atomics as types and its thread and channel constructors as methods;
+//! this module is the one place that allows them, so new code cannot
+//! silently bypass the model-checkable layer. `Arc` is std's in both
+//! builds (`loom` re-exports it). The [`atomic`] types take no `Ordering`
+//! and always use `SeqCst`: the model checker explores sequentially
+//! consistent executions only, so a weaker ordering would ship semantics
+//! no model checks, and with std's atomics banned no serve code outside
+//! this file can name one.
 //!
 //! The loom build intentionally supports only what a model needs: no
 //! `RwLock` reader concurrency (readers serialize), condvar timeouts fire
 //! immediately, and primitives must not be contended outside `loom::model`.
+
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
+pub use std::sync::Arc;
+
+pub mod atomic {
+    //! SeqCst-only atomics over std's (default build) or loom's
+    //! (`teal_loom`): the methods take no `Ordering`.
+
+    #[cfg(teal_loom)]
+    use loom::sync::atomic as raw;
+    #[cfg(not(teal_loom))]
+    use std::sync::atomic as raw;
+
+    use raw::Ordering::SeqCst;
+
+    #[derive(Default)]
+    pub struct AtomicBool(raw::AtomicBool);
+
+    impl AtomicBool {
+        pub fn new(value: bool) -> Self {
+            AtomicBool(raw::AtomicBool::new(value))
+        }
+
+        pub fn load(&self) -> bool {
+            self.0.load(SeqCst)
+        }
+
+        pub fn store(&self, value: bool) {
+            self.0.store(value, SeqCst)
+        }
+    }
+
+    #[derive(Default)]
+    pub struct AtomicU64(raw::AtomicU64);
+
+    impl AtomicU64 {
+        pub fn new(value: u64) -> Self {
+            AtomicU64(raw::AtomicU64::new(value))
+        }
+
+        pub fn load(&self) -> u64 {
+            self.0.load(SeqCst)
+        }
+
+        /// Adds `value` and returns the previous value.
+        pub fn fetch_add(&self, value: u64) -> u64 {
+            self.0.fetch_add(value, SeqCst)
+        }
+    }
+}
 
 #[cfg(not(teal_loom))]
 mod imp {
     use std::ops::{Deref, DerefMut};
     use std::sync::PoisonError;
     use std::time::Duration;
-
-    pub use std::sync::atomic;
-    pub use std::sync::Arc;
 
     /// `std::sync::Mutex` minus poisoning: `lock` always returns the
     /// guard. See the module docs for why recovery is sound here.
@@ -175,11 +226,8 @@ mod imp {
 
 #[cfg(teal_loom)]
 mod imp {
-    pub use loom::sync::atomic;
     #[allow(unused_imports)] // parity with the std facade's full surface
-    pub use loom::sync::{
-        Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    };
+    pub use loom::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
     pub mod thread {
         //! Model-thread spawning: names are accepted for source

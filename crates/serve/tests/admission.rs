@@ -2,6 +2,8 @@
 //! ([`Ticket::wait_timeout`]), enqueue-time sheds, queue-full sheds for
 //! deadline'd requests, and failure-aware coalescing equivalence.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::time::Duration;
 use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};

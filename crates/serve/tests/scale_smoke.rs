@@ -7,6 +7,8 @@
 //! precompute alone. CI runs it in release via
 //! `cargo test -p teal-serve --release --test scale_smoke -- --ignored`.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};

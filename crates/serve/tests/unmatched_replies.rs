@@ -9,6 +9,8 @@
 //! unsolicited REPLY frames and one unsolicited STATS_OK, then answers a
 //! real STATS scrape with a REPLY frame.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::net::TcpListener;
 use std::time::Duration;
 use teal_core::TealModel;

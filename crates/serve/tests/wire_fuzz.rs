@@ -19,6 +19,8 @@
 //! own. A failing input prints as hex, which is its one-line repro; a
 //! `Vec::get` without its count check fails this test.
 
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,6 +62,8 @@ fn grow(by: isize) {
     });
 }
 
+// SAFETY: every method forwards to `System` or, over the ceiling, returns
+// null (the contract's failure signal); the counters touch no heap memory.
 unsafe impl GlobalAlloc for Metered {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if layout.size() > CEILING {

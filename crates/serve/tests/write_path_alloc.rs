@@ -10,6 +10,8 @@
 //! libtest's main-thread bookkeeping (which made this test flaky in debug
 //! builds) cannot land in the count.
 
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
@@ -45,6 +47,8 @@ fn thread_allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+// SAFETY: every method forwards to `System`, so `System` upholds
+// GlobalAlloc's contract; the counters touch no allocated memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc();

@@ -11,9 +11,7 @@ pub mod metrics;
 pub mod online;
 pub mod schemes;
 
-pub use online::{
-    run_failure_interval, run_offline, run_online, run_online_batched, IntervalRecord, OnlineResult,
-};
+pub use online::{run_failure_interval, run_offline, run_online, IntervalRecord, OnlineResult};
 pub use schemes::{
     FleischerScheme, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme, ShortestPathScheme,
     TealScheme, TeavarScheme,

@@ -83,9 +83,11 @@ impl OnlineResult {
 }
 
 /// Run the online control loop over a traffic series on a fixed topology.
-/// `interval` is the TE period (5 minutes in production). One traffic
-/// matrix lands per interval; this is exactly
-/// [`run_online_batched`] with singleton windows.
+/// `interval` is the TE period (5 minutes in production), and one traffic
+/// matrix lands per interval. When the scheme is idle at an interval
+/// boundary it starts computing on that interval's matrix; until the result
+/// lands, the previous routes serve the live traffic, and an interval in
+/// which the result lands mixes the two by time weight.
 pub fn run_online(
     env: &Env,
     topo: &Topology,
@@ -93,115 +95,51 @@ pub fn run_online(
     scheme: &mut dyn Scheme,
     interval: Duration,
 ) -> OnlineResult {
-    let windows: Vec<&[TrafficMatrix]> = tms.chunks(1).collect();
-    run_online_batched(env, topo, &windows, scheme, interval)
-}
-
-/// Online control loop where **several traffic matrices can fall due in one
-/// TE interval** — sharded demand sets, sub-interval traffic samples, or
-/// multiple tenants on one fabric. `windows[i]` holds the matrices landing
-/// at the start of interval `i`, each governing an equal sub-slot of the
-/// interval.
-///
-/// When the scheme is idle at an interval boundary it computes on the whole
-/// newest window in *one* call: a single matrix goes through the per-matrix
-/// path, while `> 1` matrices go through [`Scheme::allocate_batch`] — for
-/// Teal, one coalesced forward pass plus parallel ADMM (the PR-1 follow-up
-/// wiring the online loop onto the batched serving path). When the result
-/// lands, sub-slot `j` is served by the allocation computed for its own
-/// matrix; until then stale routes persist, exactly like the single-matrix
-/// loop. Singleton windows reproduce [`run_online`] bit-for-bit.
-pub fn run_online_batched<W: AsRef<[TrafficMatrix]>>(
-    env: &Env,
-    topo: &Topology,
-    windows: &[W],
-    scheme: &mut dyn Scheme,
-    interval: Duration,
-) -> OnlineResult {
     let interval_s = interval.as_secs_f64().max(1e-9);
     // Routes in effect before the first computation completes.
     let mut active = Allocation::shortest_path(env.num_demands(), env.k());
-    // (per-sub-slot allocations, finish time, interval the job started in)
-    let mut pending: Option<(Vec<Allocation>, f64, usize)> = None;
-    let mut records = Vec::with_capacity(windows.len());
+    // (allocation, finish time) of the job in flight.
+    let mut pending: Option<(Allocation, f64)> = None;
+    let mut records = Vec::with_capacity(tms.len());
 
-    for (i, window) in windows.iter().enumerate() {
-        let window = window.as_ref();
-        assert!(!window.is_empty(), "interval {i} has no traffic matrices");
+    for (i, tm) in tms.iter().enumerate() {
         let t_start = i as f64 * interval_s;
+        let t_end = t_start + interval_s;
         let mut comp_time = None;
 
-        // Idle? Start computing on the freshest window — batched when more
-        // than one matrix falls due.
+        // Idle? Start computing on the freshest matrix.
         if pending.is_none() {
-            let (allocs, dt) = if window.len() == 1 {
-                let (alloc, dt) = scheme.allocate(topo, &window[0]);
-                (vec![alloc], dt)
-            } else {
-                scheme.allocate_batch(topo, window)
-            };
+            let (alloc, dt) = scheme.allocate(topo, tm);
             comp_time = Some(dt);
-            pending = Some((allocs, t_start + dt.as_secs_f64(), i));
+            pending = Some((alloc, t_start + dt.as_secs_f64()));
         }
 
-        // Integrate realized flow over the interval's equal sub-slots with
-        // the allocation active at each instant. A pending job computed on
-        // an *earlier* window still promotes mid-interval — its last
-        // allocation becomes the stale route for the remainder.
-        let slot_s = interval_s / window.len() as f64;
+        // Score the interval with the allocation active at each instant. A
+        // job started in an earlier interval still lands mid-interval.
+        let inst = TeInstance::new(topo, env.paths(), tm);
         let mut updated = false;
-        let mut satisfied_sum = 0.0;
-        // Once a job computed on *this* window lands, each remaining
-        // sub-slot is served by the allocation computed for its own matrix.
-        let mut landed_here: Option<Vec<Allocation>> = None;
-        for (j, tm) in window.iter().enumerate() {
-            let s_start = t_start + j as f64 * slot_s;
-            let s_end = s_start + slot_s;
-            let inst = TeInstance::new(topo, env.paths(), tm);
-            if let Some(allocs) = &landed_here {
-                if let Some(a) = allocs.get(j) {
-                    active = a.clone();
-                }
+        let satisfied_pct = match pending.take() {
+            Some((fresh, finish)) if finish <= t_start => {
+                active = fresh;
+                updated = true;
+                evaluate(&inst, &active).satisfied_pct()
             }
-            let fresh_for_slot = |allocs: &[Allocation], started: usize| -> Allocation {
-                // A job computed on this interval's window carries one
-                // allocation per sub-slot; a job from an older window
-                // promotes its freshest allocation.
-                let pick = if started == i { allocs.get(j) } else { None };
-                pick.unwrap_or_else(|| allocs.last().expect("nonempty batch"))
-                    .clone()
-            };
-            let slot_satisfied = match pending.take() {
-                Some((allocs, finish, started)) if finish <= s_start => {
-                    active = fresh_for_slot(&allocs, started);
-                    if started == i {
-                        landed_here = Some(allocs);
-                    }
-                    updated = true;
-                    evaluate(&inst, &active).satisfied_pct()
-                }
-                Some((allocs, finish, started)) if finish < s_end => {
-                    // Lands mid-sub-slot: time-weighted stale/fresh mix.
-                    let w_old = (finish - s_start) / slot_s;
-                    let fresh = fresh_for_slot(&allocs, started);
-                    let mixed = mixed_pct(&inst, &active, &fresh, w_old);
-                    active = fresh;
-                    if started == i {
-                        landed_here = Some(allocs);
-                    }
-                    updated = true;
-                    mixed
-                }
-                still_pending => {
-                    pending = still_pending;
-                    evaluate(&inst, &active).satisfied_pct()
-                }
-            };
-            satisfied_sum += slot_satisfied;
-        }
+            Some((fresh, finish)) if finish < t_end => {
+                // Lands mid-interval: time-weighted stale/fresh mix.
+                let w_old = (finish - t_start) / interval_s;
+                let mixed = mixed_pct(&inst, &active, &fresh, w_old);
+                active = fresh;
+                updated = true;
+                mixed
+            }
+            still_pending => {
+                pending = still_pending;
+                evaluate(&inst, &active).satisfied_pct()
+            }
+        };
         records.push(IntervalRecord {
             interval: i,
-            satisfied_pct: satisfied_sum / window.len() as f64,
+            satisfied_pct,
             updated,
             comp_time,
         });
@@ -396,102 +334,48 @@ mod tests {
         assert!(slow_updates < fast_updates);
     }
 
-    /// Deterministic wrapper: real allocations, synthetic fixed runtime —
-    /// makes online staleness accounting exactly reproducible.
-    struct FixedTime<S: Scheme>(S, Duration);
-    impl<S: Scheme> Scheme for FixedTime<S> {
-        fn name(&self) -> &str {
-            "FixedTime"
-        }
-        fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-            (self.0.allocate(topo, tm).0, self.1)
-        }
-        fn allocate_batch(
-            &mut self,
-            topo: &Topology,
-            tms: &[TrafficMatrix],
-        ) -> (Vec<Allocation>, Duration) {
-            (self.0.allocate_batch(topo, tms).0, self.1)
-        }
-    }
-
     #[test]
-    fn singleton_windows_reduce_to_run_online() {
-        // Regression for the PR that rewired run_online onto the batched
-        // loop: one matrix per interval must reproduce the single-matrix
-        // semantics exactly, including staleness (200ms solver vs 150ms
-        // interval forces skipped updates).
+    fn online_records_are_pinned() {
+        // A 200 ms solver on a 150 ms interval: every other interval starts
+        // a job, and each job lands mid-way through the next interval
+        // (intervals 1, 3 and 5 mix stale and fresh routes). A synthetic
+        // runtime makes the records exact: the bits are pinned.
+        struct FixedTime<S: Scheme>(S, Duration);
+        impl<S: Scheme> Scheme for FixedTime<S> {
+            fn name(&self) -> &str {
+                "FixedTime"
+            }
+            fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
+                (self.0.allocate(topo, tm).0, self.1)
+            }
+        }
         let (env, tms) = setup(6);
-        let interval = Duration::from_millis(150);
         let dt = Duration::from_millis(200);
-        let mut s1 = FixedTime(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow), dt);
-        let direct = run_online(&env, env.topo(), &tms, &mut s1, interval);
-        let windows: Vec<Vec<TrafficMatrix>> = tms.iter().map(|tm| vec![tm.clone()]).collect();
-        let mut s2 = FixedTime(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow), dt);
-        let batched = run_online_batched(&env, env.topo(), &windows, &mut s2, interval);
-        assert_eq!(direct.intervals.len(), batched.intervals.len());
-        for (a, b) in direct.intervals.iter().zip(&batched.intervals) {
-            assert_eq!(a.satisfied_pct, b.satisfied_pct, "interval {}", a.interval);
-            assert_eq!(a.updated, b.updated, "interval {}", a.interval);
-            assert_eq!(a.comp_time, b.comp_time, "interval {}", a.interval);
-        }
-    }
-
-    #[test]
-    fn instant_batched_online_matches_offline_per_slot() {
-        // With zero computation time every sub-slot is served by the fresh
-        // allocation computed for its own matrix, so each interval's
-        // satisfied demand is the mean of the offline values of its window.
-        let (env, tms) = setup(6);
-        let windows: Vec<Vec<TrafficMatrix>> = tms.chunks(2).map(|c| c.to_vec()).collect();
-        let mut s1 = FixedTime(
-            LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow),
-            Duration::ZERO,
-        );
-        let online = run_online_batched(
+        let mut scheme = FixedTime(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow), dt);
+        let res = run_online(
             &env,
             env.topo(),
-            &windows,
-            &mut s1,
-            Duration::from_secs(300),
+            &tms,
+            &mut scheme,
+            Duration::from_millis(150),
         );
-        let mut s2 = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
-        let offline = satisfied(&run_offline(&env, env.topo(), &tms, &mut s2, 1).0);
-        for (i, rec) in online.intervals.iter().enumerate() {
-            let want = (offline[2 * i] + offline[2 * i + 1]) / 2.0;
-            assert!(
-                (rec.satisfied_pct - want).abs() < 1e-9,
-                "interval {i}: online {} vs offline mean {want}",
-                rec.satisfied_pct
-            );
-            assert!(rec.updated, "interval {i} must promote instantly");
-        }
-    }
-
-    #[test]
-    fn multi_matrix_staleness_does_not_help() {
-        let (env, tms) = setup(8);
-        let windows: Vec<Vec<TrafficMatrix>> = tms.chunks(2).map(|c| c.to_vec()).collect();
-        let interval = Duration::from_millis(200);
-        let mut fast = FixedTime(
-            LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow),
-            Duration::from_millis(10),
+        let got: Vec<(u64, bool, Option<Duration>)> = res
+            .intervals
+            .iter()
+            .map(|r| (r.satisfied_pct.to_bits(), r.updated, r.comp_time))
+            .collect();
+        let hundred = 100f64.to_bits();
+        assert_eq!(
+            got,
+            [
+                (hundred, false, Some(dt)),
+                (hundred, true, None),
+                (hundred, false, Some(dt)),
+                (hundred, true, None),
+                (0x4058_a9ce_01b9_51e3, false, Some(dt)),
+                (0x4058_7786_2d65_6c52, true, None),
+            ]
         );
-        let fast_res = run_online_batched(&env, env.topo(), &windows, &mut fast, interval);
-        let mut slow = FixedTime(
-            LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow),
-            Duration::from_millis(500),
-        );
-        let slow_res = run_online_batched(&env, env.topo(), &windows, &mut slow, interval);
-        assert!(
-            slow_res.mean_satisfied_pct() <= fast_res.mean_satisfied_pct() + 1e-9,
-            "staleness must not help: slow {} vs fast {}",
-            slow_res.mean_satisfied_pct(),
-            fast_res.mean_satisfied_pct()
-        );
-        let slow_updates = slow_res.intervals.iter().filter(|r| r.updated).count();
-        let fast_updates = fast_res.intervals.iter().filter(|r| r.updated).count();
-        assert!(slow_updates < fast_updates, "slow scheme must skip windows");
     }
 
     #[test]

@@ -46,11 +46,13 @@
 //!
 //! ## Unsafe inventory & correctness tooling
 //!
-//! The workspace's `unsafe` is confined to one file, in `teal-serve`:
+//! The workspace's shipped `unsafe` is confined to one file, in
+//! `teal-serve` (the others allowed it are `vendor/loom`'s `Mutex` shim and
+//! three test suites' counting allocators):
 //!
 //! * **epoll/eventfd FFI** (`teal_serve::net::sys`): hand-rolled bindings
 //!   (the crates registry is unreachable, so no `libc`) behind safe
-//!   wrappers that own their fds. The crate root denies `unsafe_code` and
+//!   wrappers that own their fds. The workspace denies `unsafe_code` and
 //!   this one module opts back in, with a `// SAFETY:` comment per site.
 //!
 //! The compute side has none: `teal_nn::pool` fans a window's forward pass
@@ -65,24 +67,25 @@
 //!
 //! Two layers of tooling keep this inventory honest:
 //!
-//! 1. **`cargo xtask lint`** — an offline source pass over the workspace
-//!    (no network, no nightly): every `unsafe` block/impl must carry a
-//!    `// SAFETY:` comment; non-test `teal-serve` code may not call
-//!    `unwrap()`/`expect()` (the `crate::sync` facade returns guards
-//!    directly) or read the clock outside `telemetry::now()`; modules
-//!    marked `// teal-lint: checked-sync` may not import `std::sync`
-//!    directly; and zero-unsafe crates must keep their `forbid` attribute.
-//!    The allowlist (`xtask-lint-allow.txt`) ships empty and is expected
-//!    to stay that way.
+//! 1. **rustc and clippy** (`cargo clippy --workspace --all-targets -- -D
+//!    warnings`, CI's one lint step). The workspace lints deny
+//!    `unsafe_code` (so `net/sys.rs` is the one module that calls FFI) and
+//!    unsafe blocks or impls without a `// SAFETY:` comment. `teal-serve`,
+//!    `teal-core` and `teal-lp` deny `unwrap`/`expect` outside tests.
+//!    `teal-serve`'s `clippy.toml` keeps the clock behind
+//!    `telemetry::now()`, raw fds in `net/sys.rs`, and std's locks,
+//!    atomics, threads and channels in its `crate::sync` facade, whose
+//!    atomics take no `Ordering` (SeqCst by type); `teal-nn`'s keeps
+//!    `pool::run` out of its serial kernels.
 //! 2. **Model checking** (`vendor/loom` + `RUSTFLAGS="--cfg teal_loom"
 //!    cargo test -p teal-serve --test model_check`) — a miniature
 //!    loom-style checker (token-passing scheduler, exhaustive DFS over
 //!    interleavings, bounded preemptions, seed-replayable failing
 //!    schedules) that exhaustively explores the serving stack's real race
-//!    protocols: WFQ one-ahead reservation, submit-vs-shutdown, and the
-//!    client's register-before-send slot protocol. Each model test also
-//!    runs a seeded mutant of its protocol and asserts the checker kills
-//!    it.
+//!    protocols: submit-vs-shutdown, the client's register-before-send
+//!    slot protocol, the shutdown sweep of straggling requests and the
+//!    event loop's completion doorbell. Each model test also runs a seeded
+//!    mutant of its protocol and asserts the checker kills it.
 
 // This umbrella crate only re-exports; the audited unsafe lives in
 // `teal-serve`'s `net/sys.rs` per the inventory above.
