@@ -6,10 +6,16 @@
 //! * [`pop`] — capacity-split replicas (POP);
 //! * [`teavar`] — scenario-robust allocation (TEAVAR*, B4 only);
 //! * Fleischer's approximation lives in `teal_lp::fleischer`.
+//!
+//! Every LP here is `teal_lp::solve_lp` at its fixed settings, POP splits
+//! clients at 0.25 and TEAVAR* prices risk at 0.5. The knobs left are the
+//! ones the crate's tests vary: NCFlow's clusters and rounds, POP's
+//! replicas and seed, and LP-top's α.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
 // audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
 // crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod lp_top;
 pub mod ncflow;
@@ -19,4 +25,4 @@ pub mod teavar;
 pub use lp_top::solve_lp_top;
 pub use ncflow::{partition, solve_ncflow, NcflowConfig};
 pub use pop::{solve_pop, PopConfig};
-pub use teavar::{solve_teavar, TeavarConfig};
+pub use teavar::solve_teavar;

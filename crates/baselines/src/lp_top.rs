@@ -10,13 +10,13 @@
 //! LP-top in Table 2 (and the reason LP-all can be *faster* than LP-top on
 //! the MLU objective, §5.5).
 
-use teal_lp::{solve_lp, Allocation, LpConfig, Objective, TeInstance};
+use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
 use teal_traffic::TrafficMatrix;
 
 /// Compute the LP-top allocation: LP over the top `alpha` fraction of
 /// demands (with everything else pinned to its shortest path and consuming
 /// capacity there), shortest path for the rest.
-pub fn solve_lp_top(inst: &TeInstance, obj: Objective, alpha: f64, cfg: &LpConfig) -> Allocation {
+pub fn solve_lp_top(inst: &TeInstance, obj: Objective, alpha: f64) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
     let top: Vec<usize> = inst.tm.top_indices(alpha);
@@ -51,7 +51,7 @@ pub fn solve_lp_top(inst: &TeInstance, obj: Objective, alpha: f64, cfg: &LpConfi
     let top_paths = subset_paths(inst, &top);
     let top_tm = TrafficMatrix::new(top_vols);
     let top_inst = TeInstance::new(&reduced_topo, &top_paths, &top_tm);
-    let (top_alloc, _) = solve_lp(&top_inst, obj, cfg);
+    let top_alloc = solve_lp(&top_inst, obj);
 
     for (i, &d) in top.iter().enumerate() {
         alloc.set_demand_splits(d, top_alloc.demand_splits(i));
@@ -86,9 +86,8 @@ mod tests {
             .collect();
         let tm = TrafficMatrix::new(demands);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let cfg = LpConfig::default();
-        let full = solve_lp(&inst, Objective::TotalFlow, &cfg).0;
-        let top = solve_lp_top(&inst, Objective::TotalFlow, 0.10, &cfg);
+        let full = solve_lp(&inst, Objective::TotalFlow);
+        let top = solve_lp_top(&inst, Objective::TotalFlow, 0.10);
         let f_full = evaluate(&inst, &full).realized_flow;
         let f_top = evaluate(&inst, &top).realized_flow;
         assert!(
@@ -107,7 +106,7 @@ mod tests {
             .collect();
         let tm = TrafficMatrix::new(demands);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let alloc = solve_lp_top(&inst, Objective::TotalFlow, 0.02, &LpConfig::default());
+        let alloc = solve_lp_top(&inst, Objective::TotalFlow, 0.02);
         // Some non-top demand: splits must be exactly shortest-path.
         let top = tm.top_indices(0.02);
         for d in 0..pairs.len() {
@@ -126,7 +125,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![10.0; pairs.len()]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let alloc = solve_lp_top(&inst, Objective::TotalFlow, 0.10, &LpConfig::default());
+        let alloc = solve_lp_top(&inst, Objective::TotalFlow, 0.10);
         assert!(alloc.demand_feasible(1e-6));
     }
 }

@@ -19,7 +19,7 @@
 //!    capacities (the conservative step that loses flow relative to LP-all,
 //!    as the paper observes).
 
-use teal_lp::{solve_lp, Allocation, LpConfig, Objective, TeInstance};
+use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::{NodeId, PathSet, Topology};
 use teal_traffic::TrafficMatrix;
 
@@ -33,8 +33,6 @@ pub struct NcflowConfig {
     /// is reached" (§5.2); each round re-runs the decomposition on the
     /// residual capacities.
     pub rounds: usize,
-    /// LP settings for subproblems.
-    pub lp: LpConfig,
 }
 
 impl NcflowConfig {
@@ -43,7 +41,6 @@ impl NcflowConfig {
         NcflowConfig {
             clusters: (num_nodes as f64).sqrt().round().max(2.0) as usize,
             rounds: 3,
-            lp: LpConfig::default(),
         }
     }
 }
@@ -64,8 +61,7 @@ pub fn partition(topo: &Topology, c: usize) -> Vec<usize> {
             let d = seeds
                 .iter()
                 .map(|&s| hop_distance(topo, s, v).unwrap_or(usize::MAX / 2))
-                .min()
-                .unwrap();
+                .fold(usize::MAX, usize::min);
             if d > best.1 {
                 best = (v, d);
             }
@@ -184,7 +180,6 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
             if demands.is_empty() {
                 continue;
             }
-            let lp_cfg = cfg.lp;
             s.spawn(move || {
                 let pairs: Vec<(usize, usize)> =
                     demands.iter().map(|&d| inst.paths.pairs()[d]).collect();
@@ -192,7 +187,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
                 let sub_paths = PathSet::compute(inst.topo, &pairs, inst.paths.k());
                 let sub_tm = TrafficMatrix::new(vols);
                 let sub_inst = TeInstance::new(inst.topo, &sub_paths, &sub_tm);
-                let (sub_alloc, _) = solve_lp(&sub_inst, obj, &lp_cfg);
+                let sub_alloc = solve_lp(&sub_inst, obj);
                 *slot = Some((demands.clone(), sub_alloc));
             });
         }
@@ -260,7 +255,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
             let agg_paths = PathSet::compute(&contracted, &agg_pairs, 4);
             let agg_tm = TrafficMatrix::new(agg_vols);
             let agg_inst = TeInstance::new(&contracted, &agg_paths, &agg_tm);
-            let (agg_alloc, _) = solve_lp(&agg_inst, obj, &cfg.lp);
+            let agg_alloc = solve_lp(&agg_inst, obj);
             for (i, &pair) in agg_pairs.iter().enumerate() {
                 let frac: f64 = agg_alloc.demand_splits(i).iter().sum();
                 budgets.insert(pair, frac * agg_tm.demand(i));
@@ -276,7 +271,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
         inst.tm
             .demand(b)
             .partial_cmp(&inst.tm.demand(a))
-            .unwrap()
+            .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
     for &d in &ordered {
@@ -369,11 +364,10 @@ mod tests {
         let cfg = NcflowConfig {
             clusters: 3,
             rounds: 2,
-            lp: LpConfig::default(),
         };
         let nc = solve_ncflow(&inst, Objective::TotalFlow, &cfg);
         assert!(nc.demand_feasible(1e-6));
-        let lp = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default()).0;
+        let lp = solve_lp(&inst, Objective::TotalFlow);
         let f_nc = evaluate(&inst, &nc).realized_flow;
         let f_lp = evaluate(&inst, &lp).realized_flow;
         assert!(f_nc <= f_lp + 1e-6, "decomposition cannot beat the optimum");
@@ -393,10 +387,9 @@ mod tests {
         let cfg = NcflowConfig {
             clusters: 1,
             rounds: 1,
-            lp: LpConfig::default(),
         };
         let nc = solve_ncflow(&inst, Objective::TotalFlow, &cfg);
-        let lp = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default()).0;
+        let lp = solve_lp(&inst, Objective::TotalFlow);
         let f_nc = evaluate(&inst, &nc).realized_flow;
         let f_lp = evaluate(&inst, &lp).realized_flow;
         assert!(

@@ -9,9 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teal_lp::{solve_lp, Allocation, LpConfig, Objective, TeInstance};
+use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
+
+/// Client-splitting threshold: a demand larger than this fraction of a
+/// replica's mean link capacity is split into equal virtual sub-demands.
+const SPLIT_THRESHOLD: f64 = 0.25;
 
 /// POP configuration.
 #[derive(Clone, Copy, Debug)]
@@ -19,13 +23,8 @@ pub struct PopConfig {
     /// Number of replicas (k). The paper uses 1 for B4/SWAN, 4 for
     /// UsCarrier, 128 for Kdl/ASN.
     pub replicas: usize,
-    /// Client-splitting threshold: a demand larger than this fraction of a
-    /// replica's mean link capacity is split into equal virtual sub-demands.
-    pub split_threshold: f64,
     /// RNG seed for demand-to-replica assignment.
     pub seed: u64,
-    /// LP settings per replica.
-    pub lp: LpConfig,
 }
 
 impl PopConfig {
@@ -41,12 +40,7 @@ impl PopConfig {
         } else {
             1
         };
-        PopConfig {
-            replicas,
-            split_threshold: 0.25,
-            seed: 0,
-            lp: LpConfig::default(),
-        }
+        PopConfig { replicas, seed: 0 }
     }
 }
 
@@ -58,7 +52,7 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
     let nd = inst.num_demands();
     let replicas = cfg.replicas.max(1);
     if replicas == 1 {
-        return solve_lp(inst, obj, &cfg.lp).0;
+        return solve_lp(inst, obj);
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x909_0001);
 
@@ -72,10 +66,10 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
         if vol <= 0.0 {
             continue;
         }
-        let parts = if vol > cfg.split_threshold * replica_cap_unit {
+        let parts = if vol > SPLIT_THRESHOLD * replica_cap_unit {
             // Split into enough virtual clients that each fits under the
             // threshold, capped at the replica count.
-            ((vol / (cfg.split_threshold * replica_cap_unit)).ceil() as usize).clamp(2, replicas)
+            ((vol / (SPLIT_THRESHOLD * replica_cap_unit)).ceil() as usize).clamp(2, replicas)
         } else {
             1
         };
@@ -95,15 +89,13 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
         for (r, slot) in replica_allocs.iter_mut().enumerate() {
             let shares = &shares;
             let replica_topo = &replica_topo;
-            let lp_cfg = cfg.lp;
             s.spawn(move || {
                 let tm_r = TrafficMatrix::new(shares[r].clone());
                 if tm_r.total() <= 0.0 {
                     return;
                 }
                 let inst_r = TeInstance::new(replica_topo, inst.paths, &tm_r);
-                let (alloc, _) = solve_lp(&inst_r, obj, &lp_cfg);
-                *slot = Some(alloc);
+                *slot = Some(solve_lp(&inst_r, obj));
             });
         }
     });
@@ -156,7 +148,7 @@ mod tests {
             ..PopConfig::paper_default("B4")
         };
         let pop = solve_pop(&inst, Objective::TotalFlow, &cfg);
-        let lp = solve_lp(&inst, Objective::TotalFlow, &cfg.lp).0;
+        let lp = solve_lp(&inst, Objective::TotalFlow);
         let fp = evaluate(&inst, &pop).realized_flow;
         let fl = evaluate(&inst, &lp).realized_flow;
         assert!((fp - fl).abs() < 1e-6 * (1.0 + fl));
@@ -168,13 +160,11 @@ mod tests {
         let inst = TeInstance::new(&topo, &paths, &tm);
         let cfg = PopConfig {
             replicas: 4,
-            split_threshold: 0.25,
             seed: 3,
-            lp: LpConfig::default(),
         };
         let pop = solve_pop(&inst, Objective::TotalFlow, &cfg);
         assert!(pop.demand_feasible(1e-6));
-        let lp = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default()).0;
+        let lp = solve_lp(&inst, Objective::TotalFlow);
         let fp = evaluate(&inst, &pop).realized_flow;
         let fl = evaluate(&inst, &lp).realized_flow;
         // POP trades quality for speed but should stay in the ballpark.
@@ -191,9 +181,7 @@ mod tests {
         let inst = TeInstance::new(&topo, &paths, &tm);
         let cfg = PopConfig {
             replicas: 4,
-            split_threshold: 0.25,
             seed: 1,
-            lp: LpConfig::default(),
         };
         let pop = solve_pop(&inst, Objective::TotalFlow, &cfg);
         // The big demand must receive a nonzero allocation (it was split

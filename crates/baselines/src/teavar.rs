@@ -24,22 +24,12 @@
 use teal_lp::simplex::{self, Row};
 use teal_lp::{Allocation, Objective, TeInstance};
 
-/// TEAVAR* configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct TeavarConfig {
-    /// Price κ of worst-case stranded flow. 0 disables hedging; ~0.5 is a
-    /// balanced setting; large values forfeit substantial utilization.
-    pub risk_penalty: f64,
-}
+/// Price κ of worst-case stranded flow: 0 would disable hedging, 0.5 is a
+/// balanced setting, and large values forfeit substantial utilization.
+const RISK_PENALTY: f64 = 0.5;
 
-impl Default for TeavarConfig {
-    fn default() -> Self {
-        TeavarConfig { risk_penalty: 0.5 }
-    }
-}
-
-/// Solve the VaR-penalized robust LP.
-pub fn solve_teavar(inst: &TeInstance, cfg: &TeavarConfig) -> Allocation {
+/// Solve the VaR-penalized robust LP at risk price κ = 0.5.
+pub fn solve_teavar(inst: &TeInstance) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
     let ne = inst.topo.num_edges();
@@ -64,7 +54,7 @@ pub fn solve_teavar(inst: &TeInstance, cfg: &TeavarConfig) -> Allocation {
     let l_var = nx;
     let mut c = vec![0.0f64; nvars];
     c[..nx].copy_from_slice(&inst.value_coefficients(Objective::TotalFlow));
-    c[l_var] = -cfg.risk_penalty;
+    c[l_var] = -RISK_PENALTY;
 
     let mut rows = Vec::new();
     for d in 0..nd {
@@ -89,24 +79,22 @@ pub fn solve_teavar(inst: &TeInstance, cfg: &TeavarConfig) -> Allocation {
         });
     }
     // Per-link loss rows: flow crossing the link minus L <= 0.
-    if cfg.risk_penalty > 0.0 {
-        for link in &links {
-            let mut touched: Vec<usize> = link
-                .iter()
-                .flat_map(|&e| inst.paths.paths_on_edge(e).iter().map(|&p| p as usize))
-                .collect();
-            touched.sort_unstable();
-            touched.dedup();
-            if touched.is_empty() {
-                continue;
-            }
-            let mut coeffs: Vec<(usize, f64)> = touched
-                .iter()
-                .map(|&p| (p, inst.tm.demand(p / k)))
-                .collect();
-            coeffs.push((l_var, -1.0));
-            rows.push(Row { coeffs, rhs: 0.0 });
+    for link in &links {
+        let mut touched: Vec<usize> = link
+            .iter()
+            .flat_map(|&e| inst.paths.paths_on_edge(e).iter().map(|&p| p as usize))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        if touched.is_empty() {
+            continue;
         }
+        let mut coeffs: Vec<(usize, f64)> = touched
+            .iter()
+            .map(|&p| (p, inst.tm.demand(p / k)))
+            .collect();
+        coeffs.push((l_var, -1.0));
+        rows.push(Row { coeffs, rhs: 0.0 });
     }
 
     let r = simplex::solve(&c, &rows, 500_000);
@@ -140,7 +128,7 @@ pub fn worst_single_failure_flow(inst: &TeInstance, alloc: &Allocation) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teal_lp::{evaluate, solve_lp, LpConfig};
+    use teal_lp::{evaluate, solve_lp};
     use teal_topology::{PathSet, Topology};
     use teal_traffic::TrafficMatrix;
 
@@ -155,8 +143,8 @@ mod tests {
 
     fn instance(tm: &TrafficMatrix, topo: &Topology, paths: &PathSet) -> (Allocation, Allocation) {
         let inst = TeInstance::new(topo, paths, tm);
-        let robust = solve_teavar(&inst, &TeavarConfig::default());
-        let lp = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default()).0;
+        let robust = solve_teavar(&inst);
+        let lp = solve_lp(&inst, Objective::TotalFlow);
         (robust, lp)
     }
 
@@ -181,7 +169,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![12.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let robust = solve_teavar(&inst, &TeavarConfig { risk_penalty: 0.5 });
+        let robust = solve_teavar(&inst);
         // Flow through each physical route (slots may alias the same path).
         let mut route_flow = std::collections::HashMap::new();
         for (j, p) in paths.paths_for(0).iter().enumerate() {

@@ -10,7 +10,7 @@ use teal_core::{
     train_coma, train_direct, DirectConfig, EngineConfig, PolicyModel, ServingContext, TealConfig,
     TealModel,
 };
-use teal_lp::{solve_lp, FlowStats, LpConfig, Objective};
+use teal_lp::{solve_lp, FlowStats, Objective};
 use teal_sim::TealScheme;
 use teal_topology::TopoKind;
 
@@ -194,7 +194,7 @@ pub fn fig16(h: &mut Harness) {
 
     // Reference optimal allocation.
     let inst = env.instance(&tm);
-    let (reference, _) = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default());
+    let reference = solve_lp(&inst, Objective::TotalFlow);
     let labels = busy_path_labels(&reference);
 
     // Subsample paths for t-SNE tractability (balanced between classes).

@@ -4,9 +4,7 @@ use super::{offline_means, Harness};
 use crate::table::{emit, emit_csv, Table};
 use std::sync::Arc;
 use teal_lp::{FlowStats, Objective};
-use teal_sim::{
-    metrics, run_online, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme, TealScheme,
-};
+use teal_sim::{metrics, run_online, Baseline, Scheme, Solver, TealScheme};
 use teal_topology::TopoKind;
 
 /// The scheme lineup of Figure 6 for one testbed. LP-all is skipped on the
@@ -15,25 +13,18 @@ use teal_topology::TopoKind;
 fn lineup(h: &mut Harness, kind: TopoKind, include_lp_all: bool) -> Vec<Box<dyn Scheme>> {
     let engine = h.teal_engine(kind);
     let env = Arc::clone(&h.bed(kind).env);
-    let mut v: Vec<Box<dyn Scheme>> = Vec::new();
+    let mut solvers = vec![
+        Solver::LpTop(Objective::TotalFlow),
+        Solver::Ncflow,
+        Solver::Pop,
+    ];
     if include_lp_all {
-        v.push(Box::new(LpAllScheme::new(
-            Arc::clone(&env),
-            Objective::TotalFlow,
-        )));
+        solvers.insert(0, Solver::LpAll(Objective::TotalFlow));
     }
-    v.push(Box::new(LpTopScheme::new(
-        Arc::clone(&env),
-        Objective::TotalFlow,
-    )));
-    v.push(Box::new(NcflowScheme::new(
-        Arc::clone(&env),
-        Objective::TotalFlow,
-    )));
-    v.push(Box::new(PopScheme::new(
-        Arc::clone(&env),
-        Objective::TotalFlow,
-    )));
+    let mut v: Vec<Box<dyn Scheme>> = Vec::new();
+    for solver in solvers {
+        v.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
+    }
     v.push(Box::new(TealScheme::new(engine)));
     v
 }

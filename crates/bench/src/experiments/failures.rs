@@ -6,10 +6,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 use teal_lp::Objective;
-use teal_sim::{
-    metrics, run_failure_interval, run_offline, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme,
-    Scheme, TealScheme, TeavarScheme,
-};
+use teal_sim::{metrics, run_failure_interval, run_offline, Baseline, Scheme, Solver, TealScheme};
 use teal_topology::{EdgeId, TopoKind, Topology};
 
 /// Sample `n` distinct bidirectional links and return their directed edge
@@ -68,13 +65,14 @@ pub fn fig8(h: &mut Harness) {
     let env = Arc::clone(&bed.env);
     let tm = bed.test[0].clone();
 
+    let baseline = |solver| Box::new(Baseline::new(Arc::clone(&env), solver));
     let mut schemes: Vec<Box<dyn Scheme>> = vec![
-        Box::new(TeavarScheme::new(Arc::clone(&env))),
-        Box::new(NcflowScheme::new(Arc::clone(&env), Objective::TotalFlow)),
+        baseline(Solver::Teavar),
+        baseline(Solver::Ncflow),
         Box::new(TealScheme::new(engine)),
-        Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(PopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
+        baseline(Solver::LpTop(Objective::TotalFlow)),
+        baseline(Solver::Pop),
+        baseline(Solver::LpAll(Objective::TotalFlow)),
     ];
 
     let mut t = Table::new(
@@ -123,10 +121,11 @@ pub fn fig9(h: &mut Harness) {
         .map(|&c| (c as f64 * scale).round() as usize)
         .collect();
 
+    let baseline = |solver| Box::new(Baseline::new(Arc::clone(&env), solver));
     let mut schemes: Vec<Box<dyn Scheme>> = vec![
-        Box::new(NcflowScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(PopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
+        baseline(Solver::Ncflow),
+        baseline(Solver::Pop),
+        baseline(Solver::LpTop(Objective::TotalFlow)),
         Box::new(TealScheme::new(engine)),
     ];
 

@@ -138,7 +138,8 @@ impl Harness {
             let bed = self.bed(kind);
             let env = std::sync::Arc::clone(&bed.env);
             let tm = bed.test[0].clone();
-            let mut lp = teal_sim::LpAllScheme::new(env, teal_lp::Objective::TotalFlow);
+            let solver = teal_sim::Solver::LpAll(teal_lp::Objective::TotalFlow);
+            let mut lp = teal_sim::Baseline::new(env, solver);
             use teal_sim::Scheme as _;
             let bed = self.bed(kind);
             let (_, dt) = lp.allocate(bed.env.topo(), &tm);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use teal_core::{train_coma, ComaConfig, EngineConfig, ServingContext, TealConfig, TealModel};
 use teal_lp::flow::DELAY_GAMMA;
 use teal_lp::{FlowStats, Objective};
-use teal_sim::{metrics, LpAllScheme, LpTopScheme, Scheme, TealScheme};
+use teal_sim::{metrics, Baseline, Scheme, Solver, TealScheme};
 use teal_topology::TopoKind;
 
 /// Figure 11: minimize max link utilization on Kdl & ASN.
@@ -72,9 +72,15 @@ fn objective_figure(
         let engine = ServingContext::new(model, EngineConfig::without_admm(objective));
         let mut schemes: Vec<Box<dyn Scheme>> = Vec::new();
         if kind != TopoKind::Asn || lp_all_on_asn {
-            schemes.push(Box::new(LpAllScheme::new(Arc::clone(&env), objective)));
+            schemes.push(Box::new(Baseline::new(
+                Arc::clone(&env),
+                Solver::LpAll(objective),
+            )));
         }
-        schemes.push(Box::new(LpTopScheme::new(Arc::clone(&env), objective)));
+        schemes.push(Box::new(Baseline::new(
+            Arc::clone(&env),
+            Solver::LpTop(objective),
+        )));
         schemes.push(Box::new(TealScheme::new(engine)));
         for s in &mut schemes {
             let (mean_time, value) = offline_means(&env, &bed.test, s.as_mut(), metric);

@@ -4,19 +4,23 @@ use super::Harness;
 use crate::table::{emit, emit_csv, Table};
 use std::sync::Arc;
 use teal_lp::Objective;
-use teal_sim::{run_online, LpTopScheme, NcflowScheme, PopScheme, Scheme, TealScheme};
+use teal_sim::{run_online, Baseline, Scheme, Solver, TealScheme};
 use teal_topology::TopoKind;
 use teal_traffic::{spatial_redistribution, temporal_fluctuation};
 
 fn lineup(h: &mut Harness, kind: TopoKind) -> Vec<Box<dyn Scheme>> {
     let engine = h.teal_engine(kind);
     let env = Arc::clone(&h.bed(kind).env);
-    vec![
-        Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(NcflowScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(PopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(TealScheme::new(engine)),
-    ]
+    let mut v: Vec<Box<dyn Scheme>> = Vec::new();
+    for solver in [
+        Solver::LpTop(Objective::TotalFlow),
+        Solver::Ncflow,
+        Solver::Pop,
+    ] {
+        v.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
+    }
+    v.push(Box::new(TealScheme::new(engine)));
+    v
 }
 
 /// Figure 10a: temporal fluctuations scaled 1x/2x/5x/10x/20x. The Teal

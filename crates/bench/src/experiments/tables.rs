@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 use teal_core::Env;
 use teal_lp::{concurrent, Objective};
+use teal_sim::{metrics, Baseline, Solver};
 use teal_topology::{generate, stats, PathSet, TopoKind};
 use teal_traffic::{TrafficConfig, TrafficModel};
 
@@ -158,14 +159,14 @@ pub fn fig17(fast: bool) {
         }
         let paths = PathSet::compute(&topo, &pairs, 4);
         let share = stats::routable_demand_share(&topo, &paths);
-        let (mean, q25, q50, q75, max) = stats::five_point(&share);
+        let q = |p| format!("{:.2}", metrics::percentile(&share, p));
         t.row(vec![
             kind.name().to_string(),
-            format!("{mean:.2}"),
-            format!("{q25:.2}"),
-            format!("{q50:.2}"),
-            format!("{q75:.2}"),
-            format!("{max:.2}"),
+            format!("{:.2}", metrics::mean(&share)),
+            q(0.25),
+            q(0.50),
+            q(0.75),
+            q(1.0),
         ]);
     }
     emit("fig17", &t.render());
@@ -183,33 +184,24 @@ pub fn table2_measured() {
     );
     let model = TealModel::new(Arc::clone(&env), TealConfig::default());
     let engine = ServingContext::new(model, EngineConfig::paper_default(12));
-    let mut schemes: Vec<Box<dyn teal_sim::Scheme>> = vec![
-        Box::new(teal_sim::TealScheme::new(engine)),
-        Box::new(teal_sim::LpAllScheme::new(
-            Arc::clone(&env),
-            Objective::TotalFlow,
-        )),
-        Box::new(teal_sim::LpTopScheme::new(
-            Arc::clone(&env),
-            Objective::TotalFlow,
-        )),
-        Box::new(teal_sim::NcflowScheme::new(
-            Arc::clone(&env),
-            Objective::TotalFlow,
-        )),
-        Box::new(teal_sim::PopScheme::new(
-            Arc::clone(&env),
-            Objective::TotalFlow,
-        )),
-        Box::new(teal_sim::TeavarScheme::new(Arc::clone(&env))),
-    ];
+    let mut schemes: Vec<Box<dyn teal_sim::Scheme>> =
+        vec![Box::new(teal_sim::TealScheme::new(engine))];
+    for solver in [
+        Solver::LpAll(Objective::TotalFlow),
+        Solver::LpTop(Objective::TotalFlow),
+        Solver::Ncflow,
+        Solver::Pop,
+        Solver::Teavar,
+    ] {
+        schemes.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
+    }
     for s in &mut schemes {
         let t0 = Instant::now();
         let _ = s.allocate(env.topo(), &tm);
         let dt = t0.elapsed();
         t.row(vec![
             s.name().to_string(),
-            teal_sim::metrics::fmt_secs(dt.as_secs_f64()),
+            metrics::fmt_secs(dt.as_secs_f64()),
         ]);
     }
     emit("table2_measured", &t.render());

@@ -122,7 +122,6 @@ pub struct NaiveGnnModel {
     src_idx: Arc<Vec<usize>>,
     dst_idx: Arc<Vec<usize>>,
     slope: f32,
-    hidden: usize,
 }
 
 impl NaiveGnnModel {
@@ -176,7 +175,6 @@ impl NaiveGnnModel {
             src_idx,
             dst_idx,
             slope: 0.1,
-            hidden,
         }
     }
 
@@ -221,7 +219,6 @@ impl PolicyModel for NaiveGnnModel {
         let a0 = g.leaky_relu(h0, self.slope);
         let (mu, b1) = self.head[1].forward(&self.store, g, a0);
         bounds.push(b1);
-        let _ = self.hidden;
         let logstd = self.store.bind(g, self.logstd);
         Forward::new(mu, None, logstd, bounds, self.logstd)
     }

@@ -135,7 +135,7 @@ pub fn solve(inst: &TeInstance, epsilon: f64, max_steps: usize) -> (Allocation, 
 mod tests {
     use super::*;
     use crate::flow::evaluate;
-    use crate::pathlp::{solve_lp, LpConfig};
+    use crate::pathlp::solve_lp;
     use crate::problem::Objective;
     use teal_topology::{PathSet, Topology};
     use teal_traffic::TrafficMatrix;
@@ -157,7 +157,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![30.0, 8.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let (opt_alloc, _) = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default());
+        let opt_alloc = solve_lp(&inst, Objective::TotalFlow);
         let opt = evaluate(&inst, &opt_alloc).realized_flow;
         let (fl_alloc, report) = solve(&inst, 0.05, 1_000_000);
         let fl = evaluate(&inst, &fl_alloc).realized_flow;

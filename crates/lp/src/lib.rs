@@ -6,6 +6,10 @@
 //!   and, run to convergence, as the large-instance "LP-all" substitute —
 //!   its [`BatchArena`] holds lane rows per path, demand and edge only
 //!   (Appendix C's per-(path, edge) `z`/`λ4` are per-edge scalars there),
+//! * [`pathlp`]: [`solve_lp`], LP-all itself, with three fixed settings —
+//!   the simplex up to 1,200 variables plus constraints, ADMM at
+//!   [`AdmmConfig::to_convergence`] above that, and 400 projected-subgradient
+//!   iterations ([`solve_mlu`]) for the MLU objective,
 //! * a [`fleischer`] multiplicative-weights approximation (§2.1's
 //!   combinatorial baseline),
 //! * [`concurrent`]: per-configuration serial solve times from which
@@ -30,5 +34,5 @@ pub mod simplex;
 
 pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, BatchArena};
 pub use flow::{evaluate, evaluate_with_gamma, objective_value, FlowSim, FlowStats};
-pub use pathlp::{solve_lp, solve_mlu, LpConfig, LpInfo, LpMethod};
+pub use pathlp::{solve_lp, solve_mlu};
 pub use problem::{Allocation, Objective, TeInstance};

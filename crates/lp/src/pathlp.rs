@@ -1,63 +1,31 @@
 //! High-level TE LP solving — the "LP-all" role from the paper.
 //!
 //! The paper's LP-all runs Gurobi on the full path LP. Our substitute picks
-//! a method by instance size:
+//! a method by instance size, and every setting is a constant:
 //!
-//! * **small instances** — the exact dense [`crate::simplex`] solver
-//!   (certified optimal; used for ground truth in tests and on B4-scale
-//!   networks);
-//! * **large instances** — cold-started [`crate::admm`] run to convergence,
-//!   which is near-optimal and whose iterative runtime scales with problem
-//!   size, reproducing the paper's "LP solvers get slow at scale" behaviour.
+//! * **small instances** — at most `SIMPLEX_BUDGET` = 1,200 variables plus
+//!   constraints: the exact dense [`crate::simplex`] solver (certified
+//!   optimal; used for ground truth in tests and on B4-scale networks);
+//! * **large instances** — cold-started [`crate::admm`] run to convergence
+//!   ([`AdmmConfig::to_convergence`]), which is near-optimal and whose
+//!   iterative runtime scales with problem size, reproducing the paper's
+//!   "LP solvers get slow at scale" behaviour.
 //!
 //! The min-max-link-utilization objective (§5.5), which routes *all* demand
-//! while minimizing peak utilization, is solved by projected subgradient
-//! descent over the per-demand probability simplices.
+//! while minimizing peak utilization, is solved by `MLU_ITERS` = 400 steps
+//! of projected subgradient descent over the per-demand probability
+//! simplices.
 
 use crate::admm::{AdmmConfig, AdmmSkeleton};
 use crate::problem::{Allocation, Objective, TeInstance};
 use crate::simplex::{self, Row, SimplexStatus};
 
-/// Which backend solved the instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LpMethod {
-    /// Exact dense simplex.
-    Simplex,
-    /// ADMM to convergence.
-    Admm,
-    /// Projected subgradient (MLU only).
-    Subgradient,
-}
+/// Instances with at most this many variables plus constraints go to the
+/// exact simplex; larger ones to ADMM run to convergence.
+const SIMPLEX_BUDGET: usize = 1200;
 
-/// Solve metadata.
-#[derive(Clone, Copy, Debug)]
-pub struct LpInfo {
-    /// Backend used.
-    pub method: LpMethod,
-    /// Iterations (pivots for simplex).
-    pub iterations: usize,
-}
-
-/// Configuration for [`solve_lp`].
-#[derive(Clone, Copy, Debug)]
-pub struct LpConfig {
-    /// Use the exact simplex when `variables + constraints` is at most this.
-    pub simplex_budget: usize,
-    /// ADMM settings for larger instances.
-    pub admm: AdmmConfig,
-    /// Iterations for the MLU subgradient method.
-    pub mlu_iters: usize,
-}
-
-impl Default for LpConfig {
-    fn default() -> Self {
-        LpConfig {
-            simplex_budget: 1200,
-            admm: AdmmConfig::to_convergence(),
-            mlu_iters: 400,
-        }
-    }
-}
+/// Subgradient iterations [`solve_lp`] spends on the MLU objective.
+const MLU_ITERS: usize = 400;
 
 /// Build the simplex rows of the path LP (demand rows then capacity rows).
 pub fn build_rows(inst: &TeInstance) -> Vec<Row> {
@@ -91,39 +59,28 @@ pub fn build_rows(inst: &TeInstance) -> Vec<Row> {
     rows
 }
 
-/// Solve the TE LP for a linear objective, choosing a backend by size.
-pub fn solve_lp(inst: &TeInstance, obj: Objective, cfg: &LpConfig) -> (Allocation, LpInfo) {
+/// Solve the TE LP, choosing a backend by objective and size (see the
+/// module docs).
+pub fn solve_lp(inst: &TeInstance, obj: Objective) -> Allocation {
     match obj {
-        Objective::MinMaxLinkUtil => solve_mlu(inst, cfg.mlu_iters),
+        Objective::MinMaxLinkUtil => solve_mlu(inst, MLU_ITERS),
         _ => {
             let k = inst.k();
             let nvars = inst.paths.num_paths();
             let ncons = inst.num_demands() + inst.topo.num_edges();
-            if nvars + ncons <= cfg.simplex_budget {
+            if nvars + ncons <= SIMPLEX_BUDGET {
                 let c = inst.value_coefficients(obj);
                 let rows = build_rows(inst);
                 let r = simplex::solve(&c, &rows, 200_000);
                 debug_assert_ne!(r.status, SimplexStatus::Unbounded);
                 let mut alloc = Allocation::from_splits(k, r.x);
                 alloc.project_demand_constraints();
-                (
-                    alloc,
-                    LpInfo {
-                        method: LpMethod::Simplex,
-                        iterations: r.iterations,
-                    },
-                )
+                alloc
             } else {
                 let init = Allocation::zeros(inst.num_demands(), k);
-                let (alloc, rep) =
-                    AdmmSkeleton::new(inst.topo, inst.paths, obj).solve(inst.tm, &init, cfg.admm);
-                (
-                    alloc,
-                    LpInfo {
-                        method: LpMethod::Admm,
-                        iterations: rep.iterations,
-                    },
-                )
+                AdmmSkeleton::new(inst.topo, inst.paths, obj)
+                    .solve(inst.tm, &init, AdmmConfig::to_convergence())
+                    .0
             }
         }
     }
@@ -134,18 +91,12 @@ pub fn solve_lp(inst: &TeInstance, obj: Objective, cfg: &LpConfig) -> (Allocatio
 ///
 /// Projected subgradient: at each step, find the argmax edge, push the
 /// splits of paths crossing it downward, and re-project onto the simplex.
-pub fn solve_mlu(inst: &TeInstance, iters: usize) -> (Allocation, LpInfo) {
+pub fn solve_mlu(inst: &TeInstance, iters: usize) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
     let mut alloc = Allocation::shortest_path(nd, k);
     if nd == 0 {
-        return (
-            alloc,
-            LpInfo {
-                method: LpMethod::Subgradient,
-                iterations: 0,
-            },
-        );
+        return alloc;
     }
     let mut best = alloc.clone();
     let mut best_mlu = mlu_of(inst, &alloc);
@@ -207,13 +158,7 @@ pub fn solve_mlu(inst: &TeInstance, iters: usize) -> (Allocation, LpInfo) {
             project_simplex(row);
         }
     }
-    (
-        best,
-        LpInfo {
-            method: LpMethod::Subgradient,
-            iterations: iters,
-        },
-    )
+    best
 }
 
 fn mlu_of(inst: &TeInstance, alloc: &Allocation) -> f64 {
@@ -276,30 +221,10 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![25.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let (alloc, info) = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default());
-        assert_eq!(info.method, LpMethod::Simplex);
+        let alloc = solve_lp(&inst, Objective::TotalFlow);
         // Both routes saturated: 20 of 25 delivered.
         let flow = evaluate(&inst, &alloc).realized_flow;
         assert!((flow - 20.0).abs() < 1e-6, "flow {flow}");
-    }
-
-    #[test]
-    fn large_budget_forces_admm_and_agrees_with_simplex() {
-        let topo = parallel_pair();
-        let pairs = vec![(0usize, 3usize), (1usize, 2usize)];
-        let paths = PathSet::compute(&topo, &pairs, 4);
-        let tm = TrafficMatrix::new(vec![25.0, 4.0]);
-        let inst = TeInstance::new(&topo, &paths, &tm);
-        let (exact, _) = solve_lp(&inst, Objective::TotalFlow, &LpConfig::default());
-        let cfg = LpConfig {
-            simplex_budget: 0,
-            ..LpConfig::default()
-        };
-        let (approx, info) = solve_lp(&inst, Objective::TotalFlow, &cfg);
-        assert_eq!(info.method, LpMethod::Admm);
-        let fe = evaluate(&inst, &exact).realized_flow;
-        let fa = evaluate(&inst, &approx).realized_flow;
-        assert!(fa > 0.93 * fe, "admm {fa} vs simplex {fe}");
     }
 
     #[test]
@@ -309,8 +234,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![10.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let (alloc, info) = solve_lp(&inst, Objective::MinMaxLinkUtil, &LpConfig::default());
-        assert_eq!(info.method, LpMethod::Subgradient);
+        let alloc = solve_lp(&inst, Objective::MinMaxLinkUtil);
         let mlu = evaluate(&inst, &alloc).max_link_util;
         // Optimal MLU = 10 / (10 + 10) = 0.5.
         assert!(mlu < 0.56, "mlu {mlu}, optimal 0.5");
@@ -327,7 +251,7 @@ mod tests {
         let tm = TrafficMatrix::new(vec![3.0; pairs.len()]);
         let inst = TeInstance::new(&topo, &paths, &tm);
         let sp_mlu = evaluate(&inst, &Allocation::shortest_path(pairs.len(), 4)).max_link_util;
-        let (alloc, _) = solve_mlu(&inst, 300);
+        let alloc = solve_mlu(&inst, 300);
         let got = evaluate(&inst, &alloc).max_link_util;
         assert!(got < sp_mlu, "mlu {got} should beat shortest-path {sp_mlu}");
     }
@@ -339,11 +263,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![5.0]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let (alloc, _) = solve_lp(
-            &inst,
-            Objective::DelayPenalizedFlow(0.9),
-            &LpConfig::default(),
-        );
+        let alloc = solve_lp(&inst, Objective::DelayPenalizedFlow(0.9));
         // With light load and a strong penalty, everything goes on path 0.
         assert!(
             alloc.demand_splits(0)[0] > 0.9,

@@ -30,16 +30,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Change the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Apply one update using the gradients accumulated in the store, then
     /// leave the gradients untouched (call `zero_grads` separately).
     pub fn step(&mut self, store: &mut ParamStore) {
@@ -138,13 +128,5 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let p = quadratic_descent(false);
         assert!((p - 3.0).abs() < 0.01, "sgd converged to {p}");
-    }
-
-    #[test]
-    fn adam_lr_mutable() {
-        let mut a = Adam::new(1e-4);
-        assert_eq!(a.lr(), 1e-4);
-        a.set_lr(1e-3);
-        assert_eq!(a.lr(), 1e-3);
     }
 }

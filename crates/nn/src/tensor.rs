@@ -199,11 +199,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Maximum absolute element (0.0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -507,7 +502,6 @@ mod tests {
     fn norms_and_finiteness() {
         let t = Tensor::from_vec(1, 2, vec![3.0, 4.0]);
         assert!((t.norm() - 5.0).abs() < 1e-6);
-        assert_eq!(t.max_abs(), 4.0);
         assert!(t.all_finite());
         let bad = Tensor::from_vec(1, 1, vec![f32::NAN]);
         assert!(!bad.all_finite());

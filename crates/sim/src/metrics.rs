@@ -1,19 +1,6 @@
-//! Statistics helpers for the figures: CDFs, percentiles, summary rows.
+//! Statistics helpers for the figures: percentiles, means, summary rows.
 
-/// Empirical CDF: returns `(value, cumulative_probability)` points sorted by
-/// value (probability at each point includes that value).
-pub fn cdf(values: &[f64]) -> Vec<(f64, f64)> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = v.len() as f64;
-    v.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n))
-        .collect()
-}
+use std::cmp::Ordering;
 
 /// The `p`-quantile (0 ≤ p ≤ 1) by nearest-rank interpolation.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
@@ -22,7 +9,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     let idx = ((v.len() - 1) as f64 * p).round() as usize;
     v[idx]
 }
@@ -62,18 +49,6 @@ pub fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cdf_is_monotone_and_complete() {
-        let c = cdf(&[3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c[0].0, 1.0);
-        assert!((c.last().unwrap().1 - 1.0).abs() < 1e-12);
-        for w in c.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
 
     #[test]
     fn percentile_extremes() {

@@ -206,7 +206,7 @@ fn mixed_pct(inst: &TeInstance, old: &Allocation, new: &Allocation, w_old: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::{LpAllScheme, Scheme, ShortestPathScheme, TealScheme};
+    use crate::schemes::{Baseline, Scheme, Solver, TealScheme};
     use std::sync::Arc;
     use teal_core::{EngineConfig, ServingContext, TealConfig, TealModel};
     use teal_lp::Objective;
@@ -219,6 +219,10 @@ mod tests {
             .map(|i| TrafficMatrix::new(vec![5.0 + i as f64; env.num_demands()]))
             .collect();
         (env, tms)
+    }
+
+    fn lp_all(env: &Arc<Env>) -> Baseline {
+        Baseline::new(Arc::clone(env), Solver::LpAll(Objective::TotalFlow))
     }
 
     fn satisfied(stats: &[FlowStats]) -> Vec<f64> {
@@ -239,7 +243,7 @@ mod tests {
             },
         );
         let mut schemes: [Box<dyn Scheme>; 2] = [
-            Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
+            Box::new(lp_all(&env)),
             Box::new(TealScheme::new(ServingContext::new(
                 model,
                 EngineConfig::paper_default(12),
@@ -283,9 +287,9 @@ mod tests {
     #[test]
     fn online_with_generous_interval_matches_offline() {
         let (env, tms) = setup(4);
-        let mut s1 = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
+        let mut s1 = lp_all(&env);
         let on = run_online(&env, env.topo(), &tms, &mut s1, Duration::from_secs(3600));
-        let mut s2 = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
+        let mut s2 = lp_all(&env);
         let off = satisfied(&run_offline(&env, env.topo(), &tms, &mut s2, 1).0);
         // With an hour-long interval the sub-second solver is effectively
         // instantaneous; online ≈ offline except the first interval's warmup.
@@ -315,12 +319,9 @@ mod tests {
         }
         let (env, tms) = setup(6);
         let interval = Duration::from_millis(200);
-        let mut fast = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
+        let mut fast = lp_all(&env);
         let fast_res = run_online(&env, env.topo(), &tms, &mut fast, interval);
-        let mut slow = Slow(
-            LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow),
-            Duration::from_millis(500),
-        );
+        let mut slow = Slow(lp_all(&env), Duration::from_millis(500));
         let slow_res = run_online(&env, env.topo(), &tms, &mut slow, interval);
         assert!(
             slow_res.mean_satisfied_pct() <= fast_res.mean_satisfied_pct() + 1e-9,
@@ -351,7 +352,7 @@ mod tests {
         }
         let (env, tms) = setup(6);
         let dt = Duration::from_millis(200);
-        let mut scheme = FixedTime(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow), dt);
+        let mut scheme = FixedTime(lp_all(&env), dt);
         let res = run_online(
             &env,
             env.topo(),
@@ -382,7 +383,7 @@ mod tests {
     fn failure_interval_bounded() {
         let (env, tms) = setup(1);
         let failed = env.topo().with_failed_link(0, 1);
-        let mut scheme = ShortestPathScheme::new(Arc::clone(&env));
+        let mut scheme = Baseline::new(Arc::clone(&env), Solver::ShortestPath);
         let pre = Allocation::shortest_path(env.num_demands(), env.k());
         let pct = run_failure_interval(
             &env,

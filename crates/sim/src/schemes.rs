@@ -4,10 +4,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use teal_baselines::{
-    solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig, TeavarConfig,
+    solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig,
 };
 use teal_core::{BatchScratch, Env, PolicyModel, ServingContext};
-use teal_lp::{fleischer, solve_lp, Allocation, LpConfig, Objective, TeInstance};
+use teal_lp::{fleischer, solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
 
@@ -43,221 +43,74 @@ pub trait Scheme {
     }
 }
 
-fn timed<F: FnOnce() -> Allocation>(f: F) -> (Allocation, Duration) {
-    let t0 = Instant::now();
-    let a = f();
-    (a, t0.elapsed())
+/// The solver a [`Baseline`] runs, each at the one setting §5.1 evaluates
+/// it at. NCFlow and POP solve [`Objective::TotalFlow`].
+#[derive(Clone, Copy, Debug)]
+pub enum Solver {
+    /// LP-all: the full path LP (exact simplex on small instances, ADMM to
+    /// convergence on large ones — our Gurobi substitute).
+    LpAll(Objective),
+    /// LP-top: demand pinning with α = 10%.
+    LpTop(Objective),
+    /// NCFlow-like cluster decomposition, √n clusters.
+    Ncflow,
+    /// POP capacity-split replicas, the replica count by topology family.
+    Pop,
+    /// TEAVAR*: failure-aware robust allocation (small topologies only).
+    Teavar,
+    /// Fleischer's combinatorial approximation (§2.1), ε = 0.1.
+    Fleischer,
+    /// Shortest-path-only routing (lower-bound sanity baseline).
+    ShortestPath,
 }
 
-/// LP-all: the full path LP (exact simplex on small instances, ADMM to
-/// convergence on large ones — our Gurobi substitute).
-pub struct LpAllScheme {
+/// A baseline TE scheme: one [`Solver`] over an environment's candidate
+/// paths.
+pub struct Baseline {
     env: Arc<Env>,
-    /// Objective to optimize.
-    pub objective: Objective,
-    /// Solver settings.
-    pub cfg: LpConfig,
+    solver: Solver,
 }
 
-impl LpAllScheme {
-    /// LP-all with default settings.
-    pub fn new(env: Arc<Env>, objective: Objective) -> Self {
-        LpAllScheme {
-            env,
-            objective,
-            cfg: LpConfig::default(),
-        }
+impl Baseline {
+    /// `solver` over `env`'s candidate paths.
+    pub fn new(env: Arc<Env>, solver: Solver) -> Self {
+        Baseline { env, solver }
     }
 }
 
-impl Scheme for LpAllScheme {
+impl Scheme for Baseline {
     fn name(&self) -> &str {
-        "LP-all"
+        match self.solver {
+            Solver::LpAll(_) => "LP-all",
+            Solver::LpTop(_) => "LP-top",
+            Solver::Ncflow => "NCFlow",
+            Solver::Pop => "POP",
+            Solver::Teavar => "TEAVAR*",
+            Solver::Fleischer => "Fleischer",
+            Solver::ShortestPath => "ShortestPath",
+        }
     }
 
     fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let inst = TeInstance::new(topo, self.env.paths(), tm);
-        timed(|| solve_lp(&inst, self.objective, &self.cfg).0)
-    }
-}
-
-/// LP-top: demand pinning with α = 10%.
-pub struct LpTopScheme {
-    env: Arc<Env>,
-    /// Objective to optimize.
-    pub objective: Objective,
-    /// Fraction of demands receiving the LP treatment.
-    pub alpha: f64,
-    /// Solver settings.
-    pub cfg: LpConfig,
-}
-
-impl LpTopScheme {
-    /// The paper's α = 10% configuration.
-    pub fn new(env: Arc<Env>, objective: Objective) -> Self {
-        LpTopScheme {
-            env,
-            objective,
-            alpha: 0.10,
-            cfg: LpConfig::default(),
-        }
-    }
-}
-
-impl Scheme for LpTopScheme {
-    fn name(&self) -> &str {
-        "LP-top"
-    }
-
-    fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let inst = TeInstance::new(topo, self.env.paths(), tm);
-        timed(|| solve_lp_top(&inst, self.objective, self.alpha, &self.cfg))
-    }
-}
-
-/// NCFlow-like cluster decomposition.
-pub struct NcflowScheme {
-    env: Arc<Env>,
-    /// Objective to optimize.
-    pub objective: Objective,
-    /// Decomposition settings.
-    pub cfg: NcflowConfig,
-}
-
-impl NcflowScheme {
-    /// Cluster count per the paper's sqrt-scale heuristic.
-    pub fn new(env: Arc<Env>, objective: Objective) -> Self {
-        let cfg = NcflowConfig::paper_default(env.topo().num_nodes());
-        NcflowScheme {
-            env,
-            objective,
-            cfg,
-        }
-    }
-}
-
-impl Scheme for NcflowScheme {
-    fn name(&self) -> &str {
-        "NCFlow"
-    }
-
-    fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let inst = TeInstance::new(topo, self.env.paths(), tm);
-        timed(|| solve_ncflow(&inst, self.objective, &self.cfg))
-    }
-}
-
-/// POP capacity-split replicas.
-pub struct PopScheme {
-    env: Arc<Env>,
-    /// Objective to optimize.
-    pub objective: Objective,
-    /// Replica settings.
-    pub cfg: PopConfig,
-}
-
-impl PopScheme {
-    /// Replica count per the paper's topology-size rule.
-    pub fn new(env: Arc<Env>, objective: Objective) -> Self {
-        let cfg = PopConfig::paper_default(env.topo().name());
-        PopScheme {
-            env,
-            objective,
-            cfg,
-        }
-    }
-}
-
-impl Scheme for PopScheme {
-    fn name(&self) -> &str {
-        "POP"
-    }
-
-    fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let inst = TeInstance::new(topo, self.env.paths(), tm);
-        timed(|| solve_pop(&inst, self.objective, &self.cfg))
-    }
-}
-
-/// TEAVAR*: failure-aware robust allocation (small topologies only).
-pub struct TeavarScheme {
-    env: Arc<Env>,
-    /// Risk settings.
-    pub cfg: TeavarConfig,
-}
-
-impl TeavarScheme {
-    /// Default risk penalty.
-    pub fn new(env: Arc<Env>) -> Self {
-        TeavarScheme {
-            env,
-            cfg: TeavarConfig::default(),
-        }
-    }
-}
-
-impl Scheme for TeavarScheme {
-    fn name(&self) -> &str {
-        "TEAVAR*"
-    }
-
-    fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let inst = TeInstance::new(topo, self.env.paths(), tm);
-        timed(|| solve_teavar(&inst, &self.cfg))
-    }
-}
-
-/// Fleischer's combinatorial approximation (§2.1).
-pub struct FleischerScheme {
-    env: Arc<Env>,
-    /// Accuracy parameter.
-    pub epsilon: f64,
-    /// Step budget.
-    pub max_steps: usize,
-}
-
-impl FleischerScheme {
-    /// ε = 0.1 with a generous step budget.
-    pub fn new(env: Arc<Env>) -> Self {
-        FleischerScheme {
-            env,
-            epsilon: 0.1,
-            max_steps: 2_000_000,
-        }
-    }
-}
-
-impl Scheme for FleischerScheme {
-    fn name(&self) -> &str {
-        "Fleischer"
-    }
-
-    fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let inst = TeInstance::new(topo, self.env.paths(), tm);
-        timed(|| fleischer::solve(&inst, self.epsilon, self.max_steps).0)
-    }
-}
-
-/// Shortest-path-only routing (lower-bound sanity baseline).
-pub struct ShortestPathScheme {
-    env: Arc<Env>,
-}
-
-impl ShortestPathScheme {
-    /// Route everything on the first candidate path.
-    pub fn new(env: Arc<Env>) -> Self {
-        ShortestPathScheme { env }
-    }
-}
-
-impl Scheme for ShortestPathScheme {
-    fn name(&self) -> &str {
-        "ShortestPath"
-    }
-
-    fn allocate(&mut self, _topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
         let env = &self.env;
-        timed(|| Allocation::shortest_path(tm.len(), env.k()))
+        let inst = TeInstance::new(topo, env.paths(), tm);
+        let t0 = Instant::now();
+        let alloc = match self.solver {
+            Solver::LpAll(obj) => solve_lp(&inst, obj),
+            Solver::LpTop(obj) => solve_lp_top(&inst, obj, 0.10),
+            Solver::Ncflow => {
+                let cfg = NcflowConfig::paper_default(env.topo().num_nodes());
+                solve_ncflow(&inst, Objective::TotalFlow, &cfg)
+            }
+            Solver::Pop => {
+                let cfg = PopConfig::paper_default(env.topo().name());
+                solve_pop(&inst, Objective::TotalFlow, &cfg)
+            }
+            Solver::Teavar => solve_teavar(&inst),
+            Solver::Fleischer => fleischer::solve(&inst, 0.1, 2_000_000).0,
+            Solver::ShortestPath => Allocation::shortest_path(tm.len(), env.k()),
+        };
+        (alloc, t0.elapsed())
     }
 }
 
@@ -328,16 +181,19 @@ mod tests {
             },
         );
         let engine = ServingContext::new(model, EngineConfig::paper_default(12));
-        let mut schemes: Vec<Box<dyn Scheme>> = vec![
-            Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-            Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-            Box::new(NcflowScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-            Box::new(PopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-            Box::new(TeavarScheme::new(Arc::clone(&env))),
-            Box::new(FleischerScheme::new(Arc::clone(&env))),
-            Box::new(ShortestPathScheme::new(Arc::clone(&env))),
-            Box::new(TealScheme::new(engine)),
-        ];
+        let mut schemes: Vec<Box<dyn Scheme>> = [
+            Solver::LpAll(Objective::TotalFlow),
+            Solver::LpTop(Objective::TotalFlow),
+            Solver::Ncflow,
+            Solver::Pop,
+            Solver::Teavar,
+            Solver::Fleischer,
+            Solver::ShortestPath,
+        ]
+        .into_iter()
+        .map(|solver| Box::new(Baseline::new(Arc::clone(&env), solver)) as Box<dyn Scheme>)
+        .collect();
+        schemes.push(Box::new(TealScheme::new(engine)));
         for s in &mut schemes {
             let (alloc, dt) = s.allocate(env.topo(), &tm);
             assert!(alloc.demand_feasible(1e-6), "{} infeasible", s.name());
@@ -373,13 +229,72 @@ mod tests {
         }
     }
 
+    fn bits(alloc: &Allocation) -> Vec<u64> {
+        alloc.splits().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each baseline allocates exactly what a direct call of its solver
+    /// returns at §5.1's settings, written out here as literals. The
+    /// 15-node Kdl instance puts POP on 8 replicas and NCFlow on 4 clusters.
+    #[test]
+    fn every_baseline_runs_its_solver_at_the_paper_settings() {
+        use teal_lp::solve_mlu;
+        use teal_topology::{generate, PathSet, TopoKind};
+        let kdl = {
+            let topo = generate(TopoKind::Kdl, 0.02, 5);
+            let mut pairs = topo.all_pairs();
+            pairs.truncate(40);
+            let paths = PathSet::compute(&topo, &pairs, 4);
+            Arc::new(Env::new(topo, paths))
+        };
+        let obj = Objective::TotalFlow;
+        // (env, NCFlow clusters, POP replicas).
+        for (env, clusters, replicas) in [(setup().0, 3, 1), (kdl, 4, 8)] {
+            let nd = env.num_demands();
+            let tm = TrafficMatrix::new((0..nd).map(|d| 1.0 + 3.0 * (d * 7 % 11) as f64).collect());
+            let inst = env.instance(&tm);
+            let direct = [
+                (Solver::LpAll(obj), solve_lp(&inst, obj)),
+                (
+                    Solver::LpAll(Objective::MinMaxLinkUtil),
+                    solve_mlu(&inst, 400),
+                ),
+                (Solver::LpTop(obj), solve_lp_top(&inst, obj, 0.10)),
+                (
+                    Solver::Ncflow,
+                    solve_ncflow(
+                        &inst,
+                        obj,
+                        &NcflowConfig {
+                            clusters,
+                            rounds: 3,
+                        },
+                    ),
+                ),
+                (
+                    Solver::Pop,
+                    solve_pop(&inst, obj, &PopConfig { replicas, seed: 0 }),
+                ),
+                (Solver::Teavar, solve_teavar(&inst)),
+                (Solver::Fleischer, fleischer::solve(&inst, 0.1, 2_000_000).0),
+                (Solver::ShortestPath, Allocation::shortest_path(nd, env.k())),
+            ];
+            for (solver, want) in direct {
+                let mut baseline = Baseline::new(Arc::clone(&env), solver);
+                let (got, _) = baseline.allocate(env.topo(), &tm);
+                let name = baseline.name();
+                assert_eq!(bits(&got), bits(&want), "{name} on {}", env.topo().name());
+            }
+        }
+    }
+
     #[test]
     fn lp_all_dominates_shortest_path() {
         let (env, _) = setup();
         // Saturating demands make multipath matter.
         let tm = TrafficMatrix::new(vec![60.0; env.num_demands()]);
-        let mut lp = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
-        let mut sp = ShortestPathScheme::new(Arc::clone(&env));
+        let mut lp = Baseline::new(Arc::clone(&env), Solver::LpAll(Objective::TotalFlow));
+        let mut sp = Baseline::new(Arc::clone(&env), Solver::ShortestPath);
         let (a_lp, _) = lp.allocate(env.topo(), &tm);
         let (a_sp, _) = sp.allocate(env.topo(), &tm);
         let inst = env.instance(&tm);

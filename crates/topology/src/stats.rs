@@ -110,18 +110,6 @@ pub fn check_path_set(topo: &Topology, paths: &PathSet) -> Result<(), String> {
     Ok(())
 }
 
-/// Summary statistics of a distribution: (mean, p25, p50, p75, max).
-pub fn five_point(values: &[f64]) -> (f64, f64, f64, f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0, 0.0, 0.0, 0.0);
-    }
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let mean = v.iter().sum::<f64>() / v.len() as f64;
-    let q = |p: f64| v[((v.len() - 1) as f64 * p).round() as usize];
-    (mean, q(0.25), q(0.50), q(0.75), *v.last().unwrap())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,15 +153,5 @@ mod tests {
         for s in share {
             assert!((0.0..=100.0).contains(&s));
         }
-    }
-
-    #[test]
-    fn five_point_summary() {
-        let (mean, q25, q50, q75, max) = five_point(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(mean, 3.0);
-        assert_eq!(q25, 2.0);
-        assert_eq!(q50, 3.0);
-        assert_eq!(q75, 4.0);
-        assert_eq!(max, 5.0);
     }
 }

@@ -12,7 +12,7 @@ use teal::core::{
     train_coma, validate, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
 use teal::lp::{FlowStats, Objective};
-use teal::sim::{run_offline, LpAllScheme, TealScheme};
+use teal::sim::{run_offline, Baseline, Solver, TealScheme};
 use teal::topology::b4;
 use teal::traffic::{TrafficConfig, TrafficModel};
 
@@ -64,7 +64,7 @@ fn main() {
     //        time.
     let engine = ServingContext::new(model, EngineConfig::paper_default(12));
     let mut teal = TealScheme::new(engine);
-    let mut lp = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
+    let mut lp = Baseline::new(Arc::clone(&env), Solver::LpAll(Objective::TotalFlow));
     let (teal_stats, teal_times) = run_offline(&env, env.topo(), &test, &mut teal, 1);
     let (lp_stats, _) = run_offline(&env, env.topo(), &test, &mut lp, 1);
     let n = test.len() as f64;

@@ -14,10 +14,7 @@ use teal::core::{
     train_coma, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
 use teal::lp::Objective;
-use teal::sim::{
-    run_online, FleischerScheme, LpAllScheme, LpTopScheme, NcflowScheme, PopScheme, Scheme,
-    TealScheme,
-};
+use teal::sim::{run_online, Baseline, Scheme, Solver, TealScheme};
 use teal::topology::{generate, PathSet, TopoKind};
 use teal::traffic::{TrafficConfig, TrafficModel};
 
@@ -54,7 +51,7 @@ fn main() {
 
     // TE interval chosen so LP-all stands in the same runtime-to-interval
     // ratio as the paper measured on Kdl (585 s against a 300 s budget).
-    let mut probe = LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow);
+    let mut probe = Baseline::new(Arc::clone(&env), Solver::LpAll(Objective::TotalFlow));
     let (_, lp_dt) = probe.allocate(env.topo(), &test[0]);
     let interval = Duration::from_secs_f64(lp_dt.as_secs_f64() / 1.95);
     println!(
@@ -63,14 +60,17 @@ fn main() {
         interval.as_secs_f64()
     );
 
-    let mut schemes: Vec<Box<dyn Scheme>> = vec![
-        Box::new(LpAllScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(LpTopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(NcflowScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(PopScheme::new(Arc::clone(&env), Objective::TotalFlow)),
-        Box::new(FleischerScheme::new(Arc::clone(&env))),
-        Box::new(TealScheme::new(engine)),
-    ];
+    let mut schemes: Vec<Box<dyn Scheme>> = Vec::new();
+    for solver in [
+        Solver::LpAll(Objective::TotalFlow),
+        Solver::LpTop(Objective::TotalFlow),
+        Solver::Ncflow,
+        Solver::Pop,
+        Solver::Fleischer,
+    ] {
+        schemes.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
+    }
+    schemes.push(Box::new(TealScheme::new(engine)));
 
     println!(
         "{:<12} {:>16} {:>22}",

@@ -6,7 +6,7 @@ use teal::core::PolicyModel;
 use teal::core::{
     train_coma, validate, ComaConfig, EngineConfig, Env, ServingContext, TealConfig, TealModel,
 };
-use teal::lp::{evaluate, solve_lp, Allocation, LpConfig, Objective};
+use teal::lp::{evaluate, solve_lp, Allocation, Objective};
 use teal::topology::b4;
 use teal::traffic::{TrafficConfig, TrafficModel};
 
@@ -57,19 +57,17 @@ fn scheme_quality_ordering_holds() {
     let env = b4_env();
     let tm = traffic(&env, 0, 1, 9).remove(0);
     let inst = env.instance(&tm);
-    let cfg = LpConfig::default();
 
     let flow = |alloc: &Allocation| evaluate(&inst, alloc).realized_flow;
 
-    let (lp_all, _) = solve_lp(&inst, Objective::TotalFlow, &cfg);
-    let lp_top = teal::baselines::solve_lp_top(&inst, Objective::TotalFlow, 0.10, &cfg);
+    let lp_all = solve_lp(&inst, Objective::TotalFlow);
+    let lp_top = teal::baselines::solve_lp_top(&inst, Objective::TotalFlow, 0.10);
     let ncflow = teal::baselines::solve_ncflow(
         &inst,
         Objective::TotalFlow,
         &teal::baselines::NcflowConfig {
             clusters: 3,
             rounds: 2,
-            lp: cfg,
         },
     );
     let pop = teal::baselines::solve_pop(
@@ -77,9 +75,7 @@ fn scheme_quality_ordering_holds() {
         Objective::TotalFlow,
         &teal::baselines::PopConfig {
             replicas: 2,
-            split_threshold: 0.25,
             seed: 1,
-            lp: cfg,
         },
     );
     let sp = Allocation::shortest_path(inst.num_demands(), inst.k());
