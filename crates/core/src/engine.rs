@@ -38,12 +38,13 @@
 //! is reused from its second window onwards. The scratch-less
 //! [`ServingContext::try_allocate_batch`] and
 //! [`ServingContext::try_allocate_batch_on`] are the one-shot form and run
-//! on a fresh scratch. (The returned `Vec<Allocation>` is owned by the
-//! caller — replies consume it — so the *fully* allocation-free steady
+//! on a fresh scratch. ADMM writes its refined splits over the forward
+//! stage's allocations, so that one `Vec<Allocation>` is the reply. (The
+//! caller owns and consumes it, so the *fully* allocation-free steady
 //! state, asserted by `teal-lp`'s counting-allocator test, belongs to
-//! callers that retain their output buffers and drive
-//! `AdmmBatchSolver::run_batch_into` directly.) See [`BatchScratch`] for
-//! the ownership and weight-swap-safety rules.
+//! callers that retain their allocations and drive
+//! `AdmmBatchSolver::run_batch_in_place` directly.) See [`BatchScratch`]
+//! for the ownership and weight-swap-safety rules.
 
 use crate::env::Env;
 use crate::model::PolicyModel;
@@ -116,10 +117,12 @@ impl EngineConfig {
 }
 
 /// Reusable scratch for one serving dispatch lane: the ADMM
-/// [`teal_lp::BatchArena`] (lane rows per path, demand and edge — nothing
-/// sized by path-edge incidence), the reminted-per-window batch solver (its
-/// per-demand volume buffer is grow-only), and the per-matrix report buffer.
-/// A window's output allocations are its own, returned to the caller.
+/// [`teal_lp::BatchArena`] (lane rows per path, demand and crossed edge —
+/// nothing sized by path-edge incidence; `ν = ρδ − μ` is recomputed), the
+/// reminted-per-window batch solver (its per-demand volume buffer is
+/// grow-only), and the per-matrix report buffer. A window's allocations are
+/// its own: the forward stage's, refined in place and returned to the
+/// caller.
 ///
 /// # Ownership rules
 ///
@@ -437,53 +440,43 @@ impl<M: PolicyModel> ServingContext<M> {
             // The pool claims each index exactly once, so the slot is empty.
             let _ = slots[i].set(self.model.allocate_deterministic(&input));
         });
-        let raw: Vec<Allocation> = slots
+        let mut out: Vec<Allocation> = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(|| unreachable!("pool::run runs every index before it returns"))
             })
             .collect();
-        let mut out = match (self.cfg.admm, &self.skeleton) {
-            (Some(admm_cfg), Some(skel)) => {
-                // Per-window budget override (the adaptive §3.4 knob): never
-                // above the configured budget, never below one iteration.
-                let budget = scratch
-                    .iteration_budget
-                    .map_or(admm_cfg.max_iters, |b| b.clamp(1, admm_cfg.max_iters));
-                let admm_cfg = admm_cfg.with_max_iters(budget);
-                let override_skel;
-                let skel = match topo_override {
-                    Some(topo) => {
-                        override_skel = skel.with_topology(topo);
-                        &override_skel
-                    }
-                    None => skel,
-                };
-                // One batched sweep repairs the whole window per iteration,
-                // on this thread, so no outer per-matrix loop is needed. The
-                // solver is reminted into the scratch's buffers and the sweep
-                // runs in its arena — the allocation-free ADMM steady state.
-                let solver: &teal_lp::AdmmBatchSolver = match &mut scratch.solver {
-                    Some(solver) => {
-                        skel.remint_batch_solver(solver, tms);
-                        solver
-                    }
-                    empty => empty.insert(skel.batch_solver(tms)),
-                };
-                let mut outs = Vec::new();
-                solver.run_batch_into(
-                    &raw,
-                    admm_cfg,
-                    &mut scratch.arena,
-                    &mut outs,
-                    &mut scratch.reports,
-                );
-                scratch.last_solve = SolveReport::from_reports(&scratch.reports, budget);
-                outs
-            }
-            _ => raw,
-        };
+        if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
+            // Per-window budget override (the adaptive §3.4 knob): never
+            // above the configured budget, never below one iteration.
+            let budget = scratch
+                .iteration_budget
+                .map_or(admm_cfg.max_iters, |b| b.clamp(1, admm_cfg.max_iters));
+            let admm_cfg = admm_cfg.with_max_iters(budget);
+            let override_skel;
+            let skel = match topo_override {
+                Some(topo) => {
+                    override_skel = skel.with_topology(topo);
+                    &override_skel
+                }
+                None => skel,
+            };
+            // One batched sweep repairs the whole window per iteration,
+            // on this thread, so no outer per-matrix loop is needed. The
+            // solver is reminted into the scratch's buffers, the sweep
+            // runs in its arena — the allocation-free ADMM steady state —
+            // and the refined splits overwrite the forward stage's.
+            let solver: &teal_lp::AdmmBatchSolver = match &mut scratch.solver {
+                Some(solver) => {
+                    skel.remint_batch_solver(solver, tms);
+                    solver
+                }
+                empty => empty.insert(skel.batch_solver(tms)),
+            };
+            solver.run_batch_in_place(&mut out, admm_cfg, &mut scratch.arena, &mut scratch.reports);
+            scratch.last_solve = SolveReport::from_reports(&scratch.reports, budget);
+        }
         let dead = match topo_override {
             Some(topo) => dead_path_ids(env, topo),
             None => Vec::new(),

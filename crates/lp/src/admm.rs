@@ -34,8 +34,19 @@
 //! * the z-block's step is `|Δz_pe| = |ΔF_p·v_d + Δδ_e|`, whose maximum over
 //!   an edge is attained at the largest or smallest `ΔF_p·v_d` on it.
 //!
-//! So the solver stores `μ`, `δ`, `ν` per edge and the last F-step per
-//! path, and nothing whose size is the incidence non-zero count. These are
+//! An edge that no candidate path crosses (`n_e = 0`) has a capacity row
+//! with no variable in it: from the first iteration its slack stays at
+//! `s3_e = c_e`, its dual at `λ3_e = 0` and its residual at exactly 0, so
+//! it gets no row at all. The index keeps **one row per crossed edge**
+//! (with 2,048 gravity pairs, 30 % of `large_wan(1024)`'s edges carry no
+//! candidate path), and every per-edge family, sweep and capacity below is
+//! per row.
+//!
+//! The solver therefore stores `μ` and `δ` per row and the last F-step per
+//! path, and nothing whose size is the incidence non-zero count.
+//! `ν = ρδ − μ` is recomputed where the demand sweep gathers it, from the
+//! same operands the edge sweep would have stored it from, so no bit
+//! moves. These are
 //! the same real-arithmetic iterates as Appendix C's, rounded differently
 //! (~1e-12): `tests/batch_equivalence.rs` checks them against a literal
 //! per-entry twin (`tests/common/twin.rs`), which also asserts the identity.
@@ -45,9 +56,9 @@
 //! 1. **demand sweep** — per demand, the F-update, then that demand's
 //!    `s1` projection and `λ1` ascent (they read only the demand's own new
 //!    `F`);
-//! 2. **edge sweep** — per edge, one walk of its paths for `S_e` and the
-//!    extreme F-steps, then `δ_e`, the `s3` projection, and the `λ3`/`μ_e`
-//!    ascents and `ν_e` in closed form.
+//! 2. **edge sweep** — per row (crossed edge), one walk of its paths for
+//!    `S_e` and the extreme F-steps, then `δ_e`, the `s3` projection, and
+//!    the `λ3`/`μ_e` ascents in closed form.
 //!
 //! Used in two roles, matching the paper: *warm-started for 2–5 iterations*
 //! as Teal's feasibility repair (§3.4), and *cold-started to convergence* as
@@ -64,25 +75,25 @@
 //! one-shot form).
 //!
 //! * **SoA layout.** Every state family is stored `[row][lane]` — per-path
-//!   `F` and its last step, per-demand `s1`/`λ1`, per-edge
-//!   `s3`/`λ3`/`μ`/`δ`/`ν` — so for a batch of `B` matrices, row `i` of
+//!   `F` and its last step, per-demand `s1`/`λ1`, per crossed edge
+//!   `s3`/`λ3`/`μ`/`δ` — so for a batch of `B` matrices, row `i` of
 //!   matrix `b` lives at `i * B + b`. Batch lanes of one subproblem are
 //!   contiguous, so each per-demand / per-edge subproblem walks the
 //!   incidence index **once** and repairs the whole window in that single
 //!   pass, instead of `B` passes re-reading the index per matrix.
 //! * **Per-edge exchange.** The two sweeps talk only through per-path rows
 //!   (`F`, its step: written by the demand sweep, read by the edge sweep)
-//!   and per-edge rows (`ν`: the reverse).
+//!   and per-edge rows (`μ`, `δ`: the reverse).
 //! * **Flat incidence arena.** The shared index is two flat CSR-style
-//!   arenas (path-major edge ids, edge-major path ids) — no per-path or
+//!   arenas (path-major row ids, row-major path ids) — no per-path or
 //!   per-edge `Vec`s — so each sweep's incidence walk is one linear scan of
 //!   a contiguous `u32` slice; see `AdmmIndex` for the layout.
 //! * **Serial.** One solve never leaves the calling thread: a sweep's rows
 //!   split over a CPU pool need two dispatches per iteration, and the
 //!   hand-offs did not pay for themselves at the sizes served. Lanes are
 //!   what commute without a barrier, so a caller that wants a second core
-//!   runs `run_batch_into` on a sub-slice of the window — the same lanes,
-//!   bitwise.
+//!   runs `run_batch_in_place` on a sub-slice of the window — the same
+//!   lanes, bitwise.
 //! * **Convergence mask.** Early stopping stays *per matrix*: once a
 //!   lane's residual drops below `tol` it is masked out of every later
 //!   sweep (its state freezes; its iteration count is recorded), while
@@ -95,14 +106,17 @@
 //! * **Arena reuse (allocation-free steady state).** Every byte of mutable
 //!   solver state — the SoA families, sweep scratch, residual rows —
 //!   lives in a caller-owned [`BatchArena`] of grow-only
-//!   buffers, none of which scales with the incidence non-zero count. A
-//!   serving loop that keeps one arena (plus its output
-//!   `Vec<Allocation>`/`Vec<AdmmReport>`) and rebinds the solver per window
-//!   with [`AdmmSkeleton::remint_batch_solver`] performs **zero heap
+//!   buffers, none of which scales with the incidence non-zero count. The
+//!   refined splits are written over the warm starts
+//!   ([`AdmmBatchSolver::run_batch_in_place`]), so a window has no second
+//!   set of output allocations. A serving loop that keeps one arena (plus
+//!   its `Vec<AdmmReport>`) and rebinds the solver per window with
+//!   [`AdmmSkeleton::remint_batch_solver`] performs **zero heap
 //!   allocations** from the second window onwards (asserted, with the
-//!   first window's byte footprint, by `tests/steady_state_alloc.rs`). See
-//!   [`BatchArena`] for the ownership rules: one solve at a time, one arena
-//!   per thread, safe to carry across topology changes and weight swaps.
+//!   first window's exact byte footprint, by `tests/steady_state_alloc.rs`).
+//!   See [`BatchArena`] for the ownership rules: one solve at a time, one
+//!   arena per thread, safe to carry across topology changes and weight
+//!   swaps.
 
 use crate::problem::{Allocation, Objective};
 use std::sync::Arc;
@@ -180,66 +194,97 @@ impl AdmmReport {
 /// an O(paths) copy instead of an O(nnz) rebuild.
 /// The index is a pair of flat CSR-style arenas over the same incidence
 /// non-zeros, one per sweep, with no per-path or per-edge `Vec`
-/// allocations:
+/// allocations. It has one *row* per crossed edge (`live` maps rows back to
+/// topology edge ids); an edge no path crosses has none.
 ///
-/// * **Path-major** (`entry_edge`): walking every hop of every candidate
-///   path in order, so path `p`'s edges are the contiguous range
-///   `entry_edge[path_start[p]..path_start[p + 1]]` — the demand sweep's
+/// * **Path-major** (`entry_row`): walking every hop of every candidate
+///   path in order, so path `p`'s rows are the contiguous range
+///   `entry_row[path_start[p]..path_start[p + 1]]` — the demand sweep's
 ///   gather of `ν_e` over a path is one linear scan.
-/// * **Edge-major** (`pos_path`): the same non-zeros regrouped so edge `e`
-///   owns the contiguous range `pos_path[edge_start[e]..edge_start[e + 1]]`
-///   (ascending path ids) — the edge sweep's sum over an edge's paths is
-///   one linear scan.
+/// * **Row-major** (`pos_path`): the same non-zeros regrouped so row `r`
+///   owns the contiguous range `pos_path[row_start[r]..row_start[r + 1]]`
+///   (ascending path ids, never empty) — the edge sweep's sum over an
+///   edge's paths is one linear scan.
 ///
-/// Solver *state* is indexed by path, demand or edge only; nothing is
+/// Solver *state* is indexed by path, demand or row only; nothing is
 /// stored per non-zero.
 struct AdmmIndex {
-    /// Range of each path in `entry_edge`: `path_start[p]..path_start[p + 1]`.
+    /// Range of each path in `entry_row`: `path_start[p]..path_start[p + 1]`.
     path_start: Vec<usize>,
-    /// Range of each edge in `pos_path`: `edge_start[e]..edge_start[e + 1]`.
-    edge_start: Vec<usize>,
-    /// Path id of each non-zero, edge-major.
+    /// Range of each row in `pos_path`: `row_start[r]..row_start[r + 1]`.
+    row_start: Vec<usize>,
+    /// Path id of each non-zero, row-major.
     pos_path: Vec<u32>,
-    /// Edge id of each non-zero, path-major.
-    entry_edge: Vec<u32>,
+    /// Row id of each non-zero, path-major.
+    entry_row: Vec<u32>,
+    /// Topology edge id of each row, ascending: the crossed edges.
+    live: Vec<u32>,
 }
 
 impl AdmmIndex {
     /// Build both arenas straight from the path set with two counting
-    /// passes — O(nnz), no intermediate `Vec<Vec>` structures.
+    /// passes — O(nnz + edges), no intermediate `Vec<Vec>` structures.
     fn new(paths: &PathSet, num_edges: usize) -> Self {
         let nnz: usize = paths.paths().iter().map(|p| p.edges.len()).sum();
-        let mut entry_edge = Vec::with_capacity(nnz);
+        let mut entry_row = Vec::with_capacity(nnz);
         let mut path_start = Vec::with_capacity(paths.num_paths() + 1);
         path_start.push(0);
         for path in paths.paths() {
-            entry_edge.extend(path.edges.iter().map(|&e| e as u32));
-            path_start.push(entry_edge.len());
+            entry_row.extend(path.edges.iter().map(|&e| e as u32));
+            path_start.push(entry_row.len());
         }
 
-        // Counting sort of the non-zeros into edge-major order; ascending
-        // path ids within each edge, matching the path-major walk.
-        let mut edge_start = vec![0usize; num_edges + 1];
-        for &e in &entry_edge {
-            edge_start[e as usize + 1] += 1;
+        // One row per crossed edge, in ascending edge order; then the
+        // entries are renumbered from edge ids to row ids.
+        let mut count = vec![0usize; num_edges];
+        for &e in &entry_row {
+            count[e as usize] += 1;
         }
-        for e in 0..num_edges {
-            edge_start[e + 1] += edge_start[e];
+        let mut row_of = vec![u32::MAX; num_edges];
+        let mut live = Vec::new();
+        let mut row_start = vec![0usize];
+        for (e, &n) in count.iter().enumerate() {
+            if n > 0 {
+                row_of[e] = live.len() as u32;
+                live.push(e as u32);
+                row_start.push(row_start[live.len() - 1] + n);
+            }
         }
-        let mut cursor = edge_start[..num_edges].to_vec();
+        for r in &mut entry_row {
+            *r = row_of[*r as usize];
+        }
+
+        // Counting sort of the non-zeros into row-major order; ascending
+        // path ids within each row, matching the path-major walk.
+        let mut cursor = row_start[..live.len()].to_vec();
         let mut pos_path = vec![0u32; nnz];
         for (p, span) in path_start.windows(2).enumerate() {
-            for &e in &entry_edge[span[0]..span[1]] {
-                pos_path[cursor[e as usize]] = p as u32;
-                cursor[e as usize] += 1;
+            for &r in &entry_row[span[0]..span[1]] {
+                pos_path[cursor[r as usize]] = p as u32;
+                cursor[r as usize] += 1;
             }
         }
         AdmmIndex {
             path_start,
-            edge_start,
+            row_start,
             pos_path,
-            entry_edge,
+            entry_row,
+            live,
         }
+    }
+
+    /// The `1 / mean capacity` normalizer of `topo` and its normalized
+    /// capacities, one per row. O(edges).
+    fn row_caps(&self, topo: &Topology) -> (f64, Vec<f64>) {
+        let mean_cap = topo.total_capacity() / topo.num_edges().max(1) as f64;
+        let alpha = if mean_cap > 0.0 { 1.0 / mean_cap } else { 1.0 };
+        let edges = topo.edges();
+        let caps = self
+            .live
+            .iter()
+            .map(|&e| edges[e as usize].capacity * alpha)
+            .collect();
+        (alpha, caps)
     }
 }
 
@@ -255,7 +300,7 @@ pub struct AdmmSkeleton {
     num_edges: usize,
     /// Capacity normalizer (1 / mean capacity).
     alpha: f64,
-    /// Normalized capacities per edge.
+    /// Normalized capacities per row (crossed edge).
     caps: Arc<Vec<f64>>,
     /// Per-path objective multiplier (1 for `TotalFlow`; latency discount
     /// for `DelayPenalizedFlow`).
@@ -273,11 +318,10 @@ impl AdmmSkeleton {
             "ADMM handles linear objectives; use solve_mlu for MLU"
         );
         let num_edges = topo.num_edges();
+        let index = AdmmIndex::new(paths, num_edges);
         // Normalize volumes/capacities by the mean capacity so ρ=1 is well
         // conditioned on every topology.
-        let mean_cap = topo.total_capacity() / num_edges.max(1) as f64;
-        let alpha = if mean_cap > 0.0 { 1.0 / mean_cap } else { 1.0 };
-        let caps: Vec<f64> = topo.edges().iter().map(|e| e.capacity * alpha).collect();
+        let (alpha, caps) = index.row_caps(topo);
 
         let discount: Vec<f64> = match obj {
             Objective::DelayPenalizedFlow(gamma) => crate::flow::latency_discounts(paths, gamma),
@@ -291,7 +335,7 @@ impl AdmmSkeleton {
             alpha,
             caps: Arc::new(caps),
             discount: Arc::new(discount),
-            index: Arc::new(AdmmIndex::new(paths, num_edges)),
+            index: Arc::new(index),
         }
     }
 
@@ -304,9 +348,7 @@ impl AdmmSkeleton {
             self.num_edges,
             "override edge count mismatch"
         );
-        let mean_cap = topo.total_capacity() / self.num_edges.max(1) as f64;
-        let alpha = if mean_cap > 0.0 { 1.0 / mean_cap } else { 1.0 };
-        let caps: Vec<f64> = topo.edges().iter().map(|e| e.capacity * alpha).collect();
+        let (alpha, caps) = self.index.row_caps(topo);
         AdmmSkeleton {
             alpha,
             caps: Arc::new(caps),
@@ -317,24 +359,25 @@ impl AdmmSkeleton {
     /// One-shot per-matrix solve for non-serving callers (LP baselines,
     /// experiments, tests): a batch of one on a throwaway solver and arena.
     /// Serving loops keep a solver and a [`BatchArena`] and call
-    /// [`AdmmBatchSolver::run_batch_into`] instead.
+    /// [`AdmmBatchSolver::run_batch_in_place`] instead.
     pub fn solve(
         &self,
         tm: &TrafficMatrix,
         init: &Allocation,
         cfg: AdmmConfig,
     ) -> (Allocation, AdmmReport) {
-        let (mut outs, mut reports) = (Vec::new(), Vec::new());
-        self.batch_solver(std::slice::from_ref(tm)).run_batch_into(
-            std::slice::from_ref(init),
-            cfg,
-            &mut BatchArena::new(),
-            &mut outs,
-            &mut reports,
-        );
-        match (outs.pop(), reports.pop()) {
-            (Some(out), Some(report)) => (out, report),
-            _ => unreachable!("a batch of one yields one allocation and one report"),
+        let mut out = init.clone();
+        let mut reports = Vec::new();
+        self.batch_solver(std::slice::from_ref(tm))
+            .run_batch_in_place(
+                std::slice::from_mut(&mut out),
+                cfg,
+                &mut BatchArena::new(),
+                &mut reports,
+            );
+        match reports.pop() {
+            Some(report) => (out, report),
+            None => unreachable!("a batch of one yields one report"),
         }
     }
 
@@ -349,7 +392,6 @@ impl AdmmSkeleton {
             batch: 0,
             num_demands: 0,
             k: 0,
-            num_edges: 0,
             vols: Vec::new(),
             caps: Arc::clone(&self.caps),
             discount: Arc::clone(&self.discount),
@@ -371,7 +413,6 @@ impl AdmmSkeleton {
         solver.batch = nb;
         solver.num_demands = self.num_demands;
         solver.k = self.k;
-        solver.num_edges = self.num_edges;
         solver.caps = Arc::clone(&self.caps);
         solver.discount = Arc::clone(&self.discount);
         solver.index = Arc::clone(&self.index);
@@ -389,7 +430,8 @@ impl AdmmSkeleton {
 /// Structure-of-arrays ADMM state for a batch of matrices: each per-matrix
 /// array of length `L` becomes `L × batch` with lanes contiguous
 /// (`value[i * batch + b]`). Rows are paths (`f`, `fstep`), demands (`s1`,
-/// `l1`) or edges (the rest) — never incidence non-zeros.
+/// `l1`) or crossed edges (the rest) — never incidence non-zeros, and never
+/// an edge no path crosses. `ν = ρδ − μ` is recomputed, not stored.
 #[derive(Default)]
 struct BatchState {
     f: Vec<f64>,
@@ -403,8 +445,6 @@ struct BatchState {
     mu: Vec<f64>,
     /// `δ_e = z_pe − F_p·v_d`, likewise uniform over the edge's paths.
     delta: Vec<f64>,
-    /// `ν_e = ρδ_e − μ_e`, what the F-update gathers along a path.
-    nu: Vec<f64>,
 }
 
 impl BatchState {
@@ -421,7 +461,6 @@ impl BatchState {
             (&mut self.l3, ne * nb),
             (&mut self.mu, ne * nb),
             (&mut self.delta, ne * nb),
-            (&mut self.nu, ne * nb),
         ] {
             buf.clear();
             buf.resize(len, 0.0);
@@ -429,8 +468,9 @@ impl BatchState {
     }
 }
 
-/// Reusable scratch for [`AdmmBatchSolver::run_batch_into`]: the SoA
-/// `BatchState`, per-lane bookkeeping and the sweeps' working rows.
+/// Reusable scratch for [`AdmmBatchSolver::run_batch_in_place`]: the SoA
+/// `BatchState` (lane rows per path, demand and crossed edge; `ν = ρδ − μ`
+/// is recomputed), per-lane bookkeeping and the sweeps' working rows.
 /// Every buffer is grow-only, so a
 /// server that keeps one arena per dispatch lane reaches an
 /// **allocation-free steady state**: from the second window of a given
@@ -489,7 +529,7 @@ impl BatchArena {
         let nb = solver.batch;
         let np = solver.num_demands * solver.k;
         self.st
-            .reset_for(np, solver.num_demands, solver.num_edges, nb);
+            .reset_for(np, solver.num_demands, solver.caps.len(), nb);
         self.active.clear();
         self.active.resize(nb, true);
         self.iterations.clear();
@@ -547,10 +587,9 @@ pub struct AdmmBatchSolver {
     batch: usize,
     num_demands: usize,
     k: usize,
-    num_edges: usize,
     /// Normalized demand volumes, `[demand][lane]`.
     vols: Vec<f64>,
-    /// Normalized capacities per edge (shared across lanes).
+    /// Normalized capacities per row (crossed edge), shared across lanes.
     caps: Arc<Vec<f64>>,
     /// Per-path objective multiplier (shared across lanes); a path's
     /// objective coefficient in lane `b` is `vols[d][b] * discount[p]`.
@@ -566,27 +605,25 @@ impl AdmmBatchSolver {
     }
 
     /// Run ADMM on every lane from its own warm start (each projected onto
-    /// the demand constraints first). With `cfg.tol > 0`, lanes stop
-    /// independently once their residual clears the bar (the convergence
-    /// mask); the rest keep sweeping. Every byte of working state lives in
-    /// the caller's [`BatchArena`] and the refined allocations and
-    /// per-matrix reports land in the caller's `outs`/`reports` (reused in
-    /// place when shapes match, else replaced). With a retained arena and
-    /// output buffers, the second and later windows of a steady-state
-    /// serving loop perform **zero heap allocations** end to end. Results
-    /// never depend on what the arena served before.
-    pub fn run_batch_into(
+    /// the demand constraints first) and write the refined allocation over
+    /// it. With `cfg.tol > 0`, lanes stop independently once their residual
+    /// clears the bar (the convergence mask); the rest keep sweeping. Every
+    /// byte of working state lives in the caller's [`BatchArena`], and the
+    /// per-matrix reports land in the caller's `reports`. With a retained
+    /// arena and report buffer, the second and later windows of a
+    /// steady-state serving loop perform **zero heap allocations** end to
+    /// end. Results never depend on what the arena served before.
+    pub fn run_batch_in_place(
         &self,
-        inits: &[Allocation],
+        allocs: &mut [Allocation],
         cfg: AdmmConfig,
         arena: &mut BatchArena,
-        outs: &mut Vec<Allocation>,
         reports: &mut Vec<AdmmReport>,
     ) {
-        assert_eq!(inits.len(), self.batch, "init count != batch size");
+        assert_eq!(allocs.len(), self.batch, "allocation count != batch size");
         let nb = self.batch;
         let k = self.k;
-        let np = self.num_demands * k;
+        let idx = &*self.index;
         arena.prepare(self);
         let BatchArena {
             st,
@@ -602,9 +639,8 @@ impl AdmmBatchSolver {
         // Warm-start copy plus the per-lane demand projection, done directly
         // in the SoA lanes: same clamp / sum / rescale order as
         // `Allocation::project_demand_constraints`, so the start is bitwise
-        // identical to projecting each init and copying it in, without a
-        // clone per init.
-        for (b, init) in inits.iter().enumerate() {
+        // identical to projecting each warm start and copying it in.
+        for (b, init) in allocs.iter().enumerate() {
             assert_eq!(init.num_demands(), self.num_demands);
             assert_eq!(init.k(), k);
             for (p, &v) in init.splits().iter().enumerate() {
@@ -629,8 +665,8 @@ impl AdmmBatchSolver {
             }
         }
         // Near-consistent start: z matches the warm-started flows (δ = 0,
-        // as `reset_for` left it, with μ = ν = 0), slacks absorb the
-        // residual capacities.
+        // as `reset_for` left it, with μ = 0), slacks absorb the residual
+        // capacities.
         for d in 0..self.num_demands {
             for b in 0..nb {
                 let mut sum = 0.0;
@@ -640,17 +676,17 @@ impl AdmmBatchSolver {
                 st.s1[d * nb + b] = (1.0 - sum).max(0.0);
             }
         }
-        for e in 0..self.num_edges {
-            let s3_e = row_mut(&mut st.s3, e, nb);
-            for &p in &self.index.pos_path[self.index.edge_start[e]..self.index.edge_start[e + 1]] {
+        for (r, &cap) in self.caps.iter().enumerate() {
+            let s3_r = row_mut(&mut st.s3, r, nb);
+            for &p in &idx.pos_path[idx.row_start[r]..idx.row_start[r + 1]] {
                 let p = p as usize;
                 let flows = row(&st.f, p, nb).iter().zip(row(&self.vols, p / k, nb));
-                for (sv, (&fv, &vol)) in s3_e.iter_mut().zip(flows) {
+                for (sv, (&fv, &vol)) in s3_r.iter_mut().zip(flows) {
                     *sv += fv * vol;
                 }
             }
-            for sv in s3_e {
-                *sv = (self.caps[e] - *sv).max(0.0);
+            for sv in s3_r {
+                *sv = (cap - *sv).max(0.0);
             }
         }
 
@@ -688,15 +724,8 @@ impl AdmmBatchSolver {
             }
         }
 
-        outs.truncate(nb);
         reports.clear();
-        for b in 0..nb {
-            if b == outs.len() {
-                outs.push(Allocation::zeros(self.num_demands, k));
-            } else if outs[b].k() != k || outs[b].splits().len() != np {
-                outs[b] = Allocation::zeros(self.num_demands, k);
-            }
-            let out = &mut outs[b];
+        for (b, out) in allocs.iter_mut().enumerate() {
             for (p, s) in out.splits_mut().iter_mut().enumerate() {
                 *s = st.f[p * nb + b];
             }
@@ -707,6 +736,31 @@ impl AdmmBatchSolver {
                 dual_residual: dual_final[b],
             });
         }
+    }
+
+    /// [`AdmmBatchSolver::run_batch_in_place`] on copies of `inits`, written
+    /// into `outs` (its allocations reused where their shape matches), for
+    /// a caller that keeps its warm starts. The repo benchmark's ADMM probe
+    /// is the one caller outside the tests.
+    pub fn run_batch_into(
+        &self,
+        inits: &[Allocation],
+        cfg: AdmmConfig,
+        arena: &mut BatchArena,
+        outs: &mut Vec<Allocation>,
+        reports: &mut Vec<AdmmReport>,
+    ) {
+        outs.truncate(inits.len());
+        for (b, init) in inits.iter().enumerate() {
+            match outs.get_mut(b) {
+                Some(out) if out.k() == init.k() && out.splits().len() == init.splits().len() => {
+                    out.splits_mut().copy_from_slice(init.splits())
+                }
+                Some(out) => *out = init.clone(),
+                None => outs.push(init.clone()),
+            }
+        }
+        self.run_batch_in_place(outs, cfg, arena, reports);
     }
 
     /// One ADMM iteration: the demand sweep, then the edge sweep, both on
@@ -727,12 +781,13 @@ impl AdmmBatchSolver {
         self.edge_sweep::<MASKED>(st, active, rho, scratch, steps);
     }
 
-    /// Per demand, the F-update (one walk of each path's edges gathers ν
-    /// for every lane), then the demand's own s1 projection and λ1 ascent
-    /// on the new F. Writes `F`, its step, `s1`, `λ1`; reads `ν`.
+    /// Per demand, the F-update (one walk of each path's rows gathers
+    /// `ν = ρδ − μ` for every lane), then the demand's own s1 projection and
+    /// λ1 ascent on the new F. Writes `F`, its step, `s1`, `λ1`; reads `μ`
+    /// and `δ`.
     ///
     /// Out of line on purpose, like [`Self::edge_sweep`]: inlined into one
-    /// body the two loops ran `run_batch_into` ≈ 20 % slower at 8 lanes
+    /// body the two loops ran the solve ≈ 20 % slower at 8 lanes
     /// (same process, 1,024 and 256 nodes).
     #[inline(never)]
     fn demand_sweep<const MASKED: bool>(
@@ -748,7 +803,7 @@ impl AdmmBatchSolver {
         let idx = &*self.index;
         let (f, fstep): (&mut [f64], &mut [f64]) = (&mut st.f, &mut st.fstep);
         let (s1, l1): (&mut [f64], &mut [f64]) = (&mut st.s1, &mut st.l1);
-        let nu: &[f64] = &st.nu;
+        let (mu, delta): (&[f64], &[f64]) = (&st.mu, &st.delta);
         let (ldf, rest) = steps.split_at_mut(nb);
         let lpr = &mut rest[nb..2 * nb];
         let (b, tile) = scratch.split_at_mut(k * nb);
@@ -764,11 +819,15 @@ impl AdmmBatchSolver {
             for j in 0..k {
                 let p = d * k + j;
                 let bj = row_mut(b, j, nb);
-                let ents = &idx.entry_edge[idx.path_start[p]..idx.path_start[p + 1]];
+                let ents = &idx.entry_row[idx.path_start[p]..idx.path_start[p + 1]];
                 bj.fill(0.0);
-                for &e in ents {
-                    for (bv, &nv) in bj.iter_mut().zip(row(nu, e as usize, nb)) {
-                        *bv += nv;
+                for &r in ents {
+                    let r = r as usize;
+                    for (bv, (&dv, &mv)) in bj
+                        .iter_mut()
+                        .zip(row(delta, r, nb).iter().zip(row(mu, r, nb)))
+                    {
+                        *bv += rho * dv - mv;
                     }
                 }
                 let len = ents.len() as f64;
@@ -830,9 +889,9 @@ impl AdmmBatchSolver {
         }
     }
 
-    /// Per edge, one walk of its paths for `S_e` and the extreme F-steps,
-    /// then `δ_e`, `s3`, `λ3`, `μ_e` and `ν_e` in closed form. Writes the
-    /// per-edge families; reads `F` and its step.
+    /// Per row (crossed edge), one walk of its paths for `S_e` and the
+    /// extreme F-steps, then `δ_e`, `s3`, `λ3` and `μ_e` in closed form.
+    /// Writes the per-row families; reads `F` and its step.
     #[inline(never)]
     fn edge_sweep<const MASKED: bool>(
         &self,
@@ -848,29 +907,15 @@ impl AdmmBatchSolver {
         let (f, fstep): (&[f64], &[f64]) = (&st.f, &st.fstep);
         let (s3, l3): (&mut [f64], &mut [f64]) = (&mut st.s3, &mut st.l3);
         let (mu, delta): (&mut [f64], &mut [f64]) = (&mut st.mu, &mut st.delta);
-        let nu: &mut [f64] = &mut st.nu;
         let (ldz, lpr) = steps[nb..].split_at_mut(nb);
         let lpr = &mut lpr[..nb];
         let (flow, tile) = scratch.split_at_mut(nb);
         let (hi, tile) = tile.split_at_mut(nb);
         let lo = &mut tile[..nb];
-        for e in 0..self.num_edges {
-            let cap = self.caps[e];
-            let s3_e = row_mut(s3, e, nb);
-            let l3_e = row_mut(l3, e, nb);
-            let on_edge = &idx.pos_path[idx.edge_start[e]..idx.edge_start[e + 1]];
-            if on_edge.is_empty() {
-                // No path crosses the edge: there is no z to update,
-                // only the slack row `s3 = c`.
-                for lane in 0..nb {
-                    if MASKED && !active[lane] {
-                        continue;
-                    }
-                    let g = slack_ascent(cap, 0.0, rho, &mut s3_e[lane], &mut l3_e[lane]);
-                    lpr[lane] = lpr[lane].max(g);
-                }
-                continue;
-            }
+        for (r, &cap) in self.caps.iter().enumerate() {
+            let s3_r = row_mut(s3, r, nb);
+            let l3_r = row_mut(l3, r, nb);
+            let on_edge = &idx.pos_path[idx.row_start[r]..idx.row_start[r + 1]];
             flow.fill(0.0);
             hi.fill(f64::NEG_INFINITY);
             lo.fill(f64::INFINITY);
@@ -890,31 +935,29 @@ impl AdmmBatchSolver {
                 }
             }
             let n = on_edge.len() as f64;
-            let mu_e = row_mut(mu, e, nb);
-            let delta_e = row_mut(delta, e, nb);
-            let nu_e = row_mut(nu, e, nb);
+            let mu_r = row_mut(mu, r, nb);
+            let delta_r = row_mut(delta, r, nb);
             for lane in 0..nb {
                 if MASKED && !active[lane] {
                     continue;
                 }
-                let a = -l3_e[lane] - rho * (s3_e[lane] - cap) + mu_e[lane];
+                let a = -l3_r[lane] - rho * (s3_r[lane] - cap) + mu_r[lane];
                 let d = (a - rho * flow[lane]) / (rho * (1.0 + n));
                 // |Δz_pe| = |ΔF_p·v + Δδ_e| peaks at an extreme F-step.
-                let dd = d - delta_e[lane];
+                let dd = d - delta_r[lane];
                 ldz[lane] = ldz[lane]
                     .max((hi[lane] + dd).abs())
                     .max((lo[lane] + dd).abs());
-                delta_e[lane] = d;
+                delta_r[lane] = d;
                 let g = slack_ascent(
                     cap,
                     flow[lane] + n * d,
                     rho,
-                    &mut s3_e[lane],
-                    &mut l3_e[lane],
+                    &mut s3_r[lane],
+                    &mut l3_r[lane],
                 );
                 // λ4 ascent on F_p·v − z_pe = −δ_e, every path alike.
-                mu_e[lane] -= rho * d;
-                nu_e[lane] = rho * d - mu_e[lane];
+                mu_r[lane] -= rho * d;
                 lpr[lane] = lpr[lane].max(g).max(d.abs());
             }
         }

@@ -4,8 +4,9 @@
 //! * an exact dense [`simplex`] solver for small instances,
 //! * [`admm`] (Appendix C) usable both as Teal's 2–5-iteration fine-tuner
 //!   and, run to convergence, as the large-instance "LP-all" substitute —
-//!   its [`BatchArena`] holds lane rows per path, demand and edge only
-//!   (Appendix C's per-(path, edge) `z`/`λ4` are per-edge scalars there),
+//!   its [`BatchArena`] holds lane rows per path, demand and crossed edge
+//!   only (Appendix C's per-(path, edge) `z`/`λ4` are per-edge scalars
+//!   there),
 //! * [`pathlp`]: [`solve_lp`], LP-all itself, with three fixed settings —
 //!   the simplex up to 1,200 variables plus constraints, ADMM at
 //!   [`AdmmConfig::to_convergence`] above that, and 400 projected-subgradient

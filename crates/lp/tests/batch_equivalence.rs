@@ -263,6 +263,67 @@ fn pinned_golden_hashes() {
     }
 }
 
+/// Hash of one window's outputs: per lane, the report's iteration count and
+/// residual bits, then the bits of its splits.
+fn window_hash(outs: &[Allocation], reps: &[AdmmReport]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (out, rep) in outs.iter().zip(reps) {
+        fnv(&mut hash, rep.iterations as u64);
+        fnv(&mut hash, rep.primal_residual.to_bits());
+        fnv(&mut hash, rep.dual_residual.to_bits());
+        for s in out.splits() {
+            fnv(&mut hash, s.to_bits());
+        }
+    }
+    hash
+}
+
+/// Edges no candidate path crosses, pinned: on `large_wan(256, 7)` with
+/// 512 gravity pairs, 279 of the 1,206 edges carry no path, so their
+/// capacity rows hold no variable. Three 8-lane windows — plain, two links
+/// failed (one uncrossed, one crossed), and run to `tol` through the
+/// convergence mask — hash to the values the solver produced while it still
+/// kept a row for every topology edge.
+#[test]
+fn uncrossed_edges_pinned_hashes() {
+    let topo = large_wan(256, 7);
+    let pairs = gravity_pairs(&topo, 512, 7 ^ 1);
+    let paths = PathSet::compute(&topo, &pairs, 4);
+    let (nd, k) = (paths.num_demands(), paths.k());
+    let (uncrossed, crossed): (Vec<usize>, Vec<usize>) =
+        (0..topo.num_edges()).partition(|&e| paths.paths_on_edge(e).is_empty());
+    assert_eq!((uncrossed.len(), topo.num_edges()), (279, 1206));
+    let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
+    let failed = skel.with_topology(&topo.with_failed_edges(&[uncrossed[0], crossed[0]]));
+
+    let mut rng = StdRng::seed_from_u64(0x00c0_55ed);
+    let fixed = AdmmConfig::fine_tune(256);
+    let masked = AdmmConfig {
+        rho: 1.0,
+        max_iters: 200,
+        tol: 2e-2,
+    };
+    for (name, skel, cfg, want) in [
+        ("plain", &skel, fixed, 0x802f_8f5c_af87_5bfcu64),
+        ("failed-link", &failed, fixed, 0xe309_0174_5529_c779),
+        ("convergence-mask", &skel, masked, 0x8a8b_5204_a02d_3083),
+    ] {
+        let tms = random_window(8, nd, &mut rng);
+        let inits = random_inits(8, nd, k, &mut rng);
+        let (outs, reps) = run_fresh(skel, &tms, &inits, cfg);
+        if cfg.tol > 0.0 {
+            // The mask froze some lanes and left others to the budget.
+            let frozen = reps.iter().filter(|r| r.iterations < cfg.max_iters).count();
+            assert!(0 < frozen && frozen < 8, "{frozen} of 8 lanes froze");
+        }
+        let got = window_hash(&outs, &reps);
+        assert_eq!(
+            got, want,
+            "{name} window: output hash {got:#018x}, pinned {want:#018x}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -1,16 +1,19 @@
 //! The allocation-free steady-state guarantee, machine-checked: with a
 //! retained [`BatchArena`] + output buffers and a reminted
 //! [`AdmmBatchSolver`], the second and every later serving window performs
-//! **zero heap allocations** on the batched ADMM hot path.
+//! **zero heap allocations** on the batched ADMM hot path, whether it
+//! refines a retained set of allocations in place or copies warm starts
+//! into retained outputs.
 //!
 //! A counting global allocator (`common/mod.rs`, shared with
 //! `steady_state_alloc_on.rs`) wraps `System` and counts per thread; the
 //! test snapshots its own thread's counter around each window, so neither
 //! libtest's main thread nor a sibling test can pollute the count.
 //!
-//! The same allocator's byte counter pins the *first* window too: a fresh
-//! arena + solver may allocate only per-path, per-demand and per-edge lane
-//! rows — no buffer sized by the incidence non-zero count
+//! The same allocator's byte counter pins the *first* window too, exactly:
+//! a fresh arena + solver allocates only per-path, per-demand and
+//! per-crossed-edge lane rows — no buffer sized by the incidence non-zero
+//! count, no row for an edge no path crosses, and no output copy
 //! (`first_window_footprint_has_no_per_entry_family`).
 
 mod common;
@@ -61,18 +64,33 @@ fn steady_state_windows_allocate_nothing() {
         })
         .collect();
 
+    // Two serving loops, each with its own retained solver, arena and
+    // report buffer: one copies the warm starts into retained outputs
+    // (`run_batch_into`), the other refines a retained set of allocations
+    // in place, after copying each window's warm starts into it the way a
+    // forward stage would write them.
     let mut arena = BatchArena::new();
     let mut outs = Vec::new();
     let mut reports = Vec::new();
+    let mut arena_in_place = BatchArena::new();
+    let mut allocs = inits.clone();
+    let mut reports_in_place = Vec::new();
 
     // Window 1 grows every buffer to its steady-state size.
     let mut solver = skel.batch_solver(&windows[0]);
     solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
+    let mut solver_in_place = skel.batch_solver(&windows[0]);
+    solver_in_place.run_batch_in_place(
+        &mut allocs,
+        cfg,
+        &mut arena_in_place,
+        &mut reports_in_place,
+    );
 
     // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
     assert!(thread_allocs() > 0, "per-thread counter is dead");
 
-    // Windows 2..: remint + solve must be allocation-free.
+    // Windows 2..: remint + solve must be allocation-free on both loops.
     for (w, tms) in windows.iter().enumerate().skip(1) {
         let before = thread_allocs();
         skel.remint_batch_solver(&mut solver, tms);
@@ -82,20 +100,43 @@ fn steady_state_windows_allocate_nothing() {
             grew, 0,
             "window {w} performed {grew} heap allocations on the steady-state hot path"
         );
+
+        let before = thread_alloc_bytes();
+        for (alloc, init) in allocs.iter_mut().zip(&inits) {
+            alloc.splits_mut().copy_from_slice(init.splits());
+        }
+        skel.remint_batch_solver(&mut solver_in_place, tms);
+        solver_in_place.run_batch_in_place(
+            &mut allocs,
+            cfg,
+            &mut arena_in_place,
+            &mut reports_in_place,
+        );
+        let grew = thread_alloc_bytes() - before;
+        assert_eq!(
+            grew, 0,
+            "window {w} allocated {grew} B refining its allocations in place"
+        );
+        assert_eq!(
+            allocs, outs,
+            "window {w}: in place and copied outputs differ"
+        );
     }
 
     // The windows actually computed something (guard against a vacuous
     // pass from, say, an accidentally empty demand set).
     assert_eq!(outs.len(), BATCH);
     assert!(reports.iter().all(|r| r.iterations == 5));
+    assert!(reports_in_place.iter().all(|r| r.iterations == 5));
     assert!(outs.iter().any(|a| a.splits().iter().any(|&v| v > 0.0)));
 }
 
 #[test]
 fn first_window_footprint_has_no_per_entry_family() {
-    // A generated WAN whose candidate paths are long: at least three
+    // A generated WAN whose candidate paths are long (at least three
     // incidence non-zeros per path, so a single `[non-zero][lane]` family
-    // would by itself equal the whole per-path allowance below.
+    // would outweigh the per-path rows below) and which has edges no
+    // candidate path crosses (which get no row).
     let topo = large_wan(96, 7);
     let pairs = gravity_pairs(&topo, 192, 7);
     let paths = PathSet::compute(&topo, &pairs, 3);
@@ -108,38 +149,46 @@ fn first_window_footprint_has_no_per_entry_family() {
     );
     let nnz: usize = paths.paths().iter().map(|p| p.edges.len()).sum();
     assert!(nnz >= 3 * np, "instance too shallow: nnz {nnz}, paths {np}");
+    let crossed = (0..ne)
+        .filter(|&e| !paths.paths_on_edge(e).is_empty())
+        .count();
+    assert!(crossed < ne, "every edge is crossed: no row to drop");
 
     const BATCH: usize = 8;
     let tms: Vec<TrafficMatrix> = (0..BATCH)
         .map(|b| TrafficMatrix::new((0..nd).map(|d| ((b * 7 + d) % 23) as f64 * 1.7).collect()))
         .collect();
-    let inits = vec![Allocation::shortest_path(nd, k); BATCH];
-    let (mut outs, mut reports) = (Vec::new(), Vec::new());
+    let mut allocs = vec![Allocation::shortest_path(nd, k); BATCH];
+    let mut reports = Vec::new();
 
     let before = thread_alloc_bytes();
     let mut arena = BatchArena::new();
     let solver = skel.batch_solver(&tms);
-    solver.run_batch_into(
-        &inits,
+    solver.run_batch_in_place(
+        &mut allocs,
         AdmmConfig::fine_tune(1024),
         &mut arena,
-        &mut outs,
         &mut reports,
     );
     let grew = thread_alloc_bytes() - before;
 
-    // Lane rows: per path F, its last step and the output splits; per
-    // demand s1, λ1 and the volumes; per edge s3, λ3, μ, δ, ν; the sweeps'
-    // 2k + 4 working rows; the three step maxima, three residuals and the
-    // iteration counts. Then, per lane, one mask byte and one entry in
-    // each output `Vec`. Nothing else: the bound is met exactly today.
-    let rows = 3 * np + 3 * nd + 5 * ne + (2 * k + 4) + 7;
-    let out_entry = std::mem::size_of::<Allocation>() + std::mem::size_of::<AdmmReport>();
-    let allowed = ((rows * 8 + 1 + out_entry) * BATCH) as u64;
-    assert!(
-        grew <= allowed,
-        "first window allocated {grew} B, allowance {allowed} B \
-         ({np} paths, {nd} demands, {ne} edges, {nnz} non-zeros, {BATCH} lanes)"
+    // Lane rows: per path F and its last step; per demand s1, λ1 and the
+    // volumes; per crossed edge s3, λ3, μ and δ (ν = ρδ − μ is recomputed);
+    // the sweeps' 2k + 4 working rows; the three step maxima, three
+    // residuals and the iteration counts. Then, per lane, one mask byte and
+    // one report. The splits are written over the warm starts, so there is
+    // no output copy. Nothing else.
+    let rows = 2 * np + 3 * nd + 4 * crossed + (2 * k + 4) + 7;
+    let expected = ((rows * 8 + 1 + std::mem::size_of::<AdmmReport>()) * BATCH) as u64;
+    println!(
+        "admm first window: {np} paths, {nd} demands, {crossed}/{ne} edges crossed, \
+         {BATCH} lanes, {grew} B"
+    );
+    assert_eq!(
+        grew, expected,
+        "first window allocated {grew} B, expected {expected} B \
+         ({np} paths, {nd} demands, {crossed}/{ne} edges crossed, {nnz} non-zeros, \
+         {BATCH} lanes)"
     );
     assert!(reports.iter().all(|r| r.iterations == 5));
 }
