@@ -162,7 +162,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
                 .paths
                 .paths_for(d)
                 .iter()
-                .all(|p| p.nodes.iter().all(|&v| cluster[v] == cluster[s]));
+                .all(|p| p.nodes(inst.topo).all(|v| cluster[v] == cluster[s]));
         if same {
             intra[cluster[s]].push(d);
         } else {

@@ -22,16 +22,11 @@ fn sample_failed_edges(topo: &Topology, n: usize, seed: u64) -> Vec<EdgeId> {
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xfa11);
     links.shuffle(&mut rng);
-    let mut edges = Vec::new();
-    for &(a, b) in links.iter().take(n) {
-        if let Some(e) = topo.find_edge(a, b) {
-            edges.push(e);
-        }
-        if let Some(e) = topo.find_edge(b, a) {
-            edges.push(e);
-        }
-    }
-    edges
+    links
+        .iter()
+        .take(n)
+        .flat_map(|&(a, b)| topo.link_edges(a, b))
+        .collect()
 }
 
 /// Run one failure scenario: with no failed link, the offline satisfied

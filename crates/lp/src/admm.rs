@@ -87,7 +87,8 @@
 //! * **Flat incidence arena.** The shared index is two flat CSR-style
 //!   arenas (path-major row ids, row-major path ids) — no per-path or
 //!   per-edge `Vec`s — so each sweep's incidence walk is one linear scan of
-//!   a contiguous `u32` slice; see `AdmmIndex` for the layout.
+//!   a contiguous `u32` slice; the row-major one is the path set's own
+//!   edge→path arena, held, not copied. See `AdmmIndex` for the layout.
 //! * **Serial.** One solve never leaves the calling thread: a sweep's rows
 //!   split over a CPU pool need two dispatches per iteration, and the
 //!   hand-offs did not pay for themselves at the sizes served. Lanes are
@@ -195,7 +196,8 @@ impl AdmmReport {
 /// The index is a pair of flat CSR-style arenas over the same incidence
 /// non-zeros, one per sweep, with no per-path or per-edge `Vec`
 /// allocations. It has one *row* per crossed edge (`live` maps rows back to
-/// topology edge ids); an edge no path crosses has none.
+/// topology edge ids); an edge no path crosses has none. Offsets are `u32`,
+/// like the path set's.
 ///
 /// * **Path-major** (`entry_row`): walking every hop of every candidate
 ///   path in order, so path `p`'s rows are the contiguous range
@@ -204,17 +206,21 @@ impl AdmmReport {
 /// * **Row-major** (`pos_path`): the same non-zeros regrouped so row `r`
 ///   owns the contiguous range `pos_path[row_start[r]..row_start[r + 1]]`
 ///   (ascending path ids, never empty) — the edge sweep's sum over an
-///   edge's paths is one linear scan.
+///   edge's paths is one linear scan. This is the path set's edge→path
+///   arena itself ([`PathSet::edge_path_arena`]), shared through its `Arc`:
+///   rows are the crossed edges in ascending order and an uncrossed edge's
+///   span is empty, so `row_start[r]` is the path set's offset of edge
+///   `live[r]`.
 ///
 /// Solver *state* is indexed by path, demand or row only; nothing is
 /// stored per non-zero.
 struct AdmmIndex {
     /// Range of each path in `entry_row`: `path_start[p]..path_start[p + 1]`.
-    path_start: Vec<usize>,
+    path_start: Vec<u32>,
     /// Range of each row in `pos_path`: `row_start[r]..row_start[r + 1]`.
-    row_start: Vec<usize>,
-    /// Path id of each non-zero, row-major.
-    pos_path: Vec<u32>,
+    row_start: Vec<u32>,
+    /// Path id of each non-zero, row-major: the path set's `e2p`.
+    pos_path: Arc<[u32]>,
     /// Row id of each non-zero, path-major.
     entry_row: Vec<u32>,
     /// Topology edge id of each row, ascending: the crossed edges.
@@ -222,55 +228,44 @@ struct AdmmIndex {
 }
 
 impl AdmmIndex {
-    /// Build both arenas straight from the path set with two counting
-    /// passes — O(nnz + edges), no intermediate `Vec<Vec>` structures.
-    fn new(paths: &PathSet, num_edges: usize) -> Self {
-        let nnz: usize = paths.paths().iter().map(|p| p.edges.len()).sum();
-        let mut entry_row = Vec::with_capacity(nnz);
+    /// Rows from the path set's edge→path offsets, then one walk of every
+    /// path's edges renumbered to rows — O(nnz + edges).
+    fn new(paths: &PathSet) -> Self {
+        let (e2p_off, e2p) = paths.edge_path_arena();
+        let mut row_of = vec![u32::MAX; paths.num_edges()];
+        let mut live = Vec::new();
+        let mut row_start = vec![0];
+        for (e, span) in e2p_off.windows(2).enumerate() {
+            if span[0] < span[1] {
+                row_of[e] = live.len() as u32;
+                live.push(e as u32);
+                row_start.push(span[1]);
+            }
+        }
+        let mut entry_row = Vec::with_capacity(e2p.len());
         let mut path_start = Vec::with_capacity(paths.num_paths() + 1);
         path_start.push(0);
         for path in paths.paths() {
-            entry_row.extend(path.edges.iter().map(|&e| e as u32));
-            path_start.push(entry_row.len());
-        }
-
-        // One row per crossed edge, in ascending edge order; then the
-        // entries are renumbered from edge ids to row ids.
-        let mut count = vec![0usize; num_edges];
-        for &e in &entry_row {
-            count[e as usize] += 1;
-        }
-        let mut row_of = vec![u32::MAX; num_edges];
-        let mut live = Vec::new();
-        let mut row_start = vec![0usize];
-        for (e, &n) in count.iter().enumerate() {
-            if n > 0 {
-                row_of[e] = live.len() as u32;
-                live.push(e as u32);
-                row_start.push(row_start[live.len() - 1] + n);
-            }
-        }
-        for r in &mut entry_row {
-            *r = row_of[*r as usize];
-        }
-
-        // Counting sort of the non-zeros into row-major order; ascending
-        // path ids within each row, matching the path-major walk.
-        let mut cursor = row_start[..live.len()].to_vec();
-        let mut pos_path = vec![0u32; nnz];
-        for (p, span) in path_start.windows(2).enumerate() {
-            for &r in &entry_row[span[0]..span[1]] {
-                pos_path[cursor[r as usize]] = p as u32;
-                cursor[r as usize] += 1;
-            }
+            entry_row.extend(path.edges.iter().map(|&e| row_of[e]));
+            path_start.push(entry_row.len() as u32);
         }
         AdmmIndex {
             path_start,
             row_start,
-            pos_path,
+            pos_path: Arc::clone(e2p),
             entry_row,
             live,
         }
+    }
+
+    /// The path ids of row `r`, ascending.
+    fn row_paths(&self, r: usize) -> &[u32] {
+        &self.pos_path[self.row_start[r] as usize..self.row_start[r + 1] as usize]
+    }
+
+    /// The rows path `p` crosses, in path order.
+    fn path_rows(&self, p: usize) -> &[u32] {
+        &self.entry_row[self.path_start[p] as usize..self.path_start[p + 1] as usize]
     }
 
     /// The `1 / mean capacity` normalizer of `topo` and its normalized
@@ -318,7 +313,7 @@ impl AdmmSkeleton {
             "ADMM handles linear objectives; use solve_mlu for MLU"
         );
         let num_edges = topo.num_edges();
-        let index = AdmmIndex::new(paths, num_edges);
+        let index = AdmmIndex::new(paths);
         // Normalize volumes/capacities by the mean capacity so ρ=1 is well
         // conditioned on every topology.
         let (alpha, caps) = index.row_caps(topo);
@@ -678,7 +673,7 @@ impl AdmmBatchSolver {
         }
         for (r, &cap) in self.caps.iter().enumerate() {
             let s3_r = row_mut(&mut st.s3, r, nb);
-            for &p in &idx.pos_path[idx.row_start[r]..idx.row_start[r + 1]] {
+            for &p in idx.row_paths(r) {
                 let p = p as usize;
                 let flows = row(&st.f, p, nb).iter().zip(row(&self.vols, p / k, nb));
                 for (sv, (&fv, &vol)) in s3_r.iter_mut().zip(flows) {
@@ -819,7 +814,7 @@ impl AdmmBatchSolver {
             for j in 0..k {
                 let p = d * k + j;
                 let bj = row_mut(b, j, nb);
-                let ents = &idx.entry_row[idx.path_start[p]..idx.path_start[p + 1]];
+                let ents = idx.path_rows(p);
                 bj.fill(0.0);
                 for &r in ents {
                     let r = r as usize;
@@ -915,7 +910,7 @@ impl AdmmBatchSolver {
         for (r, &cap) in self.caps.iter().enumerate() {
             let s3_r = row_mut(s3, r, nb);
             let l3_r = row_mut(l3, r, nb);
-            let on_edge = &idx.pos_path[idx.row_start[r]..idx.row_start[r + 1]];
+            let on_edge = idx.row_paths(r);
             flow.fill(0.0);
             hi.fill(f64::NEG_INFINITY);
             lo.fill(f64::INFINITY);

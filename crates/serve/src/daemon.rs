@@ -59,9 +59,12 @@
 //! empty signature — and every group takes the same path. A failure group's
 //! only extra step is one [`Topology::with_failed_edges`] clone of the
 //! serving topology, built from its signature right before
-//! [`ServingContext::try_allocate_batch_on_with`]; nothing is cached across
-//! windows (the build is under 1 % of the window it precedes at every
-//! topology size this repo serves). A failure window therefore serves
+//! [`ServingContext::try_allocate_batch_on_with`]: the edge table, the
+//! out-adjacency, the coordinates and the name, nothing else (a
+//! `Topology` keeps no edge lookup index, so the signature's links resolve
+//! by an O(out-degree) scan each). Nothing is cached across windows (the
+//! build is under 1 % of the window it precedes at every topology size
+//! this repo serves). A failure window therefore serves
 //! *without retraining* — the paper's failure-recovery path, reachable end
 //! to end from a socket.
 //!
@@ -586,8 +589,7 @@ fn serve_drained<M: PolicyModel>(
                 let topo = ctx.env().topo();
                 let failed: Vec<_> = sig
                     .iter()
-                    .flat_map(|&(a, b)| [topo.find_edge(a, b), topo.find_edge(b, a)])
-                    .flatten()
+                    .flat_map(|&(a, b)| topo.link_edges(a, b))
                     .collect();
                 topo.with_failed_edges(&failed)
             });

@@ -622,7 +622,7 @@ mod tests {
         let pa = crate::paths::PathSet::compute(&a, &pairs, 4);
         let pb = crate::paths::PathSet::compute(&b, &pairs, 4);
         for (x, y) in pa.paths().iter().zip(pb.paths()) {
-            assert_eq!(x.nodes, y.nodes);
+            assert!(x.nodes(&a).eq(y.nodes(&b)));
             assert_eq!(x.edges, y.edges);
             assert_eq!(x.weight.to_bits(), y.weight.to_bits());
         }

@@ -5,8 +5,12 @@
 //! formulation in Appendix A of the paper where capacities are per directed
 //! link. Nodes carry optional planar coordinates (used by the geometric
 //! generators and by the latency-penalized objective).
-
-use std::collections::HashMap;
+//!
+//! A `Topology` stores each fact once: the edge table, each node's
+//! out-adjacency as `(neighbor, edge id)` pairs, the coordinates and the
+//! name — and a failed-link twin clones just these. There is no `(src, dst)`
+//! index: [`Topology::find_edge`] scans the source's out-adjacency,
+//! O(out-degree), and none of its callers runs per window.
 
 /// Index of a node.
 pub type NodeId = usize;
@@ -30,12 +34,10 @@ pub struct Edge {
 #[derive(Clone, Debug)]
 pub struct Topology {
     name: String,
-    num_nodes: usize,
     edges: Vec<Edge>,
-    /// Out-adjacency: for each node, `(neighbor, edge id)` pairs.
+    /// Out-adjacency: for each node, `(neighbor, edge id)` pairs; its
+    /// length is the node count.
     adj: Vec<Vec<(NodeId, EdgeId)>>,
-    /// `(src, dst) -> edge id` lookup.
-    edge_index: HashMap<(NodeId, NodeId), EdgeId>,
     /// Optional planar coordinates per node.
     coords: Vec<(f64, f64)>,
 }
@@ -45,10 +47,8 @@ impl Topology {
     pub fn new(name: impl Into<String>, n: usize) -> Self {
         Topology {
             name: name.into(),
-            num_nodes: n,
             edges: Vec::new(),
             adj: vec![Vec::new(); n],
-            edge_index: HashMap::new(),
             coords: vec![(0.0, 0.0); n],
         }
     }
@@ -60,7 +60,7 @@ impl Topology {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.adj.len()
     }
 
     /// Number of directed edges.
@@ -83,9 +83,15 @@ impl Topology {
         &self.adj[n]
     }
 
-    /// Edge id for a `(src, dst)` pair if present.
+    /// Edge id for a `(src, dst)` pair if present (`None` for a node id out
+    /// of range): a scan of `src`'s out-adjacency, O(out-degree). There is at
+    /// most one such edge.
     pub fn find_edge(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
-        self.edge_index.get(&(src, dst)).copied()
+        self.adj
+            .get(src)?
+            .iter()
+            .find(|&&(next, _)| next == dst)
+            .map(|&(_, e)| e)
     }
 
     /// Set a node's planar coordinates.
@@ -107,12 +113,12 @@ impl Topology {
         weight: f64,
     ) -> EdgeId {
         assert!(
-            src < self.num_nodes && dst < self.num_nodes,
+            src < self.num_nodes() && dst < self.num_nodes(),
             "edge endpoint out of range"
         );
         assert_ne!(src, dst, "self-loops are not allowed");
         assert!(
-            !self.edge_index.contains_key(&(src, dst)),
+            self.find_edge(src, dst).is_none(),
             "duplicate edge {src}->{dst}"
         );
         assert!(
@@ -127,7 +133,6 @@ impl Topology {
             weight,
         });
         self.adj[src].push((dst, id));
-        self.edge_index.insert((src, dst), id);
         id
     }
 
@@ -145,9 +150,18 @@ impl Topology {
         (e1, e2)
     }
 
-    /// True if a bidirectional link exists between `a` and `b` in either direction.
+    /// True if a directed edge joins `a` and `b` in either direction.
     pub fn has_link(&self, a: NodeId, b: NodeId) -> bool {
-        self.edge_index.contains_key(&(a, b)) || self.edge_index.contains_key(&(b, a))
+        self.link_edges(a, b).next().is_some()
+    }
+
+    /// The directed edges of the link between `a` and `b`: `a → b`, then
+    /// `b → a`, each if present. [`Self::find_edge`] both ways, O(out-degree
+    /// of `a` and `b`).
+    pub fn link_edges(&self, a: NodeId, b: NodeId) -> impl Iterator<Item = EdgeId> {
+        [self.find_edge(a, b), self.find_edge(b, a)]
+            .into_iter()
+            .flatten()
     }
 
     /// Capacity vector indexed by edge id.
@@ -201,64 +215,23 @@ impl Topology {
 
     /// Fail a bidirectional link (both directed edges between `a` and `b`).
     pub fn with_failed_link(&self, a: NodeId, b: NodeId) -> Topology {
-        let mut ids = Vec::new();
-        if let Some(e) = self.find_edge(a, b) {
-            ids.push(e);
-        }
-        if let Some(e) = self.find_edge(b, a) {
-            ids.push(e);
-        }
-        self.with_failed_edges(&ids)
+        self.with_failed_edges(&self.link_edges(a, b).collect::<Vec<_>>())
     }
 
     /// True when every node can reach every other node over directed edges
     /// (ignoring capacities).
     pub fn is_strongly_connected(&self) -> bool {
-        if self.num_nodes == 0 {
-            return true;
+        // Node 0 reaches every node, and every node reaches node 0.
+        let mut rev_adj = vec![Vec::new(); self.num_nodes()];
+        for (id, e) in self.edges.iter().enumerate() {
+            rev_adj[e.dst].push((e.src, id));
         }
-        // For our symmetric-link topologies, reachability from node 0 in both
-        // edge directions implies strong connectivity.
-        let fwd = self.reachable_from(0);
-        if fwd.iter().any(|&v| !v) {
-            return false;
-        }
-        let mut rev_adj = vec![Vec::new(); self.num_nodes];
-        for e in &self.edges {
-            rev_adj[e.dst].push(e.src);
-        }
-        let mut seen = vec![false; self.num_nodes];
-        let mut stack = vec![0];
-        seen[0] = true;
-        while let Some(n) = stack.pop() {
-            for &m in &rev_adj[n] {
-                if !seen[m] {
-                    seen[m] = true;
-                    stack.push(m);
-                }
-            }
-        }
-        seen.into_iter().all(|v| v)
-    }
-
-    fn reachable_from(&self, start: NodeId) -> Vec<bool> {
-        let mut seen = vec![false; self.num_nodes];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(n) = stack.pop() {
-            for &(m, _) in &self.adj[n] {
-                if !seen[m] {
-                    seen[m] = true;
-                    stack.push(m);
-                }
-            }
-        }
-        seen
+        self.num_nodes() == 0 || (reaches_all(&self.adj) && reaches_all(&rev_adj))
     }
 
     /// All ordered node pairs `(s, t)` with `s != t` — the demand universe.
     pub fn all_pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let n = self.num_nodes;
+        let n = self.num_nodes();
         let mut out = Vec::with_capacity(n * (n - 1));
         for s in 0..n {
             for t in 0..n {
@@ -269,6 +242,22 @@ impl Topology {
         }
         out
     }
+}
+
+/// Whether a depth-first walk of `adj` from node 0 reaches every node.
+fn reaches_all(adj: &[Vec<(NodeId, EdgeId)>]) -> bool {
+    let mut seen = vec![false; adj.len()];
+    let mut stack = vec![0];
+    seen[0] = true;
+    while let Some(n) = stack.pop() {
+        for &(m, _) in &adj[n] {
+            if !seen[m] {
+                seen[m] = true;
+                stack.push(m);
+            }
+        }
+    }
+    seen.into_iter().all(|v| v)
 }
 
 #[cfg(test)]

@@ -8,13 +8,20 @@
 //! so every demand has exactly `k` slots (split ratios on duplicates simply
 //! add on the same physical path).
 //!
+//! # What a `Path` and a `PathSet` store
+//!
+//! A [`Path`] is its edge ids and its weight: the nodes it visits are the
+//! first edge's `src` and then every edge's `dst`, read off the topology by
+//! [`Path::nodes`]. A [`PathSet`] holds its pairs, `pairs × k` paths and one
+//! edge→path arena, whose path ids the ADMM index shares through an `Arc`.
+//!
 //! # Guarantee
 //!
 //! Each pair's result is a pure function of `(topo, src, dst, k)`: it does
 //! not depend on the thread count, on what a [`KspScratch`] was used for
 //! before, or on the order pairs are visited in. It is bit-for-bit what
 //! Yen's algorithm over a plain `(dist, node)`-ordered masked Dijkstra
-//! returns — nodes, edges and the left-folded `f64` weight — and the test
+//! returns — edges, hence nodes, and the left-folded `f64` weight — and the test
 //! oracle (`paths/oracle.rs`, that plain algorithm) holds it to that.
 //!
 //! # Goal-directed spur searches, and why they stay exact
@@ -114,28 +121,33 @@
 //! * Lawler's refinement: each candidate records the spur index it deviated
 //!   at, and spur positions before it — which would repeat a query already
 //!   issued for its parent — are skipped.
+//! * Yen's works on edges alone: the spur node at position `i` is the `src`
+//!   of the path's `i`-th edge, and two paths share a root exactly when
+//!   their first `i` edges are equal (they start at one source, and no two
+//!   edges join the same ordered pair).
 //! * The candidate pool is kept sorted, heaviest first, so the pick is a
 //!   `pop` and the cutoff of the rule above is one index away.
 //! * The edge→path incidence is flattened at construction into a CSR-style
-//!   offsets+indices pair ([`PathSet::paths_on_edge`]).
+//!   offsets+indices pair ([`PathSet::paths_on_edge`]), the one copy of it
+//!   ([`PathSet::edge_path_arena`]).
 
 use crate::graph::{EdgeId, NodeId, Topology};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
 #[cfg(test)]
 mod tests;
 
-/// A simple path through the topology.
+/// A simple path through the topology: its edges, source to destination,
+/// and their summed weight. The nodes are not stored; see [`Path::nodes`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Path {
-    /// Visited nodes, `nodes[0]` = source, last = destination.
-    pub nodes: Vec<NodeId>,
-    /// Directed edge ids, `edges.len() == nodes.len() - 1`.
+    /// Directed edge ids, each starting where the one before it ends.
     pub edges: Vec<EdgeId>,
     /// Total routing weight (latency proxy).
     pub weight: f64,
@@ -152,10 +164,20 @@ impl Path {
         self.edges.is_empty()
     }
 
-    /// True when no node repeats.
-    pub fn is_simple(&self) -> bool {
-        let set: HashSet<_> = self.nodes.iter().collect();
-        set.len() == self.nodes.len()
+    /// The visited nodes in `topo` (the path's topology or a failed-link
+    /// twin of it): the first edge's `src`, then every edge's `dst`. A
+    /// zero-hop path, which only a `src == dst` query to
+    /// [`k_shortest_paths`] returns and no [`PathSet`] holds, yields none.
+    pub fn nodes<'a>(&'a self, topo: &'a Topology) -> impl Iterator<Item = NodeId> + 'a {
+        let src = self.edges.first().map(|&e| topo.edge(e).src);
+        src.into_iter()
+            .chain(self.edges.iter().map(|&e| topo.edge(e).dst))
+    }
+
+    /// True when no node of [`Self::nodes`] repeats.
+    pub fn is_simple(&self, topo: &Topology) -> bool {
+        let mut seen = HashSet::new();
+        self.nodes(topo).all(|v| seen.insert(v))
     }
 }
 
@@ -251,9 +273,8 @@ pub struct KspScratch {
     edge_ban: Vec<u32>,
     node_ban: Vec<u32>,
     epoch: u32,
-    /// The last successful search's path walked backwards: nodes from `dst`
-    /// to the search's source, and the edges between them in that order.
-    walk_nodes: Vec<NodeId>,
+    /// The last successful search's path walked backwards: its edges from
+    /// the one into `dst` to the one out of the search's source.
     walk_edges: Vec<EdgeId>,
     /// CSR adjacency of the bound topology. The out-edges of `v` are
     /// `out_adj[out_off[v]..out_off[v + 1]]` in [`Topology::neighbors`] order
@@ -288,7 +309,6 @@ impl KspScratch {
             edge_ban: vec![0; topo.num_edges()],
             node_ban: vec![0; topo.num_nodes()],
             epoch: 0,
-            walk_nodes: Vec::new(),
             walk_edges: Vec::new(),
             out_off: Vec::new(),
             out_adj: Vec::new(),
@@ -415,23 +435,22 @@ impl KspScratch {
 
     /// Stamp a fresh epoch with Yen's bans for the spur search at position
     /// `i` of the newest accepted path: the next edge of every accepted path
-    /// sharing its root `nodes[..=i]`, and the root's nodes before the spur
-    /// node (the spur path cannot revisit them, so root + spur is simple by
-    /// construction). Every banned edge leaves the spur node — the invariant
+    /// sharing its root (its first `i` edges), and the root's nodes before
+    /// the spur node (the spur path cannot revisit them, so root + spur is
+    /// simple by construction). Every banned edge leaves the spur node — the invariant
     /// [`exit_bounds`] reads the tree under.
     fn ban_root(&mut self, topo: &Topology, accepted: &[Path], i: usize) -> u32 {
         let ban = self.next_epoch();
-        let root_nodes = &accepted.last().expect("a path to deviate from").nodes[..=i];
+        let root_edges = &accepted.last().expect("a path to deviate from").edges[..i];
         for p in accepted {
-            if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
-                if let Some(&e) = p.edges.get(i) {
-                    debug_assert_eq!(topo.edge(e).src, root_nodes[i]);
+            if let Some(&e) = p.edges.get(i) {
+                if p.edges[..i] == *root_edges {
                     self.edge_ban[e] = ban;
                 }
             }
         }
-        for &v in &root_nodes[..i] {
-            self.node_ban[v] = ban;
+        for &e in root_edges {
+            self.node_ban[topo.edge(e).src] = ban;
         }
         ban
     }
@@ -449,20 +468,13 @@ impl KspScratch {
         self.heap.push(key, src);
     }
 
-    /// `root` followed by the last search's path, as a [`Path`] of `weight`.
-    /// `root_nodes` stops short of the search's source, which the walk ends on.
-    fn joined(&self, root_nodes: &[NodeId], root_edges: &[EdgeId], weight: f64) -> Path {
-        let mut nodes = Vec::with_capacity(root_nodes.len() + self.walk_nodes.len());
-        nodes.extend_from_slice(root_nodes);
-        nodes.extend(self.walk_nodes.iter().rev());
+    /// `root_edges` followed by the last search's path, as a [`Path`] of
+    /// `weight`.
+    fn joined(&self, root_edges: &[EdgeId], weight: f64) -> Path {
         let mut edges = Vec::with_capacity(root_edges.len() + self.walk_edges.len());
         edges.extend_from_slice(root_edges);
         edges.extend(self.walk_edges.iter().rev());
-        Path {
-            nodes,
-            edges,
-            weight,
-        }
+        Path { edges, weight }
     }
 
     /// Whether `root_edges` followed by the last search's path is `edges`.
@@ -660,7 +672,6 @@ fn search(
         out_off,
         out_adj,
         h,
-        walk_nodes,
         walk_edges,
         #[cfg(test)]
         counts,
@@ -695,13 +706,10 @@ fn search(
             }
         }
     }
-    walk_nodes.clear();
     walk_edges.clear();
-    walk_nodes.push(dst);
     let mut cur = dst;
     while cur != src {
         let (p, e) = prev[cur]?;
-        walk_nodes.push(p);
         walk_edges.push(e);
         cur = p;
     }
@@ -773,7 +781,7 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
     let Some(weight) = search(src, dst, scratch, unmasked, bounds) else {
         return Vec::new();
     };
-    let mut accepted: Vec<Path> = vec![scratch.joined(&[], &[], weight)];
+    let mut accepted: Vec<Path> = vec![scratch.joined(&[], weight)];
     // Candidate pool, heaviest first in `pool_order`, each candidate with
     // its deviation index (the spur position that produced it); duplicates
     // are filtered on insert.
@@ -788,9 +796,8 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
         let prev = accepted.last().unwrap();
         // Picks still to be made, this expansion's included.
         let need = k - accepted.len();
-        for i in deviation..prev.nodes.len() - 1 {
-            let spur_node = prev.nodes[i];
-            let root_nodes = &prev.nodes[..=i];
+        for i in deviation..prev.edges.len() {
+            let spur_node = topo.edge(prev.edges[i]).src;
             let root_edges = &prev.edges[..i];
             let root_weight: f64 = root_edges.iter().map(|&e| topo.edge(e).weight).sum();
 
@@ -811,7 +818,7 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
                 let known = |p: &Path| scratch.joins_to(root_edges, &p.edges);
                 if !accepted.iter().any(known) && !candidates.iter().any(|(p, _)| known(p)) {
                     let weight = root_weight + spur_weight;
-                    let found = scratch.joined(&root_nodes[..i], root_edges, weight);
+                    let found = scratch.joined(root_edges, weight);
                     let at = candidates
                         .partition_point(|(p, _)| pool_order(p, &found) == Ordering::Greater);
                     candidates.insert(at, (found, i));
@@ -832,7 +839,9 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
 /// Alongside the paths themselves, `compute` flattens the edge→path
 /// incidence once into a CSR-style arena (`e2p_off` offsets into `e2p` path
 /// ids), so solvers query [`paths_on_edge`](PathSet::paths_on_edge) as a
-/// slice instead of rebuilding a `Vec<Vec<usize>>` per call.
+/// slice instead of rebuilding a `Vec<Vec<usize>>` per call. It is the one
+/// copy of that incidence: the ADMM index holds the same `e2p` through
+/// [`edge_path_arena`](PathSet::edge_path_arena).
 #[derive(Clone, Debug)]
 pub struct PathSet {
     k: usize,
@@ -840,19 +849,21 @@ pub struct PathSet {
     /// `pairs.len() * k` paths, demand-major. Pairs with fewer than `k`
     /// simple paths repeat theirs cyclically.
     paths: Vec<Path>,
-    /// Directed edge count of the topology the set was computed on.
-    num_edges: usize,
-    /// Edge-major offsets: paths crossing edge `e` live at
+    /// Edge-major offsets, one per edge of the topology the set was
+    /// computed on plus one: paths crossing edge `e` live at
     /// `e2p[e2p_off[e]..e2p_off[e + 1]]`, ascending.
     e2p_off: Vec<u32>,
-    /// Flat path-id arena indexed by `e2p_off`.
-    e2p: Vec<u32>,
+    /// Flat path-id arena indexed by `e2p_off`, shared with whoever asks
+    /// for [`Self::edge_path_arena`].
+    e2p: Arc<[u32]>,
 }
 
 impl PathSet {
     /// Compute `k` shortest paths per pair, in parallel across pairs.
+    /// Panics on a pair with `src == dst`: it has no path of one hop or more.
     pub fn compute(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> PathSet {
         assert!(k >= 1);
+        assert!(pairs.iter().all(|(s, t)| s != t), "a pair has src == dst");
         let chunk_results = parallel_paths(topo, pairs, k, setup_workers());
         let mut paths = Vec::with_capacity(pairs.len() * k);
         for (pair, mut found) in pairs.iter().zip(chunk_results) {
@@ -895,9 +906,8 @@ impl PathSet {
             k,
             pairs: pairs.to_vec(),
             paths,
-            num_edges,
             e2p_off,
-            e2p,
+            e2p: e2p.into(),
         }
     }
 
@@ -923,7 +933,7 @@ impl PathSet {
 
     /// Directed edge count of the topology this set was computed on.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.e2p_off.len() - 1
     }
 
     /// All paths, demand-major.
@@ -955,6 +965,12 @@ impl PathSet {
         let lo = self.e2p_off[e] as usize;
         let hi = self.e2p_off[e + 1] as usize;
         &self.e2p[lo..hi]
+    }
+
+    /// The whole edge→path arena: `num_edges + 1` offsets and the path ids
+    /// they index, shared so an index over the set holds them uncopied.
+    pub fn edge_path_arena(&self) -> (&[u32], &Arc<[u32]>) {
+        (&self.e2p_off, &self.e2p)
     }
 }
 

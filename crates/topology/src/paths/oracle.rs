@@ -2,10 +2,11 @@
 //! verbatim from before the searches became goal-directed. Every spur search
 //! here floods outward from the spur node until `dst` pops, so it is slow
 //! and obviously correct; [`super::k_shortest_paths_with`] must return the
-//! same paths — nodes, edges, `weight.to_bits()`, order — on every input.
-//! The only additions are the two work counters the ledger test reads. The
-//! heap entry compares floats and is private to this file, so the twin
-//! shares nothing with the packed key it checks.
+//! same paths — edges, `weight.to_bits()`, order — on every input.
+//! The only additions are the two work counters the ledger test reads, and
+//! node lists read off the edges ([`Path::nodes`]) where a [`Path`] stored
+//! them. The heap entry compares floats and is private to this file, so the
+//! twin shares nothing with the packed key it checks.
 
 use super::Path;
 use crate::graph::{EdgeId, NodeId, Topology};
@@ -168,19 +169,15 @@ pub fn dijkstra_scratch(
     if !dist[dst].is_finite() {
         return None;
     }
-    let mut nodes = vec![dst];
     let mut edges = Vec::new();
     let mut cur = dst;
     while cur != src {
         let (p, e) = prev[cur]?;
-        nodes.push(p);
         edges.push(e);
         cur = p;
     }
-    nodes.reverse();
     edges.reverse();
     Some(Path {
-        nodes,
         edges,
         weight: dist[dst],
     })
@@ -206,16 +203,18 @@ pub fn k_shortest_paths_with(
 
     while accepted.len() < k {
         let prev = accepted.last().unwrap().clone();
-        for i in 0..prev.nodes.len() - 1 {
-            let spur_node = prev.nodes[i];
-            let root_nodes = &prev.nodes[..=i];
+        let prev_nodes: Vec<NodeId> = prev.nodes(topo).collect();
+        for i in 0..prev.edges.len() {
+            let spur_node = prev_nodes[i];
+            let root_nodes = &prev_nodes[..=i];
             let root_edges = &prev.edges[..i];
             let root_weight: f64 = root_edges.iter().map(|&e| topo.edge(e).weight).sum();
 
             let ban = scratch.next_epoch();
             // Ban the next edge of every accepted path sharing this root.
             for p in &accepted {
-                if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
+                let p_nodes: Vec<NodeId> = p.nodes(topo).collect();
+                if p_nodes.len() > i && p_nodes[..=i] == *root_nodes {
                     if let Some(&e) = p.edges.get(i) {
                         scratch.edge_ban[e] = ban;
                     }
@@ -234,14 +233,11 @@ pub fn k_shortest_paths_with(
                 for &v in &root_nodes[..i] {
                     scratch.node_mark[v] = mark;
                 }
-                let simple = spur.nodes.iter().all(|&v| scratch.node_mark[v] != mark);
+                let simple = spur.nodes(topo).all(|v| scratch.node_mark[v] != mark);
                 if simple {
-                    let mut nodes = root_nodes[..i].to_vec();
-                    nodes.extend_from_slice(&spur.nodes);
                     let mut edges = root_edges.to_vec();
                     edges.extend_from_slice(&spur.edges);
                     let cand = Path {
-                        nodes,
                         edges,
                         weight: root_weight + spur.weight,
                     };

@@ -15,13 +15,22 @@ fn diamond() -> Topology {
     t
 }
 
-/// Exact equality of two path lists: nodes, edges, weight bits, order.
-fn same_paths(got: &[Path], want: &[Path]) -> Result<(), String> {
+/// The nodes `p` visits in `topo`, collected.
+fn nodes(topo: &Topology, p: &Path) -> Vec<NodeId> {
+    p.nodes(topo).collect()
+}
+
+/// Exact equality of two path lists on `topo`: nodes (read off the edges),
+/// edges, weight bits, order.
+fn same_paths(topo: &Topology, got: &[Path], want: &[Path]) -> Result<(), String> {
     if got.len() != want.len() {
         return Err(format!("{} paths, oracle has {}", got.len(), want.len()));
     }
     for (j, (g, w)) in got.iter().zip(want).enumerate() {
-        if g.nodes != w.nodes || g.edges != w.edges || g.weight.to_bits() != w.weight.to_bits() {
+        if !g.nodes(topo).eq(w.nodes(topo))
+            || g.edges != w.edges
+            || g.weight.to_bits() != w.weight.to_bits()
+        {
             return Err(format!("path {j}: {g:?}, oracle has {w:?}"));
         }
     }
@@ -45,10 +54,11 @@ fn scanned_search(src: NodeId, dst: NodeId, scratch: &mut KspScratch, ban: u32) 
     search(src, dst, scratch, ban, bounds)
 }
 
-/// FNV-1a over every path's node count, nodes, edges and weight bits. The
-/// pinned values below were printed by this function at the commit before
-/// the searches became goal-directed.
-fn path_hash(paths: &[Path]) -> u64 {
+/// FNV-1a over every path's node count, nodes (read off its edges in
+/// `topo`), edges and weight bits. The pinned values below were printed by
+/// this function at the commit before the searches became goal-directed,
+/// when every path stored its node list.
+fn path_hash(topo: &Topology, paths: &[Path]) -> u64 {
     fn mix(h: &mut u64, x: u64) {
         for b in x.to_le_bytes() {
             *h ^= u64::from(b);
@@ -57,8 +67,8 @@ fn path_hash(paths: &[Path]) -> u64 {
     }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for p in paths {
-        mix(&mut h, p.nodes.len() as u64);
-        for &n in &p.nodes {
+        mix(&mut h, p.nodes(topo).count() as u64);
+        for n in p.nodes(topo) {
             mix(&mut h, n as u64);
         }
         for &e in &p.edges {
@@ -91,7 +101,7 @@ fn tie_heavy_graph(seed: u64, n: usize, density: f64, zero_weights: bool) -> Top
 fn dijkstra_picks_lightest() {
     let t = diamond();
     let p = dijkstra(&t, 0, 3).unwrap();
-    assert_eq!(p.nodes, vec![0, 1, 3]);
+    assert_eq!(nodes(&t, &p), vec![0, 1, 3]);
     assert!((p.weight - 2.0).abs() < 1e-9);
 }
 
@@ -115,8 +125,8 @@ fn masked_search_respects_bans() {
     let ban = scratch.next_epoch();
     scratch.edge_ban[e01] = ban;
     let w = scanned_search(0, 3, &mut scratch, ban).unwrap();
-    let p = scratch.joined(&[], &[], w);
-    assert_eq!(p.nodes, vec![0, 2, 3]);
+    let p = scratch.joined(&[], w);
+    assert_eq!(nodes(&t, &p), vec![0, 2, 3]);
     let ban = plain.next_epoch();
     plain.edge_ban[e01] = ban;
     let q = oracle::dijkstra_scratch(&t, 0, 3, &mut plain, ban).unwrap();
@@ -126,8 +136,8 @@ fn masked_search_respects_bans() {
     let ban = scratch.next_epoch();
     scratch.node_ban[1] = ban;
     let w = scanned_search(0, 3, &mut scratch, ban).unwrap();
-    let p = scratch.joined(&[], &[], w);
-    assert_eq!(p.nodes, vec![0, 2, 3]);
+    let p = scratch.joined(&[], w);
+    assert_eq!(nodes(&t, &p), vec![0, 2, 3]);
     let ban = plain.next_epoch();
     plain.node_ban[1] = ban;
     let q = oracle::dijkstra_scratch(&t, 0, 3, &mut plain, ban).unwrap();
@@ -139,11 +149,11 @@ fn yen_orders_by_weight() {
     let t = diamond();
     let ps = k_shortest_paths(&t, 0, 3, 3);
     assert_eq!(ps.len(), 3);
-    assert_eq!(ps[0].nodes, vec![0, 1, 3]); // weight 2
-    assert_eq!(ps[1].nodes, vec![0, 2, 3]); // weight 3
-    assert_eq!(ps[2].nodes, vec![0, 3]); // weight 5
+    assert_eq!(nodes(&t, &ps[0]), vec![0, 1, 3]); // weight 2
+    assert_eq!(nodes(&t, &ps[1]), vec![0, 2, 3]); // weight 3
+    assert_eq!(nodes(&t, &ps[2]), vec![0, 3]); // weight 5
     assert!(ps.windows(2).all(|w| w[0].weight <= w[1].weight));
-    assert!(ps.iter().all(|p| p.is_simple()));
+    assert!(ps.iter().all(|p| p.is_simple(&t)));
 }
 
 #[test]
@@ -164,7 +174,7 @@ fn one_way_chain_is_routable() {
     t.add_directed_edge(1, 2, 1.0, 1.0);
     let ps = k_shortest_paths(&t, 0, 2, 2);
     assert_eq!(ps.len(), 1);
-    assert_eq!(ps[0].nodes, vec![0, 1, 2]);
+    assert_eq!(nodes(&t, &ps[0]), vec![0, 1, 2]);
     assert!(k_shortest_paths(&t, 2, 0, 2).is_empty());
 }
 
@@ -181,7 +191,7 @@ fn scratch_reuse_matches_fresh_scratch() {
             }
             for k in 1..=4 {
                 let a = k_shortest_paths_with(&t, s, d, k, &mut shared);
-                same_paths(&a, &k_shortest_paths(&t, s, d, k)).unwrap();
+                same_paths(&t, &a, &k_shortest_paths(&t, s, d, k)).unwrap();
             }
         }
     }
@@ -205,7 +215,7 @@ fn scratch_reuse_across_topologies_matches_fresh_scratch() {
         for src in 0..12 {
             for topo in [&a, &b, &wan, &failed] {
                 let got = k_shortest_paths_with(topo, src, dst, 4, &mut shared);
-                same_paths(&got, &k_shortest_paths(topo, src, dst, 4)).unwrap();
+                same_paths(topo, &got, &k_shortest_paths(topo, src, dst, 4)).unwrap();
             }
         }
     }
@@ -281,7 +291,7 @@ fn parallel_matches_serial() {
         let got = parallel_paths(&t, &pairs, 4, threads);
         assert_eq!(got.len(), serial.len());
         for (g, w) in got.iter().zip(&serial) {
-            same_paths(g, w).unwrap_or_else(|e| panic!("{threads} workers: {e}"));
+            same_paths(&t, g, w).unwrap_or_else(|e| panic!("{threads} workers: {e}"));
         }
     }
 }
@@ -342,14 +352,14 @@ fn claims_never_split_a_destination() {
 fn pinned_path_hashes() {
     let t = b4();
     let ps = PathSet::compute(&t, &t.all_pairs(), 4);
-    assert_eq!(path_hash(ps.paths()), 0xd241_71e8_1928_0267, "B4");
+    assert_eq!(path_hash(&t, ps.paths()), 0xd241_71e8_1928_0267, "B4");
     let t = generate(TopoKind::Swan, 0.3, 7);
     let ps = PathSet::compute(&t, &t.all_pairs(), 4);
-    assert_eq!(path_hash(ps.paths()), 0xdf66_0829_7ab5_648a, "Swan 0.3");
+    assert_eq!(path_hash(&t, ps.paths()), 0xdf66_0829_7ab5_648a, "Swan 0.3");
     let t = large_wan(256, 7);
     let ps = PathSet::compute(&t, &gravity_pairs(&t, 512, 6), 4);
     assert_eq!(
-        path_hash(ps.paths()),
+        path_hash(&t, ps.paths()),
         0xf0be_1ad1_4342_ceef,
         "large_wan(256)"
     );
@@ -366,7 +376,7 @@ fn work_counts(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> (Counts, u64, u64
     for (i, got) in found {
         let (s, d) = pairs[i];
         let want = oracle::k_shortest_paths_with(topo, s, d, 4, &mut plain);
-        same_paths(&got, &want).unwrap_or_else(|e| panic!("pair {s}->{d}: {e}"));
+        same_paths(topo, &got, &want).unwrap_or_else(|e| panic!("pair {s}->{d}: {e}"));
     }
     (scratch.counts, plain.searches, plain.pops)
 }
@@ -400,7 +410,7 @@ fn paper_scale_pinned_hash_and_counts() {
     let t = large_wan(1024, 7);
     let pairs = gravity_pairs(&t, 2048, 6);
     let ps = PathSet::compute(&t, &pairs, 4);
-    assert_eq!(path_hash(ps.paths()), 0x1c3c_dbeb_4694_b5fc);
+    assert_eq!(path_hash(&t, ps.paths()), 0x1c3c_dbeb_4694_b5fc);
     let nnz: usize = ps.paths().iter().map(|p| p.edges.len()).sum();
     assert_eq!(nnz, 32_041);
     let (ours, searches, pops) = work_counts(&t, &pairs);
@@ -454,7 +464,12 @@ fn no_paths_asked_for_none_returned() {
     for s in 0..4 {
         for d in 0..4 {
             assert!(k_shortest_paths(&t, s, d, 0).is_empty(), "{s}->{d}");
-            same_paths(&k_shortest_paths(&t, s, d, 1), &oracle_paths(&t, s, d, 1)).unwrap();
+            same_paths(
+                &t,
+                &k_shortest_paths(&t, s, d, 1),
+                &oracle_paths(&t, s, d, 1),
+            )
+            .unwrap();
         }
     }
 }
@@ -477,8 +492,8 @@ fn spur_tying_the_cutoff_is_searched() {
     let second = |t: &Topology| {
         let mut scratch = KspScratch::new(t);
         let got = k_shortest_paths_with(t, s, d, 2, &mut scratch);
-        same_paths(&got, &oracle_paths(t, s, d, 2)).unwrap();
-        (got[1].nodes.clone(), scratch.counts.pruned)
+        same_paths(t, &got, &oracle_paths(t, s, d, 2)).unwrap();
+        (nodes(t, &got[1]), scratch.counts.pruned)
     };
 
     // At 4 it ties the pooled candidate exactly and its edge list [0, 4, 5]
@@ -501,7 +516,7 @@ fn tie_heavy_graphs_match_oracle_under_pruning() {
             for d in 0..10 {
                 for k in 1..=6 {
                     let got = k_shortest_paths_with(&t, s, d, k, &mut shared);
-                    same_paths(&got, &oracle_paths(&t, s, d, k))
+                    same_paths(&t, &got, &oracle_paths(&t, s, d, k))
                         .unwrap_or_else(|e| panic!("seed {seed} k {k} pair {s}->{d}: {e}"));
                 }
             }
@@ -533,10 +548,10 @@ fn replay_spurs(t: &Topology, pairs: &[(NodeId, NodeId)]) -> (u64, u64) {
         scratch.aim(dst);
         let accepted = yen(t, src, dst, 4, &mut scratch);
         for (j, prev) in accepted.iter().enumerate() {
-            for i in 0..prev.nodes.len() - 1 {
+            for (i, spur) in prev.nodes(t).enumerate().take(prev.len()) {
                 let ban = scratch.ban_root(t, &accepted[..=j], i);
                 let before = scratch.counts.shortcuts;
-                optimum_matches_astar(&mut scratch, prev.nodes[i], dst, ban);
+                optimum_matches_astar(&mut scratch, spur, dst, ban);
                 settled += scratch.counts.shortcuts - before;
                 spurs += 1;
             }
@@ -573,7 +588,7 @@ fn sealed_goal_is_refused_without_a_heap() {
     scratch.bind(&t);
     scratch.aim(dst);
     let accepted = yen(&t, s, dst, 1, &mut scratch);
-    assert_eq!(accepted[0].nodes, vec![s, u, dst]);
+    assert_eq!(nodes(&t, &accepted[0]), vec![s, u, dst]);
 
     // Spur at u: Yen's bans u -> dst and the root node s. The exit to x is
     // open but its tree path comes straight back to u, so the exit scan has
@@ -603,7 +618,7 @@ fn sealed_goal_is_refused_without_a_heap() {
     scratch.bind(&t);
     scratch.aim(dst);
     let accepted = yen(&t, s, dst, 1, &mut scratch);
-    assert_eq!(accepted[0].nodes, vec![s, u, dst]);
+    assert_eq!(nodes(&t, &accepted[0]), vec![s, u, dst]);
     let ban = scratch.ban_root(&t, &accepted, 1);
     assert_eq!(exit_bounds(u, dst, &scratch, ban), (3.0, f64::INFINITY));
     assert!(!goal_sealed(dst, &scratch, ban));
@@ -714,7 +729,7 @@ fn sandwich_falls_back_and_reports_no_exit() {
     );
     optimum_matches_astar(&mut scratch, s, dst, ban);
     let w = scanned_search(s, dst, &mut scratch, ban).unwrap();
-    assert_eq!(scratch.joined(&[], &[], w).nodes, vec![s, a, dst]);
+    assert_eq!(nodes(&t, &scratch.joined(&[], w)), vec![s, a, dst]);
 
     // Spur at r, nothing banned but the edge r -> t: the only other exit's
     // tree path (s -> a -> r -> t) comes back to r, so there is no upper
@@ -736,11 +751,68 @@ fn sandwich_falls_back_and_reports_no_exit() {
     // And the whole of Yen's on it is the oracle's.
     for src in [r, s, a, b] {
         same_paths(
+            &t,
             &k_shortest_paths(&t, src, dst, 4),
             &oracle_paths(&t, src, dst, 4),
         )
         .unwrap();
     }
+}
+
+#[test]
+fn find_edge_and_has_link_equal_a_linear_scan() {
+    // The adjacency scan against the edge table itself, for every ordered
+    // node pair and one id past the last node (a submitted failed link may
+    // name one): symmetric WANs, a failed-link twin (same edges, one pair at
+    // zero capacity) and a one-way-heavy graph where `has_link` differs
+    // from `find_edge` in one direction.
+    let wan = large_wan(256, 7);
+    let failed = {
+        let e = &wan.edges()[wan.num_edges() / 2];
+        wan.with_failed_link(e.src, e.dst)
+    };
+    let topos = [
+        b4(),
+        generate(TopoKind::Swan, 0.3, 7),
+        wan,
+        failed,
+        tie_heavy_graph(5, 24, 0.3, true),
+    ];
+    for t in &topos {
+        let scan = |a: NodeId, b: NodeId| t.edges().iter().position(|e| (e.src, e.dst) == (a, b));
+        for a in 0..=t.num_nodes() {
+            for b in 0..=t.num_nodes() {
+                assert_eq!(t.find_edge(a, b), scan(a, b), "{} {a}->{b}", t.name());
+                let either = scan(a, b).is_some() || scan(b, a).is_some();
+                assert_eq!(t.has_link(a, b), either, "{} {a}-{b}", t.name());
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_hop_path_yields_no_nodes() {
+    // Only a `src == dst` query returns one: no edges, weight zero, and its
+    // edges name no node. The oracle returns the same path.
+    let t = diamond();
+    let ps = k_shortest_paths(&t, 2, 2, 3);
+    assert_eq!(
+        ps,
+        vec![Path {
+            edges: Vec::new(),
+            weight: 0.0
+        }]
+    );
+    assert_eq!(ps[0].nodes(&t).count(), 0);
+    assert!(ps[0].is_simple(&t));
+    same_paths(&t, &ps, &oracle_paths(&t, 2, 2, 3)).unwrap();
+}
+
+#[test]
+#[should_panic(expected = "src == dst")]
+fn path_set_refuses_a_zero_hop_pair() {
+    let t = diamond();
+    let _ = PathSet::compute(&t, &[(0, 3), (1, 1)], 2);
 }
 
 proptest! {
@@ -764,7 +836,7 @@ proptest! {
             for d in 0..n {
                 let want = oracle_paths(&t, s, d, k);
                 let got = k_shortest_paths_with(&t, s, d, k, &mut shared);
-                if let Err(e) = same_paths(&got, &want) {
+                if let Err(e) = same_paths(&t, &got, &want) {
                     prop_assert!(false, "seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
                 }
                 pairs.push((s, d));
@@ -772,7 +844,7 @@ proptest! {
         }
         let driven = parallel_paths(&t, &pairs, k, 3);
         for (&(s, d), got) in pairs.iter().zip(&driven) {
-            if let Err(e) = same_paths(got, &oracle_paths(&t, s, d, k)) {
+            if let Err(e) = same_paths(&t, got, &oracle_paths(&t, s, d, k)) {
                 prop_assert!(false, "driver: seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
             }
         }
@@ -786,7 +858,7 @@ proptest! {
         let pairs = gravity_pairs(&t, 3 * n, seed ^ 0x55);
         let driven = parallel_paths(&t, &pairs, k, 2);
         for (&(s, d), got) in pairs.iter().zip(&driven) {
-            if let Err(e) = same_paths(got, &oracle_paths(&t, s, d, k)) {
+            if let Err(e) = same_paths(&t, got, &oracle_paths(&t, s, d, k)) {
                 prop_assert!(false, "seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
             }
         }

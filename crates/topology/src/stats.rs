@@ -38,32 +38,27 @@ pub fn mean_shortest_path(topo: &Topology) -> f64 {
 /// Figure 17: for each directed edge, the percentage of demands that are
 /// routable on it, i.e. the edge lies on at least one of the demand's
 /// preconfigured paths.
+///
+/// Read off the edge→path arena: an edge's path ids are ascending and
+/// demand-major, so its demands are the runs of equal `path / k`.
 pub fn routable_demand_share(topo: &Topology, paths: &PathSet) -> Vec<f64> {
-    let k = paths.k();
-    let mut counts = vec![0usize; topo.num_edges()];
-    for d in 0..paths.num_demands() {
-        let mut touched: Vec<usize> = paths
-            .paths_for(d)
-            .iter()
-            .flat_map(|p| p.edges.iter().copied())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for e in touched {
-            counts[e] += 1;
-        }
-    }
-    let _ = k;
+    let k = paths.k() as u32;
     let nd = paths.num_demands().max(1) as f64;
-    counts.into_iter().map(|c| 100.0 * c as f64 / nd).collect()
+    (0..topo.num_edges())
+        .map(|e| {
+            let demands = paths.paths_on_edge(e).chunk_by(|a, b| a / k == b / k);
+            100.0 * demands.count() as f64 / nd
+        })
+        .collect()
 }
 
 /// Structural invariants every generated `(topology, path set)` pair must
 /// satisfy. Returns the first violation as a message, `Ok(())` otherwise.
 ///
-/// Checks: the topology is strongly connected; every path slot is simple,
-/// non-empty, connects its demand pair, walks existing edges contiguously,
-/// and carries the exact sum of its edge weights. The generator regression
+/// Checks: the topology is strongly connected; every path slot is
+/// non-empty, walks existing edges contiguously, is simple, connects its
+/// demand pair (nodes read off its edges, [`crate::Path::nodes`]), and
+/// carries the exact sum of its edge weights. The generator regression
 /// tests run this over `large_wan` outputs at several seeds and scales.
 pub fn check_path_set(topo: &Topology, paths: &PathSet) -> Result<(), String> {
     if !topo.is_strongly_connected() {
@@ -82,25 +77,24 @@ pub fn check_path_set(topo: &Topology, paths: &PathSet) -> Result<(), String> {
             if p.is_empty() {
                 return Err(tag("empty path"));
             }
-            if !p.is_simple() {
+            if p.edges.iter().any(|&e| e >= topo.num_edges()) {
+                return Err(tag("edge id out of range"));
+            }
+            if p.edges
+                .windows(2)
+                .any(|w| topo.edge(w[0]).dst != topo.edge(w[1]).src)
+            {
+                return Err(tag("an edge does not start where the one before it ends"));
+            }
+            if !p.is_simple(topo) {
                 return Err(tag("path revisits a node"));
             }
-            if p.nodes.first() != Some(&s) || p.nodes.last() != Some(&t) {
+            if p.nodes(topo).next() != Some(s) || p.nodes(topo).last() != Some(t) {
                 return Err(tag("endpoints do not match the demand pair"));
             }
-            if p.edges.len() + 1 != p.nodes.len() {
-                return Err(tag("edge/node count mismatch"));
-            }
             let mut weight = 0.0;
-            for (h, &e) in p.edges.iter().enumerate() {
-                if e >= topo.num_edges() {
-                    return Err(tag("edge id out of range"));
-                }
-                let edge = topo.edge(e);
-                if edge.src != p.nodes[h] || edge.dst != p.nodes[h + 1] {
-                    return Err(tag("edge does not connect consecutive nodes"));
-                }
-                weight += edge.weight;
+            for &e in &p.edges {
+                weight += topo.edge(e).weight;
             }
             if (weight - p.weight).abs() > 1e-9 * weight.max(1.0) {
                 return Err(tag("stored weight disagrees with edge weights"));

@@ -1,0 +1,112 @@
+//! Footprint ledger: the live heap a failed-link twin and a path set add,
+//! byte for byte, against what the `graph.rs` and `paths.rs` module docs
+//! say a `Topology`, a `Path` and a `PathSet` store. A lookup index, a
+//! second copy of a path's nodes or of the edge→path arena shows up here as
+//! bytes no term accounts for.
+//!
+//! It counts live bytes (allocations minus frees) across *all* threads,
+//! because `PathSet::compute` runs on scoped workers, so it is its own
+//! binary with no test harness: nothing else runs while it measures. It
+//! prints one ledger line (`--nocapture` is not needed, but harmless).
+
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicIsize, Ordering::SeqCst};
+use teal_topology::{b4, gravity_pairs, large_wan, Edge, EdgeId, NodeId, Path, PathSet};
+
+/// `System` plus one process-wide count of live bytes.
+struct LiveBytes;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every method forwards to `System`, so `System` upholds
+// GlobalAlloc's contract; the counter touches no allocated memory.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, SeqCst);
+        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
+        // contract, which is exactly what `System` requires.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, SeqCst);
+        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
+        // i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as isize - layout.size() as isize, SeqCst);
+        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
+        // unchanged to `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// `build()`'s result, still alive, and the live bytes it added.
+fn measure<T>(build: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(SeqCst);
+    let built = build();
+    (built, (LIVE.load(SeqCst) - before) as usize)
+}
+
+fn main() {
+    // The first scoped spawn allocates process-lifetime state (the main
+    // thread's handle); a B4 path set with more than one claim spawns.
+    drop(PathSet::compute(&b4(), &b4().all_pairs(), 4));
+
+    let t = large_wan(256, 7);
+    let (n, e) = (t.num_nodes(), t.num_edges());
+    let link = &t.edges()[e / 2];
+    let (twin, twin_bytes) = measure(|| t.with_failed_link(link.src, link.dst));
+    assert_eq!(twin.edge(e / 2).capacity, 0.0);
+    // Edge table, adjacency entries (one per edge), per node an adjacency
+    // `Vec` header and a coordinate pair, and the name's bytes.
+    let adjacency: usize = (0..n).map(|v| t.neighbors(v).len()).sum();
+    let per_node = size_of::<Vec<(NodeId, EdgeId)>>() + size_of::<(f64, f64)>();
+    let twin_want = e * size_of::<Edge>()
+        + adjacency * size_of::<(NodeId, EdgeId)>()
+        + n * per_node
+        + t.name().len();
+
+    let pairs = gravity_pairs(&t, 512, 6);
+    let (paths, paths_bytes) = measure(|| PathSet::compute(&t, &pairs, 4));
+    let nnz: usize = paths.paths().iter().map(Path::len).sum();
+    // The path-id arena is an `Arc<[u32]>`: two counts, then the ids.
+    let e2p = Layout::new::<[usize; 2]>()
+        .extend(Layout::array::<u32>(nnz).unwrap())
+        .unwrap()
+        .0
+        .pad_to_align()
+        .size();
+    let e2p_off = (e + 1) * size_of::<u32>();
+    let paths_want = paths.num_paths() * size_of::<Path>()
+        + nnz * size_of::<EdgeId>()
+        + e2p
+        + e2p_off
+        + pairs.len() * size_of::<(NodeId, NodeId)>();
+
+    println!(
+        "footprint: {} failed-link twin {twin_bytes} B (want {twin_want}: {e} edges x {}, \
+         {adjacency} adjacency entries x {}, {n} nodes x {per_node}, {} name bytes); \
+         path set of {} pairs {paths_bytes} B (want {paths_want}: {} paths x {}, {nnz} hops x {}, \
+         e2p {e2p}, e2p_off {e2p_off}, pairs {})",
+        t.name(),
+        size_of::<Edge>(),
+        size_of::<(NodeId, EdgeId)>(),
+        t.name().len(),
+        pairs.len(),
+        paths.num_paths(),
+        size_of::<Path>(),
+        size_of::<EdgeId>(),
+        pairs.len() * size_of::<(NodeId, NodeId)>(),
+    );
+    assert_eq!(twin_bytes, twin_want, "failed-link twin");
+    assert_eq!(paths_bytes, paths_want, "path set");
+}

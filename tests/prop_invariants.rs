@@ -137,13 +137,14 @@ proptest! {
             prop_assert!(w[0].weight <= w[1].weight + 1e-9);
         }
         for p in &paths {
-            prop_assert!(p.is_simple());
-            prop_assert_eq!(p.nodes[0], s);
-            prop_assert_eq!(*p.nodes.last().unwrap(), t);
-            // Edge chain is consistent with the node list.
+            prop_assert!(p.is_simple(&topo));
+            let nodes: Vec<usize> = p.nodes(&topo).collect();
+            prop_assert_eq!(nodes[0], s);
+            prop_assert_eq!(*nodes.last().unwrap(), t);
+            // Each edge starts where the one before it ends.
             for (i, &e) in p.edges.iter().enumerate() {
-                prop_assert_eq!(topo.edge(e).src, p.nodes[i]);
-                prop_assert_eq!(topo.edge(e).dst, p.nodes[i + 1]);
+                prop_assert_eq!(topo.edge(e).src, nodes[i]);
+                prop_assert_eq!(topo.edge(e).dst, nodes[i + 1]);
             }
         }
     }
