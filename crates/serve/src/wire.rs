@@ -73,7 +73,7 @@
 //! *Assuming:* the payload came through [`read_frame`] or a
 //! [`FrameDecoder`], so it is at most [`MAX_FRAME`] bytes (`frame_len` is
 //! the one place a length prefix meets that cap); every `Wire` type takes
-//! at least one byte (`Reader::items` asserts `MIN_BYTES > 0` at compile
+//! at least one byte (`Reader::fits` asserts `MIN_BYTES > 0` at compile
 //! time), so a claimed element count is held against the bytes left in the
 //! frame before anything is allocated for it; and no type is more than 3×
 //! wider in memory than its `MIN_BYTES` (`TopoSnapshot`, 352 against 117,
@@ -381,6 +381,16 @@ impl<'a> Reader<'a> {
     /// request (which would abort the process on failure). A `collect()`
     /// over the fallible reads would lose the size hint.
     fn items<T: Wire>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
+        self.fits::<T>(n)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Refuse a count of `T`s that the bytes left in the frame cannot hold.
+    fn fits<T: Wire>(&self, n: usize) -> Result<(), WireError> {
         const { assert!(T::MIN_BYTES > 0, "a zero-byte type admits any count") };
         let have = self.buf.len() - self.pos;
         if n.checked_mul(T::MIN_BYTES).is_none_or(|need| need > have) {
@@ -389,11 +399,7 @@ impl<'a> Reader<'a> {
                 std::any::type_name::<T>()
             )));
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::get(self)?);
-        }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -401,7 +407,7 @@ impl<'a> Reader<'a> {
 /// is one of these. A table struct's impl (`telemetry.rs`) is generated
 /// from its rows.
 pub(crate) trait Wire: Sized {
-    /// Fewest bytes one value can occupy — what `Reader::items` holds a
+    /// Fewest bytes one value can occupy — what `Reader::fits` holds a
     /// claimed element count against before allocating for it. Never 0.
     const MIN_BYTES: usize;
     /// Append the encoding to `buf`.
@@ -549,15 +555,20 @@ impl Wire for TrafficMatrix {
             v.put(buf);
         }
     }
+    /// Checks the frame's own words, then decodes them once, straight into
+    /// the matrix's shared buffer.
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let demands = Vec::<f64>::get(r)?;
-        // `TrafficMatrix::new` asserts this; a peer's bytes must fail the
-        // frame, not unwind the event loop every connection shares.
-        match demands.iter().find(|d| !(d.is_finite() && **d >= 0.0)) {
+        let n = u32::get(r)? as usize;
+        r.fits::<f64>(n)?;
+        let words: &[[u8; 8]] = r.take(8 * n)?.as_chunks().0;
+        let demands = || words.iter().map(|w| f64::from_le_bytes(*w));
+        // The matrix asserts this; a peer's bytes must fail the frame, not
+        // unwind the event loop every connection shares.
+        match demands().find(|d| !(d.is_finite() && *d >= 0.0)) {
             Some(d) => Err(WireError::Protocol(format!(
                 "demand {d} is not finite and non-negative"
             ))),
-            None => Ok(TrafficMatrix::new(demands)),
+            None => Ok(demands().collect()),
         }
     }
 }

@@ -21,7 +21,9 @@
 use crate::matrix::TrafficMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 use teal_topology::paths::setup_workers;
 use teal_topology::{NodeId, PathSet, Topology};
 
@@ -131,7 +133,7 @@ impl TrafficModel {
         if utils.is_empty() {
             return;
         }
-        utils.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        utils.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         let p95 = utils[((utils.len() - 1) as f64 * 0.95).round() as usize];
         if p95 > 0.0 {
             self.scale = self.cfg.target_utilization / p95;
@@ -141,6 +143,8 @@ impl TrafficModel {
     /// Generate `len` consecutive traffic matrices starting at interval
     /// `start`. Deterministic in `(seed, start, len)` — the same window can
     /// be regenerated at will, which the train/val/test split relies on.
+    /// Each matrix's buffer is allocated once and filled in place: the
+    /// workers write the very buffer the matrix then shares.
     ///
     /// Runs on set-up workers like `PathSet::compute`
     /// ([`setup_workers`]): the demands'
@@ -165,10 +169,11 @@ impl TrafficModel {
                         .sin()
             })
             .collect();
-        let mut out: Vec<Vec<f64>> = (0..len).map(|_| vec![0.0; n]).collect();
+        let mut out: Vec<Arc<[f64]>> = (0..len).map(|_| (0..n).map(|_| 0.0).collect()).collect();
         let threads = threads.clamp(1, n.max(1));
         std::thread::scope(|scope| {
-            let mut rest: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            // Each buffer is fresh and so unshared: `make_mut` copies nothing.
+            let mut rest: Vec<&mut [f64]> = out.iter_mut().map(Arc::make_mut).collect();
             for w in 0..threads {
                 let demands = n * w / threads..n * (w + 1) / threads;
                 let (columns, tail) = rest
@@ -185,7 +190,7 @@ impl TrafficModel {
                 }
             }
         });
-        out.into_iter().map(TrafficMatrix::new).collect()
+        out.into_iter().map(TrafficMatrix::shared).collect()
     }
 
     /// One worker's share of a series: the streams of `demands`, one after

@@ -7,6 +7,7 @@
 // audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
 // crate's unsafe inventory docs).
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod gen;
 pub mod matrix;

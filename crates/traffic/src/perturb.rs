@@ -29,13 +29,11 @@ pub fn temporal_fluctuation(
     series
         .iter()
         .map(|tm| {
-            let demands = tm
-                .demands()
+            tm.demands()
                 .iter()
                 .zip(&std)
                 .map(|(&d, &s)| (d + s * gauss(&mut rng)).max(0.0))
-                .collect();
-            TrafficMatrix::new(demands)
+                .collect()
         })
         .collect()
 }
@@ -60,8 +58,7 @@ pub fn spatial_redistribution(series: &[TrafficMatrix], target_share: f64) -> Ve
             }
             let top_scale = target_share * total / top_vol;
             let rest_scale = (1.0 - target_share) * total / rest_vol;
-            let demands = tm
-                .demands()
+            tm.demands()
                 .iter()
                 .enumerate()
                 .map(|(i, &d)| {
@@ -71,8 +68,7 @@ pub fn spatial_redistribution(series: &[TrafficMatrix], target_share: f64) -> Ve
                         d * rest_scale
                     }
                 })
-                .collect();
-            TrafficMatrix::new(demands)
+                .collect()
         })
         .collect()
 }
