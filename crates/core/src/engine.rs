@@ -90,8 +90,10 @@ impl std::error::Error for AllocError {}
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// ADMM fine-tuning iterations; `None` disables ADMM entirely (used for
-    /// the MLU/latency objectives in §5.5 and the w/o-ADMM ablation).
+    /// ADMM fine-tuning; every window runs its `max_iters` (the paper's
+    /// per-topology count is [`AdmmConfig::fine_tune`]). `None` disables
+    /// ADMM entirely (used for the MLU/latency objectives in §5.5 and the
+    /// w/o-ADMM ablation).
     pub admm: Option<AdmmConfig>,
     /// The objective the model was trained for (ADMM uses its linear
     /// coefficients; MLU implies `admm = None`).
@@ -142,12 +144,6 @@ pub struct BatchScratch {
     /// [`SolveReport`]); `None` before the first window or when ADMM is
     /// disabled.
     last_solve: Option<SolveReport>,
-    /// Per-window iteration-budget override: when set, the next window's
-    /// ADMM stage runs `min(budget, cfg.max_iters)` iterations instead of
-    /// the context's configured count — the §3.4 quality/latency knob as a
-    /// per-dispatch control. Sticky until changed; `None` means the
-    /// configured budget.
-    iteration_budget: Option<usize>,
 }
 
 /// Per-window solver introspection: what the ADMM fine-tuning stage
@@ -156,10 +152,6 @@ pub struct BatchScratch {
 /// [`teal_lp::AdmmReport`]s; `Copy`, so recording it is allocation-free.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolveReport {
-    /// Iteration budget this window ran under — the context's configured
-    /// `max_iters`, or the [`BatchScratch::set_iteration_budget`] override
-    /// clamped to it. `iterations == lanes × budget` whenever `tol = 0`.
-    pub budget: usize,
     /// Matrices in the window (ADMM lanes).
     pub lanes: usize,
     /// Sum of iterations executed across lanes.
@@ -168,9 +160,9 @@ pub struct SolveReport {
     pub min_iterations: usize,
     /// Most iterations any lane ran.
     pub max_iterations: usize,
-    /// Lanes frozen by the convergence mask before the iteration budget
-    /// (`tol > 0` only; always 0 under the paper's fixed-iteration
-    /// fine-tuning).
+    /// Lanes frozen by the convergence mask before the configured
+    /// `max_iters` (`tol > 0` only; always 0 under the paper's
+    /// fixed-iteration fine-tuning).
     pub frozen_lanes: usize,
     /// Worst final primal (feasibility) residual across lanes.
     pub max_primal_residual: f64,
@@ -179,12 +171,11 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    fn from_reports(reports: &[teal_lp::AdmmReport], budget: usize) -> Option<Self> {
+    fn from_reports(reports: &[teal_lp::AdmmReport], max_iters: usize) -> Option<Self> {
         if reports.is_empty() {
             return None;
         }
         let mut agg = SolveReport {
-            budget,
             lanes: reports.len(),
             iterations: 0,
             min_iterations: usize::MAX,
@@ -197,7 +188,7 @@ impl SolveReport {
             agg.iterations += r.iterations as u64;
             agg.min_iterations = agg.min_iterations.min(r.iterations);
             agg.max_iterations = agg.max_iterations.max(r.iterations);
-            agg.frozen_lanes += usize::from(r.iterations < budget);
+            agg.frozen_lanes += usize::from(r.iterations < max_iters);
             agg.max_primal_residual = agg.max_primal_residual.max(r.primal_residual);
             agg.max_dual_residual = agg.max_dual_residual.max(r.dual_residual);
         }
@@ -224,21 +215,11 @@ impl BatchScratch {
             solver: None,
             reports: Vec::new(),
             last_solve: None,
-            iteration_budget: None,
         }
     }
 
-    /// Set (or clear) the per-window ADMM iteration budget for windows
-    /// served through this scratch. `Some(b)` caps the next window at
-    /// `min(b, configured max_iters)` iterations, floored at 1; `None`
-    /// restores the configured budget. The override is sticky — a
-    /// dispatcher sets it per window from its scheduling policy.
-    pub fn set_iteration_budget(&mut self, budget: Option<usize>) {
-        self.iteration_budget = budget;
-    }
-
     /// Aggregated [`SolveReport`] of the last window served through this
-    /// scratch — how the ADMM stage spent its iteration budget. `None`
+    /// scratch — how many iterations the ADMM stage ran. `None`
     /// before the first window, when fine-tuning is disabled, or after a
     /// window that failed before the solve.
     pub fn solve_report(&self) -> Option<SolveReport> {
@@ -448,12 +429,6 @@ impl<M: PolicyModel> ServingContext<M> {
             })
             .collect();
         if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
-            // Per-window budget override (the adaptive §3.4 knob): never
-            // above the configured budget, never below one iteration.
-            let budget = scratch
-                .iteration_budget
-                .map_or(admm_cfg.max_iters, |b| b.clamp(1, admm_cfg.max_iters));
-            let admm_cfg = admm_cfg.with_max_iters(budget);
             let override_skel;
             let skel = match topo_override {
                 Some(topo) => {
@@ -475,7 +450,7 @@ impl<M: PolicyModel> ServingContext<M> {
                 empty => empty.insert(skel.batch_solver(tms)),
             };
             solver.run_batch_in_place(&mut out, admm_cfg, &mut scratch.arena, &mut scratch.reports);
-            scratch.last_solve = SolveReport::from_reports(&scratch.reports, budget);
+            scratch.last_solve = SolveReport::from_reports(&scratch.reports, admm_cfg.max_iters);
         }
         let dead = match topo_override {
             Some(topo) => dead_path_ids(env, topo),

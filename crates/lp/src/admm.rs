@@ -147,14 +147,6 @@ impl AdmmConfig {
         }
     }
 
-    /// The same configuration with a different iteration budget — the
-    /// per-window form of the §3.4 quality/latency knob: a scheduler under
-    /// deadline pressure re-issues the window's config with a smaller
-    /// `max_iters` (the iteration count is already the only loop bound).
-    pub fn with_max_iters(self, max_iters: usize) -> Self {
-        AdmmConfig { max_iters, ..self }
-    }
-
     /// Solve-to-convergence setting used as the LP-all substitute.
     pub fn to_convergence() -> Self {
         AdmmConfig {

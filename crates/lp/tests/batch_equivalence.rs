@@ -249,7 +249,10 @@ fn golden_hash(seed: u64, cfg: AdmmConfig) -> u64 {
 #[test]
 fn pinned_golden_hashes() {
     let fixed = AdmmConfig::fine_tune(200);
-    let masked = AdmmConfig::to_convergence().with_max_iters(300);
+    let masked = AdmmConfig {
+        max_iters: 300,
+        ..AdmmConfig::to_convergence()
+    };
     for (seed, cfg, want) in [
         (11u64, fixed, 0xb34e_9d00_5fee_5adcu64),
         (4242, masked, 0x638b_9dcd_5c36_f893),

@@ -598,13 +598,6 @@ fn serve_drained<M: PolicyModel>(
     }
 }
 
-/// ADMM iteration budget a window is downgraded to when its deadline
-/// headroom is tighter than the shard's observed queue-wait p99 (the
-/// paper's §3.4 knob: 2 iterations under pressure — its small-topology
-/// count — the configured maximum otherwise). Downgrades are counted in
-/// [`crate::AdmmStats::budget_downgrades`].
-const PRESSURED_BUDGET: usize = 2;
-
 /// Serve one coalesced chunk (plain or failure-overridden) with one failure
 /// rule. Submit has already refused every request it can see is malformed,
 /// so a chunk of more than one request that fails in any way — an engine
@@ -623,30 +616,6 @@ fn serve_chunk<M: PolicyModel>(
     override_topo: Option<&Topology>,
     chunk: Vec<Request>,
 ) {
-    // Adaptive ADMM budget, the paper's §3.4 iterations-as-latency-knob: a
-    // chunk carrying deadline'd requests whose tightest remaining headroom
-    // is smaller than this shard's observed queue-wait p99 is under
-    // pressure — it runs `PRESSURED_BUDGET` fine-tune iterations instead
-    // of the configured maximum, trading a sliver of allocation quality
-    // for making the deadline at all. Deadline-less chunks always run the
-    // full budget. The override is sticky on the arena for exactly this
-    // chunk (reset here on every call), so one-request retries keep the
-    // decision and the next chunk re-derives it.
-    let full_budget = ctx.config().admm.map(|a| a.max_iters);
-    let downgraded = match full_budget {
-        Some(full) if full > PRESSURED_BUDGET => {
-            match chunk.iter().filter_map(|r| r.caller.expires).min() {
-                Some(earliest) => {
-                    let headroom = earliest.saturating_duration_since(now());
-                    let p99 = shard.stats.lock().queue_wait_p99();
-                    headroom < p99
-                }
-                None => false,
-            }
-        }
-        _ => false,
-    };
-    scratch.set_iteration_budget(downgraded.then_some(PRESSURED_BUDGET));
     // The batches left to solve: the chunk itself — its matrices moved out
     // of the requests, in step with their callers — and, only if it fails
     // as a batch, each of its requests alone.
@@ -677,7 +646,7 @@ fn serve_chunk<M: PolicyModel>(
                 // Count the batch before unblocking any client, so a caller
                 // that has its reply always sees itself in `stats()`.
                 let mut stats = shard.stats.lock();
-                stats.record_batch(&stages, solve.as_ref(), downgraded);
+                stats.record_batch(&stages, solve.as_ref());
                 charge_tenants(&mut stats, &callers);
                 drop(stats);
                 for ((caller, allocation), stages) in callers.into_iter().zip(allocs).zip(stages) {

@@ -49,23 +49,21 @@
 //!        │          one sub-batch per signature, chunks of max_batch
 //!        │             ▼
 //!        │          ┌── per-chunk window ─────────────────────────────┐
-//!        │          │ adaptive §3.4 budget: headroom < queue-wait p99 │
-//!        │          │   ⇒ 2 ADMM iters, else full (→ downgrade ctr)   │
 //!        │          │ ⊕ solve-start (queue-wait span ends)            │
 //!        │          │ one shard arena for every window:               │
 //!        │          │   try_allocate_batch_with        (plain), or    │
 //!        │          │   Topology::with_failed_edges ─►                │
 //!        │          │   try_allocate_batch_on_with     (failed links) │
-//!        │          │ ⊕ solve-end · SolveReport (iters, budget,       │
-//!        │          │   residuals, frozen lanes) out of the arena     │
+//!        │          │ ⊕ solve-end · SolveReport (iters, residuals,    │
+//!        │          │   frozen lanes) out of the arena                │
 //!        │          │ ok: ⊕ reply-write, StageTimings::split per req  │
 //!        │          │ failed (Err, panic), > 1 request: requeue each  │
 //!        │          │   alone; 1 request: its error reply             │
 //!        │          └─────────────────────────────────────────────────┘
 //!        │             ▼
 //!        │          ShardStats.record_batch(stage histograms, e2e = their
-//!        │             sum; ADMM accumulators + per-budget window counts,
-//!        │             slow-request exemplar ring) · per-tenant ctrs
+//!        │             sum; ADMM accumulators, slow-request exemplar
+//!        │             ring) · per-tenant ctrs
 //!        │                  shard "swan":  ... a true parallel lane ...
 //!        ▼                                   ▼
 //!   Ticket::wait /                 per-request response slots
@@ -77,7 +75,7 @@
 //!   shard's, in ShardStats under the shard's own lock):
 //!   ServeDaemon::stats() / TealClient::stats() ──► TelemetrySnapshot,
 //!   folded from the shards: per-topology e2e + queue-wait/solve/write
-//!     p50/p99 · AdmmStats (budgeted iters, downgrades, windows-by-budget)
+//!     p50/p99 · AdmmStats (iters, lanes, residuals, frozen lanes)
 //!     · per-tenant request/window counts (≤ 64 tenants + "other" per
 //!     topology) · deadline inversions · deepest shard queue · unmatched
 //!     replies · teal_nn pool gauges · slow exemplars
@@ -87,7 +85,7 @@
 //!                    └──┬──────────────────┬──────────────────────┬────────┘
 //!                       ▼                  ▼                      ▼
 //!               snapshot structs    STATS_OK codec         to_prometheus()
-//!               (pub fields)        (wire::Wire, v4        (family-major,
+//!               (pub fields)        (wire::Wire, v5        (family-major,
 //!                                    bytes, min sizes)      escaped labels)
 //! ```
 //!
@@ -115,11 +113,10 @@
 //!   FIFO order behind the deadline'd ones), groups by
 //!   failure signature, and serves each sub-batch as one window: one
 //!   forward pass per matrix, the matrices spread over the kernel pool, +
-//!   arena-reusing batched ADMM. Each chunk's ADMM
-//!   iteration budget adapts to pressure (the paper's §3.4 knob: 2
-//!   iterations when deadline headroom is tighter than the shard's
-//!   queue-wait p99, the full budget otherwise — every downgrade lands in
-//!   [`AdmmStats`]). Backpressure is
+//!   arena-reusing batched ADMM. Every window runs its topology's one
+//!   configured ADMM iteration count (`EngineConfig::admm`; the paper's
+//!   §4 gives 2 below 100 nodes and 5 above), deadline or not, so a
+//!   window's cost depends on its size alone. Backpressure is
 //!   a bounded per-shard queue. Built from commutative
 //!   operations across cores *and* connections (the
 //!   scalable-commutativity design rule): no lock is held across model
@@ -140,9 +137,10 @@
 //!   order by request id** off the loop's one completion queue of
 //!   `(connection, id)` pairs and answering STATS on receipt; and a
 //!   blocking client with pipelined submits returning the same [`Ticket`]
-//!   handle in-process callers use. Protocol version 4 (v4 adds the
-//!   unmatched-reply counter to STATS_OK; v3 added the optional tenant
-//!   tag to REQUEST and the budget/tenant telemetry; older peers are
+//!   handle in-process callers use. Protocol version 5 (v5 drops the
+//!   budgeted-iteration total and the per-budget window counts from
+//!   STATS_OK; v4 added the unmatched-reply counter; v3 added the optional
+//!   tenant tag to REQUEST and the tenant telemetry; other versions are
 //!   refused at HELLO):
 //!
 //!   | frame (kind)    | direction       | payload                            |
@@ -152,7 +150,7 @@
 //!   | REQUEST (3)     | client → server | id · topology · deadline? · tenant? · failed links · matrix |
 //!   | REPLY (4)       | server → client | id · allocation ⊕ stage timings, or a [`ServeError`] |
 //!   | STATS (5)       | client → server | id (scrape trigger, no body)       |
-//!   | STATS_OK (6)    | server → client | id · full [`TelemetrySnapshot`] (incl. per-budget window counts, per-tenant counters, deadline inversions, unmatched replies) |
+//!   | STATS_OK (6)    | server → client | id · full [`TelemetrySnapshot`] (incl. per-tenant counters, deadline inversions, unmatched replies) |
 //! * **Topology/model registry with hot swap** ([`ModelRegistry`]) and
 //!   **serving telemetry** ([`TelemetrySnapshot`], folded from per-shard
 //!   counters by [`ServeDaemon::stats`]). A request carries only its

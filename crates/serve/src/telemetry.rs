@@ -188,7 +188,7 @@ impl AdmmStats {
 
     /// Fold one solver window into the totals (a shard accumulates straight
     /// into the struct it exports).
-    fn record(&mut self, r: &teal_core::SolveReport, downgraded: bool) {
+    fn record(&mut self, r: &teal_core::SolveReport) {
         if self.windows == 0 {
             self.min_lane_iterations = r.min_iterations as u64;
         } else {
@@ -197,13 +197,6 @@ impl AdmmStats {
         self.windows += 1;
         self.lanes += r.lanes as u64;
         self.iterations += r.iterations;
-        self.budgeted_iterations += (r.lanes * r.budget) as u64;
-        self.budget_downgrades += u64::from(downgraded);
-        let by_budget = &mut self.windows_by_budget;
-        match by_budget.binary_search_by_key(&(r.budget as u64), |&(budget, _)| budget) {
-            Ok(at) => by_budget[at].1 += 1,
-            Err(at) => by_budget.insert(at, (r.budget as u64, 1)),
-        }
         self.max_lane_iterations = self.max_lane_iterations.max(r.max_iterations as u64);
         self.frozen_lanes += r.frozen_lanes as u64;
         self.last_primal_residual = r.max_primal_residual;
@@ -279,24 +272,13 @@ pub(crate) struct ShardStats {
 }
 
 impl ShardStats {
-    /// Live queue-wait p99 for this shard — the pressure signal the
-    /// adaptive ADMM budget policy compares against deadline headroom.
-    /// Zero until the first batch is recorded (an idle shard is never
-    /// "under pressure").
-    pub(crate) fn queue_wait_p99(&self) -> Duration {
-        self.queue_wait.quantile(0.99)
-    }
-
     /// Record one coalesced batch: its requests' stage breakdowns (each
     /// summing to that request's end-to-end latency), and the batch's
-    /// solver report when it reached the ADMM fine-tuner (`downgraded`
-    /// marks a window the adaptive policy ran below the configured
-    /// iteration budget).
+    /// solver report when it reached the ADMM fine-tuner.
     pub(crate) fn record_batch(
         &mut self,
         stages: &[StageTimings],
         solve: Option<&teal_core::SolveReport>,
-        downgraded: bool,
     ) {
         *self.batch_sizes.entry(stages.len()).or_insert(0) += 1;
         for s in stages {
@@ -307,7 +289,7 @@ impl ShardStats {
             self.slow.offer(*s, stages.len());
         }
         if let Some(r) = solve {
-            self.admm.record(r, downgraded);
+            self.admm.record(r);
         }
     }
 
@@ -759,16 +741,11 @@ metrics! {
             /// Total ADMM iterations summed over lanes.
             iterations: u64,
         }
-        counter("teal_serve_admm_budgeted_iterations_total", "Iterations allowed by the per-window budgets (lanes × budget summed over windows).") {
-            /// Sum over windows of `lanes × that window's budget` — the iterations
-            /// the per-window budgets *allowed*. With `tol = 0` (no early freezing)
-            /// this equals `iterations` exactly, even when the adaptive policy
-            /// mixes budgets across windows.
-            budgeted_iterations: u64,
-        }
-        counter("teal_serve_admm_budget_downgrades_total", "Windows the adaptive policy ran below the configured iteration budget.") {
-            /// Windows the adaptive policy ran below the configured budget
-            /// (deadline pressure downgrades — every one is auditable here).
+        counter("teal_serve_admm_budget_downgrades_total", "Always 0: every window runs the configured iteration count.") {
+            /// Always 0: every window runs its topology's configured
+            /// `max_iters`, and no policy runs one below it. The row stays
+            /// only while the benchmark reads it as
+            /// `serve.daemon.budget_downgrades`; delete it once that row goes.
             budget_downgrades: u64,
         }
         wire {
@@ -777,14 +754,9 @@ metrics! {
             /// Most iterations any lane ran.
             max_lane_iterations: u64,
         }
-        counter("teal_serve_admm_frozen_lanes_total", "Lanes converged before the iteration budget.") {
-            /// Lanes that converged (froze) before exhausting the iteration budget.
+        counter("teal_serve_admm_frozen_lanes_total", "Lanes converged before the configured max_iters.") {
+            /// Lanes that converged (froze) before the configured `max_iters`.
             frozen_lanes: u64,
-        }
-        counter("teal_serve_admm_windows_by_budget_total", "Solver windows by per-window iteration budget.") {
-            /// `(iteration budget, windows run under it)`, sorted by budget. Sums
-            /// to `windows`.
-            windows_by_budget: Vec<(u64, u64)> [budget = key],
         }
         gauge("teal_serve_admm_residual", "Final ADMM residuals (kind=primal|dual, stat=last|max).") {
             /// Worst primal residual of the most recent window.
@@ -1067,8 +1039,8 @@ mod tests {
             max_drain: 2,
             ..ShardStats::default()
         };
-        b4.record_batch(&waits(&[100, 200]), None, false);
-        b4.record_batch(&waits(&[300]), None, false);
+        b4.record_batch(&waits(&[100, 200]), None);
+        b4.record_batch(&waits(&[300]), None);
         let snap = snapshot(&[("B4", &b4)]);
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(snap.max_queue_depth, 2);
@@ -1087,11 +1059,11 @@ mod tests {
     #[test]
     fn fold_sums_counters_and_takes_the_deepest_shard_queue() {
         let mut a = ShardStats::default();
-        a.record_batch(&waits(&[100, 200]), None, false);
+        a.record_batch(&waits(&[100, 200]), None);
         a.shed = 1;
         a.max_drain = 4;
         let mut b = ShardStats::default();
-        b.record_batch(&waits(&[300]), None, false);
+        b.record_batch(&waits(&[300]), None);
         b.expired = 2;
         b.errors = 3;
         b.deadline_inversions = 1;
@@ -1127,7 +1099,6 @@ mod tests {
             },
         ];
         let report = teal_core::SolveReport {
-            budget: 2,
             lanes: 2,
             iterations: 4,
             min_iterations: 2,
@@ -1136,7 +1107,7 @@ mod tests {
             max_primal_residual: 0.25,
             max_dual_residual: 0.125,
         };
-        stats.record_batch(&stages, Some(&report), true);
+        stats.record_batch(&stages, Some(&report));
         let snap = snapshot(&[("B4", &stats)]);
         let topo = &snap.per_topology[0];
         assert_eq!(snap.slow[0].latency, Duration::from_micros(790));
@@ -1147,9 +1118,7 @@ mod tests {
         assert_eq!(admm.windows, 1);
         assert_eq!(admm.lanes, 2);
         assert_eq!(admm.iterations, 4);
-        assert_eq!(admm.budgeted_iterations, 4, "lanes × budget for one window");
-        assert_eq!(admm.budget_downgrades, 1);
-        assert_eq!(admm.windows_by_budget, vec![(2, 1)]);
+        assert_eq!(admm.budget_downgrades, 0);
         assert_eq!(admm.min_lane_iterations, 2);
         assert_eq!(admm.max_lane_iterations, 2);
         assert_eq!(admm.frozen_lanes, 0);
@@ -1245,7 +1214,7 @@ mod tests {
     #[test]
     fn prometheus_rendering_smoke() {
         let mut stats = ShardStats::default();
-        stats.record_batch(&waits(&[100]), None, false);
+        stats.record_batch(&waits(&[100]), None);
         let text = snapshot(&[("B4", &stats)]).to_prometheus();
         for needle in [
             "teal_serve_requests_total{topology=\"B4\"} 1",

@@ -100,7 +100,9 @@ const MAGIC_LE: u32 = u32::from_le_bytes(*MAGIC);
 /// window counts / budget downgrades, the deadline-inversion counter, and
 /// the per-tenant section.
 /// v4: STATS_OK gained the unmatched-replies counter.
-pub const VERSION: u16 = 4;
+/// v5: STATS_OK dropped the budgeted-iteration total and the per-budget
+/// window counts.
+pub const VERSION: u16 = 5;
 /// Upper bound on a single frame (guards the length prefix against a
 /// corrupt or hostile peer asking us to allocate gigabytes).
 pub const MAX_FRAME: u32 = 64 << 20;

@@ -1,7 +1,7 @@
 //! Deadline-aware scheduling end to end: EDF drain order (and its
 //! inversion telemetry, pinned at zero), the deadline-capped
-//! linger window, the adaptive §3.4 ADMM iteration budget, and the
-//! stage-accounting guarantees of multi-chunk drains.
+//! linger window, deadline pressure leaving the configured ADMM iteration
+//! count alone, and the stage-accounting guarantees of multi-chunk drains.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,8 +26,8 @@ fn context(env: &Arc<Env>, seed: u64) -> ServingContext<TealModel> {
     )
 }
 
-/// A context whose ADMM budget is the paper's *large-topology* 5 even on
-/// b4, so the adaptive policy has room to downgrade to 2 under pressure.
+/// A context whose ADMM count is the paper's *large-topology* 5 even on
+/// b4, so a window cut to the small-topology 2 would show.
 fn context_budget5(env: &Arc<Env>) -> ServingContext<TealModel> {
     ServingContext::new(
         TealModel::new(Arc::clone(env), model_cfg(3)),
@@ -121,79 +121,43 @@ fn linger_is_capped_by_deadline_budget() {
     assert_eq!(stats.completed, 1);
 }
 
-/// The adaptive §3.4 budget end to end: an unpressured daemon runs every
-/// window at the configured 5 iterations; once queue-wait history says the
-/// shard is slow and a deadline'd chunk's headroom undercuts it, the
-/// window runs at 2 and the downgrade is recorded.
+/// Deadline pressure does not touch the ADMM iteration count: the shard's
+/// queue-wait history says it is slow (every lone plain request waits out
+/// the 80 ms linger), and a deadline'd request then arrives with less
+/// headroom than that, yet every lane of every window runs the configured
+/// 5 iterations.
 #[test]
-fn queue_pressure_downgrades_admm_budget() {
+fn deadline_pressure_keeps_the_configured_iterations() {
     let env = Arc::new(Env::for_topology(b4()));
     let registry = ModelRegistry::new();
     registry.insert("b4", context_budget5(&env));
     let daemon = ServeDaemon::start(
         registry,
         ServeConfig {
-            // Every lone plain request waits out the full 80 ms linger, so
-            // the queue-wait p99 climbs to ~80 ms "slowness".
             linger: Duration::from_millis(80),
             ..ServeConfig::default()
         },
     );
     let tm = TrafficMatrix::new(vec![5.0; env.num_demands()]);
-    // Idle phase: deadline-less traffic never downgrades, whatever the
-    // queue history looks like.
     for _ in 0..6 {
-        daemon.allocate("b4", tm.clone()).expect("idle serve");
+        daemon.allocate("b4", tm.clone()).expect("plain serve");
     }
-    let idle = daemon.stats();
-    let admm = idle.per_topology[0]
-        .admm
-        .as_ref()
-        .expect("ADMM ran")
-        .clone();
-    assert_eq!(admm.budget_downgrades, 0, "idle phase downgraded: {admm:?}");
-    assert_eq!(
-        admm.windows_by_budget,
-        vec![(5, admm.windows)],
-        "idle windows must all run the full 5-iteration budget"
-    );
-    assert_eq!(admm.iterations, admm.budgeted_iterations);
-    // Pressure: 200 ms of budget, but the deadline-capped linger drains at
-    // the ~100 ms midpoint, leaving ~100 ms of headroom against an ~80 ms
-    // queue-wait p99... still unpressured? No: headroom is measured at the
-    // chunk's solve start against the *p99*, which the 80 ms linger waits
-    // above have pushed to the top of their histogram bucket. Use a 120 ms
-    // budget: drain at ~60 ms, headroom ~60 ms < p99 ~80 ms ⇒ downgrade.
+    // A 120 ms deadline: the deadline-capped linger drains at ~60 ms,
+    // leaving ~60 ms of headroom against a queue-wait p99 of ~80 ms.
     let reply = daemon
         .submit(SubmitRequest::new("b4", tm.clone()).with_deadline(Duration::from_millis(120)))
         .wait_timeout(Duration::from_secs(10))
-        .expect("pressured request still served");
+        .expect("deadline'd request served");
     assert!(reply.batch_size >= 1);
     let stats = daemon.stats();
-    let admm = stats.per_topology[0]
-        .admm
-        .as_ref()
-        .expect("ADMM ran")
-        .clone();
-    assert!(
-        admm.budget_downgrades >= 1,
-        "pressured deadline'd window was not downgraded: {admm:?}"
-    );
-    assert!(
-        admm.windows_by_budget
-            .iter()
-            .any(|&(b, n)| b == 2 && n >= 1),
-        "no 2-iteration window recorded: {:?}",
-        admm.windows_by_budget
-    );
-    // Per-window accounting stays exact through mixed budgets: iterations
-    // sum lanes × budget window by window.
+    let admm = stats.per_topology[0].admm.as_ref().expect("ADMM ran");
+    assert_eq!(admm.lanes, 7, "every request is one lane: {admm:?}");
     assert_eq!(
-        admm.iterations, admm.budgeted_iterations,
-        "iteration total must sum per-window budgets: {admm:?}"
+        (admm.min_lane_iterations, admm.max_lane_iterations),
+        (5, 5),
+        "a lane ran other than the configured 5 iterations: {admm:?}"
     );
-    let total_windows: u64 = admm.windows_by_budget.iter().map(|&(_, n)| n).sum();
-    assert_eq!(total_windows, admm.windows);
+    assert_eq!(admm.iterations, admm.lanes * 5, "{admm:?}");
 }
 
 /// Multi-chunk drains must still partition end-to-end latency exactly into

@@ -224,32 +224,12 @@ fn soak(clients: usize, per_client: usize, prom_artifact: bool) {
             "{}: lane ran more iterations than the configured budget",
             t.topology
         );
-        // Per-window ADMM accounting: with tol = 0 every lane of every
-        // window runs its window's budget exactly, so the iteration total
-        // must equal the sum of lanes × budget *per window* — which is
-        // what `budgeted_iterations` accumulates.
-        assert_eq!(
-            admm.iterations, admm.budgeted_iterations,
-            "{}: iteration total does not sum per-window budgets",
-            t.topology
-        );
+        // With tol = 0 every lane of every window runs the configured
+        // count exactly, so the iteration total is lanes × budget.
         assert_eq!(
             admm.iterations,
             admm.lanes * budget,
             "{}: iteration total does not match lanes × budget",
-            t.topology
-        );
-        // Generous 60 s deadlines never trip the pressure policy: every
-        // window must have run the full budget and no downgrade recorded.
-        assert_eq!(
-            admm.budget_downgrades, 0,
-            "{}: healthy soak downgraded a window's budget",
-            t.topology
-        );
-        assert_eq!(
-            admm.windows_by_budget,
-            vec![(budget, admm.windows)],
-            "{}: per-budget window counts do not account for every window",
             t.topology
         );
         assert_eq!(

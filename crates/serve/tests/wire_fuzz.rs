@@ -232,9 +232,7 @@ fn snapshot() -> TelemetrySnapshot {
         windows: 678,
         lanes: 9_000,
         iterations: 45_000,
-        budgeted_iterations: 44_000,
         budget_downgrades: 17,
-        windows_by_budget: vec![(2, 17), (5, 661)],
         min_lane_iterations: 2,
         max_lane_iterations: 5,
         frozen_lanes: 31,

@@ -168,11 +168,7 @@ fn synth_snapshot(seed: u64, ntopo: usize, nsizes: usize, nslow: usize) -> Telem
                     windows: next() % 10_000,
                     lanes: next() % 100_000,
                     iterations: next() % 1_000_000,
-                    budgeted_iterations: next() % 1_000_000,
                     budget_downgrades: next() % 10_000,
-                    windows_by_budget: (0..(next() % 4))
-                        .map(|b| (b + 2, next() % 10_000))
-                        .collect(),
                     min_lane_iterations: next() % 64,
                     max_lane_iterations: next() % 64,
                     frozen_lanes: next() % 100_000,
@@ -269,15 +265,10 @@ proptest! {
         // low byte of that vector's count, which locates the count field
         // without this test restating the layout.
         type Grow = fn(&mut TelemetrySnapshot);
-        let grow: [(&str, Grow); 5] = [
+        let grow: [(&str, Grow); 4] = [
             ("topologies", |s| {
                 let t = synth_snapshot(1, 1, 0, 0).per_topology.remove(0);
                 s.per_topology.push(t)
-            }),
-            ("windows by budget", |s| {
-                if let Some(a) = s.per_topology.first_mut().and_then(|t| t.admm.as_mut()) {
-                    a.windows_by_budget.push((0, 0))
-                }
             }),
             ("batch sizes", |s| s.batch_sizes.push((0, 0))),
             ("slow exemplars", |s| {
@@ -293,9 +284,6 @@ proptest! {
         for (what, grow) in grow {
             let mut grown = snap.clone();
             grow(&mut grown);
-            if grown == snap {
-                continue; // no topology to hold a windows-by-budget vector
-            }
             let count_at = buf
                 .iter()
                 .zip(&encode(&grown))
@@ -419,13 +407,15 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// The v4 STATS_OK bytes and the Prometheus line multiset, pinned as
-/// FNV-1a hashes captured at commit `2d9e872` (the last hand-written codec
-/// and renderer). Lines are hashed sorted because family-major ordering is
-/// the one permitted change to the text. (The Prometheus hashes moved twice
-/// since, each time with one help line: `teal_nn_pool_capped_skips_total`,
+/// The v5 STATS_OK bytes and the Prometheus line multiset, pinned as
+/// FNV-1a hashes. The v4 pins were captured at commit `2d9e872` (the last
+/// hand-written codec and renderer); v5 re-pinned both when the
+/// budgeted-iteration total and the per-budget window counts left the
+/// snapshot. Lines are hashed sorted because family-major ordering is the
+/// one permitted change to the text. (Before v5 the Prometheus hashes moved
+/// twice, each time with one help line: `teal_nn_pool_capped_skips_total`,
 /// then `teal_serve_max_queue_depth` when it became a per-shard high-water
-/// mark. The wire hashes never have.)
+/// mark. The v4 wire hashes never did.)
 #[test]
 fn stats_golden() {
     for (seed, ntopo, nsizes, nslow, want_wire, want_prom) in [
@@ -434,12 +424,12 @@ fn stats_golden() {
             3usize,
             4usize,
             5usize,
-            0xc306b13a63dfc4ebu64,
-            0x4d4189442b70ddbdu64,
+            0x5d28357c067ac185u64,
+            0x28295ce8dfa97113u64,
         ),
-        (42, 3, 4, 5, 0xb6c60a73ffa19bcf, 0x1eca5f814c1d09ce),
+        (42, 3, 4, 5, 0xd3c8895de39bf779, 0x7a303b736172995a),
         // `admm: None` everywhere and every vector empty.
-        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0x54bd38abba853c10),
+        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0xfc6ed1f6a8b49cec),
     ] {
         let snap = synth_snapshot(seed, ntopo, nsizes, nslow);
         let mut buf = Vec::new();
@@ -457,7 +447,8 @@ fn stats_golden() {
 
 /// REQUEST and REPLY frames (length prefix included), pinned as FNV-1a
 /// hashes captured at commit `f5880bf`, and the HELLO, HELLO_OK and STATS
-/// frames, captured at `25e0425`: the benchmark's raw-socket load
+/// frames, captured at `25e0425` (HELLO and HELLO_OK carry
+/// `wire::VERSION`, so they were re-pinned at v5): the benchmark's raw-socket load
 /// generator writes HELLO, REQUEST and STATS frames and decodes HELLO_OK
 /// and REPLY frames itself, so their bytes are a contract beside
 /// STATS_OK's.
@@ -531,9 +522,9 @@ fn request_reply_golden() {
         0xf148138c3e1430c5,
         0xde914f397a4c1ece,
         0x047ba11edad03551,
-        // HELLO, HELLO_OK
-        0x59b6ac1e45e68f97,
-        0x2b7d079efe7fb388,
+        // HELLO, HELLO_OK (v5)
+        0x59b3461e45e3ac6e,
+        0x2b806d9efe8296b1,
         // STATS with the smallest and a near-largest id
         0xb1f090debbf2584b,
         0xd8befdfd3cd33726,
