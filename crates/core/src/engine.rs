@@ -30,24 +30,27 @@
 //! [`Env::check_demands`] text); [`ServingContext::allocate`] is the one
 //! panicking convenience. A panic inside a window is not caught here.
 //!
-//! The ADMM stage of every call runs in a [`BatchScratch`] (solver, arena
-//! and report buffers). A caller that serves repeatedly keeps its own and
-//! passes it to [`ServingContext::try_allocate_batch_with`] or
-//! [`ServingContext::try_allocate_batch_on_with`], as the `teal-serve`
-//! shards and `teal-sim`'s `TealScheme` do: every byte of ADMM solver state
-//! is reused from its second window onwards. The scratch-less
+//! The ADMM stage of every window runs in its thread's one arena: a private
+//! thread-local holding the [`teal_lp::BatchArena`], the reminted batch
+//! solver and the per-matrix report buffer. Whichever entry point a window
+//! comes through, every byte of ADMM solver state is reused from the
+//! thread's second window onwards, and a thread never holds two arenas.
+//! A [`BatchScratch`] carries only the last window's [`SolveReport`]: a
+//! caller that reads it (the `teal-serve` shards) keeps one and passes it
+//! to [`ServingContext::try_allocate_batch_with`] or
+//! [`ServingContext::try_allocate_batch_on_with`]; the scratch-less
 //! [`ServingContext::try_allocate_batch`] and
-//! [`ServingContext::try_allocate_batch_on`] are the one-shot form and run
-//! on a fresh scratch. ADMM writes its refined splits over the forward
-//! stage's allocations, so that one `Vec<Allocation>` is the reply. (The
-//! caller owns and consumes it, so the *fully* allocation-free steady
-//! state, asserted by `teal-lp`'s counting-allocator test, belongs to
-//! callers that retain their allocations and drive
-//! `AdmmBatchSolver::run_batch_in_place` directly.) See [`BatchScratch`]
-//! for the ownership and weight-swap-safety rules.
+//! [`ServingContext::try_allocate_batch_on`] serve the same bits. ADMM
+//! writes its refined splits over the forward stage's allocations, so that
+//! one `Vec<Allocation>` is the reply. (The caller owns and consumes it, so
+//! the *fully* allocation-free steady state, asserted by `teal-lp`'s
+//! counting-allocator test, belongs to callers that retain their
+//! allocations and drive `AdmmBatchSolver::run_batch_in_place` directly.)
+//! See [`BatchScratch`] for the rules the thread's arena follows.
 
 use crate::env::Env;
 use crate::model::PolicyModel;
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, Objective};
@@ -118,32 +121,45 @@ impl EngineConfig {
     }
 }
 
-/// Reusable scratch for one serving dispatch lane: the ADMM
-/// [`teal_lp::BatchArena`] (lane rows per path, demand and crossed edge —
-/// nothing sized by path-edge incidence; `ν = ρδ − μ` is recomputed), the
-/// reminted-per-window batch solver (its per-demand volume buffer is
-/// grow-only), and the per-matrix report buffer. A window's allocations are
-/// its own: the forward stage's, refined in place and returned to the
-/// caller.
+/// What a caller keeps between windows: the last window's [`SolveReport`].
+/// The ADMM working state — a [`teal_lp::BatchArena`] (lane rows per path,
+/// demand and crossed edge), the reminted batch solver and the per-matrix
+/// report buffer — is the serving thread's. A window's allocations are its
+/// own: the forward stage's, refined in place and returned to the caller.
 ///
-/// # Ownership rules
+/// # The thread's arena
 ///
-/// * One lane, one scratch: exactly one window may use a scratch at a time
-///   (`&mut` enforces it); concurrent dispatchers each own their own.
-/// * **Weight-swap safe:** a scratch holds no model or topology state —
-///   only capacity. It may outlive any number of hot checkpoint swaps and
-///   be reused against the *new* context (the `teal-serve` shards do
-///   exactly this), and results are identical to a fresh scratch.
-/// * A scratch that served a window which panicked is still safe to reuse:
-///   every buffer is fully reset at the start of the next window.
+/// * One window per thread at a time: a window borrows its thread's arena
+///   for the ADMM stage alone, which never calls back into the engine.
+///   Concurrent dispatchers each run on their own thread, so each has its
+///   own arena.
+/// * Grow-only: buffers reach the largest window shape the thread has
+///   served and keep that capacity for the thread's life.
+/// * **Weight-swap safe:** the arena holds no model or topology state —
+///   only capacity. Windows against a hot-swapped context, another
+///   topology or a failure override reuse it, and results are identical to
+///   a cold arena's.
+/// * A window that panicked leaves the arena safe to reuse: unwinding
+///   releases the borrow, and every buffer is fully reset at the start of
+///   the next window.
+#[derive(Default)]
 pub struct BatchScratch {
-    arena: teal_lp::BatchArena,
-    solver: Option<teal_lp::AdmmBatchSolver>,
-    reports: Vec<teal_lp::AdmmReport>,
     /// Aggregated solver introspection of the last window (see
     /// [`SolveReport`]); `None` before the first window or when ADMM is
     /// disabled.
     last_solve: Option<SolveReport>,
+}
+
+/// The ADMM stage's working state, one per thread (see [`BatchScratch`]).
+#[derive(Default)]
+struct AdmmArena {
+    arena: teal_lp::BatchArena,
+    solver: Option<teal_lp::AdmmBatchSolver>,
+    reports: Vec<teal_lp::AdmmReport>,
+}
+
+thread_local! {
+    static ADMM_ARENA: RefCell<AdmmArena> = RefCell::default();
 }
 
 /// Per-window solver introspection: what the ADMM fine-tuning stage
@@ -201,21 +217,10 @@ impl SolveReport {
     }
 }
 
-impl Default for BatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BatchScratch {
-    /// An empty scratch; buffers grow to fit the first window served.
+    /// A scratch that has served no window yet.
     pub fn new() -> Self {
-        BatchScratch {
-            arena: teal_lp::BatchArena::new(),
-            solver: None,
-            reports: Vec::new(),
-            last_solve: None,
-        }
+        BatchScratch { last_solve: None }
     }
 
     /// Aggregated [`SolveReport`] of the last window served through this
@@ -299,8 +304,8 @@ impl<M: PolicyModel> ServingContext<M> {
     /// Allocate one traffic matrix on the trained topology: a window of
     /// one through [`ServingContext::try_allocate_batch`]. Returns the
     /// allocation and the measured computation time. Panics on a malformed
-    /// matrix; callers that must survive bad requests, or that serve
-    /// repeatedly, use the `try_allocate_batch*` entry points.
+    /// matrix; callers that must survive bad requests use the
+    /// `try_allocate_batch*` entry points.
     pub fn allocate(&self, tm: &TrafficMatrix) -> (Allocation, Duration) {
         let (mut allocs, dt) = self
             .try_allocate_batch(std::slice::from_ref(tm))
@@ -311,16 +316,17 @@ impl<M: PolicyModel> ServingContext<M> {
         (alloc, dt)
     }
 
-    /// Allocate a window of traffic matrices on a fresh [`BatchScratch`]:
-    /// one forward pass per matrix, the matrices spread over the pool, then
-    /// one batched ADMM sweep fine-tuning the whole window in a single pass
-    /// per iteration over the shared incidence index. Returns the
+    /// Allocate a window of traffic matrices: one forward pass per matrix,
+    /// the matrices spread over the pool, then one batched ADMM sweep
+    /// fine-tuning the whole window in a single pass per iteration over the
+    /// shared incidence index. Returns the
     /// allocations (aligned with `tms`) and the total wall-clock time. A
     /// malformed matrix comes back as an [`AllocError`] naming the offender
     /// before any compute runs; a panic in either stage reaches the caller
     /// as that panic (the `teal-serve` shard's `catch_unwind` is the one
-    /// place it becomes a reply). The one-shot form:
-    /// a caller that serves repeatedly keeps a scratch and calls
+    /// place it becomes a reply). The ADMM stage runs in the thread's
+    /// arena (see [`BatchScratch`]), so repeat calls reuse it; a caller
+    /// that reads the window's [`SolveReport`] calls
     /// [`ServingContext::try_allocate_batch_with`].
     pub fn try_allocate_batch(
         &self,
@@ -345,12 +351,12 @@ impl<M: PolicyModel> ServingContext<M> {
     }
 
     /// [`ServingContext::try_allocate_batch`] with a caller-owned
-    /// [`BatchScratch`]: the ADMM stage runs entirely in the scratch's
-    /// arena, so a dispatch lane that retains its scratch reuses all ADMM
-    /// solver state (arena + reminted volume buffer) from its second
-    /// window onwards — the only per-window minting left on the fine-tune
-    /// stage is the returned allocations themselves, which the caller
-    /// consumes. Results are identical to the scratch-less entry point.
+    /// [`BatchScratch`], which receives the window's [`SolveReport`]. The
+    /// ADMM stage runs in the thread's arena either way: from the thread's
+    /// second window onwards the only per-window minting left on the
+    /// fine-tune stage is the returned allocations themselves, which the
+    /// caller consumes. Results are identical to the scratch-less entry
+    /// point.
     pub fn try_allocate_batch_with(
         &self,
         tms: &[TrafficMatrix],
@@ -361,12 +367,12 @@ impl<M: PolicyModel> ServingContext<M> {
 
     /// [`ServingContext::try_allocate_batch_on`] with a caller-owned
     /// [`BatchScratch`]: the §5.3 failure-recovery path (capacities of
-    /// failed links zeroed, no retraining) served out of a retained arena.
-    /// The solver is simply reminted against the failure-overridden
-    /// skeleton, so a failure burst serves at steady-state cost, and the
-    /// scratch may be freely alternated between override and plain windows
-    /// (reminting rebinds every shared handle) — a `teal-serve` shard
-    /// serves both kinds out of its one scratch.
+    /// failed links zeroed, no retraining) served out of the thread's
+    /// arena. The solver is simply reminted against the failure-overridden
+    /// skeleton, so a failure burst serves at steady-state cost, and
+    /// override and plain windows alternate freely on one thread (reminting
+    /// rebinds every shared handle) — a `teal-serve` shard serves both
+    /// kinds out of its one scratch.
     pub fn try_allocate_batch_on_with(
         &self,
         topo: &Topology,
@@ -385,7 +391,6 @@ impl<M: PolicyModel> ServingContext<M> {
         // Cleared up front so a failed, empty or ADMM-less window never
         // leaves a stale report behind for callers polling `solve_report`.
         scratch.last_solve = None;
-        scratch.reports.clear();
         if tms.is_empty() {
             return Ok((Vec::new(), Duration::ZERO));
         }
@@ -439,18 +444,20 @@ impl<M: PolicyModel> ServingContext<M> {
             };
             // One batched sweep repairs the whole window per iteration,
             // on this thread, so no outer per-matrix loop is needed. The
-            // solver is reminted into the scratch's buffers, the sweep
-            // runs in its arena — the allocation-free ADMM steady state —
-            // and the refined splits overwrite the forward stage's.
-            let solver: &teal_lp::AdmmBatchSolver = match &mut scratch.solver {
-                Some(solver) => {
-                    skel.remint_batch_solver(solver, tms);
-                    solver
-                }
-                empty => empty.insert(skel.batch_solver(tms)),
-            };
-            solver.run_batch_in_place(&mut out, admm_cfg, &mut scratch.arena, &mut scratch.reports);
-            scratch.last_solve = SolveReport::from_reports(&scratch.reports, admm_cfg.max_iters);
+            // solver is reminted into the thread's arena, the sweep runs in
+            // it — the allocation-free ADMM steady state — and the refined
+            // splits overwrite the forward stage's.
+            scratch.last_solve = ADMM_ARENA.with_borrow_mut(|admm| {
+                let solver: &teal_lp::AdmmBatchSolver = match &mut admm.solver {
+                    Some(solver) => {
+                        skel.remint_batch_solver(solver, tms);
+                        solver
+                    }
+                    empty => empty.insert(skel.batch_solver(tms)),
+                };
+                solver.run_batch_in_place(&mut out, admm_cfg, &mut admm.arena, &mut admm.reports);
+                SolveReport::from_reports(&admm.reports, admm_cfg.max_iters)
+            });
         }
         let dead = match topo_override {
             Some(topo) => dead_path_ids(env, topo),
@@ -840,10 +847,11 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_windows_and_hot_swap_matches_fresh() {
-        // One retained BatchScratch serving windows of varying size, with a
-        // hot checkpoint swap between windows 1 and 2: every window must
-        // match the scratch-less path exactly, and nothing may leak from
-        // the pre-swap context through the arena into the post-swap one.
+        // One thread's arena serving windows of varying size, with a hot
+        // checkpoint swap between windows 1 and 2: every window must match a
+        // cold arena's (a one-shot call on a fresh thread) exactly, and
+        // nothing may leak from the pre-swap context through the arena into
+        // the post-swap one.
         let env = Arc::new(Env::for_topology(b4()));
         let cfg_model = TealConfig {
             gnn_layers: 3,
@@ -874,19 +882,16 @@ mod tests {
             let (got, _) = ctx
                 .try_allocate_batch_with(&tms, &mut scratch)
                 .expect("scratch window");
-            let (want, _) = ctx.try_allocate_batch(&tms).expect("fresh window");
+            let (want, _) = on_fresh_thread(|| ctx.try_allocate_batch(&tms)).expect("cold window");
             assert_eq!(got.len(), want.len());
             for (b, (g, f)) in got.iter().zip(&want).enumerate() {
                 for (x, y) in g.splits().iter().zip(f.splits()) {
-                    assert!(
-                        x == y,
-                        "window {w} lane {b}: scratch-reused {x} vs fresh {y}"
-                    );
+                    assert!(x == y, "window {w} lane {b}: warm arena {x} vs cold {y}");
                 }
             }
         }
-        assert_eq!(scratch.reports.len(), *sizes.last().unwrap());
-        assert!(scratch.solve_report().is_some());
+        let report = scratch.solve_report().expect("solve report");
+        assert_eq!(report.lanes, *sizes.last().unwrap());
 
         // An empty window ran no solve: the scratch must not go on
         // describing the window before it.
@@ -895,14 +900,18 @@ mod tests {
             .expect("empty window");
         assert!(none.is_empty());
         assert_eq!(scratch.solve_report(), None, "stale solve report");
-        assert!(scratch.reports.is_empty(), "stale per-matrix reports");
+    }
+
+    /// Run `f` on a freshly spawned thread, whose ADMM arena is cold.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().expect("fresh thread"))
     }
 
     #[test]
     fn windows_are_bit_identical_across_thread_caps() {
         // The forward stage is one pool job indexed by matrix: which thread
         // runs a matrix must not move a bit. The same windows — plain and
-        // failed-link alternating on one retained scratch — served inline
+        // failed-link alternating on one thread's arena — served inline
         // (cap 1) and with whatever helpers the process has.
         let eng = engine();
         let nd = eng.env().num_demands();
@@ -980,8 +989,8 @@ mod tests {
         // A matrix that panics in the forward job — on the submitting thread
         // or a pool helper — must reach the caller as the original panic
         // (the serving shard's per-request degrade keys on it), and the
-        // scratch that window used must serve the next one as a fresh
-        // scratch would.
+        // thread's arena must serve the next window as a cold arena (a fresh
+        // thread's) would.
         let env = Arc::new(Env::for_topology(b4()));
         let cfg_model = TealConfig {
             gnn_layers: 3,
@@ -1018,10 +1027,8 @@ mod tests {
         let (got, _) = ctx
             .try_allocate_batch_with(&next, &mut scratch)
             .expect("window after the panic");
-        let (want, _) = ctx
-            .try_allocate_batch_with(&next, &mut BatchScratch::new())
-            .expect("fresh scratch");
-        assert_eq!(got, want, "scratch reused after a panicked window diverged");
+        let (want, _) = on_fresh_thread(|| ctx.try_allocate_batch(&next)).expect("cold arena");
+        assert_eq!(got, want, "arena reused after a panicked window diverged");
     }
 
     #[test]

@@ -51,8 +51,9 @@
 //!   window is then fine-tuned by one batched ADMM sweep
 //!   ([`teal_lp::AdmmBatchSolver`]): structure-of-arrays state minted from
 //!   the shared skeleton, each iteration a single pass over the incidence
-//!   index on the calling thread (the stage submits no pool job), with a
-//!   per-matrix convergence mask for early stopping. A batch of B equals B
+//!   index on the calling thread and in its one ADMM arena (the stage
+//!   submits no pool job), with a per-matrix convergence mask for early
+//!   stopping. A batch of B equals B
 //!   batches of one bitwise (`teal-lp`'s `batch_equivalence` test pins it).
 //!   [`ServingContext::try_allocate_batch`] surfaces a malformed request or
 //!   override topology as an [`AllocError`] value before any compute; a

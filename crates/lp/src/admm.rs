@@ -468,10 +468,11 @@ impl BatchState {
 ///
 /// An arena is plain mutable scratch — it carries no results across
 /// windows, only capacity. Exactly one solve may use it at a time (`&mut`
-/// enforces this); different threads must use different arenas. It is not
-/// tied to any skeleton or topology: reusing one arena across topologies,
-/// capacity overrides, or weight swaps is safe and merely re-grows buffers
-/// on shape changes.
+/// enforces this); different threads must use different arenas (the
+/// serving engine, `teal_core::ServingContext`, keeps one per thread). It is
+/// not tied to any skeleton or topology: reusing one arena across
+/// topologies, capacity overrides, or weight swaps is safe and merely
+/// re-grows buffers on shape changes.
 pub struct BatchArena {
     st: BatchState,
     active: Vec<bool>,

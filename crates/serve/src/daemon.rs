@@ -70,15 +70,18 @@
 //!
 //! # Shard arena ownership
 //!
-//! Every shard owns one [`teal_core::BatchScratch`], reused by every window
-//! it serves, plain or failure-overridden: a scratch carries no weight- or
+//! Every window a shard serves, plain or failure-overridden, runs its ADMM
+//! stage in the dispatcher thread's own arena (the engine keeps one per
+//! thread; see [`teal_core::BatchScratch`]). The arena carries no weight- or
 //! topology-derived state across windows, only buffer capacity (each window
 //! remints the solver against its own skeleton), so plain and failed-link
 //! windows commute on one arena. Only the shard's dispatcher thread ever
-//! touches it. The scratch lives in the shard, *not* in the serving context
-//! — a hot checkpoint swap replaces the context `Arc` but leaves the shard's
-//! arena (and its warmed-up capacity) untouched, and the next window simply
-//! runs against the new weights.
+//! touches it. It lives with the thread, *not* in the serving context — a
+//! hot checkpoint swap replaces the context `Arc` but leaves the arena (and
+//! its warmed-up capacity) untouched, and the next window simply runs
+//! against the new weights. The dispatcher's [`teal_core::BatchScratch`]
+//! carries only each window's [`teal_core::SolveReport`] to the shard's
+//! counters.
 //!
 //! # Shutdown protocol
 //!
@@ -158,9 +161,8 @@ impl Default for ServeConfig {
 }
 
 /// One topology's dispatch lane: private queue, condvars, and counters.
-/// The shard's dispatcher thread additionally owns the shard's
-/// [`BatchScratch`] (thread-local by construction — it lives on the
-/// dispatcher's stack and is never shared).
+/// The shard's ADMM arena is its dispatcher thread's own (the engine keeps
+/// one per thread), never shared.
 struct Shard {
     topology: String,
     queue: Mutex<VecDeque<Request>>,
@@ -449,10 +451,10 @@ impl<M: PolicyModel + 'static> Drop for ServeDaemon<M> {
 }
 
 /// One shard's dispatcher: drain the shard queue, coalesce, serve through
-/// the shard-owned arena, repeat until shutdown drains it dry.
+/// this thread's ADMM arena, repeat until shutdown drains it dry.
 fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
-    // The shard's private ADMM arena, shared by every window it serves (see
-    // module docs for ownership rules).
+    // Every window's solve report; the ADMM arena itself is this thread's
+    // (see module docs for ownership rules).
     let mut scratch = BatchScratch::new();
     loop {
         let drained = {

@@ -50,7 +50,7 @@
 //!        │             ▼
 //!        │          ┌── per-chunk window ─────────────────────────────┐
 //!        │          │ ⊕ solve-start (queue-wait span ends)            │
-//!        │          │ one shard arena for every window:               │
+//!        │          │ the dispatcher thread's arena for every window: │
 //!        │          │   try_allocate_batch_with        (plain), or    │
 //!        │          │   Topology::with_failed_edges ─►                │
 //!        │          │   try_allocate_batch_on_with     (failed links) │
@@ -103,9 +103,9 @@
 //! * **Serving core** ([`ServeDaemon`]) — per-topology dispatch shards
 //!   behind the narrow `submit(SubmitRequest) -> Ticket` API. Submit
 //!   routes each request to its topology's shard — a dedicated dispatcher
-//!   thread with a private queue, condvars, one ADMM arena
-//!   ([`teal_core::BatchScratch`], shared by plain and failed-link windows
-//!   alike — a failed link is just a capacity change), and every counter
+//!   thread with a private queue, condvars, one ADMM arena (the
+//!   thread's own, shared by plain and failed-link windows alike — a
+//!   failed link is just a capacity change), and every counter
 //!   its requests move. Each shard drains its queue (lingering up to
 //!   [`ServeConfig::linger`] so bursts pile up — but never past half of
 //!   the tightest queued deadline budget), expires stale requests, sorts

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use teal_baselines::{
     solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig,
 };
-use teal_core::{BatchScratch, Env, PolicyModel, ServingContext};
+use teal_core::{Env, PolicyModel, ServingContext};
 use teal_lp::{fleischer, solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
@@ -114,20 +114,16 @@ impl Scheme for Baseline {
     }
 }
 
-/// Teal: one forward pass + warm-started ADMM. The scheme keeps one
-/// [`BatchScratch`] across calls, so repeat windows reuse the ADMM state.
+/// Teal: one forward pass + warm-started ADMM. Repeat windows reuse the
+/// calling thread's ADMM arena.
 pub struct TealScheme<M: PolicyModel> {
     engine: ServingContext<M>,
-    scratch: BatchScratch,
 }
 
 impl<M: PolicyModel> TealScheme<M> {
     /// Wrap a trained engine.
     pub fn new(engine: ServingContext<M>) -> Self {
-        TealScheme {
-            engine,
-            scratch: BatchScratch::new(),
-        }
+        TealScheme { engine }
     }
 
     /// Access the engine.
@@ -152,7 +148,7 @@ impl<M: PolicyModel> Scheme for TealScheme<M> {
         tms: &[TrafficMatrix],
     ) -> (Vec<Allocation>, Duration) {
         self.engine
-            .try_allocate_batch_on_with(topo, tms, &mut self.scratch)
+            .try_allocate_batch_on(topo, tms)
             .unwrap_or_else(|e| panic!("Teal: {e}"))
     }
 }
