@@ -16,7 +16,7 @@
 use crate::env::{Env, ModelInput};
 use crate::model::{assert_single_matrix, Forward, PolicyModel};
 use std::sync::Arc;
-use teal_nn::{CsrPair, Graph, Linear, ParamId, ParamStore, Tensor};
+use teal_nn::{Aggregate, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor};
 
 /// "Teal w/ naive DNN": traffic matrix in, all split logits out.
 pub struct NaiveDnnModel {
@@ -112,7 +112,8 @@ impl PolicyModel for NaiveDnnModel {
 pub struct NaiveGnnModel {
     env: Arc<Env>,
     store: ParamStore,
-    /// Node-adjacency operator (row-normalized), `N x N`.
+    /// Node-adjacency pattern, `N x N`, applied under `Aggregate::Mean`
+    /// (the row-normalised adjacency).
     adjacency: CsrPair,
     /// Per-layer node transform `[2h -> h]` (or `[feat -> h]` for layer 0).
     gnn_layers: Vec<Linear>,
@@ -131,19 +132,12 @@ impl NaiveGnnModel {
         let mut rng = teal_nn::rng::seeded(seed ^ 0xab1a_0002);
         let n = env.topo().num_nodes();
         let k = env.k();
-        // Row-normalized adjacency (mean aggregation).
-        let mut triplets = Vec::new();
+        // The adjacency pattern; `forward` averages over it.
+        let mut entries = Vec::new();
         for node in 0..n {
-            let nbrs = env.topo().neighbors(node);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let w = 1.0 / nbrs.len() as f32;
-            for &(m, _) in nbrs {
-                triplets.push((node, m, w));
-            }
+            entries.extend(env.topo().neighbors(node).iter().map(|&(m, _)| (node, m)));
         }
-        let adjacency = CsrPair::from_triplets(n, n, &triplets);
+        let adjacency = CsrPair::from_pattern(n, n, &entries);
         let mut gnn_layers = Vec::new();
         // Node features: [out_volume, in_volume] (2 dims).
         let mut din = 2usize;
@@ -205,7 +199,7 @@ impl PolicyModel for NaiveGnnModel {
         let mut bounds = Vec::new();
         let mut h = g.input(self.node_features(input));
         for layer in &self.gnn_layers {
-            let msg = g.spmm(&self.adjacency, h);
+            let msg = g.spmm(&self.adjacency, h, Aggregate::Mean);
             let cat = g.concat_cols(h, msg);
             let (lin, b) = layer.forward(&self.store, g, cat);
             bounds.push(b);

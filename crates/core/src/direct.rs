@@ -13,7 +13,7 @@
 
 use crate::env::Env;
 use crate::model::PolicyModel;
-use teal_nn::{Adam, Graph, Tensor};
+use teal_nn::{Adam, Aggregate, Graph, Tensor};
 use teal_traffic::TrafficMatrix;
 
 /// Direct-loss trainer hyperparameters.
@@ -92,9 +92,10 @@ fn step(
     let vol_const = g.input(Tensor::from_vec(nd * k, 1, vols));
     let flows = g.mul(flat, vol_const); // [P, 1]
 
-    // Per-edge loads via the transposed incidence (E x P).
+    // Per-edge loads via the transposed incidence (E x P): a load is a
+    // sum of flows, whatever FlowGNN aggregates.
     let at = env.incidence().transposed();
-    let loads = g.spmm(&at, flows); // [E, 1]
+    let loads = g.spmm(&at, flows, Aggregate::Sum); // [E, 1]
     let caps: Vec<f32> = env
         .topo()
         .edges()

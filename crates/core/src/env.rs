@@ -2,8 +2,13 @@
 //!
 //! An [`Env`] bundles everything that is fixed across traffic matrices: the
 //! topology, the precomputed candidate paths, the path-edge incidence (as a
-//! CSR pair for FlowGNN's message passing), and normalization constants.
-//! Per-traffic-matrix inputs are produced by [`Env::model_input`].
+//! pattern-only CSR pair for FlowGNN's message passing), and normalization
+//! constants. Per-traffic-matrix inputs are produced by [`Env::model_input`].
+//!
+//! The incidence is stored once. Its transpose `Aᵀ` *is* the path set's
+//! edge→path arena (offsets and path ids, the same `Arc`s), and `A` shares
+//! the path set's path-major offsets; the one array the pair owns is `A`'s
+//! column list, each path's edge ids sorted.
 
 use std::sync::Arc;
 use teal_lp::TeInstance;
@@ -16,7 +21,8 @@ use teal_traffic::TrafficMatrix;
 pub struct Env {
     topo: Topology,
     paths: PathSet,
-    /// Path-edge incidence `A` (`num_paths x num_edges`) with its transpose.
+    /// Path-edge incidence `A` (`num_paths x num_edges`) with its transpose,
+    /// both over the path set's arrays (see `incidence_of`).
     incidence: CsrPair,
     /// Mean link capacity, used to normalize capacities and volumes.
     mean_cap: f64,
@@ -163,34 +169,25 @@ impl Env {
 }
 
 /// The path-edge incidence `A` (`num_paths x num_edges`, `A[p][e] = 1` iff
-/// edge `e` lies on path `p`) and its transpose, written straight from the
-/// two orders the [`PathSet`] already holds: a path's edge list, sorted, is a
-/// row of `A` (a simple path crosses no edge twice), and
-/// [`PathSet::paths_on_edge`], ascending as it is, is a row of `Aᵀ`. The
-/// arrays equal `CsrPair::from_triplets(paths.incidence_triplets())`'s entry
-/// for entry — the column order fixes the f32 summation order of every SpMM.
+/// edge `e` lies on path `p`) and its transpose, over the two orders the
+/// [`PathSet`] already holds. `Aᵀ` is [`PathSet::edge_path_arena`] itself:
+/// its rows are [`PathSet::paths_on_edge`], ascending. `A`'s row offsets are
+/// [`PathSet::path_edge_offsets`] (a simple path crosses no edge twice, so a
+/// row is as long as its path), and its columns are each path's edge list,
+/// sorted — the one array built here. The patterns equal
+/// `CsrPair::from_pattern(paths.incidence_entries())`'s: the column order
+/// fixes the f32 summation order of every SpMM.
 fn incidence_of(paths: &PathSet) -> CsrPair {
-    let (num_paths, num_edges) = (paths.num_paths(), paths.num_edges());
-    let mut row_ptr = Vec::with_capacity(num_paths + 1);
-    let mut col_idx: Vec<u32> = Vec::new();
-    row_ptr.push(0);
+    let (e2p_off, e2p) = paths.edge_path_arena();
+    let mut col_idx: Vec<u32> = Vec::with_capacity(e2p.len());
     for path in paths.paths() {
         let lo = col_idx.len();
         col_idx.extend(path.edges.iter().map(|&e| e as u32));
         col_idx[lo..].sort_unstable();
-        row_ptr.push(col_idx.len());
     }
-    let nnz = col_idx.len();
-    let fwd = Csr::from_sorted_rows(num_paths, num_edges, row_ptr, col_idx, vec![1.0; nnz]);
-
-    let mut row_ptr = Vec::with_capacity(num_edges + 1);
-    let mut col_idx = Vec::with_capacity(nnz);
-    row_ptr.push(0);
-    for e in 0..num_edges {
-        col_idx.extend_from_slice(paths.paths_on_edge(e));
-        row_ptr.push(col_idx.len());
-    }
-    let bwd = Csr::from_sorted_rows(num_edges, num_paths, row_ptr, col_idx, vec![1.0; nnz]);
+    let row_ptr = Arc::clone(paths.path_edge_offsets());
+    let fwd = Csr::from_sorted_rows(paths.num_edges(), row_ptr, col_idx.into());
+    let bwd = Csr::from_sorted_rows(paths.num_paths(), Arc::clone(e2p_off), Arc::clone(e2p));
     CsrPair {
         fwd: Arc::new(fwd),
         bwd: Arc::new(bwd),
@@ -243,14 +240,26 @@ mod tests {
             (line, vec![(0, 2), (2, 0)]),
         ] {
             let paths = PathSet::compute(&topo, &pairs, 4);
-            let want = CsrPair::from_triplets(
+            let want = CsrPair::from_pattern(
                 paths.num_paths(),
                 topo.num_edges(),
-                &paths.incidence_triplets(),
+                &paths.incidence_entries(),
             );
             let got = incidence_of(&paths);
             assert_eq!(*got.fwd, *want.fwd, "{}: A", topo.name());
             assert_eq!(*got.bwd, *want.bwd, "{}: A^T", topo.name());
+            // Shared, not copied: `Aᵀ` is the path set's edge→path arena
+            // and `A`'s offsets are its path-major offsets.
+            let (e2p_off, e2p) = paths.edge_path_arena();
+            let (bwd_ptr, bwd_idx) = got.bwd.pattern();
+            assert!(Arc::ptr_eq(bwd_ptr, e2p_off), "{}: Aᵀ offsets", topo.name());
+            assert!(Arc::ptr_eq(bwd_idx, e2p), "{}: Aᵀ path ids", topo.name());
+            let fwd_ptr = got.fwd.pattern().0;
+            assert!(
+                Arc::ptr_eq(fwd_ptr, paths.path_edge_offsets()),
+                "{}: A offsets",
+                topo.name()
+            );
         }
     }
 

@@ -34,8 +34,9 @@
 //!   panics.
 //! * **ServingContext lifecycle.** [`ServingContext`] is built once per
 //!   topology from a trained model plus an [`teal_lp::AdmmSkeleton`] (the
-//!   path-edge incidence index, normalized capacities, and objective
-//!   discounts — everything traffic-independent). Serving never rebuilds
+//!   path-edge incidence index over the path set's shared arrays,
+//!   normalized capacities, and, under `DelayPenalizedFlow` only, per-path
+//!   latency discounts — everything traffic-independent). Serving never rebuilds
 //!   per-topology state: each window remints an O(batch × paths) solver
 //!   from the shared skeleton (`allocate` is a window of one), and
 //!   link-failure overrides swap only the capacity vector. All methods

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use teal_lp::Allocation;
 use teal_nn::graph::softmax_row_inplace;
 use teal_nn::tensor as tensor_ops;
-use teal_nn::{BoundLinear, Graph, Linear, ParamId, ParamStore, Tensor, Var};
+use teal_nn::{Aggregate, BoundLinear, Graph, Linear, ParamId, ParamStore, Tensor, Var};
 
 /// Hyperparameters of the full Teal model (§4 defaults).
 #[derive(Clone, Copy, Debug)]
@@ -178,6 +178,12 @@ fn rows_to_allocation(mu: &Tensor, rows: std::ops::Range<usize>, row: &mut [f32]
     Allocation::from_splits(k, splits)
 }
 
+/// How FlowGNN's message passing combines the embeddings on the far side of
+/// the incidence, in both directions and in both the recorded and the
+/// tape-free forward: a PathNode sums its edges', an EdgeNode the paths
+/// crossing it.
+const FLOWGNN_AGGREGATE: Aggregate = Aggregate::Sum;
+
 /// FlowGNN: alternating bipartite GNN layers (capacity constraints) and
 /// per-demand DNN layers (demand constraints), per §3.2 / Figure 4.
 #[derive(Clone)]
@@ -253,8 +259,8 @@ impl FlowGnn {
         let k = self.k;
         let layers = self.path_layers.len();
         for l in 0..layers {
-            let msg_to_path = a.fwd.spmm_batch(&e, batch);
-            let msg_to_edge = a.bwd.spmm_batch(&p, batch);
+            let msg_to_path = a.fwd.spmm(&e, batch, FLOWGNN_AGGREGATE);
+            let msg_to_edge = a.bwd.spmm(&p, batch, FLOWGNN_AGGREGATE);
             // Fused [x | msg] * W: the concat buffer is never materialized.
             let p_act = self.path_layers[l].infer_act2(store, &p, &msg_to_path, self.slope);
             drop(msg_to_path);
@@ -296,8 +302,8 @@ impl FlowGnn {
         let layers = self.path_layers.len();
         for l in 0..layers {
             // GNN sublayer: bipartite message passing (capacity constraints).
-            let msg_to_path = g.spmm(a, e); // [P, d]
-            let msg_to_edge = g.spmm(&at, p); // [E, d]
+            let msg_to_path = g.spmm(a, e, FLOWGNN_AGGREGATE); // [P, d]
+            let msg_to_edge = g.spmm(&at, p, FLOWGNN_AGGREGATE); // [E, d]
             let p_cat = g.concat_cols(p, msg_to_path);
             let (p_act, b1) = self.path_layers[l].forward_act(store, g, p_cat, self.slope);
             bounds.push(b1);

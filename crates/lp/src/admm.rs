@@ -194,7 +194,9 @@ impl AdmmReport {
 /// * **Path-major** (`entry_row`): walking every hop of every candidate
 ///   path in order, so path `p`'s rows are the contiguous range
 ///   `entry_row[path_start[p]..path_start[p + 1]]` — the demand sweep's
-///   gather of `ν_e` over a path is one linear scan.
+///   gather of `ν_e` over a path is one linear scan. `path_start` is the
+///   path set's own path-major offsets ([`PathSet::path_edge_offsets`],
+///   shared through its `Arc`): one entry per hop, in hop order.
 /// * **Row-major** (`pos_path`): the same non-zeros regrouped so row `r`
 ///   owns the contiguous range `pos_path[row_start[r]..row_start[r + 1]]`
 ///   (ascending path ids, never empty) — the edge sweep's sum over an
@@ -205,10 +207,13 @@ impl AdmmReport {
 ///   `live[r]`.
 ///
 /// Solver *state* is indexed by path, demand or row only; nothing is
-/// stored per non-zero.
+/// stored per non-zero. What the index owns is `entry_row` (4 B per
+/// non-zero) and, per row, `row_start` and `live` (4 B each, plus
+/// `row_start`'s closing offset).
 struct AdmmIndex {
-    /// Range of each path in `entry_row`: `path_start[p]..path_start[p + 1]`.
-    path_start: Vec<u32>,
+    /// Range of each path in `entry_row`: `path_start[p]..path_start[p + 1]`,
+    /// the path set's path-major offsets.
+    path_start: Arc<[u32]>,
     /// Range of each row in `pos_path`: `row_start[r]..row_start[r + 1]`.
     row_start: Vec<u32>,
     /// Path id of each non-zero, row-major: the path set's `e2p`.
@@ -224,9 +229,11 @@ impl AdmmIndex {
     /// path's edges renumbered to rows — O(nnz + edges).
     fn new(paths: &PathSet) -> Self {
         let (e2p_off, e2p) = paths.edge_path_arena();
+        let rows = e2p_off.windows(2).filter(|s| s[0] < s[1]).count();
         let mut row_of = vec![u32::MAX; paths.num_edges()];
-        let mut live = Vec::new();
-        let mut row_start = vec![0];
+        let mut live = Vec::with_capacity(rows);
+        let mut row_start = Vec::with_capacity(rows + 1);
+        row_start.push(0);
         for (e, span) in e2p_off.windows(2).enumerate() {
             if span[0] < span[1] {
                 row_of[e] = live.len() as u32;
@@ -235,14 +242,11 @@ impl AdmmIndex {
             }
         }
         let mut entry_row = Vec::with_capacity(e2p.len());
-        let mut path_start = Vec::with_capacity(paths.num_paths() + 1);
-        path_start.push(0);
         for path in paths.paths() {
             entry_row.extend(path.edges.iter().map(|&e| row_of[e]));
-            path_start.push(entry_row.len() as u32);
         }
         AdmmIndex {
-            path_start,
+            path_start: Arc::clone(paths.path_edge_offsets()),
             row_start,
             pos_path: Arc::clone(e2p),
             entry_row,
@@ -280,6 +284,13 @@ impl AdmmIndex {
 /// objective discounts. Build once per `(topology, path set, objective)`
 /// and mint a cheap [`AdmmBatchSolver`] per window of traffic matrices with
 /// [`AdmmSkeleton::batch_solver`] — the zero-rebuild serving path.
+///
+/// What it owns, beyond its own fields: per row (crossed edge) an `f64`
+/// capacity and the index's two `u32`s, per non-zero the index's `u32` row
+/// id, and per path an `f64` discount only under `DelayPenalizedFlow` —
+/// `TotalFlow` stores none, and no per-path offsets (the index shares the
+/// path set's). Plus one `Arc` block each for the capacities and the
+/// index.
 #[derive(Clone)]
 pub struct AdmmSkeleton {
     num_demands: usize,
@@ -289,9 +300,9 @@ pub struct AdmmSkeleton {
     alpha: f64,
     /// Normalized capacities per row (crossed edge).
     caps: Arc<Vec<f64>>,
-    /// Per-path objective multiplier (1 for `TotalFlow`; latency discount
-    /// for `DelayPenalizedFlow`).
-    discount: Arc<Vec<f64>>,
+    /// Per-path latency discount under `DelayPenalizedFlow`; `None` under
+    /// `TotalFlow`, whose every path has objective multiplier 1.
+    discount: Option<Arc<Vec<f64>>>,
     index: Arc<AdmmIndex>,
 }
 
@@ -310,9 +321,11 @@ impl AdmmSkeleton {
         // conditioned on every topology.
         let (alpha, caps) = index.row_caps(topo);
 
-        let discount: Vec<f64> = match obj {
-            Objective::DelayPenalizedFlow(gamma) => crate::flow::latency_discounts(paths, gamma),
-            _ => vec![1.0; paths.num_paths()],
+        let discount = match obj {
+            Objective::DelayPenalizedFlow(gamma) => {
+                Some(Arc::new(crate::flow::latency_discounts(paths, gamma)))
+            }
+            _ => None,
         };
 
         AdmmSkeleton {
@@ -321,7 +334,7 @@ impl AdmmSkeleton {
             num_edges,
             alpha,
             caps: Arc::new(caps),
-            discount: Arc::new(discount),
+            discount,
             index: Arc::new(index),
         }
     }
@@ -381,7 +394,7 @@ impl AdmmSkeleton {
             k: 0,
             vols: Vec::new(),
             caps: Arc::clone(&self.caps),
-            discount: Arc::clone(&self.discount),
+            discount: self.discount.clone(),
             index: Arc::clone(&self.index),
         };
         self.remint_batch_solver(&mut solver, tms);
@@ -401,7 +414,7 @@ impl AdmmSkeleton {
         solver.num_demands = self.num_demands;
         solver.k = self.k;
         solver.caps = Arc::clone(&self.caps);
-        solver.discount = Arc::clone(&self.discount);
+        solver.discount = self.discount.clone();
         solver.index = Arc::clone(&self.index);
         solver.vols.clear();
         solver.vols.resize(self.num_demands * nb, 0.0);
@@ -580,8 +593,9 @@ pub struct AdmmBatchSolver {
     /// Normalized capacities per row (crossed edge), shared across lanes.
     caps: Arc<Vec<f64>>,
     /// Per-path objective multiplier (shared across lanes); a path's
-    /// objective coefficient in lane `b` is `vols[d][b] * discount[p]`.
-    discount: Arc<Vec<f64>>,
+    /// objective coefficient in lane `b` is `vols[d][b] * discount[p]`, or
+    /// `vols[d][b]` when there is none (`TotalFlow`).
+    discount: Option<Arc<Vec<f64>>>,
     /// Shared incidence index.
     index: Arc<AdmmIndex>,
 }
@@ -819,7 +833,8 @@ impl AdmmBatchSolver {
                     }
                 }
                 let len = ents.len() as f64;
-                let disc = self.discount[p];
+                // `TotalFlow` has no discounts: `vol * 1.0 == vol` exactly.
+                let disc = self.discount.as_ref().map_or(1.0, |d| d[p]);
                 let fp = row(f, p, nb);
                 for ((bv, dj), ((&vol, &fv), (&l1v, &s1v))) in bj
                     .iter_mut()

@@ -12,7 +12,7 @@
 //! Gradient correctness for every operator is cross-checked against central
 //! finite differences in this module's tests and in property tests.
 
-use crate::sparse::CsrPair;
+use crate::sparse::{Aggregate, CsrPair};
 use crate::tensor::{linear_act_into, matmul, matmul_a_bt, matmul_at_b, Tensor};
 use std::sync::Arc;
 
@@ -25,8 +25,8 @@ enum Op {
     /// Constant input or trainable parameter (leaf node).
     Leaf,
     MatMul(Var, Var),
-    /// Fixed-structure sparse times dense: `y = A x`.
-    SpMM(CsrPair, Var),
+    /// Fixed-pattern sparse times dense: `y = A x` under an [`Aggregate`].
+    SpMM(CsrPair, Aggregate, Var),
     /// Fused dense layer `y = leaky(x w + b)` (slope 0 = ReLU, slope 1 =
     /// identity). One output buffer instead of the three a
     /// matmul/add_row/leaky chain allocates; the backward recovers the
@@ -138,11 +138,15 @@ impl Graph {
         self.push(v, Op::MatMul(a, b), ng)
     }
 
-    /// Sparse (fixed-structure) times dense product.
-    pub fn spmm(&mut self, a: &CsrPair, x: Var) -> Var {
-        let v = a.fwd.spmm(self.value(x));
+    /// Sparse (fixed-pattern) times dense product under `agg`. The
+    /// backward is the exact transpose of what the forward applied: for
+    /// `Mean`, `dy` is divided by the *forward* rows' lengths and then
+    /// summed over `Aᵀ`'s pattern (`Aᵀ` normalised by its own row lengths
+    /// would be a different operator).
+    pub fn spmm(&mut self, a: &CsrPair, x: Var, agg: Aggregate) -> Var {
+        let v = a.fwd.spmm(self.value(x), 1, agg);
         let ng = self.needs(x);
-        self.push(v, Op::SpMM(a.clone(), x), ng)
+        self.push(v, Op::SpMM(a.clone(), agg, x), ng)
     }
 
     /// Fused dense layer: `leaky(x w + b)` with negative-side `slope`
@@ -365,9 +369,13 @@ impl Graph {
                         self.accumulate(b, db);
                     }
                 }
-                Op::SpMM(csr, x) => {
+                Op::SpMM(csr, agg, x) => {
                     let x = *x;
-                    let dx = csr.bwd.spmm(&dy);
+                    let mut dy = dy;
+                    if *agg == Aggregate::Mean {
+                        csr.fwd.divide_rows_by_len(&mut dy);
+                    }
+                    let dx = csr.bwd.spmm(&dy, 1, Aggregate::Sum);
                     self.accumulate(x, dx);
                 }
                 Op::LinearAct { x, w, b, slope } => {
@@ -635,17 +643,46 @@ mod tests {
     fn grad_spmm() {
         let mut rng = seeded(2);
         let x = rand_tensor(&mut rng, 3, 2);
-        let a =
-            CsrPair::from_triplets(4, 3, &[(0, 0, 1.0), (1, 2, 2.0), (3, 1, -1.5), (2, 0, 0.5)]);
-        check_grad(
-            &x,
-            |g, p| {
-                let y = g.spmm(&a, p);
-                let y2 = g.mul(y, y);
-                g.sum_all(y2)
-            },
-            1e-2,
-        );
+        let a = CsrPair::from_pattern(4, 3, &[(0, 0), (1, 2), (3, 1), (2, 0), (2, 2)]);
+        for agg in [Aggregate::Sum, Aggregate::Mean] {
+            check_grad(
+                &x,
+                |g, p| {
+                    let y = g.spmm(&a, p, agg);
+                    let y2 = g.mul(y, y);
+                    g.sum_all(y2)
+                },
+                1e-2,
+            );
+        }
+    }
+
+    /// `Mean`'s gradient is the dense row-normalised matrix's transpose
+    /// applied to `dy`. The rows of `A` (lengths 3, 1, 0, 2) and of `Aᵀ`
+    /// (2, 2, 2) differ, so normalising by `Aᵀ`'s own lengths would fail.
+    #[test]
+    fn grad_spmm_mean_is_the_row_normalised_transpose() {
+        let mut rng = seeded(3);
+        let x = rand_tensor(&mut rng, 3, 2);
+        let w = rand_tensor(&mut rng, 4, 2);
+        let a = CsrPair::from_pattern(4, 3, &[(0, 0), (0, 1), (0, 2), (1, 1), (3, 0), (3, 2)]);
+        let mut m = a.fwd.to_dense();
+        for r in 0..4 {
+            let n = a.fwd.row(r).len().max(1) as f32;
+            for c in 0..3 {
+                m.set(r, c, m.get(r, c) / n);
+            }
+        }
+        let mut g = Graph::new();
+        let p = g.param(x.clone());
+        let y = g.spmm(&a, p, Aggregate::Mean);
+        assert!(g.value(y).approx_eq(&matmul(&m, &x), 1e-6));
+        let wi = g.input(w.clone());
+        let yw = g.mul(y, wi);
+        let loss = g.sum_all(yw);
+        g.backward(loss);
+        // d(Σ w ⊙ M x)/dx = Mᵀ w.
+        assert!(g.grad(p).approx_eq(&matmul(&m.transposed(), &w), 1e-6));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! from scratch:
 //!
 //! * [`tensor`] — dense row-major 2-D tensors and matmul kernels;
-//! * [`sparse`] — CSR matrices for FlowGNN's fixed path-edge incidence;
+//! * [`sparse`] — pattern-only CSR matrices for FlowGNN's fixed path-edge
+//!   incidence, and the [`Aggregate`] an SpMM applies over a row;
 //! * [`graph`] — a tape-based reverse-mode autograd engine;
 //! * [`module`] — parameter storage and `Linear` layers;
 //! * [`optim`] — Adam (the paper's optimizer) and SGD;
@@ -38,5 +39,5 @@ pub mod tensor;
 pub use graph::{Graph, Var};
 pub use module::{BoundLinear, Linear, ParamId, ParamStore};
 pub use optim::{Adam, Sgd};
-pub use sparse::{Csr, CsrPair};
+pub use sparse::{Aggregate, Csr, CsrPair};
 pub use tensor::Tensor;

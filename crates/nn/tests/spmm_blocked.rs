@@ -11,18 +11,20 @@
 //! matrices, including ones wide and dense enough (`cols > 1024`,
 //! `nnz >= 4096`) that they took the column-blocked walk this file is named
 //! after until it was measured slower and deleted, and real path-edge
-//! incidence structures from random generated topologies.
+//! incidence structures from random generated topologies. The matrices
+//! are patterns (every entry 1), as [`Csr`] is; `Aggregate::Mean` is pinned
+//! bitwise to the `Sum` kernel followed by its documented per-row divide.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teal_nn::sparse::Csr;
+use teal_nn::sparse::{Aggregate, Csr};
 use teal_nn::tensor::Tensor;
 use teal_topology::{gravity_pairs, large_wan, PathSet};
 
 const TOL: f32 = 1e-6;
 
-/// `Σ |v| · |x|` per output element — the magnitude actually accumulated.
+/// `Σ |x|` per output element — the magnitude actually accumulated.
 /// Reassociated f32 sums agree to ~ULP of this, not of the (possibly
 /// cancelled) final value, so the 1e-6 budget is taken relative to it.
 fn abs_bound(a: &Csr, x: &Tensor, batch: usize) -> Tensor {
@@ -30,10 +32,10 @@ fn abs_bound(a: &Csr, x: &Tensor, batch: usize) -> Tensor {
     let mut out = Tensor::zeros(a.rows() * batch, d);
     for b in 0..batch {
         for r in 0..a.rows() {
-            for (c, v) in a.row_entries(r) {
+            for &c in a.row(r) {
                 for j in 0..d {
                     let acc =
-                        out.get(b * a.rows() + r, j) + v.abs() * x.get(b * a.cols() + c, j).abs();
+                        out.get(b * a.rows() + r, j) + x.get(b * a.cols() + c as usize, j).abs();
                     out.set(b * a.rows() + r, j, acc);
                 }
             }
@@ -44,7 +46,7 @@ fn abs_bound(a: &Csr, x: &Tensor, batch: usize) -> Tensor {
 
 /// For `d >= 2` the kernel must equal the scalar reference bitwise. The
 /// `d == 1` gather reassociates f32 sums; there each element must match
-/// within `1e-6 * max(1, Σ|v·x|)`.
+/// within `1e-6 * max(1, Σ|x|)`.
 fn assert_close(a: &Csr, x: &Tensor, batch: usize) -> Result<(), String> {
     let got = a.spmm_batch(x, batch);
     let want = a.spmm_batch_reference(x, batch);
@@ -60,33 +62,53 @@ fn assert_close(a: &Csr, x: &Tensor, batch: usize) -> Result<(), String> {
                 w
             );
         }
-        return Ok(());
+    } else {
+        let bound = abs_bound(a, x, batch);
+        for (i, (g, w)) in got.data().iter().zip(want.data().iter()).enumerate() {
+            let scale = 1.0f32.max(bound.data()[i]);
+            prop_assert!(
+                (g - w).abs() <= TOL * scale,
+                "element {}: gather {} vs reference {} (bound {})",
+                i,
+                g,
+                w,
+                scale
+            );
+        }
     }
-    let bound = abs_bound(a, x, batch);
-    for (i, (g, w)) in got.data().iter().zip(want.data().iter()).enumerate() {
-        let scale = 1.0f32.max(bound.data()[i]);
+    Ok(())
+}
+
+/// `Mean` ≡ the `Sum` kernel followed by `Mean`'s documented per-row step
+/// (one f32 divide of each element by its row's length; an empty row stays
+/// as it is), bitwise.
+fn assert_mean_is_divided_sum(a: &Csr, x: &Tensor, batch: usize) -> Result<(), String> {
+    let sum = a.spmm_batch(x, batch);
+    let mean = a.spmm(x, batch, Aggregate::Mean);
+    prop_assert_eq!(mean.shape(), sum.shape());
+    let d = x.cols().max(1);
+    for (i, (m, s)) in mean.data().iter().zip(sum.data().iter()).enumerate() {
+        let len = a.row((i / d) % a.rows()).len();
+        let want = if len == 0 { *s } else { *s / len as f32 };
         prop_assert!(
-            (g - w).abs() <= TOL * scale,
-            "element {}: gather {} vs reference {} (bound {})",
+            m.to_bits() == want.to_bits(),
+            "element {}: mean {} vs sum / {} = {}",
             i,
-            g,
-            w,
-            scale
+            m,
+            len,
+            want
         );
     }
     Ok(())
 }
 
-/// A random CSR with about `nnz` non-zeros (duplicate coordinates merge).
+/// A random pattern with about `nnz` non-zeros (duplicate coordinates
+/// merge).
 fn random_csr(rng: &mut StdRng, rows: usize, cols: usize, nnz: usize) -> Csr {
-    let mut triplets = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        let r = rng.gen_range(0..rows);
-        let c = rng.gen_range(0..cols);
-        let v = rng.gen_range(-2.0f64..2.0) as f32;
-        triplets.push((r, c, v));
-    }
-    Csr::from_triplets(rows, cols, &triplets)
+    let entries: Vec<(usize, usize)> = (0..nnz)
+        .map(|_| (rng.gen_range(0..rows), rng.gen_range(0..cols)))
+        .collect();
+    Csr::from_pattern(rows, cols, &entries)
 }
 
 fn random_x(rng: &mut StdRng, rows: usize, d: usize) -> Tensor {
@@ -136,6 +158,29 @@ proptest! {
         }
     }
 
+    /// `Mean` on random patterns (empty rows included) and on a real
+    /// incidence in both directions, at the gather's and the walk's widths.
+    #[test]
+    fn mean_equals_sum_then_row_divide(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3ea1);
+        let rows = rng.gen_range(5..80);
+        let cols = rng.gen_range(3..200);
+        let nnz = rng.gen_range(1..600);
+        let a = random_csr(&mut rng, rows, cols, nnz);
+        let topo = large_wan(64, seed);
+        let paths = PathSet::compute(&topo, &gravity_pairs(&topo, 128, seed ^ 1), 4);
+        let fwd = Csr::from_pattern(paths.num_paths(), topo.num_edges(), &paths.incidence_entries());
+        let bwd = fwd.transposed();
+        for a in [&a, &fwd, &bwd] {
+            for &d in &[1usize, 3] {
+                for &batch in &[1usize, 2] {
+                    let x = random_x(&mut rng, a.cols() * batch, d);
+                    assert_mean_is_divided_sum(a, &x, batch)?;
+                }
+            }
+        }
+    }
+
     /// Real FlowGNN structure: path-edge incidence of a random generated
     /// WAN, in both message-passing directions, across batch sizes.
     #[test]
@@ -143,8 +188,8 @@ proptest! {
         let topo = large_wan(n, seed);
         let pairs = gravity_pairs(&topo, 3 * n, seed ^ 1);
         let paths = PathSet::compute(&topo, &pairs, 4);
-        let trips = paths.incidence_triplets();
-        let fwd = Csr::from_triplets(paths.num_paths(), topo.num_edges(), &trips);
+        let entries = paths.incidence_entries();
+        let fwd = Csr::from_pattern(paths.num_paths(), topo.num_edges(), &entries);
         let bwd = fwd.transposed();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
         for a in [&fwd, &bwd] {

@@ -129,7 +129,9 @@
 //!   `pop` and the cutoff of the rule above is one index away.
 //! * The edge→path incidence is flattened at construction into a CSR-style
 //!   offsets+indices pair ([`PathSet::paths_on_edge`]), the one copy of it
-//!   ([`PathSet::edge_path_arena`]).
+//!   ([`PathSet::edge_path_arena`]), and the path-major direction gets its
+//!   offsets ([`PathSet::path_edge_offsets`]), shared by every path-major
+//!   array built over the set.
 
 use crate::graph::{EdgeId, NodeId, Topology};
 use std::cmp::{Ordering, Reverse};
@@ -836,12 +838,19 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
 
 /// Precomputed candidate paths for a set of demand pairs.
 ///
-/// Alongside the paths themselves, `compute` flattens the edge→path
-/// incidence once into a CSR-style arena (`e2p_off` offsets into `e2p` path
-/// ids), so solvers query [`paths_on_edge`](PathSet::paths_on_edge) as a
-/// slice instead of rebuilding a `Vec<Vec<usize>>` per call. It is the one
-/// copy of that incidence: the ADMM index holds the same `e2p` through
-/// [`edge_path_arena`](PathSet::edge_path_arena).
+/// Alongside the paths themselves, `compute` flattens the incidence once
+/// per direction into shared `Arc<[u32]>` arrays, so an index over the set
+/// holds them instead of copying them:
+/// * **edge→path**: `e2p_off` offsets into `e2p` path ids — solvers query
+///   [`paths_on_edge`](PathSet::paths_on_edge) as a slice, and the ADMM
+///   index and FlowGNN's transposed incidence (`teal_core::Env`) hold both
+///   arrays through [`edge_path_arena`](PathSet::edge_path_arena);
+/// * **path→edge**: `p2e_off`, the prefix sums of the path lengths, which
+///   offset any path-major array with one entry per hop. Each path's edge
+///   list is that direction's data; FlowGNN's incidence (its edges sorted)
+///   and the ADMM index (its edges renumbered to rows) each keep one such
+///   array and share these offsets through
+///   [`path_edge_offsets`](PathSet::path_edge_offsets).
 #[derive(Clone, Debug)]
 pub struct PathSet {
     k: usize,
@@ -852,10 +861,12 @@ pub struct PathSet {
     /// Edge-major offsets, one per edge of the topology the set was
     /// computed on plus one: paths crossing edge `e` live at
     /// `e2p[e2p_off[e]..e2p_off[e + 1]]`, ascending.
-    e2p_off: Vec<u32>,
-    /// Flat path-id arena indexed by `e2p_off`, shared with whoever asks
-    /// for [`Self::edge_path_arena`].
+    e2p_off: Arc<[u32]>,
+    /// Flat path-id arena indexed by `e2p_off`.
     e2p: Arc<[u32]>,
+    /// Path-major offsets, one per path plus one: path `p`'s hops are
+    /// positions `p2e_off[p]..p2e_off[p + 1]` of a path-major array.
+    p2e_off: Arc<[u32]>,
 }
 
 impl PathSet {
@@ -901,13 +912,19 @@ impl PathSet {
                 cursor[e] += 1;
             }
         }
+        let mut p2e_off = Vec::with_capacity(paths.len() + 1);
+        p2e_off.push(0u32);
+        for p in &paths {
+            p2e_off.push(p2e_off[p2e_off.len() - 1] + p.len() as u32);
+        }
 
         PathSet {
             k,
             pairs: pairs.to_vec(),
             paths,
-            e2p_off,
+            e2p_off: e2p_off.into(),
             e2p: e2p.into(),
+            p2e_off: p2e_off.into(),
         }
     }
 
@@ -946,14 +963,15 @@ impl PathSet {
         &self.paths[d * self.k..(d + 1) * self.k]
     }
 
-    /// COO triplets of the path-edge incidence matrix `A` (`num_paths` x
-    /// `num_edges`), `A[p][e] = 1` iff edge `e` lies on path `p`. This is the
-    /// bipartite structure FlowGNN's GNN layers message-pass over (§3.2).
-    pub fn incidence_triplets(&self) -> Vec<(usize, usize, f32)> {
+    /// The `(path, edge)` entries of the path-edge incidence matrix `A`
+    /// (`num_paths` x `num_edges`), `A[p][e] = 1` iff edge `e` lies on path
+    /// `p`, path-major in hop order. This is the bipartite structure
+    /// FlowGNN's GNN layers message-pass over (§3.2).
+    pub fn incidence_entries(&self) -> Vec<(usize, usize)> {
         let mut t = Vec::new();
         for (p_idx, p) in self.paths.iter().enumerate() {
             for &e in &p.edges {
-                t.push((p_idx, e, 1.0));
+                t.push((p_idx, e));
             }
         }
         t
@@ -969,8 +987,16 @@ impl PathSet {
 
     /// The whole edge→path arena: `num_edges + 1` offsets and the path ids
     /// they index, shared so an index over the set holds them uncopied.
-    pub fn edge_path_arena(&self) -> (&[u32], &Arc<[u32]>) {
+    pub fn edge_path_arena(&self) -> (&Arc<[u32]>, &Arc<[u32]>) {
         (&self.e2p_off, &self.e2p)
+    }
+
+    /// The path-major offsets: `num_paths + 1` prefix sums of the path
+    /// lengths, so path `p`'s hops are positions
+    /// `offsets[p]..offsets[p + 1]` of any path-major per-hop array. Shared
+    /// so every such array over the set holds them uncopied.
+    pub fn path_edge_offsets(&self) -> &Arc<[u32]> {
+        &self.p2e_off
     }
 }
 

@@ -238,12 +238,18 @@ fn pathset_pads_to_k() {
 fn incidence_matches_paths() {
     let t = diamond();
     let ps = PathSet::compute(&t, &[(0, 3)], 4);
-    let trips = ps.incidence_triplets();
+    let entries = ps.incidence_entries();
     let total_edges: usize = ps.paths().iter().map(|p| p.len()).sum();
-    assert_eq!(trips.len(), total_edges);
-    for (p_idx, e, v) in trips {
-        assert_eq!(v, 1.0);
+    assert_eq!(entries.len(), total_edges);
+    for (p_idx, e) in entries {
         assert!(ps.paths()[p_idx].edges.contains(&e));
+    }
+    // The path-major offsets are the prefix sums of the path lengths.
+    let off = ps.path_edge_offsets();
+    assert_eq!(off.len(), ps.num_paths() + 1);
+    assert_eq!(off[0], 0);
+    for (p, w) in off.windows(2).enumerate() {
+        assert_eq!((w[1] - w[0]) as usize, ps.paths()[p].len());
     }
 }
 

@@ -2,7 +2,8 @@
 //! byte for byte, against what the `graph.rs` and `paths.rs` module docs
 //! say a `Topology`, a `Path` and a `PathSet` store. A lookup index, a
 //! second copy of a path's nodes or of the edge→path arena shows up here as
-//! bytes no term accounts for.
+//! bytes no term accounts for. The set's three incidence arrays (`e2p_off`,
+//! `e2p`, the path-major `p2e_off`) are each an `Arc<[u32]>`.
 //!
 //! It counts live bytes (allocations minus frees) across *all* threads,
 //! because `PathSet::compute` runs on scoped workers, so it is its own
@@ -56,6 +57,16 @@ fn measure<T>(build: impl FnOnce() -> T) -> (T, usize) {
     (built, (LIVE.load(SeqCst) - before) as usize)
 }
 
+/// The heap block of an `Arc<[u32]>` of `n` ids: two counts, then the ids.
+fn arc_u32s(n: usize) -> usize {
+    Layout::new::<[usize; 2]>()
+        .extend(Layout::array::<u32>(n).unwrap())
+        .unwrap()
+        .0
+        .pad_to_align()
+        .size()
+}
+
 fn main() {
     // The first scoped spawn allocates process-lifetime state (the main
     // thread's handle); a B4 path set with more than one claim spawns.
@@ -78,25 +89,21 @@ fn main() {
     let pairs = gravity_pairs(&t, 512, 6);
     let (paths, paths_bytes) = measure(|| PathSet::compute(&t, &pairs, 4));
     let nnz: usize = paths.paths().iter().map(Path::len).sum();
-    // The path-id arena is an `Arc<[u32]>`: two counts, then the ids.
-    let e2p = Layout::new::<[usize; 2]>()
-        .extend(Layout::array::<u32>(nnz).unwrap())
-        .unwrap()
-        .0
-        .pad_to_align()
-        .size();
-    let e2p_off = (e + 1) * size_of::<u32>();
+    let e2p = arc_u32s(nnz);
+    let e2p_off = arc_u32s(e + 1);
+    let p2e_off = arc_u32s(paths.num_paths() + 1);
     let paths_want = paths.num_paths() * size_of::<Path>()
         + nnz * size_of::<EdgeId>()
         + e2p
         + e2p_off
+        + p2e_off
         + pairs.len() * size_of::<(NodeId, NodeId)>();
 
     println!(
         "footprint: {} failed-link twin {twin_bytes} B (want {twin_want}: {e} edges x {}, \
          {adjacency} adjacency entries x {}, {n} nodes x {per_node}, {} name bytes); \
          path set of {} pairs {paths_bytes} B (want {paths_want}: {} paths x {}, {nnz} hops x {}, \
-         e2p {e2p}, e2p_off {e2p_off}, pairs {})",
+         e2p {e2p}, e2p_off {e2p_off}, p2e_off {p2e_off}, pairs {})",
         t.name(),
         size_of::<Edge>(),
         size_of::<(NodeId, EdgeId)>(),
