@@ -426,13 +426,15 @@ impl<M: PolicyModel> ServingContext<M> {
             // The pool claims each index exactly once, so the slot is empty.
             let _ = slots[i].set(self.model.allocate_deterministic(&input));
         });
-        let mut out: Vec<Allocation> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|| unreachable!("pool::run runs every index before it returns"))
-            })
-            .collect();
+        // A reply vector of its own, not the slots' buffer collected in
+        // place: that shrinks it with a realloc whenever the slot bytes are
+        // not a whole number of allocations, so the per-window allocation
+        // count would depend on the window's size.
+        let mut out: Vec<Allocation> = Vec::with_capacity(tms.len());
+        out.extend(slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|| unreachable!("pool::run runs every index before it returns"))
+        }));
         if let (Some(admm_cfg), Some(skel)) = (self.cfg.admm, &self.skeleton) {
             let override_skel;
             let skel = match topo_override {

@@ -47,7 +47,8 @@
 //!   the matrices of a window commute and share no write, so one matrix is
 //!   the unit of work, its tape-free forward pass
 //!   ([`PolicyModel::allocate_deterministic`]) runs on serial kernels with
-//!   its ≈ 200 KB of activations resident on one core, and matrices are the
+//!   its three activation buffers ([`TealModel::infer_mu`]'s buffer plan,
+//!   432,576 B at 1,024 nodes) resident on one core, and matrices are the
 //!   stage's only parallel axis (a window of one is single-core). The whole
 //!   window is then fine-tuned by one batched ADMM sweep
 //!   ([`teal_lp::AdmmBatchSolver`]): structure-of-arrays state minted from

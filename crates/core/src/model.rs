@@ -6,8 +6,8 @@ use crate::env::{Env, ModelInput};
 use std::sync::Arc;
 use teal_lp::Allocation;
 use teal_nn::graph::softmax_row_inplace;
-use teal_nn::tensor as tensor_ops;
-use teal_nn::{Aggregate, BoundLinear, Graph, Linear, ParamId, ParamStore, Tensor, Var};
+use teal_nn::tensor::{run_at_width, Dense, RowBuf, RowPass};
+use teal_nn::{Aggregate, BoundLinear, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor, Var};
 
 /// Hyperparameters of the full Teal model (§4 defaults).
 #[derive(Clone, Copy, Debug)]
@@ -181,7 +181,7 @@ fn rows_to_allocation(mu: &Tensor, rows: std::ops::Range<usize>, row: &mut [f32]
 /// How FlowGNN's message passing combines the embeddings on the far side of
 /// the incidence, in both directions and in both the recorded and the
 /// tape-free forward: a PathNode sums its edges', an EdgeNode the paths
-/// crossing it.
+/// crossing it. Every model starts from it ([`FlowGnn`]'s private `agg`).
 const FLOWGNN_AGGREGATE: Aggregate = Aggregate::Sum;
 
 /// FlowGNN: alternating bipartite GNN layers (capacity constraints) and
@@ -197,6 +197,9 @@ struct FlowGnn {
     k: usize,
     slope: f32,
     growth: usize,
+    /// Message aggregation, [`FLOWGNN_AGGREGATE`]; tests flip it to pin
+    /// both aggregations' tape-free forward against the recorded one.
+    agg: Aggregate,
 }
 
 impl FlowGnn {
@@ -234,6 +237,7 @@ impl FlowGnn {
             k,
             slope,
             growth,
+            agg: FLOWGNN_AGGREGATE,
         }
     }
 
@@ -243,42 +247,70 @@ impl FlowGnn {
     }
 
     /// Tape-free inference forward: the same arithmetic as
-    /// [`FlowGnn::forward`] on plain tensors, with every intermediate freed
-    /// as soon as the next layer has consumed it. Deployment runs this, one
-    /// matrix per call; training uses the recorded variant. A stacked input
-    /// (which only the repo benchmark's layer ledger still passes) runs the
-    /// incidence operator block-diagonally, bit-identical per block.
+    /// [`FlowGnn::forward`], bit for bit, in three buffers sized at the
+    /// final width `D` — `p` (`[batch·P, D]`), `e` and `e_next` (each
+    /// `[batch·E, D]`) — each layer holding its width-`d` rows densely at
+    /// the front. Layer `l`:
+    /// - its edge half reads the old `p` and `e` and writes `e_next`, with
+    ///   the next layer's `edge_init` growth columns already in place;
+    /// - its path half then updates `p` in place;
+    /// - its per-demand DNN runs in place from the last demand group down,
+    ///   so each path row lands at its grown width with its `path_init`
+    ///   columns written.
+    ///
+    /// A message is one [`teal_nn::Csr::aggregate_row`] into a stack row,
+    /// handed straight to the dense row kernel: no `[P, d]` or `[E, d]`
+    /// message tensor and no concatenation exist. The last layer's edge
+    /// half is skipped: nothing reads its output. Training's recorded
+    /// forward still computes it, as one dense product per step whose
+    /// gradient is zero, so that tape and the training goldens built on it
+    /// stay as they are. Returns `p` as `[batch·P, D]`; the edge pair is
+    /// freed on return. A stacked input runs the incidence
+    /// block-diagonally, bit-identical per block.
     fn infer(&self, store: &ParamStore, env: &Env, input: &ModelInput) -> Tensor {
-        let a = env.incidence();
-        let batch = input.batch;
-        let path_init = &input.path_init;
-        let edge_init = &input.edge_init;
-        let mut p = path_init.clone();
-        let mut e = edge_init.clone();
-        let num_demands = env.num_demands();
-        let k = self.k;
+        let width = self.out_dim();
+        let (path_init, edge_init) = (input.path_init.data(), input.edge_init.data());
+        let mut p = vec![0.0f32; path_init.len() * width];
+        let mut e = vec![0.0f32; edge_init.len() * width];
+        let mut e_next = vec![0.0f32; edge_init.len() * width];
+        p[..path_init.len()].copy_from_slice(path_init);
+        e[..edge_init.len()].copy_from_slice(edge_init);
         let layers = self.path_layers.len();
         for l in 0..layers {
-            let msg_to_path = a.fwd.spmm(&e, batch, FLOWGNN_AGGREGATE);
-            let msg_to_edge = a.bwd.spmm(&p, batch, FLOWGNN_AGGREGATE);
-            // Fused [x | msg] * W: the concat buffer is never materialized.
-            let p_act = self.path_layers[l].infer_act2(store, &p, &msg_to_path, self.slope);
-            drop(msg_to_path);
-            let e_new = self.edge_layers[l].infer_act2(store, &e, &msg_to_edge, self.slope);
-            drop(msg_to_edge);
-            e = e_new;
             let d = self.path_layers[l].out_dim();
-            let grouped = p_act.into_reshaped(batch * num_demands, k * d);
-            let dnn_act = self.dnn_layers[l].infer_act(store, &grouped, self.slope);
-            p = dnn_act.into_reshaped(batch * num_demands * k, d);
-            if l + 1 < layers {
-                for _ in 0..self.growth {
-                    p = tensor_ops::concat_cols(&p, path_init);
-                    e = tensor_ops::concat_cols(&e, edge_init);
-                }
+            let last = l + 1 == layers;
+            let grown = if last { d } else { d + self.growth };
+            // Compile-time rows for the default widths: `d` up to 6, and
+            // `k·d` with k = 4 for the DNN.
+            run_at_width::<1, 6>(
+                d,
+                GnnLayer {
+                    incidence: env.incidence(),
+                    agg: self.agg,
+                    path: self.path_layers[l].dense(store, self.slope),
+                    edge: (!last).then(|| self.edge_layers[l].dense(store, self.slope)),
+                    p: &mut p[..path_init.len() * d],
+                    e: &e[..edge_init.len() * d],
+                    e_next: &mut e_next[..edge_init.len() * grown],
+                    edge_init,
+                    grown,
+                },
+            );
+            run_at_width::<4, 24>(
+                self.k * d,
+                DemandDnn {
+                    dnn: self.dnn_layers[l].dense(store, self.slope),
+                    p: &mut p[..path_init.len() * grown],
+                    path_init,
+                    d,
+                    grown,
+                },
+            );
+            if !last {
+                std::mem::swap(&mut e, &mut e_next);
             }
         }
-        p
+        Tensor::from_vec(path_init.len(), width, p)
     }
 
     /// Recorded forward of one matrix: returns PathNode embeddings
@@ -302,8 +334,8 @@ impl FlowGnn {
         let layers = self.path_layers.len();
         for l in 0..layers {
             // GNN sublayer: bipartite message passing (capacity constraints).
-            let msg_to_path = g.spmm(a, e, FLOWGNN_AGGREGATE); // [P, d]
-            let msg_to_edge = g.spmm(&at, p, FLOWGNN_AGGREGATE); // [E, d]
+            let msg_to_path = g.spmm(a, e, self.agg); // [P, d]
+            let msg_to_edge = g.spmm(&at, p, self.agg); // [E, d]
             let p_cat = g.concat_cols(p, msg_to_path);
             let (p_act, b1) = self.path_layers[l].forward_act(store, g, p_cat, self.slope);
             bounds.push(b1);
@@ -327,6 +359,92 @@ impl FlowGnn {
             }
         }
         p
+    }
+}
+
+/// One tape-free GNN layer at width `d` (the row width [`run_at_width`]
+/// dispatches): the edge half, unless this is the last layer, then the path
+/// half in place. Block `b` of a stacked input reads block `b` of the other
+/// side.
+struct GnnLayer<'a> {
+    incidence: &'a CsrPair,
+    agg: Aggregate,
+    path: Dense<'a>,
+    edge: Option<Dense<'a>>,
+    /// `[batch·P, d]`, updated in place.
+    p: &'a mut [f32],
+    /// `[batch·E, d]`, the layer's input edge rows.
+    e: &'a [f32],
+    /// `[batch·E, grown]`: the edge half's output, then `edge_init` in
+    /// each growth column.
+    e_next: &'a mut [f32],
+    edge_init: &'a [f32],
+    grown: usize,
+}
+
+impl RowPass for GnnLayer<'_> {
+    fn run<B: RowBuf>(self, zero: B) {
+        let d = zero.as_ref().len();
+        let (mut msg, mut acc) = (zero.clone(), zero);
+        let (a, at) = (&*self.incidence.fwd, &*self.incidence.bwd);
+        let (p_block, e_block) = (a.rows() * d, at.rows() * d);
+        if let Some(edge) = self.edge {
+            let rows = self
+                .e
+                .chunks_exact(d)
+                .zip(self.e_next.chunks_exact_mut(self.grown));
+            for (i, (old, next)) in rows.enumerate() {
+                let (b, r) = (i / at.rows(), i % at.rows());
+                let p_b = &self.p[b * p_block..(b + 1) * p_block];
+                at.aggregate_row(r, p_b, self.agg, msg.as_mut());
+                edge.row(old, msg.as_ref(), acc.as_mut());
+                let (head, growth) = next.split_at_mut(d);
+                head.copy_from_slice(acc.as_ref());
+                growth.fill(self.edge_init[i]);
+            }
+        }
+        for (i, row) in self.p.chunks_exact_mut(d).enumerate() {
+            let (b, r) = (i / a.rows(), i % a.rows());
+            let e_b = &self.e[b * e_block..(b + 1) * e_block];
+            a.aggregate_row(r, e_b, self.agg, msg.as_mut());
+            self.path.row(row, msg.as_ref(), acc.as_mut());
+            row.copy_from_slice(acc.as_ref());
+        }
+    }
+}
+
+/// One tape-free per-demand DNN at row width `k·d`, in place: demand group
+/// `g`'s `k` path rows are read at width `d` and written back at the grown
+/// width with `path_init` in each growth column. Groups run from the last
+/// down, so no write reaches a group not yet read.
+struct DemandDnn<'a> {
+    dnn: Dense<'a>,
+    /// `[batch·P, grown]`; the layer's input is its `[batch·P, d]` front.
+    p: &'a mut [f32],
+    path_init: &'a [f32],
+    d: usize,
+    grown: usize,
+}
+
+impl RowPass for DemandDnn<'_> {
+    fn run<B: RowBuf>(self, mut acc: B) {
+        let (d, grown, kd) = (self.d, self.grown, acc.as_ref().len());
+        let k = kd / d;
+        for g in (0..self.path_init.len() / k).rev() {
+            self.dnn
+                .row(&self.p[g * kd..(g + 1) * kd], &[], acc.as_mut());
+            let out = &mut self.p[g * k * grown..(g + 1) * k * grown];
+            let inits = &self.path_init[g * k..(g + 1) * k];
+            for ((row, emb), &init) in out
+                .chunks_exact_mut(grown)
+                .zip(acc.as_ref().chunks_exact(d))
+                .zip(inits)
+            {
+                let (head, growth) = row.split_at_mut(d);
+                head.copy_from_slice(emb);
+                growth.fill(init);
+            }
+        }
     }
 }
 
@@ -377,15 +495,56 @@ impl PolicyNet {
         h
     }
 
-    /// Tape-free inference variant of [`PolicyNet::forward`].
-    fn infer(&self, store: &ParamStore, x: Tensor) -> Tensor {
-        let mut h = x;
-        let n = self.layers.len();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let slope = if i + 1 < n { self.slope } else { 1.0 };
-            h = layer.infer_act(store, &h, slope);
+    /// Tape-free inference variant of [`PolicyNet::forward`]: `x` holds
+    /// `[rows, in_dim]` demand rows, and each runs the whole stack alone,
+    /// its hidden activations in two stack rows, so no `[rows, hidden]`
+    /// tensor exists. Returns the `[rows, k]` logits.
+    fn infer(&self, store: &ParamStore, x: &[f32], in_dim: usize) -> Tensor {
+        let (hidden, out) = self.layers.split_at(self.layers.len() - 1);
+        let mut logits = Tensor::zeros(x.len() / in_dim, out[0].out_dim());
+        let out = out[0].dense(store, 1.0);
+        match hidden.split_first() {
+            None => out.rows_into(x, in_dim, &[], 0, logits.data_mut()),
+            // Compile-time rows for the default hidden width only.
+            Some((first, rest)) => run_at_width::<24, 24>(
+                first.out_dim(),
+                PolicyRows {
+                    first: first.dense(store, self.slope),
+                    rest: rest.iter().map(|l| l.dense(store, self.slope)),
+                    out,
+                    x,
+                    in_dim,
+                    logits: logits.data_mut(),
+                },
+            ),
         }
-        h
+        logits
+    }
+}
+
+/// [`PolicyNet::infer`]'s demand rows, at the hidden width.
+struct PolicyRows<'a, H> {
+    first: Dense<'a>,
+    rest: H,
+    out: Dense<'a>,
+    x: &'a [f32],
+    in_dim: usize,
+    logits: &'a mut [f32],
+}
+
+impl<'a, H: Iterator<Item = Dense<'a>> + Clone> RowPass for PolicyRows<'a, H> {
+    fn run<B: RowBuf>(self, zero: B) {
+        let (mut h, mut h_next) = (zero.clone(), zero);
+        let width = h.as_ref().len();
+        let rows = self.x.chunks_exact(self.in_dim);
+        for (x, logits) in rows.zip(self.logits.chunks_exact_mut(self.out.width())) {
+            self.first.row(x, &[], h.as_mut());
+            for layer in self.rest.clone() {
+                layer.row(h.as_ref(), &[], h_next.as_mut());
+                std::mem::swap(&mut h, &mut h_next);
+            }
+            self.out.rows_into(h.as_ref(), width, &[], 0, logits);
+        }
     }
 }
 
@@ -440,15 +599,19 @@ impl TealModel {
     }
 
     /// Tape-free inference: mean logits `[batch * D, k]` for a (batched)
-    /// input. Identical arithmetic to the recorded forward pass, but no
-    /// autograd bookkeeping and intermediates freed eagerly — the serving
-    /// hot path.
+    /// input, bit-identical to the recorded forward pass — the serving hot
+    /// path. Buffer plan (f32s, `P` paths, `E` edges, `D = out_dim()`):
+    /// FlowGNN runs in `p` (`batch·P·D`) and the edge pair `e`, `e_next`
+    /// (`batch·E·D` each), allocated once per call; the edge pair is freed
+    /// before the policy head allocates the `[batch * D, k]` logits and
+    /// runs one demand row at a time on the stack. So the call's peak is
+    /// its input plus `4·batch·(P·D + 2·E·D)` bytes whenever the logits
+    /// fit in the freed edge pair (`tests/footprint.rs` pins it).
     pub fn infer_mu(&self, input: &ModelInput) -> Tensor {
         let embed = self.gnn.infer(&self.store, &self.env, input);
         let k = self.env.k();
-        let flat =
-            embed.into_reshaped(input.batch * self.env.num_demands(), k * self.gnn.out_dim());
-        self.policy.infer(&self.store, flat)
+        self.policy
+            .infer(&self.store, embed.data(), k * self.gnn.out_dim())
     }
 }
 
@@ -532,27 +695,87 @@ mod tests {
         }
     }
 
+    /// A `large_wan(64)` environment over 128 gravity pairs, and a link
+    /// its paths cross.
+    fn wan64_env() -> (Arc<Env>, (usize, usize)) {
+        let wan = teal_topology::large_wan(64, 7);
+        let pairs = teal_topology::gravity_pairs(&wan, 128, 7);
+        let paths = teal_topology::PathSet::compute(&wan, &pairs, 4);
+        let env = Env::new(wan, paths);
+        let crossed = (0..env.topo().num_edges())
+            .find(|&e| !env.paths().paths_on_edge(e).is_empty())
+            .expect("a crossed edge");
+        let link = &env.topo().edges()[crossed];
+        let link = (link.src, link.dst);
+        (Arc::new(env), link)
+    }
+
     #[test]
     fn tape_free_inference_matches_recorded_forward() {
-        // The serving path (infer_mu) and the training path (one tape per
-        // matrix) must produce the same logits bit for bit: same kernels,
-        // same accumulation order. Block b of a stacked inference is matrix
-        // b's tape.
-        let env = small_env();
-        let model = TealModel::new(Arc::clone(&env), TealConfig::default());
-        let tms: Vec<TrafficMatrix> = (0..2)
-            .map(|i| TrafficMatrix::new(vec![3.0 + 9.0 * i as f64; env.num_demands()]))
-            .collect();
-        let inferred = model.infer_mu(&env.batch_input(&tms, None));
-        let block = env.num_demands() * env.k();
-        for (b, tm) in tms.iter().enumerate() {
-            let mut g = Graph::new();
-            let fwd = model.forward(&mut g, &env.model_input(tm, None));
-            assert_eq!(
-                &inferred.data()[b * block..(b + 1) * block],
-                g.value(fwd.mu).data(),
-                "tape-free inference diverged from matrix {b}'s recorded forward"
-            );
+        // The serving path (infer_mu, three row-fused buffers) and the
+        // training path (one tape per matrix, whole-tensor ops) must
+        // produce the same logits bit for bit, under both aggregations, at
+        // every layer count, growth and policy depth, alone and stacked, on
+        // two topologies with and without a failed link. Growth 2 and the
+        // two-layer policy's hidden width 13 take the runtime-width rows.
+        // Block b of a stacked inference is matrix b's tape.
+        let mut configs = Vec::new();
+        for gnn_layers in [1, 4, 6, 8] {
+            for embed_growth in [1, 2] {
+                for (policy_hidden_layers, policy_hidden) in [(1, 24), (2, 13)] {
+                    configs.push(TealConfig {
+                        gnn_layers,
+                        embed_growth,
+                        policy_hidden_layers,
+                        policy_hidden,
+                        ..TealConfig::default()
+                    });
+                }
+            }
+        }
+        for (env, (src, dst)) in [(small_env(), (0, 1)), wan64_env()] {
+            let failed = env.topo().with_failed_link(src, dst);
+            let nd = env.num_demands();
+            let tms: Vec<TrafficMatrix> = (0..3)
+                .map(|b| {
+                    TrafficMatrix::new(
+                        (0..nd)
+                            .map(|d| 1.0 + ((d * 7 + b * 5) % 13) as f64)
+                            .collect(),
+                    )
+                })
+                .collect();
+            let block = nd * env.k();
+            for (topo, agg, &cfg) in [None, Some(&failed)]
+                .into_iter()
+                .flat_map(|t| [(t, Aggregate::Sum), (t, Aggregate::Mean)])
+                .flat_map(|(t, agg)| configs.iter().map(move |cfg| (t, agg, cfg)))
+            {
+                let mut model = TealModel::new(Arc::clone(&env), cfg);
+                model.gnn.agg = agg;
+                let what = format!(
+                    "{} paths, failed link {}, {agg:?}, {cfg:?}",
+                    env.paths().num_paths(),
+                    topo.is_some()
+                );
+                let stacked = model.infer_mu(&env.batch_input(&tms, topo));
+                for (b, tm) in tms.iter().enumerate() {
+                    let input = env.model_input(tm, topo);
+                    let mut g = Graph::new();
+                    let mu = model.forward(&mut g, &input).mu;
+                    let recorded = g.value(mu).data();
+                    assert_eq!(
+                        model.infer_mu(&input).data(),
+                        recorded,
+                        "inference diverged from the recorded forward: {what}"
+                    );
+                    assert_eq!(
+                        &stacked.data()[b * block..(b + 1) * block],
+                        recorded,
+                        "stacked block {b} diverged from its recorded forward: {what}"
+                    );
+                }
+            }
         }
     }
 

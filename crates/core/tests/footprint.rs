@@ -11,7 +11,17 @@
 //!   an `f64` capacity and two `u32`s, per non-zero one `u32` row id, and
 //!   under `TotalFlow` nothing per path (no discounts, no offsets).
 //!
-//! The ledger line also prints both figures at `large_wan(1024, 7)` with
+//! * One `TealModel::infer_mu` call on a freshly built one-matrix input
+//!   peaks at the documented buffer plan: the input (`P` path and `E` edge
+//!   f32s), FlowGNN's three buffers `4·(P·D + 2·E·D)` bytes at the final
+//!   width `D`, and nothing else — the `[demands, k]` logits are allocated
+//!   after the edge pair is freed, and a message tensor, a concatenation, a
+//!   policy hidden tensor or a spare per-layer tensor shows up as bytes no
+//!   term accounts for. The whole-tensor forward it replaced peaked at
+//!   218,360 B at `large_wan(256)` and 878,224 B at `large_wan(1024)`,
+//!   against 120,056 B and 485,008 B now.
+//!
+//! The ledger line also prints every figure at `large_wan(1024, 7)` with
 //! 2,048 gravity pairs (the repo benchmark's `wan1024_window` state), in
 //! optimised builds only: its path search is too slow unoptimised. With a
 //! valued, copied incidence `Env::new` added 620,652 B there.
@@ -29,17 +39,26 @@ use std::sync::Arc;
 use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_nn::Csr;
 use teal_topology::{b4, gravity_pairs, large_wan, PathSet};
+use teal_traffic::TrafficMatrix;
 
-/// `System` plus one process-wide count of live bytes.
+/// `System` plus one process-wide count of live bytes and its high-water
+/// mark.
 struct LiveBytes;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Add `delta` live bytes and raise the high-water mark to match.
+fn add_live(delta: isize) {
+    let live = LIVE.fetch_add(delta, SeqCst) + delta;
+    PEAK.fetch_max(live, SeqCst);
+}
 
 // SAFETY: every method forwards to `System`, so `System` upholds
 // GlobalAlloc's contract; the counter touches no allocated memory.
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, SeqCst);
+        add_live(layout.size() as isize);
         // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
         // contract, which is exactly what `System` requires.
         unsafe { System.alloc(layout) }
@@ -53,7 +72,7 @@ unsafe impl GlobalAlloc for LiveBytes {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as isize - layout.size() as isize, SeqCst);
+        add_live(new_size as isize - layout.size() as isize);
         // SAFETY: pass-through; caller's GlobalAlloc obligations forward
         // unchanged to `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -68,6 +87,14 @@ fn measure<T>(build: impl FnOnce() -> T) -> (T, usize) {
     let before = LIVE.load(SeqCst);
     let built = build();
     (built, (LIVE.load(SeqCst) - before) as usize)
+}
+
+/// `run()`'s result and the most live bytes it added at any point.
+fn measure_peak<T>(run: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(SeqCst);
+    PEAK.store(before, SeqCst);
+    let out = run();
+    (out, (PEAK.load(SeqCst) - before) as usize)
 }
 
 /// The heap block of an `Arc<T>`: two counts, then the value.
@@ -95,6 +122,10 @@ struct Ledger {
     env_want: usize,
     ctx: usize,
     ctx_want: usize,
+    edges: usize,
+    width: usize,
+    infer: usize,
+    infer_want: usize,
 }
 
 fn ledger(nodes: usize) -> Ledger {
@@ -112,7 +143,21 @@ fn ledger(nodes: usize) -> Ledger {
     let env_want = arc_u32s(nnz) + 2 * arc_of(Layout::new::<Csr>());
 
     let env = Arc::new(env);
-    let model = TealModel::new(Arc::clone(&env), TealConfig::default());
+    let model_cfg = TealConfig::default();
+    let model = TealModel::new(Arc::clone(&env), model_cfg);
+    let tm = TrafficMatrix::new((0..env.num_demands()).map(|d| (d % 17) as f64).collect());
+    let (mu, infer) = measure_peak(|| model.infer_mu(&env.model_input(&tm, None)));
+    let width = 1 + (model_cfg.gnn_layers - 1) * model_cfg.embed_growth;
+    let edges = env.topo().num_edges();
+    let f32s = |n: usize| n * size_of::<f32>();
+    let logits = f32s(mu.len());
+    let gnn = f32s(num_paths * width + 2 * edges * width);
+    assert!(
+        logits <= f32s(2 * edges * width),
+        "the logits fit in the freed edge pair"
+    );
+    let infer_want = f32s(num_paths + edges) + gnn;
+    drop(mu);
     let cfg = EngineConfig::paper_default(nodes);
     let (ctx, ctx_bytes) = measure(move || ServingContext::new(model, cfg));
     // The index's fields: two shared `Arc<[u32]>` handles (the path set's
@@ -134,6 +179,10 @@ fn ledger(nodes: usize) -> Ledger {
         env_want,
         ctx: ctx_bytes,
         ctx_want,
+        edges,
+        width,
+        infer,
+        infer_want,
     }
 }
 
@@ -150,10 +199,22 @@ fn main() {
         .iter()
         .map(|l| {
             format!(
-                "large_wan({}) {} paths, {} non-zeros, {} crossed edges: Env::new {} B \
-                 (want {}: columns + 2 Arc<Csr>), ServingContext::new {} B (want {}: \
-                 per row 8 + 4 + 4, per non-zero 4, per path 0)",
-                l.nodes, l.paths, l.nnz, l.rows, l.env, l.env_want, l.ctx, l.ctx_want
+                "large_wan({}) {} paths, {} edges, {} non-zeros, {} crossed edges: \
+                 Env::new {} B (want {}: columns + 2 Arc<Csr>), ServingContext::new {} B \
+                 (want {}: per row 8 + 4 + 4, per non-zero 4, per path 0), infer_mu peak \
+                 {} B (want {}: input 4·(P + E) + buffers 4·(P·D + 2·E·D), D = {})",
+                l.nodes,
+                l.paths,
+                l.edges,
+                l.nnz,
+                l.rows,
+                l.env,
+                l.env_want,
+                l.ctx,
+                l.ctx_want,
+                l.infer,
+                l.infer_want,
+                l.width
             )
         })
         .collect();
@@ -165,5 +226,6 @@ fn main() {
             "ServingContext::new at {} nodes",
             l.nodes
         );
+        assert_eq!(l.infer, l.infer_want, "infer_mu peak at {} nodes", l.nodes);
     }
 }

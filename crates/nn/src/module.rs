@@ -8,7 +8,7 @@
 
 use crate::graph::{Graph, Var};
 use crate::rng::fill_normal;
-use crate::tensor::Tensor;
+use crate::tensor::{Dense, Tensor};
 use rand::Rng;
 
 /// Index of a parameter inside a [`ParamStore`].
@@ -198,46 +198,11 @@ impl Linear {
         (y, BoundLinear { layer: *self, w, b })
     }
 
-    /// Tape-free fused inference: `leaky(x W + b)` straight from the store,
-    /// recording nothing. Deployment forwards use this so intermediate
-    /// buffers are freed (and recycled by the allocator) as soon as the next
-    /// layer has consumed them, instead of living on a tape until the end of
-    /// the pass.
-    pub fn infer_act(&self, store: &ParamStore, x: &Tensor, slope: f32) -> Tensor {
-        let w = store.get(self.w);
-        let b = store.get(self.b);
-        assert_eq!(x.cols(), w.rows(), "infer_act shape mismatch");
-        let (m, k) = x.shape();
-        let n = w.cols();
-        let mut out = Tensor::zeros(m, n);
-        crate::tensor::linear_act_into(x.data(), k, w, b.data(), slope, out.data_mut());
-        out
-    }
-
-    /// Tape-free fused inference over an implicit column concatenation:
-    /// `leaky([a | b] W + bias)` without materializing `[a | b]`. Bit-
-    /// identical to concatenating then calling [`Linear::infer_act`], since
-    /// the accumulation order over `W`'s rows is the same.
-    pub fn infer_act2(&self, store: &ParamStore, a: &Tensor, b: &Tensor, slope: f32) -> Tensor {
-        let w = store.get(self.w);
-        let bias = store.get(self.b);
-        assert_eq!(a.rows(), b.rows(), "infer_act2 row mismatch");
-        assert_eq!(a.cols() + b.cols(), w.rows(), "infer_act2 shape mismatch");
-        let m = a.rows();
-        let (ka, kb) = (a.cols(), b.cols());
-        let n = w.cols();
-        let mut out = Tensor::zeros(m, n);
-        crate::tensor::linear2_act_into(
-            a.data(),
-            ka,
-            b.data(),
-            kb,
-            w,
-            bias.data(),
-            slope,
-            out.data_mut(),
-        );
-        out
+    /// The layer's stored parameters as a tape-free [`Dense`] row kernel
+    /// `leaky(x W + b)` (`slope == 1.0` for no activation): deployment
+    /// forwards stream their rows through it, recording nothing.
+    pub fn dense<'s>(&self, store: &'s ParamStore, slope: f32) -> Dense<'s> {
+        Dense::new(store.get(self.w), store.get(self.b).data(), slope)
     }
 
     /// Bind parameters and apply the fused affine + leaky-ReLU kernel

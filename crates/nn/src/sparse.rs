@@ -19,15 +19,23 @@
 //! copy is the only incidence array the pair owns: the `d >= 2` row walk's
 //! summation order is the column order, and it is pinned bitwise.
 //!
-//! # Why there is no column blocking
+//! # One row walk
 //!
-//! [`Csr::spmm_batch`] has two shapes: a plain row walk, and a four-lane
+//! Every product here is one function, [`Csr::aggregate_row`]: row `r` of
+//! `agg(A) x` into a caller's row. [`Csr::spmm`] walks it over its output
+//! rows, and the tape-free FlowGNN layer (`teal_core`) calls it per path or
+//! edge row into a stack row that goes straight into the dense layer, so
+//! no message tensor is built for inference. It has two shapes: a four-lane
 //! gather for the `d == 1` right-hand sides of the first GNN layer (f32
 //! lanes recombined once per row, which reassociates within the 1e-6 budget
-//! the `spmm_blocked` suite pins against [`Csr::spmm_batch_reference`]; for
-//! `d >= 2` the walk has the reference's per-row order and is bitwise equal
-//! to it). A per-row column-block pointer arena with a tiled walk over
-//! L1-sized blocks of `x` used to sit beside them for wide matrices. Timed
+//! the `spmm_blocked` suite pins against [`Csr::spmm_batch_reference`]),
+//! and for `d >= 2` a walk in the reference's per-row order, bitwise equal
+//! to it.
+//!
+//! # Why there is no column blocking
+//!
+//! A per-row column-block pointer arena with a tiled walk over L1-sized
+//! blocks of `x` used to sit beside the walk for wide matrices. Timed
 //! alone on the 1,024-node incidence (one call at batch 4 and model width,
 //! the repo benchmark's `nn.sparse.spmm_batch_{fwd,bwd}_ms` on
 //! `wan1024_window`, ten alternating runs, outputs bitwise equal) it was
@@ -157,47 +165,9 @@ impl Csr {
     /// matrices of shape `[cols, d]` vertically, and the result stacks the
     /// `batch` products `self * x_b` the same way. Equivalent to
     /// `(I_batch ⊗ self) * x` without materializing the Kronecker
-    /// structure. One serial row walk — callers that want a second core
-    /// split work above the kernel. `Mean` is the `Sum` walk followed by
-    /// one divide per output element by its row's length.
+    /// structure. One serial walk of [`Csr::aggregate_row`] over the output
+    /// rows — callers that want a second core split work above the kernel.
     pub fn spmm(&self, x: &Tensor, batch: usize, agg: Aggregate) -> Tensor {
-        let mut out = self.sum_batch(x, batch);
-        if agg == Aggregate::Mean {
-            self.divide_rows_by_len(&mut out);
-        }
-        out
-    }
-
-    /// [`Csr::spmm`] under [`Aggregate::Sum`].
-    pub fn spmm_batch(&self, x: &Tensor, batch: usize) -> Tensor {
-        self.spmm(x, batch, Aggregate::Sum)
-    }
-
-    /// `Mean`'s per-row step: divide every element of output row `r` (of
-    /// each stacked block) by row `r`'s length; an empty row is left as it
-    /// is. The autograd SpMM applies the same step to `dy` before the
-    /// transposed `Sum`, which makes its backward the exact transpose of
-    /// the forward.
-    pub(crate) fn divide_rows_by_len(&self, y: &mut Tensor) {
-        let rows = self.rows();
-        let d = y.cols();
-        if d == 0 {
-            return;
-        }
-        for (gr, out_row) in y.data_mut().chunks_mut(d).enumerate() {
-            let r = gr % rows;
-            let len = self.row_ptr[r + 1] - self.row_ptr[r];
-            if len > 0 {
-                let n = len as f32;
-                for v in out_row {
-                    *v /= n;
-                }
-            }
-        }
-    }
-
-    /// The `Sum` kernel behind [`Csr::spmm`].
-    fn sum_batch(&self, x: &Tensor, batch: usize) -> Tensor {
         assert!(batch >= 1, "spmm requires batch >= 1");
         let rows = self.rows();
         assert_eq!(
@@ -210,48 +180,95 @@ impl Csr {
         );
         let d = x.cols();
         let mut out = Tensor::zeros(rows * batch, d);
-        let (row_ptr, col_idx) = (&*self.row_ptr, &*self.col_idx);
-        let xd = x.data();
-        if d == 1 {
-            // First-layer embeddings: a pure gather. Four independent
-            // f32 lanes over the non-zeros of each row, recombined once.
-            for (gr, out_row) in out.data_mut().iter_mut().enumerate() {
-                let (b, r) = (gr / rows, gr % rows);
-                let x_off = b * self.cols;
-                let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-                let mut s0 = 0.0f32;
-                let mut s1 = 0.0f32;
-                let mut s2 = 0.0f32;
-                let mut s3 = 0.0f32;
-                let mut e = lo;
-                while e + 4 <= hi {
-                    s0 += xd[x_off + col_idx[e] as usize];
-                    s1 += xd[x_off + col_idx[e + 1] as usize];
-                    s2 += xd[x_off + col_idx[e + 2] as usize];
-                    s3 += xd[x_off + col_idx[e + 3] as usize];
-                    e += 4;
-                }
-                let mut s = (s0 + s1) + (s2 + s3);
-                while e < hi {
-                    s += xd[x_off + col_idx[e] as usize];
-                    e += 1;
-                }
-                *out_row = s;
-            }
-        } else if d > 1 {
-            for (gr, out_row) in out.data_mut().chunks_mut(d).enumerate() {
-                let (b, r) = (gr / rows, gr % rows);
-                let x_off = b * self.cols;
-                for &c in &col_idx[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
-                    let c = x_off + c as usize;
-                    let x_row = &xd[c * d..(c + 1) * d];
-                    for (o, &xv) in out_row.iter_mut().zip(x_row.iter()) {
-                        *o += xv;
-                    }
-                }
+        if d > 0 {
+            let block = self.cols * d;
+            for (gr, out_row) in out.data_mut().chunks_exact_mut(d).enumerate() {
+                let b = gr / rows;
+                let x_b = &x.data()[b * block..(b + 1) * block];
+                self.aggregate_row(gr % rows, x_b, agg, out_row);
             }
         }
         out
+    }
+
+    /// [`Csr::spmm`] under [`Aggregate::Sum`].
+    pub fn spmm_batch(&self, x: &Tensor, batch: usize) -> Tensor {
+        self.spmm(x, batch, Aggregate::Sum)
+    }
+
+    /// Row `r` of `agg(self) * x` into `out`, where `x` holds one block's
+    /// `[cols, d]` rows and `d == out.len()`: the row walk of every SpMM
+    /// here, and of the tape-free FlowGNN layer, which sums each message
+    /// into a stack row and hands it straight to its dense layer. At
+    /// `d == 1` (the first GNN layer) it is a pure gather: four
+    /// independent f32 lanes over the row's non-zeros, recombined once.
+    /// Otherwise each `x` row is added in column order onto zeros (the
+    /// first as `0.0 + x`, which spares a per-row zero fill). `Mean`
+    /// then divides every element by the row's length, in f32.
+    #[inline(always)]
+    pub fn aggregate_row(&self, r: usize, x: &[f32], agg: Aggregate, out: &mut [f32]) {
+        let cols = self.row(r);
+        let d = out.len();
+        if d == 1 {
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            let mut quads = cols.chunks_exact(4);
+            for q in &mut quads {
+                s0 += x[q[0] as usize];
+                s1 += x[q[1] as usize];
+                s2 += x[q[2] as usize];
+                s3 += x[q[3] as usize];
+            }
+            let mut s = (s0 + s1) + (s2 + s3);
+            for &c in quads.remainder() {
+                s += x[c as usize];
+            }
+            out[0] = s;
+        } else if let Some((&first, rest)) = cols.split_first() {
+            // `0.0 + x`, not a copy: the sum starts on zeros, so a -0.0
+            // input reads +0.0, as in the reference walk.
+            let first = first as usize;
+            for (o, &xv) in out.iter_mut().zip(&x[first * d..(first + 1) * d]) {
+                *o = 0.0 + xv;
+            }
+            for &c in rest {
+                let c = c as usize;
+                for (o, &xv) in out.iter_mut().zip(&x[c * d..(c + 1) * d]) {
+                    *o += xv;
+                }
+            }
+        } else {
+            out.fill(0.0);
+        }
+        if agg == Aggregate::Mean {
+            self.divide_row_by_len(r, out);
+        }
+    }
+
+    /// `Mean`'s per-row step: one f32 divide of every element of `row` by
+    /// row `r`'s length; an empty row is left as it is.
+    #[inline(always)]
+    fn divide_row_by_len(&self, r: usize, row: &mut [f32]) {
+        let len = self.row_ptr[r + 1] - self.row_ptr[r];
+        if len > 0 {
+            let n = len as f32;
+            for v in row {
+                *v /= n;
+            }
+        }
+    }
+
+    /// [`Csr::divide_row_by_len`] on every row of `y` (of each stacked
+    /// block). The autograd SpMM applies it to `dy` before the transposed
+    /// `Sum`, which makes its backward the exact transpose of the forward.
+    pub(crate) fn divide_rows_by_len(&self, y: &mut Tensor) {
+        let rows = self.rows();
+        let d = y.cols();
+        if d == 0 {
+            return;
+        }
+        for (gr, out_row) in y.data_mut().chunks_mut(d).enumerate() {
+            self.divide_row_by_len(gr % rows, out_row);
+        }
     }
 
     /// Scalar reference `Sum` SpMM: the plain single-threaded walk with no

@@ -259,19 +259,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Column-wise concatenation `[a | b]` into a fresh tensor.
-pub fn concat_cols(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rows, b.rows, "concat_cols row mismatch");
-    let (m, na) = a.shape();
-    let nb = b.cols;
-    let mut data = Vec::with_capacity(m * (na + nb));
-    for r in 0..m {
-        data.extend_from_slice(a.row(r));
-        data.extend_from_slice(b.row(r));
-    }
-    Tensor::from_vec(m, na + nb, data)
-}
-
 /// Fused dense layer kernel: `out = leaky(a * w + bias)` computed row by
 /// row, touching each output row exactly once while it is cache-resident.
 /// `slope == 1.0` makes the activation the identity (no-activation layers).
@@ -285,14 +272,7 @@ pub fn linear_act_into(a: &[f32], k: usize, w: &Tensor, bias: &[f32], slope: f32
 
 /// Fused two-input dense layer kernel: `out = leaky([a | b] * w + bias)`
 /// without materializing the column concatenation. `w`'s first `a_cols`
-/// rows apply to `a`, the rest to `b`. Used by the tape-free inference path
-/// where the concat buffer would be the largest allocation of the layer.
-///
-/// The output widths the default model produces run `linear2_rows` with
-/// the width known at compile time; any other width (Figure 15 sweeps,
-/// ablation models) runs the same row arithmetic at runtime width. Both
-/// accumulate in the same order with the same zero-skip, so the choice
-/// never changes a bit of the output.
+/// rows apply to `a`, the rest to `b`. This is [`Dense::rows_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn linear2_act_into(
     a: &[f32],
@@ -304,54 +284,117 @@ pub fn linear2_act_into(
     slope: f32,
     out: &mut [f32],
 ) {
-    let n = w.cols;
-    debug_assert_eq!(a_cols + b_cols, w.rows, "linear2_act shape mismatch");
-    debug_assert_eq!(bias.len(), n);
-    let m = out.len() / n;
-    debug_assert_eq!(a.len(), m * a_cols);
-    debug_assert_eq!(b.len(), m * b_cols);
+    Dense::new(w, bias, slope).rows_into(a, a_cols, b, b_cols, out);
+}
+
+/// One dense layer `y = leaky([a | b] w + bias)` borrowed from its
+/// parameters, applied one row at a time. `w`'s rows are consumed in order
+/// — `a`'s then `b`'s — and exact-zero inputs are skipped, so splitting an
+/// input row between `a` and `b` anywhere never changes a bit.
+#[derive(Clone, Copy, Debug)]
+pub struct Dense<'a> {
+    w: &'a [f32],
+    bias: &'a [f32],
+    slope: f32,
+}
+
+impl<'a> Dense<'a> {
+    /// The layer `leaky(x w + bias)`; `slope == 1.0` is no activation.
+    pub fn new(w: &'a Tensor, bias: &'a [f32], slope: f32) -> Self {
+        assert_eq!(bias.len(), w.cols, "bias width equals w.cols");
+        Dense {
+            w: &w.data,
+            bias,
+            slope,
+        }
+    }
+
+    /// Output width.
+    pub fn width(&self) -> usize {
+        self.bias.len()
+    }
+
+    /// `acc = leaky([a | b] w + bias)` for one row; `acc` is
+    /// [`Dense::width`] wide and `a.len() + b.len()` is `w`'s row count.
+    #[inline(always)]
+    pub fn row(&self, a: &[f32], b: &[f32], acc: &mut [f32]) {
+        acc.copy_from_slice(self.bias);
+        linear2_row(acc, a, b, self.w, self.slope);
+    }
+
+    /// [`Dense::row`] over every row of `[a | b]` (`a_cols` and `b_cols`
+    /// wide) into `out`, with the accumulator [`run_at_width`] picks.
+    pub fn rows_into(&self, a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
+        struct Rows<'a> {
+            dense: Dense<'a>,
+            a: &'a [f32],
+            a_cols: usize,
+            b: &'a [f32],
+            b_cols: usize,
+            out: &'a mut [f32],
+        }
+        impl RowPass for Rows<'_> {
+            fn run<B: RowBuf>(self, mut acc: B) {
+                let n = acc.as_ref().len();
+                for (i, out_row) in self.out.chunks_exact_mut(n).enumerate() {
+                    let a_row = &self.a[i * self.a_cols..(i + 1) * self.a_cols];
+                    let b_row = &self.b[i * self.b_cols..(i + 1) * self.b_cols];
+                    self.dense.row(a_row, b_row, acc.as_mut());
+                    out_row.copy_from_slice(acc.as_ref());
+                }
+            }
+        }
+        let m = out.len() / self.width();
+        debug_assert_eq!(a.len(), m * a_cols);
+        debug_assert_eq!(b.len(), m * b_cols);
+        debug_assert_eq!((a_cols + b_cols) * self.width(), self.w.len());
+        run_at_width::<1, 24>(
+            self.width(),
+            Rows {
+                dense: *self,
+                a,
+                a_cols,
+                b,
+                b_cols,
+                out,
+            },
+        );
+    }
+}
+
+/// A row buffer of one width: `[f32; N]` or a heap row (see
+/// [`run_at_width`]).
+pub trait RowBuf: Clone + AsRef<[f32]> + AsMut<[f32]> {}
+
+impl<T: Clone + AsRef<[f32]> + AsMut<[f32]>> RowBuf for T {}
+
+/// A row-at-a-time pass whose row buffers all have one width. The pass
+/// makes every buffer it needs by cloning the zeroed row it is handed.
+pub trait RowPass {
+    /// Run the pass; `zero` is a zeroed row of the dispatched width.
+    fn run<B: RowBuf>(self, zero: B);
+}
+
+/// Run `pass` on zeroed rows `n` wide. The widths the default model
+/// produces (1–6, 8, 12, 16, 20, 24) that lie in `LO..=HI` get an
+/// `[f32; N]`, which the optimizer keeps in registers and unrolls over —
+/// 2.6–5.3x faster on the 1,024-node window's layer shapes, each timed
+/// alone, than the same loop over a runtime-width row. Any other width
+/// (Figure 15 sweeps, ablation models) runs the same arithmetic on a heap
+/// row, so the choice never changes a bit of the output. A pass names the
+/// range its default widths fall in, so no row kernel is compiled for a
+/// width it never takes: each one is kilobytes of unrolled code, and the
+/// binary's mapped pages count in the process's resident set.
+pub fn run_at_width<const LO: usize, const HI: usize>(n: usize, pass: impl RowPass) {
     macro_rules! fixed_width {
         ($($width:literal)*) => {
             match n {
-                $($width => linear2_rows::<$width>(a, a_cols, b, b_cols, &w.data, bias, slope, out),)*
-                _ => {
-                    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
-                        out_row.copy_from_slice(bias);
-                        let a_row = &a[i * a_cols..(i + 1) * a_cols];
-                        let b_row = &b[i * b_cols..(i + 1) * b_cols];
-                        linear2_row(out_row, a_row, b_row, &w.data, slope);
-                    }
-                }
+                $($width if LO <= $width && $width <= HI => pass.run([0.0f32; $width]),)*
+                _ => pass.run(vec![0.0f32; n]),
             }
         };
     }
     fixed_width!(1 2 3 4 5 6 8 12 16 20 24);
-}
-
-/// [`linear2_act_into`] for a compile-time output width: the row
-/// accumulates in an `[f32; N]` the optimizer keeps in registers and
-/// unrolls over, instead of read-modify-writing `out` at a runtime width
-/// (2.6–5.3x faster on the 1,024-node window's layer shapes, each timed
-/// alone against the runtime-width loop).
-#[allow(clippy::too_many_arguments)]
-fn linear2_rows<const N: usize>(
-    a: &[f32],
-    a_cols: usize,
-    b: &[f32],
-    b_cols: usize,
-    w: &[f32],
-    bias: &[f32],
-    slope: f32,
-    out: &mut [f32],
-) {
-    let bias: [f32; N] = bias.try_into().expect("bias width equals w.cols");
-    for (i, out_row) in out.chunks_exact_mut(N).enumerate() {
-        let mut acc = bias;
-        let a_row = &a[i * a_cols..(i + 1) * a_cols];
-        let b_row = &b[i * b_cols..(i + 1) * b_cols];
-        linear2_row(&mut acc, a_row, b_row, w, slope);
-        out_row.copy_from_slice(&acc);
-    }
 }
 
 /// One output row: `acc = leaky(acc + [a_row | b_row] * w)`, rows of `w`
