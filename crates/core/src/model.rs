@@ -280,8 +280,8 @@ impl FlowGnn {
             let d = self.path_layers[l].out_dim();
             let last = l + 1 == layers;
             let grown = if last { d } else { d + self.growth };
-            // Compile-time rows for the default widths: `d` up to 6, and
-            // `k·d` with k = 4 for the DNN.
+            // Compile-time rows for the default widths only: `d` up to 6,
+            // and for the DNN `k·d` with k = 4, the multiples of 4 to 24.
             run_at_width::<1, 6>(
                 d,
                 GnnLayer {

@@ -43,7 +43,8 @@
 //! per row.
 //!
 //! The solver therefore stores `μ` and `δ` per row and the last F-step per
-//! path, and nothing whose size is the incidence non-zero count.
+//! path (in the window's own allocations, see "Arena reuse" below), and
+//! nothing whose size is the incidence non-zero count.
 //! `ν = ρδ − μ` is recomputed where the demand sweep gathers it, from the
 //! same operands the edge sweep would have stored it from, so no bit
 //! moves. These are
@@ -75,15 +76,18 @@
 //! one-shot form).
 //!
 //! * **SoA layout.** Every state family is stored `[row][lane]` — per-path
-//!   `F` and its last step, per-demand `s1`/`λ1`, per crossed edge
-//!   `s3`/`λ3`/`μ`/`δ` — so for a batch of `B` matrices, row `i` of
-//!   matrix `b` lives at `i * B + b`. Batch lanes of one subproblem are
-//!   contiguous, so each per-demand / per-edge subproblem walks the
-//!   incidence index **once** and repairs the whole window in that single
-//!   pass, instead of `B` passes re-reading the index per matrix.
+//!   `F`, per-demand `s1`/`λ1`, per crossed edge `s3`/`λ3`/`μ`/`δ` — so
+//!   for a batch of `B` matrices, row `i` of matrix `b` lives at
+//!   `i * B + b`. The per-path F-step's lane rows are `B` wide too, but are
+//!   laid in blocks across the window's allocations (see "Arena reuse").
+//!   Batch lanes of one subproblem are contiguous, so each per-demand /
+//!   per-edge subproblem walks the incidence index **once** and repairs the
+//!   whole window in that single pass, instead of `B` passes re-reading the
+//!   index per matrix.
 //! * **Per-edge exchange.** The two sweeps talk only through per-path rows
-//!   (`F`, its step: written by the demand sweep, read by the edge sweep)
-//!   and per-edge rows (`μ`, `δ`: the reverse).
+//!   (`F` in the arena and its step in the allocations: written by the
+//!   demand sweep, read by the edge sweep) and per-edge rows (`μ`, `δ`:
+//!   the reverse).
 //! * **Flat incidence arena.** The shared index is two flat CSR-style
 //!   arenas (path-major row ids, row-major path ids) — no per-path or
 //!   per-edge `Vec`s — so each sweep's incidence walk is one linear scan of
@@ -107,10 +111,15 @@
 //! * **Arena reuse (allocation-free steady state).** Every byte of mutable
 //!   solver state — the SoA families, sweep scratch, residual rows —
 //!   lives in a caller-owned [`BatchArena`] of grow-only
-//!   buffers, none of which scales with the incidence non-zero count. The
-//!   refined splits are written over the warm starts
+//!   buffers, none of which scales with the incidence non-zero count, or
+//!   in the window's own allocations. The solve copies the warm starts
+//!   into `F` at entry and writes the refined splits over them at exit
 //!   ([`AdmmBatchSolver::run_batch_in_place`]), so a window has no second
-//!   set of output allocations. A serving loop that keeps one arena (plus
+//!   set of output allocations, and in between their `B · paths` values
+//!   are dead: the F-step's `[path][lane]` rows live there. With
+//!   `q = ⌊paths / B⌋`, allocation `j` holds rows `j·q .. (j+1)·q`, row `p`
+//!   at offset `(p − j·q)·B`; the fewer than `B` rows left over live in
+//!   the arena's small tail. A serving loop that keeps one arena (plus
 //!   its `Vec<AdmmReport>`) and rebinds the solver per window with
 //!   [`AdmmSkeleton::remint_batch_solver`] performs **zero heap
 //!   allocations** from the second window onwards (asserted, with the
@@ -429,14 +438,13 @@ impl AdmmSkeleton {
 
 /// Structure-of-arrays ADMM state for a batch of matrices: each per-matrix
 /// array of length `L` becomes `L × batch` with lanes contiguous
-/// (`value[i * batch + b]`). Rows are paths (`f`, `fstep`), demands (`s1`,
-/// `l1`) or crossed edges (the rest) — never incidence non-zeros, and never
-/// an edge no path crosses. `ν = ρδ − μ` is recomputed, not stored.
+/// (`value[i * batch + b]`). Rows are paths (`f`), demands (`s1`, `l1`) or
+/// crossed edges (the rest) — never incidence non-zeros, and never an edge
+/// no path crosses. `ν = ρδ − μ` is recomputed, not stored, and the F-step
+/// lives in [`StepRows`].
 #[derive(Default)]
 struct BatchState {
     f: Vec<f64>,
-    /// `ΔF_p` of the last F-update (the edge sweep's z-step needs it).
-    fstep: Vec<f64>,
     s1: Vec<f64>,
     l1: Vec<f64>,
     s3: Vec<f64>,
@@ -454,7 +462,6 @@ impl BatchState {
     fn reset_for(&mut self, np: usize, nd: usize, ne: usize, nb: usize) {
         for (buf, len) in [
             (&mut self.f, np * nb),
-            (&mut self.fstep, np * nb),
             (&mut self.s1, nd * nb),
             (&mut self.l1, nd * nb),
             (&mut self.s3, ne * nb),
@@ -470,7 +477,11 @@ impl BatchState {
 
 /// Reusable scratch for [`AdmmBatchSolver::run_batch_in_place`]: the SoA
 /// `BatchState` (lane rows per path, demand and crossed edge; `ν = ρδ − μ`
-/// is recomputed), per-lane bookkeeping and the sweeps' working rows.
+/// is recomputed), per-lane bookkeeping, the sweeps' working rows and the
+/// F-step's tail. The F-step's other rows borrow the window's allocations
+/// for the length of the solve (see the module docs' "Arena reuse"), so
+/// the arena holds one per-path family, `F`. The tail reserves `batch²`
+/// values, so a later, narrower window never grows it.
 /// Every buffer is grow-only, so a
 /// server that keeps one arena per dispatch lane reaches an
 /// **allocation-free steady state**: from the second window of a given
@@ -482,8 +493,8 @@ impl BatchState {
 /// An arena is plain mutable scratch — it carries no results across
 /// windows, only capacity. Exactly one solve may use it at a time (`&mut`
 /// enforces this); different threads must use different arenas (the
-/// serving engine, `teal_core::ServingContext`, keeps one per thread). It is
-/// not tied to any skeleton or topology: reusing one arena across
+/// serving engine keeps one in a private thread-local per serving thread).
+/// It is not tied to any skeleton or topology: reusing one arena across
 /// topologies, capacity overrides, or weight swaps is safe and merely
 /// re-grows buffers on shape changes.
 pub struct BatchArena {
@@ -502,6 +513,9 @@ pub struct BatchArena {
     /// The demand sweep's `(2k + 4) × batch` working rows; the edge sweep
     /// reuses the first three.
     scratch: Vec<f64>,
+    /// The F-step rows the allocations cannot hold: `paths mod batch` of
+    /// them (every row when `batch > paths`). Capacity `batch²` or more.
+    tail: Vec<f64>,
 }
 
 impl Default for BatchArena {
@@ -522,6 +536,7 @@ impl BatchArena {
             primal_final: Vec::new(),
             dual_final: Vec::new(),
             scratch: Vec::new(),
+            tail: Vec::new(),
         }
     }
 
@@ -547,6 +562,9 @@ impl BatchArena {
         self.steps.resize(3 * nb, 0.0);
         self.scratch.clear();
         self.scratch.resize((2 * solver.k + 4) * nb, 0.0);
+        self.tail.clear();
+        self.tail.reserve_exact(nb * nb);
+        self.tail.resize(np % nb * nb, 0.0);
     }
 }
 
@@ -560,6 +578,87 @@ fn row(data: &[f64], i: usize, nb: usize) -> &[f64] {
 #[inline(always)]
 fn row_mut(data: &mut [f64], i: usize, nb: usize) -> &mut [f64] {
     &mut data[i * nb..][..nb]
+}
+
+/// The F-step's `[path][lane]` rows (`ΔF_p` of the last F-update, which the
+/// edge sweep's z-step needs) for the length of one solve: with
+/// `q = ⌊np / nb⌋`, allocation `j` holds rows `j·q .. (j+1)·q`, row `p` at
+/// offset `(p − j·q)·nb`, and the `np mod nb` rows left over are the
+/// arena's tail. The allocations' values are dead between the warm-start
+/// copy and the write-back, and the first demand sweep writes every row
+/// before the first edge sweep reads one.
+struct StepRows<'a> {
+    allocs: &'a mut [Allocation],
+    tail: &'a mut [f64],
+    /// Rows per allocation, `q`, and division by it.
+    per: usize,
+    by_per: DivBy,
+    /// The first row in the tail, `nb·q`.
+    split: usize,
+    nb: usize,
+}
+
+impl<'a> StepRows<'a> {
+    fn new(allocs: &'a mut [Allocation], tail: &'a mut [f64], np: usize) -> Self {
+        let nb = allocs.len();
+        let per = np / nb;
+        StepRows {
+            // With fewer paths than lanes, every row is in the tail.
+            allocs: if per == 0 { &mut allocs[..0] } else { allocs },
+            tail,
+            per,
+            by_per: DivBy::new(per.max(1)),
+            split: nb * per,
+            nb,
+        }
+    }
+
+    /// Path `p`'s row. Its allocation `p / q` is a multiply, not a division
+    /// and not a cursor: an edge's paths spread over every allocation, so a
+    /// cursor restarted per edge would cross a block boundary every few
+    /// non-zeros. `p / q` names no allocation exactly when `p` is in the
+    /// tail.
+    #[inline(always)]
+    fn row(&self, p: usize) -> &[f64] {
+        let j = self.by_per.of(p);
+        let (rows, at) = match self.allocs.get(j) {
+            Some(alloc) => (alloc.splits(), p - j * self.per),
+            None => (&*self.tail, p - self.split),
+        };
+        &rows[at * self.nb..][..self.nb]
+    }
+
+    /// [`Self::row`], mutable.
+    #[inline(always)]
+    fn row_mut(&mut self, p: usize) -> &mut [f64] {
+        let j = self.by_per.of(p);
+        let (rows, at) = match self.allocs.get_mut(j) {
+            Some(alloc) => (alloc.splits_mut(), p - j * self.per),
+            None => (&mut *self.tail, p - self.split),
+        };
+        &mut rows[at * self.nb..][..self.nb]
+    }
+}
+
+/// Exact `⌊n / d⌋` for `n < 2³²` and `d ≤ 2³¹` by one multiply-high
+/// instead of a division: with `c = ⌈2⁶³ / d⌉`, `⌊n / d⌋ = ⌊c·n / 2⁶³⌋`,
+/// because `c·d − 2⁶³ < d` and `(d − 1)·n < 2⁶³` (the argument of Lemire,
+/// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019,
+/// Theorem 1). Path ids are `u32`.
+#[derive(Clone, Copy)]
+struct DivBy(u64);
+
+impl DivBy {
+    fn new(d: usize) -> Self {
+        assert!((1..=1 << 31).contains(&d), "divisor {d} out of range");
+        DivBy((1u64 << 63).div_ceil(d as u64))
+    }
+
+    #[inline(always)]
+    fn of(self, n: usize) -> usize {
+        debug_assert!(n <= u32::MAX as usize);
+        ((u128::from(self.0) * n as u128) >> 63) as usize
+    }
 }
 
 /// One slack row `sum + s = cap`: the non-negative projection
@@ -610,8 +709,10 @@ impl AdmmBatchSolver {
     /// the demand constraints first) and write the refined allocation over
     /// it. With `cfg.tol > 0`, lanes stop independently once their residual
     /// clears the bar (the convergence mask); the rest keep sweeping. Every
-    /// byte of working state lives in the caller's [`BatchArena`], and the
-    /// per-matrix reports land in the caller's `reports`. With a retained
+    /// byte of working state lives in the caller's [`BatchArena`] or, from
+    /// entry to return, in `allocs`: their contents belong to the solver
+    /// in between (it keeps the F-step there), and the per-matrix reports
+    /// land in the caller's `reports`. With a retained
     /// arena and report buffer, the second and later windows of a
     /// steady-state serving loop perform **zero heap allocations** end to
     /// end. Results never depend on what the arena served before.
@@ -625,6 +726,7 @@ impl AdmmBatchSolver {
         assert_eq!(allocs.len(), self.batch, "allocation count != batch size");
         let nb = self.batch;
         let k = self.k;
+        let np = self.num_demands * k;
         let idx = &*self.index;
         arena.prepare(self);
         let BatchArena {
@@ -636,6 +738,7 @@ impl AdmmBatchSolver {
             primal_final,
             dual_final,
             scratch,
+            tail,
         } = arena;
 
         // Warm-start copy plus the per-lane demand projection, done directly
@@ -678,11 +781,14 @@ impl AdmmBatchSolver {
                 st.s1[d * nb + b] = (1.0 - sum).max(0.0);
             }
         }
+        let by_k = DivBy::new(k);
         for (r, &cap) in self.caps.iter().enumerate() {
             let s3_r = row_mut(&mut st.s3, r, nb);
             for &p in idx.row_paths(r) {
                 let p = p as usize;
-                let flows = row(&st.f, p, nb).iter().zip(row(&self.vols, p / k, nb));
+                let flows = row(&st.f, p, nb)
+                    .iter()
+                    .zip(row(&self.vols, by_k.of(p), nb));
                 for (sv, (&fv, &vol)) in s3_r.iter_mut().zip(flows) {
                     *sv += fv * vol;
                 }
@@ -692,6 +798,9 @@ impl AdmmBatchSolver {
             }
         }
 
+        // The warm starts are in `F`: the allocations hold the F-step until
+        // the write-back below.
+        let mut fstep = StepRows::new(allocs, tail, np);
         let rho = cfg.rho;
         for _ in 0..cfg.max_iters {
             let live = active.iter().filter(|&&a| a).count();
@@ -706,7 +815,7 @@ impl AdmmBatchSolver {
             } else {
                 Self::sweep::<true>
             };
-            sweeps(self, st, active, rho, scratch, steps);
+            sweeps(self, st, &mut fstep, active, rho, scratch, steps);
             let (df, rest) = steps.split_at(nb);
             let (dz, primal) = rest.split_at(nb);
             for b in 0..nb {
@@ -773,14 +882,15 @@ impl AdmmBatchSolver {
     fn sweep<const MASKED: bool>(
         &self,
         st: &mut BatchState,
+        fstep: &mut StepRows,
         active: &[bool],
         rho: f64,
         scratch: &mut [f64],
         steps: &mut [f64],
     ) {
         steps.fill(0.0);
-        self.demand_sweep::<MASKED>(st, active, rho, scratch, steps);
-        self.edge_sweep::<MASKED>(st, active, rho, scratch, steps);
+        self.demand_sweep::<MASKED>(st, fstep, active, rho, scratch, steps);
+        self.edge_sweep::<MASKED>(st, fstep, active, rho, scratch, steps);
     }
 
     /// Per demand, the F-update (one walk of each path's rows gathers
@@ -795,6 +905,7 @@ impl AdmmBatchSolver {
     fn demand_sweep<const MASKED: bool>(
         &self,
         st: &mut BatchState,
+        fstep: &mut StepRows,
         active: &[bool],
         rho: f64,
         scratch: &mut [f64],
@@ -803,7 +914,7 @@ impl AdmmBatchSolver {
         let nb = self.batch;
         let k = self.k;
         let idx = &*self.index;
-        let (f, fstep): (&mut [f64], &mut [f64]) = (&mut st.f, &mut st.fstep);
+        let f = &mut st.f;
         let (s1, l1): (&mut [f64], &mut [f64]) = (&mut st.s1, &mut st.l1);
         let (mu, delta): (&[f64], &[f64]) = (&st.mu, &st.delta);
         let (ldf, rest) = steps.split_at_mut(nb);
@@ -866,7 +977,7 @@ impl AdmmBatchSolver {
                 let bj = row(b, j, nb);
                 let dj = row(diag, j, nb);
                 let fp = row_mut(f, d * k + j, nb);
-                let sp = row_mut(fstep, d * k + j, nb);
+                let sp = fstep.row_mut(d * k + j);
                 for lane in 0..nb {
                     if MASKED && !active[lane] {
                         continue;
@@ -899,15 +1010,16 @@ impl AdmmBatchSolver {
     fn edge_sweep<const MASKED: bool>(
         &self,
         st: &mut BatchState,
+        fstep: &StepRows,
         active: &[bool],
         rho: f64,
         scratch: &mut [f64],
         steps: &mut [f64],
     ) {
         let nb = self.batch;
-        let k = self.k;
         let idx = &*self.index;
-        let (f, fstep): (&[f64], &[f64]) = (&st.f, &st.fstep);
+        let by_k = DivBy::new(self.k);
+        let f = &st.f;
         let (s3, l3): (&mut [f64], &mut [f64]) = (&mut st.s3, &mut st.l3);
         let (mu, delta): (&mut [f64], &mut [f64]) = (&mut st.mu, &mut st.delta);
         let (ldz, lpr) = steps[nb..].split_at_mut(nb);
@@ -924,12 +1036,12 @@ impl AdmmBatchSolver {
             lo.fill(f64::INFINITY);
             for &p in on_edge {
                 let p = p as usize;
-                let path = row(f, p, nb).iter().zip(row(fstep, p, nb));
+                let path = row(f, p, nb).iter().zip(fstep.row(p));
                 for (((sv, hv), lv), ((&fv, &step), &vol)) in flow
                     .iter_mut()
                     .zip(hi.iter_mut())
                     .zip(lo.iter_mut())
-                    .zip(path.zip(row(&self.vols, p / k, nb)))
+                    .zip(path.zip(row(&self.vols, by_k.of(p), nb)))
                 {
                     *sv += fv * vol;
                     let moved = step * vol;
@@ -1114,6 +1226,17 @@ mod tests {
             warm_flow >= 0.90 * opt_flow,
             "warm 5-iter flow {warm_flow} degraded from optimum {opt_flow}"
         );
+    }
+
+    #[test]
+    fn div_by_is_exact_for_u32_numerators() {
+        let top = u32::MAX as usize;
+        for d in (1..=70).chain([1_000, 65_537, 1 << 20, (1 << 31) - 1, 1 << 31]) {
+            let by = DivBy::new(d);
+            for n in (0..20_000).chain(top - 20_000..=top) {
+                assert_eq!(by.of(n), n / d, "{n} / {d}");
+            }
+        }
     }
 
     #[test]

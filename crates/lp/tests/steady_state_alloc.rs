@@ -13,14 +13,17 @@
 //! The same allocator's byte counter pins the *first* window too, exactly:
 //! a fresh arena + solver allocates only per-path, per-demand and
 //! per-crossed-edge lane rows — no buffer sized by the incidence non-zero
-//! count, no row for an edge no path crosses, and no output copy
-//! (`first_window_footprint_has_no_per_entry_family`).
+//! count, no row for an edge no path crosses, no output copy, and one
+//! per-path family only: the F-step lives in the window's allocations
+//! (`first_window_footprint_has_no_per_entry_family`). Narrower windows,
+//! whose lane count leaves F-step rows over for the arena's tail, reuse
+//! the widest window's buffers (`narrower_windows_allocate_nothing`).
 
 mod common;
 
 use common::{thread_alloc_bytes, thread_allocs};
 use teal_lp::{AdmmConfig, AdmmReport, AdmmSkeleton, Allocation, BatchArena, Objective};
-use teal_topology::{generate, gravity_pairs, large_wan, PathSet, TopoKind};
+use teal_topology::{b4, generate, gravity_pairs, large_wan, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
 
 #[test]
@@ -172,14 +175,16 @@ fn first_window_footprint_has_no_per_entry_family() {
     );
     let grew = thread_alloc_bytes() - before;
 
-    // Lane rows: per path F and its last step; per demand s1, λ1 and the
-    // volumes; per crossed edge s3, λ3, μ and δ (ν = ρδ − μ is recomputed);
-    // the sweeps' 2k + 4 working rows; the three step maxima, three
-    // residuals and the iteration counts. Then, per lane, one mask byte and
-    // one report. The splits are written over the warm starts, so there is
-    // no output copy. Nothing else.
-    let rows = 2 * np + 3 * nd + 4 * crossed + (2 * k + 4) + 7;
-    let expected = ((rows * 8 + 1 + std::mem::size_of::<AdmmReport>()) * BATCH) as u64;
+    // Lane rows: per path F; per demand s1, λ1 and the volumes; per crossed
+    // edge s3, λ3, μ and δ (ν = ρδ − μ is recomputed); the sweeps' 2k + 4
+    // working rows; the three step maxima, three residuals and the
+    // iteration counts. Then, per lane, one mask byte and one report. The
+    // splits are written over the warm starts, so there is no output copy,
+    // and until then they hold the F-step's rows, all but the `np mod
+    // BATCH` left over, whose tail reserves BATCH² values. Nothing else.
+    let rows = np + 3 * nd + 4 * crossed + (2 * k + 4) + 7;
+    let tail = BATCH * BATCH * 8;
+    let expected = ((rows * 8 + 1 + std::mem::size_of::<AdmmReport>()) * BATCH + tail) as u64;
     println!(
         "admm first window: {np} paths, {nd} demands, {crossed}/{ne} edges crossed, \
          {BATCH} lanes, {grew} B"
@@ -191,4 +196,105 @@ fn first_window_footprint_has_no_per_entry_family() {
          {BATCH} lanes)"
     );
     assert!(reports.iter().all(|r| r.iterations == 5));
+}
+
+/// Serves `lanes`-wide windows in order on one retained arena, solver and
+/// report buffer, and checks that every window after the first allocates
+/// nothing and matches a cold arena bit for bit.
+fn serve_widths(skel: &AdmmSkeleton, nd: usize, k: usize, lanes: &[usize]) {
+    let cfg = AdmmConfig::fine_tune(1024);
+    // Traffic and warm starts are minted up front, outside the counts.
+    let windows: Vec<(Vec<TrafficMatrix>, Vec<Allocation>)> = lanes
+        .iter()
+        .enumerate()
+        .map(|(w, &nb)| {
+            let tms = (0..nb)
+                .map(|b| {
+                    TrafficMatrix::new(
+                        (0..nd)
+                            .map(|d| ((w * 31 + b * 7 + d) % 23) as f64 * 1.7)
+                            .collect(),
+                    )
+                })
+                .collect();
+            let inits = (0..nb)
+                .map(|b| {
+                    Allocation::from_splits(
+                        k,
+                        (0..nd * k)
+                            .map(|p| ((p + b + w) % 5) as f64 * 0.3)
+                            .collect(),
+                    )
+                })
+                .collect();
+            (tms, inits)
+        })
+        .collect();
+    let mut cold = windows
+        .iter()
+        .map(|(_, inits)| inits.clone())
+        .collect::<Vec<_>>();
+    for ((tms, _), allocs) in windows.iter().zip(&mut cold) {
+        skel.batch_solver(tms).run_batch_in_place(
+            allocs,
+            cfg,
+            &mut BatchArena::new(),
+            &mut Vec::new(),
+        );
+    }
+
+    let mut arena = BatchArena::new();
+    let mut reports = Vec::new();
+    let mut solver = skel.batch_solver(&windows[0].0);
+    for (w, ((tms, mut allocs), cold)) in windows.into_iter().zip(&cold).enumerate() {
+        let before = thread_alloc_bytes();
+        skel.remint_batch_solver(&mut solver, &tms);
+        solver.run_batch_in_place(&mut allocs, cfg, &mut arena, &mut reports);
+        let grew = thread_alloc_bytes() - before;
+        let nb = tms.len();
+        if w > 0 {
+            assert_eq!(grew, 0, "{nb}-lane window {w} allocated {grew} B");
+        }
+        assert_eq!(
+            &allocs, cold,
+            "{nb}-lane window {w} diverged from a cold arena"
+        );
+        assert_eq!(reports.len(), nb);
+        assert!(reports.iter().all(|r| r.iterations == cfg.max_iters));
+    }
+}
+
+#[test]
+fn narrower_windows_allocate_nothing() {
+    // 109 demands x 5 paths = 545 paths: 16, 7 and 3 lanes each leave rows
+    // over for the tail (1, 6 and 2 of them), and the 7-lane tail is the
+    // longest, so a tail sized to the window's own shape would grow there.
+    let topo = generate(TopoKind::Swan, 0.4, 7);
+    let mut pairs = topo.all_pairs();
+    pairs.truncate(109);
+    let paths = PathSet::compute(&topo, &pairs, 5);
+    let np = paths.num_paths();
+    assert!(
+        [16, 7, 3].iter().all(|&nb| !np.is_multiple_of(nb)),
+        "{np} paths leave no tail"
+    );
+    assert!(
+        np % 7 * 7 > np % 16 * 16,
+        "the 7-lane tail is not the longest"
+    );
+    let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
+    serve_widths(
+        &skel,
+        paths.num_demands(),
+        paths.k(),
+        &[16, 16, 7, 3, 1, 16],
+    );
+
+    // One B4 pair at 8 lanes: more lanes than paths, so every F-step row
+    // lives in the tail.
+    let topo = b4();
+    let paths = PathSet::compute(&topo, &topo.all_pairs()[..1], 4);
+    assert!(paths.num_paths() < 8);
+    let skel = AdmmSkeleton::new(&topo, &paths, Objective::TotalFlow);
+    serve_widths(&skel, paths.num_demands(), paths.k(), &[8, 8]);
 }

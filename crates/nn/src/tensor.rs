@@ -376,20 +376,23 @@ pub trait RowPass {
 }
 
 /// Run `pass` on zeroed rows `n` wide. The widths the default model
-/// produces (1–6, 8, 12, 16, 20, 24) that lie in `LO..=HI` get an
-/// `[f32; N]`, which the optimizer keeps in registers and unrolls over —
-/// 2.6–5.3x faster on the 1,024-node window's layer shapes, each timed
-/// alone, than the same loop over a runtime-width row. Any other width
-/// (Figure 15 sweeps, ablation models) runs the same arithmetic on a heap
-/// row, so the choice never changes a bit of the output. A pass names the
-/// range its default widths fall in, so no row kernel is compiled for a
-/// width it never takes: each one is kilobytes of unrolled code, and the
-/// binary's mapped pages count in the process's resident set.
+/// produces (1–6, 8, 12, 16, 20, 24) that are multiples of `LO` in
+/// `LO..=HI` get an `[f32; N]`, which the optimizer keeps in registers and
+/// unrolls over — 2.6–5.3x faster on the 1,024-node window's layer shapes,
+/// each timed alone, than the same loop over a runtime-width row. Any other
+/// width (Figure 15 sweeps, ablation models) runs the same arithmetic on a
+/// heap row, so the choice never changes a bit of the output. A pass names
+/// its smallest default width and its largest, and its default widths are
+/// multiples of the smallest, so no row kernel is compiled for a width it
+/// never takes: each one is kilobytes of unrolled code, and the binary's
+/// mapped pages count in the process's resident set.
 pub fn run_at_width<const LO: usize, const HI: usize>(n: usize, pass: impl RowPass) {
     macro_rules! fixed_width {
         ($($width:literal)*) => {
             match n {
-                $($width if LO <= $width && $width <= HI => pass.run([0.0f32; $width]),)*
+                $($width if LO <= $width && $width <= HI && $width % LO == 0 => {
+                    pass.run([0.0f32; $width])
+                })*
                 _ => pass.run(vec![0.0f32; n]),
             }
         };

@@ -132,6 +132,14 @@ fn sample_capacity(rng: &mut StdRng) -> f64 {
     (c / 25.0).round() * 25.0
 }
 
+/// Every generator's exit: a connected topology with no growth slack, so
+/// a generated topology is as small as its failed-link twin (a clone).
+fn finish(mut t: Topology) -> Topology {
+    debug_assert!(t.is_strongly_connected());
+    t.shrink_to_fit();
+    t
+}
+
 /// Google's B4 WAN: 12 datacenter sites, 19 inter-site links, per the
 /// published topology figure. Capacities are deterministic so B4 experiments
 /// are exactly reproducible without a seed.
@@ -182,8 +190,7 @@ pub fn b4() -> Topology {
         let w = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt().max(0.1);
         t.add_link(a, b, cap, w);
     }
-    debug_assert!(t.is_strongly_connected());
-    t
+    finish(t)
 }
 
 /// Geometric graph on the unit square: Euclidean MST plus the shortest
@@ -291,8 +298,7 @@ fn geometric(
             }
         }
     }
-    debug_assert!(t.is_strongly_connected());
-    t
+    finish(t)
 }
 
 /// Interconnected star clusters modeling the AS-level graph: a minority of
@@ -348,8 +354,7 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
             links += 1;
         }
     }
-    debug_assert!(t.is_strongly_connected());
-    t
+    finish(t)
 }
 
 #[cfg(test)]
@@ -471,8 +476,7 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
     }
     #[cfg(test)]
     MESH_LOOP.with(|cell| cell.set((guard, open)));
-    debug_assert!(t.is_strongly_connected());
-    t
+    finish(t)
 }
 
 /// Deterministic gravity-model demand sampling: `count` distinct ordered

@@ -104,6 +104,16 @@ impl Topology {
         self.coords[n]
     }
 
+    /// Drop the growth slack of the edge table, every adjacency list and the
+    /// name, so the topology stores exactly what its clone would.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.name.shrink_to_fit();
+        self.edges.shrink_to_fit();
+        for out in &mut self.adj {
+            out.shrink_to_fit();
+        }
+    }
+
     /// Add a single directed edge. Panics on duplicates or self-loops.
     pub fn add_directed_edge(
         &mut self,
