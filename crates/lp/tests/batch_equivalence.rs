@@ -220,13 +220,33 @@ fn fnv(hash: &mut u64, word: u64) {
     }
 }
 
-/// Hash of one seeded 5-lane window's outputs: every lane's iteration count
-/// followed by the bits of its splits.
-fn golden_hash(seed: u64, cfg: AdmmConfig) -> u64 {
+/// Every lane of a window solved alone, as a batch of one.
+fn solve_each(
+    skel: &AdmmSkeleton,
+    tms: &[TrafficMatrix],
+    inits: &[Allocation],
+    cfg: AdmmConfig,
+) -> (Vec<Allocation>, Vec<AdmmReport>) {
+    tms.iter()
+        .zip(inits)
+        .map(|(tm, init)| skel.solve(tm, init, cfg))
+        .unzip()
+}
+
+/// One seeded 5-lane `TotalFlow` window: its skeleton, matrices and warm
+/// starts.
+fn golden_window(seed: u64) -> (AdmmSkeleton, Vec<TrafficMatrix>, Vec<Allocation>) {
     let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x601d);
     let tms = random_window(5, nd, &mut rng);
     let inits = random_inits(5, nd, k, &mut rng);
+    (skel, tms, inits)
+}
+
+/// Hash of one seeded 5-lane window's outputs: every lane's iteration count
+/// followed by the bits of its splits.
+fn golden_hash(seed: u64, cfg: AdmmConfig) -> u64 {
+    let (skel, tms, inits) = golden_window(seed);
     let (outs, reps) = run_fresh(&skel, &tms, &inits, cfg);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for (out, rep) in outs.iter().zip(&reps) {
@@ -262,6 +282,22 @@ fn pinned_golden_hashes() {
         assert_eq!(
             got, want,
             "seed {seed}: batched ADMM output hash {got:#018x}, pinned {want:#018x}"
+        );
+    }
+    // The two `tol` windows with every lane solved alone, as a batch of
+    // one: each lane's own stopping iteration, residuals and splits.
+    for (seed, iters, want) in [
+        (4242u64, [300, 222, 282, 119, 300], 0x3e60_4e81_6035_72d8u64),
+        (987_654, [167, 151, 143, 155, 145], 0x2e8b_40f5_6477_df6d),
+    ] {
+        let (skel, tms, inits) = golden_window(seed);
+        let (outs, reps) = solve_each(&skel, &tms, &inits, masked);
+        let got_iters: Vec<usize> = reps.iter().map(|r| r.iterations).collect();
+        assert_eq!(got_iters, iters, "seed {seed}: batch-of-one iterations");
+        let got = window_hash(&outs, &reps);
+        assert_eq!(
+            got, want,
+            "seed {seed}: batch-of-one output hash {got:#018x}, pinned {want:#018x}"
         );
     }
 }
@@ -318,12 +354,56 @@ fn uncrossed_edges_pinned_hashes() {
             // The mask froze some lanes and left others to the budget.
             let frozen = reps.iter().filter(|r| r.iterations < cfg.max_iters).count();
             assert!(0 < frozen && frozen < 8, "{frozen} of 8 lanes froze");
+            // Every lane solved alone, as a batch of one.
+            let (solo_outs, solo_reps) = solve_each(skel, &tms, &inits, cfg);
+            let solo = window_hash(&solo_outs, &solo_reps);
+            assert_eq!(
+                solo, 0x8a8b_5204_a02d_3083,
+                "{name} window, batch of one: output hash {solo:#018x}"
+            );
         }
         let got = window_hash(&outs, &reps);
         assert_eq!(
             got, want,
             "{name} window: output hash {got:#018x}, pinned {want:#018x}"
         );
+    }
+}
+
+/// No iteration at all (`max_iters = 0`): every lane reports 0 iterations
+/// and infinite residuals, and hands back its warm start projected onto the
+/// demand constraints, at `tol = 0` and `tol > 0` alike. The solver projects
+/// at entry and again at exit, and a row whose rescaled sum rounds above 1
+/// is rescaled again, so the expected splits are projected twice.
+#[test]
+fn zero_iterations_return_projected_warm_starts() {
+    let (_topo, _paths, skel, nd, k) = random_problem(31, Objective::TotalFlow);
+    let mut rng = StdRng::seed_from_u64(0x2e40);
+    for tol in [0.0, 1e-4] {
+        let cfg = AdmmConfig {
+            rho: 1.0,
+            max_iters: 0,
+            tol,
+        };
+        for nb in [1usize, 7] {
+            let tms = random_window(nb, nd, &mut rng);
+            let inits = random_inits(nb, nd, k, &mut rng);
+            let (outs, reps) = run_fresh(&skel, &tms, &inits, cfg);
+            for (b, (out, rep)) in outs.iter().zip(&reps).enumerate() {
+                assert_eq!(rep.iterations, 0, "lane {b} of {nb}");
+                assert_eq!(
+                    (rep.primal_residual, rep.dual_residual),
+                    (f64::INFINITY, f64::INFINITY),
+                    "lane {b} of {nb}"
+                );
+                let mut want = inits[b].clone();
+                want.project_demand_constraints();
+                want.project_demand_constraints();
+                let bits =
+                    |a: &Allocation| a.splits().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(out), bits(&want), "lane {b} of {nb}: splits");
+            }
+        }
     }
 }
 
