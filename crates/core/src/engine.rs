@@ -170,16 +170,8 @@ thread_local! {
 pub struct SolveReport {
     /// Matrices in the window (ADMM lanes).
     pub lanes: usize,
-    /// Sum of iterations executed across lanes.
-    pub iterations: u64,
-    /// Fewest iterations any lane ran.
-    pub min_iterations: usize,
-    /// Most iterations any lane ran.
-    pub max_iterations: usize,
-    /// Lanes frozen by the convergence mask before the configured
-    /// `max_iters` (`tol > 0` only; always 0 under the paper's
-    /// fixed-iteration fine-tuning).
-    pub frozen_lanes: usize,
+    /// Iterations the window ran: one count for every lane.
+    pub iterations: usize,
     /// Worst final primal (feasibility) residual across lanes.
     pub max_primal_residual: f64,
     /// Worst final dual (stationarity) residual across lanes.
@@ -187,33 +179,19 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    fn from_reports(reports: &[teal_lp::AdmmReport], max_iters: usize) -> Option<Self> {
-        if reports.is_empty() {
-            return None;
-        }
+    fn from_reports(reports: &[teal_lp::AdmmReport]) -> Option<Self> {
+        let first = reports.first()?;
         let mut agg = SolveReport {
             lanes: reports.len(),
-            iterations: 0,
-            min_iterations: usize::MAX,
-            max_iterations: 0,
-            frozen_lanes: 0,
+            iterations: first.iterations,
             max_primal_residual: 0.0,
             max_dual_residual: 0.0,
         };
         for r in reports {
-            agg.iterations += r.iterations as u64;
-            agg.min_iterations = agg.min_iterations.min(r.iterations);
-            agg.max_iterations = agg.max_iterations.max(r.iterations);
-            agg.frozen_lanes += usize::from(r.iterations < max_iters);
             agg.max_primal_residual = agg.max_primal_residual.max(r.primal_residual);
             agg.max_dual_residual = agg.max_dual_residual.max(r.dual_residual);
         }
         Some(agg)
-    }
-
-    /// Mean iterations per lane.
-    pub fn mean_iterations(&self) -> f64 {
-        self.iterations as f64 / self.lanes.max(1) as f64
     }
 }
 
@@ -458,7 +436,7 @@ impl<M: PolicyModel> ServingContext<M> {
                     empty => empty.insert(skel.batch_solver(tms)),
                 };
                 solver.run_batch_in_place(&mut out, admm_cfg, &mut admm.arena, &mut admm.reports);
-                SolveReport::from_reports(&admm.reports, admm_cfg.max_iters)
+                SolveReport::from_reports(&admm.reports)
             });
         }
         let dead = match topo_override {
@@ -699,9 +677,10 @@ mod tests {
 
     #[test]
     fn batch_early_stopping_matches_sequential() {
-        // tol > 0 engages the batched solver's convergence mask: lanes with
-        // different demand scales converge at different iterations, and the
-        // end-to-end batched path must still match sequential exactly.
+        // tol > 0: lanes with different demand scales would converge at
+        // different iterations, and the window stops when the last one
+        // does, before the cap. Each lane must match its sequential
+        // allocation run for the window's iteration count.
         let env = Arc::new(Env::for_topology(b4()));
         let model = TealModel::new(
             Arc::clone(&env),
@@ -710,24 +689,37 @@ mod tests {
                 ..TealConfig::default()
             },
         );
-        let eng = ServingContext::new(
-            model,
-            EngineConfig {
-                admm: Some(AdmmConfig {
-                    rho: 1.0,
-                    max_iters: 60,
-                    tol: 1e-4,
-                }),
-                objective: Objective::TotalFlow,
-            },
-        );
+        let serving = |admm| {
+            ServingContext::new(
+                model.clone(),
+                EngineConfig {
+                    admm: Some(admm),
+                    objective: Objective::TotalFlow,
+                },
+            )
+        };
+        let to_tol = AdmmConfig {
+            rho: 1.0,
+            max_iters: 200,
+            tol: 0.1,
+        };
         let nd = env.num_demands();
         let tms: Vec<TrafficMatrix> = (0..7)
             .map(|i| TrafficMatrix::new(vec![0.5 + 40.0 * i as f64; nd]))
             .collect();
-        let (batched, _) = eng.try_allocate_batch(&tms).expect("window");
+        let mut scratch = BatchScratch::new();
+        let (batched, _) = serving(to_tol)
+            .try_allocate_batch_with(&tms, &mut scratch)
+            .expect("window");
+        let n = scratch.solve_report().expect("solve report").iterations;
+        assert!(n < to_tol.max_iters, "the window never stopped early");
+        let fixed = serving(AdmmConfig {
+            max_iters: n,
+            tol: 0.0,
+            ..to_tol
+        });
         for (tm, b) in tms.iter().zip(&batched) {
-            let (seq, _) = eng.allocate(tm);
+            let (seq, _) = fixed.allocate(tm);
             assert_eq!(b, &seq, "early-stopped batched diverged from sequential");
         }
     }

@@ -54,9 +54,10 @@
 //!   ([`teal_lp::AdmmBatchSolver`]): structure-of-arrays state minted from
 //!   the shared skeleton, each iteration a single pass over the incidence
 //!   index on the calling thread and in its one ADMM arena (the stage
-//!   submits no pool job), with a per-matrix convergence mask for early
-//!   stopping. A batch of B equals B
-//!   batches of one bitwise (`teal-lp`'s `batch_equivalence` test pins it).
+//!   submits no pool job); every lane runs the window's one iteration
+//!   count. At the fixed count the paper fine-tunes with (`tol = 0`) a
+//!   batch of B equals B batches of one bitwise (`teal-lp`'s
+//!   `batch_equivalence` test pins it).
 //!   [`ServingContext::try_allocate_batch`] surfaces a malformed request or
 //!   override topology as an [`AllocError`] value before any compute; a
 //!   panic in either stage reaches the caller unchanged. What a

@@ -121,12 +121,19 @@ fn a_one_shot_window_reuses_the_threads_arena() {
         let (one_shot, _) = ctx.try_allocate_batch(&w8).expect("one-shot window");
         let one_shot_bytes = thread_alloc_bytes() - before;
 
-        let arena_bytes = 8 * (2 * env.paths().num_paths() + 2 * nd + 4 * crossed.len()) * lanes;
+        // The arena's rows: per path F; per demand s1 and λ1; per crossed
+        // edge s3, λ3, μ and δ; the sweeps' 2k + 4 working rows and the
+        // three step maxima. Plus the F-step's tail, which reserves lanes²
+        // values (its other rows live in the window's allocations).
+        let k = env.paths().k();
+        let arena_bytes = 8
+            * ((env.paths().num_paths() + 2 * nd + 4 * crossed.len() + 2 * k + 7) * lanes
+                + lanes * lanes);
         println!(
             "one_arena_per_thread: {lanes} x large_wan(256), {} paths, {nd} demands, \
              {} crossed edges: retained call {retained_bytes} B, one-shot call \
-             {one_shot_bytes} B, arena 8 x (2·paths + 2·demands + 4·crossed) x lanes \
-             = {arena_bytes} B",
+             {one_shot_bytes} B, arena 8 x ((paths + 2·demands + 4·crossed + 2k + 7) \
+             x lanes + lanes²) = {arena_bytes} B",
             env.paths().num_paths(),
             crossed.len(),
         );

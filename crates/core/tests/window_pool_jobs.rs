@@ -41,7 +41,7 @@ fn a_window_submits_one_pool_job() {
         assert_eq!(allocs.len(), nb);
         // The ADMM stage did run: the one job is not an ADMM-less window's.
         let report = scratch.solve_report().expect("ADMM report");
-        assert!(report.mean_iterations() >= 1.0);
+        assert!(report.iterations >= 1);
         assert_eq!(
             jobs, 1,
             "window {w} ({nb} matrices) submitted {jobs} pool jobs; \

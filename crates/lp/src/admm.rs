@@ -98,18 +98,17 @@
 //!   hand-offs did not pay for themselves at the sizes served. Lanes are
 //!   what commute without a barrier, so a caller that wants a second core
 //!   runs `run_batch_in_place` on a sub-slice of the window — the same
-//!   lanes, bitwise.
-//! * **Convergence mask.** Early stopping stays *per matrix*: once a
-//!   lane's residual drops below `tol` it is masked out of every later
-//!   sweep (its state freezes; its iteration count is recorded), while
-//!   unconverged lanes keep iterating — exactly what `B` independent
-//!   batch-of-1 runs do (`tests/batch_equivalence.rs` checks it bitwise).
-//!   Until the *first* lane freezes the sweeps run their all-lanes-active
-//!   instantiation, whose commit loops carry no mask test at all; under the
-//!   paper's fixed-iteration fine-tuning (`tol = 0`) the masked one is
-//!   never entered. Both are one source text, so they cannot drift apart.
+//!   lanes, bitwise, at `tol = 0`.
+//! * **One iteration count per window.** Every lane of a window runs the
+//!   same number of iterations. With `tol > 0` the window stops at the
+//!   first iteration where every lane's residual is below `tol`, so each
+//!   lane is bitwise its own batch-of-1 run of that many iterations
+//!   (`tests/batch_equivalence.rs` checks it). The paper's fine-tuning
+//!   runs a fixed count (`tol = 0`), and there a batch of `B` is bitwise
+//!   `B` batch-of-1 runs; the one-shot `tol > 0` callers (LP-all,
+//!   Figure 2's racers) solve a batch of one.
 //! * **Arena reuse (allocation-free steady state).** Every byte of mutable
-//!   solver state — the SoA families, sweep scratch, residual rows —
+//!   solver state — the SoA families, sweep scratch, step maxima —
 //!   lives in a caller-owned [`BatchArena`] of grow-only
 //!   buffers, none of which scales with the incidence non-zero count, or
 //!   in the window's own allocations. The solve copies the warm starts
@@ -140,8 +139,9 @@ pub struct AdmmConfig {
     pub rho: f64,
     /// Maximum number of iterations.
     pub max_iters: usize,
-    /// Stop early when the max primal residual drops below this (0 disables
-    /// early stopping — the paper's fine-tuning always runs a fixed count).
+    /// Stop a window early once every lane's [`AdmmReport::residual`] is
+    /// below this (0 disables early stopping — the paper's fine-tuning
+    /// always runs a fixed count).
     pub tol: f64,
 }
 
@@ -477,10 +477,10 @@ impl BatchState {
 
 /// Reusable scratch for [`AdmmBatchSolver::run_batch_in_place`]: the SoA
 /// `BatchState` (lane rows per path, demand and crossed edge; `ν = ρδ − μ`
-/// is recomputed), per-lane bookkeeping, the sweeps' working rows and the
-/// F-step's tail. The F-step's other rows borrow the window's allocations
-/// for the length of the solve (see the module docs' "Arena reuse"), so
-/// the arena holds one per-path family, `F`. The tail reserves `batch²`
+/// is recomputed), the iteration's lane maxima, the sweeps' working rows
+/// and the F-step's tail. The F-step's other rows borrow the window's
+/// allocations for the length of the solve (see the module docs' "Arena
+/// reuse"), so the arena holds one per-path family, `F`. The tail reserves `batch²`
 /// values, so a later, narrower window never grows it.
 /// Every buffer is grow-only, so a
 /// server that keeps one arena per dispatch lane reaches an
@@ -499,17 +499,10 @@ impl BatchState {
 /// re-grows buffers on shape changes.
 pub struct BatchArena {
     st: BatchState,
-    active: Vec<bool>,
-    iterations: Vec<usize>,
-    residual: Vec<f64>,
     /// The iteration's lane maxima, `[F-step | z-step | primal]`
-    /// (`3 × batch`), zeroed and rewritten by every iteration's sweeps.
+    /// (`3 × batch`), zeroed and rewritten by every iteration's sweeps; the
+    /// last iteration's are the reports' residuals.
     steps: Vec<f64>,
-    /// Per-lane primal/dual residuals captured at each lane's *last active*
-    /// iteration (`steps` is overwritten every iteration, including for
-    /// lanes already frozen by the convergence mask).
-    primal_final: Vec<f64>,
-    dual_final: Vec<f64>,
     /// The demand sweep's `(2k + 4) × batch` working rows; the edge sweep
     /// reuses the first three.
     scratch: Vec<f64>,
@@ -529,12 +522,7 @@ impl BatchArena {
     pub fn new() -> Self {
         BatchArena {
             st: BatchState::default(),
-            active: Vec::new(),
-            iterations: Vec::new(),
-            residual: Vec::new(),
             steps: Vec::new(),
-            primal_final: Vec::new(),
-            dual_final: Vec::new(),
             scratch: Vec::new(),
             tail: Vec::new(),
         }
@@ -546,18 +534,6 @@ impl BatchArena {
         let np = solver.num_demands * solver.k;
         self.st
             .reset_for(np, solver.num_demands, solver.caps.len(), nb);
-        self.active.clear();
-        self.active.resize(nb, true);
-        self.iterations.clear();
-        self.iterations.resize(nb, 0);
-        for buf in [
-            &mut self.residual,
-            &mut self.primal_final,
-            &mut self.dual_final,
-        ] {
-            buf.clear();
-            buf.resize(nb, f64::INFINITY);
-        }
         self.steps.clear();
         self.steps.resize(3 * nb, 0.0);
         self.scratch.clear();
@@ -676,13 +652,14 @@ fn slack_ascent(cap: f64, sum: f64, rho: f64, s: &mut f64, l: &mut f64) -> f64 {
 /// pass over the shared incidence index per sweep**, instead of re-reading
 /// the index once per matrix. Minted by [`AdmmSkeleton::batch_solver`]; see
 /// the module docs for the per-edge form of the iteration, the SoA layout
-/// and per-matrix convergence-mask semantics.
+/// and the window's one iteration count.
 ///
-/// Lanes are independent: a batch of `B` produces bitwise the allocations,
-/// iteration counts, and residuals of `B` batch-of-1 runs (the per-lane
-/// arithmetic is identical, operation for operation) — property-tested in
-/// `tests/batch_equivalence.rs`, with a pinned golden hash and a literal
-/// Appendix C twin guarding the arithmetic itself.
+/// Lanes are independent: each lane of a window that ran `n` iterations is
+/// bitwise the allocation and residuals of its own batch-of-1 run of `n`
+/// iterations (the per-lane arithmetic is identical, operation for
+/// operation), so at `tol = 0` a batch of `B` is `B` batch-of-1 runs —
+/// property-tested in `tests/batch_equivalence.rs`, with pinned golden
+/// hashes and a literal Appendix C twin guarding the arithmetic itself.
 pub struct AdmmBatchSolver {
     batch: usize,
     num_demands: usize,
@@ -707,8 +684,9 @@ impl AdmmBatchSolver {
 
     /// Run ADMM on every lane from its own warm start (each projected onto
     /// the demand constraints first) and write the refined allocation over
-    /// it. With `cfg.tol > 0`, lanes stop independently once their residual
-    /// clears the bar (the convergence mask); the rest keep sweeping. Every
+    /// it. The window runs `cfg.max_iters` iterations or, with
+    /// `cfg.tol > 0`, stops after the first one at which every lane's
+    /// [`AdmmReport::residual`] is below `cfg.tol`. Every
     /// byte of working state lives in the caller's [`BatchArena`] or, from
     /// entry to return, in `allocs`: their contents belong to the solver
     /// in between (it keeps the F-step there), and the per-matrix reports
@@ -731,12 +709,7 @@ impl AdmmBatchSolver {
         arena.prepare(self);
         let BatchArena {
             st,
-            active,
-            iterations,
-            residual,
             steps,
-            primal_final,
-            dual_final,
             scratch,
             tail,
         } = arena;
@@ -802,36 +775,29 @@ impl AdmmBatchSolver {
         // the write-back below.
         let mut fstep = StepRows::new(allocs, tail, np);
         let rho = cfg.rho;
-        for _ in 0..cfg.max_iters {
-            let live = active.iter().filter(|&&a| a).count();
-            if live == 0 {
-                break;
+        // Lane `b`'s report after `iterations` sweeps, from the last one's
+        // lane maxima: feasibility (primal) plus a stationary iterate (dual
+        // ~ ρ · step), since primal alone is satisfied by the all-zero point.
+        let report = |steps: &[f64], b: usize, iterations: usize| {
+            if iterations == 0 {
+                return AdmmReport {
+                    iterations,
+                    primal_residual: f64::INFINITY,
+                    dual_residual: f64::INFINITY,
+                };
             }
-            // All-lanes-active fast path: until the first lane freezes
-            // (never, under the paper's fixed-iteration fine-tuning), the
-            // sweeps run the instantiation compiled without the mask test.
-            let sweeps = if live == nb {
-                Self::sweep::<false>
-            } else {
-                Self::sweep::<true>
-            };
-            sweeps(self, st, &mut fstep, active, rho, scratch, steps);
-            let (df, rest) = steps.split_at(nb);
-            let (dz, primal) = rest.split_at(nb);
-            for b in 0..nb {
-                if !active[b] {
-                    continue;
-                }
-                iterations[b] += 1;
-                // Two-sided convergence test: feasibility (primal) plus a
-                // stationary iterate (dual ~ ρ · step) — primal alone is
-                // satisfied by the all-zero point.
-                primal_final[b] = primal[b];
-                dual_final[b] = rho * df[b].max(dz[b]);
-                residual[b] = primal_final[b].max(dual_final[b]);
-                if cfg.tol > 0.0 && residual[b] < cfg.tol {
-                    active[b] = false;
-                }
+            AdmmReport {
+                iterations,
+                primal_residual: steps[2 * nb + b],
+                dual_residual: rho * steps[b].max(steps[nb + b]),
+            }
+        };
+        let mut iterations = 0;
+        while iterations < cfg.max_iters {
+            self.sweep(st, &mut fstep, rho, scratch, steps);
+            iterations += 1;
+            if cfg.tol > 0.0 && (0..nb).all(|b| report(steps, b, iterations).residual() < cfg.tol) {
+                break;
             }
         }
 
@@ -841,11 +807,7 @@ impl AdmmBatchSolver {
                 *s = st.f[p * nb + b];
             }
             out.project_demand_constraints();
-            reports.push(AdmmReport {
-                iterations: iterations[b],
-                primal_residual: primal_final[b],
-                dual_residual: dual_final[b],
-            });
+            reports.push(report(steps, b, iterations));
         }
     }
 
@@ -877,20 +839,17 @@ impl AdmmBatchSolver {
     /// One ADMM iteration: the demand sweep, then the edge sweep, both on
     /// the calling thread. They keep the iteration's lane maxima in `steps`
     /// (`[F-step | z-step | primal]`, `3 × batch`), zeroed here first.
-    /// `MASKED` compiles the convergence-mask test into the commit loops;
-    /// the `false` instantiation ignores `active` and commits every lane.
-    fn sweep<const MASKED: bool>(
+    fn sweep(
         &self,
         st: &mut BatchState,
         fstep: &mut StepRows,
-        active: &[bool],
         rho: f64,
         scratch: &mut [f64],
         steps: &mut [f64],
     ) {
         steps.fill(0.0);
-        self.demand_sweep::<MASKED>(st, fstep, active, rho, scratch, steps);
-        self.edge_sweep::<MASKED>(st, fstep, active, rho, scratch, steps);
+        self.demand_sweep(st, fstep, rho, scratch, steps);
+        self.edge_sweep(st, fstep, rho, scratch, steps);
     }
 
     /// Per demand, the F-update (one walk of each path's rows gathers
@@ -902,11 +861,10 @@ impl AdmmBatchSolver {
     /// body the two loops ran the solve ≈ 20 % slower at 8 lanes
     /// (same process, 1,024 and 256 nodes).
     #[inline(never)]
-    fn demand_sweep<const MASKED: bool>(
+    fn demand_sweep(
         &self,
         st: &mut BatchState,
         fstep: &mut StepRows,
-        active: &[bool],
         rho: f64,
         scratch: &mut [f64],
         steps: &mut [f64],
@@ -979,9 +937,6 @@ impl AdmmBatchSolver {
                 let fp = row_mut(f, d * k + j, nb);
                 let sp = fstep.row_mut(d * k + j);
                 for lane in 0..nb {
-                    if MASKED && !active[lane] {
-                        continue;
-                    }
                     let x = if vols_d[lane] <= 0.0 {
                         0.0
                     } else {
@@ -994,9 +949,6 @@ impl AdmmBatchSolver {
                 }
             }
             for lane in 0..nb {
-                if MASKED && !active[lane] {
-                    continue;
-                }
                 let g = slack_ascent(1.0, sum[lane], rho, &mut s1_d[lane], &mut l1_d[lane]);
                 lpr[lane] = lpr[lane].max(g);
             }
@@ -1007,11 +959,10 @@ impl AdmmBatchSolver {
     /// extreme F-steps, then `δ_e`, `s3`, `λ3` and `μ_e` in closed form.
     /// Writes the per-row families; reads `F` and its step.
     #[inline(never)]
-    fn edge_sweep<const MASKED: bool>(
+    fn edge_sweep(
         &self,
         st: &mut BatchState,
         fstep: &StepRows,
-        active: &[bool],
         rho: f64,
         scratch: &mut [f64],
         steps: &mut [f64],
@@ -1053,9 +1004,6 @@ impl AdmmBatchSolver {
             let mu_r = row_mut(mu, r, nb);
             let delta_r = row_mut(delta, r, nb);
             for lane in 0..nb {
-                if MASKED && !active[lane] {
-                    continue;
-                }
                 let a = -l3_r[lane] - rho * (s3_r[lane] - cap) + mu_r[lane];
                 let d = (a - rho * flow[lane]) / (rho * (1.0 + n));
                 // |Δz_pe| = |ΔF_p·v + Δδ_e| peaks at an extreme F-step.

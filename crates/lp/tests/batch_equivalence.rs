@@ -1,13 +1,15 @@
 //! Property tests: the lanes of an [`AdmmBatchSolver`] are independent.
 //!
 //! The batched sweep is a layout/parallelism transformation — no ADMM
-//! quantity couples two matrices — so a batch of `B` must reproduce
-//! *bitwise* what `B` batch-of-1 runs produce: same splits, same residuals,
-//! same iteration counts under early stopping (the convergence mask), on
-//! random topologies, heterogeneous demand volumes, both linear objectives,
-//! and failure-modified (zero-capacity) capacity vectors. In the spirit of
-//! the commutativity-rule line of work, lanes commute by construction and
-//! that is machine-checked here.
+//! quantity couples two matrices — so at a fixed iteration count
+//! (`tol = 0`) a batch of `B` must reproduce *bitwise* what `B` batch-of-1
+//! runs produce: same splits, same residuals, on random topologies,
+//! heterogeneous demand volumes, both linear objectives, and
+//! failure-modified (zero-capacity) capacity vectors. Under early stopping
+//! (`tol > 0`) the window stops as one, at the first iteration where every
+//! lane is below `tol`, and each lane is bitwise its batch-of-1 run of that
+//! many iterations. In the spirit of the commutativity-rule line of work,
+//! lanes commute by construction and that is machine-checked here.
 //!
 //! Lane independence compares the solver with itself, so two more checks
 //! guard the arithmetic. The solver keeps Appendix C's per-(path, edge)
@@ -259,12 +261,14 @@ fn golden_hash(seed: u64, cfg: AdmmConfig) -> u64 {
 }
 
 /// The batched arithmetic, pinned: three seeded instances (one under the
-/// paper's fixed 5-iteration fine-tune, two run to `tol` through the
-/// convergence mask) must hash to the values `AdmmBatchSolver` produced at
-/// the commit that collapsed the per-(path, edge) `z`/`λ4` families to
-/// per-edge scalars — new rounding, hence new pins; the twin suite above
-/// is the independent check that the arithmetic behind them is still
-/// Appendix C's. Identical in debug and release and for every
+/// paper's fixed 5-iteration fine-tune, two run to `tol`, the window
+/// stopping as one) must hash to the values `AdmmBatchSolver` produced
+/// — the fixed one since the commit that collapsed the per-(path, edge)
+/// `z`/`λ4` families to per-edge scalars, the `tol` ones since windows stop
+/// as one. The same two `tol` windows solved lane by lane, as batches of
+/// one, keep the pins they had while lanes stopped one by one. The twin
+/// suite above is the independent check that the arithmetic behind them is
+/// still Appendix C's. Identical in debug and release and for every
 /// `TEAL_NN_THREADS`.
 #[test]
 fn pinned_golden_hashes() {
@@ -275,8 +279,8 @@ fn pinned_golden_hashes() {
     };
     for (seed, cfg, want) in [
         (11u64, fixed, 0xb34e_9d00_5fee_5adcu64),
-        (4242, masked, 0x638b_9dcd_5c36_f893),
-        (987_654, masked, 0x9e29_7fa8_7089_5255),
+        (4242, masked, 0x0ccc_4269_e31c_ec79),
+        (987_654, masked, 0x5b8f_01fe_c783_323a),
     ] {
         let got = golden_hash(seed, cfg);
         assert_eq!(
@@ -320,9 +324,10 @@ fn window_hash(outs: &[Allocation], reps: &[AdmmReport]) -> u64 {
 /// Edges no candidate path crosses, pinned: on `large_wan(256, 7)` with
 /// 512 gravity pairs, 279 of the 1,206 edges carry no path, so their
 /// capacity rows hold no variable. Three 8-lane windows — plain, two links
-/// failed (one uncrossed, one crossed), and run to `tol` through the
-/// convergence mask — hash to the values the solver produced while it still
-/// kept a row for every topology edge.
+/// failed (one uncrossed, one crossed), and run to `tol` — hash to the
+/// values the solver produced while it still kept a row for every topology
+/// edge; the `tol` window's own pin dates from windows stopping as one, and
+/// its lanes solved as batches of one keep the older pin.
 #[test]
 fn uncrossed_edges_pinned_hashes() {
     let topo = large_wan(256, 7);
@@ -337,7 +342,7 @@ fn uncrossed_edges_pinned_hashes() {
 
     let mut rng = StdRng::seed_from_u64(0x00c0_55ed);
     let fixed = AdmmConfig::fine_tune(256);
-    let masked = AdmmConfig {
+    let to_tol = AdmmConfig {
         rho: 1.0,
         max_iters: 200,
         tol: 2e-2,
@@ -345,15 +350,17 @@ fn uncrossed_edges_pinned_hashes() {
     for (name, skel, cfg, want) in [
         ("plain", &skel, fixed, 0x802f_8f5c_af87_5bfcu64),
         ("failed-link", &failed, fixed, 0xe309_0174_5529_c779),
-        ("convergence-mask", &skel, masked, 0x8a8b_5204_a02d_3083),
+        ("tol", &skel, to_tol, 0x5bfd_9d0b_c1f4_05cc),
     ] {
         let tms = random_window(8, nd, &mut rng);
         let inits = random_inits(8, nd, k, &mut rng);
         let (outs, reps) = run_fresh(skel, &tms, &inits, cfg);
         if cfg.tol > 0.0 {
-            // The mask froze some lanes and left others to the budget.
-            let frozen = reps.iter().filter(|r| r.iterations < cfg.max_iters).count();
-            assert!(0 < frozen && frozen < 8, "{frozen} of 8 lanes froze");
+            let n = reps[0].iterations;
+            assert!(
+                reps.iter().all(|r| r.iterations == n),
+                "the 8 lanes report different counts: {reps:?}"
+            );
             // Every lane solved alone, as a batch of one.
             let (solo_outs, solo_reps) = solve_each(skel, &tms, &inits, cfg);
             let solo = window_hash(&solo_outs, &solo_reps);
@@ -440,18 +447,42 @@ proptest! {
         }
     }
 
-    /// Early stopping: tol > 0 makes lanes drop out of the sweeps at
-    /// different iterations — the convergence mask must freeze each lane
-    /// exactly where its own batch-of-1 run would stop.
+    /// Early stopping: with tol > 0 the window stops as one, at the first
+    /// iteration `n` where every lane's residual is below `tol`. Each lane
+    /// is then bitwise its own batch-of-1 run of exactly `n` iterations.
     #[test]
-    fn convergence_mask_matches_early_stopping(seed in 0u64..1_000_000) {
+    fn early_stop_is_per_window(seed in 0u64..1_000_000) {
         let (_topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70f1);
         let cfg = AdmmConfig { rho: 1.0, max_iters: 300, tol: 1e-4 };
         for &nb in &[2usize, 7] {
             let tms = random_window(nb, nd, &mut rng);
             let inits = random_inits(nb, nd, k, &mut rng);
-            assert_lanes_independent(&skel, &tms, &inits, cfg)?;
+            let (outs, reps) = run_fresh(&skel, &tms, &inits, cfg);
+            let n = reps[0].iterations;
+            prop_assert!(
+                reps.iter().all(|r| r.iterations == n),
+                "{} lanes report different counts: {:?}", nb, reps
+            );
+            let fixed = |iters| AdmmConfig { max_iters: iters, tol: 0.0, ..cfg };
+            let (solo, solo_reps) = solve_each(&skel, &tms, &inits, fixed(n));
+            prop_assert_eq!(
+                window_hash(&outs, &reps),
+                window_hash(&solo, &solo_reps),
+                "{} lanes stopped at {}: not each lane's batch-of-1 run of {} iterations",
+                nb, n, n
+            );
+            if n < cfg.max_iters {
+                prop_assert!(
+                    reps.iter().all(|r| r.residual() < cfg.tol),
+                    "stopped at {} with a lane above tol: {:?}", n, reps
+                );
+                let (_, before) = solve_each(&skel, &tms, &inits, fixed(n - 1));
+                prop_assert!(
+                    before.iter().any(|r| r.residual() >= cfg.tol),
+                    "every lane was below tol at {}, yet the window ran to {}", n - 1, n
+                );
+            }
         }
     }
 
@@ -505,9 +536,10 @@ proptest! {
         assert_matches_twin(&topo, &paths, obj, &skel, &tms, &inits, cfg)?;
     }
 
-    /// Run to `tol` through the convergence mask (lanes stop anywhere from
-    /// tens to thousands of iterations in): each lane must stop at the
-    /// iteration the twin stops at, with the twin's answer.
+    /// Run to `tol` (windows stop anywhere from tens to thousands of
+    /// iterations in): each lane must match the twin run for the window's
+    /// iteration count `n` at `tol = 0`. That a `tol` window is bitwise its
+    /// own run of `n` iterations is `early_stop_is_per_window`'s check.
     #[test]
     fn convergence_matches_appendix_c_twin(seed in 0u64..1_000_000, gamma in 0.05f64..0.9) {
         let obj = if seed % 2 == 0 {
@@ -520,6 +552,8 @@ proptest! {
         let cfg = AdmmConfig::to_convergence();
         let tms = random_window(5, nd, &mut rng);
         let inits = random_inits(5, nd, k, &mut rng);
+        let (_, reps) = run_fresh(&skel, &tms, &inits, cfg);
+        let cfg = AdmmConfig { max_iters: reps[0].iterations, tol: 0.0, ..cfg };
         assert_matches_twin(&topo, &paths, obj, &skel, &tms, &inits, cfg)?;
     }
 
@@ -533,8 +567,8 @@ proptest! {
     fn arena_reuse_across_windows_matches_fresh(seed in 0u64..1_000_000) {
         let (topo, _paths, skel, nd, k) = random_problem(seed, Objective::TotalFlow);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xa12e);
-        // tol > 0 so the convergence mask (and its all-lanes fast path
-        // hand-off) is exercised across reused buffers.
+        // tol > 0 so windows stop early, at different counts, across
+        // reused buffers.
         let cfg = AdmmConfig { rho: 1.0, max_iters: 60, tol: 1e-4 };
         let degraded = topo.with_failed_edges(&[0]);
         let swapped = skel.with_topology(&degraded);

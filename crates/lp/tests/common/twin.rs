@@ -1,6 +1,6 @@
 //! Appendix C's ADMM written out literally — one traffic matrix, scalar
 //! loops, an auxiliary `z_pe` and a multiplier `λ4_pe` stored for every
-//! (path, edge) incidence entry, no tiling, no lanes, no mask. It is the
+//! (path, edge) incidence entry, no tiling, no lanes. It is the
 //! independent check of `AdmmBatchSolver`, which keeps `z`/`λ4` only as
 //! per-edge scalars: `batch_equivalence.rs` drives both over the same
 //! instances, and [`TwinRun::identity_gap`] measures the identity the

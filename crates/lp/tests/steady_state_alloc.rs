@@ -177,14 +177,13 @@ fn first_window_footprint_has_no_per_entry_family() {
 
     // Lane rows: per path F; per demand s1, λ1 and the volumes; per crossed
     // edge s3, λ3, μ and δ (ν = ρδ − μ is recomputed); the sweeps' 2k + 4
-    // working rows; the three step maxima, three residuals and the
-    // iteration counts. Then, per lane, one mask byte and one report. The
+    // working rows; the three step maxima. Then, per lane, one report. The
     // splits are written over the warm starts, so there is no output copy,
     // and until then they hold the F-step's rows, all but the `np mod
     // BATCH` left over, whose tail reserves BATCH² values. Nothing else.
-    let rows = np + 3 * nd + 4 * crossed + (2 * k + 4) + 7;
+    let rows = np + 3 * nd + 4 * crossed + (2 * k + 4) + 3;
     let tail = BATCH * BATCH * 8;
-    let expected = ((rows * 8 + 1 + std::mem::size_of::<AdmmReport>()) * BATCH + tail) as u64;
+    let expected = ((rows * 8 + std::mem::size_of::<AdmmReport>()) * BATCH + tail) as u64;
     println!(
         "admm first window: {np} paths, {nd} demands, {crossed}/{ne} edges crossed, \
          {BATCH} lanes, {grew} B"

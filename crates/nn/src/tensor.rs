@@ -141,20 +141,6 @@ impl Tensor {
         }
     }
 
-    /// Reshape by consuming the tensor — no buffer copy.
-    pub fn into_reshaped(self, rows: usize, cols: usize) -> Tensor {
-        assert_eq!(
-            rows * cols,
-            self.len(),
-            "reshape must preserve element count"
-        );
-        Tensor {
-            rows,
-            cols,
-            data: self.data,
-        }
-    }
-
     /// Transposed copy.
     pub fn transposed(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);

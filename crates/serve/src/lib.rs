@@ -54,8 +54,8 @@
 //!        │          │   try_allocate_batch_with        (plain), or    │
 //!        │          │   Topology::with_failed_edges ─►                │
 //!        │          │   try_allocate_batch_on_with     (failed links) │
-//!        │          │ ⊕ solve-end · SolveReport (iters, residuals,    │
-//!        │          │   frozen lanes) out of the arena                │
+//!        │          │ ⊕ solve-end · SolveReport (lanes, iters,        │
+//!        │          │   residuals) out of the arena                   │
 //!        │          │ ok: ⊕ reply-write, StageTimings::split per req  │
 //!        │          │ failed (Err, panic), > 1 request: requeue each  │
 //!        │          │   alone; 1 request: its error reply             │
@@ -75,7 +75,7 @@
 //!   shard's, in ShardStats under the shard's own lock):
 //!   ServeDaemon::stats() / TealClient::stats() ──► TelemetrySnapshot,
 //!   folded from the shards: per-topology e2e + queue-wait/solve/write
-//!     p50/p99 · AdmmStats (iters, lanes, residuals, frozen lanes)
+//!     p50/p99 · AdmmStats (windows, lanes, iters, residuals)
 //!     · per-tenant request/window counts (≤ 64 tenants + "other" per
 //!     topology) · deadline inversions · deepest shard queue · unmatched
 //!     replies · teal_nn pool gauges · slow exemplars
@@ -85,7 +85,7 @@
 //!                    └──┬──────────────────┬──────────────────────┬────────┘
 //!                       ▼                  ▼                      ▼
 //!               snapshot structs    STATS_OK codec         to_prometheus()
-//!               (pub fields)        (wire::Wire, v5        (family-major,
+//!               (pub fields)        (wire::Wire, v6        (family-major,
 //!                                    bytes, min sizes)      escaped labels)
 //! ```
 //!
@@ -137,9 +137,10 @@
 //!   order by request id** off the loop's one completion queue of
 //!   `(connection, id)` pairs and answering STATS on receipt; and a
 //!   blocking client with pipelined submits returning the same [`Ticket`]
-//!   handle in-process callers use. Protocol version 5 (v5 drops the
-//!   budgeted-iteration total and the per-budget window counts from
-//!   STATS_OK; v4 added the unmatched-reply counter; v3 added the optional
+//!   handle in-process callers use. Protocol version 6 (v6 drops the
+//!   per-lane iteration spread and the frozen-lane count from STATS_OK;
+//!   v5 dropped the budgeted-iteration total and the per-budget window
+//!   counts; v4 added the unmatched-reply counter; v3 added the optional
 //!   tenant tag to REQUEST and the tenant telemetry; other versions are
 //!   refused at HELLO):
 //!
@@ -160,8 +161,8 @@
 //!   each with p50/p99) alongside the end-to-end one — and each
 //!   [`ServeReply`] carries its own [`telemetry::StageTimings`] breakdown,
 //!   split from those four instants. Batches that reach the
-//!   ADMM fine-tuner feed a [`teal_core::SolveReport`] (iteration counts,
-//!   primal/dual residuals, lane-freeze fractions) into per-topology
+//!   ADMM fine-tuner feed a [`teal_core::SolveReport`] (lanes, the
+//!   window's iteration count, primal/dual residuals) into per-topology
 //!   [`telemetry::AdmmStats`]; `teal_nn::pool` occupancy gauges and a
 //!   bounded ring of slow-request exemplars round out the snapshot. Export
 //!   it three ways: [`ServeDaemon::stats`] in process,

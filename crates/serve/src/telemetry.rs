@@ -189,16 +189,9 @@ impl AdmmStats {
     /// Fold one solver window into the totals (a shard accumulates straight
     /// into the struct it exports).
     fn record(&mut self, r: &teal_core::SolveReport) {
-        if self.windows == 0 {
-            self.min_lane_iterations = r.min_iterations as u64;
-        } else {
-            self.min_lane_iterations = self.min_lane_iterations.min(r.min_iterations as u64);
-        }
         self.windows += 1;
         self.lanes += r.lanes as u64;
-        self.iterations += r.iterations;
-        self.max_lane_iterations = self.max_lane_iterations.max(r.max_iterations as u64);
-        self.frozen_lanes += r.frozen_lanes as u64;
+        self.iterations += (r.lanes * r.iterations) as u64;
         self.last_primal_residual = r.max_primal_residual;
         self.last_dual_residual = r.max_dual_residual;
         self.max_primal_residual = self.max_primal_residual.max(r.max_primal_residual);
@@ -598,7 +591,6 @@ impl<K: Display, V: Prom> Prom for (K, V) {
 /// a `pub` field and one step of the [`Wire`] codec — its type's impl, or
 /// the `as` type's after a cast. The group kind says what else it is:
 ///
-/// * `wire` — nothing else: carried, not rendered.
 /// * `label("k")` / `label_after("k")` — its value labels every sample the
 ///   struct renders, before / after the sample's own row labels.
 /// * `index("k")` (no rows) — labels them with the struct's position in
@@ -747,16 +739,6 @@ metrics! {
             /// only while the benchmark reads it as
             /// `serve.daemon.budget_downgrades`; delete it once that row goes.
             budget_downgrades: u64,
-        }
-        wire {
-            /// Fewest iterations any lane ran.
-            min_lane_iterations: u64,
-            /// Most iterations any lane ran.
-            max_lane_iterations: u64,
-        }
-        counter("teal_serve_admm_frozen_lanes_total", "Lanes converged before the configured max_iters.") {
-            /// Lanes that converged (froze) before the configured `max_iters`.
-            frozen_lanes: u64,
         }
         gauge("teal_serve_admm_residual", "Final ADMM residuals (kind=primal|dual, stat=last|max).") {
             /// Worst primal residual of the most recent window.
@@ -1100,10 +1082,7 @@ mod tests {
         ];
         let report = teal_core::SolveReport {
             lanes: 2,
-            iterations: 4,
-            min_iterations: 2,
-            max_iterations: 2,
-            frozen_lanes: 0,
+            iterations: 2,
             max_primal_residual: 0.25,
             max_dual_residual: 0.125,
         };
@@ -1119,9 +1098,6 @@ mod tests {
         assert_eq!(admm.lanes, 2);
         assert_eq!(admm.iterations, 4);
         assert_eq!(admm.budget_downgrades, 0);
-        assert_eq!(admm.min_lane_iterations, 2);
-        assert_eq!(admm.max_lane_iterations, 2);
-        assert_eq!(admm.frozen_lanes, 0);
         assert!((admm.mean_iterations() - 2.0).abs() < 1e-12);
         assert!((admm.last_primal_residual - 0.25).abs() < 1e-12);
         assert!((admm.max_dual_residual - 0.125).abs() < 1e-12);

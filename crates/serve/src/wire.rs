@@ -102,7 +102,9 @@ const MAGIC_LE: u32 = u32::from_le_bytes(*MAGIC);
 /// v4: STATS_OK gained the unmatched-replies counter.
 /// v5: STATS_OK dropped the budgeted-iteration total and the per-budget
 /// window counts.
-pub const VERSION: u16 = 5;
+/// v6: STATS_OK dropped the per-lane iteration spread (fewest and most
+/// iterations any lane ran) and the frozen-lane count.
+pub const VERSION: u16 = 6;
 /// Upper bound on a single frame (guards the length prefix against a
 /// corrupt or hostile peer asking us to allocate gigabytes).
 pub const MAX_FRAME: u32 = 64 << 20;

@@ -169,9 +169,6 @@ fn synth_snapshot(seed: u64, ntopo: usize, nsizes: usize, nslow: usize) -> Telem
                     lanes: next() % 100_000,
                     iterations: next() % 1_000_000,
                     budget_downgrades: next() % 10_000,
-                    min_lane_iterations: next() % 64,
-                    max_lane_iterations: next() % 64,
-                    frozen_lanes: next() % 100_000,
                     last_primal_residual: (next() % 1000) as f64 / 1000.0,
                     max_primal_residual: (next() % 1000) as f64 / 100.0,
                     last_dual_residual: (next() % 1000) as f64 / 1000.0,
@@ -407,11 +404,13 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// The v5 STATS_OK bytes and the Prometheus line multiset, pinned as
+/// The v6 STATS_OK bytes and the Prometheus line multiset, pinned as
 /// FNV-1a hashes. The v4 pins were captured at commit `2d9e872` (the last
 /// hand-written codec and renderer); v5 re-pinned both when the
 /// budgeted-iteration total and the per-budget window counts left the
-/// snapshot. Lines are hashed sorted because family-major ordering is the
+/// snapshot, and v6 when the per-lane iteration spread and the frozen-lane
+/// count did (the empty snapshot's bytes did not move; its Prometheus text
+/// lost the frozen-lane family's help and type lines). Lines are hashed sorted because family-major ordering is the
 /// one permitted change to the text. (Before v5 the Prometheus hashes moved
 /// twice, each time with one help line: `teal_nn_pool_capped_skips_total`,
 /// then `teal_serve_max_queue_depth` when it became a per-shard high-water
@@ -424,12 +423,12 @@ fn stats_golden() {
             3usize,
             4usize,
             5usize,
-            0x5d28357c067ac185u64,
-            0x28295ce8dfa97113u64,
+            0x77515d869ca1e0ddu64,
+            0x1aa2bf0826b21a1fu64,
         ),
-        (42, 3, 4, 5, 0xd3c8895de39bf779, 0x7a303b736172995a),
+        (42, 3, 4, 5, 0x6c34c9b8a0ac1d79, 0xd9752569a94cfef7),
         // `admm: None` everywhere and every vector empty.
-        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0xfc6ed1f6a8b49cec),
+        (0, 0, 0, 0, 0xef935e3c2a4475c8, 0xb386e3cf9feb80a5),
     ] {
         let snap = synth_snapshot(seed, ntopo, nsizes, nslow);
         let mut buf = Vec::new();
@@ -448,7 +447,7 @@ fn stats_golden() {
 /// REQUEST and REPLY frames (length prefix included), pinned as FNV-1a
 /// hashes captured at commit `f5880bf`, and the HELLO, HELLO_OK and STATS
 /// frames, captured at `25e0425` (HELLO and HELLO_OK carry
-/// `wire::VERSION`, so they were re-pinned at v5): the benchmark's raw-socket load
+/// `wire::VERSION`, so they were re-pinned at v5 and at v6): the benchmark's raw-socket load
 /// generator writes HELLO, REQUEST and STATS frames and decodes HELLO_OK
 /// and REPLY frames itself, so their bytes are a contract beside
 /// STATS_OK's.
@@ -522,9 +521,9 @@ fn request_reply_golden() {
         0xf148138c3e1430c5,
         0xde914f397a4c1ece,
         0x047ba11edad03551,
-        // HELLO, HELLO_OK (v5)
-        0x59b3461e45e3ac6e,
-        0x2b806d9efe8296b1,
+        // HELLO, HELLO_OK (v6)
+        0x59afe01e45e0c945,
+        0x2b83d39efe8579da,
         // STATS with the smallest and a near-largest id
         0xb1f090debbf2584b,
         0xd8befdfd3cd33726,

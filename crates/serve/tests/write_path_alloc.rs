@@ -105,9 +105,6 @@ fn snapshot() -> TelemetrySnapshot {
                 lanes: 9_000,
                 iterations: 45_000,
                 budget_downgrades: 17,
-                min_lane_iterations: 2,
-                max_lane_iterations: 5,
-                frozen_lanes: 31,
                 last_primal_residual: 0.25,
                 max_primal_residual: 1.5,
                 last_dual_residual: 0.125,

@@ -112,11 +112,10 @@ fn main() {
         );
         if let Some(admm) = &t.admm {
             println!(
-                "          admm: {} windows / {} lanes, {:.2} iters/lane, {} frozen, residual p/d {:.3e}/{:.3e}",
+                "          admm: {} windows / {} lanes, {:.2} iters/lane, residual p/d {:.3e}/{:.3e}",
                 admm.windows,
                 admm.lanes,
                 admm.mean_iterations(),
-                admm.frozen_lanes,
                 admm.last_primal_residual,
                 admm.last_dual_residual
             );

@@ -87,11 +87,10 @@ fn main() {
         );
         if let Some(admm) = &t.admm {
             println!(
-                "    admm: {} windows / {} lanes, {:.2} iters/lane, {} frozen",
+                "    admm: {} windows / {} lanes, {:.2} iters/lane",
                 admm.windows,
                 admm.lanes,
-                admm.mean_iterations(),
-                admm.frozen_lanes
+                admm.mean_iterations()
             );
         }
     }
