@@ -27,75 +27,21 @@
 //! valued, copied incidence `Env::new` added 620,652 B there.
 //!
 //! It counts live bytes (allocations minus frees) across *all* threads,
-//! because `PathSet::compute` runs on scoped workers, so it is its own
-//! binary with no test harness: nothing else runs while it measures.
+//! with the workspace's metering allocator (`teal-meter`), because
+//! `PathSet::compute` runs on scoped workers, so it is its own binary with
+//! no test harness: nothing else runs while it measures.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
+use std::alloc::Layout;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicIsize, Ordering::SeqCst};
 use std::sync::Arc;
 use teal_core::{EngineConfig, Env, ServingContext, TealConfig, TealModel};
+use teal_meter::{live_added, peak_added};
 use teal_nn::Csr;
 use teal_topology::{b4, gravity_pairs, large_wan, PathSet};
 use teal_traffic::TrafficMatrix;
 
-/// `System` plus one process-wide count of live bytes and its high-water
-/// mark.
-struct LiveBytes;
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-static PEAK: AtomicIsize = AtomicIsize::new(0);
-
-/// Add `delta` live bytes and raise the high-water mark to match.
-fn add_live(delta: isize) {
-    let live = LIVE.fetch_add(delta, SeqCst) + delta;
-    PEAK.fetch_max(live, SeqCst);
-}
-
-// SAFETY: every method forwards to `System`, so `System` upholds
-// GlobalAlloc's contract; the counter touches no allocated memory.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        add_live(layout.size() as isize);
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, SeqCst);
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        add_live(new_size as isize - layout.size() as isize);
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
-
-/// `build()`'s result, still alive, and the live bytes it added.
-fn measure<T>(build: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.load(SeqCst);
-    let built = build();
-    (built, (LIVE.load(SeqCst) - before) as usize)
-}
-
-/// `run()`'s result and the most live bytes it added at any point.
-fn measure_peak<T>(run: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.load(SeqCst);
-    PEAK.store(before, SeqCst);
-    let out = run();
-    (out, (PEAK.load(SeqCst) - before) as usize)
-}
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 /// The heap block of an `Arc<T>`: two counts, then the value.
 fn arc_of(value: Layout) -> usize {
@@ -138,7 +84,7 @@ fn ledger(nodes: usize) -> Ledger {
         .filter(|&e| !paths.paths_on_edge(e).is_empty())
         .count();
 
-    let (env, env_bytes) = measure(move || Env::new(topo, paths));
+    let (env, env_bytes) = live_added(move || Env::new(topo, paths));
     // `A`'s sorted columns, and the two `Arc<Csr>` blocks.
     let env_want = arc_u32s(nnz) + 2 * arc_of(Layout::new::<Csr>());
 
@@ -146,7 +92,7 @@ fn ledger(nodes: usize) -> Ledger {
     let model_cfg = TealConfig::default();
     let model = TealModel::new(Arc::clone(&env), model_cfg);
     let tm = TrafficMatrix::new((0..env.num_demands()).map(|d| (d % 17) as f64).collect());
-    let (mu, infer) = measure_peak(|| model.infer_mu(&env.model_input(&tm, None)));
+    let (mu, infer) = peak_added(|| model.infer_mu(&env.model_input(&tm, None)));
     let width = 1 + (model_cfg.gnn_layers - 1) * model_cfg.embed_growth;
     let edges = env.topo().num_edges();
     let f32s = |n: usize| n * size_of::<f32>();
@@ -159,7 +105,7 @@ fn ledger(nodes: usize) -> Ledger {
     let infer_want = f32s(num_paths + edges) + gnn;
     drop(mu);
     let cfg = EngineConfig::paper_default(nodes);
-    let (ctx, ctx_bytes) = measure(move || ServingContext::new(model, cfg));
+    let (ctx, ctx_bytes) = live_added(move || ServingContext::new(model, cfg));
     // The index's fields: two shared `Arc<[u32]>` handles (the path set's
     // path-major offsets and `e2p`) and three owned `Vec<u32>`s.
     let index = Layout::new::<(Arc<[u32]>, Arc<[u32]>, Vec<u32>, Vec<u32>, Vec<u32>)>();

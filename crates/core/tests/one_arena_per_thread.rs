@@ -5,68 +5,20 @@
 //! (after a different-shape window and a failed-link window) serves what a
 //! cold one, on a freshly spawned thread, serves.
 //!
-//! Byte counts come from a per-thread counting global allocator, and the
-//! windows run inline under `with_thread_cap(1, ..)`, so every byte a
-//! window requests lands on the thread that reads the counter. It prints
-//! one ledger line.
+//! Byte counts are the requested bytes that the workspace's metering
+//! allocator (`teal-meter`) counts per thread, and the windows run inline
+//! under `with_thread_cap(1, ..)`, so every byte a window requests lands on
+//! the thread that reads the counter. It prints one ledger line.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use teal_core::{BatchScratch, EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_lp::Allocation;
+use teal_meter::thread_bytes;
 use teal_topology::{gravity_pairs, large_wan, PathSet};
 use teal_traffic::TrafficMatrix;
 
-/// `System` plus a per-thread count of requested bytes.
-struct CountingAlloc;
-
-thread_local! {
-    /// Bytes this thread has requested: every `alloc`'s size plus every
-    /// `realloc`'s growth. Const-initialized and destructor-free, so
-    /// touching it from inside the allocator neither allocates nor
-    /// outlives the thread.
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_alloc(bytes: usize) {
-    // `try_with`: a thread being torn down may allocate after its locals.
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-/// Bytes requested so far by the calling thread.
-fn thread_alloc_bytes() -> u64 {
-    BYTES.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System`, so `System` upholds
-// GlobalAlloc's contract; the counter touches no allocated memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size.saturating_sub(layout.size()));
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 /// A window of `nb` matrices over `nd` demands, distinct per `seed`.
 fn window(nd: usize, nb: usize, seed: usize) -> Vec<TrafficMatrix> {
@@ -112,14 +64,14 @@ fn a_one_shot_window_reuses_the_threads_arena() {
         ctx.try_allocate_batch_with(&w8, &mut scratch)
             .expect("warm-up window");
 
-        let before = thread_alloc_bytes();
+        let before = thread_bytes();
         let (retained, _) = ctx
             .try_allocate_batch_with(&w8, &mut scratch)
             .expect("retained window");
-        let retained_bytes = thread_alloc_bytes() - before;
-        let before = thread_alloc_bytes();
+        let retained_bytes = thread_bytes() - before;
+        let before = thread_bytes();
         let (one_shot, _) = ctx.try_allocate_batch(&w8).expect("one-shot window");
-        let one_shot_bytes = thread_alloc_bytes() - before;
+        let one_shot_bytes = thread_bytes() - before;
 
         // The arena's rows: per path F; per demand s1 and λ1; per crossed
         // edge s3, λ3, μ and δ; the sweeps' 2k + 4 working rows and the

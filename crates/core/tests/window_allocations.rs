@@ -13,68 +13,21 @@
 //! the dead-path list as well). ADMM makes none once the thread's arena is
 //! warm.
 //!
-//! The count is taken on the calling thread with a per-thread counting
-//! global allocator, under `TEAL_NN_THREADS=1` (set here, before the first
-//! pool job, since the cap is read once per process), so every allocation
-//! a window makes lands on the thread that reads the counter. The binary
-//! holds this one `#[test]`. It prints one ledger line.
+//! The count is taken on the calling thread with the workspace's metering
+//! allocator (`teal-meter`), which counts calls per thread, under
+//! `TEAL_NN_THREADS=1` (set here, before the first pool job, since the cap
+//! is read once per process), so every allocation a window makes lands on
+//! the thread that reads the counter. The binary holds this one `#[test]`.
+//! It prints one ledger line.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use teal_core::{BatchScratch, EngineConfig, Env, ServingContext, TealConfig, TealModel};
+use teal_meter::thread_calls;
 use teal_topology::{gravity_pairs, large_wan, PathSet};
 use teal_traffic::TrafficMatrix;
 
-/// `System` plus a per-thread count of allocation calls.
-struct CountingAlloc;
-
-thread_local! {
-    /// `alloc`, `alloc_zeroed` and `realloc` calls made by this thread.
-    /// Const-initialized and destructor-free, so touching it from inside
-    /// the allocator neither allocates nor outlives the thread.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_call() {
-    // `try_with`: a thread being torn down may allocate after its locals.
-    let _ = CALLS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System`, so `System` upholds
-// GlobalAlloc's contract; the counter touches no allocated memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
-        // SAFETY: pass-through, as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 /// Allocations per matrix of a window.
 const PER_MATRIX: u64 = 9;
@@ -118,13 +71,13 @@ fn window_allocations_are_a_constant_plus_a_per_matrix_term() {
     let mut scratch = BatchScratch::new();
     let mut calls = |seed: usize, nb: usize, on_failed: bool| {
         let tms = window(nd, nb, seed);
-        let before = CALLS.with(Cell::get);
+        let before = thread_calls();
         let served = if on_failed {
             ctx.try_allocate_batch_on_with(&failed, &tms, &mut scratch)
         } else {
             ctx.try_allocate_batch_with(&tms, &mut scratch)
         };
-        let calls = CALLS.with(Cell::get) - before;
+        let calls = thread_calls() - before;
         assert_eq!(served.expect("window").0.len(), nb);
         calls
     };

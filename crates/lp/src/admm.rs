@@ -714,42 +714,19 @@ impl AdmmBatchSolver {
             tail,
         } = arena;
 
-        // Warm-start copy plus the per-lane demand projection, done directly
-        // in the SoA lanes: same clamp / sum / rescale order as
-        // `Allocation::project_demand_constraints`, so the start is bitwise
-        // identical to projecting each warm start and copying it in.
-        for (b, init) in allocs.iter().enumerate() {
+        // Each warm start, projected onto the demand constraints, is copied
+        // into `F`. Near-consistent start: z matches the warm-started flows
+        // (δ = 0, as `reset_for` left it, with μ = 0), slacks absorb the
+        // residual demands and capacities.
+        for (b, init) in allocs.iter_mut().enumerate() {
             assert_eq!(init.num_demands(), self.num_demands);
             assert_eq!(init.k(), k);
-            for (p, &v) in init.splits().iter().enumerate() {
-                st.f[p * nb + b] = v;
-            }
-        }
-        for d in 0..self.num_demands {
-            for b in 0..nb {
+            init.project_demand_constraints();
+            for (d, splits) in init.splits().chunks_exact(k).enumerate() {
                 let mut sum = 0.0;
-                for j in 0..k {
-                    let v = &mut st.f[(d * k + j) * nb + b];
-                    if !v.is_finite() || *v < 0.0 {
-                        *v = 0.0;
-                    }
-                    sum += *v;
-                }
-                if sum > 1.0 {
-                    for j in 0..k {
-                        st.f[(d * k + j) * nb + b] /= sum;
-                    }
-                }
-            }
-        }
-        // Near-consistent start: z matches the warm-started flows (δ = 0,
-        // as `reset_for` left it, with μ = 0), slacks absorb the residual
-        // capacities.
-        for d in 0..self.num_demands {
-            for b in 0..nb {
-                let mut sum = 0.0;
-                for j in 0..k {
-                    sum += st.f[(d * k + j) * nb + b];
+                for (j, &v) in splits.iter().enumerate() {
+                    st.f[(d * k + j) * nb + b] = v;
+                    sum += v;
                 }
                 st.s1[d * nb + b] = (1.0 - sum).max(0.0);
             }

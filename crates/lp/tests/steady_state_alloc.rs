@@ -5,26 +5,28 @@
 //! refines a retained set of allocations in place or copies warm starts
 //! into retained outputs.
 //!
-//! A counting global allocator (`common/mod.rs`, shared with
-//! `steady_state_alloc_on.rs`) wraps `System` and counts per thread; the
-//! test snapshots its own thread's counter around each window, so neither
-//! libtest's main thread nor a sibling test can pollute the count.
+//! The workspace's metering allocator (`teal-meter`) counts allocation
+//! calls per thread; the test snapshots its own thread's count around each
+//! window, so neither libtest's main thread nor a sibling test can pollute
+//! the count.
 //!
-//! The same allocator's byte counter pins the *first* window too, exactly:
-//! a fresh arena + solver allocates only per-path, per-demand and
-//! per-crossed-edge lane rows — no buffer sized by the incidence non-zero
-//! count, no row for an edge no path crosses, no output copy, and one
-//! per-path family only: the F-step lives in the window's allocations
-//! (`first_window_footprint_has_no_per_entry_family`). Narrower windows,
-//! whose lane count leaves F-step rows over for the arena's tail, reuse
-//! the widest window's buffers (`narrower_windows_allocate_nothing`).
+//! The meter's per-thread count of requested bytes pins the *first*
+//! window too, exactly: a fresh arena + solver allocates only per-path,
+//! per-demand and per-crossed-edge lane rows — no buffer sized by the
+//! incidence non-zero count, no row for an edge no path crosses, no output
+//! copy, and one per-path family only: the F-step lives in the window's
+//! allocations (`first_window_footprint_has_no_per_entry_family`).
+//! Narrower windows, whose lane count leaves F-step rows over for the
+//! arena's tail, reuse the widest window's buffers
+//! (`narrower_windows_allocate_nothing`).
 
-mod common;
-
-use common::{thread_alloc_bytes, thread_allocs};
 use teal_lp::{AdmmConfig, AdmmReport, AdmmSkeleton, Allocation, BatchArena, Objective};
+use teal_meter::{thread_bytes, thread_calls};
 use teal_topology::{b4, generate, gravity_pairs, large_wan, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
+
+#[global_allocator]
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 #[test]
 fn steady_state_windows_allocate_nothing() {
@@ -91,20 +93,20 @@ fn steady_state_windows_allocate_nothing() {
     );
 
     // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
-    assert!(thread_allocs() > 0, "per-thread counter is dead");
+    assert!(thread_calls() > 0, "per-thread counter is dead");
 
     // Windows 2..: remint + solve must be allocation-free on both loops.
     for (w, tms) in windows.iter().enumerate().skip(1) {
-        let before = thread_allocs();
+        let before = thread_calls();
         skel.remint_batch_solver(&mut solver, tms);
         solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
-        let grew = thread_allocs() - before;
+        let grew = thread_calls() - before;
         assert_eq!(
             grew, 0,
             "window {w} performed {grew} heap allocations on the steady-state hot path"
         );
 
-        let before = thread_alloc_bytes();
+        let before = thread_bytes();
         for (alloc, init) in allocs.iter_mut().zip(&inits) {
             alloc.splits_mut().copy_from_slice(init.splits());
         }
@@ -115,7 +117,7 @@ fn steady_state_windows_allocate_nothing() {
             &mut arena_in_place,
             &mut reports_in_place,
         );
-        let grew = thread_alloc_bytes() - before;
+        let grew = thread_bytes() - before;
         assert_eq!(
             grew, 0,
             "window {w} allocated {grew} B refining its allocations in place"
@@ -164,7 +166,7 @@ fn first_window_footprint_has_no_per_entry_family() {
     let mut allocs = vec![Allocation::shortest_path(nd, k); BATCH];
     let mut reports = Vec::new();
 
-    let before = thread_alloc_bytes();
+    let before = thread_bytes();
     let mut arena = BatchArena::new();
     let solver = skel.batch_solver(&tms);
     solver.run_batch_in_place(
@@ -173,7 +175,7 @@ fn first_window_footprint_has_no_per_entry_family() {
         &mut arena,
         &mut reports,
     );
-    let grew = thread_alloc_bytes() - before;
+    let grew = thread_bytes() - before;
 
     // Lane rows: per path F; per demand s1, λ1 and the volumes; per crossed
     // edge s3, λ3, μ and δ (ν = ρδ − μ is recomputed); the sweeps' 2k + 4
@@ -246,10 +248,10 @@ fn serve_widths(skel: &AdmmSkeleton, nd: usize, k: usize, lanes: &[usize]) {
     let mut reports = Vec::new();
     let mut solver = skel.batch_solver(&windows[0].0);
     for (w, ((tms, mut allocs), cold)) in windows.into_iter().zip(&cold).enumerate() {
-        let before = thread_alloc_bytes();
+        let before = thread_bytes();
         skel.remint_batch_solver(&mut solver, &tms);
         solver.run_batch_in_place(&mut allocs, cfg, &mut arena, &mut reports);
-        let grew = thread_alloc_bytes() - before;
+        let grew = thread_bytes() - before;
         let nb = tms.len();
         if w > 0 {
             assert_eq!(grew, 0, "{nb}-lane window {w} allocated {grew} B");

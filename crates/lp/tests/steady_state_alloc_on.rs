@@ -7,14 +7,16 @@
 //! retained state, the shard's actual serving pattern.
 //!
 //! Companion to `steady_state_alloc.rs` (which pins the plain path), on
-//! the same per-thread counting allocator (`common/mod.rs`).
+//! the same per-thread count of the workspace's metering allocator
+//! (`teal-meter`).
 
-mod common;
-
-use common::thread_allocs;
 use teal_lp::{AdmmConfig, AdmmSkeleton, Allocation, BatchArena, Objective};
+use teal_meter::thread_calls;
 use teal_topology::{generate, PathSet, TopoKind};
 use teal_traffic::TrafficMatrix;
+
+#[global_allocator]
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 #[test]
 fn failure_windows_allocate_nothing_in_steady_state() {
@@ -72,7 +74,7 @@ fn failure_windows_allocate_nothing_in_steady_state() {
     solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
 
     // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
-    assert!(thread_allocs() > 0, "per-thread counter is dead");
+    assert!(thread_calls() > 0, "per-thread counter is dead");
 
     // Steady state: alternate failure and plain windows on the retained
     // solver/arena — exactly the shard's signature-grouped drain pattern.
@@ -81,10 +83,10 @@ fn failure_windows_allocate_nothing_in_steady_state() {
     for (w, tms) in windows.iter().enumerate().skip(2) {
         let on_failure = w % 2 == 0;
         let use_skel = if on_failure { &skel_on } else { &skel };
-        let before = thread_allocs();
+        let before = thread_calls();
         use_skel.remint_batch_solver(&mut solver, tms);
         solver.run_batch_into(&inits, cfg, &mut arena, &mut outs, &mut reports);
-        let grew = thread_allocs() - before;
+        let grew = thread_calls() - before;
         assert_eq!(
             grew,
             0,

@@ -13,7 +13,7 @@
 //! finite differences in this module's tests and in property tests.
 
 use crate::sparse::{Aggregate, CsrPair};
-use crate::tensor::{linear_act_into, matmul, matmul_a_bt, matmul_at_b, Tensor};
+use crate::tensor::{matmul, matmul_a_bt, matmul_at_b, Dense, Tensor};
 use std::sync::Arc;
 
 /// Handle to a node on the tape.
@@ -167,7 +167,7 @@ impl Graph {
         let (m, k) = tx.shape();
         let n = tw.cols();
         let mut out = Tensor::zeros(m, n);
-        linear_act_into(tx.data(), k, tw, tb.data(), slope, out.data_mut());
+        Dense::new(tw, tb.data(), slope).rows_into(tx.data(), k, &[], 0, out.data_mut());
         let ng = self.needs(x) || self.needs(w) || self.needs(b);
         self.push(out, Op::LinearAct { x, w, b, slope }, ng)
     }

@@ -245,34 +245,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Fused dense layer kernel: `out = leaky(a * w + bias)` computed row by
-/// row, touching each output row exactly once while it is cache-resident.
-/// `slope == 1.0` makes the activation the identity (no-activation layers).
-/// Avoids the two intermediate tensors (and four extra memory passes) a
-/// matmul / bias-add / activation op chain would allocate — the difference
-/// between cache-resident and RAM-bound on wide batched inputs. This is
-/// [`linear2_act_into`] with an empty second operand.
-pub fn linear_act_into(a: &[f32], k: usize, w: &Tensor, bias: &[f32], slope: f32, out: &mut [f32]) {
-    linear2_act_into(a, k, &[], 0, w, bias, slope, out);
-}
-
-/// Fused two-input dense layer kernel: `out = leaky([a | b] * w + bias)`
-/// without materializing the column concatenation. `w`'s first `a_cols`
-/// rows apply to `a`, the rest to `b`. This is [`Dense::rows_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn linear2_act_into(
-    a: &[f32],
-    a_cols: usize,
-    b: &[f32],
-    b_cols: usize,
-    w: &Tensor,
-    bias: &[f32],
-    slope: f32,
-    out: &mut [f32],
-) {
-    Dense::new(w, bias, slope).rows_into(a, a_cols, b, b_cols, out);
-}
-
 /// One dense layer `y = leaky([a | b] w + bias)` borrowed from its
 /// parameters, applied one row at a time. `w`'s rows are consumed in order
 /// — `a`'s then `b`'s — and exact-zero inputs are skipped, so splitting an
@@ -309,7 +281,9 @@ impl<'a> Dense<'a> {
     }
 
     /// [`Dense::row`] over every row of `[a | b]` (`a_cols` and `b_cols`
-    /// wide) into `out`, with the accumulator [`run_at_width`] picks.
+    /// wide) into `out`, with the accumulator [`run_at_width`] picks. Each
+    /// output row is written once, while it is cache-resident: no product,
+    /// bias or concatenation tensor is made.
     pub fn rows_into(&self, a: &[f32], a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
         struct Rows<'a> {
             dense: Dense<'a>,

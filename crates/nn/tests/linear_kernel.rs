@@ -1,7 +1,7 @@
 //! Property test: the fused dense layer kernel ≡ a naive scalar reference,
 //! bitwise.
 //!
-//! [`linear2_act_into`] runs a compile-time-width row kernel for the output
+//! [`Dense::rows_into`] runs a compile-time-width row kernel for the output
 //! widths the default model produces (1–6, 8, 12, 16, 20, 24) and the same
 //! row arithmetic at runtime width for every other. The two must be the
 //! same function: every width in the table and several outside it, with and
@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use teal_nn::tensor::{linear2_act_into, linear_act_into, Tensor};
+use teal_nn::tensor::{Dense, Tensor};
 
 /// Widths with a compile-time kernel, then widths that take the fallback.
 const WIDTHS: [usize; 15] = [1, 2, 3, 4, 5, 6, 8, 12, 16, 20, 24, 7, 9, 28, 32];
@@ -86,12 +86,13 @@ proptest! {
                 let want = reference(&x, &w, bias.data(), slope);
 
                 let mut out = vec![f32::NAN; m * n];
-                linear_act_into(x.data(), k, &w, bias.data(), slope, &mut out);
+                let dense = Dense::new(&w, bias.data(), slope);
+                dense.rows_into(x.data(), k, &[], 0, &mut out);
                 assert_bitwise(&out, &want, &format!("n={n} k={k} slope={slope} one operand"))?;
 
                 // The same input split into [a | b], with and without an
                 // empty first operand (an empty second one is the
-                // `linear_act_into` call above).
+                // one-operand call above).
                 for a_cols in [0, k / 2] {
                     let b_cols = k - a_cols;
                     let mut a = Vec::with_capacity(m * a_cols);
@@ -101,7 +102,7 @@ proptest! {
                         b.extend_from_slice(&x.row(i)[a_cols..]);
                     }
                     let mut out = vec![f32::NAN; m * n];
-                    linear2_act_into(&a, a_cols, &b, b_cols, &w, bias.data(), slope, &mut out);
+                    dense.rows_into(&a, a_cols, &b, b_cols, &mut out);
                     assert_bitwise(
                         &out,
                         &want,

@@ -18,14 +18,16 @@
 //! 117, about 3×), with one more payload's worth for what its elements
 //! own. A failing input prints as hex, which is its one-line repro; a
 //! `Vec::get` without its count check fails this test.
+//!
+//! The heap is read off the workspace's metering allocator (`teal-meter`),
+//! per thread. It refuses any request over 1 GiB, so a missing count check
+//! aborts ("memory allocation of N bytes failed") instead of reserving
+//! gigabytes.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use teal_lp::Allocation;
+use teal_meter::thread_peak_added;
 use teal_nn::pool::PoolStats;
 use teal_serve::wire::{self, FrameDecoder};
 use teal_serve::{
@@ -38,71 +40,9 @@ use teal_traffic::TrafficMatrix;
 const RATIO: usize = 4;
 /// Live heap bytes one decode may hold on top: its error message.
 const SLACK: usize = 512;
-/// No request this large is legitimate here; refusing it turns a missing
-/// count check into an abort ("memory allocation of N bytes failed")
-/// instead of an attempt to reserve gigabytes.
-const CEILING: usize = 1 << 30;
-
-/// `System`, metering this thread's live heap bytes and their peak.
-struct Metered;
-
-thread_local! {
-    // Const-initialized and destructor-free, so the allocator can touch
-    // them without allocating. Signed: a block freed on another thread
-    // than the one that allocated it moves only the freeing thread's
-    // count, and only this thread's differences are read.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn grow(by: isize) {
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + by);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every method forwards to `System` or, over the ceiling, returns
-// null (the contract's failure signal); the counters touch no heap memory.
-unsafe impl GlobalAlloc for Metered {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout.size() > CEILING {
-            return std::ptr::null_mut();
-        }
-        grow(layout.size() as isize);
-        // SAFETY: pass-through; the caller upholds GlobalAlloc's contract,
-        // which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        grow(-(layout.size() as isize));
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > CEILING {
-            return std::ptr::null_mut();
-        }
-        grow(new_size as isize - layout.size() as isize);
-        // SAFETY: pass-through; the caller's GlobalAlloc obligations
-        // forward unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Metered = Metered;
-
-/// Peak live bytes `f` added on this thread, whatever it freed meanwhile.
-fn peak_added(f: impl FnOnce()) -> usize {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    f();
-    (PEAK.with(Cell::get) - base).max(0) as usize
-}
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 /// A decoder under test, its result dropped inside the metered window.
 type Decoder = fn(&[u8]);
@@ -177,7 +117,7 @@ impl Ledger {
     fn attack(&mut self, payload: &[u8], rng: &mut Rng) {
         self.inputs += 1;
         for (name, decode) in DECODERS {
-            let peak = peak_added(|| must_return(name, payload, || decode(payload)));
+            let ((), peak) = thread_peak_added(|| must_return(name, payload, || decode(payload)));
             assert!(
                 peak <= RATIO * payload.len() + SLACK,
                 "{name} held {peak} live heap bytes decoding {} bytes: {}",
@@ -389,7 +329,7 @@ fn read_frame_grows_with_received_bytes_not_the_prefix() {
     let mut cursor = std::io::Cursor::new(stream);
     let mut buf = Vec::new();
     let mut got = None;
-    let peak = peak_added(|| got = Some(wire::read_frame(&mut cursor, &mut buf)));
+    let ((), peak) = thread_peak_added(|| got = Some(wire::read_frame(&mut cursor, &mut buf)));
     match got {
         Some(Err(wire::WireError::Io(e))) => {
             assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")

@@ -4,19 +4,16 @@
 //! flushing them through partial writes, `EWOULDBLOCK` stalls, and
 //! in-place backlog compaction performs **zero heap allocations**.
 //!
-//! Same shape as `crates/lp/tests/steady_state_alloc.rs`: a counting
-//! global allocator wraps `System` and counts per thread, and the test
-//! snapshots its own thread's counter around each post-warmup window, so
-//! libtest's main-thread bookkeeping (which made this test flaky in debug
-//! builds) cannot land in the count.
+//! Same shape as `crates/lp/tests/steady_state_alloc.rs`: the workspace's
+//! metering allocator (`teal-meter`) counts allocation calls per thread,
+//! and the test snapshots its own thread's count around each post-warmup
+//! window, so libtest's main-thread bookkeeping (which made this test
+//! flaky in debug builds) cannot land in the count.
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io;
 use std::time::Duration;
 use teal_lp::Allocation;
+use teal_meter::thread_calls;
 use teal_nn::pool::PoolStats;
 use teal_serve::wire::WriteQueue;
 use teal_serve::{
@@ -24,55 +21,8 @@ use teal_serve::{
     TenantSnapshot, TopoSnapshot,
 };
 
-/// `System` plus a per-thread allocation counter (allocations only — frees
-/// are irrelevant to the claim being tested).
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by *this* thread. The test reads it on the thread
-    /// that runs the measured window, so whatever libtest's main thread
-    /// allocates meanwhile (it did, in debug builds) cannot land in the
-    /// count. Const-initialized and destructor-free, so touching it from
-    /// inside the allocator neither allocates nor outlives the thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_alloc() {
-    // `try_with`: a thread being torn down may allocate after its locals.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Allocations made so far by the calling thread.
-fn thread_allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System`, so `System` upholds
-// GlobalAlloc's contract; the counters touch no allocated memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
@@ -247,13 +197,13 @@ fn warm_write_path_allocates_nothing() {
     }
 
     // Vacuous-pass guard: the warm-up allocated, and this thread saw it.
-    assert!(thread_allocs() > 0, "per-thread counter is dead");
+    assert!(thread_calls() > 0, "per-thread counter is dead");
 
     // Every later window must be allocation-free.
     for w in 0..4 {
-        let before = thread_allocs();
+        let before = thread_calls();
         let accepted = run_window(&mut q, &small, &failed, &big, &snap);
-        let grew = thread_allocs() - before;
+        let grew = thread_calls() - before;
         assert_eq!(
             grew, 0,
             "window {w} performed {grew} heap allocations on the encode/flush path"

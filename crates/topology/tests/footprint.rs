@@ -7,56 +7,18 @@
 //! `e2p`, the path-major `p2e_off`) are each an `Arc<[u32]>`.
 //!
 //! It counts live bytes (allocations minus frees) across *all* threads,
-//! because `PathSet::compute` runs on scoped workers, so it is its own
-//! binary with no test harness: nothing else runs while it measures. It
-//! prints one ledger line (`--nocapture` is not needed, but harmless).
+//! with the workspace's metering allocator (`teal-meter`), because
+//! `PathSet::compute` runs on scoped workers, so it is its own binary with
+//! no test harness: nothing else runs while it measures. It prints one
+//! ledger line (`--nocapture` is not needed, but harmless).
 
-#![allow(unsafe_code)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
+use std::alloc::Layout;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicIsize, Ordering::SeqCst};
+use teal_meter::live_added;
 use teal_topology::{b4, gravity_pairs, large_wan, Edge, EdgeId, NodeId, Path, PathSet, Topology};
 
-/// `System` plus one process-wide count of live bytes.
-struct LiveBytes;
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-// SAFETY: every method forwards to `System`, so `System` upholds
-// GlobalAlloc's contract; the counter touches no allocated memory.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, SeqCst);
-        // SAFETY: pure pass-through — the caller upholds GlobalAlloc's
-        // contract, which is exactly what `System` requires.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, SeqCst);
-        // SAFETY: pass-through; `ptr`/`layout` came from this allocator,
-        // i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as isize - layout.size() as isize, SeqCst);
-        // SAFETY: pass-through; caller's GlobalAlloc obligations forward
-        // unchanged to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: LiveBytes = LiveBytes;
-
-/// `build()`'s result, still alive, and the live bytes it added.
-fn measure<T>(build: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.load(SeqCst);
-    let built = build();
-    (built, (LIVE.load(SeqCst) - before) as usize)
-}
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 /// The heap block of an `Arc<[u32]>` of `n` ids: two counts, then the ids.
 fn arc_u32s(n: usize) -> usize {
@@ -85,19 +47,19 @@ fn main() {
     // thread's handle); a B4 path set with more than one claim spawns.
     drop(PathSet::compute(&b4(), &b4().all_pairs(), 4));
 
-    let (small, small_bytes) = measure(b4);
+    let (small, small_bytes) = live_added(b4);
     let small_want = topology_bytes(&small);
-    let (t, t_bytes) = measure(|| large_wan(256, 7));
+    let (t, t_bytes) = live_added(|| large_wan(256, 7));
     let (n, e) = (t.num_nodes(), t.num_edges());
     let link = &t.edges()[e / 2];
-    let (twin, twin_bytes) = measure(|| t.with_failed_link(link.src, link.dst));
+    let (twin, twin_bytes) = live_added(|| t.with_failed_link(link.src, link.dst));
     assert_eq!(twin.edge(e / 2).capacity, 0.0);
     let twin_want = topology_bytes(&t);
     let adjacency: usize = (0..n).map(|v| t.neighbors(v).len()).sum();
     let per_node = size_of::<Vec<(NodeId, EdgeId)>>() + size_of::<(f64, f64)>();
 
     let pairs = gravity_pairs(&t, 512, 6);
-    let (paths, paths_bytes) = measure(|| PathSet::compute(&t, &pairs, 4));
+    let (paths, paths_bytes) = live_added(|| PathSet::compute(&t, &pairs, 4));
     let nnz: usize = paths.paths().iter().map(Path::len).sum();
     let e2p = arc_u32s(nnz);
     let e2p_off = arc_u32s(e + 1);

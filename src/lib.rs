@@ -47,8 +47,9 @@
 //! ## Unsafe inventory & correctness tooling
 //!
 //! The workspace's shipped `unsafe` is confined to one file, in
-//! `teal-serve` (the others allowed it are `vendor/loom`'s `Mutex` shim and
-//! three test suites' counting allocators):
+//! `teal-serve` (the two others allowed it are `vendor/loom`'s `Mutex` shim
+//! and `teal-meter`, the dev-only counting allocator every allocation-floor
+//! test installs; CI's "Unsafe inventory" step fails on a fourth):
 //!
 //! * **epoll/eventfd FFI** (`teal_serve::net::sys`): hand-rolled bindings
 //!   (the crates registry is unreachable, so no `libc`) behind safe
