@@ -172,28 +172,18 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
 
     let mut alloc = Allocation::zeros(nd, k);
 
-    // --- Phase 1: parallel intra-cluster LPs over residual-free capacities.
-    let mut cluster_allocs: Vec<Option<(Vec<usize>, Allocation)>> = vec![None; nc];
-    std::thread::scope(|s| {
-        for (ci, slot) in cluster_allocs.iter_mut().enumerate() {
-            let demands = &intra[ci];
-            if demands.is_empty() {
-                continue;
-            }
-            s.spawn(move || {
-                let pairs: Vec<(usize, usize)> =
-                    demands.iter().map(|&d| inst.paths.pairs()[d]).collect();
-                let vols: Vec<f64> = demands.iter().map(|&d| inst.tm.demand(d)).collect();
-                let sub_paths = PathSet::compute(inst.topo, &pairs, inst.paths.k());
-                let sub_tm = TrafficMatrix::new(vols);
-                let sub_inst = TeInstance::new(inst.topo, &sub_paths, &sub_tm);
-                let sub_alloc = solve_lp(&sub_inst, obj);
-                *slot = Some((demands.clone(), sub_alloc));
-            });
-        }
+    // --- Phase 1: parallel intra-cluster LPs over residual-free capacities,
+    // one part per non-empty cluster.
+    let clusters: Vec<&Vec<usize>> = intra.iter().filter(|d| !d.is_empty()).collect();
+    let solved = teal_pool::map(clusters.len(), clusters, &|demands| {
+        let pairs: Vec<(usize, usize)> = demands.iter().map(|&d| inst.paths.pairs()[d]).collect();
+        let vols: Vec<f64> = demands.iter().map(|&d| inst.tm.demand(d)).collect();
+        let sub_paths = PathSet::compute(inst.topo, &pairs, inst.paths.k());
+        let sub_tm = TrafficMatrix::new(vols);
+        let sub_inst = TeInstance::new(inst.topo, &sub_paths, &sub_tm);
+        (demands, solve_lp(&sub_inst, obj))
     });
-    for entry in cluster_allocs.into_iter().flatten() {
-        let (demands, sub_alloc) = entry;
+    for (demands, sub_alloc) in solved {
         for (i, &d) in demands.iter().enumerate() {
             alloc.set_demand_splits(d, sub_alloc.demand_splits(i));
         }
@@ -204,23 +194,8 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
     consume(&mut residual, inst, &alloc);
 
     // --- Phase 2: contracted-graph LP for crossing demands.
-    // Build the contracted topology.
-    let mut contracted = Topology::new("contracted", nc);
-    for e in inst.topo.edges() {
-        let (cs, ct) = (cluster[e.src], cluster[e.dst]);
-        if cs == ct {
-            continue;
-        }
-        match contracted.find_edge(cs, ct) {
-            Some(_) => {
-                // Accumulate capacity: rebuild below instead (cheap, nc tiny).
-            }
-            None => {
-                contracted.add_directed_edge(cs, ct, 0.0, 1.0);
-            }
-        }
-    }
-    // Sum cut capacities into the contracted edges (respecting residuals).
+    // The contracted topology: one edge per cut cluster pair, carrying the
+    // pair's summed residual cut capacity.
     let mut cut_caps = std::collections::HashMap::new();
     for (i, e) in inst.topo.edges().iter().enumerate() {
         let (cs, ct) = (cluster[e.src], cluster[e.dst]);
@@ -228,11 +203,10 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
             *cut_caps.entry((cs, ct)).or_insert(0.0) += residual[i];
         }
     }
-    let mut contracted2 = Topology::new("contracted", nc);
+    let mut contracted = Topology::new("contracted", nc);
     for ((cs, ct), cap) in &cut_caps {
-        contracted2.add_directed_edge(*cs, *ct, *cap, 1.0);
+        contracted.add_directed_edge(*cs, *ct, *cap, 1.0);
     }
-    let contracted = contracted2;
 
     // Aggregate crossing demands per cluster pair.
     let mut agg: std::collections::HashMap<(usize, usize), f64> = std::collections::HashMap::new();

@@ -83,21 +83,14 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
     let mut replica_topo: Topology = inst.topo.clone();
     replica_topo.scale_capacities(1.0 / replicas as f64);
 
-    // Solve replicas in parallel.
-    let mut replica_allocs: Vec<Option<Allocation>> = vec![None; replicas];
-    std::thread::scope(|s| {
-        for (r, slot) in replica_allocs.iter_mut().enumerate() {
-            let shares = &shares;
-            let replica_topo = &replica_topo;
-            s.spawn(move || {
-                let tm_r = TrafficMatrix::new(shares[r].clone());
-                if tm_r.total() <= 0.0 {
-                    return;
-                }
-                let inst_r = TeInstance::new(replica_topo, inst.paths, &tm_r);
-                *slot = Some(solve_lp(&inst_r, obj));
-            });
+    // Solve replicas in parallel, one part per replica.
+    let replica_allocs = teal_pool::map(replicas, shares.iter().collect(), &|share| {
+        let tm_r = TrafficMatrix::new(share.clone());
+        if tm_r.total() <= 0.0 {
+            return None;
         }
+        let inst_r = TeInstance::new(&replica_topo, inst.paths, &tm_r);
+        Some(solve_lp(&inst_r, obj))
     });
 
     // Merge: a demand's final split ratio is the volume-weighted average of

@@ -897,6 +897,8 @@ mod tests {
     }
 
     /// Run `f` on a freshly spawned thread, whose ADMM arena is cold.
+    // A cold thread is the fixture, so the test starts its own.
+    #[allow(clippy::disallowed_methods)]
     fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
         std::thread::scope(|s| s.spawn(f).join().expect("fresh thread"))
     }
@@ -1026,6 +1028,8 @@ mod tests {
     }
 
     #[test]
+    // Two callers racing on one context are the fixture.
+    #[allow(clippy::disallowed_methods)]
     fn concurrent_contexts_agree_with_sequential() {
         let ctx = Arc::new(engine());
         let nd = ctx.env().num_demands();

@@ -10,6 +10,9 @@
 //! under `with_thread_cap(1, ..)`, so every byte a window requests lands on
 //! the thread that reads the counter. It prints one ledger line.
 
+// The cold arena is a freshly spawned thread's, so the test starts one.
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::Arc;
 use teal_core::{BatchScratch, EngineConfig, Env, ServingContext, TealConfig, TealModel};
 use teal_lp::Allocation;

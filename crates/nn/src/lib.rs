@@ -9,10 +9,11 @@
 //!   incidence, and the [`Aggregate`] an SpMM applies over a row;
 //! * [`graph`] — a tape-based reverse-mode autograd engine;
 //! * [`module`] — parameter storage and `Linear` layers;
-//! * [`optim`] — Adam (the paper's optimizer) and SGD;
-//! * [`pool`] — the scoped fan-out standing in for the GPU's parallelism:
-//!   kernels here are serial, and the stage above them (a window's forward
-//!   pass over its matrices) submits the jobs;
+//! * [`optim`] — Adam, the paper's optimizer;
+//! * [`pool`] — `teal-pool`, the workspace's one scoped fan-out standing in
+//!   for the GPU's parallelism, re-exported at the path `teal-core`,
+//!   `teal-serve` and the repo benchmark read: kernels here are serial, and
+//!   the stage above them (a window's forward pass) submits the jobs;
 //! * [`rng`] — seeded RNG and Box-Muller Gaussian sampling;
 //! * [`checkpoint`] — save/load trained parameters (the paper's week-long
 //!   training sessions need persistence).
@@ -20,10 +21,10 @@
 //! Everything is deterministic under a fixed seed, which the reproduction
 //! relies on for regression tests.
 //!
-//! The crate is safe code throughout (`#![forbid(unsafe_code)]`): [`pool`]
-//! borrows its tasks through `std::thread::scope`, so the compute side of
-//! the workspace has no `unsafe` left — see the root crate's "Unsafe
-//! inventory" docs.
+//! The crate is safe code throughout (`#![forbid(unsafe_code)]`), and so is
+//! [`pool`], whose helpers borrow their tasks through `std::thread::scope`:
+//! the compute side of the workspace has no `unsafe` — see the root crate's
+//! "Unsafe inventory" docs.
 
 #![forbid(unsafe_code)]
 
@@ -31,13 +32,13 @@ pub mod checkpoint;
 pub mod graph;
 pub mod module;
 pub mod optim;
-pub mod pool;
 pub mod rng;
 pub mod sparse;
 pub mod tensor;
 
 pub use graph::{Graph, Var};
 pub use module::{BoundLinear, Linear, ParamId, ParamStore};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use sparse::{Aggregate, Csr, CsrPair};
+pub use teal_pool as pool;
 pub use tensor::Tensor;

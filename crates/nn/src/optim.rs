@@ -67,39 +67,17 @@ impl Adam {
     }
 }
 
-/// Plain SGD, used by tests as a reference and by the direct-loss ablation
-/// when comparing optimizers.
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with a fixed learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// One descent step on the accumulated gradients.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        let lr = self.lr;
-        for (p, g) in store.pairs_mut() {
-            p.axpy(-lr, g);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
     use crate::module::ParamStore;
 
-    /// Minimize (p - 3)^2 and check convergence.
-    fn quadratic_descent(use_adam: bool) -> f32 {
+    /// Minimize (p - 3)^2 with Adam and return where it lands.
+    fn quadratic_descent() -> f32 {
         let mut store = ParamStore::new();
         let id = store.register("p", Tensor::scalar(0.0));
         let mut adam = Adam::new(0.1);
-        let mut sgd = Sgd::new(0.1);
         for _ in 0..200 {
             store.zero_grads();
             let mut g = Graph::new();
@@ -109,24 +87,14 @@ mod tests {
             let loss = g.mul(d, d);
             g.backward(loss);
             store.absorb_grad(&g, id, p);
-            if use_adam {
-                adam.step(&mut store);
-            } else {
-                sgd.step(&mut store);
-            }
+            adam.step(&mut store);
         }
         store.get(id).item()
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
-        let p = quadratic_descent(true);
+        let p = quadratic_descent();
         assert!((p - 3.0).abs() < 0.05, "adam converged to {p}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let p = quadratic_descent(false);
-        assert!((p - 3.0).abs() < 0.01, "sgd converged to {p}");
     }
 }

@@ -1,32 +1,36 @@
-//! Scoped fan-out: where this workspace's compute takes a second core.
+//! `teal-pool`: the workspace's one parallel substrate, standing in for the
+//! paper's GPU. Kernels are serial; a *stage* fans out where its units
+//! commute and each writes only its own slot, and every stage does it through
+//! one claim loop: the caller and the helpers it spawns inside one
+//! [`std::thread::scope`] claim indices off one atomic counter. [`run`] takes
+//! an indexed task under a process-wide helper budget (a serving window's
+//! forward pass, one index per matrix, is its one submitter); [`map`] takes
+//! owned parts on a width its caller picks (KSP, the traffic series, NCFlow's
+//! clusters, POP's replicas).
 //!
-//! Kernels in this crate are serial. Parallelism is a *stage's* decision,
-//! taken where the units of work commute and share no write: the matrices of
-//! a serving window's forward pass (`teal-core`), today the only submitter.
-//! It hands [`run`] an indexed task `f(0..n)`; the caller and the helpers it
-//! spawns inside one [`std::thread::scope`] claim the indices off one atomic
-//! counter, as KSP, the traffic series, NCFlow and POP do.
-//!
-//! **Guarantee.** Every index runs exactly once, on some thread, and [`run`]
+//! **Guarantee.** Every index runs exactly once, on some thread, and the call
 //! returns after all of them have: the scope's wait for its threads is also
 //! what publishes the helpers' writes, so no atomic below carries data. Once
 //! an index panics no thread claims another, and the first panic caught is
 //! re-thrown on the submitting thread with its original payload, as if it
-//! had happened inline. At most `max_threads() - 1` helpers are at work
-//! process-wide, however many threads submit at once. The caller always
-//! participates and never waits for a helper, so submission cannot deadlock
-//! — nested submission from inside a task included.
+//! had happened inline. A helper the OS refuses to start is simply absent.
+//! The caller always participates and never waits for a helper, so
+//! submission cannot deadlock — nested submission from inside a task
+//! included.
 //!
-//! **Cost.** One thread spawn and join per helper per fanned-out job, tens of
-//! microseconds. A window of one, a one-thread process and a lane under
-//! `with_thread_cap(1, ..)` run a plain loop on the caller and pay nothing.
+//! **Cost.** One thread spawn and join per helper per fanned-out call, tens
+//! of microseconds. A window of one, a one-thread process, a lane under
+//! `with_thread_cap(1, ..)` and a [`map`] of width one run a plain loop on
+//! the caller and pay nothing.
 
-// The crate's `clippy.toml` disallows `pool::run` everywhere else in it.
+// The workspace's `clippy.toml` bans starting threads everywhere else.
 #![allow(clippy::disallowed_methods)]
+#![forbid(unsafe_code)]
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 // Counters behind [`stats`], and the helper slots reserved process-wide (at
 // most `max_threads() - 1`). None publishes other data: `Relaxed` throughout.
@@ -89,6 +93,16 @@ pub fn worker_count() -> usize {
     max_threads() - 1
 }
 
+/// Worker threads of a set-up stage (KSP, the traffic series): the machine's
+/// parallelism, at most 8, whatever `TEAL_NN_THREADS` says. Set-up's results
+/// are the same bits on any number of workers.
+pub fn setup_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|v| v.get())
+        .unwrap_or(1)
+        .min(8)
+}
+
 thread_local! {
     /// Thread cap applied to jobs submitted from this thread (see
     /// [`with_thread_cap`]). `None` = uncapped.
@@ -116,7 +130,9 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 /// Execute `f(0)`, …, `f(n - 1)` on the submitting thread and whatever
 /// helpers the thread cap and the process-wide budget allow, returning once
 /// all calls have finished. Each index is claimed by exactly one thread, so
-/// `f` may write a per-index slot without contending.
+/// `f` may write a per-index slot without contending. At most
+/// `max_threads() - 1` helpers are at work process-wide, however many
+/// threads submit at once.
 pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
         return;
@@ -140,6 +156,57 @@ pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
         CALLER_CHUNKS.fetch_add(n as u64, Relaxed);
         return;
     }
+    let panic = claim_loop(n, helpers, f, [&CALLER_CHUNKS, &HELPER_CHUNKS]);
+    HELPERS.fetch_sub(helpers, Relaxed);
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+}
+
+/// `f` of each of `parts`, in part order, run by the caller and at most
+/// `threads - 1` helpers. A part moves to the one thread that claims it, so
+/// it may carry the `&mut` slices its work writes. [`run`]'s budget and
+/// thread cap do not apply, and [`stats`] does not count it.
+pub fn map<P: Send, T: Send>(threads: usize, parts: Vec<P>, f: &(dyn Fn(P) -> T + Sync)) -> Vec<T> {
+    let helpers = threads.min(parts.len()).saturating_sub(1);
+    if helpers == 0 {
+        return parts.into_iter().map(f).collect();
+    }
+    // Each slot is locked by the one thread that claimed its index, never
+    // while `f` runs, so no lock is contended or poisoned.
+    let slots: Vec<Mutex<(Option<P>, Option<T>)>> = parts
+        .into_iter()
+        .map(|p| Mutex::new((Some(p), None)))
+        .collect();
+    let lock = |i: usize| slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+    let work = |i: usize| {
+        let part = lock(i).0.take().expect("an index is claimed once");
+        let result = f(part);
+        lock(i).1 = Some(result);
+    };
+    let uncounted = AtomicU64::new(0);
+    if let Some(payload) = claim_loop(slots.len(), helpers, &work, [&uncounted; 2]) {
+        resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            let (_, result) = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            result.expect("every part ran")
+        })
+        .collect()
+}
+
+/// The claim loop under [`run`] and [`map`]: the caller and `helpers` scoped
+/// threads run `f` on `0..n`, each index claimed by one thread off one
+/// counter, and add the indices they ran to `chunks` (the caller's, the
+/// helpers'). Returns the first panic caught, for the caller to re-throw.
+fn claim_loop(
+    n: usize,
+    helpers: usize,
+    f: &(dyn Fn(usize) + Sync),
+    chunks: [&AtomicU64; 2],
+) -> Option<Box<dyn Any + Send>> {
     // `next` only hands out distinct indices and `stop` is advisory: seen
     // late it costs one more index run, never a wrong result.
     let next = AtomicUsize::new(0);
@@ -169,15 +236,12 @@ pub fn run(n: usize, f: &(dyn Fn(usize) + Sync)) {
         for _ in 0..helpers {
             // A helper the OS refuses to spawn is simply absent: the
             // caller's claim loop runs whatever nobody else took.
-            let helper = std::thread::Builder::new().name("teal-nn-helper".into());
-            let _ = helper.spawn_scoped(s, || claim(&HELPER_CHUNKS));
+            let helper = std::thread::Builder::new().name("teal-pool-helper".into());
+            let _ = helper.spawn_scoped(s, || claim(chunks[1]));
         }
-        claim(&CALLER_CHUNKS);
+        claim(chunks[0]);
     });
-    HELPERS.fetch_sub(helpers, Relaxed);
-    if let Ok(payload) = first_panic.try_recv() {
-        resume_unwind(payload);
-    }
+    first_panic.try_recv().ok()
 }
 
 #[cfg(test)]

@@ -13,12 +13,13 @@
 //! (tests run in parallel; concurrent getenv/setenv races are what made
 //! `set_var` unsafe in edition 2024).
 
+// Concurrent submitters are the fixture, so the test starts their threads.
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::{Barrier, OnceLock};
-use teal_nn::pool;
 use teal_nn::rng::seeded;
 use teal_nn::tensor::{matmul, Tensor};
+use teal_pool as pool;
 
 /// Force a 4-thread pool before any job runs (see module docs).
 fn force_pool() {

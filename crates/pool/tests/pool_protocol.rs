@@ -7,11 +7,12 @@
 //! binary pins `TEAL_NN_THREADS=4` before the first job (as
 //! `pool_equivalence` does) and runs its tests one at a time.
 
+// Concurrent submitters are the fixture, so the tests start their own threads.
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
-use teal_nn::pool;
+use teal_pool as pool;
 
 /// Force a 4-thread cap and take the binary's one lock: with it held, no
 /// other test holds a helper slot or moves a counter.

@@ -875,7 +875,7 @@ impl PathSet {
     pub fn compute(topo: &Topology, pairs: &[(NodeId, NodeId)], k: usize) -> PathSet {
         assert!(k >= 1);
         assert!(pairs.iter().all(|(s, t)| s != t), "a pair has src == dst");
-        let chunk_results = parallel_paths(topo, pairs, k, setup_workers());
+        let chunk_results = parallel_paths(topo, pairs, k, teal_pool::setup_workers());
         let mut paths = Vec::with_capacity(pairs.len() * k);
         for (pair, mut found) in pairs.iter().zip(chunk_results) {
             assert!(
@@ -1005,16 +1005,6 @@ impl PathSet {
 /// touched once per few milliseconds of work.
 const CLAIM: usize = 32;
 
-/// Worker threads of a set-up stage ([`PathSet::compute`], the traffic
-/// series): the machine's parallelism, at most 8. Not `TEAL_NN_THREADS` —
-/// set-up runs before any pool exists and its results do not depend on it.
-pub fn setup_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 /// Indices of `pairs` grouped by destination (input order within a group),
 /// so consecutive visits share one reverse tree.
 fn by_destination(pairs: &[(NodeId, NodeId)]) -> Vec<usize> {
@@ -1067,8 +1057,8 @@ fn drain_claims(
     }
 }
 
-/// Run Yen's per pair on up to `threads` scoped workers (the caller is one
-/// of them), returning results in input order.
+/// Run Yen's per pair on up to `threads` workers of [`teal_pool::map`] (the
+/// caller is one of them), returning results in input order.
 ///
 /// Pairs are visited [`by_destination`] so one reverse tree serves all of a
 /// destination's pairs. Each worker owns one [`KspScratch`] and its own
@@ -1081,28 +1071,15 @@ fn parallel_paths(
     k: usize,
     threads: usize,
 ) -> Vec<Vec<Path>> {
-    let n = pairs.len();
     let order = by_destination(pairs);
     let next = AtomicUsize::new(0);
-    let work = || drain_claims(topo, pairs, &order, k, &next, &mut KspScratch::new(topo));
-    let mut out: Vec<Vec<Path>> = vec![Vec::new(); n];
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(n.div_ceil(CLAIM)))
-            .map(|_| scope.spawn(work))
-            .collect();
-        let mut place = |found: Vec<(usize, Vec<Path>)>| {
-            for (i, paths) in found {
-                out[i] = paths;
-            }
-        };
-        place(work());
-        for helper in helpers {
-            place(
-                helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
-        }
+    let workers = threads.min(pairs.len().div_ceil(CLAIM)).max(1);
+    let per_worker = teal_pool::map(workers, vec![(); workers], &|()| {
+        drain_claims(topo, pairs, &order, k, &next, &mut KspScratch::new(topo))
     });
+    let mut out: Vec<Vec<Path>> = vec![Vec::new(); pairs.len()];
+    for (i, paths) in per_worker.into_iter().flatten() {
+        out[i] = paths;
+    }
     out
 }

@@ -1,3 +1,7 @@
+// `claims_never_split_a_destination` races bare `drain_claims` workers on
+// threads of its own, outside `parallel_paths`.
+#![allow(clippy::disallowed_methods)]
+
 use super::*;
 use crate::gen::{b4, generate, gravity_pairs, large_wan, TopoKind};
 use proptest::prelude::*;

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
-use teal_topology::paths::setup_workers;
+use teal_pool::setup_workers;
 use teal_topology::{NodeId, PathSet, Topology};
 
 /// AR(1) steps each demand's stream runs before interval 0, to reach the
@@ -146,19 +146,18 @@ impl TrafficModel {
     /// Each matrix's buffer is allocated once and filled in place: the
     /// workers write the very buffer the matrix then shares.
     ///
-    /// Runs on set-up workers like `PathSet::compute`
-    /// ([`setup_workers`]): the demands'
-    /// streams are independent, so the output is the same bits on any number
-    /// of them, and `TEAL_NN_THREADS` plays no part.
+    /// Runs on [`setup_workers`] threads, like `PathSet::compute`: the
+    /// demands' streams are independent, so the output is the same bits on
+    /// any number of them.
     pub fn series(&self, start: usize, len: usize) -> Vec<TrafficMatrix> {
         let steps = self.pairs.len() * (BURN_IN + start + len);
         let threads = setup_workers().min(steps / HELPER_STEPS + 1);
         self.series_on(threads, start, len)
     }
 
-    /// [`series`](Self::series) on `threads` scoped workers, the caller being
-    /// one: each takes a contiguous range of demands and writes its own
-    /// columns of every matrix, so no write is shared.
+    /// [`series`](Self::series) on `threads` workers of [`teal_pool::map`],
+    /// the caller being one: each takes a contiguous range of demands and
+    /// writes its own columns of every matrix, so no write is shared.
     fn series_on(&self, threads: usize, start: usize, len: usize) -> Vec<TrafficMatrix> {
         let n = self.pairs.len();
         let diurnal: Vec<f64> = (start..start + len)
@@ -171,24 +170,20 @@ impl TrafficModel {
             .collect();
         let mut out: Vec<Arc<[f64]>> = (0..len).map(|_| (0..n).map(|_| 0.0).collect()).collect();
         let threads = threads.clamp(1, n.max(1));
-        std::thread::scope(|scope| {
-            // Each buffer is fresh and so unshared: `make_mut` copies nothing.
-            let mut rest: Vec<&mut [f64]> = out.iter_mut().map(Arc::make_mut).collect();
-            for w in 0..threads {
-                let demands = n * w / threads..n * (w + 1) / threads;
-                let (columns, tail) = rest
-                    .into_iter()
-                    .map(|row| row.split_at_mut(demands.len()))
-                    .unzip();
-                rest = tail;
-                let diurnal = &diurnal;
-                let fill = move || self.fill(demands, start, diurnal, columns);
-                if w + 1 < threads {
-                    scope.spawn(fill);
-                } else {
-                    fill();
-                }
-            }
+        // Each buffer is fresh and so unshared: `make_mut` copies nothing.
+        let mut rest: Vec<&mut [f64]> = out.iter_mut().map(Arc::make_mut).collect();
+        let mut parts = Vec::with_capacity(threads);
+        for w in 0..threads {
+            let demands = n * w / threads..n * (w + 1) / threads;
+            let (columns, tail) = rest
+                .into_iter()
+                .map(|row| row.split_at_mut(demands.len()))
+                .unzip();
+            rest = tail;
+            parts.push((demands, columns));
+        }
+        teal_pool::map(threads, parts, &|(demands, columns)| {
+            self.fill(demands, start, &diurnal, columns)
         });
         out.into_iter().map(TrafficMatrix::shared).collect()
     }

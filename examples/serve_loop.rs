@@ -23,6 +23,8 @@ fn context(env: &Arc<Env>, seed: u64) -> ServingContext<TealModel> {
     ServingContext::new(model, EngineConfig::paper_default(env.topo().num_nodes()))
 }
 
+// Concurrent clients are what the example shows, so it starts their threads.
+#[allow(clippy::disallowed_methods)]
 fn main() {
     // --- 1. One serving context per topology, all behind one registry.
     let env_b4 = Arc::new(Env::for_topology(b4()));

@@ -8,7 +8,8 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! * [`nn`] — tensors, autograd, optimizers (the PyTorch/GPU substitute);
+//! * [`nn`] — tensors, autograd, optimizers (the PyTorch/GPU substitute),
+//!   and `nn::pool`, the workspace's one parallel substrate (`teal-pool`);
 //! * [`topology`] — WAN graphs, generators, k-shortest paths;
 //! * [`traffic`] — synthetic heavy-tailed traffic matrices;
 //! * [`lp`] — the TE problem, simplex / ADMM / Fleischer solvers, and
@@ -56,13 +57,15 @@
 //!   wrappers that own their fds. The workspace denies `unsafe_code` and
 //!   this one module opts back in, with a `// SAFETY:` comment per site.
 //!
-//! The compute side has none: `teal_nn::pool` fans a window's forward pass
-//! out over `std::thread::scope`, which lets the helpers borrow the
-//! caller's stack in safe code, and each matrix writes its own result
-//! slot, so no buffer is ever split between threads by hand.
+//! The compute side has none: `teal-pool` (re-exported as `teal_nn::pool`)
+//! fans out every parallel stage — a window's forward pass, KSP, the
+//! traffic series, NCFlow's clusters and POP's replicas — through one claim
+//! loop over `std::thread::scope`, which lets the helpers borrow the
+//! caller's stack in safe code, and each unit writes its own result slot,
+//! so no buffer is ever split between threads by hand.
 //!
 //! Everything else forbids `unsafe` outright (`#![forbid(unsafe_code)]` in
-//! `teal-nn`, `teal-topology`, `teal-traffic`, `teal-lp`, `teal-core`,
+//! `teal-pool`, `teal-nn`, `teal-topology`, `teal-traffic`, `teal-lp`, `teal-core`,
 //! `teal-baselines`, `teal-sim`, `teal-bench` and this crate), and
 //! `unsafe_op_in_unsafe_fn` is denied workspace-wide.
 //!
@@ -76,8 +79,10 @@
 //!    `teal-serve`'s `clippy.toml` keeps the clock behind
 //!    `telemetry::now()`, raw fds in `net/sys.rs`, and std's locks,
 //!    atomics, threads and channels in its `crate::sync` facade, whose
-//!    atomics take no `Ordering` (SeqCst by type); `teal-nn`'s keeps
-//!    `pool::run` out of its serial kernels.
+//!    atomics take no `Ordering` (SeqCst by type). The root `clippy.toml`
+//!    (repeated in `teal-nn`'s) bans starting a thread outside
+//!    `teal-pool`, and `teal-nn`'s keeps `teal_pool::run` out of its serial
+//!    kernels.
 //! 2. **Model checking** (`vendor/loom` + `RUSTFLAGS="--cfg teal_loom"
 //!    cargo test -p teal-serve --test model_check`) — a miniature
 //!    loom-style checker (token-passing scheduler, exhaustive DFS over
