@@ -104,14 +104,20 @@
 //! # Other details that matter at paper scale (754–1,739 nodes, §6)
 //!
 //! * [`KspScratch`] keeps the distance/predecessor arrays, the binary heap,
-//!   epoch-stamped ban arrays, the reverse tree and each search's result
-//!   alive across searches; a [`Path`] is allocated only for a candidate
-//!   that is new, so a spur search that re-derives a known one is
-//!   allocation-free. (Allocator churn, not arithmetic, was most of the
+//!   the trees' bucket queue, epoch-stamped ban arrays, the reverse tree and
+//!   each search's result alive across searches; a [`Path`] is allocated
+//!   only for a candidate that is new, so a spur search that re-derives a
+//!   known one is allocation-free. (Allocator churn, not arithmetic, was most of the
 //!   cost on B4-sized graphs.)
 //! * The three hot loops (tree build, A\*, bounded Dijkstra) walk CSR
 //!   adjacency with the edge weight inline, rebuilt once per worker by
-//!   `KspScratch::bind`, and a heap keyed on `(dist.to_bits(), node)`.
+//!   `KspScratch::bind`. The two searches pop a binary heap keyed on
+//!   `(dist.to_bits(), node)`. The tree build, two thirds of KSP's time
+//!   under a heap, pops a monotone bucket queue instead: buckets one
+//!   lightest arc wide, only the cursor's bucket sorted, and the same pop
+//!   order as the heap for any non-negative weights (`BucketQueue`), so `h`
+//!   and `hop` keep their bits. The searches keep the heap: the same queue
+//!   under them made Swan's KSP slower.
 //! * The tree build writes `h` and `hop` for every node but does not queue a
 //!   node whose single in-arc comes from the node being popped (a stub site
 //!   behind its one neighbour — 290 of 1,024 nodes): popping it could only
@@ -209,6 +215,122 @@ impl MinHeap {
     }
 }
 
+/// Buckets a [`BucketQueue`] may use; a key past the last lands in the last.
+const CAP: usize = 1 << 10;
+
+/// End of a bucket's list in [`BucketQueue::heads`] and its entries.
+const NIL: u32 = u32::MAX;
+
+/// The reverse trees' queue: it pops in exactly [`MinHeap`]'s
+/// `(dist.to_bits(), node)` order for any non-negative keys, pushed in any
+/// order, but keeps them in buckets of one width — the bound topology's
+/// lightest positive arc, so a tree at 1,024 nodes spans about 120 of them.
+///
+/// Key `d` lands in bucket `⌊d · (1 / width)⌋` clamped to `[cursor, CAP)`.
+/// Rounded or not, that index never falls as `d` grows, so every key in a bucket past the cursor
+/// is heavier than every key in the cursor's own: only that one bucket must
+/// be in order. It is sorted heaviest first when the cursor reaches it, so a
+/// pop is a `Vec::pop`, and a push that lands in it — across a zero-weight
+/// arc, into the clamp's last bucket, or rounded onto a bucket edge — is
+/// inserted in order. The buckets past the cursor are lists threaded through
+/// one flat entry array, so the storage is three grow-only `Vec`s, sized
+/// once per topology (see [`Self::fit`]). The insertion is linear, so keys
+/// crowded into one bucket (every arc zero, or a spread of more than `CAP`
+/// widths) cost up to O(n) a push; `large_wan`'s buckets hold a handful.
+#[derive(Default)]
+struct BucketQueue {
+    /// `1 / width`; 0 when the topology has no positive arc (one bucket).
+    scale: f64,
+    /// The cursor's bucket, heaviest first.
+    current: Vec<(u64, u32)>,
+    cursor: usize,
+    /// `heads[b]`: the newest entry of bucket `b` past the cursor, or
+    /// [`NIL`]. As long as the highest bucket used, at most [`CAP`].
+    heads: Vec<u32>,
+    /// `(key bits, node, next entry of the same bucket)`.
+    entries: Vec<(u64, u32, u32)>,
+    /// Entries still in buckets past the cursor.
+    waiting: usize,
+}
+
+impl BucketQueue {
+    /// Set the bucket width to `topo`'s lightest positive arc and reserve
+    /// what one tree over it can use: a tree expands each node once, so it
+    /// relaxes each arc at most once and pushes at most `E + 1` keys.
+    fn fit(&mut self, topo: &Topology) {
+        let lightest = topo
+            .edges()
+            .iter()
+            .map(|e| e.weight)
+            .filter(|&w| w > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        self.scale = lightest.recip();
+        let most = topo.num_edges() + 1;
+        self.current.reserve(most);
+        self.entries.reserve(most);
+        self.heads.reserve(CAP);
+    }
+
+    fn clear(&mut self) {
+        self.current.clear();
+        self.cursor = 0;
+        self.heads.fill(NIL);
+        self.entries.clear();
+        self.waiting = 0;
+    }
+
+    fn push(&mut self, dist: f64, node: NodeId) {
+        debug_assert!(dist.is_sign_positive(), "queue key {dist}");
+        let key = (dist.to_bits(), node as u32);
+        let bucket = ((dist * self.scale) as usize).clamp(self.cursor, CAP - 1);
+        if bucket == self.cursor {
+            self.insert(key);
+            return;
+        }
+        if self.heads.len() <= bucket {
+            self.heads.resize(bucket + 1, NIL);
+        }
+        self.entries.push((key.0, key.1, self.heads[bucket]));
+        self.heads[bucket] = (self.entries.len() - 1) as u32;
+        self.waiting += 1;
+    }
+
+    fn pop(&mut self) -> Option<(f64, NodeId)> {
+        if self.current.is_empty() && self.waiting > 0 {
+            self.advance();
+        }
+        let (bits, node) = self.current.pop()?;
+        Some((f64::from_bits(bits), node as usize))
+    }
+
+    /// Put `key` into `current` in order, scanning from the lightest end.
+    fn insert(&mut self, key: (u64, u32)) {
+        let mut at = self.current.len();
+        self.current.push(key);
+        while at > 0 && self.current[at - 1] < key {
+            self.current[at] = self.current[at - 1];
+            at -= 1;
+        }
+        self.current[at] = key;
+    }
+
+    /// Move the cursor to the next bucket that holds entries (there is one)
+    /// and insertion-sort them into `current`: a bucket holds a handful.
+    fn advance(&mut self) {
+        self.cursor += 1;
+        while self.heads[self.cursor] == NIL {
+            self.cursor += 1;
+        }
+        let mut at = std::mem::replace(&mut self.heads[self.cursor], NIL);
+        while at != NIL {
+            let (bits, node, next) = self.entries[at as usize];
+            self.insert((bits, node));
+            self.waiting -= 1;
+            at = next;
+        }
+    }
+}
+
 /// One adjacency entry of the bound topology with the edge weight inline, so
 /// a relaxation reads one 16-byte record instead of chasing `Vec<Vec<_>>`
 /// and then the edge table.
@@ -251,8 +373,10 @@ struct Counts {
     /// at all, or a sealed `dst` — so at most the bounded Dijkstra touched
     /// the heap.
     shortcuts: u64,
-    /// Heap pops: tree builds, A\* passes and bounded Dijkstras together.
+    /// Queue pops: tree builds, A\* passes and bounded Dijkstras together.
     pops: u64,
+    /// The tree builds' share of `pops`, off the [`BucketQueue`].
+    tree_pops: u64,
 }
 
 /// Reusable scratch buffers for [`k_shortest_paths_with`] and the masked
@@ -264,14 +388,18 @@ struct Counts {
 /// costs O(visited) to clean up rather than O(n). The scratch also holds the
 /// adjacency of the topology it was last bound to and the reverse
 /// shortest-path tree of its current destination; both are rebuilt by every
-/// public call, so nothing a scratch did before can leak into a result. One
-/// scratch per worker thread makes the 1,000-node KSP precompute
-/// allocation-free in steady state.
+/// public call, so nothing a scratch did before can leak into a result. The
+/// reverse trees run on a bucket queue, sized when the topology is bound,
+/// and the spur searches on a binary heap. One scratch per worker thread
+/// makes the 1,000-node KSP precompute allocation-free in steady state: once
+/// a scratch has built one tree of a topology, building more allocates
+/// nothing.
 pub struct KspScratch {
     dist: Vec<f64>,
     prev: Vec<Option<(NodeId, EdgeId)>>,
     touched: Vec<NodeId>,
     heap: MinHeap,
+    tree_queue: BucketQueue,
     edge_ban: Vec<u32>,
     node_ban: Vec<u32>,
     epoch: u32,
@@ -308,6 +436,7 @@ impl KspScratch {
             prev: vec![None; topo.num_nodes()],
             touched: Vec::new(),
             heap: MinHeap::default(),
+            tree_queue: BucketQueue::default(),
             edge_ban: vec![0; topo.num_edges()],
             node_ban: vec![0; topo.num_nodes()],
             epoch: 0,
@@ -324,10 +453,11 @@ impl KspScratch {
         }
     }
 
-    /// Fit the buffers to `topo` and rebuild its adjacency, O(E). Forgets the
-    /// current reverse tree: the caller must [`aim`](Self::aim) before the
-    /// next search, so a tree can never outlive the graph it was built on
-    /// (a failed-link twin shares node ids but is a different graph).
+    /// Fit the buffers and the tree queue to `topo` and rebuild its
+    /// adjacency, O(E). Forgets the current reverse tree: the caller must
+    /// [`aim`](Self::aim) before the next search, so a tree can never
+    /// outlive the graph it was built on (a failed-link twin shares node ids
+    /// but is a different graph).
     fn bind(&mut self, topo: &Topology) {
         let n = topo.num_nodes();
         if self.dist.len() < n {
@@ -371,6 +501,7 @@ impl KspScratch {
                 weight: e.weight,
             };
         }
+        self.tree_queue.fit(topo);
         self.target = None;
     }
 
@@ -379,7 +510,7 @@ impl KspScratch {
     /// `h` and `hop` are written; a node with nobody to improve is not queued.
     fn aim(&mut self, dst: NodeId) {
         let KspScratch {
-            heap,
+            tree_queue,
             in_off,
             in_adj,
             h,
@@ -394,11 +525,12 @@ impl KspScratch {
         h.resize(n, f64::INFINITY);
         hop.clear();
         hop.resize(n, u32::MAX);
-        heap.clear();
+        tree_queue.clear();
         h[dst] = 0.0;
-        heap.push(0.0, dst);
-        while let Some((d, node)) = heap.pop() {
+        tree_queue.push(0.0, dst);
+        while let Some((d, node)) = tree_queue.pop() {
             count!(counts.pops);
+            count!(counts.tree_pops);
             if d > h[node] {
                 continue;
             }
@@ -414,7 +546,7 @@ impl KspScratch {
                     // settled at `d <= nd`.
                     let into = &in_adj[in_off[from] as usize..in_off[from + 1] as usize];
                     if !matches!(into, [only] if only.node as usize == node) {
-                        heap.push(nd, from);
+                        tree_queue.push(nd, from);
                     }
                 }
             }

@@ -7,6 +7,12 @@ use crate::gen::{b4, generate, gravity_pairs, large_wan, TopoKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Instant;
+use teal_meter::thread_calls;
+
+// Counts this binary's allocations for `trees_allocate_nothing_once_bound`.
+#[global_allocator]
+static METER: teal_meter::Meter = teal_meter::Meter;
 
 /// 4-node diamond: 0-1-3 (weights 1+1), 0-2-3 (1+2), 0-3 direct (5).
 fn diamond() -> Topology {
@@ -88,17 +94,53 @@ fn path_hash(topo: &Topology, paths: &[Path]) -> u64 {
 /// pairs are unreachable; weights are small integers (equal-weight paths
 /// everywhere), zero included when `zero_weights` is set.
 fn tie_heavy_graph(seed: u64, n: usize, density: f64, zero_weights: bool) -> Topology {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = Topology::new("ties", n);
     let lightest = if zero_weights { 0 } else { 1 };
+    random_graph("ties", seed, n, density, |rng| {
+        f64::from(rng.gen_range(lightest..4u32))
+    })
+}
+
+/// Random directed graph: every ordered pair gets its own edge with
+/// probability `density`, weighted by `weight`.
+fn random_graph(
+    name: &str,
+    seed: u64,
+    n: usize,
+    density: f64,
+    mut weight: impl FnMut(&mut StdRng) -> f64,
+) -> Topology {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = Topology::new(name, n);
     for a in 0..n {
         for b in 0..n {
             if a != b && rng.gen::<f64>() < density {
-                t.add_directed_edge(a, b, 1.0, f64::from(rng.gen_range(lightest..4u32)));
+                let w = weight(&mut rng);
+                t.add_directed_edge(a, b, 1.0, w);
             }
         }
     }
     t
+}
+
+/// Arcs from 1e-9 to 1e3, log-uniform, the first two at the two ends: keys
+/// spread over ~10¹² bucket widths, so the tree queue's clamp to [`CAP`]
+/// buckets is hit.
+fn spread_graph(seed: u64, n: usize) -> Topology {
+    let mut drawn = 0;
+    random_graph("spread", seed, n, 0.2, |rng| {
+        drawn += 1;
+        match drawn {
+            1 => 1e-9,
+            2 => 1e3,
+            _ => 10f64.powf(rng.gen_range(-9.0..3.0)),
+        }
+    })
+}
+
+/// Every arc weighs zero: the tree queue has no positive width and holds
+/// every key in its first bucket, in order.
+fn zero_graph(seed: u64, n: usize) -> Topology {
+    random_graph("zeros", seed, n, 0.25, |_| 0.0)
 }
 
 #[test]
@@ -426,6 +468,10 @@ fn paper_scale_pinned_hash_and_counts() {
     let (ours, searches, pops) = work_counts(&t, &pairs);
     println!("large_wan(1024), 2048 pairs: {ours:?}; oracle searches {searches}, pops {pops}");
     assert_eq!(ours.trees, 444);
+    // The counts from when the trees popped a binary heap: the bucket
+    // queue pops the same keys in the same order.
+    assert_eq!(ours.pops, 495_597);
+    assert_eq!(ours.tree_pops, 396_529);
     assert!(
         ours.searches * 3 < searches * 2,
         "{} searches vs oracle {searches}",
@@ -674,7 +720,9 @@ fn full_reverse_tree(scratch: &KspScratch, dst: NodeId) -> (Vec<f64>, Vec<u32>, 
 fn reverse_tree_equals_full_dijkstra() {
     // Not queueing a dead-end node changes no distance and no next hop, bit
     // for bit: symmetric graphs with leaves, asymmetric ones with zero
-    // weights, and a one-way chain where every node has in-degree one.
+    // weights, a one-way chain where every node has in-degree one, arcs
+    // twelve orders of magnitude apart and arcs that all weigh zero. The
+    // bucket queue never holds more than `CAP` buckets.
     let mut chain = Topology::new("chain", 6);
     for v in 0..5 {
         chain.add_directed_edge(v, v + 1, 1.0, 1.0);
@@ -686,6 +734,8 @@ fn reverse_tree_equals_full_dijkstra() {
         tie_heavy_graph(3, 12, 0.3, true),
         tie_heavy_graph(4, 12, 0.15, true),
         chain,
+        spread_graph(8, 40),
+        zero_graph(9, 16),
     ];
     let (mut ours, mut plain) = (0, 0);
     for t in &topos {
@@ -697,6 +747,11 @@ fn reverse_tree_equals_full_dijkstra() {
             let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&scratch.h), bits(&h), "{} dst {dst}", t.name());
             assert_eq!(scratch.hop, hop, "{} dst {dst}", t.name());
+            assert!(
+                scratch.tree_queue.heads.len() <= CAP,
+                "{} dst {dst}",
+                t.name()
+            );
             plain += pops;
         }
         ours += scratch.counts.pops;
@@ -704,6 +759,140 @@ fn reverse_tree_equals_full_dijkstra() {
     assert!(
         ours < plain,
         "the rule never applied: {ours} pops vs {plain}"
+    );
+}
+
+#[test]
+fn trees_allocate_nothing_once_bound() {
+    // The first tree sizes `h` and `hop`; `bind` has reserved the tree
+    // queue for the most keys any tree of the topology can push. So every
+    // further tree, from any destination, allocates nothing.
+    for t in [
+        b4(),
+        large_wan(256, 7),
+        tie_heavy_graph(3, 12, 0.3, true),
+        spread_graph(8, 40),
+        zero_graph(9, 16),
+    ] {
+        let mut scratch = KspScratch::new(&t);
+        scratch.bind(&t);
+        scratch.aim(0);
+        let before = thread_calls();
+        for dst in (0..t.num_nodes()).rev() {
+            scratch.aim(dst);
+        }
+        assert_eq!(thread_calls() - before, 0, "{}", t.name());
+    }
+}
+
+/// The tree build as it was before the bucket queue, on the spur searches'
+/// binary heap (less its counters): the reference `tree_build_pairs` times
+/// and checks [`KspScratch::aim`] against.
+fn heap_aim(scratch: &mut KspScratch, dst: NodeId) {
+    let KspScratch {
+        heap,
+        in_off,
+        in_adj,
+        h,
+        hop,
+        target,
+        ..
+    } = scratch;
+    let n = in_off.len() - 1;
+    h.clear();
+    h.resize(n, f64::INFINITY);
+    hop.clear();
+    hop.resize(n, u32::MAX);
+    heap.clear();
+    h[dst] = 0.0;
+    heap.push(0.0, dst);
+    while let Some((d, node)) = heap.pop() {
+        if d > h[node] {
+            continue;
+        }
+        let (lo, hi) = (in_off[node] as usize, in_off[node + 1] as usize);
+        for arc in &in_adj[lo..hi] {
+            let from = arc.node as usize;
+            let nd = d + arc.weight;
+            if nd < h[from] {
+                h[from] = nd;
+                hop[from] = node as u32;
+                // A node whose single in-arc comes from `node` is a dead
+                // end: popping it could only re-relax `node`, which is
+                // settled at `d <= nd`.
+                let into = &in_adj[in_off[from] as usize..in_off[from + 1] as usize];
+                if !matches!(into, [only] if only.node as usize == node) {
+                    heap.push(nd, from);
+                }
+            }
+        }
+    }
+    *target = Some(dst);
+}
+
+/// `(q1, median, q3)` of `xs`.
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let at = |q: usize| xs[(xs.len() - 1) * q / 4];
+    (at(1), at(2), at(3))
+}
+
+#[test]
+#[ignore = "timing probe over 1,024 nodes: meaningful in release only"]
+fn tree_build_pairs() {
+    // The 444 trees `PathSet::compute` builds for 2,048 gravity pairs on
+    // `large_wan(1024)`, on one thread: the bucket queue against the heap,
+    // in alternating pairs of whole sweeps. Asserts only equal bits.
+    let t = large_wan(1024, 7);
+    let mut dsts: Vec<NodeId> = gravity_pairs(&t, 2048, 6).iter().map(|p| p.1).collect();
+    dsts.sort_unstable();
+    dsts.dedup();
+    assert_eq!(dsts.len(), 444);
+    let (mut bucket, mut heap) = (KspScratch::new(&t), KspScratch::new(&t));
+    bucket.bind(&t);
+    heap.bind(&t);
+    let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for &dst in &dsts {
+        bucket.aim(dst);
+        heap_aim(&mut heap, dst);
+        assert_eq!(bits(&bucket.h), bits(&heap.h), "dst {dst}");
+        assert_eq!(bucket.hop, heap.hop, "dst {dst}");
+    }
+    let sweep = |scratch: &mut KspScratch, build: fn(&mut KspScratch, NodeId)| {
+        let start = Instant::now();
+        for &dst in &dsts {
+            build(scratch, dst);
+        }
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let (mut with_buckets, mut with_heap) = (Vec::new(), Vec::new());
+    for pair in 0..15 {
+        if pair % 2 == 0 {
+            with_buckets.push(sweep(&mut bucket, KspScratch::aim));
+            with_heap.push(sweep(&mut heap, heap_aim));
+        } else {
+            with_heap.push(sweep(&mut heap, heap_aim));
+            with_buckets.push(sweep(&mut bucket, KspScratch::aim));
+        }
+    }
+    let faster = with_buckets
+        .iter()
+        .zip(&with_heap)
+        .filter(|(b, h)| b < h)
+        .count();
+    let (b, h) = (quartiles(&with_buckets), quartiles(&with_heap));
+    println!(
+        "tree_build_pairs: 444 trees of large_wan(1024), one thread, 15 pairs: \
+         bucket queue {:.1}/{:.1}/{:.1} ms, binary heap {:.1}/{:.1}/{:.1} ms (q1/median/q3), \
+         median ratio {:.3}, buckets faster in {faster} of 15",
+        b.0,
+        b.1,
+        b.2,
+        h.0,
+        h.1,
+        h.2,
+        b.1 / h.1,
     );
 }
 
@@ -870,6 +1059,69 @@ proptest! {
         for (&(s, d), got) in pairs.iter().zip(&driven) {
             if let Err(e) = same_paths(&t, got, &oracle_paths(&t, s, d, k)) {
                 prop_assert!(false, "seed {} n {} k {} pair {}->{}: {}", seed, n, k, s, d, e);
+            }
+        }
+    }
+}
+
+/// One draw of [`bucket_queue_pops_in_heap_order`]'s next key, from the last
+/// key popped, the keys pushed so far and the bucket width.
+fn next_key(rng: &mut StdRng, last: f64, pushed: &[f64], width: f64) -> f64 {
+    match rng.gen_range(0..6u32) {
+        // A zero-weight arc: the cursor's own bucket.
+        0 => last,
+        // One ulp on.
+        1 => f64::from_bits(last.to_bits() + 1),
+        2 => last + width * rng.gen_range(0.0..3.0),
+        3 => last + width * CAP as f64 * rng.gen_range(1.0..3.0),
+        // Equal keys, and keys behind the cursor.
+        4 if !pushed.is_empty() => pushed[rng.gen_range(0..pushed.len())],
+        _ => last * rng.gen::<f64>(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The trees' bucket queue and a [`MinHeap`] fed the same pushes, pops
+    /// and clears pop the same keys and nodes, bit for bit: equal keys, zero
+    /// and one-ulp increments, keys past `CAP` buckets and keys pushed
+    /// behind the cursor, at several widths and with none (no positive arc).
+    #[test]
+    fn bucket_queue_pops_in_heap_order(seed in 0u64..1_000_000, shape in 0usize..4, ops in 1usize..600) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let width = [1.0, 0.05, 1e-9, f64::INFINITY][shape];
+        let step = if width.is_finite() { width } else { 1.0 };
+        let mut queue = BucketQueue { scale: width.recip(), ..BucketQueue::default() };
+        let mut heap = MinHeap::default();
+        let bits = |x: Option<(f64, NodeId)>| x.map(|(d, n)| (d.to_bits(), n));
+        let (mut last, mut pushed) = (0.0f64, Vec::new());
+        for op in 0..ops {
+            let roll = rng.gen::<f64>();
+            if roll < 0.01 {
+                queue.clear();
+                heap.clear();
+                last = 0.0;
+            } else if roll < 0.6 {
+                let key = next_key(&mut rng, last, &pushed, step);
+                let node = rng.gen_range(0..6usize);
+                queue.push(key, node);
+                heap.push(key, node);
+                pushed.push(key);
+            } else {
+                let (got, want) = (queue.pop(), heap.pop());
+                prop_assert_eq!(bits(got), bits(want), "seed {} shape {} op {}", seed, shape, op);
+                if let Some((d, _)) = want {
+                    last = d;
+                }
+            }
+            prop_assert!(queue.heads.len() <= CAP);
+        }
+        loop {
+            let (got, want) = (queue.pop(), heap.pop());
+            prop_assert_eq!(bits(got), bits(want), "seed {} shape {} draining", seed, shape);
+            if want.is_none() {
+                break;
             }
         }
     }
