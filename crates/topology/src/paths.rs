@@ -113,10 +113,11 @@
 //!   adjacency with the edge weight inline, rebuilt once per worker by
 //!   `KspScratch::bind`. The two searches pop a binary heap keyed on
 //!   `(dist.to_bits(), node)`. The tree build, two thirds of KSP's time
-//!   under a heap, pops a monotone bucket queue instead: buckets one
-//!   lightest arc wide, only the cursor's bucket sorted, and the same pop
-//!   order as the heap for any non-negative weights (`BucketQueue`), so `h`
-//!   and `hop` keep their bits. The searches keep the heap: the same queue
+//!   under a heap, pops a ring of buckets instead (`BucketQueue`): one
+//!   lightest arc wide, or `heaviest / n` where the arcs span more than `n`
+//!   of the lightest, only the cursor's bucket sorted, and the same pop
+//!   order as the heap for any non-negative weights, so `h` and `hop` keep
+//!   their bits. The searches keep the heap: the same queue
 //!   under them made Swan's KSP slower.
 //! * The tree build writes `h` and `hop` for every node but does not queue a
 //!   node whose single in-arc comes from the node being popped (a stub site
@@ -215,37 +216,43 @@ impl MinHeap {
     }
 }
 
-/// Buckets a [`BucketQueue`] may use; a key past the last lands in the last.
-const CAP: usize = 1 << 10;
-
 /// End of a bucket's list in [`BucketQueue::heads`] and its entries.
 const NIL: u32 = u32::MAX;
 
-/// The reverse trees' queue: it pops in exactly [`MinHeap`]'s
-/// `(dist.to_bits(), node)` order for any non-negative keys, pushed in any
-/// order, but keeps them in buckets of one width — the bound topology's
-/// lightest positive arc, so a tree at 1,024 nodes spans about 120 of them.
+/// The reverse trees' queue, a Dial ring: it pops in exactly [`MinHeap`]'s
+/// `(dist.to_bits(), node)` order for non-negative keys, as long as no key
+/// pushed is more than the heaviest arc past the heaviest key popped since
+/// the last clear (true of any Dijkstra over the bound topology's arcs).
 ///
-/// Key `d` lands in bucket `⌊d · (1 / width)⌋` clamped to `[cursor, CAP)`.
-/// Rounded or not, that index never falls as `d` grows, so every key in a bucket past the cursor
-/// is heavier than every key in the cursor's own: only that one bucket must
-/// be in order. It is sorted heaviest first when the cursor reaches it, so a
-/// pop is a `Vec::pop`, and a push that lands in it — across a zero-weight
-/// arc, into the clamp's last bucket, or rounded onto a bucket edge — is
-/// inserted in order. The buckets past the cursor are lists threaded through
-/// one flat entry array, so the storage is three grow-only `Vec`s, sized
-/// once per topology (see [`Self::fit`]). The insertion is linear, so keys
-/// crowded into one bucket (every arc zero, or a spread of more than `CAP`
-/// widths) cost up to O(n) a push; `large_wan`'s buckets hold a handful.
+/// Buckets are one width wide: the lightest positive arc, or `heaviest / n`
+/// on an `n`-node topology whose arcs span more than `n` of its lightest
+/// (more buckets than a tree has keys would mostly be empty, and the cursor
+/// steps through every one). Key `d` lands in bucket
+/// `max(⌊d · (1 / width)⌋, cursor)`. That index never falls as `d` grows, so
+/// every key in a bucket past the cursor is heavier than every key in the
+/// cursor's own: only that one bucket must be in order. It is sorted
+/// heaviest first when the cursor reaches it, so a pop is a `Vec::pop`, and
+/// a push that lands in it (across an arc lighter than the width, or rounded
+/// onto a bucket edge) is inserted in order. A waiting key is at most
+/// `⌈heaviest / width⌉` buckets past the cursor, one more where rounding
+/// tips a key over a bucket edge, so absolute bucket `b` lives in slot
+/// `b mod slots` of a ring of `⌈heaviest / width⌉ + 2` slots rounded up to a
+/// power of two: at most `2 (n + 3)`, and 128 on the 1,024-node
+/// `large_wan`, whose arcs span 98 of its lightest. The buckets past the
+/// cursor are lists threaded through one flat entry array, and the cursor's
+/// bucket holds ids into it, so the storage is three grow-only `Vec`s, sized
+/// once per topology (see [`Self::fit`]).
 #[derive(Default)]
 struct BucketQueue {
     /// `1 / width`; 0 when the topology has no positive arc (one bucket).
     scale: f64,
-    /// The cursor's bucket, heaviest first.
-    current: Vec<(u64, u32)>,
+    /// `slots - 1`: absolute bucket `b` is `heads[b & mask]`.
+    mask: usize,
+    /// The cursor's bucket: ids into `entries`, heaviest key first.
+    current: Vec<u32>,
+    /// The cursor's absolute bucket index.
     cursor: usize,
-    /// `heads[b]`: the newest entry of bucket `b` past the cursor, or
-    /// [`NIL`]. As long as the highest bucket used, at most [`CAP`].
+    /// The newest entry of each bucket past the cursor, or [`NIL`].
     heads: Vec<u32>,
     /// `(key bits, node, next entry of the same bucket)`.
     entries: Vec<(u64, u32, u32)>,
@@ -254,44 +261,51 @@ struct BucketQueue {
 }
 
 impl BucketQueue {
-    /// Set the bucket width to `topo`'s lightest positive arc and reserve
-    /// what one tree over it can use: a tree expands each node once, so it
-    /// relaxes each arc at most once and pushes at most `E + 1` keys.
-    fn fit(&mut self, topo: &Topology) {
-        let lightest = topo
-            .edges()
-            .iter()
-            .map(|e| e.weight)
-            .filter(|&w| w > 0.0)
-            .fold(f64::INFINITY, f64::min);
-        self.scale = lightest.recip();
-        let most = topo.num_edges() + 1;
-        self.current.reserve(most);
-        self.entries.reserve(most);
-        self.heads.reserve(CAP);
+    /// Size the buckets and the ring for `nodes` nodes joined by arcs from
+    /// `lightest` (the lightest positive arc, infinite if there is none) to
+    /// `heaviest`, and reserve what one tree over `arcs` arcs can use: a
+    /// tree expands each node once, so it relaxes each arc at most once and
+    /// pushes at most `arcs + 1` keys.
+    fn fit(&mut self, lightest: f64, heaviest: f64, nodes: usize, arcs: usize) {
+        self.scale = lightest.recip().min(nodes.max(1) as f64 / heaviest);
+        // NaN (an infinite arc, so `scale` is 0) casts to 0: one bucket.
+        let reach = (heaviest * self.scale).ceil() as usize + 2;
+        let slots = reach.next_power_of_two();
+        self.mask = slots - 1;
+        self.heads.clear();
+        self.heads.resize(slots, NIL);
+        self.clear();
+        self.current.reserve(arcs + 1);
+        self.entries.reserve(arcs + 1);
     }
 
     fn clear(&mut self) {
         self.current.clear();
         self.cursor = 0;
-        self.heads.fill(NIL);
+        // A drained queue's buckets are all empty already.
+        if self.waiting > 0 {
+            self.heads.fill(NIL);
+        }
         self.entries.clear();
         self.waiting = 0;
     }
 
     fn push(&mut self, dist: f64, node: NodeId) {
         debug_assert!(dist.is_sign_positive(), "queue key {dist}");
-        let key = (dist.to_bits(), node as u32);
-        let bucket = ((dist * self.scale) as usize).clamp(self.cursor, CAP - 1);
+        let bucket = ((dist * self.scale) as usize).max(self.cursor);
+        debug_assert!(
+            bucket - self.cursor <= self.mask,
+            "queue key {dist} past the ring"
+        );
+        let id = self.entries.len() as u32;
         if bucket == self.cursor {
-            self.insert(key);
+            self.entries.push((dist.to_bits(), node as u32, NIL));
+            self.insert(id);
             return;
         }
-        if self.heads.len() <= bucket {
-            self.heads.resize(bucket + 1, NIL);
-        }
-        self.entries.push((key.0, key.1, self.heads[bucket]));
-        self.heads[bucket] = (self.entries.len() - 1) as u32;
+        let head = &mut self.heads[bucket & self.mask];
+        self.entries.push((dist.to_bits(), node as u32, *head));
+        *head = id;
         self.waiting += 1;
     }
 
@@ -299,32 +313,39 @@ impl BucketQueue {
         if self.current.is_empty() && self.waiting > 0 {
             self.advance();
         }
-        let (bits, node) = self.current.pop()?;
+        let (bits, node, _) = self.entries[self.current.pop()? as usize];
         Some((f64::from_bits(bits), node as usize))
     }
 
-    /// Put `key` into `current` in order, scanning from the lightest end.
-    fn insert(&mut self, key: (u64, u32)) {
+    /// Entry `id`'s key.
+    fn key(&self, id: u32) -> (u64, u32) {
+        let (bits, node, _) = self.entries[id as usize];
+        (bits, node)
+    }
+
+    /// Put entry `id` into `current` in order, scanning from the lightest end.
+    fn insert(&mut self, id: u32) {
+        let key = self.key(id);
         let mut at = self.current.len();
-        self.current.push(key);
-        while at > 0 && self.current[at - 1] < key {
+        self.current.push(id);
+        while at > 0 && self.key(self.current[at - 1]) < key {
             self.current[at] = self.current[at - 1];
             at -= 1;
         }
-        self.current[at] = key;
+        self.current[at] = id;
     }
 
-    /// Move the cursor to the next bucket that holds entries (there is one)
-    /// and insertion-sort them into `current`: a bucket holds a handful.
+    /// Move the cursor to the next bucket that holds entries (there is one,
+    /// less than a ring ahead) and insertion-sort them into `current`.
     fn advance(&mut self) {
         self.cursor += 1;
-        while self.heads[self.cursor] == NIL {
+        while self.heads[self.cursor & self.mask] == NIL {
             self.cursor += 1;
         }
-        let mut at = std::mem::replace(&mut self.heads[self.cursor], NIL);
+        let mut at = std::mem::replace(&mut self.heads[self.cursor & self.mask], NIL);
         while at != NIL {
-            let (bits, node, next) = self.entries[at as usize];
-            self.insert((bits, node));
+            let next = self.entries[at as usize].2;
+            self.insert(at);
             self.waiting -= 1;
             at = next;
         }
@@ -493,7 +514,12 @@ impl KspScratch {
         }
         self.in_adj.clear();
         self.in_adj.resize(topo.num_edges(), Adj::default());
+        let (mut lightest, mut heaviest) = (f64::INFINITY, 0.0f64);
         for (eid, e) in topo.edges().iter().enumerate().rev() {
+            if e.weight > 0.0 {
+                lightest = lightest.min(e.weight);
+            }
+            heaviest = heaviest.max(e.weight);
             self.in_off[e.dst] -= 1;
             self.in_adj[self.in_off[e.dst] as usize] = Adj {
                 node: e.src as u32,
@@ -501,7 +527,7 @@ impl KspScratch {
                 weight: e.weight,
             };
         }
-        self.tree_queue.fit(topo);
+        self.tree_queue.fit(lightest, heaviest, n, topo.num_edges());
         self.target = None;
     }
 

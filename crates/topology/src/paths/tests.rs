@@ -122,9 +122,9 @@ fn random_graph(
     t
 }
 
-/// Arcs from 1e-9 to 1e3, log-uniform, the first two at the two ends: keys
-/// spread over ~10¹² bucket widths, so the tree queue's clamp to [`CAP`]
-/// buckets is hit.
+/// Arcs from 1e-9 to 1e3, log-uniform, the first two at the two ends: twelve
+/// orders of magnitude, so the tree queue's buckets are `1e3 / n` wide, far
+/// wider than the lightest arc.
 fn spread_graph(seed: u64, n: usize) -> Topology {
     let mut drawn = 0;
     random_graph("spread", seed, n, 0.2, |rng| {
@@ -721,8 +721,9 @@ fn reverse_tree_equals_full_dijkstra() {
     // Not queueing a dead-end node changes no distance and no next hop, bit
     // for bit: symmetric graphs with leaves, asymmetric ones with zero
     // weights, a one-way chain where every node has in-degree one, arcs
-    // twelve orders of magnitude apart and arcs that all weigh zero. The
-    // bucket queue never holds more than `CAP` buckets.
+    // twelve orders of magnitude apart, arcs that all weigh zero, and a
+    // carrier whose arcs span more buckets than it has nodes. The bucket
+    // queue's ring never has more than `2 (n + 3)` slots.
     let mut chain = Topology::new("chain", 6);
     for v in 0..5 {
         chain.add_directed_edge(v, v + 1, 1.0, 1.0);
@@ -736,6 +737,7 @@ fn reverse_tree_equals_full_dijkstra() {
         chain,
         spread_graph(8, 40),
         zero_graph(9, 16),
+        generate(TopoKind::UsCarrier, 1.0, 42),
     ];
     let (mut ours, mut plain) = (0, 0);
     for t in &topos {
@@ -748,7 +750,7 @@ fn reverse_tree_equals_full_dijkstra() {
             assert_eq!(bits(&scratch.h), bits(&h), "{} dst {dst}", t.name());
             assert_eq!(scratch.hop, hop, "{} dst {dst}", t.name());
             assert!(
-                scratch.tree_queue.heads.len() <= CAP,
+                scratch.tree_queue.heads.len() <= 2 * (t.num_nodes() + 3),
                 "{} dst {dst}",
                 t.name()
             );
@@ -839,25 +841,55 @@ fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
 }
 
 #[test]
-#[ignore = "timing probe over 1,024 nodes: meaningful in release only"]
+#[ignore = "timing probe over paper-scale topologies: meaningful in release only"]
 fn tree_build_pairs() {
-    // The 444 trees `PathSet::compute` builds for 2,048 gravity pairs on
-    // `large_wan(1024)`, on one thread: the bucket queue against the heap,
-    // in alternating pairs of whole sweeps. Asserts only equal bits.
+    // The reverse trees `PathSet::compute` builds for 2,048 gravity pairs,
+    // on one thread: the bucket queue against the heap, in alternating pairs
+    // of whole sweeps. `large_wan(1024)` (444 trees) and the four generated
+    // evaluation topologies at full scale, whose arcs span up to ~3,100 of
+    // their lightest. Asserts only equal bits.
     let t = large_wan(1024, 7);
-    let mut dsts: Vec<NodeId> = gravity_pairs(&t, 2048, 6).iter().map(|p| p.1).collect();
+    assert_eq!(tree_destinations(&t).len(), 444);
+    tree_pairs("large_wan(1024)", &t);
+    for kind in [
+        TopoKind::Swan,
+        TopoKind::UsCarrier,
+        TopoKind::Kdl,
+        TopoKind::Asn,
+    ] {
+        tree_pairs(kind.name(), &generate(kind, 1.0, 42));
+    }
+}
+
+/// The distinct destinations of 2,048 gravity pairs on `t`, ascending.
+fn tree_destinations(t: &Topology) -> Vec<NodeId> {
+    let mut dsts: Vec<NodeId> = gravity_pairs(t, 2048, 6).iter().map(|p| p.1).collect();
     dsts.sort_unstable();
     dsts.dedup();
-    assert_eq!(dsts.len(), 444);
-    let (mut bucket, mut heap) = (KspScratch::new(&t), KspScratch::new(&t));
-    bucket.bind(&t);
-    heap.bind(&t);
+    dsts
+}
+
+/// One topology of [`tree_build_pairs`]: checks the two builds' bits tree by
+/// tree, then times 15 alternating pairs of sweeps and prints quartiles, the
+/// median ratio and how far the trees reach in buckets.
+fn tree_pairs(name: &str, t: &Topology) {
+    let dsts = tree_destinations(t);
+    let (mut bucket, mut heap) = (KspScratch::new(t), KspScratch::new(t));
+    bucket.bind(t);
+    heap.bind(t);
     let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut reach = 0.0f64;
     for &dst in &dsts {
         bucket.aim(dst);
         heap_aim(&mut heap, dst);
-        assert_eq!(bits(&bucket.h), bits(&heap.h), "dst {dst}");
-        assert_eq!(bucket.hop, heap.hop, "dst {dst}");
+        assert_eq!(bits(&bucket.h), bits(&heap.h), "{name} dst {dst}");
+        assert_eq!(bucket.hop, heap.hop, "{name} dst {dst}");
+        let farthest = bucket
+            .h
+            .iter()
+            .filter(|d| d.is_finite())
+            .fold(0.0, |a, &d| d.max(a));
+        reach = reach.max(farthest * bucket.tree_queue.scale);
     }
     let sweep = |scratch: &mut KspScratch, build: fn(&mut KspScratch, NodeId)| {
         let start = Instant::now();
@@ -883,9 +915,11 @@ fn tree_build_pairs() {
         .count();
     let (b, h) = (quartiles(&with_buckets), quartiles(&with_heap));
     println!(
-        "tree_build_pairs: 444 trees of large_wan(1024), one thread, 15 pairs: \
-         bucket queue {:.1}/{:.1}/{:.1} ms, binary heap {:.1}/{:.1}/{:.1} ms (q1/median/q3), \
-         median ratio {:.3}, buckets faster in {faster} of 15",
+        "tree_build_pairs: {} trees of {name}, one thread, 15 pairs: \
+         bucket queue {:.2}/{:.2}/{:.2} ms, binary heap {:.2}/{:.2}/{:.2} ms (q1/median/q3), \
+         median ratio {:.3}, buckets faster in {faster} of 15; \
+         trees reach {reach:.0} buckets, ring of {} slots",
+        dsts.len(),
         b.0,
         b.1,
         b.2,
@@ -893,6 +927,7 @@ fn tree_build_pairs() {
         h.1,
         h.2,
         b.1 / h.1,
+        bucket.tree_queue.heads.len(),
     );
 }
 
@@ -1064,20 +1099,23 @@ proptest! {
     }
 }
 
-/// One draw of [`bucket_queue_pops_in_heap_order`]'s next key, from the last
-/// key popped, the keys pushed so far and the bucket width.
-fn next_key(rng: &mut StdRng, last: f64, pushed: &[f64], width: f64) -> f64 {
-    match rng.gen_range(0..6u32) {
+/// One draw of [`bucket_queue_pops_in_heap_order`]'s next key, from the
+/// heaviest key popped since the last clear, the keys pushed since then and
+/// the arc range: never more than `heaviest` past `top`, as in a Dijkstra.
+fn next_key(rng: &mut StdRng, top: f64, pushed: &[f64], lightest: f64, heaviest: f64) -> f64 {
+    let key = match rng.gen_range(0..7u32) {
         // A zero-weight arc: the cursor's own bucket.
-        0 => last,
+        0 => top,
         // One ulp on.
-        1 => f64::from_bits(last.to_bits() + 1),
-        2 => last + width * rng.gen_range(0.0..3.0),
-        3 => last + width * CAP as f64 * rng.gen_range(1.0..3.0),
+        1 => f64::from_bits(top.to_bits() + 1),
+        2 => top + lightest,
+        3 => top + heaviest,
+        4 => top + heaviest * rng.gen::<f64>(),
         // Equal keys, and keys behind the cursor.
-        4 if !pushed.is_empty() => pushed[rng.gen_range(0..pushed.len())],
-        _ => last * rng.gen::<f64>(),
-    }
+        5 if !pushed.is_empty() => pushed[rng.gen_range(0..pushed.len())],
+        _ => top * rng.gen::<f64>(),
+    };
+    key.min(top + heaviest)
 }
 
 proptest! {
@@ -1085,25 +1123,28 @@ proptest! {
 
     /// The trees' bucket queue and a [`MinHeap`] fed the same pushes, pops
     /// and clears pop the same keys and nodes, bit for bit: equal keys, zero
-    /// and one-ulp increments, keys past `CAP` buckets and keys pushed
-    /// behind the cursor, at several widths and with none (no positive arc).
+    /// and one-ulp increments, steps of exactly the lightest and the heaviest
+    /// arc, keys pushed behind the cursor, and cursors many rings past the
+    /// start. Arc ranges: a ring of 8 slots, `large_wan`'s, one too wide for
+    /// 1,000 buckets of its lightest arc, and no positive arc at all.
     #[test]
     fn bucket_queue_pops_in_heap_order(seed in 0u64..1_000_000, shape in 0usize..4, ops in 1usize..600) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let width = [1.0, 0.05, 1e-9, f64::INFINITY][shape];
-        let step = if width.is_finite() { width } else { 1.0 };
-        let mut queue = BucketQueue { scale: width.recip(), ..BucketQueue::default() };
+        let (lightest, heaviest) = [(1.0, 4.0), (0.05, 4.9), (1e-9, 1e3), (f64::INFINITY, 0.0)][shape];
+        let mut queue = BucketQueue::default();
+        queue.fit(lightest, heaviest, 1000, 0);
         let mut heap = MinHeap::default();
         let bits = |x: Option<(f64, NodeId)>| x.map(|(d, n)| (d.to_bits(), n));
-        let (mut last, mut pushed) = (0.0f64, Vec::new());
+        let (mut top, mut pushed) = (0.0f64, Vec::new());
         for op in 0..ops {
             let roll = rng.gen::<f64>();
             if roll < 0.01 {
                 queue.clear();
                 heap.clear();
-                last = 0.0;
+                top = 0.0;
+                pushed.clear();
             } else if roll < 0.6 {
-                let key = next_key(&mut rng, last, &pushed, step);
+                let key = next_key(&mut rng, top, &pushed, lightest.min(1.0), heaviest);
                 let node = rng.gen_range(0..6usize);
                 queue.push(key, node);
                 heap.push(key, node);
@@ -1112,10 +1153,10 @@ proptest! {
                 let (got, want) = (queue.pop(), heap.pop());
                 prop_assert_eq!(bits(got), bits(want), "seed {} shape {} op {}", seed, shape, op);
                 if let Some((d, _)) = want {
-                    last = d;
+                    top = top.max(d);
                 }
             }
-            prop_assert!(queue.heads.len() <= CAP);
+            prop_assert!(queue.heads.len() <= 2 * (1000 + 3));
         }
         loop {
             let (got, want) = (queue.pop(), heap.pop());
