@@ -2,7 +2,8 @@
 //!
 //! Usage: `expts [--fast] <id>...` where `<id>` is one of
 //! table1 table2 table3 fig2 fig6 fig7 fig8 fig9 fig10a fig10b fig11 fig12
-//! fig13 fig14 fig15 fig16 fig17 fig18, or `all`.
+//! fig13 fig14 fig15 fig16 fig17 fig18, or `all`. An unknown id fails the
+//! run (exit status 2) before any experiment starts.
 
 use teal_bench::experiments as ex;
 use teal_bench::Harness;
@@ -18,6 +19,19 @@ fn main() {
     let mut ids: Vec<String> = args.into_iter().filter(|a| a != "--fast").collect();
     if ids.is_empty() || ids.iter().any(|a| a == "all") {
         ids = ALL.iter().map(|s| s.to_string()).collect();
+    }
+    let unknown: Vec<&str> = ids
+        .iter()
+        .map(String::as_str)
+        .filter(|id| !ALL.contains(id))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "[expts] unknown experiment id(s): {}; known: {}",
+            unknown.join(" "),
+            ALL.join(" ")
+        );
+        std::process::exit(2);
     }
     let mut h = Harness::new(fast);
     for id in &ids {
@@ -45,7 +59,7 @@ fn main() {
             "fig16" => ex::ablation::fig16(&mut h),
             "fig17" => ex::tables::fig17(fast),
             "fig18" => ex::comparison::fig18(&mut h),
-            other => eprintln!("[expts] unknown experiment id: {other}"),
+            other => unreachable!("{other} is checked against ALL"),
         }
         eprintln!("[expts] {id} done in {:.1}s", t0.elapsed().as_secs_f64());
     }

@@ -57,7 +57,6 @@ pub fn fig14(h: &mut Harness) {
         let d_cfg = DirectConfig {
             epochs: budget.epochs,
             lr: budget.lr,
-            grad_clip: 5.0,
         };
         let _ = train_direct(&mut direct, &bed.train, &bed.val, &d_cfg);
         results[2]
@@ -137,14 +136,12 @@ pub fn fig15(h: &mut Harness) {
     //     4 -> 21; the nearest realizable analogs of the paper's 6/12/24).
     let growth_choices: &[usize] = if h.fast() { &[1] } else { &[1, 2, 4] };
     for &growth in growth_choices {
-        let dim = 1 + 5 * growth;
-        let v = train_and_score(
-            h,
-            TealConfig {
-                embed_growth: growth,
-                ..TealConfig::default()
-            },
-        );
+        let cfg = TealConfig {
+            embed_growth: growth,
+            ..TealConfig::default()
+        };
+        let dim = cfg.embed_dim();
+        let v = train_and_score(h, cfg);
         t.row(vec![
             "embedding dim".into(),
             dim.to_string(),
@@ -177,7 +174,7 @@ pub fn fig15(h: &mut Harness) {
 /// testbed, labeled by LP-all's busy paths, with the cluster-separation
 /// score quantifying the visual claim.
 pub fn fig16(h: &mut Harness) {
-    use teal_core::tsne::{busy_path_labels, separation_score, tsne, TsneConfig};
+    use teal_core::tsne::{busy_path_labels, separation_score, tsne};
     let kind = TopoKind::Swan;
     let engine: ServingContext<TealModel> = h.teal_engine(kind);
     let fast = h.fast();
@@ -212,7 +209,7 @@ pub fn fig16(h: &mut Harness) {
         sub_labels.push(labels[i]);
     }
     let sub = teal_nn::Tensor::from_vec(idx.len(), embed.cols(), data);
-    let pts = tsne(&sub, &TsneConfig::default());
+    let pts = tsne(&sub);
     let sep = separation_score(&pts, &sub_labels);
 
     let busy = sub_labels.iter().filter(|&&b| b).count();

@@ -1,33 +1,11 @@
 //! Figures 6, 7, 13, 18 — the headline Teal-vs-baselines comparisons.
 
-use super::{offline_means, Harness};
+use super::{lineup, offline_means, Harness};
 use crate::table::{emit, emit_csv, Table};
 use std::sync::Arc;
-use teal_lp::{FlowStats, Objective};
-use teal_sim::{metrics, run_online, Baseline, Scheme, Solver, TealScheme};
+use teal_lp::FlowStats;
+use teal_sim::{metrics, run_online};
 use teal_topology::TopoKind;
-
-/// The scheme lineup of Figure 6 for one testbed. LP-all is skipped on the
-/// ASN testbed in default mode, matching the paper's "LP-all is not viable
-/// on ASN".
-fn lineup(h: &mut Harness, kind: TopoKind, include_lp_all: bool) -> Vec<Box<dyn Scheme>> {
-    let engine = h.teal_engine(kind);
-    let env = Arc::clone(&h.bed(kind).env);
-    let mut solvers = vec![
-        Solver::LpTop(Objective::TotalFlow),
-        Solver::Ncflow,
-        Solver::Pop,
-    ];
-    if include_lp_all {
-        solvers.insert(0, Solver::LpAll(Objective::TotalFlow));
-    }
-    let mut v: Vec<Box<dyn Scheme>> = Vec::new();
-    for solver in solvers {
-        v.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
-    }
-    v.push(Box::new(TealScheme::new(engine)));
-    v
-}
 
 /// Figure 6: average computation time and online satisfied demand across
 /// topologies.

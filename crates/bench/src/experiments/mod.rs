@@ -10,10 +10,11 @@ pub mod tables;
 
 use crate::testbed::{train_teal_engine, Testbed, TestbedSpec, TrainBudget};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use teal_core::{Env, ServingContext, TealConfig, TealModel};
-use teal_lp::FlowStats;
-use teal_sim::{metrics, run_offline, Scheme};
+use teal_lp::{FlowStats, Objective};
+use teal_sim::{metrics, run_offline, Baseline, Scheme, Solver, TealScheme};
 use teal_topology::TopoKind;
 use teal_traffic::TrafficMatrix;
 
@@ -36,6 +37,28 @@ fn offline_means(
         total.as_secs_f64() / tms.len().max(1) as f64,
         metrics::mean(&values),
     )
+}
+
+/// The scheme lineup of Figures 6, 7, 10, 13 and 18 for one testbed:
+/// LP-all (when `include_lp_all`; the paper finds it "not viable on ASN"),
+/// LP-top, NCFlow, POP, then Teal.
+fn lineup(h: &mut Harness, kind: TopoKind, include_lp_all: bool) -> Vec<Box<dyn Scheme>> {
+    let engine = h.teal_engine(kind);
+    let env = Arc::clone(&h.bed(kind).env);
+    let mut solvers = vec![
+        Solver::LpTop(Objective::TotalFlow),
+        Solver::Ncflow,
+        Solver::Pop,
+    ];
+    if include_lp_all {
+        solvers.insert(0, Solver::LpAll(Objective::TotalFlow));
+    }
+    let mut v: Vec<Box<dyn Scheme>> = Vec::new();
+    for solver in solvers {
+        v.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
+    }
+    v.push(Box::new(TealScheme::new(engine)));
+    v
 }
 
 /// Ratio of the paper's measured LP-all runtime to the 5-minute TE interval,

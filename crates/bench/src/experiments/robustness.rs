@@ -1,27 +1,11 @@
 //! Figure 10 — robustness to temporal and spatial demand changes (§5.4).
 
-use super::Harness;
+use super::{lineup, Harness};
 use crate::table::{emit, emit_csv, Table};
 use std::sync::Arc;
-use teal_lp::Objective;
-use teal_sim::{run_online, Baseline, Scheme, Solver, TealScheme};
+use teal_sim::run_online;
 use teal_topology::TopoKind;
 use teal_traffic::{spatial_redistribution, temporal_fluctuation};
-
-fn lineup(h: &mut Harness, kind: TopoKind) -> Vec<Box<dyn Scheme>> {
-    let engine = h.teal_engine(kind);
-    let env = Arc::clone(&h.bed(kind).env);
-    let mut v: Vec<Box<dyn Scheme>> = Vec::new();
-    for solver in [
-        Solver::LpTop(Objective::TotalFlow),
-        Solver::Ncflow,
-        Solver::Pop,
-    ] {
-        v.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
-    }
-    v.push(Box::new(TealScheme::new(engine)));
-    v
-}
 
 /// Figure 10a: temporal fluctuations scaled 1x/2x/5x/10x/20x. The Teal
 /// model is *not* retrained — the point is generalization to unseen
@@ -35,7 +19,7 @@ pub fn fig10a(h: &mut Harness) {
         &["scheme", "1x", "2x", "5x", "10x", "20x"],
     );
     let mut rows_csv = Vec::new();
-    let schemes = lineup(h, kind);
+    let schemes = lineup(h, kind, false);
     let bed = h.bed(kind);
     let env = Arc::clone(&bed.env);
     let base = bed.test.clone();
@@ -71,7 +55,7 @@ pub fn fig10b(h: &mut Harness) {
         &["scheme", "88.4%", "80%", "60%", "40%", "20%"],
     );
     let mut rows_csv = Vec::new();
-    let schemes = lineup(h, kind);
+    let schemes = lineup(h, kind, false);
     let bed = h.bed(kind);
     let env = Arc::clone(&bed.env);
     let base = bed.test.clone();

@@ -14,7 +14,7 @@
 //! trainers drive them unchanged.
 
 use crate::env::{Env, ModelInput};
-use crate::model::{assert_single_matrix, Forward, PolicyModel};
+use crate::model::{assert_single_matrix, Forward, PolicyModel, INIT_LOGSTD, LEAKY_SLOPE};
 use std::sync::Arc;
 use teal_nn::{Aggregate, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor};
 
@@ -27,7 +27,6 @@ pub struct NaiveDnnModel {
     /// Indices of each demand's first path slot (to extract the demand
     /// vector from `path_init`).
     demand_rows: Arc<Vec<usize>>,
-    slope: f32,
 }
 
 impl NaiveDnnModel {
@@ -52,7 +51,7 @@ impl NaiveDnnModel {
             din = hidden;
         }
         layers.push(Linear::new(&mut store, "dnn.out", din, nd * k, &mut rng));
-        let logstd = store.register("logstd", Tensor::full(1, k, -1.0));
+        let logstd = store.register("logstd", Tensor::full(1, k, INIT_LOGSTD));
         let demand_rows = Arc::new((0..nd).map(|d| d * k).collect());
         NaiveDnnModel {
             env,
@@ -60,7 +59,6 @@ impl NaiveDnnModel {
             layers,
             logstd,
             demand_rows,
-            slope: 0.1,
         }
     }
 }
@@ -88,7 +86,7 @@ impl PolicyModel for NaiveDnnModel {
             let (lin, b) = layer.forward(&self.store, g, h);
             bounds.push(b);
             h = if i + 1 < n {
-                g.leaky_relu(lin, self.slope)
+                g.leaky_relu(lin, LEAKY_SLOPE)
             } else {
                 lin
             };
@@ -122,7 +120,6 @@ pub struct NaiveGnnModel {
     logstd: ParamId,
     src_idx: Arc<Vec<usize>>,
     dst_idx: Arc<Vec<usize>>,
-    slope: f32,
 }
 
 impl NaiveGnnModel {
@@ -155,7 +152,7 @@ impl NaiveGnnModel {
             Linear::new(&mut store, "ngnn.head0", 2 * hidden, hidden, &mut rng),
             Linear::new(&mut store, "ngnn.head1", hidden, k, &mut rng),
         ];
-        let logstd = store.register("logstd", Tensor::full(1, k, -1.0));
+        let logstd = store.register("logstd", Tensor::full(1, k, INIT_LOGSTD));
         let pairs = env.paths().pairs().to_vec();
         let src_idx = Arc::new(pairs.iter().map(|&(s, _)| s).collect());
         let dst_idx = Arc::new(pairs.iter().map(|&(_, t)| t).collect());
@@ -168,7 +165,6 @@ impl NaiveGnnModel {
             logstd,
             src_idx,
             dst_idx,
-            slope: 0.1,
         }
     }
 
@@ -203,14 +199,14 @@ impl PolicyModel for NaiveGnnModel {
             let cat = g.concat_cols(h, msg);
             let (lin, b) = layer.forward(&self.store, g, cat);
             bounds.push(b);
-            h = g.leaky_relu(lin, self.slope);
+            h = g.leaky_relu(lin, LEAKY_SLOPE);
         }
         let src = g.gather_rows(h, Arc::clone(&self.src_idx));
         let dst = g.gather_rows(h, Arc::clone(&self.dst_idx));
         let pair = g.concat_cols(src, dst); // [D, 2h]
         let (h0, b0) = self.head[0].forward(&self.store, g, pair);
         bounds.push(b0);
-        let a0 = g.leaky_relu(h0, self.slope);
+        let a0 = g.leaky_relu(h0, LEAKY_SLOPE);
         let (mu, b1) = self.head[1].forward(&self.store, g, a0);
         bounds.push(b1);
         let logstd = self.store.bind(g, self.logstd);
@@ -233,7 +229,6 @@ pub struct GlobalPolicyModel {
     store2: ParamStore,
     giant: Vec<Linear>,
     logstd: ParamId,
-    slope: f32,
 }
 
 impl GlobalPolicyModel {
@@ -248,8 +243,7 @@ impl GlobalPolicyModel {
     ) -> Result<Self, String> {
         let nd = env.num_demands();
         let k = env.k();
-        let embed = cfg.gnn_layers;
-        let in_dim = env.paths().num_paths() * embed;
+        let in_dim = env.paths().num_paths() * cfg.embed_dim();
         let out_dim = nd * k;
         let params = in_dim * hidden + hidden * out_dim;
         if params > max_params {
@@ -265,13 +259,12 @@ impl GlobalPolicyModel {
             Linear::new(&mut store2, "global.h", in_dim, hidden, &mut rng),
             Linear::new(&mut store2, "global.out", hidden, out_dim, &mut rng),
         ];
-        let logstd = store2.register("logstd", Tensor::full(1, k, -1.0));
+        let logstd = store2.register("logstd", Tensor::full(1, k, INIT_LOGSTD));
         Ok(GlobalPolicyModel {
             inner,
             store2,
             giant,
             logstd,
-            slope: 0.1,
         })
     }
 
@@ -304,7 +297,7 @@ impl PolicyModel for GlobalPolicyModel {
         let mut bounds = inner_fwd.into_bounds();
         let (h, b0) = self.giant[0].forward(&self.store2, g, flat);
         bounds.push(b0);
-        let a = g.leaky_relu(h, self.slope);
+        let a = g.leaky_relu(h, LEAKY_SLOPE);
         let (out, b1) = self.giant[1].forward(&self.store2, g, a);
         bounds.push(b1);
         let mu = g.reshape(out, nd, k);
@@ -423,6 +416,25 @@ mod tests {
             too_big.is_err(),
             "size guard must reject oversized policies"
         );
+    }
+
+    #[test]
+    fn global_policy_head_takes_the_grown_embedding_width() {
+        // With `embed_growth` 2, FlowGNN's embeddings are 1 + 2·2 = 5 wide,
+        // not `gnn_layers` = 3: the giant head must be sized for them.
+        let env = tiny_env();
+        let cfg = TealConfig {
+            gnn_layers: 3,
+            embed_growth: 2,
+            ..TealConfig::default()
+        };
+        let model = GlobalPolicyModel::new(Arc::clone(&env), cfg, 8, 10_000_000).unwrap();
+        let in_dim = env.paths().num_paths() * cfg.embed_dim();
+        let out_dim = env.num_demands() * env.k();
+        assert!(model.giant_params() >= in_dim * 8 + 8 * out_dim);
+        let tm = traffic(&env, 1, 13).remove(0);
+        let alloc = model.allocate_deterministic(&env.model_input(&tm, None));
+        assert!(alloc.demand_feasible(1e-5));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! COMA*. The policy gradient (Eq. 3) is applied end-to-end through the
 //! policy network *and* FlowGNN.
 
+use crate::direct::GRAD_CLIP;
 use crate::env::Env;
 use crate::model::{mu_to_allocation, Forward, PolicyModel};
 use rand::Rng;
@@ -22,32 +23,37 @@ use teal_nn::graph::softmax_row_inplace;
 use teal_nn::{rng, Adam, Graph, Tensor};
 use teal_traffic::TrafficMatrix;
 
-/// Trainer hyperparameters.
+/// Monte Carlo samples per agent for the counterfactual baseline.
+const COUNTERFACTUAL_SAMPLES: usize = 3;
+
+/// Traffic matrices per optimizer step. Each matrix records its own tape
+/// (forward and backward); their gradients are summed in matrix order
+/// before the one clip and Adam step.
+const BATCH_SIZE: usize = 4;
+
+/// Trainer hyperparameters. Advantages are always standardized across each
+/// matrix's selected agents.
 #[derive(Clone, Copy, Debug)]
 pub struct ComaConfig {
     /// Passes over the training set.
     pub epochs: usize,
     /// Adam learning rate (1e-4 in §4; larger values converge faster on the
-    /// scaled-down CPU instances).
+    /// scaled-down CPU instances). It stays settable for learning-rate
+    /// probes.
     pub lr: f32,
-    /// Monte Carlo samples per agent for the counterfactual baseline.
-    pub counterfactual_samples: usize,
     /// Fraction of agents receiving a counterfactual evaluation per step
     /// (subsampling keeps large topologies affordable; unselected agents get
     /// zero advantage for that step).
     pub agent_fraction: f64,
-    /// Standardize advantages across agents per step.
-    pub normalize_advantages: bool,
-    /// Global gradient-norm clip (0 disables).
+    /// Global gradient-norm clip (0 disables). Every caller keeps the
+    /// default; it stays settable because the pinned
+    /// `tests/data/coma_step_b4.txt` records gradients taken unclipped.
     pub grad_clip: f32,
-    /// RNG seed for sampling.
+    /// RNG seed for sampling. Every caller keeps 0; it stays settable so a
+    /// training recipe can pin its own seed.
     pub seed: u64,
     /// The TE objective whose value is the reward — §5.5's flexibility.
     pub objective: Objective,
-    /// Traffic matrices per optimizer step. Each matrix records its own
-    /// tape (forward and backward); their gradients are summed in matrix
-    /// order before the one clip and Adam step. `1` steps per matrix.
-    pub batch_size: usize,
 }
 
 impl Default for ComaConfig {
@@ -55,13 +61,10 @@ impl Default for ComaConfig {
         ComaConfig {
             epochs: 12,
             lr: 2e-3,
-            counterfactual_samples: 3,
             agent_fraction: 1.0,
-            normalize_advantages: true,
-            grad_clip: 5.0,
+            grad_clip: GRAD_CLIP,
             seed: 0,
             objective: Objective::TotalFlow,
-            batch_size: 4,
         }
     }
 }
@@ -113,7 +116,7 @@ pub fn train_coma(
 
     for epoch in 0..cfg.epochs {
         let mut reward_acc = 0.0f64;
-        for chunk in train.chunks(cfg.batch_size.max(1)) {
+        for chunk in train.chunks(BATCH_SIZE) {
             let frac = train_step(model, &env, chunk, cfg, &mut opt, &mut sampler);
             reward_acc += frac * chunk.len() as f64;
         }
@@ -248,7 +251,7 @@ fn train_step(
         }
         for &d in &selected {
             let mut baseline = 0.0f64;
-            for _ in 0..cfg.counterfactual_samples.max(1) {
+            for _ in 0..COUNTERFACTUAL_SAMPLES {
                 let mut logits = vec![0.0f32; k];
                 for (j, l) in logits.iter_mut().enumerate() {
                     let eps = rng::normal(sampler) as f32;
@@ -260,10 +263,10 @@ fn train_step(
                 }
                 baseline += clamp_reward(sim.counterfactual_reward(d, &splits_buf));
             }
-            baseline /= cfg.counterfactual_samples.max(1) as f64;
+            baseline /= COUNTERFACTUAL_SAMPLES as f64;
             advantages[row0 + d] = (reward - baseline) / total;
         }
-        if cfg.normalize_advantages && selected.len() > 1 {
+        if selected.len() > 1 {
             let n = selected.len() as f64;
             let mean: f64 = selected.iter().map(|&d| advantages[row0 + d]).sum::<f64>() / n;
             let var: f64 = selected
@@ -397,7 +400,6 @@ mod tests {
             },
         );
         let cfg = ComaConfig {
-            batch_size: 4,
             grad_clip: 0.0,
             lr: 0.0,
             ..ComaConfig::default()

@@ -16,25 +16,17 @@ use crate::model::PolicyModel;
 use teal_nn::{Adam, Aggregate, Graph, Tensor};
 use teal_traffic::TrafficMatrix;
 
+/// Global gradient-norm clip of both trainers: every direct-loss step, and
+/// [`crate::ComaConfig`]'s default.
+pub(crate) const GRAD_CLIP: f32 = 5.0;
+
 /// Direct-loss trainer hyperparameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DirectConfig {
     /// Passes over the training set.
     pub epochs: usize,
-    /// Adam learning rate.
+    /// Adam learning rate. It stays settable for learning-rate probes.
     pub lr: f32,
-    /// Global gradient-norm clip (0 disables).
-    pub grad_clip: f32,
-}
-
-impl Default for DirectConfig {
-    fn default() -> Self {
-        DirectConfig {
-            epochs: 12,
-            lr: 2e-3,
-            grad_clip: 5.0,
-        }
-    }
 }
 
 /// Train by gradient descent on the surrogate loss; the model is left
@@ -55,7 +47,7 @@ pub fn train_direct(
 
     for _ in 0..cfg.epochs {
         for tm in train {
-            step(model, &env, tm, cfg, &mut opt);
+            step(model, &env, tm, &mut opt);
         }
         let val_pct = crate::coma::validate(model, &env, val);
         history.push(val_pct);
@@ -68,13 +60,7 @@ pub fn train_direct(
     history
 }
 
-fn step(
-    model: &mut dyn PolicyModel,
-    env: &Env,
-    tm: &TrafficMatrix,
-    cfg: &DirectConfig,
-    opt: &mut Adam,
-) {
+fn step(model: &mut dyn PolicyModel, env: &Env, tm: &TrafficMatrix, opt: &mut Adam) {
     let input = env.model_input(tm, None);
     let mut g = Graph::new();
     let fwd = model.forward(&mut g, &input);
@@ -116,9 +102,7 @@ fn step(
 
     model.store_mut().zero_grads();
     model.absorb(&g, &fwd);
-    if cfg.grad_clip > 0.0 {
-        model.store_mut().clip_grad_norm(cfg.grad_clip);
-    }
+    model.store_mut().clip_grad_norm(GRAD_CLIP);
     opt.step(model.store_mut());
 }
 
@@ -179,7 +163,6 @@ mod tests {
             &DirectConfig {
                 epochs: 8,
                 lr: 5e-3,
-                grad_clip: 5.0,
             },
         );
         let after = validate(&model, &env, &val);

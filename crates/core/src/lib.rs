@@ -63,8 +63,8 @@
 //!   panic in either stage reaches the caller unchanged. What a
 //!   window costs is the `BENCHMARK.json` rows `lp.admm.run_batch_ms` and
 //!   `core.engine.window_ms` on `wan1024_window`.
-//! * **Training.** [`coma::train_coma`] steps once per minibatch of
-//!   `ComaConfig::batch_size` matrices: one tape per matrix, forward and
+//! * **Training.** [`coma::train_coma`] steps once per minibatch of four
+//!   matrices: one tape per matrix, forward and
 //!   backward, the gradients summed into the store in matrix order, then
 //!   one clip and one Adam step. Validation scores per-matrix deterministic
 //!   allocations.

@@ -9,28 +9,34 @@ use teal_nn::graph::softmax_row_inplace;
 use teal_nn::tensor::{run_at_width, Dense, RowBuf, RowPass};
 use teal_nn::{Aggregate, BoundLinear, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor, Var};
 
+/// Negative-side slope of every leaky ReLU in Teal and in the §5.7 arms.
+pub(crate) const LEAKY_SLOPE: f32 = 0.1;
+
+/// Initial log standard deviation of the Gaussian exploration policy, in
+/// Teal and in the §5.7 arms.
+pub(crate) const INIT_LOGSTD: f32 = -1.0;
+
 /// Hyperparameters of the full Teal model (§4 defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct TealConfig {
     /// Number of GNN layers (interleaved with the same number of DNN
-    /// layers). The final embedding dimension equals this value: the first
-    /// layer starts from 1-element embeddings and each following layer
-    /// appends the initialization value (§4's dimension-growth trick).
+    /// layers). The first layer starts from 1-element embeddings and each
+    /// following layer appends `embed_growth` initialization columns
+    /// (§4's dimension-growth trick); see [`TealConfig::embed_dim`].
     pub gnn_layers: usize,
-    /// Hidden width of the policy network (24 in the paper).
+    /// Hidden width of the policy network (24 in the paper). Every caller
+    /// keeps 24; it stays settable because width 13 in
+    /// `tape_free_inference_matches_recorded_forward` is the only input
+    /// that reaches the policy head's runtime-width rows.
     pub policy_hidden: usize,
     /// Number of hidden (dense) layers in the policy network (1 in §4;
     /// swept in Figure 15c).
     pub policy_hidden_layers: usize,
-    /// Negative-side slope of leaky ReLU activations.
-    pub leaky_slope: f32,
-    /// Initial log standard deviation of the Gaussian exploration policy.
-    pub init_logstd: f32,
     /// How many initialization columns each layer appends (1 in the paper;
-    /// Figure 15b sweeps larger embedding dimensions). The final embedding
-    /// dimension is `1 + (gnn_layers - 1) * embed_growth`.
+    /// Figure 15b sweeps larger embedding dimensions).
     pub embed_growth: usize,
-    /// RNG seed for weight initialization.
+    /// RNG seed for weight initialization. Every caller keeps 0; it stays
+    /// settable so a training recipe can pin its own seed.
     pub seed: u64,
 }
 
@@ -40,11 +46,16 @@ impl Default for TealConfig {
             gnn_layers: 6,
             policy_hidden: 24,
             policy_hidden_layers: 1,
-            leaky_slope: 0.1,
-            init_logstd: -1.0,
             embed_growth: 1,
             seed: 0,
         }
+    }
+}
+
+impl TealConfig {
+    /// FlowGNN's final embedding width, `1 + (gnn_layers - 1) * embed_growth`.
+    pub fn embed_dim(&self) -> usize {
+        1 + (self.gnn_layers - 1) * self.embed_growth
     }
 }
 
@@ -195,22 +206,17 @@ struct FlowGnn {
     /// Per layer: the demand-coordination DNN, `[k*d -> k*d]`.
     dnn_layers: Vec<Linear>,
     k: usize,
-    slope: f32,
     growth: usize,
+    /// Final embedding width, [`TealConfig::embed_dim`].
+    dim: usize,
     /// Message aggregation, [`FLOWGNN_AGGREGATE`]; tests flip it to pin
     /// both aggregations' tape-free forward against the recorded one.
     agg: Aggregate,
 }
 
 impl FlowGnn {
-    fn new(
-        store: &mut ParamStore,
-        k: usize,
-        layers: usize,
-        growth: usize,
-        slope: f32,
-        rng: &mut impl rand::Rng,
-    ) -> Self {
+    fn new(store: &mut ParamStore, k: usize, cfg: &TealConfig, rng: &mut impl rand::Rng) -> Self {
+        let (layers, growth) = (cfg.gnn_layers, cfg.embed_growth);
         assert!(growth >= 1);
         let mut path_layers = Vec::new();
         let mut edge_layers = Vec::new();
@@ -235,15 +241,10 @@ impl FlowGnn {
             edge_layers,
             dnn_layers,
             k,
-            slope,
             growth,
+            dim: cfg.embed_dim(),
             agg: FLOWGNN_AGGREGATE,
         }
-    }
-
-    /// Final embedding dimension: `1 + (layers - 1) * growth`.
-    fn out_dim(&self) -> usize {
-        1 + (self.path_layers.len() - 1) * self.growth
     }
 
     /// Tape-free inference forward: the same arithmetic as
@@ -268,7 +269,7 @@ impl FlowGnn {
     /// freed on return. A stacked input runs the incidence
     /// block-diagonally, bit-identical per block.
     fn infer(&self, store: &ParamStore, env: &Env, input: &ModelInput) -> Tensor {
-        let width = self.out_dim();
+        let width = self.dim;
         let (path_init, edge_init) = (input.path_init.data(), input.edge_init.data());
         let mut p = vec![0.0f32; path_init.len() * width];
         let mut e = vec![0.0f32; edge_init.len() * width];
@@ -287,8 +288,8 @@ impl FlowGnn {
                 GnnLayer {
                     incidence: env.incidence(),
                     agg: self.agg,
-                    path: self.path_layers[l].dense(store, self.slope),
-                    edge: (!last).then(|| self.edge_layers[l].dense(store, self.slope)),
+                    path: self.path_layers[l].dense(store, LEAKY_SLOPE),
+                    edge: (!last).then(|| self.edge_layers[l].dense(store, LEAKY_SLOPE)),
                     p: &mut p[..path_init.len() * d],
                     e: &e[..edge_init.len() * d],
                     e_next: &mut e_next[..edge_init.len() * grown],
@@ -299,7 +300,7 @@ impl FlowGnn {
             run_at_width::<4, 24>(
                 self.k * d,
                 DemandDnn {
-                    dnn: self.dnn_layers[l].dense(store, self.slope),
+                    dnn: self.dnn_layers[l].dense(store, LEAKY_SLOPE),
                     p: &mut p[..path_init.len() * grown],
                     path_init,
                     d,
@@ -314,7 +315,7 @@ impl FlowGnn {
     }
 
     /// Recorded forward of one matrix: returns PathNode embeddings
-    /// `[P, out_dim]`.
+    /// `[P, dim]`.
     fn forward(
         &self,
         store: &ParamStore,
@@ -337,16 +338,16 @@ impl FlowGnn {
             let msg_to_path = g.spmm(a, e, self.agg); // [P, d]
             let msg_to_edge = g.spmm(&at, p, self.agg); // [E, d]
             let p_cat = g.concat_cols(p, msg_to_path);
-            let (p_act, b1) = self.path_layers[l].forward_act(store, g, p_cat, self.slope);
+            let (p_act, b1) = self.path_layers[l].forward_act(store, g, p_cat, LEAKY_SLOPE);
             bounds.push(b1);
             let e_cat = g.concat_cols(e, msg_to_edge);
-            let (e_act, b2) = self.edge_layers[l].forward_act(store, g, e_cat, self.slope);
+            let (e_act, b2) = self.edge_layers[l].forward_act(store, g, e_cat, LEAKY_SLOPE);
             bounds.push(b2);
             // DNN sublayer: coordinate the k PathNodes of each demand
             // (demand constraints).
             let d = self.path_layers[l].out_dim();
             let grouped = g.reshape(p_act, num_demands, k * d);
-            let (dnn_act, b3) = self.dnn_layers[l].forward_act(store, g, grouped, self.slope);
+            let (dnn_act, b3) = self.dnn_layers[l].forward_act(store, g, grouped, LEAKY_SLOPE);
             bounds.push(b3);
             p = g.reshape(dnn_act, num_demands * k, d);
             e = e_act;
@@ -453,7 +454,6 @@ impl RowPass for DemandDnn<'_> {
 #[derive(Clone)]
 struct PolicyNet {
     layers: Vec<Linear>,
-    slope: f32,
 }
 
 impl PolicyNet {
@@ -463,7 +463,6 @@ impl PolicyNet {
         hidden: usize,
         hidden_layers: usize,
         k: usize,
-        slope: f32,
         rng: &mut impl rand::Rng,
     ) -> Self {
         let mut layers = Vec::new();
@@ -473,7 +472,7 @@ impl PolicyNet {
             d = hidden;
         }
         layers.push(Linear::new(store, "policy.out", d, k, rng));
-        PolicyNet { layers, slope }
+        PolicyNet { layers }
     }
 
     fn forward(
@@ -487,7 +486,7 @@ impl PolicyNet {
         let n = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
             // Slope 1.0 = identity activation on the output layer.
-            let slope = if i + 1 < n { self.slope } else { 1.0 };
+            let slope = if i + 1 < n { LEAKY_SLOPE } else { 1.0 };
             let (act, b) = layer.forward_act(store, g, h, slope);
             bounds.push(b);
             h = act;
@@ -509,8 +508,8 @@ impl PolicyNet {
             Some((first, rest)) => run_at_width::<24, 24>(
                 first.out_dim(),
                 PolicyRows {
-                    first: first.dense(store, self.slope),
-                    rest: rest.iter().map(|l| l.dense(store, self.slope)),
+                    first: first.dense(store, LEAKY_SLOPE),
+                    rest: rest.iter().map(|l| l.dense(store, LEAKY_SLOPE)),
                     out,
                     x,
                     in_dim,
@@ -565,24 +564,16 @@ impl TealModel {
         let mut store = ParamStore::new();
         let mut rng = teal_nn::rng::seeded(cfg.seed ^ 0x7ea1_c0de);
         let k = env.k();
-        let gnn = FlowGnn::new(
-            &mut store,
-            k,
-            cfg.gnn_layers,
-            cfg.embed_growth,
-            cfg.leaky_slope,
-            &mut rng,
-        );
+        let gnn = FlowGnn::new(&mut store, k, &cfg, &mut rng);
         let policy = PolicyNet::new(
             &mut store,
-            k * gnn.out_dim(),
+            k * gnn.dim,
             cfg.policy_hidden,
             cfg.policy_hidden_layers,
             k,
-            cfg.leaky_slope,
             &mut rng,
         );
-        let logstd = store.register("logstd", Tensor::full(1, k, cfg.init_logstd));
+        let logstd = store.register("logstd", Tensor::full(1, k, INIT_LOGSTD));
         TealModel {
             env,
             store,
@@ -600,7 +591,7 @@ impl TealModel {
 
     /// Tape-free inference: mean logits `[batch * D, k]` for a (batched)
     /// input, bit-identical to the recorded forward pass — the serving hot
-    /// path. Buffer plan (f32s, `P` paths, `E` edges, `D = out_dim()`):
+    /// path. Buffer plan (f32s, `P` paths, `E` edges, `D` the embedding width):
     /// FlowGNN runs in `p` (`batch·P·D`) and the edge pair `e`, `e_next`
     /// (`batch·E·D` each), allocated once per call; the edge pair is freed
     /// before the policy head allocates the `[batch * D, k]` logits and
@@ -611,7 +602,7 @@ impl TealModel {
         let embed = self.gnn.infer(&self.store, &self.env, input);
         let k = self.env.k();
         self.policy
-            .infer(&self.store, embed.data(), k * self.gnn.out_dim())
+            .infer(&self.store, embed.data(), k * self.gnn.dim)
     }
 }
 
@@ -631,7 +622,7 @@ impl PolicyModel for TealModel {
             .gnn
             .forward(&self.store, g, &self.env, input, &mut bounds);
         let k = self.env.k();
-        let flat = g.reshape(embed, self.env.num_demands(), k * self.gnn.out_dim());
+        let flat = g.reshape(embed, self.env.num_demands(), k * self.gnn.dim);
         let mu = self.policy.forward(&self.store, g, flat, &mut bounds);
         let logstd = self.store.bind(g, self.logstd);
         Forward::new(mu, Some(embed), logstd, bounds, self.logstd)

@@ -14,32 +14,17 @@
 use teal_lp::Allocation;
 use teal_nn::{rng, Tensor};
 
-/// t-SNE hyperparameters.
-#[derive(Clone, Copy, Debug)]
-pub struct TsneConfig {
-    /// Target perplexity of the input Gaussian affinities.
-    pub perplexity: f64,
-    /// Gradient-descent iterations.
-    pub iters: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// RNG seed for the initial layout.
-    pub seed: u64,
-}
-
-impl Default for TsneConfig {
-    fn default() -> Self {
-        TsneConfig {
-            perplexity: 20.0,
-            iters: 250,
-            lr: 100.0,
-            seed: 0,
-        }
-    }
-}
+/// Target perplexity of the input Gaussian affinities.
+const PERPLEXITY: f64 = 20.0;
+/// Gradient-descent iterations.
+const ITERS: usize = 250;
+/// Learning rate.
+const LR: f64 = 100.0;
+/// RNG seed for the initial layout.
+const SEED: u64 = 0x75e_e001;
 
 /// Project `[n, d]` embeddings to 2-D with t-SNE. Returns `n` (x, y) points.
-pub fn tsne(embeddings: &Tensor, cfg: &TsneConfig) -> Vec<(f64, f64)> {
+pub fn tsne(embeddings: &Tensor) -> Vec<(f64, f64)> {
     let n = embeddings.rows();
     if n == 0 {
         return Vec::new();
@@ -47,10 +32,10 @@ pub fn tsne(embeddings: &Tensor, cfg: &TsneConfig) -> Vec<(f64, f64)> {
     if n == 1 {
         return vec![(0.0, 0.0)];
     }
-    let p = joint_affinities(embeddings, cfg.perplexity);
+    let p = joint_affinities(embeddings);
 
     // Initial layout: small Gaussian noise.
-    let mut rng = rng::seeded(cfg.seed ^ 0x75e_e001);
+    let mut rng = rng::seeded(SEED);
     let mut y = vec![(0.0f64, 0.0f64); n];
     for pt in &mut y {
         pt.0 = rng::normal(&mut rng) * 1e-2;
@@ -58,9 +43,9 @@ pub fn tsne(embeddings: &Tensor, cfg: &TsneConfig) -> Vec<(f64, f64)> {
     }
     let mut vel = vec![(0.0f64, 0.0f64); n];
 
-    for it in 0..cfg.iters {
-        let exaggeration = if it < cfg.iters / 4 { 4.0 } else { 1.0 };
-        let momentum = if it < cfg.iters / 4 { 0.5 } else { 0.8 };
+    for it in 0..ITERS {
+        let exaggeration = if it < ITERS / 4 { 4.0 } else { 1.0 };
+        let momentum = if it < ITERS / 4 { 0.5 } else { 0.8 };
         // Student-t output affinities.
         let mut qnum = vec![0.0f64; n * n];
         let mut qsum = 0.0f64;
@@ -90,8 +75,8 @@ pub fn tsne(embeddings: &Tensor, cfg: &TsneConfig) -> Vec<(f64, f64)> {
                 gx += coef * (y[i].0 - y[j].0);
                 gy += coef * (y[i].1 - y[j].1);
             }
-            vel[i].0 = momentum * vel[i].0 - cfg.lr * gx;
-            vel[i].1 = momentum * vel[i].1 - cfg.lr * gy;
+            vel[i].0 = momentum * vel[i].0 - LR * gx;
+            vel[i].1 = momentum * vel[i].1 - LR * gy;
         }
         for i in 0..n {
             y[i].0 += vel[i].0;
@@ -110,7 +95,7 @@ pub fn tsne(embeddings: &Tensor, cfg: &TsneConfig) -> Vec<(f64, f64)> {
 
 /// Symmetrized input affinities `P` with per-point bandwidth matched to the
 /// target perplexity via binary search.
-fn joint_affinities(x: &Tensor, perplexity: f64) -> Vec<f64> {
+fn joint_affinities(x: &Tensor) -> Vec<f64> {
     let n = x.rows();
     let d = x.cols();
     let mut dist2 = vec![0.0f64; n * n];
@@ -125,7 +110,7 @@ fn joint_affinities(x: &Tensor, perplexity: f64) -> Vec<f64> {
             dist2[j * n + i] = s;
         }
     }
-    let target_entropy = perplexity.min((n - 1) as f64).max(2.0).ln();
+    let target_entropy = PERPLEXITY.min((n - 1) as f64).max(2.0).ln();
     let mut p = vec![0.0f64; n * n];
     for i in 0..n {
         let row = &dist2[i * n..(i + 1) * n];
@@ -265,13 +250,7 @@ mod tests {
     #[test]
     fn tsne_separates_blobs() {
         let (x, labels) = blobs(30);
-        let pts = tsne(
-            &x,
-            &TsneConfig {
-                iters: 150,
-                ..TsneConfig::default()
-            },
-        );
+        let pts = tsne(&x);
         let score = separation_score(&pts, &labels);
         assert!(
             score > 2.0,
@@ -281,11 +260,8 @@ mod tests {
 
     #[test]
     fn tsne_trivial_sizes() {
-        assert!(tsne(&Tensor::zeros(0, 3), &TsneConfig::default()).is_empty());
-        assert_eq!(
-            tsne(&Tensor::zeros(1, 3), &TsneConfig::default()),
-            vec![(0.0, 0.0)]
-        );
+        assert!(tsne(&Tensor::zeros(0, 3)).is_empty());
+        assert_eq!(tsne(&Tensor::zeros(1, 3)), vec![(0.0, 0.0)]);
     }
 
     #[test]

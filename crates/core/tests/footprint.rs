@@ -93,7 +93,7 @@ fn ledger(nodes: usize) -> Ledger {
     let model = TealModel::new(Arc::clone(&env), model_cfg);
     let tm = TrafficMatrix::new((0..env.num_demands()).map(|d| (d % 17) as f64).collect());
     let (mu, infer) = peak_added(|| model.infer_mu(&env.model_input(&tm, None)));
-    let width = 1 + (model_cfg.gnn_layers - 1) * model_cfg.embed_growth;
+    let width = model_cfg.embed_dim();
     let edges = env.topo().num_edges();
     let f32s = |n: usize| n * size_of::<f32>();
     let logits = f32s(mu.len());

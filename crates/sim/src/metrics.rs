@@ -23,16 +23,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (0 for fewer than two values).
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// Format a duration in seconds with adaptive units for table output.
 pub fn fmt_secs(s: f64) -> String {
     if s < 1e-3 {
@@ -62,7 +52,6 @@ mod tests {
     fn mean_and_std() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&v) - 2.138089935).abs() < 1e-6);
     }
 
     #[test]
