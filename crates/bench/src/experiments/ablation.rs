@@ -182,12 +182,8 @@ pub fn fig16(h: &mut Harness) {
     let env = Arc::clone(&bed.env);
     let tm = bed.test[0].clone();
 
-    // Embeddings from a forward pass.
-    let mut g = teal_nn::Graph::new();
-    let fwd = engine.model().forward(&mut g, &env.model_input(&tm, None));
-    let embed = g
-        .value(fwd.embeddings.expect("Teal yields embeddings"))
-        .clone();
+    // FlowGNN's embeddings of the matrix.
+    let embed = engine.model().embeddings(&env.model_input(&tm, None));
 
     // Reference optimal allocation.
     let inst = env.instance(&tm);

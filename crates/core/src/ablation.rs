@@ -76,15 +76,13 @@ impl PolicyModel for NaiveDnnModel {
         assert_single_matrix(input);
         let nd = self.env.num_demands();
         let k = self.env.k();
-        let mut bounds = Vec::new();
         // Demand vector from the per-path initialization (slot 0 per demand).
         let paths = g.input(input.path_init.clone());
         let demands = g.gather_rows(paths, Arc::clone(&self.demand_rows)); // [D,1]
         let mut h = g.reshape(demands, 1, nd);
         let n = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
-            let (lin, b) = layer.forward(&self.store, g, h);
-            bounds.push(b);
+            let lin = layer.forward(&self.store, g, h);
             h = if i + 1 < n {
                 g.leaky_relu(lin, LEAKY_SLOPE)
             } else {
@@ -93,7 +91,7 @@ impl PolicyModel for NaiveDnnModel {
         }
         let mu = g.reshape(h, nd, k);
         let logstd = self.store.bind(g, self.logstd);
-        Forward::new(mu, None, logstd, bounds, self.logstd)
+        Forward { mu, logstd }
     }
 
     fn store(&self) -> &ParamStore {
@@ -192,25 +190,21 @@ impl PolicyModel for NaiveGnnModel {
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
         assert_single_matrix(input);
-        let mut bounds = Vec::new();
         let mut h = g.input(self.node_features(input));
         for layer in &self.gnn_layers {
             let msg = g.spmm(&self.adjacency, h, Aggregate::Mean);
             let cat = g.concat_cols(h, msg);
-            let (lin, b) = layer.forward(&self.store, g, cat);
-            bounds.push(b);
+            let lin = layer.forward(&self.store, g, cat);
             h = g.leaky_relu(lin, LEAKY_SLOPE);
         }
         let src = g.gather_rows(h, Arc::clone(&self.src_idx));
         let dst = g.gather_rows(h, Arc::clone(&self.dst_idx));
         let pair = g.concat_cols(src, dst); // [D, 2h]
-        let (h0, b0) = self.head[0].forward(&self.store, g, pair);
-        bounds.push(b0);
+        let h0 = self.head[0].forward(&self.store, g, pair);
         let a0 = g.leaky_relu(h0, LEAKY_SLOPE);
-        let (mu, b1) = self.head[1].forward(&self.store, g, a0);
-        bounds.push(b1);
+        let mu = self.head[1].forward(&self.store, g, a0);
         let logstd = self.store.bind(g, self.logstd);
-        Forward::new(mu, None, logstd, bounds, self.logstd)
+        Forward { mu, logstd }
     }
 
     fn store(&self) -> &ParamStore {
@@ -225,7 +219,9 @@ impl PolicyModel for NaiveGnnModel {
 /// "Teal w/ global policy": FlowGNN embeddings concatenated into a single
 /// giant input; one network emits all demands' logits jointly.
 pub struct GlobalPolicyModel {
+    /// The Teal model whose untrained FlowGNN embeds each matrix.
     inner: crate::model::TealModel,
+    /// The giant head's and the log-std's parameters: the trained ones.
     store2: ParamStore,
     giant: Vec<Linear>,
     logstd: ParamId,
@@ -284,50 +280,29 @@ impl PolicyModel for GlobalPolicyModel {
     }
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
-        // Reuse FlowGNN from the inner model, then the giant joint head.
-        // NOTE: the inner model's policy network output is discarded; only
-        // its FlowGNN embeddings are consumed, as in the ablation.
-        let inner_fwd = self.inner.forward(g, input);
-        let Some(embed) = inner_fwd.embeddings else {
-            unreachable!("TealModel::forward always returns its embeddings")
-        };
-        let nd = self.env().num_demands();
-        let k = self.env().k();
-        let flat = g.reshape(embed, 1, g.value(embed).len());
-        let mut bounds = inner_fwd.into_bounds();
-        let (h, b0) = self.giant[0].forward(&self.store2, g, flat);
-        bounds.push(b0);
+        // The inner FlowGNN stays at its initialization (its store is not
+        // this model's), so its embeddings enter the tape as a constant
+        // and only the giant head and the log-std are bound.
+        assert_single_matrix(input);
+        let embed = self.inner.embeddings(input);
+        let flat = g.input(embed.reshaped(1, embed.len()));
+        let h = self.giant[0].forward(&self.store2, g, flat);
         let a = g.leaky_relu(h, LEAKY_SLOPE);
-        let (out, b1) = self.giant[1].forward(&self.store2, g, a);
-        bounds.push(b1);
-        let mu = g.reshape(out, nd, k);
+        let out = self.giant[1].forward(&self.store2, g, a);
+        let mu = g.reshape(out, self.env().num_demands(), self.env().k());
         let logstd = self.store2.bind(g, self.logstd);
-        Forward::new(mu, None, logstd, bounds, self.logstd)
+        Forward { mu, logstd }
     }
 
-    // The giant head's parameters live in `store2`; the FlowGNN's in the
-    // inner store. For simplicity the trainer optimizes the giant head and
-    // the inner FlowGNN jointly through `absorb` below, but Adam state keys
-    // off one store, so we expose the giant head's store (the inner FlowGNN
-    // stays at initialization — a faithful handicap of this ablation's
-    // joint-output architecture at our scale).
+    /// The giant head's store: the trainers optimise the head and the
+    /// log-std, and the inner FlowGNN stays at initialization, a faithful
+    /// handicap of this ablation's joint-output architecture at our scale.
     fn store(&self) -> &ParamStore {
         &self.store2
     }
 
     fn store_mut(&mut self) -> &mut ParamStore {
         &mut self.store2
-    }
-
-    fn absorb(&mut self, g: &Graph, fwd: &Forward) {
-        // Only the giant head's bound layers exist in store2; the inner
-        // model's bounds came first in the list. Absorb just the last two.
-        let bounds = fwd.bounds();
-        let n = bounds.len();
-        for b in &bounds[n - 2..] {
-            b.absorb(&mut self.store2, g);
-        }
-        self.store2.absorb_grad(g, fwd.logstd_id(), fwd.logstd);
     }
 }
 

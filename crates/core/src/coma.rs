@@ -307,7 +307,7 @@ fn train_step(
         let total_w = g.sum_all(weighted);
         let loss = g.scale(total_w, scale);
         g.backward(loss);
-        model.absorb(&g, &fwd);
+        model.store_mut().absorb(&g);
     }
     if cfg.grad_clip > 0.0 {
         model.store_mut().clip_grad_norm(cfg.grad_clip);

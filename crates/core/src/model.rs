@@ -7,7 +7,7 @@ use std::sync::Arc;
 use teal_lp::Allocation;
 use teal_nn::graph::softmax_row_inplace;
 use teal_nn::tensor::{run_at_width, Dense, RowBuf, RowPass};
-use teal_nn::{Aggregate, BoundLinear, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor, Var};
+use teal_nn::{Aggregate, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor, Var};
 
 /// Negative-side slope of every leaky ReLU in Teal and in the §5.7 arms.
 pub(crate) const LEAKY_SLOPE: f32 = 0.1;
@@ -59,50 +59,14 @@ impl TealConfig {
     }
 }
 
-/// Tape bindings produced by one forward pass.
+/// What one recorded forward pass yields: the two tape nodes the trainers'
+/// losses read. The parameters it bound are noted on the tape itself, and
+/// [`ParamStore::absorb`] reads them from there after `backward`.
 pub struct Forward {
     /// Per-demand Gaussian means in logit space, `[num_demands, k]`.
     pub mu: Var,
-    /// Final PathNode embeddings `[num_paths, embed_dim]` (for Figure 16).
-    pub embeddings: Option<Var>,
     /// Bound log-std row vector `[1, k]`.
     pub logstd: Var,
-    bounds: Vec<BoundLinear>,
-    logstd_id: ParamId,
-}
-
-impl Forward {
-    /// Assemble a forward result (used by model implementations).
-    pub fn new(
-        mu: Var,
-        embeddings: Option<Var>,
-        logstd: Var,
-        bounds: Vec<BoundLinear>,
-        logstd_id: ParamId,
-    ) -> Self {
-        Forward {
-            mu,
-            embeddings,
-            logstd,
-            bounds,
-            logstd_id,
-        }
-    }
-
-    /// The bound layers of this pass.
-    pub fn bounds(&self) -> &[BoundLinear] {
-        &self.bounds
-    }
-
-    /// Consume, returning the bound layers.
-    pub fn into_bounds(self) -> Vec<BoundLinear> {
-        self.bounds
-    }
-
-    /// Store id of the log-std parameter.
-    pub fn logstd_id(&self) -> ParamId {
-        self.logstd_id
-    }
 }
 
 /// Interface shared by Teal and its ablation variants: map a traffic matrix
@@ -121,21 +85,13 @@ pub trait PolicyModel: Send + Sync {
     /// tape-free inference takes a stack.
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward;
 
-    /// Parameter store (for the optimizer).
+    /// Parameter store (for the optimizer). [`PolicyModel::forward`] binds
+    /// only this store's parameters, so `store_mut().absorb(&g)` after
+    /// `g.backward` collects every gradient the tape holds.
     fn store(&self) -> &ParamStore;
 
     /// Mutable parameter store.
     fn store_mut(&mut self) -> &mut ParamStore;
-
-    /// Pull this pass's parameter gradients from the tape into the store.
-    fn absorb(&mut self, g: &Graph, fwd: &Forward) {
-        for b in &fwd.bounds {
-            b.absorb(self.store_mut(), g);
-        }
-        let logstd_id = fwd.logstd_id;
-        let logstd_var = fwd.logstd;
-        self.store_mut().absorb_grad(g, logstd_id, logstd_var);
-    }
 
     /// Deterministic allocation: softmax of the mean logits (deployment
     /// mode, Appendix B — "the mean value of the Gaussian is directly used
@@ -316,14 +272,7 @@ impl FlowGnn {
 
     /// Recorded forward of one matrix: returns PathNode embeddings
     /// `[P, dim]`.
-    fn forward(
-        &self,
-        store: &ParamStore,
-        g: &mut Graph,
-        env: &Env,
-        input: &ModelInput,
-        bounds: &mut Vec<BoundLinear>,
-    ) -> Var {
+    fn forward(&self, store: &ParamStore, g: &mut Graph, env: &Env, input: &ModelInput) -> Var {
         let a = env.incidence(); // paths x edges
         let at = a.transposed();
         let path_init = g.input(input.path_init.clone());
@@ -338,17 +287,14 @@ impl FlowGnn {
             let msg_to_path = g.spmm(a, e, self.agg); // [P, d]
             let msg_to_edge = g.spmm(&at, p, self.agg); // [E, d]
             let p_cat = g.concat_cols(p, msg_to_path);
-            let (p_act, b1) = self.path_layers[l].forward_act(store, g, p_cat, LEAKY_SLOPE);
-            bounds.push(b1);
+            let p_act = self.path_layers[l].forward_act(store, g, p_cat, LEAKY_SLOPE);
             let e_cat = g.concat_cols(e, msg_to_edge);
-            let (e_act, b2) = self.edge_layers[l].forward_act(store, g, e_cat, LEAKY_SLOPE);
-            bounds.push(b2);
+            let e_act = self.edge_layers[l].forward_act(store, g, e_cat, LEAKY_SLOPE);
             // DNN sublayer: coordinate the k PathNodes of each demand
             // (demand constraints).
             let d = self.path_layers[l].out_dim();
             let grouped = g.reshape(p_act, num_demands, k * d);
-            let (dnn_act, b3) = self.dnn_layers[l].forward_act(store, g, grouped, LEAKY_SLOPE);
-            bounds.push(b3);
+            let dnn_act = self.dnn_layers[l].forward_act(store, g, grouped, LEAKY_SLOPE);
             p = g.reshape(dnn_act, num_demands * k, d);
             e = e_act;
             // Dimension growth: re-append the initialization values (§4).
@@ -475,21 +421,13 @@ impl PolicyNet {
         PolicyNet { layers }
     }
 
-    fn forward(
-        &self,
-        store: &ParamStore,
-        g: &mut Graph,
-        x: Var,
-        bounds: &mut Vec<BoundLinear>,
-    ) -> Var {
+    fn forward(&self, store: &ParamStore, g: &mut Graph, x: Var) -> Var {
         let mut h = x;
         let n = self.layers.len();
         for (i, layer) in self.layers.iter().enumerate() {
             // Slope 1.0 = identity activation on the output layer.
             let slope = if i + 1 < n { LEAKY_SLOPE } else { 1.0 };
-            let (act, b) = layer.forward_act(store, g, h, slope);
-            bounds.push(b);
-            h = act;
+            h = layer.forward_act(store, g, h, slope);
         }
         h
     }
@@ -599,10 +537,17 @@ impl TealModel {
     /// its input plus `4·batch·(P·D + 2·E·D)` bytes whenever the logits
     /// fit in the freed edge pair (`tests/footprint.rs` pins it).
     pub fn infer_mu(&self, input: &ModelInput) -> Tensor {
-        let embed = self.gnn.infer(&self.store, &self.env, input);
+        let embed = self.embeddings(input);
         let k = self.env.k();
         self.policy
             .infer(&self.store, embed.data(), k * self.gnn.dim)
+    }
+
+    /// FlowGNN's final PathNode embeddings `[batch * P, embed_dim]`, tape
+    /// free and bit-identical to the recorded forward's (Figure 16's input,
+    /// and the global-policy arm's).
+    pub fn embeddings(&self, input: &ModelInput) -> Tensor {
+        self.gnn.infer(&self.store, &self.env, input)
     }
 }
 
@@ -617,15 +562,12 @@ impl PolicyModel for TealModel {
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
         assert_single_matrix(input);
-        let mut bounds = Vec::new();
-        let embed = self
-            .gnn
-            .forward(&self.store, g, &self.env, input, &mut bounds);
+        let embed = self.gnn.forward(&self.store, g, &self.env, input);
         let k = self.env.k();
         let flat = g.reshape(embed, self.env.num_demands(), k * self.gnn.dim);
-        let mu = self.policy.forward(&self.store, g, flat, &mut bounds);
+        let mu = self.policy.forward(&self.store, g, flat);
         let logstd = self.store.bind(g, self.logstd);
-        Forward::new(mu, Some(embed), logstd, bounds, self.logstd)
+        Forward { mu, logstd }
     }
 
     fn store(&self) -> &ParamStore {
@@ -665,8 +607,8 @@ mod tests {
         let mut g = Graph::new();
         let fwd = model.forward(&mut g, &input);
         assert_eq!(g.value(fwd.mu).shape(), (env.num_demands(), 4));
-        let emb = fwd.embeddings.unwrap();
-        assert_eq!(g.value(emb).shape(), (env.paths().num_paths(), 6));
+        let emb = model.embeddings(&input);
+        assert_eq!(emb.shape(), (env.paths().num_paths(), 6));
         assert!(g.value(fwd.mu).all_finite());
     }
 
@@ -709,7 +651,9 @@ mod tests {
         // every layer count, growth and policy depth, alone and stacked, on
         // two topologies with and without a failed link. Growth 2 and the
         // two-layer policy's hidden width 13 take the runtime-width rows.
-        // Block b of a stacked inference is matrix b's tape.
+        // Block b of a stacked inference is matrix b's tape. FlowGNN's
+        // embeddings alone match too (Figure 16 and the global-policy arm
+        // read them tape free).
         let mut configs = Vec::new();
         for gnn_layers in [1, 4, 6, 8] {
             for embed_growth in [1, 2] {
@@ -752,6 +696,13 @@ mod tests {
                 let stacked = model.infer_mu(&env.batch_input(&tms, topo));
                 for (b, tm) in tms.iter().enumerate() {
                     let input = env.model_input(tm, topo);
+                    let mut g = Graph::new();
+                    let embed = model.gnn.forward(&model.store, &mut g, &env, &input);
+                    assert_eq!(
+                        model.embeddings(&input).data(),
+                        g.value(embed).data(),
+                        "embeddings diverged from the recorded forward: {what}"
+                    );
                     let mut g = Graph::new();
                     let mu = model.forward(&mut g, &input).mu;
                     let recorded = g.value(mu).data();
@@ -824,7 +775,7 @@ mod tests {
         let fwd = model.forward(&mut g, &input);
         let loss = g.sum_all(fwd.mu);
         g.backward(loss);
-        model.absorb(&g, &fwd);
+        model.store_mut().absorb(&g);
         // The first GNN layer's weights must receive gradient (end-to-end
         // backprop through policy + 6 GNN/DNN layers).
         assert!(model.store().grad_norm() > 0.0);
@@ -851,11 +802,8 @@ mod tests {
             };
             let model = TealModel::new(Arc::clone(&env), cfg);
             let tm = TrafficMatrix::new(vec![1.0; env.num_demands()]);
-            let input = env.model_input(&tm, None);
-            let mut g = Graph::new();
-            let fwd = model.forward(&mut g, &input);
-            let emb = fwd.embeddings.unwrap();
-            assert_eq!(g.value(emb).cols(), layers);
+            let emb = model.embeddings(&env.model_input(&tm, None));
+            assert_eq!(emb.cols(), layers);
         }
     }
 }

@@ -12,6 +12,7 @@
 //! Gradient correctness for every operator is cross-checked against central
 //! finite differences in this module's tests and in property tests.
 
+use crate::module::ParamId;
 use crate::sparse::{Aggregate, CsrPair};
 use crate::tensor::{matmul, matmul_a_bt, matmul_at_b, Dense, Tensor};
 use std::sync::Arc;
@@ -70,12 +71,15 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Every stored parameter bound onto this tape, in binding order: what
+    /// [`crate::ParamStore::absorb`] reads.
+    pub(crate) bound: Vec<(ParamId, Var)>,
 }
 
 impl Graph {
     /// Fresh, empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::new() }
+        Graph::default()
     }
 
     /// Number of nodes recorded so far.

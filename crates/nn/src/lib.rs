@@ -37,7 +37,7 @@ pub mod sparse;
 pub mod tensor;
 
 pub use graph::{Graph, Var};
-pub use module::{BoundLinear, Linear, ParamId, ParamStore};
+pub use module::{Linear, ParamId, ParamStore};
 pub use optim::Adam;
 pub use sparse::{Aggregate, Csr, CsrPair};
 pub use teal_pool as pool;

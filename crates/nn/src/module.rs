@@ -2,9 +2,10 @@
 //!
 //! A [`ParamStore`] owns the persistent tensors of a model (weights, biases,
 //! log-std vectors). Each forward pass binds the stored tensors onto a fresh
-//! autograd [`Graph`]; after `backward`, the gradients are pulled back from
-//! the tape into the store where the optimizer consumes them. This separation
-//! keeps the tape free of cross-iteration state.
+//! autograd [`Graph`], and the tape notes which parameter each binding is.
+//! After `backward`, [`ParamStore::absorb`] adds every bound parameter's
+//! gradient into the store, where the optimizer consumes it: no caller keeps
+//! a list of its bindings. The tape keeps no cross-iteration state.
 
 use crate::graph::{Graph, Var};
 use crate::rng::fill_normal;
@@ -93,15 +94,21 @@ impl ParamStore {
         &self.names[id.0]
     }
 
-    /// Bind a stored parameter onto a tape as a gradient-tracked leaf.
+    /// Bind a stored parameter onto a tape as a gradient-tracked leaf; the
+    /// tape notes the binding for [`ParamStore::absorb`].
     pub fn bind(&self, g: &mut Graph, id: ParamId) -> Var {
-        g.param(self.params[id.0].clone())
+        let var = g.param(self.params[id.0].clone());
+        g.bound.push((id, var));
+        var
     }
 
-    /// Pull the gradient of a bound parameter back from the tape,
-    /// accumulating into the store.
-    pub fn absorb_grad(&mut self, g: &Graph, id: ParamId, bound: Var) {
-        self.grads[id.0].add_assign(&g.grad(bound));
+    /// After `g.backward`, add the gradient of every parameter bound on `g`
+    /// into the store, in binding order: a parameter bound twice receives
+    /// both uses' gradients. Every binding on `g` must come from this store.
+    pub fn absorb(&mut self, g: &Graph) {
+        for &(id, var) in &g.bound {
+            self.grads[id.0].add_assign(&g.grad(var));
+        }
     }
 
     /// Reset all accumulated gradients to zero.
@@ -190,12 +197,11 @@ impl Linear {
     }
 
     /// Bind parameters onto a tape and apply the affine map.
-    pub fn forward(&self, store: &ParamStore, g: &mut Graph, x: Var) -> (Var, BoundLinear) {
+    pub fn forward(&self, store: &ParamStore, g: &mut Graph, x: Var) -> Var {
         let w = store.bind(g, self.w);
         let b = store.bind(g, self.b);
         let xw = g.matmul(x, w);
-        let y = g.add_row(xw, b);
-        (y, BoundLinear { layer: *self, w, b })
+        g.add_row(xw, b)
     }
 
     /// The layer's stored parameters as a tape-free [`Dense`] row kernel
@@ -209,34 +215,10 @@ impl Linear {
     /// (`slope == 1.0` for no activation). One tape node and one output
     /// buffer instead of three — the hot-path variant for wide batched
     /// forwards.
-    pub fn forward_act(
-        &self,
-        store: &ParamStore,
-        g: &mut Graph,
-        x: Var,
-        slope: f32,
-    ) -> (Var, BoundLinear) {
+    pub fn forward_act(&self, store: &ParamStore, g: &mut Graph, x: Var, slope: f32) -> Var {
         let w = store.bind(g, self.w);
         let b = store.bind(g, self.b);
-        let y = g.linear_leaky(x, w, b, slope);
-        (y, BoundLinear { layer: *self, w, b })
-    }
-}
-
-/// Tape bindings of a [`Linear`] layer for one forward pass, used to pull
-/// gradients back into the store after `backward`.
-#[derive(Clone, Copy, Debug)]
-pub struct BoundLinear {
-    layer: Linear,
-    w: Var,
-    b: Var,
-}
-
-impl BoundLinear {
-    /// Accumulate this pass's weight/bias gradients into the store.
-    pub fn absorb(&self, store: &mut ParamStore, g: &Graph) {
-        store.absorb_grad(g, self.layer.w, self.w);
-        store.absorb_grad(g, self.layer.b, self.b);
+        g.linear_leaky(x, w, b, slope)
     }
 }
 
@@ -273,15 +255,45 @@ mod tests {
 
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec(2, 3, vec![1.0, 0.0, -1.0, 0.5, 0.5, 0.5]));
-        let (y, bound) = layer.forward(&store, &mut g, x);
+        let y = layer.forward(&store, &mut g, x);
         let loss = g.sum_all(y);
         g.backward(loss);
-        bound.absorb(&mut store, &g);
+        store.absorb(&g);
 
         // Bias gradient of sum loss is the number of rows per column.
         let bias_grad = store.grad(ParamId(1));
         assert!(bias_grad.data().iter().all(|&v| (v - 2.0).abs() < 1e-6));
         assert!(store.grad_norm() > 0.0);
+    }
+
+    #[test]
+    fn absorb_sums_every_binding_and_skips_unbound_parameters() {
+        // `loss = sum(2·p − 3·p)`: `p` is bound twice and must receive
+        // both uses' gradients (2 − 3 = −1 per entry); `q` is registered
+        // but never bound, so its gradient stays zero.
+        let mut store = ParamStore::new();
+        let p = store.register("p", Tensor::full(2, 3, 1.0));
+        let q = store.register("q", Tensor::full(1, 3, 1.0));
+        let mut g = Graph::new();
+        let first = store.bind(&mut g, p);
+        let second = store.bind(&mut g, p);
+        let a = g.scale(first, 2.0);
+        let b = g.scale(second, 3.0);
+        let sum = g.sub(a, b);
+        let loss = g.sum_all(sum);
+        g.backward(loss);
+        store.absorb(&g);
+        assert!(store.grad(p).data().iter().all(|&v| v == -1.0));
+        assert!(store.grad(q).data().iter().all(|&v| v == 0.0));
+        // A second tape's gradients add to the first's: −1 + 3.
+        let mut g = Graph::new();
+        let once = store.bind(&mut g, p);
+        let tripled = g.scale(once, 3.0);
+        let loss = g.sum_all(tripled);
+        g.backward(loss);
+        store.absorb(&g);
+        assert!(store.grad(p).data().iter().all(|&v| v == 2.0));
+        assert!(store.grad(q).data().iter().all(|&v| v == 0.0));
     }
 
     #[test]

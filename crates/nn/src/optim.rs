@@ -86,7 +86,7 @@ mod tests {
             let d = g.sub(p, target);
             let loss = g.mul(d, d);
             g.backward(loss);
-            store.absorb_grad(&g, id, p);
+            store.absorb(&g);
             adam.step(&mut store);
         }
         store.get(id).item()
