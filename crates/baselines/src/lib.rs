@@ -7,10 +7,11 @@
 //! * [`teavar`] — scenario-robust allocation (TEAVAR*, B4 only);
 //! * Fleischer's approximation lives in `teal_lp::fleischer`.
 //!
-//! Every LP here is `teal_lp::solve_lp` at its fixed settings, POP splits
-//! clients at 0.25 and TEAVAR* prices risk at 0.5. The knobs left are the
-//! ones the crate's tests vary: NCFlow's clusters and rounds, POP's
-//! replicas and seed, and LP-top's α.
+//! Each solver runs at the one setting §5.1 evaluates it at, a constant in
+//! its own module: LP-top's α = 10%, NCFlow's √n clusters and 3 rounds,
+//! POP's replica count by topology family and its 0.25 client split,
+//! TEAVAR*'s 0.5 risk price. Every LP here is `teal_lp::solve_lp` at its
+//! fixed settings, and NCFlow and POP solve `TotalFlow`.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
 // audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
 // crate's unsafe inventory docs).
@@ -23,6 +24,6 @@ pub mod pop;
 pub mod teavar;
 
 pub use lp_top::solve_lp_top;
-pub use ncflow::{partition, solve_ncflow, NcflowConfig};
-pub use pop::{solve_pop, PopConfig};
+pub use ncflow::solve_ncflow;
+pub use pop::solve_pop;
 pub use teavar::solve_teavar;

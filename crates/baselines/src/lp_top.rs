@@ -13,13 +13,16 @@
 use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
 use teal_traffic::TrafficMatrix;
 
-/// Compute the LP-top allocation: LP over the top `alpha` fraction of
+/// α: the fraction of demands, largest first, that the LP allocates.
+const ALPHA: f64 = 0.10;
+
+/// Compute the LP-top allocation: LP over the top `ALPHA` = 10% of
 /// demands (with everything else pinned to its shortest path and consuming
 /// capacity there), shortest path for the rest.
-pub fn solve_lp_top(inst: &TeInstance, obj: Objective, alpha: f64) -> Allocation {
+pub fn solve_lp_top(inst: &TeInstance, obj: Objective) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
-    let top: Vec<usize> = inst.tm.top_indices(alpha);
+    let top: Vec<usize> = inst.tm.top_indices(ALPHA);
     let top_set: std::collections::HashSet<usize> = top.iter().copied().collect();
 
     // Start from shortest-path routing for everyone.
@@ -87,7 +90,7 @@ mod tests {
         let tm = TrafficMatrix::new(demands);
         let inst = TeInstance::new(&topo, &paths, &tm);
         let full = solve_lp(&inst, Objective::TotalFlow);
-        let top = solve_lp_top(&inst, Objective::TotalFlow, 0.10);
+        let top = solve_lp_top(&inst, Objective::TotalFlow);
         let f_full = evaluate(&inst, &full).realized_flow;
         let f_top = evaluate(&inst, &top).realized_flow;
         assert!(
@@ -101,21 +104,33 @@ mod tests {
         let topo = b4();
         let pairs = topo.all_pairs();
         let paths = PathSet::compute(&topo, &pairs, 4);
+        // Every tenth demand is large: 14 of the 132, which is the top
+        // ceil(10%) exactly.
+        let big = |d: usize| d.is_multiple_of(10);
         let demands: Vec<f64> = (0..pairs.len())
-            .map(|i| if i == 0 { 500.0 } else { 1.0 })
+            .map(|d| if big(d) { 300.0 } else { 1.0 })
             .collect();
         let tm = TrafficMatrix::new(demands);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let alloc = solve_lp_top(&inst, Objective::TotalFlow, 0.02);
-        // Some non-top demand: splits must be exactly shortest-path.
-        let top = tm.top_indices(0.02);
+        let alloc = solve_lp_top(&inst, Objective::TotalFlow);
+        let mut top = tm.top_indices(ALPHA);
+        top.sort_unstable();
+        assert_eq!(
+            top,
+            (0..pairs.len()).filter(|&d| big(d)).collect::<Vec<_>>()
+        );
+        let mut rerouted = 0;
         for d in 0..pairs.len() {
-            if !top.contains(&d) {
-                let s = alloc.demand_splits(d);
+            let s = alloc.demand_splits(d);
+            if big(d) {
+                rerouted += usize::from(s[1..].iter().any(|&v| v > 0.0));
+            } else {
                 assert_eq!(s[0], 1.0, "demand {d} not pinned");
                 assert!(s[1..].iter().all(|&v| v == 0.0));
             }
         }
+        // The LP moves some top demand off its shortest path.
+        assert!(rerouted > 0, "no top demand left its shortest path");
     }
 
     #[test]
@@ -125,7 +140,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![10.0; pairs.len()]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let alloc = solve_lp_top(&inst, Objective::TotalFlow, 0.10);
+        let alloc = solve_lp_top(&inst, Objective::TotalFlow);
         assert!(alloc.demand_feasible(1e-6));
     }
 }

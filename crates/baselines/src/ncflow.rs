@@ -23,31 +23,14 @@ use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::{NodeId, PathSet, Topology};
 use teal_traffic::TrafficMatrix;
 
-/// NCFlow configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct NcflowConfig {
-    /// Number of clusters. The paper uses sqrt-ish counts per topology.
-    pub clusters: usize,
-    /// Reconciliation rounds: NCFlow "needs to iterate between LP
-    /// optimization and consolidation until a predefined accuracy threshold
-    /// is reached" (§5.2); each round re-runs the decomposition on the
-    /// residual capacities.
-    pub rounds: usize,
-}
-
-impl NcflowConfig {
-    /// Cluster count heuristic: roughly sqrt(n), the order NCFlow uses.
-    pub fn paper_default(num_nodes: usize) -> Self {
-        NcflowConfig {
-            clusters: (num_nodes as f64).sqrt().round().max(2.0) as usize,
-            rounds: 3,
-        }
-    }
-}
+/// Reconciliation rounds: NCFlow "needs to iterate between LP optimization
+/// and consolidation until a predefined accuracy threshold is reached"
+/// (§5.2); each round re-runs the decomposition on the residual capacities.
+const ROUNDS: usize = 3;
 
 /// Partition nodes into `c` clusters: farthest-point seeds on hop distance,
 /// then balanced BFS growth. Returns the cluster id per node.
-pub fn partition(topo: &Topology, c: usize) -> Vec<usize> {
+fn partition(topo: &Topology, c: usize) -> Vec<usize> {
     let n = topo.num_nodes();
     let c = c.clamp(1, n);
     // Farthest-point seeding.
@@ -96,16 +79,23 @@ fn hop_distance(topo: &Topology, a: NodeId, b: NodeId) -> Option<usize> {
     teal_topology::paths::bfs_hops(topo, a)[b]
 }
 
-/// Solve with the NCFlow-like decomposition, iterating the decomposition
-/// over residual capacities for `cfg.rounds` reconciliation rounds.
-pub fn solve_ncflow(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Allocation {
+/// Solve the TotalFlow problem with the NCFlow-like decomposition at
+/// roughly √n clusters, the order NCFlow uses, iterating the decomposition
+/// over residual capacities for `ROUNDS` = 3 reconciliation rounds.
+pub fn solve_ncflow(inst: &TeInstance) -> Allocation {
+    let clusters = (inst.topo.num_nodes() as f64).sqrt().round().max(2.0) as usize;
+    solve_clustered(inst, clusters)
+}
+
+/// [`solve_ncflow`] at `clusters` clusters.
+fn solve_clustered(inst: &TeInstance, clusters: usize) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
     let mut total = Allocation::zeros(nd, k);
     // Fraction of each demand still unallocated.
     let mut remaining = vec![1.0f64; nd];
     let mut residual_caps = inst.topo.capacities();
-    for _ in 0..cfg.rounds.max(1) {
+    for _ in 0..ROUNDS {
         let round_topo = inst.topo.with_capacities(&residual_caps);
         let round_tm =
             TrafficMatrix::new((0..nd).map(|d| inst.tm.demand(d) * remaining[d]).collect());
@@ -113,7 +103,7 @@ pub fn solve_ncflow(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Al
             break;
         }
         let round_inst = TeInstance::new(&round_topo, inst.paths, &round_tm);
-        let round_alloc = ncflow_round(&round_inst, obj, cfg);
+        let round_alloc = ncflow_round(&round_inst, clusters);
         // Accumulate in original-demand units and update residual state.
         #[allow(clippy::needless_range_loop)]
         for d in 0..nd {
@@ -142,10 +132,10 @@ pub fn solve_ncflow(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Al
 }
 
 /// One decomposition round on the given (residual) instance.
-fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Allocation {
+fn ncflow_round(inst: &TeInstance, clusters: usize) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
-    let cluster = partition(inst.topo, cfg.clusters);
+    let cluster = partition(inst.topo, clusters);
     let nc = cluster.iter().max().map(|&m| m + 1).unwrap_or(1);
 
     // Classify demands: intra (all candidate paths inside one cluster) vs
@@ -181,7 +171,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
         let sub_paths = PathSet::compute(inst.topo, &pairs, inst.paths.k());
         let sub_tm = TrafficMatrix::new(vols);
         let sub_inst = TeInstance::new(inst.topo, &sub_paths, &sub_tm);
-        (demands, solve_lp(&sub_inst, obj))
+        (demands, solve_lp(&sub_inst, Objective::TotalFlow))
     });
     for (demands, sub_alloc) in solved {
         for (i, &d) in demands.iter().enumerate() {
@@ -229,7 +219,7 @@ fn ncflow_round(inst: &TeInstance, obj: Objective, cfg: &NcflowConfig) -> Alloca
             let agg_paths = PathSet::compute(&contracted, &agg_pairs, 4);
             let agg_tm = TrafficMatrix::new(agg_vols);
             let agg_inst = TeInstance::new(&contracted, &agg_paths, &agg_tm);
-            let agg_alloc = solve_lp(&agg_inst, obj);
+            let agg_alloc = solve_lp(&agg_inst, Objective::TotalFlow);
             for (i, &pair) in agg_pairs.iter().enumerate() {
                 let frac: f64 = agg_alloc.demand_splits(i).iter().sum();
                 budgets.insert(pair, frac * agg_tm.demand(i));
@@ -335,11 +325,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![8.0; pairs.len()]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let cfg = NcflowConfig {
-            clusters: 3,
-            rounds: 2,
-        };
-        let nc = solve_ncflow(&inst, Objective::TotalFlow, &cfg);
+        let nc = solve_ncflow(&inst);
         assert!(nc.demand_feasible(1e-6));
         let lp = solve_lp(&inst, Objective::TotalFlow);
         let f_nc = evaluate(&inst, &nc).realized_flow;
@@ -358,11 +344,7 @@ mod tests {
         let paths = PathSet::compute(&topo, &pairs, 4);
         let tm = TrafficMatrix::new(vec![5.0; pairs.len()]);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let cfg = NcflowConfig {
-            clusters: 1,
-            rounds: 1,
-        };
-        let nc = solve_ncflow(&inst, Objective::TotalFlow, &cfg);
+        let nc = solve_clustered(&inst, 1);
         let lp = solve_lp(&inst, Objective::TotalFlow);
         let f_nc = evaluate(&inst, &nc).realized_flow;
         let f_lp = evaluate(&inst, &lp).realized_flow;

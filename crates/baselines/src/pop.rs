@@ -17,44 +17,33 @@ use teal_traffic::TrafficMatrix;
 /// replica's mean link capacity is split into equal virtual sub-demands.
 const SPLIT_THRESHOLD: f64 = 0.25;
 
-/// POP configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PopConfig {
-    /// Number of replicas (k). The paper uses 1 for B4/SWAN, 4 for
-    /// UsCarrier, 128 for Kdl/ASN.
-    pub replicas: usize,
-    /// RNG seed for demand-to-replica assignment.
-    pub seed: u64,
+/// Solve the TotalFlow problem with POP at the paper's replica count for
+/// the topology's family (k = 1 for B4/SWAN, 4 for UsCarrier, 128 for
+/// Kdl/ASN, the last reduced to 8 on our scaled testbeds so each replica
+/// still holds a meaningful number of demands).
+pub fn solve_pop(inst: &TeInstance) -> Allocation {
+    let name = inst.topo.name();
+    let replicas = if name.contains("Kdl") || name.contains("ASN") {
+        8
+    } else if name.contains("UsCarrier") {
+        4
+    } else {
+        1
+    };
+    solve_replicated(inst, replicas)
 }
 
-impl PopConfig {
-    /// The paper's replica assignment by topology family (k = 1 for
-    /// B4/SWAN, 4 for UsCarrier, 128 for Kdl/ASN), with the large counts
-    /// reduced to 8 on our scaled testbeds so each replica still holds a
-    /// meaningful number of demands.
-    pub fn paper_default(topology_name: &str) -> Self {
-        let replicas = if topology_name.contains("Kdl") || topology_name.contains("ASN") {
-            8
-        } else if topology_name.contains("UsCarrier") {
-            4
-        } else {
-            1
-        };
-        PopConfig { replicas, seed: 0 }
-    }
-}
-
-/// Solve with POP: partition (split) demands over `k` capacity-scaled
-/// replicas, solve each replica in parallel, and merge the split ratios by
-/// demand-volume weighting.
-pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocation {
+/// [`solve_pop`] on `replicas` replicas: partition (split) demands over
+/// the capacity-scaled replicas, solve each replica in parallel, and merge
+/// the split ratios by demand-volume weighting.
+fn solve_replicated(inst: &TeInstance, replicas: usize) -> Allocation {
     let k_paths = inst.k();
     let nd = inst.num_demands();
-    let replicas = cfg.replicas.max(1);
     if replicas == 1 {
-        return solve_lp(inst, obj);
+        return solve_lp(inst, Objective::TotalFlow);
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x909_0001);
+    // The demand-to-replica assignment's stream.
+    let mut rng = StdRng::seed_from_u64(0x909_0001);
 
     // Client splitting: volume shares per (demand, replica).
     let mean_cap = inst.topo.total_capacity() / inst.topo.num_edges().max(1) as f64;
@@ -90,7 +79,7 @@ pub fn solve_pop(inst: &TeInstance, obj: Objective, cfg: &PopConfig) -> Allocati
             return None;
         }
         let inst_r = TeInstance::new(&replica_topo, inst.paths, &tm_r);
-        Some(solve_lp(&inst_r, obj))
+        Some(solve_lp(&inst_r, Objective::TotalFlow))
     });
 
     // Merge: a demand's final split ratio is the volume-weighted average of
@@ -123,6 +112,7 @@ mod tests {
     use super::*;
     use teal_lp::evaluate;
     use teal_topology::{b4, PathSet};
+    use teal_traffic::{TrafficConfig, TrafficModel};
 
     fn b4_instance(vols: f64) -> (Topology, PathSet, TrafficMatrix) {
         let topo = b4();
@@ -136,11 +126,7 @@ mod tests {
     fn single_replica_equals_lp_all() {
         let (topo, paths, tm) = b4_instance(6.0);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let cfg = PopConfig {
-            replicas: 1,
-            ..PopConfig::paper_default("B4")
-        };
-        let pop = solve_pop(&inst, Objective::TotalFlow, &cfg);
+        let pop = solve_pop(&inst);
         let lp = solve_lp(&inst, Objective::TotalFlow);
         let fp = evaluate(&inst, &pop).realized_flow;
         let fl = evaluate(&inst, &lp).realized_flow;
@@ -151,11 +137,7 @@ mod tests {
     fn multi_replica_feasible_and_reasonable() {
         let (topo, paths, tm) = b4_instance(10.0);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let cfg = PopConfig {
-            replicas: 4,
-            seed: 3,
-        };
-        let pop = solve_pop(&inst, Objective::TotalFlow, &cfg);
+        let pop = solve_replicated(&inst, 4);
         assert!(pop.demand_feasible(1e-6));
         let lp = solve_lp(&inst, Objective::TotalFlow);
         let fp = evaluate(&inst, &pop).realized_flow;
@@ -166,17 +148,32 @@ mod tests {
     }
 
     #[test]
+    fn replicas_stay_below_lp_all_on_calibrated_traffic() {
+        // Heavy-tailed demands from the calibrated traffic model, on two
+        // replicas: feasible, and never above the exact optimum.
+        let topo = b4();
+        let pairs = topo.all_pairs();
+        let paths = PathSet::compute(&topo, &pairs, 4);
+        let mut model = TrafficModel::new(&pairs, TrafficConfig::default(), 9);
+        model.calibrate(&topo, &paths);
+        let tm = model.series(0, 1).remove(0);
+        let inst = TeInstance::new(&topo, &paths, &tm);
+        let pop = solve_replicated(&inst, 2);
+        assert!(pop.demand_feasible(1e-6));
+        let fp = evaluate(&inst, &pop).realized_flow;
+        let fl = evaluate(&inst, &solve_lp(&inst, Objective::TotalFlow)).realized_flow;
+        assert!(fp > 0.0);
+        assert!(fp <= fl + 1e-6, "pop {fp} above lp {fl}");
+    }
+
+    #[test]
     fn client_splitting_spreads_large_demands() {
         let (topo, paths, _) = b4_instance(1.0);
         let mut demands = vec![0.5; paths.num_demands()];
         demands[0] = 400.0; // enormous single demand
         let tm = TrafficMatrix::new(demands);
         let inst = TeInstance::new(&topo, &paths, &tm);
-        let cfg = PopConfig {
-            replicas: 4,
-            seed: 1,
-        };
-        let pop = solve_pop(&inst, Objective::TotalFlow, &cfg);
+        let pop = solve_replicated(&inst, 4);
         // The big demand must receive a nonzero allocation (it was split
         // across replicas rather than starving in a single 1/4-capacity one).
         let s: f64 = pop.demand_splits(0).iter().sum();

@@ -14,7 +14,7 @@
 //! trainers drive them unchanged.
 
 use crate::env::{Env, ModelInput};
-use crate::model::{assert_single_matrix, Forward, PolicyModel, INIT_LOGSTD, LEAKY_SLOPE};
+use crate::model::{assert_single_matrix, FlowGnn, Forward, PolicyModel, INIT_LOGSTD, LEAKY_SLOPE};
 use std::sync::Arc;
 use teal_nn::{Aggregate, CsrPair, Graph, Linear, ParamId, ParamStore, Tensor};
 
@@ -219,10 +219,12 @@ impl PolicyModel for NaiveGnnModel {
 /// "Teal w/ global policy": FlowGNN embeddings concatenated into a single
 /// giant input; one network emits all demands' logits jointly.
 pub struct GlobalPolicyModel {
-    /// The Teal model whose untrained FlowGNN embeds each matrix.
-    inner: crate::model::TealModel,
+    env: Arc<Env>,
+    /// The untrained FlowGNN that embeds each matrix, and its parameters.
+    gnn: FlowGnn,
+    gnn_store: ParamStore,
     /// The giant head's and the log-std's parameters: the trained ones.
-    store2: ParamStore,
+    store: ParamStore,
     giant: Vec<Linear>,
     logstd: ParamId,
 }
@@ -248,17 +250,20 @@ impl GlobalPolicyModel {
                  as the paper reports for large topologies"
             ));
         }
-        let inner = crate::model::TealModel::new(Arc::clone(&env), cfg);
-        let mut store2 = ParamStore::new();
+        // Teal's own FlowGNN, left untrained.
+        let (gnn, gnn_store, _) = FlowGnn::seeded(k, &cfg);
+        let mut store = ParamStore::new();
         let mut rng = teal_nn::rng::seeded(cfg.seed ^ 0xab1a_0003);
         let giant = vec![
-            Linear::new(&mut store2, "global.h", in_dim, hidden, &mut rng),
-            Linear::new(&mut store2, "global.out", hidden, out_dim, &mut rng),
+            Linear::new(&mut store, "global.h", in_dim, hidden, &mut rng),
+            Linear::new(&mut store, "global.out", hidden, out_dim, &mut rng),
         ];
-        let logstd = store2.register("logstd", Tensor::full(1, k, INIT_LOGSTD));
+        let logstd = store.register("logstd", Tensor::full(1, k, INIT_LOGSTD));
         Ok(GlobalPolicyModel {
-            inner,
-            store2,
+            env,
+            gnn,
+            gnn_store,
+            store,
             giant,
             logstd,
         })
@@ -266,7 +271,7 @@ impl GlobalPolicyModel {
 
     /// Parameter count of the giant head alone.
     pub fn giant_params(&self) -> usize {
-        self.store2.num_scalars()
+        self.store.num_scalars()
     }
 }
 
@@ -276,33 +281,33 @@ impl PolicyModel for GlobalPolicyModel {
     }
 
     fn env(&self) -> &Arc<Env> {
-        self.inner.env()
+        &self.env
     }
 
     fn forward(&self, g: &mut Graph, input: &ModelInput) -> Forward {
-        // The inner FlowGNN stays at its initialization (its store is not
-        // this model's), so its embeddings enter the tape as a constant
-        // and only the giant head and the log-std are bound.
+        // The FlowGNN stays at its initialization (its store is not this
+        // model's), so its embeddings enter the tape as a constant and
+        // only the giant head and the log-std are bound.
         assert_single_matrix(input);
-        let embed = self.inner.embeddings(input);
+        let embed = self.gnn.infer(&self.gnn_store, &self.env, input);
         let flat = g.input(embed.reshaped(1, embed.len()));
-        let h = self.giant[0].forward(&self.store2, g, flat);
+        let h = self.giant[0].forward(&self.store, g, flat);
         let a = g.leaky_relu(h, LEAKY_SLOPE);
-        let out = self.giant[1].forward(&self.store2, g, a);
-        let mu = g.reshape(out, self.env().num_demands(), self.env().k());
-        let logstd = self.store2.bind(g, self.logstd);
+        let out = self.giant[1].forward(&self.store, g, a);
+        let mu = g.reshape(out, self.env.num_demands(), self.env.k());
+        let logstd = self.store.bind(g, self.logstd);
         Forward { mu, logstd }
     }
 
     /// The giant head's store: the trainers optimise the head and the
-    /// log-std, and the inner FlowGNN stays at initialization, a faithful
+    /// log-std, and the FlowGNN stays at initialization, a faithful
     /// handicap of this ablation's joint-output architecture at our scale.
     fn store(&self) -> &ParamStore {
-        &self.store2
+        &self.store
     }
 
     fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store2
+        &mut self.store
     }
 }
 

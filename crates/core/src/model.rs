@@ -154,7 +154,7 @@ const FLOWGNN_AGGREGATE: Aggregate = Aggregate::Sum;
 /// FlowGNN: alternating bipartite GNN layers (capacity constraints) and
 /// per-demand DNN layers (demand constraints), per §3.2 / Figure 4.
 #[derive(Clone)]
-struct FlowGnn {
+pub(crate) struct FlowGnn {
     /// Per layer: transform for PathNodes, `[2d -> d]`.
     path_layers: Vec<Linear>,
     /// Per layer: transform for EdgeNodes, `[2d -> d]`.
@@ -171,6 +171,16 @@ struct FlowGnn {
 }
 
 impl FlowGnn {
+    /// Teal's FlowGNN for `cfg`, in a store of its own, drawn first from
+    /// the model's seeded stream; the stream is returned where
+    /// [`TealModel::new`] continues it with the policy network.
+    pub(crate) fn seeded(k: usize, cfg: &TealConfig) -> (Self, ParamStore, rand::rngs::StdRng) {
+        let mut store = ParamStore::new();
+        let mut rng = teal_nn::rng::seeded(cfg.seed ^ 0x7ea1_c0de);
+        let gnn = FlowGnn::new(&mut store, k, cfg, &mut rng);
+        (gnn, store, rng)
+    }
+
     fn new(store: &mut ParamStore, k: usize, cfg: &TealConfig, rng: &mut impl rand::Rng) -> Self {
         let (layers, growth) = (cfg.gnn_layers, cfg.embed_growth);
         assert!(growth >= 1);
@@ -224,7 +234,7 @@ impl FlowGnn {
     /// stay as they are. Returns `p` as `[batch·P, D]`; the edge pair is
     /// freed on return. A stacked input runs the incidence
     /// block-diagonally, bit-identical per block.
-    fn infer(&self, store: &ParamStore, env: &Env, input: &ModelInput) -> Tensor {
+    pub(crate) fn infer(&self, store: &ParamStore, env: &Env, input: &ModelInput) -> Tensor {
         let width = self.dim;
         let (path_init, edge_init) = (input.path_init.data(), input.edge_init.data());
         let mut p = vec![0.0f32; path_init.len() * width];
@@ -499,10 +509,8 @@ pub struct TealModel {
 impl TealModel {
     /// Construct with the paper's defaults (override via `cfg`).
     pub fn new(env: Arc<Env>, cfg: TealConfig) -> Self {
-        let mut store = ParamStore::new();
-        let mut rng = teal_nn::rng::seeded(cfg.seed ^ 0x7ea1_c0de);
         let k = env.k();
-        let gnn = FlowGnn::new(&mut store, k, &cfg, &mut rng);
+        let (gnn, mut store, mut rng) = FlowGnn::seeded(k, &cfg);
         let policy = PolicyNet::new(
             &mut store,
             k * gnn.dim,
@@ -544,8 +552,7 @@ impl TealModel {
     }
 
     /// FlowGNN's final PathNode embeddings `[batch * P, embed_dim]`, tape
-    /// free and bit-identical to the recorded forward's (Figure 16's input,
-    /// and the global-policy arm's).
+    /// free and bit-identical to the recorded forward's (Figure 16's input).
     pub fn embeddings(&self, input: &ModelInput) -> Tensor {
         self.gnn.infer(&self.store, &self.env, input)
     }

@@ -317,12 +317,12 @@ pub struct AdmmSkeleton {
 
 impl AdmmSkeleton {
     /// Build the per-topology solver state under a linear objective
-    /// (`TotalFlow` or `DelayPenalizedFlow`; `MinMaxLinkUtil` uses
-    /// [`crate::pathlp::solve_mlu`] instead).
+    /// (`TotalFlow` or `DelayPenalizedFlow`; [`crate::solve_lp`] solves
+    /// `MinMaxLinkUtil` by subgradient descent instead).
     pub fn new(topo: &Topology, paths: &PathSet, obj: Objective) -> Self {
         assert!(
             !matches!(obj, Objective::MinMaxLinkUtil),
-            "ADMM handles linear objectives; use solve_mlu for MLU"
+            "ADMM handles linear objectives; solve_lp solves MLU"
         );
         let num_edges = topo.num_edges();
         let index = AdmmIndex::new(paths);

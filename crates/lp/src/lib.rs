@@ -10,7 +10,7 @@
 //! * [`pathlp`]: [`solve_lp`], LP-all itself, with three fixed settings —
 //!   the simplex up to 1,200 variables plus constraints, ADMM at
 //!   [`AdmmConfig::to_convergence`] above that, and 400 projected-subgradient
-//!   iterations ([`solve_mlu`]) for the MLU objective,
+//!   iterations for the MLU objective,
 //! * a [`fleischer`] multiplicative-weights approximation (§2.1's
 //!   combinatorial baseline),
 //! * [`concurrent`]: per-configuration serial solve times from which
@@ -35,5 +35,5 @@ pub mod simplex;
 
 pub use admm::{AdmmBatchSolver, AdmmConfig, AdmmReport, AdmmSkeleton, BatchArena};
 pub use flow::{evaluate, evaluate_with_gamma, objective_value, FlowSim, FlowStats};
-pub use pathlp::{solve_lp, solve_mlu};
+pub use pathlp::solve_lp;
 pub use problem::{Allocation, Objective, TeInstance};

@@ -63,7 +63,7 @@ pub fn build_rows(inst: &TeInstance) -> Vec<Row> {
 /// module docs).
 pub fn solve_lp(inst: &TeInstance, obj: Objective) -> Allocation {
     match obj {
-        Objective::MinMaxLinkUtil => solve_mlu(inst, MLU_ITERS),
+        Objective::MinMaxLinkUtil => solve_mlu(inst),
         _ => {
             let k = inst.k();
             let nvars = inst.paths.num_paths();
@@ -89,9 +89,10 @@ pub fn solve_lp(inst: &TeInstance, obj: Objective) -> Allocation {
 /// Minimize max link utilization subject to routing *all* demand:
 /// `min_F max_e load_e(F)/c_e` with `F_d ∈ Δ_k` (full simplex per demand).
 ///
-/// Projected subgradient: at each step, find the argmax edge, push the
-/// splits of paths crossing it downward, and re-project onto the simplex.
-pub fn solve_mlu(inst: &TeInstance, iters: usize) -> Allocation {
+/// Projected subgradient: at each of [`MLU_ITERS`] steps, find the argmax
+/// edge, push the splits of paths crossing it downward, and re-project onto
+/// the simplex.
+fn solve_mlu(inst: &TeInstance) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
     let mut alloc = Allocation::shortest_path(nd, k);
@@ -100,7 +101,7 @@ pub fn solve_mlu(inst: &TeInstance, iters: usize) -> Allocation {
     }
     let mut best = alloc.clone();
     let mut best_mlu = mlu_of(inst, &alloc);
-    for t in 0..iters {
+    for t in 0..MLU_ITERS {
         // Compute loads.
         let mut loads = vec![0.0f64; inst.topo.num_edges()];
         for d in 0..nd {
@@ -251,7 +252,7 @@ mod tests {
         let tm = TrafficMatrix::new(vec![3.0; pairs.len()]);
         let inst = TeInstance::new(&topo, &paths, &tm);
         let sp_mlu = evaluate(&inst, &Allocation::shortest_path(pairs.len(), 4)).max_link_util;
-        let alloc = solve_mlu(&inst, 300);
+        let alloc = solve_lp(&inst, Objective::MinMaxLinkUtil);
         let got = evaluate(&inst, &alloc).max_link_util;
         assert!(got < sp_mlu, "mlu {got} should beat shortest-path {sp_mlu}");
     }

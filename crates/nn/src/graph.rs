@@ -124,13 +124,16 @@ impl Graph {
     /// Gradient of a node after [`Graph::backward`]; zeros if it never
     /// received a contribution.
     pub fn grad(&self, v: Var) -> Tensor {
-        match &self.nodes[v.0].grad {
-            Some(g) => g.clone(),
-            None => {
-                let (r, c) = self.nodes[v.0].value.shape();
-                Tensor::zeros(r, c)
-            }
-        }
+        self.grad_ref(v).cloned().unwrap_or_else(|| {
+            let (r, c) = self.nodes[v.0].value.shape();
+            Tensor::zeros(r, c)
+        })
+    }
+
+    /// Gradient of a node after [`Graph::backward`], in place; `None` if it
+    /// never received a contribution.
+    pub(crate) fn grad_ref(&self, v: Var) -> Option<&Tensor> {
+        self.nodes[v.0].grad.as_ref()
     }
 
     // ---- operators -------------------------------------------------------

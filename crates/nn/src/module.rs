@@ -105,9 +105,15 @@ impl ParamStore {
     /// After `g.backward`, add the gradient of every parameter bound on `g`
     /// into the store, in binding order: a parameter bound twice receives
     /// both uses' gradients. Every binding on `g` must come from this store.
+    ///
+    /// The gradients are read in place, and a binding that received none
+    /// is skipped: adding its zeros would move no bit, because a gradient
+    /// zeroed to +0.0 and then only added to never becomes −0.0.
     pub fn absorb(&mut self, g: &Graph) {
         for &(id, var) in &g.bound {
-            self.grads[id.0].add_assign(&g.grad(var));
+            if let Some(grad) = g.grad_ref(var) {
+                self.grads[id.0].add_assign(grad);
+            }
         }
     }
 
@@ -270,12 +276,15 @@ mod tests {
     fn absorb_sums_every_binding_and_skips_unbound_parameters() {
         // `loss = sum(2·p − 3·p)`: `p` is bound twice and must receive
         // both uses' gradients (2 − 3 = −1 per entry); `q` is registered
-        // but never bound, so its gradient stays zero.
+        // but never bound, and `r` is bound but never read, so both keep
+        // their +0.0 gradients.
         let mut store = ParamStore::new();
         let p = store.register("p", Tensor::full(2, 3, 1.0));
         let q = store.register("q", Tensor::full(1, 3, 1.0));
+        let r = store.register("r", Tensor::full(1, 2, 1.0));
         let mut g = Graph::new();
         let first = store.bind(&mut g, p);
+        let _unread = store.bind(&mut g, r);
         let second = store.bind(&mut g, p);
         let a = g.scale(first, 2.0);
         let b = g.scale(second, 3.0);
@@ -285,6 +294,7 @@ mod tests {
         store.absorb(&g);
         assert!(store.grad(p).data().iter().all(|&v| v == -1.0));
         assert!(store.grad(q).data().iter().all(|&v| v == 0.0));
+        assert!(store.grad(r).data().iter().all(|v| v.to_bits() == 0));
         // A second tape's gradients add to the first's: −1 + 3.
         let mut g = Graph::new();
         let once = store.bind(&mut g, p);

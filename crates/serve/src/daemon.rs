@@ -60,7 +60,7 @@
 //! only extra step is one [`Topology::with_failed_edges`] clone of the
 //! serving topology, built from its signature right before
 //! [`ServingContext::try_allocate_batch_on_with`]: the edge table, the
-//! out-adjacency, the coordinates and the name, nothing else (a
+//! out-adjacency and the name, nothing else (a
 //! `Topology` keeps no edge lookup index, so the signature's links resolve
 //! by an O(out-degree) scan each). Nothing is cached across windows (the
 //! build is under 1 % of the window it precedes at every topology size

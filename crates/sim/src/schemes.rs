@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teal_baselines::{
-    solve_lp_top, solve_ncflow, solve_pop, solve_teavar, NcflowConfig, PopConfig,
-};
+use teal_baselines::{solve_lp_top, solve_ncflow, solve_pop, solve_teavar};
 use teal_core::{Env, PolicyModel, ServingContext};
 use teal_lp::{fleischer, solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::Topology;
@@ -43,8 +41,17 @@ pub trait Scheme {
     }
 }
 
+/// Fleischer's ε for [`Solver::Fleischer`].
+const FLEISCHER_EPSILON: f64 = 0.1;
+
+/// Fleischer's step cap for [`Solver::Fleischer`].
+const FLEISCHER_STEPS: usize = 2_000_000;
+
 /// The solver a [`Baseline`] runs, each at the one setting §5.1 evaluates
-/// it at. NCFlow and POP solve [`Objective::TotalFlow`].
+/// it at, a constant in that solver's module (Fleischer's ε and step cap in
+/// this one). NCFlow and POP solve [`Objective::TotalFlow`] and read their
+/// cluster and replica counts off the topology they are given, whose
+/// failed-link twin keeps its name and node count.
 #[derive(Clone, Copy, Debug)]
 pub enum Solver {
     /// LP-all: the full path LP (exact simplex on small instances, ADMM to
@@ -97,17 +104,11 @@ impl Scheme for Baseline {
         let t0 = Instant::now();
         let alloc = match self.solver {
             Solver::LpAll(obj) => solve_lp(&inst, obj),
-            Solver::LpTop(obj) => solve_lp_top(&inst, obj, 0.10),
-            Solver::Ncflow => {
-                let cfg = NcflowConfig::paper_default(env.topo().num_nodes());
-                solve_ncflow(&inst, Objective::TotalFlow, &cfg)
-            }
-            Solver::Pop => {
-                let cfg = PopConfig::paper_default(env.topo().name());
-                solve_pop(&inst, Objective::TotalFlow, &cfg)
-            }
+            Solver::LpTop(obj) => solve_lp_top(&inst, obj),
+            Solver::Ncflow => solve_ncflow(&inst),
+            Solver::Pop => solve_pop(&inst),
             Solver::Teavar => solve_teavar(&inst),
-            Solver::Fleischer => fleischer::solve(&inst, 0.1, 2_000_000).0,
+            Solver::Fleischer => fleischer::solve(&inst, FLEISCHER_EPSILON, FLEISCHER_STEPS).0,
             Solver::ShortestPath => Allocation::shortest_path(tm.len(), env.k()),
         };
         (alloc, t0.elapsed())
@@ -230,11 +231,12 @@ mod tests {
     }
 
     /// Each baseline allocates exactly what a direct call of its solver
-    /// returns at §5.1's settings, written out here as literals. The
-    /// 15-node Kdl instance puts POP on 8 replicas and NCFlow on 4 clusters.
+    /// returns. Each solver reads its §5.1 setting itself: the 15-node Kdl
+    /// instance puts POP on 8 replicas and NCFlow on 4 clusters, B4 on 1
+    /// and 3, and `tests/baseline_bits.rs` pins what those settings
+    /// allocate.
     #[test]
-    fn every_baseline_runs_its_solver_at_the_paper_settings() {
-        use teal_lp::solve_mlu;
+    fn every_baseline_runs_its_solver() {
         use teal_topology::{generate, PathSet, TopoKind};
         let kdl = {
             let topo = generate(TopoKind::Kdl, 0.02, 5);
@@ -244,35 +246,22 @@ mod tests {
             Arc::new(Env::new(topo, paths))
         };
         let obj = Objective::TotalFlow;
-        // (env, NCFlow clusters, POP replicas).
-        for (env, clusters, replicas) in [(setup().0, 3, 1), (kdl, 4, 8)] {
+        let mlu = Objective::MinMaxLinkUtil;
+        for env in [setup().0, kdl] {
             let nd = env.num_demands();
             let tm = TrafficMatrix::new((0..nd).map(|d| 1.0 + 3.0 * (d * 7 % 11) as f64).collect());
             let inst = env.instance(&tm);
             let direct = [
                 (Solver::LpAll(obj), solve_lp(&inst, obj)),
-                (
-                    Solver::LpAll(Objective::MinMaxLinkUtil),
-                    solve_mlu(&inst, 400),
-                ),
-                (Solver::LpTop(obj), solve_lp_top(&inst, obj, 0.10)),
-                (
-                    Solver::Ncflow,
-                    solve_ncflow(
-                        &inst,
-                        obj,
-                        &NcflowConfig {
-                            clusters,
-                            rounds: 3,
-                        },
-                    ),
-                ),
-                (
-                    Solver::Pop,
-                    solve_pop(&inst, obj, &PopConfig { replicas, seed: 0 }),
-                ),
+                (Solver::LpAll(mlu), solve_lp(&inst, mlu)),
+                (Solver::LpTop(obj), solve_lp_top(&inst, obj)),
+                (Solver::Ncflow, solve_ncflow(&inst)),
+                (Solver::Pop, solve_pop(&inst)),
                 (Solver::Teavar, solve_teavar(&inst)),
-                (Solver::Fleischer, fleischer::solve(&inst, 0.1, 2_000_000).0),
+                (
+                    Solver::Fleischer,
+                    fleischer::solve(&inst, FLEISCHER_EPSILON, FLEISCHER_STEPS).0,
+                ),
                 (Solver::ShortestPath, Allocation::shortest_path(nd, env.k())),
             ];
             for (solver, want) in direct {

@@ -146,7 +146,7 @@ fn finish(mut t: Topology) -> Topology {
 pub fn b4() -> Topology {
     let mut t = Topology::new("B4", 12);
     // Approximate site coordinates (used only for latency weights).
-    let coords = [
+    let pts: [(f64, f64); 12] = [
         (0.0, 2.0), // 0
         (0.5, 1.0), // 1
         (1.0, 2.5), // 2
@@ -160,9 +160,6 @@ pub fn b4() -> Topology {
         (7.0, 0.8), // 10
         (7.5, 1.8), // 11
     ];
-    for (i, &(x, y)) in coords.iter().enumerate() {
-        t.set_coords(i, x, y);
-    }
     let links: [(usize, usize, f64); 19] = [
         (0, 1, 200.0),
         (0, 2, 200.0),
@@ -185,8 +182,7 @@ pub fn b4() -> Topology {
         (10, 11, 200.0),
     ];
     for &(a, b, cap) in &links {
-        let (ax, ay) = t.coords(a);
-        let (bx, by) = t.coords(b);
+        let ((ax, ay), (bx, by)) = (pts[a], pts[b]);
         let w = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt().max(0.1);
         t.add_link(a, b, cap, w);
     }
@@ -225,9 +221,6 @@ fn geometric(
     let pts: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>() * stretch, rng.gen::<f64>()))
         .collect();
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        t.set_coords(i, x, y);
-    }
     let dist = |a: usize, b: usize| -> f64 {
         let (ax, ay) = pts[a];
         let (bx, by) = pts[b];
@@ -308,12 +301,11 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7ea1_0002);
     let mut t = Topology::new(name, n);
     let hubs = (n / 20).max(3); // ~5% of nodes are cluster heads
-    for i in 0..n {
-        t.set_coords(i, rng.gen::<f64>() * 4.0, rng.gen::<f64>() * 4.0);
-    }
-    let wdist = |t: &Topology, a: usize, b: usize| -> f64 {
-        let (ax, ay) = t.coords(a);
-        let (bx, by) = t.coords(b);
+    let pts: Vec<(f64, f64)> = (0..n)
+        .map(|_| (rng.gen::<f64>() * 4.0, rng.gen::<f64>() * 4.0))
+        .collect();
+    let wdist = |a: usize, b: usize| -> f64 {
+        let ((ax, ay), (bx, by)) = (pts[a], pts[b]);
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt().max(0.05)
     };
 
@@ -322,7 +314,7 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
     for h in 0..hubs {
         let next = (h + 1) % hubs;
         if !t.has_link(h, next) {
-            let w = wdist(&t, h, next);
+            let w = wdist(h, next);
             t.add_link(h, next, sample_capacity(&mut rng) * 4.0, w);
             links += 1;
         }
@@ -330,13 +322,13 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
     // Every leaf homes to one hub; a third of leaves dual-home.
     for leaf in hubs..n {
         let h1 = rng.gen_range(0..hubs);
-        let w = wdist(&t, leaf, h1);
+        let w = wdist(leaf, h1);
         t.add_link(leaf, h1, sample_capacity(&mut rng), w);
         links += 1;
         if rng.gen::<f64>() < 0.34 {
             let h2 = rng.gen_range(0..hubs);
             if h2 != h1 && !t.has_link(leaf, h2) {
-                let w2 = wdist(&t, leaf, h2);
+                let w2 = wdist(leaf, h2);
                 t.add_link(leaf, h2, sample_capacity(&mut rng), w2);
                 links += 1;
             }
@@ -349,7 +341,7 @@ fn star_clusters(name: &str, n: usize, target_links: usize, seed: u64) -> Topolo
         let a = rng.gen_range(0..hubs);
         let b = rng.gen_range(0..hubs);
         if a != b && !t.has_link(a, b) {
-            let w = wdist(&t, a, b);
+            let w = wdist(a, b);
             t.add_link(a, b, sample_capacity(&mut rng) * 4.0, w);
             links += 1;
         }
@@ -388,9 +380,6 @@ pub fn large_wan(n: usize, seed: u64) -> Topology {
     let pts: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>() * 4.0, rng.gen::<f64>() * 4.0))
         .collect();
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        t.set_coords(i, x, y);
-    }
     let dist = |a: usize, b: usize| -> f64 {
         let (ax, ay) = pts[a];
         let (bx, by) = pts[b];
@@ -616,9 +605,6 @@ mod tests {
         assert_eq!(a.num_edges(), b.num_edges());
         for (ea, eb) in a.edges().iter().zip(b.edges()) {
             assert_eq!(ea, eb); // src, dst, capacity, weight — exact
-        }
-        for n in 0..a.num_nodes() {
-            assert_eq!(a.coords(n), b.coords(n));
         }
         // Path sets over the same pairs are bitwise identical too.
         let pairs = gravity_pairs(&a, 96, 5);

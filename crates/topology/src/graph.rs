@@ -3,12 +3,13 @@
 //! A topology is a directed graph: every physical (bidirectional) WAN link
 //! contributes two directed edges, each with its own capacity, matching the
 //! formulation in Appendix A of the paper where capacities are per directed
-//! link. Nodes carry optional planar coordinates (used by the geometric
-//! generators and by the latency-penalized objective).
+//! link. Each edge's routing weight (its latency or distance) is what
+//! shortest paths and the latency-penalized objective read; the generators
+//! derive it from planar node positions that they keep only while building.
 //!
 //! A `Topology` stores each fact once: the edge table, each node's
-//! out-adjacency as `(neighbor, edge id)` pairs, the coordinates and the
-//! name — and a failed-link twin clones just these. There is no `(src, dst)`
+//! out-adjacency as `(neighbor, edge id)` pairs and the name — and a
+//! failed-link twin clones just these. There is no `(src, dst)`
 //! index: [`Topology::find_edge`] scans the source's out-adjacency,
 //! O(out-degree), and none of its callers runs per window.
 
@@ -38,18 +39,15 @@ pub struct Topology {
     /// Out-adjacency: for each node, `(neighbor, edge id)` pairs; its
     /// length is the node count.
     adj: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Optional planar coordinates per node.
-    coords: Vec<(f64, f64)>,
 }
 
 impl Topology {
-    /// Create an empty topology with `n` nodes at the origin.
+    /// Create an empty topology with `n` nodes.
     pub fn new(name: impl Into<String>, n: usize) -> Self {
         Topology {
             name: name.into(),
             edges: Vec::new(),
             adj: vec![Vec::new(); n],
-            coords: vec![(0.0, 0.0); n],
         }
     }
 
@@ -92,16 +90,6 @@ impl Topology {
             .iter()
             .find(|&&(next, _)| next == dst)
             .map(|&(_, e)| e)
-    }
-
-    /// Set a node's planar coordinates.
-    pub fn set_coords(&mut self, n: NodeId, x: f64, y: f64) {
-        self.coords[n] = (x, y);
-    }
-
-    /// A node's planar coordinates.
-    pub fn coords(&self, n: NodeId) -> (f64, f64) {
-        self.coords[n]
     }
 
     /// Drop the growth slack of the edge table, every adjacency list and the

@@ -31,11 +31,10 @@ fn arc_u32s(n: usize) -> usize {
 }
 
 /// What a `Topology` stores: the edge table, adjacency entries (one per
-/// edge), per node an adjacency `Vec` header and a coordinate pair, and the
-/// name's bytes.
+/// edge), per node an adjacency `Vec` header, and the name's bytes.
 fn topology_bytes(t: &Topology) -> usize {
     let adjacency: usize = (0..t.num_nodes()).map(|v| t.neighbors(v).len()).sum();
-    let per_node = size_of::<Vec<(NodeId, EdgeId)>>() + size_of::<(f64, f64)>();
+    let per_node = size_of::<Vec<(NodeId, EdgeId)>>();
     t.num_edges() * size_of::<Edge>()
         + adjacency * size_of::<(NodeId, EdgeId)>()
         + t.num_nodes() * per_node
@@ -56,7 +55,7 @@ fn main() {
     assert_eq!(twin.edge(e / 2).capacity, 0.0);
     let twin_want = topology_bytes(&t);
     let adjacency: usize = (0..n).map(|v| t.neighbors(v).len()).sum();
-    let per_node = size_of::<Vec<(NodeId, EdgeId)>>() + size_of::<(f64, f64)>();
+    let per_node = size_of::<Vec<(NodeId, EdgeId)>>();
 
     let pairs = gravity_pairs(&t, 512, 6);
     let (paths, paths_bytes) = live_added(|| PathSet::compute(&t, &pairs, 4));

@@ -61,23 +61,9 @@ fn scheme_quality_ordering_holds() {
     let flow = |alloc: &Allocation| evaluate(&inst, alloc).realized_flow;
 
     let lp_all = solve_lp(&inst, Objective::TotalFlow);
-    let lp_top = teal::baselines::solve_lp_top(&inst, Objective::TotalFlow, 0.10);
-    let ncflow = teal::baselines::solve_ncflow(
-        &inst,
-        Objective::TotalFlow,
-        &teal::baselines::NcflowConfig {
-            clusters: 3,
-            rounds: 2,
-        },
-    );
-    let pop = teal::baselines::solve_pop(
-        &inst,
-        Objective::TotalFlow,
-        &teal::baselines::PopConfig {
-            replicas: 2,
-            seed: 1,
-        },
-    );
+    let lp_top = teal::baselines::solve_lp_top(&inst, Objective::TotalFlow);
+    let ncflow = teal::baselines::solve_ncflow(&inst);
+    let pop = teal::baselines::solve_pop(&inst);
     let sp = Allocation::shortest_path(inst.num_demands(), inst.k());
 
     let f_all = flow(&lp_all);
