@@ -20,38 +20,44 @@
 //!    as the paper observes).
 
 use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
-use teal_topology::{NodeId, PathSet, Topology};
+use teal_topology::{PathSet, Topology};
 use teal_traffic::TrafficMatrix;
 
 /// Reconciliation rounds: NCFlow "needs to iterate between LP optimization
 /// and consolidation until a predefined accuracy threshold is reached"
-/// (§5.2); each round re-runs the decomposition on the residual capacities.
+/// (§5.2); each round re-runs the LPs on the residual capacities, over the
+/// one partition.
 const ROUNDS: usize = 3;
 
-/// Partition nodes into `c` clusters: farthest-point seeds on hop distance,
-/// then balanced BFS growth. Returns the cluster id per node.
-fn partition(topo: &Topology, c: usize) -> Vec<usize> {
+/// `c` seeds for [`partition`]: node 0, then each time the node farthest
+/// (in hops, unreachable = `usize::MAX / 2`, ties to the lowest id) from its
+/// nearest seed. `nearest` keeps that distance, one BFS per new seed.
+fn farthest_point_seeds(topo: &Topology, c: usize) -> Vec<usize> {
     let n = topo.num_nodes();
-    let c = c.clamp(1, n);
-    // Farthest-point seeding.
     let mut seeds = vec![0usize];
-    while seeds.len() < c {
+    let mut nearest = vec![usize::MAX; n];
+    while seeds.len() < c.clamp(1, n) {
+        let hops = teal_topology::paths::bfs_hops(topo, seeds[seeds.len() - 1]);
+        for (d, h) in nearest.iter_mut().zip(hops) {
+            *d = (*d).min(h.unwrap_or(usize::MAX / 2));
+        }
+        // A seed is at distance 0, so it is never picked again.
         let mut best = (0usize, 0usize); // (node, distance to nearest seed)
-        for v in 0..n {
-            if seeds.contains(&v) {
-                continue;
-            }
-            let d = seeds
-                .iter()
-                .map(|&s| hop_distance(topo, s, v).unwrap_or(usize::MAX / 2))
-                .fold(usize::MAX, usize::min);
+        for (v, &d) in nearest.iter().enumerate() {
             if d > best.1 {
                 best = (v, d);
             }
         }
         seeds.push(best.0);
     }
-    // Simultaneous BFS growth from all seeds.
+    seeds
+}
+
+/// Cluster id per node: simultaneous BFS growth from all `seeds`; nodes
+/// none reaches join cluster 0. It reads only the adjacency, so a capacity
+/// change never moves it.
+fn partition(topo: &Topology, seeds: &[usize]) -> Vec<usize> {
+    let n = topo.num_nodes();
     let mut cluster = vec![usize::MAX; n];
     let mut queue = std::collections::VecDeque::new();
     for (ci, &s) in seeds.iter().enumerate() {
@@ -66,17 +72,12 @@ fn partition(topo: &Topology, c: usize) -> Vec<usize> {
             }
         }
     }
-    // Unreached nodes (disconnected) join cluster 0.
     for cc in cluster.iter_mut() {
         if *cc == usize::MAX {
             *cc = 0;
         }
     }
     cluster
-}
-
-fn hop_distance(topo: &Topology, a: NodeId, b: NodeId) -> Option<usize> {
-    teal_topology::paths::bfs_hops(topo, a)[b]
 }
 
 /// Solve the TotalFlow problem with the NCFlow-like decomposition at
@@ -87,8 +88,10 @@ pub fn solve_ncflow(inst: &TeInstance) -> Allocation {
     solve_clustered(inst, clusters)
 }
 
-/// [`solve_ncflow`] at `clusters` clusters.
+/// [`solve_ncflow`] at `clusters` clusters. A round changes only
+/// capacities, so one partition serves every round.
 fn solve_clustered(inst: &TeInstance, clusters: usize) -> Allocation {
+    let cluster = partition(inst.topo, &farthest_point_seeds(inst.topo, clusters));
     let k = inst.k();
     let nd = inst.num_demands();
     let mut total = Allocation::zeros(nd, k);
@@ -103,7 +106,7 @@ fn solve_clustered(inst: &TeInstance, clusters: usize) -> Allocation {
             break;
         }
         let round_inst = TeInstance::new(&round_topo, inst.paths, &round_tm);
-        let round_alloc = ncflow_round(&round_inst, clusters);
+        let round_alloc = ncflow_round(&round_inst, &cluster);
         // Accumulate in original-demand units and update residual state.
         #[allow(clippy::needless_range_loop)]
         for d in 0..nd {
@@ -131,11 +134,11 @@ fn solve_clustered(inst: &TeInstance, clusters: usize) -> Allocation {
     total
 }
 
-/// One decomposition round on the given (residual) instance.
-fn ncflow_round(inst: &TeInstance, clusters: usize) -> Allocation {
+/// One decomposition round on the given (residual) instance, over the
+/// node → cluster map `cluster`.
+fn ncflow_round(inst: &TeInstance, cluster: &[usize]) -> Allocation {
     let k = inst.k();
     let nd = inst.num_demands();
-    let cluster = partition(inst.topo, clusters);
     let nc = cluster.iter().max().map(|&m| m + 1).unwrap_or(1);
 
     // Classify demands: intra (all candidate paths inside one cluster) vs
@@ -308,13 +311,57 @@ mod tests {
     #[test]
     fn partition_covers_all_nodes() {
         let topo = generate(TopoKind::Swan, 0.5, 3);
-        let cl = partition(&topo, 5);
+        let cl = partition(&topo, &farthest_point_seeds(&topo, 5));
         assert_eq!(cl.len(), topo.num_nodes());
         let nc = cl.iter().max().unwrap() + 1;
         assert!(nc <= 5);
         // Every cluster non-empty.
         for c in 0..nc {
             assert!(cl.contains(&c), "cluster {c} empty");
+        }
+    }
+
+    /// The farthest-point seeding as it was first written: every pick scans
+    /// every (candidate, seed) pair with a BFS of its own.
+    fn per_pair_seeds(topo: &Topology, c: usize) -> Vec<usize> {
+        let n = topo.num_nodes();
+        let c = c.clamp(1, n);
+        let mut seeds = vec![0usize];
+        while seeds.len() < c {
+            let mut best = (0usize, 0usize);
+            for v in 0..n {
+                if seeds.contains(&v) {
+                    continue;
+                }
+                let d = seeds
+                    .iter()
+                    .map(|&s| teal_topology::paths::bfs_hops(topo, s)[v].unwrap_or(usize::MAX / 2))
+                    .fold(usize::MAX, usize::min);
+                if d > best.1 {
+                    best = (v, d);
+                }
+            }
+            seeds.push(best.0);
+        }
+        seeds
+    }
+
+    #[test]
+    fn partition_matches_per_pair_seeding() {
+        let topos = [
+            b4(),
+            generate(TopoKind::Kdl, 0.02, 5),
+            teal_topology::large_wan(256, 7),
+        ];
+        for topo in &topos {
+            for c in [1, 2, 3, 5, 8, 16] {
+                assert_eq!(
+                    partition(topo, &farthest_point_seeds(topo, c)),
+                    partition(topo, &per_pair_seeds(topo, c)),
+                    "{} at {c} clusters",
+                    topo.name()
+                );
+            }
         }
     }
 

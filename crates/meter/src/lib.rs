@@ -15,7 +15,8 @@
 //! thread's count around a measured window sees nothing libtest's other
 //! threads do meanwhile. Live is also kept process-wide, for binaries that
 //! measure work spread over scoped threads: those run without a test
-//! harness, so nothing else allocates beside them. A block freed on another
+//! harness, so nothing else allocates beside them, and each window opens
+//! and closes on a process back to one thread. A block freed on another
 //! thread than the one that allocated it moves only the freeing thread's
 //! count, so per-thread live is signed and only its differences are read.
 //!
@@ -146,18 +147,36 @@ pub fn thread_peak_added<T>(run: impl FnOnce() -> T) -> (T, usize) {
 /// `build()`'s result, still alive, and the live bytes it added across
 /// every thread.
 pub fn live_added<T>(build: impl FnOnce() -> T) -> (T, usize) {
+    await_lone_thread();
     let before = LIVE.load(SeqCst);
     let built = build();
+    await_lone_thread();
     (built, (LIVE.load(SeqCst) - before).max(0) as usize)
 }
 
 /// `run()`'s result and the most live bytes it added across every thread
 /// at any point.
 pub fn peak_added<T>(run: impl FnOnce() -> T) -> (T, usize) {
+    await_lone_thread();
     let before = LIVE.load(SeqCst);
     PEAK.store(before, SeqCst);
     let out = run();
     (out, (PEAK.load(SeqCst) - before).max(0) as usize)
+}
+
+/// Returns once the process runs on one thread: a scoped helper's last
+/// frees (its own thread bookkeeping) come after its scope has returned,
+/// while it tears down. The count is the kernel's, which drops after the
+/// thread's last instruction (no wait where `/proc` is missing).
+fn await_lone_thread() {
+    let threads = || {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let n = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+        n.trim().parse::<usize>().ok()
+    };
+    while threads().is_some_and(|n| n > 1) {
+        std::thread::yield_now();
+    }
 }
 
 #[cfg(test)]

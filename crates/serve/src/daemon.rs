@@ -85,14 +85,25 @@
 //!
 //! # Shutdown protocol
 //!
-//! `shutdown` sets the flag, then wakes and joins every shard. Submitters
-//! re-check the flag *under the shard's queue lock* — the same lock the
-//! shard holds for its final is-empty check — so a request is either
-//! enqueued before the shard's last drain (and served) or observes the
-//! flag and gets [`ServeError::ShuttingDown`]. A post-join sweep fails any
-//! conceivable straggler rather than stranding its ticket. Shutdown takes
-//! only the join handles: the shards stay in the map, where
+//! Written once, in `ShardQueue`, every shard's queue type: `push`
+//! rechecks the closed flag under the queue lock, `next_drain` decides
+//! drain-or-exit under it, `close` stores the flag and then wakes both
+//! condvars holding it, and `sweep` takes out what is left.
+//! [`ServeDaemon::shutdown`] sets the daemon's flag (so no shard appears
+//! and submit refuses before routing), closes every queue, then joins each
+//! dispatcher and sweeps its queue; the shards stay in the map, where
 //! [`ServeDaemon::stats`] keeps counting them.
+//!
+//! *Guarantees:* every ticket a queue accepted is answered, served or
+//! swept (as [`ServeError::ShuttingDown`]).
+//! *Assuming:* the flag is stored before the wake; the wake happens while
+//! the queue lock is held; the exit decision is made under that same lock.
+//! *Enforced by:* `model::submit_vs_shutdown` and
+//! `model::shutdown_straggler_sweep`, which drive `ShardQueue` with mutants
+//! (`NoRecheckUnderLock`, `NotifyOutsideLock`, `NoStragglerSweep`) that
+//! must be killed; `tests/daemon_concurrency.rs`'s
+//! `racing_submit_and_shutdown_never_strands_a_ticket` and
+//! `shutdown_serves_queued_requests_then_rejects`.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64};
 use crate::sync::{thread, Arc, Condvar, Mutex};
@@ -160,16 +171,108 @@ impl Default for ServeConfig {
     }
 }
 
-/// One topology's dispatch lane: private queue, condvars, and counters.
-/// The shard's ADMM arena is its dispatcher thread's own (the engine keeps
-/// one per thread), never shared.
+/// Why [`ShardQueue::push`] refused: full (with `shed` set), or closed.
+pub(crate) enum Refused {
+    Full,
+    Closed,
+}
+
+/// One shard's bounded queue and the shutdown protocol (module docs), over
+/// the daemon's [`Request`]s or a model's response slots. Its fields are
+/// the crate's, so a model mutant can re-create its one bug against them.
+pub(crate) struct ShardQueue<T> {
+    pub(crate) items: Mutex<VecDeque<T>>,
+    /// Set once, by [`Self::close`]; read only with `items` locked.
+    pub(crate) closed: AtomicBool,
+    /// Signals the dispatcher that work (or close) is pending.
+    pub(crate) nonempty: Condvar,
+    /// Signals blocked submitters that space freed up (or close).
+    pub(crate) space: Condvar,
+    capacity: usize,
+}
+
+impl<T> ShardQueue<T> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        ShardQueue {
+            items: Mutex::new(VecDeque::new()),
+            closed: AtomicBool::new(false),
+            nonempty: Condvar::new(),
+            space: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// Append `item` and wake the dispatcher; at capacity, refuse it if
+    /// `shed`, else wait for space or close. The flag is read under the
+    /// lock [`Self::next_drain`] decides to exit under, so an item lands
+    /// before the dispatcher's last drain or is refused.
+    pub(crate) fn push(&self, item: T, shed: bool) -> Result<(), Refused> {
+        let mut q = self.items.lock();
+        if shed && q.len() >= self.capacity {
+            return Err(Refused::Full);
+        }
+        while q.len() >= self.capacity && !self.closed.load() {
+            q = self.space.wait(q);
+        }
+        if self.closed.load() {
+            return Err(Refused::Closed);
+        }
+        q.push_back(item);
+        drop(q);
+        self.nonempty.notify_one();
+        Ok(())
+    }
+
+    /// Everything queued, once there is something; `None` only when closed
+    /// and empty. Once work exists, `linger` says how much longer to wait
+    /// for more; `None` from it, or a close, ends the wait.
+    pub(crate) fn next_drain(
+        &self,
+        mut linger: impl FnMut(&VecDeque<T>) -> Option<Duration>,
+    ) -> Option<Vec<T>> {
+        let mut q = self.items.lock();
+        while q.is_empty() && !self.closed.load() {
+            q = self.nonempty.wait(q);
+        }
+        if q.is_empty() {
+            return None;
+        }
+        while let Some(wait) = linger(&q) {
+            if self.closed.load() {
+                break;
+            }
+            q = self.nonempty.wait_timeout(q, wait).0;
+        }
+        let drained = q.drain(..).collect();
+        drop(q);
+        self.space.notify_all();
+        Some(drained)
+    }
+
+    /// Refuse every later push and wake every waiter. The wake holds the
+    /// lock the flag is read under: a bare notify could land between a
+    /// dispatcher's read and its wait, and it would sleep through shutdown.
+    pub(crate) fn close(&self) {
+        self.closed.store(true);
+        let q = self.items.lock();
+        self.nonempty.notify_all();
+        self.space.notify_all();
+        drop(q);
+    }
+
+    /// Everything still queued: after its dispatcher exits, only what a
+    /// dispatcher that died mid-drain left.
+    pub(crate) fn sweep(&self) -> Vec<T> {
+        self.items.lock().drain(..).collect()
+    }
+}
+
+/// One topology's dispatch lane: private queue and counters. The shard's
+/// ADMM arena is its dispatcher thread's own (the engine keeps one per
+/// thread), never shared.
 struct Shard {
     topology: String,
-    queue: Mutex<VecDeque<Request>>,
-    /// Signals the shard dispatcher that work (or shutdown) is pending.
-    nonempty: Condvar,
-    /// Signals submitters that queue space freed up.
-    space: Condvar,
+    queue: ShardQueue<Request>,
     /// Every counter this shard's requests move; [`ServeDaemon::stats`]
     /// folds the shards. Never locked while `queue` is held.
     stats: Mutex<ShardStats>,
@@ -238,15 +341,10 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
         let unmatched = self.inner.unmatched_replies.load();
         let per_shard = shards.iter().map(|s| {
             // The queue guard drops before the stats lock is taken.
-            let queued = s.queue.lock().len();
+            let queued = s.queue.items.lock().len();
             (&*s.topology, queued, s.stats.lock())
         });
         fold_shards(per_shard, unmatched)
-    }
-
-    /// The tuning configuration this daemon was started with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.inner.cfg
     }
 
     /// Count one completion the wire front end could not match to a
@@ -271,9 +369,7 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
         }
         let shard = Arc::new(Shard {
             topology: topology.to_string(),
-            queue: Mutex::new(VecDeque::new()),
-            nonempty: Condvar::new(),
-            space: Condvar::new(),
+            queue: ShardQueue::new(self.inner.cfg.queue_capacity),
             stats: Mutex::new(ShardStats::default()),
         });
         let thread = {
@@ -358,36 +454,21 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 slot: Arc::clone(&slot),
             },
         };
-        {
-            let mut q = shard.queue.lock();
-            if request.caller.expires.is_some() && q.len() >= self.inner.cfg.queue_capacity {
-                // Admission control: a deadline'd request meeting a full
-                // queue is refused *now* — blocking would silently convert
-                // its budget into queueing delay.
-                drop(q);
+        // Admission control: a deadline'd request meeting a full queue is
+        // refused *now* — blocking would silently convert its budget into
+        // queueing delay.
+        let shed = request.caller.expires.is_some();
+        match shard.queue.push(request, shed) {
+            Ok(()) => {}
+            Err(Refused::Full) => {
                 shard.stats.lock().shed += 1;
                 slot.fulfill(Err(ServeError::Overloaded(format!(
                     "shard {:?} queue full ({} waiting)",
                     shard.topology, self.inner.cfg.queue_capacity
                 ))));
-                return;
             }
-            while q.len() >= self.inner.cfg.queue_capacity && !self.inner.shutdown.load() {
-                q = shard.space.wait(q);
-            }
-            // Checked under the queue lock: the shard's final
-            // drain-or-exit decision holds this same lock, so either this
-            // push lands before that drain (and is served) or the flag is
-            // visible here and the request is refused — never enqueued
-            // after the last drain and dropped (the submit/shutdown race).
-            if self.inner.shutdown.load() {
-                drop(q);
-                slot.fulfill(Err(ServeError::ShuttingDown));
-                return;
-            }
-            q.push_back(request);
+            Err(Refused::Closed) => slot.fulfill(Err(ServeError::ShuttingDown)),
         }
-        shard.nonempty.notify_one();
     }
 
     /// Submit a plain request and block for the reply (convenience for
@@ -415,30 +496,13 @@ impl<M: PolicyModel + 'static> ServeDaemon<M> {
                 .collect()
         };
         for (shard, _) in &handles {
-            // The wakeup must hold the queue lock: the shutdown flag is an
-            // atomic the dispatcher checks *under* that lock, so a bare
-            // notify could land in the window between a dispatcher's flag
-            // check and its wait registration — the store+notify would
-            // both be missed and the shard would sleep through shutdown
-            // forever, hanging the join below. Taking the lock first means
-            // any dispatcher that saw the flag clear has already parked
-            // (and gets this notify), and any later one sees the flag set.
-            // `model::shutdown_straggler_sweep` checks exactly this
-            // ordering (`SweepMutation::NotifyOutsideLock`).
-            let q = shard.queue.lock();
-            shard.nonempty.notify_all();
-            shard.space.notify_all();
-            drop(q);
+            shard.queue.close();
         }
         for (shard, thread) in handles {
             // A dispatcher that panicked mid-drain must not abort shutdown
-            // (this also runs on drop): its queued requests are swept below
-            // so no client hangs on a stranded ticket.
+            // (this also runs on drop): the sweep answers what it left.
             let _ = thread.join();
-            // Safety net: the queue-lock protocol above means the shard
-            // exits only with an empty queue, but a stranded ticket would
-            // hang its client forever — sweep and refuse rather than trust.
-            let leftover: Vec<Caller> = shard.queue.lock().drain(..).map(|r| r.caller).collect();
+            let leftover = shard.queue.sweep().into_iter().map(|r| r.caller).collect();
             fail_all(&shard, leftover, &ServeError::ShuttingDown);
         }
     }
@@ -456,56 +520,7 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
     // Every window's solve report; the ADMM arena itself is this thread's
     // (see module docs for ownership rules).
     let mut scratch = BatchScratch::new();
-    loop {
-        let drained = {
-            let mut q = shard.queue.lock();
-            while q.is_empty() && !inner.shutdown.load() {
-                q = shard.nonempty.wait(q);
-            }
-            if q.is_empty() {
-                // Shutdown with an empty queue: done. This decision is made
-                // under the queue lock — see `submit_on` for why no request
-                // can slip in afterwards.
-                return;
-            }
-            // Micro-batching window: once work exists, linger briefly so
-            // concurrent submitters can pile on and share the forward pass.
-            // Deadline'd traffic caps the wait: lingering past a queued
-            // request's expiry converts its whole budget into queueing
-            // delay and then expires it at drain — the linger bug this
-            // codepath used to have. Capping at the expiry itself is just
-            // as fatal (the condvar wakes at-or-after the timeout, i.e.
-            // exactly when the request is already dead), so the cap is each
-            // deadline'd request's *midpoint* — enqueue + budget/2 — which
-            // guarantees the drain leaves at least half the budget for
-            // solving. The midpoint is anchored at enqueue, so repeated
-            // wakeups never ratchet the cap toward the expiry.
-            if !inner.cfg.linger.is_zero() {
-                let deadline = now() + inner.cfg.linger;
-                while q.len() < inner.cfg.max_batch && !inner.shutdown.load() {
-                    let cap = q
-                        .iter()
-                        .filter_map(|r| {
-                            let (e, enq) = (r.caller.expires?, r.caller.enqueued);
-                            Some(enq + e.saturating_duration_since(enq) / 2)
-                        })
-                        .min();
-                    let effective = cap.map_or(deadline, |c| deadline.min(c));
-                    let now = now();
-                    if now >= effective {
-                        break;
-                    }
-                    // No timed-out fast path: a wakeup re-derives the cap
-                    // because a tighter deadline may have arrived meanwhile.
-                    let (guard, _) = shard.nonempty.wait_timeout(q, effective - now);
-                    q = guard;
-                }
-            }
-            let drained: Vec<Request> = q.drain(..).collect();
-            drop(q);
-            shard.space.notify_all();
-            drained
-        };
+    while let Some(drained) = shard.queue.next_drain(linger(&inner.cfg)) {
         // The high-water mark (expired requests included), recorded before
         // any of the drain is answered. Batch sizes are recorded per served
         // chunk, in `serve_chunk`.
@@ -513,6 +528,34 @@ fn shard_loop<M: PolicyModel>(inner: &Inner<M>, shard: &Shard) {
         stats.max_drain = stats.max_drain.max(drained.len());
         drop(stats);
         serve_drained(inner, shard, &mut scratch, drained);
+    }
+}
+
+/// One drain's micro-batching linger: how much longer to wait so
+/// concurrent submitters can share the forward pass, `None` once the batch
+/// is full or the linger is over. Deadline'd traffic caps the wait at each
+/// such request's *midpoint*, enqueue + budget/2: lingering to its expiry
+/// would turn its whole budget into queueing delay (the condvar wakes at or
+/// after the timeout), and the midpoint leaves half the budget for solving.
+/// Anchored at enqueue, repeated wakeups never ratchet the cap, and each
+/// re-derives it, as a tighter deadline may have arrived meanwhile.
+fn linger(cfg: &ServeConfig) -> impl FnMut(&VecDeque<Request>) -> Option<Duration> + '_ {
+    let mut deadline = None;
+    move |q| {
+        if cfg.linger.is_zero() || q.len() >= cfg.max_batch {
+            return None;
+        }
+        let deadline = *deadline.get_or_insert_with(|| now() + cfg.linger);
+        let cap = q
+            .iter()
+            .filter_map(|r| {
+                let (e, enq) = (r.caller.expires?, r.caller.enqueued);
+                Some(enq + e.saturating_duration_since(enq) / 2)
+            })
+            .min();
+        let effective = cap.map_or(deadline, |c| deadline.min(c));
+        let now = now();
+        (now < effective).then(|| effective - now)
     }
 }
 

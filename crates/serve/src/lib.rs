@@ -293,9 +293,9 @@ pub mod wire;
 
 // The concurrency-bearing internals are private in a normal build, but the
 // model-check harness (`tests/model_check.rs`, compiled with
-// `RUSTFLAGS="--cfg teal_loom"`) drives the real response-slot and
-// completion-queue protocols and the distilled daemon/client protocols
-// directly, so the loom build exports them.
+// `RUSTFLAGS="--cfg teal_loom"`) drives the shipping shard-queue,
+// response-slot, completion-queue and client protocols directly, so the
+// loom build exports them.
 #[cfg(teal_loom)]
 pub mod model;
 #[cfg(not(teal_loom))]

@@ -1,15 +1,14 @@
-//! Distilled concurrency models of the serving stack's load-bearing
-//! protocols, compiled only under `--cfg teal_loom` and driven by
+//! Concurrency models of the serving stack's load-bearing protocols,
+//! compiled only under `--cfg teal_loom` and driven by
 //! `tests/model_check.rs`.
 //!
 //! Each model is the *body* of one model-checked execution: the test wraps
 //! it in [`loom::model`]/`loom::Builder::check`, which runs it once per
-//! distinct thread interleaving. Models use the real production types
-//! wherever the protocol lives in a type — [`ResponseSlot`], [`Ticket`],
-//! the event loop's [`Completions`], the wire client's [`ClientShared`] —
-//! and distill the surrounding daemon
-//! plumbing (shard queues, wire sockets, the eventfd) down to the few
-//! operations whose ordering is under test.
+//! distinct thread interleaving. Every model drives the shipping type its
+//! protocol lives in — the daemon's shard queue (`ShardQueue`),
+//! [`ResponseSlot`] and [`Ticket`], the event loop's [`Completions`], the
+//! wire client's [`ClientShared`] — and stands in only for what is outside
+//! the protocol: the model-serving work, the wire socket, the eventfd.
 //!
 //! Every model takes a mutation parameter: the `Pristine` variant is the
 //! shipping protocol and must hold in **all** interleavings, while each
@@ -19,80 +18,138 @@
 //! happy path. A mutant no test can kill is a model too weak to trust.
 
 use crate::client::{ClientShared, Waiter};
+use crate::daemon::ShardQueue;
 use crate::request::{Completions, ResponseSlot, ServeError, Ticket};
-use crate::sync::atomic::AtomicBool;
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use std::collections::VecDeque;
+
+type SlotQueue = ShardQueue<Arc<ResponseSlot>>;
+
+/// One request deep: a second push waits for space (or for close), and one
+/// drain takes one request.
+const DEPTH: usize = 1;
+
+/// One submitter pushes two requests into a real shard queue while the
+/// root thread shuts it down in `ServeDaemon::shutdown`'s order: close, let
+/// the dispatcher finish, sweep. The dispatcher serves every drain until
+/// the queue is closed and empty, so its last drains follow the close, on
+/// the root thread; with `dies`, it is a thread that takes one drain and
+/// exits, as one that panicked would. `push` and `close` are the queue's
+/// own methods or one mutant's inline twin. Invariant: every accepted
+/// ticket resolves; a stranded one deadlocks the root's wait.
+fn race_shutdown(
+    dies: bool,
+    push: fn(&SlotQueue, Arc<ResponseSlot>) -> bool,
+    close: fn(&SlotQueue),
+    sweep: bool,
+) {
+    let queue = Arc::new(SlotQueue::new(DEPTH));
+    let submitter = {
+        let queue = Arc::clone(&queue);
+        thread::spawn_named("submit", move || {
+            let slots = (0..2).map(|_| ResponseSlot::new());
+            let accepted = slots.filter(|slot| push(&queue, Arc::clone(slot)));
+            accepted.map(Ticket::new).collect::<Vec<_>>()
+        })
+    };
+    let dying = dies.then(|| {
+        let queue = Arc::clone(&queue);
+        thread::spawn_named("dispatch", move || queue.next_drain(|_| None).map(serve))
+    });
+    close(&queue);
+    match dying {
+        Some(h) => assert!(h.join().is_ok(), "dispatcher thread panicked"),
+        None => {
+            while let Some(drained) = queue.next_drain(|_| None) {
+                serve(drained);
+            }
+        }
+    }
+    if sweep {
+        for slot in queue.sweep() {
+            slot.fulfill(Err(ServeError::ShuttingDown));
+        }
+    }
+    let Ok(accepted) = submitter.join() else {
+        panic!("submitter thread panicked");
+    };
+    for ticket in accepted {
+        assert!(ticket.wait().is_err());
+    }
+}
+
+/// The dispatcher's answer to a drained batch (the model serves nothing).
+fn serve(drained: Vec<Arc<ResponseSlot>>) {
+    for slot in drained {
+        slot.fulfill(Err(ServeError::Internal("model served".to_string())));
+    }
+}
 
 /// Mutations for [`submit_vs_shutdown`].
 #[derive(Clone, Copy, Debug)]
 pub enum ShutdownMutation {
-    /// The shipping protocol: submit re-checks the accepting flag *under
-    /// the queue lock* before enqueueing its slot.
+    /// The shipping protocol: `ShardQueue::push` rechecks the closed flag
+    /// *under the queue lock* before enqueueing.
     Pristine,
-    /// PR 4's bug shape: trust the lock-free fast-path check alone. A
-    /// submitter that passes the fast path, loses the race to shutdown's
-    /// flag-store + drain, and only then acquires the queue lock enqueues
-    /// into a queue nobody will ever fail — its ticket hangs forever.
+    /// PR 4's bug shape: read the flag before taking the lock, never under
+    /// it. A submitter that reads the queue open and takes the lock only
+    /// after the close, the dispatcher's exit and the sweep enqueues into a
+    /// queue nobody reads again — its ticket hangs forever.
     NoRecheckUnderLock,
 }
 
-/// Submit racing shutdown's `fail_all` drain, distilled from the daemon's
-/// accept/shutdown handshake. Two submitters race one shutdown; the
-/// invariant is *no stranded ticket*: every submit either observes
-/// shutdown at enqueue or its slot is eventually fulfilled (here, by the
-/// drain). The mutant strands a slot, which the checker reports as a
-/// deadlock when the parent redeems the ticket.
+/// Submit racing shutdown, with a dispatcher that serves every drain.
 pub fn submit_vs_shutdown(mutation: ShutdownMutation) {
-    struct Gate {
-        accepting: AtomicBool,
-        queue: Mutex<Vec<Arc<ResponseSlot>>>,
-    }
-    let gate = Arc::new(Gate {
-        accepting: AtomicBool::new(true),
-        queue: Mutex::new(Vec::new()),
-    });
-    let mut submitters = Vec::new();
-    for _ in 0..2 {
-        let gate = Arc::clone(&gate);
-        submitters.push(thread::spawn_named("submit", move || -> Option<Ticket> {
-            if !gate.accepting.load() {
-                return None; // shed on the lock-free fast path
+    let push: fn(&SlotQueue, Arc<ResponseSlot>) -> bool = match mutation {
+        ShutdownMutation::Pristine => |queue, slot| queue.push(slot, false).is_ok(),
+        ShutdownMutation::NoRecheckUnderLock => |queue, slot| {
+            if queue.closed.load() {
+                return false;
             }
-            let slot = ResponseSlot::new();
-            let mut q = gate.queue.lock();
-            if matches!(mutation, ShutdownMutation::Pristine) && !gate.accepting.load() {
-                // Shutdown won the race between our fast-path check and
-                // this lock acquisition; its drain may already be done, so
-                // enqueueing now would strand the slot.
-                return None;
+            let mut q = queue.items.lock();
+            while q.len() >= DEPTH && !queue.closed.load() {
+                q = queue.space.wait(q);
             }
-            q.push(Arc::clone(&slot));
+            q.push_back(slot);
             drop(q);
-            Some(Ticket::new(slot))
-        }));
-    }
-    // Shutdown runs on the model's root thread: close the gate, then fail
-    // everything queued. Order is load-bearing — the store must precede
-    // the drain so the under-lock recheck is conclusive.
-    gate.accepting.store(false);
-    let drained: Vec<Arc<ResponseSlot>> = {
-        let mut q = gate.queue.lock();
-        std::mem::take(&mut *q)
+            queue.nonempty.notify_one();
+            true
+        },
     };
-    for slot in drained {
-        slot.fulfill(Err(ServeError::ShuttingDown));
-    }
-    for h in submitters {
-        let Ok(outcome) = h.join() else {
-            panic!("submitter thread panicked");
-        };
-        if let Some(ticket) = outcome {
-            // Every accepted ticket must resolve; a stranded slot parks
-            // this wait forever and the checker flags the deadlock.
-            assert_eq!(ticket.wait(), Err(ServeError::ShuttingDown));
-        }
-    }
+    race_shutdown(false, push, SlotQueue::close, true);
+}
+
+/// Mutations for [`shutdown_straggler_sweep`].
+#[derive(Clone, Copy, Debug)]
+pub enum SweepMutation {
+    /// The shipping protocol: `ShardQueue::close`, then after joining the
+    /// dispatcher, `ShardQueue::sweep` fails every straggler.
+    Pristine,
+    /// Omit the post-join sweep. A request pushed after the dispatcher's
+    /// one drain is never answered — its ticket hangs.
+    NoStragglerSweep,
+    /// Issue close's wakeup without holding the queue lock — the bug this
+    /// model originally *found* in `ServeDaemon::shutdown`: a bare
+    /// store+notify can land between the dispatcher's flag read and its
+    /// wait, so it sleeps through shutdown and the join hangs.
+    NotifyOutsideLock,
+}
+
+/// Shutdown after a dispatcher death: what the submitter pushes after the
+/// dispatcher's one drain only the sweep can answer.
+pub fn shutdown_straggler_sweep(mutation: SweepMutation) {
+    let close: fn(&SlotQueue) = match mutation {
+        SweepMutation::NotifyOutsideLock => |queue| {
+            queue.closed.store(true);
+            queue.nonempty.notify_all();
+            queue.space.notify_all();
+        },
+        SweepMutation::Pristine | SweepMutation::NoStragglerSweep => SlotQueue::close,
+    };
+    // NotifyOutsideLock keeps the sweep so its kill isolates the lost
+    // wakeup, not a missing sweep.
+    let sweep = !matches!(mutation, SweepMutation::NoStragglerSweep);
+    race_shutdown(true, |q, slot| q.push(slot, false).is_ok(), close, sweep);
 }
 
 /// Mutations for [`client_register_before_send`].
@@ -254,112 +311,4 @@ pub fn completion_doorbell(mutation: DoorbellMutation) {
     }
     received.sort_unstable();
     assert_eq!(received, PAIRS, "every completion arrives exactly once");
-}
-
-/// Mutations for [`shutdown_straggler_sweep`].
-#[derive(Clone, Copy, Debug)]
-pub enum SweepMutation {
-    /// The shipping protocol: after joining the worker, shutdown sweeps
-    /// the queue and fails every straggler ticket.
-    Pristine,
-    /// Omit the post-join sweep. A request enqueued before the stop flag
-    /// but abandoned by the exiting worker is never failed — its ticket
-    /// hangs.
-    NoStragglerSweep,
-    /// Issue shutdown's wakeup without holding the queue lock — the bug
-    /// this model originally *found* in `ServeDaemon::shutdown`. The stop
-    /// flag is an atomic the worker checks under the queue lock, so a bare
-    /// store+notify can land between the worker's flag check and its wait
-    /// registration; the worker then sleeps through shutdown and the join
-    /// hangs.
-    NotifyOutsideLock,
-}
-
-/// PR 4 regression, distilled: a worker that abandons queued work when the
-/// stop flag is up, a submitter that enqueues-then-waits, and a shutdown
-/// that must sweep stragglers after the join. Invariant: the submitter's
-/// ticket resolves in every schedule — served by the worker, failed by the
-/// sweep, or refused at enqueue.
-pub fn shutdown_straggler_sweep(mutation: SweepMutation) {
-    struct Shard {
-        stop: AtomicBool,
-        queue: Mutex<VecDeque<Arc<ResponseSlot>>>,
-        work: Condvar,
-    }
-    let shard = Arc::new(Shard {
-        stop: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
-        work: Condvar::new(),
-    });
-
-    let worker = {
-        let shard = Arc::clone(&shard);
-        thread::spawn_named("worker", move || {
-            let mut q = shard.queue.lock();
-            loop {
-                // Stop is checked before popping: shutdown abandons queued
-                // work by design, and the post-join sweep is what keeps
-                // that abandonment from stranding tickets.
-                if shard.stop.load() {
-                    return;
-                }
-                if let Some(slot) = q.pop_front() {
-                    drop(q);
-                    slot.fulfill(Err(ServeError::Internal("model served".to_string())));
-                    q = shard.queue.lock();
-                    continue;
-                }
-                q = shard.work.wait(q);
-            }
-        })
-    };
-
-    let submitter = {
-        let shard = Arc::clone(&shard);
-        thread::spawn_named("submit", move || {
-            let slot = ResponseSlot::new();
-            let ticket = Ticket::new(Arc::clone(&slot));
-            {
-                let mut q = shard.queue.lock();
-                if shard.stop.load() {
-                    return; // refused at enqueue; nothing to wait for
-                }
-                q.push_back(slot);
-                shard.work.notify_all();
-            }
-            // Must resolve in every schedule: served or swept.
-            assert!(ticket.wait().is_err());
-        })
-    };
-
-    // Shutdown runs on the model's root thread. The wakeup holds the
-    // queue lock — same reason as in `ServeDaemon::shutdown`: the stop
-    // flag is an atomic the worker checks under that lock, so notifying
-    // without it can slip into the window between the worker's flag check
-    // and its wait registration (see `SweepMutation::NotifyOutsideLock`).
-    shard.stop.store(true);
-    if matches!(mutation, SweepMutation::NotifyOutsideLock) {
-        shard.work.notify_all();
-    } else {
-        let q = shard.queue.lock();
-        shard.work.notify_all();
-        drop(q);
-    }
-    if worker.join().is_err() {
-        panic!("worker thread panicked");
-    }
-    if !matches!(mutation, SweepMutation::NoStragglerSweep) {
-        // NotifyOutsideLock keeps the sweep so its kill isolates the
-        // lost-wakeup, not a missing sweep.
-        let stragglers: VecDeque<Arc<ResponseSlot>> = {
-            let mut q = shard.queue.lock();
-            std::mem::take(&mut *q)
-        };
-        for slot in stragglers {
-            slot.fulfill(Err(ServeError::ShuttingDown));
-        }
-    }
-    if submitter.join().is_err() {
-        panic!("submitter thread panicked");
-    }
 }

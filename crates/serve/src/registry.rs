@@ -97,16 +97,6 @@ impl<M: PolicyModel> ModelRegistry<M> {
         ids.sort();
         ids
     }
-
-    /// Number of registered topologies.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +123,7 @@ mod tests {
     #[test]
     fn insert_get_swap_roundtrip() {
         let reg: ModelRegistry<TealModel> = ModelRegistry::new();
-        assert!(reg.is_empty());
+        assert!(reg.ids().is_empty());
         assert!(reg.get("b4").is_none());
         reg.insert("b4", ctx(0));
         assert_eq!(reg.ids(), vec!["b4".to_string()]);

@@ -99,20 +99,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Fold `other` into `self`. Because both histograms share the same
-    /// fixed bucket edges, merging is a bucket-wise sum and the merged
-    /// quantiles are *identical* to those of a histogram that had recorded
-    /// both streams directly (pinned by a unit test) — multi-shard and
-    /// cross-window aggregation never re-records.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, &o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -977,42 +963,6 @@ mod tests {
         let h = LatencyHistogram::default();
         assert_eq!(h.quantile(0.5), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn merged_quantiles_equal_combined_stream() {
-        // merge() must be indistinguishable from having recorded both
-        // streams into one histogram: same buckets, same count/sum/max,
-        // hence *identical* quantiles at every q.
-        let stream_a: Vec<u64> = (1..500).map(|i| i * 137 % 90_000 + 1).collect();
-        let stream_b: Vec<u64> = (1..300).map(|i| i * 7919 % 2_000_000 + 1).collect();
-        let (mut a, mut b, mut combined) = (
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-        );
-        for &us in &stream_a {
-            a.record(Duration::from_micros(us));
-            combined.record(Duration::from_micros(us));
-        }
-        for &us in &stream_b {
-            b.record(Duration::from_micros(us));
-            combined.record(Duration::from_micros(us));
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.mean(), combined.mean());
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(
-                a.quantile(q),
-                combined.quantile(q),
-                "quantile {q} diverged after merge"
-            );
-        }
-        // Merging an empty histogram is a no-op.
-        let before = a.quantile(0.5);
-        a.merge(&LatencyHistogram::default());
-        assert_eq!(a.quantile(0.5), before);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property coverage for [`LatencyHistogram`]: quantile estimates against
 //! an exact nearest-rank reference over random latency streams (the
-//! documented half-sub-bucket error bound), and merge() against recording
-//! the combined stream directly.
+//! documented half-sub-bucket error bound).
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -48,31 +47,5 @@ proptest! {
             est >= truth / half_sub - 2.0,
             "q={q}: estimate {est}ns below nearest-rank {truth}ns / 2^(1/8)"
         );
-    }
-
-    #[test]
-    fn merge_is_identical_to_recording_the_combined_stream(
-        a in proptest::collection::vec(1u64..1_000_000_000, 0..200),
-        b in proptest::collection::vec(1u64..1_000_000_000, 0..200),
-        q_mil in 0u32..1001,
-    ) {
-        let (mut ha, mut hb, mut combined) = (
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-            LatencyHistogram::default(),
-        );
-        for &v in &a {
-            ha.record(Duration::from_nanos(v));
-            combined.record(Duration::from_nanos(v));
-        }
-        for &v in &b {
-            hb.record(Duration::from_nanos(v));
-            combined.record(Duration::from_nanos(v));
-        }
-        ha.merge(&hb);
-        let q = f64::from(q_mil) / 1000.0;
-        prop_assert_eq!(ha.count(), combined.count());
-        prop_assert_eq!(ha.mean(), combined.mean());
-        prop_assert_eq!(ha.quantile(q), combined.quantile(q));
     }
 }

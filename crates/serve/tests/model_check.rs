@@ -80,7 +80,7 @@ fn submit_vs_shutdown_mutant_without_recheck_is_killed() {
 fn client_slots_registered_before_send_always_resolve() {
     // The model drives the client's real send path, whose two `closed`
     // checks per send push the full tree past the execution cap; like the
-    // WFQ and sweep models, the proof is exhaustive within a preemption
+    // sweep and doorbell models, the proof is exhaustive within a preemption
     // bound — four involuntary switches here (the seeded mutant needs one).
     let report =
         checker_bounded(Some(4)).check(|| client_register_before_send(ClientMutation::Pristine));
@@ -105,9 +105,8 @@ fn client_mutant_registering_after_send_is_killed() {
 
 #[test]
 fn shutdown_sweep_resolves_every_straggler() {
-    // Like the WFQ model, the full tree overflows the execution cap; the
-    // preemption bound keeps the proof exhaustive within three
-    // involuntary switches.
+    // Like the client and doorbell models, the proof is exhaustive within
+    // a preemption bound: three involuntary switches, the mutants' bound.
     let report =
         checker_bounded(Some(3)).check(|| shutdown_straggler_sweep(SweepMutation::Pristine));
     eprintln!("sweep pristine: {} interleavings", report.executions);
@@ -144,8 +143,8 @@ fn shutdown_mutant_notifying_outside_lock_is_killed() {
 fn completion_doorbell_delivers_every_completion() {
     // Two fulfillments (slot lock, notify, queue lock, maybe a ring each)
     // against the loop's wait/drain/take cycle overflow the execution cap
-    // unbounded; like the WFQ and sweep models, the proof is exhaustive
-    // within three involuntary switches.
+    // unbounded; like the sweep model, the proof is exhaustive within three
+    // involuntary switches.
     let report = checker_bounded(Some(3)).check(|| completion_doorbell(DoorbellMutation::Pristine));
     eprintln!("doorbell pristine: {} interleavings", report.executions);
     assert!(
