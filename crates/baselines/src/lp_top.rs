@@ -49,9 +49,8 @@ pub fn solve_lp_top(inst: &TeInstance, obj: Objective) -> Allocation {
     // carries the residual capacities left by the pinned demands.
     let reduced_topo = inst.topo.with_capacities(&residual);
     let top_vols: Vec<f64> = top.iter().map(|&d| inst.tm.demand(d)).collect();
-    // Reuse the already-computed candidate paths for the top demands rather
-    // than recomputing shortest paths.
-    let top_paths = subset_paths(inst, &top);
+    // The top demands keep their candidate paths: no KSP runs here.
+    let top_paths = inst.paths.select(&top);
     let top_tm = TrafficMatrix::new(top_vols);
     let top_inst = TeInstance::new(&reduced_topo, &top_paths, &top_tm);
     let top_alloc = solve_lp(&top_inst, obj);
@@ -60,16 +59,6 @@ pub fn solve_lp_top(inst: &TeInstance, obj: Objective) -> Allocation {
         alloc.set_demand_splits(d, top_alloc.demand_splits(i));
     }
     alloc
-}
-
-/// A `PathSet` view containing only the selected demands' paths.
-fn subset_paths(inst: &TeInstance, selected: &[usize]) -> teal_topology::PathSet {
-    let pairs: Vec<(usize, usize)> = selected.iter().map(|&d| inst.paths.pairs()[d]).collect();
-    // PathSet::compute would re-run Yen's; we instead rebuild from the
-    // existing paths via the public constructor path — recompute is the
-    // simple, correct option here and the cost is charged to LP-top as
-    // model rebuilding.
-    teal_topology::PathSet::compute(inst.topo, &pairs, inst.k())
 }
 
 #[cfg(test)]

@@ -169,9 +169,8 @@ fn ncflow_round(inst: &TeInstance, cluster: &[usize]) -> Allocation {
     // one part per non-empty cluster.
     let clusters: Vec<&Vec<usize>> = intra.iter().filter(|d| !d.is_empty()).collect();
     let solved = teal_pool::map(clusters.len(), clusters, &|demands| {
-        let pairs: Vec<(usize, usize)> = demands.iter().map(|&d| inst.paths.pairs()[d]).collect();
         let vols: Vec<f64> = demands.iter().map(|&d| inst.tm.demand(d)).collect();
-        let sub_paths = PathSet::compute(inst.topo, &pairs, inst.paths.k());
+        let sub_paths = inst.paths.select(demands);
         let sub_tm = TrafficMatrix::new(vols);
         let sub_inst = TeInstance::new(inst.topo, &sub_paths, &sub_tm);
         (demands, solve_lp(&sub_inst, Objective::TotalFlow))

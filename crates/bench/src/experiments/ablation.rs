@@ -2,8 +2,8 @@
 //! flow-embedding visualization.
 
 use super::{offline_means, Harness};
-use crate::table::{emit, emit_csv, Table};
-use crate::testbed::{train_teal_engine, Testbed};
+use crate::table::{emit, Cell, Table};
+use crate::testbed::{train_teal_engine, Testbed, LR};
 use std::sync::Arc;
 use teal_core::ablation::{GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel};
 use teal_core::{
@@ -26,15 +26,15 @@ fn arm_pct<M: PolicyModel>(bed: &Testbed, engine: ServingContext<M>) -> f64 {
 pub fn fig14(h: &mut Harness) {
     let mut t = Table::new(
         "Figure 14: ablation study — satisfied demand (%)",
-        &["variant", "SWAN", "ASN"],
+        &[("variant", "variant"), ("SWAN", "swan"), ("ASN", "asn")],
     );
-    let mut results: Vec<(String, Vec<String>)> = vec![
-        ("Teal".into(), vec![]),
-        ("Teal w/o ADMM".into(), vec![]),
-        ("Teal w/ direct loss".into(), vec![]),
-        ("Teal w/ global policy".into(), vec![]),
-        ("Teal w/ naive GNN".into(), vec![]),
-        ("Teal w/ naive DNN".into(), vec![]),
+    let mut results: Vec<(&str, Vec<Cell>)> = vec![
+        ("Teal", vec![]),
+        ("Teal w/o ADMM", vec![]),
+        ("Teal w/ direct loss", vec![]),
+        ("Teal w/ global policy", vec![]),
+        ("Teal w/ naive GNN", vec![]),
+        ("Teal w/ naive DNN", vec![]),
     ];
     for kind in [TopoKind::Swan, TopoKind::Asn] {
         // Full Teal (cached in the harness).
@@ -45,7 +45,7 @@ pub fn fig14(h: &mut Harness) {
         let cfg = budget.coma(&env);
         let admm = EngineConfig::paper_default(env.topo().num_nodes());
         let no_admm = EngineConfig::without_admm(Objective::TotalFlow);
-        let pct = |v: f64| format!("{v:.1}");
+        let pct = |v: f64| Cell::from(format!("{v:.1}"));
 
         // Teal and Teal w/o ADMM share the trained model.
         let plain = ServingContext::new(teal.model().clone(), no_admm);
@@ -56,7 +56,7 @@ pub fn fig14(h: &mut Harness) {
         let mut direct = TealModel::new(Arc::clone(&env), TealConfig::default());
         let d_cfg = DirectConfig {
             epochs: budget.epochs,
-            lr: budget.lr,
+            lr: LR,
         };
         let _ = train_direct(&mut direct, &bed.train, &bed.val, &d_cfg);
         results[2]
@@ -89,15 +89,12 @@ pub fn fig14(h: &mut Harness) {
             .1
             .push(pct(arm_pct(bed, ServingContext::new(ndn, no_admm))));
     }
-    let mut rows_csv = Vec::new();
     for (name, cells) in results {
-        rows_csv.push(format!("{},{}", name, cells.join(",")));
-        let mut row = vec![name];
+        let mut row = vec![name.into()];
         row.extend(cells);
         t.row(row);
     }
-    emit("fig14", &t.render());
-    emit_csv("fig14", "variant,swan,asn", &rows_csv);
+    emit("fig14", &t);
 }
 
 /// Figure 15: hyperparameter sensitivity (layers, embedding dims, policy
@@ -112,9 +109,19 @@ pub fn fig15(h: &mut Harness) {
 
     let mut t = Table::new(
         "Figure 15: sensitivity analysis on ASN — satisfied demand (%)",
-        &["sweep", "setting", "satisfied (%)"],
+        &[
+            ("sweep", "sweep"),
+            ("setting", "setting"),
+            ("satisfied (%)", "satisfied_pct"),
+        ],
     );
-    let mut rows_csv = Vec::new();
+    let mut row = |sweep: (&str, &str), setting: usize, v: f64| {
+        t.row(vec![
+            Cell::Pair(sweep.0.into(), sweep.1.into()),
+            setting.to_string().into(),
+            Cell::Pct(v),
+        ]);
+    };
     // (a) FlowGNN layers.
     let layer_choices: &[usize] = if h.fast() { &[4, 6] } else { &[4, 6, 8, 10] };
     for &layers in layer_choices {
@@ -125,12 +132,7 @@ pub fn fig15(h: &mut Harness) {
                 ..TealConfig::default()
             },
         );
-        t.row(vec![
-            "gnn layers".into(),
-            layers.to_string(),
-            format!("{v:.1}"),
-        ]);
-        rows_csv.push(format!("layers,{layers},{v:.2}"));
+        row(("gnn layers", "layers"), layers, v);
     }
     // (b) Embedding dimension (via per-layer growth: 1 -> 6 dims, 2 -> 11,
     //     4 -> 21; the nearest realizable analogs of the paper's 6/12/24).
@@ -142,12 +144,7 @@ pub fn fig15(h: &mut Harness) {
         };
         let dim = cfg.embed_dim();
         let v = train_and_score(h, cfg);
-        t.row(vec![
-            "embedding dim".into(),
-            dim.to_string(),
-            format!("{v:.1}"),
-        ]);
-        rows_csv.push(format!("embed,{dim},{v:.2}"));
+        row(("embedding dim", "embed"), dim, v);
     }
     // (c) Policy dense layers.
     let dense_choices: &[usize] = if h.fast() { &[1] } else { &[1, 2, 4] };
@@ -159,15 +156,9 @@ pub fn fig15(h: &mut Harness) {
                 ..TealConfig::default()
             },
         );
-        t.row(vec![
-            "dense layers".into(),
-            dense.to_string(),
-            format!("{v:.1}"),
-        ]);
-        rows_csv.push(format!("dense,{dense},{v:.2}"));
+        row(("dense layers", "dense"), dense, v);
     }
-    emit("fig15", &t.render());
-    emit_csv("fig15", "sweep,setting,satisfied_pct", &rows_csv);
+    emit("fig15", &t);
 }
 
 /// Figure 16: t-SNE of the trained FlowGNN's flow embeddings on the SWAN
@@ -209,25 +200,28 @@ pub fn fig16(h: &mut Harness) {
     let sep = separation_score(&pts, &sub_labels);
 
     let busy = sub_labels.iter().filter(|&&b| b).count();
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Figure 16: t-SNE of FlowGNN flow embeddings (SWAN)",
         &["metric", "value"],
     );
-    t.row(vec!["paths projected".into(), pts.len().to_string()]);
-    t.row(vec![
-        "busy paths (largest LP-all split)".into(),
-        busy.to_string(),
-    ]);
-    t.row(vec!["cluster separation score".into(), format!("{sep:.2}")]);
-    t.row(vec![
-        "interpretation".into(),
-        "score >> 0 : busy paths form a distinct cluster (paper's Figure 16)".into(),
-    ]);
-    emit("fig16", &t.render());
-    let rows: Vec<String> = pts
-        .iter()
-        .zip(&sub_labels)
-        .map(|((x, y), &b)| format!("{x:.4},{y:.4},{}", if b { 1 } else { 0 }))
-        .collect();
-    emit_csv("fig16", "tsne_x,tsne_y,busy", &rows);
+    let interpretation = "score >> 0 : busy paths form a distinct cluster (paper's Figure 16)";
+    for (metric, value) in [
+        ("paths projected", pts.len().to_string()),
+        ("busy paths (largest LP-all split)", busy.to_string()),
+        ("cluster separation score", format!("{sep:.2}")),
+        ("interpretation", interpretation.to_string()),
+    ] {
+        t.row(vec![metric.into(), value.into()]);
+    }
+    emit("fig16", &t);
+    // The projected points behind the score, for plotting.
+    let mut points = Table::csv(&["tsne_x", "tsne_y", "busy"]);
+    for ((x, y), &b) in pts.iter().zip(&sub_labels) {
+        points.row(vec![
+            format!("{x:.4}").into(),
+            format!("{y:.4}").into(),
+            if b { "1" } else { "0" }.into(),
+        ]);
+    }
+    emit("fig16", &points);
 }

@@ -1,8 +1,7 @@
 //! Figures 6, 7, 13, 18 — the headline Teal-vs-baselines comparisons.
 
-use super::{lineup, offline_means, Harness};
-use crate::table::{emit, emit_csv, Table};
-use std::sync::Arc;
+use super::{lineup, offline_means, timed_table, Harness};
+use crate::table::{emit, Cell, Table};
 use teal_lp::FlowStats;
 use teal_sim::{metrics, run_online};
 use teal_topology::TopoKind;
@@ -16,38 +15,27 @@ pub fn fig6(h: &mut Harness) {
         TopoKind::Kdl,
         TopoKind::Asn,
     ];
-    let mut t = Table::new(
+    let mut t = timed_table(
         "Figure 6: computation time (a) and online satisfied demand (b)",
-        &["topology", "scheme", "avg comp time", "avg satisfied (%)"],
+        ("avg satisfied (%)", "satisfied_pct"),
     );
-    let mut rows_csv = Vec::new();
     for kind in kinds {
         let include_lp_all = kind != TopoKind::Asn;
         let interval = h.online_interval(kind);
         let schemes = lineup(h, kind, include_lp_all);
         let bed = h.bed(kind);
-        let env = Arc::clone(&bed.env);
-        let tms = bed.test.clone();
-        let bed_name = bed.name();
+        let (env, bed_name) = (&bed.env, bed.name());
         for mut s in schemes {
-            let res = run_online(&env, env.topo(), &tms, s.as_mut(), interval);
-            let ct = res.mean_comp_time_s();
-            let sat = res.mean_satisfied_pct();
+            let res = run_online(env, env.topo(), &bed.test, s.as_mut(), interval);
             t.row(vec![
-                bed_name.clone(),
-                s.name().to_string(),
-                metrics::fmt_secs(ct),
-                format!("{sat:.1}"),
+                bed_name.as_str().into(),
+                s.name().into(),
+                Cell::Secs(res.mean_comp_time_s()),
+                Cell::Pct(res.mean_satisfied_pct()),
             ]);
-            rows_csv.push(format!("{},{},{:.6},{:.2}", bed_name, s.name(), ct, sat));
         }
     }
-    emit("fig6", &t.render());
-    emit_csv(
-        "fig6",
-        "topology,scheme,comp_time_s,satisfied_pct",
-        &rows_csv,
-    );
+    emit("fig6", &t);
 }
 
 /// Figure 7: CDFs of computation time and satisfied demand on the ASN
@@ -57,78 +45,54 @@ pub fn fig7(h: &mut Harness) {
     let interval = h.online_interval(kind);
     let schemes = lineup(h, kind, false);
     let bed = h.bed(kind);
-    let env = Arc::clone(&bed.env);
-    let tms = bed.test.clone();
-    let mut t = Table::new(
+    let (env, tms) = (&bed.env, &bed.test);
+    let mut t = Table::text(
         "Figure 7: per-matrix distributions on ASN (computation time / satisfied %)",
         &[
             "scheme", "time p10", "time p50", "time p90", "sat p10", "sat p50", "sat p90",
         ],
     );
-    let mut rows_csv = Vec::new();
+    // The per-matrix series behind the percentiles, for plotting the CDFs.
+    let mut series = Table::csv(&["scheme", "comp_time_s", "satisfied_pct"]);
     for mut s in schemes {
-        let res = run_online(&env, env.topo(), &tms, s.as_mut(), interval);
+        let res = run_online(env, env.topo(), tms, s.as_mut(), interval);
         let times: Vec<f64> = res.comp_times().iter().map(|d| d.as_secs_f64()).collect();
         let sats = res.satisfied_series();
-        t.row(vec![
-            s.name().to_string(),
-            metrics::fmt_secs(metrics::percentile(&times, 0.10)),
-            metrics::fmt_secs(metrics::percentile(&times, 0.50)),
-            metrics::fmt_secs(metrics::percentile(&times, 0.90)),
-            format!("{:.1}", metrics::percentile(&sats, 0.10)),
-            format!("{:.1}", metrics::percentile(&sats, 0.50)),
-            format!("{:.1}", metrics::percentile(&sats, 0.90)),
-        ]);
-        for (tt, ss) in times.iter().zip(&sats) {
-            rows_csv.push(format!("{},{:.6},{:.2}", s.name(), tt, ss));
+        let mut row = vec![s.name().into()];
+        row.extend([0.10, 0.50, 0.90].map(|p| Cell::Secs(metrics::percentile(&times, p))));
+        row.extend([0.10, 0.50, 0.90].map(|p| Cell::Pct(metrics::percentile(&sats, p))));
+        t.row(row);
+        for (&tt, &ss) in times.iter().zip(&sats) {
+            series.row(vec![s.name().into(), Cell::Secs(tt), Cell::Pct(ss)]);
         }
     }
-    emit("fig7", &t.render());
-    emit_csv("fig7", "scheme,comp_time_s,satisfied_pct", &rows_csv);
+    emit("fig7", &t);
+    emit("fig7", &series);
 }
 
 /// Figure 13: offline satisfied demand (no computation delay) on Kdl & ASN.
 pub fn fig13(h: &mut Harness) {
-    let mut t = Table::new(
+    let mut t = timed_table(
         "Figure 13: offline satisfied demand (%) vs computation time",
-        &[
-            "topology",
-            "scheme",
-            "avg comp time",
-            "offline satisfied (%)",
-        ],
+        ("offline satisfied (%)", "offline_satisfied_pct"),
     );
-    let mut rows_csv = Vec::new();
     for kind in [TopoKind::Kdl, TopoKind::Asn] {
         let include_lp_all = kind != TopoKind::Asn;
         let schemes = lineup(h, kind, include_lp_all);
         let bed = h.bed(kind);
-        let env = Arc::clone(&bed.env);
-        let tms = bed.test.clone();
         let bed_name = bed.name();
         for mut s in schemes {
-            let (mean_time, sat) = offline_means(&env, &tms, s.as_mut(), FlowStats::satisfied_pct);
+            let (mean_time, sat) =
+                offline_means(&bed.env, &bed.test, s.as_mut(), FlowStats::satisfied_pct);
             t.row(vec![
-                bed_name.clone(),
-                s.name().to_string(),
-                metrics::fmt_secs(mean_time),
-                format!("{sat:.1}"),
+                bed_name.as_str().into(),
+                s.name().into(),
+                Cell::Secs(mean_time),
+                Cell::Pct(sat),
             ]);
-            rows_csv.push(format!(
-                "{},{},{:.6},{:.2}",
-                bed_name,
-                s.name(),
-                mean_time,
-                sat
-            ));
         }
     }
-    emit("fig13", &t.render());
-    emit_csv(
-        "fig13",
-        "topology,scheme,comp_time_s,offline_satisfied_pct",
-        &rows_csv,
-    );
+    emit("fig13", &t);
 }
 
 /// Figure 18: allocation performance over time (per-interval satisfied
@@ -138,7 +102,7 @@ pub fn fig18(h: &mut Harness) {
     let interval = h.online_interval(kind);
     let schemes = lineup(h, kind, false);
     let bed = h.bed(kind);
-    let env = Arc::clone(&bed.env);
+    let env = &bed.env;
     // Extend the series so slow schemes visibly reuse stale routes; start
     // past the train/val windows so the model has not seen these matrices.
     let test_start = bed.train.len() + bed.val.len();
@@ -146,29 +110,20 @@ pub fn fig18(h: &mut Harness) {
     let mut names = Vec::new();
     let mut series: Vec<Vec<f64>> = Vec::new();
     for mut s in schemes {
-        let res = run_online(&env, env.topo(), &tms, s.as_mut(), interval);
+        let res = run_online(env, env.topo(), &tms, s.as_mut(), interval);
         names.push(s.name().to_string());
         series.push(res.satisfied_series());
     }
-    let mut header: Vec<&str> = vec!["interval"];
-    for n in &names {
-        header.push(n);
-    }
+    let mut columns = vec![("interval", "interval")];
+    columns.extend(names.iter().map(|n| (n.as_str(), n.as_str())));
     let mut t = Table::new(
         "Figure 18: satisfied demand (%) per '5-minute' interval on ASN",
-        &header,
+        &columns,
     );
-    let mut rows_csv = Vec::new();
     for i in 0..tms.len() {
-        let mut row = vec![i.to_string()];
-        let mut csv = i.to_string();
-        for s in &series {
-            row.push(format!("{:.1}", s[i]));
-            csv.push_str(&format!(",{:.2}", s[i]));
-        }
+        let mut row = vec![i.to_string().into()];
+        row.extend(series.iter().map(|s| Cell::Pct(s[i])));
         t.row(row);
-        rows_csv.push(csv);
     }
-    emit("fig18", &t.render());
-    emit_csv("fig18", &format!("interval,{}", names.join(",")), &rows_csv);
+    emit("fig18", &t);
 }

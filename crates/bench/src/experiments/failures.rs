@@ -1,17 +1,17 @@
 //! Figures 8 and 9 — reaction to link failures.
 
-use super::Harness;
-use crate::table::{emit, emit_csv, Table};
+use super::{scheme_by_condition, Harness};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::Arc;
 use teal_lp::Objective;
 use teal_sim::{metrics, run_failure_interval, run_offline, Baseline, Scheme, Solver, TealScheme};
 use teal_topology::{EdgeId, TopoKind, Topology};
 
-/// Sample `n` distinct bidirectional links and return their directed edge
-/// ids (both directions).
-fn sample_failed_edges(topo: &Topology, n: usize, seed: u64) -> Vec<EdgeId> {
+/// Per seed in `seeds`, a sample of `n` distinct bidirectional links, as
+/// their directed edge ids (both directions).
+fn failure_samples(topo: &Topology, n: usize, seeds: Range<u64>) -> Vec<Vec<EdgeId>> {
     let mut links: Vec<(usize, usize)> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for e in topo.edges() {
@@ -20,33 +20,37 @@ fn sample_failed_edges(topo: &Topology, n: usize, seed: u64) -> Vec<EdgeId> {
             links.push(key);
         }
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xfa11);
-    links.shuffle(&mut rng);
-    links
-        .iter()
-        .take(n)
-        .flat_map(|&(a, b)| topo.link_edges(a, b))
-        .collect()
+    let sample = |seed: u64| {
+        let mut links = links.clone();
+        links.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed ^ 0xfa11));
+        let failed = links.iter().take(n);
+        failed.flat_map(|&(a, b)| topo.link_edges(a, b)).collect()
+    };
+    seeds.map(sample).collect()
 }
 
-/// Run one failure scenario: with no failed link, the offline satisfied
-/// demand; otherwise compute the pre-failure allocation on the intact
-/// topology, fail links, and measure the interval-weighted satisfied demand
-/// while the scheme recomputes.
+/// The mean satisfied demand of `scheme` over the failure samples `trials`.
+/// A sample with no failed link scores the offline satisfied demand;
+/// otherwise the scheme computes the pre-failure allocation on the intact
+/// topology, the links fail, and the sample scores the interval-weighted
+/// satisfied demand while the scheme recomputes.
 fn failure_pct(
     env: &teal_core::Env,
     scheme: &mut dyn Scheme,
     tm: &teal_traffic::TrafficMatrix,
-    failed: &[EdgeId],
+    trials: &[Vec<EdgeId>],
     interval: std::time::Duration,
 ) -> f64 {
-    if failed.is_empty() {
-        let (stats, _) = run_offline(env, env.topo(), std::slice::from_ref(tm), scheme, 1);
-        return stats[0].satisfied_pct();
-    }
-    let (pre, _) = scheme.allocate(env.topo(), tm);
-    let failed_topo = env.topo().with_failed_edges(failed);
-    run_failure_interval(env, &failed_topo, tm, scheme, &pre, interval)
+    let score = |failed: &Vec<EdgeId>| {
+        if failed.is_empty() {
+            let (stats, _) = run_offline(env, env.topo(), std::slice::from_ref(tm), scheme, 1);
+            return stats[0].satisfied_pct();
+        }
+        let (pre, _) = scheme.allocate(env.topo(), tm);
+        let failed_topo = env.topo().with_failed_edges(failed);
+        run_failure_interval(env, &failed_topo, tm, scheme, &pre, interval)
+    };
+    metrics::mean(&trials.iter().map(score).collect::<Vec<_>>())
 }
 
 /// Figure 8: satisfied demand with 0/1/2 link failures on B4 (including
@@ -61,7 +65,7 @@ pub fn fig8(h: &mut Harness) {
     let tm = bed.test[0].clone();
 
     let baseline = |solver| Box::new(Baseline::new(Arc::clone(&env), solver));
-    let mut schemes: Vec<Box<dyn Scheme>> = vec![
+    let schemes: Vec<Box<dyn Scheme>> = vec![
         baseline(Solver::Teavar),
         baseline(Solver::Ncflow),
         Box::new(TealScheme::new(engine)),
@@ -69,33 +73,18 @@ pub fn fig8(h: &mut Harness) {
         baseline(Solver::Pop),
         baseline(Solver::LpAll(Objective::TotalFlow)),
     ];
-
-    let mut t = Table::new(
-        "Figure 8: satisfied demand (%) with 0/1/2 link failures on B4",
-        &["scheme", "no failure", "1 link failure", "2 link failures"],
-    );
-    let mut rows_csv = Vec::new();
-    for s in &mut schemes {
-        let mut cells = vec![s.name().to_string()];
-        let mut csv = s.name().to_string();
-        for nf in [0usize, 1, 2] {
-            let mut vals = Vec::new();
-            for trial in 0..trials {
-                let failed = sample_failed_edges(env.topo(), nf, trial as u64);
-                vals.push(failure_pct(&env, s.as_mut(), &tm, &failed, interval));
-            }
-            let m = metrics::mean(&vals);
-            cells.push(format!("{m:.1}"));
-            csv.push_str(&format!(",{m:.2}"));
-        }
-        t.row(cells);
-        rows_csv.push(csv);
-    }
-    emit("fig8", &t.render());
-    emit_csv(
+    let samples = |nf| failure_samples(env.topo(), nf, 0..trials);
+    let conditions = [
+        (("no failure", "no_failure"), samples(0)),
+        (("1 link failure", "one_failure"), samples(1)),
+        (("2 link failures", "two_failures"), samples(2)),
+    ];
+    scheme_by_condition(
         "fig8",
-        "scheme,no_failure,one_failure,two_failures",
-        &rows_csv,
+        "Figure 8: satisfied demand (%) with 0/1/2 link failures on B4",
+        &conditions,
+        schemes,
+        |s, trials| failure_pct(&env, s, &tm, trials, interval),
     );
 }
 
@@ -111,49 +100,32 @@ pub fn fig9(h: &mut Harness) {
     let env = Arc::clone(&bed.env);
     let tm = bed.test[0].clone();
     let scale = bed.spec.scale;
-    let counts: Vec<usize> = [0usize, 50, 100, 200]
-        .iter()
-        .map(|&c| (c as f64 * scale).round() as usize)
-        .collect();
 
     let baseline = |solver| Box::new(Baseline::new(Arc::clone(&env), solver));
-    let mut schemes: Vec<Box<dyn Scheme>> = vec![
+    let schemes: Vec<Box<dyn Scheme>> = vec![
         baseline(Solver::Ncflow),
         baseline(Solver::Pop),
         baseline(Solver::LpTop(Objective::TotalFlow)),
         Box::new(TealScheme::new(engine)),
     ];
-
-    let mut t = Table::new(
-        format!(
+    let samples = |count: f64, seed: u64| {
+        let nf = (count * scale).round() as usize;
+        failure_samples(env.topo(), nf, seed..seed + trials)
+    };
+    let conditions = [
+        (("no failure", "f0"), samples(0.0, 0)),
+        (("~50 failures", "f50"), samples(50.0, 10)),
+        (("~100 failures", "f100"), samples(100.0, 20)),
+        (("~200 failures", "f200"), samples(200.0, 30)),
+    ];
+    scheme_by_condition(
+        "fig9",
+        &format!(
             "Figure 9: satisfied demand (%) under mass failures on ASN \
              (counts scaled x{scale:.2} from 0/50/100/200)"
         ),
-        &[
-            "scheme",
-            "no failure",
-            "~50 failures",
-            "~100 failures",
-            "~200 failures",
-        ],
+        &conditions,
+        schemes,
+        |s, trials| failure_pct(&env, s, &tm, trials, interval),
     );
-    let mut rows_csv = Vec::new();
-    for s in &mut schemes {
-        let mut cells = vec![s.name().to_string()];
-        let mut csv = s.name().to_string();
-        for (ci, &nf) in counts.iter().enumerate() {
-            let mut vals = Vec::new();
-            for trial in 0..trials {
-                let failed = sample_failed_edges(env.topo(), nf, (ci * 10 + trial) as u64);
-                vals.push(failure_pct(&env, s.as_mut(), &tm, &failed, interval));
-            }
-            let m = metrics::mean(&vals);
-            cells.push(format!("{m:.1}"));
-            csv.push_str(&format!(",{m:.2}"));
-        }
-        t.row(cells);
-        rows_csv.push(csv);
-    }
-    emit("fig9", &t.render());
-    emit_csv("fig9", "scheme,f0,f50,f100,f200", &rows_csv);
 }

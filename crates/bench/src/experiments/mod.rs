@@ -1,5 +1,8 @@
 //! Experiment implementations — one entry point per table/figure in the
 //! paper (`src/bin/expts.rs` is the index; results land under `results/`).
+//! A figure declares each column once, as a (text, CSV) header pair, and
+//! writes each row once as typed cells; every cell format lives in
+//! [`crate::table::Cell`], and one [`crate::table::emit`] writes both files.
 
 pub mod ablation;
 pub mod comparison;
@@ -8,6 +11,7 @@ pub mod objectives;
 pub mod robustness;
 pub mod tables;
 
+use crate::table::{emit, Cell, Table};
 use crate::testbed::{train_teal_engine, Testbed, TestbedSpec, TrainBudget};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,6 +63,38 @@ fn lineup(h: &mut Harness, kind: TopoKind, include_lp_all: bool) -> Vec<Box<dyn 
     }
     v.push(Box::new(TealScheme::new(engine)));
     v
+}
+
+/// The table of Figures 6, 11, 12 and 13: a row per testbed and scheme,
+/// its mean computation time, then the `metric` column.
+fn timed_table(title: &str, metric: (&str, &str)) -> Table {
+    let scheme = ("scheme", "scheme");
+    let time = ("avg comp time", "comp_time_s");
+    Table::new(title, &[("topology", "topology"), scheme, time, metric])
+}
+
+/// Figures 8, 9, 10a and 10b: one scheme per row, one condition per
+/// column, each cell the mean satisfied % `mean_pct` gives the scheme under
+/// the condition. Each condition comes with its column's (text, CSV)
+/// header; the schemes run in order, each across the conditions in order.
+fn scheme_by_condition<C>(
+    id: &str,
+    title: &str,
+    conditions: &[((&str, &str), C)],
+    schemes: Vec<Box<dyn Scheme>>,
+    mut mean_pct: impl FnMut(&mut dyn Scheme, &C) -> f64,
+) {
+    let mut columns = vec![("scheme", "scheme")];
+    columns.extend(conditions.iter().map(|(column, _)| *column));
+    let mut t = Table::new(title, &columns);
+    for mut s in schemes {
+        let mut row = vec![Cell::from(s.name())];
+        for (_, condition) in conditions {
+            row.push(Cell::Pct(mean_pct(s.as_mut(), condition)));
+        }
+        t.row(row);
+    }
+    emit(id, &t);
 }
 
 /// Ratio of the paper's measured LP-all runtime to the 5-minute TE interval,
@@ -125,7 +161,6 @@ impl Harness {
         if self.fast {
             TrainBudget {
                 epochs: 2,
-                lr: 3e-3,
                 max_agents_per_step: 200,
             }
         } else {
@@ -159,13 +194,9 @@ impl Harness {
     pub fn online_interval(&mut self, kind: TopoKind) -> Duration {
         if !self.lp_time.contains_key(&kind) {
             let bed = self.bed(kind);
-            let env = std::sync::Arc::clone(&bed.env);
-            let tm = bed.test[0].clone();
-            let solver = teal_sim::Solver::LpAll(teal_lp::Objective::TotalFlow);
-            let mut lp = teal_sim::Baseline::new(env, solver);
-            use teal_sim::Scheme as _;
-            let bed = self.bed(kind);
-            let (_, dt) = lp.allocate(bed.env.topo(), &tm);
+            let solver = Solver::LpAll(Objective::TotalFlow);
+            let mut lp = Baseline::new(Arc::clone(&bed.env), solver);
+            let (_, dt) = lp.allocate(bed.env.topo(), &bed.test[0]);
             self.lp_time.insert(kind, dt.as_secs_f64());
         }
         let secs = (self.lp_time[&kind] / paper_lp_ratio(kind)).max(1e-3);

@@ -7,13 +7,13 @@
 //! paper ("adapting the codebases of NCFlow and POP to other objectives is
 //! challenging").
 
-use super::{offline_means, Harness};
-use crate::table::{emit, emit_csv, Table};
+use super::{offline_means, timed_table, Harness};
+use crate::table::{emit, Cell};
 use std::sync::Arc;
 use teal_core::{train_coma, ComaConfig, EngineConfig, ServingContext, TealConfig, TealModel};
 use teal_lp::flow::DELAY_GAMMA;
 use teal_lp::{FlowStats, Objective};
-use teal_sim::{metrics, Baseline, Scheme, Solver, TealScheme};
+use teal_sim::{Baseline, Scheme, Solver, TealScheme};
 use teal_topology::TopoKind;
 
 /// Figure 11: minimize max link utilization on Kdl & ASN.
@@ -46,8 +46,8 @@ pub fn fig12(h: &mut Harness) {
 /// One §5.5 figure on Kdl & ASN. The schemes are LP-all (skipped on ASN
 /// unless `lp_all_on_asn`), LP-top, and Teal retrained for `objective` and
 /// served without ADMM. Each row is a scheme's mean computation time and
-/// mean `metric` off the offline fold. `column` is the metric's (table,
-/// CSV) header.
+/// mean `metric` off the offline fold. `column` is the metric's (text,
+/// CSV) header; its cells print `{:.3}` in text and `{:.4}` in CSV.
 fn objective_figure(
     h: &mut Harness,
     id: &str,
@@ -57,8 +57,7 @@ fn objective_figure(
     lp_all_on_asn: bool,
     metric: fn(&FlowStats) -> f64,
 ) {
-    let mut t = Table::new(title, &["topology", "scheme", "avg comp time", column.0]);
-    let mut rows_csv = Vec::new();
+    let mut t = timed_table(title, column);
     for kind in [TopoKind::Kdl, TopoKind::Asn] {
         let budget = h.budget();
         let bed = h.bed(kind);
@@ -85,22 +84,12 @@ fn objective_figure(
         for s in &mut schemes {
             let (mean_time, value) = offline_means(&env, &bed.test, s.as_mut(), metric);
             t.row(vec![
-                bed.name(),
-                s.name().to_string(),
-                metrics::fmt_secs(mean_time),
-                format!("{value:.3}"),
+                bed.name().into(),
+                s.name().into(),
+                Cell::Secs(mean_time),
+                Cell::Pair(format!("{value:.3}"), format!("{value:.4}")),
             ]);
-            rows_csv.push(format!(
-                "{},{},{mean_time:.6},{value:.4}",
-                bed.name(),
-                s.name()
-            ));
         }
     }
-    emit(id, &t.render());
-    emit_csv(
-        id,
-        &format!("topology,scheme,comp_time_s,{}", column.1),
-        &rows_csv,
-    );
+    emit(id, &t);
 }

@@ -1,81 +1,71 @@
 //! Figure 10 — robustness to temporal and spatial demand changes (§5.4).
 
-use super::{lineup, Harness};
-use crate::table::{emit, emit_csv, Table};
+use super::{lineup, scheme_by_condition, Harness};
 use std::sync::Arc;
 use teal_sim::run_online;
 use teal_topology::TopoKind;
-use teal_traffic::{spatial_redistribution, temporal_fluctuation};
+use teal_traffic::{spatial_redistribution, temporal_fluctuation, TrafficMatrix};
 
-/// Figure 10a: temporal fluctuations scaled 1x/2x/5x/10x/20x. The Teal
-/// model is *not* retrained — the point is generalization to unseen
+/// One column of Figure 10: its (text, CSV) header and the perturbed test
+/// traffic it serves.
+type Perturbed = ((&'static str, &'static str), Vec<TrafficMatrix>);
+
+/// Figure 10's shape on the Kdl testbed: LP-top, NCFlow, POP and Teal
+/// served online on each perturbation of the test traffic in turn. The
+/// Teal model is *not* retrained — the point is generalization to unseen
 /// dynamics.
-pub fn fig10a(h: &mut Harness) {
+fn fig10(
+    h: &mut Harness,
+    id: &str,
+    title: &str,
+    perturb: impl FnOnce(&[TrafficMatrix]) -> Vec<Perturbed>,
+) {
     let kind = TopoKind::Kdl;
     let interval = h.online_interval(kind);
-    let factors = [1.0f64, 2.0, 5.0, 10.0, 20.0];
-    let mut t = Table::new(
-        "Figure 10a: satisfied demand (%) under temporal fluctuation",
-        &["scheme", "1x", "2x", "5x", "10x", "20x"],
-    );
-    let mut rows_csv = Vec::new();
     let schemes = lineup(h, kind, false);
     let bed = h.bed(kind);
     let env = Arc::clone(&bed.env);
-    let base = bed.test.clone();
-    for mut s in schemes {
-        let mut cells = vec![s.name().to_string()];
-        let mut csv = s.name().to_string();
-        for (fi, &f) in factors.iter().enumerate() {
-            let tms = if f <= 1.0 {
-                base.clone()
-            } else {
-                temporal_fluctuation(&base, f, fi as u64)
-            };
-            let res = run_online(&env, env.topo(), &tms, s.as_mut(), interval);
-            let m = res.mean_satisfied_pct();
-            cells.push(format!("{m:.1}"));
-            csv.push_str(&format!(",{m:.2}"));
-        }
-        t.row(cells);
-        rows_csv.push(csv);
-    }
-    emit("fig10a", &t.render());
-    emit_csv("fig10a", "scheme,x1,x2,x5,x10,x20", &rows_csv);
+    let conditions = perturb(&bed.test);
+    scheme_by_condition(id, title, &conditions, schemes, |s, tms| {
+        run_online(&env, env.topo(), tms, s, interval).mean_satisfied_pct()
+    });
+}
+
+/// Figure 10a: temporal fluctuations scaled 1x/2x/5x/10x/20x.
+pub fn fig10a(h: &mut Harness) {
+    fig10(
+        h,
+        "fig10a",
+        "Figure 10a: satisfied demand (%) under temporal fluctuation",
+        |base| {
+            let scaled = |factor, seed| temporal_fluctuation(base, factor, seed);
+            vec![
+                (("1x", "x1"), base.to_vec()),
+                (("2x", "x2"), scaled(2.0, 1)),
+                (("5x", "x5"), scaled(5.0, 2)),
+                (("10x", "x10"), scaled(10.0, 3)),
+                (("20x", "x20"), scaled(20.0, 4)),
+            ]
+        },
+    );
 }
 
 /// Figure 10b: spatial redistribution — the top decile's share of volume is
 /// forced from its natural ~88.4% down to 80/60/40/20%.
 pub fn fig10b(h: &mut Harness) {
-    let kind = TopoKind::Kdl;
-    let interval = h.online_interval(kind);
-    let shares = [0.884f64, 0.80, 0.60, 0.40, 0.20];
-    let mut t = Table::new(
+    fig10(
+        h,
+        "fig10b",
         "Figure 10b: satisfied demand (%) vs top-decile volume share",
-        &["scheme", "88.4%", "80%", "60%", "40%", "20%"],
+        |base| {
+            let shared = |share| spatial_redistribution(base, share);
+            vec![
+                (("88.4%", "s884"), base.to_vec()),
+                (("80%", "s80"), shared(0.80)),
+                (("60%", "s60"), shared(0.60)),
+                (("40%", "s40"), shared(0.40)),
+                (("20%", "s20"), shared(0.20)),
+            ]
+        },
     );
-    let mut rows_csv = Vec::new();
-    let schemes = lineup(h, kind, false);
-    let bed = h.bed(kind);
-    let env = Arc::clone(&bed.env);
-    let base = bed.test.clone();
-    for mut s in schemes {
-        let mut cells = vec![s.name().to_string()];
-        let mut csv = s.name().to_string();
-        for &share in &shares {
-            let tms = if (share - 0.884).abs() < 1e-9 {
-                base.clone()
-            } else {
-                spatial_redistribution(&base, share)
-            };
-            let res = run_online(&env, env.topo(), &tms, s.as_mut(), interval);
-            let m = res.mean_satisfied_pct();
-            cells.push(format!("{m:.1}"));
-            csv.push_str(&format!(",{m:.2}"));
-        }
-        t.row(cells);
-        rows_csv.push(csv);
-    }
-    emit("fig10b", &t.render());
-    emit_csv("fig10b", "scheme,s884,s80,s60,s40,s20", &rows_csv);
 }

@@ -1,7 +1,7 @@
 //! Tables 1-3, Figure 2 (LP multicore speedup), and Figure 17 (routable
 //! demands per edge).
 
-use crate::table::{emit, emit_csv, Table};
+use crate::table::{emit, Cell, Table};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -13,56 +13,48 @@ use teal_traffic::{TrafficConfig, TrafficModel};
 
 /// Table 1: node/edge counts of the five evaluation topologies (full scale).
 pub fn table1() {
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Table 1: network topologies (full-scale synthetic reproductions)",
         &["topology", "# of nodes", "# of edges (directed)"],
     );
     for kind in TopoKind::all() {
         let topo = generate(kind, 1.0, 42);
         t.row(vec![
-            kind.name().to_string(),
-            topo.num_nodes().to_string(),
-            topo.num_edges().to_string(),
+            kind.name().into(),
+            topo.num_nodes().to_string().into(),
+            topo.num_edges().to_string().into(),
         ]);
     }
-    emit("table1", &t.render());
+    emit("table1", &t);
 }
 
 /// Table 2: computation-time breakdown per scheme (descriptive; components
 /// measured on the B4 testbed are reported alongside).
 pub fn table2() {
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Table 2: computation-time breakdown per scheme",
         &["algorithm", "computation time"],
     );
-    t.row(vec![
-        "Teal".into(),
-        "forward pass + fixed ADMM iterations (GPU-parallel)".into(),
-    ]);
-    t.row(vec![
-        "LP-all".into(),
-        "full LP solve (simplex / ADMM-to-convergence)".into(),
-    ]);
-    t.row(vec![
-        "LP-top".into(),
-        "LP solve + per-interval model rebuilding".into(),
-    ]);
-    t.row(vec![
-        "NCFlow".into(),
-        "parallel cluster LPs + contracted LP + merge".into(),
-    ]);
-    t.row(vec!["POP".into(), "parallel replica LPs".into()]);
-    t.row(vec![
-        "TEAVAR*".into(),
-        "scenario-robust LP (small topologies only)".into(),
-    ]);
-    emit("table2", &t.render());
+    for (algorithm, time) in [
+        (
+            "Teal",
+            "forward pass + fixed ADMM iterations (GPU-parallel)",
+        ),
+        ("LP-all", "full LP solve (simplex / ADMM-to-convergence)"),
+        ("LP-top", "LP solve + per-interval model rebuilding"),
+        ("NCFlow", "parallel cluster LPs + contracted LP + merge"),
+        ("POP", "parallel replica LPs"),
+        ("TEAVAR*", "scenario-robust LP (small topologies only)"),
+    ] {
+        t.row(vec![algorithm.into(), time.into()]);
+    }
+    emit("table2", &t);
 }
 
 /// Table 3: mean shortest-path length and hop diameter (full scale; SWAN is
 /// included since our SWAN is synthetic, unlike the paper's private one).
 pub fn table3() {
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Table 3: topology details",
         &["topology", "avg shortest-path length", "network diameter"],
     );
@@ -75,12 +67,12 @@ pub fn table3() {
     ] {
         let topo = generate(kind, 1.0, 42);
         t.row(vec![
-            kind.name().to_string(),
-            format!("{:.1}", stats::mean_shortest_path(&topo)),
-            stats::hop_diameter(&topo).to_string(),
+            kind.name().into(),
+            format!("{:.1}", stats::mean_shortest_path(&topo)).into(),
+            stats::hop_diameter(&topo).to_string().into(),
         ]);
     }
-    emit("table3", &t.render());
+    emit("table3", &t);
 }
 
 /// Figure 2: marginal speedup of concurrent-racing LP solving as threads
@@ -111,23 +103,24 @@ pub fn fig2(fast: bool) {
 
     let mut t = Table::new(
         "Figure 2: concurrent-racing LP speedup vs. threads (marginal, as in Gurobi)",
-        &["threads", "time (s)", "speedup"],
+        &[
+            ("threads", "threads"),
+            ("time (s)", "time_s"),
+            ("speedup", "speedup"),
+        ],
     );
-    let mut rows_csv = Vec::new();
     let racer_times = concurrent::measure_racers(&inst, Objective::TotalFlow, 8, 1e-3);
     let base = concurrent::race_time_with_threads(&racer_times, 1).as_secs_f64();
     for threads in [1usize, 2, 4, 8, 16] {
         let secs = concurrent::race_time_with_threads(&racer_times, threads).as_secs_f64();
         let speedup = base / secs.max(1e-12);
         t.row(vec![
-            threads.to_string(),
-            format!("{secs:.3}"),
-            format!("{speedup:.2}x"),
+            threads.to_string().into(),
+            Cell::Pair(format!("{secs:.3}"), format!("{secs:.6}")),
+            Cell::Pair(format!("{speedup:.2}x"), format!("{speedup:.4}")),
         ]);
-        rows_csv.push(format!("{threads},{secs:.6},{speedup:.4}"));
     }
-    emit("fig2", &t.render());
-    emit_csv("fig2", "threads,time_s,speedup", &rows_csv);
+    emit("fig2", &t);
 }
 
 /// Figure 17: percentage of demands routable on each edge, per topology.
@@ -135,7 +128,7 @@ pub fn fig2(fast: bool) {
 /// is out of CPU budget; sampling is unbiased for this per-edge share).
 pub fn fig17(fast: bool) {
     let sample = if fast { 400 } else { 2000 };
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Figure 17: routable demands on each edge (%), distribution summary",
         &["topology", "mean", "p25", "p50", "p75", "max"],
     );
@@ -159,17 +152,17 @@ pub fn fig17(fast: bool) {
         }
         let paths = PathSet::compute(&topo, &pairs, 4);
         let share = stats::routable_demand_share(&topo, &paths);
-        let q = |p| format!("{:.2}", metrics::percentile(&share, p));
+        let q = |p| Cell::from(format!("{:.2}", metrics::percentile(&share, p)));
         t.row(vec![
-            kind.name().to_string(),
-            format!("{:.2}", metrics::mean(&share)),
+            kind.name().into(),
+            format!("{:.2}", metrics::mean(&share)).into(),
             q(0.25),
             q(0.50),
             q(0.75),
             q(1.0),
         ]);
     }
-    emit("fig17", &t.render());
+    emit("fig17", &t);
 }
 
 /// Benchmarked component timings for Table 2's measured column (B4-sized).
@@ -178,7 +171,7 @@ pub fn table2_measured() {
     use teal_core::{EngineConfig, ServingContext, TealConfig, TealModel};
     let env = Arc::new(Env::for_topology(teal_topology::b4()));
     let tm = teal_traffic::TrafficMatrix::new(vec![20.0; env.num_demands()]);
-    let mut t = Table::new(
+    let mut t = Table::text(
         "Table 2 (measured on B4): one allocation per scheme",
         &["algorithm", "measured time"],
     );
@@ -199,10 +192,7 @@ pub fn table2_measured() {
         let t0 = Instant::now();
         let _ = s.allocate(env.topo(), &tm);
         let dt = t0.elapsed();
-        t.row(vec![
-            s.name().to_string(),
-            metrics::fmt_secs(dt.as_secs_f64()),
-        ]);
+        t.row(vec![s.name().into(), Cell::Secs(dt.as_secs_f64())]);
     }
-    emit("table2_measured", &t.render());
+    emit("table2_measured", &t);
 }

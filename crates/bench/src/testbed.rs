@@ -117,13 +117,14 @@ impl Testbed {
     }
 }
 
+/// Adam learning rate of every model the experiments train.
+pub(crate) const LR: f32 = 3e-3;
+
 /// Training budget for Teal models inside experiments.
 #[derive(Clone, Copy, Debug)]
 pub struct TrainBudget {
     /// COMA* epochs.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Upper bound on agents receiving counterfactual evaluation per step.
     pub max_agents_per_step: usize,
 }
@@ -132,7 +133,6 @@ impl Default for TrainBudget {
     fn default() -> Self {
         TrainBudget {
             epochs: 6,
-            lr: 3e-3,
             max_agents_per_step: 600,
         }
     }
@@ -140,11 +140,11 @@ impl Default for TrainBudget {
 
 impl TrainBudget {
     /// The COMA\* configuration this budget trains with on `env`: its epochs
-    /// and learning rate, and at most `max_agents_per_step` agents per step.
+    /// at `LR`, and at most `max_agents_per_step` agents per step.
     pub fn coma(&self, env: &Env) -> ComaConfig {
         ComaConfig {
             epochs: self.epochs,
-            lr: self.lr,
+            lr: LR,
             agent_fraction: (self.max_agents_per_step as f64 / env.num_demands().max(1) as f64)
                 .min(1.0),
             ..ComaConfig::default()
@@ -211,7 +211,6 @@ mod tests {
             },
             TrainBudget {
                 epochs: 1,
-                lr: 3e-3,
                 max_agents_per_step: 50,
             },
         );

@@ -996,8 +996,8 @@ fn yen(topo: &Topology, src: NodeId, dst: NodeId, k: usize, scratch: &mut KspScr
 
 /// Precomputed candidate paths for a set of demand pairs.
 ///
-/// Alongside the paths themselves, `compute` flattens the incidence once
-/// per direction into shared `Arc<[u32]>` arrays, so an index over the set
+/// Alongside the paths themselves, a set flattens the incidence once per
+/// direction into shared `Arc<[u32]>` arrays, so an index over the set
 /// holds them instead of copying them:
 /// * **edge→path**: `e2p_off` offsets into `e2p` path ids — solvers query
 ///   [`paths_on_edge`](PathSet::paths_on_edge) as a slice, and the ADMM
@@ -1049,10 +1049,25 @@ impl PathSet {
             }
             paths.extend(found.into_iter().take(k));
         }
+        PathSet::new(k, pairs.to_vec(), paths, topo.num_edges())
+    }
 
+    /// The paths of `demands`, in that order, as a set of their own, without
+    /// running KSP. A pair's paths are a pure function of the pair and read
+    /// no capacity (see `parallel_paths`), so this equals
+    /// [`compute`](Self::compute) over the chosen pairs on this set's
+    /// topology or on any twin of it that differs only in capacities.
+    pub fn select(&self, demands: &[usize]) -> PathSet {
+        let pairs = demands.iter().map(|&d| self.pairs[d]).collect();
+        let paths = demands.iter().flat_map(|&d| self.paths_for(d));
+        PathSet::new(self.k, pairs, paths.cloned().collect(), self.num_edges())
+    }
+
+    /// The set over `paths` (demand-major, `k` per pair), with both
+    /// incidence arenas flattened over a topology of `num_edges` edges.
+    fn new(k: usize, pairs: Vec<(NodeId, NodeId)>, paths: Vec<Path>, num_edges: usize) -> PathSet {
         // Flatten the edge→path incidence with a counting sort: path-major
         // fill keeps each edge's path-id list ascending.
-        let num_edges = topo.num_edges();
         let mut e2p_off = vec![0u32; num_edges + 1];
         for p in &paths {
             for &e in &p.edges {
@@ -1078,7 +1093,7 @@ impl PathSet {
 
         PathSet {
             k,
-            pairs: pairs.to_vec(),
+            pairs,
             paths,
             e2p_off: e2p_off.into(),
             e2p: e2p.into(),

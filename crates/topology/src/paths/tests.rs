@@ -320,6 +320,25 @@ fn flat_edge_index_is_exact_inverse() {
 }
 
 #[test]
+fn select_equals_compute_over_the_chosen_pairs() {
+    let topo = b4();
+    let full = PathSet::compute(&topo, &topo.all_pairs(), 4);
+    let link = &topo.edges()[0];
+    let failed = topo.with_failed_link(link.src, link.dst);
+    let chosen = [7, 0, 131, 64, 65, 12];
+    let pairs: Vec<(NodeId, NodeId)> = chosen.iter().map(|&d| full.pairs()[d]).collect();
+    let got = full.select(&chosen);
+    for t in [&topo, &failed] {
+        let want = PathSet::compute(t, &pairs, 4);
+        assert_eq!(got.k(), want.k());
+        assert_eq!(got.pairs(), want.pairs());
+        assert_eq!(got.paths(), want.paths());
+        assert_eq!(got.edge_path_arena(), want.edge_path_arena());
+        assert_eq!(got.path_edge_offsets(), want.path_edge_offsets());
+    }
+}
+
+#[test]
 fn bfs_hops_simple() {
     let t = diamond();
     let hops = bfs_hops(&t, 0);
