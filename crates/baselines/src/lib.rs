@@ -4,8 +4,7 @@
 //! * [`lp_top`] — demand pinning: LP over the top 10% of demands;
 //! * [`ncflow`] — topology-partitioning decomposition (NCFlow-like);
 //! * [`pop`] — capacity-split replicas (POP);
-//! * [`teavar`] — scenario-robust allocation (TEAVAR*, B4 only);
-//! * Fleischer's approximation lives in `teal_lp::fleischer`.
+//! * [`teavar`] — scenario-robust allocation (TEAVAR*, B4 only).
 //!
 //! Each solver runs at the one setting §5.1 evaluates it at, a constant in
 //! its own module: LP-top's α = 10%, NCFlow's √n clusters and 3 rounds,

@@ -4,7 +4,6 @@
 use crate::table::{emit, Cell, Table};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::time::Instant;
 use teal_core::Env;
 use teal_lp::{concurrent, Objective};
 use teal_sim::{metrics, Baseline, Solver};
@@ -165,18 +164,21 @@ pub fn fig17(fast: bool) {
     emit("fig17", &t);
 }
 
-/// Benchmarked component timings for Table 2's measured column (B4-sized).
+/// Table 2's measured column on B4: each scheme's warm per-allocation cost,
+/// the median over 21 calls of the time `Scheme::allocate` reports (the
+/// time every other figure reads), after one warm-up call.
 pub fn table2_measured() {
     use std::sync::Arc;
     use teal_core::{EngineConfig, ServingContext, TealConfig, TealModel};
+    const REPEATS: usize = 21;
     let env = Arc::new(Env::for_topology(teal_topology::b4()));
     let tm = teal_traffic::TrafficMatrix::new(vec![20.0; env.num_demands()]);
     let mut t = Table::text(
-        "Table 2 (measured on B4): one allocation per scheme",
+        format!("Table 2 (measured on B4): median of {REPEATS} warm allocations per scheme"),
         &["algorithm", "measured time"],
     );
     let model = TealModel::new(Arc::clone(&env), TealConfig::default());
-    let engine = ServingContext::new(model, EngineConfig::paper_default(12));
+    let engine = ServingContext::new(model, EngineConfig::paper_default(env.topo().num_nodes()));
     let mut schemes: Vec<Box<dyn teal_sim::Scheme>> =
         vec![Box::new(teal_sim::TealScheme::new(engine))];
     for solver in [
@@ -189,10 +191,14 @@ pub fn table2_measured() {
         schemes.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
     }
     for s in &mut schemes {
-        let t0 = Instant::now();
         let _ = s.allocate(env.topo(), &tm);
-        let dt = t0.elapsed();
-        t.row(vec![s.name().into(), Cell::Secs(dt.as_secs_f64())]);
+        let times: Vec<f64> = (0..REPEATS)
+            .map(|_| s.allocate(env.topo(), &tm).1.as_secs_f64())
+            .collect();
+        t.row(vec![
+            s.name().into(),
+            Cell::Secs(metrics::percentile(&times, 0.5)),
+        ]);
     }
     emit("table2_measured", &t);
 }

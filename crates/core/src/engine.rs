@@ -517,7 +517,10 @@ mod tests {
         // with or without ADMM. The reference is the engine's definition
         // spelled out one matrix at a time: the deterministic forward pass,
         // (ADMM on) one skeleton solve, then the demand projection. Equal
-        // bit for bit on calibrated traffic.
+        // bit for bit on calibrated traffic, through the serving entry point
+        // (`try_allocate_batch_with`, what the daemon calls) and through
+        // `try_allocate_batch_on` given the unfailed topology (what every
+        // figure's `TealScheme` calls).
         use crate::ablation::{GlobalPolicyModel, NaiveDnnModel, NaiveGnnModel};
         use teal_traffic::{TrafficConfig, TrafficModel};
 
@@ -530,22 +533,41 @@ mod tests {
                 let ctx = ServingContext::new(make(), cfg);
                 let env = ctx.env();
                 let skel = AdmmSkeleton::new(env.topo(), env.paths(), Objective::TotalFlow);
-                let (got, _) = ctx.try_allocate_batch(tms).expect("window");
-                assert_eq!(got.len(), tms.len());
-                for (i, (tm, alloc)) in tms.iter().zip(&got).enumerate() {
-                    let mut want = ctx
-                        .model()
-                        .allocate_deterministic(&env.model_input(tm, None));
-                    if cfg.admm.is_some() {
-                        want = skel.solve(tm, &want, AdmmConfig::fine_tune(12)).0;
+                let want: Vec<Allocation> = tms
+                    .iter()
+                    .map(|tm| {
+                        let mut want = ctx
+                            .model()
+                            .allocate_deterministic(&env.model_input(tm, None));
+                        if cfg.admm.is_some() {
+                            want = skel.solve(tm, &want, AdmmConfig::fine_tune(12)).0;
+                        }
+                        want.project_demand_constraints();
+                        want
+                    })
+                    .collect();
+                let served = [
+                    ("try_allocate_batch", ctx.try_allocate_batch(tms)),
+                    (
+                        "try_allocate_batch_with",
+                        ctx.try_allocate_batch_with(tms, &mut BatchScratch::new()),
+                    ),
+                    (
+                        "try_allocate_batch_on",
+                        ctx.try_allocate_batch_on(env.topo(), tms),
+                    ),
+                ];
+                for (entry, got) in served {
+                    let (got, _) = got.expect("window");
+                    assert_eq!(got.len(), tms.len());
+                    for (i, (alloc, want)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            bits(alloc) == bits(want),
+                            "{} (ADMM {}) via {entry}: matrix {i} differs from its reference",
+                            ctx.model().name(),
+                            cfg.admm.is_some()
+                        );
                     }
-                    want.project_demand_constraints();
-                    assert!(
-                        bits(alloc) == bits(&want),
-                        "{} (ADMM {}): matrix {i} differs from its reference",
-                        ctx.model().name(),
-                        cfg.admm.is_some()
-                    );
                 }
             }
         }

@@ -11,8 +11,6 @@
 //!   the simplex up to 1,200 variables plus constraints, ADMM at
 //!   [`AdmmConfig::to_convergence`] above that, and 400 projected-subgradient
 //!   iterations for the MLU objective,
-//! * a [`fleischer`] multiplicative-weights approximation (§2.1's
-//!   combinatorial baseline),
 //! * [`concurrent`]: per-configuration serial solve times from which
 //!   Figure 2's marginal multicore speedup is derived,
 //! * [`flow`]: the one proportional reconciliation (§3.3) — [`FlowSim`]
@@ -27,7 +25,6 @@
 
 pub mod admm;
 pub mod concurrent;
-pub mod fleischer;
 pub mod flow;
 pub mod pathlp;
 pub mod problem;

@@ -28,7 +28,7 @@ const SIMPLEX_BUDGET: usize = 1200;
 const MLU_ITERS: usize = 400;
 
 /// Build the simplex rows of the path LP (demand rows then capacity rows).
-pub fn build_rows(inst: &TeInstance) -> Vec<Row> {
+fn build_rows(inst: &TeInstance) -> Vec<Row> {
     let k = inst.k();
     let mut rows = Vec::with_capacity(inst.num_demands() + inst.topo.num_edges());
     for d in 0..inst.num_demands() {

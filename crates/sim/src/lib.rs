@@ -8,8 +8,7 @@
 //! names what it runs (LP-all and LP-top carry their objective). There is
 //! one way to build each: the paper's §5.1 settings — LP-top's α = 10%,
 //! NCFlow's √n clusters, POP's per-topology replicas — are constants in
-//! each solver's own module, and Fleischer's ε = 0.1 is a constant of
-//! [`schemes`]; `Baseline::allocate` passes none of them.
+//! each solver's own module; `Baseline::allocate` passes none of them.
 // No raw-pointer or FFI work belongs in this crate; the workspace's
 // audited unsafe lives in `teal-serve`'s `net/sys.rs` only (see the root
 // crate's unsafe inventory docs).

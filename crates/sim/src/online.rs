@@ -383,7 +383,7 @@ mod tests {
     fn failure_interval_bounded() {
         let (env, tms) = setup(1);
         let failed = env.topo().with_failed_link(0, 1);
-        let mut scheme = Baseline::new(Arc::clone(&env), Solver::ShortestPath);
+        let mut scheme = lp_all(&env);
         let pre = Allocation::shortest_path(env.num_demands(), env.k());
         let pct = run_failure_interval(
             &env,

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use teal_baselines::{solve_lp_top, solve_ncflow, solve_pop, solve_teavar};
 use teal_core::{Env, PolicyModel, ServingContext};
-use teal_lp::{fleischer, solve_lp, Allocation, Objective, TeInstance};
+use teal_lp::{solve_lp, Allocation, Objective, TeInstance};
 use teal_topology::Topology;
 use teal_traffic::TrafficMatrix;
 
@@ -21,10 +21,8 @@ pub trait Scheme {
 
     /// Compute allocations for a batch of matrices, reporting the total
     /// computation time. The default runs the per-matrix path sequentially
-    /// and sums the times each call *reports* (so schemes that model their
-    /// latency keep consistent timing across the per-matrix and batched
-    /// harnesses); schemes with a genuinely batched data path (Teal)
-    /// override it with a measured batched run.
+    /// and sums the times each call reports; schemes with a genuinely
+    /// batched data path (Teal) override it with a measured batched run.
     fn allocate_batch(
         &mut self,
         topo: &Topology,
@@ -41,16 +39,10 @@ pub trait Scheme {
     }
 }
 
-/// Fleischer's ε for [`Solver::Fleischer`].
-const FLEISCHER_EPSILON: f64 = 0.1;
-
-/// Fleischer's step cap for [`Solver::Fleischer`].
-const FLEISCHER_STEPS: usize = 2_000_000;
-
-/// The solver a [`Baseline`] runs, each at the one setting §5.1 evaluates
-/// it at, a constant in that solver's module (Fleischer's ε and step cap in
-/// this one). NCFlow and POP solve [`Objective::TotalFlow`] and read their
-/// cluster and replica counts off the topology they are given, whose
+/// The solver a [`Baseline`] runs: exactly the baselines §5's figures
+/// evaluate, each at the one setting §5.1 gives it, a constant in that
+/// solver's module. NCFlow and POP solve [`Objective::TotalFlow`] and read
+/// their cluster and replica counts off the topology they are given, whose
 /// failed-link twin keeps its name and node count.
 #[derive(Clone, Copy, Debug)]
 pub enum Solver {
@@ -65,10 +57,6 @@ pub enum Solver {
     Pop,
     /// TEAVAR*: failure-aware robust allocation (small topologies only).
     Teavar,
-    /// Fleischer's combinatorial approximation (§2.1), ε = 0.1.
-    Fleischer,
-    /// Shortest-path-only routing (lower-bound sanity baseline).
-    ShortestPath,
 }
 
 /// A baseline TE scheme: one [`Solver`] over an environment's candidate
@@ -93,14 +81,11 @@ impl Scheme for Baseline {
             Solver::Ncflow => "NCFlow",
             Solver::Pop => "POP",
             Solver::Teavar => "TEAVAR*",
-            Solver::Fleischer => "Fleischer",
-            Solver::ShortestPath => "ShortestPath",
         }
     }
 
     fn allocate(&mut self, topo: &Topology, tm: &TrafficMatrix) -> (Allocation, Duration) {
-        let env = &self.env;
-        let inst = TeInstance::new(topo, env.paths(), tm);
+        let inst = TeInstance::new(topo, self.env.paths(), tm);
         let t0 = Instant::now();
         let alloc = match self.solver {
             Solver::LpAll(obj) => solve_lp(&inst, obj),
@@ -108,8 +93,6 @@ impl Scheme for Baseline {
             Solver::Ncflow => solve_ncflow(&inst),
             Solver::Pop => solve_pop(&inst),
             Solver::Teavar => solve_teavar(&inst),
-            Solver::Fleischer => fleischer::solve(&inst, FLEISCHER_EPSILON, FLEISCHER_STEPS).0,
-            Solver::ShortestPath => Allocation::shortest_path(tm.len(), env.k()),
         };
         (alloc, t0.elapsed())
     }
@@ -184,8 +167,6 @@ mod tests {
             Solver::Ncflow,
             Solver::Pop,
             Solver::Teavar,
-            Solver::Fleischer,
-            Solver::ShortestPath,
         ]
         .into_iter()
         .map(|solver| Box::new(Baseline::new(Arc::clone(&env), solver)) as Box<dyn Scheme>)
@@ -258,11 +239,6 @@ mod tests {
                 (Solver::Ncflow, solve_ncflow(&inst)),
                 (Solver::Pop, solve_pop(&inst)),
                 (Solver::Teavar, solve_teavar(&inst)),
-                (
-                    Solver::Fleischer,
-                    fleischer::solve(&inst, FLEISCHER_EPSILON, FLEISCHER_STEPS).0,
-                ),
-                (Solver::ShortestPath, Allocation::shortest_path(nd, env.k())),
             ];
             for (solver, want) in direct {
                 let mut baseline = Baseline::new(Arc::clone(&env), solver);
@@ -279,9 +255,8 @@ mod tests {
         // Saturating demands make multipath matter.
         let tm = TrafficMatrix::new(vec![60.0; env.num_demands()]);
         let mut lp = Baseline::new(Arc::clone(&env), Solver::LpAll(Objective::TotalFlow));
-        let mut sp = Baseline::new(Arc::clone(&env), Solver::ShortestPath);
         let (a_lp, _) = lp.allocate(env.topo(), &tm);
-        let (a_sp, _) = sp.allocate(env.topo(), &tm);
+        let a_sp = Allocation::shortest_path(env.num_demands(), env.k());
         let inst = env.instance(&tm);
         assert!(
             evaluate(&inst, &a_lp).realized_flow >= evaluate(&inst, &a_sp).realized_flow,

@@ -53,7 +53,7 @@ fn allocation_hash(env: &Arc<Env>, tm: &teal_traffic::TrafficMatrix, solver: Sol
 }
 
 /// Check every solver's hash on one testbed, reporting all mismatches.
-fn assert_pinned(env: &Arc<Env>, tm: &teal_traffic::TrafficMatrix, want: [(Solver, u64); 8]) {
+fn assert_pinned(env: &Arc<Env>, tm: &teal_traffic::TrafficMatrix, want: [(Solver, u64); 6]) {
     let mut wrong = Vec::new();
     for (solver, pinned) in want {
         let got = allocation_hash(env, tm, solver);
@@ -84,8 +84,6 @@ fn b4_baselines_are_pinned() {
             (Solver::Ncflow, 0xf388_ec72_7f0c_7110),
             (Solver::Pop, 0x3653_3798_0445_fe23),
             (Solver::Teavar, 0x9611_4dfa_b899_f992),
-            (Solver::Fleischer, 0xa722_61f5_b36a_afdf),
-            (Solver::ShortestPath, 0x84ef_a7d8_8294_3925),
         ],
     );
 }
@@ -106,8 +104,6 @@ fn kdl_baselines_are_pinned() {
             (Solver::Ncflow, 0x53a4_7a6a_9706_9fed),
             (Solver::Pop, 0x7397_c9c3_e5cf_4f4c),
             (Solver::Teavar, 0x76db_52f2_d280_a894),
-            (Solver::Fleischer, 0xfa3b_b7e2_faaf_a54d),
-            (Solver::ShortestPath, 0x2e4a_f8b5_4ae3_7f25),
         ],
     );
 }

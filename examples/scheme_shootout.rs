@@ -1,10 +1,9 @@
 //! Scheme shootout: the paper's headline comparison (§5.2) in miniature.
 //!
 //! Builds a Kdl-like testbed, trains Teal briefly, then runs Teal, LP-all,
-//! LP-top, NCFlow, POP, and Fleischer's approximation through the *online*
-//! control loop, where slow schemes serve live traffic with stale routes.
-//! Prints a Figure-6-style table: average computation time and online
-//! satisfied demand per scheme.
+//! LP-top, NCFlow and POP through the *online* control loop, where slow
+//! schemes serve live traffic with stale routes. Prints a Figure-6-style
+//! table: average computation time and online satisfied demand per scheme.
 //!
 //! Run with: `cargo run --release --example scheme_shootout`
 
@@ -66,7 +65,6 @@ fn main() {
         Solver::LpTop(Objective::TotalFlow),
         Solver::Ncflow,
         Solver::Pop,
-        Solver::Fleischer,
     ] {
         schemes.push(Box::new(Baseline::new(Arc::clone(&env), solver)));
     }

@@ -12,8 +12,8 @@
 //!   and `nn::pool`, the workspace's one parallel substrate (`teal-pool`);
 //! * [`topology`] — WAN graphs, generators, k-shortest paths;
 //! * [`traffic`] — synthetic heavy-tailed traffic matrices;
-//! * [`lp`] — the TE problem, simplex / ADMM / Fleischer solvers, and
-//!   feasible-flow semantics;
+//! * [`lp`] — the TE problem, simplex and ADMM solvers, and feasible-flow
+//!   semantics;
 //! * [`core`] — Teal itself: FlowGNN, COMA*, the deployment engine;
 //! * [`baselines`] — LP-top, NCFlow, POP, TEAVAR*;
 //! * [`sim`] — the online/offline evaluation harness;
