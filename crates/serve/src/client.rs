@@ -131,10 +131,9 @@ impl ClientShared {
 /// Blocking TCP client for a [`crate::TealServer`] (see module docs).
 pub struct TealClient {
     /// Sender half plus its reusable encode buffer; the lock is held only
-    /// to encode and write one frame.
+    /// to encode and write one frame. Drop shuts the socket down through
+    /// it, which ends the reader thread's handle too.
     writer: Mutex<(TcpStream, Vec<u8>)>,
-    /// Reader half (kept for shutdown on drop).
-    stream: TcpStream,
     shared: Arc<ClientShared>,
     next_id: AtomicU64,
     reader: Option<thread::JoinHandle<()>>,
@@ -173,8 +172,7 @@ impl TealClient {
             thread::spawn_named("teal-client-reader", move || reader_loop(stream, &shared))
         };
         Ok(TealClient {
-            writer: Mutex::new((stream.try_clone()?, Vec::new())),
-            stream,
+            writer: Mutex::new((stream, Vec::new())),
             shared,
             next_id: AtomicU64::new(0),
             reader: Some(reader),
@@ -217,18 +215,6 @@ impl TealClient {
         self.submit(&SubmitRequest::new(topology, tm)).wait()
     }
 
-    /// [`TealClient::allocate`] with a bounded wait; the wire twin of
-    /// [`Ticket::wait_timeout`].
-    pub fn allocate_timeout(
-        &self,
-        topology: impl Into<String>,
-        tm: TrafficMatrix,
-        timeout: Duration,
-    ) -> Result<ServeReply, ServeError> {
-        self.submit(&SubmitRequest::new(topology, tm))
-            .wait_timeout(timeout)
-    }
-
     /// Scrape the server's live [`TelemetrySnapshot`] over the connection
     /// (a STATS frame). Blocks until the reply arrives; pipelines with
     /// in-flight requests like any other frame.
@@ -261,7 +247,7 @@ impl TealClient {
 impl Drop for TealClient {
     fn drop(&mut self) {
         self.shared.closed.store(true);
-        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.writer.lock().0.shutdown(Shutdown::Both);
         if let Some(h) = self.reader.take() {
             // A panicked reader already ran its fail_all via unwind or is
             // about to be covered by ours below; don't panic in drop.

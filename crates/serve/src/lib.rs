@@ -270,11 +270,12 @@
 //! (`serve.net.wire_overhead_p50_ms`).
 
 // Unsafe is denied workspace-wide; the single override in this crate is
-// `net/sys.rs`, the hand-rolled epoll/eventfd FFI bindings (the crates
-// registry is unreachable, so no `libc`), which opts back in with its own
-// `#![allow(unsafe_code)]` and per-site SAFETY comments. The crate's
-// `clippy.toml` confines raw-fd plumbing to that file, the clock to
-// `telemetry::now` and std's sync primitives to `sync.rs`.
+// `net/sys.rs`, which declares the four epoll/eventfd syscalls std lacks
+// (the crates registry is unreachable, so no `libc`) and opts back in with
+// its own `#![allow(unsafe_code)]` and per-site SAFETY comments; every fd
+// it creates is an `OwnedFd`. The crate's `clippy.toml` confines raw fds
+// to that file, the clock to `telemetry::now` and std's sync primitives to
+// `sync.rs`.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;

@@ -5,9 +5,10 @@
 //!
 //! Structure:
 //!
-//! * [`sys`] holds the workspace's only raw FFI: hand-rolled
-//!   `epoll`/`eventfd`/`fcntl` declarations (the crates registry is
-//!   unreachable, so no `libc`) behind owned, typed wrappers.
+//! * [`sys`] holds the workspace's only raw FFI: the four `epoll`/`eventfd`
+//!   syscalls std lacks (the crates registry is unreachable, so no `libc`)
+//!   behind typed wrappers over `OwnedFd`s that take `impl AsFd`, so raw
+//!   fds never leave it. Sockets are std's, nonblocking through std.
 //! * The loop thread owns a slot-map connection table. Tokens pack
 //!   `generation << 32 | index`, and every delivered event and completion
 //!   re-checks the generation, so a stale one can never touch a recycled
@@ -143,11 +144,11 @@ pub(crate) fn spawn_event_loop<M: PolicyModel + 'static>(
     daemon: Arc<ServeDaemon<M>>,
     listener: TcpListener,
 ) -> io::Result<EventLoopHandle> {
-    sys::set_nonblocking(sys::listener_fd(&listener))?;
+    listener.set_nonblocking(true)?;
     let epoll = sys::Epoll::new()?;
     let doorbell = sys::EventFd::new()?;
-    epoll.add(sys::listener_fd(&listener), sys::EPOLLIN, TOKEN_LISTENER)?;
-    epoll.add(doorbell.fd(), sys::EPOLLIN, TOKEN_DOORBELL)?;
+    epoll.add(&listener, sys::EPOLLIN, TOKEN_LISTENER)?;
+    epoll.add(&doorbell, sys::EPOLLIN, TOKEN_DOORBELL)?;
     let shared = Arc::new(LoopShared {
         shutdown: AtomicBool::new(false),
         doorbell,
@@ -250,8 +251,7 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
     fn register(&mut self, stream: TcpStream) {
         // Latency service: replies must not sit in Nagle's buffer.
         let _ = stream.set_nodelay(true);
-        let fd = sys::stream_fd(&stream);
-        if sys::set_nonblocking(fd).is_err() {
+        if stream.set_nonblocking(true).is_err() {
             return; // refuse rather than risk blocking the whole loop
         }
         let idx = self.free.pop().unwrap_or_else(|| {
@@ -260,7 +260,7 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
         });
         let token = (u64::from(self.slots[idx].generation) << 32) | idx as u64;
         let interest = sys::EPOLLIN | sys::EPOLLRDHUP;
-        if self.epoll.add(fd, interest, token).is_err() {
+        if self.epoll.add(&stream, interest, token).is_err() {
             self.free.push(idx);
             return;
         }
@@ -373,7 +373,7 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
     /// its token.
     fn close(&mut self, idx: usize) {
         if let Some(conn) = self.slots[idx].conn.take() {
-            let _ = self.epoll.del(sys::stream_fd(&conn.stream));
+            let _ = self.epoll.del(&conn.stream);
             let _ = conn.stream.shutdown(Shutdown::Both);
             self.slots[idx].generation = self.slots[idx].generation.wrapping_add(1);
             self.free.push(idx);
@@ -389,7 +389,7 @@ impl<M: PolicyModel + 'static> EventLoop<M> {
         }
         self.drain_deadline = Some(now() + DRAIN_GRACE);
         if let Some(l) = self.listener.take() {
-            let _ = self.epoll.del(sys::listener_fd(&l));
+            let _ = self.epoll.del(&l);
         }
         for idx in 0..self.slots.len() {
             {
@@ -530,8 +530,7 @@ fn flush_writes(conn: &mut Connection, epoll: &sys::Epoll) {
 }
 
 fn set_interest(conn: &mut Connection, epoll: &sys::Epoll, want: u32) {
-    let fd = sys::stream_fd(&conn.stream);
-    if conn.interest != want && epoll.modify(fd, want, conn.token).is_ok() {
+    if conn.interest != want && epoll.modify(&conn.stream, want, conn.token).is_ok() {
         conn.interest = want;
     }
 }

@@ -1,23 +1,26 @@
-//! Hand-rolled Linux FFI for the event-loop front end: `epoll`, `eventfd`
-//! and `fcntl`, declared directly against libc's exported symbols because
-//! the crates registry (and with it the `libc` crate) is unreachable in
-//! this environment.
+//! Linux FFI for the event-loop front end: the four syscalls std does not
+//! wrap (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`), declared
+//! directly against libc's exported symbols because the crates registry
+//! (and with it the `libc` crate) is unreachable in this environment.
 //!
 //! This file is the workspace's **only** raw-FFI / raw-fd site: calling
 //! an `extern` function needs `unsafe`, which the workspace denies
 //! everywhere else, and the crate's `clippy.toml` disallows `as_raw_fd` and
-//! `into_raw_fd` everywhere else, so every syscall and every raw fd stays
-//! behind the typed wrappers below ([`Epoll`], [`EventFd`],
-//! [`set_nonblocking`], the `*_fd` accessors). The wrappers own their fds
-//! (closed on drop) and surface every failure as `io::Error` via `errno`.
+//! `into_raw_fd` everywhere else. Every fd created here becomes an
+//! [`OwnedFd`] as soon as its syscall returns (std closes it), the wrappers
+//! ([`Epoll`], [`EventFd`]) take the fds they register as `impl AsFd`, and
+//! every failure surfaces as `io::Error` via `errno`, so no raw fd leaves
+//! this file. Everything else (reads, writes, `O_NONBLOCK`, closing) is
+//! std's.
 
 // The one module allowed to override the workspace's `unsafe_code` deny
 // and the crate's raw-fd method ban.
 #![allow(unsafe_code, clippy::disallowed_methods)]
 
-use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsFd, AsRawFd, BorrowedFd, FromRawFd, OwnedFd};
+use std::ptr;
 
 // Readiness flags (wait side and interest side share the namespace).
 pub const EPOLLIN: u32 = 0x001;
@@ -33,9 +36,6 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
-const O_NONBLOCK: i32 = 0o4000;
 
 /// The kernel's `struct epoll_event`. x86-64 is the one Linux ABI where
 /// the struct is packed (no padding between `events` and `data`, a relic
@@ -57,10 +57,6 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, ...) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
 }
 
 /// Map the C return convention (negative = error, details in errno) to
@@ -73,46 +69,52 @@ fn cvt(ret: i32) -> io::Result<i32> {
     }
 }
 
-/// An owned epoll instance (closed on drop).
+/// Take ownership of the fd a creating syscall just returned.
+fn owned(ret: i32) -> io::Result<OwnedFd> {
+    let fd = cvt(ret)?;
+    // SAFETY: a non-negative return from `epoll_create1`/`eventfd` is a
+    // fresh open fd that nothing else owns; the `OwnedFd` is its one owner.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+}
+
+/// An owned epoll instance.
 pub struct Epoll {
-    fd: i32,
+    fd: OwnedFd,
 }
 
 impl Epoll {
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: epoll_create1 takes no pointers; the flag set is valid.
-        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        let fd = owned(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Epoll { fd })
     }
 
-    fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
-        let mut ev = EpollEvent {
-            events,
-            data: token,
-        };
-        // SAFETY: `ev` is a live, correctly laid out epoll_event for the
-        // duration of the call; the kernel copies it and does not retain
-        // the pointer past return.
-        cvt(unsafe { epoll_ctl(self.fd, op, fd, &mut ev) })?;
+    /// One `epoll_ctl`; `interest` (`events`, `token`) is `None` only for
+    /// `EPOLL_CTL_DEL`.
+    fn ctl(&self, op: i32, fd: impl AsFd, interest: Option<(u32, u64)>) -> io::Result<()> {
+        let mut event = interest.map(|(events, data)| EpollEvent { events, data });
+        let arg = event.as_mut().map_or(ptr::null_mut(), ptr::from_mut);
+        // SAFETY: `arg` is null (which EPOLL_CTL_DEL explicitly allows on
+        // every kernel this can run on) or points at `event`, a live,
+        // correctly laid out epoll_event for the duration of the call; the
+        // kernel copies it and does not retain the pointer past return.
+        cvt(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd.as_fd().as_raw_fd(), arg) })?;
         Ok(())
     }
 
     /// Register `fd` with interest `events`, delivering `token` on wakes.
-    pub fn add(&self, fd: i32, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, events, token)
+    pub fn add(&self, fd: impl AsFd, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, Some((events, token)))
     }
 
     /// Re-arm `fd` with a new interest set (same token semantics).
-    pub fn modify(&self, fd: i32, events: u32, token: u64) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, events, token)
+    pub fn modify(&self, fd: impl AsFd, events: u32, token: u64) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, Some((events, token)))
     }
 
     /// Deregister `fd` entirely.
-    pub fn del(&self, fd: i32) -> io::Result<()> {
-        // SAFETY: EPOLL_CTL_DEL ignores the event argument (a null pointer
-        // is explicitly allowed on every kernel this can run on).
-        cvt(unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, std::ptr::null_mut()) })?;
-        Ok(())
+    pub fn del(&self, fd: impl AsFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, None)
     }
 
     /// Block up to `timeout_ms` (`-1` = forever) for readiness, filling
@@ -125,7 +127,7 @@ impl Epoll {
         let max = i32::try_from(events.len()).unwrap_or(i32::MAX);
         // SAFETY: `events` is writable for `max` entries and outlives the
         // call; the kernel writes at most `max` entries.
-        let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), max, timeout_ms) };
+        let n = unsafe { epoll_wait(self.fd.as_raw_fd(), events.as_mut_ptr(), max, timeout_ms) };
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
@@ -137,84 +139,44 @@ impl Epoll {
     }
 }
 
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        // SAFETY: `self.fd` is the epoll fd this struct owns; nothing uses
-        // it after drop.
-        unsafe { close(self.fd) };
-    }
-}
-
 /// An owned nonblocking eventfd — the completion-wakeup doorbell shard
 /// dispatchers ring so they never touch a socket. `ring` is callable from
-/// any thread (eventfd writes are atomic).
+/// any thread (eventfd writes are atomic). Register it with [`Epoll::add`]
+/// under `EPOLLIN` interest.
 pub struct EventFd {
-    fd: i32,
+    /// The eventfd, read and written through std as its 8-byte counter.
+    file: File,
 }
 
 impl EventFd {
     pub fn new() -> io::Result<EventFd> {
         // SAFETY: eventfd takes no pointers; the flag set is valid.
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        Ok(EventFd { fd })
-    }
-
-    /// The fd to register with [`Epoll::add`] under `EPOLLIN` interest.
-    pub fn fd(&self) -> i32 {
-        self.fd
+        let fd = owned(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
+        Ok(EventFd {
+            file: File::from(fd),
+        })
     }
 
     /// Ring the doorbell. A saturated counter (EAGAIN) still leaves the fd
     /// readable, so the error is ignorable by design; no other failure is
     /// reachable for a valid eventfd.
     pub fn ring(&self) {
-        let buf = 1u64.to_ne_bytes();
-        // SAFETY: `buf` is 8 readable bytes, exactly the size eventfd
-        // requires per write.
-        let _ = unsafe { write(self.fd, buf.as_ptr(), buf.len()) };
+        // eventfd takes exactly 8 bytes per write.
+        let _ = (&self.file).write(&1u64.to_ne_bytes());
     }
 
     /// Drain the counter so the next [`EventFd::ring`] re-arms
     /// level-triggered readability.
     pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: `buf` is 8 writable bytes, exactly the size eventfd
-        // requires per read.
-        let _ = unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
+        // eventfd yields exactly 8 bytes per read.
+        let _ = (&self.file).read(&mut [0u8; 8]);
     }
 }
 
-impl Drop for EventFd {
-    fn drop(&mut self) {
-        // SAFETY: `self.fd` is the eventfd this struct owns; nothing uses
-        // it after drop.
-        unsafe { close(self.fd) };
+impl AsFd for EventFd {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.file.as_fd()
     }
-}
-
-/// Switch `fd` to nonblocking mode via the classic `fcntl`
-/// get-flags/set-flags dance.
-pub fn set_nonblocking(fd: i32) -> io::Result<()> {
-    // SAFETY: F_GETFL takes no third argument and returns the flag word.
-    let flags = cvt(unsafe { fcntl(fd, F_GETFL) })?;
-    if flags & O_NONBLOCK != 0 {
-        return Ok(());
-    }
-    // SAFETY: F_SETFL's argument is an int flag word, passed through the
-    // variadic slot exactly as C does (int needs no default promotion).
-    cvt(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) })?;
-    Ok(())
-}
-
-/// The raw fd of a stream, for epoll registration only — ownership (and
-/// closing) stays with the `TcpStream`.
-pub fn stream_fd(s: &TcpStream) -> i32 {
-    s.as_raw_fd()
-}
-
-/// The raw fd of a listener, for epoll registration only.
-pub fn listener_fd(l: &TcpListener) -> i32 {
-    l.as_raw_fd()
 }
 
 #[cfg(test)]
@@ -225,7 +187,7 @@ mod tests {
     fn eventfd_rings_and_drains_through_epoll() {
         let ep = Epoll::new().expect("epoll_create1");
         let doorbell = EventFd::new().expect("eventfd");
-        ep.add(doorbell.fd(), EPOLLIN, 42).expect("epoll_ctl add");
+        ep.add(&doorbell, EPOLLIN, 42).expect("epoll_ctl add");
 
         let mut events = [EpollEvent::default(); 4];
         // Nothing rung yet: a zero-timeout wait reports no readiness.
@@ -250,26 +212,19 @@ mod tests {
     fn modify_and_del_change_interest() {
         let ep = Epoll::new().expect("epoll_create1");
         let doorbell = EventFd::new().expect("eventfd");
-        ep.add(doorbell.fd(), EPOLLIN, 7).expect("add");
+        ep.add(&doorbell, EPOLLIN, 7).expect("add");
         doorbell.ring();
 
         // Re-arm with a different token: the next wake carries it.
-        ep.modify(doorbell.fd(), EPOLLIN, 8).expect("modify");
+        ep.modify(&doorbell, EPOLLIN, 8).expect("modify");
         let mut events = [EpollEvent::default(); 4];
         assert_eq!(ep.wait(&mut events, 1000).expect("wait"), 1);
         let token = events[0].data;
         assert_eq!(token, 8);
 
         // Deregistered fds never report, however loudly they ring.
-        ep.del(doorbell.fd()).expect("del");
+        ep.del(&doorbell).expect("del");
         doorbell.ring();
         assert_eq!(ep.wait(&mut events, 0).expect("wait"), 0);
-    }
-
-    #[test]
-    fn set_nonblocking_is_idempotent() {
-        let doorbell = EventFd::new().expect("eventfd");
-        set_nonblocking(doorbell.fd()).expect("first");
-        set_nonblocking(doorbell.fd()).expect("second");
     }
 }

@@ -304,31 +304,19 @@ pub(crate) fn fold_shards<'a, S: Deref<Target = ShardStats>>(
     unmatched_replies: u64,
 ) -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot {
-        per_topology: Vec::new(),
-        batch_sizes: Vec::new(),
-        queue_depth: 0,
-        max_queue_depth: 0,
-        completed: 0,
-        shed: 0,
-        expired: 0,
-        deadline_inversions: 0,
         unmatched_replies,
         pool: teal_nn::pool::stats(),
-        slow: Vec::new(),
-        tenants: Vec::new(),
+        ..TelemetrySnapshot::default()
     };
     let mut batch_sizes: HashMap<usize, u64> = HashMap::new();
     let mut tenants: HashMap<String, (u64, u64)> = HashMap::new();
     for (topology, queued, s) in shards {
-        let e2e = s.latency.summary();
         let requests = s.latency.count();
         snap.per_topology.push(TopoSnapshot {
             topology: topology.to_string(),
             requests,
             batches: s.batch_sizes.values().sum(),
-            mean: e2e.mean,
-            p50: e2e.p50,
-            p99: e2e.p99,
+            e2e: s.latency.summary(),
             queue_wait: s.queue_wait.summary(),
             solve: s.solve.summary(),
             write: s.write.summary(),
@@ -754,12 +742,8 @@ metrics! {
             batches: u64,
         }
         gauge("teal_serve_stage_seconds", "Request latency by pipeline stage (quantile label; mean under quantile=\"mean\").") {
-            /// Mean end-to-end (enqueue → response) latency.
-            mean: Duration [stage = "e2e", quantile = "mean"],
-            /// Median latency.
-            p50: Duration [stage = "e2e", quantile = "0.5"],
-            /// 99th-percentile latency.
-            p99: Duration [stage = "e2e", quantile = "0.99"],
+            /// End-to-end (enqueue → response) latency.
+            e2e: LatencyStats [stage = "e2e"],
             /// Time spent waiting in the shard queue (enqueue → drain).
             queue_wait: LatencyStats [stage = "queue_wait"],
             /// Time in the forward pass + ADMM fine-tuning.
@@ -812,7 +796,7 @@ metrics! {
     }
 
     /// Point-in-time copy of the daemon's serving statistics.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, Default, PartialEq)]
     pub struct TelemetrySnapshot {
         nested {
             /// Per-topology latency/request stats, sorted by topology id.

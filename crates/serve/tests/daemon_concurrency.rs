@@ -163,16 +163,16 @@ fn sixty_four_concurrent_requests_two_topologies_with_hot_swap() {
         .iter()
         .find(|t| t.topology == "b4")
         .expect("b4 telemetry");
-    assert!(b4_stats.p50 <= b4_stats.p99);
-    assert!(b4_stats.p99 > std::time::Duration::ZERO);
+    assert!(b4_stats.e2e.p50 <= b4_stats.e2e.p99);
+    assert!(b4_stats.e2e.p99 > std::time::Duration::ZERO);
     // On any scheduler some portion of 64 near-simultaneous requests must
     // have shared a forward pass; log it for the curious.
     eprintln!(
         "coalesced {coalesced}/{} requests; mean batch {:.2}; b4 p50 {:?} p99 {:?}",
         results.len(),
         stats.mean_batch_size(),
-        b4_stats.p50,
-        b4_stats.p99
+        b4_stats.e2e.p50,
+        b4_stats.e2e.p99
     );
 }
 

@@ -9,6 +9,10 @@
 //!   REQUEST id.
 //! * STATS(9) + STATS(9): both are answered and the connection stays open.
 //!   A scrape is answered on receipt, so its id is never in flight.
+//! * REQUEST(3) + a frame of unknown kind, and REQUEST(3) + a REQUEST cut
+//!   short under a valid length prefix: a protocol violation mid-pipeline
+//!   costs only its own connection, and only after the reply it is owed
+//!   is flushed.
 //!
 //! A well-behaved [`TealClient`] is served throughout, and neither end
 //! counts an unmatched reply.
@@ -30,6 +34,10 @@ use teal_traffic::TrafficMatrix;
 enum Frame {
     Request(u64),
     Stats(u64),
+    /// A payload whose kind byte names no message.
+    UnknownKind,
+    /// A REQUEST payload cut in half; its length prefix matches the cut.
+    Truncated(u64),
 }
 
 /// Encode `frames` back to back and hand them to the socket in one write.
@@ -39,6 +47,11 @@ fn send(stream: &mut TcpStream, frames: &[Frame], req: &SubmitRequest) {
         match frame {
             Frame::Request(id) => wire::encode_request(&mut payload, id, req),
             Frame::Stats(id) => wire::encode_stats_request(&mut payload, id),
+            Frame::UnknownKind => payload = vec![0xEE],
+            Frame::Truncated(id) => {
+                wire::encode_request(&mut payload, id, req);
+                payload.truncate(payload.len() / 2);
+            }
         }
         wire::write_frame(&mut bytes, &payload).expect("frame into a Vec");
     }
@@ -77,11 +90,13 @@ fn duplicate_ids_hang_up_only_when_a_request_is_in_flight() {
     let req = SubmitRequest::new("b4", TrafficMatrix::new(vec![10.0; env.num_demands()]));
     let good = TealClient::connect(server.local_addr()).expect("connect");
 
-    use Frame::{Request, Stats};
+    use Frame::{Request, Stats, Truncated, UnknownKind};
     for (sent, answered, hung_up) in [
         ([Request(5), Request(5)], &[Request(5)][..], true),
         ([Request(7), Stats(7)], &[Request(7)][..], true),
         ([Stats(9), Stats(9)], &[Stats(9), Stats(9)][..], false),
+        ([Request(3), UnknownKind], &[Request(3)][..], true),
+        ([Request(3), Truncated(4)], &[Request(3)][..], true),
     ] {
         let ticket = good.submit(&req);
         let mut raw = common::raw_handshake(server.local_addr());

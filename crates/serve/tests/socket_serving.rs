@@ -257,7 +257,8 @@ fn hostile_demand_hangs_up_one_connection_not_the_server() {
         // The loop thread is still alive: a fresh connection is served.
         let client = TealClient::connect(server.local_addr()).expect("connect after hostile frame");
         client
-            .allocate_timeout("b4", tm.clone(), Duration::from_secs(30))
+            .submit(&SubmitRequest::new("b4", tm.clone()))
+            .wait_timeout(Duration::from_secs(30))
             .expect("server still serves after a hostile frame");
     }
     assert_eq!(daemon.stats().completed, 2);

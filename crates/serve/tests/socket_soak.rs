@@ -182,7 +182,7 @@ fn soak(clients: usize, per_client: usize, prom_artifact: bool) {
     ] {
         eprintln!(
             "  {}: {} requests / {} batches, p50 {:?} p99 {:?}",
-            t.topology, t.requests, t.batches, t.p50, t.p99
+            t.topology, t.requests, t.batches, t.e2e.p50, t.e2e.p99
         );
         eprintln!(
             "    stages: queue-wait p50 {:?} p99 {:?} · solve p50 {:?} p99 {:?} · write p50 {:?} p99 {:?}",

@@ -158,9 +158,7 @@ fn synth_snapshot(seed: u64, ntopo: usize, nsizes: usize, nslow: usize) -> Telem
                 topology: format!("topo-{i}"),
                 requests: next() % 1_000_000,
                 batches: next() % 100_000,
-                mean: e2e.mean,
-                p50: e2e.p50,
-                p99: e2e.p99,
+                e2e,
                 queue_wait: lat(),
                 solve: lat(),
                 write: lat(),

@@ -44,9 +44,11 @@ fn snapshot() -> TelemetrySnapshot {
             topology: "b4".to_string(),
             requests: 12_345,
             batches: 678,
-            mean: ms(4),
-            p50: ms(3),
-            p99: ms(9),
+            e2e: LatencyStats {
+                mean: ms(4),
+                p50: ms(3),
+                p99: ms(9),
+            },
             queue_wait: lat(1),
             solve: lat(2),
             write: lat(0),

@@ -88,10 +88,15 @@ pub fn generate(kind: TopoKind, scale: f64, seed: u64) -> Topology {
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
     match kind {
         TopoKind::B4 => b4(),
-        TopoKind::Swan => {
-            geometric_square("SWAN", scaled(kind, scale), link_target(kind, scale), seed)
-        }
-        TopoKind::UsCarrier => geometric_strip(
+        TopoKind::Swan => geometric(
+            "SWAN",
+            scaled(kind, scale),
+            link_target(kind, scale),
+            1.0,
+            0.3,
+            seed,
+        ),
+        TopoKind::UsCarrier => geometric(
             "UsCarrier",
             scaled(kind, scale),
             link_target(kind, scale),
@@ -99,7 +104,7 @@ pub fn generate(kind: TopoKind, scale: f64, seed: u64) -> Topology {
             0.22,
             seed,
         ),
-        TopoKind::Kdl => geometric_strip(
+        TopoKind::Kdl => geometric(
             "Kdl",
             scaled(kind, scale),
             link_target(kind, scale),
@@ -189,25 +194,10 @@ pub fn b4() -> Topology {
     finish(t)
 }
 
-/// Geometric graph on the unit square: Euclidean MST plus the shortest
-/// remaining candidate links until `target_links` is reached.
-fn geometric_square(name: &str, n: usize, target_links: usize, seed: u64) -> Topology {
-    geometric(name, n, target_links, 1.0, 0.3, seed)
-}
-
-/// Geometric graph on a long strip (aspect ratio `stretch` : 1), producing
-/// chain-like carrier topologies with high diameter.
-fn geometric_strip(
-    name: &str,
-    n: usize,
-    target_links: usize,
-    stretch: f64,
-    express_frac: f64,
-    seed: u64,
-) -> Topology {
-    geometric(name, n, target_links, stretch, express_frac, seed)
-}
-
+/// Geometric graph on a `stretch` : 1 rectangle: Euclidean MST plus the
+/// shortest remaining candidate links until `target_links` is reached. A
+/// stretch of 1 is the unit square (SWAN); a long strip produces chain-like
+/// carrier topologies with high diameter (UsCarrier, Kdl).
 fn geometric(
     name: &str,
     n: usize,

@@ -106,7 +106,7 @@ fn main() {
     for t in &stats.per_topology {
         println!(
             "  {:>6}: {:>3} requests / {:>2} batches  p50 {:?}  p99 {:?}",
-            t.topology, t.requests, t.batches, t.p50, t.p99
+            t.topology, t.requests, t.batches, t.e2e.p50, t.e2e.p99
         );
         println!(
             "          stages p99: queue-wait {:?} | solve {:?} | write {:?}",

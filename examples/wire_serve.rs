@@ -80,7 +80,7 @@ fn main() {
         stats.mean_batch_size()
     );
     for t in &stats.per_topology {
-        println!("  {}: p50 {:?} p99 {:?}", t.topology, t.p50, t.p99);
+        println!("  {}: p50 {:?} p99 {:?}", t.topology, t.e2e.p50, t.e2e.p99);
         println!(
             "    stages p99: queue-wait {:?} | solve {:?} | write {:?}",
             t.queue_wait.p99, t.solve.p99, t.write.p99

@@ -52,10 +52,13 @@
 //! and `teal-meter`, the dev-only counting allocator every allocation-floor
 //! test installs; CI's "Unsafe inventory" step fails on a fourth):
 //!
-//! * **epoll/eventfd FFI** (`teal_serve::net::sys`): hand-rolled bindings
-//!   (the crates registry is unreachable, so no `libc`) behind safe
-//!   wrappers that own their fds. The workspace denies `unsafe_code` and
-//!   this one module opts back in, with a `// SAFETY:` comment per site.
+//! * **epoll/eventfd FFI** (`teal_serve::net::sys`): the four syscalls std
+//!   lacks (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`; the
+//!   crates registry is unreachable, so no `libc`) in five `unsafe` blocks,
+//!   behind safe wrappers. Every fd they create is an `OwnedFd` from the
+//!   moment its syscall returns, they take fds as `impl AsFd`, and no raw
+//!   fd leaves the module. The workspace denies `unsafe_code` and this one
+//!   module opts back in, with a `// SAFETY:` comment per site.
 //!
 //! The compute side has none: `teal-pool` (re-exported as `teal_nn::pool`)
 //! fans out every parallel stage — a window's forward pass, KSP, the
